@@ -10,7 +10,6 @@ from .conjugation import (
     AntilinearOperator,
     ConjugationParams,
     ConstraintViolation,
-    apply_conjugation,
     check_involution,
     check_isometry,
     check_matrix_c_symmetry,
@@ -33,7 +32,6 @@ from .evolution import (
 from .fock import (
     DEFAULT_TOLERANCES,
     FockVector,
-    TruncationConfig,
     basis_vector,
     evaluate,
     inner_product,

@@ -3,10 +3,12 @@
 Subcommands
     validate <scenario.json>          schema- and constraint-check only
     run <scenario.json>               execute a scenario, write its report
-    verify-all [--seed] [--dim] [--parallel]
-                                      the full check suite as one report
+    verify-all [--seed] [--dim]       the full check suite as one report
     spectrum  [family flags]          dilation spectrum report front end
     evolve    [model flags]           propagator time series as CSV
+
+Each scenario kind has one parser, which both ``validate`` and ``run`` use,
+and one runner; the laws are measured by :mod:`focksym.verification`.
 
 Exit codes: 0 every record passed (warn/info allowed), 1 input error,
 2 at least one failed check.  Complex scalars in JSON are [re, im] pairs.
@@ -15,10 +17,12 @@ Exit codes: 0 every record passed (warn/info allowed), 1 input error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
 import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -27,12 +31,12 @@ import numpy as np
 from .conjugation import (
     ConjugationParams,
     ConstraintViolation,
-    check_involution,
     check_isometry,
     conjugation_matrix,
 )
 from .evolution import (
     BagchiParams,
+    StiffnessError,
     TimeDependentOperator,
     bagchi_hamiltonian,
     check_evolution_axioms,
@@ -40,13 +44,10 @@ from .evolution import (
     constant_operator,
     evolve,
 )
-from .fock import DEFAULT_TOLERANCES, FockVector, TruncationConfig, monomial
+from .fock import DEFAULT_TOLERANCES, FockVector, monomial
 from .generator import (
     check_empty_point_spectrum,
-    check_generator_fd,
     check_stone_adjoint_relation,
-    generator_matrix,
-    matrix_exponential,
     spectrum_report,
 )
 from .rng import complex_normal_vectors
@@ -55,36 +56,34 @@ from .semigroup import (
     GrowthProbe,
     SemigroupFamily,
     TranslationFamily,
-    check_semicocycle,
-    check_semiflow,
-    check_semigroup_law,
-    family_eval,
     family_is_bounded,
     n_omega_estimate,
-    scaling_instance,
-    semigroup_matrix,
-    solve_scaling_equation,
 )
 from .serialize import (
     complex_from_json,
+    complex_to_json,
     default_output_dir,
     write_csv,
     write_json_report,
 )
-from .verification import CheckRecord, VerifyConfig, run_all
+from .verification import (
+    FLOW_GRID,
+    CheckRecord,
+    VerifyConfig,
+    _info,
+    _record,
+    exponential_bridge,
+    fd_slope_records,
+    flow_cocycle_deviation,
+    involution_decay_record,
+    involution_residual,
+    run_all,
+    scaling_deviation,
+    semigroup_law_deviation,
+)
 from .wco import WCOParams, is_bounded, is_c_selfadjoint_symbols, wco_matrix
 
 __all__ = ["main"]
-
-SCENARIO_KINDS = (
-    "conjugation-check",
-    "wco",
-    "semigroup",
-    "generator",
-    "spectrum",
-    "evolution",
-    "full-verify",
-)
 
 
 class ScenarioError(Exception):
@@ -109,6 +108,8 @@ def _get(obj: dict, path: str, key: str, typ: type, default: Any = ...) -> Any:
         val = float(val)
     if not isinstance(val, typ):
         raise ScenarioError(here, f"expected {typ.__name__}, got {type(val).__name__}")
+    if typ is float and not math.isfinite(val):
+        raise ScenarioError(here, "expected a finite number")
     return val
 
 
@@ -119,9 +120,12 @@ def _get_complex(obj: dict, path: str, key: str, default: Any = ...) -> complex:
             return default
         raise ScenarioError(here, "missing required field")
     try:
-        return complex_from_json(obj[key])
+        z = complex_from_json(obj[key])
     except (TypeError, ValueError, IndexError):
         raise ScenarioError(here, "expected a number or an [re, im] pair")
+    if not cmath.isfinite(z):
+        raise ScenarioError(here, "expected a finite number")
+    return z
 
 
 def _conjugation_from(obj: dict, path: str) -> ConjugationParams:
@@ -161,23 +165,37 @@ def _family_from(obj: dict, path: str) -> SemigroupFamily:
                         "expected 'translation' or 'dilation'")
 
 
-def _truncation_from(obj: dict, path: str) -> TruncationConfig:
+def _config(path: str, **fields) -> VerifyConfig:
+    try:
+        return VerifyConfig(**fields)
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc))
+
+
+def _config_from(obj: dict, path: str, seed: int) -> VerifyConfig:
     dim = _get(obj, path, "dim", int, 64)
-    if dim < 2:
-        raise ScenarioError(f"{path}.dim", "truncation dimension must be >= 2")
     overrides = _get(obj, path, "tolerances", dict, {})
     tolerances = dict(DEFAULT_TOLERANCES)
     for key, val in overrides.items():
         if key not in tolerances:
             raise ScenarioError(f"{path}.tolerances.{key}", "unknown tolerance name")
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ScenarioError(f"{path}.tolerances.{key}", "expected a number")
+        if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+            raise ScenarioError(f"{path}.tolerances.{key}", "expected a finite number")
         tolerances[key] = float(val)
-    return TruncationConfig(dim=dim, tolerances=tolerances)
+    return _config(f"{path}.dim", dim=dim, seed=seed, tolerances=tolerances)
 
 
 # ----------------------------------------------------------------------------
-# scenario parsing
+# scenario parsing: one parser per kind returns the typed spec its runner takes
+
+@dataclass(frozen=True)
+class Scenario:
+    name: str
+    kind: str
+    spec: Any
+    cfg: VerifyConfig
+    output: dict  # "format" and, when given, "path"
+
 
 def load_scenario(path: Path) -> dict:
     try:
@@ -193,88 +211,140 @@ def load_scenario(path: Path) -> dict:
     return obj
 
 
-def validate_scenario(obj: dict) -> tuple[str, str, dict, TruncationConfig, dict]:
-    """Returns (name, kind, params, truncation, output spec) or raises."""
+def validate_scenario(obj: dict, seed: int = VerifyConfig.seed) -> Scenario:
+    """Parse and check a scenario, or raise ScenarioError naming the field."""
     name = _get(obj, "", "name", str)
+    if "/" in name or "\\" in name:
+        raise ScenarioError("name", "must not contain a path separator")
     kind = _get(obj, "", "kind", str)
-    if kind not in SCENARIO_KINDS:
+    if kind not in _KINDS:
         raise ScenarioError("kind", f"unknown kind {kind!r}; expected one of "
-                                    f"{', '.join(SCENARIO_KINDS)}")
+                                    f"{', '.join(_KINDS)}")
     params = _get(obj, "", "params", dict, {})
-    truncation = _truncation_from(_get(obj, "", "truncation", dict, {}), "truncation")
+    cfg = _config_from(_get(obj, "", "truncation", dict, {}), "truncation", seed)
     output = _get(obj, "", "output", dict, {})
     fmt = _get(output, "output", "format", str, "json")
     if fmt not in ("json", "csv"):
         raise ScenarioError("output.format", "expected 'json' or 'csv'")
-    # run a dry parameter validation so `validate` catches constraint errors
-    _SCENARIO_VALIDATORS[kind](params, truncation)
-    return name, kind, params, truncation, output
+    out = {"format": fmt}
+    if "path" in output:
+        out["path"] = _get(output, "output", "path", str)
+    parse, _ = _KINDS[kind]
+    return Scenario(name, kind, parse(params, cfg), cfg, out)
 
 
-# per-kind parameter validation (no heavy computation)
-
-def _vld_conjugation(params: dict, trunc: TruncationConfig) -> None:
-    _conjugation_from(params, "params")
+def _parse_conjugation(params: dict, cfg: VerifyConfig) -> ConjugationParams:
+    return _conjugation_from(params, "params")
 
 
-def _wco_params_from(params: dict, path: str) -> WCOParams:
-    return WCOParams(
-        A=_get_complex(params, path, "A"),
-        B=_get_complex(params, path, "B", 0.0 + 0j),
-        C=_get_complex(params, path, "C", 1.0 + 0j),
-        D=_get_complex(params, path, "D", 0.0 + 0j),
+@dataclass(frozen=True)
+class WcoSpec:
+    symbol: WCOParams
+    matrix: np.ndarray  # the truncation at cfg.dim, assembled once
+    conj: ConjugationParams | None
+
+
+def _parse_wco(params: dict, cfg: VerifyConfig) -> WcoSpec:
+    p = WCOParams(
+        A=_get_complex(params, "params", "A"),
+        B=_get_complex(params, "params", "B", 0.0 + 0j),
+        C=_get_complex(params, "params", "C", 1.0 + 0j),
+        D=_get_complex(params, "params", "D", 0.0 + 0j),
     )
+    conj = _get(params, "params", "conjugation", dict, None)
+    if conj is not None:
+        conj = _conjugation_from(conj, "params.conjugation")
+    try:
+        M = wco_matrix(p, cfg.dim)
+    except OverflowError:
+        M = None
+    if M is None or not np.all(np.isfinite(M)):
+        # name the largest symbol entry, the one that drives the overflow
+        key = max("ABCD", key=lambda k: abs(getattr(p, k)))
+        raise ScenarioError(f"params.{key}",
+                            f"the truncated matrix overflows at dim {cfg.dim}")
+    return WcoSpec(p, M, conj)
 
 
-def _vld_wco(params: dict, trunc: TruncationConfig) -> None:
-    _wco_params_from(params, "params")
-    if "conjugation" in params:
-        _conjugation_from(params["conjugation"], "params.conjugation")
+def _parse_family(params: dict, cfg: VerifyConfig) -> SemigroupFamily:
+    return _family_from(_get(params, "params", "family", dict), "params.family")
 
 
-def _vld_family(params: dict, trunc: TruncationConfig) -> None:
-    _family_from(_get(params, "params", "family", dict), "params.family")
+@dataclass(frozen=True)
+class SemigroupSpec:
+    family: SemigroupFamily
+    probe: GrowthProbe
 
 
-def _vld_spectrum(params: dict, trunc: TruncationConfig) -> None:
-    fam = _family_from(_get(params, "params", "family", dict), "params.family")
+def _parse_semigroup(params: dict, cfg: VerifyConfig) -> SemigroupSpec:
+    fam = _parse_family(params, cfg)
+    probe = GrowthProbe(omega=_get(params, "params", "omega", float, 0.0))
+    if abs(probe.omega) * probe.t_grid[-1] >= math.log(sys.float_info.max):
+        raise ScenarioError("params.omega", f"exp(omega t) overflows on the probe grid "
+                                            f"t <= {probe.t_grid[-1]:g}")
+    return SemigroupSpec(fam, probe)
+
+
+@dataclass(frozen=True)
+class SpectrumSpec:
+    family: SemigroupFamily
+    k_max: int
+    eta: complex | None  # candidate eigenvalue; translation families only
+
+
+def _parse_spectrum(params: dict, cfg: VerifyConfig) -> SpectrumSpec:
+    fam = _parse_family(params, cfg)
     k_max = _get(params, "params", "k_max", int, 5)
     if k_max < 0:
         raise ScenarioError("params.k_max", "must be >= 0")
+    eta = None
     if isinstance(fam, TranslationFamily):
-        _get_complex(params, "params", "eta", 1 + 1j)
+        eta = _get_complex(params, "params", "eta", 1 + 1j)
+    return SpectrumSpec(fam, k_max, eta)
 
 
 _EVOLUTION_MODELS = ("bagchi", "constant", "table")
 
 
+@dataclass(frozen=True)
+class EvolutionSpec:
+    op: TimeDependentOperator
+    meta: dict
+    source: str  # field path of the model's coefficients, named on stiffness
+    s: float
+    t: float
+    rel_tol: float
+    samples: int
+
+
 def _coefficient_fn(spec: Any, path: str) -> Callable[[float], float]:
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool) and math.isfinite(spec):
         v = float(spec)
         return lambda t: v
-    if isinstance(spec, dict) and "cosine" in spec:
+    if isinstance(spec, dict) and isinstance(spec.get("cosine"), dict):
         c = spec["cosine"]
         amp = _get(c, f"{path}.cosine", "amplitude", float, 1.0)
         freq = _get(c, f"{path}.cosine", "frequency", float, 1.0)
         phase = _get(c, f"{path}.cosine", "phase", float, 0.0)
         return lambda t: amp * math.cos(freq * t + phase)
-    raise ScenarioError(path, "expected a number or {'cosine': {...}}")
+    raise ScenarioError(path, "expected a finite number or {'cosine': {...}}")
 
 
 def _matrix_from(entry: Any, path: str) -> np.ndarray:
     if not isinstance(entry, list) or not entry:
         raise ScenarioError(path, "expected a non-empty matrix (list of rows)")
     try:
-        rows = [[complex_from_json(x) for x in row] for row in entry]
+        M = np.array([[complex_from_json(x) for x in row] for row in entry], dtype=complex)
     except (TypeError, ValueError, IndexError):
-        raise ScenarioError(path, "matrix entries must be numbers or [re, im] pairs")
-    M = np.array(rows, dtype=complex)
+        raise ScenarioError(path, "expected equal-length rows of numbers or [re, im] pairs")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ScenarioError(path, "matrix must be square")
+    if not np.all(np.isfinite(M)):
+        raise ScenarioError(path, "matrix entries must be finite")
     return M
 
 
-def _evolution_operator_from(params: dict) -> tuple[TimeDependentOperator, dict]:
+def _evolution_operator_from(params: dict) -> tuple[TimeDependentOperator, dict, str]:
     model = _get(params, "params", "B", str)
     if model not in _EVOLUTION_MODELS:
         raise ScenarioError("params.B", f"expected one of {_EVOLUTION_MODELS}")
@@ -284,20 +354,26 @@ def _evolution_operator_from(params: dict) -> tuple[TimeDependentOperator, dict]
         lam = _coefficient_fn(params.get("lam", 1.0), "params.lam")
         op = bagchi_hamiltonian(BagchiParams(nu=nu, kappa=kappa, lam=lam))
         meta = {"model": "bagchi", "nu": nu}
-        return op, meta
+        return op, meta, "params.B"
     if model == "constant":
         M = _matrix_from(_get(params, "params", "matrix", list), "params.matrix")
-        return constant_operator(M), {"model": "constant", "dim": M.shape[0]}
+        return constant_operator(M), {"model": "constant", "dim": M.shape[0]}, "params.matrix"
     times = _get(params, "params", "times", list)
     mats = _get(params, "params", "matrices", list)
     if len(times) != len(mats) or len(times) < 2:
         raise ScenarioError("params.times",
                             "need >= 2 sample times matching 'matrices'")
-    ts = np.array([float(x) for x in times])
-    if np.any(np.diff(ts) <= 0):
-        raise ScenarioError("params.times", "must be strictly increasing")
-    stack = np.stack([_matrix_from(m, f"params.matrices[{i}]")
-                      for i, m in enumerate(mats)])
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in times):
+        raise ScenarioError("params.times", "expected a list of numbers")
+    ts = np.array(times, dtype=float)
+    if not np.all(np.isfinite(ts)) or np.any(np.diff(ts) <= 0):
+        raise ScenarioError("params.times", "must be finite and strictly increasing")
+    blocks = [_matrix_from(m, f"params.matrices[{i}]") for i, m in enumerate(mats)]
+    for i, M in enumerate(blocks):
+        if M.shape != blocks[0].shape:
+            raise ScenarioError(f"params.matrices[{i}]",
+                                f"shape {M.shape} differs from {blocks[0].shape} of matrices[0]")
+    stack = np.stack(blocks)
 
     def eval_b(t: float) -> np.ndarray:
         # piecewise-linear interpolation, clamped at the ends
@@ -310,201 +386,152 @@ def _evolution_operator_from(params: dict) -> tuple[TimeDependentOperator, dict]
         return (1 - w) * stack[j] + w * stack[j + 1]
 
     op = TimeDependentOperator(dim=stack.shape[1], eval=eval_b)
-    return op, {"model": "table", "dim": stack.shape[1], "samples": len(times)}
+    return op, {"model": "table", "dim": stack.shape[1], "samples": len(times)}, "params.matrices"
 
 
-def _vld_evolution(params: dict, trunc: TruncationConfig) -> None:
-    _evolution_operator_from(params)
+def _parse_evolution(params: dict, cfg: VerifyConfig) -> EvolutionSpec:
+    op, meta, source = _evolution_operator_from(params)
     s = _get(params, "params", "s", float, 0.0)
     t = _get(params, "params", "t", float, 1.0)
     if t < s:
         raise ScenarioError("params.t", "need t >= s")
+    rel_tol = _get(params, "params", "rel_tol", float, 1e-10)
+    if rel_tol <= 0:
+        raise ScenarioError("params.rel_tol", "must be positive")
+    samples = _get(params, "params", "samples", int, 21)
+    if samples < 1:
+        raise ScenarioError("params.samples", "must be >= 1")
+    return EvolutionSpec(op, meta, source, s, t, rel_tol, samples)
 
 
-def _vld_full_verify(params: dict, trunc: TruncationConfig) -> None:
-    seed = _get(params, "params", "seed", int, 20260814)
-    if seed < 0:
+def _parse_full_verify(params: dict, cfg: VerifyConfig) -> int | None:
+    seed = _get(params, "params", "seed", int, None)
+    if seed is not None and seed < 0:
         raise ScenarioError("params.seed", "seed must be >= 0")
-
-
-_SCENARIO_VALIDATORS: dict[str, Callable[[dict, TruncationConfig], None]] = {
-    "conjugation-check": _vld_conjugation,
-    "wco": _vld_wco,
-    "semigroup": _vld_family,
-    "generator": _vld_family,
-    "spectrum": _vld_spectrum,
-    "evolution": _vld_evolution,
-    "full-verify": _vld_full_verify,
-}
+    return seed
 
 
 # ----------------------------------------------------------------------------
 # scenario runners: each returns (records, extra report payload, csv rows)
 
-def _run_conjugation(params: dict, trunc: TruncationConfig, seed: int):
-    p = _conjugation_from(params, "params")
-    dim = trunc.dim
+def _run_conjugation(p: ConjugationParams, cfg: VerifyConfig):
+    dim = cfg.dim
     op = conjugation_matrix(p, dim)
-    max_degree = min(8, dim - 1)
-    inv = float(np.max(check_involution(op, max_degree)))
-    vecs = complex_normal_vectors(seed, 2, dim)
+    inv = involution_residual(op, min(8, dim - 1))
+    vecs = complex_normal_vectors(cfg.seed, 2, dim)
     iso = check_isometry(op, FockVector(vecs[0], "normalized"),
                          FockVector(vecs[1], "normalized"))
-    records = []
     if p.b == 0:
-        records.append(_mk("conjugation.involution", "C^2 = identity",
-                           inv, trunc.tol("involution_exact")))
-        records.append(_mk("conjugation.isometry", "<Cf,Cg> = <g,f>",
-                           iso, trunc.tol("isometry_exact")))
+        records = [
+            _record(cfg, "conjugation.involution", "C^2 = identity",
+                    inv, cfg.tol("involution_exact")),
+            _record(cfg, "conjugation.isometry", "<Cf,Cg> = <g,f>",
+                    iso, cfg.tol("isometry_exact")),
+        ]
     else:
         # truncation-limited: report the residual and its decay, judge the decay
-        half_op = conjugation_matrix(p, dim // 2)
-        inv_half = float(np.max(check_involution(half_op, min(max_degree, dim // 2 - 1))))
-        factor = inv_half / inv if inv > 0 else math.inf
-        records.append(CheckRecord("conjugation.involution.residual",
-                                   "C^2 = identity (truncation limited)",
-                                   inv, math.nan, "info"))
-        records.append(_mk("conjugation.involution.decay",
-                           "C^2 -> identity as truncation grows",
-                           factor, trunc.tol("residual_decay_factor"),
-                           direction=">="))
-        records.append(CheckRecord("conjugation.isometry.residual",
-                                   "<Cf,Cg> = <g,f> (truncation limited)",
-                                   iso, math.nan, "info"))
+        inv_half = involution_residual(conjugation_matrix(p, dim // 2), min(8, dim // 2 - 1))
+        records = [
+            _info("conjugation.involution.residual",
+                  "C^2 = identity (truncation limited)", inv),
+            involution_decay_record(cfg, "conjugation.involution.decay", inv_half, inv),
+            _info("conjugation.isometry.residual",
+                  "<Cf,Cg> = <g,f> (truncation limited)", iso),
+        ]
     payload = {"conjugation": p.to_json(), "diagonal": p.is_diagonal}
     return records, payload, None
 
 
-def _run_wco(params: dict, trunc: TruncationConfig, seed: int):
-    p = _wco_params_from(params, "params")
-    dim = trunc.dim
-    M = wco_matrix(p, dim)
+def _run_wco(spec: WcoSpec, cfg: VerifyConfig):
+    p, dim = spec.symbol, cfg.dim
     verdict = is_bounded(p)
     records = [
-        CheckRecord("wco.bounded", "symbol criterion for boundedness",
-                    1.0 if verdict.bounded else 0.0, math.nan, "info",
-                    detail=verdict.reason),
+        _info("wco.bounded", "symbol criterion for boundedness",
+              1.0 if verdict.bounded else 0.0, verdict.reason),
     ]
-    norms = [float(np.linalg.norm(wco_matrix(p, d), 2)) for d in (dim // 2, dim)]
-    records.append(CheckRecord("wco.truncated-norms", "plumbing",
-                               norms[-1], math.nan, "info",
-                               detail=f"2-norm at dim {dim//2}: {norms[0]!r}, "
-                                      f"dim {dim}: {norms[1]!r}"))
+    norms = [float(np.linalg.norm(M, 2)) for M in (wco_matrix(p, dim // 2), spec.matrix)]
+    records.append(_info("wco.truncated-norms", "plumbing", norms[-1],
+                         f"2-norm at dim {dim//2}: {norms[0]!r}, dim {dim}: {norms[1]!r}"))
     payload: dict[str, Any] = {"wco": p.to_json()}
-    if "conjugation" in params:
-        cp = _conjugation_from(params["conjugation"], "params.conjugation")
-        res = is_c_selfadjoint_symbols(p, cp.a, cp.b)
-        records.append(_mk("wco.symbol-selfadjointness",
-                           "D = a B - b A + b", res.deviation,
-                           trunc.tol("constraint")))
-        payload["conjugation"] = cp.to_json()
+    if spec.conj is not None:
+        res = is_c_selfadjoint_symbols(p, spec.conj.a, spec.conj.b)
+        records.append(_record(cfg, "wco.symbol-selfadjointness",
+                               "D = a B - b A + b", res.deviation,
+                               cfg.tol("constraint")))
+        payload["conjugation"] = spec.conj.to_json()
     return records, payload, None
 
 
-def _run_semigroup(params: dict, trunc: TruncationConfig, seed: int):
-    fam = _family_from(_get(params, "params", "family", dict), "params.family")
-    dim = trunc.dim
-    grid = np.linspace(0.0, 1.0, 5)
-    flow_dev = max(check_semiflow(fam, float(t), float(s))
-                   for t in grid for s in grid)
-    coc_dev = max(check_semicocycle(fam, float(t), float(s))
-                  for t in grid for s in grid)
-    law = max(check_semigroup_law(fam, t, s, k, dim)
-              for t in (0.25, 1.0) for s in (0.25, 1.0)
-              for k in range(0, min(5, dim)))
-    lam0, dpsi = scaling_instance(fam)
-    scal = max(
-        abs(solve_scaling_equation(lam0, dpsi, float(t))
-            - family_eval(fam, float(t)).C) / abs(family_eval(fam, float(t)).C)
-        for t in np.linspace(0.0, 2.0, 5)
-    )
+def _run_semigroup(spec: SemigroupSpec, cfg: VerifyConfig):
+    fam, dim, probe = spec.family, cfg.dim, spec.probe
+    flow_dev, coc_dev = flow_cocycle_deviation(fam, FLOW_GRID)
+    law = semigroup_law_deviation(fam, (0.25, 1.0), 5, dim)
+    scal = scaling_deviation(fam, np.linspace(0.0, 2.0, 5))
     records = [
-        _mk("semigroup.semiflow", "zeta_{t+s} = zeta_t o zeta_s",
-            flow_dev, trunc.tol("semiflow")),
-        _mk("semigroup.semicocycle", "xi_{t+s} = xi_t (xi_s o zeta_t)",
-            coc_dev, trunc.tol("semicocycle")),
-        _mk("semigroup.law", "W(t) W(s) = W(t+s) on monomials",
-            law, trunc.tol("semigroup_law")),
-        _mk("semigroup.scaling-multiplier",
-            "multiplier solves the scaling differential equation",
-            scal, trunc.tol("scaling_solver")),
-        CheckRecord("semigroup.bounded", "uniform boundedness criterion",
-                    1.0 if family_is_bounded(fam) else 0.0, math.nan, "info"),
+        _record(cfg, "semigroup.semiflow", "zeta_{t+s} = zeta_t o zeta_s",
+                flow_dev, cfg.tol("semiflow")),
+        _record(cfg, "semigroup.semicocycle", "xi_{t+s} = xi_t (xi_s o zeta_t)",
+                coc_dev, cfg.tol("semicocycle")),
+        _record(cfg, "semigroup.law", "W(t) W(s) = W(t+s) on monomials",
+                law, cfg.tol("semigroup_law")),
+        _record(cfg, "semigroup.scaling-multiplier",
+                "multiplier solves the scaling differential equation",
+                scal, cfg.tol("scaling_solver")),
+        _info("semigroup.bounded", "uniform boundedness criterion",
+              1.0 if family_is_bounded(fam) else 0.0),
     ]
-    omega = float(params.get("omega", 0.0))
-    probe = GrowthProbe(omega=omega)
     rep = n_omega_estimate(fam, monomial(0, dim), probe, dim)
-    records.append(CheckRecord(
-        "semigroup.growth", "sup_t e^{-omega t} ||W(t) 1||",
-        rep.sup, math.nan, "info",
-        detail=f"diverging={rep.diverging} argmax_t={rep.argmax_t!r}"))
+    records.append(_info("semigroup.growth", "sup_t e^{-omega t} ||W(t) 1||", rep.sup,
+                         f"diverging={rep.diverging} argmax_t={rep.argmax_t!r}"))
     rows = [("t", "norm", "weighted_norm")]
     for t, weighted in zip(probe.t_grid, rep.values):
-        raw = weighted * math.exp(omega * t)
+        raw = weighted * math.exp(probe.omega * t)
         rows.append((float(t), float(raw), float(weighted)))
-    payload = {"family": fam.to_json(), "growth": rep.to_json(), "omega": omega}
+    payload = {"family": fam.to_json(), "growth": rep.to_json(), "omega": probe.omega}
     return records, payload, rows
 
 
-def _run_generator(params: dict, trunc: TruncationConfig, seed: int):
-    fam = _family_from(_get(params, "params", "family", dict), "params.family")
-    dim = trunc.dim
-    slope_f, _ = check_generator_fd(fam, 0, dim, scheme="forward")
-    slope_c, _ = check_generator_fd(fam, 0, dim, scheme="central")
-    gen = generator_matrix(fam, dim).dense()
-    worst = 0.0
-    block = min(20, dim)
-    for t in (0.1, 0.5):
-        E = matrix_exponential(gen, t)
-        W = semigroup_matrix(fam, t, dim)
-        for k in range(min(4, dim)):
-            v = monomial(k, dim).to_normalized().coeffs
-            worst = max(worst, float(np.linalg.norm((E @ v - W @ v)[:block])))
-    stone = check_stone_adjoint_relation(fam, fam.conj, dim)
-    records = [
-        _mk("generator.fd-forward-slope", "first-order quotient converges",
-            abs(slope_f - 1.0), 0.1, detail=f"slope {slope_f:.4f}"),
-        _mk("generator.fd-central-slope", "second-order quotient converges",
-            abs(slope_c - 2.0), 0.1, detail=f"slope {slope_c:.4f}"),
-        _mk("generator.exponential-bridge",
-            "exp(t Q) matches W(t) on low coefficients",
-            worst, trunc.tol("expm_vs_semigroup")),
-        _mk("generator.c-symmetry", "Q M = M Q^T",
-            stone.c_symmetry_residual, trunc.tol("matrix_symmetry_exact")),
-        CheckRecord("generator.adjoint-quotient",
-                    "adjoint family differentiates to Q^H",
-                    stone.adjoint_fd_residual, math.nan, "info"),
+def _run_generator(fam: SemigroupFamily, cfg: VerifyConfig):
+    records = fd_slope_records(
+        cfg, fam, 0, ("generator.fd-forward-slope", "generator.fd-central-slope"),
+        ("first-order quotient converges", "second-order quotient converges"))
+    worst = exponential_bridge(fam, (0.1, 0.5), 4, cfg.dim)
+    stone = check_stone_adjoint_relation(fam, fam.conj, cfg.dim)
+    records += [
+        _record(cfg, "generator.exponential-bridge",
+                "exp(t Q) matches W(t) on low coefficients",
+                worst, cfg.tol("expm_vs_semigroup")),
+        _record(cfg, "generator.c-symmetry", "Q M = M Q^T",
+                stone.c_symmetry_residual, cfg.tol("matrix_symmetry_exact")),
+        _info("generator.adjoint-quotient", "adjoint family differentiates to Q^H",
+              stone.adjoint_fd_residual),
     ]
     return records, {"family": fam.to_json()}, None
 
 
-def _run_spectrum(params: dict, trunc: TruncationConfig, seed: int):
-    fam = _family_from(_get(params, "params", "family", dict), "params.family")
-    k_max = _get(params, "params", "k_max", int, 5)
-    dim = trunc.dim
-    if isinstance(fam, TranslationFamily):
-        eta = _get_complex(params, "params", "eta", 1 + 1j)
+def _run_spectrum(spec: SpectrumSpec, cfg: VerifyConfig):
+    fam, dim = spec.family, cfg.dim
+    if spec.eta is not None:
         base = max(4, dim // 4)
-        cert = check_empty_point_spectrum(fam, eta, (base, 2 * base, 4 * base),
-                                          trunc.tol("divergence_factor"))
+        cert = check_empty_point_spectrum(fam, spec.eta, (base, 2 * base, 4 * base),
+                                          cfg.tol("divergence_factor"))
         measured, threshold, direction = cert.verdict()
         records = [
-            _mk(f"spectrum.empty.divergence.eta={eta}",
-                "candidate eigenfunction leaves the space",
-                measured, threshold, direction=direction,
-                detail=cert.summary()),
+            _record(cfg, f"spectrum.empty.divergence.eta={spec.eta}",
+                    "candidate eigenfunction leaves the space",
+                    measured, threshold, direction=direction,
+                    detail=cert.summary()),
         ]
         return records, {"family": fam.to_json(),
                          "certificate": cert.to_json()}, None
-    rep = spectrum_report(fam, k_max, dim)
+    rep = spectrum_report(fam, spec.k_max, dim)
     records = [
-        _mk("spectrum.eigen-residuals",
-            "(z-G)^m exp(beta z) are eigenfunctions",
-            float(np.max(rep.residuals)), trunc.tol("eigen_residual")),
-        CheckRecord("spectrum.predicted-lattice",
-                    "eigenvalues H - ell beta G + k ell",
-                    float(np.max(np.abs(rep.predicted))), math.nan, "info",
-                    detail=", ".join(repr(complex(z)) for z in rep.predicted)),
+        _record(cfg, "spectrum.eigen-residuals",
+                "(z-G)^m exp(beta z) are eigenfunctions",
+                float(np.max(rep.residuals)), cfg.tol("eigen_residual")),
+        _info("spectrum.predicted-lattice", "eigenvalues H - ell beta G + k ell",
+              float(np.max(np.abs(rep.predicted))),
+              ", ".join(repr(complex(z)) for z in rep.predicted)),
     ]
     rows = [("m", "predicted_re", "predicted_im", "residual")]
     for m, (lam, r) in enumerate(zip(rep.predicted, rep.residuals)):
@@ -512,82 +539,58 @@ def _run_spectrum(params: dict, trunc: TruncationConfig, seed: int):
     return records, {"family": fam.to_json(), "spectrum": rep.to_json()}, rows
 
 
-def _run_evolution(params: dict, trunc: TruncationConfig, seed: int):
-    B, meta = _evolution_operator_from(params)
-    s = _get(params, "params", "s", float, 0.0)
-    t = _get(params, "params", "t", float, 1.0)
-    rel_tol = _get(params, "params", "rel_tol", float, 1e-10)
-    steps = _get(params, "params", "samples", int, 21)
-    mid = s + (t - s) / 2
-    ident, comp = check_evolution_axioms(B, (s, mid, t), rel_tol)
-    sym = check_evolution_c_symmetry(B, np.eye(B.dim), s, t, rel_tol)
+def _run_evolution(spec: EvolutionSpec, cfg: VerifyConfig):
+    B, s, t, rel_tol = spec.op, spec.s, spec.t, spec.rel_tol
+    try:
+        ident, comp = check_evolution_axioms(B, (s, s + (t - s) / 2, t), rel_tol)
+        sym = check_evolution_c_symmetry(B, np.eye(B.dim), s, t, rel_tol)
+        series = [np.eye(B.dim, dtype=complex) if tk == s
+                  else evolve(B, s, float(tk), rel_tol).matrix
+                  for tk in np.linspace(s, t, spec.samples)]
+    except StiffnessError as exc:
+        raise ScenarioError(spec.source, str(exc))
     records = [
-        _mk("evolution.identity", "U(t, t) = identity", ident,
-            trunc.tol("evolution_tol_factor") * rel_tol),
-        _mk("evolution.composition", "U(t, r) U(r, s) = U(t, s)", comp,
-            trunc.tol("evolution_tol_factor") * rel_tol),
-        CheckRecord("evolution.transpose-symmetry",
-                    "U M = M U^T under plain conjugation",
-                    sym, math.nan, "info",
-                    detail="pass/fail asserted only for commuting families"),
+        _record(cfg, "evolution.identity", "U(t, t) = identity", ident,
+                cfg.tol("evolution_tol_factor") * rel_tol),
+        _record(cfg, "evolution.composition", "U(t, r) U(r, s) = U(t, s)", comp,
+                cfg.tol("evolution_tol_factor") * rel_tol),
+        _info("evolution.transpose-symmetry", "U M = M U^T under plain conjugation",
+              sym, "pass/fail asserted only for commuting families"),
     ]
     header = ["t"]
     for i in range(B.dim):
         for j in range(B.dim):
             header += [f"U{i}{j}_re", f"U{i}{j}_im"]
     rows: list[tuple] = [tuple(header)]
-    for tk in np.linspace(s, t, steps):
-        if tk == s:
-            U = np.eye(B.dim, dtype=complex)
-        else:
-            U = evolve(B, s, float(tk), rel_tol).matrix
+    for tk, U in zip(np.linspace(s, t, spec.samples), series):
         row: list[float] = [float(tk)]
         for i in range(B.dim):
             for j in range(B.dim):
                 row += [U[i, j].real, U[i, j].imag]
         rows.append(tuple(row))
-    payload = {"evolution": meta, "s": s, "t": t, "rel_tol": rel_tol}
+    payload = {"evolution": spec.meta, "s": s, "t": t, "rel_tol": rel_tol}
     return records, payload, rows
 
 
-def _run_full_verify(params: dict, trunc: TruncationConfig, seed: int):
-    seed = _get(params, "params", "seed", int, seed)
-    parallel = _get(params, "params", "parallel", bool, False)
-    cfg = VerifyConfig(dim=trunc.dim, seed=seed, tolerances=dict(trunc.tolerances))
-    records = run_all(cfg, parallel=parallel)
-    return records, {"seed": seed, "parallel": parallel}, None
+def _run_full_verify(seed: int | None, cfg: VerifyConfig):
+    seed = cfg.seed if seed is None else seed
+    return run_all(replace(cfg, seed=seed)), {"seed": seed}, None
 
 
-_SCENARIO_RUNNERS = {
-    "conjugation-check": _run_conjugation,
-    "wco": _run_wco,
-    "semigroup": _run_semigroup,
-    "generator": _run_generator,
-    "spectrum": _run_spectrum,
-    "evolution": _run_evolution,
-    "full-verify": _run_full_verify,
+# kind -> (parser, runner)
+_KINDS: dict[str, tuple[Callable, Callable]] = {
+    "conjugation-check": (_parse_conjugation, _run_conjugation),
+    "wco": (_parse_wco, _run_wco),
+    "semigroup": (_parse_semigroup, _run_semigroup),
+    "generator": (_parse_family, _run_generator),
+    "spectrum": (_parse_spectrum, _run_spectrum),
+    "evolution": (_parse_evolution, _run_evolution),
+    "full-verify": (_parse_full_verify, _run_full_verify),
 }
-
-
-def _mk(check_id: str, anchor: str, measured: float, threshold: float,
-        direction: str = "<=", detail: str = "") -> CheckRecord:
-    measured = float(measured)
-    ok = measured <= threshold if direction == "<=" else measured >= threshold
-    return CheckRecord(check_id, anchor, measured, float(threshold),
-                       "pass" if ok else "fail", direction, detail)
 
 
 # ----------------------------------------------------------------------------
 # report assembly and output
-
-def _assemble_report(name: str, records: Sequence[CheckRecord],
-                     provenance: dict) -> dict:
-    return {
-        "scenario": name,
-        "records": [r.to_json() for r in records],
-        "provenance": provenance,
-    }
-
 
 def _print_records(records: Sequence[CheckRecord]) -> None:
     width = max((len(r.check_id) for r in records), default=0)
@@ -628,98 +631,73 @@ def _emit(report: dict, records: Sequence[CheckRecord],
     return path
 
 
+def _report(name: str, kind: str, cfg: VerifyConfig, output: dict,
+            run: Callable[[], tuple]) -> int:
+    """Run, write the report, print the records; the exit code (0 or 2)."""
+    t0 = time.perf_counter()
+    records, payload, rows = run()
+    wall = time.perf_counter() - t0
+    report = {
+        "scenario": name,
+        "records": [r.to_json() for r in records],
+        "provenance": {
+            "kind": kind,
+            "parameters": payload,
+            "truncation": {"dim": cfg.dim},
+            "tolerances": dict(cfg.tolerances),
+            "seed": cfg.seed,
+            "wall_time_s": wall,
+        },
+    }
+    path = _emit(report, records, rows, output, name.replace(" ", "-"))
+    _print_records(records)
+    print(f"report written to {path}  ({wall:.1f}s)")
+    failed = [r.check_id for r in records if r.status == "fail"]
+    if failed:
+        print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _flag_output(args, fmt: str) -> dict:
+    return {"format": fmt, **({"path": args.out} if args.out else {})}
+
+
 # ----------------------------------------------------------------------------
 # subcommand handlers
 
 def _cmd_validate(args) -> int:
-    obj = load_scenario(Path(args.scenario))
-    name, kind, *_ = validate_scenario(obj)
-    print(f"scenario valid: {name} ({kind})")
+    sc = validate_scenario(load_scenario(Path(args.scenario)))
+    print(f"scenario valid: {sc.name} ({sc.kind})")
     return 0
 
 
 def _cmd_run(args) -> int:
-    obj = load_scenario(Path(args.scenario))
-    name, kind, params, trunc, output = validate_scenario(obj)
-    t0 = time.perf_counter()
-    records, payload, rows = _SCENARIO_RUNNERS[kind](params, trunc, args.seed)
-    wall = time.perf_counter() - t0
-    provenance = {
-        "kind": kind,
-        "parameters": payload,
-        "truncation": {"dim": trunc.dim},
-        "tolerances": dict(trunc.tolerances),
-        "seed": args.seed,
-        "wall_time_s": wall,
-    }
-    report = _assemble_report(name, records, provenance)
-    path = _emit(report, records, rows, output, name.replace(" ", "-"))
-    print(f"scenario: {name} ({kind})")
-    _print_records(records)
-    print(f"report written to {path}")
-    failed = [r for r in records if r.status == "fail"]
-    if failed:
-        print(f"FAILED: {', '.join(r.check_id for r in failed)}", file=sys.stderr)
-        return 2
-    return 0
+    sc = validate_scenario(load_scenario(Path(args.scenario)), args.seed)
+    print(f"scenario: {sc.name} ({sc.kind})")
+    _, run = _KINDS[sc.kind]
+    return _report(sc.name, sc.kind, sc.cfg, sc.output, lambda: run(sc.spec, sc.cfg))
 
 
 def _cmd_verify_all(args) -> int:
-    cfg = VerifyConfig(dim=args.dim, seed=args.seed)
-    t0 = time.perf_counter()
-    records = run_all(cfg, parallel=args.parallel)
-    wall = time.perf_counter() - t0
-    provenance = {
-        "kind": "full-verify",
-        "parameters": {"parallel": args.parallel},
-        "truncation": {"dim": cfg.dim},
-        "tolerances": dict(cfg.tolerances),
-        "seed": cfg.seed,
-        "wall_time_s": wall,
-    }
-    report = _assemble_report("verify-all", records, provenance)
-    output = {"path": args.out} if args.out else {}
-    path = _emit(report, records, None, output, "verify-all")
-    _print_records(records)
-    print(f"report written to {path}  ({wall:.1f}s)")
-    if any(r.status == "fail" for r in records):
-        bad = [r.check_id for r in records if r.status == "fail"]
-        print(f"FAILED: {', '.join(bad)}", file=sys.stderr)
-        return 2
-    return 0
+    cfg = _config("--dim", dim=args.dim, seed=args.seed)
+    return _report("verify-all", "full-verify", cfg, _flag_output(args, "json"),
+                   lambda: (run_all(cfg), {}, None))
 
 
 def _cmd_spectrum(args) -> int:
-    conj = ConjugationParams(a=args.a, b=args.b, c=args.c)
-    try:
-        conj.validate()
-        fam = DilationFamily(ell=args.ell, G=args.G, H=args.H, conj=conj)
-    except (ConstraintViolation, ValueError) as exc:
-        raise ScenarioError("parameters", str(exc))
-    trunc = TruncationConfig(dim=args.dim)
-    params = {"family": fam.to_json(), "k_max": args.k_max}
-    records, payload, rows = _run_spectrum(params, trunc, args.seed)
-    provenance = {
-        "kind": "spectrum",
-        "parameters": payload,
-        "truncation": {"dim": trunc.dim},
-        "tolerances": dict(trunc.tolerances),
-        "seed": args.seed,
-        "wall_time_s": 0.0,
-    }
-    report = _assemble_report("spectrum", records, provenance)
-    output = {"path": args.out} if args.out else {}
-    if args.format == "csv":
-        output["format"] = "csv"
-    path = _emit(report, records, rows if args.format == "csv" else None,
-                 output, "spectrum")
-    _print_records(records)
-    print(f"report written to {path}")
-    return 2 if any(r.status == "fail" for r in records) else 0
+    cfg = _config("--dim", dim=args.dim, seed=args.seed)
+    family = {"variant": "dilation", "ell": complex_to_json(args.ell),
+              "G": complex_to_json(args.G), "H": complex_to_json(args.H),
+              "conjugation": {k: complex_to_json(getattr(args, k)) for k in "abc"}}
+    spec = _parse_spectrum({"family": family, "k_max": args.k_max}, cfg)
+    return _report("spectrum", "spectrum", cfg, _flag_output(args, args.format),
+                   lambda: _run_spectrum(spec, cfg))
 
 
 def _cmd_evolve(args) -> int:
-    params: dict[str, Any] = {
+    cfg = VerifyConfig(dim=2, seed=args.seed)
+    spec = _parse_evolution({
         "B": "bagchi",
         "nu": args.nu,
         "kappa": args.kappa,
@@ -728,20 +706,9 @@ def _cmd_evolve(args) -> int:
         "t": args.t,
         "rel_tol": args.rel_tol,
         "samples": args.samples,
-    }
-    trunc = TruncationConfig(dim=2)
-    records, payload, rows = _run_evolution(params, trunc, args.seed)
-    output = {"path": args.out} if args.out else {}
-    output["format"] = "csv"
-    report = _assemble_report("evolve", records, {
-        "kind": "evolution", "parameters": payload,
-        "truncation": {"dim": 2}, "tolerances": dict(trunc.tolerances),
-        "seed": args.seed, "wall_time_s": 0.0,
-    })
-    path = _emit(report, records, rows, output, "evolve")
-    _print_records(records)
-    print(f"time series written to {path}")
-    return 2 if any(r.status == "fail" for r in records) else 0
+    }, cfg)
+    return _report("evolve", "evolution", cfg, _flag_output(args, "csv"),
+                   lambda: _run_evolution(spec, cfg))
 
 
 # ----------------------------------------------------------------------------
@@ -773,7 +740,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run the complete check suite")
     p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--out", default=None, help="report path (default: output dir)")
     _add_seed(p)
     p.set_defaults(fn=_cmd_verify_all)

@@ -28,7 +28,6 @@ __all__ = [
     "AntilinearOperator",
     "standard_conjugation",
     "conjugation_matrix",
-    "apply_conjugation",
     "check_involution",
     "check_isometry",
     "check_matrix_c_symmetry",
@@ -106,10 +105,6 @@ def conjugation_matrix(p: ConjugationParams, dim: int, tol: float = 1e-12) -> An
     """Truncated realization of the conjugation; validates (a, b, c) first."""
     p.validate(tol)
     return AntilinearOperator(wco_matrix(p.to_wco_params(), dim))
-
-
-def apply_conjugation(op: AntilinearOperator, f: FockVector) -> FockVector:
-    return op.apply(f)
 
 
 def check_involution(op: AntilinearOperator, max_degree: int) -> np.ndarray:

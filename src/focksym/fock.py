@@ -13,7 +13,7 @@ All matrix realizations in the package act on normalized coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -21,10 +21,9 @@ import numpy as np
 __all__ = [
     "FACTORIAL_EXACT_MAX",
     "FockVector",
-    "TruncationConfig",
     "DEFAULT_TOLERANCES",
     "sqrt_factorial",
-    "sqrt_factorial_ratio",
+    "exp_series",
     "basis_vector",
     "monomial",
     "inner_product",
@@ -64,25 +63,6 @@ DEFAULT_TOLERANCES: Mapping[str, float] = {
 }
 
 
-def _default_tolerances() -> dict[str, float]:
-    return dict(DEFAULT_TOLERANCES)
-
-
-@dataclass(frozen=True)
-class TruncationConfig:
-    """Truncation dimension plus the named tolerance table for checks."""
-
-    dim: int = 64
-    tolerances: dict[str, float] = field(default_factory=_default_tolerances)
-
-    def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError(f"truncation dim must be >= 2, got {self.dim}")
-
-    def tol(self, name: str) -> float:
-        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
-
-
 def sqrt_factorial(k: int | np.ndarray) -> np.ndarray | float:
     """sqrt(k!), exact below FACTORIAL_EXACT_MAX, via lgamma above."""
     karr = np.asarray(k)
@@ -96,13 +76,14 @@ def sqrt_factorial(k: int | np.ndarray) -> np.ndarray | float:
     return np.array([sqrt_factorial(int(x)) for x in karr.ravel()]).reshape(karr.shape)
 
 
-def sqrt_factorial_ratio(n: int, k: int) -> float:
-    """sqrt(n!/k!) without forming either factorial when indices are large."""
-    if n < 0 or k < 0:
-        raise ValueError("negative index")
-    if max(n, k) <= FACTORIAL_EXACT_MAX:
-        return math.sqrt(math.factorial(n) / math.factorial(k))
-    return math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(k + 1)))
+def exp_series(w: complex, dim: int) -> np.ndarray:
+    """Taylor coefficients w^k / k! of exp(w z) for k < dim, by the recursion
+    c_k = c_{k-1} w / k (no factorial is formed)."""
+    out = np.empty(dim, dtype=complex)
+    out[0] = 1.0
+    for k in range(1, dim):
+        out[k] = out[k - 1] * w / k
+    return out
 
 
 _BASES = ("normalized", "monomial")
@@ -212,12 +193,7 @@ def kernel_vector(z: complex, dim: int) -> FockVector:
     Monomial coefficients conj(z)^k / k!; satisfies <f, K_z> = f(z) for
     polynomials of degree < dim.
     """
-    zc = np.conj(complex(z))
-    coeffs = np.empty(dim, dtype=complex)
-    coeffs[0] = 1.0
-    for k in range(1, dim):
-        coeffs[k] = coeffs[k - 1] * zc / k
-    return FockVector(coeffs, "monomial")
+    return FockVector(exp_series(np.conj(complex(z)), dim), "monomial")
 
 
 def evaluate(f: FockVector, z: complex) -> complex:

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .conjugation import AntilinearOperator, ConjugationParams, conjugation_matrix
-from .fock import FockVector, monomial
+from .fock import FockVector, exp_series, monomial
 from .semigroup import (
     DilationFamily,
     SemigroupFamily,
@@ -168,10 +168,7 @@ def eigenfunction_coeffs(m: int, G: complex, beta: complex, dim: int) -> FockVec
     if m < 0 or dim < 1:
         raise ValueError("need m >= 0 and dim >= 1")
     binom = np.array([math.comb(m, j) * (-G) ** (m - j) for j in range(m + 1)])
-    expo = np.empty(dim, dtype=complex)
-    expo[0] = 1.0
-    for d in range(1, dim):
-        expo[d] = expo[d - 1] * beta / d
+    expo = exp_series(beta, dim)
     coeffs = np.zeros(dim, dtype=complex)
     for j in range(min(m, dim - 1) + 1):
         coeffs[j:] += binom[j] * expo[: dim - j]

@@ -1,13 +1,17 @@
 """JSON and CSV helpers shared by the data types and the CLI.
 
 Complex scalars travel as two-element [re, im] arrays.  CSV cells use Python's
-shortest round-trip float formatting (repr), so files reload losslessly.
+shortest round-trip float formatting (repr), so files reload losslessly; the
+stdlib ``csv`` writer quotes a cell that holds a comma or a quote, so every
+row has as many cells as the header.
 File writes are atomic: content goes to a temp file in the target directory
 which is then renamed over the destination.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import tempfile
@@ -18,8 +22,6 @@ import numpy as np
 __all__ = [
     "complex_to_json",
     "complex_from_json",
-    "matrix_to_json",
-    "matrix_from_json",
     "atomic_write_text",
     "write_json_report",
     "write_csv",
@@ -39,14 +41,6 @@ def complex_from_json(obj) -> complex:
         return complex(obj)
     re, im = obj
     return complex(re, im)
-
-
-def matrix_to_json(M: np.ndarray) -> list:
-    return [[complex_to_json(x) for x in row] for row in np.asarray(M)]
-
-
-def matrix_from_json(obj) -> np.ndarray:
-    return np.array([[complex_from_json(x) for x in row] for row in obj])
 
 
 def default_output_dir() -> str:
@@ -80,7 +74,8 @@ def _cell(value) -> str:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    atomic_write_text(path, buf.getvalue())

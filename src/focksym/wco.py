@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import FockVector, sqrt_factorial, sqrt_factorial_ratio
+from .fock import FockVector, exp_series, sqrt_factorial
 from .serialize import complex_from_json, complex_to_json
 
 __all__ = [
@@ -49,14 +49,6 @@ class WCOParams:
     @staticmethod
     def from_json(obj: dict) -> "WCOParams":
         return WCOParams(*(complex_from_json(obj[k]) for k in "ABCD"))
-
-
-def _exp_series(D: complex, dim: int) -> np.ndarray:
-    out = np.empty(dim, dtype=complex)
-    out[0] = 1.0
-    for d in range(1, dim):
-        out[d] = out[d - 1] * D / d
-    return out
 
 
 def _affine_power_coeffs(A: complex, B: complex, k: int) -> np.ndarray:
@@ -96,7 +88,7 @@ def wco_matrix(p: WCOParams, dim: int) -> np.ndarray:
     """Truncated matrix on normalized coefficients, shape (dim, dim)."""
     if dim < 1:
         raise ValueError("dim must be positive")
-    expo = _exp_series(p.D, dim)
+    expo = exp_series(p.D, dim)
     M = np.zeros((dim, dim), dtype=complex)
     sq = sqrt_factorial(np.arange(dim))
     for k in range(dim):
@@ -129,7 +121,7 @@ def apply_wco(p: WCOParams, f: FockVector) -> FockVector:
         shifted += p.B * g
         g = shifted
         g[0] += c
-    expo = _exp_series(p.D, dim)
+    expo = exp_series(p.D, dim)
     out = np.zeros(dim, dtype=complex)
     for j in range(dim):
         if g[j] != 0:

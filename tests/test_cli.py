@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -78,6 +79,33 @@ def test_bad_flag_value_is_exit_one(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
+                  "matrices": [[[1.0]], [[1.0, 0.0], [0.0, 1.0]]]}
+
+
+@pytest.mark.parametrize("kind, params, name, field", [
+    ("evolution", {"B": "bagchi", "rel_tol": 0}, "x", "params.rel_tol"),
+    ("semigroup", {"family": TRANSLATION, "omega": "x"}, "x", "params.omega"),
+    ("semigroup", {"family": TRANSLATION, "omega": 1e3}, "x", "params.omega"),
+    ("wco", {"A": 1e300}, "x", "params.A"),
+    ("evolution", TABLE_MISMATCH, "x", "params.matrices[1]"),
+    ("evolution", {"B": "constant", "matrix": [[1e13]], "samples": 3}, "x", "params.matrix"),
+    ("evolution", {"B": "bagchi", "samples": 0}, "x", "params.samples"),
+    ("conjugation-check", {}, "a/b", "name"),
+    (None, None, None, "--dim"),
+], ids=["rel_tol-zero", "omega-string", "omega-overflow", "A-overflow", "table-shapes", "stiff",
+        "samples-zero", "name-separator", "verify-all-dim-one"])
+def test_malformed_input_names_field_path(tmp_path, _outdir, capsys, kind, params, name, field):
+    if kind is None:
+        argv = ["verify-all", "--dim", "1"]
+    else:
+        argv = ["run", _scenario(tmp_path, {"name": name, "kind": kind, "params": params,
+                                            "truncation": {"dim": 16}})]
+    assert main(argv) == 1
+    assert f"input error: {field}:" in capsys.readouterr().err
+    assert not _outdir.exists()
+
+
 # --- validate / run on good scenarios -------------------------------------------
 
 def test_validate_passes_good_scenario(tmp_path, capsys):
@@ -104,6 +132,37 @@ def test_run_conjugation_writes_report(tmp_path, _outdir, capsys):
     assert report["provenance"]["truncation"]["dim"] == 16
     statuses = {r["status"] for r in report["records"]}
     assert statuses <= {"pass", "info"}
+
+
+def test_records_csv_quotes_comma_cells(tmp_path):
+    target = tmp_path / "records.csv"
+    path = _scenario(tmp_path, {
+        "name": "std conj", "kind": "conjugation-check",
+        "params": {"a": [1.0, 0.0]},
+        "truncation": {"dim": 16},
+        "output": {"format": "csv", "path": str(target)},
+    })
+    assert main(["run", path]) == 0
+    with open(target, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [6] * 3
+    assert rows[2][:2] == ["conjugation.isometry", "<Cf,Cg> = <g,f>"]
+
+
+def test_offset_involution_at_rounding_floor_passes(tmp_path, _outdir):
+    # the residual reaches the rounding floor by dim 48, so it cannot decay
+    # from dim 48 to 96; the record passes on the floor instead
+    path = _scenario(tmp_path, {
+        "name": "offset", "kind": "conjugation-check",
+        "params": {"a": 1.0, "b": [0.0, 1.0], "c": math.exp(-0.5)},
+        "truncation": {"dim": 96},
+    })
+    assert main(["run", path]) == 0
+    records = json.loads((_outdir / "offset.json").read_text())["records"]
+    decay = records[1]
+    assert decay["check_id"] == "conjugation.involution.decay"
+    assert decay["status"] == "pass" and decay["threshold"] == 1e-12
+    assert decay["detail"].startswith("rounding-floor branch")
 
 
 def test_run_respects_explicit_output_path(tmp_path):

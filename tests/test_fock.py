@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focksym.fock import (
-    DEFAULT_TOLERANCES,
     FACTORIAL_EXACT_MAX,
     FockVector,
-    TruncationConfig,
     basis_vector,
     evaluate,
     inner_product,
@@ -153,15 +151,6 @@ def test_fock_vector_json_round_trip():
 def test_fock_vector_rejects_unknown_basis():
     with pytest.raises(ValueError):
         FockVector(np.ones(3, dtype=complex), "chebyshev")
-
-
-def test_truncation_config_validation():
-    with pytest.raises(ValueError):
-        TruncationConfig(dim=1)
-    cfg = TruncationConfig(dim=8)
-    assert cfg.tol("semigroup_law") == DEFAULT_TOLERANCES["semigroup_law"]
-    override = TruncationConfig(dim=8, tolerances={"semigroup_law": 1e-3})
-    assert override.tol("semigroup_law") == 1e-3
 
 
 def test_basis_vector_bounds():

@@ -10,8 +10,6 @@ from focksym.serialize import (
     complex_from_json,
     complex_to_json,
     default_output_dir,
-    matrix_from_json,
-    matrix_to_json,
     write_csv,
     write_json_report,
 )
@@ -25,12 +23,6 @@ def test_complex_round_trip():
 def test_complex_from_bare_number():
     assert complex_from_json(2) == 2 + 0j
     assert complex_from_json(-1.5) == -1.5 + 0j
-
-
-def test_matrix_round_trip():
-    M = np.array([[1 + 1j, 2], [0, -3j]])
-    back = matrix_from_json(matrix_to_json(M))
-    np.testing.assert_array_equal(back, M)
 
 
 def test_csv_cells_round_trip_through_float(tmp_path):
