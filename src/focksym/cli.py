@@ -97,6 +97,13 @@ class ScenarioError(Exception):
 # ----------------------------------------------------------------------------
 # field extraction with path-carrying errors
 
+def _to_float(val: int | float, here: str) -> float:
+    try:
+        return float(val)
+    except OverflowError:
+        raise ScenarioError(here, "integer too large for a float")
+
+
 def _get(obj: dict, path: str, key: str, typ: type, default: Any = ...) -> Any:
     here = f"{path}.{key}" if path else key
     if key not in obj:
@@ -105,7 +112,7 @@ def _get(obj: dict, path: str, key: str, typ: type, default: Any = ...) -> Any:
         raise ScenarioError(here, "missing required field")
     val = obj[key]
     if typ is float and isinstance(val, int):
-        val = float(val)
+        val = _to_float(val, here)
     if not isinstance(val, typ):
         raise ScenarioError(here, f"expected {typ.__name__}, got {type(val).__name__}")
     if typ is float and not math.isfinite(val):
@@ -123,6 +130,8 @@ def _get_complex(obj: dict, path: str, key: str, default: Any = ...) -> complex:
         z = complex_from_json(obj[key])
     except (TypeError, ValueError, IndexError):
         raise ScenarioError(here, "expected a number or an [re, im] pair")
+    except OverflowError:
+        raise ScenarioError(here, "integer too large for a float")
     if not cmath.isfinite(z):
         raise ScenarioError(here, "expected a finite number")
     return z
@@ -179,9 +188,13 @@ def _config_from(obj: dict, path: str, seed: int) -> VerifyConfig:
     for key, val in overrides.items():
         if key not in tolerances:
             raise ScenarioError(f"{path}.tolerances.{key}", "unknown tolerance name")
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
-            raise ScenarioError(f"{path}.tolerances.{key}", "expected a finite number")
-        tolerances[key] = float(val)
+        here = f"{path}.tolerances.{key}"
+        if not isinstance(val, (int, float)) or isinstance(val, bool):
+            raise ScenarioError(here, "expected a finite number")
+        val = _to_float(val, here)
+        if not math.isfinite(val):
+            raise ScenarioError(here, "expected a finite number")
+        tolerances[key] = val
     return _config(f"{path}.dim", dim=dim, seed=seed, tolerances=tolerances)
 
 
@@ -318,9 +331,10 @@ class EvolutionSpec:
 
 
 def _coefficient_fn(spec: Any, path: str) -> Callable[[float], float]:
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool) and math.isfinite(spec):
-        v = float(spec)
-        return lambda t: v
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        v = _to_float(spec, path)
+        if math.isfinite(v):
+            return lambda t: v
     if isinstance(spec, dict) and isinstance(spec.get("cosine"), dict):
         c = spec["cosine"]
         amp = _get(c, f"{path}.cosine", "amplitude", float, 1.0)
@@ -337,6 +351,8 @@ def _matrix_from(entry: Any, path: str) -> np.ndarray:
         M = np.array([[complex_from_json(x) for x in row] for row in entry], dtype=complex)
     except (TypeError, ValueError, IndexError):
         raise ScenarioError(path, "expected equal-length rows of numbers or [re, im] pairs")
+    except OverflowError:
+        raise ScenarioError(path, "integer too large for a float")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ScenarioError(path, "matrix must be square")
     if not np.all(np.isfinite(M)):
@@ -365,7 +381,7 @@ def _evolution_operator_from(params: dict) -> tuple[TimeDependentOperator, dict,
                             "need >= 2 sample times matching 'matrices'")
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in times):
         raise ScenarioError("params.times", "expected a list of numbers")
-    ts = np.array(times, dtype=float)
+    ts = np.array([_to_float(x, f"params.times[{i}]") for i, x in enumerate(times)])
     if not np.all(np.isfinite(ts)) or np.any(np.diff(ts) <= 0):
         raise ScenarioError("params.times", "must be finite and strictly increasing")
     blocks = [_matrix_from(m, f"params.matrices[{i}]") for i, m in enumerate(mats)]

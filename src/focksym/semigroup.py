@@ -288,27 +288,47 @@ def scaling_instance(fam: SemigroupFamily) -> tuple[complex, Callable]:
     )
 
 
-def semigroup_matrix(fam: SemigroupFamily, t: float, dim: int) -> np.ndarray:
-    """Truncated matrix of the family member at time t (normalized basis)."""
-    return wco_matrix(family_eval(fam, t), dim)
+def semigroup_matrix(
+    fam: SemigroupFamily, t: float, dim: int, ncols: int | None = None
+) -> np.ndarray:
+    """Truncated matrix of the family member at time t (normalized basis).
+
+    ``ncols`` keeps only the leading columns, as in :func:`wco_matrix`.
+    """
+    return wco_matrix(family_eval(fam, t), dim, ncols)
+
+
+def _support_size(vec: np.ndarray) -> int:
+    """Number of leading coefficients that hold every nonzero entry (>= 1)."""
+    nz = np.flatnonzero(vec)
+    return int(nz[-1]) + 1 if nz.size else 1
 
 
 def check_semigroup_law(
-    fam: SemigroupFamily, t: float, s: float, k: int, dim: int
+    fam: SemigroupFamily,
+    t: float,
+    s: float,
+    k: int,
+    dim: int,
+    built: dict[float, np.ndarray] | None = None,
 ) -> float:
     """Relative deviation ||W(t) W(s) e_k - W(t+s) e_k|| / ||W(t+s) e_k||.
 
     W(s) is applied at full dimension ``dim`` and all coefficients are kept
-    before W(t) acts; no intermediate re-truncation.
+    before W(t) acts; no intermediate re-truncation.  ``built`` maps times to
+    their matrices W(time) of this family at this ``dim``; missing ones are
+    built and added, so a sweep over many (t, s, k) that passes one dict
+    builds each distinct time once.
     """
     if not 0 <= k < dim:
         raise ValueError("monomial degree outside truncation")
+    built = {} if built is None else built
+    for tau in (t, s, t + s):
+        if tau not in built:
+            built[tau] = semigroup_matrix(fam, tau, dim)
     v = monomial(k, dim).to_normalized().coeffs
-    Wt = semigroup_matrix(fam, t, dim)
-    Ws = semigroup_matrix(fam, s, dim)
-    Wts = semigroup_matrix(fam, t + s, dim)
-    lhs = Wt @ (Ws @ v)
-    rhs = Wts @ v
+    lhs = built[t] @ (built[s] @ v)
+    rhs = built[t + s] @ v
     denom = np.linalg.norm(rhs)
     if denom == 0:
         raise ZeroDivisionError("reference vector vanished")
@@ -365,10 +385,11 @@ def n_omega_estimate(
     vec = x.to_normalized().coeffs
     if vec.size != dim:
         raise ValueError("probe vector dimension differs from requested dim")
+    m = _support_size(vec)
     vals = np.empty(probe.t_grid.size)
     for i, t in enumerate(probe.t_grid):
-        W = semigroup_matrix(fam, float(t), dim)
-        nrm = np.linalg.norm(W @ vec)
+        W = semigroup_matrix(fam, float(t), dim, m)
+        nrm = np.linalg.norm(W @ vec[:m])
         vals[i] = math.exp(-probe.omega * t) * nrm if np.isfinite(nrm) else np.inf
     finite = vals[np.isfinite(vals)]
     overflowed = finite.size < vals.size
@@ -420,12 +441,13 @@ def laplace_resolvent(
     T = math.log(bound / tail_tol) / (lam.real - omega)
     T = max(T, 1.0)
     vec = x.to_normalized().coeffs
+    m = _support_size(vec)
 
     def integrand(ts: np.ndarray) -> np.ndarray:
         out = np.empty((ts.size, dim), dtype=complex)
         for i, t in enumerate(np.asarray(ts, dtype=float)):
-            W = semigroup_matrix(fam, float(t), dim)
-            out[i] = np.exp(-lam * t) * (W @ vec)
+            W = semigroup_matrix(fam, float(t), dim, m)
+            out[i] = np.exp(-lam * t) * (W @ vec[:m])
         return out
 
     panels = 8

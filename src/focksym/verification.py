@@ -183,8 +183,12 @@ def flow_cocycle_deviation(fam: SemigroupFamily, grid) -> tuple[float, float]:
 
 def semigroup_law_deviation(fam: SemigroupFamily, times, n_monomials: int,
                             dim: int) -> float:
-    """Worst W(t) W(s) z^k - W(t+s) z^k over t, s in times and k < n_monomials."""
-    return max(check_semigroup_law(fam, t, s, k, dim)
+    """Worst W(t) W(s) z^k - W(t+s) z^k over t, s in times and k < n_monomials.
+
+    W is built once per distinct time and reused for every (t, s, k).
+    """
+    built: dict[float, np.ndarray] = {}
+    return max(check_semigroup_law(fam, t, s, k, dim, built)
                for t in times for s in times for k in range(min(n_monomials, dim)))
 
 
@@ -527,7 +531,7 @@ def growth_checks(cfg: VerifyConfig) -> list[CheckRecord]:
         kind = "translation" if isinstance(fam, TranslationFamily) else "dilation"
         worst = 0.0
         for t in np.linspace(0.0, 1.0, 5):
-            W = semigroup_matrix(fam, float(t), cfg.dim)
+            W = semigroup_matrix(fam, float(t), cfg.dim, 1)
             direct = float(np.linalg.norm(W[:, 0]))
             closed = norm_w_one_closed_form(fam, float(t))
             worst = max(worst, abs(direct - closed) / closed)

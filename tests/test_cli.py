@@ -93,8 +93,15 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
     ("evolution", {"B": "bagchi", "samples": 0}, "x", "params.samples"),
     ("conjugation-check", {}, "a/b", "name"),
     (None, None, None, "--dim"),
+    # JSON integers too large for a float
+    ("semigroup", {"family": TRANSLATION, "omega": 10**400}, "x", "params.omega"),
+    ("wco", {"A": [10**400, 0]}, "x", "params.A"),
+    ("evolution", {"B": "table", "times": [0, 10**400], "matrices": [[[1.0]], [[1.0]]]},
+     "x", "params.times[1]"),
+    ("evolution", {"B": "bagchi", "kappa": 10**400}, "x", "params.kappa"),
 ], ids=["rel_tol-zero", "omega-string", "omega-overflow", "A-overflow", "table-shapes", "stiff",
-        "samples-zero", "name-separator", "verify-all-dim-one"])
+        "samples-zero", "name-separator", "verify-all-dim-one", "omega-huge-int", "A-huge-int",
+        "times-huge-int", "kappa-huge-int"])
 def test_malformed_input_names_field_path(tmp_path, _outdir, capsys, kind, params, name, field):
     if kind is None:
         argv = ["verify-all", "--dim", "1"]
@@ -103,6 +110,16 @@ def test_malformed_input_names_field_path(tmp_path, _outdir, capsys, kind, param
                                             "truncation": {"dim": 16}})]
     assert main(argv) == 1
     assert f"input error: {field}:" in capsys.readouterr().err
+    assert not _outdir.exists()
+
+
+def test_huge_integer_tolerance_is_input_error(tmp_path, _outdir, capsys):
+    path = _scenario(tmp_path, {
+        "name": "x", "kind": "conjugation-check", "params": {},
+        "truncation": {"dim": 16, "tolerances": {"constraint": 10**400}},
+    })
+    assert main(["run", path]) == 1
+    assert "input error: truncation.tolerances.constraint:" in capsys.readouterr().err
     assert not _outdir.exists()
 
 

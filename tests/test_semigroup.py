@@ -29,6 +29,8 @@ from focksym.semigroup import (
     semigroup_matrix,
     solve_scaling_equation,
 )
+from focksym import semigroup
+from focksym.verification import semigroup_law_deviation
 from focksym.wco import wco_matrix
 
 STD = standard_conjugation()
@@ -291,6 +293,39 @@ def test_laplace_requires_abscissa_margin():
     fam = DilationFamily(ell=-1.0, G=0.0, H=0.0, conj=STD)
     with pytest.raises(ValueError, match="Re"):
         laplace_resolvent(fam, -0.5 + 0j, basis_vector(0, 16), omega=0.0, dim=16)
+
+
+# --- matrix builds -----------------------------------------------------------
+
+@pytest.fixture
+def built_shapes(monkeypatch):
+    """Shapes of the matrices the semigroup layer assembles, in call order."""
+    shapes = []
+
+    def counting(*args, **kwargs):
+        M = wco_matrix(*args, **kwargs)
+        shapes.append(M.shape)
+        return M
+
+    monkeypatch.setattr(semigroup, "wco_matrix", counting)
+    return shapes
+
+
+def test_semigroup_law_builds_each_distinct_time_once(built_shapes):
+    fam = DilationFamily(ell=0.5, G=0.5j, H=0.1, conj=STD)
+    semigroup_law_deviation(fam, (0.1, 0.25, 0.5, 1.0), 7, 32)
+    # 4 times t, s and 8 new sums t + s (0.5 and 1.0 are among both)
+    assert len(built_shapes) == 12
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_growth_and_laplace_build_only_the_support_columns(built_shapes, k):
+    fam = DilationFamily(ell=-1.0, G=0.5, H=0.0, conj=STD)
+    ek = basis_vector(k, 32)
+    n_omega_estimate(fam, ek, GrowthProbe(), 32)
+    laplace_resolvent(fam, 1.0 + 0j, ek, omega=0.0, dim=32)
+    assert built_shapes
+    assert max(cols for _, cols in built_shapes) <= k + 1
 
 
 # --- serialization ----------------------------------------------------------

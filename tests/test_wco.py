@@ -1,6 +1,8 @@
 """Matrix construction for psi * (f o phi) operators, checked symbolically."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focksym.fock import basis_vector, evaluate, monomial
+from focksym.fock import basis_vector, evaluate, exp_series, monomial, sqrt_factorial
+from focksym.semigroup import family_eval
+from focksym.verification import _LAW_FAMILIES
 from focksym.wco import (
     WCOParams,
     apply_wco,
@@ -188,3 +192,63 @@ def test_params_json_round_trip():
     assert q == p
     blob = p.to_json()
     assert blob["A"] == [1.0, -1.0]  # [re, im] pairs on the wire
+
+
+# --- the array assembly against a reference loop and a 30-digit oracle ----------
+
+def _column_loop(p: WCOParams, dim: int) -> np.ndarray:
+    """The per-column assembly wco_matrix once used, kept as a reference."""
+    expo = exp_series(p.D, dim)
+    sq = sqrt_factorial(np.arange(dim))
+    M = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim):
+        poly = np.array([math.comb(k, j) * (p.A**j) * (p.B ** (k - j))
+                         for j in range(k + 1)], dtype=complex)
+        col = np.zeros(dim, dtype=complex)
+        for j in range(k + 1):
+            if poly[j] != 0:
+                col[j:] += poly[j] * expo[: dim - j]
+        M[:, k] = p.C * (sq / sq[k]) * col
+    return M
+
+
+def _load_accuracy_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "assembly_accuracy.py"
+    spec = importlib.util.spec_from_file_location("assembly_accuracy", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ACCURACY = _load_accuracy_script()
+
+# the offset conjugation's symbol and the semigroup-law families' symbols,
+# whose A, B, C are numpy scalars for the dilation families
+REFERENCE_SYMBOLS = [ACCURACY.OFFSET_SYMBOL] + [
+    family_eval(fam, t) for fam in _LAW_FAMILIES for t in (0.1, 0.35, 1.0, 2.0)
+]
+
+
+@pytest.mark.parametrize("dim", [8, 16, 33, 64, 128])
+def test_array_assembly_equals_column_loop_exactly(dim):
+    for p in REFERENCE_SYMBOLS:
+        ref = _column_loop(p, dim)
+        assert np.all(np.isfinite(ref))
+        np.testing.assert_array_equal(wco_matrix(p, dim), ref, err_msg=repr(p))
+
+
+def test_leading_columns_equal_the_full_matrix_columns():
+    for p in REFERENCE_SYMBOLS[::5]:
+        full = wco_matrix(p, 40)
+        for m in (1, 2, 7, 40):
+            np.testing.assert_array_equal(wco_matrix(p, 40, m), full[:, :m])
+    for bad in (0, 41):
+        with pytest.raises(ValueError, match="ncols"):
+            wco_matrix(REFERENCE_SYMBOLS[0], 40, bad)
+
+
+# largest entry error of the per-column loop, which the array form must not exceed
+@pytest.mark.parametrize("dim, loop_error", [(64, 1.04e-11), (128, 7.98e-9)])
+def test_offset_symbol_matches_mpmath(dim, loop_error):
+    err, _ = ACCURACY.max_entry_error(ACCURACY.OFFSET_SYMBOL, dim)
+    assert err <= 1.05 * loop_error
