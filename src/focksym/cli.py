@@ -42,7 +42,7 @@ from .evolution import (
     check_evolution_axioms,
     check_evolution_c_symmetry,
     constant_operator,
-    evolve,
+    evolution_series,
 )
 from .fock import DEFAULT_TOLERANCES, FockVector, monomial
 from .generator import (
@@ -68,6 +68,7 @@ from .serialize import (
 )
 from .verification import (
     FLOW_GRID,
+    MAX_COMPLEX_ENTRIES,
     CheckRecord,
     VerifyConfig,
     _info,
@@ -118,6 +119,17 @@ def _get(obj: dict, path: str, key: str, typ: type, default: Any = ...) -> Any:
     if typ is float and not math.isfinite(val):
         raise ScenarioError(here, "expected a finite number")
     return val
+
+
+def _get_size(obj: dict, path: str, key: str, default: int, least: int) -> int:
+    """An integer field >= least whose arrays (n + 1 entries) numpy can index."""
+    n = _get(obj, path, key, int, default)
+    here = f"{path}.{key}" if path else key
+    if n < least:
+        raise ScenarioError(here, f"must be >= {least}")
+    if n + 1 > MAX_COMPLEX_ENTRIES:
+        raise ScenarioError(here, "too large: numpy cannot index an array of that size")
+    return n
 
 
 def _get_complex(obj: dict, path: str, key: str, default: Any = ...) -> complex:
@@ -307,9 +319,7 @@ class SpectrumSpec:
 
 def _parse_spectrum(params: dict, cfg: VerifyConfig) -> SpectrumSpec:
     fam = _parse_family(params, cfg)
-    k_max = _get(params, "params", "k_max", int, 5)
-    if k_max < 0:
-        raise ScenarioError("params.k_max", "must be >= 0")
+    k_max = _get_size(params, "params", "k_max", 5, 0)
     eta = None
     if isinstance(fam, TranslationFamily):
         eta = _get_complex(params, "params", "eta", 1 + 1j)
@@ -414,9 +424,7 @@ def _parse_evolution(params: dict, cfg: VerifyConfig) -> EvolutionSpec:
     rel_tol = _get(params, "params", "rel_tol", float, 1e-10)
     if rel_tol <= 0:
         raise ScenarioError("params.rel_tol", "must be positive")
-    samples = _get(params, "params", "samples", int, 21)
-    if samples < 1:
-        raise ScenarioError("params.samples", "must be >= 1")
+    samples = _get_size(params, "params", "samples", 21, 1)
     return EvolutionSpec(op, meta, source, s, t, rel_tol, samples)
 
 
@@ -557,12 +565,12 @@ def _run_spectrum(spec: SpectrumSpec, cfg: VerifyConfig):
 
 def _run_evolution(spec: EvolutionSpec, cfg: VerifyConfig):
     B, s, t, rel_tol = spec.op, spec.s, spec.t, spec.rel_tol
+    times = np.linspace(s, t, spec.samples)
+    built: dict = {}  # U(t, s) is integrated once for both checks
     try:
-        ident, comp = check_evolution_axioms(B, (s, s + (t - s) / 2, t), rel_tol)
-        sym = check_evolution_c_symmetry(B, np.eye(B.dim), s, t, rel_tol)
-        series = [np.eye(B.dim, dtype=complex) if tk == s
-                  else evolve(B, s, float(tk), rel_tol).matrix
-                  for tk in np.linspace(s, t, spec.samples)]
+        ident, comp = check_evolution_axioms(B, (s, s + (t - s) / 2, t), rel_tol, built)
+        sym = check_evolution_c_symmetry(B, np.eye(B.dim), s, t, rel_tol, built)
+        series, _ = evolution_series(B, times, rel_tol)
     except StiffnessError as exc:
         raise ScenarioError(spec.source, str(exc))
     records = [
@@ -578,7 +586,7 @@ def _run_evolution(spec: EvolutionSpec, cfg: VerifyConfig):
         for j in range(B.dim):
             header += [f"U{i}{j}_re", f"U{i}{j}_im"]
     rows: list[tuple] = [tuple(header)]
-    for tk, U in zip(np.linspace(s, t, spec.samples), series):
+    for tk, U in zip(times, series):
         row: list[float] = [float(tk)]
         for i in range(B.dim):
             for j in range(B.dim):

@@ -9,6 +9,12 @@ Checks cover the evolution-family axioms, the adjoint family's derivative
 identity, the commutation relation B(s) J = J conj(B(s))  (written here as
 B(s) M = M B(s)^T for the matrix part M of the antilinear J), and the induced
 symmetry U(t,s) = J U(t,s)* J of the propagator for commuting families.
+
+A time series U(t_k, s) is a chain of segment propagators through the
+cocycle U(t_k, s) = U(t_k, t_{k-1}) U(t_{k-1}, s), so its cost is linear in
+the number of samples.  The checks take an optional ``built`` dict from
+(s, t) to U(t, s), filled as they go, so that callers sharing one
+propagator across checks integrate it once.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ __all__ = [
     "EvolutionOperator",
     "StiffnessError",
     "evolve",
+    "evolution_series",
     "check_evolution_axioms",
     "check_adjoint_family",
     "check_nonauto_stone",
@@ -172,23 +179,59 @@ def evolve(
     return EvolutionOperator(s=s, t=t, matrix=U, stats=stats)
 
 
+def _propagator(
+    B: TimeDependentOperator,
+    s: float,
+    t: float,
+    rel_tol: float,
+    built: dict[tuple[float, float], np.ndarray] | None,
+) -> np.ndarray:
+    """U(t, s), taken from ``built`` when there and stored into it otherwise."""
+    if built is None:
+        return evolve(B, s, t, rel_tol).matrix
+    if (s, t) not in built:
+        built[(s, t)] = evolve(B, s, t, rel_tol).matrix
+    return built[(s, t)]
+
+
+def evolution_series(
+    B: TimeDependentOperator, times: Sequence[float], rel_tol: float = 1e-10
+) -> tuple[list[np.ndarray], list[IntegratorStats]]:
+    """U(t_k, t_0) for non-decreasing times, chained segment by segment.
+
+    U(t_k, t_0) = U(t_k, t_{k-1}) U(t_{k-1}, t_0), each segment one
+    :func:`evolve`, so the work is linear in the number of samples.  The
+    second list holds each segment's integrator statistics.
+    """
+    U = np.eye(B.dim, dtype=complex)
+    series, stats = [U], []
+    for a, b in zip(times[:-1], times[1:]):
+        seg = evolve(B, float(a), float(b), rel_tol)
+        U = seg.matrix @ U
+        series.append(U)
+        stats.append(seg.stats)
+    return series, stats
+
+
 def check_evolution_axioms(
     B: TimeDependentOperator,
     times: tuple[float, float, float],
     rel_tol: float = 1e-10,
+    built: dict[tuple[float, float], np.ndarray] | None = None,
 ) -> tuple[float, float]:
     """(identity residual, composition residual) for s <= r <= t.
 
     Identity: max-abs of U(t, t) - I.  Composition: max-abs of
-    U(t, r) U(r, s) - U(t, s).
+    U(t, r) U(r, s) - U(t, s).  ``built`` shares propagators with other
+    checks at the same ``rel_tol``.
     """
     s, r, t = times
     if not s <= r <= t:
         raise ValueError(f"need s <= r <= t, got {times}")
     ident = evolve(B, t, t, rel_tol).matrix - np.eye(B.dim)
-    U_ts = evolve(B, s, t, rel_tol).matrix
-    U_tr = evolve(B, r, t, rel_tol).matrix
-    U_rs = evolve(B, s, r, rel_tol).matrix
+    U_ts = _propagator(B, s, t, rel_tol, built)
+    U_tr = _propagator(B, r, t, rel_tol, built)
+    U_rs = _propagator(B, s, r, rel_tol, built)
     comp = U_tr @ U_rs - U_ts
     return float(np.max(np.abs(ident))), float(np.max(np.abs(comp)))
 
@@ -200,17 +243,18 @@ def check_adjoint_family(
     z: np.ndarray,
     h: float,
     rel_tol: float = 1e-12,
+    built: dict[tuple[float, float], np.ndarray] | None = None,
 ) -> float:
     """Difference-quotient residual of d/dt [U(t,s)^H z] = U(t,s)^H B(t)^H z.
 
     Returns ||(U(t+h,s)^H z - U(t,s)^H z)/h - U(t,s)^H B(t)^H z||, an O(h)
-    quantity for smooth coefficients.
+    quantity for smooth coefficients.  ``built`` shares U(t, s) across h.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     z = np.asarray(z, dtype=complex)
-    U_t = evolve(B, s, t, rel_tol).matrix
-    U_th = evolve(B, s, t + h, rel_tol).matrix
+    U_t = _propagator(B, s, t, rel_tol, built)
+    U_th = _propagator(B, s, t + h, rel_tol, built)
     quotient = (U_th.conj().T @ z - U_t.conj().T @ z) / h
     target = U_t.conj().T @ (B(t).conj().T @ z)
     return float(np.linalg.norm(quotient - target))
@@ -246,10 +290,11 @@ def check_evolution_c_symmetry(
     s: float,
     t: float,
     rel_tol: float = 1e-10,
+    built: dict[tuple[float, float], np.ndarray] | None = None,
 ) -> float:
     """Max-abs of U M - M U^T for U = U(t, s); zero iff J U J = U*."""
     M = np.asarray(conj_matrix, dtype=complex)
-    U = evolve(B, s, t, rel_tol).matrix
+    U = _propagator(B, s, t, rel_tol, built)
     return float(np.max(np.abs(U @ M - M @ U.T)))
 
 

@@ -129,15 +129,16 @@ def check_generator_fd(
         raise ValueError(f"unknown scheme {scheme!r}")
     gen = generator_matrix(fam, dim)
     v = monomial(k, dim).to_normalized().coeffs
+    m = k + 1  # z^k needs only the leading k + 1 columns of W(h)
     target = gen.apply(v)
     errs = np.empty(len(h_sequence))
     for i, h in enumerate(h_sequence):
-        Wh = semigroup_matrix(fam, h, dim)
+        Wh = semigroup_matrix(fam, h, dim, m)
         if scheme == "forward":
-            quotient = (Wh @ v - v) / h
+            quotient = (Wh @ v[:m] - v) / h
         else:
-            Wmh = wco_matrix(_eval_any_t(fam, -h), dim)
-            quotient = (Wh @ v - Wmh @ v) / (2 * h)
+            Wmh = wco_matrix(_eval_any_t(fam, -h), dim, m)
+            quotient = (Wh @ v[:m] - Wmh @ v[:m]) / (2 * h)
         errs[i] = np.linalg.norm(quotient - target)
     slope = float(np.polyfit(np.log(np.asarray(h_sequence)), np.log(errs), 1)[0])
     return slope, errs

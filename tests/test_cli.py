@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from focksym import cli, evolution
 from focksym.cli import main
 
 STD_CONJ = {"a": [1.0, 0.0], "b": [0.0, 0.0], "c": [1.0, 0.0]}
@@ -110,6 +111,39 @@ def test_malformed_input_names_field_path(tmp_path, _outdir, capsys, kind, param
                                             "truncation": {"dim": 16}})]
     assert main(argv) == 1
     assert f"input error: {field}:" in capsys.readouterr().err
+    assert not _outdir.exists()
+
+
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("kind, params, dim, field", [
+    ("wco", {"A": 0.5}, _HUGE, "truncation.dim"),
+    ("wco", {"A": 0.5}, 2**32, "truncation.dim"),
+    ("spectrum", {"family": DILATION, "k_max": _HUGE}, 16, "params.k_max"),
+    ("evolution", {"B": "bagchi", "samples": _HUGE}, 16, "params.samples"),
+], ids=["dim-huge", "dim-2^32", "k_max-huge", "samples-huge"])
+def test_unindexable_size_names_field_path(tmp_path, _outdir, capsys, command,
+                                           kind, params, dim, field):
+    path = _scenario(tmp_path, {"name": "x", "kind": kind, "params": params,
+                                "truncation": {"dim": dim}})
+    assert main([command, path]) == 1
+    assert f"input error: {field}: " in capsys.readouterr().err
+    assert not _outdir.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["verify-all", "--dim", str(_HUGE)], "--dim"),
+    (["verify-all", "--dim", str(2**32)], "--dim"),
+    (["spectrum", "--dim", str(2**32)], "--dim"),
+    (["spectrum", "--k-max", str(_HUGE)], "params.k_max"),
+    (["evolve", "--samples", str(_HUGE)], "params.samples"),
+], ids=["verify-all-dim-huge", "verify-all-dim-2^32", "spectrum-dim-2^32",
+        "spectrum-k-max-huge", "evolve-samples-huge"])
+def test_unindexable_size_flag_names_field_path(_outdir, capsys, argv, field):
+    assert main(argv) == 1
+    assert f"input error: {field}: " in capsys.readouterr().err
     assert not _outdir.exists()
 
 
@@ -362,3 +396,58 @@ def test_evolve_default_output_lands_in_env_dir(_outdir):
     rc = main(["evolve", "--nu", "0.5", "--t", "1"])
     assert rc == 0
     assert (_outdir / "evolve.csv").exists()
+
+
+@pytest.fixture
+def evolve_spans(monkeypatch):
+    """(s, t) of every evolve call, in call order."""
+    spans = []
+    original = evolution.evolve
+
+    def counting(B, s, t, rel_tol=1e-10):
+        spans.append((s, t))
+        return original(B, s, t, rel_tol)
+
+    for mod in (evolution, cli):
+        if hasattr(mod, "evolve"):
+            monkeypatch.setattr(mod, "evolve", counting)
+    return spans
+
+
+@pytest.mark.parametrize("samples", [1, 2, 21])
+def test_evolve_integrates_each_segment_once(tmp_path, evolve_spans, samples):
+    rc = main(["evolve", "--t", "2", "--samples", str(samples),
+               "--out", str(tmp_path / "evo.csv")])
+    assert rc == 0
+    # U(t, t) for the identity record, U(t, s), U(t, r), U(r, s) once each
+    # (U(t, s) shared with the symmetry record), then one call per segment
+    assert len(evolve_spans) == 4 + (samples - 1)
+    assert sum(t > s for s, t in evolve_spans) == 3 + (samples - 1)
+
+
+def test_evolve_zero_span_series_is_identity(tmp_path, evolve_spans):
+    target = tmp_path / "evo.csv"
+    assert main(["evolve", "--s", "1", "--t", "1", "--samples", "3",
+                 "--out", str(target)]) == 0
+    with open(target, newline="") as fh:
+        rows = [[float(c) for c in row] for row in list(csv.reader(fh))[1:]]
+    assert rows == [[1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]] * 3
+    assert all(s == t for s, t in evolve_spans)
+
+
+def test_stiffness_in_a_segment_names_the_model_field(tmp_path, _outdir, capsys,
+                                                      monkeypatch):
+    original = evolution.evolve
+
+    def stiff_segments(B, s, t, rel_tol=1e-10):
+        if (s, t) == (0.0, 0.5):  # the first of the series' segments
+            raise evolution.StiffnessError("step size underflowed")
+        return original(B, s, t, rel_tol)
+
+    monkeypatch.setattr(evolution, "evolve", stiff_segments)
+    path = _scenario(tmp_path, {"name": "x", "kind": "evolution",
+                                "params": {"B": "constant", "matrix": [[-1.0]],
+                                           "t": 2.0, "samples": 5}})
+    assert main(["run", path]) == 1
+    assert "input error: params.matrix: step size underflowed" in capsys.readouterr().err
+    assert not _outdir.exists()

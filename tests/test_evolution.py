@@ -19,6 +19,7 @@ from focksym.evolution import (
     check_evolution_c_symmetry,
     check_nonauto_stone,
     constant_operator,
+    evolution_series,
     evolve,
     _integrate_matrix,
 )
@@ -259,3 +260,70 @@ def test_nan_coefficients_raise_stiffness_error():
     )
     with pytest.raises(StiffnessError, match="underflowed"):
         evolve(B, 0.0, 1.0)
+
+
+# --- chained time series -------------------------------------------------------
+
+def _bagchi_cosine():
+    return _two_level(1.0, lambda t: 0.4 * math.cos(1.3 * t + 0.3),
+                      lambda t: math.cos(0.7 * t + 1.1))
+
+
+def test_chained_series_matches_per_sample_evolve():
+    B = _bagchi_cosine()
+    times = np.linspace(0.0, 5.0, 21)
+    series, _ = evolution_series(B, times)
+    assert np.array_equal(series[0], np.eye(2))
+    for tk, U in zip(times[1:], series[1:]):
+        direct = evolve(B, 0.0, float(tk)).matrix
+        assert np.max(np.abs(U - direct)) <= 1e-9 * np.max(np.abs(direct))
+
+
+def test_chained_series_matches_dop853():
+    B = _bagchi_cosine()
+    times = np.linspace(0.0, 5.0, 201)
+    series, _ = evolution_series(B, times)
+
+    def rhs(t, y):
+        return (B(t) @ y.view(complex).reshape(2, 2)).ravel().view(float)
+
+    sol = solve_ivp(rhs, (0.0, 5.0), np.eye(2, dtype=complex).ravel().view(float),
+                    method="DOP853", t_eval=times, rtol=1e-13, atol=1e-15)
+    ref = sol.y.T.copy().view(complex).reshape(len(times), 2, 2)
+    assert np.max(np.abs(np.array(series) - ref)) <= 1e-10
+
+
+def test_chained_series_steps_stay_near_one_span():
+    # each segment costs a few steps at least, but not a restart from s
+    B = _bagchi_cosine()
+    _, stats = evolution_series(B, np.linspace(0.0, 5.0, 201))
+    assert len(stats) == 200
+    span = evolve(B, 0.0, 5.0).stats.steps
+    assert sum(st.steps for st in stats) < 2.5 * span
+
+
+def test_chained_series_edge_cases():
+    B = _bagchi_cosine()
+    series, stats = evolution_series(B, np.linspace(0.0, 5.0, 1))
+    assert len(series) == 1 and np.array_equal(series[0], np.eye(2))
+    assert stats == []
+    series, stats = evolution_series(B, np.linspace(2.0, 2.0, 4))
+    assert len(series) == 4 and all(np.array_equal(U, np.eye(2)) for U in series)
+    assert [st.steps for st in stats] == [0, 0, 0]
+
+
+def test_built_dict_shares_propagators():
+    B = _bagchi_cosine()
+    built = {}
+    check_evolution_axioms(B, (0.0, 0.5, 1.0), 1e-10, built)
+    assert set(built) == {(0.0, 1.0), (0.5, 1.0), (0.0, 0.5)}
+    U = built[(0.0, 1.0)]
+    sym = check_evolution_c_symmetry(B, np.eye(2), 0.0, 1.0, 1e-10, built)
+    assert built[(0.0, 1.0)] is U
+    assert sym == check_evolution_c_symmetry(B, np.eye(2), 0.0, 1.0, 1e-10)
+    z = np.array([0.3 - 0.1j, 0.8 + 0.2j])
+    tight = {}
+    for h in (1e-2, 1e-3):
+        assert (check_adjoint_family(B, 0.0, 1.0, z, h, 1e-12, tight)
+                == check_adjoint_family(B, 0.0, 1.0, z, h, 1e-12))
+    assert set(tight) == {(0.0, 1.0), (0.0, 1.01), (0.0, 1.001)}

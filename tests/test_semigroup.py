@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from focksym.conjugation import ConjugationParams, standard_conjugation
 from focksym.fock import basis_vector, monomial
-from focksym.generator import generator_matrix
 from focksym.semigroup import (
     DilationFamily,
     GrowthProbe,
@@ -29,8 +28,9 @@ from focksym.semigroup import (
     semigroup_matrix,
     solve_scaling_equation,
 )
-from focksym import semigroup
-from focksym.verification import semigroup_law_deviation
+from focksym import generator, semigroup
+from focksym.generator import check_generator_fd, generator_matrix
+from focksym.verification import exponential_bridge, semigroup_law_deviation
 from focksym.wco import wco_matrix
 
 STD = standard_conjugation()
@@ -299,7 +299,7 @@ def test_laplace_requires_abscissa_margin():
 
 @pytest.fixture
 def built_shapes(monkeypatch):
-    """Shapes of the matrices the semigroup layer assembles, in call order."""
+    """Shapes of the matrices the semigroup and generator layers assemble, in call order."""
     shapes = []
 
     def counting(*args, **kwargs):
@@ -308,6 +308,7 @@ def built_shapes(monkeypatch):
         return M
 
     monkeypatch.setattr(semigroup, "wco_matrix", counting)
+    monkeypatch.setattr(generator, "wco_matrix", counting)
     return shapes
 
 
@@ -326,6 +327,21 @@ def test_growth_and_laplace_build_only_the_support_columns(built_shapes, k):
     laplace_resolvent(fam, 1.0 + 0j, ek, omega=0.0, dim=32)
     assert built_shapes
     assert max(cols for _, cols in built_shapes) <= k + 1
+
+
+@pytest.mark.parametrize("scheme", ["forward", "central"])
+@pytest.mark.parametrize("k", [0, 3])
+def test_generator_fd_builds_only_the_support_columns(built_shapes, scheme, k):
+    fam = TranslationFamily(E=1.0, F=0.0, conj=STD)
+    check_generator_fd(fam, k, 32, scheme=scheme)
+    assert built_shapes
+    assert max(cols for _, cols in built_shapes) <= k + 1
+
+
+def test_exponential_bridge_builds_only_the_monomial_columns(built_shapes):
+    fam = TranslationFamily(E=1.0, F=0.0, conj=STD)
+    exponential_bridge(fam, (0.1, 0.5), 4, 32)
+    assert built_shapes == [(32, 4), (32, 4)]
 
 
 # --- serialization ----------------------------------------------------------

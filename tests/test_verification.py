@@ -8,6 +8,7 @@ from focksym.fock import DEFAULT_TOLERANCES
 from focksym.verification import (
     CALIBRATED_DIM,
     CHECK_GROUPS,
+    MAX_COMPLEX_ENTRIES,
     CheckRecord,
     VerifyConfig,
     run_all,
@@ -49,6 +50,12 @@ def test_config_tolerance_override():
 def test_config_validation():
     with pytest.raises(ValueError):
         VerifyConfig(dim=1)
+    # the largest dim whose doubled square complex matrix numpy can index
+    top = math.isqrt(MAX_COMPLEX_ENTRIES) // 2
+    assert VerifyConfig(dim=top).dim == top
+    for dim in (top + 1, 2**32, 10**400):
+        with pytest.raises(ValueError, match="too large"):
+            VerifyConfig(dim=dim)
     assert VerifyConfig(dim=8).tol("semigroup_law") == DEFAULT_TOLERANCES["semigroup_law"]
 
 
