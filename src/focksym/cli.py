@@ -112,6 +112,8 @@ def _get(obj: dict, path: str, key: str, typ: type, default: Any = ...) -> Any:
             return default
         raise ScenarioError(here, "missing required field")
     val = obj[key]
+    if isinstance(val, bool) and typ in (int, float):  # bool is an int subclass
+        raise ScenarioError(here, f"expected {typ.__name__}, got bool")
     if typ is float and isinstance(val, int):
         val = _to_float(val, here)
     if not isinstance(val, typ):
@@ -585,13 +587,9 @@ def _run_evolution(spec: EvolutionSpec, cfg: VerifyConfig):
     for i in range(B.dim):
         for j in range(B.dim):
             header += [f"U{i}{j}_re", f"U{i}{j}_im"]
-    rows: list[tuple] = [tuple(header)]
-    for tk, U in zip(times, series):
-        row: list[float] = [float(tk)]
-        for i in range(B.dim):
-            for j in range(B.dim):
-                row += [U[i, j].real, U[i, j].imag]
-        rows.append(tuple(row))
+    # a complex matrix viewed as float64 interleaves re and im, as the header does
+    rows = [header] + [[float(tk), *U.view(np.float64).ravel().tolist()]
+                       for tk, U in zip(times, series)]
     payload = {"evolution": spec.meta, "s": s, "t": t, "rel_tol": rel_tol}
     return records, payload, rows
 

@@ -63,17 +63,43 @@ DEFAULT_TOLERANCES: Mapping[str, float] = {
 }
 
 
+def _sqrt_factorial_scalar(k: int) -> float:
+    if k <= FACTORIAL_EXACT_MAX:
+        return math.sqrt(math.factorial(k))
+    return math.exp(0.5 * math.lgamma(k + 1))
+
+
+# sqrt(k!) for k < len, from the scalar formulas; grown on demand by
+# sqrt_factorial, and read-only, since callers get fresh arrays indexed from it.
+_SQRT_FACTORIAL_TABLE = np.ones(1)
+_SQRT_FACTORIAL_TABLE.setflags(write=False)
+
+
 def sqrt_factorial(k: int | np.ndarray) -> np.ndarray | float:
-    """sqrt(k!), exact below FACTORIAL_EXACT_MAX, via lgamma above."""
+    """sqrt(k!), exact below FACTORIAL_EXACT_MAX, via lgamma above.
+
+    Arrays are looked up in a cached table and come back as a fresh array.
+    """
+    global _SQRT_FACTORIAL_TABLE
     karr = np.asarray(k)
     if karr.ndim == 0:
         kk = int(karr)
         if kk < 0:
             raise ValueError("negative index")
-        if kk <= FACTORIAL_EXACT_MAX:
-            return math.sqrt(math.factorial(kk))
-        return math.exp(0.5 * math.lgamma(kk + 1))
-    return np.array([sqrt_factorial(int(x)) for x in karr.ravel()]).reshape(karr.shape)
+        return _sqrt_factorial_scalar(kk)
+    if karr.size == 0:
+        return np.empty(karr.shape)
+    idx = karr.astype(np.intp)
+    if idx.min() < 0:
+        raise ValueError("negative index")
+    table = _SQRT_FACTORIAL_TABLE
+    n = int(idx.max()) + 1
+    if n > table.size:
+        grown = [_sqrt_factorial_scalar(j) for j in range(table.size, n)]
+        table = np.concatenate([table, grown])
+        table.setflags(write=False)
+        _SQRT_FACTORIAL_TABLE = table
+    return table[idx]
 
 
 def exp_series(w: complex, dim: int) -> np.ndarray:

@@ -37,9 +37,14 @@ def complex_to_json(z: complex) -> list[float]:
 
 
 def complex_from_json(obj) -> complex:
+    """A number or an [re, im] pair; a JSON boolean is neither (TypeError)."""
+    if isinstance(obj, bool):
+        raise TypeError("a boolean is not a number")
     if isinstance(obj, (int, float)):
         return complex(obj)
     re, im = obj
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise TypeError("a boolean is not a number")
     return complex(re, im)
 
 
@@ -77,5 +82,6 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_cell(v) for v in row] for row in rows)
+    # the writer formats a Python float by str, which equals repr in Python 3
+    writer.writerows([v if type(v) is float else _cell(v) for v in row] for row in rows)
     atomic_write_text(path, buf.getvalue())

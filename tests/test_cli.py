@@ -133,6 +133,26 @@ def test_unindexable_size_names_field_path(tmp_path, _outdir, capsys, command,
     assert not _outdir.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("kind, params, dim, field", [
+    ("evolution", {"B": "bagchi", "samples": True}, 16, "params.samples"),
+    ("evolution", {"B": "bagchi", "t": True}, 16, "params.t"),
+    ("spectrum", {"family": DILATION, "k_max": False}, 16, "params.k_max"),
+    ("wco", {"A": 0.5}, True, "truncation.dim"),
+    ("wco", {"A": True}, 16, "params.A"),
+    ("wco", {"A": [0.5, False]}, 16, "params.A"),
+    ("evolution", {"B": "constant", "matrix": [[True]]}, 16, "params.matrix"),
+], ids=["samples-int", "t-float", "k_max-int", "dim-int", "A-complex", "A-pair",
+        "matrix-entry"])
+def test_json_boolean_is_not_a_number(tmp_path, _outdir, capsys, command,
+                                      kind, params, dim, field):
+    path = _scenario(tmp_path, {"name": "x", "kind": kind, "params": params,
+                                "truncation": {"dim": dim}})
+    assert main([command, path]) == 1
+    assert f"input error: {field}: " in capsys.readouterr().err
+    assert not _outdir.exists()
+
+
 @pytest.mark.parametrize("argv, field", [
     (["verify-all", "--dim", str(_HUGE)], "--dim"),
     (["verify-all", "--dim", str(2**32)], "--dim"),

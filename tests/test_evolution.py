@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from focksym import evolution
 from focksym.evolution import (
     BagchiParams,
+    IntegratorStats,
     StiffnessError,
     TimeDependentOperator,
     bagchi_hamiltonian,
@@ -327,3 +329,135 @@ def test_built_dict_shares_propagators():
         assert (check_adjoint_family(B, 0.0, 1.0, z, h, 1e-12, tight)
                 == check_adjoint_family(B, 0.0, 1.0, z, h, 1e-12))
     assert set(tight) == {(0.0, 1.0), (0.0, 1.01), (0.0, 1.001)}
+
+
+# --- the step loop, bit for bit ----------------------------------------------------
+
+def _reference_integrate(B, t0, t1, rel_tol):
+    """The Dormand-Prince loop before stage reuse: seven evaluations of B and
+    seven products per attempted step, every sum formed from scratch."""
+    ev = evolution
+    U = np.eye(B.dim, dtype=complex)
+    if t1 == t0:
+        return U, IntegratorStats(steps=0, rejected=0, max_local_error=0.0)
+    span = t1 - t0
+    h = span / 50.0
+    h_floor = abs(span) * ev._MIN_STEP_FACTOR
+    x = t0
+    steps = rejected = 0
+    max_err = 0.0
+    direction = 1.0 if span > 0 else -1.0
+    while (t1 - x) * direction > 0:
+        if (x + h - t1) * direction > 0:
+            h = t1 - x
+        stages = []
+        for i in range(7):
+            Y = U
+            for j, c in enumerate(ev._COUPLING[i]):
+                if c:
+                    Y = Y + (h * c) * stages[j]
+            stages.append(B(x + ev._STAGE_TIMES[i] * h) @ Y)
+        U5 = U
+        for i, w in enumerate(ev._WEIGHTS5):
+            if w:
+                U5 = U5 + (h * w) * stages[i]
+        err = np.zeros_like(U)
+        for i, w in enumerate(ev._ERROR_WEIGHTS):
+            if w:
+                err = err + (h * w) * stages[i]
+        scale = max(float(np.max(np.abs(U5))), float(np.max(np.abs(U))), 1.0)
+        local = float(np.max(np.abs(err))) / scale
+        budget = rel_tol * abs(h)
+        finite = math.isfinite(local)
+        if finite and local <= budget:
+            x += h
+            U = U5
+            steps += 1
+            max_err = max(max_err, local)
+        else:
+            rejected += 1
+        if not finite:
+            h *= ev._MIN_SHRINK
+        elif local > 0:
+            h *= min(ev._MAX_GROWTH,
+                     max(ev._MIN_SHRINK, ev._SAFETY * (budget / local) ** 0.2))
+        else:
+            h *= ev._MAX_GROWTH
+        if abs(h) < h_floor:
+            raise StiffnessError(
+                f"step size {abs(h):.3e} underflowed at t = {x:.6g}; "
+                "the coefficient family is too stiff for the 5(4) pair"
+            )
+    return U, IntegratorStats(steps=steps, rejected=rejected, max_local_error=max_err)
+
+
+def _counting(B):
+    """B with a counter of its evaluations."""
+    calls = [0]
+
+    def eval_b(t):
+        calls[0] += 1
+        return B(t)
+
+    return TimeDependentOperator(dim=B.dim, eval=eval_b), calls
+
+
+def _constant_d16():
+    q, r = np.linalg.qr(np.random.default_rng(0).standard_normal((16, 16)))
+    O = q * np.sign(np.diag(r))
+    spectrum = np.linspace(-1.0, 1.0, 16) - 1j * np.linspace(0.0, 0.3, 16)
+    return constant_operator(-1j * (O * spectrum) @ O.T)
+
+
+def _kinked_table():
+    # piecewise-linear in t with kinks at 0.7, 1.3 and 2.2: steps across them fail
+    ts = np.array([0.0, 0.7, 1.3, 2.2, 3.0])
+    rng = np.random.default_rng(3)
+    stack = -1j * (rng.standard_normal((5, 3, 3)) + 2.0 * np.eye(3))
+
+    def eval_b(t):
+        if t <= ts[0]:
+            return stack[0]
+        if t >= ts[-1]:
+            return stack[-1]
+        j = int(np.searchsorted(ts, t) - 1)
+        w = (t - ts[j]) / (ts[j + 1] - ts[j])
+        return (1 - w) * stack[j] + w * stack[j + 1]
+
+    return TimeDependentOperator(dim=3, eval=eval_b)
+
+
+@pytest.mark.parametrize("make, t0, t1, rel_tol", [
+    (_bagchi_cosine, 0.0, 5.0, 1e-10),
+    (_constant_d16, 0.0, 2.0, 1e-10),
+    (_kinked_table, 0.0, 3.0, 1e-10),
+    (_bagchi_cosine, 4.0, -1.0, 1e-9),
+], ids=["bagchi-cosine", "constant-d16", "kinked-table", "backward"])
+def test_step_loop_matches_reference_bit_for_bit(make, t0, t1, rel_tol):
+    B, calls = _counting(make())
+    U, stats = _integrate_matrix(B, t0, t1, rel_tol)
+    U_ref, stats_ref = _reference_integrate(make(), t0, t1, rel_tol)
+    assert np.array_equal(U, U_ref)
+    assert stats == stats_ref
+    # stage 1 once, then five evaluations per attempted step
+    assert calls[0] == 1 + 5 * (stats.steps + stats.rejected)
+
+
+def test_kinked_table_forces_rejections():
+    _, stats = _integrate_matrix(_kinked_table(), 0.0, 3.0, 1e-10)
+    assert stats.rejected > 0
+
+
+def test_last_stage_is_the_fifth_order_solution():
+    assert evolution._COUPLING[6] == evolution._WEIGHTS5[:6]
+    assert evolution._WEIGHTS5[6] == 0.0
+    assert evolution._STAGE_TIMES[5] == evolution._STAGE_TIMES[6] == 1.0
+
+
+def test_stiff_generator_raises_the_reference_error():
+    B = constant_operator(np.array([[1e13]]))
+    with pytest.raises(StiffnessError) as ref:
+        _reference_integrate(B, 0.0, 1.0, 1e-10)
+    with pytest.raises(StiffnessError) as got:
+        _integrate_matrix(B, 0.0, 1.0, 1e-10)
+    assert str(got.value) == str(ref.value)

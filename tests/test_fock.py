@@ -138,6 +138,19 @@ def test_sqrt_factorial_vectorized_matches_scalar():
     vec = sqrt_factorial(ks)
     for k in ks:
         assert vec[k] == sqrt_factorial(int(k))
+    # the cached table grows past the exact range; any shape indexes it
+    grid = np.array([[140, 3], [21, 20]])
+    assert sqrt_factorial(grid).tolist() == [[sqrt_factorial(int(k)) for k in row]
+                                             for row in grid]
+    assert sqrt_factorial(np.arange(0)).shape == (0,)
+    with pytest.raises(ValueError, match="negative"):
+        sqrt_factorial(np.array([2, -1]))
+
+
+def test_sqrt_factorial_array_is_a_fresh_copy():
+    first = sqrt_factorial(np.arange(8))
+    first[:] = 0.0
+    assert sqrt_factorial(np.arange(8))[7] == math.sqrt(math.factorial(7))
 
 
 def test_fock_vector_json_round_trip():

@@ -17,9 +17,13 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from focksym.cli import main
+from focksym.cli import _parse_evolution, main
+from focksym.evolution import evolution_series
+from focksym.serialize import _cell
+from focksym.verification import VerifyConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 REL, ABS = 1e-9, 1e-13
@@ -137,6 +141,43 @@ def test_report_matches_golden(label, tmp_path):
     want = json.loads((GOLDEN / f"{label}.json").read_text())
     got = run(label, tmp_path)
     assert mismatches(got, want) == []
+
+
+def _entrywise_rows(params: dict) -> list[list[str]]:
+    """Series CSV rows built entry by entry from numpy scalars, each cell by _cell."""
+    spec = _parse_evolution(params, VerifyConfig(dim=2))
+    times = np.linspace(spec.s, spec.t, spec.samples)
+    series, _ = evolution_series(spec.op, times, spec.rel_tol)
+    rows = []
+    for tk, U in zip(times, series):
+        row = [float(tk)]
+        for i in range(spec.op.dim):
+            for j in range(spec.op.dim):
+                row += [U[i, j].real, U[i, j].imag]
+        rows.append([_cell(v) for v in row])
+    return rows
+
+
+# the `evolve` flags of "evolve-series", as the subcommand passes them on
+EVOLVE_SERIES = {"B": "bagchi", "nu": 1.0, "kappa": 0.4, "lam": 0.8, "s": 0.0, "t": 2.0,
+                 "rel_tol": 1e-10, "samples": 9}
+
+
+@pytest.mark.parametrize("label", ["evolve-series", "evolution"])
+def test_evolution_csv_cells_match_entrywise_rows(label, tmp_path):
+    if label in COMMANDS:
+        params = EVOLVE_SERIES
+        rows = run(label, tmp_path)["csv"]
+    else:
+        params = SCENARIOS[label][1]
+        out = tmp_path / f"{label}.csv"
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"name": label, "kind": "evolution", "params": params,
+                                        "output": {"format": "csv", "path": str(out)}}))
+        assert main(["run", str(scenario), "--seed", "5"]) == 0
+        with out.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+    assert rows[1:] == _entrywise_rows(params)
 
 
 def test_comparison_rules():

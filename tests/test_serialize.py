@@ -25,6 +25,20 @@ def test_complex_from_bare_number():
     assert complex_from_json(-1.5) == -1.5 + 0j
 
 
+def test_complex_from_json_rejects_booleans():
+    for obj in (True, False, [True, 0.0], [0.0, False]):
+        with pytest.raises(TypeError):
+            complex_from_json(obj)
+
+
+def test_csv_float_cells_are_repr_for_python_and_numpy_floats(tmp_path):
+    vals = [0.1, -0.0, 1e-300, 1e16, 123456789.123456789, float("nan"), float("-inf")]
+    path = tmp_path / "vals.csv"
+    write_csv(str(path), ["x"] * len(vals), [vals, [np.float64(v) for v in vals]])
+    lines = path.read_text().splitlines()
+    assert lines[1] == lines[2] == ",".join(repr(v) for v in vals)
+
+
 def test_csv_cells_round_trip_through_float(tmp_path):
     path = tmp_path / "vals.csv"
     rows = [(0.1, 1 / 3), (1e-17, 123456789.123456789)]
