@@ -54,7 +54,7 @@ def main(argv=None) -> int:
     print(f"{'omega':>8}  {'sup':>12}  {'argmax t':>9}  diverging")
     rows = []
     for omega in args.omegas:
-        rep = n_omega_estimate(fam, e0, GrowthProbe(omega=omega), dim=args.dim)
+        rep = n_omega_estimate(fam, e0, GrowthProbe(omega=omega))
         print(f"{omega:>8.3g}  {rep.sup:>12.6g}  {rep.argmax_t:>9.4f}  "
               f"{rep.diverging}")
         rows.append((omega, rep.sup, rep.argmax_t, int(rep.diverging)))

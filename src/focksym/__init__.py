@@ -24,7 +24,6 @@ from .evolution import (
     bagchi_hamiltonian,
     check_adjoint_family,
     check_evolution_axioms,
-    check_evolution_c_symmetry,
     check_nonauto_stone,
     constant_operator,
     evolve,
@@ -67,7 +66,6 @@ from .semigroup import (
     check_semiflow,
     check_semigroup_law,
     family_eval,
-    family_from_json,
     family_is_bounded,
     laplace_resolvent,
     n_omega_estimate,

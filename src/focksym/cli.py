@@ -3,7 +3,7 @@
 Subcommands
     validate <scenario.json>          schema- and constraint-check only
     run <scenario.json>               execute a scenario, write its report
-    verify-all [--seed] [--dim]       the full check suite as one report
+    verify-all [--seed] [--dim]       the full check suite as one report (dim >= 5)
     spectrum  [family flags]          dilation spectrum report front end
     evolve    [model flags]           propagator time series as CSV
 
@@ -32,6 +32,7 @@ from .conjugation import (
     ConjugationParams,
     ConstraintViolation,
     check_isometry,
+    check_matrix_c_symmetry,
     conjugation_matrix,
 )
 from .evolution import (
@@ -40,9 +41,9 @@ from .evolution import (
     TimeDependentOperator,
     bagchi_hamiltonian,
     check_evolution_axioms,
-    check_evolution_c_symmetry,
     constant_operator,
     evolution_series,
+    evolve,
 )
 from .fock import DEFAULT_TOLERANCES, FockVector, monomial
 from .generator import (
@@ -56,6 +57,7 @@ from .semigroup import (
     GrowthProbe,
     SemigroupFamily,
     TranslationFamily,
+    check_semigroup_law,
     family_is_bounded,
     n_omega_estimate,
 )
@@ -69,6 +71,7 @@ from .serialize import (
 from .verification import (
     FLOW_GRID,
     MAX_COMPLEX_ENTRIES,
+    SUITE_MIN_DIM,
     CheckRecord,
     VerifyConfig,
     _info,
@@ -80,7 +83,6 @@ from .verification import (
     involution_residual,
     run_all,
     scaling_deviation,
-    semigroup_law_deviation,
 )
 from .wco import WCOParams, is_bounded, is_c_selfadjoint_symbols, wco_matrix
 
@@ -430,7 +432,14 @@ def _parse_evolution(params: dict, cfg: VerifyConfig) -> EvolutionSpec:
     return EvolutionSpec(op, meta, source, s, t, rel_tol, samples)
 
 
+def _check_suite_dim(cfg: VerifyConfig, path: str) -> None:
+    if cfg.dim < SUITE_MIN_DIM:
+        raise ScenarioError(path, f"the full check suite needs dim >= {SUITE_MIN_DIM}, "
+                                  f"got {cfg.dim}")
+
+
 def _parse_full_verify(params: dict, cfg: VerifyConfig) -> int | None:
+    _check_suite_dim(cfg, "truncation.dim")
     seed = _get(params, "params", "seed", int, None)
     if seed is not None and seed < 0:
         raise ScenarioError("params.seed", "seed must be >= 0")
@@ -491,7 +500,7 @@ def _run_wco(spec: WcoSpec, cfg: VerifyConfig):
 def _run_semigroup(spec: SemigroupSpec, cfg: VerifyConfig):
     fam, dim, probe = spec.family, cfg.dim, spec.probe
     flow_dev, coc_dev = flow_cocycle_deviation(fam, FLOW_GRID)
-    law = semigroup_law_deviation(fam, (0.25, 1.0), 5, dim)
+    law = check_semigroup_law(fam, (0.25, 1.0), 5, dim)
     scal = scaling_deviation(fam, np.linspace(0.0, 2.0, 5))
     records = [
         _record(cfg, "semigroup.semiflow", "zeta_{t+s} = zeta_t o zeta_s",
@@ -506,7 +515,7 @@ def _run_semigroup(spec: SemigroupSpec, cfg: VerifyConfig):
         _info("semigroup.bounded", "uniform boundedness criterion",
               1.0 if family_is_bounded(fam) else 0.0),
     ]
-    rep = n_omega_estimate(fam, monomial(0, dim), probe, dim)
+    rep = n_omega_estimate(fam, monomial(0, dim), probe)
     records.append(_info("semigroup.growth", "sup_t e^{-omega t} ||W(t) 1||", rep.sup,
                          f"diverging={rep.diverging} argmax_t={rep.argmax_t!r}"))
     rows = [("t", "norm", "weighted_norm")]
@@ -522,7 +531,7 @@ def _run_generator(fam: SemigroupFamily, cfg: VerifyConfig):
         cfg, fam, 0, ("generator.fd-forward-slope", "generator.fd-central-slope"),
         ("first-order quotient converges", "second-order quotient converges"))
     worst = exponential_bridge(fam, (0.1, 0.5), 4, cfg.dim)
-    stone = check_stone_adjoint_relation(fam, fam.conj, cfg.dim)
+    stone = check_stone_adjoint_relation(fam, cfg.dim)
     records += [
         _record(cfg, "generator.exponential-bridge",
                 "exp(t Q) matches W(t) on low coefficients",
@@ -568,10 +577,10 @@ def _run_spectrum(spec: SpectrumSpec, cfg: VerifyConfig):
 def _run_evolution(spec: EvolutionSpec, cfg: VerifyConfig):
     B, s, t, rel_tol = spec.op, spec.s, spec.t, spec.rel_tol
     times = np.linspace(s, t, spec.samples)
-    built: dict = {}  # U(t, s) is integrated once for both checks
     try:
-        ident, comp = check_evolution_axioms(B, (s, s + (t - s) / 2, t), rel_tol, built)
-        sym = check_evolution_c_symmetry(B, np.eye(B.dim), s, t, rel_tol, built)
+        U_ts = evolve(B, s, t, rel_tol).matrix  # once, for both checks
+        ident, comp = check_evolution_axioms(B, (s, s + (t - s) / 2, t), U_ts, rel_tol)
+        sym = check_matrix_c_symmetry(U_ts, np.eye(B.dim))
         series, _ = evolution_series(B, times, rel_tol)
     except StiffnessError as exc:
         raise ScenarioError(spec.source, str(exc))
@@ -703,6 +712,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     cfg = _config("--dim", dim=args.dim, seed=args.seed)
+    _check_suite_dim(cfg, "--dim")
     return _report("verify-all", "full-verify", cfg, _flag_output(args, "json"),
                    lambda: (run_all(cfg), {}, None))
 

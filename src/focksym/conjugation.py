@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, inner_product
-from .serialize import complex_from_json, complex_to_json
+from .serialize import complex_to_json
 from .wco import WCOParams, wco_matrix
 
 __all__ = [
@@ -74,10 +74,6 @@ class ConjugationParams:
     def to_json(self) -> dict:
         return {k: complex_to_json(getattr(self, k)) for k in "abc"}
 
-    @staticmethod
-    def from_json(obj: dict) -> "ConjugationParams":
-        return ConjugationParams(*(complex_from_json(obj[k]) for k in "abc"))
-
 
 def standard_conjugation() -> ConjugationParams:
     """The plain coefficientwise conjugation, (a, b, c) = (1, 0, 1)."""
@@ -126,10 +122,14 @@ def check_isometry(op: AntilinearOperator, f: FockVector, g: FockVector) -> floa
     return abs(lhs - rhs)
 
 
-def check_matrix_c_symmetry(T: np.ndarray, op: AntilinearOperator) -> float:
-    """Max-abs entry of T M - M T^T; zero iff T = C T* C on the truncation."""
+def check_matrix_c_symmetry(T: np.ndarray, M: np.ndarray) -> float:
+    """Max-abs entry of T M - M T^T; zero iff T = C T* C for C = M conj.
+
+    The one C-symmetry residual: generators, coefficient matrices B(s) and
+    propagators U(t, s) are all judged by it.
+    """
     T = np.asarray(T, dtype=complex)
-    if T.shape != op.matrix.shape:
-        raise ValueError(f"shape mismatch: {T.shape} vs {op.matrix.shape}")
-    R = T @ op.matrix - op.matrix @ T.T
-    return float(np.max(np.abs(R)))
+    M = np.asarray(M, dtype=complex)
+    if T.shape != M.shape:
+        raise ValueError(f"shape mismatch: {T.shape} vs {M.shape}")
+    return float(np.max(np.abs(T @ M - M @ T.T)))

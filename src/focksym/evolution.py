@@ -15,15 +15,15 @@ in tableau order, so the propagator equals that of the plain seven-stage
 loop bit for bit.
 
 Checks cover the evolution-family axioms, the adjoint family's derivative
-identity, the commutation relation B(s) J = J conj(B(s))  (written here as
-B(s) M = M B(s)^T for the matrix part M of the antilinear J), and the induced
-symmetry U(t,s) = J U(t,s)* J of the propagator for commuting families.
+identity and the commutation relation B(s) J = J conj(B(s))  (written here as
+B(s) M = M B(s)^T for the matrix part M of the antilinear J).  The induced
+symmetry U(t,s) = J U(t,s)* J of the propagator for commuting families is
+:func:`focksym.conjugation.check_matrix_c_symmetry` applied to U(t, s).
 
 A time series U(t_k, s) is a chain of segment propagators through the
 cocycle U(t_k, s) = U(t_k, t_{k-1}) U(t_{k-1}, s), so its cost is linear in
-the number of samples.  The checks take an optional ``built`` dict from
-(s, t) to U(t, s), filled as they go, so that callers sharing one
-propagator across checks integrate it once.
+the number of samples.  A check that judges U(t, s) takes it from its
+caller, which integrates it once for every check that needs it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .conjugation import check_matrix_c_symmetry
 
 __all__ = [
     "TimeDependentOperator",
@@ -44,7 +46,6 @@ __all__ = [
     "check_evolution_axioms",
     "check_adjoint_family",
     "check_nonauto_stone",
-    "check_evolution_c_symmetry",
     "BagchiParams",
     "bagchi_hamiltonian",
     "constant_operator",
@@ -212,21 +213,6 @@ def evolve(
     return EvolutionOperator(s=s, t=t, matrix=U, stats=stats)
 
 
-def _propagator(
-    B: TimeDependentOperator,
-    s: float,
-    t: float,
-    rel_tol: float,
-    built: dict[tuple[float, float], np.ndarray] | None,
-) -> np.ndarray:
-    """U(t, s), taken from ``built`` when there and stored into it otherwise."""
-    if built is None:
-        return evolve(B, s, t, rel_tol).matrix
-    if (s, t) not in built:
-        built[(s, t)] = evolve(B, s, t, rel_tol).matrix
-    return built[(s, t)]
-
-
 def evolution_series(
     B: TimeDependentOperator, times: Sequence[float], rel_tol: float = 1e-10
 ) -> tuple[list[np.ndarray], list[IntegratorStats]]:
@@ -249,23 +235,20 @@ def evolution_series(
 def check_evolution_axioms(
     B: TimeDependentOperator,
     times: tuple[float, float, float],
+    U_ts: np.ndarray,
     rel_tol: float = 1e-10,
-    built: dict[tuple[float, float], np.ndarray] | None = None,
 ) -> tuple[float, float]:
     """(identity residual, composition residual) for s <= r <= t.
 
     Identity: max-abs of U(t, t) - I.  Composition: max-abs of
-    U(t, r) U(r, s) - U(t, s).  ``built`` shares propagators with other
-    checks at the same ``rel_tol``.
+    U(t, r) U(r, s) - U_ts, where ``U_ts`` is the caller's U(t, s) at the
+    same ``rel_tol``.
     """
     s, r, t = times
     if not s <= r <= t:
         raise ValueError(f"need s <= r <= t, got {times}")
     ident = evolve(B, t, t, rel_tol).matrix - np.eye(B.dim)
-    U_ts = _propagator(B, s, t, rel_tol, built)
-    U_tr = _propagator(B, r, t, rel_tol, built)
-    U_rs = _propagator(B, s, r, rel_tol, built)
-    comp = U_tr @ U_rs - U_ts
+    comp = evolve(B, r, t, rel_tol).matrix @ evolve(B, s, r, rel_tol).matrix - U_ts
     return float(np.max(np.abs(ident))), float(np.max(np.abs(comp)))
 
 
@@ -274,30 +257,35 @@ def check_adjoint_family(
     s: float,
     t: float,
     z: np.ndarray,
-    h: float,
+    hs: Sequence[float],
     rel_tol: float = 1e-12,
-    built: dict[tuple[float, float], np.ndarray] | None = None,
-) -> float:
-    """Difference-quotient residual of d/dt [U(t,s)^H z] = U(t,s)^H B(t)^H z.
+) -> np.ndarray:
+    """Difference-quotient residuals of d/dt [U(t,s)^H z] = U(t,s)^H B(t)^H z.
 
-    Returns ||(U(t+h,s)^H z - U(t,s)^H z)/h - U(t,s)^H B(t)^H z||, an O(h)
-    quantity for smooth coefficients.  ``built`` shares U(t, s) across h.
+    For each h in ``hs``: ||(U(t+h,s)^H z - U(t,s)^H z)/h - U(t,s)^H B(t)^H z||,
+    an O(h) quantity for smooth coefficients.  U(t, s) is integrated once.
     """
-    if h <= 0:
+    if any(h <= 0 for h in hs):
         raise ValueError("h must be positive")
     z = np.asarray(z, dtype=complex)
-    U_t = _propagator(B, s, t, rel_tol, built)
-    U_th = _propagator(B, s, t + h, rel_tol, built)
-    quotient = (U_th.conj().T @ z - U_t.conj().T @ z) / h
+    U_t = evolve(B, s, t, rel_tol).matrix
     target = U_t.conj().T @ (B(t).conj().T @ z)
-    return float(np.linalg.norm(quotient - target))
+    out = np.empty(len(hs))
+    for i, h in enumerate(hs):
+        U_th = evolve(B, s, t + h, rel_tol).matrix
+        quotient = (U_th.conj().T @ z - U_t.conj().T @ z) / h
+        out[i] = np.linalg.norm(quotient - target)
+    return out
+
+
+# M conj(M) = I must hold to rounding before B(s) M = M B(s)^T means anything
+_INVOLUTION_TOL = 1e-12
 
 
 def check_nonauto_stone(
     B: TimeDependentOperator,
     conj_matrix: np.ndarray,
     s_grid: Sequence[float],
-    involution_tol: float = 1e-12,
 ) -> np.ndarray:
     """Residuals ||B(s) M - M B(s)^T|| over the grid, for antilinear J = M conj.
 
@@ -306,29 +294,11 @@ def check_nonauto_stone(
     """
     M = np.asarray(conj_matrix, dtype=complex)
     inv = np.max(np.abs(M @ np.conj(M) - np.eye(M.shape[0])))
-    if inv > involution_tol:
+    if inv > _INVOLUTION_TOL:
         raise ValueError(
             f"conjugation matrix is not an involution: ||M conj(M) - I|| = {inv:.3e}"
         )
-    out = np.empty(len(s_grid))
-    for i, sv in enumerate(s_grid):
-        Bs = B(float(sv))
-        out[i] = np.max(np.abs(Bs @ M - M @ Bs.T))
-    return out
-
-
-def check_evolution_c_symmetry(
-    B: TimeDependentOperator,
-    conj_matrix: np.ndarray,
-    s: float,
-    t: float,
-    rel_tol: float = 1e-10,
-    built: dict[tuple[float, float], np.ndarray] | None = None,
-) -> float:
-    """Max-abs of U M - M U^T for U = U(t, s); zero iff J U J = U*."""
-    M = np.asarray(conj_matrix, dtype=complex)
-    U = _propagator(B, s, t, rel_tol, built)
-    return float(np.max(np.abs(U @ M - M @ U.T)))
+    return np.array([check_matrix_c_symmetry(B(float(sv)), M) for sv in s_grid])
 
 
 @dataclass(frozen=True)

@@ -152,17 +152,6 @@ class FockVector:
         scale = sqrt_factorial(np.arange(self.dim))
         return FockVector(self.coeffs / scale, "monomial")
 
-    def to_json(self) -> dict:
-        return {
-            "basis": self.basis,
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "FockVector":
-        coeffs = np.array([complex(re, im) for re, im in obj["coeffs"]])
-        return FockVector(coeffs, obj.get("basis", "normalized"))
-
 
 def basis_vector(k: int, dim: int) -> FockVector:
     """Unit vector of the orthonormal basis, z^k/sqrt(k!), in normalized tag."""

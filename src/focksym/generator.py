@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .conjugation import AntilinearOperator, ConjugationParams, conjugation_matrix
+from .conjugation import check_matrix_c_symmetry, conjugation_matrix
 from .fock import FockVector, exp_series, monomial
 from .semigroup import (
     DilationFamily,
@@ -57,10 +57,11 @@ __all__ = [
     "matrix_exponential",
     "spectrum_report",
     "check_stone_adjoint_relation",
-    "DEFAULT_H_SEQUENCE",
+    "FD_STEPS",
 ]
 
-DEFAULT_H_SEQUENCE: tuple[float, ...] = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
+# steps h of the difference-quotient slope fits
+FD_STEPS: tuple[float, ...] = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -116,10 +117,9 @@ def check_generator_fd(
     fam: SemigroupFamily,
     k: int,
     dim: int,
-    h_sequence: Sequence[float] = DEFAULT_H_SEQUENCE,
     scheme: str = "forward",
 ) -> tuple[float, np.ndarray]:
-    """Slope of log-error vs log-h for the difference-quotient generator.
+    """Slope of log-error vs log-h, h in FD_STEPS, for the difference quotient.
 
     forward: ||(W(h) e_k - e_k)/h - Q e_k||, expected slope ~ 1.
     central: ||(W(h) e_k - W(-h) e_k)/(2h) - Q e_k||, expected slope ~ 2
@@ -131,8 +131,8 @@ def check_generator_fd(
     v = monomial(k, dim).to_normalized().coeffs
     m = k + 1  # z^k needs only the leading k + 1 columns of W(h)
     target = gen.apply(v)
-    errs = np.empty(len(h_sequence))
-    for i, h in enumerate(h_sequence):
+    errs = np.empty(len(FD_STEPS))
+    for i, h in enumerate(FD_STEPS):
         Wh = semigroup_matrix(fam, h, dim, m)
         if scheme == "forward":
             quotient = (Wh @ v[:m] - v) / h
@@ -140,7 +140,7 @@ def check_generator_fd(
             Wmh = wco_matrix(_eval_any_t(fam, -h), dim, m)
             quotient = (Wh @ v[:m] - Wmh @ v[:m]) / (2 * h)
         errs[i] = np.linalg.norm(quotient - target)
-    slope = float(np.polyfit(np.log(np.asarray(h_sequence)), np.log(errs), 1)[0])
+    slope = float(np.polyfit(np.log(np.asarray(FD_STEPS)), np.log(errs), 1)[0])
     return slope, errs
 
 
@@ -486,28 +486,25 @@ class StoneCheck(NamedTuple):
     c_symmetry_residual: float
 
 
-def check_stone_adjoint_relation(
-    fam: SemigroupFamily,
-    conj: ConjugationParams | AntilinearOperator,
-    dim: int,
-    h: float = 1e-6,
-    max_degree: int = 8,
-) -> StoneCheck:
+# step of the adjoint quotient and the highest monomial degree it is taken on
+_STONE_STEP = 1e-6
+_STONE_MAX_DEGREE = 8
+
+
+def check_stone_adjoint_relation(fam: SemigroupFamily, dim: int) -> StoneCheck:
     """Adjoint-generator difference quotient plus generator C-symmetry.
 
-    First entry: max_k ||((W(h)^H - I)/h - Q^H) e_k|| over k <= max_degree,
-    an O(h) quantity when the adjoint family is differentiable at 0.
-    Second entry: max-abs of Q M - M Q^T for the conjugation matrix M.
+    First entry: max_k ||((W(h)^H - I)/h - Q^H) e_k|| over k <= 8 at
+    h = 1e-6, an O(h) quantity when the adjoint family is differentiable at 0.
+    Second entry: max-abs of Q M - M Q^T for the matrix M of the family's
+    own conjugation.
     """
-    op = conj if isinstance(conj, AntilinearOperator) else conjugation_matrix(conj, dim)
-    if op.dim != dim:
-        raise ValueError("conjugation matrix dimension mismatch")
+    M = conjugation_matrix(fam.conj, dim).matrix
     gen = generator_matrix(fam, dim).dense()
-    Wh = semigroup_matrix(fam, h, dim)
-    quotient = (Wh.conj().T - np.eye(dim)) / h
+    Wh = semigroup_matrix(fam, _STONE_STEP, dim)
+    quotient = (Wh.conj().T - np.eye(dim)) / _STONE_STEP
     block = quotient - gen.conj().T
     adjoint_resid = float(
-        np.max(np.linalg.norm(block[:, : max_degree + 1], axis=0))
+        np.max(np.linalg.norm(block[:, : _STONE_MAX_DEGREE + 1], axis=0))
     )
-    sym = gen @ op.matrix - op.matrix @ gen.T
-    return StoneCheck(adjoint_resid, float(np.max(np.abs(sym))))
+    return StoneCheck(adjoint_resid, check_matrix_c_symmetry(gen, M))

@@ -20,14 +20,14 @@ the Laplace-transform resolvent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Sequence, Union
 
 import numpy as np
 
 from .conjugation import ConjugationParams
 from .fock import FockVector, monomial
-from .serialize import complex_from_json, complex_to_json
+from .serialize import complex_to_json
 from .wco import WCOParams, wco_matrix
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "QuadratureError",
     "GrowthProbe",
     "GrowthReport",
-    "family_from_json",
     "family_eval",
     "family_is_bounded",
     "check_semiflow",
@@ -49,10 +48,11 @@ __all__ = [
     "n_omega_estimate",
     "norm_w_one_closed_form",
     "laplace_resolvent",
-    "DEFAULT_Z_SAMPLES",
+    "Z_SAMPLES",
 ]
 
-DEFAULT_Z_SAMPLES: tuple[complex, ...] = (0.0, 1.0, -1.0, 1j, -1j, 2 + 1j)
+# points z at which the flow and cocycle laws are compared
+Z_SAMPLES: tuple[complex, ...] = (0.0, 1.0, -1.0, 1j, -1j, 2 + 1j)
 
 
 @dataclass(frozen=True)
@@ -104,23 +104,6 @@ class DilationFamily:
 
 
 SemigroupFamily = Union[TranslationFamily, DilationFamily]
-
-
-def family_from_json(obj: dict) -> SemigroupFamily:
-    variant = obj.get("variant")
-    if variant not in ("translation", "dilation"):
-        raise ValueError(f"unknown family variant {variant!r}")
-    conj = ConjugationParams.from_json(obj["conjugation"])
-    if variant == "translation":
-        return TranslationFamily(
-            complex_from_json(obj["E"]), complex_from_json(obj["F"]), conj
-        )
-    return DilationFamily(
-        complex_from_json(obj["ell"]),
-        complex_from_json(obj["G"]),
-        complex_from_json(obj["H"]),
-        conj,
-    )
 
 
 def _eval_any_t(fam: SemigroupFamily, t: float) -> WCOParams:
@@ -175,15 +158,10 @@ def _flow(fam: SemigroupFamily, t: float, z: complex) -> complex:
     return p.A * z + p.B
 
 
-def check_semiflow(
-    fam: SemigroupFamily,
-    t: float,
-    s: float,
-    z_samples: Sequence[complex] = DEFAULT_Z_SAMPLES,
-) -> float:
-    """max_z |zeta_{t+s}(z) - zeta_t(zeta_s(z))| over the sample points."""
+def check_semiflow(fam: SemigroupFamily, t: float, s: float) -> float:
+    """max_z |zeta_{t+s}(z) - zeta_t(zeta_s(z))| over z in Z_SAMPLES."""
     worst = 0.0
-    for z in z_samples:
+    for z in Z_SAMPLES:
         lhs = _flow(fam, t + s, z)
         rhs = _flow(fam, t, _flow(fam, s, z))
         worst = max(worst, abs(lhs - rhs))
@@ -195,19 +173,14 @@ def _cocycle(fam: SemigroupFamily, t: float, z: complex) -> complex:
     return p.C * np.exp(p.D * z)
 
 
-def check_semicocycle(
-    fam: SemigroupFamily,
-    t: float,
-    s: float,
-    z_samples: Sequence[complex] = DEFAULT_Z_SAMPLES,
-) -> float:
-    """Relative deviation of xi_{t+s}(z) from xi_t(z) xi_s(zeta_t(z)).
+def check_semicocycle(fam: SemigroupFamily, t: float, s: float) -> float:
+    """Relative deviation of xi_{t+s}(z) from xi_t(z) xi_s(zeta_t(z)), z in Z_SAMPLES.
 
     Equivalent scalar identities: C(t+s) = C(t) C(s) exp(B(t) D(s)) and
     D(t+s) = D(t) + A(t) D(s).
     """
     worst = 0.0
-    for z in z_samples:
+    for z in Z_SAMPLES:
         lhs = _cocycle(fam, t + s, z)
         rhs = _cocycle(fam, t, z) * _cocycle(fam, s, _flow(fam, t, z))
         denom = abs(lhs)
@@ -221,16 +194,22 @@ class QuadratureError(RuntimeError):
     """Step-halving refinement failed to converge."""
 
 
+_GL_NODES = 10  # Gauss-Legendre nodes per panel
+
+
 def _composite_gauss_legendre(
-    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, panels: int, nodes: int
-) -> complex:
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, panels: int
+) -> complex | np.ndarray:
+    """Composite rule on equal panels; f maps the nodes to values along axis 0."""
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
     edges = np.linspace(lo, hi, panels + 1)
     total = 0.0 + 0.0j
     for left, right in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (left + right)
         half = 0.5 * (right - left)
-        total += half * np.sum(w * f(mid + half * x))
+        vals = f(mid + half * x)
+        weights = w.reshape((-1,) + (1,) * (vals.ndim - 1))
+        total += half * (weights * vals).sum(axis=0)
     return total
 
 
@@ -239,20 +218,24 @@ def _refine_quadrature(
     lo: float,
     hi: float,
     tol: float,
-    nodes: int = 10,
+    panels: int = 4,
     max_refinements: int = 12,
-) -> complex:
-    panels = 4
-    prev = _composite_gauss_legendre(f, lo, hi, panels, nodes)
+) -> complex | np.ndarray:
+    """Integral of a scalar- or vector-valued f by panel doubling.
+
+    Stops when the 2-norm of the change between successive panel counts is
+    at most ``tol`` times max(1, 2-norm of the result).
+    """
+    prev = _composite_gauss_legendre(f, lo, hi, panels)
     for _ in range(max_refinements):
         panels *= 2
-        cur = _composite_gauss_legendre(f, lo, hi, panels, nodes)
-        scale = max(abs(cur), 1.0)
-        if abs(cur - prev) <= tol * scale:
+        cur = _composite_gauss_legendre(f, lo, hi, panels)
+        scale = max(np.linalg.norm(cur), 1.0)
+        if np.linalg.norm(cur - prev) <= tol * scale:
             return cur
         prev = cur
     raise QuadratureError(
-        f"step-halving disagreement {abs(cur - prev):.3e} above {tol:.1e} "
+        f"step-halving disagreement {np.linalg.norm(cur - prev):.3e} above {tol:.1e} "
         f"after {max_refinements} refinements on [{lo}, {hi}]"
     )
 
@@ -305,57 +288,41 @@ def _support_size(vec: np.ndarray) -> int:
 
 
 def check_semigroup_law(
-    fam: SemigroupFamily,
-    t: float,
-    s: float,
-    k: int,
-    dim: int,
-    built: dict[float, np.ndarray] | None = None,
+    fam: SemigroupFamily, times: Sequence[float], n_monomials: int, dim: int
 ) -> float:
-    """Relative deviation ||W(t) W(s) e_k - W(t+s) e_k|| / ||W(t+s) e_k||.
+    """Worst ||W(t) W(s) z^k - W(t+s) z^k|| / ||W(t+s) z^k|| over the sweep.
 
-    W(s) is applied at full dimension ``dim`` and all coefficients are kept
-    before W(t) acts; no intermediate re-truncation.  ``built`` maps times to
-    their matrices W(time) of this family at this ``dim``; missing ones are
-    built and added, so a sweep over many (t, s, k) that passes one dict
-    builds each distinct time once.
+    t and s run over ``times`` and k < min(n_monomials, dim).  W(s) is
+    applied at full dimension ``dim`` and all coefficients are kept before
+    W(t) acts; no intermediate re-truncation.  W is built once per distinct
+    time of the sweep.
     """
-    if not 0 <= k < dim:
-        raise ValueError("monomial degree outside truncation")
-    built = {} if built is None else built
-    for tau in (t, s, t + s):
-        if tau not in built:
-            built[tau] = semigroup_matrix(fam, tau, dim)
-    v = monomial(k, dim).to_normalized().coeffs
-    lhs = built[t] @ (built[s] @ v)
-    rhs = built[t + s] @ v
-    denom = np.linalg.norm(rhs)
-    if denom == 0:
-        raise ZeroDivisionError("reference vector vanished")
-    return float(np.linalg.norm(lhs - rhs) / denom)
+    taus = {*times, *(t + s for t in times for s in times)}
+    W = {tau: semigroup_matrix(fam, tau, dim) for tau in taus}
+
+    def residual(t: float, s: float, k: int) -> float:
+        v = monomial(k, dim).to_normalized().coeffs
+        rhs = W[t + s] @ v
+        denom = np.linalg.norm(rhs)
+        if denom == 0:
+            raise ZeroDivisionError("reference vector vanished")
+        return float(np.linalg.norm(W[t] @ (W[s] @ v) - rhs) / denom)
+
+    return max(residual(t, s, k)
+               for t in times for s in times for k in range(min(n_monomials, dim)))
 
 
-def _default_t_grid() -> np.ndarray:
-    # 0 followed by 64 geometrically spaced points up to 8.
-    return np.concatenate(([0.0], np.geomspace(1.0 / 64.0, 8.0, 64)))
+# 0 followed by 64 geometrically spaced points up to 8
+_GROWTH_T_GRID = np.concatenate(([0.0], np.geomspace(1.0 / 64.0, 8.0, 64)))
+_GROWTH_T_GRID.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class GrowthProbe:
-    """Exponential weight omega and the time grid for sup_t e^{-wt} ||W(t)x||."""
+    """Exponential weight omega for sup_t e^{-wt} ||W(t)x|| on a fixed grid."""
 
     omega: float = 0.0
-    t_grid: np.ndarray = field(default_factory=_default_t_grid)
-
-    def __post_init__(self) -> None:
-        grid = np.asarray(self.t_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 4 or grid[0] != 0.0:
-            raise ValueError("t_grid must be 1-D, start at 0, and have >= 4 points")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("t_grid must be strictly increasing")
-        grid = grid.copy()
-        grid.setflags(write=False)
-        object.__setattr__(self, "t_grid", grid)
+    t_grid: ClassVar[np.ndarray] = _GROWTH_T_GRID
 
 
 @dataclass(frozen=True)
@@ -373,18 +340,14 @@ class GrowthReport:
         }
 
 
-def n_omega_estimate(
-    fam: SemigroupFamily, x: FockVector, probe: GrowthProbe, dim: int | None = None
-) -> GrowthReport:
-    """Grid estimate of N_omega(x) = sup_t e^{-omega t} ||W(t) x||.
+def n_omega_estimate(fam: SemigroupFamily, x: FockVector, probe: GrowthProbe) -> GrowthReport:
+    """Grid estimate of N_omega(x) = sup_t e^{-omega t} ||W(t) x||, at x's dim.
 
     Diverging is flagged when the last three grid values strictly increase
     and exceed ten times the grid minimum, or when the norm overflows.
     """
-    dim = dim if dim is not None else x.dim
+    dim = x.dim
     vec = x.to_normalized().coeffs
-    if vec.size != dim:
-        raise ValueError("probe vector dimension differs from requested dim")
     m = _support_size(vec)
     vals = np.empty(probe.t_grid.size)
     for i, t in enumerate(probe.t_grid):
@@ -413,35 +376,34 @@ def norm_w_one_closed_form(fam: SemigroupFamily, t: float) -> float:
     return float(abs(p.C) * math.exp(abs(p.D) ** 2 / 2))
 
 
+# agreement of successive panel counts, and the integrand tail bound at the
+# upper limit, of the Laplace integral
+_LAPLACE_TOL = 1e-10
+
+
 def laplace_resolvent(
-    fam: SemigroupFamily,
-    lam: complex,
-    x: FockVector,
-    omega: float,
-    dim: int | None = None,
-    tol: float = 1e-10,
-    tail_tol: float = 1e-10,
+    fam: SemigroupFamily, lam: complex, x: FockVector, omega: float
 ) -> FockVector:
-    """Resolvent-type vector J_lam x = int_0^inf e^{-lam t} W(t) x dt.
+    """Resolvent-type vector J_lam x = int_0^inf e^{-lam t} W(t) x dt, at x's dim.
 
     Requires Re(lam) > omega and a non-diverging growth probe at weight
     omega; the upper limit T is chosen so the integrand tail bound
-    e^{(omega - Re lam) T} * N_omega-estimate falls below ``tail_tol``.
+    e^{(omega - Re lam) T} * N_omega-estimate falls below 1e-10, and the
+    panel doubling stops at a relative change of 1e-10.
     """
     if lam.real <= omega:
         raise ValueError(f"need Re(lam) > omega, got {lam.real} <= {omega}")
-    dim = dim if dim is not None else x.dim
-    report = n_omega_estimate(fam, x, GrowthProbe(omega=omega), dim)
+    report = n_omega_estimate(fam, x, GrowthProbe(omega=omega))
     if report.diverging:
         raise ValueError(
             f"growth probe diverges at omega = {omega}; the Laplace integral "
             "is not certified to converge — raise omega or change the family"
         )
     bound = max(report.sup, 1e-30)
-    T = math.log(bound / tail_tol) / (lam.real - omega)
+    T = math.log(bound / _LAPLACE_TOL) / (lam.real - omega)
     T = max(T, 1.0)
     vec = x.to_normalized().coeffs
-    m = _support_size(vec)
+    dim, m = x.dim, _support_size(vec)
 
     def integrand(ts: np.ndarray) -> np.ndarray:
         out = np.empty((ts.size, dim), dtype=complex)
@@ -450,21 +412,5 @@ def laplace_resolvent(
             out[i] = np.exp(-lam * t) * (W @ vec[:m])
         return out
 
-    panels = 8
-    nodes = 10
-    x_gl, w_gl = np.polynomial.legendre.leggauss(nodes)
-    prev = None
-    for _ in range(10):
-        edges = np.linspace(0.0, T, panels + 1)
-        acc = np.zeros(dim, dtype=complex)
-        for left, right in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (left + right), 0.5 * (right - left)
-            vals = integrand(mid + half * x_gl)
-            acc += half * (w_gl[:, None] * vals).sum(axis=0)
-        if prev is not None:
-            scale = max(np.linalg.norm(acc), 1.0)
-            if np.linalg.norm(acc - prev) <= tol * scale:
-                return FockVector(acc, "normalized")
-        prev = acc
-        panels *= 2
-    raise QuadratureError("Laplace quadrature did not reach the requested agreement")
+    acc = _refine_quadrature(integrand, 0.0, T, _LAPLACE_TOL, panels=8, max_refinements=9)
+    return FockVector(acc, "normalized")

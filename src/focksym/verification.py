@@ -8,9 +8,16 @@ asserts; each record names the law it exercises (or is tagged "plumbing").
 Checks marked truncation-sensitive degrade to ``warn`` instead of ``fail``
 when run below the calibrated default dimension of 64.
 
-This module is the one place where a law is measured and a record is made:
-the scenario kinds of :mod:`focksym.cli` call the measurement helpers and
-record constructors below, each kind with its own grid, ids and sensitivity.
+This module is the one place where a record is made: the scenario kinds of
+:mod:`focksym.cli` call the record constructors and measurement helpers
+below, each kind with its own grid, ids and sensitivity.  Each law is
+measured by one helper of the layer that defines it (for example
+``check_semigroup_law`` sweeps its own time grid, and every C-symmetry
+residual is ``check_matrix_c_symmetry``); helpers that judge a matrix take
+it from their caller, which builds or integrates it once.
+
+The suite needs ``dim >= SUITE_MIN_DIM``: the generator-fd and laplace groups
+probe the basis vectors e_k for k < 5.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .conjugation import (
     ConjugationParams,
     check_involution,
     check_isometry,
+    check_matrix_c_symmetry,
     conjugation_matrix,
     standard_conjugation,
 )
@@ -34,8 +42,8 @@ from .evolution import (
     bagchi_hamiltonian,
     check_adjoint_family,
     check_evolution_axioms,
-    check_evolution_c_symmetry,
     check_nonauto_stone,
+    evolve,
 )
 from .fock import DEFAULT_TOLERANCES, FockVector, basis_vector, monomial
 from .generator import (
@@ -71,6 +79,7 @@ from .wco import WCOParams, is_bounded, wco_matrix
 __all__ = ["CheckRecord", "VerifyConfig", "CHECK_GROUPS", "run_group", "run_all"]
 
 CALIBRATED_DIM = 64
+SUITE_MIN_DIM = 5
 
 # the most complex entries numpy can index in one array
 MAX_COMPLEX_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
@@ -185,17 +194,6 @@ def flow_cocycle_deviation(fam: SemigroupFamily, grid) -> tuple[float, float]:
     flow = max(check_semiflow(fam, float(t), float(s)) for t in grid for s in grid)
     cocycle = max(check_semicocycle(fam, float(t), float(s)) for t in grid for s in grid)
     return flow, cocycle
-
-
-def semigroup_law_deviation(fam: SemigroupFamily, times, n_monomials: int,
-                            dim: int) -> float:
-    """Worst W(t) W(s) z^k - W(t+s) z^k over t, s in times and k < n_monomials.
-
-    W is built once per distinct time and reused for every (t, s, k).
-    """
-    built: dict[float, np.ndarray] = {}
-    return max(check_semigroup_law(fam, t, s, k, dim, built)
-               for t in times for s in times for k in range(min(n_monomials, dim)))
 
 
 def scaling_deviation(fam: SemigroupFamily, times) -> float:
@@ -380,7 +378,7 @@ _LAW_FAMILIES: tuple[SemigroupFamily, ...] = (
 def semigroup_law_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     out: list[CheckRecord] = []
     for i, fam in enumerate(_LAW_FAMILIES):
-        worst = semigroup_law_deviation(fam, (0.1, 0.25, 0.5, 1.0), 7, cfg.dim)
+        worst = check_semigroup_law(fam, (0.1, 0.25, 0.5, 1.0), 7, cfg.dim)
         kind = "translation" if isinstance(fam, TranslationFamily) else "dilation"
         out.append(
             _record(cfg, f"semigroup.law.{kind}.{i}",
@@ -434,7 +432,7 @@ def stone_symmetry_checks(cfg: VerifyConfig) -> list[CheckRecord]:
         worst_sym = 0.0
         adj = math.inf
         for d in dims:
-            stone = check_stone_adjoint_relation(fam, fam.conj, d)
+            stone = check_stone_adjoint_relation(fam, d)
             worst_sym = max(worst_sym, stone.c_symmetry_residual)
             adj = min(adj, stone.adjoint_fd_residual)
         out.append(
@@ -561,7 +559,7 @@ def growth_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     )
     one = monomial(0, cfg.dim)
     for omega in (0.0, 1.0, 10.0):
-        rep = n_omega_estimate(fam, one, GrowthProbe(omega=omega), cfg.dim)
+        rep = n_omega_estimate(fam, one, GrowthProbe(omega=omega))
         out.append(
             _record(cfg, f"growth.divergence-flag.omega={omega:g}",
                     "quadratic cocycle growth beats every exponential weight",
@@ -584,7 +582,7 @@ def laplace_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     worst_ident = 0.0
     for k in range(5):
         ek = basis_vector(k, cfg.dim)
-        J = laplace_resolvent(fam, lam, ek, omega=0.0, dim=cfg.dim)
+        J = laplace_resolvent(fam, lam, ek, omega=0.0)
         expected = ek.coeffs / (lam + k)
         worst_diag = max(worst_diag, float(np.linalg.norm(J.coeffs - expected)))
         ident = (lam * np.eye(cfg.dim) - gen) @ J.coeffs - ek.coeffs
@@ -602,7 +600,7 @@ def laplace_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     # the integral must refuse families whose growth probe diverges
     bad = _std_translation(E=1.0, F=0.0)
     try:
-        laplace_resolvent(bad, 2.0 + 0.0j, monomial(0, cfg.dim), omega=0.0, dim=cfg.dim)
+        laplace_resolvent(bad, 2.0 + 0.0j, monomial(0, cfg.dim), omega=0.0)
         refused = 0.0
     except ValueError:
         refused = 1.0
@@ -645,8 +643,8 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     rel_tol = 1e-10
     p = BagchiParams(nu=1.0, kappa=lambda t: 0.3, lam=lambda t: 1.0)
     B = bagchi_hamiltonian(p)
-    built: dict = {}  # U(1, 0) serves the axioms, closed form and reversal
-    ident, comp = check_evolution_axioms(B, (0.0, 0.5, 1.0), rel_tol, built)
+    U = evolve(B, 0.0, 1.0, rel_tol).matrix  # serves the axioms, closed form and reversal
+    ident, comp = check_evolution_axioms(B, (0.0, 0.5, 1.0), U, rel_tol)
     out.append(
         _record(cfg, "evolution.identity", "U(t, t) = identity", ident,
                 cfg.tol("evolution_tol_factor") * rel_tol)
@@ -656,7 +654,6 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
                 cfg.tol("evolution_tol_factor") * rel_tol)
     )
     # constant coefficients: closed form via the spectral decomposition
-    U = built[(0.0, 1.0)]
     nu, kap, lamb = 1.0, 0.3, 1.0
     mu = math.sqrt(lamb**2 - kap**2)
     H = np.array([[nu + 1j * kap, lamb], [lamb, nu - 1j * kap]], dtype=complex)
@@ -685,7 +682,7 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     # commuting family (time-varying detuning only): U inherits the symmetry
     p2 = BagchiParams(nu=0.5, kappa=lambda t: 0.3 * math.cos(t), lam=lambda t: 0.0)
     B2 = bagchi_hamiltonian(p2)
-    sym = check_evolution_c_symmetry(B2, np.eye(2), 0.0, 1.5, rel_tol)
+    sym = check_matrix_c_symmetry(evolve(B2, 0.0, 1.5, rel_tol).matrix, np.eye(2))
     out.append(
         _record(cfg, "evolution.symmetry-commuting",
                 "U(t, s) M = M U(t, s)^T for commuting families",
@@ -694,8 +691,7 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     # adjoint family differentiates at first order: slope fit over h
     z = np.array([0.3 - 0.1j, 0.8 + 0.2j])
     hs = np.array([3e-2, 1e-2, 3e-3, 1e-3])
-    tight: dict = {}  # U(1, 0) at rel_tol 1e-12, once for every h
-    errs = [check_adjoint_family(B, 0.0, 1.0, z, float(h), 1e-12, tight) for h in hs]
+    errs = check_adjoint_family(B, 0.0, 1.0, z, hs, 1e-12)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     out.append(
         _record(cfg, "evolution.adjoint-slope",

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import FockVector, exp_series, sqrt_factorial
-from .serialize import complex_from_json, complex_to_json
+from .serialize import complex_to_json
 
 __all__ = [
     "WCOParams",
@@ -55,10 +55,6 @@ class WCOParams:
 
     def to_json(self) -> dict:
         return {k: complex_to_json(getattr(self, k)) for k in "ABCD"}
-
-    @staticmethod
-    def from_json(obj: dict) -> "WCOParams":
-        return WCOParams(*(complex_from_json(obj[k]) for k in "ABCD"))
 
 
 @functools.lru_cache(maxsize=16)

@@ -19,6 +19,7 @@ from focksym.conjugation import (
     ConjugationParams,
     check_involution,
     check_isometry,
+    check_matrix_c_symmetry,
     conjugation_matrix,
     standard_conjugation,
 )
@@ -27,7 +28,6 @@ from focksym.evolution import (
     bagchi_hamiltonian,
     check_adjoint_family,
     check_evolution_axioms,
-    check_evolution_c_symmetry,
     check_nonauto_stone,
     evolve,
 )
@@ -114,13 +114,12 @@ def test_criterion_03_semiflow_semicocycle_laws():
         TranslationFamily(E=0.8 + 0.3j, F=0.1, conj=STD),
         DilationFamily(ell=-0.7 + 0.2j, G=0.5, H=0.1j, conj=STD),
     )
-    z_samples = np.array([0.0, 1.0, -1.0, 1j, -1j, 2 + 1j])
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     for fam in families:
         for t in grid:
             for s in grid:
-                assert check_semiflow(fam, t, s, z_samples) <= 1e-10
-                assert check_semicocycle(fam, t, s, z_samples) <= 1e-10
+                assert check_semiflow(fam, t, s) <= 1e-10
+                assert check_semicocycle(fam, t, s) <= 1e-10
 
 
 def test_criterion_04_semigroup_law_on_monomials():
@@ -130,10 +129,7 @@ def test_criterion_04_semigroup_law_on_monomials():
     )
     times = (0.1, 0.25, 0.5, 1.0)
     for fam in families:
-        for t in times:
-            for s in times:
-                for k in range(7):
-                    assert check_semigroup_law(fam, t, s, k, 64) <= 1e-8
+        assert check_semigroup_law(fam, times, 7, 64) <= 1e-8
 
 
 def test_criterion_05_generator_finite_difference_and_exponential():
@@ -165,7 +161,7 @@ def test_criterion_06_generator_transpose_symmetry():
         )
         for fam in cases:
             for dim in (16, 32, 64):
-                res = check_stone_adjoint_relation(fam, p, dim)
+                res = check_stone_adjoint_relation(fam, dim)
                 assert res.c_symmetry_residual <= 1e-12
 
 
@@ -218,7 +214,7 @@ def test_criterion_09_growth_and_norm_formulas():
             math.exp(t * t), rel=1e-12
         )
     for omega in (0.0, 1.0, 10.0):
-        rep = n_omega_estimate(special, e0, GrowthProbe(omega=omega), dim=64)
+        rep = n_omega_estimate(special, e0, GrowthProbe(omega=omega))
         assert rep.diverging
 
 
@@ -228,7 +224,7 @@ def test_criterion_10_resolvent_diagonal_and_identity():
     Q = generator_matrix(fam, 64).dense()
     for k in range(5):
         e_k = monomial(k, 64)
-        J = laplace_resolvent(fam, lam, e_k, omega=0.0, dim=64)
+        J = laplace_resolvent(fam, lam, e_k, omega=0.0)
         coeffs = J.to_normalized().coeffs
         expected = e_k.to_normalized().coeffs / (lam + k)
         assert np.linalg.norm(coeffs - expected) <= 1e-8
@@ -249,7 +245,8 @@ def test_criterion_12_evolution_family_axioms_and_symmetry():
     B = bagchi_hamiltonian(
         BagchiParams(nu=1.0, kappa=lambda t: 0.5 * math.cos(t), lam=lambda t: 0.8)
     )
-    ident, comp = check_evolution_axioms(B, (0.0, 0.6, 1.5), rel_tol)
+    U_ts = evolve(B, 0.0, 1.5, rel_tol).matrix
+    ident, comp = check_evolution_axioms(B, (0.0, 0.6, 1.5), U_ts, rel_tol)
     assert ident <= 10 * rel_tol
     assert comp <= 10 * rel_tol
     # constant coefficients against the hand 2x2 exponential
@@ -273,13 +270,11 @@ def test_criterion_12_evolution_family_axioms_and_symmetry():
     Bd = bagchi_hamiltonian(
         BagchiParams(nu=1.0, kappa=lambda t: 0.3 * math.cos(t), lam=lambda t: 0.0)
     )
-    assert check_evolution_c_symmetry(Bd, np.eye(2), 0.0, 2.0) <= 1e-9
+    assert check_matrix_c_symmetry(evolve(Bd, 0.0, 2.0).matrix, np.eye(2)) <= 1e-9
     # adjoint difference quotient is first order in h
     z = np.array([1.0, 0.5 - 0.25j])
     hs = np.array([3e-2, 1e-2, 3e-3, 1e-3])
-    errs = np.array(
-        [check_adjoint_family(B, 0.0, 1.0, z, h, rel_tol=1e-12) for h in hs]
-    )
+    errs = check_adjoint_family(B, 0.0, 1.0, z, hs, rel_tol=1e-12)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert 0.9 <= slope <= 1.1
 

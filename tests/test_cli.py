@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from focksym import cli, evolution
+from focksym import cli, conjugation, evolution, generator, semigroup, verification, wco
 from focksym.cli import main
 
 STD_CONJ = {"a": [1.0, 0.0], "b": [0.0, 0.0], "c": [1.0, 0.0]}
@@ -351,6 +351,50 @@ def test_verify_all_is_deterministic(tmp_path, _outdir):
     rep1 = _strip_wall_time(json.loads(out1.read_text()))
     rep2 = _strip_wall_time(json.loads(out2.read_text()))
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 5])
+@pytest.mark.parametrize("route", ["verify-all", "full-verify"])
+def test_suite_minimum_dim(tmp_path, capsys, route, dim):
+    # the generator-fd and laplace groups probe e_k for k < 5
+    out = str(tmp_path / "report.json")
+    if route == "verify-all":
+        argv, field = ["verify-all", "--dim", str(dim), "--out", out], "--dim"
+    else:
+        argv = ["run", _scenario(tmp_path, {"name": "fv", "kind": "full-verify",
+                                            "truncation": {"dim": dim},
+                                            "output": {"path": out}})]
+        field = "truncation.dim"
+    rc = main(argv)
+    if dim < 5:
+        assert rc == 1
+        assert f"input error: {field}:" in capsys.readouterr().err
+    else:
+        assert rc in (0, 2)
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Calls of evolve and wco_matrix, counted at every module that binds them."""
+    counts = {"evolve": 0, "wco_matrix": 0}
+    modules = (wco, conjugation, evolution, generator, semigroup, verification, cli)
+    for name, original in (("evolve", evolution.evolve), ("wco_matrix", wco.wco_matrix)):
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    return counts
+
+
+def test_verify_all_work_is_pinned(tmp_path, work):
+    assert main(["verify-all", "--dim", "16", "--out", str(tmp_path / "r.json")]) == 0
+    # evolution group: U(1, 0), U(1, 1), U(1, 0.5), U(0.5, 0) for the axioms,
+    # U(1.5, 0) for the symmetry record, U(1, 0) and four U(1 + h, 0) for the
+    # adjoint slope
+    assert work == {"evolve": 10, "wco_matrix": 2409}
 
 
 # --- spectrum front end -----------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from focksym.cli import _conjugation_from
 from focksym.conjugation import (
     AntilinearOperator,
     ConjugationParams,
@@ -119,10 +120,10 @@ def test_matrix_c_symmetry_residual():
     op = conjugation_matrix(conj, 16)
     # symbols satisfying D = a B - b A + b are transpose-symmetric here
     sym = wco_matrix(WCOParams(A=0.5, B=0.2j, C=1.0, D=0.2j), 16)
-    assert check_matrix_c_symmetry(sym, op) < 1e-12
+    assert check_matrix_c_symmetry(sym, op.matrix) < 1e-12
     lopsided = sym.copy()
     lopsided[0, 1] += 0.5
-    assert check_matrix_c_symmetry(lopsided, op) > 0.1
+    assert check_matrix_c_symmetry(lopsided, op.matrix) > 0.1
 
 
 def test_conjugation_matrix_rejects_invalid_params():
@@ -152,7 +153,8 @@ def test_isometry_reverses_argument_order():
 
 
 def test_params_json_round_trip():
+    # the report payload of a conjugation is a valid scenario conjugation
     p = _offset_params()
-    q = ConjugationParams.from_json(p.to_json())
+    q = _conjugation_from(p.to_json(), "conjugation")
     assert q == p
     assert p.to_json()["b"] == [0.0, 1.0]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from focksym import evolution
+from focksym.conjugation import check_matrix_c_symmetry
 from focksym.evolution import (
     BagchiParams,
     IntegratorStats,
@@ -18,7 +19,6 @@ from focksym.evolution import (
     bagchi_hamiltonian,
     check_adjoint_family,
     check_evolution_axioms,
-    check_evolution_c_symmetry,
     check_nonauto_stone,
     constant_operator,
     evolution_series,
@@ -98,7 +98,8 @@ def test_integrator_stats_are_sane():
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
 def test_axioms_within_budget(rel_tol):
     B = _two_level(1.0, lambda t: 0.5 * math.cos(t), lambda t: 0.8 + 0.1 * t)
-    ident, comp = check_evolution_axioms(B, (0.0, 0.6, 1.5), rel_tol)
+    U_ts = evolve(B, 0.0, 1.5, rel_tol).matrix
+    ident, comp = check_evolution_axioms(B, (0.0, 0.6, 1.5), U_ts, rel_tol)
     assert ident == 0.0  # U(t, t) never integrates
     assert comp <= 10.0 * rel_tol
 
@@ -106,7 +107,7 @@ def test_axioms_within_budget(rel_tol):
 def test_axioms_reject_unordered_times():
     B = constant_operator(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="s <= r <= t"):
-        check_evolution_axioms(B, (0.0, 2.0, 1.0))
+        check_evolution_axioms(B, (0.0, 2.0, 1.0), np.eye(2))
 
 
 def test_backward_integration_inverts_forward():
@@ -214,13 +215,13 @@ def test_propagator_symmetric_for_commuting_family():
     # lam = 0 keeps every B(t) diagonal, so the family commutes and the
     # propagator inherits the coefficient symmetry
     B = _two_level(1.0, lambda t: 0.3 * math.cos(t), lambda t: 0.0)
-    dev = check_evolution_c_symmetry(B, np.eye(2), 0.0, 2.0)
+    dev = check_matrix_c_symmetry(evolve(B, 0.0, 2.0).matrix, np.eye(2))
     assert dev <= 1e-9
 
 
 def test_propagator_symmetric_for_constant_coefficient():
     B = _two_level(0.7, lambda t: 0.4, lambda t: 1.1)
-    dev = check_evolution_c_symmetry(B, np.eye(2), 0.0, 1.5)
+    dev = check_matrix_c_symmetry(evolve(B, 0.0, 1.5).matrix, np.eye(2))
     assert dev <= 1e-9
 
 
@@ -231,7 +232,7 @@ def test_noncommuting_family_symmetry_is_only_measured():
     B = _two_level(
         1.0, lambda t: 0.8 * math.cos(3 * t), lambda t: 0.9 * math.sin(2 * t)
     )
-    dev = check_evolution_c_symmetry(B, np.eye(2), 0.0, 2.0)
+    dev = check_matrix_c_symmetry(evolve(B, 0.0, 2.0).matrix, np.eye(2))
     assert math.isfinite(dev)
 
 
@@ -241,9 +242,7 @@ def test_adjoint_family_quotient_is_first_order():
     B = _two_level(1.0, lambda t: 0.5 * math.cos(t), lambda t: 0.8)
     z = np.array([1.0, 0.5 - 0.25j])
     hs = np.array([3e-2, 1e-2, 3e-3, 1e-3])
-    errs = np.array(
-        [check_adjoint_family(B, 0.0, 1.0, z, h, rel_tol=1e-12) for h in hs]
-    )
+    errs = check_adjoint_family(B, 0.0, 1.0, z, hs, rel_tol=1e-12)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - 1.0) <= 0.1
 
@@ -251,7 +250,7 @@ def test_adjoint_family_quotient_is_first_order():
 def test_adjoint_family_rejects_bad_step():
     B = constant_operator(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="h must be positive"):
-        check_adjoint_family(B, 0.0, 1.0, np.ones(2), h=0.0)
+        check_adjoint_family(B, 0.0, 1.0, np.ones(2), [1e-3, 0.0])
 
 
 # --- stiffness escape hatch -----------------------------------------------------
@@ -314,21 +313,25 @@ def test_chained_series_edge_cases():
     assert [st.steps for st in stats] == [0, 0, 0]
 
 
-def test_built_dict_shares_propagators():
+def test_adjoint_family_integrates_u_once(monkeypatch):
     B = _bagchi_cosine()
-    built = {}
-    check_evolution_axioms(B, (0.0, 0.5, 1.0), 1e-10, built)
-    assert set(built) == {(0.0, 1.0), (0.5, 1.0), (0.0, 0.5)}
-    U = built[(0.0, 1.0)]
-    sym = check_evolution_c_symmetry(B, np.eye(2), 0.0, 1.0, 1e-10, built)
-    assert built[(0.0, 1.0)] is U
-    assert sym == check_evolution_c_symmetry(B, np.eye(2), 0.0, 1.0, 1e-10)
     z = np.array([0.3 - 0.1j, 0.8 + 0.2j])
-    tight = {}
-    for h in (1e-2, 1e-3):
-        assert (check_adjoint_family(B, 0.0, 1.0, z, h, 1e-12, tight)
-                == check_adjoint_family(B, 0.0, 1.0, z, h, 1e-12))
-    assert set(tight) == {(0.0, 1.0), (0.0, 1.01), (0.0, 1.001)}
+    hs = (3e-2, 1e-2, 3e-3, 1e-3)
+    calls = []
+
+    def counting(B, s, t, rel_tol=1e-10):
+        calls.append((s, t))
+        return evolve(B, s, t, rel_tol)
+
+    monkeypatch.setattr(evolution, "evolve", counting)
+    errs = check_adjoint_family(B, 0.0, 1.0, z, hs, 1e-12)
+    # U(1, 0) once, then U(1 + h, 0) for each h
+    assert calls == [(0.0, 1.0)] + [(0.0, 1.0 + h) for h in hs]
+    U_t = evolve(B, 0.0, 1.0, 1e-12).matrix
+    for h, err in zip(hs, errs):
+        U_th = evolve(B, 0.0, 1.0 + h, 1e-12).matrix
+        quotient = (U_th.conj().T @ z - U_t.conj().T @ z) / h
+        assert err == np.linalg.norm(quotient - U_t.conj().T @ (B(1.0).conj().T @ z))
 
 
 # --- the step loop, bit for bit ----------------------------------------------------

@@ -1,6 +1,5 @@
 """Inner products, bases, and kernel vectors on the truncated space."""
 
-import json
 import math
 
 import numpy as np
@@ -151,14 +150,6 @@ def test_sqrt_factorial_array_is_a_fresh_copy():
     first = sqrt_factorial(np.arange(8))
     first[:] = 0.0
     assert sqrt_factorial(np.arange(8))[7] == math.sqrt(math.factorial(7))
-
-
-def test_fock_vector_json_round_trip():
-    f = FockVector(np.array([1 + 2j, 0.5, -1j]), "monomial")
-    blob = json.dumps(f.to_json())
-    g = FockVector.from_json(json.loads(blob))
-    np.testing.assert_array_equal(g.coeffs, f.coeffs)
-    assert g.basis == "monomial"
 
 
 def test_fock_vector_rejects_unknown_basis():

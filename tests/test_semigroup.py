@@ -19,7 +19,6 @@ from focksym.semigroup import (
     check_semiflow,
     check_semigroup_law,
     family_eval,
-    family_from_json,
     family_is_bounded,
     laplace_resolvent,
     n_omega_estimate,
@@ -29,8 +28,9 @@ from focksym.semigroup import (
     solve_scaling_equation,
 )
 from focksym import generator, semigroup
+from focksym.cli import ScenarioError, _family_from
 from focksym.generator import check_generator_fd, generator_matrix
-from focksym.verification import exponential_bridge, semigroup_law_deviation
+from focksym.verification import exponential_bridge
 from focksym.wco import wco_matrix
 
 STD = standard_conjugation()
@@ -141,14 +141,7 @@ def test_semigroup_law_on_monomials():
         DilationFamily(ell=-1.0, G=1.0, H=0.1, conj=STD),
     )
     for fam in fams:
-        for k in range(5):
-            assert check_semigroup_law(fam, 0.3, 0.7, k, 64) <= 1e-10
-
-
-def test_semigroup_law_rejects_degree_out_of_range():
-    fam = TranslationFamily(E=1.0, F=0.0, conj=STD)
-    with pytest.raises(ValueError):
-        check_semigroup_law(fam, 0.1, 0.1, 64, 64)
+        assert check_semigroup_law(fam, (0.3, 0.7), 5, 64) <= 1e-10
 
 
 # --- scaling-equation solver ------------------------------------------------
@@ -186,27 +179,74 @@ def test_quadrature_error_when_tolerance_unreachable():
         solve_scaling_equation(0.0, wild, 2.0)
 
 
+# --- one panel-doubling quadrature against the loops it replaced -------------
+
+def _scalar_panel_loop(f, lo, hi, tol):
+    """The scaling solver's scalar rule: 4 panels doubled up to 12 times."""
+    x, w = np.polynomial.legendre.leggauss(10)
+
+    def rule(panels):
+        edges = np.linspace(lo, hi, panels + 1)
+        total = 0.0 + 0.0j
+        for left, right in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (left + right), 0.5 * (right - left)
+            total += half * np.sum(w * f(mid + half * x))
+        return total
+
+    panels = 4
+    prev = rule(panels)
+    for _ in range(12):
+        panels *= 2
+        cur = rule(panels)
+        if abs(cur - prev) <= tol * max(abs(cur), 1.0):
+            return cur
+        prev = cur
+    raise AssertionError("reference did not converge")
+
+
+def _laplace_panel_loop(fam, lam, x):
+    """The Laplace integral's own vector loop: 8 panels, at most 10 rules."""
+    bound = max(n_omega_estimate(fam, x, GrowthProbe()).sup, 1e-30)
+    T = max(math.log(bound / 1e-10) / lam.real, 1.0)
+    vec = x.to_normalized().coeffs
+    m = semigroup._support_size(vec)
+    x_gl, w_gl = np.polynomial.legendre.leggauss(10)
+    panels, prev = 8, None
+    for _ in range(10):
+        edges = np.linspace(0.0, T, panels + 1)
+        acc = np.zeros(x.dim, dtype=complex)
+        for left, right in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (left + right), 0.5 * (right - left)
+            vals = np.array([np.exp(-lam * t) * (semigroup_matrix(fam, float(t), x.dim, m)
+                                                 @ vec[:m]) for t in mid + half * x_gl])
+            acc += half * (w_gl[:, None] * vals).sum(axis=0)
+        if prev is not None and np.linalg.norm(acc - prev) <= 1e-10 * max(
+                np.linalg.norm(acc), 1.0):
+            return acc
+        prev = acc
+        panels *= 2
+    raise AssertionError("reference did not converge")
+
+
+def test_quadrature_equals_the_loops_it_replaced():
+    for fam in (TranslationFamily(E=1 - 1j, F=0.1j, conj=STD),
+                DilationFamily(ell=0.5 + 0.5j, G=0.4, H=0.1 - 0.2j, conj=OFFSET)):
+        _, dpsi = scaling_instance(fam)
+        for t in (0.25, 1.0, 2.0):
+            assert (semigroup._refine_quadrature(dpsi, 0.0, t, 1e-12)
+                    == _scalar_panel_loop(dpsi, 0.0, t, 1e-12))
+    fam = DilationFamily(ell=-1.0, G=0.5, H=0.0, conj=STD)
+    for x in (basis_vector(1, 16), monomial(3, 16)):
+        J = laplace_resolvent(fam, 2.0 + 0j, x, omega=0.0)
+        assert np.array_equal(J.coeffs, _laplace_panel_loop(fam, 2.0 + 0j, x))
+
+
 # --- growth probes ----------------------------------------------------------
-
-def test_probe_grid_validation():
-    with pytest.raises(ValueError):
-        GrowthProbe(omega=0.0, t_grid=np.array([0.1, 0.2, 0.3, 0.4]))
-    with pytest.raises(ValueError):
-        GrowthProbe(omega=0.0, t_grid=np.array([0.0, 0.2, 0.2, 0.4]))
-    with pytest.raises(ValueError):
-        GrowthProbe(omega=0.0, t_grid=np.array([0.0, 1.0]))
-
-
-def test_probe_dimension_mismatch():
-    fam = TranslationFamily(E=1j, F=0.0, conj=STD)
-    with pytest.raises(ValueError):
-        n_omega_estimate(fam, monomial(0, 16), GrowthProbe(), 32)
-
 
 def test_isometric_translation_has_flat_unit_norm():
     # E = i, a = 1: |C(t)| exp(|D(t)|^2/2) = e^{-t^2/2} e^{t^2/2} = 1
     fam = TranslationFamily(E=1j, F=0.0, conj=STD)
-    rep = n_omega_estimate(fam, monomial(0, 64), GrowthProbe(), 64)
+    rep = n_omega_estimate(fam, monomial(0, 64), GrowthProbe())
     assert not rep.diverging
     assert rep.sup == pytest.approx(1.0, rel=1e-10)
     assert rep.argmax_t == 0.0
@@ -219,13 +259,13 @@ def test_isometric_translation_has_flat_unit_norm():
 def test_quadratic_growth_is_flagged():
     fam = TranslationFamily(E=1.0, F=0.0, conj=STD)
     for omega in (0.0, 1.0, 10.0):
-        rep = n_omega_estimate(fam, monomial(0, 64), GrowthProbe(omega=omega), 64)
+        rep = n_omega_estimate(fam, monomial(0, 64), GrowthProbe(omega=omega))
         assert rep.diverging, f"omega = {omega}"
 
 
 def test_overflowing_probe_reports_divergence():
     fam = TranslationFamily(E=3.0, F=0.0, conj=STD)  # exp(9 t^2 / 2) overflows
-    rep = n_omega_estimate(fam, monomial(0, 64), GrowthProbe(), 64)
+    rep = n_omega_estimate(fam, monomial(0, 64), GrowthProbe())
     assert rep.diverging
     assert math.isinf(rep.sup)
 
@@ -256,7 +296,7 @@ def test_laplace_diagonal_values():
     lam = 1.0 + 0j
     for k in range(5):
         ek = basis_vector(k, 32)
-        J = laplace_resolvent(fam, lam, ek, omega=0.0, dim=32)
+        J = laplace_resolvent(fam, lam, ek, omega=0.0)
         expected = ek.coeffs / (lam + k)  # analytic integral of e^{-(lam+k)t}
         assert float(np.linalg.norm(J.coeffs - expected)) < 1e-8
 
@@ -267,7 +307,7 @@ def test_laplace_solves_resolvent_identity():
     Q = generator_matrix(fam, 32).dense()
     for k in range(5):
         ek = basis_vector(k, 32)
-        J = laplace_resolvent(fam, lam, ek, omega=0.0, dim=32)
+        J = laplace_resolvent(fam, lam, ek, omega=0.0)
         resid = (lam * np.eye(32) - Q) @ J.coeffs - ek.coeffs
         assert float(np.linalg.norm(resid)) < 1e-6
 
@@ -278,7 +318,7 @@ def test_laplace_works_off_the_diagonal():
     dim = 48
     Q = generator_matrix(fam, dim).dense()
     x = basis_vector(1, dim)
-    J = laplace_resolvent(fam, lam, x, omega=0.0, dim=dim)
+    J = laplace_resolvent(fam, lam, x, omega=0.0)
     resid = (lam * np.eye(dim) - Q) @ J.coeffs - x.coeffs
     assert float(np.linalg.norm(resid)) < 1e-5
 
@@ -286,13 +326,13 @@ def test_laplace_works_off_the_diagonal():
 def test_laplace_refuses_divergent_growth():
     fam = TranslationFamily(E=1.0, F=0.0, conj=STD)
     with pytest.raises(ValueError, match="diverge"):
-        laplace_resolvent(fam, 2.0 + 0j, monomial(0, 32), omega=0.0, dim=32)
+        laplace_resolvent(fam, 2.0 + 0j, monomial(0, 32), omega=0.0)
 
 
 def test_laplace_requires_abscissa_margin():
     fam = DilationFamily(ell=-1.0, G=0.0, H=0.0, conj=STD)
     with pytest.raises(ValueError, match="Re"):
-        laplace_resolvent(fam, -0.5 + 0j, basis_vector(0, 16), omega=0.0, dim=16)
+        laplace_resolvent(fam, -0.5 + 0j, basis_vector(0, 16), omega=0.0)
 
 
 # --- matrix builds -----------------------------------------------------------
@@ -314,7 +354,7 @@ def built_shapes(monkeypatch):
 
 def test_semigroup_law_builds_each_distinct_time_once(built_shapes):
     fam = DilationFamily(ell=0.5, G=0.5j, H=0.1, conj=STD)
-    semigroup_law_deviation(fam, (0.1, 0.25, 0.5, 1.0), 7, 32)
+    check_semigroup_law(fam, (0.1, 0.25, 0.5, 1.0), 7, 32)
     # 4 times t, s and 8 new sums t + s (0.5 and 1.0 are among both)
     assert len(built_shapes) == 12
 
@@ -323,8 +363,8 @@ def test_semigroup_law_builds_each_distinct_time_once(built_shapes):
 def test_growth_and_laplace_build_only_the_support_columns(built_shapes, k):
     fam = DilationFamily(ell=-1.0, G=0.5, H=0.0, conj=STD)
     ek = basis_vector(k, 32)
-    n_omega_estimate(fam, ek, GrowthProbe(), 32)
-    laplace_resolvent(fam, 1.0 + 0j, ek, omega=0.0, dim=32)
+    n_omega_estimate(fam, ek, GrowthProbe())
+    laplace_resolvent(fam, 1.0 + 0j, ek, omega=0.0)
     assert built_shapes
     assert max(cols for _, cols in built_shapes) <= k + 1
 
@@ -347,14 +387,15 @@ def test_exponential_bridge_builds_only_the_monomial_columns(built_shapes):
 # --- serialization ----------------------------------------------------------
 
 def test_family_json_round_trip():
+    # a report's family payload is a valid scenario family
     fams = (
         TranslationFamily(E=1 - 1j, F=0.25, conj=OFFSET),
         DilationFamily(ell=0.5j, G=1.0, H=-0.5, conj=STD),
     )
     for fam in fams:
-        assert family_from_json(fam.to_json()) == fam
+        assert _family_from(fam.to_json(), "family") == fam
 
 
 def test_family_json_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        family_from_json({"variant": "rotation"})
+    with pytest.raises(ScenarioError, match="family.variant"):
+        _family_from({"variant": "rotation"}, "family")

@@ -10,9 +10,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from focksym.cli import _parse_wco
 from focksym.fock import basis_vector, evaluate, exp_series, monomial, sqrt_factorial
 from focksym.semigroup import family_eval
-from focksym.verification import _LAW_FAMILIES
+from focksym.verification import _LAW_FAMILIES, VerifyConfig
 from focksym.wco import (
     WCOParams,
     apply_wco,
@@ -187,8 +188,9 @@ def test_overflowing_entries_become_inf_not_nan():
 
 
 def test_params_json_round_trip():
+    # the report payload of a symbol is valid scenario input for the wco kind
     p = WCOParams(A=1 - 1j, B=0.25, C=0.5j, D=-2.0)
-    q = WCOParams.from_json(p.to_json())
+    q = _parse_wco(p.to_json(), VerifyConfig(dim=8)).symbol
     assert q == p
     blob = p.to_json()
     assert blob["A"] == [1.0, -1.0]  # [re, im] pairs on the wire
