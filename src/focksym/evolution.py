@@ -23,7 +23,10 @@ symmetry U(t,s) = J U(t,s)* J of the propagator for commuting families is
 A time series U(t_k, s) is a chain of segment propagators through the
 cocycle U(t_k, s) = U(t_k, t_{k-1}) U(t_{k-1}, s), so its cost is linear in
 the number of samples.  A check that judges U(t, s) takes it from its
-caller, which integrates it once for every check that needs it.
+caller, which integrates it once for every check that needs it.  An
+``evolution`` run takes U(t, s) from the end of its series, so it integrates
+its horizon twice: once as the chained series, and once split at
+r = (s + t)/2 by :func:`check_evolution_axioms`.  The two paths share no step.
 """
 
 from __future__ import annotations
@@ -240,7 +243,8 @@ def check_evolution_axioms(
 ) -> tuple[float, float]:
     """(identity residual, composition residual) for s <= r <= t.
 
-    Identity: max-abs of U(t, t) - I.  Composition: max-abs of
+    Identity: max-abs of U(t, t) - I, exactly 0 by construction, since
+    :func:`evolve` returns I for a zero span.  Composition: max-abs of
     U(t, r) U(r, s) - U_ts, where ``U_ts`` is the caller's U(t, s) at the
     same ``rel_tol``.
     """

@@ -16,8 +16,10 @@ measured by one helper of the layer that defines it (for example
 residual is ``check_matrix_c_symmetry``); helpers that judge a matrix take
 it from their caller, which builds or integrates it once.
 
-The suite needs ``dim >= SUITE_MIN_DIM``: the generator-fd and laplace groups
-probe the basis vectors e_k for k < 5.
+The suite needs ``dim >= SUITE_MIN_DIM``: the spectrum group compares
+eigenfunction residuals at dims (max(8, big/2), max(10, 3big/4), big) with
+big = dim + dim/4, which do not increase below dim 8, and matches six lattice
+points against the eigenvalues of the dim x dim truncation.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from .wco import WCOParams, is_bounded, wco_matrix
 __all__ = ["CheckRecord", "VerifyConfig", "CHECK_GROUPS", "run_group", "run_all"]
 
 CALIBRATED_DIM = 64
-SUITE_MIN_DIM = 5
+SUITE_MIN_DIM = 8
 
 # the most complex entries numpy can index in one array
 MAX_COMPLEX_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize

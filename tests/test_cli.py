@@ -4,6 +4,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from focksym import cli, conjugation, evolution, generator, semigroup, verification, wco
@@ -353,10 +354,10 @@ def test_verify_all_is_deterministic(tmp_path, _outdir):
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
 
 
-@pytest.mark.parametrize("dim", [2, 4, 5])
+@pytest.mark.parametrize("dim", [2, 4, 5, 7, 8])
 @pytest.mark.parametrize("route", ["verify-all", "full-verify"])
 def test_suite_minimum_dim(tmp_path, capsys, route, dim):
-    # the generator-fd and laplace groups probe e_k for k < 5
+    # below dim 8 the spectrum group's residual dims do not increase
     out = str(tmp_path / "report.json")
     if route == "verify-all":
         argv, field = ["verify-all", "--dim", str(dim), "--out", out], "--dim"
@@ -366,11 +367,11 @@ def test_suite_minimum_dim(tmp_path, capsys, route, dim):
                                             "output": {"path": out}})]
         field = "truncation.dim"
     rc = main(argv)
-    if dim < 5:
+    if dim < 8:
         assert rc == 1
         assert f"input error: {field}:" in capsys.readouterr().err
     else:
-        assert rc in (0, 2)
+        assert rc == 0
 
 
 @pytest.fixture
@@ -483,10 +484,54 @@ def test_evolve_integrates_each_segment_once(tmp_path, evolve_spans, samples):
     rc = main(["evolve", "--t", "2", "--samples", str(samples),
                "--out", str(tmp_path / "evo.csv")])
     assert rc == 0
-    # U(t, t) for the identity record, U(t, s), U(t, r), U(r, s) once each
-    # (U(t, s) shared with the symmetry record), then one call per segment
-    assert len(evolve_spans) == 4 + (samples - 1)
-    assert sum(t > s for s, t in evolve_spans) == 3 + (samples - 1)
+    if samples == 1:
+        # the series is [I] at s: U(t, s) on its own, shared by the
+        # composition and symmetry records, then U(t, t), U(t, r), U(r, s)
+        assert len(evolve_spans) == 4
+        assert sum(t > s for s, t in evolve_spans) == 3
+    else:
+        # one call per segment, whose chain ends at U(t, s), then U(t, t),
+        # U(t, r), U(r, s): the horizon [0, 2] is integrated twice
+        assert len(evolve_spans) == 3 + (samples - 1)
+        assert sum(t > s for s, t in evolve_spans) == 2 + (samples - 1)
+        assert sum(t - s for s, t in evolve_spans if t > s) == 2 * 2.0
+
+
+def _evolution_report(tmp_path, params, fmt):
+    out = tmp_path / f"evo.{fmt}"
+    path = _scenario(tmp_path, {"name": "evo", "kind": "evolution", "params": params,
+                                "output": {"format": fmt, "path": str(out)}},
+                     name=f"evo-{fmt}.json")
+    assert main(["run", path]) == 0
+    return out
+
+
+def _records(report_path):
+    return {r["check_id"]: r for r in json.loads(report_path.read_text())["records"]}
+
+
+def test_evolution_single_sample_integrates_u_ts_directly(tmp_path):
+    params = {"B": "bagchi", "kappa": 0.3, "lam": 0.8, "t": 2.0, "samples": 1}
+    assert main(["evolve", "--kappa", "0.3", "--lam", "0.8", "--t", "2",
+                 "--samples", "1", "--out", str(tmp_path / "evo.csv")]) == 0
+    records = _records(_evolution_report(tmp_path, params, "json"))
+    assert records["evolution.composition"]["status"] == "pass"
+    B = cli._parse_evolution(params, verification.VerifyConfig(dim=2)).op
+    U_ts = evolution.evolve(B, 0.0, 2.0).matrix
+    assert records["evolution.transpose-symmetry"]["measured"] == \
+        conjugation.check_matrix_c_symmetry(U_ts, np.eye(2))
+
+
+def test_evolution_symmetry_judges_the_series_endpoint(tmp_path):
+    params = {"B": "bagchi", "lam": 0.9, "t": 1.5, "samples": 7,
+              "kappa": {"cosine": {"amplitude": 0.3, "frequency": 1.1}}}
+    records = _records(_evolution_report(tmp_path, params, "json"))
+    with open(_evolution_report(tmp_path, params, "csv"), newline="") as fh:
+        last = [float(c) for c in list(csv.reader(fh))[-1]]
+    assert last[0] == 1.5
+    U_ts = np.array(last[1:]).view(complex).reshape(2, 2)
+    assert records["evolution.transpose-symmetry"]["measured"] == \
+        conjugation.check_matrix_c_symmetry(U_ts, np.eye(2))
 
 
 def test_evolve_zero_span_series_is_identity(tmp_path, evolve_spans):
