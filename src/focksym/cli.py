@@ -162,7 +162,7 @@ def _conjugation_from(obj: dict, path: str) -> ConjugationParams:
     try:
         p.validate()
     except ConstraintViolation as exc:
-        raise ScenarioError(path, str(exc))
+        raise ScenarioError(f"{path}.{exc.field}", str(exc))
     return p
 
 
@@ -425,6 +425,8 @@ def _parse_evolution(params: dict, cfg: VerifyConfig) -> EvolutionSpec:
     t = _get(params, "params", "t", float, 1.0)
     if t < s:
         raise ScenarioError("params.t", "need t >= s")
+    if not math.isfinite(t - s):  # the sample times would overflow
+        raise ScenarioError("params.t", "t - s must be a finite number")
     rel_tol = _get(params, "params", "rel_tol", float, 1e-10)
     if rel_tol <= 0:
         raise ScenarioError("params.rel_tol", "must be positive")

@@ -35,7 +35,14 @@ __all__ = [
 
 
 class ConstraintViolation(ValueError):
-    """Raised when parameters break an admissibility constraint."""
+    """Raised when parameters break an admissibility constraint.
+
+    ``field`` names the parameter, "a", "b" or "c", whose constraint failed.
+    """
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -50,17 +57,17 @@ class ConjugationParams:
         dev_a = abs(abs(self.a) - 1.0)
         if dev_a > tol:
             raise ConstraintViolation(
-                f"|a| must equal 1: |a| = {abs(self.a)!r} (deviation {dev_a:.3e})"
+                f"|a| must equal 1: |a| = {abs(self.a)!r} (deviation {dev_a:.3e})", "a"
             )
         dev_b = abs(np.conj(self.a) * self.b + np.conj(self.b))
         if dev_b > tol:
             raise ConstraintViolation(
-                f"conj(a)*b + conj(b) must vanish: deviation {dev_b:.3e}"
+                f"conj(a)*b + conj(b) must vanish: deviation {dev_b:.3e}", "b"
             )
         dev_c = abs(abs(self.c) ** 2 * np.exp(abs(self.b) ** 2) - 1.0)
         if dev_c > tol:
             raise ConstraintViolation(
-                f"|c|^2 exp(|b|^2) must equal 1: deviation {dev_c:.3e}"
+                f"|c|^2 exp(|b|^2) must equal 1: deviation {dev_c:.3e}", "c"
             )
         return self
 

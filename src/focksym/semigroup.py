@@ -221,21 +221,34 @@ def _refine_quadrature(
     panels: int = 4,
     max_refinements: int = 12,
 ) -> complex | np.ndarray:
-    """Integral of a scalar- or vector-valued f by panel doubling.
+    """Integral of a scalar-, vector- or matrix-valued f by panel doubling.
 
     Stops when the 2-norm of the change between successive panel counts is
-    at most ``tol`` times max(1, 2-norm of the result).
+    at most ``tol`` times max(1, 2-norm of the result).  A matrix-valued
+    integral (dim x n) is read as n vector integrals, one per column: each
+    column stops on its own criterion and keeps its first converged value,
+    while f is still evaluated on every column until the last one converges.
     """
     prev = _composite_gauss_legendre(f, lo, hi, panels)
+    split = np.ndim(prev) == 2  # a matrix value is judged column by column
+
+    def parts(v):
+        return list(v.T) if split else [v]
+
+    done = [None] * len(parts(prev))  # each integral's first converged value
     for _ in range(max_refinements):
         panels *= 2
         cur = _composite_gauss_legendre(f, lo, hi, panels)
-        scale = max(np.linalg.norm(cur), 1.0)
-        if np.linalg.norm(cur - prev) <= tol * scale:
-            return cur
+        for j, (c, p) in enumerate(zip(parts(cur), parts(prev))):
+            if done[j] is None and np.linalg.norm(c - p) <= tol * max(np.linalg.norm(c), 1.0):
+                done[j] = c
+        if all(d is not None for d in done):
+            return np.stack(done, axis=1) if split else done[0]
         prev = cur
+    worst = max(np.linalg.norm(c - p)
+                for c, p, d in zip(parts(cur), parts(prev), done) if d is None)
     raise QuadratureError(
-        f"step-halving disagreement {np.linalg.norm(cur - prev):.3e} above {tol:.1e} "
+        f"step-halving disagreement {worst:.3e} above {tol:.1e} "
         f"after {max_refinements} refinements on [{lo}, {hi}]"
     )
 
@@ -382,35 +395,44 @@ _LAPLACE_TOL = 1e-10
 
 
 def laplace_resolvent(
-    fam: SemigroupFamily, lam: complex, x: FockVector, omega: float
-) -> FockVector:
-    """Resolvent-type vector J_lam x = int_0^inf e^{-lam t} W(t) x dt, at x's dim.
+    fam: SemigroupFamily, lam: complex, xs: Sequence[FockVector], omega: float
+) -> list[FockVector]:
+    """Resolvent-type vectors J_lam x = int_0^inf e^{-lam t} W(t) x dt, one per x.
 
-    Requires Re(lam) > omega and a non-diverging growth probe at weight
-    omega; the upper limit T is chosen so the integrand tail bound
+    The vectors share one dim, which is the dim of the results.  Requires
+    Re(lam) > omega and, for each x, a non-diverging growth probe at weight
+    omega; every probe runs before any integrand is built.  Each x gets the
+    upper limit T at which its integrand tail bound
     e^{(omega - Re lam) T} * N_omega-estimate falls below 1e-10, and the
-    panel doubling stops at a relative change of 1e-10.
+    integral runs to the largest of these T.  The integrand is matrix valued:
+    at each node W(t) is built once, with as many columns as the widest
+    support, and applied to all vectors in one product.  Each vector's
+    panel doubling stops at its own relative change of 1e-10.
     """
     if lam.real <= omega:
         raise ValueError(f"need Re(lam) > omega, got {lam.real} <= {omega}")
-    report = n_omega_estimate(fam, x, GrowthProbe(omega=omega))
-    if report.diverging:
-        raise ValueError(
-            f"growth probe diverges at omega = {omega}; the Laplace integral "
-            "is not certified to converge — raise omega or change the family"
-        )
-    bound = max(report.sup, 1e-30)
-    T = math.log(bound / _LAPLACE_TOL) / (lam.real - omega)
-    T = max(T, 1.0)
-    vec = x.to_normalized().coeffs
-    dim, m = x.dim, _support_size(vec)
+    if not xs or len({x.dim for x in xs}) != 1:
+        raise ValueError("need one or more vectors of one dim")
+    T = 1.0
+    for x in xs:
+        report = n_omega_estimate(fam, x, GrowthProbe(omega=omega))
+        if report.diverging:
+            raise ValueError(
+                f"growth probe diverges at omega = {omega}; the Laplace integral "
+                "is not certified to converge — raise omega or change the family"
+            )
+        bound = max(report.sup, 1e-30)
+        T = max(T, math.log(bound / _LAPLACE_TOL) / (lam.real - omega))
+    vecs = [x.to_normalized().coeffs for x in xs]
+    dim, m = xs[0].dim, max(_support_size(v) for v in vecs)
+    X = np.stack([v[:m] for v in vecs], axis=1)
 
     def integrand(ts: np.ndarray) -> np.ndarray:
-        out = np.empty((ts.size, dim), dtype=complex)
+        out = np.empty((ts.size, dim, len(xs)), dtype=complex)
         for i, t in enumerate(np.asarray(ts, dtype=float)):
             W = semigroup_matrix(fam, float(t), dim, m)
-            out[i] = np.exp(-lam * t) * (W @ vec[:m])
+            out[i] = np.exp(-lam * t) * (W @ X)
         return out
 
     acc = _refine_quadrature(integrand, 0.0, T, _LAPLACE_TOL, panels=8, max_refinements=9)
-    return FockVector(acc, "normalized")
+    return [FockVector(acc[:, j], "normalized") for j in range(len(xs))]

@@ -582,9 +582,9 @@ def laplace_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     gen = generator_matrix(fam, cfg.dim).dense()
     worst_diag = 0.0
     worst_ident = 0.0
-    for k in range(5):
-        ek = basis_vector(k, cfg.dim)
-        J = laplace_resolvent(fam, lam, ek, omega=0.0)
+    eks = [basis_vector(k, cfg.dim) for k in range(5)]
+    Js = laplace_resolvent(fam, lam, eks, omega=0.0)
+    for k, (ek, J) in enumerate(zip(eks, Js)):
         expected = ek.coeffs / (lam + k)
         worst_diag = max(worst_diag, float(np.linalg.norm(J.coeffs - expected)))
         ident = (lam * np.eye(cfg.dim) - gen) @ J.coeffs - ek.coeffs
@@ -602,7 +602,7 @@ def laplace_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     # the integral must refuse families whose growth probe diverges
     bad = _std_translation(E=1.0, F=0.0)
     try:
-        laplace_resolvent(bad, 2.0 + 0.0j, monomial(0, cfg.dim), omega=0.0)
+        laplace_resolvent(bad, 2.0 + 0.0j, [monomial(0, cfg.dim)], omega=0.0)
         refused = 0.0
     except ValueError:
         refused = 1.0

@@ -224,7 +224,7 @@ def test_criterion_10_resolvent_diagonal_and_identity():
     Q = generator_matrix(fam, 64).dense()
     for k in range(5):
         e_k = monomial(k, 64)
-        J = laplace_resolvent(fam, lam, e_k, omega=0.0)
+        [J] = laplace_resolvent(fam, lam, [e_k], omega=0.0)
         coeffs = J.to_normalized().coeffs
         expected = e_k.to_normalized().coeffs / (lam + k)
         assert np.linalg.norm(coeffs - expected) <= 1e-8

@@ -3,9 +3,12 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from focksym import cli, conjugation, evolution, generator, semigroup, verification, wco
 from focksym.cli import main
@@ -101,9 +104,11 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
     ("evolution", {"B": "table", "times": [0, 10**400], "matrices": [[[1.0]], [[1.0]]]},
      "x", "params.times[1]"),
     ("evolution", {"B": "bagchi", "kappa": 10**400}, "x", "params.kappa"),
+    ("evolution", {"B": "bagchi", "s": -1e308, "t": 1e308}, "x", "params.t"),
+    ("conjugation-check", {"a": 1.0, "c": math.exp(-0.5)}, "x", "params.c"),
 ], ids=["rel_tol-zero", "omega-string", "omega-overflow", "A-overflow", "table-shapes", "stiff",
         "samples-zero", "name-separator", "verify-all-dim-one", "omega-huge-int", "A-huge-int",
-        "times-huge-int", "kappa-huge-int"])
+        "times-huge-int", "kappa-huge-int", "span-overflow", "conjugation-constraint"])
 def test_malformed_input_names_field_path(tmp_path, _outdir, capsys, kind, params, name, field):
     if kind is None:
         argv = ["verify-all", "--dim", "1"]
@@ -393,9 +398,9 @@ def work(monkeypatch):
 def test_verify_all_work_is_pinned(tmp_path, work):
     assert main(["verify-all", "--dim", "16", "--out", str(tmp_path / "r.json")]) == 0
     # evolution group: U(1, 0), U(1, 1), U(1, 0.5), U(0.5, 0) for the axioms,
-    # U(1.5, 0) for the symmetry record, U(1, 0) and four U(1 + h, 0) for the
+    # U(1.5, 0) for the symmetry record, U(1, 0) and four U(1 + h, 1) for the
     # adjoint slope
-    assert work == {"evolve": 10, "wco_matrix": 2409}
+    assert work == {"evolve": 10, "wco_matrix": 1449}
 
 
 # --- spectrum front end -----------------------------------------------------------
@@ -560,3 +565,73 @@ def test_stiffness_in_a_segment_names_the_model_field(tmp_path, _outdir, capsys,
     assert main(["run", path]) == 1
     assert "input error: params.matrix: step size underflowed" in capsys.readouterr().err
     assert not _outdir.exists()
+
+
+# --- scenario fuzzer ---------------------------------------------------------------
+
+# one valid scenario of each kind (two for evolution: a formula and a table)
+_VALID_SCENARIOS = {
+    "conjugation-check": ("conjugation-check",
+                          {"a": 1.0, "b": [0.0, 1.0], "c": math.exp(-0.5)}, 16),
+    "wco": ("wco", {"A": [0.5, 0.1], "B": 0.3, "C": [1.0, 0.0], "D": [0.3, -0.05],
+                    "conjugation": STD_CONJ}, 16),
+    "semigroup": ("semigroup", {"family": TRANSLATION, "omega": 0.5}, 16),
+    "generator": ("generator", {"family": DILATION}, 16),
+    "spectrum": ("spectrum", {"family": TRANSLATION, "eta": [0.5, 0.5], "k_max": 3}, 16),
+    "evolution": ("evolution", {"B": "bagchi", "nu": 1.0, "lam": 0.9, "s": 0.0, "t": 1.0,
+                                "rel_tol": 1e-10, "samples": 3,
+                                "kappa": {"cosine": {"amplitude": 0.3, "frequency": 1.1,
+                                                     "phase": 0.2}}}, 2),
+    "evolution-table": ("evolution", {"B": "table", "times": [0.0, 1.0],
+                                      "matrices": [[[0.0, 1.0], [1.0, 0.0]],
+                                                   [[[0.0, 1.0], 0.0], [0.0, 1.0]]],
+                                      "samples": 2}, 2),
+    "full-verify": ("full-verify", {"seed": 11}, 8),
+}
+_BAD_VALUES = ("text", None, {}, True, False, 10**19, -(10**19), 10**400, "NaN",
+               [[1.0, 2.0], [3.0]], [[[]]])
+
+
+def _scenario_body(label):
+    kind, params, dim = _VALID_SCENARIOS[label]
+    return json.loads(json.dumps({
+        "name": label, "kind": kind, "params": params,
+        "truncation": {"dim": dim, "tolerances": {"laplace_diagonal": 1e-8}},
+        "output": {"format": "csv" if kind == "evolution" else "json", "path": "r.out"},
+    }))
+
+
+def _field_paths(node, prefix):
+    """Paths of every field below ``node``, dict-valued fields included."""
+    for key, val in node.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _field_paths(val, prefix + (key,))
+
+
+@pytest.mark.parametrize("label", sorted(_VALID_SCENARIOS))
+def test_fuzzer_scenarios_are_valid(tmp_path, label, capsys):
+    assert main(["validate", _scenario(tmp_path, _scenario_body(label))]) == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_validate_survives_one_bad_field(tmp_path, capsys, data):
+    body = _scenario_body(data.draw(st.sampled_from(sorted(_VALID_SCENARIOS))))
+    paths = [p for section in ("params", "truncation", "output")
+             for p in _field_paths(body[section], (section,))]
+    path = data.draw(st.sampled_from(paths))
+    parent = body
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(_BAD_VALUES))
+    capsys.readouterr()
+    rc = main(["validate", _scenario(tmp_path, body)])
+    err = capsys.readouterr().err
+    assert rc in (0, 1) and "Traceback" not in err
+    if rc == 1:
+        assert re.match(r"input error: (params|truncation|output)\.", err), err

@@ -325,11 +325,11 @@ def test_adjoint_family_integrates_u_once(monkeypatch):
 
     monkeypatch.setattr(evolution, "evolve", counting)
     errs = check_adjoint_family(B, 0.0, 1.0, z, hs, 1e-12)
-    # U(1, 0) once, then U(1 + h, 0) for each h
-    assert calls == [(0.0, 1.0)] + [(0.0, 1.0 + h) for h in hs]
+    # U(1, 0) once, then only the short span U(1 + h, 1) for each h
+    assert calls == [(0.0, 1.0)] + [(1.0, 1.0 + h) for h in hs]
     U_t = evolve(B, 0.0, 1.0, 1e-12).matrix
     for h, err in zip(hs, errs):
-        U_th = evolve(B, 0.0, 1.0 + h, 1e-12).matrix
+        U_th = evolve(B, 1.0, 1.0 + h, 1e-12).matrix @ U_t  # the cocycle
         quotient = (U_th.conj().T @ z - U_t.conj().T @ z) / h
         assert err == np.linalg.norm(quotient - U_t.conj().T @ (B(1.0).conj().T @ z))
 

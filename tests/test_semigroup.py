@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focksym.conjugation import ConjugationParams, standard_conjugation
-from focksym.fock import basis_vector, monomial
+from focksym.fock import FockVector, basis_vector, monomial
 from focksym.semigroup import (
     DilationFamily,
     GrowthProbe,
@@ -30,7 +30,8 @@ from focksym.semigroup import (
 from focksym import generator, semigroup
 from focksym.cli import ScenarioError, _family_from
 from focksym.generator import check_generator_fd, generator_matrix
-from focksym.verification import exponential_bridge
+from focksym.rng import complex_normal_vectors
+from focksym.verification import VerifyConfig, exponential_bridge, laplace_checks
 from focksym.wco import wco_matrix
 
 STD = standard_conjugation()
@@ -237,8 +238,25 @@ def test_quadrature_equals_the_loops_it_replaced():
                     == _scalar_panel_loop(dpsi, 0.0, t, 1e-12))
     fam = DilationFamily(ell=-1.0, G=0.5, H=0.0, conj=STD)
     for x in (basis_vector(1, 16), monomial(3, 16)):
-        J = laplace_resolvent(fam, 2.0 + 0j, x, omega=0.0)
+        [J] = laplace_resolvent(fam, 2.0 + 0j, [x], omega=0.0)
         assert np.array_equal(J.coeffs, _laplace_panel_loop(fam, 2.0 + 0j, x))
+
+
+def test_quadrature_columns_keep_their_first_converged_value():
+    # column 0 converges at 16 panels, column 1 one doubling later, at 32
+    def f(ts):
+        return np.stack([np.abs(ts - 1 / 3) ** 4.5, np.abs(ts - 1 / 3) ** 3.5],
+                        axis=-1)[:, None, :]
+
+    rule = {p: semigroup._composite_gauss_legendre(f, 0.0, 2.0, p) for p in (4, 8, 16, 32)}
+    got = semigroup._refine_quadrature(f, 0.0, 2.0, 5e-11)
+    assert got.shape == (1, 2)
+    assert got[0, 0] == rule[16][0, 0] != rule[32][0, 0]
+    assert got[0, 1] == rule[32][0, 1]
+    # each column alone stops where it stopped in the pair
+    for j, panels in ((0, 16), (1, 32)):
+        alone = semigroup._refine_quadrature(lambda ts: f(ts)[:, 0, j], 0.0, 2.0, 5e-11)
+        assert alone == rule[panels][0, j]
 
 
 # --- growth probes ----------------------------------------------------------
@@ -296,7 +314,7 @@ def test_laplace_diagonal_values():
     lam = 1.0 + 0j
     for k in range(5):
         ek = basis_vector(k, 32)
-        J = laplace_resolvent(fam, lam, ek, omega=0.0)
+        [J] = laplace_resolvent(fam, lam, [ek], omega=0.0)
         expected = ek.coeffs / (lam + k)  # analytic integral of e^{-(lam+k)t}
         assert float(np.linalg.norm(J.coeffs - expected)) < 1e-8
 
@@ -307,7 +325,7 @@ def test_laplace_solves_resolvent_identity():
     Q = generator_matrix(fam, 32).dense()
     for k in range(5):
         ek = basis_vector(k, 32)
-        J = laplace_resolvent(fam, lam, ek, omega=0.0)
+        [J] = laplace_resolvent(fam, lam, [ek], omega=0.0)
         resid = (lam * np.eye(32) - Q) @ J.coeffs - ek.coeffs
         assert float(np.linalg.norm(resid)) < 1e-6
 
@@ -318,7 +336,7 @@ def test_laplace_works_off_the_diagonal():
     dim = 48
     Q = generator_matrix(fam, dim).dense()
     x = basis_vector(1, dim)
-    J = laplace_resolvent(fam, lam, x, omega=0.0)
+    [J] = laplace_resolvent(fam, lam, [x], omega=0.0)
     resid = (lam * np.eye(dim) - Q) @ J.coeffs - x.coeffs
     assert float(np.linalg.norm(resid)) < 1e-5
 
@@ -326,13 +344,40 @@ def test_laplace_works_off_the_diagonal():
 def test_laplace_refuses_divergent_growth():
     fam = TranslationFamily(E=1.0, F=0.0, conj=STD)
     with pytest.raises(ValueError, match="diverge"):
-        laplace_resolvent(fam, 2.0 + 0j, monomial(0, 32), omega=0.0)
+        laplace_resolvent(fam, 2.0 + 0j, [monomial(0, 32)], omega=0.0)
 
 
 def test_laplace_requires_abscissa_margin():
     fam = DilationFamily(ell=-1.0, G=0.0, H=0.0, conj=STD)
     with pytest.raises(ValueError, match="Re"):
-        laplace_resolvent(fam, -0.5 + 0j, basis_vector(0, 16), omega=0.0)
+        laplace_resolvent(fam, -0.5 + 0j, [basis_vector(0, 16)], omega=0.0)
+
+
+@pytest.mark.parametrize("dim", [8, 64])
+def test_batched_laplace_equals_single_vector_calls(dim):
+    fam = DilationFamily(ell=-1.0, G=0.0, H=0.0, conj=STD)
+    eks = [basis_vector(k, dim) for k in range(5)]
+    for J, ek in zip(laplace_resolvent(fam, 1.0 + 0j, eks, omega=0.0), eks):
+        [single] = laplace_resolvent(fam, 1.0 + 0j, [ek], omega=0.0)
+        assert np.array_equal(J.coeffs, single.coeffs)
+    # a seeded pair of unequal supports, scaled to growth sup 1 so that both
+    # vectors share the upper limit T and the nodes of a single-vector call
+    fam = DilationFamily(ell=-1.0, G=0.5, H=0.0, conj=STD)
+    pair = []
+    for m, v in zip((4, 5), complex_normal_vectors(7, 2, 5)):
+        x = FockVector(np.concatenate([v[:m], np.zeros(dim - m)]))
+        pair.append(FockVector(x.coeffs / n_omega_estimate(fam, x, GrowthProbe()).sup))
+    for J, x in zip(laplace_resolvent(fam, 2.0 + 0j, pair, omega=0.0), pair):
+        [single] = laplace_resolvent(fam, 2.0 + 0j, [x], omega=0.0)
+        assert np.linalg.norm(J.coeffs - single.coeffs) <= 1e-14 * np.linalg.norm(single.coeffs)
+
+
+def test_laplace_rejects_mixed_dims():
+    fam = DilationFamily(ell=-1.0, G=0.0, H=0.0, conj=STD)
+    with pytest.raises(ValueError, match="one dim"):
+        laplace_resolvent(fam, 1.0 + 0j, [basis_vector(0, 8), basis_vector(0, 16)], omega=0.0)
+    with pytest.raises(ValueError, match="one dim"):
+        laplace_resolvent(fam, 1.0 + 0j, [], omega=0.0)
 
 
 # --- matrix builds -----------------------------------------------------------
@@ -364,9 +409,34 @@ def test_growth_and_laplace_build_only_the_support_columns(built_shapes, k):
     fam = DilationFamily(ell=-1.0, G=0.5, H=0.0, conj=STD)
     ek = basis_vector(k, 32)
     n_omega_estimate(fam, ek, GrowthProbe())
-    laplace_resolvent(fam, 1.0 + 0j, ek, omega=0.0)
+    laplace_resolvent(fam, 1.0 + 0j, [ek], omega=0.0)
     assert built_shapes
     assert max(cols for _, cols in built_shapes) <= k + 1
+
+
+def test_laplace_group_builds_each_node_once(built_shapes, monkeypatch):
+    probe_builds = []
+
+    def probing(*args, **kwargs):
+        before = len(built_shapes)
+        report = n_omega_estimate(*args, **kwargs)
+        probe_builds.append(len(built_shapes) - before)
+        return report
+
+    monkeypatch.setattr(semigroup, "n_omega_estimate", probing)
+    laplace_checks(VerifyConfig(dim=64))
+    # five probes for e_0 ... e_4 and one for the refused family; the
+    # integrand builds W(t) once per node: 10 Gauss nodes on 8 + 16 + 32 panels
+    assert probe_builds == [GrowthProbe.t_grid.size] * 6
+    assert len(built_shapes) - sum(probe_builds) == 560
+    assert max(cols for _, cols in built_shapes) == 5
+
+
+def test_laplace_refuses_before_building_an_integrand(built_shapes):
+    fam = TranslationFamily(E=1.0, F=0.0, conj=STD)
+    with pytest.raises(ValueError, match="diverge"):
+        laplace_resolvent(fam, 2.0 + 0j, [monomial(0, 64)], omega=0.0)
+    assert len(built_shapes) == GrowthProbe.t_grid.size  # the probe's grid only
 
 
 @pytest.mark.parametrize("scheme", ["forward", "central"])

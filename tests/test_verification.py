@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from focksym.fock import DEFAULT_TOLERANCES
@@ -11,6 +12,7 @@ from focksym.verification import (
     MAX_COMPLEX_ENTRIES,
     CheckRecord,
     VerifyConfig,
+    evolution_checks,
     run_all,
     run_group,
 )
@@ -129,3 +131,35 @@ def test_thresholds_are_finite_unless_informational():
         else:
             assert math.isfinite(r.threshold)
             assert r.direction in ("<=", ">=")
+
+
+def _adjoint_slope_mpmath(z, hs) -> mpmath.mpf:
+    """|slope - 1| of the suite's adjoint quotients, with U = expm at 40 digits.
+
+    The model is the suite's constant two-level B = -i H, H = [[1 + 0.3i, 1],
+    [1, 1 - 0.3i]]; the slope is the least-squares fit of log residual
+    against log h, as ``np.polyfit`` takes it.
+    """
+    with mpmath.workdps(40):
+        B = -1j * mpmath.matrix([[1 + 0.3j, 1], [1, 1 - 0.3j]])
+        z = mpmath.matrix(z)
+        U_t = mpmath.expm(B)
+        target = U_t.transpose_conj() * (B.transpose_conj() * z)
+        xs, ys = [], []
+        for h in map(mpmath.mpf, hs):
+            quotient = (mpmath.expm(B * (1 + h)).transpose_conj() * z
+                        - U_t.transpose_conj() * z) / h
+            xs.append(mpmath.log(h))
+            ys.append(mpmath.log(mpmath.norm(quotient - target)))
+        xm, ym = sum(xs) / len(xs), sum(ys) / len(ys)
+        slope = (sum((x - xm) * (y - ym) for x, y in zip(xs, ys))
+                 / sum((x - xm) ** 2 for x in xs))
+        return abs(slope - 1)
+
+
+def test_adjoint_slope_matches_mpmath():
+    z, hs = [0.3 - 0.1j, 0.8 + 0.2j], [3e-2, 1e-2, 3e-3, 1e-3]
+    [rec] = [r for r in evolution_checks(VerifyConfig(dim=8))
+             if r.check_id == "evolution.adjoint-slope"]
+    exact = _adjoint_slope_mpmath(z, hs)
+    assert abs(rec.measured - exact) <= 1e-6 * exact
