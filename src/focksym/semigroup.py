@@ -353,34 +353,56 @@ class GrowthReport:
         }
 
 
-def n_omega_estimate(fam: SemigroupFamily, x: FockVector, probe: GrowthProbe) -> GrowthReport:
-    """Grid estimate of N_omega(x) = sup_t e^{-omega t} ||W(t) x||, at x's dim.
+# a grid value this close to the sup, relatively, equals it up to rounding
+_SUP_ROUNDING = 8 * np.finfo(float).eps
 
-    Diverging is flagged when the last three grid values strictly increase
-    and exceed ten times the grid minimum, or when the norm overflows.
+
+def _growth_values(
+    fam: SemigroupFamily, vecs: Sequence[np.ndarray], omega: float, t_grid: np.ndarray
+) -> np.ndarray:
+    """e^{-omega t} ||W(t) x|| along t_grid, one column per normalized x.
+
+    W(t) is built once per time at the widest support; each x is applied to
+    its own leading columns.  A norm that overflows reads inf, silently.
     """
-    dim = x.dim
-    vec = x.to_normalized().coeffs
-    m = _support_size(vec)
-    vals = np.empty(probe.t_grid.size)
-    for i, t in enumerate(probe.t_grid):
-        W = semigroup_matrix(fam, float(t), dim, m)
-        nrm = np.linalg.norm(W @ vec[:m])
-        vals[i] = math.exp(-probe.omega * t) * nrm if np.isfinite(nrm) else np.inf
-    finite = vals[np.isfinite(vals)]
-    overflowed = finite.size < vals.size
+    dim = vecs[0].size
+    supports = [_support_size(v) for v in vecs]
+    vals = np.empty((t_grid.size, len(vecs)))
+    with np.errstate(over="ignore"):
+        for i, t in enumerate(t_grid):
+            W = semigroup_matrix(fam, float(t), dim, max(supports))
+            for j, (v, m) in enumerate(zip(vecs, supports)):
+                nrm = np.linalg.norm(W[:, :m] @ v[:m])
+                vals[i, j] = math.exp(-omega * t) * nrm if np.isfinite(nrm) else np.inf
+    return vals
+
+
+def _growth_report(vals: np.ndarray, t_grid: np.ndarray) -> GrowthReport:
+    """Sup, its grid time and the divergence flag of one growth curve."""
+    finite = np.isfinite(vals)
+    overflowed = not finite.all()
     tail_up = bool(
         vals.size >= 3
         and np.all(np.diff(vals[-3:]) > 0)
         and np.all(vals[-3:] > 10 * np.min(vals))
     )
-    diverging = overflowed or tail_up
-    sup = float(np.max(finite)) if finite.size else math.inf
-    arg = float(probe.t_grid[int(np.argmax(np.where(np.isfinite(vals), vals, -1.0)))])
     if overflowed:
-        sup = math.inf
-        arg = float(probe.t_grid[int(np.argmin(np.isfinite(vals)))])
-    return GrowthReport(sup=sup, argmax_t=arg, diverging=diverging, values=vals)
+        sup, arg = math.inf, float(t_grid[int(np.argmin(finite))])
+    else:
+        sup = float(np.max(vals))
+        arg = float(t_grid[int(np.argmax(vals >= sup * (1 - _SUP_ROUNDING)))])
+    return GrowthReport(sup=sup, argmax_t=arg, diverging=overflowed or tail_up, values=vals)
+
+
+def n_omega_estimate(fam: SemigroupFamily, x: FockVector, probe: GrowthProbe) -> GrowthReport:
+    """Grid estimate of N_omega(x) = sup_t e^{-omega t} ||W(t) x||, at x's dim.
+
+    Diverging is flagged when the last three grid values strictly increase
+    and exceed ten times the grid minimum, or when the norm overflows.  The
+    sup is reported at the earliest time whose value equals it up to rounding.
+    """
+    vals = _growth_values(fam, [x.to_normalized().coeffs], probe.omega, probe.t_grid)
+    return _growth_report(vals[:, 0], probe.t_grid)
 
 
 def norm_w_one_closed_form(fam: SemigroupFamily, t: float) -> float:
@@ -400,8 +422,9 @@ def laplace_resolvent(
     """Resolvent-type vectors J_lam x = int_0^inf e^{-lam t} W(t) x dt, one per x.
 
     The vectors share one dim, which is the dim of the results.  Requires
-    Re(lam) > omega and, for each x, a non-diverging growth probe at weight
-    omega; every probe runs before any integrand is built.  Each x gets the
+    Re(lam) > omega and, for each x, a non-diverging growth curve at weight
+    omega on the :class:`GrowthProbe` grid; one pass over that grid serves all
+    vectors, before any integrand is built.  Each x gets the
     upper limit T at which its integrand tail bound
     e^{(omega - Re lam) T} * N_omega-estimate falls below 1e-10, and the
     integral runs to the largest of these T.  The integrand is matrix valued:
@@ -413,9 +436,10 @@ def laplace_resolvent(
         raise ValueError(f"need Re(lam) > omega, got {lam.real} <= {omega}")
     if not xs or len({x.dim for x in xs}) != 1:
         raise ValueError("need one or more vectors of one dim")
+    vecs = [x.to_normalized().coeffs for x in xs]
     T = 1.0
-    for x in xs:
-        report = n_omega_estimate(fam, x, GrowthProbe(omega=omega))
+    for curve in _growth_values(fam, vecs, omega, GrowthProbe.t_grid).T:
+        report = _growth_report(curve, GrowthProbe.t_grid)
         if report.diverging:
             raise ValueError(
                 f"growth probe diverges at omega = {omega}; the Laplace integral "
@@ -423,7 +447,6 @@ def laplace_resolvent(
             )
         bound = max(report.sup, 1e-30)
         T = max(T, math.log(bound / _LAPLACE_TOL) / (lam.real - omega))
-    vecs = [x.to_normalized().coeffs for x in xs]
     dim, m = xs[0].dim, max(_support_size(v) for v in vecs)
     X = np.stack([v[:m] for v in vecs], axis=1)
 

@@ -415,20 +415,20 @@ def test_growth_and_laplace_build_only_the_support_columns(built_shapes, k):
 
 
 def test_laplace_group_builds_each_node_once(built_shapes, monkeypatch):
-    probe_builds = []
+    growth_builds, growth_values = [], semigroup._growth_values
 
     def probing(*args, **kwargs):
         before = len(built_shapes)
-        report = n_omega_estimate(*args, **kwargs)
-        probe_builds.append(len(built_shapes) - before)
-        return report
+        vals = growth_values(*args, **kwargs)
+        growth_builds.append(len(built_shapes) - before)
+        return vals
 
-    monkeypatch.setattr(semigroup, "n_omega_estimate", probing)
+    monkeypatch.setattr(semigroup, "_growth_values", probing)
     laplace_checks(VerifyConfig(dim=64))
-    # five probes for e_0 ... e_4 and one for the refused family; the
-    # integrand builds W(t) once per node: 10 Gauss nodes on 8 + 16 + 32 panels
-    assert probe_builds == [GrowthProbe.t_grid.size] * 6
-    assert len(built_shapes) - sum(probe_builds) == 560
+    # one growth pass for e_0 ... e_4 together and one for the refused family;
+    # the integrand builds W(t) once per node: 10 Gauss nodes on 8 + 16 + 32 panels
+    assert growth_builds == [GrowthProbe.t_grid.size] * 2
+    assert len(built_shapes) - sum(growth_builds) == 560
     assert max(cols for _, cols in built_shapes) == 5
 
 

@@ -1,5 +1,6 @@
 """Matrix construction for psi * (f o phi) operators, checked symbolically."""
 
+import functools
 import importlib.util
 import math
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focksym.cli import _parse_wco
-from focksym.fock import basis_vector, evaluate, exp_series, monomial, sqrt_factorial
+from focksym.fock import basis_vector, evaluate, monomial
 from focksym.semigroup import family_eval
 from focksym.verification import _LAW_FAMILIES, VerifyConfig
 from focksym.wco import (
@@ -167,8 +168,8 @@ def test_symbol_selfadjointness_detection():
 
 
 def test_large_weight_entries_stay_finite_via_log_route():
-    # D = 30 overflows the naive exp series scale; entries must still be
-    # finite and match a direct log-magnitude evaluation
+    # D = 30 takes column 0 to 30^n / sqrt(n!), up to 1e46 at dim 48; entries
+    # must stay finite and match their log magnitudes
     p = WCOParams(A=0.5, B=0.0, C=1.0, D=30.0)
     M = wco_matrix(p, 48)
     assert np.all(np.isfinite(M))
@@ -196,23 +197,7 @@ def test_params_json_round_trip():
     assert blob["A"] == [1.0, -1.0]  # [re, im] pairs on the wire
 
 
-# --- the array assembly against a reference loop and a 30-digit oracle ----------
-
-def _column_loop(p: WCOParams, dim: int) -> np.ndarray:
-    """The per-column assembly wco_matrix once used, kept as a reference."""
-    expo = exp_series(p.D, dim)
-    sq = sqrt_factorial(np.arange(dim))
-    M = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        poly = np.array([math.comb(k, j) * (p.A**j) * (p.B ** (k - j))
-                         for j in range(k + 1)], dtype=complex)
-        col = np.zeros(dim, dtype=complex)
-        for j in range(k + 1):
-            if poly[j] != 0:
-                col[j:] += poly[j] * expo[: dim - j]
-        M[:, k] = p.C * (sq / sq[k]) * col
-    return M
-
+# --- the column recurrence against a 30-digit oracle ------------------------------
 
 def _load_accuracy_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "assembly_accuracy.py"
@@ -231,13 +216,97 @@ REFERENCE_SYMBOLS = [ACCURACY.OFFSET_SYMBOL] + [
 ]
 
 
-@pytest.mark.parametrize("dim", [8, 16, 33, 64, 128])
-def test_array_assembly_equals_column_loop_exactly(dim):
-    for p in REFERENCE_SYMBOLS:
-        ref = _column_loop(p, dim)
-        assert np.all(np.isfinite(ref))
-        np.testing.assert_array_equal(wco_matrix(p, dim), ref, err_msg=repr(p))
+ORACLE_DIMS = (8, 16, 33, 64)
 
+# largest entry error relative to the largest entry, measured with a 64-bit
+# longdouble mantissa, where it exceeds one unit of rounding (eps); keyed by
+# index in REFERENCE_SYMBOLS: 0 is the offset symbol, 11 and 12 the translation
+# E = i at t = 1 and 2, 23 and 24 the rotating dilation ell = i at t = 1 and 2
+ORACLE_ERRORS = {
+    33: {12: 3.39e-13, 24: 3.93e-14},
+    64: {0: 5.24e-15, 11: 5.24e-15, 12: 3.43e-9, 23: 6.69e-15, 24: 7.98e-11},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(i: int) -> np.ndarray:
+    """The closed-form entry sum of REFERENCE_SYMBOLS[i] at the largest oracle dim.
+
+    Truncation is exact, so the matrix at a smaller dim is its leading block.
+    """
+    return ACCURACY.mpmath_matrix(REFERENCE_SYMBOLS[i], ORACLE_DIMS[-1])
+
+
+@pytest.mark.parametrize("dim", ORACLE_DIMS)
+def test_assembly_matches_mpmath(dim):
+    for i, p in enumerate(REFERENCE_SYMBOLS):
+        ref = _oracle(i)[:dim, :dim]
+        rel = np.max(np.abs(wco_matrix(p, dim) - ref)) / np.max(np.abs(ref))
+        bound = ORACLE_ERRORS.get(dim, {}).get(i, np.finfo(float).eps)
+        assert rel <= 1.05 * bound, (i, p, rel)
+
+
+def _dyadic(values) -> tuple[list[tuple[int, int]], int]:
+    """Gaussian integers g and one shift s with values[i] == g[i] / 2**s exactly."""
+    ratios = [float(x).as_integer_ratio()
+              for v in values for x in (complex(v).real, complex(v).imag)]
+    s = max(den.bit_length() - 1 for _, den in ratios)
+    ints = [num << (s - den.bit_length() + 1) for num, den in ratios]
+    return list(zip(ints[::2], ints[1::2])), s
+
+
+def _exact_matrix(p: WCOParams, dim: int, guard: int = 96) -> np.ndarray:
+    """The truncated matrix in exact integer arithmetic, each entry rounded once.
+
+    With (a, b, c, d) = 2**s (A, B, C, D), the integers Q_k[n] = n! 2^{s(n+k)}
+    times the z^n coefficient of e^{Dz} (Az + B)^k obey Q_0[n] = d^n and
+    Q_{k+1}[n] = n 2^s a Q_k[n-1] + b Q_k[n]; then M[n, k] = c Q_k[n] sqrt(n!/k!)
+    / (n! 2^{s(n+k+1)}), with sqrt(n! k!) taken to ``guard`` bits by isqrt.
+    """
+    ((ar, ai), (br, bi), (cr, ci), (dr, di)), s = _dyadic((p.A, p.B, p.C, p.D))
+    fact = [math.factorial(n) for n in range(dim)]
+    q = [(1, 0)]
+    for _ in range(1, dim):
+        qr, qi = q[-1]
+        q.append((qr * dr - qi * di, qr * di + qi * dr))
+    M = np.empty((dim, dim), dtype=complex)
+    for k in range(dim):
+        if k:
+            nxt = [(br * qr - bi * qi, br * qi + bi * qr) for qr, qi in q]
+            for n in range(1, dim):
+                qr, qi = q[n - 1]
+                m = n << s
+                nxt[n] = (nxt[n][0] + m * (ar * qr - ai * qi),
+                          nxt[n][1] + m * (ar * qi + ai * qr))
+            q = nxt
+        for n, (qr, qi) in enumerate(q):
+            root = math.isqrt((fact[n] * fact[k]) << (2 * guard))
+            den = (fact[n] * fact[k]) << (s * (n + k + 1) + guard)
+            # int / int rounds the exact quotient once
+            M[n, k] = complex((cr * qr - ci * qi) * root / den,
+                              (cr * qi + ci * qr) * root / den)
+    return M
+
+
+# as ORACLE_ERRORS, at dim 128 against the exact matrix; 20 is the dilation
+# ell = 0.5, G = 0.5i, H = 0.1 at t = 2
+EXACT_ERRORS = {
+    128: {0: 7.48e-12, 11: 7.48e-12, 12: 1.46e-3, 20: 2.19e-15, 23: 2.96e-12,
+          24: 4.54e-6},
+}
+
+
+# the 30-digit closed-form sum costs 3 s per symbol at dim 128; exact integer
+# arithmetic, which equals it bit for bit on the leading 64 x 64 block, 0.3 s
+@pytest.mark.parametrize("dim", sorted(EXACT_ERRORS))
+def test_assembly_matches_exact_arithmetic(dim):
+    for i, p in enumerate(REFERENCE_SYMBOLS):
+        ref = _exact_matrix(p, dim)
+        assert np.all(np.isfinite(ref))
+        np.testing.assert_array_equal(ref[:64, :64], _oracle(i), err_msg=repr(p))
+        rel = np.max(np.abs(wco_matrix(p, dim) - ref)) / np.max(np.abs(ref))
+        bound = EXACT_ERRORS[dim].get(i, np.finfo(float).eps)
+        assert rel <= 1.05 * bound, (i, p, rel)
 
 def test_leading_columns_equal_the_full_matrix_columns():
     for p in REFERENCE_SYMBOLS[::5]:
@@ -249,8 +318,12 @@ def test_leading_columns_equal_the_full_matrix_columns():
             wco_matrix(REFERENCE_SYMBOLS[0], 40, bad)
 
 
-# largest entry error of the per-column loop, which the array form must not exceed
-@pytest.mark.parametrize("dim, loop_error", [(64, 1.04e-11), (128, 7.98e-9)])
-def test_offset_symbol_matches_mpmath(dim, loop_error):
+# largest entry error of the recurrence, measured with a 64-bit longdouble mantissa
+OFFSET_ERRORS = {64: 3.18e-15, 128: 4.54e-12}
+
+
+# binomial_error: that of the binomial sum wco_matrix evaluated before the recurrence
+@pytest.mark.parametrize("dim, binomial_error", [(64, 1.04e-11), (128, 7.98e-9)])
+def test_offset_symbol_matches_mpmath(dim, binomial_error):
     err, _ = ACCURACY.max_entry_error(ACCURACY.OFFSET_SYMBOL, dim)
-    assert err <= 1.05 * loop_error
+    assert err <= 1.05 * OFFSET_ERRORS[dim] < binomial_error / 1000
