@@ -327,6 +327,9 @@ def _parse_spectrum(params: dict, cfg: VerifyConfig) -> SpectrumSpec:
     eta = None
     if isinstance(fam, TranslationFamily):
         eta = _get_complex(params, "params", "eta", 1 + 1j)
+    elif k_max >= cfg.dim:
+        raise ScenarioError("params.k_max", f"must be below the dim {cfg.dim}: the "
+                                            "eigenfunction (z-G)^k exp(beta z) holds z^k")
     return SpectrumSpec(fam, k_max, eta)
 
 
@@ -456,8 +459,7 @@ def _run_conjugation(p: ConjugationParams, cfg: VerifyConfig):
     op = conjugation_matrix(p, dim)
     inv = involution_residual(op, min(8, dim - 1))
     vecs = complex_normal_vectors(cfg.seed, 2, dim)
-    iso = check_isometry(op, FockVector(vecs[0], "normalized"),
-                         FockVector(vecs[1], "normalized"))
+    iso = check_isometry(op, FockVector(vecs[0]), FockVector(vecs[1]))
     if p.b == 0:
         records = [
             _record(cfg, "conjugation.involution", "C^2 = identity",

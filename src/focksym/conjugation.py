@@ -98,10 +98,9 @@ class AntilinearOperator:
         return self.matrix.shape[0]
 
     def apply(self, f: FockVector) -> FockVector:
-        vec = f.to_normalized()
-        if vec.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {vec.dim} vs {self.dim}")
-        return FockVector(self.matrix @ np.conj(vec.coeffs), "normalized")
+        if f.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {f.dim} vs {self.dim}")
+        return FockVector(self.matrix @ np.conj(f.coeffs))
 
 
 def conjugation_matrix(p: ConjugationParams, dim: int, tol: float = 1e-12) -> AntilinearOperator:

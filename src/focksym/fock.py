@@ -1,13 +1,12 @@
 """Truncated Fock-space core: coefficient vectors, inner product, point evaluation.
 
 Work space is the Hilbert space of entire functions f(z) = sum_k f_k z^k with
-norm^2 = sum_k |f_k|^2 k!, truncated to the first ``dim`` coefficients.  Two
-coefficient conventions are supported and tagged on each vector:
-
-* ``"monomial"``   -- f_k, the raw Taylor coefficients;
-* ``"normalized"`` -- c_k = f_k * sqrt(k!), so the inner product is Euclidean.
-
-All matrix realizations in the package act on normalized coefficients.
+norm^2 = sum_k |f_k|^2 k!, truncated to the first ``dim`` coefficients.  A
+vector holds the normalized coefficients c_k = f_k * sqrt(k!) on the
+orthonormal basis e_k = z^k / sqrt(k!), so the inner product is Euclidean;
+every matrix realization in the package acts on them.  Constructors build
+these coefficients directly, by running ratios where a vector has many, so no
+factorial of a whole vector is formed.
 """
 
 from __future__ import annotations
@@ -63,43 +62,11 @@ DEFAULT_TOLERANCES: Mapping[str, float] = {
 }
 
 
-def _sqrt_factorial_scalar(k: int) -> float:
+def sqrt_factorial(k: int) -> float:
+    """sqrt(k!), exact below FACTORIAL_EXACT_MAX, via lgamma above."""
     if k <= FACTORIAL_EXACT_MAX:
         return math.sqrt(math.factorial(k))
     return math.exp(0.5 * math.lgamma(k + 1))
-
-
-# sqrt(k!) for k < len, from the scalar formulas; grown on demand by
-# sqrt_factorial, and read-only, since callers get fresh arrays indexed from it.
-_SQRT_FACTORIAL_TABLE = np.ones(1)
-_SQRT_FACTORIAL_TABLE.setflags(write=False)
-
-
-def sqrt_factorial(k: int | np.ndarray) -> np.ndarray | float:
-    """sqrt(k!), exact below FACTORIAL_EXACT_MAX, via lgamma above.
-
-    Arrays are looked up in a cached table and come back as a fresh array.
-    """
-    global _SQRT_FACTORIAL_TABLE
-    karr = np.asarray(k)
-    if karr.ndim == 0:
-        kk = int(karr)
-        if kk < 0:
-            raise ValueError("negative index")
-        return _sqrt_factorial_scalar(kk)
-    if karr.size == 0:
-        return np.empty(karr.shape)
-    idx = karr.astype(np.intp)
-    if idx.min() < 0:
-        raise ValueError("negative index")
-    table = _SQRT_FACTORIAL_TABLE
-    n = int(idx.max()) + 1
-    if n > table.size:
-        grown = [_sqrt_factorial_scalar(j) for j in range(table.size, n)]
-        table = np.concatenate([table, grown])
-        table.setflags(write=False)
-        _SQRT_FACTORIAL_TABLE = table
-    return table[idx]
 
 
 def exp_series(w: complex, dim: int) -> np.ndarray:
@@ -112,26 +79,19 @@ def exp_series(w: complex, dim: int) -> np.ndarray:
     return out
 
 
-_BASES = ("normalized", "monomial")
-
-
 @dataclass(frozen=True)
 class FockVector:
-    """Finite coefficient vector with a basis tag.
+    """Finite vector of normalized coefficients c_k on e_k = z^k / sqrt(k!).
 
-    ``coeffs`` is always stored as a 1-D complex128 array.  Conversion between
-    the two coefficient conventions multiplies/divides by sqrt(k!).
+    ``coeffs`` is always stored as a read-only 1-D complex128 array.
     """
 
     coeffs: np.ndarray
-    basis: str = "normalized"
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.coeffs, dtype=complex)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("coeffs must be a non-empty 1-D array")
-        if self.basis not in _BASES:
-            raise ValueError(f"unknown basis tag {self.basis!r}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -140,81 +100,60 @@ class FockVector:
     def dim(self) -> int:
         return self.coeffs.size
 
-    def to_normalized(self) -> "FockVector":
-        if self.basis == "normalized":
-            return self
-        scale = sqrt_factorial(np.arange(self.dim))
-        return FockVector(self.coeffs * scale, "normalized")
-
-    def to_monomial(self) -> "FockVector":
-        if self.basis == "monomial":
-            return self
-        scale = sqrt_factorial(np.arange(self.dim))
-        return FockVector(self.coeffs / scale, "monomial")
-
 
 def basis_vector(k: int, dim: int) -> FockVector:
-    """Unit vector of the orthonormal basis, z^k/sqrt(k!), in normalized tag."""
+    """Unit vector of the orthonormal basis, e_k = z^k / sqrt(k!)."""
     if not 0 <= k < dim:
         raise ValueError(f"index {k} outside truncation 0..{dim - 1}")
     c = np.zeros(dim, dtype=complex)
     c[k] = 1.0
-    return FockVector(c, "normalized")
+    return FockVector(c)
 
 
 def monomial(k: int, dim: int) -> FockVector:
-    """The monomial z^k as a truncated vector (monomial tag)."""
+    """The monomial z^k = sqrt(k!) e_k as a truncated vector."""
     if not 0 <= k < dim:
         raise ValueError(f"index {k} outside truncation 0..{dim - 1}")
     c = np.zeros(dim, dtype=complex)
-    c[k] = 1.0
-    return FockVector(c, "monomial")
-
-
-def _factorial_weights(dim: int) -> np.ndarray:
-    exact = [float(math.factorial(k)) for k in range(min(dim, FACTORIAL_EXACT_MAX + 1))]
-    if dim <= FACTORIAL_EXACT_MAX + 1:
-        return np.array(exact)
-    rest = np.exp([math.lgamma(k + 1) for k in range(FACTORIAL_EXACT_MAX + 1, dim)])
-    return np.concatenate([exact, rest])
+    c[k] = sqrt_factorial(k)
+    return FockVector(c)
 
 
 def inner_product(f: FockVector, g: FockVector) -> complex:
-    """<f, g>, linear in f and conjugate-linear in g.
-
-    In the monomial convention this is sum_k f_k conj(g_k) k!, so e.g.
-    <z^2, z^2> = 2; same-tag monomial pairs use the factorial weights
-    directly, which keeps small-degree values exact.
-    """
+    """<f, g> = sum_k f_k conj(g_k), linear in f and conjugate-linear in g."""
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    if f.basis == "monomial" and g.basis == "monomial":
-        w = _factorial_weights(f.dim)
-        return complex(np.sum(f.coeffs * np.conj(g.coeffs) * w))
-    fc = f.to_normalized().coeffs
-    gc = g.to_normalized().coeffs
-    return complex(np.sum(fc * np.conj(gc)))
+    return complex(np.sum(f.coeffs * np.conj(g.coeffs)))
 
 
 def norm(f: FockVector) -> float:
-    if f.basis == "monomial":
-        return math.sqrt(max(inner_product(f, f).real, 0.0))
-    return float(np.linalg.norm(f.to_normalized().coeffs))
+    return float(np.linalg.norm(f.coeffs))
 
 
 def kernel_vector(z: complex, dim: int) -> FockVector:
     """Truncation of the reproducing kernel K_z(u) = exp(u * conj(z)).
 
-    Monomial coefficients conj(z)^k / k!; satisfies <f, K_z> = f(z) for
+    Normalized coefficients conj(z)^k / sqrt(k!), by the running ratio
+    c_k = c_{k-1} conj(z) / sqrt(k); satisfies <f, K_z> = f(z) for
     polynomials of degree < dim.
     """
-    return FockVector(exp_series(np.conj(complex(z)), dim), "monomial")
+    w = np.conj(complex(z))
+    c = np.empty(dim, dtype=complex)
+    c[0] = 1.0
+    for k in range(1, dim):
+        c[k] = c[k - 1] * w / math.sqrt(k)
+    return FockVector(c)
 
 
 def evaluate(f: FockVector, z: complex) -> complex:
-    """Pointwise value sum_k f_k z^k of the truncated series (Horner)."""
-    mono = f.to_monomial().coeffs
+    """Pointwise value sum_k c_k z^k / sqrt(k!) of the truncated series.
+
+    Each power z^k / sqrt(k!) is the one before times z / sqrt(k), so no
+    factorial is formed.
+    """
     acc = 0.0 + 0.0j
-    for c in mono[::-1]:
-        acc = acc * z + c
+    power = 1.0 + 0.0j
+    for k, c in enumerate(f.coeffs):
+        acc += c * power
+        power = power * z / math.sqrt(k + 1)
     return complex(acc)

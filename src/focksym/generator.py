@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .conjugation import check_matrix_c_symmetry, conjugation_matrix
-from .fock import FockVector, exp_series, monomial
+from .fock import FockVector, monomial, sqrt_factorial
 from .semigroup import (
     DilationFamily,
     SemigroupFamily,
@@ -35,7 +35,7 @@ from .semigroup import (
     semigroup_matrix,
 )
 from .serialize import complex_to_json
-from .wco import wco_matrix
+from .wco import WCOParams, wco_matrix
 
 __all__ = [
     "GeneratorMatrix",
@@ -128,7 +128,7 @@ def check_generator_fd(
     if scheme not in ("forward", "central"):
         raise ValueError(f"unknown scheme {scheme!r}")
     gen = generator_matrix(fam, dim)
-    v = monomial(k, dim).to_normalized().coeffs
+    v = monomial(k, dim).coeffs
     m = k + 1  # z^k needs only the leading k + 1 columns of W(h)
     target = gen.apply(v)
     errs = np.empty(len(FD_STEPS))
@@ -161,19 +161,17 @@ def point_spectrum_predicted(fam: SemigroupFamily, k_max: int) -> np.ndarray:
 
 
 def eigenfunction_coeffs(m: int, G: complex, beta: complex, dim: int) -> FockVector:
-    """Truncated (z - G)^m exp(beta z), the m-th dilation eigenfunction.
+    """Truncated (z - G)^m exp(beta z), the m-th dilation eigenfunction; m < dim.
 
-    Monomial coefficients c_n = sum_{j<=min(m,n)} binom(m,j) (-G)^(m-j)
-    beta^(n-j) / (n-j)!.
+    The operator with symbol (1, -G, 1, beta) sends z^m = sqrt(m!) e_m to this
+    function, so the vector is sqrt(m!) times column m of its ``wco_matrix``.
+    Row n of a column reads only rows n-1 and n of the one before, so a larger
+    dim extends the vector and keeps its leading coefficients bit for bit.
     """
-    if m < 0 or dim < 1:
-        raise ValueError("need m >= 0 and dim >= 1")
-    binom = np.array([math.comb(m, j) * (-G) ** (m - j) for j in range(m + 1)])
-    expo = exp_series(beta, dim)
-    coeffs = np.zeros(dim, dtype=complex)
-    for j in range(min(m, dim - 1) + 1):
-        coeffs[j:] += binom[j] * expo[: dim - j]
-    return FockVector(coeffs, "monomial")
+    if not 0 <= m < dim:
+        raise ValueError(f"need 0 <= m < dim, got m = {m}, dim = {dim}")
+    col = wco_matrix(WCOParams(1.0, -G, 1.0, beta), dim, m + 1)[:, m]
+    return FockVector(sqrt_factorial(m) * col)
 
 
 def eigen_residual(fam: DilationFamily, m: int, dim: int) -> float:
@@ -187,7 +185,7 @@ def eigen_residual(fam: DilationFamily, m: int, dim: int) -> float:
         raise EmptyPointSpectrum("eigenfunctions exist only for the dilation family")
     beta = fam.beta
     lam = fam.H - fam.ell * beta * fam.G + m * fam.ell
-    f = eigenfunction_coeffs(m, fam.G, beta, dim).to_normalized().coeffs
+    f = eigenfunction_coeffs(m, fam.G, beta, dim).coeffs
     gen = generator_matrix(fam, dim)
     resid = gen.apply(f) - lam * f
     return float(np.linalg.norm(resid) / np.linalg.norm(f))

@@ -314,7 +314,7 @@ def check_semigroup_law(
     W = {tau: semigroup_matrix(fam, tau, dim) for tau in taus}
 
     def residual(t: float, s: float, k: int) -> float:
-        v = monomial(k, dim).to_normalized().coeffs
+        v = monomial(k, dim).coeffs
         rhs = W[t + s] @ v
         denom = np.linalg.norm(rhs)
         if denom == 0:
@@ -401,7 +401,7 @@ def n_omega_estimate(fam: SemigroupFamily, x: FockVector, probe: GrowthProbe) ->
     and exceed ten times the grid minimum, or when the norm overflows.  The
     sup is reported at the earliest time whose value equals it up to rounding.
     """
-    vals = _growth_values(fam, [x.to_normalized().coeffs], probe.omega, probe.t_grid)
+    vals = _growth_values(fam, [x.coeffs], probe.omega, probe.t_grid)
     return _growth_report(vals[:, 0], probe.t_grid)
 
 
@@ -436,7 +436,7 @@ def laplace_resolvent(
         raise ValueError(f"need Re(lam) > omega, got {lam.real} <= {omega}")
     if not xs or len({x.dim for x in xs}) != 1:
         raise ValueError("need one or more vectors of one dim")
-    vecs = [x.to_normalized().coeffs for x in xs]
+    vecs = [x.coeffs for x in xs]
     T = 1.0
     for curve in _growth_values(fam, vecs, omega, GrowthProbe.t_grid).T:
         report = _growth_report(curve, GrowthProbe.t_grid)
@@ -458,4 +458,4 @@ def laplace_resolvent(
         return out
 
     acc = _refine_quadrature(integrand, 0.0, T, _LAPLACE_TOL, panels=8, max_refinements=9)
-    return [FockVector(acc[:, j], "normalized") for j in range(len(xs))]
+    return [FockVector(acc[:, j]) for j in range(len(xs))]

@@ -230,7 +230,7 @@ def exponential_bridge(fam: SemigroupFamily, times, n_monomials: int, dim: int) 
         expm_t = matrix_exponential(gen, t)
         W_t = semigroup_matrix(fam, t, dim, m)
         for k in range(m):
-            v = monomial(k, dim).to_normalized().coeffs
+            v = monomial(k, dim).coeffs
             worst = max(worst, float(np.linalg.norm((expm_t @ v - W_t @ v[:m])[:block])))
     return worst
 
@@ -269,8 +269,8 @@ def conjugation_checks(cfg: VerifyConfig) -> list[CheckRecord]:
             _record(cfg, f"conjugation.involution.b0.{i}", "C^2 = identity",
                     inv, tol)
         )
-        f = FockVector(vecs[0], "normalized")
-        g = FockVector(vecs[1], "normalized")
+        f = FockVector(vecs[0])
+        g = FockVector(vecs[1])
         iso = check_isometry(op, f, g)
         out.append(
             _record(cfg, f"conjugation.isometry.b0.{i}", "<Cf,Cg> = <g,f>",

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import FockVector, exp_series
+from .fock import FockVector, exp_series, sqrt_factorial
 from .serialize import complex_to_json
 
 __all__ = [
@@ -90,14 +90,15 @@ def wco_matrix(p: WCOParams, dim: int, ncols: int | None = None) -> np.ndarray:
 def apply_wco(p: WCOParams, f: FockVector) -> FockVector:
     """Apply the operator to a truncated vector by direct symbol composition.
 
-    Builds the monomial coefficients of psi * (f o phi) with a Horner scheme,
+    Builds the Taylor coefficients of psi * (f o phi) with a Horner scheme,
     avoiding the full matrix; exact (up to rounding) for polynomial input.
     """
-    mono = f.to_monomial().coeffs
     dim = f.dim
+    scale = np.array([sqrt_factorial(k) for k in range(dim)])
+    taylor = f.coeffs / scale
     # Horner over composed argument: g <- g*(Az+B) + c_k, in coefficient space
     g = np.zeros(dim, dtype=complex)
-    for c in mono[::-1]:
+    for c in taylor[::-1]:
         shifted = np.zeros(dim, dtype=complex)
         shifted[1:] = p.A * g[:-1]
         shifted += p.B * g
@@ -108,7 +109,7 @@ def apply_wco(p: WCOParams, f: FockVector) -> FockVector:
     for j in range(dim):
         if g[j] != 0:
             out[j:] += g[j] * expo[: dim - j]
-    return FockVector(p.C * out, "monomial").to_normalized()
+    return FockVector(p.C * out * scale)
 
 
 def compose_params(outer: WCOParams, inner: WCOParams) -> WCOParams:

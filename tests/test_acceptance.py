@@ -73,8 +73,8 @@ OFFSET = ConjugationParams(a=1.0, b=1j, c=math.exp(-0.5))
 
 def test_criterion_01_conjugation_involution_isometry():
     vecs = complex_normal_vectors(SEED, 2, 64)
-    f = FockVector(vecs[0] / np.linalg.norm(vecs[0]), "normalized")
-    g = FockVector(vecs[1] / np.linalg.norm(vecs[1]), "normalized")
+    f = FockVector(vecs[0] / np.linalg.norm(vecs[0]))
+    g = FockVector(vecs[1] / np.linalg.norm(vecs[1]))
     for p in B0_CONJUGATIONS:
         op = conjugation_matrix(p, 64)
         assert float(np.max(check_involution(op, 8))) <= 1e-12
@@ -149,7 +149,7 @@ def test_criterion_05_generator_finite_difference_and_exponential():
         E_t = matrix_exponential(Q, t)
         W_t = semigroup_matrix(fam, t, 64)
         for k in range(6):
-            v = monomial(k, 64).to_normalized().coeffs
+            v = monomial(k, 64).coeffs
             assert np.linalg.norm((E_t @ v - W_t @ v)[:20]) <= 1e-6
 
 
@@ -225,10 +225,10 @@ def test_criterion_10_resolvent_diagonal_and_identity():
     for k in range(5):
         e_k = monomial(k, 64)
         [J] = laplace_resolvent(fam, lam, [e_k], omega=0.0)
-        coeffs = J.to_normalized().coeffs
-        expected = e_k.to_normalized().coeffs / (lam + k)
+        coeffs = J.coeffs
+        expected = e_k.coeffs / (lam + k)
         assert np.linalg.norm(coeffs - expected) <= 1e-8
-        resid = (lam * np.eye(64) - Q) @ coeffs - e_k.to_normalized().coeffs
+        resid = (lam * np.eye(64) - Q) @ coeffs - e_k.coeffs
         assert np.linalg.norm(resid) <= 1e-6
 
 

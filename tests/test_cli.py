@@ -106,9 +106,11 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
     ("evolution", {"B": "bagchi", "kappa": 10**400}, "x", "params.kappa"),
     ("evolution", {"B": "bagchi", "s": -1e308, "t": 1e308}, "x", "params.t"),
     ("conjugation-check", {"a": 1.0, "c": math.exp(-0.5)}, "x", "params.c"),
+    ("spectrum", {"family": DILATION, "k_max": 16}, "x", "params.k_max"),
 ], ids=["rel_tol-zero", "omega-string", "omega-overflow", "A-overflow", "table-shapes", "stiff",
         "samples-zero", "name-separator", "verify-all-dim-one", "omega-huge-int", "A-huge-int",
-        "times-huge-int", "kappa-huge-int", "span-overflow", "conjugation-constraint"])
+        "times-huge-int", "kappa-huge-int", "span-overflow", "conjugation-constraint",
+        "k_max-at-dim"])
 def test_malformed_input_names_field_path(tmp_path, _outdir, capsys, kind, params, name, field):
     if kind is None:
         argv = ["verify-all", "--dim", "1"]
@@ -395,12 +397,22 @@ def work(monkeypatch):
     return counts
 
 
+def test_verify_all_runs_past_dim_241(tmp_path):
+    # from dim 242 the spectrum group's largest dim holds z^301, whose sqrt(301!)
+    # overflows a double; no coefficient forms it
+    out = tmp_path / "r.json"
+    assert main(["verify-all", "--dim", "256", "--seed", "7", "--out", str(out)]) == 0
+    statuses = [r["status"] for r in json.loads(out.read_text())["records"]]
+    assert "fail" not in statuses
+
+
 def test_verify_all_work_is_pinned(tmp_path, work):
     assert main(["verify-all", "--dim", "16", "--out", str(tmp_path / "r.json")]) == 0
     # evolution group: U(1, 0), U(1, 1), U(1, 0.5), U(0.5, 0) for the axioms,
     # U(1.5, 0) for the symmetry record, U(1, 0) and four U(1 + h, 1) for the
-    # adjoint slope; the laplace group's five vectors share one 65-point growth pass
-    assert work == {"evolve": 10, "wco_matrix": 1189}
+    # adjoint slope; the laplace group's five vectors share one 65-point growth pass;
+    # the spectrum group builds each eigenfunction (m < 6, three dims) as one column
+    assert work == {"evolve": 10, "wco_matrix": 1207}
 
 
 # --- spectrum front end -----------------------------------------------------------

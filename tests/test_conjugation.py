@@ -52,7 +52,7 @@ def test_standard_conjugation_matrix_is_identity():
 
 def test_standard_conjugation_conjugates_coefficients():
     op = conjugation_matrix(standard_conjugation(), 8)
-    f = FockVector(np.arange(8) * (1 + 2j), "normalized")
+    f = FockVector(np.arange(8) * (1 + 2j))
     out = op.apply(f)
     np.testing.assert_array_equal(out.coeffs, np.conj(f.coeffs))
 
@@ -98,8 +98,8 @@ def test_involution_monotone_in_truncation():
 def test_isometry_for_diagonal_conjugation():
     op = conjugation_matrix(ConjugationParams(cmath.exp(0.3j), 0.0, 1.0), 24)
     vecs = complex_normal_vectors(11, 2, 24)
-    f = FockVector(vecs[0], "normalized")
-    g = FockVector(vecs[1], "normalized")
+    f = FockVector(vecs[0])
+    g = FockVector(vecs[1])
     assert check_isometry(op, f, g) < 1e-13
 
 
@@ -108,8 +108,8 @@ def test_isometry_for_diagonal_conjugation():
 def test_apply_is_antilinear(alpha):
     op = conjugation_matrix(_offset_params(), 12)
     v = complex_normal_vectors(5, 1, 12)[0]
-    f = FockVector(v, "normalized")
-    scaled = FockVector(alpha * v, "normalized")
+    f = FockVector(v)
+    scaled = FockVector(alpha * v)
     lhs = op.apply(scaled).coeffs
     rhs = np.conj(alpha) * op.apply(f).coeffs
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
@@ -146,8 +146,8 @@ def test_involution_degree_bounds():
 def test_isometry_reverses_argument_order():
     # the defining identity is <Cf, Cg> = <g, f>, not <f, g>
     op = conjugation_matrix(standard_conjugation(), 6)
-    f = FockVector(np.array([1, 1j, 0, 0, 0, 0], dtype=complex), "normalized")
-    g = FockVector(np.array([0.5, -2j, 1, 0, 0, 0], dtype=complex), "normalized")
+    f = FockVector(np.array([1, 1j, 0, 0, 0, 0], dtype=complex))
+    g = FockVector(np.array([0.5, -2j, 1, 0, 0, 0], dtype=complex))
     cf, cg = op.apply(f), op.apply(g)
     assert inner_product(cf, cg) == pytest.approx(inner_product(g, f), rel=1e-14)
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,14 @@ from focksym.fock import (
 
 
 def test_monomial_inner_products_are_exact_factorials():
+    # z^k = sqrt(k!) e_k, so <z^k, z^k> = k! up to the rounding of sqrt(k!),
+    # measured at most one eps for k < 7
     for k in range(7):
         ek = monomial(k, 16)
+        assert ek.coeffs[k] == math.sqrt(math.factorial(k))
         val = inner_product(ek, ek)
-        assert val == complex(math.factorial(k))  # no float jitter allowed
+        assert val.imag == 0
+        assert val.real == pytest.approx(math.factorial(k), rel=np.finfo(float).eps)
 
 
 def test_monomials_are_orthogonal():
@@ -41,34 +46,37 @@ def test_normalized_basis_is_orthonormal():
             assert v == (1.0 if j == k else 0.0)
 
 
-def test_mixed_basis_tags_agree():
-    f = monomial(3, 12)
-    g = basis_vector(3, 12)
-    # z^3 = sqrt(3!) * e-hat_3, so <z^3, e-hat_3> = sqrt(6)
-    assert inner_product(f, g) == pytest.approx(math.sqrt(6), abs=1e-14)
-
-
-def test_basis_round_trip():
-    rng = np.random.default_rng(3)
-    c = rng.normal(size=9) + 1j * rng.normal(size=9)
-    f = FockVector(c, "monomial")
-    back = f.to_normalized().to_monomial()
-    np.testing.assert_allclose(back.coeffs, c, rtol=0, atol=1e-13)
-    assert back.basis == "monomial"
-
-
 def test_kernel_coefficients_small_case():
-    # coefficients of K_z are conj(z)^k / k!; at z = 1: 1, 1, 1/2
+    # normalized coefficients of K_z are conj(z)^k / sqrt(k!); at z = 1: 1, 1, 1/sqrt(2)
     kv = kernel_vector(1.0, 3)
-    np.testing.assert_array_equal(kv.to_monomial().coeffs, [1.0, 1.0, 0.5])
+    np.testing.assert_array_equal(kv.coeffs, [1.0, 1.0, 1 / math.sqrt(2)])
 
 
 def test_kernel_coefficients_complex_point():
     z = 1 + 1j
-    kv = kernel_vector(z, 6).to_monomial()
+    kv = kernel_vector(z, 6)
     for k in range(6):
-        expected = np.conj(z) ** k / math.factorial(k)
+        expected = np.conj(z) ** k / math.sqrt(math.factorial(k))
         assert kv.coeffs[k] == pytest.approx(expected, rel=1e-15)
+
+
+def test_kernel_vector_at_dim_400_matches_mpmath():
+    # entries fall to 1e-275 at n = 399; conj(w)^n / sqrt(n!) forms no factorial
+    dim = 400
+    for w in (1.5 + 2j, -3 + 0.5j, 5.0):
+        vec = kernel_vector(w, dim).coeffs
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.conj(mpmath.mpc(w)) ** n
+                                    / mpmath.sqrt(mpmath.factorial(n))) for n in range(dim)])
+        assert np.all(np.isfinite(vec))
+        # relative error per entry, measured at most 2.5e-15: n roundings of the ratio
+        assert np.max(np.abs(vec - ref) / np.abs(ref)) <= 3e-15, w
+
+
+def test_monomial_at_dim_400_is_one_coefficient():
+    vec = monomial(3, 400).coeffs
+    assert np.flatnonzero(vec).tolist() == [3]
+    assert vec[3] == float(mpmath.sqrt(6))
 
 
 def test_kernel_evaluation_reaches_e():
@@ -90,7 +98,7 @@ def test_kernel_reproduces_point_evaluation(coeffs, z):
     dim = 32
     padded = np.zeros(dim, dtype=complex)
     padded[: len(coeffs)] = coeffs
-    f = FockVector(padded, "monomial")
+    f = FockVector(padded)
     lhs = evaluate(f, z)
     rhs = inner_product(f, kernel_vector(z, dim))
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
@@ -100,8 +108,8 @@ def test_kernel_reproduces_point_evaluation(coeffs, z):
 @given(st.integers(0, 1_000_000), st.integers(0, 1_000_000))
 def test_inner_product_conjugate_symmetry(seed_a, seed_b):
     rng = np.random.default_rng((seed_a, seed_b))
-    f = FockVector(rng.normal(size=12) + 1j * rng.normal(size=12), "normalized")
-    g = FockVector(rng.normal(size=12) + 1j * rng.normal(size=12), "normalized")
+    f = FockVector(rng.normal(size=12) + 1j * rng.normal(size=12))
+    g = FockVector(rng.normal(size=12) + 1j * rng.normal(size=12))
     assert inner_product(f, g) == pytest.approx(
         np.conj(inner_product(g, f)), rel=1e-13, abs=1e-13
     )
@@ -111,9 +119,9 @@ def test_inner_product_conjugate_symmetry(seed_a, seed_b):
 @given(st.integers(0, 1_000_000))
 def test_norm_squared_is_self_inner_product(seed):
     rng = np.random.default_rng(seed)
-    f = FockVector(rng.normal(size=10) + 1j * rng.normal(size=10), "monomial")
+    f = FockVector(rng.normal(size=10) + 1j * rng.normal(size=10))
     ip = inner_product(f, f)
-    # imaginary residue is roundoff relative to the (factorially weighted) scale
+    # imaginary residue is roundoff relative to the scale
     assert abs(ip.imag) <= 1e-13 * max(ip.real, 1.0)
     assert norm(f) ** 2 == pytest.approx(ip.real, rel=1e-12)
     assert norm(f) >= 0
@@ -130,31 +138,6 @@ def test_sqrt_factorial_lgamma_regime():
     for k in (25, 40, 120):
         exact = math.sqrt(math.factorial(k))
         assert sqrt_factorial(k) == pytest.approx(exact, rel=1e-12)
-
-
-def test_sqrt_factorial_vectorized_matches_scalar():
-    ks = np.arange(30)
-    vec = sqrt_factorial(ks)
-    for k in ks:
-        assert vec[k] == sqrt_factorial(int(k))
-    # the cached table grows past the exact range; any shape indexes it
-    grid = np.array([[140, 3], [21, 20]])
-    assert sqrt_factorial(grid).tolist() == [[sqrt_factorial(int(k)) for k in row]
-                                             for row in grid]
-    assert sqrt_factorial(np.arange(0)).shape == (0,)
-    with pytest.raises(ValueError, match="negative"):
-        sqrt_factorial(np.array([2, -1]))
-
-
-def test_sqrt_factorial_array_is_a_fresh_copy():
-    first = sqrt_factorial(np.arange(8))
-    first[:] = 0.0
-    assert sqrt_factorial(np.arange(8))[7] == math.sqrt(math.factorial(7))
-
-
-def test_fock_vector_rejects_unknown_basis():
-    with pytest.raises(ValueError):
-        FockVector(np.ones(3, dtype=complex), "chebyshev")
 
 
 def test_basis_vector_bounds():

@@ -116,14 +116,38 @@ def test_triangular_case_matches_dense_eigenvalues():
 def test_eigenfunction_coefficients_low_order():
     beta = 0.7 - 0.2j
     f0 = eigenfunction_coeffs(0, 1.0, beta, 8).coeffs
+    # normalized coefficients: Taylor coefficients times sqrt(n!)
     for n in range(8):
-        assert f0[n] == pytest.approx(beta**n / math.factorial(n), rel=1e-14)
+        assert f0[n] == pytest.approx(beta**n / math.sqrt(math.factorial(n)), rel=1e-14)
     G = 0.5
     f1 = eigenfunction_coeffs(1, G, beta, 8).coeffs
     assert f1[0] == pytest.approx(-G, rel=1e-14)  # (z - G) e^{beta z} at z^0
     for n in range(1, 8):
-        expected = beta ** (n - 1) / math.factorial(n - 1) - G * beta**n / math.factorial(n)
-        assert f1[n] == pytest.approx(expected, rel=1e-13)
+        taylor = beta ** (n - 1) / math.factorial(n - 1) - G * beta**n / math.factorial(n)
+        assert f1[n] == pytest.approx(taylor * math.sqrt(math.factorial(n)), rel=1e-13)
+
+
+def test_eigenfunction_coefficients_at_dim_400_match_mpmath():
+    # sqrt(n!) overflows a double past n = 300, and no coefficient forms it:
+    # each is sqrt(n!) sum_j binom(m, j) (-G)^(m-j) beta^(n-j) / (n-j)!
+    dim = 400
+    for G, beta in ((0.5 - 1j, 2.5 + 1.5j), (-2 + 0.5j, -2 + 2j)):
+        for m in range(4):
+            vec = eigenfunction_coeffs(m, G, beta, dim).coeffs
+            with mpmath.workdps(30):
+                ref = np.array([complex(mpmath.sqrt(mpmath.factorial(n)) * mpmath.fsum(
+                    mpmath.binomial(m, j) * (-mpmath.mpc(G)) ** (m - j)
+                    * mpmath.mpc(beta) ** (n - j) / mpmath.factorial(n - j)
+                    for j in range(min(m, n) + 1))) for n in range(dim)])
+            assert np.all(np.isfinite(vec))
+            # relative error per entry, measured at most 3.2e-16 with an
+            # 80-bit longdouble
+            assert np.max(np.abs(vec - ref) / np.abs(ref)) <= 4e-16, (G, beta, m)
+
+
+def test_eigenfunction_needs_its_monomial_in_the_truncation():
+    with pytest.raises(ValueError, match="m < dim"):
+        eigenfunction_coeffs(8, 1.0, 0.5, 8)
 
 
 def test_eigen_residuals_small_and_monotone():
@@ -223,7 +247,7 @@ def test_growing_candidate_stays_with_doubling_branch():
 
 def _log_terms(vec):
     with np.errstate(divide="ignore"):
-        return 2 * np.log(np.abs(vec.to_normalized().coeffs))
+        return 2 * np.log(np.abs(vec.coeffs))
 
 
 @pytest.mark.parametrize("n_seq", [(4, 8, 16), (16, 32, 64)])

@@ -209,7 +209,7 @@ def _laplace_panel_loop(fam, lam, x):
     """The Laplace integral's own vector loop: 8 panels, at most 10 rules."""
     bound = max(n_omega_estimate(fam, x, GrowthProbe()).sup, 1e-30)
     T = max(math.log(bound / 1e-10) / lam.real, 1.0)
-    vec = x.to_normalized().coeffs
+    vec = x.coeffs
     m = semigroup._support_size(vec)
     x_gl, w_gl = np.polynomial.legendre.leggauss(10)
     panels, prev = 8, None
