@@ -16,13 +16,22 @@ d32 (oscillation with damping up to 0.3).  A segment costs at least about
 four steps (its first trial step is span/50 and grows at most fivefold per
 step), so dense sampling settles near four steps per sample.
 
+Two per-layer figures follow: the microseconds per attempted step of one
+unbroken span U(t, 0) of the constant model at each of ``STEP_DIMS`` (the
+fastest of ``REPEATS`` integrations), and the milliseconds ``write_csv``
+takes per 10^5 float cells (the fastest of ``REPEATS`` writes), timed on the
+rows of a dim-32 series (2049 cells a row).  Fix the BLAS threads
+(``OPENBLAS_NUM_THREADS=1``) when comparing.
+
 Usage:
     python scripts/propagator_cost.py --samples 2 21 201 1001 --t 5 --out cost.csv
 """
 
 import argparse
 import math
+import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -55,6 +64,9 @@ def constant_model(n: int, seed: int = 0) -> TimeDependentOperator:
     return constant_operator(-1j * (O * spectrum) @ O.T)
 
 
+STEP_DIMS = (1, 2, 3, 16, 32, 64)
+REPEATS = 10
+
 MODELS = {
     "bagchi-cosine": bagchi_cosine,
     "constant-d16": lambda: constant_model(16),
@@ -63,14 +75,16 @@ MODELS = {
 
 
 class _Values:
-    """One value of B(t); counts the products taken of it."""
+    """One value of B(t); counts the products taken of it by np.matmul."""
 
     def __init__(self, counts: "Counted", M: np.ndarray):
         self.counts, self.M = counts, M
 
-    def __matmul__(self, Y: np.ndarray) -> np.ndarray:
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is not np.matmul or method != "__call__":
+            return NotImplemented
         self.counts.products += 1
-        return self.M @ Y
+        return np.matmul(*(self.M if x is self else x for x in inputs), **kwargs)
 
 
 class Counted:
@@ -115,6 +129,33 @@ def measure(B: TimeDependentOperator, t: float, samples: int,
             counted.evals / per, counted.products / per)
 
 
+def us_per_step(n: int, t: float, rel_tol: float) -> tuple[int, float]:
+    """(attempted steps, fastest microseconds per attempted step) of U(t, 0)."""
+    B = constant_model(n)
+    best = math.inf
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        stats = evolve(B, 0.0, t, rel_tol).stats
+        best = min(best, time.perf_counter() - t0)
+    attempted = stats.steps + stats.rejected
+    return attempted, 1e6 * best / attempted
+
+
+def csv_ms_per_1e5_cells() -> float:
+    """Fastest ms per 10^5 cells of write_csv on 49 rows of 2049 floats."""
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((49, 2049)).tolist()
+    header = [f"c{j}" for j in range(2049)]
+    best = math.inf
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            write_csv(path, header, rows)
+            best = min(best, time.perf_counter() - t0)
+    return 1e3 * best * 1e5 / (49 * 2049)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, nargs="+", default=[2, 21, 201, 1001])
@@ -140,6 +181,14 @@ def main(argv=None) -> int:
                   f"{evals:>12.2f}  {products:>13.2f}  "
                   f"{span:>8}  {wall:>8.3f}  {err:>9.2e}")
             rows.append((name, samples, steps, evals, products, span, wall, err))
+
+    print(f"\none span of the constant model to t = {args.t:g}, "
+          f"fastest of {REPEATS}")
+    print(f"{'dim':>5}  {'attempted':>9}  {'us/step':>8}")
+    for n in STEP_DIMS:
+        attempted, us = us_per_step(n, args.t, args.rel_tol)
+        print(f"{n:>5}  {attempted:>9}  {us:>8.1f}")
+    print(f"\nwrite_csv: {csv_ms_per_1e5_cells():.2f} ms per 10^5 float cells")
 
     if args.out:
         write_csv(args.out, ["model", "samples", "rk_steps", "evals_per_step",

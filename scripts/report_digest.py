@@ -2,30 +2,49 @@
 """SHA-256 of every report in a fixed set of CLI runs, wall time left out.
 
 The set covers `verify-all --seed 7` at dims 8, 16, 32 and 64, every scenario
-kind at dims 16 and 32 (standard and offset conjugations alike), and one
-`evolve` CSV.  Each printed line is the run's label, its exit code and the
-digest of its report with the value of ``wall_time_s`` replaced by null; no
-other byte is touched.  Two source trees produce identical reports exactly
-when their outputs are identical, so a change meant to keep every report
-byte-identical is checked by a diff:
+kind at dims 16 and 32 (standard and offset conjugations alike), one `evolve`
+CSV, a dim-16 constant-model `evolution` CSV and a records CSV of
+`conjugation-check`, whose anchors hold commas: 31 runs, which between them
+take both paths of the CSV writer.  Each printed line is the run's label, its
+exit code and the digest of its report with the value of ``wall_time_s``
+replaced by null; no other byte is touched.  Two source trees produce
+identical reports exactly when their outputs are identical, so a change meant
+to keep every report byte-identical is checked by a diff:
 
     PYTHONPATH=src python scripts/report_digest.py > after.txt
     PYTHONPATH=<other checkout>/src python scripts/report_digest.py > before.txt
     diff before.txt after.txt
+
+To see which records moved, keep each tree's reports in a directory and
+compare the two directories:
+
+    PYTHONPATH=<other checkout>/src python scripts/report_digest.py --keep before
+    PYTHONPATH=src python scripts/report_digest.py --keep after
+    PYTHONPATH=src python scripts/report_digest.py --compare before after
+
+The comparison prints one line per moved record: the report, the check id
+(for a series CSV, the row's first cell and the column), the old value and
+the new value, and ``outside`` where the two differ beyond the golden
+tolerance of ``tests/test_reports_golden.py`` (its ``mismatches``), with the
+status if that moved too.
 """
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import math
 import os
 import re
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 from focksym.cli import main as focksym_main
+from propagator_cost import constant_model
 
 STD = {"a": [1.0, 0.0], "b": [0.0, 0.0], "c": [1.0, 0.0]}
 ROTATED = {"a": [math.cos(0.7), math.sin(0.7)], "c": [0.0, 1.0]}
@@ -58,7 +77,29 @@ SCENARIOS = {
     "full-verify": ("full-verify", {"seed": 11}, "json"),
 }
 
+
+def _constant_d16() -> list:
+    """The dim-16 constant model of ``propagator_cost.py`` as JSON pairs."""
+    return [[[z.real, z.imag] for z in row] for row in constant_model(16).eval(0.0).tolist()]
+
+
+# label -> (kind, params, dim, output format), each run once
+SINGLE_RUNS = {
+    "evolution-constant-d16": ("evolution", {"B": "constant", "matrix": _constant_d16(),
+                                             "t": 2.0, "samples": 9}, 16, "csv"),
+    "conjugation-records-d16": ("conjugation-check", OFFSET, 16, "csv"),
+}
+
 WALL_TIME = re.compile(rb'("wall_time_s": )[^,\n}]+')
+
+
+def _scenario_run(workdir: Path, name: str, kind: str, params: dict, dim: int, fmt: str):
+    out = workdir / f"{name}.{fmt}"
+    scenario = workdir / f"{name}-scenario.json"
+    scenario.write_text(json.dumps({
+        "name": name, "kind": kind, "params": params, "truncation": {"dim": dim},
+        "output": {"format": fmt, "path": str(out)}}))
+    return name, ["run", str(scenario), "--seed", "5"], out
 
 
 def _runs(workdir: Path):
@@ -69,16 +110,12 @@ def _runs(workdir: Path):
                ["verify-all", "--dim", str(dim), "--seed", "7", "--out", str(out)], out)
     for label, (kind, params, fmt) in SCENARIOS.items():
         for dim in (16, 32):
-            name = f"{label}-d{dim}"
-            out = workdir / f"{name}.{fmt}"
-            scenario = workdir / f"{name}-scenario.json"
-            scenario.write_text(json.dumps({
-                "name": name, "kind": kind, "params": params, "truncation": {"dim": dim},
-                "output": {"format": fmt, "path": str(out)}}))
-            yield name, ["run", str(scenario), "--seed", "5"], out
+            yield _scenario_run(workdir, f"{label}-d{dim}", kind, params, dim, fmt)
     out = workdir / "evolve.csv"
     yield ("evolve", ["evolve", "--kappa", "0.4", "--lam", "0.8", "--t", "2",
                       "--samples", "9", "--out", str(out)], out)
+    for label, (kind, params, dim, fmt) in SINGLE_RUNS.items():
+        yield _scenario_run(workdir, label, kind, params, dim, fmt)
 
 
 def digest(path: Path) -> str:
@@ -88,15 +125,119 @@ def digest(path: Path) -> str:
     return hashlib.sha256(WALL_TIME.sub(rb"\1null", path.read_bytes())).hexdigest()
 
 
-def main() -> int:
+def _same(a, b) -> bool:
+    """Equal to the byte as JSON, so that NaN equals NaN."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _relative_move(old: str, new: str) -> float:
+    """|new - old| / |old| of two numeric cells; inf for any other pair."""
+    try:
+        o, n = float(old), float(new)
+    except ValueError:
+        return math.inf
+    return abs(n - o) / abs(o) if o else math.inf
+
+
+def _moved_records(old_path: Path, new_path: Path):
+    """(check id, old value, new value, outside tolerance, status move) per moved record."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from test_reports_golden import mismatches
+    if old_path.suffix == ".json":
+        old, new = json.loads(old_path.read_text()), json.loads(new_path.read_text())
+        rest = [k for k in sorted(set(old) | set(new)) if k != "records"]
+        for k in rest:
+            if mismatches(new.get(k), old.get(k)):
+                yield k, old.get(k), new.get(k), True, ""
+        old_recs, new_recs = old.get("records", []), new.get("records", [])
+        if len(old_recs) != len(new_recs):
+            yield "records", f"{len(old_recs)} records", f"{len(new_recs)} records", True, ""
+        for o, n in zip(old_recs, new_recs):
+            if not _same(o, n):
+                status = "" if o["status"] == n["status"] else f"{o['status']} -> {n['status']}"
+                yield (n["check_id"], o["measured"], n["measured"],
+                       bool(mismatches(n, o)), status)
+        return
+    with old_path.open(newline="") as fh:
+        old = list(csv.reader(fh))
+    with new_path.open(newline="") as fh:
+        new = list(csv.reader(fh))
+    if len(old) != len(new) or old[:1] != new[:1]:
+        yield "header or rows", f"{len(old)} rows", f"{len(new)} rows", True, ""
+        return
+    header = old[0]
+    for o, n in zip(old[1:], new[1:]):
+        if o == n:
+            continue
+        if len(o) != len(n):
+            yield (f"{header[0]}={n[0]} (row length)", f"{len(o)} cells",
+                   f"{len(n)} cells", True, "")
+            continue
+        outside = bool(mismatches(n, o, key="csv"))
+        if header[0] == "check_id":  # a records CSV
+            m, st = header.index("measured"), header.index("status")
+            yield (n[0], o[m], n[m], outside,
+                   "" if o[st] == n[st] else f"{o[st]} -> {n[st]}")
+            continue
+        # a series row: its largest relative move stands for the row
+        moved = [(_relative_move(oc, nc), j) for j, (oc, nc) in enumerate(zip(o, n))
+                 if oc != nc]
+        _, j = max(moved)
+        yield (f"{header[0]}={n[0]} ({len(moved)} cells; largest {header[j]})",
+               o[j], n[j], outside, "")
+
+
+def compare(old_dir: Path, new_dir: Path) -> int:
+    """Print every moved record of the reports kept in two directories."""
+    moved = 0
+    for old_path in sorted(old_dir.iterdir()):
+        new_path = new_dir / old_path.name
+        report = old_path.stem
+        if not new_path.exists():
+            print(f"{report:28s} missing in {new_dir}")
+            moved += 1
+            continue
+        if digest(old_path) == digest(new_path):
+            continue
+        for check_id, old, new, outside, status in _moved_records(old_path, new_path):
+            flag = "outside" if outside else "within"
+            print(f"{report:28s} {check_id}  {old!r} -> {new!r}  {flag}  {status}".rstrip())
+            moved += 1
+    for new_path in sorted(new_dir.iterdir()):
+        if not (old_dir / new_path.name).exists():
+            print(f"{new_path.stem:28s} missing in {old_dir}")
+            moved += 1
+    print(f"{moved} moved")
+    return 0
+
+
+def run_set(keep: Path | None) -> None:
+    """Run the set and print one digest line per run; keep the reports in ``keep``."""
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         os.environ["FOCKSYM_OUTPUT_DIR"] = str(workdir / "default-out")
+        if keep is not None:
+            keep.mkdir(parents=True, exist_ok=True)
         for label, argv, out in _runs(workdir):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 rc = focksym_main(argv)
             print(f"{label:28s} exit {rc}  {digest(out)}")
+            if keep is not None and out.exists():
+                shutil.copyfile(out, keep / out.name)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--keep", type=Path, metavar="DIR",
+                      help="also keep every report in DIR")
+    mode.add_argument("--compare", type=Path, nargs=2, metavar=("OLD", "NEW"),
+                      help="list the moved records of two kept directories")
+    args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    run_set(args.keep)
     return 0
 
 

@@ -605,8 +605,8 @@ def _run_evolution(spec: EvolutionSpec, cfg: VerifyConfig):
         for j in range(B.dim):
             header += [f"U{i}{j}_re", f"U{i}{j}_im"]
     # a complex matrix viewed as float64 interleaves re and im, as the header does
-    rows = [header] + [[float(tk), *U.view(np.float64).ravel().tolist()]
-                       for tk, U in zip(times, series)]
+    entries = np.array(series).reshape(len(times), -1).view(np.float64)
+    rows = [header] + np.column_stack((times, entries)).tolist()
     payload = {"evolution": spec.meta, "s": s, "t": t, "rel_tol": rel_tol}
     return records, payload, rows
 

@@ -10,9 +10,12 @@ fifth-order weights, so stage 7's argument is the new solution U5, and an
 accepted step's B(x + h) U5 is the next step's stage 1.  A rejected step
 leaves x and U alone, so its stage 1 is kept too.  Stages 6 and 7 share the
 time x + h, so B is evaluated there once.  An attempted step thus costs five
-evaluations of B and six matrix products.  Every sum is formed term by term
-in tableau order, so the propagator equals that of the plain seven-stage
-loop bit for bit.
+evaluations of B and six matrix products.  The seven stages share one
+buffer, viewed as one real row per stage, and every weighted sum (each stage
+argument, the fifth-order solution and the error estimate) is U plus one real
+row-vector times matrix product of an h-scaled tableau row with those rows.
+These sums round differently from adding the terms one by one in tableau
+order, by about 1e-14 relative at most on the test models.
 
 Checks cover the evolution-family axioms, the adjoint family's derivative
 identity and the commutation relation B(s) J = J conj(B(s))  (written here as
@@ -117,37 +120,17 @@ _ERROR_WEIGHTS = (
     -1 / 40,
 )
 
+# Rows 0-6 are the coupling rows padded to seven columns (row 6 is the
+# fifth-order weights, since the pair is first same as last), row 7 the
+# error weights.  Row i's first i entries weigh the stages of sum i.
+_TABLEAU = np.array([row + (0.0,) * (7 - len(row)) for row in _COUPLING]
+                    + [_ERROR_WEIGHTS])
+_U5_ROW, _ERROR_ROW = 6, 7
+
 _MIN_STEP_FACTOR = 1e-13
 _MAX_GROWTH = 5.0
 _MIN_SHRINK = 0.2
 _SAFETY = 0.9
-
-
-def _terms(row: Sequence[float]) -> tuple[tuple[int, float], ...]:
-    """The nonzero (stage, coefficient) pairs of a tableau row, in order."""
-    return tuple((j, c) for j, c in enumerate(row) if c)
-
-
-# Row 7 of the coupling equals the fifth-order weights, so stage 7's argument
-# is the fifth-order solution itself, and stages 6 and 7 share the time x + h.
-_STAGE_TERMS = tuple(_terms(row) for row in _COUPLING[:6])
-_U5_TERMS = _terms(_WEIGHTS5)
-_ERROR_TERMS = _terms(_ERROR_WEIGHTS)
-
-
-def _combine(
-    Y: np.ndarray | None, h: float, terms: tuple[tuple[int, float], ...],
-    stages: list[np.ndarray],
-) -> np.ndarray:
-    """Y + sum of (h c) k_j over the terms, added one by one in tableau order.
-
-    With Y None the sum starts from its first term.
-    """
-    (j, c), *rest = terms
-    Y = (h * c) * stages[j] if Y is None else Y + (h * c) * stages[j]
-    for j, c in rest:
-        Y += (h * c) * stages[j]
-    return Y
 
 
 def _integrate_matrix(
@@ -165,19 +148,28 @@ def _integrate_matrix(
     max_err = 0.0
     direction = 1.0 if span > 0 else -1.0
     U_max = 1.0  # max|U|, carried over from the accepted step's max|U5|
-    k1 = B(x + _STAGE_TIMES[0] * h) @ U  # later steps take it from stage 7
+    # the seven stages, and the same memory as real rows, one per stage: a
+    # complex matrix viewed as float64 interleaves re and im, so a weighted
+    # sum of stages is one real row-vector times matrix product
+    K = np.empty((7, dim, dim), dtype=complex)
+    K_rows = K.reshape(7, -1).view(np.float64)
+    np.matmul(B(x), U, out=K[0])  # later steps take stage 1 from stage 7
+
+    def stage_sum(i: int) -> np.ndarray:
+        """U + sum_j (h T[i, j]) k_j over the first i stages, as a matrix."""
+        return (U_row + hT[i, :i] @ K_rows[:i]).view(complex).reshape(dim, dim)
+
     while (t1 - x) * direction > 0:
         if (x + h - t1) * direction > 0:
             h = t1 - x
-        stages = [k1]
-        for i in range(1, 5):
-            Y = _combine(U, h, _STAGE_TERMS[i], stages)
-            stages.append(B(x + _STAGE_TIMES[i] * h) @ Y)
-        B_end = B(x + h)  # stages 6 and 7 both sit at x + h
-        stages.append(B_end @ _combine(U, h, _STAGE_TERMS[5], stages))
-        U5 = _combine(U, h, _U5_TERMS, stages)
-        stages.append(B_end @ U5)
-        err = _combine(None, h, _ERROR_TERMS, stages)
+        hT = h * _TABLEAU
+        U_row = U.reshape(-1).view(np.float64)
+        for i in range(1, 6):
+            B_i = B(x + _STAGE_TIMES[i] * h)
+            np.matmul(B_i, stage_sum(i), out=K[i])
+        U5 = stage_sum(_U5_ROW)
+        np.matmul(B_i, U5, out=K[6])  # stages 6 and 7 share the time x + h
+        err = (hT[_ERROR_ROW] @ K_rows).view(complex)
         U5_max = float(abs(U5).max())
         scale = max(U5_max, U_max, 1.0)
         local = float(abs(err).max()) / scale
@@ -185,7 +177,8 @@ def _integrate_matrix(
         finite = math.isfinite(local)
         if finite and local <= budget:
             x += h
-            U, U_max, k1 = U5, U5_max, stages[6]
+            U, U_max = U5, U5_max
+            K[0] = K[6]
             steps += 1
             max_err = max(max_err, local)
         else:

@@ -3,7 +3,8 @@
 Complex scalars travel as two-element [re, im] arrays.  CSV cells use Python's
 shortest round-trip float formatting (repr), so files reload losslessly; the
 stdlib ``csv`` writer quotes a cell that holds a comma or a quote, so every
-row has as many cells as the header.
+row has as many cells as the header.  A row of floats alone is joined
+directly, with the bytes the writer would give it.
 File writes are atomic: content goes to a temp file in the target directory
 which is then renamed over the destination.
 """
@@ -82,6 +83,14 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    # the writer formats a Python float by str, which equals repr in Python 3
-    writer.writerows([v if type(v) is float else _cell(v) for v in row] for row in rows)
+    for row in rows:
+        # float.__repr__ raises TypeError on the first cell that is not a float
+        # and gives a float subclass (np.float64) the repr of _cell; a float's
+        # repr holds no comma, quote or newline, so the writer would not quote it
+        try:
+            line = ",".join(map(float.__repr__, row))
+        except TypeError:
+            writer.writerow([_cell(v) for v in row])
+        else:
+            buf.write(line + "\n")
     atomic_write_text(path, buf.getvalue())

@@ -336,11 +336,19 @@ def test_adjoint_family_integrates_u_once(monkeypatch):
 
 # --- the step loop, bit for bit ----------------------------------------------------
 
-def _reference_integrate(B, t0, t1, rel_tol):
+def _reference_integrate(B, t0, t1, rel_tol, sums="rows"):
     """The Dormand-Prince loop before stage reuse: seven evaluations of B and
-    seven products per attempted step, every sum formed from scratch."""
+    seven products per attempted step, every sum formed from scratch.
+
+    With ``sums="rows"`` each sum is U plus one real row-vector times matrix
+    product of the h-scaled tableau row and the stages viewed as real rows,
+    the arithmetic of :func:`_integrate_matrix`.  With ``sums="terms"`` each
+    sum adds its (h c) k_j one by one in tableau order, as the loop did
+    before the row products.
+    """
     ev = evolution
-    U = np.eye(B.dim, dtype=complex)
+    dim = B.dim
+    U = np.eye(dim, dtype=complex)
     if t1 == t0:
         return U, IntegratorStats(steps=0, rejected=0, max_local_error=0.0)
     span = t1 - t0
@@ -350,24 +358,28 @@ def _reference_integrate(B, t0, t1, rel_tol):
     steps = rejected = 0
     max_err = 0.0
     direction = 1.0 if span > 0 else -1.0
+
+    def weighted(Y, row, stages):
+        if sums == "terms":
+            for j, c in enumerate(row):
+                if c:
+                    Y = Y + (h * c) * stages[j]
+            return Y
+        K_rows = np.array(stages).reshape(len(stages), -1).view(np.float64)
+        S = (h * np.array(row)) @ K_rows
+        return (S if Y is None else Y.reshape(-1).view(np.float64) + S).view(
+            complex).reshape(dim, dim)
+
     while (t1 - x) * direction > 0:
         if (x + h - t1) * direction > 0:
             h = t1 - x
         stages = []
         for i in range(7):
-            Y = U
-            for j, c in enumerate(ev._COUPLING[i]):
-                if c:
-                    Y = Y + (h * c) * stages[j]
+            Y = weighted(U, ev._COUPLING[i], stages) if i else U
             stages.append(B(x + ev._STAGE_TIMES[i] * h) @ Y)
-        U5 = U
-        for i, w in enumerate(ev._WEIGHTS5):
-            if w:
-                U5 = U5 + (h * w) * stages[i]
-        err = np.zeros_like(U)
-        for i, w in enumerate(ev._ERROR_WEIGHTS):
-            if w:
-                err = err + (h * w) * stages[i]
+        U5 = weighted(U, ev._WEIGHTS5[:6], stages[:6])
+        zero = np.zeros_like(U) if sums == "terms" else None
+        err = weighted(zero, ev._ERROR_WEIGHTS, stages)
         scale = max(float(np.max(np.abs(U5))), float(np.max(np.abs(U))), 1.0)
         local = float(np.max(np.abs(err))) / scale
         budget = rel_tol * abs(h)
@@ -446,6 +458,21 @@ def test_step_loop_matches_reference_bit_for_bit(make, t0, t1, rel_tol):
     assert calls[0] == 1 + 5 * (stats.steps + stats.rejected)
 
 
+@pytest.mark.parametrize("make, t0, t1, rel_tol, same_steps", [
+    (_bagchi_cosine, 0.0, 5.0, 1e-10, True),
+    (_constant_d16, 0.0, 2.0, 1e-10, True),
+    # at the kinks, rounding-level differences flip accept/reject decisions
+    (_kinked_table, 0.0, 3.0, 1e-10, False),
+    (_bagchi_cosine, 4.0, -1.0, 1e-9, True),
+], ids=["bagchi-cosine", "constant-d16", "kinked-table", "backward"])
+def test_step_loop_matches_per_term_sums(make, t0, t1, rel_tol, same_steps):
+    U, stats = _integrate_matrix(make(), t0, t1, rel_tol)
+    U_ref, stats_ref = _reference_integrate(make(), t0, t1, rel_tol, sums="terms")
+    assert np.max(np.abs(U - U_ref)) <= 1e-12 * np.max(np.abs(U_ref))
+    if same_steps:
+        assert (stats.steps, stats.rejected) == (stats_ref.steps, stats_ref.rejected)
+
+
 def test_kinked_table_forces_rejections():
     _, stats = _integrate_matrix(_kinked_table(), 0.0, 3.0, 1e-10)
     assert stats.rejected > 0
@@ -455,6 +482,8 @@ def test_last_stage_is_the_fifth_order_solution():
     assert evolution._COUPLING[6] == evolution._WEIGHTS5[:6]
     assert evolution._WEIGHTS5[6] == 0.0
     assert evolution._STAGE_TIMES[5] == evolution._STAGE_TIMES[6] == 1.0
+    assert evolution._TABLEAU[evolution._U5_ROW].tolist() == list(evolution._WEIGHTS5)
+    assert evolution._TABLEAU[evolution._ERROR_ROW].tolist() == list(evolution._ERROR_WEIGHTS)
 
 
 def test_stiff_generator_raises_the_reference_error():

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -6,6 +8,7 @@ import pytest
 
 from focksym.serialize import (
     OUTPUT_DIR_ENV,
+    _cell,
     atomic_write_text,
     complex_from_json,
     complex_to_json,
@@ -79,3 +82,25 @@ def test_output_dir_env(monkeypatch, tmp_path):
     assert default_output_dir() == str(tmp_path)
     monkeypatch.delenv(OUTPUT_DIR_ENV)
     assert default_output_dir() == "out"
+
+
+def test_csv_rows_match_the_stdlib_writer_byte_for_byte(tmp_path):
+    # all-float rows take the joined-repr path, every other row the csv writer
+    floats = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, 1 / 3]
+    rows = [
+        floats,
+        [np.float64(v) for v in floats],
+        [1, 2.5, np.float64(0.1), 1 + 2j, -0.5 - 0.0j],
+        ["a,b", 'say "hi"', "two\nlines", "", 0.25],
+        [""],
+        [],
+        np.random.default_rng(0).standard_normal(2049).tolist(),
+    ]
+    header = ["h,1", "h2"]
+    path = tmp_path / "rows.csv"
+    write_csv(str(path), header, rows)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    assert path.read_bytes() == want.getvalue().encode()
