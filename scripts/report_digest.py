@@ -26,7 +26,9 @@ The comparison prints one line per moved record: the report, the check id
 (for a series CSV, the row's first cell and the column), the old value and
 the new value, and ``outside`` where the two differ beyond the golden
 tolerance of ``tests/test_reports_golden.py`` (its ``mismatches``), with the
-status if that moved too.
+status if that moved too.  JSON records are paired by check id, so a renamed
+id reads as one ``removed`` line (old id, old value) and one ``added`` line
+(new id, new value), and no other record is misaligned by it.
 """
 
 import argparse
@@ -139,6 +141,20 @@ def _relative_move(old: str, new: str) -> float:
     return abs(n - o) / abs(o) if o else math.inf
 
 
+def _by_id(old: dict, new: dict, value, status, outside):
+    """Moves of records paired by check id: changed, removed or added."""
+    for check_id, o in old.items():
+        n = new.get(check_id)
+        if n is None:
+            yield check_id, value(o), None, True, "removed"
+        elif not _same(o, n):
+            moved = "" if status(o) == status(n) else f"{status(o)} -> {status(n)}"
+            yield check_id, value(o), value(n), outside(o, n), moved
+    for check_id, n in new.items():
+        if check_id not in old:
+            yield check_id, None, value(n), True, "added"
+
+
 def _moved_records(old_path: Path, new_path: Path):
     """(check id, old value, new value, outside tolerance, status move) per moved record."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -149,23 +165,29 @@ def _moved_records(old_path: Path, new_path: Path):
         for k in rest:
             if mismatches(new.get(k), old.get(k)):
                 yield k, old.get(k), new.get(k), True, ""
-        old_recs, new_recs = old.get("records", []), new.get("records", [])
-        if len(old_recs) != len(new_recs):
-            yield "records", f"{len(old_recs)} records", f"{len(new_recs)} records", True, ""
-        for o, n in zip(old_recs, new_recs):
-            if not _same(o, n):
-                status = "" if o["status"] == n["status"] else f"{o['status']} -> {n['status']}"
-                yield (n["check_id"], o["measured"], n["measured"],
-                       bool(mismatches(n, o)), status)
+        yield from _by_id({r["check_id"]: r for r in old.get("records", [])},
+                          {r["check_id"]: r for r in new.get("records", [])},
+                          lambda r: r["measured"], lambda r: r["status"],
+                          lambda o, n: bool(mismatches(n, o)))
         return
     with old_path.open(newline="") as fh:
         old = list(csv.reader(fh))
     with new_path.open(newline="") as fh:
         new = list(csv.reader(fh))
-    if len(old) != len(new) or old[:1] != new[:1]:
-        yield "header or rows", f"{len(old)} rows", f"{len(new)} rows", True, ""
+    header = new[0]
+    if header[0] == "check_id":  # a records CSV
+        m, st = header.index("measured"), header.index("status")
+        yield from _by_id({r[0]: r for r in old[1:]}, {r[0]: r for r in new[1:]},
+                          lambda r: r[m], lambda r: r[st],
+                          lambda o, n: bool(mismatches(n, o, key="csv")))
         return
-    header = old[0]
+    if old[0] != header:
+        renamed = [(o, n) for o, n in zip(old[0], header) if o != n]
+        first = renamed[0] if renamed else (f"{len(old[0])} names", f"{len(header)} names")
+        yield "header", *first, True, f"{len(renamed)} of {len(header)} names renamed"
+    if len(old) != len(new) or len(old[0]) != len(header):
+        yield "rows", f"{len(old)} rows", f"{len(new)} rows", True, ""
+        return
     for o, n in zip(old[1:], new[1:]):
         if o == n:
             continue
@@ -173,18 +195,12 @@ def _moved_records(old_path: Path, new_path: Path):
             yield (f"{header[0]}={n[0]} (row length)", f"{len(o)} cells",
                    f"{len(n)} cells", True, "")
             continue
-        outside = bool(mismatches(n, o, key="csv"))
-        if header[0] == "check_id":  # a records CSV
-            m, st = header.index("measured"), header.index("status")
-            yield (n[0], o[m], n[m], outside,
-                   "" if o[st] == n[st] else f"{o[st]} -> {n[st]}")
-            continue
         # a series row: its largest relative move stands for the row
         moved = [(_relative_move(oc, nc), j) for j, (oc, nc) in enumerate(zip(o, n))
                  if oc != nc]
         _, j = max(moved)
         yield (f"{header[0]}={n[0]} ({len(moved)} cells; largest {header[j]})",
-               o[j], n[j], outside, "")
+               o[j], n[j], bool(mismatches(n, o, key="csv")), "")
 
 
 def compare(old_dir: Path, new_dir: Path) -> int:

@@ -8,7 +8,12 @@ Subcommands
     evolve    [model flags]           propagator time series as CSV
 
 Each scenario kind has one parser, which both ``validate`` and ``run`` use,
-and one runner; the laws are measured by :mod:`focksym.verification`.
+and one runner.  A runner applies to its parsed spec the record makers of
+:mod:`focksym.verification`, one per law, that ``verify-all`` runs over its
+fixtures, so both judge a case with the same ids, grids and tolerances; it
+adds only its kind's info records, report payload and CSV rows.  Runners
+judge strictly: the below-64 ``warn`` downgrade applies to ``verify-all``
+and the ``full-verify`` kind only.
 
 Exit codes: 0 every record passed (warn/info allowed), 1 input error,
 2 at least one failed check.  Complex scalars in JSON are [re, im] pairs.
@@ -31,7 +36,6 @@ import numpy as np
 from .conjugation import (
     ConjugationParams,
     ConstraintViolation,
-    check_isometry,
     check_matrix_c_symmetry,
     conjugation_matrix,
 )
@@ -40,24 +44,17 @@ from .evolution import (
     StiffnessError,
     TimeDependentOperator,
     bagchi_hamiltonian,
-    check_evolution_axioms,
     constant_operator,
     evolution_series,
     evolve,
 )
-from .fock import DEFAULT_TOLERANCES, FockVector, monomial
-from .generator import (
-    check_empty_point_spectrum,
-    check_stone_adjoint_relation,
-    spectrum_report,
-)
-from .rng import complex_normal_vectors
+from .fock import DEFAULT_TOLERANCES, monomial
+from .generator import spectrum_report
 from .semigroup import (
     DilationFamily,
     GrowthProbe,
     SemigroupFamily,
     TranslationFamily,
-    check_semigroup_law,
     family_is_bounded,
     n_omega_estimate,
 )
@@ -69,20 +66,24 @@ from .serialize import (
     write_json_report,
 )
 from .verification import (
-    FLOW_GRID,
     MAX_COMPLEX_ENTRIES,
     SUITE_MIN_DIM,
     CheckRecord,
     VerifyConfig,
     _info,
     _record,
-    exponential_bridge,
+    conjugation_records,
+    divergence_certificate,
+    divergence_records,
+    evolution_axiom_records,
+    exponential_bridge_records,
     fd_slope_records,
-    flow_cocycle_deviation,
-    involution_decay_record,
-    involution_residual,
+    flow_cocycle_records,
+    isometry_residual,
     run_all,
-    scaling_deviation,
+    scaling_solver_records,
+    semigroup_law_records,
+    stone_symmetry_records,
 )
 from .wco import WCOParams, is_bounded, is_c_selfadjoint_symbols, wco_matrix
 
@@ -455,28 +456,11 @@ def _parse_full_verify(params: dict, cfg: VerifyConfig) -> int | None:
 # scenario runners: each returns (records, extra report payload, csv rows)
 
 def _run_conjugation(p: ConjugationParams, cfg: VerifyConfig):
-    dim = cfg.dim
-    op = conjugation_matrix(p, dim)
-    inv = involution_residual(op, min(8, dim - 1))
-    vecs = complex_normal_vectors(cfg.seed, 2, dim)
-    iso = check_isometry(op, FockVector(vecs[0]), FockVector(vecs[1]))
-    if p.b == 0:
-        records = [
-            _record(cfg, "conjugation.involution", "C^2 = identity",
-                    inv, cfg.tol("involution_exact")),
-            _record(cfg, "conjugation.isometry", "<Cf,Cg> = <g,f>",
-                    iso, cfg.tol("isometry_exact")),
-        ]
-    else:
-        # truncation-limited: report the residual and its decay, judge the decay
-        inv_half = involution_residual(conjugation_matrix(p, dim // 2), min(8, dim // 2 - 1))
-        records = [
-            _info("conjugation.involution.residual",
-                  "C^2 = identity (truncation limited)", inv),
-            involution_decay_record(cfg, "conjugation.involution.decay", inv_half, inv),
-            _info("conjugation.isometry.residual",
-                  "<Cf,Cg> = <g,f> (truncation limited)", iso),
-        ]
+    records = conjugation_records(cfg, p)
+    if p.b != 0:  # the isometry is truncation limited too: reported, not judged
+        iso = isometry_residual(conjugation_matrix(p, cfg.dim), cfg.seed)
+        records.append(_info("conjugation.isometry.residual",
+                             "<Cf,Cg> = <g,f> (truncation limited)", iso))
     payload = {"conjugation": p.to_json(), "diagonal": p.is_diagonal}
     return records, payload, None
 
@@ -494,7 +478,7 @@ def _run_wco(spec: WcoSpec, cfg: VerifyConfig):
     payload: dict[str, Any] = {"wco": p.to_json()}
     if spec.conj is not None:
         res = is_c_selfadjoint_symbols(p, spec.conj.a, spec.conj.b)
-        records.append(_record(cfg, "wco.symbol-selfadjointness",
+        records.append(_record("wco.symbol-selfadjointness",
                                "D = a B - b A + b", res.deviation,
                                cfg.tol("constraint")))
         payload["conjugation"] = spec.conj.to_json()
@@ -503,22 +487,10 @@ def _run_wco(spec: WcoSpec, cfg: VerifyConfig):
 
 def _run_semigroup(spec: SemigroupSpec, cfg: VerifyConfig):
     fam, dim, probe = spec.family, cfg.dim, spec.probe
-    flow_dev, coc_dev = flow_cocycle_deviation(fam, FLOW_GRID)
-    law = check_semigroup_law(fam, (0.25, 1.0), 5, dim)
-    scal = scaling_deviation(fam, np.linspace(0.0, 2.0, 5))
-    records = [
-        _record(cfg, "semigroup.semiflow", "zeta_{t+s} = zeta_t o zeta_s",
-                flow_dev, cfg.tol("semiflow")),
-        _record(cfg, "semigroup.semicocycle", "xi_{t+s} = xi_t (xi_s o zeta_t)",
-                coc_dev, cfg.tol("semicocycle")),
-        _record(cfg, "semigroup.law", "W(t) W(s) = W(t+s) on monomials",
-                law, cfg.tol("semigroup_law")),
-        _record(cfg, "semigroup.scaling-multiplier",
-                "multiplier solves the scaling differential equation",
-                scal, cfg.tol("scaling_solver")),
-        _info("semigroup.bounded", "uniform boundedness criterion",
-              1.0 if family_is_bounded(fam) else 0.0),
-    ]
+    records = (flow_cocycle_records(cfg, fam) + semigroup_law_records(cfg, fam)
+               + scaling_solver_records(cfg, fam))
+    records.append(_info("semigroup.bounded", "uniform boundedness criterion",
+                         1.0 if family_is_bounded(fam) else 0.0))
     rep = n_omega_estimate(fam, monomial(0, dim), probe)
     records.append(_info("semigroup.growth", "sup_t e^{-omega t} ||W(t) 1||", rep.sup,
                          f"diverging={rep.diverging} argmax_t={rep.argmax_t!r}"))
@@ -531,41 +503,20 @@ def _run_semigroup(spec: SemigroupSpec, cfg: VerifyConfig):
 
 
 def _run_generator(fam: SemigroupFamily, cfg: VerifyConfig):
-    records = fd_slope_records(
-        cfg, fam, 0, ("generator.fd-forward-slope", "generator.fd-central-slope"),
-        ("first-order quotient converges", "second-order quotient converges"))
-    worst = exponential_bridge(fam, (0.1, 0.5), 4, cfg.dim)
-    stone = check_stone_adjoint_relation(fam, cfg.dim)
-    records += [
-        _record(cfg, "generator.exponential-bridge",
-                "exp(t Q) matches W(t) on low coefficients",
-                worst, cfg.tol("expm_vs_semigroup")),
-        _record(cfg, "generator.c-symmetry", "Q M = M Q^T",
-                stone.c_symmetry_residual, cfg.tol("matrix_symmetry_exact")),
-        _info("generator.adjoint-quotient", "adjoint family differentiates to Q^H",
-              stone.adjoint_fd_residual),
-    ]
+    records = (fd_slope_records(cfg, (fam, 0)) + exponential_bridge_records(cfg, fam)
+               + stone_symmetry_records(cfg, fam))
     return records, {"family": fam.to_json()}, None
 
 
 def _run_spectrum(spec: SpectrumSpec, cfg: VerifyConfig):
     fam, dim = spec.family, cfg.dim
     if spec.eta is not None:
-        base = max(4, dim // 4)
-        cert = check_empty_point_spectrum(fam, spec.eta, (base, 2 * base, 4 * base),
-                                          cfg.tol("divergence_factor"))
-        measured, threshold, direction = cert.verdict()
-        records = [
-            _record(cfg, f"spectrum.empty.divergence.eta={spec.eta}",
-                    "candidate eigenfunction leaves the space",
-                    measured, threshold, direction=direction,
-                    detail=cert.summary()),
-        ]
-        return records, {"family": fam.to_json(),
-                         "certificate": cert.to_json()}, None
+        cert = divergence_certificate(cfg, fam, spec.eta)
+        return divergence_records(cfg, (fam, spec.eta)), {
+            "family": fam.to_json(), "certificate": cert.to_json()}, None
     rep = spectrum_report(fam, spec.k_max, dim)
     records = [
-        _record(cfg, "spectrum.eigen-residuals",
+        _record("spectrum.eigen-residuals",
                 "(z-G)^m exp(beta z) are eigenfunctions",
                 float(np.max(rep.residuals)), cfg.tol("eigen_residual")),
         _info("spectrum.predicted-lattice", "eigenvalues H - ell beta G + k ell",
@@ -588,22 +539,14 @@ def _run_evolution(spec: EvolutionSpec, cfg: VerifyConfig):
         series, _ = evolution_series(B, times, rel_tol)
         # linspace sets its endpoint exactly; one sample stops the chain at s
         U_ts = series[-1] if times[-1] == t else evolve(B, s, t, rel_tol).matrix
-        ident, comp = check_evolution_axioms(B, (s, s + (t - s) / 2, t), U_ts, rel_tol)
+        records = evolution_axiom_records(cfg, (B, (s, s + (t - s) / 2, t), U_ts, rel_tol))
         sym = check_matrix_c_symmetry(U_ts, np.eye(B.dim))
     except StiffnessError as exc:
         raise ScenarioError(spec.source, str(exc))
-    records = [
-        _record(cfg, "evolution.identity", "U(t, t) = identity", ident,
-                cfg.tol("evolution_tol_factor") * rel_tol),
-        _record(cfg, "evolution.composition", "U(t, r) U(r, s) = U(t, s)", comp,
-                cfg.tol("evolution_tol_factor") * rel_tol),
-        _info("evolution.transpose-symmetry", "U M = M U^T under plain conjugation",
-              sym, "pass/fail asserted only for commuting families"),
-    ]
-    header = ["t"]
-    for i in range(B.dim):
-        for j in range(B.dim):
-            header += [f"U{i}{j}_re", f"U{i}{j}_im"]
+    records.append(_info("evolution.transpose-symmetry", "U M = M U^T under plain conjugation",
+                         sym, "pass/fail asserted only for commuting families"))
+    header = ["t"] + [f"U{i}_{j}_{part}" for i in range(B.dim) for j in range(B.dim)
+                      for part in ("re", "im")]
     # a complex matrix viewed as float64 interleaves re and im, as the header does
     entries = np.array(series).reshape(len(times), -1).view(np.float64)
     rows = [header] + np.column_stack((times, entries)).tolist()

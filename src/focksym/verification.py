@@ -5,16 +5,22 @@ quantity against a pinned threshold.  The thirteen groups below are what the
 ``verify-all`` CLI subcommand runs and what the acceptance test module
 asserts; each record names the law it exercises (or is tagged "plumbing").
 
-Checks marked truncation-sensitive degrade to ``warn`` instead of ``fail``
-when run below the calibrated default dimension of 64.
-
-This module is the one place where a record is made: the scenario kinds of
-:mod:`focksym.cli` call the record constructors and measurement helpers
-below, each kind with its own grid, ids and sensitivity.  Each law is
-measured by one helper of the layer that defines it (for example
+This module is the one place where a record is made.  Each law that a
+scenario kind of :mod:`focksym.cli` also measures has one record maker,
+``(cfg, case, suffix) -> records``, which owns the law's ids, anchors,
+tolerance names and grid.  A group runs its maker over its fixtures and
+appends a suffix to every id (``.{variant}.{i}``, or ``.b0.{i}`` and
+``.offset`` for the conjugations); a kind applies the same maker to its
+parsed spec with no suffix, so a kind and the suite judge one case alike.
+Each law is measured by one helper of the layer that defines it (for example
 ``check_semigroup_law`` sweeps its own time grid, and every C-symmetry
 residual is ``check_matrix_c_symmetry``); helpers that judge a matrix take
 it from their caller, which builds or integrates it once.
+
+``_record`` judges pass or fail only; it tags the records of the
+truncation-sensitive laws.  :func:`run_group` turns a tagged failure into
+``warn`` below the calibrated default dimension of 64.  The scenario kinds
+do not go through ``run_group``, so they stay strict at every dim.
 
 The suite needs ``dim >= SUITE_MIN_DIM``: the spectrum group compares
 eigenfunction residuals at dims (max(8, big/2), max(10, 3big/4), big) with
@@ -25,7 +31,8 @@ points against the eigenvalues of the dim x dim truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fnmatch import fnmatchcase
 from typing import Callable
 
 import numpy as np
@@ -41,6 +48,7 @@ from .conjugation import (
 )
 from .evolution import (
     BagchiParams,
+    TimeDependentOperator,
     bagchi_hamiltonian,
     check_adjoint_family,
     check_evolution_axioms,
@@ -49,6 +57,7 @@ from .evolution import (
 )
 from .fock import DEFAULT_TOLERANCES, FockVector, basis_vector, monomial
 from .generator import (
+    DivergenceCertificate,
     check_empty_point_spectrum,
     check_generator_fd,
     check_stone_adjoint_relation,
@@ -86,6 +95,15 @@ SUITE_MIN_DIM = 8
 # the most complex entries numpy can index in one array
 MAX_COMPLEX_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
+# ids (fnmatch patterns) of the laws whose measurement depends on the
+# truncation: run_group turns their failures into warn below CALIBRATED_DIM
+_TRUNCATION_SENSITIVE = (
+    "conjugation.involution*.decay", "boundedness.*", "semigroup.law*",
+    "generator.fd-*", "generator.exponential-bridge*",
+    "spectrum.eigenfunction-residuals", "empty-spectrum.*",
+    "growth.norm-one.*", "growth.divergence-flag.*",
+)
+
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -96,6 +114,7 @@ class CheckRecord:
     status: str
     direction: str = "<="  # how measured relates to threshold when passing
     detail: str = ""
+    sensitive: bool = False  # truncation-sensitive; not part of the report
 
     def to_json(self) -> dict:
         return {
@@ -134,13 +153,11 @@ class VerifyConfig:
 
 
 def _record(
-    cfg: VerifyConfig,
     check_id: str,
     anchor: str,
     measured: float,
     threshold: float,
     direction: str = "<=",
-    sensitive: bool = False,
     detail: str = "",
 ) -> CheckRecord:
     measured = float(measured)
@@ -150,13 +167,9 @@ def _record(
         ok = measured >= threshold
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    if ok:
-        status = "pass"
-    elif sensitive and cfg.dim < CALIBRATED_DIM:
-        status = "warn"
-    else:
-        status = "fail"
-    return CheckRecord(check_id, anchor, measured, float(threshold), status, direction, detail)
+    sensitive = any(fnmatchcase(check_id, p) for p in _TRUNCATION_SENSITIVE)
+    return CheckRecord(check_id, anchor, measured, float(threshold),
+                       "pass" if ok else "fail", direction, detail, sensitive)
 
 
 def _info(check_id: str, anchor: str, measured: float, detail: str = "") -> CheckRecord:
@@ -164,60 +177,17 @@ def _info(check_id: str, anchor: str, measured: float, detail: str = "") -> Chec
 
 
 # ----------------------------------------------------------------------------
-# one measurement per law, shared by the groups below and the scenario kinds
+# measurements shared by the record makers and the scenario kinds
 
 def involution_residual(op: AntilinearOperator, degree: int) -> float:
     """Worst ||(C^2 - I) e_k|| over k <= degree."""
     return float(np.max(check_involution(op, degree)))
 
 
-def involution_decay_record(cfg: VerifyConfig, check_id: str, r_half: float,
-                            r_full: float, sensitive: bool = False,
-                            detail: str = "") -> CheckRecord:
-    """Judge C^2 -> I for b != 0 by the residual decay from dim/2 to dim.
-
-    Once the residual reaches the rounding floor it can decay no further; so
-    when the decay misses ``residual_decay_factor`` but the full-dim residual
-    is within ``involution_exact``, the record passes on that floor instead.
-    """
-    anchor = "C^2 -> identity as truncation grows"
-    factor = r_half / r_full if r_full > 0 else math.inf
-    decay = cfg.tol("residual_decay_factor")
-    if factor < decay and r_full <= cfg.tol("involution_exact"):
-        return _record(cfg, check_id, anchor, r_full, cfg.tol("involution_exact"),
-                       detail=f"rounding-floor branch: decay {factor:.3g} < {decay:g}, "
-                              f"residual {r_full:.3e} at dim {cfg.dim}")
-    return _record(cfg, check_id, anchor, factor, decay, direction=">=",
-                   sensitive=sensitive, detail=detail)
-
-
-def flow_cocycle_deviation(fam: SemigroupFamily, grid) -> tuple[float, float]:
-    """Worst semiflow and semicocycle deviations over grid x grid."""
-    flow = max(check_semiflow(fam, float(t), float(s)) for t in grid for s in grid)
-    cocycle = max(check_semicocycle(fam, float(t), float(s)) for t in grid for s in grid)
-    return flow, cocycle
-
-
-def scaling_deviation(fam: SemigroupFamily, times) -> float:
-    """Worst relative gap between the scaling-equation solution and C(t)."""
-    lam0, dpsi = scaling_instance(fam)
-    worst = 0.0
-    for t in times:
-        closed = family_eval(fam, float(t)).C
-        worst = max(worst, abs(solve_scaling_equation(lam0, dpsi, float(t)) - closed) / abs(closed))
-    return worst
-
-
-def fd_slope_records(cfg: VerifyConfig, fam: SemigroupFamily, k: int,
-                     ids: tuple[str, str], anchors: tuple[str, str],
-                     sensitive: bool = False) -> list[CheckRecord]:
-    """Forward (order 1) and central (order 2) difference-quotient slopes on z^k."""
-    out = []
-    for check_id, anchor, scheme, order in zip(ids, anchors, ("forward", "central"), (1.0, 2.0)):
-        slope, _ = check_generator_fd(fam, k, cfg.dim, scheme=scheme)
-        out.append(_record(cfg, check_id, anchor, abs(slope - order), 0.1,
-                           sensitive=sensitive, detail=f"slope {slope:.4f}"))
-    return out
+def isometry_residual(op: AntilinearOperator, seed: int) -> float:
+    """|<Cf,Cg> - <g,f>| for two complex normal vectors drawn at seed ^ 0x1."""
+    f, g = (FockVector(v) for v in complex_normal_vectors(seed ^ 0x1, 2, op.dim))
+    return check_isometry(op, f, g)
 
 
 def exponential_bridge(fam: SemigroupFamily, times, n_monomials: int, dim: int) -> float:
@@ -235,6 +205,155 @@ def exponential_bridge(fam: SemigroupFamily, times, n_monomials: int, dim: int) 
     return worst
 
 
+def divergence_certificate(cfg: VerifyConfig, fam: SemigroupFamily,
+                           eta: complex) -> DivergenceCertificate:
+    """The empty-spectrum certificate of eta on windows from max(4, dim/4)."""
+    base = max(4, cfg.dim // 4)
+    return check_empty_point_spectrum(fam, eta, (base, 2 * base, 4 * base),
+                                      cfg.tol("divergence_factor"))
+
+
+# ----------------------------------------------------------------------------
+# one record maker per law, shared by the groups below and the scenario kinds
+
+def conjugation_records(cfg: VerifyConfig, p: ConjugationParams,
+                        suffix: str = "") -> list[CheckRecord]:
+    """C^2 = I and the isometry law for b = 0; the involution decay for b != 0.
+
+    For b != 0 the involution holds only in the truncation limit: the evidence
+    is the decay of the residual over the same degrees from dim/2 to dim.
+    Once the residual reaches the rounding floor it can decay no further; so
+    when the decay misses ``residual_decay_factor`` but the full-dim residual
+    is within ``involution_exact``, the record passes on that floor instead.
+    """
+    if p.b == 0:
+        op = conjugation_matrix(p, cfg.dim)
+        return [
+            _record(f"conjugation.involution{suffix}", "C^2 = identity",
+                    involution_residual(op, min(8, cfg.dim - 1)), cfg.tol("involution_exact")),
+            _record(f"conjugation.isometry{suffix}", "<Cf,Cg> = <g,f>",
+                    isometry_residual(op, cfg.seed), cfg.tol("isometry_exact")),
+        ]
+    half = cfg.dim // 2
+    deg = min(8, half - 1)
+    r_half = involution_residual(conjugation_matrix(p, half), deg)
+    r_full = involution_residual(conjugation_matrix(p, cfg.dim), deg)
+    check_id, anchor = f"conjugation.involution{suffix}.decay", "C^2 -> identity as truncation grows"
+    factor = r_half / r_full if r_full > 0 else math.inf
+    decay, floor = cfg.tol("residual_decay_factor"), cfg.tol("involution_exact")
+    if factor < decay and r_full <= floor:
+        return [_record(check_id, anchor, r_full, floor,
+                        detail=f"rounding-floor branch: decay {factor:.3g} < {decay:g}, "
+                               f"residual {r_full:.3e} at dim {cfg.dim}")]
+    return [_record(check_id, anchor, factor, decay, direction=">=",
+                    detail=f"residual {r_half:.3e} at dim {half} -> {r_full:.3e} "
+                           f"at dim {cfg.dim}")]
+
+
+FLOW_GRID = np.linspace(0.0, 1.0, 5)
+
+
+def flow_cocycle_records(cfg: VerifyConfig, fam: SemigroupFamily,
+                         suffix: str = "") -> list[CheckRecord]:
+    """Semiflow and semicocycle laws over FLOW_GRID x FLOW_GRID, identity at 0."""
+    grid = [float(t) for t in FLOW_GRID]
+    flow = max(check_semiflow(fam, t, s) for t in grid for s in grid)
+    cocycle = max(check_semicocycle(fam, t, s) for t in grid for s in grid)
+    p0 = family_eval(fam, 0.0)
+    ident = max(abs(p0.A - 1), abs(p0.B), abs(p0.C - 1), abs(p0.D))
+    return [
+        _record(f"family.semiflow{suffix}", "zeta_{t+s} = zeta_t o zeta_s",
+                flow, cfg.tol("semiflow")),
+        _record(f"family.semicocycle{suffix}", "xi_{t+s} = xi_t (xi_s o zeta_t)",
+                cocycle, cfg.tol("semicocycle")),
+        _record(f"family.identity-at-zero{suffix}",
+                "family passes through the identity at t = 0", ident, 1e-15),
+    ]
+
+
+def semigroup_law_records(cfg: VerifyConfig, fam: SemigroupFamily,
+                          suffix: str = "") -> list[CheckRecord]:
+    """W(t) W(s) = W(t+s) on z^k, k < 7, for t, s in {0.1, 0.25, 0.5, 1}."""
+    worst = check_semigroup_law(fam, (0.1, 0.25, 0.5, 1.0), 7, cfg.dim)
+    return [_record(f"semigroup.law{suffix}", "W(t) W(s) = W(t+s) on monomials",
+                    worst, cfg.tol("semigroup_law"))]
+
+
+def scaling_solver_records(cfg: VerifyConfig, fam: SemigroupFamily,
+                           suffix: str = "") -> list[CheckRecord]:
+    """Worst relative gap between the scaling-equation solution and C(t), t in [0, 2]."""
+    lam0, dpsi = scaling_instance(fam)
+    worst = 0.0
+    for t in np.linspace(0.0, 2.0, 9):
+        closed = family_eval(fam, float(t)).C
+        worst = max(worst, abs(solve_scaling_equation(lam0, dpsi, float(t)) - closed) / abs(closed))
+    return [_record(f"scaling.solver{suffix}",
+                    "multiplier solves the scaling differential equation",
+                    worst, cfg.tol("scaling_solver"))]
+
+
+def fd_slope_records(cfg: VerifyConfig, case: tuple[SemigroupFamily, int],
+                     suffix: str = "") -> list[CheckRecord]:
+    """Forward (order 1) and central (order 2) difference-quotient slopes on z^k."""
+    fam, k = case
+    out = []
+    for scheme, order, anchor in (("forward", 1.0, "first-order quotient converges to the generator"),
+                                  ("central", 2.0, "second-order quotient converges to the generator")):
+        slope, _ = check_generator_fd(fam, k, cfg.dim, scheme=scheme)
+        out.append(_record(f"generator.fd-{scheme}{suffix}.k{k}", anchor,
+                           abs(slope - order), 0.1, detail=f"slope {slope:.4f}"))
+    return out
+
+
+def exponential_bridge_records(cfg: VerifyConfig, fam: SemigroupFamily,
+                               suffix: str = "") -> list[CheckRecord]:
+    """exp(t Q) against W(t) on z^k, k < 6, for t in {0.1, 0.25, 0.5}."""
+    worst = exponential_bridge(fam, (0.1, 0.25, 0.5), 6, cfg.dim)
+    return [_record(f"generator.exponential-bridge{suffix}",
+                    "exp(t Q) matches W(t) on low coefficients",
+                    worst, cfg.tol("expm_vs_semigroup"))]
+
+
+def stone_symmetry_records(cfg: VerifyConfig, fam: SemigroupFamily,
+                           suffix: str = "") -> list[CheckRecord]:
+    """Q M = M Q^T, worst over dims (dim/4, dim/2, dim); the adjoint quotient, best."""
+    stones = [check_stone_adjoint_relation(fam, d)
+              for d in (max(4, cfg.dim // 4), max(6, cfg.dim // 2), cfg.dim)]
+    return [
+        _record(f"stone.generator-symmetry{suffix}",
+                "Q M = M Q^T for diagonal conjugation matrices",
+                max(s.c_symmetry_residual for s in stones), cfg.tol("matrix_symmetry_exact")),
+        _info(f"stone.adjoint-quotient{suffix}", "adjoint family differentiates to Q^H",
+              min(s.adjoint_fd_residual for s in stones), "first-order quotient at h = 1e-6"),
+    ]
+
+
+def divergence_records(cfg: VerifyConfig, case: tuple[SemigroupFamily, complex],
+                       suffix: str = "") -> list[CheckRecord]:
+    """The candidate eigenfunction of eta leaves the space, by its certificate."""
+    fam, eta = case
+    cert = divergence_certificate(cfg, fam, eta)
+    measured, threshold, direction = cert.verdict()
+    return [_record(f"empty-spectrum.divergence.eta={eta}{suffix}",
+                    "candidate eigenfunction leaves the space",
+                    measured, threshold, direction=direction, detail=cert.summary())]
+
+
+def evolution_axiom_records(
+    cfg: VerifyConfig,
+    case: tuple[TimeDependentOperator, tuple[float, float, float], np.ndarray, float],
+    suffix: str = "",
+) -> list[CheckRecord]:
+    """U(t, t) = I and U(t, r) U(r, s) = U(t, s); case is (B, (s, r, t), U(t, s), rel_tol)."""
+    B, times, U_ts, rel_tol = case
+    ident, comp = check_evolution_axioms(B, times, U_ts, rel_tol)
+    tol = cfg.tol("evolution_tol_factor") * rel_tol
+    return [
+        _record(f"evolution.identity{suffix}", "U(t, t) = identity", ident, tol),
+        _record(f"evolution.composition{suffix}", "U(t, r) U(r, s) = U(t, s)", comp, tol),
+    ]
+
+
 # ----------------------------------------------------------------------------
 # shared fixtures
 
@@ -243,6 +362,13 @@ def _std_translation(E: complex = 1.0, F: complex = 0.0) -> TranslationFamily:
 
 def _std_dilation(ell: complex, G: complex, H: complex = 0.0) -> DilationFamily:
     return DilationFamily(ell=ell, G=G, H=H, conj=standard_conjugation())
+
+def _variant(fam: SemigroupFamily) -> str:
+    return "translation" if isinstance(fam, TranslationFamily) else "dilation"
+
+def _over_families(maker: Callable, cfg: VerifyConfig, fams) -> list[CheckRecord]:
+    """maker run on each family, its ids suffixed .{variant}.{index}."""
+    return [r for i, fam in enumerate(fams) for r in maker(cfg, fam, f".{_variant(fam)}.{i}")]
 
 _PHASE = complex(math.cos(0.7), math.sin(0.7))
 
@@ -260,33 +386,9 @@ _OFFSET_CONJUGATION = ConjugationParams(1.0, 1j, math.exp(-0.5))
 
 def conjugation_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     out: list[CheckRecord] = []
-    tol = cfg.tol("involution_exact")
-    vecs = complex_normal_vectors(cfg.seed ^ 0x1, 4, cfg.dim)
     for i, p in enumerate(_B0_CONJUGATIONS):
-        op = conjugation_matrix(p, cfg.dim)
-        inv = involution_residual(op, min(8, cfg.dim - 1))
-        out.append(
-            _record(cfg, f"conjugation.involution.b0.{i}", "C^2 = identity",
-                    inv, tol)
-        )
-        f = FockVector(vecs[0])
-        g = FockVector(vecs[1])
-        iso = check_isometry(op, f, g)
-        out.append(
-            _record(cfg, f"conjugation.isometry.b0.{i}", "<Cf,Cg> = <g,f>",
-                    iso, cfg.tol("isometry_exact"))
-        )
-    # offset conjugation: involution holds only in the truncation limit;
-    # evidence is the residual decay from dim/2 to dim.
-    deg = min(8, cfg.dim // 2 - 1)
-    r_half = involution_residual(conjugation_matrix(_OFFSET_CONJUGATION, cfg.dim // 2), deg)
-    r_full = involution_residual(conjugation_matrix(_OFFSET_CONJUGATION, cfg.dim), deg)
-    out.append(
-        involution_decay_record(
-            cfg, "conjugation.involution.offset.decay", r_half, r_full, sensitive=True,
-            detail=f"residual {r_half:.3e} at dim {cfg.dim // 2} -> {r_full:.3e} at dim {cfg.dim}")
-    )
-    return out
+        out += conjugation_records(cfg, p, f".b0.{i}")
+    return out + conjugation_records(cfg, _OFFSET_CONJUGATION, ".offset")
 
 
 # ----------------------------------------------------------------------------
@@ -311,16 +413,16 @@ def boundedness_checks(cfg: VerifyConfig) -> list[CheckRecord]:
         growth = max(norms[j + 1] / norms[j] for j in range(len(dims) - 1))
         if verdict.bounded:
             out.append(
-                _record(cfg, f"boundedness.flat-norms.{i}",
+                _record(f"boundedness.flat-norms.{i}",
                         "bounded symbols give convergent truncated norms",
-                        growth, 1.01, sensitive=True,
+                        growth, 1.01,
                         detail=f"{verdict.reason}; norms {norms}")
             )
         else:
             out.append(
-                _record(cfg, f"boundedness.growing-norms.{i}",
+                _record(f"boundedness.growing-norms.{i}",
                         "unbounded symbols give growing truncated norms",
-                        growth, 2.0, direction=">=", sensitive=True,
+                        growth, 2.0, direction=">=",
                         detail=f"{verdict.reason}; norms {norms}")
             )
     return out
@@ -338,30 +440,8 @@ _FLOW_FAMILIES: tuple[SemigroupFamily, ...] = (
 )
 
 
-FLOW_GRID = np.linspace(0.0, 1.0, 5)
-
-
 def flow_cocycle_checks(cfg: VerifyConfig) -> list[CheckRecord]:
-    out: list[CheckRecord] = []
-    for i, fam in enumerate(_FLOW_FAMILIES):
-        flow_dev, coc_dev = flow_cocycle_deviation(fam, FLOW_GRID)
-        kind = "translation" if isinstance(fam, TranslationFamily) else "dilation"
-        out.append(
-            _record(cfg, f"family.semiflow.{kind}.{i}",
-                    "zeta_{t+s} = zeta_t o zeta_s", flow_dev, cfg.tol("semiflow"))
-        )
-        out.append(
-            _record(cfg, f"family.semicocycle.{kind}.{i}",
-                    "xi_{t+s} = xi_t (xi_s o zeta_t)", coc_dev, cfg.tol("semicocycle"))
-        )
-        p0 = family_eval(fam, 0.0)
-        ident_dev = max(abs(p0.A - 1), abs(p0.B), abs(p0.C - 1), abs(p0.D))
-        out.append(
-            _record(cfg, f"family.identity-at-zero.{kind}.{i}",
-                    "family passes through the identity at t = 0",
-                    ident_dev, 1e-15)
-        )
-    return out
+    return _over_families(flow_cocycle_records, cfg, _FLOW_FAMILIES)
 
 
 # ----------------------------------------------------------------------------
@@ -378,16 +458,7 @@ _LAW_FAMILIES: tuple[SemigroupFamily, ...] = (
 
 
 def semigroup_law_checks(cfg: VerifyConfig) -> list[CheckRecord]:
-    out: list[CheckRecord] = []
-    for i, fam in enumerate(_LAW_FAMILIES):
-        worst = check_semigroup_law(fam, (0.1, 0.25, 0.5, 1.0), 7, cfg.dim)
-        kind = "translation" if isinstance(fam, TranslationFamily) else "dilation"
-        out.append(
-            _record(cfg, f"semigroup.law.{kind}.{i}",
-                    "W(t) W(s) = W(t+s) on monomials",
-                    worst, cfg.tol("semigroup_law"), sensitive=True)
-        )
-    return out
+    return _over_families(semigroup_law_records, cfg, _LAW_FAMILIES)
 
 
 # ----------------------------------------------------------------------------
@@ -400,54 +471,24 @@ _GEN_FAMILIES: tuple[SemigroupFamily, ...] = (
 
 
 def generator_fd_checks(cfg: VerifyConfig) -> list[CheckRecord]:
-    out: list[CheckRecord] = []
-    for i, fam in enumerate(_GEN_FAMILIES):
-        kind = "translation" if isinstance(fam, TranslationFamily) else "dilation"
-        for k in range(0, 5):
-            out += fd_slope_records(
-                cfg, fam, k,
-                (f"generator.fd-forward.{kind}.k{k}", f"generator.fd-central.{kind}.k{k}"),
-                ("first-order quotient converges to the generator",
-                 "second-order quotient converges to the generator"),
-                sensitive=True)
+    out = [r for fam in _GEN_FAMILIES for k in range(5)
+           for r in fd_slope_records(cfg, (fam, k), f".{_variant(fam)}")]
     # exponential of the truncated generator against the family member
-    worst = exponential_bridge(_GEN_FAMILIES[0], (0.1, 0.25, 0.5), 6, cfg.dim)
-    out.append(
-        _record(cfg, "generator.exponential-bridge",
-                "exp(t Q) matches W(t) on low coefficients",
-                worst, cfg.tol("expm_vs_semigroup"), sensitive=True)
-    )
-    return out
+    return out + exponential_bridge_records(cfg, _GEN_FAMILIES[0])
 
 
 # ----------------------------------------------------------------------------
 # group 6: generator symmetry under diagonal conjugations
 
+_STONE_FAMILIES: tuple[SemigroupFamily, ...] = tuple(
+    fam for p in _B0_CONJUGATIONS
+    for fam in (TranslationFamily(E=1.0, F=0.2, conj=p),
+                DilationFamily(ell=-1.0, G=0.8, H=0.1j, conj=p))
+)
+
+
 def stone_symmetry_checks(cfg: VerifyConfig) -> list[CheckRecord]:
-    out: list[CheckRecord] = []
-    dims = (max(4, cfg.dim // 4), max(6, cfg.dim // 2), cfg.dim)
-    cases: list[tuple[str, SemigroupFamily]] = []
-    for p in _B0_CONJUGATIONS:
-        cases.append(("translation", TranslationFamily(E=1.0, F=0.2, conj=p)))
-        cases.append(("dilation", DilationFamily(ell=-1.0, G=0.8, H=0.1j, conj=p)))
-    for i, (kind, fam) in enumerate(cases):
-        worst_sym = 0.0
-        adj = math.inf
-        for d in dims:
-            stone = check_stone_adjoint_relation(fam, d)
-            worst_sym = max(worst_sym, stone.c_symmetry_residual)
-            adj = min(adj, stone.adjoint_fd_residual)
-        out.append(
-            _record(cfg, f"stone.generator-symmetry.{kind}.{i}",
-                    "Q M = M Q^T for diagonal conjugation matrices",
-                    worst_sym, cfg.tol("matrix_symmetry_exact"))
-        )
-        out.append(
-            _info(f"stone.adjoint-quotient.{kind}.{i}",
-                  "adjoint family differentiates to Q^H",
-                  adj, "first-order quotient at h = 1e-6")
-        )
-    return out
+    return _over_families(stone_symmetry_records, cfg, _STONE_FAMILIES)
 
 
 # ----------------------------------------------------------------------------
@@ -464,7 +505,7 @@ def spectrum_checks(cfg: VerifyConfig) -> list[CheckRecord]:
         float(np.min(np.abs(eigs - lam))) for lam in predicted
     )
     out.append(
-        _record(cfg, "spectrum.lattice.beta0",
+        _record("spectrum.lattice.beta0",
                 "eigenvalues H + k ell when the twist vanishes",
                 dev, cfg.tol("spectrum_exact"))
     )
@@ -481,13 +522,13 @@ def spectrum_checks(cfg: VerifyConfig) -> list[CheckRecord]:
             resids[j + 1] <= resids[j] for j in range(len(resids) - 1)
         )
     out.append(
-        _record(cfg, "spectrum.eigenfunction-residuals",
+        _record("spectrum.eigenfunction-residuals",
                 "(z-G)^m exp(beta z) are eigenfunctions",
-                worst, cfg.tol("eigen_residual"), sensitive=True,
+                worst, cfg.tol("eigen_residual"),
                 detail=f"max over m <= 5 at dim {big}")
     )
     out.append(
-        _record(cfg, "spectrum.residuals-monotone",
+        _record("spectrum.residuals-monotone",
                 "residuals do not grow with the truncation",
                 0.0 if monotone else 1.0, 0.5,
                 detail=f"dims {grid}")
@@ -507,21 +548,8 @@ def spectrum_checks(cfg: VerifyConfig) -> list[CheckRecord]:
 # group 8: empty point spectrum of the translation generator
 
 def empty_spectrum_checks(cfg: VerifyConfig) -> list[CheckRecord]:
-    out: list[CheckRecord] = []
     fam = _std_translation(E=1.0, F=0.0)
-    base = max(4, cfg.dim // 4)
-    n_seq = (base, 2 * base, 4 * base)
-    for eta in (0.0, 1 + 1j):
-        cert = check_empty_point_spectrum(
-            fam, eta, n_seq, cfg.tol("divergence_factor"))
-        measured, threshold, direction = cert.verdict()
-        out.append(
-            _record(cfg, f"empty-spectrum.divergence.eta={eta}",
-                    "candidate eigenfunction leaves the space",
-                    measured, threshold, direction=direction, sensitive=True,
-                    detail=cert.summary())
-        )
-    return out
+    return [r for eta in (0.0, 1 + 1j) for r in divergence_records(cfg, (fam, eta))]
 
 
 # ----------------------------------------------------------------------------
@@ -535,7 +563,6 @@ def growth_checks(cfg: VerifyConfig) -> list[CheckRecord]:
          _std_dilation(ell=-1.0, G=1.0, H=0.1),
          _std_dilation(ell=1.0, G=0.5, H=0.0))
     ):
-        kind = "translation" if isinstance(fam, TranslationFamily) else "dilation"
         worst = 0.0
         for t in np.linspace(0.0, 1.0, 5):
             W = semigroup_matrix(fam, float(t), cfg.dim, 1)
@@ -543,9 +570,9 @@ def growth_checks(cfg: VerifyConfig) -> list[CheckRecord]:
             closed = norm_w_one_closed_form(fam, float(t))
             worst = max(worst, abs(direct - closed) / closed)
         out.append(
-            _record(cfg, f"growth.norm-one.{kind}.{i}",
+            _record(f"growth.norm-one.{_variant(fam)}.{i}",
                     "||W(t) 1|| = |C(t)| exp(|D(t)|^2 / 2)",
-                    worst, cfg.tol("norm_one"), sensitive=True)
+                    worst, cfg.tol("norm_one"))
         )
     fam = _std_translation(E=1.0, F=0.0)
     # for E=1, a=1, F=0 the closed form collapses to exp(t^2)
@@ -555,7 +582,7 @@ def growth_checks(cfg: VerifyConfig) -> list[CheckRecord]:
         for t in tgrid
     )
     out.append(
-        _record(cfg, "growth.norm-one-exp-t-squared",
+        _record("growth.norm-one-exp-t-squared",
                 "||W(t) 1|| = exp(t^2) for unit drift-free translation",
                 dev, 1e-12)
     )
@@ -563,10 +590,9 @@ def growth_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     for omega in (0.0, 1.0, 10.0):
         rep = n_omega_estimate(fam, one, GrowthProbe(omega=omega))
         out.append(
-            _record(cfg, f"growth.divergence-flag.omega={omega:g}",
+            _record(f"growth.divergence-flag.omega={omega:g}",
                     "quadratic cocycle growth beats every exponential weight",
                     1.0 if rep.diverging else 0.0, 1.0, direction=">=",
-                    sensitive=True,
                     detail=f"sup {rep.sup:.3e} at t = {rep.argmax_t:.3g}")
         )
     return out
@@ -590,12 +616,12 @@ def laplace_checks(cfg: VerifyConfig) -> list[CheckRecord]:
         ident = (lam * np.eye(cfg.dim) - gen) @ J.coeffs - ek.coeffs
         worst_ident = max(worst_ident, float(np.linalg.norm(ident)))
     out.append(
-        _record(cfg, "laplace.diagonal-values",
+        _record("laplace.diagonal-values",
                 "integral of e^{-lam t} W(t) e_k equals e_k / (lam + k)",
                 worst_diag, cfg.tol("laplace_diagonal"))
     )
     out.append(
-        _record(cfg, "laplace.resolvent-identity",
+        _record("laplace.resolvent-identity",
                 "(lam - Q) J_lam = identity on basis vectors",
                 worst_ident, cfg.tol("laplace_identity"))
     )
@@ -607,7 +633,7 @@ def laplace_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     except ValueError:
         refused = 1.0
     out.append(
-        _record(cfg, "laplace.refuses-divergent",
+        _record("laplace.refuses-divergent",
                 "no Laplace integral without a growth certificate",
                 refused, 1.0, direction=">=")
     )
@@ -623,14 +649,14 @@ def dissipativity_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     Q = generator_matrix(fam, cfg.dim).dense()
     margin = dissipativity_margin(Q)
     out.append(
-        _record(cfg, "dissipativity.margin",
+        _record("dissipativity.margin",
                 "Hermitian part of the damped generator tops out at -1",
                 abs(margin + 1.0), cfg.tol("dissipativity_margin"))
     )
     vectors = complex_normal_vectors(cfg.seed, 100, cfg.dim)
     bound = resolvent_bound_check(Q, (0.1, 1.0, 10.0), list(vectors))
     out.append(
-        _record(cfg, "dissipativity.resolvent-bound",
+        _record("dissipativity.resolvent-bound",
                 "||(alpha - Q) v|| >= alpha ||v|| for dissipative Q",
                 bound, 1.0 - cfg.tol("resolvent_lower_bound"), direction=">=")
     )
@@ -641,20 +667,11 @@ def dissipativity_checks(cfg: VerifyConfig) -> list[CheckRecord]:
 # group 12: evolution families
 
 def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
-    out: list[CheckRecord] = []
     rel_tol = 1e-10
     p = BagchiParams(nu=1.0, kappa=lambda t: 0.3, lam=lambda t: 1.0)
     B = bagchi_hamiltonian(p)
     U = evolve(B, 0.0, 1.0, rel_tol).matrix  # serves the axioms, closed form and reversal
-    ident, comp = check_evolution_axioms(B, (0.0, 0.5, 1.0), U, rel_tol)
-    out.append(
-        _record(cfg, "evolution.identity", "U(t, t) = identity", ident,
-                cfg.tol("evolution_tol_factor") * rel_tol)
-    )
-    out.append(
-        _record(cfg, "evolution.composition", "U(t, r) U(r, s) = U(t, s)", comp,
-                cfg.tol("evolution_tol_factor") * rel_tol)
-    )
+    out = evolution_axiom_records(cfg, (B, (0.0, 0.5, 1.0), U, rel_tol))
     # constant coefficients: closed form via the spectral decomposition
     nu, kap, lamb = 1.0, 0.3, 1.0
     mu = math.sqrt(lamb**2 - kap**2)
@@ -663,21 +680,21 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
         math.cos(mu) * np.eye(2) - 1j * math.sin(mu) / mu * (H - nu * np.eye(2))
     )
     out.append(
-        _record(cfg, "evolution.closed-form",
+        _record("evolution.closed-form",
                 "propagator of the constant two-level model",
                 float(np.max(np.abs(U - closed))), cfg.tol("closed_form_evolution"))
     )
     # same constant model through the exponential (independent route)
     exp_route = matrix_exponential(B(0.0), 1.0)
     out.append(
-        _record(cfg, "evolution.exponential-route",
+        _record("evolution.exponential-route",
                 "constant-coefficient propagator equals exp((t-s) B)",
                 float(np.max(np.abs(U - exp_route))), cfg.tol("closed_form_evolution"))
     )
     # commutation of B(s) with plain conjugation (complex symmetric B)
     stone = check_nonauto_stone(B, np.eye(2), np.linspace(0.0, 2.0, 9))
     out.append(
-        _record(cfg, "evolution.nonauto-commutation",
+        _record("evolution.nonauto-commutation",
                 "B(s) M = M B(s)^T along the whole time axis",
                 float(np.max(stone)), cfg.tol("nonauto_commutation"))
     )
@@ -686,7 +703,7 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     B2 = bagchi_hamiltonian(p2)
     sym = check_matrix_c_symmetry(evolve(B2, 0.0, 1.5, rel_tol).matrix, np.eye(2))
     out.append(
-        _record(cfg, "evolution.symmetry-commuting",
+        _record("evolution.symmetry-commuting",
                 "U(t, s) M = M U(t, s)^T for commuting families",
                 sym, cfg.tol("evolution_symmetry"))
     )
@@ -696,7 +713,7 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     errs = check_adjoint_family(B, 0.0, 1.0, z, hs, 1e-12)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     out.append(
-        _record(cfg, "evolution.adjoint-slope",
+        _record("evolution.adjoint-slope",
                 "d/dt U(t,s)^H z = U(t,s)^H B(t)^H z",
                 abs(slope - 1.0), 0.1, detail=f"slope {slope:.4f}")
     )
@@ -706,7 +723,7 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     U_rev, _ = _integrate_matrix(B, 1.0, 0.0, rel_tol)
     inv_resid = float(np.max(np.abs(U_rev @ U - np.eye(2))))
     out.append(
-        _record(cfg, "evolution.reverse-inverse",
+        _record("evolution.reverse-inverse",
                 "backward integration inverts the propagator",
                 inv_resid, cfg.tol("evolution_tol_factor") * rel_tol)
     )
@@ -716,22 +733,16 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
 # ----------------------------------------------------------------------------
 # group 13: scaling-equation solver against the family cocycles
 
+_SCALING_FAMILIES: tuple[SemigroupFamily, ...] = (
+    _std_translation(E=1.0, F=0.25),
+    _std_translation(E=1 - 1j, F=0.1j),
+    _std_dilation(ell=-1.0, G=1.0, H=0.3),
+    _std_dilation(ell=0.5 + 0.5j, G=0.4, H=0.1 - 0.2j),
+)
+
+
 def scaling_solver_checks(cfg: VerifyConfig) -> list[CheckRecord]:
-    out: list[CheckRecord] = []
-    for i, fam in enumerate(
-        (_std_translation(E=1.0, F=0.25),
-         _std_translation(E=1 - 1j, F=0.1j),
-         _std_dilation(ell=-1.0, G=1.0, H=0.3),
-         _std_dilation(ell=0.5 + 0.5j, G=0.4, H=0.1 - 0.2j))
-    ):
-        kind = "translation" if isinstance(fam, TranslationFamily) else "dilation"
-        worst = scaling_deviation(fam, np.linspace(0.0, 2.0, 9))
-        out.append(
-            _record(cfg, f"scaling.solver.{kind}.{i}",
-                    "multiplier solves the scaling differential equation",
-                    worst, cfg.tol("scaling_solver"))
-        )
-    return out
+    return _over_families(scaling_solver_records, cfg, _SCALING_FAMILIES)
 
 
 # ----------------------------------------------------------------------------
@@ -754,7 +765,12 @@ CHECK_GROUPS: dict[str, Callable[[VerifyConfig], list[CheckRecord]]] = {
 
 
 def run_group(name: str, cfg: VerifyConfig) -> list[CheckRecord]:
-    return CHECK_GROUPS[name](cfg)
+    """One group's records; below CALIBRATED_DIM a truncation-sensitive failure reads warn."""
+    records = CHECK_GROUPS[name](cfg)
+    if cfg.dim >= CALIBRATED_DIM:
+        return records
+    return [replace(r, status="warn") if r.sensitive and r.status == "fail" else r
+            for r in records]
 
 
 def run_all(cfg: VerifyConfig) -> list[CheckRecord]:

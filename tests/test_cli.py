@@ -1,6 +1,7 @@
 """End-to-end command line behaviour: exit codes, reports, determinism."""
 
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -238,8 +239,7 @@ def test_offset_involution_at_rounding_floor_passes(tmp_path, _outdir):
     })
     assert main(["run", path]) == 0
     records = json.loads((_outdir / "offset.json").read_text())["records"]
-    decay = records[1]
-    assert decay["check_id"] == "conjugation.involution.decay"
+    decay = {r["check_id"]: r for r in records}["conjugation.involution.decay"]
     assert decay["status"] == "pass" and decay["threshold"] == 1e-12
     assert decay["detail"].startswith("rounding-floor branch")
 
@@ -258,13 +258,18 @@ def test_run_respects_explicit_output_path(tmp_path):
 
 
 def test_crushed_tolerance_forces_exit_two(tmp_path, capsys):
-    path = _scenario(tmp_path, {
-        "name": "impossible", "kind": "semigroup",
-        "params": {"family": TRANSLATION},
-        "truncation": {"dim": 16, "tolerances": {"semigroup_law": 1e-30}},
-    })
-    assert main(["run", path]) == 2
-    assert "FAILED" in capsys.readouterr().err
+    # the kinds judge strictly below dim 64: no warn downgrade, as in verify-all
+    for kind, params, tolerance, value in (
+        ("semigroup", {"family": TRANSLATION}, "semigroup_law", 1e-30),
+        ("generator", {"family": TRANSLATION}, "expm_vs_semigroup", 1e-30),
+        ("spectrum", {"family": TRANSLATION}, "divergence_factor", 1e6),
+    ):
+        path = _scenario(tmp_path, {
+            "name": "impossible", "kind": kind, "params": params,
+            "truncation": {"dim": 16, "tolerances": {tolerance: value}},
+        })
+        assert main(["run", path]) == 2, kind
+        assert "FAILED" in capsys.readouterr().err
 
 
 def test_run_semigroup_growth_csv(tmp_path):
@@ -332,6 +337,55 @@ def test_run_borderline_candidate_is_certified(tmp_path, _outdir):
     cert = report["provenance"]["parameters"]["certificate"]
     assert cert["certified"] is True and cert["branch"] == "gauss"
     assert report["records"][0]["threshold"] == 1.0
+
+
+# --- kinds and the suite share one record maker per law -------------------------
+
+V = verification
+_TWO_LEVEL = {"B": "bagchi", "nu": 1.0, "kappa": 0.3, "lam": 1.0, "s": 0.0, "t": 1.0,
+              "samples": 1}  # the evolution group's model, U(t, s) integrated once
+
+# (group, suite suffix, kind, params, ids of the maker's kind records)
+SHARED_MAKERS = {
+    "conjugation-b0": ("conjugation", ".b0.1", "conjugation-check",
+                       V._B0_CONJUGATIONS[1].to_json(),
+                       ["conjugation.involution", "conjugation.isometry"]),
+    "conjugation-offset": ("conjugation", ".offset", "conjugation-check",
+                           V._OFFSET_CONJUGATION.to_json(), ["conjugation.involution.decay"]),
+    "flow-cocycle": ("flow-cocycle", ".dilation.4", "semigroup",
+                     {"family": V._FLOW_FAMILIES[4].to_json()},
+                     ["family.semiflow", "family.semicocycle", "family.identity-at-zero"]),
+    "semigroup-law": ("semigroup-law", ".dilation.3", "semigroup",
+                      {"family": V._LAW_FAMILIES[3].to_json()}, ["semigroup.law"]),
+    "scaling-solver": ("scaling-solver", ".translation.1", "semigroup",
+                       {"family": V._SCALING_FAMILIES[1].to_json()}, ["scaling.solver"]),
+    "generator-fd": ("generator-fd", ".translation", "generator",
+                     {"family": V._GEN_FAMILIES[0].to_json()},
+                     ["generator.fd-forward.k0", "generator.fd-central.k0",
+                      "generator.exponential-bridge"]),
+    "stone-symmetry": ("stone-symmetry", ".dilation.3", "generator",
+                       {"family": V._STONE_FAMILIES[3].to_json()},
+                       ["stone.generator-symmetry", "stone.adjoint-quotient"]),
+    "empty-spectrum": ("empty-spectrum", "", "spectrum",
+                       {"family": V._std_translation().to_json(), "eta": [1.0, 1.0]},
+                       ["empty-spectrum.divergence.eta=(1+1j)"]),
+    "evolution": ("evolution", "", "evolution", _TWO_LEVEL,
+                  ["evolution.identity", "evolution.composition"]),
+}
+
+
+@pytest.mark.parametrize("maker", SHARED_MAKERS)
+def test_kind_and_suite_records_agree(maker):
+    group, suffix, kind, params, ids = SHARED_MAKERS[maker]
+    sc = cli.validate_scenario({"name": maker, "kind": kind, "params": params,
+                                "truncation": {"dim": 64}}, seed=5)
+    _, run = cli._KINDS[kind]
+    got = {r.check_id: r for r in run(sc.spec, sc.cfg)[0]}
+    suite = {r.check_id.replace(suffix, "", 1): r
+             for r in verification.run_group(group, sc.cfg)}
+    for check_id in ids:
+        want = dataclasses.replace(suite[check_id], check_id=check_id)
+        assert dataclasses.asdict(got[check_id]) == dataclasses.asdict(want), check_id
 
 
 # --- verify-all -----------------------------------------------------------------
@@ -463,8 +517,8 @@ def test_evolve_writes_time_series(tmp_path):
     assert rc == 0
     with open(target, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "U00_re", "U00_im", "U01_re", "U01_im",
-                       "U10_re", "U10_im", "U11_re", "U11_im"]
+    assert rows[0] == ["t", "U0_0_re", "U0_0_im", "U0_1_re", "U0_1_im",
+                       "U1_0_re", "U1_0_im", "U1_1_re", "U1_1_im"]
     assert len(rows) == 12
     assert float(rows[1][0]) == 0.0
     assert float(rows[1][1]) == 1.0  # U(s, s) = I
@@ -472,6 +526,17 @@ def test_evolve_writes_time_series(tmp_path):
     for row in rows[1:]:
         for cell in row:
             float(cell)
+    # from dim 11 on, column names need the separator to stay unique
+    target = tmp_path / "d16.csv"
+    path = _scenario(tmp_path, {
+        "name": "d16", "kind": "evolution",
+        "params": {"B": "constant", "matrix": (-0.1 * np.eye(16)).tolist(),
+                   "t": 0.1, "samples": 2},
+        "output": {"format": "csv", "path": str(target)}})
+    assert main(["run", path]) == 0
+    with open(target, newline="") as fh:
+        header = next(csv.reader(fh))
+    assert len(header) == 1 + 2 * 16 * 16 == len(set(header))
 
 
 def test_evolve_default_output_lands_in_env_dir(_outdir):
