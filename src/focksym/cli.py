@@ -101,24 +101,24 @@ class ScenarioError(Exception):
 # ----------------------------------------------------------------------------
 # field extraction with path-carrying errors
 
-def _to_float(val: int | float, here: str) -> float:
-    try:
-        return float(val)
-    except OverflowError:
-        raise ScenarioError(here, "integer too large for a float")
-
-
 def _get(obj: dict, path: str, key: str, typ: type, default: Any = ...) -> Any:
     here = f"{path}.{key}" if path else key
     if key not in obj:
         if default is not ...:
             return default
         raise ScenarioError(here, "missing required field")
-    val = obj[key]
+    return _typed(obj[key], here, typ)
+
+
+def _typed(val: Any, here: str, typ: type) -> Any:
+    """val as a typ; a float is finite, and a bool is no number."""
     if isinstance(val, bool) and typ in (int, float):  # bool is an int subclass
         raise ScenarioError(here, f"expected {typ.__name__}, got bool")
     if typ is float and isinstance(val, int):
-        val = _to_float(val, here)
+        try:
+            val = float(val)
+        except OverflowError:
+            raise ScenarioError(here, "integer too large for a float")
     if not isinstance(val, typ):
         raise ScenarioError(here, f"expected {typ.__name__}, got {type(val).__name__}")
     if typ is float and not math.isfinite(val):
@@ -202,16 +202,10 @@ def _config_from(obj: dict, path: str, seed: int) -> VerifyConfig:
     dim = _get(obj, path, "dim", int, 64)
     overrides = _get(obj, path, "tolerances", dict, {})
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in overrides.items():
+    for key in overrides:
         if key not in tolerances:
             raise ScenarioError(f"{path}.tolerances.{key}", "unknown tolerance name")
-        here = f"{path}.tolerances.{key}"
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ScenarioError(here, "expected a finite number")
-        val = _to_float(val, here)
-        if not math.isfinite(val):
-            raise ScenarioError(here, "expected a finite number")
-        tolerances[key] = val
+        tolerances[key] = _get(overrides, f"{path}.tolerances", key, float)
     return _config(f"{path}.dim", dim=dim, seed=seed, tolerances=tolerances)
 
 
@@ -260,7 +254,8 @@ def validate_scenario(obj: dict, seed: int = VerifyConfig.seed) -> Scenario:
     if "path" in output:
         out["path"] = _get(output, "output", "path", str)
     parse, _ = _KINDS[kind]
-    return Scenario(name, kind, parse(params, cfg), cfg, out)
+    spec = parse(params, cfg)
+    return Scenario(name, kind, spec, spec if kind == "full-verify" else cfg, out)
 
 
 def _parse_conjugation(params: dict, cfg: VerifyConfig) -> ConjugationParams:
@@ -348,18 +343,22 @@ class EvolutionSpec:
     samples: int
 
 
-def _coefficient_fn(spec: Any, path: str) -> Callable[[float], float]:
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        v = _to_float(spec, path)
-        if math.isfinite(v):
-            return lambda t: v
-    if isinstance(spec, dict) and isinstance(spec.get("cosine"), dict):
-        c = spec["cosine"]
-        amp = _get(c, f"{path}.cosine", "amplitude", float, 1.0)
-        freq = _get(c, f"{path}.cosine", "frequency", float, 1.0)
-        phase = _get(c, f"{path}.cosine", "phase", float, 0.0)
-        return lambda t: amp * math.cos(freq * t + phase)
-    raise ScenarioError(path, "expected a finite number or {'cosine': {...}}")
+def _coefficient_fn(params: dict, key: str, default: float,
+                    span: tuple[float, float]) -> Callable[[float], float]:
+    """params[key]: a number, or {"cosine": {...}} whose argument is finite on span."""
+    spec = params.get(key)
+    if not (isinstance(spec, dict) and isinstance(spec.get("cosine"), dict)):
+        v = _get(params, "params", key, float, default)
+        return lambda t: v
+    path = f"params.{key}.cosine"
+    amp = _get(spec["cosine"], path, "amplitude", float, 1.0)
+    freq = _get(spec["cosine"], path, "frequency", float, 1.0)
+    phase = _get(spec["cosine"], path, "phase", float, 0.0)
+    for field, shift in (("frequency", 0.0), ("phase", phase)):
+        # the argument is linear in t: its values at s and t bound it on the span
+        if not all(math.isfinite(freq * x + shift) for x in span):
+            raise ScenarioError(f"{path}.{field}", "the cosine argument overflows on [s, t]")
+    return lambda t: amp * math.cos(freq * t + phase)
 
 
 def _matrix_from(entry: Any, path: str) -> np.ndarray:
@@ -378,14 +377,15 @@ def _matrix_from(entry: Any, path: str) -> np.ndarray:
     return M
 
 
-def _evolution_operator_from(params: dict) -> tuple[TimeDependentOperator, dict, str]:
+def _evolution_operator_from(params: dict, span: tuple[float, float]
+                             ) -> tuple[TimeDependentOperator, dict, str]:
     model = _get(params, "params", "B", str)
     if model not in _EVOLUTION_MODELS:
         raise ScenarioError("params.B", f"expected one of {_EVOLUTION_MODELS}")
     if model == "bagchi":
         nu = _get(params, "params", "nu", float, 1.0)
-        kappa = _coefficient_fn(params.get("kappa", 0.0), "params.kappa")
-        lam = _coefficient_fn(params.get("lam", 1.0), "params.lam")
+        kappa = _coefficient_fn(params, "kappa", 0.0, span)
+        lam = _coefficient_fn(params, "lam", 1.0, span)
         op = bagchi_hamiltonian(BagchiParams(nu=nu, kappa=kappa, lam=lam))
         meta = {"model": "bagchi", "nu": nu}
         return op, meta, "params.B"
@@ -397,11 +397,9 @@ def _evolution_operator_from(params: dict) -> tuple[TimeDependentOperator, dict,
     if len(times) != len(mats) or len(times) < 2:
         raise ScenarioError("params.times",
                             "need >= 2 sample times matching 'matrices'")
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in times):
-        raise ScenarioError("params.times", "expected a list of numbers")
-    ts = np.array([_to_float(x, f"params.times[{i}]") for i, x in enumerate(times)])
-    if not np.all(np.isfinite(ts)) or np.any(np.diff(ts) <= 0):
-        raise ScenarioError("params.times", "must be finite and strictly increasing")
+    ts = np.array([_typed(x, f"params.times[{i}]", float) for i, x in enumerate(times)])
+    if np.any(np.diff(ts) <= 0):
+        raise ScenarioError("params.times", "must be strictly increasing")
     blocks = [_matrix_from(m, f"params.matrices[{i}]") for i, m in enumerate(mats)]
     for i, M in enumerate(blocks):
         if M.shape != blocks[0].shape:
@@ -424,13 +422,13 @@ def _evolution_operator_from(params: dict) -> tuple[TimeDependentOperator, dict,
 
 
 def _parse_evolution(params: dict, cfg: VerifyConfig) -> EvolutionSpec:
-    op, meta, source = _evolution_operator_from(params)
     s = _get(params, "params", "s", float, 0.0)
     t = _get(params, "params", "t", float, 1.0)
     if t < s:
         raise ScenarioError("params.t", "need t >= s")
     if not math.isfinite(t - s):  # the sample times would overflow
         raise ScenarioError("params.t", "t - s must be a finite number")
+    op, meta, source = _evolution_operator_from(params, (s, t))
     rel_tol = _get(params, "params", "rel_tol", float, 1e-10)
     if rel_tol <= 0:
         raise ScenarioError("params.rel_tol", "must be positive")
@@ -444,12 +442,13 @@ def _check_suite_dim(cfg: VerifyConfig, path: str) -> None:
                                   f"got {cfg.dim}")
 
 
-def _parse_full_verify(params: dict, cfg: VerifyConfig) -> int | None:
+def _parse_full_verify(params: dict, cfg: VerifyConfig) -> VerifyConfig:
+    """The config the suite runs at, and the report records: at params.seed if given."""
     _check_suite_dim(cfg, "truncation.dim")
     seed = _get(params, "params", "seed", int, None)
     if seed is not None and seed < 0:
         raise ScenarioError("params.seed", "seed must be >= 0")
-    return seed
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 # ----------------------------------------------------------------------------
@@ -472,7 +471,7 @@ def _run_wco(spec: WcoSpec, cfg: VerifyConfig):
         _info("wco.bounded", "symbol criterion for boundedness",
               1.0 if verdict.bounded else 0.0, verdict.reason),
     ]
-    norms = [float(np.linalg.norm(M, 2)) for M in (wco_matrix(p, dim // 2), spec.matrix)]
+    norms = [float(np.linalg.norm(spec.matrix[:d, :d], 2)) for d in (dim // 2, dim)]
     records.append(_info("wco.truncated-norms", "plumbing", norms[-1],
                          f"2-norm at dim {dim//2}: {norms[0]!r}, dim {dim}: {norms[1]!r}"))
     payload: dict[str, Any] = {"wco": p.to_json()}
@@ -495,15 +494,14 @@ def _run_semigroup(spec: SemigroupSpec, cfg: VerifyConfig):
     records.append(_info("semigroup.growth", "sup_t e^{-omega t} ||W(t) 1||", rep.sup,
                          f"diverging={rep.diverging} argmax_t={rep.argmax_t!r}"))
     rows = [("t", "norm", "weighted_norm")]
-    for t, weighted in zip(probe.t_grid, rep.values):
-        raw = weighted * math.exp(probe.omega * t)
-        rows.append((float(t), float(raw), float(weighted)))
+    rows += [(float(t), float(norm), float(weighted))
+             for t, norm, weighted in zip(probe.t_grid, rep.norms, rep.values)]
     payload = {"family": fam.to_json(), "growth": rep.to_json(), "omega": probe.omega}
     return records, payload, rows
 
 
 def _run_generator(fam: SemigroupFamily, cfg: VerifyConfig):
-    records = (fd_slope_records(cfg, (fam, 0)) + exponential_bridge_records(cfg, fam)
+    records = (fd_slope_records(cfg, (fam, (0,))) + exponential_bridge_records(cfg, fam)
                + stone_symmetry_records(cfg, fam))
     return records, {"family": fam.to_json()}, None
 
@@ -512,7 +510,7 @@ def _run_spectrum(spec: SpectrumSpec, cfg: VerifyConfig):
     fam, dim = spec.family, cfg.dim
     if spec.eta is not None:
         cert = divergence_certificate(cfg, fam, spec.eta)
-        return divergence_records(cfg, (fam, spec.eta)), {
+        return divergence_records(cfg, (spec.eta, cert)), {
             "family": fam.to_json(), "certificate": cert.to_json()}, None
     rep = spectrum_report(fam, spec.k_max, dim)
     records = [
@@ -554,9 +552,8 @@ def _run_evolution(spec: EvolutionSpec, cfg: VerifyConfig):
     return records, payload, rows
 
 
-def _run_full_verify(seed: int | None, cfg: VerifyConfig):
-    seed = cfg.seed if seed is None else seed
-    return run_all(replace(cfg, seed=seed)), {"seed": seed}, None
+def _run_full_verify(suite: VerifyConfig, cfg: VerifyConfig):
+    return run_all(suite), {"seed": suite.seed}, None
 
 
 # kind -> (parser, runner)

@@ -45,6 +45,7 @@ __all__ = [
     "SpectrumReport",
     "StoneCheck",
     "generator_matrix",
+    "generator_fd_fits",
     "check_generator_fd",
     "point_spectrum_predicted",
     "eigenfunction_coeffs",
@@ -62,13 +63,13 @@ __all__ = [
 
 # steps h of the difference-quotient slope fits
 FD_STEPS: tuple[float, ...] = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
+_FD_SCHEMES = ("forward", "central")
 
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
     """Tridiagonal generator: diagonal plus first sub/super diagonals."""
 
-    kind: str
     diag: np.ndarray
     lower: np.ndarray  # entry (k+1, k), length dim-1
     upper: np.ndarray  # entry (k, k+1), length dim-1
@@ -99,49 +100,50 @@ def generator_matrix(fam: SemigroupFamily, dim: int) -> GeneratorMatrix:
     a, b = fam.conj.a, fam.conj.b
     if isinstance(fam, TranslationFamily):
         return GeneratorMatrix(
-            kind="translation",
             diag=np.full(dim, complex(fam.F)),
             lower=a * fam.E * roots,
             upper=fam.E * roots,
         )
     beta = fam.beta
     return GeneratorMatrix(
-        kind="dilation",
         diag=fam.H + fam.ell * np.arange(dim, dtype=complex),
         lower=-fam.ell * beta * roots,
         upper=-fam.ell * fam.G * roots,
     )
 
 
-def check_generator_fd(
-    fam: SemigroupFamily,
-    k: int,
-    dim: int,
-    scheme: str = "forward",
-) -> tuple[float, np.ndarray]:
-    """Slope of log-error vs log-h, h in FD_STEPS, for the difference quotient.
+def generator_fd_fits(fam: SemigroupFamily, degrees: Sequence[int],
+                      dim: int) -> dict[tuple[str, int], tuple[float, np.ndarray]]:
+    """(slope of log-error vs log-h, errors) for h in FD_STEPS, by (scheme, k).
 
     forward: ||(W(h) e_k - e_k)/h - Q e_k||, expected slope ~ 1.
     central: ||(W(h) e_k - W(-h) e_k)/(2h) - Q e_k||, expected slope ~ 2
-    (the family formulas extend analytically to negative times).
+    (the family formulas extend analytically to negative times).  Each h
+    builds W(h) and W(-h) once with the largest degree's k + 1 columns, of
+    which z^k reads the leading k + 1.
     """
-    if scheme not in ("forward", "central"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     gen = generator_matrix(fam, dim)
-    v = monomial(k, dim).coeffs
-    m = k + 1  # z^k needs only the leading k + 1 columns of W(h)
-    target = gen.apply(v)
-    errs = np.empty(len(FD_STEPS))
+    m = max(degrees) + 1
+    errs = np.empty((len(degrees), 2, len(FD_STEPS)))
     for i, h in enumerate(FD_STEPS):
-        Wh = semigroup_matrix(fam, h, dim, m)
-        if scheme == "forward":
-            quotient = (Wh @ v[:m] - v) / h
-        else:
-            Wmh = wco_matrix(_eval_any_t(fam, -h), dim, m)
-            quotient = (Wh @ v[:m] - Wmh @ v[:m]) / (2 * h)
-        errs[i] = np.linalg.norm(quotient - target)
-    slope = float(np.polyfit(np.log(np.asarray(FD_STEPS)), np.log(errs), 1)[0])
-    return slope, errs
+        Wh, Wmh = semigroup_matrix(fam, h, dim, m), wco_matrix(_eval_any_t(fam, -h), dim, m)
+        for j, k in enumerate(degrees):
+            v = monomial(k, dim).coeffs
+            target = gen.apply(v)
+            fwd, bwd = Wh[:, : k + 1] @ v[: k + 1], Wmh[:, : k + 1] @ v[: k + 1]
+            for q, quotient in enumerate(((fwd - v) / h, (fwd - bwd) / (2 * h))):
+                errs[j, q, i] = np.linalg.norm(quotient - target)
+    log_h = np.log(np.asarray(FD_STEPS))
+    return {(scheme, k): (float(np.polyfit(log_h, np.log(errs[j, q]), 1)[0]), errs[j, q])
+            for j, k in enumerate(degrees) for q, scheme in enumerate(_FD_SCHEMES)}
+
+
+def check_generator_fd(fam: SemigroupFamily, k: int, dim: int,
+                       scheme: str = "forward") -> tuple[float, np.ndarray]:
+    """One scheme's fit on z^k, as in :func:`generator_fd_fits`."""
+    if scheme not in _FD_SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return generator_fd_fits(fam, (k,), dim)[scheme, k]
 
 
 class EmptyPointSpectrum(ValueError):

@@ -347,6 +347,7 @@ class GrowthReport:
     argmax_t: float
     diverging: bool
     values: np.ndarray  # e^{-omega t} ||W(t) x|| along the grid
+    norms: np.ndarray  # ||W(t) x|| along the grid, as measured
 
     def to_json(self) -> dict:
         return {
@@ -361,31 +362,34 @@ _SUP_ROUNDING = 8 * np.finfo(float).eps
 
 
 def _growth_values(
-    fam: SemigroupFamily, vecs: Sequence[np.ndarray], omega: float, t_grid: np.ndarray
+    fam: SemigroupFamily, vecs: Sequence[np.ndarray], t_grid: np.ndarray
 ) -> np.ndarray:
-    """e^{-omega t} ||W(t) x|| along t_grid, one column per normalized x.
+    """||W(t) x|| along t_grid, one column per normalized x.
 
     W(t) is built once per time at the widest support; each x is applied to
-    its own leading columns.  A norm that overflows reads inf, silently.
+    its own leading columns.  A norm that overflows reads inf, silently: past
+    the double range W(t) holds inf, and inf * 0 in the product gives nan.
     """
     dim = vecs[0].size
     supports = [_support_size(v) for v in vecs]
     vals = np.empty((t_grid.size, len(vecs)))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for i, t in enumerate(t_grid):
             W = semigroup_matrix(fam, float(t), dim, max(supports))
             for j, (v, m) in enumerate(zip(vecs, supports)):
                 nrm = np.linalg.norm(W[:, :m] @ v[:m])
-                vals[i, j] = math.exp(-omega * t) * nrm if np.isfinite(nrm) else np.inf
+                vals[i, j] = nrm if np.isfinite(nrm) else np.inf
     return vals
 
 
-def _growth_report(vals: np.ndarray, t_grid: np.ndarray) -> GrowthReport:
-    """Sup, its grid time and the divergence flag of one growth curve."""
+def _growth_report(norms: np.ndarray, omega: float, t_grid: np.ndarray) -> GrowthReport:
+    """Sup, its grid time and the divergence flag of one curve weighted by e^{-omega t}."""
+    vals = np.array([math.exp(-omega * t) * nrm for t, nrm in zip(t_grid, norms)])
     finite = np.isfinite(vals)
     overflowed = not finite.all()
     tail_up = bool(
-        vals.size >= 3
+        not overflowed
+        and vals.size >= 3
         and np.all(np.diff(vals[-3:]) > 0)
         and np.all(vals[-3:] > 10 * np.min(vals))
     )
@@ -394,7 +398,8 @@ def _growth_report(vals: np.ndarray, t_grid: np.ndarray) -> GrowthReport:
     else:
         sup = float(np.max(vals))
         arg = float(t_grid[int(np.argmax(vals >= sup * (1 - _SUP_ROUNDING)))])
-    return GrowthReport(sup=sup, argmax_t=arg, diverging=overflowed or tail_up, values=vals)
+    return GrowthReport(sup=sup, argmax_t=arg, diverging=overflowed or tail_up,
+                        values=vals, norms=norms)
 
 
 def n_omega_estimate(fam: SemigroupFamily, x: FockVector, probe: GrowthProbe) -> GrowthReport:
@@ -404,8 +409,8 @@ def n_omega_estimate(fam: SemigroupFamily, x: FockVector, probe: GrowthProbe) ->
     and exceed ten times the grid minimum, or when the norm overflows.  The
     sup is reported at the earliest time whose value equals it up to rounding.
     """
-    vals = _growth_values(fam, [x.coeffs], probe.omega, probe.t_grid)
-    return _growth_report(vals[:, 0], probe.t_grid)
+    norms = _growth_values(fam, [x.coeffs], probe.t_grid)
+    return _growth_report(norms[:, 0], probe.omega, probe.t_grid)
 
 
 def norm_w_one_closed_form(fam: SemigroupFamily, t: float) -> float:
@@ -441,8 +446,8 @@ def laplace_resolvent(
         raise ValueError("need one or more vectors of one dim")
     vecs = [x.coeffs for x in xs]
     T = 1.0
-    for curve in _growth_values(fam, vecs, omega, GrowthProbe.t_grid).T:
-        report = _growth_report(curve, GrowthProbe.t_grid)
+    for curve in _growth_values(fam, vecs, GrowthProbe.t_grid).T:
+        report = _growth_report(curve, omega, GrowthProbe.t_grid)
         if report.diverging:
             raise ValueError(
                 f"growth probe diverges at omega = {omega}; the Laplace integral "

@@ -14,8 +14,9 @@ appends a suffix to every id (``.{variant}.{i}``, or ``.b0.{i}`` and
 parsed spec with no suffix, so a kind and the suite judge one case alike.
 Each law is measured by one helper of the layer that defines it (for example
 ``check_semigroup_law`` sweeps its own time grid, and every C-symmetry
-residual is ``check_matrix_c_symmetry``); helpers that judge a matrix take
-it from their caller, which builds or integrates it once.
+residual is ``check_matrix_c_symmetry``), at the truncation that decides it.
+A check builds each operator once, at the widest size it reads; a smaller
+truncation or fewer columns are a leading block of it, bit for bit.
 
 ``_record`` judges pass or fail only; it tags the records of the
 truncation-sensitive laws.  :func:`run_group` turns a tagged failure into
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,10 +60,10 @@ from .fock import DEFAULT_TOLERANCES, FockVector, basis_vector, monomial
 from .generator import (
     DivergenceCertificate,
     check_empty_point_spectrum,
-    check_generator_fd,
     check_stone_adjoint_relation,
     dissipativity_margin,
     eigen_residual,
+    generator_fd_fits,
     generator_matrix,
     matrix_exponential,
     point_spectrum_predicted,
@@ -74,12 +75,13 @@ from .semigroup import (
     GrowthProbe,
     SemigroupFamily,
     TranslationFamily,
+    _growth_report,
+    _growth_values,
     check_semicocycle,
     check_semiflow,
     check_semigroup_law,
     family_eval,
     laplace_resolvent,
-    n_omega_estimate,
     norm_w_one_closed_form,
     scaling_instance,
     semigroup_matrix,
@@ -236,8 +238,9 @@ def conjugation_records(cfg: VerifyConfig, p: ConjugationParams,
         ]
     half = cfg.dim // 2
     deg = min(8, half - 1)
-    r_half = involution_residual(conjugation_matrix(p, half), deg)
-    r_full = involution_residual(conjugation_matrix(p, cfg.dim), deg)
+    M = conjugation_matrix(p, cfg.dim).matrix
+    r_half, r_full = (involution_residual(AntilinearOperator(M[:d, :d]), deg)
+                      for d in (half, cfg.dim))
     check_id, anchor = f"conjugation.involution{suffix}.decay", "C^2 -> identity as truncation grows"
     factor = r_half / r_full if r_full > 0 else math.inf
     decay, floor = cfg.tol("residual_decay_factor"), cfg.tol("involution_exact")
@@ -292,17 +295,17 @@ def scaling_solver_records(cfg: VerifyConfig, fam: SemigroupFamily,
                     worst, cfg.tol("scaling_solver"))]
 
 
-def fd_slope_records(cfg: VerifyConfig, case: tuple[SemigroupFamily, int],
+def fd_slope_records(cfg: VerifyConfig, case: tuple[SemigroupFamily, Sequence[int]],
                      suffix: str = "") -> list[CheckRecord]:
-    """Forward (order 1) and central (order 2) difference-quotient slopes on z^k."""
-    fam, k = case
-    out = []
-    for scheme, order, anchor in (("forward", 1.0, "first-order quotient converges to the generator"),
-                                  ("central", 2.0, "second-order quotient converges to the generator")):
-        slope, _ = check_generator_fd(fam, k, cfg.dim, scheme=scheme)
-        out.append(_record(f"generator.fd-{scheme}{suffix}.k{k}", anchor,
-                           abs(slope - order), 0.1, detail=f"slope {slope:.4f}"))
-    return out
+    """Forward (order 1) and central (order 2) slopes on z^k; case is (family, degrees)."""
+    fam, degrees = case
+    fits = generator_fd_fits(fam, degrees, cfg.dim)
+    return [_record(f"generator.fd-{scheme}{suffix}.k{k}",
+                    f"{order_name} quotient converges to the generator",
+                    abs(fits[scheme, k][0] - order), 0.1, detail=f"slope {fits[scheme, k][0]:.4f}")
+            for k in degrees
+            for scheme, order, order_name in (("forward", 1.0, "first-order"),
+                                              ("central", 2.0, "second-order"))]
 
 
 def exponential_bridge_records(cfg: VerifyConfig, fam: SemigroupFamily,
@@ -316,23 +319,30 @@ def exponential_bridge_records(cfg: VerifyConfig, fam: SemigroupFamily,
 
 def stone_symmetry_records(cfg: VerifyConfig, fam: SemigroupFamily,
                            suffix: str = "") -> list[CheckRecord]:
-    """Q M = M Q^T, worst over dims (dim/4, dim/2, dim); the adjoint quotient, best."""
-    stones = [check_stone_adjoint_relation(fam, d)
-              for d in (max(4, cfg.dim // 4), max(6, cfg.dim // 2), cfg.dim)]
+    """Q M = M Q^T at the largest of (dim/4, dim/2, dim); the adjoint quotient at the smallest.
+
+    Each smaller truncation of Q, M and W(h) is a leading block of a larger.
+    The quotient's column norms accumulate row by row, so its smallest dim
+    gives its best value; for a diagonal M each entry of a smaller Q M - M Q^T
+    is one of the largest's, up to rounding in the products.
+    """
+    small, _, big = sorted((max(4, cfg.dim // 4), max(6, cfg.dim // 2), cfg.dim))
+    symmetry = check_matrix_c_symmetry(generator_matrix(fam, big).dense(),
+                                       conjugation_matrix(fam.conj, big).matrix)
     return [
         _record(f"stone.generator-symmetry{suffix}",
                 "Q M = M Q^T for diagonal conjugation matrices",
-                max(s.c_symmetry_residual for s in stones), cfg.tol("matrix_symmetry_exact")),
+                symmetry, cfg.tol("matrix_symmetry_exact")),
         _info(f"stone.adjoint-quotient{suffix}", "adjoint family differentiates to Q^H",
-              min(s.adjoint_fd_residual for s in stones), "first-order quotient at h = 1e-6"),
+              check_stone_adjoint_relation(fam, small).adjoint_fd_residual,
+              "first-order quotient at h = 1e-6"),
     ]
 
 
-def divergence_records(cfg: VerifyConfig, case: tuple[SemigroupFamily, complex],
+def divergence_records(cfg: VerifyConfig, case: tuple[complex, DivergenceCertificate],
                        suffix: str = "") -> list[CheckRecord]:
-    """The candidate eigenfunction of eta leaves the space, by its certificate."""
-    fam, eta = case
-    cert = divergence_certificate(cfg, fam, eta)
+    """The candidate eigenfunction of eta leaves the space; case is (eta, its certificate)."""
+    eta, cert = case
     measured, threshold, direction = cert.verdict()
     return [_record(f"empty-spectrum.divergence.eta={eta}{suffix}",
                     "candidate eigenfunction leaves the space",
@@ -405,26 +415,20 @@ _BOUNDEDNESS_SETS = (
 
 
 def boundedness_checks(cfg: VerifyConfig) -> list[CheckRecord]:
+    """2-norms of the leading (dim/4, dim/2, dim) blocks of one dim x dim truncation."""
     out: list[CheckRecord] = []
     dims = (max(4, cfg.dim // 4), max(6, cfg.dim // 2), cfg.dim)
     for i, p in enumerate(_BOUNDEDNESS_SETS):
         verdict = is_bounded(p)
-        norms = [float(np.linalg.norm(wco_matrix(p, d), 2)) for d in dims]
+        M = wco_matrix(p, cfg.dim)
+        norms = [float(np.linalg.norm(M[:d, :d], 2)) for d in dims]
         growth = max(norms[j + 1] / norms[j] for j in range(len(dims) - 1))
-        if verdict.bounded:
-            out.append(
-                _record(f"boundedness.flat-norms.{i}",
-                        "bounded symbols give convergent truncated norms",
-                        growth, 1.01,
-                        detail=f"{verdict.reason}; norms {norms}")
-            )
-        else:
-            out.append(
-                _record(f"boundedness.growing-norms.{i}",
-                        "unbounded symbols give growing truncated norms",
-                        growth, 2.0, direction=">=",
-                        detail=f"{verdict.reason}; norms {norms}")
-            )
+        name, anchor, bound, direction = (
+            ("flat", "bounded symbols give convergent truncated norms", 1.01, "<=")
+            if verdict.bounded else
+            ("growing", "unbounded symbols give growing truncated norms", 2.0, ">="))
+        out.append(_record(f"boundedness.{name}-norms.{i}", anchor, growth, bound, direction,
+                           detail=f"{verdict.reason}; norms {norms}"))
     return out
 
 
@@ -471,8 +475,8 @@ _GEN_FAMILIES: tuple[SemigroupFamily, ...] = (
 
 
 def generator_fd_checks(cfg: VerifyConfig) -> list[CheckRecord]:
-    out = [r for fam in _GEN_FAMILIES for k in range(5)
-           for r in fd_slope_records(cfg, (fam, k), f".{_variant(fam)}")]
+    out = [r for fam in _GEN_FAMILIES
+           for r in fd_slope_records(cfg, (fam, range(5)), f".{_variant(fam)}")]
     # exponential of the truncated generator against the family member
     return out + exponential_bridge_records(cfg, _GEN_FAMILIES[0])
 
@@ -549,52 +553,43 @@ def spectrum_checks(cfg: VerifyConfig) -> list[CheckRecord]:
 
 def empty_spectrum_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     fam = _std_translation(E=1.0, F=0.0)
-    return [r for eta in (0.0, 1 + 1j) for r in divergence_records(cfg, (fam, eta))]
+    return [r for eta in (0.0, 1 + 1j)
+            for r in divergence_records(cfg, (eta, divergence_certificate(cfg, fam, eta)))]
 
 
 # ----------------------------------------------------------------------------
 # group 9: growth estimates and the norm of W(t) 1
 
 def growth_checks(cfg: VerifyConfig) -> list[CheckRecord]:
+    """||W(t) 1|| against its closed form, and one growth curve weighted three ways."""
     out: list[CheckRecord] = []
+    one = monomial(0, cfg.dim)
+    ts = np.linspace(0.0, 1.0, 5)
     for i, fam in enumerate(
         (_std_translation(E=1.0, F=0.0),
          _std_translation(E=0.5 + 0.5j, F=0.1),
          _std_dilation(ell=-1.0, G=1.0, H=0.1),
          _std_dilation(ell=1.0, G=0.5, H=0.0))
     ):
-        worst = 0.0
-        for t in np.linspace(0.0, 1.0, 5):
-            W = semigroup_matrix(fam, float(t), cfg.dim, 1)
-            direct = float(np.linalg.norm(W[:, 0]))
-            closed = norm_w_one_closed_form(fam, float(t))
-            worst = max(worst, abs(direct - closed) / closed)
-        out.append(
-            _record(f"growth.norm-one.{_variant(fam)}.{i}",
-                    "||W(t) 1|| = |C(t)| exp(|D(t)|^2 / 2)",
-                    worst, cfg.tol("norm_one"))
-        )
+        closed = [norm_w_one_closed_form(fam, float(t)) for t in ts]
+        direct = _growth_values(fam, [one.coeffs], ts)[:, 0]
+        worst = max(abs(n - c) / c for n, c in zip(direct, closed))
+        out.append(_record(f"growth.norm-one.{_variant(fam)}.{i}",
+                           "||W(t) 1|| = |C(t)| exp(|D(t)|^2 / 2)", worst, cfg.tol("norm_one")))
     fam = _std_translation(E=1.0, F=0.0)
     # for E=1, a=1, F=0 the closed form collapses to exp(t^2)
     tgrid = np.linspace(0.0, 2.0, 9)
-    dev = max(
-        abs(norm_w_one_closed_form(fam, float(t)) / math.exp(t * t) - 1.0)
-        for t in tgrid
-    )
-    out.append(
-        _record("growth.norm-one-exp-t-squared",
-                "||W(t) 1|| = exp(t^2) for unit drift-free translation",
-                dev, 1e-12)
-    )
-    one = monomial(0, cfg.dim)
+    dev = max(abs(norm_w_one_closed_form(fam, float(t)) / math.exp(t * t) - 1.0)
+              for t in tgrid)
+    out.append(_record("growth.norm-one-exp-t-squared",
+                       "||W(t) 1|| = exp(t^2) for unit drift-free translation", dev, 1e-12))
+    curve = _growth_values(fam, [one.coeffs], GrowthProbe.t_grid)[:, 0]
     for omega in (0.0, 1.0, 10.0):
-        rep = n_omega_estimate(fam, one, GrowthProbe(omega=omega))
-        out.append(
-            _record(f"growth.divergence-flag.omega={omega:g}",
-                    "quadratic cocycle growth beats every exponential weight",
-                    1.0 if rep.diverging else 0.0, 1.0, direction=">=",
-                    detail=f"sup {rep.sup:.3e} at t = {rep.argmax_t:.3g}")
-        )
+        rep = _growth_report(curve, omega, GrowthProbe.t_grid)
+        out.append(_record(f"growth.divergence-flag.omega={omega:g}",
+                           "quadratic cocycle growth beats every exponential weight",
+                           1.0 if rep.diverging else 0.0, 1.0, direction=">=",
+                           detail=f"sup {rep.sup:.3e} at t = {rep.argmax_t:.3g}"))
     return out
 
 

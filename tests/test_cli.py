@@ -108,10 +108,12 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
     ("evolution", {"B": "bagchi", "s": -1e308, "t": 1e308}, "x", "params.t"),
     ("conjugation-check", {"a": 1.0, "c": math.exp(-0.5)}, "x", "params.c"),
     ("spectrum", {"family": DILATION, "k_max": 16}, "x", "params.k_max"),
+    ("evolution", {"B": "bagchi", "s": 5, "t": 10, "kappa": {"cosine": {"frequency": 1e308}}},
+     "x", "params.kappa.cosine.frequency"),
 ], ids=["rel_tol-zero", "omega-string", "omega-overflow", "A-overflow", "table-shapes", "stiff",
         "samples-zero", "name-separator", "verify-all-dim-one", "omega-huge-int", "A-huge-int",
         "times-huge-int", "kappa-huge-int", "span-overflow", "conjugation-constraint",
-        "k_max-at-dim"])
+        "k_max-at-dim", "cosine-overflow"])
 def test_malformed_input_names_field_path(tmp_path, _outdir, capsys, kind, params, name, field):
     if kind is None:
         argv = ["verify-all", "--dim", "1"]
@@ -466,7 +468,12 @@ def test_verify_all_work_is_pinned(tmp_path, work):
     # U(1.5, 0) for the symmetry record, U(1, 0) and four U(1 + h, 1) for the
     # adjoint slope; the laplace group's five vectors share one 65-point growth pass;
     # the spectrum group builds each eigenfunction (m < 6, three dims) as one column
-    assert work == {"evolve": 10, "wco_matrix": 1207}
+    # wco_matrix by group: laplace 690 (two 65-point growth passes, 560 integrand
+    # nodes), growth 85 (4 x 5 norm-one times, one 65-point curve for the three
+    # divergence weights), semigroup-law 72, generator-fd 23 (W(h) and W(-h) per
+    # family and step, 3 bridge times), stone-symmetry 18 (M at dim, W(h) and M
+    # at dim/4, six families), spectrum 18, boundedness 6, conjugation 4
+    assert work == {"evolve": 10, "wco_matrix": 916}
 
 
 # --- spectrum front end -----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,14 @@ from focksym import generator, semigroup
 from focksym.cli import ScenarioError, _family_from
 from focksym.generator import check_generator_fd, generator_matrix
 from focksym.rng import complex_normal_vectors
-from focksym.verification import VerifyConfig, exponential_bridge, laplace_checks
+from focksym.verification import (
+    VerifyConfig,
+    _STONE_FAMILIES,
+    exponential_bridge,
+    generator_fd_checks,
+    laplace_checks,
+    stone_symmetry_records,
+)
 from focksym.wco import wco_matrix
 
 STD = standard_conjugation()
@@ -282,10 +290,15 @@ def test_quadratic_growth_is_flagged():
 
 
 def test_overflowing_probe_reports_divergence():
-    fam = TranslationFamily(E=3.0, F=0.0, conj=STD)  # exp(9 t^2 / 2) overflows
-    rep = n_omega_estimate(fam, monomial(0, 64), GrowthProbe())
-    assert rep.diverging
-    assert math.isinf(rep.sup)
+    # exp(9 t^2 / 2) overflows; the offset dilation's W(t) overflows at dim 64,
+    # where inf * 0 in the product and inf - inf along the curve must stay silent
+    for fam in (TranslationFamily(E=3.0, F=0.0, conj=STD),
+                DilationFamily(ell=1.0, G=0.7, H=0.2j, conj=OFFSET)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = n_omega_estimate(fam, monomial(0, 64), GrowthProbe())
+        assert rep.diverging
+        assert math.isinf(rep.sup)
 
 
 def test_norm_of_image_of_one_closed_form():
@@ -446,6 +459,19 @@ def test_generator_fd_builds_only_the_support_columns(built_shapes, scheme, k):
     check_generator_fd(fam, k, 32, scheme=scheme)
     assert built_shapes
     assert max(cols for _, cols in built_shapes) <= k + 1
+
+
+def test_generator_fd_group_builds_each_step_once(built_shapes):
+    generator_fd_checks(VerifyConfig(dim=32))
+    # per family and step h, one W(h) and one W(-h) with the 5 columns that
+    # z^k, k <= 4, read; then W(t) at the exponential bridge's three times
+    assert built_shapes == [(32, 5)] * 20 + [(32, 6)] * 3
+
+
+def test_stone_maker_builds_one_step_operator(built_shapes):
+    stone_symmetry_records(VerifyConfig(dim=64), _STONE_FAMILIES[3])
+    # W(h) for the adjoint quotient at dim/4; Q M = M Q^T needs no W
+    assert built_shapes == [(16, 16)]
 
 
 def test_exponential_bridge_builds_only_the_monomial_columns(built_shapes):

@@ -313,6 +313,9 @@ def test_leading_columns_equal_the_full_matrix_columns():
         full = wco_matrix(p, 40)
         for m in (1, 2, 7, 40):
             np.testing.assert_array_equal(wco_matrix(p, 40, m), full[:, :m])
+        # a smaller truncation is the leading block: no row reads a later one
+        for d in (1, 7, 20):
+            np.testing.assert_array_equal(wco_matrix(p, d), full[:d, :d])
     for bad in (0, 41):
         with pytest.raises(ValueError, match="ncols"):
             wco_matrix(REFERENCE_SYMBOLS[0], 40, bad)
