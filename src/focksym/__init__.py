@@ -48,6 +48,7 @@ from .generator import (
     check_stone_adjoint_relation,
     dissipativity_margin,
     eigen_residual,
+    eigen_residuals,
     eigenfunction_coeffs,
     generator_matrix,
     matrix_exponential,

@@ -53,6 +53,7 @@ from .generator import spectrum_report
 from .semigroup import (
     DilationFamily,
     GrowthProbe,
+    QuadratureError,
     SemigroupFamily,
     TranslationFamily,
     family_is_bounded,
@@ -455,9 +456,10 @@ def _parse_full_verify(params: dict, cfg: VerifyConfig) -> VerifyConfig:
 # scenario runners: each returns (records, extra report payload, csv rows)
 
 def _run_conjugation(p: ConjugationParams, cfg: VerifyConfig):
-    records = conjugation_records(cfg, p)
+    op = conjugation_matrix(p, cfg.dim)
+    records = conjugation_records(cfg, (p, op))
     if p.b != 0:  # the isometry is truncation limited too: reported, not judged
-        iso = isometry_residual(conjugation_matrix(p, cfg.dim), cfg.seed)
+        iso = isometry_residual(op, cfg.seed)
         records.append(_info("conjugation.isometry.residual",
                              "<Cf,Cg> = <g,f> (truncation limited)", iso))
     payload = {"conjugation": p.to_json(), "diagonal": p.is_diagonal}
@@ -484,13 +486,20 @@ def _run_wco(spec: WcoSpec, cfg: VerifyConfig):
     return records, payload, None
 
 
+# what a family's laws raise when its symbols leave the double range
+_UNEVALUABLE = (OverflowError, QuadratureError, ZeroDivisionError)
+
+
 def _run_semigroup(spec: SemigroupSpec, cfg: VerifyConfig):
     fam, dim, probe = spec.family, cfg.dim, spec.probe
-    records = (flow_cocycle_records(cfg, fam) + semigroup_law_records(cfg, fam)
-               + scaling_solver_records(cfg, fam))
+    try:
+        records = (flow_cocycle_records(cfg, fam) + semigroup_law_records(cfg, fam)
+                   + scaling_solver_records(cfg, fam))
+        rep = n_omega_estimate(fam, monomial(0, dim), probe)
+    except _UNEVALUABLE as exc:
+        raise ScenarioError("params.family", f"the family cannot be evaluated: {exc}")
     records.append(_info("semigroup.bounded", "uniform boundedness criterion",
                          1.0 if family_is_bounded(fam) else 0.0))
-    rep = n_omega_estimate(fam, monomial(0, dim), probe)
     records.append(_info("semigroup.growth", "sup_t e^{-omega t} ||W(t) 1||", rep.sup,
                          f"diverging={rep.diverging} argmax_t={rep.argmax_t!r}"))
     rows = [("t", "norm", "weighted_norm")]
@@ -501,8 +510,11 @@ def _run_semigroup(spec: SemigroupSpec, cfg: VerifyConfig):
 
 
 def _run_generator(fam: SemigroupFamily, cfg: VerifyConfig):
-    records = (fd_slope_records(cfg, (fam, (0,))) + exponential_bridge_records(cfg, fam)
-               + stone_symmetry_records(cfg, fam))
+    try:
+        records = (fd_slope_records(cfg, (fam, (0,))) + exponential_bridge_records(cfg, fam)
+                   + stone_symmetry_records(cfg, fam))
+    except _UNEVALUABLE as exc:
+        raise ScenarioError("params.family", f"the family cannot be evaluated: {exc}")
     return records, {"family": fam.to_json()}, None
 
 

@@ -114,11 +114,15 @@ def check_involution(op: AntilinearOperator, max_degree: int) -> np.ndarray:
 
     The square of the antilinear operator is the linear map M conj(M); exact
     identity requires b = 0, otherwise the residual decays with truncation.
+    Only the judged columns are formed: M times the leading max_degree + 1
+    columns of conj(M), less those of I.  They are taken as the transpose of
+    conj(M)[:, :n]^T M^T, which gives the full product's columns bit for bit.
     """
     if not 0 <= max_degree < op.dim:
         raise ValueError("max_degree outside truncation")
-    P = op.matrix @ np.conj(op.matrix) - np.eye(op.dim)
-    return np.linalg.norm(P[:, : max_degree + 1], axis=0)
+    n = max_degree + 1
+    P = (np.conj(op.matrix[:, :n]).T @ op.matrix.T).T - np.eye(op.dim, n)
+    return np.linalg.norm(P, axis=0)
 
 
 def check_isometry(op: AntilinearOperator, f: FockVector, g: FockVector) -> float:

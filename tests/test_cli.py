@@ -110,10 +110,25 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
     ("spectrum", {"family": DILATION, "k_max": 16}, "x", "params.k_max"),
     ("evolution", {"B": "bagchi", "s": 5, "t": 10, "kappa": {"cosine": {"frequency": 1e308}}},
      "x", "params.kappa.cosine.frequency"),
+    # families whose symbols or laws cannot be evaluated in double precision; the
+    # overflow on the way to the error is expected, so its warnings are not reported
+    *(pytest.param(kind, {"family": family}, "x", "params.family",
+                   marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+      for kind, family in (
+          ("semigroup", {"variant": "translation", "E": 1e200}),
+          ("generator", {"variant": "translation", "E": 1e200}),
+          ("semigroup", {"variant": "dilation", "ell": 1e3, "G": 1}),
+          ("semigroup", {"variant": "dilation", "ell": [0, 1e10], "G": 1}),
+          ("semigroup", {"variant": "dilation", "ell": -1, "G": 1, "H": -1e3}),
+          ("semigroup", {"variant": "translation", "E": 1, "F": -1e3}),
+          ("generator", {"variant": "dilation", "ell": -1, "G": 1e200}))),
 ], ids=["rel_tol-zero", "omega-string", "omega-overflow", "A-overflow", "table-shapes", "stiff",
         "samples-zero", "name-separator", "verify-all-dim-one", "omega-huge-int", "A-huge-int",
         "times-huge-int", "kappa-huge-int", "span-overflow", "conjugation-constraint",
-        "k_max-at-dim", "cosine-overflow"])
+        "k_max-at-dim", "cosine-overflow", "semigroup-E-overflow", "generator-E-overflow",
+        "semigroup-ell-quadrature", "semigroup-imaginary-ell-quadrature",
+        "semigroup-H-cocycle-vanishes", "semigroup-F-cocycle-vanishes",
+        "generator-G-expm-overflow"])
 def test_malformed_input_names_field_path(tmp_path, _outdir, capsys, kind, params, name, field):
     if kind is None:
         argv = ["verify-all", "--dim", "1"]
@@ -467,13 +482,34 @@ def test_verify_all_work_is_pinned(tmp_path, work):
     # evolution group: U(1, 0), U(1, 1), U(1, 0.5), U(0.5, 0) for the axioms,
     # U(1.5, 0) for the symmetry record, U(1, 0) and four U(1 + h, 1) for the
     # adjoint slope; the laplace group's five vectors share one 65-point growth pass;
-    # the spectrum group builds each eigenfunction (m < 6, three dims) as one column
+    # the spectrum group builds its six eigenfunctions once, as the columns of one
+    # matrix at the largest of its three dims
     # wco_matrix by group: laplace 690 (two 65-point growth passes, 560 integrand
     # nodes), growth 85 (4 x 5 norm-one times, one 65-point curve for the three
     # divergence weights), semigroup-law 72, generator-fd 23 (W(h) and W(-h) per
-    # family and step, 3 bridge times), stone-symmetry 18 (M at dim, W(h) and M
-    # at dim/4, six families), spectrum 18, boundedness 6, conjugation 4
-    assert work == {"evolve": 10, "wco_matrix": 916}
+    # family and step, 3 bridge times), stone-symmetry 12 (M at dim and W(h) at
+    # dim/4, six families), boundedness 6, conjugation 4, spectrum 1
+    assert work == {"evolve": 10, "wco_matrix": 893}
+
+
+def test_generator_kind_stays_within_its_truncation(tmp_path, monkeypatch):
+    # at dim 3 the Stone records are taken at dim 3 too, not at a larger rung
+    dims = []
+    for name, original in (("generator_matrix", generator.generator_matrix),
+                           ("conjugation_matrix", conjugation.conjugation_matrix)):
+        def recording(*args, _original=original, **kwargs):
+            out = _original(*args, **kwargs)
+            dims.append(out.dim)
+            return out
+
+        for mod in (conjugation, generator, verification, cli):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, recording)
+    path = _scenario(tmp_path, {"name": "x", "kind": "generator", "params": {"family": DILATION},
+                                "truncation": {"dim": 3},
+                                "output": {"path": str(tmp_path / "r.json")}})
+    assert main(["run", path]) in (0, 2)
+    assert dims and max(dims) == 3
 
 
 # --- spectrum front end -----------------------------------------------------------

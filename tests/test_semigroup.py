@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -28,9 +29,14 @@ from focksym.semigroup import (
     semigroup_matrix,
     solve_scaling_equation,
 )
-from focksym import generator, semigroup
+from focksym import conjugation, generator, semigroup
 from focksym.cli import ScenarioError, _family_from
-from focksym.generator import check_generator_fd, generator_matrix
+from focksym.generator import (
+    check_generator_fd,
+    check_stone_adjoint_relation,
+    generator_matrix,
+    resolvent_bound_check,
+)
 from focksym.rng import complex_normal_vectors
 from focksym.verification import (
     VerifyConfig,
@@ -38,6 +44,7 @@ from focksym.verification import (
     exponential_bridge,
     generator_fd_checks,
     laplace_checks,
+    spectrum_checks,
     stone_symmetry_records,
 )
 from focksym.wco import wco_matrix
@@ -184,8 +191,11 @@ def test_scaling_solver_offset_conjugation():
 def test_quadrature_error_when_tolerance_unreachable():
     # megahertz oscillation cannot be resolved within the panel-doubling cap
     wild = lambda tau: 1000.0 * np.sin(1.0e6 * np.asarray(tau))
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError) as err:
         solve_scaling_equation(0.0, wild, 2.0)
+    # the message reports the last two rules' disagreement, which missed the tolerance
+    reported = re.search(r"disagreement (\S+) above (\S+)", str(err.value))
+    assert float(reported[1]) > float(reported[2]) == 1e-12
 
 
 # --- one panel-doubling quadrature against the loops it replaced -------------
@@ -248,6 +258,50 @@ def test_quadrature_equals_the_loops_it_replaced():
     for x in (basis_vector(1, 16), monomial(3, 16)):
         [J] = laplace_resolvent(fam, 2.0 + 0j, [x], omega=0.0)
         assert np.array_equal(J.coeffs, _laplace_panel_loop(fam, 2.0 + 0j, x))
+
+
+def _monomial_law_loop(fam, times, n_monomials, dim):
+    """The semigroup law applied one monomial vector z^k at a time."""
+    m = min(n_monomials, dim)
+    W = {tau: semigroup_matrix(fam, tau, dim) for tau in
+         set(times) | {t + s for t in times for s in times}}
+
+    def residual(t, s, k):
+        v = monomial(k, dim).coeffs[:m]
+        rhs = W[t + s][:, :m] @ v
+        return float(np.linalg.norm(W[t] @ (W[s][:, :m] @ v) - rhs) / np.linalg.norm(rhs))
+
+    return max(residual(t, s, k) for t in times for s in times for k in range(m))
+
+
+def _resolvent_vector_loop(M, alphas, vectors):
+    """The resolvent bound with one product per alpha and probe vector."""
+    best = math.inf
+    for alpha in alphas:
+        shifted = alpha * np.eye(M.shape[0]) - M
+        for v in vectors:
+            best = min(best, float(np.linalg.norm(shifted @ v) / (alpha * np.linalg.norm(v))))
+    return best
+
+
+def test_block_laws_equal_the_loops_they_replaced():
+    # a block product sums in another order than one vector at a time: the
+    # values agree to rounding, within 1e-15 absolute or 1e-8 relative
+    def close(got, ref):
+        assert abs(got - ref) <= max(1e-15, 1e-8 * abs(ref))
+
+    times = (0.1, 0.25, 0.5, 1.0)
+    for fam in (TranslationFamily(E=2.0, F=0.1, conj=STD),
+                DilationFamily(ell=0.5, G=0.5j, H=0.1, conj=STD),
+                DilationFamily(ell=1.0, G=0.7, H=0.2j, conj=OFFSET)):
+        for dim in (8, 24, 64):
+            close(check_semigroup_law(fam, times, 7, dim),
+                  _monomial_law_loop(fam, times, 7, dim))
+    Q = generator_matrix(TranslationFamily(E=1j, F=-1.0, conj=STD), 64).dense()
+    for seed in (7, 20260814):
+        vectors = list(complex_normal_vectors(seed, 100, 64))
+        close(resolvent_bound_check(Q, (0.1, 1.0, 10.0), vectors),
+              _resolvent_vector_loop(Q, (0.1, 1.0, 10.0), vectors))
 
 
 def test_quadrature_columns_keep_their_first_converged_value():
@@ -472,6 +526,18 @@ def test_stone_maker_builds_one_step_operator(built_shapes):
     stone_symmetry_records(VerifyConfig(dim=64), _STONE_FAMILIES[3])
     # W(h) for the adjoint quotient at dim/4; Q M = M Q^T needs no W
     assert built_shapes == [(16, 16)]
+
+
+def test_spectrum_group_builds_one_eigenfunction_matrix(built_shapes):
+    spectrum_checks(VerifyConfig(dim=32))
+    # the six eigenfunctions as the columns of one build at the largest dim, 40
+    assert built_shapes == [(40, 6)]
+
+
+def test_stone_quotient_builds_no_conjugation(built_shapes, monkeypatch):
+    monkeypatch.setattr(conjugation, "wco_matrix", semigroup.wco_matrix)  # counted too
+    check_stone_adjoint_relation(_STONE_FAMILIES[1], 16)
+    assert built_shapes == [(16, 16)]  # W(h) alone
 
 
 def test_exponential_bridge_builds_only_the_monomial_columns(built_shapes):
