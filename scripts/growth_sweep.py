@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Sweep the growth weight omega for a semigroup family and tabulate sups.
 
-Evaluates sup_t e^{-omega t} ||W(t) e_0|| on the standard probe grid for a
-range of omega values, flagging which weights tame the family and which do
-not.  The translation family with E = 1 grows like e^{t^2}, so no weight
-ever tames it — a quick way to see the growth-class boundary move.
+Evaluates sup_t e^{-omega t} ||W(t) e_0|| on the growth grid GROWTH_T_GRID
+for a range of omega values, weighting one curve ||W(t) e_0|| each way, and
+flags which weights tame the family and which do not.  The translation family
+with E = 1 grows like e^{t^2}, so no weight ever tames it — a quick way to see
+the growth-class boundary move.
 
 Usage:
     python scripts/growth_sweep.py --family dilation --ell -1 --G 1 \
@@ -17,10 +18,11 @@ import sys
 from focksym.conjugation import standard_conjugation
 from focksym.fock import monomial
 from focksym.semigroup import (
+    GROWTH_T_GRID,
     DilationFamily,
-    GrowthProbe,
     TranslationFamily,
-    n_omega_estimate,
+    growth_report,
+    growth_values,
 )
 from focksym.serialize import write_csv
 
@@ -49,12 +51,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     fam = build_family(args)
-    e0 = monomial(0, args.dim)
+    curve = growth_values(fam, monomial(0, args.dim)[:, None], GROWTH_T_GRID)[:, 0]
     print(f"{args.family} family, dim {args.dim}")
     print(f"{'omega':>8}  {'sup':>12}  {'argmax t':>9}  diverging")
     rows = []
     for omega in args.omegas:
-        rep = n_omega_estimate(fam, e0, GrowthProbe(omega=omega))
+        rep = growth_report(curve, omega, GROWTH_T_GRID)
         print(f"{omega:>8.3g}  {rep.sup:>12.6g}  {rep.argmax_t:>9.4f}  "
               f"{rep.diverging}")
         rows.append((omega, rep.sup, rep.argmax_t, int(rep.diverging)))

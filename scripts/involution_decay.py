@@ -45,8 +45,8 @@ def main(argv=None) -> int:
         if dim <= args.max_degree:
             print(f"{dim:>5}  (skipped: dim must exceed max degree)")
             continue
-        op = conjugation_matrix(params, dim)
-        res = float(np.max(check_involution(op, args.max_degree)))
+        M = conjugation_matrix(params, dim)
+        res = float(np.max(check_involution(M, args.max_degree)))
         factor = (prev / res) if (prev is not None and res > 0) else float("nan")
         print(f"{dim:>5}  {res:>12.4e}  {factor:>13.2f}")
         rows.append((dim, res, factor))

@@ -3,9 +3,10 @@
 
 The set covers `verify-all --seed 7` at dims 8, 16, 32 and 64, every scenario
 kind at dims 16 and 32 (standard and offset conjugations alike), one `evolve`
-CSV, a dim-16 constant-model `evolution` CSV and a records CSV of
-`conjugation-check`, whose anchors hold commas: 31 runs, which between them
-take both paths of the CSV writer.  Each printed line is the run's label, its
+CSV, two `spectrum` subcommand runs (a CSV and a JSON report), a dim-16
+constant-model `evolution` CSV and a records CSV of `conjugation-check`, whose
+anchors hold commas: 33 runs, which between them take every subcommand that
+writes a report and both paths of the CSV writer.  Each printed line is the run's label, its
 exit code and the digest of its report with the value of ``wall_time_s``
 replaced by null; no other byte is touched.  Two source trees produce
 identical reports exactly when their outputs are identical, so a change meant
@@ -116,6 +117,13 @@ def _runs(workdir: Path):
     out = workdir / "evolve.csv"
     yield ("evolve", ["evolve", "--kappa", "0.4", "--lam", "0.8", "--t", "2",
                       "--samples", "9", "--out", str(out)], out)
+    for fmt, flags in (("csv", ["--ell=-1+0.5j", "--G", "0.5", "--H", "0.2", "--k-max", "4",
+                                "--dim", "48"]),
+                       ("json", ["--ell", "1", "--G", "0.7", "--H=0+0.2j", "--b=0+1j",
+                                 f"--c={math.exp(-0.5)}", "--k-max", "3", "--dim", "32"])):
+        out = workdir / f"spectrum-command.{fmt}"
+        yield (f"spectrum-command-{fmt}", ["spectrum", *flags, "--format", fmt,
+                                           "--out", str(out)], out)
     for label, (kind, params, dim, fmt) in SINGLE_RUNS.items():
         yield _scenario_run(workdir, label, kind, params, dim, fmt)
 

@@ -2,12 +2,12 @@
 truncated space of entire functions, with evolution-family machinery for the
 nonautonomous case.
 
-Everything acts on finite coefficient vectors (see :mod:`focksym.fock`); all
-analytic claims are exercised as finite-dimensional residual checks.
+Everything acts on finite coefficient vectors, plain complex arrays (see
+:mod:`focksym.fock`); all analytic claims are exercised as finite-dimensional
+residual checks.
 """
 
 from .conjugation import (
-    AntilinearOperator,
     ConjugationParams,
     ConstraintViolation,
     check_involution,
@@ -30,13 +30,11 @@ from .evolution import (
 )
 from .fock import (
     DEFAULT_TOLERANCES,
-    FockVector,
     basis_vector,
     evaluate,
     inner_product,
     kernel_vector,
     monomial,
-    norm,
 )
 from .generator import (
     DivergenceCertificate,
@@ -57,8 +55,8 @@ from .generator import (
     spectrum_report,
 )
 from .semigroup import (
+    GROWTH_T_GRID,
     DilationFamily,
-    GrowthProbe,
     GrowthReport,
     QuadratureError,
     SemigroupFamily,
@@ -68,6 +66,8 @@ from .semigroup import (
     check_semigroup_law,
     family_eval,
     family_is_bounded,
+    growth_report,
+    growth_values,
     laplace_resolvent,
     n_omega_estimate,
     norm_w_one_closed_form,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import math
 import sys
@@ -51,8 +52,8 @@ from .evolution import (
 from .fock import DEFAULT_TOLERANCES, monomial
 from .generator import spectrum_report
 from .semigroup import (
+    GROWTH_T_GRID,
     DilationFamily,
-    GrowthProbe,
     QuadratureError,
     SemigroupFamily,
     TranslationFamily,
@@ -253,7 +254,7 @@ def validate_scenario(obj: dict, seed: int = VerifyConfig.seed) -> Scenario:
         raise ScenarioError("output.format", "expected 'json' or 'csv'")
     out = {"format": fmt}
     if "path" in output:
-        out["path"] = _get(output, "output", "path", str)
+        out["path"] = _report_path(_get(output, "output", "path", str), "output.path")
     parse, _ = _KINDS[kind]
     spec = parse(params, cfg)
     return Scenario(name, kind, spec, spec if kind == "full-verify" else cfg, out)
@@ -299,16 +300,16 @@ def _parse_family(params: dict, cfg: VerifyConfig) -> SemigroupFamily:
 @dataclass(frozen=True)
 class SemigroupSpec:
     family: SemigroupFamily
-    probe: GrowthProbe
+    omega: float  # exponential weight of the growth curve
 
 
 def _parse_semigroup(params: dict, cfg: VerifyConfig) -> SemigroupSpec:
     fam = _parse_family(params, cfg)
-    probe = GrowthProbe(omega=_get(params, "params", "omega", float, 0.0))
-    if abs(probe.omega) * probe.t_grid[-1] >= math.log(sys.float_info.max):
+    omega = _get(params, "params", "omega", float, 0.0)
+    if abs(omega) * GROWTH_T_GRID[-1] >= math.log(sys.float_info.max):
         raise ScenarioError("params.omega", f"exp(omega t) overflows on the probe grid "
-                                            f"t <= {probe.t_grid[-1]:g}")
-    return SemigroupSpec(fam, probe)
+                                            f"t <= {GROWTH_T_GRID[-1]:g}")
+    return SemigroupSpec(fam, omega)
 
 
 @dataclass(frozen=True)
@@ -486,35 +487,41 @@ def _run_wco(spec: WcoSpec, cfg: VerifyConfig):
     return records, payload, None
 
 
-# what a family's laws raise when its symbols leave the double range
-_UNEVALUABLE = (OverflowError, QuadratureError, ZeroDivisionError)
+@contextlib.contextmanager
+def _evaluating_family():
+    """A family whose symbols leave the double range is the params.family input error.
+
+    numpy's first overflow or invalid value raises (underflow stays silent), as
+    do the laws' own errors; code that expects an overflow silences it locally.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError, QuadratureError, ZeroDivisionError) as exc:
+        raise ScenarioError("params.family", f"the family cannot be evaluated: {exc}")
 
 
 def _run_semigroup(spec: SemigroupSpec, cfg: VerifyConfig):
-    fam, dim, probe = spec.family, cfg.dim, spec.probe
-    try:
+    fam, dim = spec.family, cfg.dim
+    with _evaluating_family():
         records = (flow_cocycle_records(cfg, fam) + semigroup_law_records(cfg, fam)
                    + scaling_solver_records(cfg, fam))
-        rep = n_omega_estimate(fam, monomial(0, dim), probe)
-    except _UNEVALUABLE as exc:
-        raise ScenarioError("params.family", f"the family cannot be evaluated: {exc}")
+        rep = n_omega_estimate(fam, monomial(0, dim), spec.omega)
     records.append(_info("semigroup.bounded", "uniform boundedness criterion",
                          1.0 if family_is_bounded(fam) else 0.0))
     records.append(_info("semigroup.growth", "sup_t e^{-omega t} ||W(t) 1||", rep.sup,
                          f"diverging={rep.diverging} argmax_t={rep.argmax_t!r}"))
     rows = [("t", "norm", "weighted_norm")]
     rows += [(float(t), float(norm), float(weighted))
-             for t, norm, weighted in zip(probe.t_grid, rep.norms, rep.values)]
-    payload = {"family": fam.to_json(), "growth": rep.to_json(), "omega": probe.omega}
+             for t, norm, weighted in zip(GROWTH_T_GRID, rep.norms, rep.values)]
+    payload = {"family": fam.to_json(), "growth": rep.to_json(), "omega": spec.omega}
     return records, payload, rows
 
 
 def _run_generator(fam: SemigroupFamily, cfg: VerifyConfig):
-    try:
+    with _evaluating_family():
         records = (fd_slope_records(cfg, (fam, (0,))) + exponential_bridge_records(cfg, fam)
                    + stone_symmetry_records(cfg, fam))
-    except _UNEVALUABLE as exc:
-        raise ScenarioError("params.family", f"the family cannot be evaluated: {exc}")
     return records, {"family": fam.to_json()}, None
 
 
@@ -650,8 +657,15 @@ def _report(name: str, kind: str, cfg: VerifyConfig, output: dict,
     return 0
 
 
+def _report_path(path: str, field: str) -> str:
+    """The report path, checked before the run: no report can replace a directory."""
+    if Path(path).is_dir():
+        raise ScenarioError(field, f"{path!r} is a directory, not a report file")
+    return path
+
+
 def _flag_output(args, fmt: str) -> dict:
-    return {"format": fmt, **({"path": args.out} if args.out else {})}
+    return {"format": fmt, **({"path": _report_path(args.out, "--out")} if args.out else {})}
 
 
 # ----------------------------------------------------------------------------

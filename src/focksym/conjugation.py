@@ -5,11 +5,12 @@ parameter triples (a, b, c) satisfy
 
     |a| = 1,    conj(a) b + conj(b) = 0,    |c|^2 exp(|b|^2) = 1.
 
-On normalized coefficients the operator factors as M followed by entrywise
-complex conjugation of the input, where M is the weighted composition matrix
-with symbol data (A, B, C, D) = (a, b, c, b).  Involutivity is equivalent to
-M conj(M) = I and holds exactly only in the limit of infinite truncation when
-b != 0; checks therefore report residuals, never booleans.
+On normalized coefficients the operator is C f = M conj(f): entrywise complex
+conjugation of the input, then M, the weighted composition matrix with symbol
+data (A, B, C, D) = (a, b, c, b).  The functions here take M for the
+operator.  Involutivity is equivalent to M conj(M) = I and holds exactly only
+in the limit of infinite truncation when b != 0; checks therefore report
+residuals, never booleans.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, inner_product
+from .fock import inner_product
 from .serialize import complex_to_json
 from .wco import WCOParams, wco_matrix
 
 __all__ = [
     "ConstraintViolation",
     "ConjugationParams",
-    "AntilinearOperator",
     "standard_conjugation",
     "conjugation_matrix",
     "check_involution",
@@ -87,29 +87,13 @@ def standard_conjugation() -> ConjugationParams:
     return ConjugationParams(1.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class AntilinearOperator:
-    """Antilinear map f -> M conj(f) on normalized coefficients."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, f: FockVector) -> FockVector:
-        if f.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {f.dim} vs {self.dim}")
-        return FockVector(self.matrix @ np.conj(f.coeffs))
-
-
-def conjugation_matrix(p: ConjugationParams, dim: int, tol: float = 1e-12) -> AntilinearOperator:
-    """Truncated realization of the conjugation; validates (a, b, c) first."""
+def conjugation_matrix(p: ConjugationParams, dim: int, tol: float = 1e-12) -> np.ndarray:
+    """Truncated matrix M of the conjugation C f = M conj(f); validates (a, b, c) first."""
     p.validate(tol)
-    return AntilinearOperator(wco_matrix(p.to_wco_params(), dim))
+    return wco_matrix(p.to_wco_params(), dim)
 
 
-def check_involution(op: AntilinearOperator, max_degree: int) -> np.ndarray:
+def check_involution(M: np.ndarray, max_degree: int) -> np.ndarray:
     """Residuals ||(M conj(M) - I) e_k|| for k = 0..max_degree.
 
     The square of the antilinear operator is the linear map M conj(M); exact
@@ -118,16 +102,17 @@ def check_involution(op: AntilinearOperator, max_degree: int) -> np.ndarray:
     columns of conj(M), less those of I.  They are taken as the transpose of
     conj(M)[:, :n]^T M^T, which gives the full product's columns bit for bit.
     """
-    if not 0 <= max_degree < op.dim:
+    dim = M.shape[0]
+    if not 0 <= max_degree < dim:
         raise ValueError("max_degree outside truncation")
     n = max_degree + 1
-    P = (np.conj(op.matrix[:, :n]).T @ op.matrix.T).T - np.eye(op.dim, n)
+    P = (np.conj(M[:, :n]).T @ M.T).T - np.eye(dim, n)
     return np.linalg.norm(P, axis=0)
 
 
-def check_isometry(op: AntilinearOperator, f: FockVector, g: FockVector) -> float:
-    """|<Cf, Cg> - <g, f>| for the antilinear isometry law."""
-    lhs = inner_product(op.apply(f), op.apply(g))
+def check_isometry(M: np.ndarray, f: np.ndarray, g: np.ndarray) -> float:
+    """|<Cf, Cg> - <g, f>| for the antilinear isometry law, C f = M conj(f)."""
+    lhs = inner_product(M @ np.conj(f), M @ np.conj(g))
     rhs = inner_product(g, f)
     return abs(lhs - rhs)
 

@@ -2,31 +2,30 @@
 
 Work space is the Hilbert space of entire functions f(z) = sum_k f_k z^k with
 norm^2 = sum_k |f_k|^2 k!, truncated to the first ``dim`` coefficients.  A
-vector holds the normalized coefficients c_k = f_k * sqrt(k!) on the
-orthonormal basis e_k = z^k / sqrt(k!), so the inner product is Euclidean;
-every matrix realization in the package acts on them.  Constructors build
-these coefficients directly, by running ratios where a vector has many, so no
+vector is a 1-D complex128 array of the normalized coefficients
+c_k = f_k * sqrt(k!) on the orthonormal basis e_k = z^k / sqrt(k!), so the
+inner product is Euclidean and its norm is ``np.linalg.norm``; every matrix
+realization in the package acts on these arrays, and a block of vectors is a
+(dim, n) array with one vector per column.  Constructors build the
+coefficients directly, by running ratios where a vector has many, so no
 factorial of a whole vector is formed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 __all__ = [
     "FACTORIAL_EXACT_MAX",
-    "FockVector",
     "DEFAULT_TOLERANCES",
     "sqrt_factorial",
     "exp_series",
     "basis_vector",
     "monomial",
     "inner_product",
-    "norm",
     "kernel_vector",
     "evaluate",
 ]
@@ -79,58 +78,32 @@ def exp_series(w: complex, dim: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class FockVector:
-    """Finite vector of normalized coefficients c_k on e_k = z^k / sqrt(k!).
-
-    ``coeffs`` is always stored as a read-only 1-D complex128 array.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("coeffs must be a non-empty 1-D array")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.size
-
-
-def basis_vector(k: int, dim: int) -> FockVector:
+def basis_vector(k: int, dim: int) -> np.ndarray:
     """Unit vector of the orthonormal basis, e_k = z^k / sqrt(k!)."""
     if not 0 <= k < dim:
         raise ValueError(f"index {k} outside truncation 0..{dim - 1}")
     c = np.zeros(dim, dtype=complex)
     c[k] = 1.0
-    return FockVector(c)
+    return c
 
 
-def monomial(k: int, dim: int) -> FockVector:
+def monomial(k: int, dim: int) -> np.ndarray:
     """The monomial z^k = sqrt(k!) e_k as a truncated vector."""
     if not 0 <= k < dim:
         raise ValueError(f"index {k} outside truncation 0..{dim - 1}")
     c = np.zeros(dim, dtype=complex)
     c[k] = sqrt_factorial(k)
-    return FockVector(c)
+    return c
 
 
-def inner_product(f: FockVector, g: FockVector) -> complex:
+def inner_product(f: np.ndarray, g: np.ndarray) -> complex:
     """<f, g> = sum_k f_k conj(g_k), linear in f and conjugate-linear in g."""
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    return complex(np.sum(f.coeffs * np.conj(g.coeffs)))
+    if f.shape != g.shape:
+        raise ValueError(f"dimension mismatch: {f.shape} vs {g.shape}")
+    return complex(np.sum(f * np.conj(g)))
 
 
-def norm(f: FockVector) -> float:
-    return float(np.linalg.norm(f.coeffs))
-
-
-def kernel_vector(z: complex, dim: int) -> FockVector:
+def kernel_vector(z: complex, dim: int) -> np.ndarray:
     """Truncation of the reproducing kernel K_z(u) = exp(u * conj(z)).
 
     Normalized coefficients conj(z)^k / sqrt(k!), by the running ratio
@@ -142,10 +115,10 @@ def kernel_vector(z: complex, dim: int) -> FockVector:
     c[0] = 1.0
     for k in range(1, dim):
         c[k] = c[k - 1] * w / math.sqrt(k)
-    return FockVector(c)
+    return c
 
 
-def evaluate(f: FockVector, z: complex) -> complex:
+def evaluate(f: np.ndarray, z: complex) -> complex:
     """Pointwise value sum_k c_k z^k / sqrt(k!) of the truncated series.
 
     Each power z^k / sqrt(k!) is the one before times z / sqrt(k), so no
@@ -153,7 +126,7 @@ def evaluate(f: FockVector, z: complex) -> complex:
     """
     acc = 0.0 + 0.0j
     power = 1.0 + 0.0j
-    for k, c in enumerate(f.coeffs):
+    for k, c in enumerate(f):
         acc += c * power
         power = power * z / math.sqrt(k + 1)
     return complex(acc)

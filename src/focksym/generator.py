@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import FockVector, sqrt_factorial
+from .fock import sqrt_factorial
 from .semigroup import (
     DilationFamily,
     SemigroupFamily,
@@ -163,7 +163,7 @@ def point_spectrum_predicted(fam: SemigroupFamily, k_max: int) -> np.ndarray:
     return base + fam.ell * np.arange(k_max + 1, dtype=complex)
 
 
-def eigenfunction_coeffs(m: int, G: complex, beta: complex, dim: int) -> FockVector:
+def eigenfunction_coeffs(m: int, G: complex, beta: complex, dim: int) -> np.ndarray:
     """Truncated (z - G)^m exp(beta z), the m-th dilation eigenfunction; m < dim.
 
     The operator with symbol (1, -G, 1, beta) sends z^m = sqrt(m!) e_m to this
@@ -174,7 +174,7 @@ def eigenfunction_coeffs(m: int, G: complex, beta: complex, dim: int) -> FockVec
     if not 0 <= m < dim:
         raise ValueError(f"need 0 <= m < dim, got m = {m}, dim = {dim}")
     col = wco_matrix(WCOParams(1.0, -G, 1.0, beta), dim, m + 1)[:, m]
-    return FockVector(sqrt_factorial(m) * col)
+    return sqrt_factorial(m) * col
 
 
 def eigen_residuals(fam: DilationFamily, degrees: Sequence[int],

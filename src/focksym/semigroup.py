@@ -13,20 +13,21 @@ and both satisfying the symbol relation D(t) = a B(t) - b A(t) + b for all t:
     D(t) = beta (1 - exp(ell t))
 
 The module also provides the flow/cocycle law checks, a quadrature solver for
-the scalar scaling equation, truncated operator matrices, growth probes, and
-the Laplace-transform resolvent.
+the scalar scaling equation, truncated operator matrices, growth curves
+sup_t e^{-omega t} ||W(t) x|| on the grid ``GROWTH_T_GRID``, and the
+Laplace-transform resolvent.  Vectors are coefficient arrays (see
+:mod:`focksym.fock`); a block of vectors is a (dim, n) array of columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .conjugation import ConjugationParams
-from .fock import FockVector
 from .serialize import complex_to_json
 from .wco import WCOParams, wco_matrix
 
@@ -35,7 +36,7 @@ __all__ = [
     "DilationFamily",
     "SemigroupFamily",
     "QuadratureError",
-    "GrowthProbe",
+    "GROWTH_T_GRID",
     "GrowthReport",
     "family_eval",
     "family_is_bounded",
@@ -45,6 +46,8 @@ __all__ = [
     "semigroup_matrix",
     "check_semigroup_law",
     "scaling_instance",
+    "growth_values",
+    "growth_report",
     "n_omega_estimate",
     "norm_w_one_closed_form",
     "laplace_resolvent",
@@ -327,17 +330,9 @@ def check_semigroup_law(
     return max(residual(t, s) for t in times for s in times)
 
 
-# 0 followed by 64 geometrically spaced points up to 8
-_GROWTH_T_GRID = np.concatenate(([0.0], np.geomspace(1.0 / 64.0, 8.0, 64)))
-_GROWTH_T_GRID.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class GrowthProbe:
-    """Exponential weight omega for sup_t e^{-wt} ||W(t)x|| on a fixed grid."""
-
-    omega: float = 0.0
-    t_grid: ClassVar[np.ndarray] = _GROWTH_T_GRID
+# the growth grid: 0 followed by 64 geometrically spaced points up to 8
+GROWTH_T_GRID = np.concatenate(([0.0], np.geomspace(1.0 / 64.0, 8.0, 64)))
+GROWTH_T_GRID.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -360,28 +355,26 @@ class GrowthReport:
 _SUP_ROUNDING = 8 * np.finfo(float).eps
 
 
-def _growth_values(
-    fam: SemigroupFamily, vecs: Sequence[np.ndarray], t_grid: np.ndarray
-) -> np.ndarray:
-    """||W(t) x|| along t_grid, one column per normalized x.
+def growth_values(fam: SemigroupFamily, X: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """||W(t) x|| along t_grid for each column x of the (dim, n) block X.
 
     W(t) is built once per time at the widest support; each x is applied to
     its own leading columns.  A norm that overflows reads inf, silently: past
     the double range W(t) holds inf, and inf * 0 in the product gives nan.
     """
-    dim = vecs[0].size
+    vecs = list(X.T)
     supports = [_support_size(v) for v in vecs]
     vals = np.empty((t_grid.size, len(vecs)))
     with np.errstate(over="ignore", invalid="ignore"):
         for i, t in enumerate(t_grid):
-            W = semigroup_matrix(fam, float(t), dim, max(supports))
+            W = semigroup_matrix(fam, float(t), X.shape[0], max(supports))
             for j, (v, m) in enumerate(zip(vecs, supports)):
                 nrm = np.linalg.norm(W[:, :m] @ v[:m])
                 vals[i, j] = nrm if np.isfinite(nrm) else np.inf
     return vals
 
 
-def _growth_report(norms: np.ndarray, omega: float, t_grid: np.ndarray) -> GrowthReport:
+def growth_report(norms: np.ndarray, omega: float, t_grid: np.ndarray) -> GrowthReport:
     """Sup, its grid time and the divergence flag of one curve weighted by e^{-omega t}."""
     vals = np.array([math.exp(-omega * t) * nrm for t, nrm in zip(t_grid, norms)])
     finite = np.isfinite(vals)
@@ -401,15 +394,15 @@ def _growth_report(norms: np.ndarray, omega: float, t_grid: np.ndarray) -> Growt
                         values=vals, norms=norms)
 
 
-def n_omega_estimate(fam: SemigroupFamily, x: FockVector, probe: GrowthProbe) -> GrowthReport:
-    """Grid estimate of N_omega(x) = sup_t e^{-omega t} ||W(t) x||, at x's dim.
+def n_omega_estimate(fam: SemigroupFamily, x: np.ndarray, omega: float = 0.0) -> GrowthReport:
+    """Estimate of N_omega(x) = sup_t e^{-omega t} ||W(t) x|| on GROWTH_T_GRID, at x's dim.
 
     Diverging is flagged when the last three grid values strictly increase
     and exceed ten times the grid minimum, or when the norm overflows.  The
     sup is reported at the earliest time whose value equals it up to rounding.
     """
-    norms = _growth_values(fam, [x.coeffs], probe.t_grid)
-    return _growth_report(norms[:, 0], probe.omega, probe.t_grid)
+    norms = growth_values(fam, x[:, None], GROWTH_T_GRID)
+    return growth_report(norms[:, 0], omega, GROWTH_T_GRID)
 
 
 def norm_w_one_closed_form(fam: SemigroupFamily, t: float) -> float:
@@ -424,29 +417,27 @@ _LAPLACE_TOL = 1e-10
 
 
 def laplace_resolvent(
-    fam: SemigroupFamily, lam: complex, xs: Sequence[FockVector], omega: float
-) -> list[FockVector]:
-    """Resolvent-type vectors J_lam x = int_0^inf e^{-lam t} W(t) x dt, one per x.
+    fam: SemigroupFamily, lam: complex, X: np.ndarray, omega: float
+) -> np.ndarray:
+    """J_lam x = int_0^inf e^{-lam t} W(t) x dt for each column x of the (dim, n) block X.
 
-    The vectors share one dim, which is the dim of the results.  Requires
+    The result is the (dim, n) block of these vectors.  Requires
     Re(lam) > omega and, for each x, a non-diverging growth curve at weight
-    omega on the :class:`GrowthProbe` grid; one pass over that grid serves all
-    vectors, before any integrand is built.  Each x gets the
-    upper limit T at which its integrand tail bound
-    e^{(omega - Re lam) T} * N_omega-estimate falls below 1e-10, and the
-    integral runs to the largest of these T.  The integrand is matrix valued:
-    at each node W(t) is built once, with as many columns as the widest
-    support, and applied to all vectors in one product.  Each vector's
-    panel doubling stops at its own relative change of 1e-10.
+    omega on ``GROWTH_T_GRID``; one pass over that grid serves all columns,
+    before any integrand is built.  Each x gets the upper limit T at which
+    its integrand tail bound e^{(omega - Re lam) T} * N_omega-estimate falls
+    below 1e-10, and the integral runs to the largest of these T.  The
+    integrand is matrix valued: at each node W(t) is built once, with as many
+    columns as the widest support, and applied to the block in one product.
+    Each column's panel doubling stops at its own relative change of 1e-10.
     """
     if lam.real <= omega:
         raise ValueError(f"need Re(lam) > omega, got {lam.real} <= {omega}")
-    if not xs or len({x.dim for x in xs}) != 1:
-        raise ValueError("need one or more vectors of one dim")
-    vecs = [x.coeffs for x in xs]
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValueError(f"need a (dim, n) block with n >= 1, got shape {X.shape}")
     T = 1.0
-    for curve in _growth_values(fam, vecs, GrowthProbe.t_grid).T:
-        report = _growth_report(curve, omega, GrowthProbe.t_grid)
+    for curve in growth_values(fam, X, GROWTH_T_GRID).T:
+        report = growth_report(curve, omega, GROWTH_T_GRID)
         if report.diverging:
             raise ValueError(
                 f"growth probe diverges at omega = {omega}; the Laplace integral "
@@ -454,15 +445,14 @@ def laplace_resolvent(
             )
         bound = max(report.sup, 1e-30)
         T = max(T, math.log(bound / _LAPLACE_TOL) / (lam.real - omega))
-    dim, m = xs[0].dim, max(_support_size(v) for v in vecs)
-    X = np.stack([v[:m] for v in vecs], axis=1)
+    (dim, n), m = X.shape, max(_support_size(x) for x in X.T)
+    lead = X[:m]
 
     def integrand(ts: np.ndarray) -> np.ndarray:
-        out = np.empty((ts.size, dim, len(xs)), dtype=complex)
+        out = np.empty((ts.size, dim, n), dtype=complex)
         for i, t in enumerate(np.asarray(ts, dtype=float)):
             W = semigroup_matrix(fam, float(t), dim, m)
-            out[i] = np.exp(-lam * t) * (W @ X)
+            out[i] = np.exp(-lam * t) * (W @ lead)
         return out
 
-    acc = _refine_quadrature(integrand, 0.0, T, _LAPLACE_TOL, panels=8, max_refinements=9)
-    return [FockVector(acc[:, j]) for j in range(len(xs))]
+    return _refine_quadrature(integrand, 0.0, T, _LAPLACE_TOL, panels=8, max_refinements=9)

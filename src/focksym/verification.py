@@ -42,7 +42,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conjugation import (
-    AntilinearOperator,
     ConjugationParams,
     check_involution,
     check_isometry,
@@ -59,7 +58,7 @@ from .evolution import (
     check_nonauto_stone,
     evolve,
 )
-from .fock import DEFAULT_TOLERANCES, FockVector, basis_vector, monomial, sqrt_factorial
+from .fock import DEFAULT_TOLERANCES, sqrt_factorial
 from .generator import (
     DivergenceCertificate,
     check_empty_point_spectrum,
@@ -74,16 +73,16 @@ from .generator import (
 )
 from .rng import complex_normal_vectors
 from .semigroup import (
+    GROWTH_T_GRID,
     DilationFamily,
-    GrowthProbe,
     SemigroupFamily,
     TranslationFamily,
-    _growth_report,
-    _growth_values,
     check_semicocycle,
     check_semiflow,
     check_semigroup_law,
     family_eval,
+    growth_report,
+    growth_values,
     laplace_resolvent,
     norm_w_one_closed_form,
     scaling_instance,
@@ -182,15 +181,15 @@ def _info(check_id: str, anchor: str, measured: float, detail: str = "") -> Chec
 # ----------------------------------------------------------------------------
 # measurements shared by the record makers and the scenario kinds
 
-def involution_residual(op: AntilinearOperator, degree: int) -> float:
-    """Worst ||(C^2 - I) e_k|| over k <= degree."""
-    return float(np.max(check_involution(op, degree)))
+def involution_residual(M: np.ndarray, degree: int) -> float:
+    """Worst ||(C^2 - I) e_k|| over k <= degree, for C f = M conj(f)."""
+    return float(np.max(check_involution(M, degree)))
 
 
-def isometry_residual(op: AntilinearOperator, seed: int) -> float:
+def isometry_residual(M: np.ndarray, seed: int) -> float:
     """|<Cf,Cg> - <g,f>| for two complex normal vectors drawn at seed ^ 0x1."""
-    f, g = (FockVector(v) for v in complex_normal_vectors(seed ^ 0x1, 2, op.dim))
-    return check_isometry(op, f, g)
+    f, g = complex_normal_vectors(seed ^ 0x1, 2, M.shape[0])
+    return check_isometry(M, f, g)
 
 
 def exponential_bridge(fam: SemigroupFamily, times, n_monomials: int, dim: int) -> float:
@@ -222,7 +221,7 @@ def divergence_certificate(cfg: VerifyConfig, fam: SemigroupFamily,
 # ----------------------------------------------------------------------------
 # one record maker per law, shared by the groups below and the scenario kinds
 
-def conjugation_records(cfg: VerifyConfig, case: tuple[ConjugationParams, AntilinearOperator],
+def conjugation_records(cfg: VerifyConfig, case: tuple[ConjugationParams, np.ndarray],
                         suffix: str = "") -> list[CheckRecord]:
     """C^2 = I and the isometry law for b = 0; the involution decay for b != 0.
 
@@ -233,18 +232,17 @@ def conjugation_records(cfg: VerifyConfig, case: tuple[ConjugationParams, Antili
     when the decay misses ``residual_decay_factor`` but the full-dim residual
     is within ``involution_exact``, the record passes on that floor instead.
     """
-    p, op = case
+    p, M = case
     if p.b == 0:
         return [
             _record(f"conjugation.involution{suffix}", "C^2 = identity",
-                    involution_residual(op, min(8, cfg.dim - 1)), cfg.tol("involution_exact")),
+                    involution_residual(M, min(8, cfg.dim - 1)), cfg.tol("involution_exact")),
             _record(f"conjugation.isometry{suffix}", "<Cf,Cg> = <g,f>",
-                    isometry_residual(op, cfg.seed), cfg.tol("isometry_exact")),
+                    isometry_residual(M, cfg.seed), cfg.tol("isometry_exact")),
         ]
     half = cfg.dim // 2
     deg = min(8, half - 1)
-    r_half, r_full = (involution_residual(AntilinearOperator(op.matrix[:d, :d]), deg)
-                      for d in (half, cfg.dim))
+    r_half, r_full = (involution_residual(M[:d, :d], deg) for d in (half, cfg.dim))
     check_id, anchor = f"conjugation.involution{suffix}.decay", "C^2 -> identity as truncation grows"
     factor = r_half / r_full if r_full > 0 else math.inf
     decay, floor = cfg.tol("residual_decay_factor"), cfg.tol("involution_exact")
@@ -331,7 +329,7 @@ def stone_symmetry_records(cfg: VerifyConfig, fam: SemigroupFamily,
     """
     small = min(max(4, cfg.dim // 4), cfg.dim)
     symmetry = check_matrix_c_symmetry(generator_matrix(fam, cfg.dim).dense(),
-                                       conjugation_matrix(fam.conj, cfg.dim).matrix)
+                                       conjugation_matrix(fam.conj, cfg.dim))
     return [
         _record(f"stone.generator-symmetry{suffix}",
                 "Q M = M Q^T for diagonal conjugation matrices",
@@ -540,7 +538,7 @@ def empty_spectrum_checks(cfg: VerifyConfig) -> list[CheckRecord]:
 def growth_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     """||W(t) 1|| against its closed form, and one growth curve weighted three ways."""
     out: list[CheckRecord] = []
-    one = monomial(0, cfg.dim)
+    one = np.eye(cfg.dim, 1, dtype=complex)  # the function 1 = e_0, as a block of one column
     ts = np.linspace(0.0, 1.0, 5)
     for i, fam in enumerate(
         (_std_translation(E=1.0, F=0.0),
@@ -549,7 +547,7 @@ def growth_checks(cfg: VerifyConfig) -> list[CheckRecord]:
          _std_dilation(ell=1.0, G=0.5, H=0.0))
     ):
         closed = [norm_w_one_closed_form(fam, float(t)) for t in ts]
-        direct = _growth_values(fam, [one.coeffs], ts)[:, 0]
+        direct = growth_values(fam, one, ts)[:, 0]
         worst = max(abs(n - c) / c for n, c in zip(direct, closed))
         out.append(_record(f"growth.norm-one.{_variant(fam)}.{i}",
                            "||W(t) 1|| = |C(t)| exp(|D(t)|^2 / 2)", worst, cfg.tol("norm_one")))
@@ -560,9 +558,9 @@ def growth_checks(cfg: VerifyConfig) -> list[CheckRecord]:
               for t in tgrid)
     out.append(_record("growth.norm-one-exp-t-squared",
                        "||W(t) 1|| = exp(t^2) for unit drift-free translation", dev, 1e-12))
-    curve = _growth_values(fam, [one.coeffs], GrowthProbe.t_grid)[:, 0]
+    curve = growth_values(fam, one, GROWTH_T_GRID)[:, 0]
     for omega in (0.0, 1.0, 10.0):
-        rep = _growth_report(curve, omega, GrowthProbe.t_grid)
+        rep = growth_report(curve, omega, GROWTH_T_GRID)
         out.append(_record(f"growth.divergence-flag.omega={omega:g}",
                            "quadratic cocycle growth beats every exponential weight",
                            1.0 if rep.diverging else 0.0, 1.0, direction=">=",
@@ -578,15 +576,13 @@ def laplace_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     fam = _std_dilation(ell=-1.0, G=0.0, H=0.0)  # W(t) = diag(e^{-kt})
     lam = 1.0 + 0.0j
     gen = generator_matrix(fam, cfg.dim).dense()
-    worst_diag = 0.0
-    worst_ident = 0.0
-    eks = [basis_vector(k, cfg.dim) for k in range(5)]
-    Js = laplace_resolvent(fam, lam, eks, omega=0.0)
-    for k, (ek, J) in enumerate(zip(eks, Js)):
-        expected = ek.coeffs / (lam + k)
-        worst_diag = max(worst_diag, float(np.linalg.norm(J.coeffs - expected)))
-        ident = (lam * np.eye(cfg.dim) - gen) @ J.coeffs - ek.coeffs
-        worst_ident = max(worst_ident, float(np.linalg.norm(ident)))
+    E = np.eye(cfg.dim, 5, dtype=complex)  # e_0 .. e_4 as columns
+    J = laplace_resolvent(fam, lam, E, omega=0.0)
+    diag = J - E / (lam + np.arange(5))
+    ident = (lam * np.eye(cfg.dim) - gen) @ J - E
+    # 1-D norms, so that a column reads as the vector alone would
+    worst_diag = max(float(np.linalg.norm(c)) for c in diag.T)
+    worst_ident = max(float(np.linalg.norm(c)) for c in ident.T)
     out.append(
         _record("laplace.diagonal-values",
                 "integral of e^{-lam t} W(t) e_k equals e_k / (lam + k)",
@@ -600,7 +596,7 @@ def laplace_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     # the integral must refuse families whose growth probe diverges
     bad = _std_translation(E=1.0, F=0.0)
     try:
-        laplace_resolvent(bad, 2.0 + 0.0j, [monomial(0, cfg.dim)], omega=0.0)
+        laplace_resolvent(bad, 2.0 + 0.0j, np.eye(cfg.dim, 1, dtype=complex), omega=0.0)
         refused = 0.0
     except ValueError:
         refused = 1.0

@@ -110,10 +110,10 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
     ("spectrum", {"family": DILATION, "k_max": 16}, "x", "params.k_max"),
     ("evolution", {"B": "bagchi", "s": 5, "t": 10, "kappa": {"cosine": {"frequency": 1e308}}},
      "x", "params.kappa.cosine.frequency"),
-    # families whose symbols or laws cannot be evaluated in double precision; the
-    # overflow on the way to the error is expected, so its warnings are not reported
+    # families whose symbols or laws cannot be evaluated in double precision: the
+    # runner stops at the first overflow or invalid value, so no warning is printed
     *(pytest.param(kind, {"family": family}, "x", "params.family",
-                   marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+                   marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
       for kind, family in (
           ("semigroup", {"variant": "translation", "E": 1e200}),
           ("generator", {"variant": "translation", "E": 1e200}),
@@ -201,6 +201,23 @@ def test_huge_integer_tolerance_is_input_error(tmp_path, _outdir, capsys):
     assert main(["run", path]) == 1
     assert "input error: truncation.tolerances.constraint:" in capsys.readouterr().err
     assert not _outdir.exists()
+
+
+@pytest.mark.parametrize("entry", ["run", "verify-all", "spectrum", "evolve"])
+def test_report_path_that_is_a_directory_is_input_error(tmp_path, _outdir, capsys, entry):
+    target = tmp_path / "reports"
+    target.mkdir()
+    if entry == "run":
+        argv = ["run", _scenario(tmp_path, {"name": "x", "kind": "conjugation-check",
+                                            "params": {}, "truncation": {"dim": 8},
+                                            "output": {"path": str(target)}})]
+        field = "output.path"
+    else:
+        argv = [entry, "--out", str(target)] + (["--dim", "8"] if entry == "verify-all" else [])
+        field = "--out"
+    assert main(argv) == 1
+    assert f"input error: {field}: " in capsys.readouterr().err
+    assert not any(target.iterdir()) and not _outdir.exists()  # no report, no temp file
 
 
 # --- validate / run on good scenarios -------------------------------------------
@@ -499,7 +516,7 @@ def test_generator_kind_stays_within_its_truncation(tmp_path, monkeypatch):
                            ("conjugation_matrix", conjugation.conjugation_matrix)):
         def recording(*args, _original=original, **kwargs):
             out = _original(*args, **kwargs)
-            dims.append(out.dim)
+            dims.append(out.shape[0] if isinstance(out, np.ndarray) else out.dim)
             return out
 
         for mod in (conjugation, generator, verification, cli):
@@ -734,10 +751,8 @@ def test_fuzzer_scenarios_are_valid(tmp_path, label, capsys):
     assert main(["validate", _scenario(tmp_path, _scenario_body(label))]) == 0
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_validate_survives_one_bad_field(tmp_path, capsys, data):
+def _one_bad_field(data):
+    """A valid scenario body with one field deleted or set to a bad value."""
     body = _scenario_body(data.draw(st.sampled_from(sorted(_VALID_SCENARIOS))))
     paths = [p for section in ("params", "truncation", "output")
              for p in _field_paths(body[section], (section,))]
@@ -749,9 +764,31 @@ def test_validate_survives_one_bad_field(tmp_path, capsys, data):
         del parent[path[-1]]
     else:
         parent[path[-1]] = data.draw(st.sampled_from(_BAD_VALUES))
-    capsys.readouterr()
-    rc = main(["validate", _scenario(tmp_path, body)])
-    err = capsys.readouterr().err
-    assert rc in (0, 1) and "Traceback" not in err
+    return body
+
+
+def _assert_outcome(rc, err, codes):
+    assert rc in codes and "Traceback" not in err
     if rc == 1:
         assert re.match(r"input error: (params|truncation|output)\.", err), err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_validate_survives_one_bad_field(tmp_path, capsys, data):
+    body = _one_bad_field(data)
+    capsys.readouterr()
+    rc = main(["validate", _scenario(tmp_path, body)])
+    _assert_outcome(rc, capsys.readouterr().err, (0, 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_run_survives_one_bad_field(tmp_path, monkeypatch, capsys, data):
+    monkeypatch.chdir(tmp_path)  # relative report paths land in the test's directory
+    body = _one_bad_field(data)
+    capsys.readouterr()
+    rc = main(["run", _scenario(tmp_path, body)])
+    _assert_outcome(rc, capsys.readouterr().err, (0, 1, 2))

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focksym.conjugation import ConjugationParams, standard_conjugation
-from focksym.fock import FockVector, basis_vector, monomial
+from focksym.fock import basis_vector, monomial
 from focksym.semigroup import (
+    GROWTH_T_GRID,
     DilationFamily,
-    GrowthProbe,
     QuadratureError,
     TranslationFamily,
     check_semicocycle,
@@ -225,19 +225,18 @@ def _scalar_panel_loop(f, lo, hi, tol):
 
 def _laplace_panel_loop(fam, lam, x):
     """The Laplace integral's own vector loop: 8 panels, at most 10 rules."""
-    bound = max(n_omega_estimate(fam, x, GrowthProbe()).sup, 1e-30)
+    bound = max(n_omega_estimate(fam, x).sup, 1e-30)
     T = max(math.log(bound / 1e-10) / lam.real, 1.0)
-    vec = x.coeffs
-    m = semigroup._support_size(vec)
+    m = semigroup._support_size(x)
     x_gl, w_gl = np.polynomial.legendre.leggauss(10)
     panels, prev = 8, None
     for _ in range(10):
         edges = np.linspace(0.0, T, panels + 1)
-        acc = np.zeros(x.dim, dtype=complex)
+        acc = np.zeros(x.size, dtype=complex)
         for left, right in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (left + right), 0.5 * (right - left)
-            vals = np.array([np.exp(-lam * t) * (semigroup_matrix(fam, float(t), x.dim, m)
-                                                 @ vec[:m]) for t in mid + half * x_gl])
+            vals = np.array([np.exp(-lam * t) * (semigroup_matrix(fam, float(t), x.size, m)
+                                                 @ x[:m]) for t in mid + half * x_gl])
             acc += half * (w_gl[:, None] * vals).sum(axis=0)
         if prev is not None and np.linalg.norm(acc - prev) <= 1e-10 * max(
                 np.linalg.norm(acc), 1.0):
@@ -256,8 +255,8 @@ def test_quadrature_equals_the_loops_it_replaced():
                     == _scalar_panel_loop(dpsi, 0.0, t, 1e-12))
     fam = DilationFamily(ell=-1.0, G=0.5, H=0.0, conj=STD)
     for x in (basis_vector(1, 16), monomial(3, 16)):
-        [J] = laplace_resolvent(fam, 2.0 + 0j, [x], omega=0.0)
-        assert np.array_equal(J.coeffs, _laplace_panel_loop(fam, 2.0 + 0j, x))
+        J = laplace_resolvent(fam, 2.0 + 0j, x[:, None], omega=0.0)
+        assert np.array_equal(J[:, 0], _laplace_panel_loop(fam, 2.0 + 0j, x))
 
 
 def _monomial_law_loop(fam, times, n_monomials, dim):
@@ -267,7 +266,7 @@ def _monomial_law_loop(fam, times, n_monomials, dim):
          set(times) | {t + s for t in times for s in times}}
 
     def residual(t, s, k):
-        v = monomial(k, dim).coeffs[:m]
+        v = monomial(k, dim)[:m]
         rhs = W[t + s][:, :m] @ v
         return float(np.linalg.norm(W[t] @ (W[s][:, :m] @ v) - rhs) / np.linalg.norm(rhs))
 
@@ -326,7 +325,7 @@ def test_quadrature_columns_keep_their_first_converged_value():
 def test_isometric_translation_has_flat_unit_norm():
     # E = i, a = 1: |C(t)| exp(|D(t)|^2/2) = e^{-t^2/2} e^{t^2/2} = 1
     fam = TranslationFamily(E=1j, F=0.0, conj=STD)
-    rep = n_omega_estimate(fam, monomial(0, 64), GrowthProbe())
+    rep = n_omega_estimate(fam, monomial(0, 64))
     assert not rep.diverging
     assert rep.sup == pytest.approx(1.0, rel=1e-10)
     assert rep.argmax_t == 0.0
@@ -339,7 +338,7 @@ def test_isometric_translation_has_flat_unit_norm():
 def test_quadratic_growth_is_flagged():
     fam = TranslationFamily(E=1.0, F=0.0, conj=STD)
     for omega in (0.0, 1.0, 10.0):
-        rep = n_omega_estimate(fam, monomial(0, 64), GrowthProbe(omega=omega))
+        rep = n_omega_estimate(fam, monomial(0, 64), omega)
         assert rep.diverging, f"omega = {omega}"
 
 
@@ -350,7 +349,7 @@ def test_overflowing_probe_reports_divergence():
                 DilationFamily(ell=1.0, G=0.7, H=0.2j, conj=OFFSET)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = n_omega_estimate(fam, monomial(0, 64), GrowthProbe())
+            rep = n_omega_estimate(fam, monomial(0, 64))
         assert rep.diverging
         assert math.isinf(rep.sup)
 
@@ -379,22 +378,19 @@ def test_exp_t_squared_special_case():
 def test_laplace_diagonal_values():
     fam = DilationFamily(ell=-1.0, G=0.0, H=0.0, conj=STD)  # W(t) = diag(e^{-kt})
     lam = 1.0 + 0j
-    for k in range(5):
-        ek = basis_vector(k, 32)
-        [J] = laplace_resolvent(fam, lam, [ek], omega=0.0)
-        expected = ek.coeffs / (lam + k)  # analytic integral of e^{-(lam+k)t}
-        assert float(np.linalg.norm(J.coeffs - expected)) < 1e-8
+    E = np.eye(32, 5, dtype=complex)  # e_0 .. e_4
+    J = laplace_resolvent(fam, lam, E, omega=0.0)
+    expected = E / (lam + np.arange(5))  # analytic integral of e^{-(lam+k)t}
+    assert np.max(np.linalg.norm(J - expected, axis=0)) < 1e-8
 
 
 def test_laplace_solves_resolvent_identity():
     fam = DilationFamily(ell=-1.0, G=0.0, H=0.0, conj=STD)
     lam = 1.0 + 0j
     Q = generator_matrix(fam, 32).dense()
-    for k in range(5):
-        ek = basis_vector(k, 32)
-        [J] = laplace_resolvent(fam, lam, [ek], omega=0.0)
-        resid = (lam * np.eye(32) - Q) @ J.coeffs - ek.coeffs
-        assert float(np.linalg.norm(resid)) < 1e-6
+    E = np.eye(32, 5, dtype=complex)  # e_0 .. e_4
+    resid = (lam * np.eye(32) - Q) @ laplace_resolvent(fam, lam, E, omega=0.0) - E
+    assert np.max(np.linalg.norm(resid, axis=0)) < 1e-6
 
 
 def test_laplace_works_off_the_diagonal():
@@ -403,48 +399,49 @@ def test_laplace_works_off_the_diagonal():
     dim = 48
     Q = generator_matrix(fam, dim).dense()
     x = basis_vector(1, dim)
-    [J] = laplace_resolvent(fam, lam, [x], omega=0.0)
-    resid = (lam * np.eye(dim) - Q) @ J.coeffs - x.coeffs
+    J = laplace_resolvent(fam, lam, x[:, None], omega=0.0)[:, 0]
+    resid = (lam * np.eye(dim) - Q) @ J - x
     assert float(np.linalg.norm(resid)) < 1e-5
 
 
 def test_laplace_refuses_divergent_growth():
     fam = TranslationFamily(E=1.0, F=0.0, conj=STD)
     with pytest.raises(ValueError, match="diverge"):
-        laplace_resolvent(fam, 2.0 + 0j, [monomial(0, 32)], omega=0.0)
+        laplace_resolvent(fam, 2.0 + 0j, np.eye(32, 1, dtype=complex), omega=0.0)
 
 
 def test_laplace_requires_abscissa_margin():
     fam = DilationFamily(ell=-1.0, G=0.0, H=0.0, conj=STD)
     with pytest.raises(ValueError, match="Re"):
-        laplace_resolvent(fam, -0.5 + 0j, [basis_vector(0, 16)], omega=0.0)
+        laplace_resolvent(fam, -0.5 + 0j, np.eye(16, 1, dtype=complex), omega=0.0)
 
 
 @pytest.mark.parametrize("dim", [8, 64])
 def test_batched_laplace_equals_single_vector_calls(dim):
     fam = DilationFamily(ell=-1.0, G=0.0, H=0.0, conj=STD)
-    eks = [basis_vector(k, dim) for k in range(5)]
-    for J, ek in zip(laplace_resolvent(fam, 1.0 + 0j, eks, omega=0.0), eks):
-        [single] = laplace_resolvent(fam, 1.0 + 0j, [ek], omega=0.0)
-        assert np.array_equal(J.coeffs, single.coeffs)
+    E = np.eye(dim, 5, dtype=complex)  # e_0 .. e_4
+    J = laplace_resolvent(fam, 1.0 + 0j, E, omega=0.0)
+    for k in range(5):
+        assert np.array_equal(J[:, [k]], laplace_resolvent(fam, 1.0 + 0j, E[:, [k]], omega=0.0))
     # a seeded pair of unequal supports, scaled to growth sup 1 so that both
     # vectors share the upper limit T and the nodes of a single-vector call
     fam = DilationFamily(ell=-1.0, G=0.5, H=0.0, conj=STD)
-    pair = []
-    for m, v in zip((4, 5), complex_normal_vectors(7, 2, 5)):
-        x = FockVector(np.concatenate([v[:m], np.zeros(dim - m)]))
-        pair.append(FockVector(x.coeffs / n_omega_estimate(fam, x, GrowthProbe()).sup))
-    for J, x in zip(laplace_resolvent(fam, 2.0 + 0j, pair, omega=0.0), pair):
-        [single] = laplace_resolvent(fam, 2.0 + 0j, [x], omega=0.0)
-        assert np.linalg.norm(J.coeffs - single.coeffs) <= 1e-14 * np.linalg.norm(single.coeffs)
+    pair = np.zeros((dim, 2), dtype=complex)
+    for j, (m, v) in enumerate(zip((4, 5), complex_normal_vectors(7, 2, 5))):
+        x = np.concatenate([v[:m], np.zeros(dim - m)])
+        pair[:, j] = x / n_omega_estimate(fam, x).sup
+    J = laplace_resolvent(fam, 2.0 + 0j, pair, omega=0.0)
+    for j in range(2):
+        single = laplace_resolvent(fam, 2.0 + 0j, pair[:, [j]], omega=0.0)
+        assert np.linalg.norm(J[:, [j]] - single) <= 1e-14 * np.linalg.norm(single)
 
 
-def test_laplace_rejects_mixed_dims():
+def test_laplace_needs_a_block_of_columns():
     fam = DilationFamily(ell=-1.0, G=0.0, H=0.0, conj=STD)
-    with pytest.raises(ValueError, match="one dim"):
-        laplace_resolvent(fam, 1.0 + 0j, [basis_vector(0, 8), basis_vector(0, 16)], omega=0.0)
-    with pytest.raises(ValueError, match="one dim"):
-        laplace_resolvent(fam, 1.0 + 0j, [], omega=0.0)
+    with pytest.raises(ValueError, match="block"):
+        laplace_resolvent(fam, 1.0 + 0j, basis_vector(0, 8), omega=0.0)  # one vector, 1-D
+    with pytest.raises(ValueError, match="block"):
+        laplace_resolvent(fam, 1.0 + 0j, np.zeros((8, 0), dtype=complex), omega=0.0)
 
 
 # --- matrix builds -----------------------------------------------------------
@@ -475,26 +472,26 @@ def test_semigroup_law_builds_each_distinct_time_once(built_shapes):
 def test_growth_and_laplace_build_only_the_support_columns(built_shapes, k):
     fam = DilationFamily(ell=-1.0, G=0.5, H=0.0, conj=STD)
     ek = basis_vector(k, 32)
-    n_omega_estimate(fam, ek, GrowthProbe())
-    laplace_resolvent(fam, 1.0 + 0j, [ek], omega=0.0)
+    n_omega_estimate(fam, ek)
+    laplace_resolvent(fam, 1.0 + 0j, ek[:, None], omega=0.0)
     assert built_shapes
     assert max(cols for _, cols in built_shapes) <= k + 1
 
 
 def test_laplace_group_builds_each_node_once(built_shapes, monkeypatch):
-    growth_builds, growth_values = [], semigroup._growth_values
+    growth_builds, original = [], semigroup.growth_values
 
     def probing(*args, **kwargs):
         before = len(built_shapes)
-        vals = growth_values(*args, **kwargs)
+        vals = original(*args, **kwargs)
         growth_builds.append(len(built_shapes) - before)
         return vals
 
-    monkeypatch.setattr(semigroup, "_growth_values", probing)
+    monkeypatch.setattr(semigroup, "growth_values", probing)
     laplace_checks(VerifyConfig(dim=64))
     # one growth pass for e_0 ... e_4 together and one for the refused family;
     # the integrand builds W(t) once per node: 10 Gauss nodes on 8 + 16 + 32 panels
-    assert growth_builds == [GrowthProbe.t_grid.size] * 2
+    assert growth_builds == [GROWTH_T_GRID.size] * 2
     assert len(built_shapes) - sum(growth_builds) == 560
     assert max(cols for _, cols in built_shapes) == 5
 
@@ -502,8 +499,8 @@ def test_laplace_group_builds_each_node_once(built_shapes, monkeypatch):
 def test_laplace_refuses_before_building_an_integrand(built_shapes):
     fam = TranslationFamily(E=1.0, F=0.0, conj=STD)
     with pytest.raises(ValueError, match="diverge"):
-        laplace_resolvent(fam, 2.0 + 0j, [monomial(0, 64)], omega=0.0)
-    assert len(built_shapes) == GrowthProbe.t_grid.size  # the probe's grid only
+        laplace_resolvent(fam, 2.0 + 0j, np.eye(64, 1, dtype=complex), omega=0.0)
+    assert len(built_shapes) == GROWTH_T_GRID.size  # the growth grid only
 
 
 @pytest.mark.parametrize("scheme", ["forward", "central"])

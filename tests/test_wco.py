@@ -72,7 +72,7 @@ def test_apply_route_equals_matrix_column(k, A, B, D):
     p = WCOParams(A=A, B=B, C=0.8 - 0.3j, D=D)
     dim = 24
     col = wco_matrix(p, dim)[:, k]
-    applied = apply_wco(p, basis_vector(k, dim)).coeffs
+    applied = apply_wco(p, basis_vector(k, dim))
     np.testing.assert_allclose(applied, col, rtol=0, atol=1e-10)
 
 
