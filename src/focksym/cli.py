@@ -17,6 +17,9 @@ and the ``full-verify`` kind only.
 
 Exit codes: 0 every record passed (warn/info allowed), 1 input error,
 2 at least one failed check.  Complex scalars in JSON are [re, im] pairs.
+
+``main`` may be called repeatedly in one process: it builds its argument
+parser on the first call and reuses it after.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -527,11 +531,12 @@ def _run_generator(fam: SemigroupFamily, cfg: VerifyConfig):
 
 def _run_spectrum(spec: SpectrumSpec, cfg: VerifyConfig):
     fam, dim = spec.family, cfg.dim
-    if spec.eta is not None:
-        cert = divergence_certificate(cfg, fam, spec.eta)
-        return divergence_records(cfg, (spec.eta, cert)), {
-            "family": fam.to_json(), "certificate": cert.to_json()}, None
-    rep = spectrum_report(fam, spec.k_max, dim)
+    with _evaluating_family():
+        if spec.eta is not None:
+            cert = divergence_certificate(cfg, fam, spec.eta)
+            return divergence_records(cfg, (spec.eta, cert)), {
+                "family": fam.to_json(), "certificate": cert.to_json()}, None
+        rep = spectrum_report(fam, spec.k_max, dim)
     records = [
         _record("spectrum.eigen-residuals",
                 "(z-G)^m exp(beta z) are eigenfunctions",
@@ -658,9 +663,16 @@ def _report(name: str, kind: str, cfg: VerifyConfig, output: dict,
 
 
 def _report_path(path: str, field: str) -> str:
-    """The report path, checked before the run: no report can replace a directory."""
-    if Path(path).is_dir():
+    """The report path, checked before the run: no report can replace a directory,
+    and none can be written below a file."""
+    report = Path(path)
+    if report.is_dir():
         raise ScenarioError(field, f"{path!r} is a directory, not a report file")
+    parent = report.absolute().parent
+    while not parent.exists():  # the missing directories are made on writing
+        parent = parent.parent
+    if not parent.is_dir():
+        raise ScenarioError(field, f"{str(parent)!r} is a file, not a directory")
     return path
 
 
@@ -730,7 +742,12 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
                    help="seed for deterministic sample vectors")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call to main.
+
+    It depends on no input; its subcommand handlers are bound when it is built.
+    """
     parser = _Parser(prog="focksym",
                      description="truncated Fock-space semigroup verification")
     sub = parser.add_subparsers(dest="command", required=True)

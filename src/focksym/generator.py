@@ -300,13 +300,15 @@ def certify_divergence(
     if log_terms.size < 2 * max(n_values) + 2:
         raise ValueError(f"need {2 * max(n_values) + 2} terms, got {log_terms.size}")
     log_S = np.logaddexp.accumulate(log_terms)
-    partial = {
-        n: float(np.exp(log_S[n - 1]))
-        for n in sorted(set(n_values) | {2 * n for n in n_values})
-    }
-    ratios = {n: float(np.exp(log_S[2 * n - 1] - log_S[n - 1])) for n in n_values}
     pairs = np.logaddexp(log_terms[0:-1:2], log_terms[1::2])
-    with np.errstate(invalid="ignore"):
+    # a fast-diverging candidate's partial norms and ratios may leave the
+    # double range and read inf, as may its Raabe statistics
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial = {
+            n: float(np.exp(log_S[n - 1]))
+            for n in sorted(set(n_values) | {2 * n for n in n_values})
+        }
+        ratios = {n: float(np.exp(log_S[2 * n - 1] - log_S[n - 1])) for n in n_values}
         raabe = np.arange(pairs.size - 1) * np.expm1(pairs[:-1] - pairs[1:])
     windows = sorted(set(n_values))
     maxima = {n: float(np.max(raabe[(n + 1) // 2 : n])) for n in windows}

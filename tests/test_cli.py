@@ -121,14 +121,15 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
           ("semigroup", {"variant": "dilation", "ell": [0, 1e10], "G": 1}),
           ("semigroup", {"variant": "dilation", "ell": -1, "G": 1, "H": -1e3}),
           ("semigroup", {"variant": "translation", "E": 1, "F": -1e3}),
-          ("generator", {"variant": "dilation", "ell": -1, "G": 1e200}))),
+          ("generator", {"variant": "dilation", "ell": -1, "G": 1e200}),
+          ("spectrum", {"variant": "dilation", "ell": -1, "G": 1e200}))),
 ], ids=["rel_tol-zero", "omega-string", "omega-overflow", "A-overflow", "table-shapes", "stiff",
         "samples-zero", "name-separator", "verify-all-dim-one", "omega-huge-int", "A-huge-int",
         "times-huge-int", "kappa-huge-int", "span-overflow", "conjugation-constraint",
         "k_max-at-dim", "cosine-overflow", "semigroup-E-overflow", "generator-E-overflow",
         "semigroup-ell-quadrature", "semigroup-imaginary-ell-quadrature",
         "semigroup-H-cocycle-vanishes", "semigroup-F-cocycle-vanishes",
-        "generator-G-expm-overflow"])
+        "generator-G-expm-overflow", "spectrum-G-residual-overflow"])
 def test_malformed_input_names_field_path(tmp_path, _outdir, capsys, kind, params, name, field):
     if kind is None:
         argv = ["verify-all", "--dim", "1"]
@@ -218,6 +219,38 @@ def test_report_path_that_is_a_directory_is_input_error(tmp_path, _outdir, capsy
     assert main(argv) == 1
     assert f"input error: {field}: " in capsys.readouterr().err
     assert not any(target.iterdir()) and not _outdir.exists()  # no report, no temp file
+
+
+@pytest.mark.parametrize("below", ["r.json", "a/b/r.json"])
+@pytest.mark.parametrize("entry", ["run", "verify-all", "spectrum", "evolve"])
+def test_report_path_below_a_file_is_input_error(tmp_path, _outdir, capsys, monkeypatch,
+                                                 entry, below):
+    blocker = tmp_path / "scenario.json"
+    blocker.write_text("{}")
+    target = str(blocker / below)
+    ran = []
+
+    def runner(*args):
+        ran.append(args)
+        return [], {}, None
+
+    if entry == "run":
+        monkeypatch.setitem(cli._KINDS, "conjugation-check", (cli._parse_conjugation, runner))
+        argv = ["run", _scenario(tmp_path, {"name": "x", "kind": "conjugation-check",
+                                            "params": {}, "truncation": {"dim": 8},
+                                            "output": {"path": target}}, "s.json")]
+        field = "output.path"
+    else:
+        runners = {"verify-all": "run_all", "spectrum": "_run_spectrum",
+                   "evolve": "_run_evolution"}
+        monkeypatch.setattr(cli, runners[entry], runner)
+        argv = [entry, "--out", target] + (["--dim", "8"] if entry == "verify-all" else [])
+        field = "--out"
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"input error: {field}: {str(blocker)!r} is a file" in err
+    assert "Traceback" not in err and not ran
+    assert blocker.read_text() == "{}" and not _outdir.exists()
 
 
 # --- validate / run on good scenarios -------------------------------------------
@@ -348,6 +381,21 @@ def test_run_divergence_scenario(tmp_path, _outdir):
     report = json.loads((_outdir / "no-eigenvalues.json").read_text())
     cert = report["provenance"]["parameters"]["certificate"]
     assert cert["certified"] is True
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fast_diverging_candidate_is_certified_without_warning(tmp_path, _outdir):
+    # the candidate's partial norms leave the double range and read inf: a valid
+    # input, which the spectrum runner's overflow guard must not reject
+    path = _scenario(tmp_path, {
+        "name": "steep", "kind": "spectrum",
+        "params": {"family": TRANSLATION, "eta": [1e5, 0.0]},
+        "truncation": {"dim": 64},
+    })
+    assert main(["run", path]) == 0
+    cert = json.loads((_outdir / "steep.json").read_text())["provenance"]["parameters"][
+        "certificate"]
+    assert cert["certified"] is True and cert["branch"] == "doubling"
 
 
 def test_divergence_factor_tolerance_reaches_spectrum_run(tmp_path, capsys):
@@ -702,6 +750,56 @@ def test_stiffness_in_a_segment_names_the_model_field(tmp_path, _outdir, capsys,
     assert main(["run", path]) == 1
     assert "input error: params.matrix: step size underflowed" in capsys.readouterr().err
     assert not _outdir.exists()
+
+
+# --- one parser per process ---------------------------------------------------------
+
+def _call_outcome(argv, report, capsys):
+    """Exit code and report of one main call (wall time left out), or its output."""
+    capsys.readouterr()
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # --help exits through argparse
+        rc = f"SystemExit({exc.code})"
+    out, err = capsys.readouterr()
+    if report is None:
+        return rc, out, err
+    text = report.read_text()
+    report.unlink()
+    if report.suffix == ".json":
+        data = json.loads(text)
+        data["provenance"]["wall_time_s"] = None
+        text = json.dumps(data, sort_keys=True)
+    return rc, text
+
+
+def test_reused_parser_gives_the_fresh_parsers_outcomes(tmp_path, capsys):
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    out = tmp_path / "reports"
+    scenario = {"name": "x", "kind": "conjugation-check", "truncation": {"dim": 16},
+                "params": {"a": 1.0, "b": [0.0, 1.0], "c": math.exp(-0.5)}}
+
+    def run_call(fmt):
+        report = out / f"r.{fmt}"
+        body = dict(scenario, output={"format": fmt, "path": str(report)})
+        return ["run", _scenario(tmp_path, body, f"{fmt}.json"), "--seed", "3"], report
+
+    calls = [
+        (["evolve", "--no-such-flag"], None),
+        (["--help"], None),
+        (["validate", _scenario(tmp_path, scenario)], None),
+        run_call("json"),
+        run_call("csv"),
+        (["evolve", "--samples", "4", "--out", str(out / "e.csv")], out / "e.csv"),
+        (["verify-all", "--dim", "8", "--out", str(out / "v.json")], out / "v.json"),
+    ]
+    reused = [_call_outcome(argv, report, capsys) for argv, report in calls]
+    assert cli._build_parser() is parser
+    assert [o[0] for o in reused] == [1, "SystemExit(0)", 0, 0, 0, 0, 0]
+    for (argv, report), first in zip(calls, reused):
+        cli._build_parser.cache_clear()
+        assert _call_outcome(argv, report, capsys) == first, argv
 
 
 # --- scenario fuzzer ---------------------------------------------------------------
