@@ -3,7 +3,9 @@
 
 Each dim runs once in a fresh process.  Per dim it records the wall time of
 that process, its exit code, the pass/warn/info/fail counts of the report,
-the ids of the failed records, and whether stderr holds a Python traceback.
+the ids of the failed records, the ids of the records downgraded to warn
+(below dim 64, see ``verification._TRUNCATION_SENSITIVE``), and whether
+stderr holds a Python traceback.
 Set the BLAS thread count in the environment; it is recorded with the python
 and numpy versions and the mantissa bits of ``np.longdouble``.
 
@@ -40,6 +42,7 @@ def run(dim: int, workdir: Path) -> dict:
         **{status: counts[status] for status in ("pass", "warn", "info", "fail")},
         "failed": [{"check_id": r["check_id"], "measured": r["measured"],
                     "threshold": r["threshold"]} for r in records if r["status"] == "fail"],
+        "warned": [r["check_id"] for r in records if r["status"] == "warn"],
         "traceback": "Traceback" in proc.stderr,
     }
 

@@ -39,13 +39,11 @@ from .fock import (
 from .generator import (
     DivergenceCertificate,
     EmptyPointSpectrum,
-    GeneratorMatrix,
     SpectrumReport,
     check_empty_point_spectrum,
     check_generator_fd,
     check_stone_adjoint_relation,
     dissipativity_margin,
-    eigen_residual,
     eigen_residuals,
     eigenfunction_coeffs,
     generator_matrix,

@@ -102,6 +102,7 @@ class ScenarioError(Exception):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
 
 
 # ----------------------------------------------------------------------------
@@ -483,9 +484,8 @@ def _run_wco(spec: WcoSpec, cfg: VerifyConfig):
                          f"2-norm at dim {dim//2}: {norms[0]!r}, dim {dim}: {norms[1]!r}"))
     payload: dict[str, Any] = {"wco": p.to_json()}
     if spec.conj is not None:
-        res = is_c_selfadjoint_symbols(p, spec.conj.a, spec.conj.b)
-        records.append(_record("wco.symbol-selfadjointness",
-                               "D = a B - b A + b", res.deviation,
+        records.append(_record("wco.symbol-selfadjointness", "D = a B - b A + b",
+                               is_c_selfadjoint_symbols(p, spec.conj.a, spec.conj.b),
                                cfg.tol("constraint")))
         payload["conjugation"] = spec.conj.to_json()
     return records, payload, None
@@ -703,30 +703,49 @@ def _cmd_verify_all(args) -> int:
                    lambda: (run_all(cfg), {}, None))
 
 
+@contextlib.contextmanager
+def _naming_flags(**combined: str):
+    """An input error on a params field, named by the flag it came from.
+
+    The field ``params.….x`` came from ``--x`` (underscores read as dashes);
+    ``combined`` names the flags behind a field that several flags fill.
+    """
+    try:
+        yield
+    except ScenarioError as exc:
+        if not exc.path.startswith("params."):
+            raise
+        field = exc.path.rsplit(".", 1)[-1]
+        raise ScenarioError(combined.get(field, "--" + field.replace("_", "-")),
+                            exc.message) from None
+
+
 def _cmd_spectrum(args) -> int:
     cfg = _config("--dim", dim=args.dim, seed=args.seed)
     family = {"variant": "dilation", "ell": complex_to_json(args.ell),
               "G": complex_to_json(args.G), "H": complex_to_json(args.H),
               "conjugation": {k: complex_to_json(getattr(args, k)) for k in "abc"}}
-    spec = _parse_spectrum({"family": family, "k_max": args.k_max}, cfg)
-    return _report("spectrum", "spectrum", cfg, _flag_output(args, args.format),
-                   lambda: _run_spectrum(spec, cfg))
+    with _naming_flags(family="--ell/--G/--H"):
+        spec = _parse_spectrum({"family": family, "k_max": args.k_max}, cfg)
+        return _report("spectrum", "spectrum", cfg, _flag_output(args, args.format),
+                       lambda: _run_spectrum(spec, cfg))
 
 
 def _cmd_evolve(args) -> int:
     cfg = VerifyConfig(dim=2, seed=args.seed)
-    spec = _parse_evolution({
-        "B": "bagchi",
-        "nu": args.nu,
-        "kappa": args.kappa,
-        "lam": args.lam,
-        "s": args.s,
-        "t": args.t,
-        "rel_tol": args.rel_tol,
-        "samples": args.samples,
-    }, cfg)
-    return _report("evolve", "evolution", cfg, _flag_output(args, "csv"),
-                   lambda: _run_evolution(spec, cfg))
+    with _naming_flags(B="--nu/--kappa/--lam"):
+        spec = _parse_evolution({
+            "B": "bagchi",
+            "nu": args.nu,
+            "kappa": args.kappa,
+            "lam": args.lam,
+            "s": args.s,
+            "t": args.t,
+            "rel_tol": args.rel_tol,
+            "samples": args.samples,
+        }, cfg)
+        return _report("evolve", "evolution", cfg, _flag_output(args, "csv"),
+                       lambda: _run_evolution(spec, cfg))
 
 
 # ----------------------------------------------------------------------------

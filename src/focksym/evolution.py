@@ -133,6 +133,9 @@ _MIN_SHRINK = 0.2
 _SAFETY = 0.9
 
 
+# a step whose stages overflow has a non-finite error estimate and is
+# rejected, so its overflow and invalid values are expected and stay silent
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate_matrix(
     B: TimeDependentOperator, t0: float, t1: float, rel_tol: float
 ) -> tuple[np.ndarray, IntegratorStats]:

@@ -1,16 +1,20 @@
 """Infinitesimal generators of the operator families and spectral checks.
 
-Both families have tridiagonal generators on normalized coefficients:
+Both generators are affine in z and d/dz, B f = a z f' + b f' + (c + d z) f.
+On normalized coefficients, z e_k = sqrt(k+1) e_{k+1} and f' sends e_{k+1}
+to sqrt(k+1) e_k, so the truncation Q is tridiagonal:
 
-* translation (E, F):   (F + a E z) f + E f'
-      diag = F,  lower(k+1,k) = a E sqrt(k+1),  upper(k,k+1) = E sqrt(k+1)
+    Q[k, k] = c + a k,   Q[k, k+1] = b sqrt(k+1),   Q[k+1, k] = d sqrt(k+1)
 
-* dilation (ell, G, H), beta = a G + b:   (H - ell beta z) f + ell (z - G) f'
-      diag(k) = H + ell k,
-      lower(k+1,k) = -ell beta sqrt(k+1),
-      upper(k,k+1) = -ell G sqrt(k+1)
+* translation (E, F):   (F + a_C E z) f + E f'
+      a = 0,  b = E,  c = F,  d = a_C E
+* dilation (ell, G, H), beta = a_C G + b_C:   (H - ell beta z) f + ell (z - G) f'
+      a = ell,  b = -ell G,  c = H,  d = -ell beta
 
-The translation generator has empty point spectrum (certified here through the
+where a_C and b_C are the a and b of the family's conjugation.
+
+:func:`generator_matrix` returns Q as a dense complex array.  The
+translation generator has empty point spectrum (certified here through the
 divergence of the candidate eigenfunction's partial norms, by a doubling-ratio
 test or by Gauss's test on the paired terms); the dilation
 generator carries the lattice H - ell beta G + k ell with explicit
@@ -37,7 +41,6 @@ from .serialize import complex_to_json
 from .wco import WCOParams, wco_matrix
 
 __all__ = [
-    "GeneratorMatrix",
     "EmptyPointSpectrum",
     "DivergenceCertificate",
     "RAABE_LIMIT",
@@ -47,7 +50,6 @@ __all__ = [
     "check_generator_fd",
     "point_spectrum_predicted",
     "eigenfunction_coeffs",
-    "eigen_residual",
     "eigen_residuals",
     "candidate_log_terms",
     "certify_divergence",
@@ -65,52 +67,17 @@ FD_STEPS: tuple[float, ...] = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 _FD_SCHEMES = ("forward", "central")
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Tridiagonal generator: diagonal plus first sub/super diagonals."""
-
-    diag: np.ndarray
-    lower: np.ndarray  # entry (k+1, k), length dim-1
-    upper: np.ndarray  # entry (k, k+1), length dim-1
-
-    @property
-    def dim(self) -> int:
-        return self.diag.size
-
-    def dense(self) -> np.ndarray:
-        return (
-            np.diag(self.diag)
-            + np.diag(self.lower, -1)
-            + np.diag(self.upper, 1)
-        ).astype(complex)
-
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        """Tridiagonal action on a vector or on each column; elementwise, order-stable in dim."""
-        shape = (-1,) + (1,) * (np.ndim(coeffs) - 1)
-        diag, lower, upper = (v.reshape(shape) for v in (self.diag, self.lower, self.upper))
-        out = diag * coeffs
-        out[1:] = out[1:] + lower * coeffs[:-1]
-        out[:-1] = out[:-1] + upper * coeffs[1:]
-        return out
-
-
-def generator_matrix(fam: SemigroupFamily, dim: int) -> GeneratorMatrix:
+def generator_matrix(fam: SemigroupFamily, dim: int) -> np.ndarray:
+    """The dim x dim truncation Q of the family's generator, from its affine symbol."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    roots = np.sqrt(np.arange(1.0, dim))
-    a, b = fam.conj.a, fam.conj.b
     if isinstance(fam, TranslationFamily):
-        return GeneratorMatrix(
-            diag=np.full(dim, complex(fam.F)),
-            lower=a * fam.E * roots,
-            upper=fam.E * roots,
-        )
-    beta = fam.beta
-    return GeneratorMatrix(
-        diag=fam.H + fam.ell * np.arange(dim, dtype=complex),
-        lower=-fam.ell * beta * roots,
-        upper=-fam.ell * fam.G * roots,
-    )
+        a, b, c, d = 0, fam.E, fam.F, fam.conj.a * fam.E
+    else:
+        a, b, c, d = fam.ell, -fam.ell * fam.G, fam.H, -fam.ell * fam.beta
+    roots = np.sqrt(np.arange(1.0, dim))
+    return (np.diag(c + a * np.arange(dim, dtype=complex))
+            + np.diag(d * roots, -1) + np.diag(b * roots, 1))
 
 
 def generator_fd_fits(fam: SemigroupFamily, degrees: Sequence[int],
@@ -123,11 +90,10 @@ def generator_fd_fits(fam: SemigroupFamily, degrees: Sequence[int],
     sqrt(k!) e_k: each h builds W(h) and W(-h) once with m = max(degrees) + 1
     columns, scaled once, and forms each scheme's quotient as one block.
     """
-    gen = generator_matrix(fam, dim)
     m = max(degrees) + 1
     scale = np.array([sqrt_factorial(k) for k in range(m)])
     Z = np.eye(dim, m) * scale  # z^k, k < m
-    target = gen.apply(Z)
+    target = generator_matrix(fam, dim)[:, :m] * scale
     errs = np.empty((2, len(FD_STEPS), m))
     for i, h in enumerate(FD_STEPS):
         fwd = semigroup_matrix(fam, h, dim, m) * scale
@@ -163,52 +129,54 @@ def point_spectrum_predicted(fam: SemigroupFamily, k_max: int) -> np.ndarray:
     return base + fam.ell * np.arange(k_max + 1, dtype=complex)
 
 
-def eigenfunction_coeffs(m: int, G: complex, beta: complex, dim: int) -> np.ndarray:
-    """Truncated (z - G)^m exp(beta z), the m-th dilation eigenfunction; m < dim.
+def eigenfunction_coeffs(degrees: Sequence[int], G: complex, beta: complex,
+                         dim: int) -> np.ndarray:
+    """Truncated (z - G)^m exp(beta z), the dilation eigenfunctions: one column per m.
 
     The operator with symbol (1, -G, 1, beta) sends z^m = sqrt(m!) e_m to this
-    function, so the vector is sqrt(m!) times column m of its ``wco_matrix``.
-    Row n of a column reads only rows n-1 and n of the one before, so a larger
-    dim extends the vector and keeps its leading coefficients bit for bit.
+    function, so a column is sqrt(m!) times column m of its ``wco_matrix``,
+    built once with max(degrees) + 1 columns.  Row n of a column reads only
+    rows n-1 and n of the one before, so a larger dim extends the vectors and
+    keeps their leading coefficients bit for bit.
     """
-    if not 0 <= m < dim:
-        raise ValueError(f"need 0 <= m < dim, got m = {m}, dim = {dim}")
-    col = wco_matrix(WCOParams(1.0, -G, 1.0, beta), dim, m + 1)[:, m]
-    return sqrt_factorial(m) * col
+    degrees = list(degrees)
+    if not 0 <= min(degrees) <= max(degrees) < dim:
+        raise ValueError(f"need 0 <= m < dim, got m in {degrees}, dim = {dim}")
+    cols = wco_matrix(WCOParams(1.0, -G, 1.0, beta), dim, max(degrees) + 1)
+    return cols[:, degrees] * np.array([sqrt_factorial(m) for m in degrees])
+
+
+def _tridiagonal_product(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Q X for a tridiagonal Q, summed per entry as diagonal, lower, upper term."""
+    diag, lower, upper = (np.diagonal(Q, k)[:, None] for k in (0, -1, 1))
+    out = diag * X
+    out[1:] += lower * X[:-1]
+    out[:-1] += upper * X[1:]
+    return out
 
 
 def eigen_residuals(fam: DilationFamily, degrees: Sequence[int],
                     dims: Sequence[int]) -> np.ndarray:
-    """Relative residuals ||(R - lambda_m) f_m|| / ||f_m||: one row per dim, one column per m.
+    """Relative residuals ||(Q - lambda_m) f_m|| / ||f_m||: one row per dim, one column per m.
 
     The eigenfunctions of :func:`eigenfunction_coeffs` and the generator are
-    built once, at the largest dim with max(degrees) + 1 columns; a smaller
-    dim reads their leading entries, which are its own bit for bit, so each
-    residual is non-increasing in dim by construction.
+    built once, at the largest dim; a smaller dim reads their leading entries,
+    which are its own bit for bit, so each residual is non-increasing in dim
+    by construction.
     """
-    if not isinstance(fam, DilationFamily):
-        raise EmptyPointSpectrum("eigenfunctions exist only for the dilation family")
     degrees = list(degrees)
     if not 0 <= min(degrees) <= max(degrees) < min(dims):
         raise ValueError(f"need 0 <= m < dim, got m in {degrees}, dims {tuple(dims)}")
-    beta = fam.beta
-    lam = np.array([fam.H - fam.ell * beta * fam.G + m * fam.ell for m in degrees])
+    lam = point_spectrum_predicted(fam, max(degrees))[degrees]
     top = max(dims)
-    cols = wco_matrix(WCOParams(1.0, -fam.G, 1.0, beta), top, max(degrees) + 1)
-    F = cols[:, degrees] * np.array([sqrt_factorial(m) for m in degrees])
-    gen = generator_matrix(fam, top)
+    F = eigenfunction_coeffs(degrees, fam.G, fam.beta, top)
+    Q = generator_matrix(fam, top)
     out = np.empty((len(dims), len(degrees)))
     for i, d in enumerate(dims):
-        lead = GeneratorMatrix(gen.diag[:d], gen.lower[: d - 1], gen.upper[: d - 1])
-        resid = lead.apply(F[:d]) - lam * F[:d]
+        resid = _tridiagonal_product(Q[:d, :d], F[:d]) - lam * F[:d]
         # 1-D norms, so that a column reads as the vector alone would
         out[i] = [np.linalg.norm(r) / np.linalg.norm(f) for r, f in zip(resid.T, F[:d].T)]
     return out
-
-
-def eigen_residual(fam: DilationFamily, m: int, dim: int) -> float:
-    """The residual of eigenfunction m at one dim, as in :func:`eigen_residuals`."""
-    return float(eigen_residuals(fam, (m,), (dim,))[0, 0])
 
 
 # Raabe's dividing line: paired terms p_m with m (p_m / p_{m+1} - 1) <= 1 for
@@ -491,8 +459,7 @@ class SpectrumReport:
 def spectrum_report(fam: DilationFamily, k_max: int, dim: int) -> SpectrumReport:
     predicted = point_spectrum_predicted(fam, k_max)
     residuals = eigen_residuals(fam, range(k_max + 1), (dim,))[0]
-    dense = generator_matrix(fam, dim).dense()
-    eigs = np.sort_complex(np.linalg.eigvals(dense))
+    eigs = np.sort_complex(np.linalg.eigvals(generator_matrix(fam, dim)))
     return SpectrumReport(
         predicted=predicted, residuals=residuals, truncated_eigenvalues=eigs, dim=dim
     )
@@ -511,7 +478,7 @@ def check_stone_adjoint_relation(fam: SemigroupFamily, dim: int) -> float:
     leading rows read; the generator's C-symmetry is ``check_matrix_c_symmetry``.
     """
     n = min(_STONE_MAX_DEGREE + 1, dim)
-    gen = generator_matrix(fam, dim).dense()
+    gen = generator_matrix(fam, dim)
     Wh = semigroup_matrix(fam, _STONE_STEP, dim)
     block = (Wh[:n].conj().T - np.eye(dim, n)) / _STONE_STEP - gen[:n].conj().T
     return float(np.max(np.linalg.norm(block, axis=0)))

@@ -100,12 +100,12 @@ SUITE_MIN_DIM = 8
 MAX_COMPLEX_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
 # ids (fnmatch patterns) of the laws whose measurement depends on the
-# truncation: run_group turns their failures into warn below CALIBRATED_DIM
+# truncation: run_group turns their failures into warn below CALIBRATED_DIM;
+# each one fires at some dim from 8 to 63 (the downgrades in BENCH_dims.json)
 _TRUNCATION_SENSITIVE = (
     "conjugation.involution*.decay", "boundedness.*", "semigroup.law*",
-    "generator.fd-*", "generator.exponential-bridge*",
-    "spectrum.eigenfunction-residuals", "empty-spectrum.*",
-    "growth.norm-one.*", "growth.divergence-flag.*",
+    "generator.exponential-bridge*", "spectrum.eigenfunction-residuals",
+    "empty-spectrum.*", "growth.norm-one.*", "growth.divergence-flag.*",
 )
 
 
@@ -198,7 +198,7 @@ def exponential_bridge(fam: SemigroupFamily, times, n_monomials: int, dim: int) 
     z^k, k < m = min(n_monomials, dim), is column k scaled by sqrt(k!); each
     t is one block gap (exp(t Q) - W(t))[:20, :m] of the scaled columns.
     """
-    gen = generator_matrix(fam, dim).dense()
+    gen = generator_matrix(fam, dim)
     block = min(20, dim)
     m = min(n_monomials, dim)  # z^k for k < m needs only the leading m columns
     scale = np.array([sqrt_factorial(k) for k in range(m)])
@@ -328,7 +328,7 @@ def stone_symmetry_records(cfg: VerifyConfig, fam: SemigroupFamily,
     truncation gives its best value.
     """
     small = min(max(4, cfg.dim // 4), cfg.dim)
-    symmetry = check_matrix_c_symmetry(generator_matrix(fam, cfg.dim).dense(),
+    symmetry = check_matrix_c_symmetry(generator_matrix(fam, cfg.dim),
                                        conjugation_matrix(fam.conj, cfg.dim))
     return [
         _record(f"stone.generator-symmetry{suffix}",
@@ -500,7 +500,7 @@ def stone_symmetry_checks(cfg: VerifyConfig) -> list[CheckRecord]:
 def spectrum_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     # beta = 0: the truncation is triangular and its eigenvalues are exact
     fam0 = _std_dilation(ell=-1.0 + 0.5j, G=0.0, H=0.3)
-    eigs = np.linalg.eigvals(generator_matrix(fam0, cfg.dim).dense())
+    eigs = np.linalg.eigvals(generator_matrix(fam0, cfg.dim))
     dev = max(float(np.min(np.abs(eigs - lam))) for lam in point_spectrum_predicted(fam0, 5))
     # beta != 0: explicit eigenfunction residuals, non-increasing in dim
     fam1 = _std_dilation(ell=1.0, G=1.0, H=0.0)
@@ -508,7 +508,7 @@ def spectrum_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     grid = (max(8, big // 2), max(10, (3 * big) // 4), big)
     resids = eigen_residuals(fam1, range(6), grid)  # one row per dim
     monotone = bool(np.all(resids[1:] <= resids[:-1]))
-    eigs1 = np.linalg.eigvals(generator_matrix(fam1, cfg.dim).dense())
+    eigs1 = np.linalg.eigvals(generator_matrix(fam1, cfg.dim))
     return [
         _record("spectrum.lattice.beta0", "eigenvalues H + k ell when the twist vanishes",
                 dev, cfg.tol("spectrum_exact")),
@@ -575,7 +575,7 @@ def laplace_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     out: list[CheckRecord] = []
     fam = _std_dilation(ell=-1.0, G=0.0, H=0.0)  # W(t) = diag(e^{-kt})
     lam = 1.0 + 0.0j
-    gen = generator_matrix(fam, cfg.dim).dense()
+    gen = generator_matrix(fam, cfg.dim)
     E = np.eye(cfg.dim, 5, dtype=complex)  # e_0 .. e_4 as columns
     J = laplace_resolvent(fam, lam, E, omega=0.0)
     diag = J - E / (lam + np.arange(5))
@@ -613,7 +613,7 @@ def laplace_checks(cfg: VerifyConfig) -> list[CheckRecord]:
 
 def dissipativity_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     fam = _std_translation(E=1j, F=-1.0)  # Q = -I + i(creation + annihilation)
-    Q = generator_matrix(fam, cfg.dim).dense()
+    Q = generator_matrix(fam, cfg.dim)
     vectors = complex_normal_vectors(cfg.seed, 100, cfg.dim)
     return [
         _record("dissipativity.margin", "Hermitian part of the damped generator tops out at -1",

@@ -32,7 +32,6 @@ from .serialize import complex_to_json
 __all__ = [
     "WCOParams",
     "BoundednessResult",
-    "SymbolMatchResult",
     "wco_matrix",
     "apply_wco",
     "compose_params",
@@ -146,22 +145,10 @@ def is_bounded(p: WCOParams, tol: float = 1e-12) -> BoundednessResult:
     return BoundednessResult(False, f"|A| = {absA:.6g} > 1")
 
 
-class SymbolMatchResult(NamedTuple):
-    """Outcome of the symbol-level self-adjointness test.
+def is_c_selfadjoint_symbols(p: WCOParams, a: complex, b: complex) -> float:
+    """|D - (a B - b A + b)|, the deviation from the symbol relation for conjugation (a, b).
 
-    ``maximal_domain_verified`` is always False: the full property also
-    requires the operator to carry its maximal domain, which no finite
-    computation decides; only the algebraic symbol relation is checked.
+    C-selfadjointness also requires the operator to carry its maximal domain,
+    which no finite computation decides; only this algebraic relation is measured.
     """
-
-    symbols_match: bool
-    deviation: float
-    maximal_domain_verified: bool = False
-
-
-def is_c_selfadjoint_symbols(
-    p: WCOParams, a: complex, b: complex, tol: float = 1e-12
-) -> SymbolMatchResult:
-    """Check the symbol relation D = a B - b A + b for conjugation data (a, b)."""
-    dev = abs(p.D - (a * p.B - b * p.A + b))
-    return SymbolMatchResult(dev <= tol, float(dev))
+    return float(abs(p.D - (a * p.B - b * p.A + b)))

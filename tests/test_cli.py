@@ -96,6 +96,9 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
     ("wco", {"A": 1e300}, "x", "params.A"),
     ("evolution", TABLE_MISMATCH, "x", "params.matrices[1]"),
     ("evolution", {"B": "constant", "matrix": [[1e13]], "samples": 3}, "x", "params.matrix"),
+    # stages that overflow are rejected steps, not warnings
+    pytest.param("evolution", {"B": "constant", "matrix": [[1e300]]}, "x", "params.matrix",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     ("evolution", {"B": "bagchi", "samples": 0}, "x", "params.samples"),
     ("conjugation-check", {}, "a/b", "name"),
     (None, None, None, "--dim"),
@@ -124,6 +127,7 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
           ("generator", {"variant": "dilation", "ell": -1, "G": 1e200}),
           ("spectrum", {"variant": "dilation", "ell": -1, "G": 1e200}))),
 ], ids=["rel_tol-zero", "omega-string", "omega-overflow", "A-overflow", "table-shapes", "stiff",
+        "stiff-overflow",
         "samples-zero", "name-separator", "verify-all-dim-one", "omega-huge-int", "A-huge-int",
         "times-huge-int", "kappa-huge-int", "span-overflow", "conjugation-constraint",
         "k_max-at-dim", "cosine-overflow", "semigroup-E-overflow", "generator-E-overflow",
@@ -184,13 +188,32 @@ def test_json_boolean_is_not_a_number(tmp_path, _outdir, capsys, command,
     (["verify-all", "--dim", str(_HUGE)], "--dim"),
     (["verify-all", "--dim", str(2**32)], "--dim"),
     (["spectrum", "--dim", str(2**32)], "--dim"),
-    (["spectrum", "--k-max", str(_HUGE)], "params.k_max"),
-    (["evolve", "--samples", str(_HUGE)], "params.samples"),
+    (["spectrum", "--k-max", str(_HUGE)], "--k-max"),
+    (["evolve", "--samples", str(_HUGE)], "--samples"),
 ], ids=["verify-all-dim-huge", "verify-all-dim-2^32", "spectrum-dim-2^32",
         "spectrum-k-max-huge", "evolve-samples-huge"])
 def test_unindexable_size_flag_names_field_path(_outdir, capsys, argv, field):
     assert main(argv) == 1
     assert f"input error: {field}: " in capsys.readouterr().err
+    assert not _outdir.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "--G", "1e200", "--ell=-1", "--dim", "16"], "--ell/--G/--H"),
+    (["spectrum", "--k-max", "70", "--dim", "16"], "--k-max"),
+    (["spectrum", "--a", "2"], "--a"),
+    (["evolve", "--rel-tol", "0"], "--rel-tol"),
+    (["evolve", "--samples", "0"], "--samples"),
+    (["evolve", "--t", "-1"], "--t"),
+    (["evolve", "--nu", "1e300", "--t", "1", "--samples", "2"], "--nu/--kappa/--lam"),
+], ids=["spectrum-family", "spectrum-k-max", "spectrum-a", "evolve-rel-tol",
+        "evolve-samples", "evolve-t", "evolve-stiff"])
+def test_flag_input_error_names_the_flag(_outdir, capsys, argv, flag):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"input error: {flag}: " in err
+    assert "params." not in err
     assert not _outdir.exists()
 
 
@@ -564,7 +587,7 @@ def test_generator_kind_stays_within_its_truncation(tmp_path, monkeypatch):
                            ("conjugation_matrix", conjugation.conjugation_matrix)):
         def recording(*args, _original=original, **kwargs):
             out = _original(*args, **kwargs)
-            dims.append(out.shape[0] if isinstance(out, np.ndarray) else out.dim)
+            dims.append(out.shape[0])
             return out
 
         for mod in (conjugation, generator, verification, cli):

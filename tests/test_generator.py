@@ -24,7 +24,7 @@ from focksym.generator import (
     check_generator_fd,
     check_stone_adjoint_relation,
     dissipativity_margin,
-    eigen_residual,
+    _tridiagonal_product,
     eigen_residuals,
     eigenfunction_coeffs,
     generator_matrix,
@@ -55,7 +55,7 @@ def test_translation_generator_is_drift_plus_ladders():
     fam = TranslationFamily(E=E, F=F, conj=STD)
     create, annihilate, _ = _ladders(12)
     expected = F * np.eye(12) + a * E * create + E * annihilate
-    np.testing.assert_array_equal(generator_matrix(fam, 12).dense(), expected)
+    np.testing.assert_array_equal(generator_matrix(fam, 12), expected)
 
 
 def test_dilation_generator_is_number_plus_ladders():
@@ -66,15 +66,14 @@ def test_dilation_generator_is_number_plus_ladders():
     expected = (
         H * np.eye(12) + ell * number - ell * beta * create - ell * G * annihilate
     )
-    np.testing.assert_array_equal(generator_matrix(fam, 12).dense(), expected)
+    np.testing.assert_array_equal(generator_matrix(fam, 12), expected)
 
 
-def test_structured_apply_matches_dense():
+def test_tridiagonal_product_matches_dense():
     fam = DilationFamily(ell=1.0, G=1.0, H=0.0, conj=STD)
-    gen = generator_matrix(fam, 32)
-    v = complex_normal_vectors(3, 1, 32)[0]
-    dense_route = gen.dense() @ v
-    np.testing.assert_allclose(gen.apply(v), dense_route, rtol=0, atol=1e-12)
+    Q = generator_matrix(fam, 32)
+    X = complex_normal_vectors(3, 2, 32).T
+    np.testing.assert_allclose(_tridiagonal_product(Q, X), Q @ X, rtol=0, atol=1e-12)
 
 
 def test_finite_difference_slopes():
@@ -114,19 +113,19 @@ def test_dilation_lattice_values():
 def test_triangular_case_matches_dense_eigenvalues():
     fam = DilationFamily(ell=-1.0 + 0.5j, G=0.0, H=0.3, conj=STD)  # beta = 0
     predicted = point_spectrum_predicted(fam, 5)
-    eigs = np.linalg.eigvals(generator_matrix(fam, 48).dense())
+    eigs = np.linalg.eigvals(generator_matrix(fam, 48))
     for lam in predicted:
         assert np.min(np.abs(eigs - lam)) < 1e-12
 
 
 def test_eigenfunction_coefficients_low_order():
     beta = 0.7 - 0.2j
-    f0 = eigenfunction_coeffs(0, 1.0, beta, 8)
+    f0 = eigenfunction_coeffs((0,), 1.0, beta, 8)[:, 0]
     # normalized coefficients: Taylor coefficients times sqrt(n!)
     for n in range(8):
         assert f0[n] == pytest.approx(beta**n / math.sqrt(math.factorial(n)), rel=1e-14)
     G = 0.5
-    f1 = eigenfunction_coeffs(1, G, beta, 8)
+    f1 = eigenfunction_coeffs((1,), G, beta, 8)[:, 0]
     assert f1[0] == pytest.approx(-G, rel=1e-14)  # (z - G) e^{beta z} at z^0
     for n in range(1, 8):
         taylor = beta ** (n - 1) / math.factorial(n - 1) - G * beta**n / math.factorial(n)
@@ -138,8 +137,8 @@ def test_eigenfunction_coefficients_at_dim_400_match_mpmath():
     # each is sqrt(n!) sum_j binom(m, j) (-G)^(m-j) beta^(n-j) / (n-j)!
     dim = 400
     for G, beta in ((0.5 - 1j, 2.5 + 1.5j), (-2 + 0.5j, -2 + 2j)):
-        for m in range(4):
-            vec = eigenfunction_coeffs(m, G, beta, dim)
+        block = eigenfunction_coeffs(range(4), G, beta, dim)
+        for m, vec in enumerate(block.T):
             with mpmath.workdps(30):
                 ref = np.array([complex(mpmath.sqrt(mpmath.factorial(n)) * mpmath.fsum(
                     mpmath.binomial(m, j) * (-mpmath.mpc(G)) ** (m - j)
@@ -153,15 +152,13 @@ def test_eigenfunction_coefficients_at_dim_400_match_mpmath():
 
 def test_eigenfunction_needs_its_monomial_in_the_truncation():
     with pytest.raises(ValueError, match="m < dim"):
-        eigenfunction_coeffs(8, 1.0, 0.5, 8)
+        eigenfunction_coeffs((0, 8), 1.0, 0.5, 8)
 
 
 def test_eigen_residuals_small_and_monotone():
     fam = DilationFamily(ell=1.0, G=1.0, H=0.0, conj=STD)
     for m in range(6):
-        r40 = eigen_residual(fam, m, 40)
-        r60 = eigen_residual(fam, m, 60)
-        r80 = eigen_residual(fam, m, 80)
+        r40, r60, r80 = (eigen_residuals(fam, (m,), (dim,))[0, 0] for dim in (40, 60, 80))
         assert r80 <= 1e-10
         assert r80 <= r60 <= r40
 
@@ -172,21 +169,25 @@ def test_eigen_residuals_equal_one_build_per_degree_and_dim():
     for fam in (DilationFamily(ell=1.0, G=1.0, H=0.0, conj=STD),
                 DilationFamily(ell=-1.0 + 0.5j, G=0.7, H=0.2j,
                                conj=ConjugationParams(1.0, 1j, math.exp(-0.5)))):
-        dims, beta = (8, 10, 13, 40), fam.beta
+        dims = (8, 10, 13, 40)
         got = eigen_residuals(fam, range(6), dims)
+        lattice = point_spectrum_predicted(fam, 5)
         for i, dim in enumerate(dims):
-            gen = generator_matrix(fam, dim)
+            diag, lower, upper = (np.diagonal(generator_matrix(fam, dim), k) for k in (0, -1, 1))
             for m in range(6):
-                f = eigenfunction_coeffs(m, fam.G, beta, dim)
-                lam = fam.H - fam.ell * beta * fam.G + m * fam.ell
-                assert got[i, m] == np.linalg.norm(gen.apply(f) - lam * f) / np.linalg.norm(f)
+                f = eigenfunction_coeffs((m,), fam.G, fam.beta, dim)[:, 0]
+                # Q f summed per entry as diagonal, lower, upper term
+                Qf = diag * f
+                Qf[1:] += lower * f[:-1]
+                Qf[:-1] += upper * f[1:]
+                assert got[i, m] == np.linalg.norm(Qf - lattice[m] * f) / np.linalg.norm(f)
     with pytest.raises(ValueError, match="m < dim"):
         eigen_residuals(fam, (0, 8), (8, 16))
 
 
 def test_eigen_residual_requires_dilation():
     with pytest.raises(EmptyPointSpectrum):
-        eigen_residual(TranslationFamily(E=1.0, F=0.0, conj=STD), 0, 16)
+        eigen_residuals(TranslationFamily(E=1.0, F=0.0, conj=STD), (0,), (16,))
 
 
 def test_spectrum_report_shape_and_keys():
@@ -281,7 +282,7 @@ def test_functions_in_the_space_fail_gauss_branch(n_seq):
     n_terms = 2 * max(n_seq) + 2
     controls = [kernel_vector(w, n_terms) for w in (0.5, 2.0, 3 + 1j, 5.0)]
     controls += [
-        eigenfunction_coeffs(m, G, beta, n_terms)
+        eigenfunction_coeffs((m,), G, beta, n_terms)[:, 0]
         for m, G, beta in ((0, 1.0, 0.5), (2, 1.0, 0.5), (3, 1 + 1j, 2.0),
                            (1, 0.5, -1j), (4, 2.0, 3.0))
     ]
@@ -333,7 +334,7 @@ def test_certificate_json_round_trip():
 def test_damped_symmetric_generator_margin():
     # Q = -I + i (creation + annihilation) has Hermitian part exactly -I
     fam = TranslationFamily(E=1j, F=-1.0, conj=STD)
-    Q = generator_matrix(fam, 64).dense()
+    Q = generator_matrix(fam, 64)
     assert dissipativity_margin(Q) == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -344,7 +345,7 @@ def test_margin_of_diagonal_matrix():
 
 def test_resolvent_bound_for_dissipative_matrix():
     fam = TranslationFamily(E=1j, F=-1.0, conj=STD)
-    Q = generator_matrix(fam, 64).dense()
+    Q = generator_matrix(fam, 64)
     vectors = list(complex_normal_vectors(20260814, 100, 64))
     assert resolvent_bound_check(Q, (0.1, 1.0, 10.0), vectors) >= 1.0 - 1e-10
 
@@ -395,7 +396,7 @@ def test_expm_overflow_guard():
 
 def test_expm_approximates_family_member():
     fam = TranslationFamily(E=1.0, F=0.0, conj=STD)
-    Q = generator_matrix(fam, 64).dense()
+    Q = generator_matrix(fam, 64)
     for t in (0.1, 0.25, 0.5):
         E = matrix_exponential(Q, t)
         W = semigroup_matrix(fam, t, 64)
@@ -415,7 +416,7 @@ def test_stone_relation_for_diagonal_conjugations():
     ]
     for fam in cases:
         for dim in (16, 32, 64):
-            Q = generator_matrix(fam, dim).dense()
+            Q = generator_matrix(fam, dim)
             M = conjugation_matrix(fam.conj, dim)
             assert check_matrix_c_symmetry(Q, M) <= 1e-12
             # the adjoint quotient is an O(h) object at h = 1e-6

@@ -296,7 +296,7 @@ def test_block_laws_equal_the_loops_they_replaced():
         for dim in (8, 24, 64):
             close(check_semigroup_law(fam, times, 7, dim),
                   _monomial_law_loop(fam, times, 7, dim))
-    Q = generator_matrix(TranslationFamily(E=1j, F=-1.0, conj=STD), 64).dense()
+    Q = generator_matrix(TranslationFamily(E=1j, F=-1.0, conj=STD), 64)
     for seed in (7, 20260814):
         vectors = list(complex_normal_vectors(seed, 100, 64))
         close(resolvent_bound_check(Q, (0.1, 1.0, 10.0), vectors),
@@ -387,7 +387,7 @@ def test_laplace_diagonal_values():
 def test_laplace_solves_resolvent_identity():
     fam = DilationFamily(ell=-1.0, G=0.0, H=0.0, conj=STD)
     lam = 1.0 + 0j
-    Q = generator_matrix(fam, 32).dense()
+    Q = generator_matrix(fam, 32)
     E = np.eye(32, 5, dtype=complex)  # e_0 .. e_4
     resid = (lam * np.eye(32) - Q) @ laplace_resolvent(fam, lam, E, omega=0.0) - E
     assert np.max(np.linalg.norm(resid, axis=0)) < 1e-6
@@ -397,7 +397,7 @@ def test_laplace_works_off_the_diagonal():
     fam = DilationFamily(ell=-1.0, G=0.5, H=0.0, conj=STD)
     lam = 2.0 + 0j
     dim = 48
-    Q = generator_matrix(fam, dim).dense()
+    Q = generator_matrix(fam, dim)
     x = basis_vector(1, dim)
     J = laplace_resolvent(fam, lam, x[:, None], omega=0.0)[:, 0]
     resid = (lam * np.eye(dim) - Q) @ J - x

@@ -1,21 +1,28 @@
 """The grouped check suite: statuses, sensitivity downgrades, determinism."""
 
+import json
 import math
+from fnmatch import fnmatchcase
+from pathlib import Path
 
 import mpmath
 import pytest
 
 from focksym.fock import DEFAULT_TOLERANCES
 from focksym.verification import (
+    _TRUNCATION_SENSITIVE,
     CALIBRATED_DIM,
     CHECK_GROUPS,
     MAX_COMPLEX_ENTRIES,
+    SUITE_MIN_DIM,
     CheckRecord,
     VerifyConfig,
     evolution_checks,
     run_all,
     run_group,
 )
+
+BENCH_DIMS = Path(__file__).resolve().parent.parent / "BENCH_dims.json"
 
 EXPECTED_GROUPS = {
     "conjugation", "boundedness", "flow-cocycle", "semigroup-law",
@@ -93,6 +100,28 @@ def test_sensitive_checks_downgrade_below_calibrated_size():
     statuses = {r.status for r in records}
     assert "fail" not in statuses
     assert "warn" in statuses
+
+
+def test_finite_difference_slopes_pass_below_calibrated_size():
+    # the fd records do not depend on the seed, so this sweep is exhaustive:
+    # they need no downgrade, and only the exponential bridge may read warn
+    for dim in range(SUITE_MIN_DIM, CALIBRATED_DIM):
+        records = run_group("generator-fd", VerifyConfig(dim=dim))
+        assert all(r.status == "pass" for r in records
+                   if r.check_id.startswith("generator.fd-")), dim
+        assert all(r.status != "fail" for r in records), dim
+
+
+def test_each_downgrade_pattern_fires_in_the_committed_sweep():
+    # BENCH_dims.json keeps the warn ids of verify-all --seed 7 at every dim
+    # from 8 to 63; a pattern that matches none of them downgrades nothing
+    sweep = json.loads(BENCH_DIMS.read_text())["downgrades"]["dims"]
+    assert sorted(map(int, sweep)) == list(range(SUITE_MIN_DIM, CALIBRATED_DIM))
+    warned = {check_id for ids in sweep.values() for check_id in ids}
+    for pattern in _TRUNCATION_SENSITIVE:
+        assert any(fnmatchcase(i, pattern) for i in warned), pattern
+    for check_id in warned:
+        assert any(fnmatchcase(check_id, p) for p in _TRUNCATION_SENSITIVE), check_id
 
 
 def test_divergence_factor_override_is_honoured():
