@@ -8,7 +8,8 @@ steps, its wall time, the steps of one unbroken span U(t, 0), and the largest
 entry error over all samples against scipy's DOP853 at rtol 1e-13.  A second,
 untimed pass through a counting wrapper of the operator gives the evaluations
 of B and the products B(t) @ Y per accepted step: five and six per attempted
-step (stage 1 is the previous step's stage 7), plus one of each per segment.
+step (stage 1 is the previous step's stage 7), plus one of each per segment,
+and one more evaluation per series, which gives the size of U(t_0, t_0).
 
 Models: the two-level Bagchi model with cosine detuning and coupling, and
 constant complex symmetric generators B = -i O diag(spectrum) O^T at d16 and
@@ -33,35 +34,29 @@ import os
 import sys
 import tempfile
 import time
+from typing import Callable
 
 import numpy as np
 import scipy.integrate
 
-from focksym.evolution import (
-    BagchiParams,
-    TimeDependentOperator,
-    bagchi_hamiltonian,
-    constant_operator,
-    evolution_series,
-    evolve,
-)
+from focksym.evolution import bagchi_hamiltonian, evolution_series, evolve
 from focksym.serialize import write_csv
 
-
-def bagchi_cosine() -> TimeDependentOperator:
-    return bagchi_hamiltonian(BagchiParams(
-        nu=1.0,
-        kappa=lambda t: 0.4 * math.cos(1.3 * t + 0.3),
-        lam=lambda t: math.cos(0.7 * t + 1.1),
-    ))
+Coefficient = Callable[[float], np.ndarray]  # t -> B(t)
 
 
-def constant_model(n: int, seed: int = 0) -> TimeDependentOperator:
+def bagchi_cosine() -> Coefficient:
+    return bagchi_hamiltonian(1.0, lambda t: 0.4 * math.cos(1.3 * t + 0.3),
+                              lambda t: math.cos(0.7 * t + 1.1))
+
+
+def constant_model(n: int, seed: int = 0) -> Coefficient:
     g = np.random.default_rng(seed).standard_normal((n, n))
     q, r = np.linalg.qr(g)
     O = q * np.sign(np.diag(r))
     spectrum = np.linspace(-1.0, 1.0, n) - 1j * np.linspace(0.0, 0.3, n)
-    return constant_operator(-1j * (O * spectrum) @ O.T)
+    M = -1j * (O * spectrum) @ O.T
+    return lambda t: M
 
 
 STEP_DIMS = (1, 2, 3, 16, 32, 64)
@@ -80,6 +75,9 @@ class _Values:
     def __init__(self, counts: "Counted", M: np.ndarray):
         self.counts, self.M = counts, M
 
+    def __len__(self) -> int:
+        return len(self.M)
+
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is not np.matmul or method != "__call__":
             return NotImplemented
@@ -90,8 +88,8 @@ class _Values:
 class Counted:
     """B with counters of its evaluations and of the products taken of them."""
 
-    def __init__(self, B: TimeDependentOperator):
-        self.B, self.dim = B, B.dim
+    def __init__(self, B: Coefficient):
+        self.B = B
         self.evals = self.products = 0
 
     def __call__(self, t: float) -> _Values:
@@ -99,9 +97,9 @@ class Counted:
         return _Values(self, self.B(t))
 
 
-def dop853_series(B: TimeDependentOperator, times: np.ndarray) -> np.ndarray:
+def dop853_series(B: Coefficient, times: np.ndarray) -> np.ndarray:
     """U(t_k, t_0) at every sample time by DOP853 at rtol 1e-13, atol 1e-15."""
-    n = B.dim
+    n = len(B(times[0]))
 
     def rhs(x, y):
         return (B(x) @ y.view(complex).reshape(n, n)).ravel().view(float)
@@ -112,7 +110,7 @@ def dop853_series(B: TimeDependentOperator, times: np.ndarray) -> np.ndarray:
     return sol.y.T.copy().view(complex).reshape(len(times), n, n)
 
 
-def measure(B: TimeDependentOperator, t: float, samples: int,
+def measure(B: Coefficient, t: float, samples: int,
             rel_tol: float) -> tuple[int, float, float, int, float, float]:
     """(series steps, series wall s, max entry error vs DOP853, one-span steps,
     B evaluations and products per accepted step)."""

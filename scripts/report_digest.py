@@ -83,7 +83,7 @@ SCENARIOS = {
 
 def _constant_d16() -> list:
     """The dim-16 constant model of ``propagator_cost.py`` as JSON pairs."""
-    return [[[z.real, z.imag] for z in row] for row in constant_model(16).eval(0.0).tolist()]
+    return [[[z.real, z.imag] for z in row] for row in constant_model(16)(0.0).tolist()]
 
 
 # label -> (kind, params, dim, output format), each run once

@@ -17,15 +17,12 @@ from .conjugation import (
     standard_conjugation,
 )
 from .evolution import (
-    BagchiParams,
     EvolutionOperator,
     StiffnessError,
-    TimeDependentOperator,
     bagchi_hamiltonian,
     check_adjoint_family,
     check_evolution_axioms,
     check_nonauto_stone,
-    constant_operator,
     evolve,
 )
 from .fock import (

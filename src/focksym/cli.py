@@ -45,11 +45,8 @@ from .conjugation import (
     conjugation_matrix,
 )
 from .evolution import (
-    BagchiParams,
     StiffnessError,
-    TimeDependentOperator,
     bagchi_hamiltonian,
-    constant_operator,
     evolution_series,
     evolve,
 )
@@ -331,8 +328,10 @@ def _parse_spectrum(params: dict, cfg: VerifyConfig) -> SpectrumSpec:
     if isinstance(fam, TranslationFamily):
         eta = _get_complex(params, "params", "eta", 1 + 1j)
     elif k_max >= cfg.dim:
-        raise ScenarioError("params.k_max", f"must be below the dim {cfg.dim}: the "
-                                            "eigenfunction (z-G)^k exp(beta z) holds z^k")
+        # a default k_max is not the user's input; the dim too small for it is
+        path, what = (("params.k_max", f"must be below the dim {cfg.dim}") if "k_max" in params
+                      else ("truncation.dim", f"must exceed the default k_max {k_max}"))
+        raise ScenarioError(path, f"{what}: the eigenfunction (z-G)^k exp(beta z) holds z^k")
     return SpectrumSpec(fam, k_max, eta)
 
 
@@ -341,7 +340,7 @@ _EVOLUTION_MODELS = ("bagchi", "constant", "table")
 
 @dataclass(frozen=True)
 class EvolutionSpec:
-    op: TimeDependentOperator
+    op: Callable[[float], np.ndarray]  # the coefficient t -> B(t)
     meta: dict
     source: str  # field path of the model's coefficients, named on stiffness
     s: float
@@ -385,7 +384,7 @@ def _matrix_from(entry: Any, path: str) -> np.ndarray:
 
 
 def _evolution_operator_from(params: dict, span: tuple[float, float]
-                             ) -> tuple[TimeDependentOperator, dict, str]:
+                             ) -> tuple[Callable[[float], np.ndarray], dict, str]:
     model = _get(params, "params", "B", str)
     if model not in _EVOLUTION_MODELS:
         raise ScenarioError("params.B", f"expected one of {_EVOLUTION_MODELS}")
@@ -393,12 +392,10 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
         nu = _get(params, "params", "nu", float, 1.0)
         kappa = _coefficient_fn(params, "kappa", 0.0, span)
         lam = _coefficient_fn(params, "lam", 1.0, span)
-        op = bagchi_hamiltonian(BagchiParams(nu=nu, kappa=kappa, lam=lam))
-        meta = {"model": "bagchi", "nu": nu}
-        return op, meta, "params.B"
+        return bagchi_hamiltonian(nu, kappa, lam), {"model": "bagchi", "nu": nu}, "params.B"
     if model == "constant":
         M = _matrix_from(_get(params, "params", "matrix", list), "params.matrix")
-        return constant_operator(M), {"model": "constant", "dim": M.shape[0]}, "params.matrix"
+        return lambda t: M, {"model": "constant", "dim": M.shape[0]}, "params.matrix"
     times = _get(params, "params", "times", list)
     mats = _get(params, "params", "matrices", list)
     if len(times) != len(mats) or len(times) < 2:
@@ -424,8 +421,8 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
         w = (t - ts[j]) / (ts[j + 1] - ts[j])
         return (1 - w) * stack[j] + w * stack[j + 1]
 
-    op = TimeDependentOperator(dim=stack.shape[1], eval=eval_b)
-    return op, {"model": "table", "dim": stack.shape[1], "samples": len(times)}, "params.matrices"
+    meta = {"model": "table", "dim": stack.shape[1], "samples": len(times)}
+    return eval_b, meta, "params.matrices"
 
 
 def _parse_evolution(params: dict, cfg: VerifyConfig) -> EvolutionSpec:
@@ -463,7 +460,7 @@ def _parse_full_verify(params: dict, cfg: VerifyConfig) -> VerifyConfig:
 
 def _run_conjugation(p: ConjugationParams, cfg: VerifyConfig):
     op = conjugation_matrix(p, cfg.dim)
-    records = conjugation_records(cfg, (p, op))
+    records = conjugation_records(cfg, p, op)
     if p.b != 0:  # the isometry is truncation limited too: reported, not judged
         iso = isometry_residual(op, cfg.seed)
         records.append(_info("conjugation.isometry.residual",
@@ -524,7 +521,7 @@ def _run_semigroup(spec: SemigroupSpec, cfg: VerifyConfig):
 
 def _run_generator(fam: SemigroupFamily, cfg: VerifyConfig):
     with _evaluating_family():
-        records = (fd_slope_records(cfg, (fam, (0,))) + exponential_bridge_records(cfg, fam)
+        records = (fd_slope_records(cfg, fam, (0,)) + exponential_bridge_records(cfg, fam)
                    + stone_symmetry_records(cfg, fam))
     return records, {"family": fam.to_json()}, None
 
@@ -534,7 +531,7 @@ def _run_spectrum(spec: SpectrumSpec, cfg: VerifyConfig):
     with _evaluating_family():
         if spec.eta is not None:
             cert = divergence_certificate(cfg, fam, spec.eta)
-            return divergence_records(cfg, (spec.eta, cert)), {
+            return divergence_records(cfg, spec.eta, cert), {
                 "family": fam.to_json(), "certificate": cert.to_json()}, None
         rep = spectrum_report(fam, spec.k_max, dim)
     records = [
@@ -561,13 +558,14 @@ def _run_evolution(spec: EvolutionSpec, cfg: VerifyConfig):
         series, _ = evolution_series(B, times, rel_tol)
         # linspace sets its endpoint exactly; one sample stops the chain at s
         U_ts = series[-1] if times[-1] == t else evolve(B, s, t, rel_tol).matrix
-        records = evolution_axiom_records(cfg, (B, (s, s + (t - s) / 2, t), U_ts, rel_tol))
-        sym = check_matrix_c_symmetry(U_ts, np.eye(B.dim))
+        n = len(U_ts)
+        records = evolution_axiom_records(cfg, B, (s, s + (t - s) / 2, t), U_ts, rel_tol)
+        sym = check_matrix_c_symmetry(U_ts, np.eye(n))
     except StiffnessError as exc:
         raise ScenarioError(spec.source, str(exc))
     records.append(_info("evolution.transpose-symmetry", "U M = M U^T under plain conjugation",
                          sym, "pass/fail asserted only for commuting families"))
-    header = ["t"] + [f"U{i}_{j}_{part}" for i in range(B.dim) for j in range(B.dim)
+    header = ["t"] + [f"U{i}_{j}_{part}" for i in range(n) for j in range(n)
                       for part in ("re", "im")]
     # a complex matrix viewed as float64 interleaves re and im, as the header does
     entries = np.array(series).reshape(len(times), -1).view(np.float64)
@@ -707,17 +705,21 @@ def _cmd_verify_all(args) -> int:
 def _naming_flags(**combined: str):
     """An input error on a params field, named by the flag it came from.
 
-    The field ``params.….x`` came from ``--x`` (underscores read as dashes);
-    ``combined`` names the flags behind a field that several flags fill.
+    The field ``params.….x`` came from ``--x`` (underscores read as dashes),
+    and ``truncation.dim`` from ``--dim``; ``combined`` names the flags behind
+    a field that several flags fill.
     """
     try:
         yield
     except ScenarioError as exc:
-        if not exc.path.startswith("params."):
+        if exc.path == "truncation.dim":
+            flag = "--dim"
+        elif exc.path.startswith("params."):
+            field = exc.path.rsplit(".", 1)[-1]
+            flag = combined.get(field, "--" + field.replace("_", "-"))
+        else:
             raise
-        field = exc.path.rsplit(".", 1)[-1]
-        raise ScenarioError(combined.get(field, "--" + field.replace("_", "-")),
-                            exc.message) from None
+        raise ScenarioError(flag, exc.message) from None
 
 
 def _cmd_spectrum(args) -> int:
@@ -726,7 +728,8 @@ def _cmd_spectrum(args) -> int:
               "G": complex_to_json(args.G), "H": complex_to_json(args.H),
               "conjugation": {k: complex_to_json(getattr(args, k)) for k in "abc"}}
     with _naming_flags(family="--ell/--G/--H"):
-        spec = _parse_spectrum({"family": family, "k_max": args.k_max}, cfg)
+        k_max = {} if args.k_max is None else {"k_max": args.k_max}
+        spec = _parse_spectrum({"family": family, **k_max}, cfg)
         return _report("spectrum", "spectrum", cfg, _flag_output(args, args.format),
                        lambda: _run_spectrum(spec, cfg))
 
@@ -794,7 +797,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=complex, default=1 + 0j)
     p.add_argument("--b", type=complex, default=0j)
     p.add_argument("--c", type=complex, default=1 + 0j)
-    p.add_argument("--k-max", type=int, default=5)
+    p.add_argument("--k-max", type=int, default=None, help="highest eigenfunction degree "
+                   "(default 5)")
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)

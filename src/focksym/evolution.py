@@ -1,5 +1,10 @@
 """Nonautonomous evolution families U(t, s) solving U' = B(t) U, U(s, s) = I.
 
+A coefficient B is any callable t -> (n, n) complex array.  Its size n is
+read from B(s) at the start of each integration, the value that is also the
+first step's stage 1; a later value of another size makes a stage's matrix
+product raise ValueError.
+
 The propagator is integrated as a full matrix with an adaptive embedded
 Runge-Kutta pair of orders 5(4) (Dormand-Prince tableau).  Local error is
 controlled per unit step so that the accumulated error over a path of modest
@@ -43,7 +48,6 @@ import numpy as np
 from .conjugation import check_matrix_c_symmetry
 
 __all__ = [
-    "TimeDependentOperator",
     "IntegratorStats",
     "EvolutionOperator",
     "StiffnessError",
@@ -52,29 +56,11 @@ __all__ = [
     "check_evolution_axioms",
     "check_adjoint_family",
     "check_nonauto_stone",
-    "BagchiParams",
     "bagchi_hamiltonian",
-    "constant_operator",
 ]
 
-
-@dataclass(frozen=True)
-class TimeDependentOperator:
-    """Matrix-valued coefficient t -> B(t), with fixed dimension."""
-
-    dim: int
-    eval: Callable[[float], np.ndarray]
-
-    def __call__(self, t: float) -> np.ndarray:
-        M = np.asarray(self.eval(t), dtype=complex)
-        if M.shape != (self.dim, self.dim):
-            raise ValueError(f"B({t}) has shape {M.shape}, expected {(self.dim, self.dim)}")
-        return M
-
-
-def constant_operator(M: np.ndarray) -> TimeDependentOperator:
-    M = np.asarray(M, dtype=complex)
-    return TimeDependentOperator(dim=M.shape[0], eval=lambda t: M)
+# a coefficient t -> B(t), an (n, n) complex array
+_Coefficient = Callable[[float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -137,9 +123,10 @@ _SAFETY = 0.9
 # rejected, so its overflow and invalid values are expected and stay silent
 @np.errstate(over="ignore", invalid="ignore")
 def _integrate_matrix(
-    B: TimeDependentOperator, t0: float, t1: float, rel_tol: float
+    B: _Coefficient, t0: float, t1: float, rel_tol: float
 ) -> tuple[np.ndarray, IntegratorStats]:
-    dim = B.dim
+    B_0 = B(t0)  # the size of the problem, and the first step's stage 1
+    dim = len(B_0)
     U = np.eye(dim, dtype=complex)
     if t1 == t0:
         return U, IntegratorStats(steps=0, rejected=0, max_local_error=0.0)
@@ -156,7 +143,7 @@ def _integrate_matrix(
     # sum of stages is one real row-vector times matrix product
     K = np.empty((7, dim, dim), dtype=complex)
     K_rows = K.reshape(7, -1).view(np.float64)
-    np.matmul(B(x), U, out=K[0])  # later steps take stage 1 from stage 7
+    np.matmul(B_0, U, out=K[0])  # later steps take stage 1 from stage 7
 
     def stage_sum(i: int) -> np.ndarray:
         """U + sum_j (h T[i, j]) k_j over the first i stages, as a matrix."""
@@ -201,7 +188,7 @@ def _integrate_matrix(
 
 
 def evolve(
-    B: TimeDependentOperator, s: float, t: float, rel_tol: float = 1e-10
+    B: _Coefficient, s: float, t: float, rel_tol: float = 1e-10
 ) -> EvolutionOperator:
     """Propagator U(t, s) for t >= s at the requested tolerance."""
     if t < s:
@@ -213,7 +200,7 @@ def evolve(
 
 
 def evolution_series(
-    B: TimeDependentOperator, times: Sequence[float], rel_tol: float = 1e-10
+    B: _Coefficient, times: Sequence[float], rel_tol: float = 1e-10
 ) -> tuple[list[np.ndarray], list[IntegratorStats]]:
     """U(t_k, t_0) for non-decreasing times, chained segment by segment.
 
@@ -221,7 +208,7 @@ def evolution_series(
     :func:`evolve`, so the work is linear in the number of samples.  The
     second list holds each segment's integrator statistics.
     """
-    U = np.eye(B.dim, dtype=complex)
+    U = np.eye(len(B(times[0])), dtype=complex)
     series, stats = [U], []
     for a, b in zip(times[:-1], times[1:]):
         seg = evolve(B, float(a), float(b), rel_tol)
@@ -232,7 +219,7 @@ def evolution_series(
 
 
 def check_evolution_axioms(
-    B: TimeDependentOperator,
+    B: _Coefficient,
     times: tuple[float, float, float],
     U_ts: np.ndarray,
     rel_tol: float = 1e-10,
@@ -247,13 +234,13 @@ def check_evolution_axioms(
     s, r, t = times
     if not s <= r <= t:
         raise ValueError(f"need s <= r <= t, got {times}")
-    ident = evolve(B, t, t, rel_tol).matrix - np.eye(B.dim)
+    ident = evolve(B, t, t, rel_tol).matrix - np.eye(len(U_ts))
     comp = evolve(B, r, t, rel_tol).matrix @ evolve(B, s, r, rel_tol).matrix - U_ts
     return float(np.max(np.abs(ident))), float(np.max(np.abs(comp)))
 
 
 def check_adjoint_family(
-    B: TimeDependentOperator,
+    B: _Coefficient,
     s: float,
     t: float,
     z: np.ndarray,
@@ -287,7 +274,7 @@ _INVOLUTION_TOL = 1e-12
 
 
 def check_nonauto_stone(
-    B: TimeDependentOperator,
+    B: _Coefficient,
     conj_matrix: np.ndarray,
     s_grid: Sequence[float],
 ) -> np.ndarray:
@@ -305,28 +292,18 @@ def check_nonauto_stone(
     return np.array([check_matrix_c_symmetry(B(float(sv)), M) for sv in s_grid])
 
 
-@dataclass(frozen=True)
-class BagchiParams:
+def bagchi_hamiltonian(
+    nu: float, kappa: Callable[[float], float], lam: Callable[[float], float]
+) -> _Coefficient:
     """Two-level non-Hermitian model: H(t) = nu I + i k(t) s3 + (l(t)/2)(s+ + s-).
 
     With s3 = diag(1, -1), s+ = [[0, 2], [0, 0]], s- = [[0, 0], [2, 0]] the
     matrix is complex symmetric for all t; the propagator solves
-    i U' = H(t) U, i.e. B(t) = -i H(t).
+    i U' = H(t) U, i.e. the coefficient returned is B(t) = -i H(t).
     """
 
-    nu: float
-    kappa: Callable[[float], float]
-    lam: Callable[[float], float]
-
-
-def bagchi_hamiltonian(p: BagchiParams) -> TimeDependentOperator:
     def B(t: float) -> np.ndarray:
-        k = p.kappa(t)
-        l = p.lam(t)
-        H = np.array(
-            [[p.nu + 1j * k, l], [l, p.nu - 1j * k]],
-            dtype=complex,
-        )
-        return -1j * H
+        k, l = kappa(t), lam(t)
+        return -1j * np.array([[nu + 1j * k, l], [l, nu - 1j * k]], dtype=complex)
 
-    return TimeDependentOperator(dim=2, eval=B)
+    return B

@@ -21,6 +21,7 @@ Laplace-transform resolvent.  Vectors are coefficient arrays (see
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -200,11 +201,23 @@ class QuadratureError(RuntimeError):
 _GL_NODES = 10  # Gauss-Legendre nodes per panel
 
 
+@functools.cache
+def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _GL_NODES-point rule on [-1, 1], read-only.
+
+    Built on first use, not at import: ``numpy.polynomial`` loads lazily and
+    adds about 1 MB to a process that never integrates.
+    """
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _composite_gauss_legendre(
     f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, panels: int
 ) -> complex | np.ndarray:
     """Composite rule on equal panels; f maps the nodes to values along axis 0."""
-    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    x, w = _gauss_legendre_rule()
     edges = np.linspace(lo, hi, panels + 1)
     total = 0.0 + 0.0j
     for left, right in zip(edges[:-1], edges[1:]):

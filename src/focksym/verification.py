@@ -7,11 +7,14 @@ asserts; each record names the law it exercises (or is tagged "plumbing").
 
 This module is the one place where a record is made.  Each law that a
 scenario kind of :mod:`focksym.cli` also measures has one record maker,
-``(cfg, case, suffix) -> records``, which owns the law's ids, anchors,
-tolerance names and grid.  A group runs its maker over its fixtures and
-appends a suffix to every id (``.{variant}.{i}``, or ``.b0.{i}`` and
-``.offset`` for the conjugations); a kind applies the same maker to its
-parsed spec with no suffix, so a kind and the suite judge one case alike.
+``(cfg, <inputs of the case>, suffix="") -> records``, which owns the law's
+ids, anchors, tolerance names and grid.  A family law's maker takes
+``(cfg, fam, suffix)``; the conjugation, slope, divergence and evolution
+makers take their case's inputs as named parameters.  A group runs its
+maker over its fixtures and appends a suffix to every id (``.{variant}.{i}``,
+or ``.b0.{i}`` and ``.offset`` for the conjugations); a kind applies the
+same maker to its parsed spec with no suffix, so a kind and the suite judge
+one case alike.
 Each law is measured by one helper of the layer that defines it (for example
 ``check_semigroup_law`` sweeps its own time grid, and every C-symmetry
 residual is ``check_matrix_c_symmetry``), at the truncation that decides it.
@@ -50,8 +53,7 @@ from .conjugation import (
     standard_conjugation,
 )
 from .evolution import (
-    BagchiParams,
-    TimeDependentOperator,
+    _integrate_matrix,
     bagchi_hamiltonian,
     check_adjoint_family,
     check_evolution_axioms,
@@ -221,18 +223,17 @@ def divergence_certificate(cfg: VerifyConfig, fam: SemigroupFamily,
 # ----------------------------------------------------------------------------
 # one record maker per law, shared by the groups below and the scenario kinds
 
-def conjugation_records(cfg: VerifyConfig, case: tuple[ConjugationParams, np.ndarray],
+def conjugation_records(cfg: VerifyConfig, p: ConjugationParams, M: np.ndarray,
                         suffix: str = "") -> list[CheckRecord]:
     """C^2 = I and the isometry law for b = 0; the involution decay for b != 0.
 
-    case is (p, its conjugation matrix at cfg.dim).  For b != 0 the involution
+    M is the conjugation matrix of p at cfg.dim.  For b != 0 the involution
     holds only in the truncation limit: the evidence is the decay of the
     residual over the same degrees from dim/2 to dim, read from that matrix.
     Once the residual reaches the rounding floor it can decay no further; so
     when the decay misses ``residual_decay_factor`` but the full-dim residual
     is within ``involution_exact``, the record passes on that floor instead.
     """
-    p, M = case
     if p.b == 0:
         return [
             _record(f"conjugation.involution{suffix}", "C^2 = identity",
@@ -297,10 +298,9 @@ def scaling_solver_records(cfg: VerifyConfig, fam: SemigroupFamily,
                     worst, cfg.tol("scaling_solver"))]
 
 
-def fd_slope_records(cfg: VerifyConfig, case: tuple[SemigroupFamily, Sequence[int]],
+def fd_slope_records(cfg: VerifyConfig, fam: SemigroupFamily, degrees: Sequence[int],
                      suffix: str = "") -> list[CheckRecord]:
-    """Forward (order 1) and central (order 2) slopes on z^k; case is (family, degrees)."""
-    fam, degrees = case
+    """Forward (order 1) and central (order 2) slopes on z^k for k in degrees."""
     fits = generator_fd_fits(fam, degrees, cfg.dim)
     return [_record(f"generator.fd-{scheme}{suffix}.k{k}",
                     f"{order_name} quotient converges to the generator",
@@ -339,10 +339,9 @@ def stone_symmetry_records(cfg: VerifyConfig, fam: SemigroupFamily,
     ]
 
 
-def divergence_records(cfg: VerifyConfig, case: tuple[complex, DivergenceCertificate],
+def divergence_records(cfg: VerifyConfig, eta: complex, cert: DivergenceCertificate,
                        suffix: str = "") -> list[CheckRecord]:
-    """The candidate eigenfunction of eta leaves the space; case is (eta, its certificate)."""
-    eta, cert = case
+    """The candidate eigenfunction of eta leaves the space, by its certificate cert."""
     measured, threshold, direction = cert.verdict()
     return [_record(f"empty-spectrum.divergence.eta={eta}{suffix}",
                     "candidate eigenfunction leaves the space",
@@ -351,11 +350,13 @@ def divergence_records(cfg: VerifyConfig, case: tuple[complex, DivergenceCertifi
 
 def evolution_axiom_records(
     cfg: VerifyConfig,
-    case: tuple[TimeDependentOperator, tuple[float, float, float], np.ndarray, float],
+    B: Callable[[float], np.ndarray],
+    times: tuple[float, float, float],
+    U_ts: np.ndarray,
+    rel_tol: float,
     suffix: str = "",
 ) -> list[CheckRecord]:
-    """U(t, t) = I and U(t, r) U(r, s) = U(t, s); case is (B, (s, r, t), U(t, s), rel_tol)."""
-    B, times, U_ts, rel_tol = case
+    """U(t, t) = I and U(t, r) U(r, s) = U(t, s) at times (s, r, t), given U(t, s)."""
     ident, comp = check_evolution_axioms(B, times, U_ts, rel_tol)
     tol = cfg.tol("evolution_tol_factor") * rel_tol
     return [
@@ -397,7 +398,7 @@ _OFFSET_CONJUGATION = ConjugationParams(1.0, 1j, math.exp(-0.5))
 def conjugation_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     cases = [(f".b0.{i}", p) for i, p in enumerate(_B0_CONJUGATIONS)]
     return [r for suffix, p in cases + [(".offset", _OFFSET_CONJUGATION)]
-            for r in conjugation_records(cfg, (p, conjugation_matrix(p, cfg.dim)), suffix)]
+            for r in conjugation_records(cfg, p, conjugation_matrix(p, cfg.dim), suffix)]
 
 
 # ----------------------------------------------------------------------------
@@ -475,7 +476,7 @@ _GEN_FAMILIES: tuple[SemigroupFamily, ...] = (
 
 def generator_fd_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     out = [r for fam in _GEN_FAMILIES
-           for r in fd_slope_records(cfg, (fam, range(5)), f".{_variant(fam)}")]
+           for r in fd_slope_records(cfg, fam, range(5), f".{_variant(fam)}")]
     # exponential of the truncated generator against the family member
     return out + exponential_bridge_records(cfg, _GEN_FAMILIES[0])
 
@@ -529,7 +530,7 @@ def spectrum_checks(cfg: VerifyConfig) -> list[CheckRecord]:
 def empty_spectrum_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     fam = _std_translation(E=1.0, F=0.0)
     return [r for eta in (0.0, 1 + 1j)
-            for r in divergence_records(cfg, (eta, divergence_certificate(cfg, fam, eta)))]
+            for r in divergence_records(cfg, eta, divergence_certificate(cfg, fam, eta))]
 
 
 # ----------------------------------------------------------------------------
@@ -630,10 +631,9 @@ def dissipativity_checks(cfg: VerifyConfig) -> list[CheckRecord]:
 
 def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     rel_tol = 1e-10
-    p = BagchiParams(nu=1.0, kappa=lambda t: 0.3, lam=lambda t: 1.0)
-    B = bagchi_hamiltonian(p)
+    B = bagchi_hamiltonian(1.0, lambda t: 0.3, lambda t: 1.0)
     U = evolve(B, 0.0, 1.0, rel_tol).matrix  # serves the axioms, closed form and reversal
-    out = evolution_axiom_records(cfg, (B, (0.0, 0.5, 1.0), U, rel_tol))
+    out = evolution_axiom_records(cfg, B, (0.0, 0.5, 1.0), U, rel_tol)
     # constant coefficients: closed form via the spectral decomposition
     nu, kap, lamb = 1.0, 0.3, 1.0
     mu = math.sqrt(lamb**2 - kap**2)
@@ -661,8 +661,7 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
                 float(np.max(stone)), cfg.tol("nonauto_commutation"))
     )
     # commuting family (time-varying detuning only): U inherits the symmetry
-    p2 = BagchiParams(nu=0.5, kappa=lambda t: 0.3 * math.cos(t), lam=lambda t: 0.0)
-    B2 = bagchi_hamiltonian(p2)
+    B2 = bagchi_hamiltonian(0.5, lambda t: 0.3 * math.cos(t), lambda t: 0.0)
     sym = check_matrix_c_symmetry(evolve(B2, 0.0, 1.5, rel_tol).matrix, np.eye(2))
     out.append(
         _record("evolution.symmetry-commuting",
@@ -680,8 +679,6 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
                 abs(slope - 1.0), 0.1, detail=f"slope {slope:.4f}")
     )
     # reversed integration inverts the propagator
-    from .evolution import _integrate_matrix
-
     U_rev, _ = _integrate_matrix(B, 1.0, 0.0, rel_tol)
     inv_resid = float(np.max(np.abs(U_rev @ U - np.eye(2))))
     out.append(

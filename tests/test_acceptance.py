@@ -24,7 +24,6 @@ from focksym.conjugation import (
     standard_conjugation,
 )
 from focksym.evolution import (
-    BagchiParams,
     bagchi_hamiltonian,
     check_adjoint_family,
     check_evolution_axioms,
@@ -239,18 +238,14 @@ def test_criterion_11_dissipativity_margin_and_bound():
 
 def test_criterion_12_evolution_family_axioms_and_symmetry():
     rel_tol = 1e-10
-    B = bagchi_hamiltonian(
-        BagchiParams(nu=1.0, kappa=lambda t: 0.5 * math.cos(t), lam=lambda t: 0.8)
-    )
+    B = bagchi_hamiltonian(1.0, lambda t: 0.5 * math.cos(t), lambda t: 0.8)
     U_ts = evolve(B, 0.0, 1.5, rel_tol).matrix
     ident, comp = check_evolution_axioms(B, (0.0, 0.6, 1.5), U_ts, rel_tol)
     assert ident <= 10 * rel_tol
     assert comp <= 10 * rel_tol
     # constant coefficients against the hand 2x2 exponential
     nu, kappa, lam = 1.0, 0.3, 0.9
-    Bc = bagchi_hamiltonian(
-        BagchiParams(nu=nu, kappa=lambda t: kappa, lam=lambda t: lam)
-    )
+    Bc = bagchi_hamiltonian(nu, lambda t: kappa, lambda t: lam)
     tau = 1.25
     U = evolve(Bc, 0.0, tau, rel_tol=1e-12).matrix
     H = np.array([[nu + 1j * kappa, lam], [lam, nu - 1j * kappa]])
@@ -264,9 +259,7 @@ def test_criterion_12_evolution_family_axioms_and_symmetry():
     res = check_nonauto_stone(B, np.eye(2), s_grid=np.linspace(0, 2, 9))
     assert float(np.max(res)) <= np.finfo(float).eps
     # commuting family (diagonal coefficients) keeps the propagator symmetric
-    Bd = bagchi_hamiltonian(
-        BagchiParams(nu=1.0, kappa=lambda t: 0.3 * math.cos(t), lam=lambda t: 0.0)
-    )
+    Bd = bagchi_hamiltonian(1.0, lambda t: 0.3 * math.cos(t), lambda t: 0.0)
     assert check_matrix_c_symmetry(evolve(Bd, 0.0, 2.0).matrix, np.eye(2)) <= 1e-9
     # adjoint difference quotient is first order in h
     z = np.array([1.0, 0.5 - 0.25j])

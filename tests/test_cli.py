@@ -202,18 +202,36 @@ def test_unindexable_size_flag_names_field_path(_outdir, capsys, argv, field):
 @pytest.mark.parametrize("argv, flag", [
     (["spectrum", "--G", "1e200", "--ell=-1", "--dim", "16"], "--ell/--G/--H"),
     (["spectrum", "--k-max", "70", "--dim", "16"], "--k-max"),
+    # the default k_max 5 needs dim 6: the dim is the flag given
+    (["spectrum", "--dim", "4"], "--dim"),
+    (["spectrum", "--k-max", "5", "--dim", "4"], "--k-max"),
     (["spectrum", "--a", "2"], "--a"),
     (["evolve", "--rel-tol", "0"], "--rel-tol"),
     (["evolve", "--samples", "0"], "--samples"),
     (["evolve", "--t", "-1"], "--t"),
     (["evolve", "--nu", "1e300", "--t", "1", "--samples", "2"], "--nu/--kappa/--lam"),
-], ids=["spectrum-family", "spectrum-k-max", "spectrum-a", "evolve-rel-tol",
+], ids=["spectrum-family", "spectrum-k-max", "spectrum-k-max-default-at-dim",
+        "spectrum-k-max-given-at-dim", "spectrum-a", "evolve-rel-tol",
         "evolve-samples", "evolve-t", "evolve-stiff"])
 def test_flag_input_error_names_the_flag(_outdir, capsys, argv, flag):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"input error: {flag}: " in err
     assert "params." not in err
+    assert not _outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("params, field", [
+    ({"family": DILATION}, "truncation.dim"),
+    ({"family": DILATION, "k_max": 5}, "params.k_max"),
+], ids=["k_max-default", "k_max-given"])
+def test_k_max_at_dim_names_the_field_given(tmp_path, _outdir, capsys, command,
+                                            params, field):
+    path = _scenario(tmp_path, {"name": "x", "kind": "spectrum", "params": params,
+                                "truncation": {"dim": 4}})
+    assert main([command, path]) == 1
+    assert f"input error: {field}: " in capsys.readouterr().err
     assert not _outdir.exists()
 
 

@@ -12,25 +12,22 @@ from scipy.integrate import solve_ivp
 from focksym import evolution
 from focksym.conjugation import check_matrix_c_symmetry
 from focksym.evolution import (
-    BagchiParams,
     IntegratorStats,
     StiffnessError,
-    TimeDependentOperator,
     bagchi_hamiltonian,
     check_adjoint_family,
     check_evolution_axioms,
     check_nonauto_stone,
-    constant_operator,
     evolution_series,
     evolve,
     _integrate_matrix,
 )
 
 
-def _two_level(nu, kappa, lam):
-    return bagchi_hamiltonian(
-        BagchiParams(nu=nu, kappa=kappa, lam=lam)
-    )
+def _constant(M):
+    """The coefficient t -> M."""
+    M = np.asarray(M, dtype=complex)
+    return lambda t: M
 
 
 def _closed_form(nu, kappa, lam, tau):
@@ -54,22 +51,18 @@ def _closed_form(nu, kappa, lam, tau):
 
 # --- plumbing ----------------------------------------------------------------
 
-def test_operator_shape_mismatch_raises():
-    B = TimeDependentOperator(dim=3, eval=lambda t: np.eye(2))
-    with pytest.raises(ValueError, match="shape"):
-        B(0.0)
+def test_coefficient_changing_size_mid_run_raises():
+    # the size is read from B(s); a later value of another size cannot be
+    # multiplied into the stages
+    def B(t):
+        return np.zeros((2, 2) if t == 0.0 else (3, 3), dtype=complex)
 
-
-def test_constant_operator_wraps_matrix():
-    M = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    B = constant_operator(M)
-    assert B.dim == 2
-    np.testing.assert_array_equal(B(0.0), M)
-    np.testing.assert_array_equal(B(17.3), M)
+    with pytest.raises(ValueError):
+        evolve(B, 0.0, 1.0)
 
 
 def test_evolve_rejects_reversed_interval():
-    B = constant_operator(np.zeros((2, 2)))
+    B = _constant(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="t >= s"):
         evolve(B, 1.0, 0.0)
     with pytest.raises(ValueError, match="rel_tol"):
@@ -77,7 +70,7 @@ def test_evolve_rejects_reversed_interval():
 
 
 def test_zero_span_is_identity_with_zero_steps():
-    B = _two_level(1.0, lambda t: 0.3, lambda t: 0.5)
+    B = bagchi_hamiltonian(1.0, lambda t: 0.3, lambda t: 0.5)
     op = evolve(B, 0.7, 0.7)
     np.testing.assert_array_equal(op.matrix, np.eye(2))
     assert op.stats.steps == 0
@@ -85,7 +78,7 @@ def test_zero_span_is_identity_with_zero_steps():
 
 
 def test_integrator_stats_are_sane():
-    B = _two_level(1.0, lambda t: 0.5 * math.cos(t), lambda t: 0.8)
+    B = bagchi_hamiltonian(1.0, lambda t: 0.5 * math.cos(t), lambda t: 0.8)
     op = evolve(B, 0.0, 2.0, rel_tol=1e-10)
     assert op.s == 0.0 and op.t == 2.0
     assert op.stats.steps >= 1
@@ -97,7 +90,7 @@ def test_integrator_stats_are_sane():
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
 def test_axioms_within_budget(rel_tol):
-    B = _two_level(1.0, lambda t: 0.5 * math.cos(t), lambda t: 0.8 + 0.1 * t)
+    B = bagchi_hamiltonian(1.0, lambda t: 0.5 * math.cos(t), lambda t: 0.8 + 0.1 * t)
     U_ts = evolve(B, 0.0, 1.5, rel_tol).matrix
     ident, comp = check_evolution_axioms(B, (0.0, 0.6, 1.5), U_ts, rel_tol)
     assert ident == 0.0  # U(t, t) never integrates
@@ -105,13 +98,13 @@ def test_axioms_within_budget(rel_tol):
 
 
 def test_axioms_reject_unordered_times():
-    B = constant_operator(np.zeros((2, 2)))
+    B = _constant(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="s <= r <= t"):
         check_evolution_axioms(B, (0.0, 2.0, 1.0), np.eye(2))
 
 
 def test_backward_integration_inverts_forward():
-    B = _two_level(0.5, lambda t: 0.4 * math.sin(t), lambda t: 0.7)
+    B = bagchi_hamiltonian(0.5, lambda t: 0.4 * math.sin(t), lambda t: 0.7)
     fwd = evolve(B, 0.0, 1.0, rel_tol=1e-12).matrix
     back, _ = _integrate_matrix(B, 1.0, 0.0, 1e-12)
     assert np.max(np.abs(back @ fwd - np.eye(2))) <= 1e-11
@@ -129,7 +122,7 @@ def test_backward_integration_inverts_forward():
     ],
 )
 def test_constant_two_level_matches_closed_form(nu, kappa, lam):
-    B = _two_level(nu, lambda t: kappa, lambda t: lam)
+    B = bagchi_hamiltonian(nu, lambda t: kappa, lambda t: lam)
     for s, t in ((0.0, 0.5), (0.25, 1.75)):
         U = evolve(B, s, t, rel_tol=1e-12).matrix
         ref = _closed_form(nu, kappa, lam, t - s)
@@ -137,14 +130,14 @@ def test_constant_two_level_matches_closed_form(nu, kappa, lam):
 
 
 def test_no_damping_propagator_is_unitary():
-    B = _two_level(1.3, lambda t: 0.0, lambda t: 0.9 + 0.2 * math.sin(t))
+    B = bagchi_hamiltonian(1.3, lambda t: 0.0, lambda t: 0.9 + 0.2 * math.sin(t))
     U = evolve(B, 0.0, 2.0, rel_tol=1e-12).matrix
     assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 1e-10
 
 
 def test_solver_agrees_with_scipy_reference():
     nu, lam_0 = 1.0, 0.8
-    B = _two_level(nu, lambda t: 0.5 * math.cos(t), lambda t: lam_0)
+    B = bagchi_hamiltonian(nu, lambda t: 0.5 * math.cos(t), lambda t: lam_0)
 
     def rhs(t, y):
         return (B(t) @ y.reshape(2, 2)).ravel()
@@ -170,7 +163,7 @@ def test_hamiltonian_is_pauli_combination():
     s_minus = np.array([[0.0, 0.0], [2.0, 0.0]], dtype=complex)
     nu, k, l = 1.5, 0.4, 0.9
     H_direct = nu * np.eye(2) + 1j * k * s3 + (l / 2.0) * (s_plus + s_minus)
-    B = _two_level(nu, lambda t: k, lambda t: l)
+    B = bagchi_hamiltonian(nu, lambda t: k, lambda t: l)
     np.testing.assert_array_equal(B(0.0), -1j * H_direct)
 
 
@@ -183,7 +176,7 @@ def test_hamiltonian_is_pauli_combination():
 )
 @settings(max_examples=50, deadline=None)
 def test_coefficient_matrix_always_symmetric(nu, k0, k1, l0, t):
-    B = _two_level(nu, lambda s: k0 + k1 * s, lambda s: l0 * math.cos(s))
+    B = bagchi_hamiltonian(nu, lambda s: k0 + k1 * s, lambda s: l0 * math.cos(s))
     M = B(t)
     assert np.array_equal(M, M.T)
 
@@ -191,13 +184,13 @@ def test_coefficient_matrix_always_symmetric(nu, k0, k1, l0, t):
 # --- symmetry of the propagator -----------------------------------------------
 
 def test_stone_residual_zero_for_symmetric_coefficients():
-    B = _two_level(1.0, lambda t: 0.3 * math.cos(t), lambda t: 0.6)
+    B = bagchi_hamiltonian(1.0, lambda t: 0.3 * math.cos(t), lambda t: 0.6)
     res = check_nonauto_stone(B, np.eye(2), s_grid=np.linspace(0, 2, 9))
     assert np.all(res == 0.0)
 
 
 def test_stone_check_rejects_broken_involution():
-    B = constant_operator(np.zeros((2, 2)))
+    B = _constant(np.zeros((2, 2)))
     M = np.array([[0.0, 1.0], [-1.0, 0.0]])  # M conj(M) = -I
     with pytest.raises(ValueError, match="involution"):
         check_nonauto_stone(B, M, s_grid=[0.0])
@@ -205,7 +198,7 @@ def test_stone_check_rejects_broken_involution():
 
 def test_stone_residual_measures_swap_asymmetry():
     # diagonal coefficients vs the swap involution: residual |b1 - b2|
-    B = constant_operator(np.diag([1.0 + 0j, 3.0 + 0j]))
+    B = _constant(np.diag([1.0 + 0j, 3.0 + 0j]))
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     res = check_nonauto_stone(B, swap, s_grid=[0.0, 1.0])
     np.testing.assert_allclose(res, [2.0, 2.0])
@@ -214,13 +207,13 @@ def test_stone_residual_measures_swap_asymmetry():
 def test_propagator_symmetric_for_commuting_family():
     # lam = 0 keeps every B(t) diagonal, so the family commutes and the
     # propagator inherits the coefficient symmetry
-    B = _two_level(1.0, lambda t: 0.3 * math.cos(t), lambda t: 0.0)
+    B = bagchi_hamiltonian(1.0, lambda t: 0.3 * math.cos(t), lambda t: 0.0)
     dev = check_matrix_c_symmetry(evolve(B, 0.0, 2.0).matrix, np.eye(2))
     assert dev <= 1e-9
 
 
 def test_propagator_symmetric_for_constant_coefficient():
-    B = _two_level(0.7, lambda t: 0.4, lambda t: 1.1)
+    B = bagchi_hamiltonian(0.7, lambda t: 0.4, lambda t: 1.1)
     dev = check_matrix_c_symmetry(evolve(B, 0.0, 1.5).matrix, np.eye(2))
     assert dev <= 1e-9
 
@@ -229,7 +222,7 @@ def test_noncommuting_family_symmetry_is_only_measured():
     # kappa and lam varying out of phase: [B(t1), B(t2)] != 0 and the
     # propagator has no reason to stay symmetric — the check still returns
     # a finite defect rather than asserting anything
-    B = _two_level(
+    B = bagchi_hamiltonian(
         1.0, lambda t: 0.8 * math.cos(3 * t), lambda t: 0.9 * math.sin(2 * t)
     )
     dev = check_matrix_c_symmetry(evolve(B, 0.0, 2.0).matrix, np.eye(2))
@@ -239,7 +232,7 @@ def test_noncommuting_family_symmetry_is_only_measured():
 # --- adjoint difference quotient -----------------------------------------------
 
 def test_adjoint_family_quotient_is_first_order():
-    B = _two_level(1.0, lambda t: 0.5 * math.cos(t), lambda t: 0.8)
+    B = bagchi_hamiltonian(1.0, lambda t: 0.5 * math.cos(t), lambda t: 0.8)
     z = np.array([1.0, 0.5 - 0.25j])
     hs = np.array([3e-2, 1e-2, 3e-3, 1e-3])
     errs = check_adjoint_family(B, 0.0, 1.0, z, hs, rel_tol=1e-12)
@@ -248,7 +241,7 @@ def test_adjoint_family_quotient_is_first_order():
 
 
 def test_adjoint_family_rejects_bad_step():
-    B = constant_operator(np.zeros((2, 2)))
+    B = _constant(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="h must be positive"):
         check_adjoint_family(B, 0.0, 1.0, np.ones(2), [1e-3, 0.0])
 
@@ -256,9 +249,7 @@ def test_adjoint_family_rejects_bad_step():
 # --- stiffness escape hatch -----------------------------------------------------
 
 def test_nan_coefficients_raise_stiffness_error():
-    B = TimeDependentOperator(
-        dim=1, eval=lambda t: np.array([[math.nan]], dtype=complex)
-    )
+    B = _constant([[math.nan]])
     with pytest.raises(StiffnessError, match="underflowed"):
         evolve(B, 0.0, 1.0)
 
@@ -266,7 +257,7 @@ def test_nan_coefficients_raise_stiffness_error():
 # --- chained time series -------------------------------------------------------
 
 def _bagchi_cosine():
-    return _two_level(1.0, lambda t: 0.4 * math.cos(1.3 * t + 0.3),
+    return bagchi_hamiltonian(1.0, lambda t: 0.4 * math.cos(1.3 * t + 0.3),
                       lambda t: math.cos(0.7 * t + 1.1))
 
 
@@ -347,7 +338,7 @@ def _reference_integrate(B, t0, t1, rel_tol, sums="rows"):
     before the row products.
     """
     ev = evolution
-    dim = B.dim
+    dim = len(B(t0))
     U = np.eye(dim, dtype=complex)
     if t1 == t0:
         return U, IntegratorStats(steps=0, rejected=0, max_local_error=0.0)
@@ -414,14 +405,14 @@ def _counting(B):
         calls[0] += 1
         return B(t)
 
-    return TimeDependentOperator(dim=B.dim, eval=eval_b), calls
+    return eval_b, calls
 
 
 def _constant_d16():
     q, r = np.linalg.qr(np.random.default_rng(0).standard_normal((16, 16)))
     O = q * np.sign(np.diag(r))
     spectrum = np.linspace(-1.0, 1.0, 16) - 1j * np.linspace(0.0, 0.3, 16)
-    return constant_operator(-1j * (O * spectrum) @ O.T)
+    return _constant(-1j * (O * spectrum) @ O.T)
 
 
 def _kinked_table():
@@ -439,7 +430,7 @@ def _kinked_table():
         w = (t - ts[j]) / (ts[j + 1] - ts[j])
         return (1 - w) * stack[j] + w * stack[j + 1]
 
-    return TimeDependentOperator(dim=3, eval=eval_b)
+    return eval_b
 
 
 @pytest.mark.parametrize("make, t0, t1, rel_tol", [
@@ -487,7 +478,7 @@ def test_last_stage_is_the_fifth_order_solution():
 
 
 def test_stiff_generator_raises_the_reference_error():
-    B = constant_operator(np.array([[1e13]]))
+    B = _constant(np.array([[1e13]]))
     with pytest.raises(StiffnessError) as ref:
         _reference_integrate(B, 0.0, 1.0, 1e-10)
     with pytest.raises(StiffnessError) as got:

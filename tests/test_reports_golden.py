@@ -151,8 +151,8 @@ def _entrywise_rows(params: dict) -> list[list[str]]:
     rows = []
     for tk, U in zip(times, series):
         row = [float(tk)]
-        for i in range(spec.op.dim):
-            for j in range(spec.op.dim):
+        for i in range(len(U)):
+            for j in range(len(U)):
                 row += [U[i, j].real, U[i, j].imag]
         rows.append([_cell(v) for v in row])
     return rows

@@ -320,6 +320,22 @@ def test_quadrature_columns_keep_their_first_converged_value():
         assert alone == rule[panels][0, j]
 
 
+def test_gauss_legendre_rule_is_built_once(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    semigroup._gauss_legendre_rule.cache_clear()  # count the first use too
+    lam0, dpsi = scaling_instance(DilationFamily(ell=-1.0, G=1.0, H=0.3, conj=STD))
+    for t in (0.5, 2.0):
+        solve_scaling_equation(lam0, dpsi, t)
+    assert len(calls) <= 1
+
+
 # --- growth probes ----------------------------------------------------------
 
 def test_isometric_translation_has_flat_unit_norm():
