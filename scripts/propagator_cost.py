@@ -2,14 +2,16 @@
 """Cost and accuracy of a chained propagator time series as the sampling grows.
 
 Builds the series U(t_k, 0), t_k = k t / (samples - 1), with
-``evolution_series`` (one Dormand-Prince segment per sample interval, chained
-through U(t_k, 0) = U(t_k, t_{k-1}) U(t_{k-1}, 0)) and prints its Runge-Kutta
-steps, its wall time, the steps of one unbroken span U(t, 0), and the largest
-entry error over all samples against scipy's DOP853 at rtol 1e-13.  A second,
-untimed pass through a counting wrapper of the operator gives the evaluations
-of B and the products B(t) @ Y per accepted step: five and six per attempted
-step (stage 1 is the previous step's stage 7), plus one of each per segment,
-and one more evaluation per series, which gives the size of U(t_0, t_0).
+``evolution_series`` (one Dormand-Prince segment per sample interval, the
+segments integrated side by side and chained through
+U(t_k, 0) = U(t_k, t_{k-1}) U(t_{k-1}, 0)) and prints its Runge-Kutta steps,
+the passes of the step loop (each pass attempts one step of every unfinished
+segment, so a series takes as many passes as its longest segment takes
+attempted steps), its wall time, the steps of one unbroken span U(t, 0), and
+the largest entry error over all samples against scipy's DOP853 at
+rtol 1e-13.  A second, untimed pass through a counting wrapper of the
+operator gives the evaluations of B per accepted step: five per attempted
+step (stage 1 is the previous step's stage 7), plus one per segment.
 
 Models: the two-level Bagchi model with cosine detuning and coupling, and
 constant complex symmetric generators B = -i O diag(spectrum) O^T at d16 and
@@ -69,32 +71,16 @@ MODELS = {
 }
 
 
-class _Values:
-    """One value of B(t); counts the products taken of it by np.matmul."""
-
-    def __init__(self, counts: "Counted", M: np.ndarray):
-        self.counts, self.M = counts, M
-
-    def __len__(self) -> int:
-        return len(self.M)
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is not np.matmul or method != "__call__":
-            return NotImplemented
-        self.counts.products += 1
-        return np.matmul(*(self.M if x is self else x for x in inputs), **kwargs)
-
-
 class Counted:
-    """B with counters of its evaluations and of the products taken of them."""
+    """B with a counter of its evaluations."""
 
     def __init__(self, B: Coefficient):
         self.B = B
-        self.evals = self.products = 0
+        self.evals = 0
 
-    def __call__(self, t: float) -> _Values:
+    def __call__(self, t: float) -> np.ndarray:
         self.evals += 1
-        return _Values(self, self.B(t))
+        return self.B(t)
 
 
 def dop853_series(B: Coefficient, times: np.ndarray) -> np.ndarray:
@@ -111,20 +97,20 @@ def dop853_series(B: Coefficient, times: np.ndarray) -> np.ndarray:
 
 
 def measure(B: Coefficient, t: float, samples: int,
-            rel_tol: float) -> tuple[int, float, float, int, float, float]:
-    """(series steps, series wall s, max entry error vs DOP853, one-span steps,
-    B evaluations and products per accepted step)."""
+            rel_tol: float) -> tuple[int, int, float, float, int, float]:
+    """(series steps, loop passes, series wall s, max entry error vs DOP853,
+    one-span steps, B evaluations per accepted step)."""
     times = np.linspace(0.0, t, samples)
     t0 = time.perf_counter()
     series, stats = evolution_series(B, times, rel_tol)
     wall = time.perf_counter() - t0
     err = float(np.max(np.abs(np.array(series) - dop853_series(B, times))))
     steps = sum(st.steps for st in stats)
+    passes = max((st.steps + st.rejected for st in stats), default=0)
     counted = Counted(B)
     evolution_series(counted, times, rel_tol)
-    per = max(steps, 1)
-    return (steps, wall, err, evolve(B, 0.0, t, rel_tol).stats.steps,
-            counted.evals / per, counted.products / per)
+    return (steps, passes, wall, err, evolve(B, 0.0, t, rel_tol).stats.steps,
+            counted.evals / max(steps, 1))
 
 
 def us_per_step(n: int, t: float, rel_tol: float) -> tuple[int, float]:
@@ -165,20 +151,19 @@ def main(argv=None) -> int:
 
     print(f"chained series U(t_k, 0) to t = {args.t:g} at rel_tol {args.rel_tol:g}, "
           "error against DOP853 (rtol 1e-13)")
-    print(f"{'model':>14}  {'samples':>7}  {'rk steps':>8}  {'per segment':>11}  "
-          f"{'B evals/step':>12}  {'products/step':>13}  "
+    print(f"{'model':>14}  {'samples':>7}  {'rk steps':>8}  {'passes':>6}  "
+          f"{'per segment':>11}  {'B evals/step':>12}  "
           f"{'one span':>8}  {'wall s':>8}  {'max error':>9}")
     rows = []
     for name in args.models:
         B = MODELS[name]()
         for samples in args.samples:
-            steps, wall, err, span, evals, products = measure(B, args.t, samples,
-                                                              args.rel_tol)
+            steps, passes, wall, err, span, evals = measure(B, args.t, samples,
+                                                            args.rel_tol)
             per = steps / max(samples - 1, 1)
-            print(f"{name:>14}  {samples:>7}  {steps:>8}  {per:>11.2f}  "
-                  f"{evals:>12.2f}  {products:>13.2f}  "
-                  f"{span:>8}  {wall:>8.3f}  {err:>9.2e}")
-            rows.append((name, samples, steps, evals, products, span, wall, err))
+            print(f"{name:>14}  {samples:>7}  {steps:>8}  {passes:>6}  {per:>11.2f}  "
+                  f"{evals:>12.2f}  {span:>8}  {wall:>8.3f}  {err:>9.2e}")
+            rows.append((name, samples, steps, passes, evals, span, wall, err))
 
     print(f"\none span of the constant model to t = {args.t:g}, "
           f"fastest of {REPEATS}")
@@ -189,8 +174,8 @@ def main(argv=None) -> int:
     print(f"\nwrite_csv: {csv_ms_per_1e5_cells():.2f} ms per 10^5 float cells")
 
     if args.out:
-        write_csv(args.out, ["model", "samples", "rk_steps", "evals_per_step",
-                             "products_per_step", "span_steps", "wall_s", "max_error"],
+        write_csv(args.out, ["model", "samples", "rk_steps", "passes", "evals_per_step",
+                             "span_steps", "wall_s", "max_error"],
                   rows)
         print(f"wrote {args.out}")
     return 0

@@ -25,6 +25,7 @@ parser on the first call and reuses it after.
 from __future__ import annotations
 
 import argparse
+import bisect
 import cmath
 import contextlib
 import functools
@@ -410,15 +411,16 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
             raise ScenarioError(f"params.matrices[{i}]",
                                 f"shape {M.shape} differs from {blocks[0].shape} of matrices[0]")
     stack = np.stack(blocks)
+    knots = ts.tolist()  # bisect on a list finds a knot faster than np.searchsorted
 
     def eval_b(t: float) -> np.ndarray:
         # piecewise-linear interpolation, clamped at the ends
-        if t <= ts[0]:
+        if t <= knots[0]:
             return stack[0]
-        if t >= ts[-1]:
+        if t >= knots[-1]:
             return stack[-1]
-        j = int(np.searchsorted(ts, t) - 1)
-        w = (t - ts[j]) / (ts[j + 1] - ts[j])
+        j = bisect.bisect_left(knots, t) - 1
+        w = (t - knots[j]) / (knots[j + 1] - knots[j])
         return (1 - w) * stack[j] + w * stack[j + 1]
 
     meta = {"model": "table", "dim": stack.shape[1], "samples": len(times)}

@@ -53,7 +53,7 @@ from .conjugation import (
     standard_conjugation,
 )
 from .evolution import (
-    _integrate_matrix,
+    _integrate_spans,
     bagchi_hamiltonian,
     check_adjoint_family,
     check_evolution_axioms,
@@ -632,7 +632,8 @@ def dissipativity_checks(cfg: VerifyConfig) -> list[CheckRecord]:
 def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     rel_tol = 1e-10
     B = bagchi_hamiltonian(1.0, lambda t: 0.3, lambda t: 1.0)
-    U = evolve(B, 0.0, 1.0, rel_tol).matrix  # serves the axioms, closed form and reversal
+    # U(1, 0) serves the axioms, the closed form and the reversal U(0, 1)
+    (U, U_rev), _ = _integrate_spans(B, [(0.0, 1.0), (1.0, 0.0)], rel_tol)
     out = evolution_axiom_records(cfg, B, (0.0, 0.5, 1.0), U, rel_tol)
     # constant coefficients: closed form via the spectral decomposition
     nu, kap, lamb = 1.0, 0.3, 1.0
@@ -679,7 +680,6 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
                 abs(slope - 1.0), 0.1, detail=f"slope {slope:.4f}")
     )
     # reversed integration inverts the propagator
-    U_rev, _ = _integrate_matrix(B, 1.0, 0.0, rel_tol)
     inv_resid = float(np.max(np.abs(U_rev @ U - np.eye(2))))
     out.append(
         _record("evolution.reverse-inverse",

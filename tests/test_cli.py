@@ -560,14 +560,22 @@ def test_suite_minimum_dim(tmp_path, capsys, route, dim):
 
 @pytest.fixture
 def work(monkeypatch):
-    """Calls of evolve and wco_matrix, counted at every module that binds them."""
-    counts = {"evolve": 0, "wco_matrix": 0}
-    modules = (wco, conjugation, evolution, generator, semigroup, verification, cli)
-    for name, original in (("evolve", evolution.evolve), ("wco_matrix", wco.wco_matrix)):
-        def counting(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+    """Spans handed to the propagator kernel and calls of wco_matrix, counted
+    at every module that binds them."""
+    counts = {"spans": 0, "wco_matrix": 0}
+    integrate_spans, wco_matrix = evolution._integrate_spans, wco.wco_matrix
 
+    def counting_spans(B, spans, rel_tol):
+        counts["spans"] += len(spans)
+        return integrate_spans(B, spans, rel_tol)
+
+    def counting_matrices(*args, **kwargs):
+        counts["wco_matrix"] += 1
+        return wco_matrix(*args, **kwargs)
+
+    modules = (wco, conjugation, evolution, generator, semigroup, verification, cli)
+    for name, original, counting in (("_integrate_spans", integrate_spans, counting_spans),
+                                     ("wco_matrix", wco_matrix, counting_matrices)):
         for mod in modules:
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counting)
@@ -585,9 +593,9 @@ def test_verify_all_runs_past_dim_241(tmp_path):
 
 def test_verify_all_work_is_pinned(tmp_path, work):
     assert main(["verify-all", "--dim", "16", "--out", str(tmp_path / "r.json")]) == 0
-    # evolution group: U(1, 0), U(1, 1), U(1, 0.5), U(0.5, 0) for the axioms,
-    # U(1.5, 0) for the symmetry record, U(1, 0) and four U(1 + h, 1) for the
-    # adjoint slope; the laplace group's five vectors share one 65-point growth pass;
+    # evolution group: U(1, 0) and its reversal U(0, 1), U(1, 1), U(1, 0.5),
+    # U(0.5, 0) for the axioms, U(1.5, 0) for the symmetry record, U(1, 0) and
+    # four U(1 + h, 1) for the adjoint slope; the laplace group's five vectors share one 65-point growth pass;
     # the spectrum group builds its six eigenfunctions once, as the columns of one
     # matrix at the largest of its three dims
     # wco_matrix by group: laplace 690 (two 65-point growth passes, 560 integrand
@@ -595,7 +603,7 @@ def test_verify_all_work_is_pinned(tmp_path, work):
     # divergence weights), semigroup-law 72, generator-fd 23 (W(h) and W(-h) per
     # family and step, 3 bridge times), stone-symmetry 12 (M at dim and W(h) at
     # dim/4, six families), boundedness 6, conjugation 4, spectrum 1
-    assert work == {"evolve": 10, "wco_matrix": 893}
+    assert work == {"spans": 11, "wco_matrix": 893}
 
 
 def test_generator_kind_stays_within_its_truncation(tmp_path, monkeypatch):
@@ -696,17 +704,17 @@ def test_evolve_default_output_lands_in_env_dir(_outdir):
 
 @pytest.fixture
 def evolve_spans(monkeypatch):
-    """(s, t) of every evolve call, in call order."""
+    """(s, t) of every span handed to the propagator kernel, in call order."""
     spans = []
-    original = evolution.evolve
+    original = evolution._integrate_spans
 
-    def counting(B, s, t, rel_tol=1e-10):
-        spans.append((s, t))
-        return original(B, s, t, rel_tol)
+    def recording(B, batch, rel_tol):
+        spans.extend(batch)
+        return original(B, batch, rel_tol)
 
-    for mod in (evolution, cli):
-        if hasattr(mod, "evolve"):
-            monkeypatch.setattr(mod, "evolve", counting)
+    for mod in (evolution, verification, cli):
+        if getattr(mod, "_integrate_spans", None) is original:
+            monkeypatch.setattr(mod, "_integrate_spans", recording)
     return spans
 
 
@@ -721,7 +729,7 @@ def test_evolve_integrates_each_segment_once(tmp_path, evolve_spans, samples):
         assert len(evolve_spans) == 4
         assert sum(t > s for s, t in evolve_spans) == 3
     else:
-        # one call per segment, whose chain ends at U(t, s), then U(t, t),
+        # one span per segment, whose chain ends at U(t, s), then U(t, t),
         # U(t, r), U(r, s): the horizon [0, 2] is integrated twice
         assert len(evolve_spans) == 3 + (samples - 1)
         assert sum(t > s for s, t in evolve_spans) == 2 + (samples - 1)
@@ -775,16 +783,36 @@ def test_evolve_zero_span_series_is_identity(tmp_path, evolve_spans):
     assert all(s == t for s, t in evolve_spans)
 
 
+def test_table_coefficient_interpolates_between_searchsorted_knots():
+    # the knot is found by bisect; np.searchsorted gives the same index, so
+    # every value is the same to the bit
+    rng = np.random.default_rng(5)
+    knots = np.cumsum(rng.uniform(0.1, 1.0, 6))
+    mats = rng.standard_normal((6, 2, 2))
+    params = {"B": "table", "times": knots.tolist(), "matrices": mats.tolist()}
+    B, _, _ = cli._evolution_operator_from(params, (0.0, 1.0))
+    for t in [*knots, *rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, 300)]:
+        if t <= knots[0]:
+            ref = mats[0]
+        elif t >= knots[-1]:
+            ref = mats[-1]
+        else:
+            j = int(np.searchsorted(knots, t) - 1)
+            w = (t - knots[j]) / (knots[j + 1] - knots[j])
+            ref = (1 - w) * mats[j] + w * mats[j + 1]
+        assert np.array_equal(B(t), ref)
+
+
 def test_stiffness_in_a_segment_names_the_model_field(tmp_path, _outdir, capsys,
                                                       monkeypatch):
-    original = evolution.evolve
+    original = evolution._integrate_spans
 
-    def stiff_segments(B, s, t, rel_tol=1e-10):
-        if (s, t) == (0.0, 0.5):  # the first of the series' segments
+    def stiff_segments(B, spans, rel_tol):
+        if (0.0, 0.5) in spans:  # the first of the series' segments
             raise evolution.StiffnessError("step size underflowed")
-        return original(B, s, t, rel_tol)
+        return original(B, spans, rel_tol)
 
-    monkeypatch.setattr(evolution, "evolve", stiff_segments)
+    monkeypatch.setattr(evolution, "_integrate_spans", stiff_segments)
     path = _scenario(tmp_path, {"name": "x", "kind": "evolution",
                                 "params": {"B": "constant", "matrix": [[-1.0]],
                                            "t": 2.0, "samples": 5}})

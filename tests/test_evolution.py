@@ -1,6 +1,7 @@
 """Non-autonomous propagators: axioms, two-level model, symmetry checks."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -20,8 +21,14 @@ from focksym.evolution import (
     check_nonauto_stone,
     evolution_series,
     evolve,
-    _integrate_matrix,
+    _integrate_spans,
 )
+
+
+def _integrate(B, t0, t1, rel_tol):
+    """U(t1, t0) and its statistics, integrated as a batch of one span."""
+    (U,), (stats,) = _integrate_spans(B, [(t0, t1)], rel_tol)
+    return U, stats
 
 
 def _constant(M):
@@ -106,7 +113,7 @@ def test_axioms_reject_unordered_times():
 def test_backward_integration_inverts_forward():
     B = bagchi_hamiltonian(0.5, lambda t: 0.4 * math.sin(t), lambda t: 0.7)
     fwd = evolve(B, 0.0, 1.0, rel_tol=1e-12).matrix
-    back, _ = _integrate_matrix(B, 1.0, 0.0, 1e-12)
+    back, _ = _integrate(B, 1.0, 0.0, 1e-12)
     assert np.max(np.abs(back @ fwd - np.eye(2))) <= 1e-11
 
 
@@ -310,14 +317,14 @@ def test_adjoint_family_integrates_u_once(monkeypatch):
     hs = (3e-2, 1e-2, 3e-3, 1e-3)
     calls = []
 
-    def counting(B, s, t, rel_tol=1e-10):
-        calls.append((s, t))
-        return evolve(B, s, t, rel_tol)
+    def counting(B, spans, rel_tol):
+        calls.append(list(spans))
+        return _integrate_spans(B, spans, rel_tol)
 
-    monkeypatch.setattr(evolution, "evolve", counting)
+    monkeypatch.setattr(evolution, "_integrate_spans", counting)
     errs = check_adjoint_family(B, 0.0, 1.0, z, hs, 1e-12)
-    # U(1, 0) once, then only the short span U(1 + h, 1) for each h
-    assert calls == [(0.0, 1.0)] + [(1.0, 1.0 + h) for h in hs]
+    # one batch: U(1, 0) once, then only the short span U(1 + h, 1) for each h
+    assert calls == [[(0.0, 1.0)] + [(1.0, 1.0 + h) for h in hs]]
     U_t = evolve(B, 0.0, 1.0, 1e-12).matrix
     for h, err in zip(hs, errs):
         U_th = evolve(B, 1.0, 1.0 + h, 1e-12).matrix @ U_t  # the cocycle
@@ -333,7 +340,7 @@ def _reference_integrate(B, t0, t1, rel_tol, sums="rows"):
 
     With ``sums="rows"`` each sum is U plus one real row-vector times matrix
     product of the h-scaled tableau row and the stages viewed as real rows,
-    the arithmetic of :func:`_integrate_matrix`.  With ``sums="terms"`` each
+    the arithmetic of :func:`_integrate_spans`.  With ``sums="terms"`` each
     sum adds its (h c) k_j one by one in tableau order, as the loop did
     before the row products.
     """
@@ -441,7 +448,7 @@ def _kinked_table():
 ], ids=["bagchi-cosine", "constant-d16", "kinked-table", "backward"])
 def test_step_loop_matches_reference_bit_for_bit(make, t0, t1, rel_tol):
     B, calls = _counting(make())
-    U, stats = _integrate_matrix(B, t0, t1, rel_tol)
+    U, stats = _integrate(B, t0, t1, rel_tol)
     U_ref, stats_ref = _reference_integrate(make(), t0, t1, rel_tol)
     assert np.array_equal(U, U_ref)
     assert stats == stats_ref
@@ -457,7 +464,7 @@ def test_step_loop_matches_reference_bit_for_bit(make, t0, t1, rel_tol):
     (_bagchi_cosine, 4.0, -1.0, 1e-9, True),
 ], ids=["bagchi-cosine", "constant-d16", "kinked-table", "backward"])
 def test_step_loop_matches_per_term_sums(make, t0, t1, rel_tol, same_steps):
-    U, stats = _integrate_matrix(make(), t0, t1, rel_tol)
+    U, stats = _integrate(make(), t0, t1, rel_tol)
     U_ref, stats_ref = _reference_integrate(make(), t0, t1, rel_tol, sums="terms")
     assert np.max(np.abs(U - U_ref)) <= 1e-12 * np.max(np.abs(U_ref))
     if same_steps:
@@ -465,7 +472,7 @@ def test_step_loop_matches_per_term_sums(make, t0, t1, rel_tol, same_steps):
 
 
 def test_kinked_table_forces_rejections():
-    _, stats = _integrate_matrix(_kinked_table(), 0.0, 3.0, 1e-10)
+    _, stats = _integrate(_kinked_table(), 0.0, 3.0, 1e-10)
     assert stats.rejected > 0
 
 
@@ -482,5 +489,60 @@ def test_stiff_generator_raises_the_reference_error():
     with pytest.raises(StiffnessError) as ref:
         _reference_integrate(B, 0.0, 1.0, 1e-10)
     with pytest.raises(StiffnessError) as got:
-        _integrate_matrix(B, 0.0, 1.0, 1e-10)
+        _integrate(B, 0.0, 1.0, 1e-10)
     assert str(got.value) == str(ref.value)
+
+
+# --- many spans in one batch ---------------------------------------------------------
+
+@pytest.mark.parametrize("make, spans", [
+    # unequal forward spans, a backward span and a zero span
+    (_bagchi_cosine, [(0.0, 5.0), (1.0, 1.3), (4.0, -1.0), (2.0, 2.0), (0.5, 3.5)]),
+    (_kinked_table, [(0.0, 3.0), (0.5, 1.0), (3.0, 0.2), (1.0, 1.0), (2.0, 2.9)]),
+    # one array for every value of B, broadcast over the batch
+    (_constant_d16, [(0.0, 2.0), (0.3, 0.4), (2.0, 0.0), (1.0, 1.0)]),
+], ids=["bagchi-cosine", "kinked-table", "constant-d16"])
+def test_batch_matches_each_span_alone_bit_for_bit(make, spans):
+    B, calls = _counting(make())
+    mats, stats = _integrate_spans(B, spans, 1e-10)
+    assert len(mats) == len(stats) == len(spans)
+    for (t0, t1), U, st in zip(spans, mats, stats):
+        U_alone, st_alone = _integrate(make(), t0, t1, 1e-10)
+        U_ref, st_ref = _reference_integrate(make(), t0, t1, 1e-10)
+        assert np.array_equal(U, U_alone) and np.array_equal(U, U_ref)
+        assert st == st_alone == st_ref
+    # per span, stage 1 once, then five evaluations per attempted step
+    assert calls[0] == sum(1 + 5 * (st.steps + st.rejected) for st in stats)
+
+
+def test_series_evaluates_b_only_in_its_steps():
+    B, calls = _counting(_bagchi_cosine())
+    _, stats = evolution_series(B, np.linspace(0.0, 5.0, 3))
+    assert calls[0] == sum(1 + 5 * (st.steps + st.rejected) for st in stats)
+    # a single sample has no span: B is evaluated once, for the size of I
+    B, calls = _counting(_bagchi_cosine())
+    evolution_series(B, [2.0])
+    assert calls[0] == 1
+
+
+def _stiff_past_two():
+    # decaying before t = 2, stiff from there on
+    calm, stiff = np.array([[-1.0 + 0j]]), np.array([[1e13 + 0j]])
+    return lambda t: calm if t < 2.0 else stiff
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+def test_batch_raises_the_sequential_stiffness_error(order):
+    B = _stiff_past_two()
+    spans = [[(0.0, 1.0), (1.5, 2.5), (0.2, 1.8), (2.2, 2.8)][i] for i in order]
+    expected = None
+    for t0, t1 in spans:  # the spans one after another, as a plain loop would
+        try:
+            _reference_integrate(B, t0, t1, 1e-10)
+        except StiffnessError as exc:
+            expected = str(exc)
+            break
+    assert expected is not None
+    with pytest.raises(StiffnessError) as got:
+        _integrate_spans(B, spans, 1e-10)
+    assert str(got.value) == expected
