@@ -198,9 +198,9 @@ def _stage_views(K: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 # The stages of one batch take at most this many bytes (or one span).  Past
 # it a pass works out of memory rather than cache: on a Xeon with 2 MiB of L2
-# per core and one BLAS thread, 256 spans at dim 16 cost 20 us per span and
-# step in 1 MiB batches against 38 us in one batch of 16 MiB, and at dim 64
-# one batch of 42 spans cost 757 us against 614 us for a span alone.
+# per core and one BLAS thread, 128 spans at dim 32 cost 114 us per span and
+# step in batches of 1 MiB, 131-143 us in one batch of 16 MiB and 131-137 us
+# one span at a time (256 spans at dim 16: 26, 31-33 and 77-92 us).
 _BATCH_BYTES = 1 << 20
 
 
@@ -255,27 +255,25 @@ def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: list[np.ndarray],
     K = np.empty((m, 7, dim, dim), dtype=complex)  # the seven stages of each span
     K_out, K_in = _stage_views(K)
     np.matmul(_stacked(B_0), U, out=K_out[0])  # later steps take stage 1 from stage 7
-    hs = [sp.h for sp in batch]  # a first step span/50 stays inside the span
+    Y = np.empty((m, dim, dim), dtype=complex)  # the argument of a stage
+    Y_rows = Y.reshape(m, 1, -1).view(np.float64)
     failed: dict[int, StiffnessError] = {}
     while batch:
         m = len(batch)
-        hT = np.array(hs)[:, None, None] * _TABLEAU
-
-        def stage_sum(i: int) -> np.ndarray:
-            """U + sum_j (h T[i, j]) k_j over the first i stages, as real rows."""
-            return U_rows + hT[_ROW_HEADS[i]] @ K_in[i]
-
+        hT = np.array([sp.h for sp in batch])[:, None, None] * _TABLEAU
         B_stages = _stage_values([B(sp.x + c * sp.h) for sp in batch
                                   for c in _STAGE_TIMES[1:6]], m)
         for i, B_i in enumerate(B_stages, 1):
-            np.matmul(B_i, stage_sum(i).view(complex).reshape(m, dim, dim), out=K_out[i])
-        U5_rows = stage_sum(_U5_ROW)
+            # U + sum_j (h T[i, j]) k_j over the first i stages, as real rows
+            np.add(U_rows, hT[_ROW_HEADS[i]] @ K_in[i], out=Y_rows)
+            np.matmul(B_i, Y, out=K_out[i])
+        U5_rows = U_rows + hT[_ROW_HEADS[_U5_ROW]] @ K_in[_U5_ROW]
         U5 = U5_rows.view(complex).reshape(m, dim, dim)
         np.matmul(B_i, U5, out=K_out[6])  # stages 6 and 7 share the time x + h
         err = (hT[_ROW_HEADS[_ERROR_ROW]] @ K_in[7]).view(complex)
         U5_max = np.maximum.reduce(abs(U5), axis=(1, 2)).tolist()
         err_max = np.maximum.reduce(abs(err), axis=(1, 2)).tolist()
-        accepted, done, hs = [], [], []
+        accepted, done = [], []
         for k, (sp, U5_max_k, err_max_k) in enumerate(zip(batch, U5_max, err_max)):
             scale = max(U5_max_k, sp.U_max, 1.0)
             local = err_max_k / scale
@@ -305,9 +303,8 @@ def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: list[np.ndarray],
             elif (sp.t1 - sp.x) * sp.direction <= 0:
                 done.append(k)
             elif (sp.x + h - sp.t1) * sp.direction > 0:
-                h = sp.t1 - sp.x  # the next step ends on t1
+                h = sp.t1 - sp.x  # the next step ends on t1; span/50 never passes it
             sp.h = h
-            hs.append(h)
         if len(accepted) == m:
             U, U_rows = U5, U5_rows
             np.copyto(K_out[0], K_out[6])
@@ -321,11 +318,11 @@ def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: list[np.ndarray],
             last = min(failed, default=math.inf)
             keep = [k for k, sp in enumerate(batch) if k not in done and sp.index < last]
             batch = [batch[k] for k in keep]
-            hs = [hs[k] for k in keep]
             if batch:
                 U, K = U[keep], K[keep]
                 U_rows = U.reshape(len(batch), 1, -1).view(np.float64)
                 K_out, K_in = _stage_views(K)
+                Y, Y_rows = Y[:len(batch)], Y_rows[:len(batch)]
     if failed:
         raise failed[min(failed)]
 

@@ -495,6 +495,12 @@ def test_stiff_generator_raises_the_reference_error():
 
 # --- many spans in one batch ---------------------------------------------------------
 
+def _split_batches(monkeypatch, dim, spans_per_batch):
+    """Batches of at most ``spans_per_batch`` spans of size dim (None: as is)."""
+    if spans_per_batch:
+        monkeypatch.setattr(evolution, "_BATCH_BYTES", spans_per_batch * 7 * 16 * dim**2)
+
+
 @pytest.mark.parametrize("make, spans", [
     # unequal forward spans, a backward span and a zero span
     (_bagchi_cosine, [(0.0, 5.0), (1.0, 1.3), (4.0, -1.0), (2.0, 2.0), (0.5, 3.5)]),
@@ -502,7 +508,10 @@ def test_stiff_generator_raises_the_reference_error():
     # one array for every value of B, broadcast over the batch
     (_constant_d16, [(0.0, 2.0), (0.3, 0.4), (2.0, 0.0), (1.0, 1.0)]),
 ], ids=["bagchi-cosine", "kinked-table", "constant-d16"])
-def test_batch_matches_each_span_alone_bit_for_bit(make, spans):
+@pytest.mark.parametrize("spans_per_batch", [None, 2])
+def test_batch_matches_each_span_alone_bit_for_bit(make, spans, spans_per_batch,
+                                                   monkeypatch):
+    _split_batches(monkeypatch, len(make()(0.0)), spans_per_batch)
     B, calls = _counting(make())
     mats, stats = _integrate_spans(B, spans, 1e-10)
     assert len(mats) == len(stats) == len(spans)
@@ -532,7 +541,9 @@ def _stiff_past_two():
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
-def test_batch_raises_the_sequential_stiffness_error(order):
+@pytest.mark.parametrize("spans_per_batch", [None, 2])
+def test_batch_raises_the_sequential_stiffness_error(order, spans_per_batch, monkeypatch):
+    _split_batches(monkeypatch, 1, spans_per_batch)
     B = _stiff_past_two()
     spans = [[(0.0, 1.0), (1.5, 2.5), (0.2, 1.8), (2.2, 2.8)][i] for i in order]
     expected = None
