@@ -6,12 +6,15 @@ Builds the series U(t_k, 0), t_k = k t / (samples - 1), with
 segments integrated side by side and chained through
 U(t_k, 0) = U(t_k, t_{k-1}) U(t_{k-1}, 0)) and prints its Runge-Kutta steps,
 the passes of the step loop (each pass attempts one step of every unfinished
-segment, so a series takes as many passes as its longest segment takes
-attempted steps), its wall time, the steps of one unbroken span U(t, 0), and
-the largest entry error over all samples against scipy's DOP853 at
-rtol 1e-13.  A second, untimed pass through a counting wrapper of the
-operator gives the evaluations of B per accepted step: five per attempted
-step (stage 1 is the previous step's stage 7), plus one per segment.
+segment of a batch, so a batch takes as many passes as its longest segment
+takes attempted steps), its wall time, the steps of one unbroken span
+U(t, 0), and the largest entry error over all samples against scipy's DOP853
+at rtol 1e-13.  A second, untimed pass through a counting wrapper of the
+operator counts the calls of B and the times it is evaluated at, apart.
+There is one call for the start of every segment and one per pass, so the
+passes are the calls less one.  Per accepted step there are five evaluated
+times per attempted step (stage 1 is the previous step's stage 7), plus one
+per segment.
 
 Models: the two-level Bagchi model with cosine detuning and coupling, and
 constant complex symmetric generators B = -i O diag(spectrum) O^T at d16 and
@@ -19,15 +22,23 @@ d32 (oscillation with damping up to 0.3).  A segment costs at least about
 four steps (its first trial step is span/50 and grows at most fivefold per
 step), so dense sampling settles near four steps per sample.
 
-Two per-layer figures follow: the microseconds per attempted step of one
+Three per-layer figures follow: the microseconds per attempted step of one
 unbroken span U(t, 0) of the constant model at each of ``STEP_DIMS`` (the
-fastest of ``REPEATS`` integrations), and the milliseconds ``write_csv``
-takes per 10^5 float cells (the fastest of ``REPEATS`` writes), timed on the
-rows of a dim-32 series (2049 cells a row).  Fix the BLAS threads
-(``OPENBLAS_NUM_THREADS=1``) when comparing.
+fastest of ``REPEATS`` integrations); the microseconds per pass of the step
+loop for the series of ``PASS_MODELS`` (the fastest of ``REPEATS``), whose
+coefficients the scenario parser builds, so a pass costs one call of the
+model that an ``evolution`` run integrates; and the milliseconds
+``write_csv`` takes per 10^5 float cells (the fastest of ``REPEATS``
+writes), timed on the rows of a dim-32 series (2049 cells a row).  Fix the
+BLAS threads (``OPENBLAS_NUM_THREADS=1``) when comparing.
+
+``--passes-only`` prints the per-pass figures alone.  They use nothing of a
+coefficient but what the scenario parser returns, so they time any source
+tree on the path, under either coefficient protocol.
 
 Usage:
     python scripts/propagator_cost.py --samples 2 21 201 1001 --t 5 --out cost.csv
+    PYTHONPATH=<checkout>/src python scripts/propagator_cost.py --passes-only
 """
 
 import argparse
@@ -36,15 +47,17 @@ import os
 import sys
 import tempfile
 import time
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.integrate
 
+from focksym import evolution
+from focksym.cli import _evolution_operator_from
 from focksym.evolution import bagchi_hamiltonian, evolution_series, evolve
 from focksym.serialize import write_csv
 
-Coefficient = Callable[[float], np.ndarray]  # t -> B(t)
+Coefficient = Callable[[Sequence[float]], np.ndarray]  # ts -> stack of B(t)
 
 
 def bagchi_cosine() -> Coefficient:
@@ -52,17 +65,44 @@ def bagchi_cosine() -> Coefficient:
                               lambda t: math.cos(0.7 * t + 1.1))
 
 
-def constant_model(n: int, seed: int = 0) -> Coefficient:
+def constant_matrix(n: int, seed: int = 0) -> np.ndarray:
+    """-i O diag(spectrum) O^T for a seeded orthogonal O: complex symmetric."""
     g = np.random.default_rng(seed).standard_normal((n, n))
     q, r = np.linalg.qr(g)
     O = q * np.sign(np.diag(r))
     spectrum = np.linspace(-1.0, 1.0, n) - 1j * np.linspace(0.0, 0.3, n)
-    M = -1j * (O * spectrum) @ O.T
-    return lambda t: M
+    return -1j * (O * spectrum) @ O.T
+
+
+def constant_model(n: int, seed: int = 0) -> Coefficient:
+    M = constant_matrix(n, seed)
+    return lambda ts: np.broadcast_to(M, (len(ts), n, n))
+
+
+def json_matrix(M: np.ndarray) -> list:
+    """M as the [re, im] pairs of a scenario file."""
+    return [[[z.real, z.imag] for z in row] for row in M.tolist()]
 
 
 STEP_DIMS = (1, 2, 3, 16, 32, 64)
 REPEATS = 10
+
+# (label, scenario params, samples) of the per-pass figures: the two-level
+# cosine model at dim 2, a six-knot table at dim 3 and constant models at
+# dims 16 and 32, each a series over [0, 5] with the sample count that the
+# benchmark's evolution-series workload gives it
+PASS_MODELS = (
+    ("bagchi-cosine-d2", {"B": "bagchi", "nu": 1.0,
+                          "kappa": {"cosine": {"amplitude": 0.4, "frequency": 1.3,
+                                               "phase": 0.3}},
+                          "lam": {"cosine": {"amplitude": 1.0, "frequency": 0.7,
+                                             "phase": 1.1}}}, 35),
+    ("table-d3", {"B": "table", "times": [float(i) for i in range(6)],
+                  "matrices": [json_matrix(constant_matrix(3, seed)) for seed in range(6)]},
+     37),
+    ("constant-d16", {"B": "constant", "matrix": json_matrix(constant_matrix(16))}, 85),
+    ("constant-d32", {"B": "constant", "matrix": json_matrix(constant_matrix(32))}, 43),
+)
 
 MODELS = {
     "bagchi-cosine": bagchi_cosine,
@@ -72,23 +112,24 @@ MODELS = {
 
 
 class Counted:
-    """B with a counter of its evaluations."""
+    """B with counters of its calls and of the times it is evaluated at."""
 
     def __init__(self, B: Coefficient):
         self.B = B
-        self.evals = 0
+        self.calls = self.times = 0
 
-    def __call__(self, t: float) -> np.ndarray:
-        self.evals += 1
-        return self.B(t)
+    def __call__(self, ts: Sequence[float]) -> np.ndarray:
+        self.calls += 1
+        self.times += len(ts)
+        return self.B(ts)
 
 
 def dop853_series(B: Coefficient, times: np.ndarray) -> np.ndarray:
     """U(t_k, t_0) at every sample time by DOP853 at rtol 1e-13, atol 1e-15."""
-    n = len(B(times[0]))
+    n = B([times[0]]).shape[-1]
 
     def rhs(x, y):
-        return (B(x) @ y.view(complex).reshape(n, n)).ravel().view(float)
+        return (B([x])[0] @ y.view(complex).reshape(n, n)).ravel().view(float)
 
     y0 = np.eye(n, dtype=complex).ravel().view(float)
     sol = scipy.integrate.solve_ivp(rhs, (times[0], times[-1]), y0, method="DOP853",
@@ -97,20 +138,19 @@ def dop853_series(B: Coefficient, times: np.ndarray) -> np.ndarray:
 
 
 def measure(B: Coefficient, t: float, samples: int,
-            rel_tol: float) -> tuple[int, int, float, float, int, float]:
+            rel_tol: float) -> tuple[int, int, float, float, int, int, float]:
     """(series steps, loop passes, series wall s, max entry error vs DOP853,
-    one-span steps, B evaluations per accepted step)."""
+    one-span steps, calls of B, evaluated times of B per accepted step)."""
     times = np.linspace(0.0, t, samples)
     t0 = time.perf_counter()
     series, stats = evolution_series(B, times, rel_tol)
     wall = time.perf_counter() - t0
     err = float(np.max(np.abs(np.array(series) - dop853_series(B, times))))
     steps = sum(st.steps for st in stats)
-    passes = max((st.steps + st.rejected for st in stats), default=0)
     counted = Counted(B)
     evolution_series(counted, times, rel_tol)
-    return (steps, passes, wall, err, evolve(B, 0.0, t, rel_tol).stats.steps,
-            counted.evals / max(steps, 1))
+    return (steps, counted.calls - 1, wall, err, evolve(B, 0.0, t, rel_tol).stats.steps,
+            counted.calls, counted.times / max(steps, 1))
 
 
 def us_per_step(n: int, t: float, rel_tol: float) -> tuple[int, float]:
@@ -123,6 +163,32 @@ def us_per_step(n: int, t: float, rel_tol: float) -> tuple[int, float]:
         best = min(best, time.perf_counter() - t0)
     attempted = stats.steps + stats.rejected
     return attempted, 1e6 * best / attempted
+
+
+def us_per_pass(params: dict, samples: int, t: float,
+                rel_tol: float) -> tuple[int, int, float]:
+    """(segments, loop passes, fastest microseconds per pass) of a series of
+    the scenario model ``params`` over [0, t]."""
+    B, _, _ = _evolution_operator_from(params, (0.0, t))
+    times = np.linspace(0.0, t, samples)
+    best = math.inf
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        series, stats = evolution_series(B, times, rel_tol)
+        best = min(best, time.perf_counter() - t0)
+    # a batch takes as many passes as its longest segment takes attempted steps
+    size = max(1, evolution._BATCH_BYTES // (7 * 16 * len(series[0]) ** 2))
+    attempts = [st.steps + st.rejected for st in stats]
+    passes = sum(max(attempts[i:i + size]) for i in range(0, len(attempts), size))
+    return len(stats), passes, 1e6 * best / passes
+
+
+def print_pass_costs(t: float, rel_tol: float) -> None:
+    print(f"series of scenario models to t = {t:g}, fastest of {REPEATS}")
+    print(f"{'model':>16}  {'segments':>8}  {'passes':>6}  {'us/pass':>8}")
+    for label, params, samples in PASS_MODELS:
+        segments, passes, us = us_per_pass(params, samples, t, rel_tol)
+        print(f"{label:>16}  {segments:>8}  {passes:>6}  {us:>8.1f}")
 
 
 def csv_ms_per_1e5_cells() -> float:
@@ -147,23 +213,28 @@ def main(argv=None) -> int:
     ap.add_argument("--t", type=float, default=5.0, help="horizon (s = 0)")
     ap.add_argument("--rel-tol", type=float, default=1e-10)
     ap.add_argument("--out", help="optional CSV output path")
+    ap.add_argument("--passes-only", action="store_true",
+                    help="print only the microseconds per pass of the step loop")
     args = ap.parse_args(argv)
+    if args.passes_only:
+        print_pass_costs(args.t, args.rel_tol)
+        return 0
 
     print(f"chained series U(t_k, 0) to t = {args.t:g} at rel_tol {args.rel_tol:g}, "
           "error against DOP853 (rtol 1e-13)")
     print(f"{'model':>14}  {'samples':>7}  {'rk steps':>8}  {'passes':>6}  "
-          f"{'per segment':>11}  {'B evals/step':>12}  "
+          f"{'per segment':>11}  {'B calls':>7}  {'B times/step':>12}  "
           f"{'one span':>8}  {'wall s':>8}  {'max error':>9}")
     rows = []
     for name in args.models:
         B = MODELS[name]()
         for samples in args.samples:
-            steps, passes, wall, err, span, evals = measure(B, args.t, samples,
-                                                            args.rel_tol)
+            steps, passes, wall, err, span, calls, times = measure(B, args.t, samples,
+                                                                   args.rel_tol)
             per = steps / max(samples - 1, 1)
             print(f"{name:>14}  {samples:>7}  {steps:>8}  {passes:>6}  {per:>11.2f}  "
-                  f"{evals:>12.2f}  {span:>8}  {wall:>8.3f}  {err:>9.2e}")
-            rows.append((name, samples, steps, passes, evals, span, wall, err))
+                  f"{calls:>7}  {times:>12.2f}  {span:>8}  {wall:>8.3f}  {err:>9.2e}")
+            rows.append((name, samples, steps, passes, calls, times, span, wall, err))
 
     print(f"\none span of the constant model to t = {args.t:g}, "
           f"fastest of {REPEATS}")
@@ -171,11 +242,13 @@ def main(argv=None) -> int:
     for n in STEP_DIMS:
         attempted, us = us_per_step(n, args.t, args.rel_tol)
         print(f"{n:>5}  {attempted:>9}  {us:>8.1f}")
+    print()
+    print_pass_costs(args.t, args.rel_tol)
     print(f"\nwrite_csv: {csv_ms_per_1e5_cells():.2f} ms per 10^5 float cells")
 
     if args.out:
-        write_csv(args.out, ["model", "samples", "rk_steps", "passes", "evals_per_step",
-                             "span_steps", "wall_s", "max_error"],
+        write_csv(args.out, ["model", "samples", "rk_steps", "passes", "b_calls",
+                             "b_times_per_step", "span_steps", "wall_s", "max_error"],
                   rows)
         print(f"wrote {args.out}")
     return 0

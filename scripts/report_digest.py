@@ -4,9 +4,11 @@
 The set covers `verify-all --seed 7` at dims 8, 16, 32 and 64, every scenario
 kind at dims 16 and 32 (standard and offset conjugations alike), one `evolve`
 CSV, two `spectrum` subcommand runs (a CSV and a JSON report), a dim-16
-constant-model `evolution` CSV and a records CSV of `conjugation-check`, whose
-anchors hold commas: 33 runs, which between them take every subcommand that
-writes a report and both paths of the CSV writer.  Each printed line is the run's label, its
+constant-model `evolution` CSV, a dim-3 table-model `evolution` CSV whose
+span reaches below its first knot and past its last, and a records CSV of
+`conjugation-check`, whose anchors hold commas: 34 runs, which between them
+take every subcommand that writes a report, every coefficient model and both
+paths of the CSV writer.  Each printed line is the run's label, its
 exit code and the digest of its report with the value of ``wall_time_s``
 replaced by null; no other byte is touched.  Two source trees produce
 identical reports exactly when their outputs are identical, so a change meant
@@ -47,7 +49,7 @@ import tempfile
 from pathlib import Path
 
 from focksym.cli import main as focksym_main
-from propagator_cost import constant_model
+from propagator_cost import constant_matrix, json_matrix
 
 STD = {"a": [1.0, 0.0], "b": [0.0, 0.0], "c": [1.0, 0.0]}
 ROTATED = {"a": [math.cos(0.7), math.sin(0.7)], "c": [0.0, 1.0]}
@@ -81,15 +83,18 @@ SCENARIOS = {
 }
 
 
-def _constant_d16() -> list:
-    """The dim-16 constant model of ``propagator_cost.py`` as JSON pairs."""
-    return [[[z.real, z.imag] for z in row] for row in constant_model(16)(0.0).tolist()]
-
+# the knots and seeded matrices of a dim-3 table model; the series starts
+# below the first knot and ends past the last, where the model is clamped
+TABLE_D3 = {"B": "table", "times": [0.0, 0.7, 1.3, 2.2, 3.0],
+            "matrices": [json_matrix(constant_matrix(3, seed)) for seed in range(5)],
+            "s": -0.5, "t": 3.5, "samples": 9}
 
 # label -> (kind, params, dim, output format), each run once
 SINGLE_RUNS = {
-    "evolution-constant-d16": ("evolution", {"B": "constant", "matrix": _constant_d16(),
+    "evolution-constant-d16": ("evolution", {"B": "constant",
+                                             "matrix": json_matrix(constant_matrix(16)),
                                              "t": 2.0, "samples": 9}, 16, "csv"),
+    "evolution-table-d3": ("evolution", TABLE_D3, 3, "csv"),
     "conjugation-records-d16": ("conjugation-check", OFFSET, 16, "csv"),
 }
 

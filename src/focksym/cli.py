@@ -25,7 +25,6 @@ parser on the first call and reuses it after.
 from __future__ import annotations
 
 import argparse
-import bisect
 import cmath
 import contextlib
 import functools
@@ -341,7 +340,7 @@ _EVOLUTION_MODELS = ("bagchi", "constant", "table")
 
 @dataclass(frozen=True)
 class EvolutionSpec:
-    op: Callable[[float], np.ndarray]  # the coefficient t -> B(t)
+    op: Callable[[Sequence[float]], np.ndarray]  # the coefficient ts -> stack of B(t)
     meta: dict
     source: str  # field path of the model's coefficients, named on stiffness
     s: float
@@ -385,7 +384,7 @@ def _matrix_from(entry: Any, path: str) -> np.ndarray:
 
 
 def _evolution_operator_from(params: dict, span: tuple[float, float]
-                             ) -> tuple[Callable[[float], np.ndarray], dict, str]:
+                             ) -> tuple[Callable[[Sequence[float]], np.ndarray], dict, str]:
     model = _get(params, "params", "B", str)
     if model not in _EVOLUTION_MODELS:
         raise ScenarioError("params.B", f"expected one of {_EVOLUTION_MODELS}")
@@ -396,7 +395,9 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
         return bagchi_hamiltonian(nu, kappa, lam), {"model": "bagchi", "nu": nu}, "params.B"
     if model == "constant":
         M = _matrix_from(_get(params, "params", "matrix", list), "params.matrix")
-        return lambda t: M, {"model": "constant", "dim": M.shape[0]}, "params.matrix"
+        # one matrix for every time: a zero-stride view, not a copy
+        return (lambda ts: np.broadcast_to(M, (len(ts), *M.shape)),
+                {"model": "constant", "dim": M.shape[0]}, "params.matrix")
     times = _get(params, "params", "times", list)
     mats = _get(params, "params", "matrices", list)
     if len(times) != len(mats) or len(times) < 2:
@@ -411,17 +412,16 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
             raise ScenarioError(f"params.matrices[{i}]",
                                 f"shape {M.shape} differs from {blocks[0].shape} of matrices[0]")
     stack = np.stack(blocks)
-    knots = ts.tolist()  # bisect on a list finds a knot faster than np.searchsorted
 
-    def eval_b(t: float) -> np.ndarray:
-        # piecewise-linear interpolation, clamped at the ends
-        if t <= knots[0]:
-            return stack[0]
-        if t >= knots[-1]:
-            return stack[-1]
-        j = bisect.bisect_left(knots, t) - 1
-        w = (t - knots[j]) / (knots[j + 1] - knots[j])
-        return (1 - w) * stack[j] + w * stack[j + 1]
+    def eval_b(at: Sequence[float]) -> np.ndarray:
+        # piecewise-linear interpolation, clamped at the ends to the end matrices
+        at = np.asarray(at, dtype=float)
+        j = np.clip(np.searchsorted(ts, at) - 1, 0, len(ts) - 2)
+        w = ((at - ts[j]) / (ts[j + 1] - ts[j]))[:, None, None]
+        out = (1 - w) * stack[j] + w * stack[j + 1]
+        out[at <= ts[0]] = stack[0]
+        out[at >= ts[-1]] = stack[-1]
+        return out
 
     meta = {"model": "table", "dim": stack.shape[1], "samples": len(times)}
     return eval_b, meta, "params.matrices"

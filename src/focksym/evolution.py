@@ -1,10 +1,13 @@
 """Nonautonomous evolution families U(t, s) solving U' = B(t) U, U(s, s) = I.
 
-A coefficient B is any callable t -> (n, n) complex array.  Its size n is
-read from B(s) at the start of each integration, the value that is also the
-first step's stage 1; a later value of another size raises ValueError.  A
-coefficient may return one array object for every t (a constant B), but
-must then never change it: values are used after later evaluations.
+A coefficient B is any callable that maps a 1-D sequence of times ts to the
+(len(ts), n, n) complex stack of B(t) at those times.  Its size n is read
+from the one call at the start of each integration, at every span's s, whose
+values are also the spans' first stage 1; a later value of another size
+raises ValueError.  A coefficient may return a view, such as a constant
+matrix broadcast over the times by ``np.broadcast_to`` (zero strides, no
+copy); no value is used after the next call.  A builder's scalar parameter
+functions, such as the detuning of :func:`bagchi_hamiltonian`, stay scalar.
 
 The propagator is integrated as a full matrix with an adaptive embedded
 Runge-Kutta pair of orders 5(4) (Dormand-Prince tableau).  Local error is
@@ -16,7 +19,7 @@ fifth-order weights, so stage 7's argument is the new solution U5, and an
 accepted step's B(x + h) U5 is the next step's stage 1.  A rejected step
 leaves x and U alone, so its stage 1 is kept too.  Stages 6 and 7 share the
 time x + h, so B is evaluated there once.  An attempted step thus costs five
-evaluations of B and six matrix products.  The seven stages share one
+evaluated times of B and six matrix products.  The seven stages share one
 buffer, viewed as one real row per stage, and every weighted sum (each stage
 argument, the fifth-order solution and the error estimate) is U plus one real
 row-vector times matrix product of an h-scaled tableau row with those rows.
@@ -28,14 +31,13 @@ Independent spans of one coefficient share one step loop,
 unfinished span of a batch: the stages of its m spans sit in one
 (m, 7, n, n) buffer, each stage sum is one real row-vector times matrix
 product per span, taken as one batched product, and each stage is one
-batched matrix product.  A pass evaluates B at the five new stage times of
-every span at once.  Each span keeps its own time, step size,
-first-same-as-last stage, controller, statistics and step floor, as Python
-scalars, and leaves the batch when it is done.  Batched products take the
-same BLAS call per span as a single one, and the step factor stays a
-Python float power per span, so each U and its statistics are the same to
-the bit whatever else is in the batch.  A coefficient that returns one
-array object throughout is broadcast over the batch instead of stacked.
+batched matrix product.  A pass makes one call of B, at the five new stage
+times x + c h of all m spans, and views its values as (m, 5, n, n).  Each
+span keeps its own time, step size, first-same-as-last stage, controller,
+statistics and step floor, as Python scalars, and leaves the batch when it
+is done.  Batched products take the same BLAS call per span as a single
+one, and the step factor stays a Python float power per span, so each U and
+its statistics are the same to the bit whatever else is in the batch.
 Spans are batched in the order given, as many at a time as keep the stage
 buffer within ``_BATCH_BYTES``.  :func:`evolve` is a batch of one; the
 series, the axioms, the adjoint quotients and the suite's reversal check
@@ -51,10 +53,10 @@ A time series U(t_k, s) is a chain of segment propagators through the
 cocycle U(t_k, s) = U(t_k, t_{k-1}) U(t_{k-1}, s), the segments integrated
 side by side, so its cost is linear in the number of samples.  A check that
 judges U(t, s) takes it from its caller, which integrates it once for every
-check that needs it.  An
-``evolution`` run takes U(t, s) from the end of its series, so it integrates
-its horizon twice: once as the chained series, and once split at
-r = (s + t)/2 by :func:`check_evolution_axioms`.  The two paths share no step.
+check that needs it.  An ``evolution`` run takes U(t, s) from the end of its
+series, so it integrates its horizon twice: once as the chained series, and
+once split at r = (s + t)/2 by :func:`check_evolution_axioms`.  The two
+paths share no step.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ __all__ = [
     "bagchi_hamiltonian",
 ]
 
-# a coefficient t -> B(t), an (n, n) complex array
-_Coefficient = Callable[[float], np.ndarray]
+# a coefficient ts -> the (len(ts), n, n) complex stack of B(t) at the times ts
+_Coefficient = Callable[[Sequence[float]], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -162,29 +164,6 @@ class _Span:
                                max_local_error=self.max_err)
 
 
-def _stacked(values: list[np.ndarray]) -> np.ndarray:
-    """The values of B stacked, or the one array that B returned for each."""
-    first = values[0]
-    for v in values:
-        if v is not first:
-            return np.array(values)  # np.stack takes twice as long on small matrices
-    return first
-
-
-def _stage_values(values: list[np.ndarray], m: int) -> list[np.ndarray]:
-    """B at stages 2-6 of each of m spans, ``values`` listed span by span, as
-    five arrays that each broadcast over the batch: one value for every
-    span when B returned one array throughout, else one (n, n) value or an
-    (m, n, n) stack per stage."""
-    if m == 1:
-        return values
-    B_all = _stacked(values)
-    if B_all is values[0]:
-        return [B_all] * 5
-    B_all = B_all.reshape(m, 5, *B_all.shape[1:])
-    return [B_all[:, i] for i in range(5)]
-
-
 def _stage_views(K: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Views of a batch's stages K (m, 7, n, n): stage i of every span, and
     the first i stages of every span as real rows (m, i, 2 n^2).
@@ -218,18 +197,20 @@ def _integrate_spans(
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
+    # the size of the problem, and each span's first stage 1
+    B_t0 = B([t0 for t0, _ in spans])
+    dim = B_t0.shape[-1]
     out: list = [None] * len(spans)
-    batch, B_0 = [], []
+    batch = []
     for j, (t0, t1) in enumerate(spans):
-        B_t0 = B(t0)  # the size of the problem, and the first step's stage 1
         if t1 == t0:
-            out[j] = (np.eye(len(B_t0), dtype=complex),
+            out[j] = (np.eye(dim, dtype=complex),
                       IntegratorStats(steps=0, rejected=0, max_local_error=0.0))
         else:
             batch.append(_Span(j, t0, t1))
-            B_0.append(B_t0)
     if batch:
-        size = max(1, _BATCH_BYTES // (7 * 16 * len(B_0[0]) ** 2))
+        B_0 = B_t0[[sp.index for sp in batch]]  # a copy: no value outlives its call
+        size = max(1, _BATCH_BYTES // (7 * 16 * dim ** 2))
         for i in range(0, len(batch), size):
             _integrate_batch(B, batch[i:i + size], B_0[i:i + size], rel_tol, out)
     return [U for U, _ in out], [stats for _, stats in out]
@@ -238,7 +219,7 @@ def _integrate_spans(
 # a step whose stages overflow has a non-finite error estimate and is
 # rejected, so its overflow and invalid values are expected and stay silent
 @np.errstate(over="ignore", invalid="ignore")
-def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: list[np.ndarray],
+def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
                      rel_tol: float, out: list) -> None:
     """Integrate the spans of ``batch``, whose B(t0) are ``B_0``, side by side.
 
@@ -249,21 +230,22 @@ def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: list[np.ndarray],
     raised: its StiffnessError is raised once every earlier span has
     finished.
     """
-    m, dim = len(batch), len(B_0[0])
+    m, dim = len(batch), B_0.shape[-1]
     U = np.repeat(np.eye(dim, dtype=complex)[None], m, axis=0)
     U_rows = U.reshape(m, 1, -1).view(np.float64)
     K = np.empty((m, 7, dim, dim), dtype=complex)  # the seven stages of each span
     K_out, K_in = _stage_views(K)
-    np.matmul(_stacked(B_0), U, out=K_out[0])  # later steps take stage 1 from stage 7
+    np.matmul(B_0, U, out=K_out[0])  # later steps take stage 1 from stage 7
     Y = np.empty((m, dim, dim), dtype=complex)  # the argument of a stage
     Y_rows = Y.reshape(m, 1, -1).view(np.float64)
     failed: dict[int, StiffnessError] = {}
     while batch:
         m = len(batch)
         hT = np.array([sp.h for sp in batch])[:, None, None] * _TABLEAU
-        B_stages = _stage_values([B(sp.x + c * sp.h) for sp in batch
-                                  for c in _STAGE_TIMES[1:6]], m)
-        for i, B_i in enumerate(B_stages, 1):
+        B_all = B([sp.x + c * sp.h for sp in batch
+                   for c in _STAGE_TIMES[1:6]]).reshape(m, 5, dim, dim)
+        for i in range(1, 6):
+            B_i = B_all[:, i - 1]
             # U + sum_j (h T[i, j]) k_j over the first i stages, as real rows
             np.add(U_rows, hT[_ROW_HEADS[i]] @ K_in[i], out=Y_rows)
             np.matmul(B_i, Y, out=K_out[i])
@@ -343,13 +325,14 @@ def evolution_series(
     """U(t_k, t_0) for non-decreasing times, chained segment by segment.
 
     U(t_k, t_0) = U(t_k, t_{k-1}) U(t_{k-1}, t_0), the segments integrated
-    side by side, so the work is linear in the number of samples.  The second list holds each segment's integrator statistics.
+    side by side, so the work is linear in the number of samples.  The
+    second list holds each segment's integrator statistics.
     """
     segments = [(float(a), float(b)) for a, b in zip(times[:-1], times[1:])]
     if any(b < a for a, b in segments):
         raise ValueError("evolution_series requires non-decreasing times")
     if not segments:  # one sample: U(t_0, t_0), with no span to size it
-        return [np.eye(len(B(times[0])), dtype=complex)], []
+        return [np.eye(B([times[0]]).shape[-1], dtype=complex)], []
     mats, stats = _integrate_spans(B, segments, rel_tol)
     U = np.eye(len(mats[0]), dtype=complex)
     series = [U]
@@ -406,7 +389,7 @@ def check_adjoint_family(
         raise ValueError("h must be positive")
     z = np.asarray(z, dtype=complex)
     (U_t, *steps), _ = _integrate_spans(B, [(s, t)] + [(t, t + h) for h in hs], rel_tol)
-    target = U_t.conj().T @ (B(t).conj().T @ z)
+    target = U_t.conj().T @ (B([t])[0].conj().T @ z)
     out = np.empty(len(hs))
     for i, (h, U_step) in enumerate(zip(hs, steps)):
         U_th = U_step @ U_t
@@ -435,7 +418,8 @@ def check_nonauto_stone(
         raise ValueError(
             f"conjugation matrix is not an involution: ||M conj(M) - I|| = {inv:.3e}"
         )
-    return np.array([check_matrix_c_symmetry(B(float(sv)), M) for sv in s_grid])
+    return np.array([check_matrix_c_symmetry(B_s, M)
+                     for B_s in B([float(sv) for sv in s_grid])])
 
 
 def bagchi_hamiltonian(
@@ -445,11 +429,18 @@ def bagchi_hamiltonian(
 
     With s3 = diag(1, -1), s+ = [[0, 2], [0, 0]], s- = [[0, 0], [2, 0]] the
     matrix is complex symmetric for all t; the propagator solves
-    i U' = H(t) U, i.e. the coefficient returned is B(t) = -i H(t).
+    i U' = H(t) U, i.e. the coefficient returned is B(t) = -i H(t).  It
+    calls ``kappa`` and ``lam`` once per time and forms each entry with the
+    complex operations of the one-time matrix, so every value is the same
+    to the bit whatever the other times of a call.
     """
 
-    def B(t: float) -> np.ndarray:
-        k, l = kappa(t), lam(t)
-        return -1j * np.array([[nu + 1j * k, l], [l, nu - 1j * k]], dtype=complex)
+    def B(ts: Sequence[float]) -> np.ndarray:
+        k = np.array([kappa(t) for t in ts], dtype=complex)
+        H = np.empty((len(k), 2, 2), dtype=complex)
+        ik = 1j * k
+        H[:, 0, 0], H[:, 1, 1] = nu + ik, nu - ik
+        H[:, 0, 1] = H[:, 1, 0] = [lam(t) for t in ts]
+        return -1j * H
 
     return B

@@ -648,7 +648,7 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
                 float(np.max(np.abs(U - closed))), cfg.tol("closed_form_evolution"))
     )
     # same constant model through the exponential (independent route)
-    exp_route = matrix_exponential(B(0.0), 1.0)
+    exp_route = matrix_exponential(B([0.0])[0], 1.0)
     out.append(
         _record("evolution.exponential-route",
                 "constant-coefficient propagator equals exp((t-s) B)",

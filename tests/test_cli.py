@@ -1,5 +1,6 @@
 """End-to-end command line behaviour: exit codes, reports, determinism."""
 
+import bisect
 import csv
 import dataclasses
 import json
@@ -560,10 +561,12 @@ def test_suite_minimum_dim(tmp_path, capsys, route, dim):
 
 @pytest.fixture
 def work(monkeypatch):
-    """Spans handed to the propagator kernel and calls of wco_matrix, counted
-    at every module that binds them."""
-    counts = {"spans": 0, "wco_matrix": 0}
+    """Spans handed to the propagator kernel, calls of wco_matrix, and calls
+    of the two-level coefficients with the times they were evaluated at,
+    counted at every module that binds them."""
+    counts = {"spans": 0, "wco_matrix": 0, "B_calls": 0, "B_times": 0}
     integrate_spans, wco_matrix = evolution._integrate_spans, wco.wco_matrix
+    bagchi = evolution.bagchi_hamiltonian
 
     def counting_spans(B, spans, rel_tol):
         counts["spans"] += len(spans)
@@ -573,9 +576,20 @@ def work(monkeypatch):
         counts["wco_matrix"] += 1
         return wco_matrix(*args, **kwargs)
 
+    def counting_coefficient(*args, **kwargs):
+        B = bagchi(*args, **kwargs)
+
+        def counted(ts):
+            counts["B_calls"] += 1
+            counts["B_times"] += len(ts)
+            return B(ts)
+
+        return counted
+
     modules = (wco, conjugation, evolution, generator, semigroup, verification, cli)
     for name, original, counting in (("_integrate_spans", integrate_spans, counting_spans),
-                                     ("wco_matrix", wco_matrix, counting_matrices)):
+                                     ("wco_matrix", wco_matrix, counting_matrices),
+                                     ("bagchi_hamiltonian", bagchi, counting_coefficient)):
         for mod in modules:
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counting)
@@ -603,7 +617,17 @@ def test_verify_all_work_is_pinned(tmp_path, work):
     # divergence weights), semigroup-law 72, generator-fd 23 (W(h) and W(-h) per
     # family and step, 3 bridge times), stone-symmetry 12 (M at dim and W(h) at
     # dim/4, six families), boundedness 6, conjugation 4, spectrum 1
-    assert work == {"spans": 11, "wco_matrix": 893}
+    # two-level coefficient calls: one per _integrate_spans call (4: the pair,
+    # the axioms, the symmetry record and the adjoint batch) and one per pass
+    # of its step loop (609), plus B(0) for the exponential route, the 9-point
+    # s grid of the commutation record and B(1) for the adjoint target; the
+    # times are each span's start and five per attempted step, plus 11
+    assert work == {"spans": 11, "wco_matrix": 893, "B_calls": 616, "B_times": 4112}
+    # the evolution group does not depend on the dim
+    coefficient_work = (work["B_calls"], work["B_times"])
+    work["B_calls"] = work["B_times"] = 0
+    assert main(["verify-all", "--dim", "8", "--out", str(tmp_path / "r8.json")]) == 0
+    assert (work["B_calls"], work["B_times"]) == coefficient_work
 
 
 def test_generator_kind_stays_within_its_truncation(tmp_path, monkeypatch):
@@ -784,23 +808,24 @@ def test_evolve_zero_span_series_is_identity(tmp_path, evolve_spans):
 
 
 def test_table_coefficient_interpolates_between_searchsorted_knots():
-    # the knot is found by bisect; np.searchsorted gives the same index, so
-    # every value is the same to the bit
+    # one np.searchsorted finds the knots of all times; bisect_left gives the
+    # same index, so every value is the same to the bit as one time alone
     rng = np.random.default_rng(5)
     knots = np.cumsum(rng.uniform(0.1, 1.0, 6))
     mats = rng.standard_normal((6, 2, 2))
     params = {"B": "table", "times": knots.tolist(), "matrices": mats.tolist()}
     B, _, _ = cli._evolution_operator_from(params, (0.0, 1.0))
-    for t in [*knots, *rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, 300)]:
+    times = [*knots, *rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, 300)]
+    for t, value in zip(times, B(times)):
         if t <= knots[0]:
             ref = mats[0]
         elif t >= knots[-1]:
             ref = mats[-1]
         else:
-            j = int(np.searchsorted(knots, t) - 1)
+            j = bisect.bisect_left(knots.tolist(), t) - 1
             w = (t - knots[j]) / (knots[j + 1] - knots[j])
             ref = (1 - w) * mats[j] + w * mats[j + 1]
-        assert np.array_equal(B(t), ref)
+        assert np.array_equal(value, ref)
 
 
 def test_stiffness_in_a_segment_names_the_model_field(tmp_path, _outdir, capsys,

@@ -1,5 +1,6 @@
 """Non-autonomous propagators: axioms, two-level model, symmetry checks."""
 
+import bisect
 import cmath
 import itertools
 import math
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from focksym import evolution
+from focksym import cli, evolution
 from focksym.conjugation import check_matrix_c_symmetry
 from focksym.evolution import (
     IntegratorStats,
@@ -32,9 +33,9 @@ def _integrate(B, t0, t1, rel_tol):
 
 
 def _constant(M):
-    """The coefficient t -> M."""
+    """The coefficient that is M at every time, broadcast over the times."""
     M = np.asarray(M, dtype=complex)
-    return lambda t: M
+    return lambda ts: np.broadcast_to(M, (len(ts), *M.shape))
 
 
 def _closed_form(nu, kappa, lam, tau):
@@ -59,10 +60,11 @@ def _closed_form(nu, kappa, lam, tau):
 # --- plumbing ----------------------------------------------------------------
 
 def test_coefficient_changing_size_mid_run_raises():
-    # the size is read from B(s); a later value of another size cannot be
-    # multiplied into the stages
-    def B(t):
-        return np.zeros((2, 2) if t == 0.0 else (3, 3), dtype=complex)
+    # the size is read from the call at s; a later value of another size
+    # cannot be multiplied into the stages
+    def B(ts):
+        n = 2 if list(ts) == [0.0] else 3
+        return np.zeros((len(ts), n, n), dtype=complex)
 
     with pytest.raises(ValueError):
         evolve(B, 0.0, 1.0)
@@ -147,7 +149,7 @@ def test_solver_agrees_with_scipy_reference():
     B = bagchi_hamiltonian(nu, lambda t: 0.5 * math.cos(t), lambda t: lam_0)
 
     def rhs(t, y):
-        return (B(t) @ y.reshape(2, 2)).ravel()
+        return (B([t])[0] @ y.reshape(2, 2)).ravel()
 
     sol = solve_ivp(
         rhs,
@@ -171,7 +173,7 @@ def test_hamiltonian_is_pauli_combination():
     nu, k, l = 1.5, 0.4, 0.9
     H_direct = nu * np.eye(2) + 1j * k * s3 + (l / 2.0) * (s_plus + s_minus)
     B = bagchi_hamiltonian(nu, lambda t: k, lambda t: l)
-    np.testing.assert_array_equal(B(0.0), -1j * H_direct)
+    np.testing.assert_array_equal(B([0.0])[0], -1j * H_direct)
 
 
 @given(
@@ -184,8 +186,63 @@ def test_hamiltonian_is_pauli_combination():
 @settings(max_examples=50, deadline=None)
 def test_coefficient_matrix_always_symmetric(nu, k0, k1, l0, t):
     B = bagchi_hamiltonian(nu, lambda s: k0 + k1 * s, lambda s: l0 * math.cos(s))
-    M = B(t)
+    M = B([t])[0]
     assert np.array_equal(M, M.T)
+
+
+def _bagchi_at(nu, k, l):
+    """The two-level coefficient at one time, as one time was evaluated alone."""
+    return -1j * np.array([[nu + 1j * k, l], [l, nu - 1j * k]], dtype=complex)
+
+
+def _table_at(knots, mats, t):
+    """The table model at one time, its knot found by bisect."""
+    if t <= knots[0]:
+        return mats[0]
+    if t >= knots[-1]:
+        return mats[-1]
+    j = bisect.bisect_left(knots, t) - 1
+    w = (t - knots[j]) / (knots[j + 1] - knots[j])
+    return (1 - w) * mats[j] + w * mats[j + 1]
+
+
+@pytest.mark.parametrize("nu, kappa, lam", [
+    (1.0, lambda t: 0.4 * math.cos(1.3 * t + 0.3), lambda t: math.cos(0.7 * t + 1.1)),
+    *[(0.0, lambda t, k=k: k, lambda t, l=l: l)
+      for k, l in itertools.product((0.0, -0.0), repeat=2)],
+], ids=["cosine", "nu0-k+0-l+0", "nu0-k+0-l-0", "nu0-k-0-l+0", "nu0-k-0-l-0"])
+def test_batched_two_level_values_equal_one_time_values_bytewise(nu, kappa, lam):
+    times = np.random.default_rng(2).uniform(-10.0, 10.0, 400).tolist()
+    got = bagchi_hamiltonian(nu, kappa, lam)(times)
+    ref = np.array([_bagchi_at(nu, kappa(t), lam(t)) for t in times])
+    assert got.shape == (400, 2, 2)
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_batched_table_values_equal_one_time_values_bytewise():
+    rng = np.random.default_rng(4)
+    knots = np.cumsum(rng.uniform(0.1, 1.0, 6)).tolist()
+    mats = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+    mats[0, 0, 0] = mats[-1, 1, 1] = mats[2, 0, 1] = complex(-0.0, -0.0)
+    mats[3, 2, 2] = complex(0.0, -0.0)
+    params = {"B": "table", "times": knots,
+              "matrices": [[[[z.real, z.imag] for z in row] for row in M] for M in mats]}
+    B, _, _ = cli._evolution_operator_from(params, (0.0, 1.0))
+    # every knot, below and above the range, and between the knots
+    times = [*knots, knots[0] - 1.0, knots[-1] + 1.0,
+             *rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, 400).tolist()]
+    ref = np.array([_table_at(knots, mats, t) for t in times])
+    assert B(times).tobytes() == ref.tobytes()
+
+
+def test_constant_model_is_a_view_of_its_matrix():
+    M = [[[0.5, -0.0], [1.0, 2.0]], [[-0.0, 0.0], [3.0, -1.0]]]
+    B, _, _ = cli._evolution_operator_from({"B": "constant", "matrix": M}, (0.0, 1.0))
+    values = B([0.0, 0.3, 2.0])
+    assert values.shape == (3, 2, 2) and np.shares_memory(values, B([1.0]))
+    assert values.strides[0] == 0  # broadcast over the times, not copied
+    ref = np.array([[complex(*z) for z in row] for row in M])
+    assert values.tobytes() == np.array([ref] * 3).tobytes()
 
 
 # --- symmetry of the propagator -----------------------------------------------
@@ -284,7 +341,7 @@ def test_chained_series_matches_dop853():
     series, _ = evolution_series(B, times)
 
     def rhs(t, y):
-        return (B(t) @ y.view(complex).reshape(2, 2)).ravel().view(float)
+        return (B([t])[0] @ y.view(complex).reshape(2, 2)).ravel().view(float)
 
     sol = solve_ivp(rhs, (0.0, 5.0), np.eye(2, dtype=complex).ravel().view(float),
                     method="DOP853", t_eval=times, rtol=1e-13, atol=1e-15)
@@ -329,7 +386,7 @@ def test_adjoint_family_integrates_u_once(monkeypatch):
     for h, err in zip(hs, errs):
         U_th = evolve(B, 1.0, 1.0 + h, 1e-12).matrix @ U_t  # the cocycle
         quotient = (U_th.conj().T @ z - U_t.conj().T @ z) / h
-        assert err == np.linalg.norm(quotient - U_t.conj().T @ (B(1.0).conj().T @ z))
+        assert err == np.linalg.norm(quotient - U_t.conj().T @ (B([1.0])[0].conj().T @ z))
 
 
 # --- the step loop, bit for bit ----------------------------------------------------
@@ -345,7 +402,7 @@ def _reference_integrate(B, t0, t1, rel_tol, sums="rows"):
     before the row products.
     """
     ev = evolution
-    dim = len(B(t0))
+    dim = B([t0]).shape[-1]
     U = np.eye(dim, dtype=complex)
     if t1 == t0:
         return U, IntegratorStats(steps=0, rejected=0, max_local_error=0.0)
@@ -374,7 +431,7 @@ def _reference_integrate(B, t0, t1, rel_tol, sums="rows"):
         stages = []
         for i in range(7):
             Y = weighted(U, ev._COUPLING[i], stages) if i else U
-            stages.append(B(x + ev._STAGE_TIMES[i] * h) @ Y)
+            stages.append(B([x + ev._STAGE_TIMES[i] * h])[0] @ Y)
         U5 = weighted(U, ev._WEIGHTS5[:6], stages[:6])
         zero = np.zeros_like(U) if sums == "terms" else None
         err = weighted(zero, ev._ERROR_WEIGHTS, stages)
@@ -405,14 +462,15 @@ def _reference_integrate(B, t0, t1, rel_tol, sums="rows"):
 
 
 def _counting(B):
-    """B with a counter of its evaluations."""
-    calls = [0]
+    """B with counters of its calls and of the times it was evaluated at."""
+    count = {"calls": 0, "times": 0}
 
-    def eval_b(t):
-        calls[0] += 1
-        return B(t)
+    def eval_b(ts):
+        count["calls"] += 1
+        count["times"] += len(ts)
+        return B(ts)
 
-    return eval_b, calls
+    return eval_b, count
 
 
 def _constant_d16():
@@ -428,7 +486,7 @@ def _kinked_table():
     rng = np.random.default_rng(3)
     stack = -1j * (rng.standard_normal((5, 3, 3)) + 2.0 * np.eye(3))
 
-    def eval_b(t):
+    def at(t):
         if t <= ts[0]:
             return stack[0]
         if t >= ts[-1]:
@@ -437,7 +495,7 @@ def _kinked_table():
         w = (t - ts[j]) / (ts[j + 1] - ts[j])
         return (1 - w) * stack[j] + w * stack[j + 1]
 
-    return eval_b
+    return lambda times: np.array([at(t) for t in times])
 
 
 @pytest.mark.parametrize("make, t0, t1, rel_tol", [
@@ -447,13 +505,14 @@ def _kinked_table():
     (_bagchi_cosine, 4.0, -1.0, 1e-9),
 ], ids=["bagchi-cosine", "constant-d16", "kinked-table", "backward"])
 def test_step_loop_matches_reference_bit_for_bit(make, t0, t1, rel_tol):
-    B, calls = _counting(make())
+    B, count = _counting(make())
     U, stats = _integrate(B, t0, t1, rel_tol)
     U_ref, stats_ref = _reference_integrate(make(), t0, t1, rel_tol)
     assert np.array_equal(U, U_ref)
     assert stats == stats_ref
-    # stage 1 once, then five evaluations per attempted step
-    assert calls[0] == 1 + 5 * (stats.steps + stats.rejected)
+    # stage 1 once, then five times per attempted step, one call per step
+    attempts = stats.steps + stats.rejected
+    assert count == {"calls": 1 + attempts, "times": 1 + 5 * attempts}
 
 
 @pytest.mark.parametrize("make, t0, t1, rel_tol, same_steps", [
@@ -511,8 +570,8 @@ def _split_batches(monkeypatch, dim, spans_per_batch):
 @pytest.mark.parametrize("spans_per_batch", [None, 2])
 def test_batch_matches_each_span_alone_bit_for_bit(make, spans, spans_per_batch,
                                                    monkeypatch):
-    _split_batches(monkeypatch, len(make()(0.0)), spans_per_batch)
-    B, calls = _counting(make())
+    _split_batches(monkeypatch, make()([0.0]).shape[-1], spans_per_batch)
+    B, count = _counting(make())
     mats, stats = _integrate_spans(B, spans, 1e-10)
     assert len(mats) == len(stats) == len(spans)
     for (t0, t1), U, st in zip(spans, mats, stats):
@@ -520,24 +579,30 @@ def test_batch_matches_each_span_alone_bit_for_bit(make, spans, spans_per_batch,
         U_ref, st_ref = _reference_integrate(make(), t0, t1, 1e-10)
         assert np.array_equal(U, U_alone) and np.array_equal(U, U_ref)
         assert st == st_alone == st_ref
-    # per span, stage 1 once, then five evaluations per attempted step
-    assert calls[0] == sum(1 + 5 * (st.steps + st.rejected) for st in stats)
+    # per span, stage 1 once, then five times per attempted step
+    assert count["times"] == sum(1 + 5 * (st.steps + st.rejected) for st in stats)
+    # one call at every span's start, then one per pass: a batch takes as
+    # many passes as its longest span takes attempted steps
+    attempts = [st.steps + st.rejected for (t0, t1), st in zip(spans, stats) if t1 != t0]
+    size = spans_per_batch or len(attempts)
+    assert count["calls"] == 1 + sum(max(attempts[i:i + size])
+                                     for i in range(0, len(attempts), size))
 
 
 def test_series_evaluates_b_only_in_its_steps():
-    B, calls = _counting(_bagchi_cosine())
+    B, count = _counting(_bagchi_cosine())
     _, stats = evolution_series(B, np.linspace(0.0, 5.0, 3))
-    assert calls[0] == sum(1 + 5 * (st.steps + st.rejected) for st in stats)
+    assert count["times"] == sum(1 + 5 * (st.steps + st.rejected) for st in stats)
     # a single sample has no span: B is evaluated once, for the size of I
-    B, calls = _counting(_bagchi_cosine())
+    B, count = _counting(_bagchi_cosine())
     evolution_series(B, [2.0])
-    assert calls[0] == 1
+    assert count == {"calls": 1, "times": 1}
 
 
 def _stiff_past_two():
     # decaying before t = 2, stiff from there on
     calm, stiff = np.array([[-1.0 + 0j]]), np.array([[1e13 + 0j]])
-    return lambda t: calm if t < 2.0 else stiff
+    return lambda ts: np.array([calm if t < 2.0 else stiff for t in ts])
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
