@@ -416,7 +416,9 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
     def eval_b(at: Sequence[float]) -> np.ndarray:
         # piecewise-linear interpolation, clamped at the ends to the end matrices
         at = np.asarray(at, dtype=float)
-        j = np.clip(np.searchsorted(ts, at) - 1, 0, len(ts) - 2)
+        # among the inner knots: bisect_left(ts, t) - 1 where ts[0] < t <= ts[-1],
+        # and in range elsewhere, where the end matrices are written over
+        j = np.searchsorted(ts[1:-1], at)
         w = ((at - ts[j]) / (ts[j + 1] - ts[j]))[:, None, None]
         out = (1 - w) * stack[j] + w * stack[j + 1]
         out[at <= ts[0]] = stack[0]

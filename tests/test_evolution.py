@@ -219,12 +219,13 @@ def test_batched_two_level_values_equal_one_time_values_bytewise(nu, kappa, lam)
     assert got.tobytes() == ref.tobytes()
 
 
-def test_batched_table_values_equal_one_time_values_bytewise():
+@pytest.mark.parametrize("count", [2, 6])
+def test_batched_table_values_equal_one_time_values_bytewise(count):
     rng = np.random.default_rng(4)
-    knots = np.cumsum(rng.uniform(0.1, 1.0, 6)).tolist()
-    mats = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
-    mats[0, 0, 0] = mats[-1, 1, 1] = mats[2, 0, 1] = complex(-0.0, -0.0)
-    mats[3, 2, 2] = complex(0.0, -0.0)
+    knots = np.cumsum(rng.uniform(0.1, 1.0, count)).tolist()
+    mats = rng.standard_normal((count, 3, 3)) + 1j * rng.standard_normal((count, 3, 3))
+    mats[0, 0, 0] = mats[-1, 1, 1] = mats[1, 0, 1] = complex(-0.0, -0.0)
+    mats[-1, 2, 2] = complex(0.0, -0.0)
     params = {"B": "table", "times": knots,
               "matrices": [[[[z.real, z.imag] for z in row] for row in M] for M in mats]}
     B, _, _ = cli._evolution_operator_from(params, (0.0, 1.0))
