@@ -25,16 +25,15 @@ step), so dense sampling settles near four steps per sample.
 Three per-layer figures follow: the microseconds per attempted step of one
 unbroken span U(t, 0) of the constant model at each of ``STEP_DIMS`` (the
 fastest of ``REPEATS`` integrations); the microseconds per pass of the step
-loop for the series of ``PASS_MODELS`` (the fastest of ``REPEATS``), whose
-coefficients the scenario parser builds, so a pass costs one call of the
-model that an ``evolution`` run integrates; and the milliseconds
-``write_csv`` takes per 10^5 float cells (the fastest of ``REPEATS``
-writes), timed on the rows of a dim-32 series (2049 cells a row).  Fix the
-BLAS threads (``OPENBLAS_NUM_THREADS=1``) when comparing.
+loop for the series of ``PASS_MODELS`` (the fastest of ``REPEATS``); and the
+milliseconds ``write_csv`` takes per 10^5 float cells (the fastest of
+``REPEATS`` writes), timed on the rows of a dim-32 series (2049 cells a
+row).  Fix the BLAS threads (``OPENBLAS_NUM_THREADS=1``) when comparing.
 
-``--passes-only`` prints the per-pass figures alone.  They use nothing of a
-coefficient but what the scenario parser returns, so they time any source
-tree on the path, under either coefficient protocol.
+Every model is built by the scenario parser from its params, as an
+``evolution`` run builds it.  ``--passes-only`` prints the per-pass figures
+alone.  They use nothing of a coefficient but what the parser returns, so
+they time any source tree on the path, under either coefficient protocol.
 
 Usage:
     python scripts/propagator_cost.py --samples 2 21 201 1001 --t 5 --out cost.csv
@@ -54,15 +53,10 @@ import scipy.integrate
 
 from focksym import evolution
 from focksym.cli import _evolution_operator_from
-from focksym.evolution import bagchi_hamiltonian, evolution_series, evolve
+from focksym.evolution import evolution_series, evolve
 from focksym.serialize import write_csv
 
 Coefficient = Callable[[Sequence[float]], np.ndarray]  # ts -> stack of B(t)
-
-
-def bagchi_cosine() -> Coefficient:
-    return bagchi_hamiltonian(1.0, lambda t: 0.4 * math.cos(1.3 * t + 0.3),
-                              lambda t: math.cos(0.7 * t + 1.1))
 
 
 def constant_matrix(n: int, seed: int = 0) -> np.ndarray:
@@ -74,41 +68,45 @@ def constant_matrix(n: int, seed: int = 0) -> np.ndarray:
     return -1j * (O * spectrum) @ O.T
 
 
-def constant_model(n: int, seed: int = 0) -> Coefficient:
-    M = constant_matrix(n, seed)
-    return lambda ts: np.broadcast_to(M, (len(ts), n, n))
-
-
 def json_matrix(M: np.ndarray) -> list:
     """M as the [re, im] pairs of a scenario file."""
     return [[[z.real, z.imag] for z in row] for row in M.tolist()]
 
 
+def constant_params(n: int) -> dict:
+    return {"B": "constant", "matrix": json_matrix(constant_matrix(n))}
+
+
+def coefficient(params: dict, t: float) -> Coefficient:
+    """The coefficient that the scenario parser builds from ``params`` for [0, t]."""
+    B, _, _ = _evolution_operator_from(params, (0.0, t))
+    return B
+
+
 STEP_DIMS = (1, 2, 3, 16, 32, 64)
 REPEATS = 10
+
+# the scenario params of the series models
+MODELS = {
+    "bagchi-cosine": {"B": "bagchi", "nu": 1.0,
+                      "kappa": {"cosine": {"amplitude": 0.4, "frequency": 1.3, "phase": 0.3}},
+                      "lam": {"cosine": {"amplitude": 1.0, "frequency": 0.7, "phase": 1.1}}},
+    "constant-d16": constant_params(16),
+    "constant-d32": constant_params(32),
+}
 
 # (label, scenario params, samples) of the per-pass figures: the two-level
 # cosine model at dim 2, a six-knot table at dim 3 and constant models at
 # dims 16 and 32, each a series over [0, 5] with the sample count that the
 # benchmark's evolution-series workload gives it
 PASS_MODELS = (
-    ("bagchi-cosine-d2", {"B": "bagchi", "nu": 1.0,
-                          "kappa": {"cosine": {"amplitude": 0.4, "frequency": 1.3,
-                                               "phase": 0.3}},
-                          "lam": {"cosine": {"amplitude": 1.0, "frequency": 0.7,
-                                             "phase": 1.1}}}, 35),
+    ("bagchi-cosine-d2", MODELS["bagchi-cosine"], 35),
     ("table-d3", {"B": "table", "times": [float(i) for i in range(6)],
                   "matrices": [json_matrix(constant_matrix(3, seed)) for seed in range(6)]},
      37),
-    ("constant-d16", {"B": "constant", "matrix": json_matrix(constant_matrix(16))}, 85),
-    ("constant-d32", {"B": "constant", "matrix": json_matrix(constant_matrix(32))}, 43),
+    ("constant-d16", MODELS["constant-d16"], 85),
+    ("constant-d32", MODELS["constant-d32"], 43),
 )
-
-MODELS = {
-    "bagchi-cosine": bagchi_cosine,
-    "constant-d16": lambda: constant_model(16),
-    "constant-d32": lambda: constant_model(32),
-}
 
 
 class Counted:
@@ -155,7 +153,7 @@ def measure(B: Coefficient, t: float, samples: int,
 
 def us_per_step(n: int, t: float, rel_tol: float) -> tuple[int, float]:
     """(attempted steps, fastest microseconds per attempted step) of U(t, 0)."""
-    B = constant_model(n)
+    B = coefficient(constant_params(n), t)
     best = math.inf
     for _ in range(REPEATS):
         t0 = time.perf_counter()
@@ -169,7 +167,7 @@ def us_per_pass(params: dict, samples: int, t: float,
                 rel_tol: float) -> tuple[int, int, float]:
     """(segments, loop passes, fastest microseconds per pass) of a series of
     the scenario model ``params`` over [0, t]."""
-    B, _, _ = _evolution_operator_from(params, (0.0, t))
+    B = coefficient(params, t)
     times = np.linspace(0.0, t, samples)
     best = math.inf
     for _ in range(REPEATS):
@@ -227,7 +225,7 @@ def main(argv=None) -> int:
           f"{'one span':>8}  {'wall s':>8}  {'max error':>9}")
     rows = []
     for name in args.models:
-        B = MODELS[name]()
+        B = coefficient(MODELS[name], args.t)
         for samples in args.samples:
             steps, passes, wall, err, span, calls, times = measure(B, args.t, samples,
                                                                    args.rel_tol)

@@ -49,7 +49,7 @@ import tempfile
 from pathlib import Path
 
 from focksym.cli import main as focksym_main
-from propagator_cost import constant_matrix, json_matrix
+from propagator_cost import constant_matrix, constant_params, json_matrix
 
 STD = {"a": [1.0, 0.0], "b": [0.0, 0.0], "c": [1.0, 0.0]}
 ROTATED = {"a": [math.cos(0.7), math.sin(0.7)], "c": [0.0, 1.0]}
@@ -91,9 +91,8 @@ TABLE_D3 = {"B": "table", "times": [0.0, 0.7, 1.3, 2.2, 3.0],
 
 # label -> (kind, params, dim, output format), each run once
 SINGLE_RUNS = {
-    "evolution-constant-d16": ("evolution", {"B": "constant",
-                                             "matrix": json_matrix(constant_matrix(16)),
-                                             "t": 2.0, "samples": 9}, 16, "csv"),
+    "evolution-constant-d16": ("evolution", {**constant_params(16), "t": 2.0, "samples": 9},
+                               16, "csv"),
     "evolution-table-d3": ("evolution", TABLE_D3, 3, "csv"),
     "conjugation-records-d16": ("conjugation-check", OFFSET, 16, "csv"),
 }
