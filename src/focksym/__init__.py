@@ -66,6 +66,7 @@ from .semigroup import (
     laplace_resolvent,
     n_omega_estimate,
     norm_w_one_closed_form,
+    semigroup_matrices,
     semigroup_matrix,
     solve_scaling_equation,
 )
@@ -76,6 +77,7 @@ from .wco import (
     compose_params,
     is_bounded,
     is_c_selfadjoint_symbols,
+    wco_matrices,
     wco_matrix,
 )
 

@@ -38,7 +38,7 @@ from .semigroup import (
     semigroup_matrix,
 )
 from .serialize import complex_to_json
-from .wco import WCOParams, wco_matrix
+from .wco import WCOParams, wco_matrices, wco_matrix
 
 __all__ = [
     "EmptyPointSpectrum",
@@ -87,17 +87,18 @@ def generator_fd_fits(fam: SemigroupFamily, degrees: Sequence[int],
     forward: ||(W(h) z^k - z^k)/h - Q z^k||, expected slope ~ 1.
     central: ||(W(h) z^k - W(-h) z^k)/(2h) - Q z^k||, expected slope ~ 2
     (the family formulas extend analytically to negative times).  z^k is
-    sqrt(k!) e_k: each h builds W(h) and W(-h) once with m = max(degrees) + 1
-    columns, scaled once, and forms each scheme's quotient as one block.
+    sqrt(k!) e_k: W(h) and W(-h) are built once for every h, as one stack
+    with m = max(degrees) + 1 columns, scaled, and each scheme's quotient is
+    formed as one block.
     """
     m = max(degrees) + 1
     scale = np.array([sqrt_factorial(k) for k in range(m)])
     Z = np.eye(dim, m) * scale  # z^k, k < m
     target = generator_matrix(fam, dim)[:, :m] * scale
     errs = np.empty((2, len(FD_STEPS), m))
-    for i, h in enumerate(FD_STEPS):
-        fwd = semigroup_matrix(fam, h, dim, m) * scale
-        bwd = wco_matrix(_eval_any_t(fam, -h), dim, m) * scale
+    steps = wco_matrices([_eval_any_t(fam, sign * h) for h in FD_STEPS for sign in (1, -1)],
+                         dim, m)
+    for i, (h, fwd, bwd) in enumerate(zip(FD_STEPS, steps[0::2] * scale, steps[1::2] * scale)):
         for q, quotient in enumerate(((fwd - Z) / h, (fwd - bwd) / (2 * h))):
             errs[q, i] = np.linalg.norm(quotient - target, axis=0)
     log_h = np.log(np.asarray(FD_STEPS))

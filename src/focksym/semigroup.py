@@ -30,7 +30,7 @@ import numpy as np
 
 from .conjugation import ConjugationParams
 from .serialize import complex_to_json
-from .wco import WCOParams, wco_matrix
+from .wco import WCOParams, wco_matrices, wco_matrix
 
 __all__ = [
     "TranslationFamily",
@@ -45,6 +45,7 @@ __all__ = [
     "check_semicocycle",
     "solve_scaling_equation",
     "semigroup_matrix",
+    "semigroup_matrices",
     "check_semigroup_law",
     "scaling_instance",
     "growth_values",
@@ -155,25 +156,29 @@ def family_is_bounded(fam: SemigroupFamily, tol: float = 1e-12) -> bool:
     return False
 
 
-def _flow(fam: SemigroupFamily, t: float, z: complex) -> complex:
+def _flow(p: WCOParams, z: complex) -> complex:
     # zeta_t(z) = conj(A(t)) z + conj(B(t)) evaluated through the conjugated
     # symbols; equivalently the composition symbol of the antilinear picture.
-    p = _eval_any_t(fam, t)
     return p.A * z + p.B
 
 
 def check_semiflow(fam: SemigroupFamily, t: float, s: float) -> float:
-    """max_z |zeta_{t+s}(z) - zeta_t(zeta_s(z))| over z in Z_SAMPLES."""
+    """max_z |zeta_{t+s}(z) - zeta_t(zeta_s(z))| over z in Z_SAMPLES.
+
+    The symbols are evaluated once, at t + s, s and t in turn, so a symbol
+    that leaves the double range is met at the same evaluation as when each
+    side of the law evaluates its own.
+    """
+    p_sum, p_s, p_t = (_eval_any_t(fam, tau) for tau in (t + s, s, t))
     worst = 0.0
     for z in Z_SAMPLES:
-        lhs = _flow(fam, t + s, z)
-        rhs = _flow(fam, t, _flow(fam, s, z))
+        lhs = _flow(p_sum, z)
+        rhs = _flow(p_t, _flow(p_s, z))
         worst = max(worst, abs(lhs - rhs))
     return worst
 
 
-def _cocycle(fam: SemigroupFamily, t: float, z: complex) -> complex:
-    p = _eval_any_t(fam, t)
+def _cocycle(p: WCOParams, z: complex) -> complex:
     return p.C * np.exp(p.D * z)
 
 
@@ -181,12 +186,14 @@ def check_semicocycle(fam: SemigroupFamily, t: float, s: float) -> float:
     """Relative deviation of xi_{t+s}(z) from xi_t(z) xi_s(zeta_t(z)), z in Z_SAMPLES.
 
     Equivalent scalar identities: C(t+s) = C(t) C(s) exp(B(t) D(s)) and
-    D(t+s) = D(t) + A(t) D(s).
+    D(t+s) = D(t) + A(t) D(s).  The symbols are evaluated once, at t + s, t
+    and s in turn, the order in which the two sides first read them.
     """
+    p_sum, p_t, p_s = (_eval_any_t(fam, tau) for tau in (t + s, t, s))
     worst = 0.0
     for z in Z_SAMPLES:
-        lhs = _cocycle(fam, t + s, z)
-        rhs = _cocycle(fam, t, z) * _cocycle(fam, s, _flow(fam, t, z))
+        lhs = _cocycle(p_sum, z)
+        rhs = _cocycle(p_t, z) * _cocycle(p_s, _flow(p_t, z))
         denom = abs(lhs)
         if denom == 0:
             raise ZeroDivisionError("cocycle vanished at a sample point")
@@ -310,6 +317,17 @@ def semigroup_matrix(
     return wco_matrix(family_eval(fam, t), dim, ncols)
 
 
+def semigroup_matrices(
+    fam: SemigroupFamily, times: Sequence[float], dim: int, ncols: int | None = None
+) -> np.ndarray:
+    """The members at several times as one stack, shape (len(times), dim, ncols).
+
+    Each equals its :func:`semigroup_matrix` bit for bit; the symbols are
+    evaluated in the order of ``times`` and built by :func:`wco_matrices`.
+    """
+    return wco_matrices([family_eval(fam, float(t)) for t in times], dim, ncols)
+
+
 def _support_size(vec: np.ndarray) -> int:
     """Number of leading coefficients that hold every nonzero entry (>= 1)."""
     nz = np.flatnonzero(vec)
@@ -324,13 +342,13 @@ def check_semigroup_law(
     t and s run over ``times`` and k < m = min(n_monomials, dim).  The sqrt(k!)
     of z^k = sqrt(k!) e_k cancels in the ratio, so each (t, s) is one block
     product W(t) W(s)[:, :m] against W(t+s)[:, :m], with no re-truncation
-    between the factors.  W is built once per distinct time: in full for t in
-    ``times``, and as its leading m columns for the other sums t + s.
+    between the factors.  W is built once per distinct time, in two stacks: in
+    full for t in ``times``, and as its leading m columns for the other sums.
     """
     m = min(n_monomials, dim)
-    full = {t: semigroup_matrix(fam, t, dim) for t in times}
-    sums = {t + s for t in times for s in times} - full.keys()
-    lead = {tau: semigroup_matrix(fam, tau, dim, m) for tau in sums}
+    full = dict(zip(times, semigroup_matrices(fam, times, dim)))
+    sums = list({t + s for t in times for s in times} - full.keys())
+    lead = dict(zip(sums, semigroup_matrices(fam, sums, dim, m)))
     lead.update((t, W[:, :m]) for t, W in full.items())
 
     def residual(t: float, s: float) -> float:
@@ -371,16 +389,17 @@ _SUP_ROUNDING = 8 * np.finfo(float).eps
 def growth_values(fam: SemigroupFamily, X: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """||W(t) x|| along t_grid for each column x of the (dim, n) block X.
 
-    W(t) is built once per time at the widest support; each x is applied to
-    its own leading columns.  A norm that overflows reads inf, silently: past
-    the double range W(t) holds inf, and inf * 0 in the product gives nan.
+    W(t) is built once per time at the widest support, the grid as one stack;
+    each x is applied to its own leading columns.  A norm that overflows reads
+    inf, silently: past the double range W(t) holds inf, and inf * 0 in the
+    product gives nan.
     """
     vecs = list(X.T)
     supports = [_support_size(v) for v in vecs]
     vals = np.empty((t_grid.size, len(vecs)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, t in enumerate(t_grid):
-            W = semigroup_matrix(fam, float(t), X.shape[0], max(supports))
+        stack = semigroup_matrices(fam, t_grid, X.shape[0], max(supports))
+        for i, W in enumerate(stack):
             for j, (v, m) in enumerate(zip(vecs, supports)):
                 nrm = np.linalg.norm(W[:, :m] @ v[:m])
                 vals[i, j] = nrm if np.isfinite(nrm) else np.inf
@@ -440,8 +459,9 @@ def laplace_resolvent(
     before any integrand is built.  Each x gets the upper limit T at which
     its integrand tail bound e^{(omega - Re lam) T} * N_omega-estimate falls
     below 1e-10, and the integral runs to the largest of these T.  The
-    integrand is matrix valued: at each node W(t) is built once, with as many
-    columns as the widest support, and applied to the block in one product.
+    integrand is matrix valued: the nodes of a panel are built as one stack of
+    W(t), each with as many columns as the widest support, and applied to the
+    block in one product.
     Each column's panel doubling stops at its own relative change of 1e-10.
     """
     if lam.real <= omega:
@@ -462,10 +482,7 @@ def laplace_resolvent(
     lead = X[:m]
 
     def integrand(ts: np.ndarray) -> np.ndarray:
-        out = np.empty((ts.size, dim, n), dtype=complex)
-        for i, t in enumerate(np.asarray(ts, dtype=float)):
-            W = semigroup_matrix(fam, float(t), dim, m)
-            out[i] = np.exp(-lam * t) * (W @ lead)
-        return out
+        ts = np.asarray(ts, dtype=float)
+        return np.exp(-lam * ts)[:, None, None] * (semigroup_matrices(fam, ts, dim, m) @ lead)
 
     return _refine_quadrature(integrand, 0.0, T, _LAPLACE_TOL, panels=8, max_refinements=9)

@@ -17,12 +17,19 @@ mantissa (x86-64), the largest entry error of the offset conjugation's symbol
 (1, i, e^{-1/2}, i) against a 30-digit oracle is 5e-15 of the largest entry
 at dim 64 (see ``scripts/assembly_accuracy.py``); where ``longdouble`` is a
 double, the extra precision is lost.
+
+``wco_matrices`` builds a stack of matrices, one per symbol, through the same
+recurrence run once for the whole stack: the symbol axis is last, each column
+step is one numpy operation for every symbol, and each matrix equals its own
+``wco_matrix`` bit for bit.  A sweep over a family's times thus pays numpy's
+per-call cost once per stack, which is most of a small build's cost, instead
+of once per matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +40,7 @@ __all__ = [
     "WCOParams",
     "BoundednessResult",
     "wco_matrix",
+    "wco_matrices",
     "apply_wco",
     "compose_params",
     "is_bounded",
@@ -53,28 +61,26 @@ class WCOParams:
         return {k: complex_to_json(getattr(self, k)) for k in "ABCD"}
 
 
-def wco_matrix(p: WCOParams, dim: int, ncols: int | None = None) -> np.ndarray:
-    """Truncated matrix on normalized coefficients, shape (dim, ncols).
+def _columns(A, B, C, D, out: np.ndarray) -> None:
+    """Write the leading columns of the symbols' matrices into out, (dim, m) or (S, dim, m).
 
-    ``ncols`` keeps only the leading columns (default: all ``dim``); each kept
-    column equals the same column of the full matrix bit for bit, so a vector
-    supported on its first m coefficients needs only ``ncols=m`` to be applied.
+    A..D are ``np.clongdouble``: 0-d for one symbol, where the operations are
+    the plain 1-D ones, or (S,) for a stack.  The symbol axis is last, so the
+    running product along n and each column step are one operation for all S;
+    every operation is elementwise or a product along n, so each symbol's
+    columns are those it gets alone, bit for bit.  Each column is rounded to
+    complex128 as it is written.
     """
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    m = dim if ncols is None else ncols
-    if not 1 <= m <= dim:
-        raise ValueError("ncols must lie in 1..dim")
-    A, B, C, D = (np.clongdouble(complex(v)) for v in (p.A, p.B, p.C, p.D))
-    root = np.sqrt(np.arange(dim, dtype=np.longdouble))
+    dim, m = out.shape[-2:]
+    cols = out.T  # cols[k] is column k, (dim,) + A.shape
+    root = np.sqrt(np.arange(dim, dtype=np.longdouble)).reshape((dim,) + (1,) * A.ndim)
     # entries past the double range come back inf (or nan past longdouble's)
     with np.errstate(over="ignore", invalid="ignore"):
         # column 0: C D^n / sqrt(n!), a running product of D / sqrt(n)
-        col = np.empty(dim, dtype=np.clongdouble)
+        col = np.empty((dim,) + A.shape, dtype=np.clongdouble)
         col[0] = C
         col[1:] = D / root[1:]
-        col = np.cumprod(col)
-        cols = np.empty((m, dim), dtype=np.clongdouble)
+        col = np.cumprod(col, axis=0)
         cols[0] = col
         a_root = A * root[1:]
         for k in range(1, m):
@@ -83,7 +89,53 @@ def wco_matrix(p: WCOParams, dim: int, ncols: int | None = None) -> np.ndarray:
             nxt[1:] += a_root * col[:-1]
             col = nxt / root[k]
             cols[k] = col
-        return cols.T.astype(complex, order="C")
+
+
+def _leading(dim: int, ncols: int | None) -> int:
+    if dim < 1:
+        raise ValueError("dim must be positive")
+    m = dim if ncols is None else ncols
+    if not 1 <= m <= dim:
+        raise ValueError("ncols must lie in 1..dim")
+    return m
+
+
+def wco_matrix(p: WCOParams, dim: int, ncols: int | None = None) -> np.ndarray:
+    """Truncated matrix on normalized coefficients, shape (dim, ncols).
+
+    ``ncols`` keeps only the leading columns (default: all ``dim``); each kept
+    column equals the same column of the full matrix bit for bit, so a vector
+    supported on its first m coefficients needs only ``ncols=m`` to be applied.
+    """
+    m = _leading(dim, ncols)
+    A, B, C, D = (np.clongdouble(complex(v)) for v in (p.A, p.B, p.C, p.D))
+    out = np.empty((dim, m), dtype=complex)
+    _columns(A, B, C, D, out)
+    return out
+
+
+# bytes of the largest array of a stacked build: one extended-precision column
+# for each symbol of a chunk (64 symbols at dim 32, 16 at dim 128)
+_STACK_BYTES = 1 << 16
+
+
+def wco_matrices(symbols: Sequence[WCOParams], dim: int,
+                 ncols: int | None = None) -> np.ndarray:
+    """The matrices of several symbols at once, shape (len(symbols), dim, ncols).
+
+    Each equals ``wco_matrix(p, dim, ncols)`` bit for bit.  The symbols run
+    through the column recurrence in chunks whose extended-precision columns
+    take at most ``_STACK_BYTES``, so the working memory beside the result
+    does not grow with the number of symbols.
+    """
+    m = _leading(dim, ncols)
+    out = np.empty((len(symbols), dim, m), dtype=complex)
+    step = max(1, _STACK_BYTES // (dim * np.dtype(np.clongdouble).itemsize))
+    for lo in range(0, len(symbols), step):
+        chunk = np.array([[complex(p.A), complex(p.B), complex(p.C), complex(p.D)]
+                          for p in symbols[lo:lo + step]], dtype=np.clongdouble)
+        _columns(*chunk.T, out[lo:lo + step])
+    return out
 
 
 def apply_wco(p: WCOParams, f: np.ndarray) -> np.ndarray:

@@ -561,20 +561,28 @@ def test_suite_minimum_dim(tmp_path, capsys, route, dim):
 
 @pytest.fixture
 def work(monkeypatch):
-    """Spans handed to the propagator kernel, calls of wco_matrix, and calls
-    of the two-level coefficients with the times they were evaluated at,
-    counted at every module that binds them."""
-    counts = {"spans": 0, "wco_matrix": 0, "B_calls": 0, "B_times": 0}
-    integrate_spans, wco_matrix = evolution._integrate_spans, wco.wco_matrix
-    bagchi = evolution.bagchi_hamiltonian
+    """Spans handed to the propagator kernel; matrices assembled, one per
+    wco_matrix call and one per member of a wco_matrices stack, and the calls
+    of the two assembly entry points; calls of the two-level coefficients with
+    the times they were evaluated at; counted at every module that binds them."""
+    counts = {"spans": 0, "matrices": 0, "assemblies": 0, "B_calls": 0, "B_times": 0}
+    integrate_spans, bagchi = evolution._integrate_spans, evolution.bagchi_hamiltonian
+    wco_matrix, wco_matrices = wco.wco_matrix, wco.wco_matrices
 
     def counting_spans(B, spans, rel_tol):
         counts["spans"] += len(spans)
         return integrate_spans(B, spans, rel_tol)
 
-    def counting_matrices(*args, **kwargs):
-        counts["wco_matrix"] += 1
+    def counting_matrix(*args, **kwargs):
+        counts["matrices"] += 1
+        counts["assemblies"] += 1
         return wco_matrix(*args, **kwargs)
+
+    def counting_stack(*args, **kwargs):
+        stack = wco_matrices(*args, **kwargs)
+        counts["matrices"] += len(stack)
+        counts["assemblies"] += 1
+        return stack
 
     def counting_coefficient(*args, **kwargs):
         B = bagchi(*args, **kwargs)
@@ -588,7 +596,8 @@ def work(monkeypatch):
 
     modules = (wco, conjugation, evolution, generator, semigroup, verification, cli)
     for name, original, counting in (("_integrate_spans", integrate_spans, counting_spans),
-                                     ("wco_matrix", wco_matrix, counting_matrices),
+                                     ("wco_matrix", wco_matrix, counting_matrix),
+                                     ("wco_matrices", wco_matrices, counting_stack),
                                      ("bagchi_hamiltonian", bagchi, counting_coefficient)):
         for mod in modules:
             if getattr(mod, name, None) is original:
@@ -612,17 +621,22 @@ def test_verify_all_work_is_pinned(tmp_path, work):
     # four U(1 + h, 1) for the adjoint slope; the laplace group's five vectors share one 65-point growth pass;
     # the spectrum group builds its six eigenfunctions once, as the columns of one
     # matrix at the largest of its three dims
-    # wco_matrix by group: laplace 690 (two 65-point growth passes, 560 integrand
+    # matrices by group: laplace 690 (two 65-point growth passes, 560 integrand
     # nodes), growth 85 (4 x 5 norm-one times, one 65-point curve for the three
     # divergence weights), semigroup-law 72, generator-fd 23 (W(h) and W(-h) per
     # family and step, 3 bridge times), stone-symmetry 12 (M at dim and W(h) at
     # dim/4, six families), boundedness 6, conjugation 4, spectrum 1
+    # assembly calls: the sweeps over a family's times are stacks, one per growth
+    # pass (7), per 10-node integrand panel (56), per family for the semigroup
+    # law's full times and its sums (12) and per family for the finite
+    # differences' W(+-h) (2); the other 26 matrices are built one by one
     # two-level coefficient calls: one per _integrate_spans call (4: the pair,
     # the axioms, the symmetry record and the adjoint batch) and one per pass
     # of its step loop (609), plus B(0) for the exponential route, the 9-point
     # s grid of the commutation record and B(1) for the adjoint target; the
     # times are each span's start and five per attempted step, plus 11
-    assert work == {"spans": 11, "wco_matrix": 893, "B_calls": 616, "B_times": 4112}
+    assert work == {"spans": 11, "matrices": 893, "assemblies": 103,
+                    "B_calls": 616, "B_times": 4112}
     # the evolution group does not depend on the dim
     coefficient_work = (work["B_calls"], work["B_times"])
     work["B_calls"] = work["B_times"] = 0

@@ -47,7 +47,7 @@ from focksym.verification import (
     spectrum_checks,
     stone_symmetry_records,
 )
-from focksym.wco import wco_matrix
+from focksym.wco import wco_matrices, wco_matrix
 
 STD = standard_conjugation()
 OFFSET = ConjugationParams(1.0, 1j, math.exp(-0.5))
@@ -464,7 +464,8 @@ def test_laplace_needs_a_block_of_columns():
 
 @pytest.fixture
 def built_shapes(monkeypatch):
-    """Shapes of the matrices the semigroup and generator layers assemble, in call order."""
+    """Shapes of the matrices the semigroup and generator layers assemble, in call
+    order; a stacked build adds the shape of each matrix in its stack."""
     shapes = []
 
     def counting(*args, **kwargs):
@@ -472,8 +473,14 @@ def built_shapes(monkeypatch):
         shapes.append(M.shape)
         return M
 
-    monkeypatch.setattr(semigroup, "wco_matrix", counting)
-    monkeypatch.setattr(generator, "wco_matrix", counting)
+    def counting_stack(*args, **kwargs):
+        stack = wco_matrices(*args, **kwargs)
+        shapes.extend(M.shape for M in stack)
+        return stack
+
+    for mod in (semigroup, generator):
+        monkeypatch.setattr(mod, "wco_matrix", counting)
+        monkeypatch.setattr(mod, "wco_matrices", counting_stack)
     return shapes
 
 

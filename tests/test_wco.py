@@ -11,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from focksym import wco
 from focksym.cli import _parse_wco
 from focksym.fock import basis_vector, evaluate, monomial
 from focksym.semigroup import family_eval
@@ -21,6 +22,7 @@ from focksym.wco import (
     compose_params,
     is_bounded,
     is_c_selfadjoint_symbols,
+    wco_matrices,
     wco_matrix,
 )
 
@@ -314,6 +316,63 @@ def test_leading_columns_equal_the_full_matrix_columns():
     for bad in (0, 41):
         with pytest.raises(ValueError, match="ncols"):
             wco_matrix(REFERENCE_SYMBOLS[0], 40, bad)
+
+
+# --- stacked builds ----------------------------------------------------------
+
+# C D^n / sqrt(n!) leaves the double range at n = 1 and then longdouble's, so
+# the matrix holds inf and nan
+OVERFLOWING = WCOParams(1.0, 0.5, 1e300, 1e300)
+
+
+def _assert_stack_equals_single_builds(symbols, dim, ncols):
+    stack = wco_matrices(symbols, dim, ncols)
+    m = dim if ncols is None else ncols
+    assert stack.shape == (len(symbols), dim, m) and stack.dtype == complex
+    for p, M in zip(symbols, stack):
+        single = wco_matrix(p, dim, ncols)
+        assert single.shape == (dim, m)
+        assert np.array_equal(M, single, equal_nan=True), p
+
+
+@pytest.mark.parametrize("dim", [1, 2, 64])
+@pytest.mark.parametrize("ncols", [1, 5, None])
+def test_stack_equals_single_builds(dim, ncols):
+    # bit for bit, for every reference symbol and one whose entries overflow
+    _assert_stack_equals_single_builds(REFERENCE_SYMBOLS + [OVERFLOWING], dim,
+                                       None if ncols is None else min(ncols, dim))
+
+
+def test_stack_of_overflowing_symbol_holds_inf_and_nan():
+    stack = wco_matrices([REFERENCE_SYMBOLS[0], OVERFLOWING], 64)
+    assert np.all(np.isfinite(stack[0]))
+    assert np.isinf(stack[1]).any() and np.isnan(stack[1]).any()
+
+
+def test_stack_spans_chunks_under_the_byte_cap(monkeypatch):
+    dim, itemsize = 16, np.dtype(np.clongdouble).itemsize
+    monkeypatch.setattr(wco, "_STACK_BYTES", 3 * dim * itemsize)  # 3 symbols per chunk
+    chunks, columns = [], wco._columns
+
+    def recording(A, B, C, D, out):
+        chunks.append(A.shape)
+        return columns(A, B, C, D, out)
+
+    monkeypatch.setattr(wco, "_columns", recording)
+    _assert_stack_equals_single_builds(REFERENCE_SYMBOLS + [OVERFLOWING], dim, 5)
+    # the 26 symbols in chunks of 3, then the 26 single builds, which are 0-d
+    assert chunks == [(3,)] * 8 + [(2,)] + [()] * 26
+    monkeypatch.setattr(wco, "_STACK_BYTES", 1)  # below one symbol's column: one at a time
+    chunks.clear()
+    assert wco_matrices(REFERENCE_SYMBOLS[:4], dim).shape == (4, dim, dim)
+    assert chunks == [(1,)] * 4
+
+
+def test_stack_validates_like_a_single_build():
+    assert wco_matrices([], 8, 3).shape == (0, 8, 3)
+    for dim, ncols in ((0, None), (8, 0), (8, 9)):
+        with pytest.raises(ValueError):
+            wco_matrices(REFERENCE_SYMBOLS[:2], dim, ncols)
 
 
 # largest entry error of the recurrence, measured with a 64-bit longdouble mantissa
