@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""SHA-256 of every report in a fixed set of CLI runs, wall time left out.
+"""SHA-256 of every report and of its run's stderr in a fixed set of CLI runs.
 
 The set covers `verify-all --seed 7` at dims 8, 16, 32 and 64, every scenario
 kind at dims 16 and 32 (standard and offset conjugations alike), one `evolve`
@@ -8,11 +8,15 @@ constant-model `evolution` CSV, a dim-3 table-model `evolution` CSV whose
 span reaches below its first knot and past its last, and a records CSV of
 `conjugation-check`, whose anchors hold commas: 34 runs, which between them
 take every subcommand that writes a report, every coefficient model and both
-paths of the CSV writer.  Each printed line is the run's label, its
-exit code and the digest of its report with the value of ``wall_time_s``
-replaced by null; no other byte is touched.  Two source trees produce
-identical reports exactly when their outputs are identical, so a change meant
-to keep every report byte-identical is checked by a diff:
+paths of the CSV writer.  Then 16 malformed runs that exit 1 with an
+``input error:`` line and write no report: one scenario per kind and nine
+flag errors of `spectrum` and `evolve`.  Each printed line is the run's label,
+its exit code, the digest of its report with the value of ``wall_time_s``
+replaced by null (no other byte is touched), and the digest of what the run
+wrote to stderr, with the run's temporary directory read as ``<workdir>``.
+Two source trees produce identical reports and error messages exactly when
+their outputs are identical, so a change meant to keep every report and every
+message byte-identical is checked by a diff:
 
     PYTHONPATH=src python scripts/report_digest.py > after.txt
     PYTHONPATH=<other checkout>/src python scripts/report_digest.py > before.txt
@@ -97,6 +101,32 @@ SINGLE_RUNS = {
     "conjugation-records-d16": ("conjugation-check", OFFSET, 16, "csv"),
 }
 
+# label -> (kind, params) of a scenario that is an input error at dim 16
+MALFORMED = {
+    "malformed-conjugation-check": ("conjugation-check", {"a": 1.0, "c": math.exp(-0.5)}),
+    "malformed-wco": ("wco", {"A": 1e300}),
+    "malformed-semigroup": ("semigroup", {"family": {"variant": "translation", "E": 1e200}}),
+    "malformed-generator": ("generator", {"family": {"variant": "dilation", "ell": -1,
+                                                     "G": 1e200}}),
+    "malformed-spectrum": ("spectrum", {"family": DILATION, "k_max": 16}),
+    "malformed-evolution": ("evolution", {"B": "table", "times": [0.0, 1.0],
+                                          "matrices": [[[1.0]], [[1.0, 0.0], [0.0, 1.0]]]}),
+    "malformed-full-verify": ("full-verify", {"seed": -1}),
+}
+
+# label -> argv of a subcommand whose flags are an input error
+FLAG_ERRORS = {
+    "flag-spectrum-family": ["spectrum", "--G", "1e200", "--ell=-1", "--dim", "16"],
+    "flag-spectrum-k-max": ["spectrum", "--k-max", "70", "--dim", "16"],
+    "flag-spectrum-dim": ["spectrum", "--dim", "4"],
+    "flag-spectrum-k-max-at-dim": ["spectrum", "--k-max", "5", "--dim", "4"],
+    "flag-spectrum-a": ["spectrum", "--a", "2"],
+    "flag-evolve-rel-tol": ["evolve", "--rel-tol", "0"],
+    "flag-evolve-samples": ["evolve", "--samples", "0"],
+    "flag-evolve-t": ["evolve", "--t", "-1"],
+    "flag-evolve-stiff": ["evolve", "--nu", "1e300", "--t", "1", "--samples", "2"],
+}
+
 WALL_TIME = re.compile(rb'("wall_time_s": )[^,\n}]+')
 
 
@@ -130,6 +160,11 @@ def _runs(workdir: Path):
                                            "--out", str(out)], out)
     for label, (kind, params, dim, fmt) in SINGLE_RUNS.items():
         yield _scenario_run(workdir, label, kind, params, dim, fmt)
+    for label, (kind, params) in MALFORMED.items():
+        yield _scenario_run(workdir, label, kind, params, 16, "json")
+    for label, argv in FLAG_ERRORS.items():
+        out = workdir / f"{label}.json"
+        yield label, [*argv, "--out", str(out)], out
 
 
 def digest(path: Path) -> str:
@@ -247,10 +282,12 @@ def run_set(keep: Path | None) -> None:
         if keep is not None:
             keep.mkdir(parents=True, exist_ok=True)
         for label, argv, out in _runs(workdir):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 rc = focksym_main(argv)
-            print(f"{label:28s} exit {rc}  {digest(out)}")
+            text = err.getvalue().replace(str(workdir), "<workdir>")
+            print(f"{label:28s} exit {rc}  {digest(out)}  "
+                  f"stderr {hashlib.sha256(text.encode()).hexdigest()}")
             if keep is not None and out.exists():
                 shutil.copyfile(out, keep / out.name)
 

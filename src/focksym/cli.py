@@ -7,13 +7,14 @@ Subcommands
     spectrum  [family flags]          dilation spectrum report front end
     evolve    [model flags]           propagator time series as CSV
 
-Each scenario kind has one parser, which both ``validate`` and ``run`` use,
-and one runner.  A runner applies to its parsed spec the record makers of
+Each scenario kind is one function of its params and config.  It checks
+the params, which is all that ``validate`` asks of it, and returns the
+kind's run, which ``run`` calls.  A run applies the record makers of
 :mod:`focksym.verification`, one per law, that ``verify-all`` runs over its
 fixtures, so both judge a case with the same ids, grids and tolerances; it
-adds only its kind's info records, report payload and CSV rows.  Runners
-judge strictly: the below-64 ``warn`` downgrade applies to ``verify-all``
-and the ``full-verify`` kind only.
+adds only its kind's info records, report payload and CSV rows.  Runs judge
+strictly: the below-64 ``warn`` downgrade applies to ``verify-all`` and the
+``full-verify`` kind only.  Every report path is checked before the run.
 
 Exit codes: 0 every record passed (warn/info allowed), 1 input error,
 2 at least one failed check.  Complex scalars in JSON are [re, im] pairs.
@@ -30,6 +31,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -115,8 +117,16 @@ def _get(obj: dict, path: str, key: str, typ: type, default: Any = ...) -> Any:
 
 
 def _typed(val: Any, here: str, typ: type) -> Any:
-    """val as a typ; a float is finite, and a bool is no number."""
-    if isinstance(val, bool) and typ in (int, float):  # bool is an int subclass
+    """val as a typ; a float or complex is finite, a bool is no number, and a
+    complex is given as a number or an [re, im] pair."""
+    if typ is complex:
+        try:
+            val = complex_from_json(val)
+        except (TypeError, ValueError, IndexError):
+            raise ScenarioError(here, "expected a number or an [re, im] pair")
+        except OverflowError:
+            raise ScenarioError(here, "integer too large for a float")
+    elif isinstance(val, bool) and typ in (int, float):  # bool is an int subclass
         raise ScenarioError(here, f"expected {typ.__name__}, got bool")
     if typ is float and isinstance(val, int):
         try:
@@ -125,7 +135,7 @@ def _typed(val: Any, here: str, typ: type) -> Any:
             raise ScenarioError(here, "integer too large for a float")
     if not isinstance(val, typ):
         raise ScenarioError(here, f"expected {typ.__name__}, got {type(val).__name__}")
-    if typ is float and not math.isfinite(val):
+    if typ in (float, complex) and not cmath.isfinite(val):
         raise ScenarioError(here, "expected a finite number")
     return val
 
@@ -141,28 +151,11 @@ def _get_size(obj: dict, path: str, key: str, default: int, least: int) -> int:
     return n
 
 
-def _get_complex(obj: dict, path: str, key: str, default: Any = ...) -> complex:
-    here = f"{path}.{key}" if path else key
-    if key not in obj:
-        if default is not ...:
-            return default
-        raise ScenarioError(here, "missing required field")
-    try:
-        z = complex_from_json(obj[key])
-    except (TypeError, ValueError, IndexError):
-        raise ScenarioError(here, "expected a number or an [re, im] pair")
-    except OverflowError:
-        raise ScenarioError(here, "integer too large for a float")
-    if not cmath.isfinite(z):
-        raise ScenarioError(here, "expected a finite number")
-    return z
-
-
 def _conjugation_from(obj: dict, path: str) -> ConjugationParams:
     p = ConjugationParams(
-        a=_get_complex(obj, path, "a", 1.0 + 0j),
-        b=_get_complex(obj, path, "b", 0.0 + 0j),
-        c=_get_complex(obj, path, "c", 1.0 + 0j),
+        a=_get(obj, path, "a", complex, 1.0 + 0j),
+        b=_get(obj, path, "b", complex, 0.0 + 0j),
+        c=_get(obj, path, "c", complex, 1.0 + 0j),
     )
     try:
         p.validate()
@@ -178,15 +171,15 @@ def _family_from(obj: dict, path: str) -> SemigroupFamily:
     try:
         if variant == "translation":
             return TranslationFamily(
-                E=_get_complex(obj, path, "E"),
-                F=_get_complex(obj, path, "F", 0.0 + 0j),
+                E=_get(obj, path, "E", complex),
+                F=_get(obj, path, "F", complex, 0.0 + 0j),
                 conj=conj,
             )
         if variant == "dilation":
             return DilationFamily(
-                ell=_get_complex(obj, path, "ell"),
-                G=_get_complex(obj, path, "G", 0.0 + 0j),
-                H=_get_complex(obj, path, "H", 0.0 + 0j),
+                ell=_get(obj, path, "ell", complex),
+                G=_get(obj, path, "G", complex, 0.0 + 0j),
+                H=_get(obj, path, "H", complex, 0.0 + 0j),
                 conj=conj,
             )
     except ValueError as exc:
@@ -203,7 +196,7 @@ def _config(path: str, **fields) -> VerifyConfig:
 
 
 def _config_from(obj: dict, path: str, seed: int) -> VerifyConfig:
-    dim = _get(obj, path, "dim", int, 64)
+    dim = _get(obj, path, "dim", int, VerifyConfig.dim)
     overrides = _get(obj, path, "tolerances", dict, {})
     tolerances = dict(DEFAULT_TOLERANCES)
     for key in overrides:
@@ -214,15 +207,19 @@ def _config_from(obj: dict, path: str, seed: int) -> VerifyConfig:
 
 
 # ----------------------------------------------------------------------------
-# scenario parsing: one parser per kind returns the typed spec its runner takes
+# scenario parsing: the kind checks its params and returns its run
+
+# a kind's run gives (records, extra report payload, csv rows)
+Run = Callable[[], tuple]
+
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
     kind: str
-    spec: Any
+    run: Run
     cfg: VerifyConfig
-    output: dict  # "format" and, when given, "path"
+    output: dict  # "format" and "path"
 
 
 def load_scenario(path: Path) -> dict:
@@ -240,8 +237,13 @@ def load_scenario(path: Path) -> dict:
 
 
 def validate_scenario(obj: dict, seed: int = VerifyConfig.seed) -> Scenario:
-    """Parse and check a scenario, or raise ScenarioError naming the field."""
+    """Parse and check a scenario, or raise ScenarioError naming the field.
+
+    Nothing is computed but the checks: the scenario's ``run`` does the work.
+    """
     name = _get(obj, "", "name", str)
+    if not name:
+        raise ScenarioError("name", "must not be empty")
     if "/" in name or "\\" in name:
         raise ScenarioError("name", "must not contain a path separator")
     kind = _get(obj, "", "kind", str)
@@ -254,35 +256,41 @@ def validate_scenario(obj: dict, seed: int = VerifyConfig.seed) -> Scenario:
     fmt = _get(output, "output", "format", str, "json")
     if fmt not in ("json", "csv"):
         raise ScenarioError("output.format", "expected 'json' or 'csv'")
-    out = {"format": fmt}
     if "path" in output:
-        out["path"] = _report_path(_get(output, "output", "path", str), "output.path")
-    parse, _ = _KINDS[kind]
-    spec = parse(params, cfg)
-    return Scenario(name, kind, spec, spec if kind == "full-verify" else cfg, out)
+        path = _report_path(_get(output, "output", "path", str), "output.path")
+    else:
+        path = _report_path(_default_path(name, fmt), "name")
+    if kind == "full-verify":  # the suite runs at, and the report records, its config
+        cfg = _suite_config(params, cfg)
+    return Scenario(name, kind, _KINDS[kind](params, cfg), cfg, {"format": fmt, "path": path})
 
 
-def _parse_conjugation(params: dict, cfg: VerifyConfig) -> ConjugationParams:
-    return _conjugation_from(params, "params")
+def _conjugation_kind(params: dict, cfg: VerifyConfig) -> Run:
+    p = _conjugation_from(params, "params")
+
+    def run():
+        op = conjugation_matrix(p, cfg.dim)
+        records = conjugation_records(cfg, p, op)
+        if p.b != 0:  # the isometry is truncation limited too: reported, not judged
+            iso = isometry_residual(op, cfg.seed)
+            records.append(_info("conjugation.isometry.residual",
+                                 "<Cf,Cg> = <g,f> (truncation limited)", iso))
+        payload = {"conjugation": p.to_json(), "diagonal": p.is_diagonal}
+        return records, payload, None
+    return run
 
 
-@dataclass(frozen=True)
-class WcoSpec:
-    symbol: WCOParams
-    matrix: np.ndarray  # the truncation at cfg.dim, assembled once
-    conj: ConjugationParams | None
-
-
-def _parse_wco(params: dict, cfg: VerifyConfig) -> WcoSpec:
+def _wco_kind(params: dict, cfg: VerifyConfig) -> Run:
     p = WCOParams(
-        A=_get_complex(params, "params", "A"),
-        B=_get_complex(params, "params", "B", 0.0 + 0j),
-        C=_get_complex(params, "params", "C", 1.0 + 0j),
-        D=_get_complex(params, "params", "D", 0.0 + 0j),
+        A=_get(params, "params", "A", complex),
+        B=_get(params, "params", "B", complex, 0.0 + 0j),
+        C=_get(params, "params", "C", complex, 1.0 + 0j),
+        D=_get(params, "params", "D", complex, 0.0 + 0j),
     )
     conj = _get(params, "params", "conjugation", dict, None)
     if conj is not None:
         conj = _conjugation_from(conj, "params.conjugation")
+    # the truncation at cfg.dim, assembled once: an overflow is an input error
     try:
         M = wco_matrix(p, cfg.dim)
     except OverflowError:
@@ -292,61 +300,117 @@ def _parse_wco(params: dict, cfg: VerifyConfig) -> WcoSpec:
         key = max("ABCD", key=lambda k: abs(getattr(p, k)))
         raise ScenarioError(f"params.{key}",
                             f"the truncated matrix overflows at dim {cfg.dim}")
-    return WcoSpec(p, M, conj)
+
+    def run():
+        dim = cfg.dim
+        verdict = is_bounded(p)
+        records = [
+            _info("wco.bounded", "symbol criterion for boundedness",
+                  1.0 if verdict.bounded else 0.0, verdict.reason),
+        ]
+        norms = [float(np.linalg.norm(M[:d, :d], 2)) for d in (dim // 2, dim)]
+        records.append(_info("wco.truncated-norms", "plumbing", norms[-1],
+                             f"2-norm at dim {dim//2}: {norms[0]!r}, dim {dim}: {norms[1]!r}"))
+        payload: dict[str, Any] = {"wco": p.to_json()}
+        if conj is not None:
+            records.append(_record("wco.symbol-selfadjointness", "D = a B - b A + b",
+                                   is_c_selfadjoint_symbols(p, conj.a, conj.b),
+                                   cfg.tol("constraint")))
+            payload["conjugation"] = conj.to_json()
+        return records, payload, None
+    return run
 
 
-def _parse_family(params: dict, cfg: VerifyConfig) -> SemigroupFamily:
+def _params_family(params: dict) -> SemigroupFamily:
     return _family_from(_get(params, "params", "family", dict), "params.family")
 
 
-@dataclass(frozen=True)
-class SemigroupSpec:
-    family: SemigroupFamily
-    omega: float  # exponential weight of the growth curve
+@contextlib.contextmanager
+def _evaluating_family():
+    """A family whose symbols leave the double range is the params.family input error.
+
+    numpy's first overflow or invalid value raises (underflow stays silent), as
+    do the laws' own errors; code that expects an overflow silences it locally.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError, QuadratureError, ZeroDivisionError) as exc:
+        raise ScenarioError("params.family", f"the family cannot be evaluated: {exc}")
 
 
-def _parse_semigroup(params: dict, cfg: VerifyConfig) -> SemigroupSpec:
-    fam = _parse_family(params, cfg)
-    omega = _get(params, "params", "omega", float, 0.0)
+def _semigroup_kind(params: dict, cfg: VerifyConfig) -> Run:
+    fam = _params_family(params)
+    omega = _get(params, "params", "omega", float, 0.0)  # weight of the growth curve
     if abs(omega) * GROWTH_T_GRID[-1] >= math.log(sys.float_info.max):
         raise ScenarioError("params.omega", f"exp(omega t) overflows on the probe grid "
                                             f"t <= {GROWTH_T_GRID[-1]:g}")
-    return SemigroupSpec(fam, omega)
+
+    def run():
+        with _evaluating_family():
+            records = (flow_cocycle_records(cfg, fam) + semigroup_law_records(cfg, fam)
+                       + scaling_solver_records(cfg, fam))
+            rep = n_omega_estimate(fam, monomial(0, cfg.dim), omega)
+        records.append(_info("semigroup.bounded", "uniform boundedness criterion",
+                             1.0 if family_is_bounded(fam) else 0.0))
+        records.append(_info("semigroup.growth", "sup_t e^{-omega t} ||W(t) 1||", rep.sup,
+                             f"diverging={rep.diverging} argmax_t={rep.argmax_t!r}"))
+        rows = [("t", "norm", "weighted_norm")]
+        rows += [(float(t), float(norm), float(weighted))
+                 for t, norm, weighted in zip(GROWTH_T_GRID, rep.norms, rep.values)]
+        payload = {"family": fam.to_json(), "growth": rep.to_json(), "omega": omega}
+        return records, payload, rows
+    return run
 
 
-@dataclass(frozen=True)
-class SpectrumSpec:
-    family: SemigroupFamily
-    k_max: int
-    eta: complex | None  # candidate eigenvalue; translation families only
+def _generator_kind(params: dict, cfg: VerifyConfig) -> Run:
+    fam = _params_family(params)
+
+    def run():
+        with _evaluating_family():
+            records = (fd_slope_records(cfg, fam, (0,)) + exponential_bridge_records(cfg, fam)
+                       + stone_symmetry_records(cfg, fam))
+        return records, {"family": fam.to_json()}, None
+    return run
 
 
-def _parse_spectrum(params: dict, cfg: VerifyConfig) -> SpectrumSpec:
-    fam = _parse_family(params, cfg)
+def _spectrum_kind(params: dict, cfg: VerifyConfig) -> Run:
+    fam = _params_family(params)
     k_max = _get_size(params, "params", "k_max", 5, 0)
-    eta = None
-    if isinstance(fam, TranslationFamily):
-        eta = _get_complex(params, "params", "eta", 1 + 1j)
-    elif k_max >= cfg.dim:
+    if isinstance(fam, TranslationFamily):  # a candidate eigenvalue's certificate
+        eta = _get(params, "params", "eta", complex, 1 + 1j)
+
+        def certify():
+            with _evaluating_family():
+                cert = divergence_certificate(cfg, fam, eta)
+                return divergence_records(cfg, eta, cert), {
+                    "family": fam.to_json(), "certificate": cert.to_json()}, None
+        return certify
+    if k_max >= cfg.dim:
         # a default k_max is not the user's input; the dim too small for it is
         path, what = (("params.k_max", f"must be below the dim {cfg.dim}") if "k_max" in params
                       else ("truncation.dim", f"must exceed the default k_max {k_max}"))
         raise ScenarioError(path, f"{what}: the eigenfunction (z-G)^k exp(beta z) holds z^k")
-    return SpectrumSpec(fam, k_max, eta)
+
+    def run():
+        with _evaluating_family():
+            rep = spectrum_report(fam, k_max, cfg.dim)
+        records = [
+            _record("spectrum.eigen-residuals",
+                    "(z-G)^m exp(beta z) are eigenfunctions",
+                    float(np.max(rep.residuals)), cfg.tol("eigen_residual")),
+            _info("spectrum.predicted-lattice", "eigenvalues H - ell beta G + k ell",
+                  float(np.max(np.abs(rep.predicted))),
+                  ", ".join(repr(complex(z)) for z in rep.predicted)),
+        ]
+        rows = [("m", "predicted_re", "predicted_im", "residual")]
+        for m, (lam, r) in enumerate(zip(rep.predicted, rep.residuals)):
+            rows.append((m, lam.real, lam.imag, float(r)))
+        return records, {"family": fam.to_json(), "spectrum": rep.to_json()}, rows
+    return run
 
 
 _EVOLUTION_MODELS = ("bagchi", "constant", "table")
-
-
-@dataclass(frozen=True)
-class EvolutionSpec:
-    op: Callable[[Sequence[float]], np.ndarray]  # the coefficient ts -> stack of B(t)
-    meta: dict
-    source: str  # field path of the model's coefficients, named on stiffness
-    s: float
-    t: float
-    rel_tol: float
-    samples: int
 
 
 def _coefficient_fn(params: dict, key: str, default: float,
@@ -385,6 +449,8 @@ def _matrix_from(entry: Any, path: str) -> np.ndarray:
 
 def _evolution_operator_from(params: dict, span: tuple[float, float]
                              ) -> tuple[Callable[[Sequence[float]], np.ndarray], dict, str]:
+    """The coefficient ts -> stack of B(t), its report payload, and the field path
+    of its coefficients, named on stiffness."""
     model = _get(params, "params", "B", str)
     if model not in _EVOLUTION_MODELS:
         raise ScenarioError("params.B", f"expected one of {_EVOLUTION_MODELS}")
@@ -429,19 +495,44 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
     return eval_b, meta, "params.matrices"
 
 
-def _parse_evolution(params: dict, cfg: VerifyConfig) -> EvolutionSpec:
+def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
     s = _get(params, "params", "s", float, 0.0)
     t = _get(params, "params", "t", float, 1.0)
     if t < s:
         raise ScenarioError("params.t", "need t >= s")
     if not math.isfinite(t - s):  # the sample times would overflow
         raise ScenarioError("params.t", "t - s must be a finite number")
-    op, meta, source = _evolution_operator_from(params, (s, t))
+    B, meta, source = _evolution_operator_from(params, (s, t))
     rel_tol = _get(params, "params", "rel_tol", float, 1e-10)
     if rel_tol <= 0:
         raise ScenarioError("params.rel_tol", "must be positive")
     samples = _get_size(params, "params", "samples", 21, 1)
-    return EvolutionSpec(op, meta, source, s, t, rel_tol, samples)
+
+    def run():
+        times = np.linspace(s, t, samples)
+        try:
+            # the horizon is integrated twice: as the chain through the sample
+            # times, whose last element is U(t, s), and split at r by the axioms,
+            # so the composition law compares two paths that share no step
+            series, _ = evolution_series(B, times, rel_tol)
+            # linspace sets its endpoint exactly; one sample stops the chain at s
+            U_ts = series[-1] if times[-1] == t else evolve(B, s, t, rel_tol).matrix
+            n = len(U_ts)
+            records = evolution_axiom_records(cfg, B, (s, s + (t - s) / 2, t), U_ts, rel_tol)
+            sym = check_matrix_c_symmetry(U_ts, np.eye(n))
+        except StiffnessError as exc:
+            raise ScenarioError(source, str(exc))
+        records.append(_info("evolution.transpose-symmetry",
+                             "U M = M U^T under plain conjugation",
+                             sym, "pass/fail asserted only for commuting families"))
+        header = ["t"] + [f"U{i}_{j}_{part}" for i in range(n) for j in range(n)
+                          for part in ("re", "im")]
+        # a complex matrix viewed as float64 interleaves re and im, as the header does
+        entries = np.array(series).reshape(len(times), -1).view(np.float64)
+        rows = [header] + np.column_stack((times, entries)).tolist()
+        payload = {"evolution": meta, "s": s, "t": t, "rel_tol": rel_tol}
+        return records, payload, rows
+    return run
 
 
 def _check_suite_dim(cfg: VerifyConfig, path: str) -> None:
@@ -450,7 +541,7 @@ def _check_suite_dim(cfg: VerifyConfig, path: str) -> None:
                                   f"got {cfg.dim}")
 
 
-def _parse_full_verify(params: dict, cfg: VerifyConfig) -> VerifyConfig:
+def _suite_config(params: dict, cfg: VerifyConfig) -> VerifyConfig:
     """The config the suite runs at, and the report records: at params.seed if given."""
     _check_suite_dim(cfg, "truncation.dim")
     seed = _get(params, "params", "seed", int, None)
@@ -459,138 +550,19 @@ def _parse_full_verify(params: dict, cfg: VerifyConfig) -> VerifyConfig:
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
-# ----------------------------------------------------------------------------
-# scenario runners: each returns (records, extra report payload, csv rows)
-
-def _run_conjugation(p: ConjugationParams, cfg: VerifyConfig):
-    op = conjugation_matrix(p, cfg.dim)
-    records = conjugation_records(cfg, p, op)
-    if p.b != 0:  # the isometry is truncation limited too: reported, not judged
-        iso = isometry_residual(op, cfg.seed)
-        records.append(_info("conjugation.isometry.residual",
-                             "<Cf,Cg> = <g,f> (truncation limited)", iso))
-    payload = {"conjugation": p.to_json(), "diagonal": p.is_diagonal}
-    return records, payload, None
+def _full_verify_kind(params: dict, cfg: VerifyConfig) -> Run:
+    """The suite at cfg, which validate_scenario took from _suite_config."""
+    return lambda: (run_all(cfg), {"seed": cfg.seed}, None)
 
 
-def _run_wco(spec: WcoSpec, cfg: VerifyConfig):
-    p, dim = spec.symbol, cfg.dim
-    verdict = is_bounded(p)
-    records = [
-        _info("wco.bounded", "symbol criterion for boundedness",
-              1.0 if verdict.bounded else 0.0, verdict.reason),
-    ]
-    norms = [float(np.linalg.norm(spec.matrix[:d, :d], 2)) for d in (dim // 2, dim)]
-    records.append(_info("wco.truncated-norms", "plumbing", norms[-1],
-                         f"2-norm at dim {dim//2}: {norms[0]!r}, dim {dim}: {norms[1]!r}"))
-    payload: dict[str, Any] = {"wco": p.to_json()}
-    if spec.conj is not None:
-        records.append(_record("wco.symbol-selfadjointness", "D = a B - b A + b",
-                               is_c_selfadjoint_symbols(p, spec.conj.a, spec.conj.b),
-                               cfg.tol("constraint")))
-        payload["conjugation"] = spec.conj.to_json()
-    return records, payload, None
-
-
-@contextlib.contextmanager
-def _evaluating_family():
-    """A family whose symbols leave the double range is the params.family input error.
-
-    numpy's first overflow or invalid value raises (underflow stays silent), as
-    do the laws' own errors; code that expects an overflow silences it locally.
-    """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except (FloatingPointError, OverflowError, QuadratureError, ZeroDivisionError) as exc:
-        raise ScenarioError("params.family", f"the family cannot be evaluated: {exc}")
-
-
-def _run_semigroup(spec: SemigroupSpec, cfg: VerifyConfig):
-    fam, dim = spec.family, cfg.dim
-    with _evaluating_family():
-        records = (flow_cocycle_records(cfg, fam) + semigroup_law_records(cfg, fam)
-                   + scaling_solver_records(cfg, fam))
-        rep = n_omega_estimate(fam, monomial(0, dim), spec.omega)
-    records.append(_info("semigroup.bounded", "uniform boundedness criterion",
-                         1.0 if family_is_bounded(fam) else 0.0))
-    records.append(_info("semigroup.growth", "sup_t e^{-omega t} ||W(t) 1||", rep.sup,
-                         f"diverging={rep.diverging} argmax_t={rep.argmax_t!r}"))
-    rows = [("t", "norm", "weighted_norm")]
-    rows += [(float(t), float(norm), float(weighted))
-             for t, norm, weighted in zip(GROWTH_T_GRID, rep.norms, rep.values)]
-    payload = {"family": fam.to_json(), "growth": rep.to_json(), "omega": spec.omega}
-    return records, payload, rows
-
-
-def _run_generator(fam: SemigroupFamily, cfg: VerifyConfig):
-    with _evaluating_family():
-        records = (fd_slope_records(cfg, fam, (0,)) + exponential_bridge_records(cfg, fam)
-                   + stone_symmetry_records(cfg, fam))
-    return records, {"family": fam.to_json()}, None
-
-
-def _run_spectrum(spec: SpectrumSpec, cfg: VerifyConfig):
-    fam, dim = spec.family, cfg.dim
-    with _evaluating_family():
-        if spec.eta is not None:
-            cert = divergence_certificate(cfg, fam, spec.eta)
-            return divergence_records(cfg, spec.eta, cert), {
-                "family": fam.to_json(), "certificate": cert.to_json()}, None
-        rep = spectrum_report(fam, spec.k_max, dim)
-    records = [
-        _record("spectrum.eigen-residuals",
-                "(z-G)^m exp(beta z) are eigenfunctions",
-                float(np.max(rep.residuals)), cfg.tol("eigen_residual")),
-        _info("spectrum.predicted-lattice", "eigenvalues H - ell beta G + k ell",
-              float(np.max(np.abs(rep.predicted))),
-              ", ".join(repr(complex(z)) for z in rep.predicted)),
-    ]
-    rows = [("m", "predicted_re", "predicted_im", "residual")]
-    for m, (lam, r) in enumerate(zip(rep.predicted, rep.residuals)):
-        rows.append((m, lam.real, lam.imag, float(r)))
-    return records, {"family": fam.to_json(), "spectrum": rep.to_json()}, rows
-
-
-def _run_evolution(spec: EvolutionSpec, cfg: VerifyConfig):
-    B, s, t, rel_tol = spec.op, spec.s, spec.t, spec.rel_tol
-    times = np.linspace(s, t, spec.samples)
-    try:
-        # the horizon is integrated twice: as the chain through the sample
-        # times, whose last element is U(t, s), and split at r by the axioms,
-        # so the composition law compares two paths that share no step
-        series, _ = evolution_series(B, times, rel_tol)
-        # linspace sets its endpoint exactly; one sample stops the chain at s
-        U_ts = series[-1] if times[-1] == t else evolve(B, s, t, rel_tol).matrix
-        n = len(U_ts)
-        records = evolution_axiom_records(cfg, B, (s, s + (t - s) / 2, t), U_ts, rel_tol)
-        sym = check_matrix_c_symmetry(U_ts, np.eye(n))
-    except StiffnessError as exc:
-        raise ScenarioError(spec.source, str(exc))
-    records.append(_info("evolution.transpose-symmetry", "U M = M U^T under plain conjugation",
-                         sym, "pass/fail asserted only for commuting families"))
-    header = ["t"] + [f"U{i}_{j}_{part}" for i in range(n) for j in range(n)
-                      for part in ("re", "im")]
-    # a complex matrix viewed as float64 interleaves re and im, as the header does
-    entries = np.array(series).reshape(len(times), -1).view(np.float64)
-    rows = [header] + np.column_stack((times, entries)).tolist()
-    payload = {"evolution": spec.meta, "s": s, "t": t, "rel_tol": rel_tol}
-    return records, payload, rows
-
-
-def _run_full_verify(suite: VerifyConfig, cfg: VerifyConfig):
-    return run_all(suite), {"seed": suite.seed}, None
-
-
-# kind -> (parser, runner)
-_KINDS: dict[str, tuple[Callable, Callable]] = {
-    "conjugation-check": (_parse_conjugation, _run_conjugation),
-    "wco": (_parse_wco, _run_wco),
-    "semigroup": (_parse_semigroup, _run_semigroup),
-    "generator": (_parse_family, _run_generator),
-    "spectrum": (_parse_spectrum, _run_spectrum),
-    "evolution": (_parse_evolution, _run_evolution),
-    "full-verify": (_parse_full_verify, _run_full_verify),
+_KINDS: dict[str, Callable[[dict, VerifyConfig], Run]] = {
+    "conjugation-check": _conjugation_kind,
+    "wco": _wco_kind,
+    "semigroup": _semigroup_kind,
+    "generator": _generator_kind,
+    "spectrum": _spectrum_kind,
+    "evolution": _evolution_kind,
+    "full-verify": _full_verify_kind,
 }
 
 
@@ -613,31 +585,21 @@ def _print_records(records: Sequence[CheckRecord]) -> None:
     print(f"  {n_pass} pass, {n_warn} warn, {n_info} info, {n_fail} fail")
 
 
-def _resolve_output(output: dict, fallback_stem: str) -> tuple[Path, str]:
-    fmt = output.get("format", "json")
-    if "path" in output:
-        return Path(output["path"]), fmt
-    ext = "json" if fmt == "json" else "csv"
-    return Path(default_output_dir()) / f"{fallback_stem}.{ext}", fmt
-
-
-def _emit(report: dict, records: Sequence[CheckRecord],
-          rows, output: dict, stem: str) -> Path:
-    path, fmt = _resolve_output(output, stem)
-    if fmt == "csv":
+def _emit(report: dict, records: Sequence[CheckRecord], rows, output: dict) -> str:
+    path = output["path"]
+    if output["format"] == "csv":
         if rows is None:
             rows = [("check_id", "anchor", "measured", "threshold",
                      "direction", "status")]
             rows += [(r.check_id, r.anchor, r.measured, r.threshold,
                       r.direction, r.status) for r in records]
-        write_csv(str(path), [str(h) for h in rows[0]], rows[1:])
+        write_csv(path, [str(h) for h in rows[0]], rows[1:])
     else:
-        write_json_report(str(path), report)
+        write_json_report(path, report)
     return path
 
 
-def _report(name: str, kind: str, cfg: VerifyConfig, output: dict,
-            run: Callable[[], tuple]) -> int:
+def _report(name: str, kind: str, cfg: VerifyConfig, output: dict, run: Run) -> int:
     """Run, write the report, print the records; the exit code (0 or 2)."""
     t0 = time.perf_counter()
     records, payload, rows = run()
@@ -654,7 +616,7 @@ def _report(name: str, kind: str, cfg: VerifyConfig, output: dict,
             "wall_time_s": wall,
         },
     }
-    path = _emit(report, records, rows, output, name.replace(" ", "-"))
+    path = _emit(report, records, rows, output)
     _print_records(records)
     print(f"report written to {path}  ({wall:.1f}s)")
     failed = [r.check_id for r in records if r.status == "fail"]
@@ -664,22 +626,38 @@ def _report(name: str, kind: str, cfg: VerifyConfig, output: dict,
     return 0
 
 
+def _default_path(name: str, fmt: str) -> str:
+    """<output dir>/<name, its spaces made dashes>.<fmt>, where a report goes by default."""
+    return os.path.join(default_output_dir(), f"{name.replace(' ', '-')}.{fmt}")
+
+
 def _report_path(path: str, field: str) -> str:
     """The report path, checked before the run: no report can replace a directory,
-    and none can be written below a file."""
+    none can be written below a file, and the file system can hold its names."""
+    if "\0" in path:
+        raise ScenarioError(field, "must not contain a NUL byte")
     report = Path(path)
-    if report.is_dir():
-        raise ScenarioError(field, f"{path!r} is a directory, not a report file")
-    parent = report.absolute().parent
-    while not parent.exists():  # the missing directories are made on writing
-        parent = parent.parent
-    if not parent.is_dir():
-        raise ScenarioError(field, f"{str(parent)!r} is a file, not a directory")
-    return path
+    try:
+        if report.is_dir():
+            raise ScenarioError(field, f"{path!r} is a directory, not a report file")
+        names, parent = [report.name], report.absolute().parent
+        while not parent.exists():  # the missing directories are made on writing
+            names.append(parent.name)
+            parent = parent.parent
+        if not parent.is_dir():
+            raise ScenarioError(field, f"{str(parent)!r} is a file, not a directory")
+        most = os.pathconf(parent, "PC_NAME_MAX")
+    except OSError as exc:
+        raise ScenarioError(field, f"cannot be checked as a report path: {exc.strerror}")
+    for part in map(os.fsencode, names):
+        if len(part) > most:
+            raise ScenarioError(field, f"a name of {len(part)} bytes in the report path "
+                                       f"exceeds the file system's limit of {most}")
+    return str(report)
 
 
-def _flag_output(args, fmt: str) -> dict:
-    return {"format": fmt, **({"path": _report_path(args.out, "--out")} if args.out else {})}
+def _flag_output(args, fmt: str, name: str) -> dict:
+    return {"format": fmt, "path": _report_path(args.out or _default_path(name, fmt), "--out")}
 
 
 # ----------------------------------------------------------------------------
@@ -694,14 +672,13 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     sc = validate_scenario(load_scenario(Path(args.scenario)), args.seed)
     print(f"scenario: {sc.name} ({sc.kind})")
-    _, run = _KINDS[sc.kind]
-    return _report(sc.name, sc.kind, sc.cfg, sc.output, lambda: run(sc.spec, sc.cfg))
+    return _report(sc.name, sc.kind, sc.cfg, sc.output, sc.run)
 
 
 def _cmd_verify_all(args) -> int:
     cfg = _config("--dim", dim=args.dim, seed=args.seed)
     _check_suite_dim(cfg, "--dim")
-    return _report("verify-all", "full-verify", cfg, _flag_output(args, "json"),
+    return _report("verify-all", "full-verify", cfg, _flag_output(args, "json", "verify-all"),
                    lambda: (run_all(cfg), {}, None))
 
 
@@ -733,15 +710,15 @@ def _cmd_spectrum(args) -> int:
               "conjugation": {k: complex_to_json(getattr(args, k)) for k in "abc"}}
     with _naming_flags(family="--ell/--G/--H"):
         k_max = {} if args.k_max is None else {"k_max": args.k_max}
-        spec = _parse_spectrum({"family": family, **k_max}, cfg)
-        return _report("spectrum", "spectrum", cfg, _flag_output(args, args.format),
-                       lambda: _run_spectrum(spec, cfg))
+        run = _KINDS["spectrum"]({"family": family, **k_max}, cfg)
+        return _report("spectrum", "spectrum", cfg,
+                       _flag_output(args, args.format, "spectrum"), run)
 
 
 def _cmd_evolve(args) -> int:
     cfg = VerifyConfig(dim=2, seed=args.seed)
     with _naming_flags(B="--nu/--kappa/--lam"):
-        spec = _parse_evolution({
+        run = _KINDS["evolution"]({
             "B": "bagchi",
             "nu": args.nu,
             "kappa": args.kappa,
@@ -751,8 +728,7 @@ def _cmd_evolve(args) -> int:
             "rel_tol": args.rel_tol,
             "samples": args.samples,
         }, cfg)
-        return _report("evolve", "evolution", cfg, _flag_output(args, "csv"),
-                       lambda: _run_evolution(spec, cfg))
+        return _report("evolve", "evolution", cfg, _flag_output(args, "csv", "evolve"), run)
 
 
 # ----------------------------------------------------------------------------
@@ -764,7 +740,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=20260814,
+    p.add_argument("--seed", type=int, default=VerifyConfig.seed,
                    help="seed for deterministic sample vectors")
 
 
@@ -788,7 +764,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("verify-all", help="run the complete check suite")
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--dim", type=int, default=VerifyConfig.dim)
     p.add_argument("--out", default=None, help="report path (default: output dir)")
     _add_seed(p)
     p.set_defaults(fn=_cmd_verify_all)
@@ -803,7 +779,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=complex, default=1 + 0j)
     p.add_argument("--k-max", type=int, default=None, help="highest eigenfunction degree "
                    "(default 5)")
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--dim", type=int, default=VerifyConfig.dim)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     _add_seed(p)

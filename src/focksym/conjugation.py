@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 
+# largest deviation from each admissibility constraint accepted as rounding
+_CONSTRAINT_TOL = 1e-12
+
+
 class ConstraintViolation(ValueError):
     """Raised when parameters break an admissibility constraint.
 
@@ -53,19 +57,19 @@ class ConjugationParams:
     b: complex
     c: complex
 
-    def validate(self, tol: float = 1e-12) -> "ConjugationParams":
+    def validate(self) -> "ConjugationParams":
         dev_a = abs(abs(self.a) - 1.0)
-        if dev_a > tol:
+        if dev_a > _CONSTRAINT_TOL:
             raise ConstraintViolation(
                 f"|a| must equal 1: |a| = {abs(self.a)!r} (deviation {dev_a:.3e})", "a"
             )
         dev_b = abs(np.conj(self.a) * self.b + np.conj(self.b))
-        if dev_b > tol:
+        if dev_b > _CONSTRAINT_TOL:
             raise ConstraintViolation(
                 f"conj(a)*b + conj(b) must vanish: deviation {dev_b:.3e}", "b"
             )
         dev_c = abs(abs(self.c) ** 2 * np.exp(abs(self.b) ** 2) - 1.0)
-        if dev_c > tol:
+        if dev_c > _CONSTRAINT_TOL:
             raise ConstraintViolation(
                 f"|c|^2 exp(|b|^2) must equal 1: deviation {dev_c:.3e}", "c"
             )
@@ -87,9 +91,9 @@ def standard_conjugation() -> ConjugationParams:
     return ConjugationParams(1.0, 0.0, 1.0)
 
 
-def conjugation_matrix(p: ConjugationParams, dim: int, tol: float = 1e-12) -> np.ndarray:
+def conjugation_matrix(p: ConjugationParams, dim: int) -> np.ndarray:
     """Truncated matrix M of the conjugation C f = M conj(f); validates (a, b, c) first."""
-    p.validate(tol)
+    p.validate()
     return wco_matrix(p.to_wco_params(), dim)
 
 

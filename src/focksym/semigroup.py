@@ -139,13 +139,18 @@ def family_eval(fam: SemigroupFamily, t: float) -> WCOParams:
     return _eval_any_t(fam, t)
 
 
-def family_is_bounded(fam: SemigroupFamily, tol: float = 1e-12) -> bool:
+# distance from the boundary Re ell = 0, and from each symbol relation, read
+# as equality
+_BOUNDEDNESS_TOL = 1e-12
+
+
+def family_is_bounded(fam: SemigroupFamily) -> bool:
     """Uniform boundedness of the whole family (every t > 0).
 
     Translation: conj(E) + a E = 0.  Dilation: Re ell < 0, or Re ell = 0
     together with a G + b - conj(G) = 0.
     """
-    a, b = fam.conj.a, fam.conj.b
+    a, b, tol = fam.conj.a, fam.conj.b, _BOUNDEDNESS_TOL
     if isinstance(fam, TranslationFamily):
         return bool(abs(np.conj(fam.E) + a * fam.E) <= tol)
     re = fam.ell.real if isinstance(fam.ell, complex) else float(fam.ell)
@@ -276,11 +281,14 @@ def _refine_quadrature(
     )
 
 
+# step-halving tolerance of the scaling solver's drift integral
+_SCALING_TOL = 1e-12
+
+
 def solve_scaling_equation(
     lambda0: complex,
     dpsi: Callable[[np.ndarray], np.ndarray],
     t: float,
-    tol: float = 1e-12,
 ) -> complex:
     """Solve Lambda'(t) = [lambda0 + integral drift] Lambda via the closed form.
 
@@ -290,7 +298,7 @@ def solve_scaling_equation(
     """
     if t == 0:
         return 1.0 + 0.0j
-    integral = _refine_quadrature(dpsi, 0.0, float(t), tol)
+    integral = _refine_quadrature(dpsi, 0.0, float(t), _SCALING_TOL)
     return complex(np.exp(t * lambda0 + integral))
 
 

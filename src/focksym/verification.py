@@ -350,7 +350,7 @@ def divergence_records(cfg: VerifyConfig, eta: complex, cert: DivergenceCertific
 
 def evolution_axiom_records(
     cfg: VerifyConfig,
-    B: Callable[[float], np.ndarray],
+    B: Callable[[Sequence[float]], np.ndarray],
     times: tuple[float, float, float],
     U_ts: np.ndarray,
     rel_tol: float,

@@ -177,13 +177,18 @@ def compose_params(outer: WCOParams, inner: WCOParams) -> WCOParams:
     )
 
 
+# distance from |A| = 1, and from D + A conj(B) = 0, read as equality
+_BOUNDEDNESS_TOL = 1e-12
+
+
 class BoundednessResult(NamedTuple):
     bounded: bool
     reason: str
 
 
-def is_bounded(p: WCOParams, tol: float = 1e-12) -> BoundednessResult:
+def is_bounded(p: WCOParams) -> BoundednessResult:
     """Boundedness test: |A| < 1, or |A| = 1 with D + A conj(B) = 0."""
+    tol = _BOUNDEDNESS_TOL
     absA = abs(p.A)
     if absA < 1 - tol:
         return BoundednessResult(True, f"|A| = {absA:.6g} < 1")

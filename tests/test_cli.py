@@ -276,16 +276,17 @@ def test_report_path_below_a_file_is_input_error(tmp_path, _outdir, capsys, monk
         ran.append(args)
         return [], {}, None
 
+    if entry == "verify-all":
+        monkeypatch.setattr(cli, "run_all", runner)
+    else:
+        kind = {"run": "conjugation-check", "spectrum": "spectrum", "evolve": "evolution"}
+        monkeypatch.setitem(cli._KINDS, kind[entry], lambda params, cfg: runner)
     if entry == "run":
-        monkeypatch.setitem(cli._KINDS, "conjugation-check", (cli._parse_conjugation, runner))
         argv = ["run", _scenario(tmp_path, {"name": "x", "kind": "conjugation-check",
                                             "params": {}, "truncation": {"dim": 8},
                                             "output": {"path": target}}, "s.json")]
         field = "output.path"
     else:
-        runners = {"verify-all": "run_all", "spectrum": "_run_spectrum",
-                   "evolve": "_run_evolution"}
-        monkeypatch.setattr(cli, runners[entry], runner)
         argv = [entry, "--out", target] + (["--dim", "8"] if entry == "verify-all" else [])
         field = "--out"
     assert main(argv) == 1
@@ -293,6 +294,78 @@ def test_report_path_below_a_file_is_input_error(tmp_path, _outdir, capsys, monk
     assert f"input error: {field}: {str(blocker)!r} is a file" in err
     assert "Traceback" not in err and not ran
     assert blocker.read_text() == "{}" and not _outdir.exists()
+
+
+# case -> (scenario name, report path below the reports directory or None)
+UNHOLDABLE = {
+    "nul-name": ("a\0b", None),
+    "long-name": ("x" * 300, None),
+    "empty-name": ("", None),
+    "nul-path": ("x", "r\0.json"),
+    "long-path": ("x", "x" * 300 + ".json"),
+    "long-path-below-missing-dir": ("x", "new/" + "x" * 300 + ".json"),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    *((entry, case) for entry in ("validate", "run") for case in UNHOLDABLE),
+    *((entry, case) for entry in ("verify-all", "spectrum", "evolve")
+      for case in UNHOLDABLE if UNHOLDABLE[case][1] is not None),
+])
+def test_report_name_the_file_system_cannot_hold_is_input_error(tmp_path, _outdir, capsys,
+                                                                entry, case):
+    name, below = UNHOLDABLE[case]
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    path = None if below is None else str(reports / below)
+    if entry in ("validate", "run"):
+        output = {} if path is None else {"path": path}
+        argv = [entry, _scenario(tmp_path, {"name": name, "kind": "conjugation-check",
+                                            "params": {}, "truncation": {"dim": 8},
+                                            "output": output})]
+        field = "name" if path is None else "output.path"
+    else:
+        argv = [entry, "--out", path] + (["--dim", "8"] if entry == "verify-all" else [])
+        field = "--out"
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"input error: {field}: " in err and "Traceback" not in err
+    assert not any(reports.iterdir()) and not _outdir.exists()  # no report, no temp file
+
+
+# scenario kind and params that validate; two spectrum runs, one per variant
+GOOD_PARAMS = [
+    ("conjugation-check", {}),
+    ("wco", {"A": 0.5}),
+    ("semigroup", {"family": TRANSLATION}),
+    ("generator", {"family": TRANSLATION}),
+    ("spectrum", {"family": DILATION}),
+    ("spectrum", {"family": TRANSLATION}),
+    ("evolution", {"B": "bagchi"}),
+    ("full-verify", {}),
+]
+
+
+class _Ran(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind, params", GOOD_PARAMS,
+                         ids=["conjugation-check", "wco", "semigroup", "generator",
+                              "spectrum-dilation", "spectrum-translation", "evolution",
+                              "full-verify"])
+def test_validate_runs_nothing_but_parsing(tmp_path, monkeypatch, kind, params):
+    def ran(*args, **kwargs):
+        raise _Ran
+
+    for fn in ("conjugation_matrix", "is_bounded", "flow_cocycle_records", "fd_slope_records",
+               "spectrum_report", "divergence_certificate", "evolution_series", "run_all"):
+        monkeypatch.setattr(cli, fn, ran)
+    path = _scenario(tmp_path, {"name": "x", "kind": kind, "params": params,
+                                "truncation": {"dim": 16}})
+    assert main(["validate", path]) == 0
+    with pytest.raises(_Ran):  # the run reaches a stubbed function
+        main(["run", path])
 
 
 # --- validate / run on good scenarios -------------------------------------------
@@ -503,8 +576,7 @@ def test_kind_and_suite_records_agree(maker):
     group, suffix, kind, params, ids = SHARED_MAKERS[maker]
     sc = cli.validate_scenario({"name": maker, "kind": kind, "params": params,
                                 "truncation": {"dim": 64}}, seed=5)
-    _, run = cli._KINDS[kind]
-    got = {r.check_id: r for r in run(sc.spec, sc.cfg)[0]}
+    got = {r.check_id: r for r in sc.run()[0]}
     suite = {r.check_id.replace(suffix, "", 1): r
              for r in verification.run_group(group, sc.cfg)}
     for check_id in ids:
@@ -793,7 +865,7 @@ def test_evolution_single_sample_integrates_u_ts_directly(tmp_path):
                  "--samples", "1", "--out", str(tmp_path / "evo.csv")]) == 0
     records = _records(_evolution_report(tmp_path, params, "json"))
     assert records["evolution.composition"]["status"] == "pass"
-    B = cli._parse_evolution(params, verification.VerifyConfig(dim=2)).op
+    B, _, _ = cli._evolution_operator_from(params, (0.0, 2.0))
     U_ts = evolution.evolve(B, 0.0, 2.0).matrix
     assert records["evolution.transpose-symmetry"]["measured"] == \
         conjugation.check_matrix_c_symmetry(U_ts, np.eye(2))

@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focksym.cli import _parse_evolution, main
+from focksym.cli import _evolution_operator_from, main
 from focksym.evolution import evolution_series
 from focksym.serialize import _cell
-from focksym.verification import VerifyConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 REL, ABS = 1e-9, 1e-13
@@ -145,9 +144,10 @@ def test_report_matches_golden(label, tmp_path):
 
 def _entrywise_rows(params: dict) -> list[list[str]]:
     """Series CSV rows built entry by entry from numpy scalars, each cell by _cell."""
-    spec = _parse_evolution(params, VerifyConfig(dim=2))
-    times = np.linspace(spec.s, spec.t, spec.samples)
-    series, _ = evolution_series(spec.op, times, spec.rel_tol)
+    s, t = params.get("s", 0.0), params["t"]  # the kind's default s is 0
+    B, _, _ = _evolution_operator_from(params, (s, t))
+    times = np.linspace(s, t, params["samples"])
+    series, _ = evolution_series(B, times, params.get("rel_tol", 1e-10))
     rows = []
     for tk, U in zip(times, series):
         row = [float(tk)]

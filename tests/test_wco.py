@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focksym import wco
-from focksym.cli import _parse_wco
+from focksym.cli import _KINDS
 from focksym.fock import basis_vector, evaluate, monomial
 from focksym.semigroup import family_eval
 from focksym.verification import _LAW_FAMILIES, VerifyConfig
@@ -188,8 +188,8 @@ def test_overflowing_entries_become_inf_not_nan():
 def test_params_json_round_trip():
     # the report payload of a symbol is valid scenario input for the wco kind
     p = WCOParams(A=1 - 1j, B=0.25, C=0.5j, D=-2.0)
-    q = _parse_wco(p.to_json(), VerifyConfig(dim=8)).symbol
-    assert q == p
+    payload = _KINDS["wco"](p.to_json(), VerifyConfig(dim=8))()[1]
+    assert payload["wco"] == p.to_json()
     blob = p.to_json()
     assert blob["A"] == [1.0, -1.0]  # [re, im] pairs on the wire
 
