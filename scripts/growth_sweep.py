@@ -56,7 +56,7 @@ def main(argv=None) -> int:
     print(f"{'omega':>8}  {'sup':>12}  {'argmax t':>9}  diverging")
     rows = []
     for omega in args.omegas:
-        rep = growth_report(curve, omega, GROWTH_T_GRID)
+        rep = growth_report(curve, omega)
         print(f"{omega:>8.3g}  {rep.sup:>12.6g}  {rep.argmax_t:>9.4f}  "
               f"{rep.diverging}")
         rows.append((omega, rep.sup, rep.argmax_t, int(rep.diverging)))

@@ -12,9 +12,11 @@ the params, which is all that ``validate`` asks of it, and returns the
 kind's run, which ``run`` calls.  A run applies the record makers of
 :mod:`focksym.verification`, one per law, that ``verify-all`` runs over its
 fixtures, so both judge a case with the same ids, grids and tolerances; it
-adds only its kind's info records, report payload and CSV rows.  Runs judge
-strictly: the below-64 ``warn`` downgrade applies to ``verify-all`` and the
-``full-verify`` kind only.  Every report path is checked before the run.
+adds only its kind's info records, report payload and CSV rows, and the
+``wco`` kind's ``wco.symbol-selfadjointness``, whose law has no group yet.
+Runs judge strictly: the below-64 ``warn`` downgrade applies to
+``verify-all`` and the ``full-verify`` kind only.  Every report path is
+checked before the run.
 
 Exit codes: 0 every record passed (warn/info allowed), 1 input error,
 2 at least one failed check.  Complex scalars in JSON are [re, im] pairs.
@@ -34,6 +36,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -80,6 +83,8 @@ from .verification import (
     conjugation_records,
     divergence_certificate,
     divergence_records,
+    eigen_residual_dims,
+    eigenfunction_records,
     evolution_axiom_records,
     exponential_bridge_records,
     fd_slope_records,
@@ -393,18 +398,15 @@ def _spectrum_kind(params: dict, cfg: VerifyConfig) -> Run:
         raise ScenarioError(path, f"{what}: the eigenfunction (z-G)^k exp(beta z) holds z^k")
 
     def run():
-        with _evaluating_family():
-            rep = spectrum_report(fam, k_max, cfg.dim)
-        records = [
-            _record("spectrum.eigen-residuals",
-                    "(z-G)^m exp(beta z) are eigenfunctions",
-                    float(np.max(rep.residuals)), cfg.tol("eigen_residual")),
+        with _evaluating_family():  # residuals at the dim the suite judges them at
+            rep = spectrum_report(fam, k_max, cfg.dim, eigen_residual_dims(cfg.dim)[-1:])
+        records = eigenfunction_records(cfg, rep) + [
             _info("spectrum.predicted-lattice", "eigenvalues H - ell beta G + k ell",
                   float(np.max(np.abs(rep.predicted))),
                   ", ".join(repr(complex(z)) for z in rep.predicted)),
         ]
         rows = [("m", "predicted_re", "predicted_im", "residual")]
-        for m, (lam, r) in enumerate(zip(rep.predicted, rep.residuals)):
+        for m, (lam, r) in enumerate(zip(rep.predicted, rep.residuals[-1])):
             rows.append((m, lam.real, lam.imag, float(r)))
         return records, {"family": fam.to_json(), "spectrum": rep.to_json()}, rows
     return run
@@ -572,17 +574,10 @@ _KINDS: dict[str, Callable[[dict, VerifyConfig], Run]] = {
 def _print_records(records: Sequence[CheckRecord]) -> None:
     width = max((len(r.check_id) for r in records), default=0)
     for r in records:
-        if math.isnan(r.threshold):
-            bound = "-"
-        else:
-            bound = f"{r.direction} {r.threshold:g}"
-        print(f"  {r.status.upper():4s}  {r.check_id:<{width}s}  "
-              f"{r.measured:.6g} {bound}")
-    n_fail = sum(r.status == "fail" for r in records)
-    n_warn = sum(r.status == "warn" for r in records)
-    n_info = sum(r.status == "info" for r in records)
-    n_pass = sum(r.status == "pass" for r in records)
-    print(f"  {n_pass} pass, {n_warn} warn, {n_info} info, {n_fail} fail")
+        bound = "-" if math.isnan(r.threshold) else f"{r.direction} {r.threshold:g}"
+        print(f"  {r.status.upper():4s}  {r.check_id:<{width}s}  {r.measured:.6g} {bound}")
+    n = Counter(r.status for r in records)
+    print(f"  {n['pass']} pass, {n['warn']} warn, {n['info']} info, {n['fail']} fail")
 
 
 def _emit(report: dict, records: Sequence[CheckRecord], rows, output: dict) -> str:

@@ -67,7 +67,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .conjugation import check_matrix_c_symmetry
+from .conjugation import check_involution, check_matrix_c_symmetry
 
 __all__ = [
     "IntegratorStats",
@@ -409,11 +409,11 @@ def check_nonauto_stone(
 ) -> np.ndarray:
     """Residuals ||B(s) M - M B(s)^T|| over the grid, for antilinear J = M conj.
 
-    Validates that M actually defines an involution (M conj(M) = I) before
-    measuring; a broken involution raises rather than producing residuals.
+    Validates that M defines an involution (``check_involution`` on every column)
+    before measuring; a broken involution raises rather than producing residuals.
     """
     M = np.asarray(conj_matrix, dtype=complex)
-    inv = np.max(np.abs(M @ np.conj(M) - np.eye(M.shape[0])))
+    inv = np.max(check_involution(M, M.shape[0] - 1))
     if inv > _INVOLUTION_TOL:
         raise ValueError(
             f"conjugation matrix is not an involution: ||M conj(M) - I|| = {inv:.3e}"

@@ -253,7 +253,7 @@ def _raabe_bound(maxima: Sequence[float]) -> float:
 
 def certify_divergence(
     log_terms: np.ndarray,
-    n_sequence: Sequence[int] = (16, 32, 64),
+    n_sequence: Sequence[int],
     threshold: float = 10.0,
 ) -> DivergenceCertificate:
     """Divergence certificate from log t_k, k < len(log_terms).
@@ -326,7 +326,7 @@ def candidate_log_terms(fam: TranslationFamily, eta: complex, n_terms: int) -> n
 def check_empty_point_spectrum(
     fam: TranslationFamily,
     eta: complex,
-    n_sequence: Sequence[int] = (16, 32, 64),
+    n_sequence: Sequence[int],
     threshold: float = 10.0,
 ) -> DivergenceCertificate:
     """Divergence certificate for the candidate eigenfunction at value eta.
@@ -442,28 +442,29 @@ class SpectrumReport:
     """
 
     predicted: np.ndarray
-    residuals: np.ndarray
+    residual_dims: tuple[int, ...]
+    residuals: np.ndarray  # one row per residual dim; JSON holds the last
     truncated_eigenvalues: np.ndarray
     dim: int
 
     def to_json(self) -> dict:
         return {
             "predicted": [complex_to_json(z) for z in self.predicted],
-            "residuals": [float(r) for r in self.residuals],
-            "truncated_eigs": [
-                complex_to_json(z) for z in self.truncated_eigenvalues
-            ],
+            "residuals": [float(r) for r in self.residuals[-1]],
+            "residual_dim": self.residual_dims[-1],
+            "truncated_eigs": [complex_to_json(z) for z in self.truncated_eigenvalues],
             "dim": self.dim,
         }
 
 
-def spectrum_report(fam: DilationFamily, k_max: int, dim: int) -> SpectrumReport:
-    predicted = point_spectrum_predicted(fam, k_max)
-    residuals = eigen_residuals(fam, range(k_max + 1), (dim,))[0]
+def spectrum_report(fam: DilationFamily, k_max: int, dim: int,
+                    residual_dims: Sequence[int]) -> SpectrumReport:
+    """The lattice for k <= k_max, its eigenfunction residuals at residual_dims
+    (see :func:`eigen_residuals`) and the eigenvalues of the dim x dim truncation."""
+    residuals = eigen_residuals(fam, range(k_max + 1), residual_dims)
     eigs = np.sort_complex(np.linalg.eigvals(generator_matrix(fam, dim)))
-    return SpectrumReport(
-        predicted=predicted, residuals=residuals, truncated_eigenvalues=eigs, dim=dim
-    )
+    return SpectrumReport(point_spectrum_predicted(fam, k_max), tuple(residual_dims), residuals,
+                          eigs, dim)
 
 
 # step of the adjoint quotient and the highest monomial degree it is taken on

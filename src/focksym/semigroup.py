@@ -414,9 +414,9 @@ def growth_values(fam: SemigroupFamily, X: np.ndarray, t_grid: np.ndarray) -> np
     return vals
 
 
-def growth_report(norms: np.ndarray, omega: float, t_grid: np.ndarray) -> GrowthReport:
-    """Sup, its grid time and the divergence flag of one curve weighted by e^{-omega t}."""
-    vals = np.array([math.exp(-omega * t) * nrm for t, nrm in zip(t_grid, norms)])
+def growth_report(norms: np.ndarray, omega: float) -> GrowthReport:
+    """Sup, its grid time and divergence flag of a GROWTH_T_GRID curve weighted by e^{-omega t}."""
+    vals = np.array([math.exp(-omega * t) * nrm for t, nrm in zip(GROWTH_T_GRID, norms)])
     finite = np.isfinite(vals)
     overflowed = not finite.all()
     tail_up = bool(
@@ -426,10 +426,10 @@ def growth_report(norms: np.ndarray, omega: float, t_grid: np.ndarray) -> Growth
         and np.all(vals[-3:] > 10 * np.min(vals))
     )
     if overflowed:
-        sup, arg = math.inf, float(t_grid[int(np.argmin(finite))])
+        sup, arg = math.inf, float(GROWTH_T_GRID[int(np.argmin(finite))])
     else:
         sup = float(np.max(vals))
-        arg = float(t_grid[int(np.argmax(vals >= sup * (1 - _SUP_ROUNDING)))])
+        arg = float(GROWTH_T_GRID[int(np.argmax(vals >= sup * (1 - _SUP_ROUNDING)))])
     return GrowthReport(sup=sup, argmax_t=arg, diverging=overflowed or tail_up,
                         values=vals, norms=norms)
 
@@ -442,7 +442,7 @@ def n_omega_estimate(fam: SemigroupFamily, x: np.ndarray, omega: float = 0.0) ->
     sup is reported at the earliest time whose value equals it up to rounding.
     """
     norms = growth_values(fam, x[:, None], GROWTH_T_GRID)
-    return growth_report(norms[:, 0], omega, GROWTH_T_GRID)
+    return growth_report(norms[:, 0], omega)
 
 
 def norm_w_one_closed_form(fam: SemigroupFamily, t: float) -> float:
@@ -478,7 +478,7 @@ def laplace_resolvent(
         raise ValueError(f"need a (dim, n) block with n >= 1, got shape {X.shape}")
     T = 1.0
     for curve in growth_values(fam, X, GROWTH_T_GRID).T:
-        report = growth_report(curve, omega, GROWTH_T_GRID)
+        report = growth_report(curve, omega)
         if report.diverging:
             raise ValueError(
                 f"growth probe diverges at omega = {omega}; the Laplace integral "

@@ -5,16 +5,15 @@ quantity against a pinned threshold.  The thirteen groups below are what the
 ``verify-all`` CLI subcommand runs and what the acceptance test module
 asserts; each record names the law it exercises (or is tagged "plumbing").
 
-This module is the one place where a record is made.  Each law that a
-scenario kind of :mod:`focksym.cli` also measures has one record maker,
-``(cfg, <inputs of the case>, suffix="") -> records``, which owns the law's
-ids, anchors, tolerance names and grid.  A family law's maker takes
-``(cfg, fam, suffix)``; the conjugation, slope, divergence and evolution
-makers take their case's inputs as named parameters.  A group runs its
-maker over its fixtures and appends a suffix to every id (``.{variant}.{i}``,
-or ``.b0.{i}`` and ``.offset`` for the conjugations); a kind applies the
-same maker to its parsed spec with no suffix, so a kind and the suite judge
-one case alike.
+Each law that a scenario kind of :mod:`focksym.cli` also judges has one
+record maker here, ``(cfg, <inputs of the case>, suffix="") -> records``,
+which owns the law's ids, anchors, tolerance names and grid.  A family law's
+maker takes ``(cfg, fam, suffix)``; the other makers take their case's
+inputs, or the measurement their caller made, as named parameters.  A group
+runs its maker over its fixtures and appends a suffix to every id
+(``.{variant}.{i}``, or ``.b0.{i}`` and ``.offset`` for the conjugations); a
+kind applies the same maker with no suffix, so both judge one case alike.
+The CLI makes only its kinds' info records and ``wco.symbol-selfadjointness``.
 Each law is measured by one helper of the layer that defines it (for example
 ``check_semigroup_law`` sweeps its own time grid, and every C-symmetry
 residual is ``check_matrix_c_symmetry``), at the truncation that decides it.
@@ -30,9 +29,9 @@ monomial vectors.
 do not go through ``run_group``, so they stay strict at every dim.
 
 The suite needs ``dim >= SUITE_MIN_DIM``: the spectrum group compares
-eigenfunction residuals at dims (max(8, big/2), max(10, 3big/4), big) with
-big = dim + dim/4, which do not increase below dim 8, and matches six lattice
-points against the eigenvalues of the dim x dim truncation.
+eigenfunction residuals at the dims of ``eigen_residual_dims``, which do not
+increase below dim 8, and matches six lattice points against the eigenvalues
+of the dim x dim truncation.
 """
 
 from __future__ import annotations
@@ -63,15 +62,16 @@ from .evolution import (
 from .fock import DEFAULT_TOLERANCES, sqrt_factorial
 from .generator import (
     DivergenceCertificate,
+    SpectrumReport,
     check_empty_point_spectrum,
     check_stone_adjoint_relation,
     dissipativity_margin,
-    eigen_residuals,
     generator_fd_fits,
     generator_matrix,
     matrix_exponential,
     point_spectrum_predicted,
     resolvent_bound_check,
+    spectrum_report,
 )
 from .rng import complex_normal_vectors
 from .semigroup import (
@@ -212,6 +212,12 @@ def exponential_bridge(fam: SemigroupFamily, times, n_monomials: int, dim: int) 
     return worst
 
 
+def eigen_residual_dims(dim: int) -> tuple[int, int, int]:
+    """(max(8, big/2), max(10, 3big/4), big): the law is judged at big = dim + dim/4."""
+    big = dim + dim // 4
+    return (max(8, big // 2), max(10, (3 * big) // 4), big)
+
+
 def divergence_certificate(cfg: VerifyConfig, fam: SemigroupFamily,
                            eta: complex) -> DivergenceCertificate:
     """The empty-spectrum certificate of eta on windows from max(4, dim/4)."""
@@ -346,6 +352,15 @@ def divergence_records(cfg: VerifyConfig, eta: complex, cert: DivergenceCertific
     return [_record(f"empty-spectrum.divergence.eta={eta}{suffix}",
                     "candidate eigenfunction leaves the space",
                     measured, threshold, direction=direction, detail=cert.summary())]
+
+
+def eigenfunction_records(cfg: VerifyConfig, rep: SpectrumReport,
+                          suffix: str = "") -> list[CheckRecord]:
+    """(z-G)^m exp(beta z) are eigenfunctions: the worst residual at rep's largest dim."""
+    k_max, big = len(rep.predicted) - 1, rep.residual_dims[-1]
+    return [_record(f"spectrum.eigenfunction-residuals{suffix}",
+                    "(z-G)^m exp(beta z) are eigenfunctions", np.max(rep.residuals[-1]),
+                    cfg.tol("eigen_residual"), detail=f"max over m <= {k_max} at dim {big}")]
 
 
 def evolution_axiom_records(
@@ -498,27 +513,27 @@ def stone_symmetry_checks(cfg: VerifyConfig) -> list[CheckRecord]:
 # ----------------------------------------------------------------------------
 # group 7: dilation point spectrum
 
+# beta != 0: (ell, G, H) = (1, 1, 0), eigenfunctions (z-1)^m exp(z)
+_EIGENFUNCTION_FAMILY = _std_dilation(ell=1.0, G=1.0, H=0.0)
+
+
 def spectrum_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     # beta = 0: the truncation is triangular and its eigenvalues are exact
     fam0 = _std_dilation(ell=-1.0 + 0.5j, G=0.0, H=0.3)
     eigs = np.linalg.eigvals(generator_matrix(fam0, cfg.dim))
     dev = max(float(np.min(np.abs(eigs - lam))) for lam in point_spectrum_predicted(fam0, 5))
     # beta != 0: explicit eigenfunction residuals, non-increasing in dim
-    fam1 = _std_dilation(ell=1.0, G=1.0, H=0.0)
-    big = cfg.dim + cfg.dim // 4
-    grid = (max(8, big // 2), max(10, (3 * big) // 4), big)
-    resids = eigen_residuals(fam1, range(6), grid)  # one row per dim
-    monotone = bool(np.all(resids[1:] <= resids[:-1]))
-    eigs1 = np.linalg.eigvals(generator_matrix(fam1, cfg.dim))
+    grid = eigen_residual_dims(cfg.dim)
+    rep = spectrum_report(_EIGENFUNCTION_FAMILY, 5, cfg.dim, grid)
+    monotone = bool(np.all(rep.residuals[1:] <= rep.residuals[:-1]))
     return [
         _record("spectrum.lattice.beta0", "eigenvalues H + k ell when the twist vanishes",
                 dev, cfg.tol("spectrum_exact")),
-        _record("spectrum.eigenfunction-residuals", "(z-G)^m exp(beta z) are eigenfunctions",
-                float(np.max(resids[-1])), cfg.tol("eigen_residual"),
-                detail=f"max over m <= 5 at dim {big}"),
+        *eigenfunction_records(cfg, rep),
         _record("spectrum.residuals-monotone", "residuals do not grow with the truncation",
                 0.0 if monotone else 1.0, 0.5, detail=f"dims {grid}"),
-        _info("spectrum.truncated-eigs-nonnormal", "plumbing", float(np.max(np.abs(eigs1))),
+        _info("spectrum.truncated-eigs-nonnormal", "plumbing",
+              float(np.max(np.abs(rep.truncated_eigenvalues))),
               "truncated eigenvalues reported only; non-normal truncation "
               "does not approximate the lattice when beta != 0"),
     ]
@@ -561,7 +576,7 @@ def growth_checks(cfg: VerifyConfig) -> list[CheckRecord]:
                        "||W(t) 1|| = exp(t^2) for unit drift-free translation", dev, 1e-12))
     curve = growth_values(fam, one, GROWTH_T_GRID)[:, 0]
     for omega in (0.0, 1.0, 10.0):
-        rep = growth_report(curve, omega, GROWTH_T_GRID)
+        rep = growth_report(curve, omega)
         out.append(_record(f"growth.divergence-flag.omega={omega:g}",
                            "quadratic cocycle growth beats every exponential weight",
                            1.0 if rep.diverging else 0.0, 1.0, direction=">=",
@@ -584,16 +599,12 @@ def laplace_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     # 1-D norms, so that a column reads as the vector alone would
     worst_diag = max(float(np.linalg.norm(c)) for c in diag.T)
     worst_ident = max(float(np.linalg.norm(c)) for c in ident.T)
-    out.append(
-        _record("laplace.diagonal-values",
-                "integral of e^{-lam t} W(t) e_k equals e_k / (lam + k)",
-                worst_diag, cfg.tol("laplace_diagonal"))
-    )
-    out.append(
-        _record("laplace.resolvent-identity",
-                "(lam - Q) J_lam = identity on basis vectors",
-                worst_ident, cfg.tol("laplace_identity"))
-    )
+    out.append(_record("laplace.diagonal-values",
+                       "integral of e^{-lam t} W(t) e_k equals e_k / (lam + k)",
+                       worst_diag, cfg.tol("laplace_diagonal")))
+    out.append(_record("laplace.resolvent-identity",
+                       "(lam - Q) J_lam = identity on basis vectors",
+                       worst_ident, cfg.tol("laplace_identity")))
     # the integral must refuse families whose growth probe diverges
     bad = _std_translation(E=1.0, F=0.0)
     try:
@@ -601,11 +612,9 @@ def laplace_checks(cfg: VerifyConfig) -> list[CheckRecord]:
         refused = 0.0
     except ValueError:
         refused = 1.0
-    out.append(
-        _record("laplace.refuses-divergent",
-                "no Laplace integral without a growth certificate",
-                refused, 1.0, direction=">=")
-    )
+    out.append(_record("laplace.refuses-divergent",
+                       "no Laplace integral without a growth certificate",
+                       refused, 1.0, direction=">="))
     return out
 
 
@@ -642,50 +651,38 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     closed = np.exp(-1j * nu) * (
         math.cos(mu) * np.eye(2) - 1j * math.sin(mu) / mu * (H - nu * np.eye(2))
     )
-    out.append(
-        _record("evolution.closed-form",
-                "propagator of the constant two-level model",
-                float(np.max(np.abs(U - closed))), cfg.tol("closed_form_evolution"))
-    )
+    out.append(_record("evolution.closed-form",
+                       "propagator of the constant two-level model",
+                       float(np.max(np.abs(U - closed))), cfg.tol("closed_form_evolution")))
     # same constant model through the exponential (independent route)
     exp_route = matrix_exponential(B([0.0])[0], 1.0)
-    out.append(
-        _record("evolution.exponential-route",
-                "constant-coefficient propagator equals exp((t-s) B)",
-                float(np.max(np.abs(U - exp_route))), cfg.tol("closed_form_evolution"))
-    )
+    out.append(_record("evolution.exponential-route",
+                       "constant-coefficient propagator equals exp((t-s) B)",
+                       float(np.max(np.abs(U - exp_route))), cfg.tol("closed_form_evolution")))
     # commutation of B(s) with plain conjugation (complex symmetric B)
     stone = check_nonauto_stone(B, np.eye(2), np.linspace(0.0, 2.0, 9))
-    out.append(
-        _record("evolution.nonauto-commutation",
-                "B(s) M = M B(s)^T along the whole time axis",
-                float(np.max(stone)), cfg.tol("nonauto_commutation"))
-    )
+    out.append(_record("evolution.nonauto-commutation",
+                       "B(s) M = M B(s)^T along the whole time axis",
+                       float(np.max(stone)), cfg.tol("nonauto_commutation")))
     # commuting family (time-varying detuning only): U inherits the symmetry
     B2 = bagchi_hamiltonian(0.5, lambda t: 0.3 * math.cos(t), lambda t: 0.0)
     sym = check_matrix_c_symmetry(evolve(B2, 0.0, 1.5, rel_tol).matrix, np.eye(2))
-    out.append(
-        _record("evolution.symmetry-commuting",
-                "U(t, s) M = M U(t, s)^T for commuting families",
-                sym, cfg.tol("evolution_symmetry"))
-    )
+    out.append(_record("evolution.symmetry-commuting",
+                       "U(t, s) M = M U(t, s)^T for commuting families",
+                       sym, cfg.tol("evolution_symmetry")))
     # adjoint family differentiates at first order: slope fit over h
     z = np.array([0.3 - 0.1j, 0.8 + 0.2j])
     hs = np.array([3e-2, 1e-2, 3e-3, 1e-3])
     errs = check_adjoint_family(B, 0.0, 1.0, z, hs, 1e-12)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-    out.append(
-        _record("evolution.adjoint-slope",
-                "d/dt U(t,s)^H z = U(t,s)^H B(t)^H z",
-                abs(slope - 1.0), 0.1, detail=f"slope {slope:.4f}")
-    )
+    out.append(_record("evolution.adjoint-slope",
+                       "d/dt U(t,s)^H z = U(t,s)^H B(t)^H z",
+                       abs(slope - 1.0), 0.1, detail=f"slope {slope:.4f}"))
     # reversed integration inverts the propagator
     inv_resid = float(np.max(np.abs(U_rev @ U - np.eye(2))))
-    out.append(
-        _record("evolution.reverse-inverse",
-                "backward integration inverts the propagator",
-                inv_resid, cfg.tol("evolution_tol_factor") * rel_tol)
-    )
+    out.append(_record("evolution.reverse-inverse",
+                       "backward integration inverts the propagator",
+                       inv_resid, cfg.tol("evolution_tol_factor") * rel_tol))
     return out
 
 

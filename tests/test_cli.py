@@ -222,6 +222,22 @@ def test_flag_input_error_names_the_flag(_outdir, capsys, argv, flag):
     assert not _outdir.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectrum_overflow_between_dim_and_judged_dim_names_the_family(tmp_path, _outdir,
+                                                                      capsys):
+    # G = 1e3: the eigenfunctions fit the double range at dim 48 but overflow
+    # by dim 60 = 5/4 dim, where the law is judged
+    family = dict(DILATION, G=1e3)
+    fam = cli._family_from(family, "params.family")
+    with np.errstate(over="raise", invalid="raise"):
+        generator.eigen_residuals(fam, range(6), (48,))
+    path = _scenario(tmp_path, {"name": "x", "kind": "spectrum", "params": {"family": family},
+                                "truncation": {"dim": 48}})
+    assert main(["run", path]) == 1
+    assert "input error: params.family: " in capsys.readouterr().err
+    assert not _outdir.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("params, field", [
     ({"family": DILATION}, "truncation.dim"),
@@ -568,6 +584,9 @@ SHARED_MAKERS = {
                        ["empty-spectrum.divergence.eta=(1+1j)"]),
     "evolution": ("evolution", "", "evolution", _TWO_LEVEL,
                   ["evolution.identity", "evolution.composition"]),
+    "spectrum": ("spectrum", "", "spectrum",
+                 {"family": V._EIGENFUNCTION_FAMILY.to_json(), "k_max": 5},
+                 ["spectrum.eigenfunction-residuals"]),
 }
 
 
@@ -582,6 +601,48 @@ def test_kind_and_suite_records_agree(maker):
     for check_id in ids:
         want = dataclasses.replace(suite[check_id], check_id=check_id)
         assert dataclasses.asdict(got[check_id]) == dataclasses.asdict(want), check_id
+
+
+# judged records a kind makes with no maker that verify-all runs, and why
+UNPINNED = {
+    # C-selfadjointness of a wco symbol: the suite has no wco symbol group yet
+    "wco.symbol-selfadjointness",
+}
+
+
+def test_every_judged_kind_record_is_pinned():
+    # full-verify is left out: its records are the suite's own
+    cases = [(kind, params) for _, _, kind, params, _ in SHARED_MAKERS.values()]
+    cases += [(kind, params) for kind, params in GOOD_PARAMS if kind != "full-verify"]
+    cases.append(("wco", {"A": 0.5, "conjugation": STD_CONJ}))
+    judged = set()
+    for kind, params in cases:
+        sc = cli.validate_scenario({"name": kind, "kind": kind, "params": params,
+                                    "truncation": {"dim": 16}})
+        judged |= {r.check_id for r in sc.run()[0] if r.status != "info"}
+    pinned = {check_id for *_, ids in SHARED_MAKERS.values() for check_id in ids}
+    assert judged - pinned == UNPINNED
+
+
+def test_spectrum_residuals_are_the_judged_values(tmp_path):
+    # the payload and the CSV residual column hold the residuals the record
+    # judges, taken at 5/4 dim as the suite takes them; the eigenvalues stay at dim
+    argv = ["spectrum", "--k-max", "4", "--dim", "32", "--out"]
+    assert main(argv + [str(tmp_path / "s.json")]) == 0
+    assert main(argv + [str(tmp_path / "s.csv"), "--format", "csv"]) == 0
+    report = json.loads((tmp_path / "s.json").read_text())
+    spectrum = report["provenance"]["parameters"]["spectrum"]
+    [record] = [r for r in report["records"]
+                if r["check_id"] == "spectrum.eigenfunction-residuals"]
+    fam = V._EIGENFUNCTION_FAMILY  # the flags' default family
+    assert spectrum["residuals"] == list(generator.eigen_residuals(fam, range(5), (40,))[0])
+    assert record["measured"] == max(spectrum["residuals"])
+    assert record["detail"] == "max over m <= 4 at dim 40"
+    assert (spectrum["residual_dim"], spectrum["dim"], len(spectrum["truncated_eigs"])) == (
+        40, 32, 32)
+    with open(tmp_path / "s.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [float(row[3]) for row in rows[1:]] == spectrum["residuals"]
 
 
 # --- verify-all -----------------------------------------------------------------

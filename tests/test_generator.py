@@ -192,12 +192,13 @@ def test_eigen_residual_requires_dilation():
 
 def test_spectrum_report_shape_and_keys():
     fam = DilationFamily(ell=1.0, G=1.0, H=0.0, conj=STD)
-    rep = spectrum_report(fam, 3, 32)
+    rep = spectrum_report(fam, 3, 32, (20, 40))
     assert rep.predicted.shape == (4,)
-    assert rep.residuals.shape == (4,)
+    assert rep.residuals.shape == (2, 4)
     assert rep.truncated_eigenvalues.shape == (32,)
     blob = rep.to_json()
-    assert set(blob) == {"predicted", "residuals", "truncated_eigs", "dim"}
+    assert set(blob) == {"predicted", "residuals", "residual_dim", "truncated_eigs", "dim"}
+    assert blob["residuals"] == list(rep.residuals[-1]) and blob["residual_dim"] == 40
 
 
 # --- empty point spectrum certificate ----------------------------------------
