@@ -35,7 +35,9 @@ the new value, and ``outside`` where the two differ beyond the golden
 tolerance of ``tests/test_reports_golden.py`` (its ``mismatches``), with the
 status if that moved too.  JSON records are paired by check id, so a renamed
 id reads as one ``removed`` line (old id, old value) and one ``added`` line
-(new id, new value), and no other record is misaligned by it.
+(new id, new value), and no other record is misaligned by it.  The rest of
+a JSON report, such as its provenance, prints one line per moved key path
+(``provenance.parameters.spectrum.residuals``), lists compared whole.
 """
 
 import argparse
@@ -202,16 +204,38 @@ def _by_id(old: dict, new: dict, value, status, outside):
             yield check_id, None, value(n), True, "added"
 
 
+def _moved_keys(old, new, mismatches, path: str = ""):
+    """Moves of a JSON payload, one per key path whose value moved.
+
+    Dicts are walked key by key, so a path reads like
+    ``provenance.parameters.spectrum.residuals``; any other value, a list
+    included, is compared whole.  ``wall_time_s`` is skipped.
+    """
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        if not _same(old, new):
+            key = path.rsplit(".", 1)[-1]
+            yield path, old, new, bool(mismatches(new, old, key=key)), ""
+        return
+    for k in sorted(set(old) | set(new)):
+        if k == "wall_time_s":
+            continue
+        sub = f"{path}.{k}" if path else k
+        if k not in new:
+            yield sub, old[k], None, True, "removed"
+        elif k not in old:
+            yield sub, None, new[k], True, "added"
+        else:
+            yield from _moved_keys(old[k], new[k], mismatches, sub)
+
+
 def _moved_records(old_path: Path, new_path: Path):
     """(check id, old value, new value, outside tolerance, status move) per moved record."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
     from test_reports_golden import mismatches
     if old_path.suffix == ".json":
         old, new = json.loads(old_path.read_text()), json.loads(new_path.read_text())
-        rest = [k for k in sorted(set(old) | set(new)) if k != "records"]
-        for k in rest:
-            if mismatches(new.get(k), old.get(k)):
-                yield k, old.get(k), new.get(k), True, ""
+        yield from _moved_keys({k: v for k, v in old.items() if k != "records"},
+                               {k: v for k, v in new.items() if k != "records"}, mismatches)
         yield from _by_id({r["check_id"]: r for r in old.get("records", [])},
                           {r["check_id"]: r for r in new.get("records", [])},
                           lambda r: r["measured"], lambda r: r["status"],

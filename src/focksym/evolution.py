@@ -52,11 +52,12 @@ symmetry U(t,s) = J U(t,s)* J of the propagator for commuting families is
 A time series U(t_k, s) is a chain of segment propagators through the
 cocycle U(t_k, s) = U(t_k, t_{k-1}) U(t_{k-1}, s), the segments integrated
 side by side, so its cost is linear in the number of samples.  A check that
-judges U(t, s) takes it from its caller, which integrates it once for every
-check that needs it.  An ``evolution`` run takes U(t, s) from the end of its
-series, so it integrates its horizon twice: once as the chained series, and
-once split at r = (s + t)/2 by :func:`check_evolution_axioms`.  The two
-paths share no step.
+judges U(t, s), the axioms and the adjoint quotients alike, takes it from its
+caller, which integrates it once for every check that needs it; the adjoint
+check integrates only the short spans U(t + h, t) of its quotients.  An
+``evolution`` run takes U(t, s) from the end of its series, so it integrates
+its horizon twice: once as the chained series, and once split at
+r = (s + t)/2 by :func:`check_evolution_axioms`.  The two paths share no step.
 """
 
 from __future__ import annotations
@@ -367,7 +368,7 @@ def check_evolution_axioms(
 
 def check_adjoint_family(
     B: _Coefficient,
-    s: float,
+    U_ts: np.ndarray,
     t: float,
     z: np.ndarray,
     hs: Sequence[float],
@@ -376,26 +377,20 @@ def check_adjoint_family(
     """Difference-quotient residuals of d/dt [U(t,s)^H z] = U(t,s)^H B(t)^H z.
 
     For each h in ``hs``: ||(U(t+h,s)^H z - U(t,s)^H z)/h - U(t,s)^H B(t)^H z||,
-    an O(h) quantity for smooth coefficients.  U(t, s) is integrated once,
-    and U(t+h, s) = U(t+h, t) U(t, s) through the cocycle, so each h
-    integrates only the span [t, t+h].  Both terms of the quotient then share
-    U(t, s) and its integration error, which would otherwise enter the
-    quotient divided by h.  U(t, s) and every U(t+h, t) are integrated side
-    by side.
+    an O(h) quantity for smooth coefficients.  ``U_ts`` is the caller's
+    U(t, s), and U(t+h, s) = U(t+h, t) U(t, s) through the cocycle, so each h
+    integrates only the span [t, t+h], at ``rel_tol``, side by side.  Both
+    terms of the quotient share U(t, s) and its integration error, which
+    would otherwise enter the quotient divided by h.
     """
-    if t < s:
-        raise ValueError(f"need t >= s, got t = {t} < s = {s}")
     if any(h <= 0 for h in hs):
         raise ValueError("h must be positive")
     z = np.asarray(z, dtype=complex)
-    (U_t, *steps), _ = _integrate_spans(B, [(s, t)] + [(t, t + h) for h in hs], rel_tol)
-    target = U_t.conj().T @ (B([t])[0].conj().T @ z)
-    out = np.empty(len(hs))
-    for i, (h, U_step) in enumerate(zip(hs, steps)):
-        U_th = U_step @ U_t
-        quotient = (U_th.conj().T @ z - U_t.conj().T @ z) / h
-        out[i] = np.linalg.norm(quotient - target)
-    return out
+    steps, _ = _integrate_spans(B, [(t, t + h) for h in hs], rel_tol)
+    target = U_ts.conj().T @ (B([t])[0].conj().T @ z)
+    at_t = U_ts.conj().T @ z
+    return np.array([np.linalg.norm(((U_step @ U_ts).conj().T @ z - at_t) / h - target)
+                     for h, U_step in zip(hs, steps)])
 
 
 # M conj(M) = I must hold to rounding before B(s) M = M B(s)^T means anything

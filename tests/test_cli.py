@@ -750,8 +750,9 @@ def test_verify_all_runs_past_dim_241(tmp_path):
 def test_verify_all_work_is_pinned(tmp_path, work):
     assert main(["verify-all", "--dim", "16", "--out", str(tmp_path / "r.json")]) == 0
     # evolution group: U(1, 0) and its reversal U(0, 1), U(1, 1), U(1, 0.5),
-    # U(0.5, 0) for the axioms, U(1.5, 0) for the symmetry record, U(1, 0) and
-    # four U(1 + h, 1) for the adjoint slope; the laplace group's five vectors share one 65-point growth pass;
+    # U(0.5, 0) for the axioms, U(1.5, 0) for the symmetry record, and four
+    # U(1 + h, 1) for the adjoint slope, which reads the group's U(1, 0); the
+    # laplace group's five vectors share one 65-point growth pass;
     # the spectrum group builds its six eigenfunctions once, as the columns of one
     # matrix at the largest of its three dims
     # matrices by group: laplace 690 (two 65-point growth passes, 560 integrand
@@ -761,15 +762,16 @@ def test_verify_all_work_is_pinned(tmp_path, work):
     # dim/4, six families), boundedness 6, conjugation 4, spectrum 1
     # assembly calls: the sweeps over a family's times are stacks, one per growth
     # pass (7), per 10-node integrand panel (56), per family for the semigroup
-    # law's full times and its sums (12) and per family for the finite
-    # differences' W(+-h) (2); the other 26 matrices are built one by one
+    # law's full times and its sums (12), per family for the finite
+    # differences' W(+-h) (2), for the bridge's three times (1) and for the six
+    # boundedness symbols (1); the other 17 matrices are built one by one
     # two-level coefficient calls: one per _integrate_spans call (4: the pair,
     # the axioms, the symmetry record and the adjoint batch) and one per pass
-    # of its step loop (609), plus B(0) for the exponential route, the 9-point
+    # of its step loop (243), plus B(0) for the exponential route, the 9-point
     # s grid of the commutation record and B(1) for the adjoint target; the
     # times are each span's start and five per attempted step, plus 11
-    assert work == {"spans": 11, "matrices": 893, "assemblies": 103,
-                    "B_calls": 616, "B_times": 4112}
+    assert work == {"spans": 10, "matrices": 893, "assemblies": 96,
+                    "B_calls": 250, "B_times": 2216}
     # the evolution group does not depend on the dim
     coefficient_work = (work["B_calls"], work["B_times"])
     work["B_calls"] = work["B_times"] = 0

@@ -300,7 +300,8 @@ def test_adjoint_family_quotient_is_first_order():
     B = bagchi_hamiltonian(1.0, lambda t: 0.5 * math.cos(t), lambda t: 0.8)
     z = np.array([1.0, 0.5 - 0.25j])
     hs = np.array([3e-2, 1e-2, 3e-3, 1e-3])
-    errs = check_adjoint_family(B, 0.0, 1.0, z, hs, rel_tol=1e-12)
+    U_10 = evolve(B, 0.0, 1.0, rel_tol=1e-12).matrix
+    errs = check_adjoint_family(B, U_10, 1.0, z, hs, rel_tol=1e-12)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - 1.0) <= 0.1
 
@@ -308,7 +309,7 @@ def test_adjoint_family_quotient_is_first_order():
 def test_adjoint_family_rejects_bad_step():
     B = _constant(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="h must be positive"):
-        check_adjoint_family(B, 0.0, 1.0, np.ones(2), [1e-3, 0.0])
+        check_adjoint_family(B, np.eye(2), 1.0, np.ones(2), [1e-3, 0.0])
 
 
 # --- stiffness escape hatch -----------------------------------------------------
@@ -379,11 +380,12 @@ def test_adjoint_family_integrates_u_once(monkeypatch):
         calls.append(list(spans))
         return _integrate_spans(B, spans, rel_tol)
 
-    monkeypatch.setattr(evolution, "_integrate_spans", counting)
-    errs = check_adjoint_family(B, 0.0, 1.0, z, hs, 1e-12)
-    # one batch: U(1, 0) once, then only the short span U(1 + h, 1) for each h
-    assert calls == [[(0.0, 1.0)] + [(1.0, 1.0 + h) for h in hs]]
     U_t = evolve(B, 0.0, 1.0, 1e-12).matrix
+    monkeypatch.setattr(evolution, "_integrate_spans", counting)
+    errs = check_adjoint_family(B, U_t, 1.0, z, hs, 1e-12)
+    # one batch of the short spans U(1 + h, 1); U(1, 0) is the caller's
+    assert calls == [[(1.0, 1.0 + h) for h in hs]]
+    assert not any(t0 == 0.0 for t0, _ in calls[0])
     for h, err in zip(hs, errs):
         U_th = evolve(B, 1.0, 1.0 + h, 1e-12).matrix @ U_t  # the cocycle
         quotient = (U_th.conj().T @ z - U_t.conj().T @ z) / h

@@ -344,17 +344,33 @@ def test_margin_of_diagonal_matrix():
     assert dissipativity_margin(np.diag([3.0, -2.0])) == pytest.approx(3.0)
 
 
+def _damped_section(dim):
+    """The (dim+1) x dim section of Q = -I + i(a + a^H), the suite's damped generator."""
+    return generator_matrix(TranslationFamily(E=1j, F=-1.0, conj=STD), dim + 1)[:, :dim]
+
+
+@pytest.mark.parametrize("dim", [8, 16, 64])
+def test_resolvent_bound_is_the_section_singular_value(dim):
+    S = _damped_section(dim)
+    alphas = (0.1, 1.0, 10.0)
+    ref = min(scipy.linalg.svdvals(alpha * np.eye(dim + 1, dim) - S)[-1] / alpha
+              for alpha in alphas)
+    assert resolvent_bound_check(S, alphas) == pytest.approx(ref, rel=1e-12)
+
+
 def test_resolvent_bound_for_dissipative_matrix():
-    fam = TranslationFamily(E=1j, F=-1.0, conj=STD)
-    Q = generator_matrix(fam, 64)
-    vectors = list(complex_normal_vectors(20260814, 100, 64))
-    assert resolvent_bound_check(Q, (0.1, 1.0, 10.0), vectors) >= 1.0 - 1e-10
+    # Q is normal with spectrum -1 + iR, so the exact bound is min (alpha + 1)/alpha,
+    # 1.1 at alpha = 10; a section bounds it from above and decreases toward it
+    bounds = [resolvent_bound_check(_damped_section(dim), (0.1, 1.0, 10.0))
+              for dim in (8, 16, 64)]
+    assert all(b >= 1.1 for b in bounds)
+    assert bounds == sorted(bounds, reverse=True)
+    assert bounds[-1] - 1.1 <= 2e-3
 
 
 def test_resolvent_bound_detects_expansive_matrix():
     M = np.eye(4, dtype=complex)  # margin +1, inequality must fail for big alpha
-    vectors = list(complex_normal_vectors(5, 10, 4))
-    assert resolvent_bound_check(M, (10.0,), vectors) < 1.0
+    assert resolvent_bound_check(M, (10.0,)) == pytest.approx(0.9)
 
 
 # --- matrix exponential ------------------------------------------------------

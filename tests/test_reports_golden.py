@@ -11,6 +11,7 @@ Capture the goldens again with
 """
 
 import csv
+import importlib.util
 import json
 import math
 import re
@@ -189,6 +190,30 @@ def test_comparison_rules():
     assert mismatches(rec, dict(rec, detail="slope  1.0000"))
     assert mismatches({"csv": [["t", "0.25"]]}, {"csv": [["t", "0.25000000000001"]]}) == []
     assert mismatches({"csv": [["t", "0.25"]]}, {"csv": [["s", "0.25"]]})
+
+
+def test_digest_comparison_names_each_moved_key(monkeypatch):
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    monkeypatch.syspath_prepend(str(scripts))
+    spec = importlib.util.spec_from_file_location("report_digest", scripts / "report_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    old = {"provenance": {"wall_time_s": 0.1, "seed": 5, "tolerances": {"norm_one": 1e-8},
+                          "parameters": {"spectrum": {"dim": 32, "residuals": [0.25, 0.5]}}},
+           "scenario": "s"}
+    new = json.loads(json.dumps(old))
+    new["provenance"]["wall_time_s"] = 0.2
+    new["provenance"]["parameters"]["spectrum"]["residuals"][1] = 0.75
+    new["provenance"]["parameters"]["spectrum"]["dim"] = 32 * (1 + 1e-12)
+    new["provenance"]["truncation"] = {"dim": 32}
+    del new["scenario"]
+    assert list(digest._moved_keys(old, new, mismatches)) == [
+        ("provenance.parameters.spectrum.dim", 32, 32 * (1 + 1e-12), False, ""),
+        ("provenance.parameters.spectrum.residuals", [0.25, 0.5], [0.25, 0.75], True, ""),
+        ("provenance.truncation", None, {"dim": 32}, True, "added"),
+        ("scenario", "s", None, True, "removed"),
+    ]
+    assert list(digest._moved_keys(old, json.loads(json.dumps(old)), mismatches)) == []
 
 
 if __name__ == "__main__" and "--capture" in sys.argv:

@@ -8,6 +8,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from focksym import verification
 from focksym.fock import DEFAULT_TOLERANCES
 from focksym.verification import (
     _TRUNCATION_SENSITIVE,
@@ -151,6 +152,17 @@ def test_small_run_is_deterministic_and_fail_free():
     # every group contributed
     prefixes = {r["check_id"].split(".")[0] for r in first}
     assert len(prefixes) >= 10
+
+
+@pytest.mark.parametrize("dim", [8, 16, 64])
+def test_resolvent_bound_fails_a_non_dissipative_generator(dim, monkeypatch):
+    # F = +0.05 puts the margin of -I + i(a + a^H) at +0.05: the exact bound
+    # falls below 1 at every one of these dims, where 100 random probes did not
+    translation = verification._std_translation
+    monkeypatch.setattr(verification, "_std_translation", lambda E, F: translation(E, 0.05))
+    records = {r.check_id: r for r in run_group("dissipativity", VerifyConfig(dim=dim))}
+    bound = records["dissipativity.resolvent-bound"]
+    assert bound.status == "fail" and bound.measured < 1.0
 
 
 def test_thresholds_are_finite_unless_informational():
