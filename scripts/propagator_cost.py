@@ -27,8 +27,11 @@ unbroken span U(t, 0) of the constant model at each of ``STEP_DIMS`` (the
 fastest of ``REPEATS`` integrations); the microseconds per pass of the step
 loop for the series of ``PASS_MODELS`` (the fastest of ``REPEATS``); and the
 milliseconds ``write_csv`` takes per 10^5 float cells (the fastest of
-``REPEATS`` writes), timed on the rows of a dim-32 series (2049 cells a
-row).  Fix the BLAS threads (``OPENBLAS_NUM_THREADS=1``) when comparing.
+``REPEATS`` writes) of a table of 49 rows of 2049 cells, as wide as a dim-32
+series, handed over as the float64 array an ``evolution`` run hands over.  It
+is timed on each of ``CSV_CELLS``: 17-digit values such as a series holds,
+short decimals and integers.  Fix the BLAS threads
+(``OPENBLAS_NUM_THREADS=1``) when comparing.
 
 Every model is built by the scenario parser from its params, as an
 ``evolution`` run builds it.  ``--passes-only`` prints the per-pass figures
@@ -189,19 +192,26 @@ def print_pass_costs(t: float, rel_tol: float) -> None:
         print(f"{label:>16}  {segments:>8}  {passes:>6}  {us:>8.1f}")
 
 
-def csv_ms_per_1e5_cells() -> float:
-    """Fastest ms per 10^5 cells of write_csv on 49 rows of 2049 floats."""
-    rng = np.random.default_rng(0)
-    rows = rng.standard_normal((49, 2049)).tolist()
-    header = [f"c{j}" for j in range(2049)]
+# the cells of the write_csv figure: a seeded 49 x 2049 table of each kind
+CSV_CELLS = {
+    "17-digit": lambda rng: rng.standard_normal((49, 2049)),
+    "short decimals": lambda rng: np.round(rng.uniform(-100.0, 100.0, (49, 2049)), 3),
+    "integers": lambda rng: np.round(rng.uniform(-1000.0, 1000.0, (49, 2049))),
+}
+
+
+def csv_ms_per_1e5_cells(kind: str) -> float:
+    """Fastest ms per 10^5 cells of write_csv on the CSV_CELLS table ``kind``."""
+    table = CSV_CELLS[kind](np.random.default_rng(0))
+    header = [f"c{j}" for j in range(table.shape[1])]
     best = math.inf
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rows.csv")
         for _ in range(REPEATS):
             t0 = time.perf_counter()
-            write_csv(path, header, rows)
+            write_csv(path, header, table)
             best = min(best, time.perf_counter() - t0)
-    return 1e3 * best * 1e5 / (49 * 2049)
+    return 1e3 * best * 1e5 / table.size
 
 
 def main(argv=None) -> int:
@@ -242,7 +252,9 @@ def main(argv=None) -> int:
         print(f"{n:>5}  {attempted:>9}  {us:>8.1f}")
     print()
     print_pass_costs(args.t, args.rel_tol)
-    print(f"\nwrite_csv: {csv_ms_per_1e5_cells():.2f} ms per 10^5 float cells")
+    print(f"\nwrite_csv, fastest of {REPEATS}")
+    for kind in CSV_CELLS:
+        print(f"{kind:>16}  {csv_ms_per_1e5_cells(kind):>6.2f} ms per 10^5 float cells")
 
     if args.out:
         write_csv(args.out, ["model", "samples", "rk_steps", "passes", "b_calls",

@@ -12,7 +12,7 @@ the params, which is all that ``validate`` asks of it, and returns the
 kind's run, which ``run`` calls.  A run applies the record makers of
 :mod:`focksym.verification`, one per law, that ``verify-all`` runs over its
 fixtures, so both judge a case with the same ids, grids and tolerances; it
-adds only its kind's info records, report payload and CSV rows, and the
+adds only its kind's info records, report payload and CSV table, and the
 ``wco`` kind's ``wco.symbol-selfadjointness``, whose law has no group yet.
 Runs judge strictly: the below-64 ``warn`` downgrade applies to
 ``verify-all`` and the ``full-verify`` kind only.  Every report path is
@@ -214,7 +214,9 @@ def _config_from(obj: dict, path: str, seed: int) -> VerifyConfig:
 # ----------------------------------------------------------------------------
 # scenario parsing: the kind checks its params and returns its run
 
-# a kind's run gives (records, extra report payload, csv rows)
+# a kind's run gives (records, extra report payload, csv table): the table is
+# (header, body), the body a 2-D float array or a list of rows, or None for
+# the records themselves
 Run = Callable[[], tuple]
 
 
@@ -360,11 +362,10 @@ def _semigroup_kind(params: dict, cfg: VerifyConfig) -> Run:
                              1.0 if family_is_bounded(fam) else 0.0))
         records.append(_info("semigroup.growth", "sup_t e^{-omega t} ||W(t) 1||", rep.sup,
                              f"diverging={rep.diverging} argmax_t={rep.argmax_t!r}"))
-        rows = [("t", "norm", "weighted_norm")]
-        rows += [(float(t), float(norm), float(weighted))
-                 for t, norm, weighted in zip(GROWTH_T_GRID, rep.norms, rep.values)]
+        table = (("t", "norm", "weighted_norm"),
+                 np.column_stack((GROWTH_T_GRID, rep.norms, rep.values)))
         payload = {"family": fam.to_json(), "growth": rep.to_json(), "omega": omega}
-        return records, payload, rows
+        return records, payload, table
     return run
 
 
@@ -405,10 +406,10 @@ def _spectrum_kind(params: dict, cfg: VerifyConfig) -> Run:
                   float(np.max(np.abs(rep.predicted))),
                   ", ".join(repr(complex(z)) for z in rep.predicted)),
         ]
-        rows = [("m", "predicted_re", "predicted_im", "residual")]
-        for m, (lam, r) in enumerate(zip(rep.predicted, rep.residuals[-1])):
-            rows.append((m, lam.real, lam.imag, float(r)))
-        return records, {"family": fam.to_json(), "spectrum": rep.to_json()}, rows
+        rows = [(m, lam.real, lam.imag, float(r))
+                for m, (lam, r) in enumerate(zip(rep.predicted, rep.residuals[-1]))]
+        table = (("m", "predicted_re", "predicted_im", "residual"), rows)
+        return records, {"family": fam.to_json(), "spectrum": rep.to_json()}, table
     return run
 
 
@@ -531,9 +532,8 @@ def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
                           for part in ("re", "im")]
         # a complex matrix viewed as float64 interleaves re and im, as the header does
         entries = np.array(series).reshape(len(times), -1).view(np.float64)
-        rows = [header] + np.column_stack((times, entries)).tolist()
         payload = {"evolution": meta, "s": s, "t": t, "rel_tol": rel_tol}
-        return records, payload, rows
+        return records, payload, (header, np.column_stack((times, entries)))
     return run
 
 
@@ -580,15 +580,14 @@ def _print_records(records: Sequence[CheckRecord]) -> None:
     print(f"  {n['pass']} pass, {n['warn']} warn, {n['info']} info, {n['fail']} fail")
 
 
-def _emit(report: dict, records: Sequence[CheckRecord], rows, output: dict) -> str:
+def _emit(report: dict, records: Sequence[CheckRecord], table, output: dict) -> str:
     path = output["path"]
     if output["format"] == "csv":
-        if rows is None:
-            rows = [("check_id", "anchor", "measured", "threshold",
-                     "direction", "status")]
-            rows += [(r.check_id, r.anchor, r.measured, r.threshold,
-                      r.direction, r.status) for r in records]
-        write_csv(path, [str(h) for h in rows[0]], rows[1:])
+        header, body = table or (
+            ("check_id", "anchor", "measured", "threshold", "direction", "status"),
+            [(r.check_id, r.anchor, r.measured, r.threshold, r.direction, r.status)
+             for r in records])
+        write_csv(path, header, body)
     else:
         write_json_report(path, report)
     return path
@@ -597,7 +596,7 @@ def _emit(report: dict, records: Sequence[CheckRecord], rows, output: dict) -> s
 def _report(name: str, kind: str, cfg: VerifyConfig, output: dict, run: Run) -> int:
     """Run, write the report, print the records; the exit code (0 or 2)."""
     t0 = time.perf_counter()
-    records, payload, rows = run()
+    records, payload, table = run()
     wall = time.perf_counter() - t0
     report = {
         "scenario": name,
@@ -611,7 +610,7 @@ def _report(name: str, kind: str, cfg: VerifyConfig, output: dict, run: Run) -> 
             "wall_time_s": wall,
         },
     }
-    path = _emit(report, records, rows, output)
+    path = _emit(report, records, table, output)
     _print_records(records)
     print(f"report written to {path}  ({wall:.1f}s)")
     failed = [r.check_id for r in records if r.status == "fail"]

@@ -1,11 +1,18 @@
 import csv
 import io
 import json
+import math
 import os
+import stat
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import focksym.serialize as serialize
 from focksym.serialize import (
     OUTPUT_DIR_ENV,
     _cell,
@@ -85,7 +92,7 @@ def test_output_dir_env(monkeypatch, tmp_path):
 
 
 def test_csv_rows_match_the_stdlib_writer_byte_for_byte(tmp_path):
-    # all-float rows take the joined-repr path, every other row the csv writer
+    # rows given as a list take the csv writer cell by cell, whatever they hold
     floats = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, 1 / 3]
     rows = [
         floats,
@@ -104,3 +111,103 @@ def test_csv_rows_match_the_stdlib_writer_byte_for_byte(tmp_path):
     writer.writerow(header)
     writer.writerows([_cell(v) for v in row] for row in rows)
     assert path.read_bytes() == want.getvalue().encode()
+
+
+def _mode(path) -> int:
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def test_atomic_write_gives_a_new_file_the_mode_of_open(tmp_path):
+    old = os.umask(0o022)
+    try:
+        atomic_write_text(str(tmp_path / "report.json"), "{}")
+        with open(tmp_path / "plain.json", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert _mode(tmp_path / "report.json") == _mode(tmp_path / "plain.json") == 0o644
+
+
+def test_atomic_write_keeps_an_existing_files_mode(tmp_path):
+    target = tmp_path / "report.csv"
+    target.write_text("old")
+    target.chmod(0o640)
+    write_csv(str(target), ["x"], np.array([[0.5]]))
+    assert _mode(target) == 0o640
+    assert target.read_text() == "x\n0.5\n"
+
+
+def test_complex_cells_reload_with_their_repr(tmp_path):
+    parts = (0.0, -0.0, 1.5, -1.5, math.inf, -math.inf, math.nan)
+    cells = [complex(re, im) for re in parts for im in parts]
+    path = tmp_path / "complex.csv"
+    write_csv(str(path), ["z"] * len(cells), [cells])
+    with open(path, newline="") as fh:
+        row = list(csv.reader(fh))[1]
+    assert [repr(complex(cell)) for cell in row] == [repr(z) for z in cells]
+
+
+def _writer_bytes(header, table: np.ndarray) -> bytes:
+    """What the csv writer gives the table with every cell as its repr."""
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(v) for v in row] for row in table.tolist())
+    return want.getvalue().encode()
+
+
+def _edge_values() -> np.ndarray:
+    """Powers of 2 and 10 with their neighbours, the notation edges, the
+    extremes of the double range, integers and short decimals, both signs."""
+    powers = np.array([2.0**e for e in range(-1074, 1024)]
+                      + [float(f"1e{e}") for e in range(-323, 309)])
+    special = [1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 5e-324, 2.0**-1022,
+               sys.float_info.max, 2.0**53, 2.0**53 + 2, 0.0, math.inf, math.nan]
+    cells = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, math.inf),
+                            special, np.arange(-3000.0, 3001.0),
+                            np.arange(-5000, 5001) / 1000, np.arange(1, 1001) / 8])
+    return np.concatenate([cells, -cells])
+
+
+def _table(cells: np.ndarray, width: int) -> np.ndarray:
+    return np.concatenate([cells, np.zeros(-len(cells) % width)]).reshape(-1, width)
+
+
+def test_array_cells_are_repr_on_bit_patterns_and_edges(tmp_path):
+    bits = np.random.default_rng(20261019).integers(0, 2**64, 200_000, dtype=np.uint64)
+    # rows of 7 cells, so that rows straddle the chunks of the kernel
+    table = _table(np.concatenate([bits.view(np.float64), _edge_values()]), 7)
+    header = [f"c{j}" for j in range(7)]
+    path = tmp_path / "cells.csv"
+    write_csv(str(path), header, table)
+    assert path.read_bytes() == _writer_bytes(header, table)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+                  elements=st.one_of(
+                      st.floats(width=64),
+                      st.integers(0, 2**64 - 1).map(
+                          lambda b: float(np.array(b, np.uint64).view(np.float64))))))
+def test_array_bytes_are_the_writers_for_any_floats(tmp_path, table):
+    path = tmp_path / "any.csv"
+    header = [f"c{j}" for j in range(table.shape[1])]
+    write_csv(str(path), header, table)
+    assert path.read_bytes() == _writer_bytes(header, table)
+
+
+def test_random_normals_take_no_fallback_cell(tmp_path, monkeypatch):
+    fallback = []
+
+    def counted(values, last):
+        fallback.extend(values)
+        return repr_rows(values, last)
+
+    repr_rows = serialize._repr_rows
+    monkeypatch.setattr(serialize, "_repr_rows", counted)
+    table = np.random.default_rng(0).standard_normal((49, 2049))
+    write_csv(str(tmp_path / "normals.csv"), [f"c{j}" for j in range(2049)], table)
+    assert fallback == []
+    write_csv(str(tmp_path / "nan.csv"), ["a", "b"], np.array([[math.nan, 0.5]]))
+    assert len(fallback) == 1  # the counter sees the cells that fall back
