@@ -37,7 +37,9 @@ status if that moved too.  JSON records are paired by check id, so a renamed
 id reads as one ``removed`` line (old id, old value) and one ``added`` line
 (new id, new value), and no other record is misaligned by it.  The rest of
 a JSON report, such as its provenance, prints one line per moved key path
-(``provenance.parameters.spectrum.residuals``), lists compared whole.
+(``provenance.parameters.spectrum.residuals``), lists compared whole.  The
+comparison exits 1 when any record moved or a report is missing on one
+side, and 0 when the two directories hold the same reports.
 """
 
 import argparse
@@ -275,7 +277,8 @@ def _moved_records(old_path: Path, new_path: Path):
 
 
 def compare(old_dir: Path, new_dir: Path) -> int:
-    """Print every moved record of the reports kept in two directories."""
+    """Print every moved record of the reports kept in two directories; 1 if
+    any moved or is missing on one side, else 0."""
     moved = 0
     for old_path in sorted(old_dir.iterdir()):
         new_path = new_dir / old_path.name
@@ -286,16 +289,20 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             continue
         if digest(old_path) == digest(new_path):
             continue
+        before = moved
         for check_id, old, new, outside, status in _moved_records(old_path, new_path):
             flag = "outside" if outside else "within"
             print(f"{report:28s} {check_id}  {old!r} -> {new!r}  {flag}  {status}".rstrip())
+            moved += 1
+        if moved == before:  # such as a key order or a CSV quoting that moved no value
+            print(f"{report:28s} bytes differ, no record moved")
             moved += 1
     for new_path in sorted(new_dir.iterdir()):
         if not (old_dir / new_path.name).exists():
             print(f"{new_path.stem:28s} missing in {old_dir}")
             moved += 1
     print(f"{moved} moved")
-    return 0
+    return 1 if moved else 0
 
 
 def run_set(keep: Path | None) -> None:

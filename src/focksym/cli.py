@@ -1,11 +1,11 @@
 """Scenario-driven command line: validate inputs, run checks, write reports.
 
 Subcommands
-    validate <scenario.json>          schema- and constraint-check only
-    run <scenario.json>               execute a scenario, write its report
-    verify-all [--seed] [--dim]       the full check suite as one report (dim >= 8)
-    spectrum  [family flags]          dilation spectrum report front end
-    evolve    [model flags]           propagator time series as CSV
+    validate <scenario.json>              schema- and constraint-check only
+    run <scenario.json> [--seed]          execute a scenario, write its report
+    verify-all [--dim] [--seed] [--out]   the full check suite as one report (dim >= 8)
+    spectrum [family flags] [--out]       dilation spectrum report front end
+    evolve [model flags] [--out]          propagator time series as CSV
 
 Each scenario kind is one function of its params and config.  It checks
 the params, which is all that ``validate`` asks of it, and returns the
@@ -55,7 +55,7 @@ from .evolution import (
     evolution_series,
     evolve,
 )
-from .fock import DEFAULT_TOLERANCES, monomial
+from .fock import monomial
 from .generator import spectrum_report
 from .semigroup import (
     GROWTH_T_GRID,
@@ -74,6 +74,7 @@ from .serialize import (
     write_json_report,
 )
 from .verification import (
+    DEFAULT_TOLERANCES,
     MAX_COMPLEX_ENTRIES,
     SUITE_MIN_DIM,
     CheckRecord,
@@ -98,6 +99,10 @@ from .verification import (
 from .wco import WCOParams, is_bounded, is_c_selfadjoint_symbols, wco_matrix
 
 __all__ = ["main"]
+
+
+# the input error of a size whose arrays the system refuses to allocate
+_NO_MEMORY = "too large: its arrays do not fit in the memory available"
 
 
 class ScenarioError(Exception):
@@ -302,6 +307,8 @@ def _wco_kind(params: dict, cfg: VerifyConfig) -> Run:
         M = wco_matrix(p, cfg.dim)
     except OverflowError:
         M = None
+    except MemoryError:
+        raise ScenarioError("truncation.dim", _NO_MEMORY)
     if M is None or not np.all(np.isfinite(M)):
         # name the largest symbol entry, the one that drives the overflow
         key = max("ABCD", key=lambda k: abs(getattr(p, k)))
@@ -336,11 +343,12 @@ def _params_family(params: dict) -> SemigroupFamily:
 def _evaluating_family():
     """A family whose symbols leave the double range is the params.family input error.
 
-    numpy's first overflow or invalid value raises (underflow stays silent), as
-    do the laws' own errors; code that expects an overflow silences it locally.
+    numpy's first overflow, invalid value or division by zero raises (underflow
+    stays silent), as do the laws' own errors; code that expects an overflow
+    silences it locally.
     """
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
     except (FloatingPointError, OverflowError, QuadratureError, ZeroDivisionError) as exc:
         raise ScenarioError("params.family", f"the family cannot be evaluated: {exc}")
@@ -596,7 +604,12 @@ def _emit(report: dict, records: Sequence[CheckRecord], table, output: dict) -> 
 def _report(name: str, kind: str, cfg: VerifyConfig, output: dict, run: Run) -> int:
     """Run, write the report, print the records; the exit code (0 or 2)."""
     t0 = time.perf_counter()
-    records, payload, table = run()
+    try:
+        records, payload, table = run()
+    except MemoryError:
+        # an evolution's arrays grow with its samples, every other kind's with its dim
+        raise ScenarioError("params.samples" if kind == "evolution" else "truncation.dim",
+                            _NO_MEMORY)
     wall = time.perf_counter() - t0
     report = {
         "scenario": name,
@@ -672,8 +685,9 @@ def _cmd_run(args) -> int:
 def _cmd_verify_all(args) -> int:
     cfg = _config("--dim", dim=args.dim, seed=args.seed)
     _check_suite_dim(cfg, "--dim")
-    return _report("verify-all", "full-verify", cfg, _flag_output(args, "json", "verify-all"),
-                   lambda: (run_all(cfg), {}, None))
+    with _naming_flags():
+        return _report("verify-all", "full-verify", cfg,
+                       _flag_output(args, "json", "verify-all"), lambda: (run_all(cfg), {}, None))
 
 
 @contextlib.contextmanager
@@ -698,7 +712,7 @@ def _naming_flags(**combined: str):
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = _config("--dim", dim=args.dim, seed=args.seed)
+    cfg = _config("--dim", dim=args.dim)
     family = {"variant": "dilation", "ell": complex_to_json(args.ell),
               "G": complex_to_json(args.G), "H": complex_to_json(args.H),
               "conjugation": {k: complex_to_json(getattr(args, k)) for k in "abc"}}
@@ -710,7 +724,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    cfg = VerifyConfig(dim=2, seed=args.seed)
+    cfg = VerifyConfig(dim=2)
     with _naming_flags(B="--nu/--kappa/--lam"):
         run = _KINDS["evolution"]({
             "B": "bagchi",
@@ -776,7 +790,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=VerifyConfig.dim)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
-    _add_seed(p)
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("evolve", help="two-level propagator time series (CSV)")
@@ -788,7 +801,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel-tol", type=float, default=1e-10)
     p.add_argument("--samples", type=int, default=21)
     p.add_argument("--out", default=None)
-    _add_seed(p)
     p.set_defaults(fn=_cmd_evolve)
     return parser
 

@@ -5,7 +5,11 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +90,15 @@ def test_bad_flag_value_is_exit_one(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "evolve"])
+def test_seed_is_no_flag_where_it_reaches_nothing(_outdir, capsys, command):
+    # only run and verify-all draw the conjugation isometry vectors from the seed
+    assert main([command, "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "input error: arguments: unrecognized arguments: --seed 3" in err
+    assert not _outdir.exists()
+
+
 TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
                   "matrices": [[[1.0]], [[1.0, 0.0], [0.0, 1.0]]]}
 
@@ -126,7 +139,9 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
           ("semigroup", {"variant": "dilation", "ell": -1, "G": 1, "H": -1e3}),
           ("semigroup", {"variant": "translation", "E": 1, "F": -1e3}),
           ("generator", {"variant": "dilation", "ell": -1, "G": 1e200}),
-          ("spectrum", {"variant": "dilation", "ell": -1, "G": 1e200}))),
+          ("spectrum", {"variant": "dilation", "ell": -1, "G": 1e200}),
+          # the quotient norms of the difference quotients underflow to 0: log(0)
+          ("generator", {"variant": "dilation", "ell": 1e-300}))),
 ], ids=["rel_tol-zero", "omega-string", "omega-overflow", "A-overflow", "table-shapes", "stiff",
         "stiff-overflow",
         "samples-zero", "name-separator", "verify-all-dim-one", "omega-huge-int", "A-huge-int",
@@ -134,7 +149,8 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
         "k_max-at-dim", "cosine-overflow", "semigroup-E-overflow", "generator-E-overflow",
         "semigroup-ell-quadrature", "semigroup-imaginary-ell-quadrature",
         "semigroup-H-cocycle-vanishes", "semigroup-F-cocycle-vanishes",
-        "generator-G-expm-overflow", "spectrum-G-residual-overflow"])
+        "generator-G-expm-overflow", "spectrum-G-residual-overflow",
+        "generator-ell-log-of-zero"])
 def test_malformed_input_names_field_path(tmp_path, _outdir, capsys, kind, params, name, field):
     if kind is None:
         argv = ["verify-all", "--dim", "1"]
@@ -197,6 +213,47 @@ def test_unindexable_size_flag_names_field_path(_outdir, capsys, argv, field):
     assert main(argv) == 1
     assert f"input error: {field}: " in capsys.readouterr().err
     assert not _outdir.exists()
+
+
+# the child's address space: room for the interpreter and numpy, none for the
+# 149 GiB matrix of dim 100000 or the 80 GB sample times of 10**10 samples
+_ADDRESS_SPACE = 3 << 30
+_LIMITED_MAIN = f"""
+import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+soft = {_ADDRESS_SPACE} if hard == resource.RLIM_INFINITY else min({_ADDRESS_SPACE}, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+from focksym.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("kind, params, argv, field", [
+    ("conjugation-check", {}, None, "truncation.dim"),
+    ("wco", {"A": 0.5}, None, "truncation.dim"),
+    ("evolution", {"B": "bagchi", "samples": 10**10}, None, "params.samples"),
+    (None, None, ["verify-all", "--dim", "100000"], "--dim"),
+    (None, None, ["spectrum", "--dim", "100000"], "--dim"),
+    (None, None, ["evolve", "--samples", str(10**10)], "--samples"),
+], ids=["conjugation-check-dim", "wco-dim-at-parse", "evolution-samples", "verify-all-dim",
+        "spectrum-dim", "evolve-samples"])
+def test_refused_allocation_names_the_size_field(tmp_path, kind, params, argv, field):
+    out = tmp_path / "report.out"
+    if kind is not None:
+        argv = ["run", _scenario(tmp_path, {"name": "x", "kind": kind, "params": params,
+                                            "truncation": {"dim": 100000},
+                                            "output": {"path": str(out)}})]
+    else:
+        argv = [*argv, "--out", str(out)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert f"input error: {field}: too large: its arrays do not fit" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -192,12 +192,18 @@ def test_comparison_rules():
     assert mismatches({"csv": [["t", "0.25"]]}, {"csv": [["s", "0.25"]]})
 
 
-def test_digest_comparison_names_each_moved_key(monkeypatch):
+@pytest.fixture
+def digest(monkeypatch):
+    """scripts/report_digest.py as a module."""
     scripts = Path(__file__).resolve().parents[1] / "scripts"
     monkeypatch.syspath_prepend(str(scripts))
     spec = importlib.util.spec_from_file_location("report_digest", scripts / "report_digest.py")
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_comparison_names_each_moved_key(digest):
     old = {"provenance": {"wall_time_s": 0.1, "seed": 5, "tolerances": {"norm_one": 1e-8},
                           "parameters": {"spectrum": {"dim": 32, "residuals": [0.25, 0.5]}}},
            "scenario": "s"}
@@ -214,6 +220,39 @@ def test_digest_comparison_names_each_moved_key(monkeypatch):
         ("scenario", "s", None, True, "removed"),
     ]
     assert list(digest._moved_keys(old, json.loads(json.dumps(old)), mismatches)) == []
+
+
+def test_digest_comparison_exits_one_on_any_move(tmp_path, digest, capsys):
+    record = {"check_id": "x", "anchor": "law", "measured": 0.5, "threshold": 1.0,
+              "direction": "<=", "status": "pass", "detail": ""}
+
+    def keep(side: str, **reports) -> Path:
+        directory = tmp_path / side
+        directory.mkdir()
+        for name, (measured, wall) in reports.items():
+            (directory / f"{name}.json").write_text(json.dumps(
+                {"records": [dict(record, measured=measured)],
+                 "provenance": {"wall_time_s": wall}}))
+        return directory
+
+    def compare(old: Path, new: Path) -> int:
+        rc = digest.main(["--compare", str(old), str(new)])
+        capsys.readouterr()
+        return rc
+
+    before = keep("before", a=(0.5, 0.1), b=(0.25, 0.1))
+    # the wall time is not compared
+    assert compare(before, keep("same", a=(0.5, 0.2), b=(0.25, 0.3))) == 0
+    assert compare(before, keep("moved", a=(0.5, 0.1), b=(0.75, 0.1))) == 1
+    assert compare(before, keep("fewer", a=(0.5, 0.1))) == 1
+    assert compare(before, keep("more", a=(0.5, 0.1), b=(0.25, 0.1), c=(1.0, 0.1))) == 1
+    # bytes that differ with no value moved, as in another key order, count too
+    reordered = tmp_path / "reordered"
+    reordered.mkdir()
+    for name in "ab":
+        payload = json.loads((before / f"{name}.json").read_text())
+        (reordered / f"{name}.json").write_text(json.dumps(payload, sort_keys=True))
+    assert compare(before, reordered) == 1
 
 
 if __name__ == "__main__" and "--capture" in sys.argv:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focksym.conjugation import ConjugationParams, standard_conjugation
-from focksym.fock import basis_vector, monomial
+from focksym.fock import monomial
 from focksym.semigroup import (
     GROWTH_T_GRID,
     DilationFamily,
@@ -253,7 +253,7 @@ def test_quadrature_equals_the_loops_it_replaced():
             assert (semigroup._refine_quadrature(dpsi, 0.0, t, 1e-12)
                     == _scalar_panel_loop(dpsi, 0.0, t, 1e-12))
     fam = DilationFamily(ell=-1.0, G=0.5, H=0.0, conj=STD)
-    for x in (basis_vector(1, 16), monomial(3, 16)):
+    for x in (np.eye(16, dtype=complex)[1], monomial(3, 16)):
         J = laplace_resolvent(fam, 2.0 + 0j, x[:, None], omega=0.0)
         assert np.array_equal(J[:, 0], _laplace_panel_loop(fam, 2.0 + 0j, x))
 
@@ -398,7 +398,7 @@ def test_laplace_works_off_the_diagonal():
     lam = 2.0 + 0j
     dim = 48
     Q = generator_matrix(fam, dim)
-    x = basis_vector(1, dim)
+    x = np.eye(dim, dtype=complex)[1]
     J = laplace_resolvent(fam, lam, x[:, None], omega=0.0)[:, 0]
     resid = (lam * np.eye(dim) - Q) @ J - x
     assert float(np.linalg.norm(resid)) < 1e-5
@@ -439,7 +439,7 @@ def test_batched_laplace_equals_single_vector_calls(dim):
 def test_laplace_needs_a_block_of_columns():
     fam = DilationFamily(ell=-1.0, G=0.0, H=0.0, conj=STD)
     with pytest.raises(ValueError, match="block"):
-        laplace_resolvent(fam, 1.0 + 0j, basis_vector(0, 8), omega=0.0)  # one vector, 1-D
+        laplace_resolvent(fam, 1.0 + 0j, np.eye(8, dtype=complex)[0], omega=0.0)  # one vector, 1-D
     with pytest.raises(ValueError, match="block"):
         laplace_resolvent(fam, 1.0 + 0j, np.zeros((8, 0), dtype=complex), omega=0.0)
 
@@ -478,7 +478,7 @@ def test_semigroup_law_builds_each_distinct_time_once(built_shapes):
 @pytest.mark.parametrize("k", [0, 3])
 def test_growth_and_laplace_build_only_the_support_columns(built_shapes, k):
     fam = DilationFamily(ell=-1.0, G=0.5, H=0.0, conj=STD)
-    ek = basis_vector(k, 32)
+    ek = np.eye(32, dtype=complex)[k]
     n_omega_estimate(fam, ek)
     laplace_resolvent(fam, 1.0 + 0j, ek[:, None], omega=0.0)
     assert built_shapes

@@ -9,11 +9,11 @@ import mpmath
 import pytest
 
 from focksym import verification
-from focksym.fock import DEFAULT_TOLERANCES
 from focksym.verification import (
     _TRUNCATION_SENSITIVE,
     CALIBRATED_DIM,
     CHECK_GROUPS,
+    DEFAULT_TOLERANCES,
     MAX_COMPLEX_ENTRIES,
     SUITE_MIN_DIM,
     CheckRecord,
@@ -34,12 +34,6 @@ EXPECTED_GROUPS = {
 
 def test_group_registry_is_complete():
     assert set(CHECK_GROUPS) == EXPECTED_GROUPS
-
-
-def test_record_ok_semantics():
-    mk = lambda st: CheckRecord("x", "y", 0.0, 1.0, st)
-    assert mk("pass").ok and mk("warn").ok and mk("info").ok
-    assert not mk("fail").ok
 
 
 def test_record_json_fields():
@@ -77,7 +71,7 @@ def test_unknown_group_raises():
 def test_conjugation_group_passes_at_full_size():
     records = run_group("conjugation", VerifyConfig(dim=CALIBRATED_DIM))
     assert records
-    assert all(r.ok for r in records)
+    assert all(r.status != "fail" for r in records)
     assert any(r.status == "pass" for r in records)
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from focksym import wco
 from focksym.cli import _KINDS
-from focksym.fock import basis_vector, evaluate, monomial
+from focksym.fock import monomial
 from focksym.semigroup import family_eval
 from focksym.verification import _LAW_FAMILIES, VerifyConfig
 from focksym.wco import (
@@ -25,6 +25,8 @@ from focksym.wco import (
     wco_matrices,
     wco_matrix,
 )
+
+from fock_evaluation import evaluate
 
 
 def _sympy_matrix(p: WCOParams, size: int) -> np.ndarray:
@@ -74,7 +76,7 @@ def test_apply_route_equals_matrix_column(k, A, B, D):
     p = WCOParams(A=A, B=B, C=0.8 - 0.3j, D=D)
     dim = 24
     col = wco_matrix(p, dim)[:, k]
-    applied = apply_wco(p, basis_vector(k, dim))
+    applied = apply_wco(p, np.eye(dim, dtype=complex)[k])
     np.testing.assert_allclose(applied, col, rtol=0, atol=1e-10)
 
 
