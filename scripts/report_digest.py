@@ -14,6 +14,9 @@ flag errors of `spectrum` and `evolve`.  Each printed line is the run's label,
 its exit code, the digest of its report with the value of ``wall_time_s``
 replaced by null (no other byte is touched), and the digest of what the run
 wrote to stderr, with the run's temporary directory read as ``<workdir>``.
+Last, `validate` checks each of the 34 scenario files run, good and malformed
+alike, and prints the run's label, ``validate``, its exit code and its
+stderr digest, so a change in what `validate` catches shows in the diff.
 Two source trees produce identical reports and error messages exactly when
 their outputs are identical, so a change meant to keep every report and every
 message byte-identical is checked by a diff:
@@ -305,6 +308,15 @@ def compare(old_dir: Path, new_dir: Path) -> int:
     return 1 if moved else 0
 
 
+def _call(argv, workdir: Path) -> tuple[int, str]:
+    """The exit code of one CLI call and the digest of its stderr, stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = focksym_main(argv)
+    text = err.getvalue().replace(str(workdir), "<workdir>")
+    return rc, hashlib.sha256(text.encode()).hexdigest()
+
+
 def run_set(keep: Path | None) -> None:
     """Run the set and print one digest line per run; keep the reports in ``keep``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -312,15 +324,17 @@ def run_set(keep: Path | None) -> None:
         os.environ["FOCKSYM_OUTPUT_DIR"] = str(workdir / "default-out")
         if keep is not None:
             keep.mkdir(parents=True, exist_ok=True)
+        scenarios = []
         for label, argv, out in _runs(workdir):
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                rc = focksym_main(argv)
-            text = err.getvalue().replace(str(workdir), "<workdir>")
-            print(f"{label:28s} exit {rc}  {digest(out)}  "
-                  f"stderr {hashlib.sha256(text.encode()).hexdigest()}")
+            rc, err = _call(argv, workdir)
+            print(f"{label:28s} exit {rc}  {digest(out)}  stderr {err}")
             if keep is not None and out.exists():
                 shutil.copyfile(out, keep / out.name)
+            if argv[0] == "run":
+                scenarios.append((label, argv[1]))
+        for label, scenario in scenarios:
+            rc, err = _call(["validate", scenario], workdir)
+            print(f"{label:28s} validate exit {rc}  stderr {err}")
 
 
 def main(argv=None) -> int:

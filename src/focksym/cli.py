@@ -9,11 +9,14 @@ Subcommands
 
 Each scenario kind is one function of its params and config.  It checks
 the params, which is all that ``validate`` asks of it, and returns the
-kind's run, which ``run`` calls.  A run applies the record makers of
-:mod:`focksym.verification`, one per law, that ``verify-all`` runs over its
-fixtures, so both judge a case with the same ids, grids and tolerances; it
-adds only its kind's info records, report payload and CSV table, and the
-``wco`` kind's ``wco.symbol-selfadjointness``, whose law has no group yet.
+kind's run, which ``run`` calls.  So ``validate`` computes nothing: only the
+run finds a truncation that overflows, an allocation the system refuses, a
+stiff evolution or a family that leaves the double range.  A run applies
+the record makers of :mod:`focksym.verification`, one per law, that
+``verify-all`` runs over its fixtures, so both judge a case with the same
+ids, grids and tolerances; it adds only its kind's info records, report
+payload and CSV table, and the ``wco`` kind's ``wco.symbol-selfadjointness``,
+whose law has no group yet.
 Runs judge strictly: the below-64 ``warn`` downgrade applies to
 ``verify-all`` and the ``full-verify`` kind only.  Every report path is
 checked before the run.
@@ -251,7 +254,8 @@ def load_scenario(path: Path) -> dict:
 def validate_scenario(obj: dict, seed: int = VerifyConfig.seed) -> Scenario:
     """Parse and check a scenario, or raise ScenarioError naming the field.
 
-    Nothing is computed but the checks: the scenario's ``run`` does the work.
+    Nothing is computed but the checks: the scenario's ``run`` does the work,
+    and raises the input errors that only the work can find.
     """
     name = _get(obj, "", "name", str)
     if not name:
@@ -302,21 +306,14 @@ def _wco_kind(params: dict, cfg: VerifyConfig) -> Run:
     conj = _get(params, "params", "conjugation", dict, None)
     if conj is not None:
         conj = _conjugation_from(conj, "params.conjugation")
-    # the truncation at cfg.dim, assembled once: an overflow is an input error
-    try:
-        M = wco_matrix(p, cfg.dim)
-    except OverflowError:
-        M = None
-    except MemoryError:
-        raise ScenarioError("truncation.dim", _NO_MEMORY)
-    if M is None or not np.all(np.isfinite(M)):
-        # name the largest symbol entry, the one that drives the overflow
-        key = max("ABCD", key=lambda k: abs(getattr(p, k)))
-        raise ScenarioError(f"params.{key}",
-                            f"the truncated matrix overflows at dim {cfg.dim}")
 
     def run():
         dim = cfg.dim
+        M = wco_matrix(p, dim)
+        if not np.all(np.isfinite(M)):  # an overflow is an input error
+            # name the largest symbol entry, the one that drives the overflow
+            key = max("ABCD", key=lambda k: abs(getattr(p, k)))
+            raise ScenarioError(f"params.{key}", f"the truncated matrix overflows at dim {dim}")
         verdict = is_bounded(p)
         records = [
             _info("wco.bounded", "symbol criterion for boundedness",
@@ -520,8 +517,8 @@ def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
     samples = _get_size(params, "params", "samples", 21, 1)
 
     def run():
-        times = np.linspace(s, t, samples)
         try:
+            times = np.linspace(s, t, samples)
             # the horizon is integrated twice: as the chain through the sample
             # times, whose last element is U(t, s), and split at r by the axioms,
             # so the composition law compares two paths that share no step
@@ -530,18 +527,21 @@ def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
             U_ts = series[-1] if times[-1] == t else evolve(B, s, t, rel_tol).matrix
             n = len(U_ts)
             records = evolution_axiom_records(cfg, B, (s, s + (t - s) / 2, t), U_ts, rel_tol)
-            sym = check_matrix_c_symmetry(U_ts, np.eye(n))
+            records.append(_info("evolution.transpose-symmetry",
+                                 "U M = M U^T under plain conjugation",
+                                 check_matrix_c_symmetry(U_ts, np.eye(n)),
+                                 "pass/fail asserted only for commuting families"))
+            header = ["t"] + [f"U{i}_{j}_{part}" for i in range(n) for j in range(n)
+                              for part in ("re", "im")]
+            # a complex matrix viewed as float64 interleaves re and im, as the header does
+            entries = np.array(series).reshape(len(times), -1).view(np.float64)
+            table = (header, np.column_stack((times, entries)))
         except StiffnessError as exc:
             raise ScenarioError(source, str(exc))
-        records.append(_info("evolution.transpose-symmetry",
-                             "U M = M U^T under plain conjugation",
-                             sym, "pass/fail asserted only for commuting families"))
-        header = ["t"] + [f"U{i}_{j}_{part}" for i in range(n) for j in range(n)
-                          for part in ("re", "im")]
-        # a complex matrix viewed as float64 interleaves re and im, as the header does
-        entries = np.array(series).reshape(len(times), -1).view(np.float64)
+        except MemoryError:  # the sample times and the series grow with the samples
+            raise ScenarioError("params.samples", _NO_MEMORY)
         payload = {"evolution": meta, "s": s, "t": t, "rel_tol": rel_tol}
-        return records, payload, (header, np.column_stack((times, entries)))
+        return records, payload, table
     return run
 
 
@@ -606,10 +606,8 @@ def _report(name: str, kind: str, cfg: VerifyConfig, output: dict, run: Run) -> 
     t0 = time.perf_counter()
     try:
         records, payload, table = run()
-    except MemoryError:
-        # an evolution's arrays grow with its samples, every other kind's with its dim
-        raise ScenarioError("params.samples" if kind == "evolution" else "truncation.dim",
-                            _NO_MEMORY)
+    except MemoryError:  # a run's arrays grow with its dim, unless it names its own field
+        raise ScenarioError("truncation.dim", _NO_MEMORY)
     wall = time.perf_counter() - t0
     report = {
         "scenario": name,

@@ -229,18 +229,20 @@ sys.exit(main(sys.argv[1:]))
 
 
 @pytest.mark.parametrize("kind, params, argv, field", [
-    ("conjugation-check", {}, None, "truncation.dim"),
-    ("wco", {"A": 0.5}, None, "truncation.dim"),
-    ("evolution", {"B": "bagchi", "samples": 10**10}, None, "params.samples"),
+    ("conjugation-check", {}, ["run"], "truncation.dim"),
+    ("wco", {"A": 0.5}, ["run"], "truncation.dim"),
+    # validate allocates nothing of the size: the scenario is valid
+    ("wco", {"A": 0.5}, ["validate"], None),
+    ("evolution", {"B": "bagchi", "samples": 10**10}, ["run"], "params.samples"),
     (None, None, ["verify-all", "--dim", "100000"], "--dim"),
     (None, None, ["spectrum", "--dim", "100000"], "--dim"),
     (None, None, ["evolve", "--samples", str(10**10)], "--samples"),
-], ids=["conjugation-check-dim", "wco-dim-at-parse", "evolution-samples", "verify-all-dim",
-        "spectrum-dim", "evolve-samples"])
+], ids=["conjugation-check-dim", "wco-dim", "wco-dim-validate", "evolution-samples",
+        "verify-all-dim", "spectrum-dim", "evolve-samples"])
 def test_refused_allocation_names_the_size_field(tmp_path, kind, params, argv, field):
     out = tmp_path / "report.out"
     if kind is not None:
-        argv = ["run", _scenario(tmp_path, {"name": "x", "kind": kind, "params": params,
+        argv = [*argv, _scenario(tmp_path, {"name": "x", "kind": kind, "params": params,
                                             "truncation": {"dim": 100000},
                                             "output": {"path": str(out)}})]
     else:
@@ -250,9 +252,12 @@ def test_refused_allocation_names_the_size_field(tmp_path, kind, params, argv, f
            "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1, proc.stderr
-    assert f"input error: {field}: too large: its arrays do not fit" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    if field is None:
+        assert (proc.returncode, proc.stderr) == (0, "")
+    else:
+        assert proc.returncode == 1, proc.stderr
+        assert f"input error: {field}: too large: its arrays do not fit" in proc.stderr
+        assert "Traceback" not in proc.stderr
     assert not out.exists()
 
 
@@ -431,8 +436,9 @@ def test_validate_runs_nothing_but_parsing(tmp_path, monkeypatch, kind, params):
     def ran(*args, **kwargs):
         raise _Ran
 
-    for fn in ("conjugation_matrix", "is_bounded", "flow_cocycle_records", "fd_slope_records",
-               "spectrum_report", "divergence_certificate", "evolution_series", "run_all"):
+    for fn in ("conjugation_matrix", "wco_matrix", "is_bounded", "is_c_selfadjoint_symbols",
+               "flow_cocycle_records", "fd_slope_records", "spectrum_report",
+               "divergence_certificate", "evolution_series", "run_all"):
         monkeypatch.setattr(cli, fn, ran)
     path = _scenario(tmp_path, {"name": "x", "kind": kind, "params": params,
                                 "truncation": {"dim": 16}})
