@@ -33,6 +33,14 @@ is timed on each of ``CSV_CELLS``: 17-digit values such as a series holds,
 short decimals and integers.  Fix the BLAS threads
 (``OPENBLAS_NUM_THREADS=1``) when comparing.
 
+Two memory figures close the output, each a tracemalloc peak after one
+untraced warm-up call: ``write_csv`` of a normal table of 2049 columns at
+each of ``CSV_PEAK_ROWS`` rows, beside the size of the file it writes, and
+one ``focksym run`` through ``cli.main`` of an ``evolution`` CSV scenario of
+each of ``PEAK_RUNS``, the constant models at the benchmark's sample counts
+over [0, 5].  They use only ``write_csv`` and ``cli.main``, so they measure
+any source tree on the path.
+
 Every model is built by the scenario parser from its params, as an
 ``evolution`` run builds it.  ``--passes-only`` prints the per-pass figures
 alone.  They use nothing of a coefficient but what the parser returns, so
@@ -44,17 +52,20 @@ Usage:
 """
 
 import argparse
+import contextlib
+import json
 import math
 import os
 import sys
 import tempfile
 import time
+import tracemalloc
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.integrate
 
-from focksym import evolution
+from focksym import cli, evolution
 from focksym.cli import _evolution_operator_from
 from focksym.evolution import evolution_series, evolve
 from focksym.serialize import write_csv
@@ -214,6 +225,61 @@ def csv_ms_per_1e5_cells(kind: str) -> float:
     return 1e3 * best * 1e5 / table.size
 
 
+# rows of the write_csv memory figure, each 2049 cells wide like a dim-32 series
+CSV_PEAK_ROWS = (43, 172, 688)
+# (label, dim, samples) of the evolution runs of the memory figure
+PEAK_RUNS = (("constant-d16", 16, 85), ("constant-d32", 32, 43))
+
+
+def _traced_peak_mb(call: Callable[[], object]) -> float:
+    """The tracemalloc peak of one call, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def csv_peak_mb(rows: int) -> tuple[float, float]:
+    """(tracemalloc peak, file size) in MB of write_csv of a seeded normal
+    table of ``rows`` x 2049 cells, once a 43-row table has been written."""
+    rng = np.random.default_rng(0)
+    header = [f"c{j}" for j in range(2049)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        write_csv(path, header, rng.standard_normal((43, 2049)))
+        table = rng.standard_normal((rows, 2049))
+        peak = _traced_peak_mb(lambda: write_csv(path, header, table))
+        return peak, os.path.getsize(path) / 1e6
+
+
+def run_peak_mb(dim: int, samples: int) -> float:
+    """Tracemalloc peak in MB of ``focksym run`` of the constant model's
+    ``evolution`` CSV scenario over [0, 5], once an identical run is done."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = os.path.join(tmp, "scenario.json")
+        with open(scenario, "w") as fh:
+            json.dump({"name": "peak", "kind": "evolution",
+                       "params": {**constant_params(dim), "t": 5.0, "samples": samples},
+                       "truncation": {"dim": dim},
+                       "output": {"format": "csv", "path": os.path.join(tmp, "series.csv")}},
+                      fh)
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            cli.main(["run", scenario])
+            return _traced_peak_mb(lambda: cli.main(["run", scenario]))
+
+
+def print_peaks() -> None:
+    print("tracemalloc peak of write_csv, rows x 2049 normal cells")
+    for rows in CSV_PEAK_ROWS:
+        peak, size = csv_peak_mb(rows)
+        print(f"{rows:>16} rows  {peak:>7.3f} MB peak  {size:>7.2f} MB file")
+    print("tracemalloc peak of one evolution run to t = 5, CSV")
+    for label, dim, samples in PEAK_RUNS:
+        print(f"{label:>16}  {samples:>3} samples  {run_peak_mb(dim, samples):>7.3f} MB peak")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, nargs="+", default=[2, 21, 201, 1001])
@@ -255,6 +321,8 @@ def main(argv=None) -> int:
     print(f"\nwrite_csv, fastest of {REPEATS}")
     for kind in CSV_CELLS:
         print(f"{kind:>16}  {csv_ms_per_1e5_cells(kind):>6.2f} ms per 10^5 float cells")
+    print()
+    print_peaks()
 
     if args.out:
         write_csv(args.out, ["model", "samples", "rk_steps", "passes", "b_calls",

@@ -4,22 +4,23 @@
 The set covers `verify-all --seed 7` at dims 8, 16, 32 and 64, every scenario
 kind at dims 16 and 32 (standard and offset conjugations alike), one `evolve`
 CSV, two `spectrum` subcommand runs (a CSV and a JSON report), a dim-16
-constant-model `evolution` CSV, a dim-3 table-model `evolution` CSV whose
-span reaches below its first knot and past its last, and a records CSV of
-`conjugation-check`, whose anchors hold commas: 34 runs, which between them
-take every subcommand that writes a report, every coefficient model and both
-paths of the CSV writer.  Then 16 malformed runs that exit 1 with an
-``input error:`` line and write no report: one scenario per kind and nine
-flag errors of `spectrum` and `evolve`.  Each printed line is the run's label,
-its exit code, the digest of its report with the value of ``wall_time_s``
-replaced by null (no other byte is touched), and the digest of what the run
-wrote to stderr, with the run's temporary directory read as ``<workdir>``.
-Last, `validate` checks each of the 34 scenario files run, good and malformed
-alike, and prints the run's label, ``validate``, its exit code and its
-stderr digest, so a change in what `validate` catches shows in the diff.
-Two source trees produce identical reports and error messages exactly when
-their outputs are identical, so a change meant to keep every report and every
-message byte-identical is checked by a diff:
+constant-model `evolution` CSV, a dim-32 one of 43 samples over [0, 5] (the
+benchmark's shape: 88 107 cells, which the CSV writer streams in 22 chunks), a
+dim-3 table-model `evolution` CSV whose span reaches below its first knot and
+past its last, and a records CSV of `conjugation-check`, whose anchors hold
+commas: 35 runs, which between them take every subcommand that writes a
+report, every coefficient model and both paths of the CSV writer.  Then 16
+malformed runs that exit 1 with an ``input error:`` line and write no report:
+one scenario per kind and nine flag errors of `spectrum` and `evolve`.  Each
+printed line is the run's label, its exit code, the digest of its report with
+the value of ``wall_time_s`` replaced by null (no other byte is touched), and
+the digest of what the run wrote to stderr, with the run's temporary directory
+read as ``<workdir>``.  Last, `validate` checks each of the 35 scenario files
+run, good and malformed alike, and prints the run's label, ``validate``, its
+exit code and its stderr digest, so a change in what `validate` catches shows
+in the diff.  Two source trees produce identical reports and error messages
+exactly when their outputs are identical, so a change meant to keep every
+report and every message byte-identical is checked by a diff:
 
     PYTHONPATH=src python scripts/report_digest.py > after.txt
     PYTHONPATH=<other checkout>/src python scripts/report_digest.py > before.txt
@@ -104,6 +105,8 @@ TABLE_D3 = {"B": "table", "times": [0.0, 0.7, 1.3, 2.2, 3.0],
 SINGLE_RUNS = {
     "evolution-constant-d16": ("evolution", {**constant_params(16), "t": 2.0, "samples": 9},
                                16, "csv"),
+    "evolution-constant-d32": ("evolution", {**constant_params(32), "t": 5.0, "samples": 43},
+                               32, "csv"),
     "evolution-table-d3": ("evolution", TABLE_D3, 3, "csv"),
     "conjugation-records-d16": ("conjugation-check", OFFSET, 16, "csv"),
 }

@@ -534,7 +534,7 @@ def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
             header = ["t"] + [f"U{i}_{j}_{part}" for i in range(n) for j in range(n)
                               for part in ("re", "im")]
             # a complex matrix viewed as float64 interleaves re and im, as the header does
-            entries = np.array(series).reshape(len(times), -1).view(np.float64)
+            entries = series.reshape(len(times), -1).view(np.float64)
             table = (header, np.column_stack((times, entries)))
         except StiffnessError as exc:
             raise ScenarioError(source, str(exc))

@@ -49,10 +49,11 @@ B(s) M = M B(s)^T for the matrix part M of the antilinear J).  The induced
 symmetry U(t,s) = J U(t,s)* J of the propagator for commuting families is
 :func:`focksym.conjugation.check_matrix_c_symmetry` applied to U(t, s).
 
-A time series U(t_k, s) is a chain of segment propagators through the
-cocycle U(t_k, s) = U(t_k, t_{k-1}) U(t_{k-1}, s), the segments integrated
-side by side, so its cost is linear in the number of samples.  A check that
-judges U(t, s), the axioms and the adjoint quotients alike, takes it from its
+Spans and series come back as stacks.  A time series U(t_k, s) is one
+(len(times), n, n) array, chained in place through the cocycle
+U(t_k, s) = U(t_k, t_{k-1}) U(t_{k-1}, s) from segments integrated side by
+side, so its cost is linear in the number of samples.  A check that judges
+U(t, s), the axioms and the adjoint quotients alike, takes it from its
 caller, which integrates it once for every check that needs it; the adjoint
 check integrates only the short spans U(t + h, t) of its quotients.  An
 ``evolution`` run takes U(t, s) from the end of its series, so it integrates
@@ -186,8 +187,9 @@ _BATCH_BYTES = 1 << 20
 
 def _integrate_spans(
     B: _Coefficient, spans: Sequence[tuple[float, float]], rel_tol: float
-) -> tuple[list[np.ndarray], list[IntegratorStats]]:
-    """U(t1, t0) and its integrator statistics for each span (t0, t1) of B.
+) -> tuple[np.ndarray, list[IntegratorStats]]:
+    """The (len(spans), n, n) stack of U(t1, t0) for the spans (t0, t1) of B,
+    and each span's integrator statistics.
 
     The spans are integrated side by side, in consecutive batches whose
     stages fit in ``_BATCH_BYTES``, each span with the arithmetic of a span
@@ -201,35 +203,30 @@ def _integrate_spans(
     # the size of the problem, and each span's first stage 1
     B_t0 = B([t0 for t0, _ in spans])
     dim = B_t0.shape[-1]
-    out: list = [None] * len(spans)
-    batch = []
-    for j, (t0, t1) in enumerate(spans):
-        if t1 == t0:
-            out[j] = (np.eye(dim, dtype=complex),
-                      IntegratorStats(steps=0, rejected=0, max_local_error=0.0))
-        else:
-            batch.append(_Span(j, t0, t1))
+    mats = np.tile(np.eye(dim, dtype=complex), (len(spans), 1, 1))  # a zero span's U is I
+    every = [_Span(j, t0, t1) for j, (t0, t1) in enumerate(spans)]
+    batch = [sp for sp in every if sp.t1 != sp.x]
     if batch:
         B_0 = B_t0[[sp.index for sp in batch]]  # a copy: no value outlives its call
         size = max(1, _BATCH_BYTES // (7 * 16 * dim ** 2))
         for i in range(0, len(batch), size):
-            _integrate_batch(B, batch[i:i + size], B_0[i:i + size], rel_tol, out)
-    return [U for U, _ in out], [stats for _, stats in out]
+            _integrate_batch(B, batch[i:i + size], B_0[i:i + size], rel_tol, mats)
+    return mats, [sp.stats() for sp in every]
 
 
 # a step whose stages overflow has a non-finite error estimate and is
 # rejected, so its overflow and invalid values are expected and stay silent
 @np.errstate(over="ignore", invalid="ignore")
 def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
-                     rel_tol: float, out: list) -> None:
+                     rel_tol: float, mats: np.ndarray) -> None:
     """Integrate the spans of ``batch``, whose B(t0) are ``B_0``, side by side.
 
     Every pass of the loop attempts one step of each unfinished span, and a
-    span leaves the batch when it is done; its (U, stats) goes to
-    ``out[span.index]``.  A span whose step size falls below its floor
-    stops, and so does every later span, which cannot change what is
-    raised: its StiffnessError is raised once every earlier span has
-    finished.
+    span leaves the batch when it is done; its U goes to
+    ``mats[span.index]``, and its statistics stay in the span.  A span whose
+    step size falls below its floor stops, and so does every later span,
+    which cannot change what is raised: its StiffnessError is raised once
+    every earlier span has finished.
     """
     m, dim = len(batch), B_0.shape[-1]
     U = np.repeat(np.eye(dim, dtype=complex)[None], m, axis=0)
@@ -297,7 +294,7 @@ def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
         if done:
             for k in done:
                 if batch[k].index not in failed:
-                    out[batch[k].index] = (U[k].copy(), batch[k].stats())
+                    mats[batch[k].index] = U[k]
             last = min(failed, default=math.inf)
             keep = [k for k, sp in enumerate(batch) if k not in done and sp.index < last]
             batch = [batch[k] for k in keep]
@@ -322,24 +319,23 @@ def evolve(
 
 def evolution_series(
     B: _Coefficient, times: Sequence[float], rel_tol: float = 1e-10
-) -> tuple[list[np.ndarray], list[IntegratorStats]]:
-    """U(t_k, t_0) for non-decreasing times, chained segment by segment.
+) -> tuple[np.ndarray, list[IntegratorStats]]:
+    """The (len(times), n, n) stack of U(t_k, t_0) for non-decreasing times,
+    chained segment by segment, and each segment's integrator statistics.
 
     U(t_k, t_0) = U(t_k, t_{k-1}) U(t_{k-1}, t_0), the segments integrated
-    side by side, so the work is linear in the number of samples.  The
-    second list holds each segment's integrator statistics.
+    side by side, so the work is linear in the number of samples.
     """
     segments = [(float(a), float(b)) for a, b in zip(times[:-1], times[1:])]
     if any(b < a for a, b in segments):
         raise ValueError("evolution_series requires non-decreasing times")
     if not segments:  # one sample: U(t_0, t_0), with no span to size it
-        return [np.eye(B([times[0]]).shape[-1], dtype=complex)], []
+        return np.eye(B([times[0]]).shape[-1], dtype=complex)[None], []
     mats, stats = _integrate_spans(B, segments, rel_tol)
-    U = np.eye(len(mats[0]), dtype=complex)
-    series = [U]
-    for seg in mats:
-        U = seg @ U
-        series.append(U)
+    series = np.empty((len(times), *mats.shape[1:]), dtype=complex)
+    series[0] = np.eye(mats.shape[-1])
+    for k, seg in enumerate(mats):
+        np.matmul(seg, series[k], out=series[k + 1])
     return series, stats
 
 

@@ -20,27 +20,26 @@ from 1e280 up, and a cell whose rounding interval ends, or whose rounding tie
 falls, within 1e-9 of an integer once it is scaled.  Rows of any other form
 go through the ``csv`` writer cell by cell.
 
-File writes are atomic: content goes to a temp file in the target directory,
-created with the mode a plain ``open`` would give the file (an existing
-target keeps its own), which is then renamed over the destination.
+File writes are atomic: ``_atomic_file`` hands a writer a temp file in the
+target directory, with the mode ``open`` would give the file (an existing
+target keeps its own), renamed over the destination or unlinked on failure.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
-import io
 import json
 import os
 import stat
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 __all__ = [
     "complex_to_json",
     "complex_from_json",
-    "atomic_write_text",
     "write_json_report",
     "write_csv",
     "default_output_dir",
@@ -81,7 +80,9 @@ def _create_temp(directory: str) -> tuple[int, str]:
             continue
 
 
-def atomic_write_text(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str) -> Iterator[TextIO]:
+    """A text handle on a new temp file beside path, renamed over path if the block ends."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = _create_temp(directory)
@@ -91,7 +92,7 @@ def atomic_write_text(path: str, text: str) -> None:
                 os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
             except FileNotFoundError:
                 pass
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -100,7 +101,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_json_report(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _atomic_file(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cell(value) -> str:
@@ -286,17 +288,17 @@ def _repr_rows(values: list[float], last: list[bool]) -> np.ndarray:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence] | np.ndarray) -> None:
-    """The header, then rows; a 2-D float64 array goes through _repr_cells,
-    any other rows cell by cell through the csv writer."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2 and rows.size:
-        cells = np.ascontiguousarray(rows).ravel()
-        for start in range(0, cells.size, _CHUNK_CELLS):
-            chunk = cells[start:start + _CHUNK_CELLS]
-            last = np.arange(start + 1, start + 1 + chunk.size) % rows.shape[1] == 0
-            buf.write(_repr_cells(chunk, last).decode("ascii"))
-    else:
-        writer.writerows([_cell(v) for v in row] for row in rows)
-    atomic_write_text(path, buf.getvalue())
+    """The header, then rows, each chunk of _repr_cells for a 2-D float64
+    array and each row of the csv writer for any other rows as it is made."""
+    with _atomic_file(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        if (isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2
+                and rows.size):
+            cells = np.ascontiguousarray(rows).ravel()
+            for start in range(0, cells.size, _CHUNK_CELLS):
+                chunk = cells[start:start + _CHUNK_CELLS]
+                last = np.arange(start + 1, start + 1 + chunk.size) % rows.shape[1] == 0
+                fh.write(_repr_cells(chunk, last).decode("ascii"))
+        else:
+            writer.writerows([_cell(v) for v in row] for row in rows)

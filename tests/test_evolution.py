@@ -363,11 +363,15 @@ def test_chained_series_steps_stay_near_one_span():
 def test_chained_series_edge_cases():
     B = _bagchi_cosine()
     series, stats = evolution_series(B, np.linspace(0.0, 5.0, 1))
-    assert len(series) == 1 and np.array_equal(series[0], np.eye(2))
+    assert isinstance(series, np.ndarray) and series.shape == (1, 2, 2)
+    assert np.array_equal(series[0], np.eye(2))
     assert stats == []
     series, stats = evolution_series(B, np.linspace(2.0, 2.0, 4))
-    assert len(series) == 4 and all(np.array_equal(U, np.eye(2)) for U in series)
+    assert isinstance(series, np.ndarray) and series.shape == (4, 2, 2)
+    assert all(np.array_equal(U, np.eye(2)) for U in series)
     assert [st.steps for st in stats] == [0, 0, 0]
+    series, _ = evolution_series(B, np.linspace(0.0, 5.0, 6))
+    assert isinstance(series, np.ndarray) and series.shape == (6, 2, 2)
 
 
 def test_adjoint_family_integrates_u_once(monkeypatch):
@@ -573,10 +577,13 @@ def _split_batches(monkeypatch, dim, spans_per_batch):
 @pytest.mark.parametrize("spans_per_batch", [None, 2])
 def test_batch_matches_each_span_alone_bit_for_bit(make, spans, spans_per_batch,
                                                    monkeypatch):
-    _split_batches(monkeypatch, make()([0.0]).shape[-1], spans_per_batch)
+    n = make()([0.0]).shape[-1]
+    _split_batches(monkeypatch, n, spans_per_batch)
     B, count = _counting(make())
     mats, stats = _integrate_spans(B, spans, 1e-10)
-    assert len(mats) == len(stats) == len(spans)
+    assert isinstance(mats, np.ndarray) and mats.shape == (len(spans), n, n)
+    assert len(stats) == len(spans)
+    assert all(np.array_equal(U, np.eye(n)) for (t0, t1), U in zip(spans, mats) if t1 == t0)
     for (t0, t1), U, st in zip(spans, mats, stats):
         U_alone, st_alone = _integrate(make(), t0, t1, 1e-10)
         U_ref, st_ref = _reference_integrate(make(), t0, t1, 1e-10)

@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ import focksym.serialize as serialize
 from focksym.serialize import (
     OUTPUT_DIR_ENV,
     _cell,
-    atomic_write_text,
     complex_from_json,
     complex_to_json,
     default_output_dir,
@@ -70,8 +70,8 @@ def test_csv_handles_numpy_scalars(tmp_path):
 def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     target = tmp_path / "out.txt"
     target.write_text("old")
-    atomic_write_text(str(target), "new")
-    assert target.read_text() == "new"
+    write_json_report(str(target), {"new": 1})
+    assert target.read_text() == '{\n  "new": 1\n}\n'
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert leftovers == []
 
@@ -120,7 +120,7 @@ def _mode(path) -> int:
 def test_atomic_write_gives_a_new_file_the_mode_of_open(tmp_path):
     old = os.umask(0o022)
     try:
-        atomic_write_text(str(tmp_path / "report.json"), "{}")
+        write_json_report(str(tmp_path / "report.json"), {})
         with open(tmp_path / "plain.json", "w"):
             pass
     finally:
@@ -135,6 +135,56 @@ def test_atomic_write_keeps_an_existing_files_mode(tmp_path):
     write_csv(str(target), ["x"], np.array([[0.5]]))
     assert _mode(target) == 0o640
     assert target.read_text() == "x\n0.5\n"
+
+
+def _temps(directory) -> list[str]:
+    return [p for p in os.listdir(directory) if p.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("path", ["rows", "array"])
+def test_a_write_that_fails_midway_leaves_the_old_file(tmp_path, monkeypatch, path):
+    target = tmp_path / "report.csv"
+    target.write_bytes(b"old,bytes\n1,2\n")
+    seen = []  # the temp files beside the target when the writer fails
+    chunks, repr_cells = [], serialize._repr_cells
+
+    def rows():
+        yield from ([0.5 * k, 0.25] for k in range(3))
+        seen.append(_temps(tmp_path))
+        raise RuntimeError("midway")
+
+    def second_chunk_fails(x, last):
+        if chunks:
+            seen.append(_temps(tmp_path))
+            raise RuntimeError("midway")
+        chunks.append(x.size)
+        return repr_cells(x, last)
+
+    monkeypatch.setattr(serialize, "_repr_cells", second_chunk_fails)
+    body = rows() if path == "rows" else np.full((3, 2049), 0.1)  # two kernel chunks
+    with pytest.raises(RuntimeError, match="midway"):
+        write_csv(str(target), ["a", "b"] if path == "rows" else ["c"] * 2049, body)
+    assert len(seen) == 1 and len(seen[0]) == 1  # the writer was streaming into a temp
+    assert target.read_bytes() == b"old,bytes\n1,2\n"
+    assert _temps(tmp_path) == []
+
+
+def test_csv_write_peak_does_not_grow_with_the_table(tmp_path):
+    rng = np.random.default_rng(0)
+    header = [f"c{j}" for j in range(2049)]
+    path = tmp_path / "series.csv"
+    write_csv(str(path), header, rng.standard_normal((43, 2049)))  # warms the layout cache
+    peaks = []
+    for rows in (43, 172):
+        table = rng.standard_normal((rows, 2049))
+        tracemalloc.start()
+        try:
+            write_csv(str(path), header, table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
+    assert peaks[1] < path.stat().st_size / 2  # the file's text is never held
 
 
 def test_complex_cells_reload_with_their_repr(tmp_path):
