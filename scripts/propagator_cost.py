@@ -41,10 +41,22 @@ each of ``PEAK_RUNS``, the constant models at the benchmark's sample counts
 over [0, 5].  They use only ``write_csv`` and ``cli.main``, so they measure
 any source tree on the path.
 
+Beside the per-pass figures come the coefficient calls of one ``focksym
+run`` of each of ``PASS_MODELS`` as an ``evolution`` CSV scenario over [0, 5],
+and of one ``focksym evolve`` of the default model with ``EVOLVE_SAMPLES``
+samples over [0, 5], counted by a wrapper of the coefficient that the
+scenario parser returns: one call per
+``_integrate_spans`` call (at every span's start) plus one per pass of its
+step loop, and the times evaluated.  The same figures follow for the two-level
+coefficients of ``verify-all``'s evolution group, which do not depend on the
+dim; three of its calls lie outside the step loop (B(0) for the exponential
+route, the s grid of the commutation record, B(1) for the adjoint target).
+
 Every model is built by the scenario parser from its params, as an
 ``evolution`` run builds it.  ``--passes-only`` prints the per-pass figures
-alone.  They use nothing of a coefficient but what the parser returns, so
-they time any source tree on the path, under either coefficient protocol.
+and the coefficient calls alone.  They use nothing of a coefficient but what
+the parser returns, so they time any source tree on the path, under either
+coefficient protocol.
 
 Usage:
     python scripts/propagator_cost.py --samples 2 21 201 1001 --t 5 --out cost.csv
@@ -65,7 +77,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.integrate
 
-from focksym import cli, evolution
+from focksym import cli, evolution, verification
 from focksym.cli import _evolution_operator_from
 from focksym.evolution import evolution_series, evolve
 from focksym.serialize import write_csv
@@ -203,6 +215,68 @@ def print_pass_costs(t: float, rel_tol: float) -> None:
         print(f"{label:>16}  {segments:>8}  {passes:>6}  {us:>8.1f}")
 
 
+# the samples of the evolve run of the coefficient-call figures, as many as
+# the benchmark's evolution-series workload gives it
+EVOLVE_SAMPLES = 35
+
+
+def cli_coefficient_calls(argv: Sequence[str]) -> tuple[int, int]:
+    """(calls, evaluated times) of the model's coefficient in one CLI call,
+    counted on the coefficient that the scenario parser returns."""
+    original, counted = cli._evolution_operator_from, []
+
+    def counting(params, span):
+        B, meta, source = original(params, span)
+        counted.append(Counted(B))
+        return counted[-1], meta, source
+
+    cli._evolution_operator_from = counting
+    try:
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            cli.main(list(argv))
+    finally:
+        cli._evolution_operator_from = original
+    return counted[0].calls, counted[0].times
+
+
+def group_coefficient_calls() -> tuple[int, int]:
+    """(calls, evaluated times) of the two-level coefficients of verify-all's
+    evolution group."""
+    original, counted = verification.bagchi_hamiltonian, []
+
+    def counting(*args):
+        counted.append(Counted(original(*args)))
+        return counted[-1]
+
+    verification.bagchi_hamiltonian = counting
+    try:
+        verification.evolution_checks(verification.VerifyConfig())
+    finally:
+        verification.bagchi_hamiltonian = original
+    return sum(c.calls for c in counted), sum(c.times for c in counted)
+
+
+def print_coefficient_calls(t: float) -> None:
+    print(f"coefficient calls of one evolution run to t = {t:g}")
+    print(f"{'model':>16}  {'samples':>7}  {'B calls':>7}  {'B times':>7}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, params, samples in PASS_MODELS:
+            scenario = os.path.join(tmp, f"{label}.json")
+            with open(scenario, "w") as fh:
+                json.dump({"name": label, "kind": "evolution",
+                           "params": {**params, "t": t, "samples": samples},
+                           "output": {"format": "csv",
+                                      "path": os.path.join(tmp, f"{label}.csv")}}, fh)
+            calls, times = cli_coefficient_calls(["run", scenario])
+            print(f"{label:>16}  {samples:>7}  {calls:>7}  {times:>7}")
+        calls, times = cli_coefficient_calls(["evolve", "--t", repr(t), "--samples",
+                                              str(EVOLVE_SAMPLES),
+                                              "--out", os.path.join(tmp, "evolve.csv")])
+        print(f"{'evolve':>16}  {EVOLVE_SAMPLES:>7}  {calls:>7}  {times:>7}")
+    calls, times = group_coefficient_calls()
+    print(f"{'verify-all group':>16}  {'-':>7}  {calls:>7}  {times:>7}")
+
+
 # the cells of the write_csv figure: a seeded 49 x 2049 table of each kind
 CSV_CELLS = {
     "17-digit": lambda rng: rng.standard_normal((49, 2049)),
@@ -292,6 +366,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.passes_only:
         print_pass_costs(args.t, args.rel_tol)
+        print()
+        print_coefficient_calls(args.t)
         return 0
 
     print(f"chained series U(t_k, 0) to t = {args.t:g} at rel_tol {args.rel_tol:g}, "
@@ -318,6 +394,8 @@ def main(argv=None) -> int:
         print(f"{n:>5}  {attempted:>9}  {us:>8.1f}")
     print()
     print_pass_costs(args.t, args.rel_tol)
+    print()
+    print_coefficient_calls(args.t)
     print(f"\nwrite_csv, fastest of {REPEATS}")
     for kind in CSV_CELLS:
         print(f"{kind:>16}  {csv_ms_per_1e5_cells(kind):>6.2f} ms per 10^5 float cells")

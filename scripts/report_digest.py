@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """SHA-256 of every report and of its run's stderr in a fixed set of CLI runs.
 
-The set covers `verify-all --seed 7` at dims 8, 16, 32 and 64, every scenario
+The set covers `verify-all --seed 7` at dims 8, 16, 32, 64 and 128 (at
+dim 128 one 10-node panel of the Laplace integrand holds 100 KiB of values,
+past the quadrature's 64 KiB bound on one integrand call), every scenario
 kind at dims 16 and 32 (standard and offset conjugations alike), one `evolve`
 CSV, two `spectrum` subcommand runs (a CSV and a JSON report), a dim-16
 constant-model `evolution` CSV, a dim-32 one of 43 samples over [0, 5] (the
 benchmark's shape: 88 107 cells, which the CSV writer streams in 22 chunks), a
 dim-3 table-model `evolution` CSV whose span reaches below its first knot and
 past its last, and a records CSV of `conjugation-check`, whose anchors hold
-commas: 35 runs, which between them take every subcommand that writes a
+commas: 36 runs, which between them take every subcommand that writes a
 report, every coefficient model and both paths of the CSV writer.  Then 16
 malformed runs that exit 1 with an ``input error:`` line and write no report:
 one scenario per kind and nine flag errors of `spectrum` and `evolve`.  Each
@@ -25,6 +27,9 @@ report and every message byte-identical is checked by a diff:
     PYTHONPATH=src python scripts/report_digest.py > after.txt
     PYTHONPATH=<other checkout>/src python scripts/report_digest.py > before.txt
     diff before.txt after.txt
+
+From dim 128 on a report's last bits depend on the number of BLAS threads,
+so run both sides with the same ``OPENBLAS_NUM_THREADS``.
 
 To see which records moved, keep each tree's reports in a directory and
 compare the two directories:
@@ -151,7 +156,7 @@ def _scenario_run(workdir: Path, name: str, kind: str, params: dict, dim: int, f
 
 def _runs(workdir: Path):
     """(label, argv, report path) of every run in the set."""
-    for dim in (8, 16, 32, 64):
+    for dim in (8, 16, 32, 64, 128):
         out = workdir / f"verify-all-d{dim}.json"
         yield (f"verify-all-d{dim}",
                ["verify-all", "--dim", str(dim), "--seed", "7", "--out", str(out)], out)

@@ -54,9 +54,11 @@ from .conjugation import (
 )
 from .evolution import (
     StiffnessError,
+    _integrate_spans,
+    axiom_spans,
     bagchi_hamiltonian,
-    evolution_series,
-    evolve,
+    chain_series,
+    series_segments,
 )
 from .fock import monomial
 from .generator import spectrum_report
@@ -503,6 +505,33 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
     return eval_b, meta, "params.matrices"
 
 
+def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.ndarray],
+                        span: tuple[float, float], samples: int, rel_tol: float
+                        ) -> tuple[np.ndarray, np.ndarray, list[CheckRecord]]:
+    """The sample times over span = (s, t), the series U(t_k, s) and the
+    run's records.
+
+    One step loop integrates the series' segments, then U(t, t), U(t, r) and
+    U(r, s) for the axioms, r = (s + t)/2.  The chain ends at U(t, s), since
+    linspace sets its endpoint exactly, so the composition law compares two
+    paths that share no step.  One sample stops the chain at s, and U(t, s)
+    takes the segments' place.  The span stack is released on return, before
+    the caller builds its table.
+    """
+    s, t = span
+    times = np.linspace(s, t, samples)
+    segments = series_segments(times)
+    head = segments or [span]
+    mats, _ = _integrate_spans(B, head + axiom_spans((s, s + (t - s) / 2, t)), rel_tol)
+    series = chain_series(mats[:len(segments)], times)
+    U_ts = series[-1] if segments else mats[0]
+    records = evolution_axiom_records(cfg, mats[len(head):], U_ts, rel_tol)
+    records.append(_info("evolution.transpose-symmetry", "U M = M U^T under plain conjugation",
+                         check_matrix_c_symmetry(U_ts, np.eye(len(U_ts))),
+                         "pass/fail asserted only for commuting families"))
+    return times, series, records
+
+
 def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
     s = _get(params, "params", "s", float, 0.0)
     t = _get(params, "params", "t", float, 1.0)
@@ -518,25 +547,14 @@ def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
 
     def run():
         try:
-            times = np.linspace(s, t, samples)
-            # the horizon is integrated twice: as the chain through the sample
-            # times, whose last element is U(t, s), and split at r by the axioms,
-            # so the composition law compares two paths that share no step
-            series, _ = evolution_series(B, times, rel_tol)
-            # linspace sets its endpoint exactly; one sample stops the chain at s
-            U_ts = series[-1] if times[-1] == t else evolve(B, s, t, rel_tol).matrix
-            n = len(U_ts)
-            records = evolution_axiom_records(cfg, B, (s, s + (t - s) / 2, t), U_ts, rel_tol)
-            records.append(_info("evolution.transpose-symmetry",
-                                 "U M = M U^T under plain conjugation",
-                                 check_matrix_c_symmetry(U_ts, np.eye(n)),
-                                 "pass/fail asserted only for commuting families"))
+            times, series, records = _series_and_records(cfg, B, (s, t), samples, rel_tol)
+            n = series.shape[-1]
             header = ["t"] + [f"U{i}_{j}_{part}" for i in range(n) for j in range(n)
                               for part in ("re", "im")]
             # a complex matrix viewed as float64 interleaves re and im, as the header does
             entries = series.reshape(len(times), -1).view(np.float64)
             table = (header, np.column_stack((times, entries)))
-        except StiffnessError as exc:
+        except (StiffnessError, OverflowError) as exc:
             raise ScenarioError(source, str(exc))
         except MemoryError:  # the sample times and the series grow with the samples
             raise ScenarioError("params.samples", _NO_MEMORY)

@@ -34,14 +34,17 @@ product per span, taken as one batched product, and each stage is one
 batched matrix product.  A pass makes one call of B, at the five new stage
 times x + c h of all m spans, and views its values as (m, 5, n, n).  Each
 span keeps its own time, step size, first-same-as-last stage, controller,
-statistics and step floor, as Python scalars, and leaves the batch when it
-is done.  Batched products take the same BLAS call per span as a single
-one, and the step factor stays a Python float power per span, so each U and
-its statistics are the same to the bit whatever else is in the batch.
-Spans are batched in the order given, as many at a time as keep the stage
-buffer within ``_BATCH_BYTES``.  :func:`evolve` is a batch of one; the
-series, the axioms, the adjoint quotients and the suite's reversal check
-each hand in their spans together.
+statistics, step floor and tolerance, as Python scalars, and leaves the
+batch when it is done.  Batched products take the same BLAS call per span
+as a single one, and the step factor stays a Python float power per span,
+so each U and its statistics are the same to the bit whatever else is in
+the batch, at whatever tolerances.  Spans are batched in the order given,
+as many at a time as keep the stage buffer within ``_BATCH_BYTES``.
+:func:`evolve` is a batch of one.  Since every pass costs a fixed overhead
+of numpy calls, each caller hands in all the spans of one coefficient in one
+call: an ``evolution`` run its series' segments and the axioms' spans, and
+the suite its U(1, 0), U(0, 1), the axioms' spans and the adjoint
+quotients' short spans, these at a tighter tolerance.
 
 Checks cover the evolution-family axioms, the adjoint family's derivative
 identity and the commutation relation B(s) J = J conj(B(s))  (written here as
@@ -52,13 +55,15 @@ symmetry U(t,s) = J U(t,s)* J of the propagator for commuting families is
 Spans and series come back as stacks.  A time series U(t_k, s) is one
 (len(times), n, n) array, chained in place through the cocycle
 U(t_k, s) = U(t_k, t_{k-1}) U(t_{k-1}, s) from segments integrated side by
-side, so its cost is linear in the number of samples.  A check that judges
-U(t, s), the axioms and the adjoint quotients alike, takes it from its
-caller, which integrates it once for every check that needs it; the adjoint
-check integrates only the short spans U(t + h, t) of its quotients.  An
-``evolution`` run takes U(t, s) from the end of its series, so it integrates
-its horizon twice: once as the chained series, and once split at
-r = (s + t)/2 by :func:`check_evolution_axioms`.  The two paths share no step.
+side, so its cost is linear in the number of samples.  The checks integrate
+nothing: :func:`check_evolution_axioms` judges the U(t, t), U(t, r) and
+U(r, s) of :func:`axiom_spans` against U(t, s), and
+:func:`check_adjoint_family` the U(t + h, t) of :func:`adjoint_spans`, all
+integrated by their caller.  An ``evolution`` run takes U(t, s) from the end
+of its series, so it integrates its horizon twice: once as the chained
+series, and once split at r = (s + t)/2 for the axioms.  The two paths share
+no step.  A series or a composition product that leaves the double range
+raises OverflowError; a span that cannot be integrated raises StiffnessError.
 """
 
 from __future__ import annotations
@@ -76,8 +81,12 @@ __all__ = [
     "EvolutionOperator",
     "StiffnessError",
     "evolve",
+    "series_segments",
+    "chain_series",
     "evolution_series",
+    "axiom_spans",
     "check_evolution_axioms",
+    "adjoint_spans",
     "check_adjoint_family",
     "check_nonauto_stone",
     "bagchi_hamiltonian",
@@ -148,12 +157,12 @@ _SAFETY = 0.9
 class _Span:
     """The step state of one span of a batch, in Python scalars."""
 
-    __slots__ = ("index", "x", "t1", "h", "direction", "h_floor", "U_max",
+    __slots__ = ("index", "x", "t1", "rel_tol", "h", "direction", "h_floor", "U_max",
                  "steps", "rejected", "max_err")
 
-    def __init__(self, index: int, t0: float, t1: float) -> None:
+    def __init__(self, index: int, t0: float, t1: float, rel_tol: float) -> None:
         span = t1 - t0
-        self.index, self.x, self.t1 = index, t0, t1
+        self.index, self.x, self.t1, self.rel_tol = index, t0, t1, rel_tol
         self.h = span / 50.0
         self.direction = 1.0 if span > 0 else -1.0
         self.h_floor = abs(span) * _MIN_STEP_FACTOR
@@ -186,31 +195,36 @@ _BATCH_BYTES = 1 << 20
 
 
 def _integrate_spans(
-    B: _Coefficient, spans: Sequence[tuple[float, float]], rel_tol: float
+    B: _Coefficient, spans: Sequence[tuple[float, float]],
+    rel_tol: float | Sequence[float],
 ) -> tuple[np.ndarray, list[IntegratorStats]]:
     """The (len(spans), n, n) stack of U(t1, t0) for the spans (t0, t1) of B,
     and each span's integrator statistics.
 
-    The spans are integrated side by side, in consecutive batches whose
-    stages fit in ``_BATCH_BYTES``, each span with the arithmetic of a span
-    integrated alone, so each result is the same to the bit whatever the
-    batch.  If a span is too stiff, the StiffnessError raised is that of the
-    first failing span in the order given, the one a loop over the spans
-    would raise.
+    ``rel_tol`` is one tolerance for every span, or one per span.  The spans
+    are integrated side by side, in consecutive batches whose stages fit in
+    ``_BATCH_BYTES``, each span with the arithmetic of a span integrated
+    alone at its own tolerance, so each result is the same to the bit
+    whatever the batch and the tolerances of its batch-mates.  If a span is
+    too stiff, the StiffnessError raised is that of the first failing span in
+    the order given, the one a loop over the spans would raise.
     """
-    if rel_tol <= 0:
+    tols = [rel_tol] * len(spans) if np.ndim(rel_tol) == 0 else list(rel_tol)
+    if len(tols) != len(spans):
+        raise ValueError(f"{len(tols)} tolerances for {len(spans)} spans")
+    if any(tol <= 0 for tol in tols):
         raise ValueError("rel_tol must be positive")
     # the size of the problem, and each span's first stage 1
     B_t0 = B([t0 for t0, _ in spans])
     dim = B_t0.shape[-1]
     mats = np.tile(np.eye(dim, dtype=complex), (len(spans), 1, 1))  # a zero span's U is I
-    every = [_Span(j, t0, t1) for j, (t0, t1) in enumerate(spans)]
+    every = [_Span(j, t0, t1, float(tol)) for j, ((t0, t1), tol) in enumerate(zip(spans, tols))]
     batch = [sp for sp in every if sp.t1 != sp.x]
     if batch:
         B_0 = B_t0[[sp.index for sp in batch]]  # a copy: no value outlives its call
         size = max(1, _BATCH_BYTES // (7 * 16 * dim ** 2))
         for i in range(0, len(batch), size):
-            _integrate_batch(B, batch[i:i + size], B_0[i:i + size], rel_tol, mats)
+            _integrate_batch(B, batch[i:i + size], B_0[i:i + size], mats)
     return mats, [sp.stats() for sp in every]
 
 
@@ -218,7 +232,7 @@ def _integrate_spans(
 # rejected, so its overflow and invalid values are expected and stay silent
 @np.errstate(over="ignore", invalid="ignore")
 def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
-                     rel_tol: float, mats: np.ndarray) -> None:
+                     mats: np.ndarray) -> None:
     """Integrate the spans of ``batch``, whose B(t0) are ``B_0``, side by side.
 
     Every pass of the loop attempts one step of each unfinished span, and a
@@ -258,7 +272,7 @@ def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
             scale = max(U5_max_k, sp.U_max, 1.0)
             local = err_max_k / scale
             h = sp.h
-            budget = rel_tol * abs(h)  # error-per-unit-step control
+            budget = sp.rel_tol * abs(h)  # error-per-unit-step control
             finite = math.isfinite(local)
             if finite and local <= budget:
                 sp.x += h
@@ -317,6 +331,34 @@ def evolve(
     return EvolutionOperator(s=s, t=t, matrix=U, stats=stats)
 
 
+def series_segments(times: Sequence[float]) -> list[tuple[float, float]]:
+    """The spans (t_{k-1}, t_k) of a series over non-decreasing times."""
+    segments = [(float(a), float(b)) for a, b in zip(times[:-1], times[1:])]
+    if any(b < a for a, b in segments):
+        raise ValueError("evolution_series requires non-decreasing times")
+    return segments
+
+
+# a chain or a product that overflows is checked for afterwards, so its
+# overflow and invalid values stay silent
+@np.errstate(over="ignore", invalid="ignore")
+def chain_series(segments: np.ndarray, times: Sequence[float]) -> np.ndarray:
+    """The (len(times), n, n) stack of U(t_k, t_0) from the stack of the
+    segments U(t_k, t_{k-1}), chained in place through the cocycle.
+
+    Raises OverflowError at the first t_k where U(t_k, t_0) leaves the double
+    range.
+    """
+    series = np.empty((len(segments) + 1, *segments.shape[1:]), dtype=complex)
+    series[0] = np.eye(segments.shape[-1])
+    for k, seg in enumerate(segments):
+        np.matmul(seg, series[k], out=series[k + 1])
+        if not np.isfinite(series[k + 1]).all():
+            raise OverflowError("the propagator leaves the double range at "
+                                f"t = {times[k + 1]:.6g}")
+    return series
+
+
 def evolution_series(
     B: _Coefficient, times: Sequence[float], rel_tol: float = 1e-10
 ) -> tuple[np.ndarray, list[IntegratorStats]]:
@@ -324,42 +366,51 @@ def evolution_series(
     chained segment by segment, and each segment's integrator statistics.
 
     U(t_k, t_0) = U(t_k, t_{k-1}) U(t_{k-1}, t_0), the segments integrated
-    side by side, so the work is linear in the number of samples.
+    side by side, so the work is linear in the number of samples.  Raises
+    OverflowError where the chain leaves the double range.
     """
-    segments = [(float(a), float(b)) for a, b in zip(times[:-1], times[1:])]
-    if any(b < a for a, b in segments):
-        raise ValueError("evolution_series requires non-decreasing times")
+    segments = series_segments(times)
     if not segments:  # one sample: U(t_0, t_0), with no span to size it
         return np.eye(B([times[0]]).shape[-1], dtype=complex)[None], []
     mats, stats = _integrate_spans(B, segments, rel_tol)
-    series = np.empty((len(times), *mats.shape[1:]), dtype=complex)
-    series[0] = np.eye(mats.shape[-1])
-    for k, seg in enumerate(mats):
-        np.matmul(seg, series[k], out=series[k + 1])
-    return series, stats
+    return chain_series(mats, times), stats
 
 
-def check_evolution_axioms(
-    B: _Coefficient,
-    times: tuple[float, float, float],
-    U_ts: np.ndarray,
-    rel_tol: float = 1e-10,
-) -> tuple[float, float]:
-    """(identity residual, composition residual) for s <= r <= t.
-
-    Identity: max-abs of U(t, t) - I, exactly 0 by construction, since a
-    zero span is I before any step.  The three spans are integrated side by
-    side.  Composition: max-abs of
-    U(t, r) U(r, s) - U_ts, where ``U_ts`` is the caller's U(t, s) at the
-    same ``rel_tol``.
-    """
+def axiom_spans(times: tuple[float, float, float]) -> list[tuple[float, float]]:
+    """The spans (t, t), (r, t) and (s, r) whose propagators
+    :func:`check_evolution_axioms` judges, for times (s, r, t), s <= r <= t."""
     s, r, t = times
     if not s <= r <= t:
         raise ValueError(f"need s <= r <= t, got {times}")
-    (U_tt, U_tr, U_rs), _ = _integrate_spans(B, [(t, t), (r, t), (s, r)], rel_tol)
+    return [(t, t), (r, t), (s, r)]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def check_evolution_axioms(U_axioms: np.ndarray, U_ts: np.ndarray) -> tuple[float, float]:
+    """(identity residual, composition residual) for s <= r <= t.
+
+    ``U_axioms`` holds U(t, t), U(t, r) and U(r, s), integrated by the caller
+    over :func:`axiom_spans`, and ``U_ts`` is the caller's U(t, s) at the same
+    tolerance.  Identity: max-abs of U(t, t) - I, exactly 0 by construction,
+    since a zero span is I before any step.  Composition: max-abs of
+    U(t, r) U(r, s) - U(t, s).  Raises OverflowError when the product leaves
+    the double range.
+    """
+    U_tt, U_tr, U_rs = U_axioms
+    product = U_tr @ U_rs
+    if not np.isfinite(product).all():
+        raise OverflowError("the propagator U(t, r) U(r, s) leaves the double range")
     ident = U_tt - np.eye(len(U_ts))
-    comp = U_tr @ U_rs - U_ts
+    comp = product - U_ts
     return float(np.max(np.abs(ident))), float(np.max(np.abs(comp)))
+
+
+def adjoint_spans(t: float, hs: Sequence[float]) -> list[tuple[float, float]]:
+    """The short spans (t, t + h) whose propagators :func:`check_adjoint_family`
+    takes, one per positive h."""
+    if any(h <= 0 for h in hs):
+        raise ValueError("h must be positive")
+    return [(t, t + h) for h in hs]
 
 
 def check_adjoint_family(
@@ -368,25 +419,22 @@ def check_adjoint_family(
     t: float,
     z: np.ndarray,
     hs: Sequence[float],
-    rel_tol: float = 1e-12,
+    U_steps: np.ndarray,
 ) -> np.ndarray:
     """Difference-quotient residuals of d/dt [U(t,s)^H z] = U(t,s)^H B(t)^H z.
 
     For each h in ``hs``: ||(U(t+h,s)^H z - U(t,s)^H z)/h - U(t,s)^H B(t)^H z||,
     an O(h) quantity for smooth coefficients.  ``U_ts`` is the caller's
-    U(t, s), and U(t+h, s) = U(t+h, t) U(t, s) through the cocycle, so each h
-    integrates only the span [t, t+h], at ``rel_tol``, side by side.  Both
-    terms of the quotient share U(t, s) and its integration error, which
-    would otherwise enter the quotient divided by h.
+    U(t, s) and ``U_steps`` its U(t + h, t) over :func:`adjoint_spans`, and
+    U(t+h, s) = U(t+h, t) U(t, s) through the cocycle.  Both terms of the
+    quotient share U(t, s) and its integration error, which would otherwise
+    enter the quotient divided by h.
     """
-    if any(h <= 0 for h in hs):
-        raise ValueError("h must be positive")
     z = np.asarray(z, dtype=complex)
-    steps, _ = _integrate_spans(B, [(t, t + h) for h in hs], rel_tol)
     target = U_ts.conj().T @ (B([t])[0].conj().T @ z)
     at_t = U_ts.conj().T @ z
     return np.array([np.linalg.norm(((U_step @ U_ts).conj().T @ z - at_t) / h - target)
-                     for h, U_step in zip(hs, steps)])
+                     for h, U_step in zip(hs, U_steps)])
 
 
 # M conj(M) = I must hold to rounding before B(s) M = M B(s)^T means anything

@@ -30,7 +30,7 @@ import numpy as np
 
 from .conjugation import ConjugationParams
 from .serialize import complex_to_json
-from .wco import WCOParams, wco_matrices, wco_matrix
+from .wco import _STACK_BYTES, WCOParams, wco_matrices, wco_matrix
 
 __all__ = [
     "TranslationFamily",
@@ -228,16 +228,30 @@ def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
 def _composite_gauss_legendre(
     f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, panels: int
 ) -> complex | np.ndarray:
-    """Composite rule on equal panels; f maps the nodes to values along axis 0."""
+    """Composite rule on equal panels; f maps the nodes to values along axis 0.
+
+    The first panel is evaluated alone.  Each later call of f takes the
+    nodes of as many panels as keep its values within ``_STACK_BYTES``, at
+    least one, built for that block only.  Each panel's weighted sum has the
+    arithmetic of a panel summed alone, and the running total adds the
+    panels' sums one by one in panel order, so the integral is the same to
+    the bit as with one call per panel.
+    """
     x, w = _gauss_legendre_rule()
     edges = np.linspace(lo, hi, panels + 1)
+    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     total = 0.0 + 0.0j
-    for left, right in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (left + right)
-        half = 0.5 * (right - left)
-        vals = f(mid + half * x)
-        weights = w.reshape((-1,) + (1,) * (vals.ndim - 1))
-        total += half * (weights * vals).sum(axis=0)
+    block, k = 1, 0
+    while k < panels:
+        mid, half = mids[k:k + block], halves[k:k + block]
+        vals = f((mid[:, None] + half[:, None] * x).ravel())
+        if k == 0:
+            block = max(1, _STACK_BYTES // vals.nbytes)
+        vals = vals.reshape(len(mid), _GL_NODES, *vals.shape[1:])
+        axes = (1,) * (vals.ndim - 2)  # the value's own axes
+        for panel_sum in half.reshape(-1, *axes) * (w.reshape(-1, *axes) * vals).sum(axis=1):
+            total += panel_sum
+        k += len(mid)
     return total
 
 

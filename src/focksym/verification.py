@@ -57,6 +57,8 @@ from .conjugation import (
 )
 from .evolution import (
     _integrate_spans,
+    adjoint_spans,
+    axiom_spans,
     bagchi_hamiltonian,
     check_adjoint_family,
     check_evolution_axioms,
@@ -393,14 +395,14 @@ def eigenfunction_records(cfg: VerifyConfig, rep: SpectrumReport,
 
 def evolution_axiom_records(
     cfg: VerifyConfig,
-    B: Callable[[Sequence[float]], np.ndarray],
-    times: tuple[float, float, float],
+    U_axioms: np.ndarray,
     U_ts: np.ndarray,
     rel_tol: float,
     suffix: str = "",
 ) -> list[CheckRecord]:
-    """U(t, t) = I and U(t, r) U(r, s) = U(t, s) at times (s, r, t), given U(t, s)."""
-    ident, comp = check_evolution_axioms(B, times, U_ts, rel_tol)
+    """U(t, t) = I and U(t, r) U(r, s) = U(t, s), given the propagators of
+    ``axiom_spans((s, r, t))`` and U(t, s), all integrated at ``rel_tol``."""
+    ident, comp = check_evolution_axioms(U_axioms, U_ts)
     tol = cfg.tol("evolution_tol_factor") * rel_tol
     return [
         _record(f"evolution.identity{suffix}", "U(t, t) = identity", ident, tol),
@@ -669,9 +671,14 @@ def dissipativity_checks(cfg: VerifyConfig) -> list[CheckRecord]:
 def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     rel_tol = 1e-10
     B = bagchi_hamiltonian(1.0, lambda t: 0.3, lambda t: 1.0)
-    # U(1, 0) serves the axioms, the closed form, the adjoint slope and the reversal U(0, 1)
-    (U, U_rev), _ = _integrate_spans(B, [(0.0, 1.0), (1.0, 0.0)], rel_tol)
-    out = evolution_axiom_records(cfg, B, (0.0, 0.5, 1.0), U, rel_tol)
+    hs = np.array([3e-2, 1e-2, 3e-3, 1e-3])
+    # one step loop for B: U(1, 0), which serves the axioms, the closed form,
+    # the adjoint slope and the reversal; U(0, 1); the axioms' spans; and the
+    # adjoint quotients' U(1 + h, 1) at the tighter 1e-12
+    spans = [(0.0, 1.0), (1.0, 0.0), *axiom_spans((0.0, 0.5, 1.0)), *adjoint_spans(1.0, hs)]
+    mats, _ = _integrate_spans(B, spans, [rel_tol] * 5 + [1e-12] * len(hs))
+    U, U_rev, U_axioms, U_steps = mats[0], mats[1], mats[2:5], mats[5:]
+    out = evolution_axiom_records(cfg, U_axioms, U, rel_tol)
     # constant coefficients: closed form via the spectral decomposition
     nu, kap, lamb = 1.0, 0.3, 1.0
     mu = math.sqrt(lamb**2 - kap**2)
@@ -700,8 +707,7 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
                        sym, cfg.tol("evolution_symmetry")))
     # adjoint family differentiates at first order: slope fit over h
     z = np.array([0.3 - 0.1j, 0.8 + 0.2j])
-    hs = np.array([3e-2, 1e-2, 3e-3, 1e-3])
-    errs = check_adjoint_family(B, U, 1.0, z, hs, 1e-12)
+    errs = check_adjoint_family(B, U, 1.0, z, hs, U_steps)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     out.append(_record("evolution.adjoint-slope",
                        "d/dt U(t,s)^H z = U(t,s)^H B(t)^H z",

@@ -115,7 +115,8 @@ def wco_matrix(p: WCOParams, dim: int, ncols: int | None = None) -> np.ndarray:
 
 
 # bytes of the largest array of a stacked build: one extended-precision column
-# for each symbol of a chunk (64 symbols at dim 32, 16 at dim 128)
+# for each symbol of a chunk (64 symbols at dim 32, 16 at dim 128); also the
+# bound on the values of one integrand call of semigroup's quadrature
 _STACK_BYTES = 1 << 16
 
 

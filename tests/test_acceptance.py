@@ -24,6 +24,9 @@ from focksym.conjugation import (
     standard_conjugation,
 )
 from focksym.evolution import (
+    _integrate_spans,
+    adjoint_spans,
+    axiom_spans,
     bagchi_hamiltonian,
     check_adjoint_family,
     check_evolution_axioms,
@@ -239,7 +242,8 @@ def test_criterion_12_evolution_family_axioms_and_symmetry():
     rel_tol = 1e-10
     B = bagchi_hamiltonian(1.0, lambda t: 0.5 * math.cos(t), lambda t: 0.8)
     U_ts = evolve(B, 0.0, 1.5, rel_tol).matrix
-    ident, comp = check_evolution_axioms(B, (0.0, 0.6, 1.5), U_ts, rel_tol)
+    U_axioms, _ = _integrate_spans(B, axiom_spans((0.0, 0.6, 1.5)), rel_tol)
+    ident, comp = check_evolution_axioms(U_axioms, U_ts)
     assert ident <= 10 * rel_tol
     assert comp <= 10 * rel_tol
     # constant coefficients against the hand 2x2 exponential
@@ -264,7 +268,8 @@ def test_criterion_12_evolution_family_axioms_and_symmetry():
     z = np.array([1.0, 0.5 - 0.25j])
     hs = np.array([3e-2, 1e-2, 3e-3, 1e-3])
     U_10 = evolve(B, 0.0, 1.0, rel_tol=1e-12).matrix
-    errs = check_adjoint_family(B, U_10, 1.0, z, hs, rel_tol=1e-12)
+    steps, _ = _integrate_spans(B, adjoint_spans(1.0, hs), 1e-12)
+    errs = check_adjoint_family(B, U_10, 1.0, z, hs, steps)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert 0.9 <= slope <= 1.1
 

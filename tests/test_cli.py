@@ -142,6 +142,12 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
           ("spectrum", {"variant": "dilation", "ell": -1, "G": 1e200}),
           # the quotient norms of the difference quotients underflow to 0: log(0)
           ("generator", {"variant": "dilation", "ell": 1e-300}))),
+    # e^{800} leaves the double range in the chain of two finite segments, before
+    # any record; one sample integrates U(1, 0) alone, too stiff to finish
+    *(pytest.param("evolution", {"B": "constant", "matrix": [[800]], "t": 1, "samples": n,
+                                 "rel_tol": 1e-4}, "x", "params.matrix",
+                   marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
+      for n in (3, 1)),
 ], ids=["rel_tol-zero", "omega-string", "omega-overflow", "A-overflow", "table-shapes", "stiff",
         "stiff-overflow",
         "samples-zero", "name-separator", "verify-all-dim-one", "omega-huge-int", "A-huge-int",
@@ -150,7 +156,7 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
         "semigroup-ell-quadrature", "semigroup-imaginary-ell-quadrature",
         "semigroup-H-cocycle-vanishes", "semigroup-F-cocycle-vanishes",
         "generator-G-expm-overflow", "spectrum-G-residual-overflow",
-        "generator-ell-log-of-zero"])
+        "generator-ell-log-of-zero", "chain-overflow", "one-sample-overflow"])
 def test_malformed_input_names_field_path(tmp_path, _outdir, capsys, kind, params, name, field):
     if kind is None:
         argv = ["verify-all", "--dim", "1"]
@@ -273,9 +279,12 @@ def test_refused_allocation_names_the_size_field(tmp_path, kind, params, argv, f
     (["evolve", "--samples", "0"], "--samples"),
     (["evolve", "--t", "-1"], "--t"),
     (["evolve", "--nu", "1e300", "--t", "1", "--samples", "2"], "--nu/--kappa/--lam"),
+    # e^{800} leaves the double range in the chain of two finite segments
+    (["evolve", "--kappa", "800", "--lam", "0", "--t", "1", "--samples", "3",
+      "--rel-tol", "1e-4"], "--nu/--kappa/--lam"),
 ], ids=["spectrum-family", "spectrum-k-max", "spectrum-k-max-default-at-dim",
         "spectrum-k-max-given-at-dim", "spectrum-a", "evolve-rel-tol",
-        "evolve-samples", "evolve-t", "evolve-stiff"])
+        "evolve-samples", "evolve-t", "evolve-stiff", "evolve-overflow"])
 def test_flag_input_error_names_the_flag(_outdir, capsys, argv, flag):
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -438,7 +447,7 @@ def test_validate_runs_nothing_but_parsing(tmp_path, monkeypatch, kind, params):
 
     for fn in ("conjugation_matrix", "wco_matrix", "is_bounded", "is_c_selfadjoint_symbols",
                "flow_cocycle_records", "fd_slope_records", "spectrum_report",
-               "divergence_certificate", "evolution_series", "run_all"):
+               "divergence_certificate", "_integrate_spans", "run_all"):
         monkeypatch.setattr(cli, fn, ran)
     path = _scenario(tmp_path, {"name": "x", "kind": kind, "params": params,
                                 "truncation": {"dim": 16}})
@@ -824,17 +833,22 @@ def test_verify_all_work_is_pinned(tmp_path, work):
     # family and step, 3 bridge times), stone-symmetry 12 (M at dim and W(h) at
     # dim/4, six families), boundedness 6, conjugation 4, spectrum 1
     # assembly calls: the sweeps over a family's times are stacks, one per growth
-    # pass (7), per 10-node integrand panel (56), per family for the semigroup
-    # law's full times and its sums (12), per family for the finite
-    # differences' W(+-h) (2), for the bridge's three times (1) and for the six
-    # boundedness symbols (1); the other 17 matrices are built one by one
-    # two-level coefficient calls: one per _integrate_spans call (4: the pair,
-    # the axioms, the symmetry record and the adjoint batch) and one per pass
-    # of its step loop (243), plus B(0) for the exponential route, the 9-point
-    # s grid of the commutation record and B(1) for the adjoint target; the
-    # times are each span's start and five per attempted step, plus 11
-    assert work == {"spans": 10, "matrices": 893, "assemblies": 96,
-                    "B_calls": 250, "B_times": 2216}
+    # pass (7), per integrand call of the Laplace quadrature (15: its rules of
+    # 8, 16 and 32 panels each take the first 10-node panel alone, then blocks
+    # of five panels, whose 50 x 16 x 5 complex values fit in 64 KiB; one call
+    # per panel made 56), per family for the semigroup law's full times and its
+    # sums (12), per family for the finite differences' W(+-h) (2), for the
+    # bridge's three times (1) and for the six boundedness symbols (1); the
+    # other 17 matrices are built one by one
+    # two-level coefficient calls: one per _integrate_spans call (2: the
+    # group's nine spans of B, at two tolerances, and the symmetry record's
+    # commuting family) and one per pass of its step loop (169, against 243
+    # when the pair, the axioms and the adjoint batch each had their own loop),
+    # plus B(0) for the exponential route, the 9-point s grid of the
+    # commutation record and B(1) for the adjoint target; the times are each
+    # span's start and five per attempted step, plus 11, as for separate loops
+    assert work == {"spans": 10, "matrices": 893, "assemblies": 55,
+                    "B_calls": 174, "B_times": 2216}
     # the evolution group does not depend on the dim
     coefficient_work = (work["B_calls"], work["B_times"])
     work["B_calls"] = work["B_times"] = 0
@@ -939,37 +953,50 @@ def test_evolve_default_output_lands_in_env_dir(_outdir):
 
 
 @pytest.fixture
-def evolve_spans(monkeypatch):
-    """(s, t) of every span handed to the propagator kernel, in call order."""
-    spans = []
+def evolve_calls(monkeypatch):
+    """The list of (s, t) spans of every call of the propagator kernel, in call order."""
+    calls = []
     original = evolution._integrate_spans
 
-    def recording(B, batch, rel_tol):
-        spans.extend(batch)
-        return original(B, batch, rel_tol)
+    def recording(B, spans, rel_tol):
+        calls.append(list(spans))
+        return original(B, spans, rel_tol)
 
     for mod in (evolution, verification, cli):
         if getattr(mod, "_integrate_spans", None) is original:
             monkeypatch.setattr(mod, "_integrate_spans", recording)
-    return spans
+    return calls
 
 
 @pytest.mark.parametrize("samples", [1, 2, 21])
-def test_evolve_integrates_each_segment_once(tmp_path, evolve_spans, samples):
+def test_evolve_integrates_each_segment_once(tmp_path, evolve_calls, samples):
     rc = main(["evolve", "--t", "2", "--samples", str(samples),
                "--out", str(tmp_path / "evo.csv")])
     assert rc == 0
-    if samples == 1:
-        # the series is [I] at s: U(t, s) on its own, shared by the
-        # composition and symmetry records, then U(t, t), U(t, r), U(r, s)
-        assert len(evolve_spans) == 4
-        assert sum(t > s for s, t in evolve_spans) == 3
-    else:
-        # one span per segment, whose chain ends at U(t, s), then U(t, t),
-        # U(t, r), U(r, s): the horizon [0, 2] is integrated twice
-        assert len(evolve_spans) == 3 + (samples - 1)
-        assert sum(t > s for s, t in evolve_spans) == 2 + (samples - 1)
-        assert sum(t - s for s, t in evolve_spans if t > s) == 2 * 2.0
+    # one call: the series' segments, whose chain ends at U(t, s), then U(t, t),
+    # U(t, r), U(r, s), so the horizon [0, 2] is integrated twice; one sample
+    # leaves the series at [I] and puts U(t, s), shared by the composition and
+    # symmetry records, in the segments' place
+    times = np.linspace(0.0, 2.0, samples)
+    segments = list(zip(times[:-1].tolist(), times[1:].tolist())) or [(0.0, 2.0)]
+    assert evolve_calls == [[*segments, (2.0, 2.0), (1.0, 2.0), (0.0, 1.0)]]
+    assert sum(t - s for s, t in evolve_calls[0]) == 2 * 2.0
+
+
+def test_evolution_run_integrates_in_one_call_segments_first(tmp_path, evolve_calls,
+                                                            monkeypatch):
+    # a complex symmetric dim-16 model in batches of five spans: the axioms'
+    # two spans that are not zero share the last batch with three segments
+    g = np.random.default_rng(3).standard_normal((16, 16))
+    matrix = [[[0.0, -x] for x in row] for row in ((g + g.T) / 8).tolist()]
+    params = {"B": "constant", "matrix": matrix, "s": 0.5, "t": 2.5, "samples": 9}
+    monkeypatch.setattr(evolution, "_BATCH_BYTES", 5 * 7 * 16 * 16**2)
+    split = _evolution_report(tmp_path, params, "csv").read_bytes()
+    times = np.linspace(0.5, 2.5, 9)
+    assert evolve_calls == [[*zip(times[:-1].tolist(), times[1:].tolist()),
+                             (2.5, 2.5), (1.5, 2.5), (0.5, 1.5)]]
+    monkeypatch.undo()  # the report of one batch is the same
+    assert _evolution_report(tmp_path, params, "csv").read_bytes() == split
 
 
 def _evolution_report(tmp_path, params, fmt):
@@ -1009,14 +1036,14 @@ def test_evolution_symmetry_judges_the_series_endpoint(tmp_path):
         conjugation.check_matrix_c_symmetry(U_ts, np.eye(2))
 
 
-def test_evolve_zero_span_series_is_identity(tmp_path, evolve_spans):
+def test_evolve_zero_span_series_is_identity(tmp_path, evolve_calls):
     target = tmp_path / "evo.csv"
     assert main(["evolve", "--s", "1", "--t", "1", "--samples", "3",
                  "--out", str(target)]) == 0
     with open(target, newline="") as fh:
         rows = [[float(c) for c in row] for row in list(csv.reader(fh))[1:]]
     assert rows == [[1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]] * 3
-    assert all(s == t for s, t in evolve_spans)
+    assert [all(s == t for s, t in call) for call in evolve_calls] == [True]
 
 
 def test_table_coefficient_interpolates_between_searchsorted_knots():
@@ -1040,21 +1067,44 @@ def test_table_coefficient_interpolates_between_searchsorted_knots():
         assert np.array_equal(value, ref)
 
 
-def test_stiffness_in_a_segment_names_the_model_field(tmp_path, _outdir, capsys,
-                                                      monkeypatch):
-    original = evolution._integrate_spans
+def _stiff_at(monkeypatch, span):
+    """The run's propagator kernel, as if ``span`` were the first span of its
+    call too stiff to integrate."""
+    original = cli._integrate_spans
 
-    def stiff_segments(B, spans, rel_tol):
-        if (0.0, 0.5) in spans:  # the first of the series' segments
-            raise evolution.StiffnessError("step size underflowed")
+    def stiff(B, spans, rel_tol):
+        if span in spans:
+            raise evolution.StiffnessError(f"step size underflowed in {spans.index(span)}")
         return original(B, spans, rel_tol)
 
-    monkeypatch.setattr(evolution, "_integrate_spans", stiff_segments)
+    monkeypatch.setattr(cli, "_integrate_spans", stiff)
+
+
+def test_stiffness_in_a_segment_names_the_model_field(tmp_path, _outdir, capsys,
+                                                      monkeypatch):
+    _stiff_at(monkeypatch, (0.0, 0.5))  # the first of the series' segments
     path = _scenario(tmp_path, {"name": "x", "kind": "evolution",
                                 "params": {"B": "constant", "matrix": [[-1.0]],
                                            "t": 2.0, "samples": 5}})
     assert main(["run", path]) == 1
-    assert "input error: params.matrix: step size underflowed" in capsys.readouterr().err
+    assert "input error: params.matrix: step size underflowed in 0" in capsys.readouterr().err
+    assert not _outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "evolve"])
+def test_stiffness_in_a_composition_span_names_the_model_field(tmp_path, _outdir, capsys,
+                                                               monkeypatch, command):
+    # U(t, r) = U(2, 1) follows the four segments and U(t, t) in the run's one call
+    _stiff_at(monkeypatch, (1.0, 2.0))
+    if command == "run":
+        argv = ["run", _scenario(tmp_path, {"name": "x", "kind": "evolution",
+                                            "params": {"B": "constant", "matrix": [[-1.0]],
+                                                       "t": 2.0, "samples": 5}})]
+        field = "params.matrix"
+    else:
+        argv, field = ["evolve", "--t", "2", "--samples", "5"], "--nu/--kappa/--lam"
+    assert main(argv) == 1
+    assert f"input error: {field}: step size underflowed in 5" in capsys.readouterr().err
     assert not _outdir.exists()
 
 

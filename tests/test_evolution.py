@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from focksym import cli, evolution
+from focksym import cli, evolution, verification
 from focksym.conjugation import check_matrix_c_symmetry
 from focksym.evolution import (
     IntegratorStats,
     StiffnessError,
+    adjoint_spans,
+    axiom_spans,
     bagchi_hamiltonian,
     check_adjoint_family,
     check_evolution_axioms,
@@ -101,15 +103,31 @@ def test_integrator_stats_are_sane():
 def test_axioms_within_budget(rel_tol):
     B = bagchi_hamiltonian(1.0, lambda t: 0.5 * math.cos(t), lambda t: 0.8 + 0.1 * t)
     U_ts = evolve(B, 0.0, 1.5, rel_tol).matrix
-    ident, comp = check_evolution_axioms(B, (0.0, 0.6, 1.5), U_ts, rel_tol)
+    U_axioms, _ = _integrate_spans(B, axiom_spans((0.0, 0.6, 1.5)), rel_tol)
+    ident, comp = check_evolution_axioms(U_axioms, U_ts)
     assert ident == 0.0  # U(t, t) never integrates
     assert comp <= 10.0 * rel_tol
 
 
 def test_axioms_reject_unordered_times():
-    B = _constant(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="s <= r <= t"):
-        check_evolution_axioms(B, (0.0, 2.0, 1.0), np.eye(2))
+        axiom_spans((0.0, 2.0, 1.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_axioms_raise_when_the_composition_overflows():
+    big = 1e200 * np.eye(2, dtype=complex)
+    with pytest.raises(OverflowError, match=r"U\(t, r\) U\(r, s\) leaves the double range"):
+        check_evolution_axioms(np.stack([np.eye(2), big, big]), np.eye(2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_series_raises_where_the_chain_overflows():
+    B = _constant([[800.0]])
+    with pytest.raises(OverflowError, match="leaves the double range at t = 1$"):
+        evolution_series(B, [0.0, 0.5, 1.0], 1e-4)
+    # each segment alone stays finite
+    assert np.isfinite(evolution_series(B, [0.0, 0.5], 1e-4)[0]).all()
 
 
 def test_backward_integration_inverts_forward():
@@ -301,15 +319,15 @@ def test_adjoint_family_quotient_is_first_order():
     z = np.array([1.0, 0.5 - 0.25j])
     hs = np.array([3e-2, 1e-2, 3e-3, 1e-3])
     U_10 = evolve(B, 0.0, 1.0, rel_tol=1e-12).matrix
-    errs = check_adjoint_family(B, U_10, 1.0, z, hs, rel_tol=1e-12)
+    steps, _ = _integrate_spans(B, adjoint_spans(1.0, hs), 1e-12)
+    errs = check_adjoint_family(B, U_10, 1.0, z, hs, steps)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - 1.0) <= 0.1
 
 
 def test_adjoint_family_rejects_bad_step():
-    B = _constant(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="h must be positive"):
-        check_adjoint_family(B, np.eye(2), 1.0, np.ones(2), [1e-3, 0.0])
+        adjoint_spans(1.0, [1e-3, 0.0])
 
 
 # --- stiffness escape hatch -----------------------------------------------------
@@ -385,15 +403,38 @@ def test_adjoint_family_integrates_u_once(monkeypatch):
         return _integrate_spans(B, spans, rel_tol)
 
     U_t = evolve(B, 0.0, 1.0, 1e-12).matrix
+    # the caller integrates the short spans U(1 + h, 1), none from 0
+    assert adjoint_spans(1.0, hs) == [(1.0, 1.0 + h) for h in hs]
+    steps, _ = _integrate_spans(B, adjoint_spans(1.0, hs), 1e-12)
     monkeypatch.setattr(evolution, "_integrate_spans", counting)
-    errs = check_adjoint_family(B, U_t, 1.0, z, hs, 1e-12)
-    # one batch of the short spans U(1 + h, 1); U(1, 0) is the caller's
-    assert calls == [[(1.0, 1.0 + h) for h in hs]]
-    assert not any(t0 == 0.0 for t0, _ in calls[0])
+    errs = check_adjoint_family(B, U_t, 1.0, z, hs, steps)
+    assert calls == []  # the check integrates nothing: U(1, 0) and the steps are the caller's
     for h, err in zip(hs, errs):
         U_th = evolve(B, 1.0, 1.0 + h, 1e-12).matrix @ U_t  # the cocycle
         quotient = (U_th.conj().T @ z - U_t.conj().T @ z) / h
         assert err == np.linalg.norm(quotient - U_t.conj().T @ (B([1.0])[0].conj().T @ z))
+
+
+def test_evolution_group_integrates_b_in_one_call(monkeypatch):
+    calls = []
+    original = evolution._integrate_spans
+
+    def recording(B, spans, rel_tol):
+        calls.append((list(spans), rel_tol))
+        return original(B, spans, rel_tol)
+
+    for mod in (evolution, verification):
+        monkeypatch.setattr(mod, "_integrate_spans", recording)
+    verification.evolution_checks(verification.VerifyConfig(dim=16))
+    hs = (3e-2, 1e-2, 3e-3, 1e-3)
+    # U(1, 0), U(0, 1) and the axioms' U(1, 1), U(1, 0.5), U(0.5, 0) at 1e-10,
+    # then the adjoint quotients' U(1 + h, 1) at 1e-12; the commuting family
+    # B2 keeps its own evolve
+    assert calls == [
+        ([(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 1.0), (0.0, 0.5),
+          *[(1.0, 1.0 + h) for h in hs]], [1e-10] * 5 + [1e-12] * 4),
+        ([(0.0, 1.5)], 1e-10),
+    ]
 
 
 # --- the step loop, bit for bit ----------------------------------------------------
@@ -567,6 +608,11 @@ def _split_batches(monkeypatch, dim, spans_per_batch):
         monkeypatch.setattr(evolution, "_BATCH_BYTES", spans_per_batch * 7 * 16 * dim**2)
 
 
+def _tolerances(mode, n):
+    """One tolerance for n spans, or 1e-10 and 1e-12 in turn, span by span."""
+    return 1e-10 if mode == "one" else [(1e-10, 1e-12)[j % 2] for j in range(n)]
+
+
 @pytest.mark.parametrize("make, spans", [
     # unequal forward spans, a backward span and a zero span
     (_bagchi_cosine, [(0.0, 5.0), (1.0, 1.3), (4.0, -1.0), (2.0, 2.0), (0.5, 3.5)]),
@@ -579,24 +625,36 @@ def test_batch_matches_each_span_alone_bit_for_bit(make, spans, spans_per_batch,
                                                    monkeypatch):
     n = make()([0.0]).shape[-1]
     _split_batches(monkeypatch, n, spans_per_batch)
-    B, count = _counting(make())
-    mats, stats = _integrate_spans(B, spans, 1e-10)
-    assert isinstance(mats, np.ndarray) and mats.shape == (len(spans), n, n)
-    assert len(stats) == len(spans)
-    assert all(np.array_equal(U, np.eye(n)) for (t0, t1), U in zip(spans, mats) if t1 == t0)
-    for (t0, t1), U, st in zip(spans, mats, stats):
-        U_alone, st_alone = _integrate(make(), t0, t1, 1e-10)
-        U_ref, st_ref = _reference_integrate(make(), t0, t1, 1e-10)
-        assert np.array_equal(U, U_alone) and np.array_equal(U, U_ref)
-        assert st == st_alone == st_ref
-    # per span, stage 1 once, then five times per attempted step
-    assert count["times"] == sum(1 + 5 * (st.steps + st.rejected) for st in stats)
-    # one call at every span's start, then one per pass: a batch takes as
-    # many passes as its longest span takes attempted steps
-    attempts = [st.steps + st.rejected for (t0, t1), st in zip(spans, stats) if t1 != t0]
-    size = spans_per_batch or len(attempts)
-    assert count["calls"] == 1 + sum(max(attempts[i:i + size])
-                                     for i in range(0, len(attempts), size))
+    for tol_mode in ("one", "mixed"):
+        B, count = _counting(make())
+        tols = _tolerances(tol_mode, len(spans))
+        mats, stats = _integrate_spans(B, spans, tols)
+        assert isinstance(mats, np.ndarray) and mats.shape == (len(spans), n, n)
+        assert len(stats) == len(spans)
+        assert all(np.array_equal(U, np.eye(n))
+                   for (t0, t1), U in zip(spans, mats) if t1 == t0)
+        for j, ((t0, t1), U, st) in enumerate(zip(spans, mats, stats)):
+            tol = tols if tol_mode == "one" else tols[j]  # each span at its own tolerance
+            U_alone, st_alone = _integrate(make(), t0, t1, tol)
+            U_ref, st_ref = _reference_integrate(make(), t0, t1, tol)
+            assert np.array_equal(U, U_alone) and np.array_equal(U, U_ref)
+            assert st == st_alone == st_ref
+        # per span, stage 1 once, then five times per attempted step
+        assert count["times"] == sum(1 + 5 * (st.steps + st.rejected) for st in stats)
+        # one call at every span's start, then one per pass: a batch takes as
+        # many passes as its longest span takes attempted steps
+        attempts = [st.steps + st.rejected for (t0, t1), st in zip(spans, stats) if t1 != t0]
+        size = spans_per_batch or len(attempts)
+        assert count["calls"] == 1 + sum(max(attempts[i:i + size])
+                                         for i in range(0, len(attempts), size))
+
+
+def test_tolerances_must_match_the_spans_and_be_positive():
+    B = _bagchi_cosine()
+    with pytest.raises(ValueError, match="2 tolerances for 3 spans"):
+        _integrate_spans(B, [(0.0, 1.0)] * 3, [1e-10, 1e-12])
+    with pytest.raises(ValueError, match="rel_tol must be positive"):
+        _integrate_spans(B, [(0.0, 1.0)] * 2, [1e-10, 0.0])
 
 
 def test_series_evaluates_b_only_in_its_steps():
@@ -621,14 +679,16 @@ def test_batch_raises_the_sequential_stiffness_error(order, spans_per_batch, mon
     _split_batches(monkeypatch, 1, spans_per_batch)
     B = _stiff_past_two()
     spans = [[(0.0, 1.0), (1.5, 2.5), (0.2, 1.8), (2.2, 2.8)][i] for i in order]
-    expected = None
-    for t0, t1 in spans:  # the spans one after another, as a plain loop would
-        try:
-            _reference_integrate(B, t0, t1, 1e-10)
-        except StiffnessError as exc:
-            expected = str(exc)
-            break
-    assert expected is not None
-    with pytest.raises(StiffnessError) as got:
-        _integrate_spans(B, spans, 1e-10)
-    assert str(got.value) == expected
+    for tol_mode in ("one", "mixed"):
+        tols = _tolerances(tol_mode, len(spans))
+        expected = None
+        for j, (t0, t1) in enumerate(spans):  # one after another, as a plain loop would
+            try:
+                _reference_integrate(B, t0, t1, tols if tol_mode == "one" else tols[j])
+            except StiffnessError as exc:
+                expected = str(exc)
+                break
+        assert expected is not None
+        with pytest.raises(StiffnessError) as got:
+            _integrate_spans(B, spans, tols)
+        assert str(got.value) == expected

@@ -29,7 +29,7 @@ from focksym.semigroup import (
     semigroup_matrix,
     solve_scaling_equation,
 )
-from focksym import conjugation, generator, semigroup
+from focksym import conjugation, generator, semigroup, wco
 from focksym.cli import ScenarioError, _family_from
 from focksym.generator import (
     check_generator_fd,
@@ -302,6 +302,49 @@ def test_quadrature_columns_keep_their_first_converged_value():
     for j, panels in ((0, 16), (1, 32)):
         alone = semigroup._refine_quadrature(lambda ts: f(ts)[:, 0, j], 0.0, 2.0, 5e-11)
         assert alone == rule[panels][0, j]
+
+
+def _panel_by_panel(f, lo, hi, panels):
+    """The composite rule with one call of f per panel, every node built up front."""
+    x, w = semigroup._gauss_legendre_rule()
+    edges = np.linspace(lo, hi, panels + 1)
+    total = 0.0 + 0.0j
+    for left, right in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (left + right)
+        half = 0.5 * (right - left)
+        vals = f(mid + half * x)
+        weights = w.reshape((-1,) + (1,) * (vals.ndim - 1))
+        total += half * (weights * vals).sum(axis=0)
+    return total
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (300,), (5, 3), (40, 60)],
+                         ids=["scalar", "vector", "long-vector", "matrix", "large-matrix"])
+@pytest.mark.parametrize("panels", [1, 3, 8, 97, 512])
+def test_panel_blocks_match_the_panel_loop_bit_for_bit(shape, panels):
+    # one panel of a (40, 60) value takes 384 000 bytes, above the bound alone
+    coeffs = np.random.default_rng(1).standard_normal((*shape, 2)) @ np.array([1.0, 1j])
+    sizes = []
+
+    def f(ts):
+        vals = np.exp(1j * np.multiply.outer(ts, 1 + coeffs)) * np.cos(ts).reshape(
+            (-1,) + (1,) * len(shape))
+        sizes.append((len(ts), vals.nbytes))
+        return vals
+
+    got = semigroup._composite_gauss_legendre(f, -0.3, 2.9, panels)
+    calls = sizes[:]
+    ref = _panel_by_panel(f, -0.3, 2.9, panels)
+    assert np.shape(got) == shape
+    assert np.array_equal(got, ref)
+    # the first panel alone, then blocks of whole panels within the byte bound
+    panel_bytes = calls[0][1]
+    assert calls[0][0] == semigroup._GL_NODES
+    assert sum(n for n, _ in calls) == panels * semigroup._GL_NODES
+    assert all(n % semigroup._GL_NODES == 0 for n, _ in calls)
+    assert all(b <= max(wco._STACK_BYTES, panel_bytes) for _, b in calls)
+    per_call = max(1, wco._STACK_BYTES // panel_bytes)
+    assert len(calls) == 1 + -(-(panels - 1) // per_call)
 
 
 def test_gauss_legendre_rule_is_built_once(monkeypatch):
