@@ -55,9 +55,9 @@ from .conjugation import (
 from .evolution import (
     StiffnessError,
     _integrate_spans,
-    axiom_spans,
     bagchi_hamiltonian,
     chain_series,
+    composition_pieces,
     series_segments,
 )
 from .fock import monomial
@@ -511,21 +511,28 @@ def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.nda
     """The sample times over span = (s, t), the series U(t_k, s) and the
     run's records.
 
-    One step loop integrates the series' segments, then U(t, t), U(t, r) and
-    U(r, s) for the axioms, r = (s + t)/2.  The chain ends at U(t, s), since
-    linspace sets its endpoint exactly, so the composition law compares two
-    paths that share no step.  One sample stops the chain at s, and U(t, s)
-    takes the segments' place.  The span stack is released on return, before
-    the caller builds its table.
+    One step loop integrates the series' segments, then U(t, t) and the
+    pieces of :func:`composition_pieces`, each about two segments long.  The
+    chain ends at U(t, s), since linspace sets its endpoint exactly, and the
+    pieces' chains give U(r, s) and U(t, r), so the composition law compares
+    two paths that share no step.  One sample stops the chain at s, and
+    U(t, s) takes the segments' place.  The span stack is released on
+    return, before the caller builds its table.
     """
     s, t = span
     times = np.linspace(s, t, samples)
     segments = series_segments(times)
     head = segments or [span]
-    mats, _ = _integrate_spans(B, head + axiom_spans((s, s + (t - s) / 2, t)), rel_tol)
+    pieces, before = composition_pieces(head)
+    mats, _ = _integrate_spans(B, head + [(t, t)] + pieces, rel_tol)
     series = chain_series(mats[:len(segments)], times)
     U_ts = series[-1] if segments else mats[0]
-    records = evolution_axiom_records(cfg, mats[len(head):], U_ts, rel_tol)
+    U_pieces = mats[len(head) + 1:]
+    bounds = [a for a, _ in pieces] + [t]
+    U_rs = chain_series(U_pieces[:before], bounds[:before + 1])[-1]
+    U_tr = chain_series(U_pieces[before:], bounds[before:])[-1]
+    records = evolution_axiom_records(cfg, np.stack([mats[len(head)], U_tr, U_rs]), U_ts,
+                                      rel_tol)
     records.append(_info("evolution.transpose-symmetry", "U M = M U^T under plain conjugation",
                          check_matrix_c_symmetry(U_ts, np.eye(len(U_ts))),
                          "pass/fail asserted only for commuting families"))

@@ -42,8 +42,8 @@ the batch, at whatever tolerances.  Spans are batched in the order given,
 as many at a time as keep the stage buffer within ``_BATCH_BYTES``.
 :func:`evolve` is a batch of one.  Since every pass costs a fixed overhead
 of numpy calls, each caller hands in all the spans of one coefficient in one
-call: an ``evolution`` run its series' segments and the axioms' spans, and
-the suite its U(1, 0), U(0, 1), the axioms' spans and the adjoint
+call: an ``evolution`` run its series' segments and the composition law's
+pieces, and the suite its U(1, 0), U(0, 1), the axioms' spans and the adjoint
 quotients' short spans, these at a tighter tolerance.
 
 Checks cover the evolution-family axioms, the adjoint family's derivative
@@ -61,9 +61,13 @@ U(r, s) of :func:`axiom_spans` against U(t, s), and
 :func:`check_adjoint_family` the U(t + h, t) of :func:`adjoint_spans`, all
 integrated by their caller.  An ``evolution`` run takes U(t, s) from the end
 of its series, so it integrates its horizon twice: once as the chained
-series, and once split at r = (s + t)/2 for the axioms.  The two paths share
-no step.  A series or a composition product that leaves the double range
-raises OverflowError; a span that cannot be integrated raises StiffnessError.
+series, and once as the pieces of :func:`composition_pieces`, two or three
+segments long, whose chains give U(r, s) and U(t, r) at a piece boundary r.
+No piece is a segment, so the two paths share no step, and a run's passes
+of the step loop are set by pieces about two segments long rather than by
+two halves of its horizon.  A series, a chain of pieces or a composition
+product that leaves the double range raises OverflowError; a span that
+cannot be integrated raises StiffnessError.
 """
 
 from __future__ import annotations
@@ -85,6 +89,7 @@ __all__ = [
     "chain_series",
     "evolution_series",
     "axiom_spans",
+    "composition_pieces",
     "check_evolution_axioms",
     "adjoint_spans",
     "check_adjoint_family",
@@ -383,6 +388,27 @@ def axiom_spans(times: tuple[float, float, float]) -> list[tuple[float, float]]:
     if not s <= r <= t:
         raise ValueError(f"need s <= r <= t, got {times}")
     return [(t, t), (r, t), (s, r)]
+
+
+def composition_pieces(segments: Sequence[tuple[float, float]]
+                       ) -> tuple[list[tuple[float, float]], int]:
+    """The pieces (b_{j-1}, b_j) from s to t over a series' n segments, and
+    the number of pieces before r, whose chains give the U(r, s) and U(t, r)
+    that the composition law judges against the chained U(t, s).
+
+    Pieces pair consecutive segments, and the last one takes three when n is
+    odd, so no piece is a segment.  r is the start of the piece nearest
+    (s + t)/2, the first of two tied: s when there is only one piece.  One
+    segment is split at r = (s + t)/2 instead.
+    """
+    n = len(segments)
+    if n == 1:
+        [(s, t)] = segments
+        r = s + (t - s) / 2
+        return [(s, r), (r, t)], 1
+    heads = list(range(0, n - 1, 2))  # the index of each piece's first segment
+    pieces = [(segments[i][0], segments[j - 1][1]) for i, j in zip(heads, heads[1:] + [n])]
+    return pieces, min(range(len(heads)), key=lambda k: abs(2 * heads[k] - n))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -142,12 +142,13 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
           ("spectrum", {"variant": "dilation", "ell": -1, "G": 1e200}),
           # the quotient norms of the difference quotients underflow to 0: log(0)
           ("generator", {"variant": "dilation", "ell": 1e-300}))),
-    # e^{800} leaves the double range in the chain of two finite segments, before
-    # any record; one sample integrates U(1, 0) alone, too stiff to finish
+    # e^{800} leaves the double range in the chain of four finite segments, before
+    # any record; at three samples the composition law's one piece, and at one
+    # sample U(1, 0), span the horizon and are too stiff to finish
     *(pytest.param("evolution", {"B": "constant", "matrix": [[800]], "t": 1, "samples": n,
                                  "rel_tol": 1e-4}, "x", "params.matrix",
                    marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
-      for n in (3, 1)),
+      for n in (5, 3, 1)),
 ], ids=["rel_tol-zero", "omega-string", "omega-overflow", "A-overflow", "table-shapes", "stiff",
         "stiff-overflow",
         "samples-zero", "name-separator", "verify-all-dim-one", "omega-huge-int", "A-huge-int",
@@ -156,7 +157,8 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
         "semigroup-ell-quadrature", "semigroup-imaginary-ell-quadrature",
         "semigroup-H-cocycle-vanishes", "semigroup-F-cocycle-vanishes",
         "generator-G-expm-overflow", "spectrum-G-residual-overflow",
-        "generator-ell-log-of-zero", "chain-overflow", "one-sample-overflow"])
+        "generator-ell-log-of-zero", "chain-overflow", "piece-overflow",
+        "one-sample-overflow"])
 def test_malformed_input_names_field_path(tmp_path, _outdir, capsys, kind, params, name, field):
     if kind is None:
         argv = ["verify-all", "--dim", "1"]
@@ -279,8 +281,8 @@ def test_refused_allocation_names_the_size_field(tmp_path, kind, params, argv, f
     (["evolve", "--samples", "0"], "--samples"),
     (["evolve", "--t", "-1"], "--t"),
     (["evolve", "--nu", "1e300", "--t", "1", "--samples", "2"], "--nu/--kappa/--lam"),
-    # e^{800} leaves the double range in the chain of two finite segments
-    (["evolve", "--kappa", "800", "--lam", "0", "--t", "1", "--samples", "3",
+    # e^{800} leaves the double range in the chain of four finite segments
+    (["evolve", "--kappa", "800", "--lam", "0", "--t", "1", "--samples", "5",
       "--rel-tol", "1e-4"], "--nu/--kappa/--lam"),
 ], ids=["spectrum-family", "spectrum-k-max", "spectrum-k-max-default-at-dim",
         "spectrum-k-max-given-at-dim", "spectrum-a", "evolve-rel-tol",
@@ -968,35 +970,50 @@ def evolve_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("samples", [1, 2, 21])
-def test_evolve_integrates_each_segment_once(tmp_path, evolve_calls, samples):
+@pytest.mark.parametrize("samples", [1, 2, 3, 4, 21])
+def test_evolve_integrates_each_segment_once(tmp_path, evolve_calls, capsys, samples):
     rc = main(["evolve", "--t", "2", "--samples", str(samples),
                "--out", str(tmp_path / "evo.csv")])
     assert rc == 0
-    # one call: the series' segments, whose chain ends at U(t, s), then U(t, t),
-    # U(t, r), U(r, s), so the horizon [0, 2] is integrated twice; one sample
-    # leaves the series at [I] and puts U(t, s), shared by the composition and
-    # symmetry records, in the segments' place
+    # one call: the series' segments, whose chain ends at U(t, s), then U(t, t)
+    # and the composition law's pieces from s to t, so the horizon [0, 2] is
+    # integrated twice; one sample leaves the series at [I] and puts U(t, s),
+    # shared by the composition and symmetry records, in the segments' place
     times = np.linspace(0.0, 2.0, samples)
     segments = list(zip(times[:-1].tolist(), times[1:].tolist())) or [(0.0, 2.0)]
-    assert evolve_calls == [[*segments, (2.0, 2.0), (1.0, 2.0), (0.0, 1.0)]]
-    assert sum(t - s for s, t in evolve_calls[0]) == 2 * 2.0
+    (call,) = evolve_calls
+    assert call[:len(segments) + 1] == [*segments, (2.0, 2.0)]
+    pieces = call[len(segments) + 1:]
+    assert [s for s, _ in pieces] + [2.0] == [0.0] + [t for _, t in pieces]
+    assert pieces[0][0] == 0.0 and pieces[-1][1] == 2.0
+    assert not set(pieces) & set(segments)
+    if len(segments) > 1:  # no piece is longer than three segments
+        assert max(t - s for s, t in pieces) <= 3 * 2.0 / len(segments) * (1 + 1e-12)
+    # the chain of the pieces is another path than the series, for the default
+    # model, whose B(t) do not commute, even at three samples, where r is s
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if "evolution.composition" in ln)
+    assert float(line.split()[2]) > 0.0
 
 
 def test_evolution_run_integrates_in_one_call_segments_first(tmp_path, evolve_calls,
                                                             monkeypatch):
-    # a complex symmetric dim-16 model in batches of five spans: the axioms'
-    # two spans that are not zero share the last batch with three segments
+    # a complex symmetric dim-16 model in batches of five spans: the eight
+    # segments fill the first batch and three places of the second, whose last
+    # two go to the first two of the four composition pieces (U(t, t) between
+    # them is a zero span, which takes no place)
     g = np.random.default_rng(3).standard_normal((16, 16))
     matrix = [[[0.0, -x] for x in row] for row in ((g + g.T) / 8).tolist()]
     params = {"B": "constant", "matrix": matrix, "s": 0.5, "t": 2.5, "samples": 9}
     monkeypatch.setattr(evolution, "_BATCH_BYTES", 5 * 7 * 16 * 16**2)
     split = _evolution_report(tmp_path, params, "csv").read_bytes()
-    times = np.linspace(0.5, 2.5, 9)
-    assert evolve_calls == [[*zip(times[:-1].tolist(), times[1:].tolist()),
-                             (2.5, 2.5), (1.5, 2.5), (0.5, 1.5)]]
-    monkeypatch.undo()  # the report of one batch is the same
+    split_json = _evolution_report(tmp_path, params, "json")
+    times = np.linspace(0.5, 2.5, 9).tolist()
+    pieces = [(times[k], times[k + 2]) for k in (0, 2, 4, 6)]
+    assert evolve_calls == [[*zip(times[:-1], times[1:]), (2.5, 2.5), *pieces]] * 2
+    monkeypatch.undo()  # the reports of one batch are the same
     assert _evolution_report(tmp_path, params, "csv").read_bytes() == split
+    assert _records(_evolution_report(tmp_path, params, "json")) == _records(split_json)
 
 
 def _evolution_report(tmp_path, params, fmt):
@@ -1094,8 +1111,11 @@ def test_stiffness_in_a_segment_names_the_model_field(tmp_path, _outdir, capsys,
 @pytest.mark.parametrize("command", ["run", "evolve"])
 def test_stiffness_in_a_composition_span_names_the_model_field(tmp_path, _outdir, capsys,
                                                                monkeypatch, command):
-    # U(t, r) = U(2, 1) follows the four segments and U(t, t) in the run's one call
-    _stiff_at(monkeypatch, (1.0, 2.0))
+    # the layout's first piece follows the four segments and U(t, t) in the
+    # run's one call
+    segments = evolution.series_segments(np.linspace(0.0, 2.0, 5))
+    pieces, _ = evolution.composition_pieces(segments)
+    _stiff_at(monkeypatch, pieces[0])
     if command == "run":
         argv = ["run", _scenario(tmp_path, {"name": "x", "kind": "evolution",
                                             "params": {"B": "constant", "matrix": [[-1.0]],
@@ -1105,6 +1125,33 @@ def test_stiffness_in_a_composition_span_names_the_model_field(tmp_path, _outdir
         argv, field = ["evolve", "--t", "2", "--samples", "5"], "--nu/--kappa/--lam"
     assert main(argv) == 1
     assert f"input error: {field}: step size underflowed in 5" in capsys.readouterr().err
+    assert not _outdir.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["run", "evolve"])
+def test_overflow_of_a_piece_chain_names_the_model_field(tmp_path, _outdir, capsys,
+                                                         monkeypatch, command):
+    # every piece scaled by 1e200: the series stays finite, and U(r, s), the
+    # chain of the first two of the four pieces, leaves the double range
+    original = cli._integrate_spans
+
+    def scaled(B, spans, rel_tol):
+        mats, stats = original(B, spans, rel_tol)
+        mats[9:] *= 1e200  # past the eight segments and U(t, t)
+        return mats, stats
+
+    monkeypatch.setattr(cli, "_integrate_spans", scaled)
+    if command == "run":
+        argv = ["run", _scenario(tmp_path, {"name": "x", "kind": "evolution",
+                                            "params": {"B": "constant", "matrix": [[-1.0]],
+                                                       "t": 2.0, "samples": 9}})]
+        field = "params.matrix"
+    else:
+        argv, field = ["evolve", "--t", "2", "--samples", "9"], "--nu/--kappa/--lam"
+    assert main(argv) == 1
+    assert (f"input error: {field}: the propagator leaves the double range at t = 1\n"
+            in capsys.readouterr().err)
     assert not _outdir.exists()
 
 

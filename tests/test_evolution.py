@@ -22,6 +22,7 @@ from focksym.evolution import (
     check_adjoint_family,
     check_evolution_axioms,
     check_nonauto_stone,
+    composition_pieces,
     evolution_series,
     evolve,
     _integrate_spans,
@@ -112,6 +113,32 @@ def test_axioms_within_budget(rel_tol):
 def test_axioms_reject_unordered_times():
     with pytest.raises(ValueError, match="s <= r <= t"):
         axiom_spans((0.0, 2.0, 1.0))
+
+
+@pytest.mark.parametrize("span", [(0.0, 2.0), (0.5, 2.5), (-3.0, 7.0)])
+def test_composition_pieces_share_no_span_with_the_series(span):
+    s, t = span
+    for samples in range(1, 41):
+        times = np.linspace(s, t, samples)
+        segments = evolution.series_segments(times) or [span]
+        pieces, before = composition_pieces(segments)
+        # the pieces run from s to t, each where the one before it ends, and r
+        # is one of their boundaries
+        bounds = [a for a, _ in pieces] + [t]
+        assert bounds[0] == s and [b for _, b in pieces] == bounds[1:]
+        assert not set(pieces) & set(segments)
+        if len(segments) == 1:  # halves at (s + t)/2, which no segment holds
+            assert bounds == [s, s + (t - s) / 2, t] and before == 1
+            continue
+        # the boundaries are sample times two apart, or three for the last piece
+        # of an odd count; r is the one nearest (s + t)/2, or s for one piece
+        at = [times.tolist().index(b) for b in bounds]
+        n = len(segments)
+        assert np.diff(at).tolist() == [2] * (n // 2 - 1) + [2 + n % 2]
+        if len(pieces) == 1:
+            assert before == 0
+        else:
+            assert abs(2 * at[before] - n) == min(abs(2 * k - n) for k in at)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
