@@ -7,20 +7,23 @@ segments integrated side by side and chained through
 U(t_k, 0) = U(t_k, t_{k-1}) U(t_{k-1}, 0)) and prints its Runge-Kutta steps,
 the passes of the step loop (each pass attempts one step of every unfinished
 segment of a batch, so a batch takes as many passes as its longest segment
-takes attempted steps), its wall time, the steps of one unbroken span
-U(t, 0), and the largest entry error over all samples against scipy's DOP853
-at rtol 1e-13.  A second, untimed pass through a counting wrapper of the
-operator counts the calls of B and the times it is evaluated at, apart.
-There is one call for the start of every segment and one per pass, so the
-passes are the calls less one.  Per accepted step there are five evaluated
-times per attempted step (stage 1 is the previous step's stage 7), plus one
-per segment.
+takes attempted steps), its wall time, the steps of one span U(t, 0), and the
+largest entry error over all samples against scipy's DOP853 at rtol 1e-13,
+restarted at every sample time and every break of the model. A model with
+breaks (the table's knots) has its segments and its one span cut there, as an
+``evolution`` run cuts its spans. A second, untimed pass through a counting
+wrapper of the operator counts the calls of B and the times it is evaluated
+at, apart. There is one call for the start of every segment (every cut, for a
+model with breaks) and one per pass, so the passes are the calls less one.
+Per accepted step there are five evaluated times per attempted step (stage 1
+is the previous step's stage 7), plus one per segment.
 
-Models: the two-level Bagchi model with cosine detuning and coupling, and
+Models: the two-level Bagchi model with cosine detuning and coupling,
 constant complex symmetric generators B = -i O diag(spectrum) O^T at d16 and
-d32 (oscillation with damping up to 0.3).  A segment costs at least about
-four steps (its first trial step is span/50 and grows at most fivefold per
-step), so dense sampling settles near four steps per sample.
+d32 (oscillation with damping up to 0.3), and a dim-3 table of six seeded
+complex symmetric matrices at the knots 0, 1, ..., 5. A segment costs at
+least about four steps (its first trial step is span/50 and grows at most
+fivefold per step), so dense sampling settles near four steps per sample.
 
 Three per-layer figures follow: the microseconds per attempted step of one
 unbroken span U(t, 0) of the constant model at each of ``STEP_DIMS`` (the
@@ -41,22 +44,25 @@ each of ``PEAK_RUNS``, the constant models at the benchmark's sample counts
 over [0, 5].  They use only ``write_csv`` and ``cli.main``, so they measure
 any source tree on the path.
 
-Beside the per-pass figures come the coefficient calls of one ``focksym
-run`` of each of ``PASS_MODELS`` as an ``evolution`` CSV scenario over [0, 5],
-and of one ``focksym evolve`` of the default model with ``EVOLVE_SAMPLES``
+Beside the per-pass figures come the coefficient calls of one ``focksym run``
+of each of ``PASS_MODELS`` as an ``evolution`` CSV scenario over [0, 5], and
+of one ``focksym evolve`` of the default model with ``EVOLVE_SAMPLES``
 samples over [0, 5], counted by a wrapper of the coefficient that the
-scenario parser returns: one call per
-``_integrate_spans`` call (at every span's start) plus one per pass of its
-step loop, and the times evaluated.  The same figures follow for the two-level
+scenario parser returns: one call per ``_integrate_spans`` call (at every
+span's start) plus one per pass of its step loop, and the times evaluated.
+Beside them stand the run's passes and rejected steps, counted on its
+``_integrate_spans`` calls, and the fastest of ``REPEATS`` uncounted runs'
+milliseconds in those calls. The same figures follow for the two-level
 coefficients of ``verify-all``'s evolution group, which do not depend on the
 dim; three of its calls lie outside the step loop (B(0) for the exponential
 route, the s grid of the commutation record, B(1) for the adjoint target).
 
 Every model is built by the scenario parser from its params, as an
-``evolution`` run builds it.  ``--passes-only`` prints the per-pass figures
-and the coefficient calls alone.  They use nothing of a coefficient but what
-the parser returns, so they time any source tree on the path, under either
-coefficient protocol.
+``evolution`` run builds it, with the breaks the parser names (none from a
+tree whose parser names none).  ``--passes-only`` prints the per-pass
+figures and the coefficient calls alone.  They use nothing of a coefficient
+but what the parser returns, so they time any source tree on the path,
+under either coefficient protocol.
 
 Usage:
     python scripts/propagator_cost.py --samples 2 21 201 1001 --t 5 --out cost.csv
@@ -103,22 +109,35 @@ def constant_params(n: int) -> dict:
     return {"B": "constant", "matrix": json_matrix(constant_matrix(n))}
 
 
-def coefficient(params: dict, t: float) -> Coefficient:
-    """The coefficient that the scenario parser builds from ``params`` for [0, t]."""
-    B, _, _ = _evolution_operator_from(params, (0.0, t))
-    return B
+def coefficient(params: dict, t: float) -> tuple[Coefficient, list[float]]:
+    """The coefficient that the scenario parser builds from ``params`` for [0, t],
+    and the times where it is not smooth (none from a parser that names none)."""
+    B, *rest = _evolution_operator_from(params, (0.0, t))
+    return B, (rest[0] if len(rest) == 3 else [])
+
+
+def series_of(B: Coefficient, breaks: Sequence[float], times: np.ndarray,
+              rel_tol: float):
+    """``evolution_series`` cut at ``breaks``, as an ``evolution`` run cuts its
+    spans; without breaks, called as a tree that has none takes it."""
+    if breaks:
+        return evolution_series(B, times, rel_tol, breaks)
+    return evolution_series(B, times, rel_tol)
 
 
 STEP_DIMS = (1, 2, 3, 16, 32, 64)
 REPEATS = 10
 
-# the scenario params of the series models
+# the scenario params of the series models; the table's six knots at
+# 0, 1, ..., 5 each hold a seeded complex symmetric matrix
 MODELS = {
     "bagchi-cosine": {"B": "bagchi", "nu": 1.0,
                       "kappa": {"cosine": {"amplitude": 0.4, "frequency": 1.3, "phase": 0.3}},
                       "lam": {"cosine": {"amplitude": 1.0, "frequency": 0.7, "phase": 1.1}}},
     "constant-d16": constant_params(16),
     "constant-d32": constant_params(32),
+    "table-d3": {"B": "table", "times": [float(i) for i in range(6)],
+                 "matrices": [json_matrix(constant_matrix(3, seed)) for seed in range(6)]},
 }
 
 # (label, scenario params, samples) of the per-pass figures: the two-level
@@ -127,9 +146,7 @@ MODELS = {
 # benchmark's evolution-series workload gives it
 PASS_MODELS = (
     ("bagchi-cosine-d2", MODELS["bagchi-cosine"], 35),
-    ("table-d3", {"B": "table", "times": [float(i) for i in range(6)],
-                  "matrices": [json_matrix(constant_matrix(3, seed)) for seed in range(6)]},
-     37),
+    ("table-d3", MODELS["table-d3"], 37),
     ("constant-d16", MODELS["constant-d16"], 85),
     ("constant-d32", MODELS["constant-d32"], 43),
 )
@@ -148,38 +165,48 @@ class Counted:
         return self.B(ts)
 
 
-def dop853_series(B: Coefficient, times: np.ndarray) -> np.ndarray:
-    """U(t_k, t_0) at every sample time by DOP853 at rtol 1e-13, atol 1e-15."""
+def dop853_series(B: Coefficient, times: np.ndarray,
+                  breaks: Sequence[float] = ()) -> np.ndarray:
+    """U(t_k, t_0) at every sample time by DOP853 at rtol 1e-13, atol 1e-15,
+    restarted at every sample time and every break between them."""
     n = B([times[0]]).shape[-1]
 
     def rhs(x, y):
         return (B([x])[0] @ y.view(complex).reshape(n, n)).ravel().view(float)
 
-    y0 = np.eye(n, dtype=complex).ravel().view(float)
-    sol = scipy.integrate.solve_ivp(rhs, (times[0], times[-1]), y0, method="DOP853",
-                                    t_eval=times, rtol=1e-13, atol=1e-15)
-    return sol.y.T.copy().view(complex).reshape(len(times), n, n)
+    y = np.eye(n, dtype=complex).ravel().view(float)
+    at = {float(times[0]): y}
+    stops = sorted({float(x) for x in times}
+                   | {float(b) for b in breaks if times[0] < b < times[-1]})
+    for a, b in zip(stops[:-1], stops[1:]):
+        y = scipy.integrate.solve_ivp(rhs, (a, b), y, method="DOP853",
+                                      rtol=1e-13, atol=1e-15).y[:, -1].copy()
+        at[b] = y
+    return np.array([at[float(x)] for x in times]).view(complex).reshape(len(times), n, n)
 
 
-def measure(B: Coefficient, t: float, samples: int,
+def measure(B: Coefficient, breaks: Sequence[float], t: float, samples: int,
             rel_tol: float) -> tuple[int, int, float, float, int, int, float]:
     """(series steps, loop passes, series wall s, max entry error vs DOP853,
     one-span steps, calls of B, evaluated times of B per accepted step)."""
     times = np.linspace(0.0, t, samples)
     t0 = time.perf_counter()
-    series, stats = evolution_series(B, times, rel_tol)
+    series, stats = series_of(B, breaks, times, rel_tol)
     wall = time.perf_counter() - t0
-    err = float(np.max(np.abs(np.array(series) - dop853_series(B, times))))
+    err = float(np.max(np.abs(np.array(series) - dop853_series(B, times, breaks))))
     steps = sum(st.steps for st in stats)
     counted = Counted(B)
-    evolution_series(counted, times, rel_tol)
-    return (steps, counted.calls - 1, wall, err, evolve(B, 0.0, t, rel_tol).stats.steps,
+    series_of(counted, breaks, times, rel_tol)
+    # one span U(t, 0), cut at the breaks as the series is
+    (_,), (span,) = evolution._integrate_spans(B, [(0.0, t)], rel_tol,
+                                               *([breaks] if breaks else []))
+    return (steps, counted.calls - 1, wall, err, span.steps,
             counted.calls, counted.times / max(steps, 1))
 
 
 def us_per_step(n: int, t: float, rel_tol: float) -> tuple[int, float]:
     """(attempted steps, fastest microseconds per attempted step) of U(t, 0)."""
-    B = coefficient(constant_params(n), t)
+    B, _ = coefficient(constant_params(n), t)
     best = math.inf
     for _ in range(REPEATS):
         t0 = time.perf_counter()
@@ -193,17 +220,16 @@ def us_per_pass(params: dict, samples: int, t: float,
                 rel_tol: float) -> tuple[int, int, float]:
     """(segments, loop passes, fastest microseconds per pass) of a series of
     the scenario model ``params`` over [0, t]."""
-    B = coefficient(params, t)
+    B, breaks = coefficient(params, t)
     times = np.linspace(0.0, t, samples)
     best = math.inf
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        series, stats = evolution_series(B, times, rel_tol)
+        series, stats = series_of(B, breaks, times, rel_tol)
         best = min(best, time.perf_counter() - t0)
-    # a batch takes as many passes as its longest segment takes attempted steps
-    size = max(1, evolution._BATCH_BYTES // (7 * 16 * len(series[0]) ** 2))
-    attempts = [st.steps + st.rejected for st in stats]
-    passes = sum(max(attempts[i:i + size]) for i in range(0, len(attempts), size))
+    counted = Counted(B)  # one call at the segments' starts, then one per pass
+    series_of(counted, breaks, times, rel_tol)
+    passes = counted.calls - 1
     return len(stats), passes, 1e6 * best / passes
 
 
@@ -220,23 +246,48 @@ def print_pass_costs(t: float, rel_tol: float) -> None:
 EVOLVE_SAMPLES = 35
 
 
-def cli_coefficient_calls(argv: Sequence[str]) -> tuple[int, int]:
-    """(calls, evaluated times) of the model's coefficient in one CLI call,
-    counted on the coefficient that the scenario parser returns."""
-    original, counted = cli._evolution_operator_from, []
+def cli_run_figures(argv: Sequence[str]) -> tuple[int, int, int, int, float]:
+    """(calls, evaluated times, loop passes, rejected steps, step-loop ms) of
+    the model's coefficient in one CLI call.
+
+    The calls and times are counted on the coefficient that the scenario
+    parser returns, and the passes and rejections on the run's calls of
+    ``_integrate_spans``, which each evaluate B once at their spans' starts
+    and once per pass.  The milliseconds are the fastest of ``REPEATS``
+    uncounted runs' time in ``_integrate_spans``.
+    """
+    original_op, original_spans = cli._evolution_operator_from, cli._integrate_spans
+    counted, loop = [], {"calls": 0, "rejected": 0, "s": 0.0}
 
     def counting(params, span):
-        B, meta, source = original(params, span)
+        B, *rest = original_op(params, span)
         counted.append(Counted(B))
-        return counted[-1], meta, source
+        return (counted[-1], *rest)
 
-    cli._evolution_operator_from = counting
+    def timing(*args):
+        t0 = time.perf_counter()
+        mats, stats = original_spans(*args)
+        loop["s"] += time.perf_counter() - t0
+        loop["calls"] += 1
+        loop["rejected"] += sum(st.rejected for st in stats)
+        return mats, stats
+
+    cli._integrate_spans = timing
     try:
         with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            cli._evolution_operator_from = counting
             cli.main(list(argv))
+            cli._evolution_operator_from = original_op
+            calls, rejected = loop["calls"], loop["rejected"]
+            best = math.inf
+            for _ in range(REPEATS):
+                loop["s"] = 0.0
+                cli.main(list(argv))
+                best = min(best, loop["s"])
     finally:
-        cli._evolution_operator_from = original
-    return counted[0].calls, counted[0].times
+        cli._evolution_operator_from, cli._integrate_spans = original_op, original_spans
+    B = counted[0]
+    return B.calls, B.times, B.calls - calls, rejected, 1e3 * best
 
 
 def group_coefficient_calls() -> tuple[int, int]:
@@ -257,9 +308,12 @@ def group_coefficient_calls() -> tuple[int, int]:
 
 
 def print_coefficient_calls(t: float) -> None:
-    print(f"coefficient calls of one evolution run to t = {t:g}")
-    print(f"{'model':>16}  {'samples':>7}  {'B calls':>7}  {'B times':>7}")
+    print(f"coefficient calls, passes and rejected steps of one evolution run to "
+          f"t = {t:g}; step-loop time the fastest of {REPEATS}")
+    print(f"{'model':>16}  {'samples':>7}  {'B calls':>7}  {'B times':>7}  "
+          f"{'passes':>6}  {'rejected':>8}  {'loop ms':>7}")
     with tempfile.TemporaryDirectory() as tmp:
+        runs = []
         for label, params, samples in PASS_MODELS:
             scenario = os.path.join(tmp, f"{label}.json")
             with open(scenario, "w") as fh:
@@ -267,12 +321,14 @@ def print_coefficient_calls(t: float) -> None:
                            "params": {**params, "t": t, "samples": samples},
                            "output": {"format": "csv",
                                       "path": os.path.join(tmp, f"{label}.csv")}}, fh)
-            calls, times = cli_coefficient_calls(["run", scenario])
-            print(f"{label:>16}  {samples:>7}  {calls:>7}  {times:>7}")
-        calls, times = cli_coefficient_calls(["evolve", "--t", repr(t), "--samples",
-                                              str(EVOLVE_SAMPLES),
-                                              "--out", os.path.join(tmp, "evolve.csv")])
-        print(f"{'evolve':>16}  {EVOLVE_SAMPLES:>7}  {calls:>7}  {times:>7}")
+            runs.append((label, samples, ["run", scenario]))
+        runs.append(("evolve", EVOLVE_SAMPLES,
+                     ["evolve", "--t", repr(t), "--samples", str(EVOLVE_SAMPLES),
+                      "--out", os.path.join(tmp, "evolve.csv")]))
+        for label, samples, argv in runs:
+            calls, times, passes, rejected, ms = cli_run_figures(argv)
+            print(f"{label:>16}  {samples:>7}  {calls:>7}  {times:>7}  {passes:>6}  "
+                  f"{rejected:>8}  {ms:>7.2f}")
     calls, times = group_coefficient_calls()
     print(f"{'verify-all group':>16}  {'-':>7}  {calls:>7}  {times:>7}")
 
@@ -377,9 +433,9 @@ def main(argv=None) -> int:
           f"{'one span':>8}  {'wall s':>8}  {'max error':>9}")
     rows = []
     for name in args.models:
-        B = coefficient(MODELS[name], args.t)
+        B, breaks = coefficient(MODELS[name], args.t)
         for samples in args.samples:
-            steps, passes, wall, err, span, calls, times = measure(B, args.t, samples,
+            steps, passes, wall, err, span, calls, times = measure(B, breaks, args.t, samples,
                                                                    args.rel_tol)
             per = steps / max(samples - 1, 1)
             print(f"{name:>14}  {samples:>7}  {steps:>8}  {passes:>6}  {per:>11.2f}  "

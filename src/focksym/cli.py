@@ -423,13 +423,14 @@ def _spectrum_kind(params: dict, cfg: VerifyConfig) -> Run:
 _EVOLUTION_MODELS = ("bagchi", "constant", "table")
 
 
-def _coefficient_fn(params: dict, key: str, default: float,
-                    span: tuple[float, float]) -> Callable[[float], float]:
-    """params[key]: a number, or {"cosine": {...}} whose argument is finite on span."""
+def _coefficient_fn(params: dict, key: str, default: float, span: tuple[float, float]
+                    ) -> Callable[[np.ndarray], np.ndarray]:
+    """params[key] as a function from an array of times to its values: a number,
+    or {"cosine": {...}} whose argument is finite on span."""
     spec = params.get(key)
     if not (isinstance(spec, dict) and isinstance(spec.get("cosine"), dict)):
         v = _get(params, "params", key, float, default)
-        return lambda t: v
+        return lambda ts: np.full(len(ts), v)
     path = f"params.{key}.cosine"
     amp = _get(spec["cosine"], path, "amplitude", float, 1.0)
     freq = _get(spec["cosine"], path, "frequency", float, 1.0)
@@ -438,7 +439,7 @@ def _coefficient_fn(params: dict, key: str, default: float,
         # the argument is linear in t: its values at s and t bound it on the span
         if not all(math.isfinite(freq * x + shift) for x in span):
             raise ScenarioError(f"{path}.{field}", "the cosine argument overflows on [s, t]")
-    return lambda t: amp * math.cos(freq * t + phase)
+    return lambda ts: amp * np.cos(freq * ts + phase)
 
 
 def _matrix_from(entry: Any, path: str) -> np.ndarray:
@@ -458,9 +459,14 @@ def _matrix_from(entry: Any, path: str) -> np.ndarray:
 
 
 def _evolution_operator_from(params: dict, span: tuple[float, float]
-                             ) -> tuple[Callable[[Sequence[float]], np.ndarray], dict, str]:
-    """The coefficient ts -> stack of B(t), its report payload, and the field path
-    of its coefficients, named on stiffness."""
+                             ) -> tuple[Callable[[Sequence[float]], np.ndarray],
+                                        list[float], dict, str]:
+    """The coefficient ts -> stack of B(t), the times where it is not smooth,
+    its report payload, and the field path of its coefficients, named on
+    stiffness or overflow.
+
+    A table's breaks are all its knots, the end knots too, where the clamp
+    to the end matrices is a kink; the other models are smooth."""
     model = _get(params, "params", "B", str)
     if model not in _EVOLUTION_MODELS:
         raise ScenarioError("params.B", f"expected one of {_EVOLUTION_MODELS}")
@@ -468,11 +474,12 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
         nu = _get(params, "params", "nu", float, 1.0)
         kappa = _coefficient_fn(params, "kappa", 0.0, span)
         lam = _coefficient_fn(params, "lam", 1.0, span)
-        return bagchi_hamiltonian(nu, kappa, lam), {"model": "bagchi", "nu": nu}, "params.B"
+        return (bagchi_hamiltonian(nu, kappa, lam), [], {"model": "bagchi", "nu": nu},
+                "params.B")
     if model == "constant":
         M = _matrix_from(_get(params, "params", "matrix", list), "params.matrix")
         # one matrix for every time: a zero-stride view, not a copy
-        return (lambda ts: np.broadcast_to(M, (len(ts), *M.shape)),
+        return (lambda ts: np.broadcast_to(M, (len(ts), *M.shape)), [],
                 {"model": "constant", "dim": M.shape[0]}, "params.matrix")
     times = _get(params, "params", "times", list)
     mats = _get(params, "params", "matrices", list)
@@ -502,29 +509,31 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
         return out
 
     meta = {"model": "table", "dim": stack.shape[1], "samples": len(times)}
-    return eval_b, meta, "params.matrices"
+    return eval_b, ts.tolist(), meta, "params.matrices"
 
 
 def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.ndarray],
-                        span: tuple[float, float], samples: int, rel_tol: float
-                        ) -> tuple[np.ndarray, np.ndarray, list[CheckRecord]]:
+                        breaks: Sequence[float], span: tuple[float, float], samples: int,
+                        rel_tol: float) -> tuple[np.ndarray, np.ndarray, list[CheckRecord]]:
     """The sample times over span = (s, t), the series U(t_k, s) and the
     run's records.
 
     One step loop integrates the series' segments, then U(t, t) and the
-    pieces of :func:`composition_pieces`, each about two segments long.  The
-    chain ends at U(t, s), since linspace sets its endpoint exactly, and the
-    pieces' chains give U(r, s) and U(t, r), so the composition law compares
-    two paths that share no step.  One sample stops the chain at s, and
-    U(t, s) takes the segments' place.  The span stack is released on
-    return, before the caller builds its table.
+    pieces of :func:`composition_pieces`, each about two segments long, all
+    cut at the coefficient's ``breaks``.  The chain ends at U(t, s), since
+    linspace sets its endpoint exactly, and the pieces' chains give U(r, s)
+    and U(t, r), so the composition law compares two paths that share no
+    step, but for the cuts between a common segment boundary and a break.
+    One sample stops the chain at s, and U(t, s) takes the segments' place.
+    The span stack is released on return, before the caller builds its
+    table.
     """
     s, t = span
     times = np.linspace(s, t, samples)
     segments = series_segments(times)
     head = segments or [span]
     pieces, before = composition_pieces(head)
-    mats, _ = _integrate_spans(B, head + [(t, t)] + pieces, rel_tol)
+    mats, _ = _integrate_spans(B, head + [(t, t)] + pieces, rel_tol, breaks)
     series = chain_series(mats[:len(segments)], times)
     U_ts = series[-1] if segments else mats[0]
     U_pieces = mats[len(head) + 1:]
@@ -546,7 +555,7 @@ def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
         raise ScenarioError("params.t", "need t >= s")
     if not math.isfinite(t - s):  # the sample times would overflow
         raise ScenarioError("params.t", "t - s must be a finite number")
-    B, meta, source = _evolution_operator_from(params, (s, t))
+    B, breaks, meta, source = _evolution_operator_from(params, (s, t))
     rel_tol = _get(params, "params", "rel_tol", float, 1e-10)
     if rel_tol <= 0:
         raise ScenarioError("params.rel_tol", "must be positive")
@@ -554,7 +563,8 @@ def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
 
     def run():
         try:
-            times, series, records = _series_and_records(cfg, B, (s, t), samples, rel_tol)
+            times, series, records = _series_and_records(cfg, B, breaks, (s, t), samples,
+                                                         rel_tol)
             n = series.shape[-1]
             header = ["t"] + [f"U{i}_{j}_{part}" for i in range(n) for j in range(n)
                               for part in ("re", "im")]

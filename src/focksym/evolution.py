@@ -6,8 +6,11 @@ from the one call at the start of each integration, at every span's s, whose
 values are also the spans' first stage 1; a later value of another size
 raises ValueError.  A coefficient may return a view, such as a constant
 matrix broadcast over the times by ``np.broadcast_to`` (zero strides, no
-copy); no value is used after the next call.  A builder's scalar parameter
-functions, such as the detuning of :func:`bagchi_hamiltonian`, stay scalar.
+copy); no value is used after the next call.  Where a coefficient is not
+smooth, as a piecewise-linear table is at its knots, its caller hands those
+times in as breaks: every span is cut at each break strictly inside it,
+and its U is the ordered product of its cuts, each integrated as a span of
+its own, so that no step straddles a kink.
 
 The propagator is integrated as a full matrix with an adaptive embedded
 Runge-Kutta pair of orders 5(4) (Dormand-Prince tableau).  Local error is
@@ -39,8 +42,9 @@ batch when it is done.  Batched products take the same BLAS call per span
 as a single one, and the step factor stays a Python float power per span,
 so each U and its statistics are the same to the bit whatever else is in
 the batch, at whatever tolerances.  Spans are batched in the order given,
-as many at a time as keep the stage buffer within ``_BATCH_BYTES``.
-:func:`evolve` is a batch of one.  Since every pass costs a fixed overhead
+as many at a time as keep the stage buffer within ``_BATCH_BYTES``; the
+cuts of a span take its place in that order.  :func:`evolve` is a batch of
+one.  Since every pass costs a fixed overhead
 of numpy calls, each caller hands in all the spans of one coefficient in one
 call: an ``evolution`` run its series' segments and the composition law's
 pieces, and the suite its U(1, 0), U(0, 1), the axioms' spans and the adjoint
@@ -63,15 +67,19 @@ integrated by their caller.  An ``evolution`` run takes U(t, s) from the end
 of its series, so it integrates its horizon twice: once as the chained
 series, and once as the pieces of :func:`composition_pieces`, two or three
 segments long, whose chains give U(r, s) and U(t, r) at a piece boundary r.
-No piece is a segment, so the two paths share no step, and a run's passes
-of the step loop are set by pieces about two segments long rather than by
-two halves of its horizon.  A series, a chain of pieces or a composition
-product that leaves the double range raises OverflowError; a span that
-cannot be integrated raises StiffnessError.
+No piece is a segment, so the two paths share no step but, for a
+coefficient with breaks, the cuts between a common segment boundary and a
+break; and a run's passes of the step loop are set by pieces about two
+segments long rather than by two halves of its horizon.  A series, a chain
+of pieces, a product of cuts or a composition product that leaves the
+double range raises OverflowError, and so does a span whose stages
+overflow at steps well inside the pair's stability region; a span too
+stiff to integrate raises StiffnessError.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -201,7 +209,7 @@ _BATCH_BYTES = 1 << 20
 
 def _integrate_spans(
     B: _Coefficient, spans: Sequence[tuple[float, float]],
-    rel_tol: float | Sequence[float],
+    rel_tol: float | Sequence[float], breaks: Sequence[float] = (),
 ) -> tuple[np.ndarray, list[IntegratorStats]]:
     """The (len(spans), n, n) stack of U(t1, t0) for the spans (t0, t1) of B,
     and each span's integrator statistics.
@@ -210,15 +218,42 @@ def _integrate_spans(
     are integrated side by side, in consecutive batches whose stages fit in
     ``_BATCH_BYTES``, each span with the arithmetic of a span integrated
     alone at its own tolerance, so each result is the same to the bit
-    whatever the batch and the tolerances of its batch-mates.  If a span is
-    too stiff, the StiffnessError raised is that of the first failing span in
-    the order given, the one a loop over the spans would raise.
+    whatever the batch and the tolerances of its batch-mates.  If a span
+    fails, the StiffnessError or OverflowError raised is that of the first
+    failing span in the order given, the one a loop over the spans would
+    raise.
+
+    ``breaks`` are times where B is not smooth, such as a table's knots.  A
+    span is cut at every break strictly inside it, and its cuts, in the
+    span's direction, take its place in the batches at its tolerance.  Its
+    U is their ordered product, its steps and rejections their sums and its
+    largest local error theirs; a product that leaves the double range
+    raises OverflowError.  A span with no break inside is integrated as
+    without ``breaks``.
     """
     tols = [rel_tol] * len(spans) if np.ndim(rel_tol) == 0 else list(rel_tol)
     if len(tols) != len(spans):
         raise ValueError(f"{len(tols)} tolerances for {len(spans)} spans")
     if any(tol <= 0 for tol in tols):
         raise ValueError("rel_tol must be positive")
+    knots = sorted({float(b) for b in breaks})
+    cuts, cut_tols, counts = [], [], []
+    for (t0, t1), tol in zip(spans, tols):
+        inner = knots[bisect.bisect_right(knots, min(t0, t1)):
+                      bisect.bisect_left(knots, max(t0, t1))]
+        bounds = [t0, *(inner if t0 <= t1 else inner[::-1]), t1]
+        cuts += zip(bounds[:-1], bounds[1:])
+        cut_tols += [tol] * (len(bounds) - 1)
+        counts.append(len(bounds) - 1)
+    mats, stats = _integrate_cuts(B, cuts, cut_tols)
+    if len(cuts) == len(spans):
+        return mats, stats
+    return _join_cuts(mats, stats, cuts, counts)
+
+
+def _integrate_cuts(B: _Coefficient, spans: list[tuple[float, float]],
+                    tols: list[float]) -> tuple[np.ndarray, list[IntegratorStats]]:
+    """:func:`_integrate_spans` of spans that no break cuts."""
     # the size of the problem, and each span's first stage 1
     B_t0 = B([t0 for t0, _ in spans])
     dim = B_t0.shape[-1]
@@ -233,6 +268,33 @@ def _integrate_spans(
     return mats, [sp.stats() for sp in every]
 
 
+# a product that overflows is checked for afterwards, so its overflow and
+# invalid values stay silent
+@np.errstate(over="ignore", invalid="ignore")
+def _join_cuts(mats: np.ndarray, stats: list[IntegratorStats],
+               cuts: list[tuple[float, float]], counts: list[int]
+               ) -> tuple[np.ndarray, list[IntegratorStats]]:
+    """Each span's U as the ordered product of its ``counts[j]`` consecutive
+    cuts, and its statistics from theirs."""
+    joined = np.empty((len(counts), *mats.shape[1:]), dtype=complex)
+    joined_stats = []
+    start = 0
+    for j, count in enumerate(counts):
+        U = mats[start]
+        for k in range(start + 1, start + count):
+            U = mats[k] @ U
+            if not np.isfinite(U).all():
+                raise OverflowError("the propagator leaves the double range at "
+                                    f"t = {cuts[k][1]:.6g}")
+        joined[j] = U
+        own = stats[start:start + count]
+        joined_stats.append(IntegratorStats(
+            steps=sum(st.steps for st in own), rejected=sum(st.rejected for st in own),
+            max_local_error=max(st.max_local_error for st in own)))
+        start += count
+    return joined, joined_stats
+
+
 # a step whose stages overflow has a non-finite error estimate and is
 # rejected, so its overflow and invalid values are expected and stay silent
 @np.errstate(over="ignore", invalid="ignore")
@@ -244,8 +306,8 @@ def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
     span leaves the batch when it is done; its U goes to
     ``mats[span.index]``, and its statistics stay in the span.  A span whose
     step size falls below its floor stops, and so does every later span,
-    which cannot change what is raised: its StiffnessError is raised once
-    every earlier span has finished.
+    which cannot change what is raised: its error, of
+    :func:`_floor_error`, is raised once every earlier span has finished.
     """
     m, dim = len(batch), B_0.shape[-1]
     U = np.repeat(np.eye(dim, dtype=complex)[None], m, axis=0)
@@ -255,7 +317,7 @@ def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
     np.matmul(B_0, U, out=K_out[0])  # later steps take stage 1 from stage 7
     Y = np.empty((m, dim, dim), dtype=complex)  # the argument of a stage
     Y_rows = Y.reshape(m, 1, -1).view(np.float64)
-    failed: dict[int, StiffnessError] = {}
+    failed: dict[int, Exception] = {}
     while batch:
         m = len(batch)
         hT = np.array([sp.h for sp in batch])[:, None, None] * _TABLEAU
@@ -294,10 +356,7 @@ def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
             else:
                 h *= _MAX_GROWTH
             if abs(h) < sp.h_floor:
-                failed[sp.index] = StiffnessError(
-                    f"step size {abs(h):.3e} underflowed at t = {sp.x:.6g}; "
-                    "the coefficient family is too stiff for the 5(4) pair"
-                )
+                failed[sp.index] = _floor_error(sp, h, finite, K[k])
                 done.append(k)
             elif (sp.t1 - sp.x) * sp.direction <= 0:
                 done.append(k)
@@ -324,6 +383,26 @@ def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
                 Y, Y_rows = Y[:len(batch)], Y_rows[:len(batch)]
     if failed:
         raise failed[min(failed)]
+
+
+# a step h with h times B's scale at most this is well inside the 5(4)
+# pair's stability region, which reaches about 3.3 along the negative real axis
+_STABLE_STEP = 1.0
+
+
+def _floor_error(sp: _Span, h: float, finite: bool, K: np.ndarray) -> Exception:
+    """Why the step of span ``sp`` fell below its floor: OverflowError if its
+    last error estimate was non-finite because its stages ``K`` overflowed
+    at a step well inside the stability region, where only the size of U can
+    overflow them, or else StiffnessError."""
+    if not finite and np.isinf(K[1:]).any():
+        # B's scale, from stage 1, B(x) U
+        rate = float(np.max(abs(K[0]))) / sp.U_max if sp.U_max else math.inf
+        if abs(h) * rate <= _STABLE_STEP:
+            return OverflowError("the propagator leaves the double range after "
+                                 f"t = {sp.x:.6g}")
+    return StiffnessError(f"step size {abs(h):.3e} underflowed at t = {sp.x:.6g}; "
+                          "the coefficient family is too stiff for the 5(4) pair")
 
 
 def evolve(
@@ -365,19 +444,21 @@ def chain_series(segments: np.ndarray, times: Sequence[float]) -> np.ndarray:
 
 
 def evolution_series(
-    B: _Coefficient, times: Sequence[float], rel_tol: float = 1e-10
+    B: _Coefficient, times: Sequence[float], rel_tol: float = 1e-10,
+    breaks: Sequence[float] = (),
 ) -> tuple[np.ndarray, list[IntegratorStats]]:
     """The (len(times), n, n) stack of U(t_k, t_0) for non-decreasing times,
     chained segment by segment, and each segment's integrator statistics.
 
     U(t_k, t_0) = U(t_k, t_{k-1}) U(t_{k-1}, t_0), the segments integrated
-    side by side, so the work is linear in the number of samples.  Raises
-    OverflowError where the chain leaves the double range.
+    side by side and cut at B's ``breaks``, so the work is linear in the
+    number of samples.  Raises OverflowError where the chain leaves the
+    double range.
     """
     segments = series_segments(times)
     if not segments:  # one sample: U(t_0, t_0), with no span to size it
         return np.eye(B([times[0]]).shape[-1], dtype=complex)[None], []
-    mats, stats = _integrate_spans(B, segments, rel_tol)
+    mats, stats = _integrate_spans(B, segments, rel_tol, breaks)
     return chain_series(mats, times), stats
 
 
@@ -488,24 +569,27 @@ def check_nonauto_stone(
 
 
 def bagchi_hamiltonian(
-    nu: float, kappa: Callable[[float], float], lam: Callable[[float], float]
+    nu: float, kappa: Callable[[np.ndarray], np.ndarray],
+    lam: Callable[[np.ndarray], np.ndarray],
 ) -> _Coefficient:
     """Two-level non-Hermitian model: H(t) = nu I + i k(t) s3 + (l(t)/2)(s+ + s-).
 
     With s3 = diag(1, -1), s+ = [[0, 2], [0, 0]], s- = [[0, 0], [2, 0]] the
     matrix is complex symmetric for all t; the propagator solves
-    i U' = H(t) U, i.e. the coefficient returned is B(t) = -i H(t).  It
-    calls ``kappa`` and ``lam`` once per time and forms each entry with the
-    complex operations of the one-time matrix, so every value is the same
-    to the bit whatever the other times of a call.
+    i U' = H(t) U, i.e. the coefficient returned is B(t) = -i H(t).
+    ``kappa`` and ``lam`` map an array of times to the array of their real
+    values, each computed element by element, as ``amp * np.cos(freq * ts)``
+    is; each entry is formed with the complex operations of the one-time
+    matrix, so every value is the same to the bit whatever the other times
+    of a call.
     """
 
     def B(ts: Sequence[float]) -> np.ndarray:
-        k = np.array([kappa(t) for t in ts], dtype=complex)
-        H = np.empty((len(k), 2, 2), dtype=complex)
-        ik = 1j * k
+        ts = np.asarray(ts, dtype=float)
+        ik = 1j * np.asarray(kappa(ts), dtype=complex)
+        H = np.empty((len(ts), 2, 2), dtype=complex)
         H[:, 0, 0], H[:, 1, 1] = nu + ik, nu - ik
-        H[:, 0, 1] = H[:, 1, 0] = [lam(t) for t in ts]
+        H[:, 0, 1] = H[:, 1, 0] = lam(ts)
         return -1j * H
 
     return B

@@ -670,7 +670,8 @@ def dissipativity_checks(cfg: VerifyConfig) -> list[CheckRecord]:
 
 def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     rel_tol = 1e-10
-    B = bagchi_hamiltonian(1.0, lambda t: 0.3, lambda t: 1.0)
+    B = bagchi_hamiltonian(1.0, lambda ts: np.full(len(ts), 0.3),
+                           lambda ts: np.full(len(ts), 1.0))
     hs = np.array([3e-2, 1e-2, 3e-3, 1e-3])
     # one step loop for B: U(1, 0), which serves the axioms, the closed form,
     # the adjoint slope and the reversal; U(0, 1); the axioms' spans; and the
@@ -700,7 +701,7 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
                        "B(s) M = M B(s)^T along the whole time axis",
                        float(np.max(stone)), cfg.tol("nonauto_commutation")))
     # commuting family (time-varying detuning only): U inherits the symmetry
-    B2 = bagchi_hamiltonian(0.5, lambda t: 0.3 * math.cos(t), lambda t: 0.0)
+    B2 = bagchi_hamiltonian(0.5, lambda ts: 0.3 * np.cos(ts), lambda ts: np.full(len(ts), 0.0))
     sym = check_matrix_c_symmetry(evolve(B2, 0.0, 1.5, rel_tol).matrix, np.eye(2))
     out.append(_record("evolution.symmetry-commuting",
                        "U(t, s) M = M U(t, s)^T for commuting families",

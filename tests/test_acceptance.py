@@ -71,6 +71,11 @@ B0_CONJUGATIONS = (
 OFFSET = ConjugationParams(a=1.0, b=1j, c=math.exp(-0.5))
 
 
+def _flat(v):
+    """A parameter function of the two-level model that is v at every time."""
+    return lambda ts: np.full(len(ts), v)
+
+
 def test_criterion_01_conjugation_involution_isometry():
     vecs = complex_normal_vectors(SEED, 2, 64)
     f = vecs[0] / np.linalg.norm(vecs[0])
@@ -240,7 +245,7 @@ def test_criterion_11_dissipativity_margin_and_bound():
 
 def test_criterion_12_evolution_family_axioms_and_symmetry():
     rel_tol = 1e-10
-    B = bagchi_hamiltonian(1.0, lambda t: 0.5 * math.cos(t), lambda t: 0.8)
+    B = bagchi_hamiltonian(1.0, lambda ts: 0.5 * np.cos(ts), _flat(0.8))
     U_ts = evolve(B, 0.0, 1.5, rel_tol).matrix
     U_axioms, _ = _integrate_spans(B, axiom_spans((0.0, 0.6, 1.5)), rel_tol)
     ident, comp = check_evolution_axioms(U_axioms, U_ts)
@@ -248,7 +253,7 @@ def test_criterion_12_evolution_family_axioms_and_symmetry():
     assert comp <= 10 * rel_tol
     # constant coefficients against the hand 2x2 exponential
     nu, kappa, lam = 1.0, 0.3, 0.9
-    Bc = bagchi_hamiltonian(nu, lambda t: kappa, lambda t: lam)
+    Bc = bagchi_hamiltonian(nu, _flat(kappa), _flat(lam))
     tau = 1.25
     U = evolve(Bc, 0.0, tau, rel_tol=1e-12).matrix
     H = np.array([[nu + 1j * kappa, lam], [lam, nu - 1j * kappa]])
@@ -262,7 +267,7 @@ def test_criterion_12_evolution_family_axioms_and_symmetry():
     res = check_nonauto_stone(B, np.eye(2), s_grid=np.linspace(0, 2, 9))
     assert float(np.max(res)) <= np.finfo(float).eps
     # commuting family (diagonal coefficients) keeps the propagator symmetric
-    Bd = bagchi_hamiltonian(1.0, lambda t: 0.3 * math.cos(t), lambda t: 0.0)
+    Bd = bagchi_hamiltonian(1.0, lambda ts: 0.3 * np.cos(ts), _flat(0.0))
     assert check_matrix_c_symmetry(evolve(Bd, 0.0, 2.0).matrix, np.eye(2)) <= 1e-9
     # adjoint difference quotient is first order in h
     z = np.array([1.0, 0.5 - 0.25j])

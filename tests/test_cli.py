@@ -144,7 +144,7 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
           ("generator", {"variant": "dilation", "ell": 1e-300}))),
     # e^{800} leaves the double range in the chain of four finite segments, before
     # any record; at three samples the composition law's one piece, and at one
-    # sample U(1, 0), span the horizon and are too stiff to finish
+    # sample U(1, 0), span the horizon and overflow in the step loop
     *(pytest.param("evolution", {"B": "constant", "matrix": [[800]], "t": 1, "samples": n,
                                  "rel_tol": 1e-4}, "x", "params.matrix",
                    marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
@@ -776,9 +776,9 @@ def work(monkeypatch):
     integrate_spans, bagchi = evolution._integrate_spans, evolution.bagchi_hamiltonian
     wco_matrix, wco_matrices = wco.wco_matrix, wco.wco_matrices
 
-    def counting_spans(B, spans, rel_tol):
+    def counting_spans(B, spans, rel_tol, breaks=()):
         counts["spans"] += len(spans)
-        return integrate_spans(B, spans, rel_tol)
+        return integrate_spans(B, spans, rel_tol, breaks)
 
     def counting_matrix(*args, **kwargs):
         counts["matrices"] += 1
@@ -960,9 +960,9 @@ def evolve_calls(monkeypatch):
     calls = []
     original = evolution._integrate_spans
 
-    def recording(B, spans, rel_tol):
+    def recording(B, spans, rel_tol, breaks=()):
         calls.append(list(spans))
-        return original(B, spans, rel_tol)
+        return original(B, spans, rel_tol, breaks)
 
     for mod in (evolution, verification, cli):
         if getattr(mod, "_integrate_spans", None) is original:
@@ -1035,7 +1035,7 @@ def test_evolution_single_sample_integrates_u_ts_directly(tmp_path):
                  "--samples", "1", "--out", str(tmp_path / "evo.csv")]) == 0
     records = _records(_evolution_report(tmp_path, params, "json"))
     assert records["evolution.composition"]["status"] == "pass"
-    B, _, _ = cli._evolution_operator_from(params, (0.0, 2.0))
+    B, _, _, _ = cli._evolution_operator_from(params, (0.0, 2.0))
     U_ts = evolution.evolve(B, 0.0, 2.0).matrix
     assert records["evolution.transpose-symmetry"]["measured"] == \
         conjugation.check_matrix_c_symmetry(U_ts, np.eye(2))
@@ -1070,7 +1070,7 @@ def test_table_coefficient_interpolates_between_searchsorted_knots():
     knots = np.cumsum(rng.uniform(0.1, 1.0, 6))
     mats = rng.standard_normal((6, 2, 2))
     params = {"B": "table", "times": knots.tolist(), "matrices": mats.tolist()}
-    B, _, _ = cli._evolution_operator_from(params, (0.0, 1.0))
+    B, _, _, _ = cli._evolution_operator_from(params, (0.0, 1.0))
     times = [*knots, *rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, 300)]
     for t, value in zip(times, B(times)):
         if t <= knots[0]:
@@ -1089,10 +1089,10 @@ def _stiff_at(monkeypatch, span):
     call too stiff to integrate."""
     original = cli._integrate_spans
 
-    def stiff(B, spans, rel_tol):
+    def stiff(B, spans, rel_tol, breaks=()):
         if span in spans:
             raise evolution.StiffnessError(f"step size underflowed in {spans.index(span)}")
-        return original(B, spans, rel_tol)
+        return original(B, spans, rel_tol, breaks)
 
     monkeypatch.setattr(cli, "_integrate_spans", stiff)
 
@@ -1136,8 +1136,8 @@ def test_overflow_of_a_piece_chain_names_the_model_field(tmp_path, _outdir, caps
     # chain of the first two of the four pieces, leaves the double range
     original = cli._integrate_spans
 
-    def scaled(B, spans, rel_tol):
-        mats, stats = original(B, spans, rel_tol)
+    def scaled(B, spans, rel_tol, breaks=()):
+        mats, stats = original(B, spans, rel_tol, breaks)
         mats[9:] *= 1e200  # past the eight segments and U(t, t)
         return mats, stats
 
@@ -1152,6 +1152,24 @@ def test_overflow_of_a_piece_chain_names_the_model_field(tmp_path, _outdir, caps
     assert main(argv) == 1
     assert (f"input error: {field}: the propagator leaves the double range at t = 1\n"
             in capsys.readouterr().err)
+    assert not _outdir.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("samples, message", [
+    (5, "the propagator leaves the double range at t = 1"),
+    (3, "the propagator leaves the double range after t = 0.878873"),
+    (1, "the propagator leaves the double range after t = 0.878873"),
+])
+def test_overflowing_constant_model_reports_overflow(tmp_path, _outdir, capsys, samples,
+                                                    message):
+    # e^{800 t} is not stiff: a span over the horizon overflows in the step
+    # loop, and the chain of shorter segments after it
+    path = _scenario(tmp_path, {"name": "x", "kind": "evolution",
+                                "params": {"B": "constant", "matrix": [[800]], "t": 1,
+                                           "samples": samples, "rel_tol": 1e-4}})
+    assert main(["run", path]) == 1
+    assert capsys.readouterr().err.endswith(f"input error: params.matrix: {message}\n")
     assert not _outdir.exists()
 
 

@@ -41,6 +41,11 @@ def _constant(M):
     return lambda ts: np.broadcast_to(M, (len(ts), *M.shape))
 
 
+def _flat(v):
+    """A parameter function of the two-level model that is v at every time."""
+    return lambda ts: np.full(len(ts), v)
+
+
 def _closed_form(nu, kappa, lam, tau):
     """exp(-i tau H) for the constant two-level matrix, by hand.
 
@@ -82,7 +87,7 @@ def test_evolve_rejects_reversed_interval():
 
 
 def test_zero_span_is_identity_with_zero_steps():
-    B = bagchi_hamiltonian(1.0, lambda t: 0.3, lambda t: 0.5)
+    B = bagchi_hamiltonian(1.0, _flat(0.3), _flat(0.5))
     op = evolve(B, 0.7, 0.7)
     np.testing.assert_array_equal(op.matrix, np.eye(2))
     assert op.stats.steps == 0
@@ -90,7 +95,7 @@ def test_zero_span_is_identity_with_zero_steps():
 
 
 def test_integrator_stats_are_sane():
-    B = bagchi_hamiltonian(1.0, lambda t: 0.5 * math.cos(t), lambda t: 0.8)
+    B = bagchi_hamiltonian(1.0, lambda ts: 0.5 * np.cos(ts), _flat(0.8))
     op = evolve(B, 0.0, 2.0, rel_tol=1e-10)
     assert op.s == 0.0 and op.t == 2.0
     assert op.stats.steps >= 1
@@ -102,7 +107,7 @@ def test_integrator_stats_are_sane():
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
 def test_axioms_within_budget(rel_tol):
-    B = bagchi_hamiltonian(1.0, lambda t: 0.5 * math.cos(t), lambda t: 0.8 + 0.1 * t)
+    B = bagchi_hamiltonian(1.0, lambda ts: 0.5 * np.cos(ts), lambda ts: 0.8 + 0.1 * ts)
     U_ts = evolve(B, 0.0, 1.5, rel_tol).matrix
     U_axioms, _ = _integrate_spans(B, axiom_spans((0.0, 0.6, 1.5)), rel_tol)
     ident, comp = check_evolution_axioms(U_axioms, U_ts)
@@ -158,7 +163,7 @@ def test_series_raises_where_the_chain_overflows():
 
 
 def test_backward_integration_inverts_forward():
-    B = bagchi_hamiltonian(0.5, lambda t: 0.4 * math.sin(t), lambda t: 0.7)
+    B = bagchi_hamiltonian(0.5, lambda ts: 0.4 * np.sin(ts), _flat(0.7))
     fwd = evolve(B, 0.0, 1.0, rel_tol=1e-12).matrix
     back, _ = _integrate(B, 1.0, 0.0, 1e-12)
     assert np.max(np.abs(back @ fwd - np.eye(2))) <= 1e-11
@@ -176,7 +181,7 @@ def test_backward_integration_inverts_forward():
     ],
 )
 def test_constant_two_level_matches_closed_form(nu, kappa, lam):
-    B = bagchi_hamiltonian(nu, lambda t: kappa, lambda t: lam)
+    B = bagchi_hamiltonian(nu, _flat(kappa), _flat(lam))
     for s, t in ((0.0, 0.5), (0.25, 1.75)):
         U = evolve(B, s, t, rel_tol=1e-12).matrix
         ref = _closed_form(nu, kappa, lam, t - s)
@@ -184,14 +189,14 @@ def test_constant_two_level_matches_closed_form(nu, kappa, lam):
 
 
 def test_no_damping_propagator_is_unitary():
-    B = bagchi_hamiltonian(1.3, lambda t: 0.0, lambda t: 0.9 + 0.2 * math.sin(t))
+    B = bagchi_hamiltonian(1.3, _flat(0.0), lambda ts: 0.9 + 0.2 * np.sin(ts))
     U = evolve(B, 0.0, 2.0, rel_tol=1e-12).matrix
     assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 1e-10
 
 
 def test_solver_agrees_with_scipy_reference():
     nu, lam_0 = 1.0, 0.8
-    B = bagchi_hamiltonian(nu, lambda t: 0.5 * math.cos(t), lambda t: lam_0)
+    B = bagchi_hamiltonian(nu, lambda ts: 0.5 * np.cos(ts), _flat(lam_0))
 
     def rhs(t, y):
         return (B([t])[0] @ y.reshape(2, 2)).ravel()
@@ -217,7 +222,7 @@ def test_hamiltonian_is_pauli_combination():
     s_minus = np.array([[0.0, 0.0], [2.0, 0.0]], dtype=complex)
     nu, k, l = 1.5, 0.4, 0.9
     H_direct = nu * np.eye(2) + 1j * k * s3 + (l / 2.0) * (s_plus + s_minus)
-    B = bagchi_hamiltonian(nu, lambda t: k, lambda t: l)
+    B = bagchi_hamiltonian(nu, _flat(k), _flat(l))
     np.testing.assert_array_equal(B([0.0])[0], -1j * H_direct)
 
 
@@ -230,7 +235,7 @@ def test_hamiltonian_is_pauli_combination():
 )
 @settings(max_examples=50, deadline=None)
 def test_coefficient_matrix_always_symmetric(nu, k0, k1, l0, t):
-    B = bagchi_hamiltonian(nu, lambda s: k0 + k1 * s, lambda s: l0 * math.cos(s))
+    B = bagchi_hamiltonian(nu, lambda ts: k0 + k1 * ts, lambda ts: l0 * np.cos(ts))
     M = B([t])[0]
     assert np.array_equal(M, M.T)
 
@@ -252,16 +257,20 @@ def _table_at(knots, mats, t):
 
 
 @pytest.mark.parametrize("nu, kappa, lam", [
-    (1.0, lambda t: 0.4 * math.cos(1.3 * t + 0.3), lambda t: math.cos(0.7 * t + 1.1)),
-    *[(0.0, lambda t, k=k: k, lambda t, l=l: l)
-      for k, l in itertools.product((0.0, -0.0), repeat=2)],
+    (1.0, lambda ts: 0.4 * np.cos(1.3 * ts + 0.3), lambda ts: np.cos(0.7 * ts + 1.1)),
+    *[(0.0, _flat(k), _flat(l)) for k, l in itertools.product((0.0, -0.0), repeat=2)],
 ], ids=["cosine", "nu0-k+0-l+0", "nu0-k+0-l-0", "nu0-k-0-l+0", "nu0-k-0-l-0"])
 def test_batched_two_level_values_equal_one_time_values_bytewise(nu, kappa, lam):
     times = np.random.default_rng(2).uniform(-10.0, 10.0, 400).tolist()
-    got = bagchi_hamiltonian(nu, kappa, lam)(times)
-    ref = np.array([_bagchi_at(nu, kappa(t), lam(t)) for t in times])
+    B = bagchi_hamiltonian(nu, kappa, lam)
+    got = B(times)
+    # the parameters at one time, as one time was evaluated alone
+    ref = np.array([_bagchi_at(nu, kappa(np.array([t]))[0], lam(np.array([t]))[0])
+                    for t in times])
     assert got.shape == (400, 2, 2)
     assert got.tobytes() == ref.tobytes()
+    # the coefficient at an array of times is the stack of its one-time values
+    assert got.tobytes() == np.array([B([t])[0] for t in times]).tobytes()
 
 
 @pytest.mark.parametrize("count", [2, 6])
@@ -273,7 +282,8 @@ def test_batched_table_values_equal_one_time_values_bytewise(count):
     mats[-1, 2, 2] = complex(0.0, -0.0)
     params = {"B": "table", "times": knots,
               "matrices": [[[[z.real, z.imag] for z in row] for row in M] for M in mats]}
-    B, _, _ = cli._evolution_operator_from(params, (0.0, 1.0))
+    B, breaks, _, _ = cli._evolution_operator_from(params, (0.0, 1.0))
+    assert breaks == knots  # every knot is a kink, the end knots too
     # every knot, below and above the range, and between the knots
     times = [*knots, knots[0] - 1.0, knots[-1] + 1.0,
              *rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, 400).tolist()]
@@ -283,7 +293,9 @@ def test_batched_table_values_equal_one_time_values_bytewise(count):
 
 def test_constant_model_is_a_view_of_its_matrix():
     M = [[[0.5, -0.0], [1.0, 2.0]], [[-0.0, 0.0], [3.0, -1.0]]]
-    B, _, _ = cli._evolution_operator_from({"B": "constant", "matrix": M}, (0.0, 1.0))
+    B, breaks, _, _ = cli._evolution_operator_from({"B": "constant", "matrix": M},
+                                                   (0.0, 1.0))
+    assert breaks == []
     values = B([0.0, 0.3, 2.0])
     assert values.shape == (3, 2, 2) and np.shares_memory(values, B([1.0]))
     assert values.strides[0] == 0  # broadcast over the times, not copied
@@ -294,7 +306,7 @@ def test_constant_model_is_a_view_of_its_matrix():
 # --- symmetry of the propagator -----------------------------------------------
 
 def test_stone_residual_zero_for_symmetric_coefficients():
-    B = bagchi_hamiltonian(1.0, lambda t: 0.3 * math.cos(t), lambda t: 0.6)
+    B = bagchi_hamiltonian(1.0, lambda ts: 0.3 * np.cos(ts), _flat(0.6))
     res = check_nonauto_stone(B, np.eye(2), s_grid=np.linspace(0, 2, 9))
     assert np.all(res == 0.0)
 
@@ -317,13 +329,13 @@ def test_stone_residual_measures_swap_asymmetry():
 def test_propagator_symmetric_for_commuting_family():
     # lam = 0 keeps every B(t) diagonal, so the family commutes and the
     # propagator inherits the coefficient symmetry
-    B = bagchi_hamiltonian(1.0, lambda t: 0.3 * math.cos(t), lambda t: 0.0)
+    B = bagchi_hamiltonian(1.0, lambda ts: 0.3 * np.cos(ts), _flat(0.0))
     dev = check_matrix_c_symmetry(evolve(B, 0.0, 2.0).matrix, np.eye(2))
     assert dev <= 1e-9
 
 
 def test_propagator_symmetric_for_constant_coefficient():
-    B = bagchi_hamiltonian(0.7, lambda t: 0.4, lambda t: 1.1)
+    B = bagchi_hamiltonian(0.7, _flat(0.4), _flat(1.1))
     dev = check_matrix_c_symmetry(evolve(B, 0.0, 1.5).matrix, np.eye(2))
     assert dev <= 1e-9
 
@@ -333,7 +345,7 @@ def test_noncommuting_family_symmetry_is_only_measured():
     # propagator has no reason to stay symmetric — the check still returns
     # a finite defect rather than asserting anything
     B = bagchi_hamiltonian(
-        1.0, lambda t: 0.8 * math.cos(3 * t), lambda t: 0.9 * math.sin(2 * t)
+        1.0, lambda ts: 0.8 * np.cos(3 * ts), lambda ts: 0.9 * np.sin(2 * ts)
     )
     dev = check_matrix_c_symmetry(evolve(B, 0.0, 2.0).matrix, np.eye(2))
     assert math.isfinite(dev)
@@ -342,7 +354,7 @@ def test_noncommuting_family_symmetry_is_only_measured():
 # --- adjoint difference quotient -----------------------------------------------
 
 def test_adjoint_family_quotient_is_first_order():
-    B = bagchi_hamiltonian(1.0, lambda t: 0.5 * math.cos(t), lambda t: 0.8)
+    B = bagchi_hamiltonian(1.0, lambda ts: 0.5 * np.cos(ts), _flat(0.8))
     z = np.array([1.0, 0.5 - 0.25j])
     hs = np.array([3e-2, 1e-2, 3e-3, 1e-3])
     U_10 = evolve(B, 0.0, 1.0, rel_tol=1e-12).matrix
@@ -365,11 +377,25 @@ def test_nan_coefficients_raise_stiffness_error():
         evolve(B, 0.0, 1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflow_is_reported_as_overflow_not_stiffness():
+    # e^{800 t} leaves the double range near t = 0.887: the stages overflow at
+    # steps far inside the stability region, so the span overflows
+    with pytest.raises(OverflowError, match="leaves the double range after t = 0.878873$"):
+        evolve(_constant([[800.0]]), 0.0, 1.0, 1e-4)
+    # a stiff generator's estimates stay finite, and B = -1e300 i I, whose
+    # propagator has modulus 1, overflows its stages only at steps far
+    # outside the stability region: both are too stiff
+    for M in ([[1e13]], [[-1e300j]]):
+        with pytest.raises(StiffnessError, match="underflowed at t = 0;"):
+            evolve(_constant(M), 0.0, 1.0)
+
+
 # --- chained time series -------------------------------------------------------
 
 def _bagchi_cosine():
-    return bagchi_hamiltonian(1.0, lambda t: 0.4 * math.cos(1.3 * t + 0.3),
-                      lambda t: math.cos(0.7 * t + 1.1))
+    return bagchi_hamiltonian(1.0, lambda ts: 0.4 * np.cos(1.3 * ts + 0.3),
+                      lambda ts: np.cos(0.7 * ts + 1.1))
 
 
 def test_chained_series_matches_per_sample_evolve():
@@ -425,9 +451,9 @@ def test_adjoint_family_integrates_u_once(monkeypatch):
     hs = (3e-2, 1e-2, 3e-3, 1e-3)
     calls = []
 
-    def counting(B, spans, rel_tol):
+    def counting(B, spans, rel_tol, breaks=()):
         calls.append(list(spans))
-        return _integrate_spans(B, spans, rel_tol)
+        return _integrate_spans(B, spans, rel_tol, breaks)
 
     U_t = evolve(B, 0.0, 1.0, 1e-12).matrix
     # the caller integrates the short spans U(1 + h, 1), none from 0
@@ -446,9 +472,9 @@ def test_evolution_group_integrates_b_in_one_call(monkeypatch):
     calls = []
     original = evolution._integrate_spans
 
-    def recording(B, spans, rel_tol):
+    def recording(B, spans, rel_tol, breaks=()):
         calls.append((list(spans), rel_tol))
-        return original(B, spans, rel_tol)
+        return original(B, spans, rel_tol, breaks)
 
     for mod in (evolution, verification):
         monkeypatch.setattr(mod, "_integrate_spans", recording)
@@ -719,3 +745,162 @@ def test_batch_raises_the_sequential_stiffness_error(order, spans_per_batch, mon
         with pytest.raises(StiffnessError) as got:
             _integrate_spans(B, spans, tols)
         assert str(got.value) == expected
+
+
+# --- spans cut at breaks -----------------------------------------------------------
+
+_KINKS = [0.0, 0.7, 1.3, 2.2, 3.0]  # the kinks of _kinked_table, the clamped ends too
+
+
+def _cut_alone(make, t0, t1, rel_tol, cuts):
+    """U(t1, t0) as the ordered product of the cuts at ``cuts``, each integrated
+    alone, and their summed statistics."""
+    bounds = [t0, *cuts, t1]
+    U, steps, rejected, max_err = None, 0, 0, 0.0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        U_cut, st = _integrate(make(), a, b, rel_tol)
+        U = U_cut if U is None else U_cut @ U
+        steps, rejected = steps + st.steps, rejected + st.rejected
+        max_err = max(max_err, st.max_local_error)
+    return U, IntegratorStats(steps=steps, rejected=rejected, max_local_error=max_err)
+
+
+@pytest.mark.parametrize("make, spans, breaks", [
+    # breaks outside every span or on its ends, a zero span on a break
+    (_bagchi_cosine, [(0.0, 1.0), (1.0, 2.5), (4.0, 2.5), (2.5, 2.5), (-1.0, 0.0)],
+     [-3.0, 0.0, 1.0, 2.5, 4.0, 9.0]),
+    (_kinked_table, [(0.7, 1.3), (2.2, 1.3), (1.3, 1.3), (3.0, 4.0), (-1.0, 0.0)], _KINKS),
+], ids=["bagchi-cosine", "kinked-table"])
+def test_span_with_no_break_inside_is_integrated_as_without_breaks(make, spans, breaks):
+    for tols in (1e-10, _tolerances("mixed", len(spans))):
+        mats, stats = _integrate_spans(make(), spans, tols, breaks)
+        mats_ref, stats_ref = _integrate_spans(make(), spans, tols)
+        assert mats.tobytes() == mats_ref.tobytes()
+        assert stats == stats_ref
+
+
+@pytest.mark.parametrize("t0, t1, cuts", [
+    (0.0, 3.0, [0.7, 1.3, 2.2]),
+    (-0.5, 3.5, [0.0, 0.7, 1.3, 2.2, 3.0]),  # past both clamped ends
+    (3.0, 0.2, [2.2, 1.3, 0.7]),  # backward: the cuts in reverse order
+    (0.7, 2.0, [1.3]),  # a break on the start is no cut
+    (2.5, 0.7, [2.2, 1.3]),  # nor one on the end
+    (1.0, 1.0, []),  # a zero span is I
+], ids=["forward", "past-the-ends", "backward", "break-on-start", "break-on-end", "zero"])
+def test_cut_span_is_the_product_of_its_cuts_alone(t0, t1, cuts):
+    (U,), (stats,) = _integrate_spans(_kinked_table(), [(t0, t1)], 1e-10, _KINKS)
+    U_ref, stats_ref = _cut_alone(_kinked_table, t0, t1, 1e-10, cuts)
+    assert U.tobytes() == U_ref.tobytes()
+    assert stats == stats_ref
+
+
+@pytest.mark.parametrize("spans_per_batch", [None, 2])
+def test_batch_with_breaks_matches_each_span_alone_bit_for_bit(spans_per_batch,
+                                                              monkeypatch):
+    # the cuts of all spans share the batches, in span order
+    _split_batches(monkeypatch, 3, spans_per_batch)
+    spans = [(0.0, 3.0), (0.5, 1.0), (3.0, 0.2), (1.0, 1.0), (2.0, 2.9)]
+    for tol_mode in ("one", "mixed"):
+        B, count = _counting(_kinked_table())
+        tols = _tolerances(tol_mode, len(spans))
+        mats, stats = _integrate_spans(B, spans, tols, _KINKS)
+        assert mats.shape == (len(spans), 3, 3) and len(stats) == len(spans)
+        for j, (span, U, st) in enumerate(zip(spans, mats, stats)):
+            tol = tols if tol_mode == "one" else tols[j]
+            (U_alone,), (st_alone,) = _integrate_spans(_kinked_table(), [span], tol, _KINKS)
+            assert U.tobytes() == U_alone.tobytes() and st == st_alone
+        # B at every cut's start (4 + 2 + 4 + 1 + 2 cuts), then five times per
+        # attempted step
+        assert count["times"] == 13 + 5 * sum(st.steps + st.rejected for st in stats)
+
+
+def test_tolerances_are_checked_with_breaks_present():
+    B = _kinked_table()
+    with pytest.raises(ValueError, match="2 tolerances for 3 spans"):
+        _integrate_spans(B, [(0.0, 1.0)] * 3, [1e-10, 1e-12], _KINKS)
+    with pytest.raises(ValueError, match="rel_tol must be positive"):
+        _integrate_spans(B, [(0.0, 1.0)] * 2, [1e-10, 0.0], _KINKS)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+@pytest.mark.parametrize("spans_per_batch", [None, 2])
+def test_batch_with_breaks_raises_the_sequential_stiffness_error(order, spans_per_batch,
+                                                                monkeypatch):
+    _split_batches(monkeypatch, 1, spans_per_batch)
+    B, breaks = _stiff_past_two(), [0.5, 1.0, 2.4]
+    spans = [[(0.0, 1.0), (1.5, 2.5), (0.2, 1.8), (2.2, 2.8)][i] for i in order]
+    for tol_mode in ("one", "mixed"):
+        tols = _tolerances(tol_mode, len(spans))
+        expected = None
+        for j, span in enumerate(spans):  # one after another, as a plain loop would
+            try:
+                _integrate_spans(B, [span], tols if tol_mode == "one" else tols[j], breaks)
+            except StiffnessError as exc:
+                expected = str(exc)
+                break
+        assert expected is not None
+        with pytest.raises(StiffnessError) as got:
+            _integrate_spans(B, spans, tols, breaks)
+        assert str(got.value) == expected
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_product_of_cuts_that_overflows_raises():
+    # each cut of [0, 1] grows by e^{400}: finite alone, their product is not
+    B = _constant([[800.0]])
+    with pytest.raises(OverflowError, match="leaves the double range at t = 1$"):
+        _integrate_spans(B, [(0.0, 1.0)], 1e-4, [0.5])
+
+
+def _dop853_knot_to_knot(B, s, t, knots):
+    """U(t, s) by DOP853 at rtol 1e-13, restarted at every knot inside (s, t)."""
+    n = B([s]).shape[-1]
+
+    def rhs(x, y):
+        return (B([x])[0] @ y.view(complex).reshape(n, n)).ravel().view(float)
+
+    U = np.eye(n, dtype=complex)
+    bounds = [s, *[k for k in knots if s < k < t], t]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        sol = solve_ivp(rhs, (a, b), U.ravel().view(float), method="DOP853",
+                        rtol=1e-13, atol=1e-15)
+        U = sol.y[:, -1].copy().view(complex).reshape(n, n)
+    return U
+
+
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def test_table_run_past_its_ends_takes_no_rejected_step(monkeypatch):
+    # the benchmark's table shape, the fixed damped spectrum in a seeded basis at
+    # each knot, whose run over [0, 5] starts below its first knot and ends past
+    # its last: no step of the run's one call straddles a kink (without the
+    # cuts it rejects 285 steps; other draws of the bases reject up to two
+    # steps, in smooth stretches, against 277-358)
+    rng = np.random.default_rng(1)
+    spectrum = np.linspace(-1.0, 1.0, 3) - 1j * np.linspace(0.0, 0.3, 3)
+    knots = [0.5 + 0.8 * i for i in range(6)]
+    mats = [-1j * (O * spectrum) @ O.T for O in (_orthogonal(rng, 3) for _ in knots)]
+    params = {"B": "table", "times": knots,
+              "matrices": [[[[z.real, z.imag] for z in row] for row in M] for M in mats]}
+    B, breaks, _, _ = cli._evolution_operator_from(params, (0.0, 5.0))
+    assert breaks == knots
+    stats = []
+    original = cli._integrate_spans
+
+    def recording(B, spans, rel_tol, breaks=()):
+        mats, st = original(B, spans, rel_tol, breaks)
+        stats.extend(st)
+        return mats, st
+
+    monkeypatch.setattr(cli, "_integrate_spans", recording)
+    times, series, records = cli._series_and_records(
+        verification.VerifyConfig(dim=3), B, breaks, (0.0, 5.0), 11, 1e-10)
+    assert sum(st.rejected for st in stats) == 0
+    assert sum(st.steps for st in stats) > 0
+    for k in (5, 10):  # the middle and the last sample
+        ref = _dop853_knot_to_knot(B, 0.0, float(times[k]), knots)
+        assert np.max(np.abs(series[k] - ref)) <= 1e-11
+    assert {r.check_id: r.status for r in records}["evolution.composition"] == "pass"

@@ -146,9 +146,9 @@ def test_report_matches_golden(label, tmp_path):
 def _entrywise_rows(params: dict) -> list[list[str]]:
     """Series CSV rows built entry by entry from numpy scalars, each cell by _cell."""
     s, t = params.get("s", 0.0), params["t"]  # the kind's default s is 0
-    B, _, _ = _evolution_operator_from(params, (s, t))
+    B, breaks, _, _ = _evolution_operator_from(params, (s, t))
     times = np.linspace(s, t, params["samples"])
-    series, _ = evolution_series(B, times, params.get("rel_tol", 1e-10))
+    series, _ = evolution_series(B, times, params.get("rel_tol", 1e-10), breaks)
     rows = []
     for tk, U in zip(times, series):
         row = [float(tk)]
