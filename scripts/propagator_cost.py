@@ -10,8 +10,8 @@ segment of a batch, so a batch takes as many passes as its longest segment
 takes attempted steps), its wall time, the steps of one span U(t, 0), and the
 largest entry error over all samples against scipy's DOP853 at rtol 1e-13,
 restarted at every sample time and every break of the model. A model with
-breaks (the table's knots) has its segments and its one span cut there, as an
-``evolution`` run cuts its spans. A second, untimed pass through a counting
+breaks (the table's knots where it bends) has its segments and its one span
+cut there, as an ``evolution`` run cuts its spans. A second, untimed pass through a counting
 wrapper of the operator counts the calls of B and the times it is evaluated
 at, apart. There is one call for the start of every segment (every cut, for a
 model with breaks) and one per pass, so the passes are the calls less one.

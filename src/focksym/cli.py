@@ -458,6 +458,18 @@ def _matrix_from(entry: Any, path: str) -> np.ndarray:
     return M
 
 
+# A table knot is a break where the table bends by more than this many times
+# rel_tol max|B|.  Its bend is the jump of its slope times its distance to
+# the nearer knot (a second difference of the matrices, for equal spacing),
+# and the slope is zero past the clamped ends; sizes are max-abs entries.
+# Cutting a span at a knot costs at least about four steps, and not cutting
+# costs the rejections of the steps that straddle it.  On tables of 101 and
+# 1001 knots at rel_tol 1e-8 to 1e-12 the two cost about the same at bends
+# of 3e3 to 3e4 rel_tol max|B| (BENCH_knots.json, "dense_tables"); tables of
+# random matrices bend by about max|B| at every knot.
+_BEND_PER_TOL = 1e4
+
+
 def _evolution_operator_from(params: dict, span: tuple[float, float]
                              ) -> tuple[Callable[[Sequence[float]], np.ndarray],
                                         list[float], dict, str]:
@@ -465,8 +477,9 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
     its report payload, and the field path of its coefficients, named on
     stiffness or overflow.
 
-    A table's breaks are all its knots, the end knots too, where the clamp
-    to the end matrices is a kink; the other models are smooth."""
+    A table's breaks are its knots where it bends by more than
+    ``_BEND_PER_TOL`` rel_tol max|B|, the end knots too, where the clamp to
+    the end matrices is a kink; the other models are smooth."""
     model = _get(params, "params", "B", str)
     if model not in _EVOLUTION_MODELS:
         raise ScenarioError("params.B", f"expected one of {_EVOLUTION_MODELS}")
@@ -508,8 +521,17 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
         out[at >= ts[-1]] = stack[-1]
         return out
 
+    rel_tol = _get(params, "params", "rel_tol", float, 1e-10)
+    gaps = np.diff(ts)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing bend is a break
+        slopes = np.diff(stack, axis=0) / gaps[:, None, None]
+        flat = np.zeros((1, *stack.shape[1:]))
+        jumps = np.diff(np.concatenate((flat, slopes, flat)), axis=0)
+        nearer = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
+        bends = np.abs(jumps).max(axis=(1, 2)) * nearer
+        breaks = ts[~(bends <= _BEND_PER_TOL * rel_tol * np.abs(stack).max())]
     meta = {"model": "table", "dim": stack.shape[1], "samples": len(times)}
-    return eval_b, ts.tolist(), meta, "params.matrices"
+    return eval_b, breaks.tolist(), meta, "params.matrices"
 
 
 def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.ndarray],

@@ -10,7 +10,9 @@ copy); no value is used after the next call.  Where a coefficient is not
 smooth, as a piecewise-linear table is at its knots, its caller hands those
 times in as breaks: every span is cut at each break strictly inside it,
 and its U is the ordered product of its cuts, each integrated as a span of
-its own, so that no step straddles a kink.
+its own, so that no step straddles a kink.  A cut costs at least about
+four steps, so a caller names only kinks that cost more than that to step
+across.
 
 The propagator is integrated as a full matrix with an adaptive embedded
 Runge-Kutta pair of orders 5(4) (Dormand-Prince tableau).  Local error is
@@ -218,18 +220,19 @@ def _integrate_spans(
     are integrated side by side, in consecutive batches whose stages fit in
     ``_BATCH_BYTES``, each span with the arithmetic of a span integrated
     alone at its own tolerance, so each result is the same to the bit
-    whatever the batch and the tolerances of its batch-mates.  If a span
-    fails, the StiffnessError or OverflowError raised is that of the first
-    failing span in the order given, the one a loop over the spans would
-    raise.
+    whatever the batch and the tolerances of its batch-mates.
 
     ``breaks`` are times where B is not smooth, such as a table's knots.  A
     span is cut at every break strictly inside it, and its cuts, in the
     span's direction, take its place in the batches at its tolerance.  Its
     U is their ordered product, its steps and rejections their sums and its
-    largest local error theirs; a product that leaves the double range
-    raises OverflowError.  A span with no break inside is integrated as
-    without ``breaks``.
+    largest local error theirs.  A span with no break inside is integrated
+    as without ``breaks``.
+
+    If a span fails, the error raised is that of the first failing span in
+    the order given, the one a loop over the spans would raise: the
+    StiffnessError or OverflowError of its first failing cut, or else the
+    OverflowError of a product of its cuts that leaves the double range.
     """
     tols = [rel_tol] * len(spans) if np.ndim(rel_tol) == 0 else list(rel_tol)
     if len(tols) != len(spans):
@@ -245,69 +248,86 @@ def _integrate_spans(
         cuts += zip(bounds[:-1], bounds[1:])
         cut_tols += [tol] * (len(bounds) - 1)
         counts.append(len(bounds) - 1)
-    mats, stats = _integrate_cuts(B, cuts, cut_tols)
-    if len(cuts) == len(spans):
-        return mats, stats
-    return _join_cuts(mats, stats, cuts, counts)
+    return _join_cuts(*_integrate_cuts(B, cuts, cut_tols), cuts, counts)
 
 
-def _integrate_cuts(B: _Coefficient, spans: list[tuple[float, float]],
-                    tols: list[float]) -> tuple[np.ndarray, list[IntegratorStats]]:
-    """:func:`_integrate_spans` of spans that no break cuts."""
+def _integrate_cuts(B: _Coefficient, spans: list[tuple[float, float]], tols: list[float]
+                    ) -> tuple[np.ndarray, list[IntegratorStats], tuple[int, Exception] | None]:
+    """The U and statistics of spans that no break cuts, and the index and
+    error of the first span that fails, or None.  No span after it is
+    integrated."""
     # the size of the problem, and each span's first stage 1
     B_t0 = B([t0 for t0, _ in spans])
     dim = B_t0.shape[-1]
     mats = np.tile(np.eye(dim, dtype=complex), (len(spans), 1, 1))  # a zero span's U is I
     every = [_Span(j, t0, t1, float(tol)) for j, ((t0, t1), tol) in enumerate(zip(spans, tols))]
     batch = [sp for sp in every if sp.t1 != sp.x]
+    failure = None
     if batch:
         B_0 = B_t0[[sp.index for sp in batch]]  # a copy: no value outlives its call
         size = max(1, _BATCH_BYTES // (7 * 16 * dim ** 2))
         for i in range(0, len(batch), size):
-            _integrate_batch(B, batch[i:i + size], B_0[i:i + size], mats)
-    return mats, [sp.stats() for sp in every]
+            failure = _integrate_batch(B, batch[i:i + size], B_0[i:i + size], mats)
+            if failure:
+                break
+    return mats, [sp.stats() for sp in every], failure
 
 
 # a product that overflows is checked for afterwards, so its overflow and
 # invalid values stay silent
 @np.errstate(over="ignore", invalid="ignore")
 def _join_cuts(mats: np.ndarray, stats: list[IntegratorStats],
+               failure: tuple[int, Exception] | None,
                cuts: list[tuple[float, float]], counts: list[int]
                ) -> tuple[np.ndarray, list[IntegratorStats]]:
     """Each span's U as the ordered product of its ``counts[j]`` consecutive
-    cuts, and its statistics from theirs."""
-    joined = np.empty((len(counts), *mats.shape[1:]), dtype=complex)
+    cuts, written over the cuts' stack, and its statistics from theirs.
+
+    Spans are joined in order, so the error raised is the first span's: a
+    product that leaves the double range, or the ``failure`` (index, error)
+    of a cut.
+    """
+    failed_cut, error = failure or (len(cuts), None)
     joined_stats = []
     start = 0
     for j, count in enumerate(counts):
+        if start + count > failed_cut:
+            raise error
+        if count == 1:  # an uncut span, in place while no span before it was cut
+            if j < start:
+                mats[j] = mats[start]
+            joined_stats.append(stats[start])
+            start += 1
+            continue
         U = mats[start]
         for k in range(start + 1, start + count):
             U = mats[k] @ U
             if not np.isfinite(U).all():
                 raise OverflowError("the propagator leaves the double range at "
                                     f"t = {cuts[k][1]:.6g}")
-        joined[j] = U
+        mats[j] = U  # j <= start: only cuts already read are written over
         own = stats[start:start + count]
         joined_stats.append(IntegratorStats(
             steps=sum(st.steps for st in own), rejected=sum(st.rejected for st in own),
             max_local_error=max(st.max_local_error for st in own)))
         start += count
-    return joined, joined_stats
+    return mats[:len(counts)], joined_stats
 
 
 # a step whose stages overflow has a non-finite error estimate and is
 # rejected, so its overflow and invalid values are expected and stay silent
 @np.errstate(over="ignore", invalid="ignore")
 def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
-                     mats: np.ndarray) -> None:
+                     mats: np.ndarray) -> tuple[int, Exception] | None:
     """Integrate the spans of ``batch``, whose B(t0) are ``B_0``, side by side.
 
     Every pass of the loop attempts one step of each unfinished span, and a
     span leaves the batch when it is done; its U goes to
     ``mats[span.index]``, and its statistics stay in the span.  A span whose
     step size falls below its floor stops, and so does every later span,
-    which cannot change what is raised: its error, of
-    :func:`_floor_error`, is raised once every earlier span has finished.
+    which cannot change the first failure: once every earlier span has
+    finished, the index of the first failing span and its error, of
+    :func:`_floor_error`, are returned, or None if no span failed.
     """
     m, dim = len(batch), B_0.shape[-1]
     U = np.repeat(np.eye(dim, dtype=complex)[None], m, axis=0)
@@ -381,8 +401,7 @@ def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
                 U_rows = U.reshape(len(batch), 1, -1).view(np.float64)
                 K_out, K_in = _stage_views(K)
                 Y, Y_rows = Y[:len(batch)], Y_rows[:len(batch)]
-    if failed:
-        raise failed[min(failed)]
+    return min(failed.items(), default=None)
 
 
 # a step h with h times B's scale at most this is well inside the 5(4)

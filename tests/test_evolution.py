@@ -666,34 +666,41 @@ def _tolerances(mode, n):
     return 1e-10 if mode == "one" else [(1e-10, 1e-12)[j % 2] for j in range(n)]
 
 
-@pytest.mark.parametrize("make, spans", [
+@pytest.mark.parametrize("make, spans, knots", [
     # unequal forward spans, a backward span and a zero span
-    (_bagchi_cosine, [(0.0, 5.0), (1.0, 1.3), (4.0, -1.0), (2.0, 2.0), (0.5, 3.5)]),
-    (_kinked_table, [(0.0, 3.0), (0.5, 1.0), (3.0, 0.2), (1.0, 1.0), (2.0, 2.9)]),
+    (_bagchi_cosine, [(0.0, 5.0), (1.0, 1.3), (4.0, -1.0), (2.0, 2.0), (0.5, 3.5)],
+     [1.0, 2.0, 4.5]),
+    (_kinked_table, [(0.0, 3.0), (0.5, 1.0), (3.0, 0.2), (1.0, 1.0), (2.0, 2.9)],
+     [0.0, 0.7, 1.3, 2.2, 3.0]),
     # one array for every value of B, broadcast over the batch
-    (_constant_d16, [(0.0, 2.0), (0.3, 0.4), (2.0, 0.0), (1.0, 1.0)]),
+    (_constant_d16, [(0.0, 2.0), (0.3, 0.4), (2.0, 0.0), (1.0, 1.0)], [0.35, 1.0]),
 ], ids=["bagchi-cosine", "kinked-table", "constant-d16"])
 @pytest.mark.parametrize("spans_per_batch", [None, 2])
-def test_batch_matches_each_span_alone_bit_for_bit(make, spans, spans_per_batch,
+def test_batch_matches_each_span_alone_bit_for_bit(make, spans, knots, spans_per_batch,
                                                    monkeypatch):
     n = make()([0.0]).shape[-1]
     _split_batches(monkeypatch, n, spans_per_batch)
-    for tol_mode in ("one", "mixed"):
+    for breaks, tol_mode in itertools.product(((), knots), ("one", "mixed")):
         B, count = _counting(make())
         tols = _tolerances(tol_mode, len(spans))
-        mats, stats = _integrate_spans(B, spans, tols)
+        mats, stats = _integrate_spans(B, spans, tols, breaks)
         assert isinstance(mats, np.ndarray) and mats.shape == (len(spans), n, n)
         assert len(stats) == len(spans)
         assert all(np.array_equal(U, np.eye(n))
                    for (t0, t1), U in zip(spans, mats) if t1 == t0)
         for j, ((t0, t1), U, st) in enumerate(zip(spans, mats, stats)):
             tol = tols if tol_mode == "one" else tols[j]  # each span at its own tolerance
-            U_alone, st_alone = _integrate(make(), t0, t1, tol)
-            U_ref, st_ref = _reference_integrate(make(), t0, t1, tol)
-            assert np.array_equal(U, U_alone) and np.array_equal(U, U_ref)
-            assert st == st_alone == st_ref
-        # per span, stage 1 once, then five times per attempted step
-        assert count["times"] == sum(1 + 5 * (st.steps + st.rejected) for st in stats)
+            (U_alone,), (st_alone,) = _integrate_spans(make(), [(t0, t1)], tol, breaks)
+            assert U.tobytes() == U_alone.tobytes() and st == st_alone
+            if not breaks:
+                U_ref, st_ref = _reference_integrate(make(), t0, t1, tol)
+                assert np.array_equal(U, U_ref) and st == st_ref
+        # per cut, stage 1 once, then five times per attempted step (a span
+        # is one cut, and one more for every break strictly inside it)
+        cuts = sum(1 + sum(min(t0, t1) < b < max(t0, t1) for b in breaks) for t0, t1 in spans)
+        assert count["times"] == cuts + 5 * sum(st.steps + st.rejected for st in stats)
+        if breaks:
+            continue
         # one call at every span's start, then one per pass: a batch takes as
         # many passes as its longest span takes attempted steps
         attempts = [st.steps + st.rejected for (t0, t1), st in zip(spans, stats) if t1 != t0]
@@ -704,10 +711,11 @@ def test_batch_matches_each_span_alone_bit_for_bit(make, spans, spans_per_batch,
 
 def test_tolerances_must_match_the_spans_and_be_positive():
     B = _bagchi_cosine()
-    with pytest.raises(ValueError, match="2 tolerances for 3 spans"):
-        _integrate_spans(B, [(0.0, 1.0)] * 3, [1e-10, 1e-12])
-    with pytest.raises(ValueError, match="rel_tol must be positive"):
-        _integrate_spans(B, [(0.0, 1.0)] * 2, [1e-10, 0.0])
+    for breaks in ((), [0.5]):
+        with pytest.raises(ValueError, match="2 tolerances for 3 spans"):
+            _integrate_spans(B, [(0.0, 1.0)] * 3, [1e-10, 1e-12], breaks)
+        with pytest.raises(ValueError, match="rel_tol must be positive"):
+            _integrate_spans(B, [(0.0, 1.0)] * 2, [1e-10, 0.0], breaks)
 
 
 def test_series_evaluates_b_only_in_its_steps():
@@ -732,18 +740,22 @@ def test_batch_raises_the_sequential_stiffness_error(order, spans_per_batch, mon
     _split_batches(monkeypatch, 1, spans_per_batch)
     B = _stiff_past_two()
     spans = [[(0.0, 1.0), (1.5, 2.5), (0.2, 1.8), (2.2, 2.8)][i] for i in order]
-    for tol_mode in ("one", "mixed"):
+    for breaks, tol_mode in itertools.product(((), [0.5, 1.0, 2.4]), ("one", "mixed")):
         tols = _tolerances(tol_mode, len(spans))
         expected = None
-        for j, (t0, t1) in enumerate(spans):  # one after another, as a plain loop would
+        for j, span in enumerate(spans):  # one after another, as a plain loop would
+            tol = tols if tol_mode == "one" else tols[j]
             try:
-                _reference_integrate(B, t0, t1, tols if tol_mode == "one" else tols[j])
+                if breaks:
+                    _integrate_spans(B, [span], tol, breaks)
+                else:
+                    _reference_integrate(B, *span, tol)
             except StiffnessError as exc:
                 expected = str(exc)
                 break
         assert expected is not None
         with pytest.raises(StiffnessError) as got:
-            _integrate_spans(B, spans, tols)
+            _integrate_spans(B, spans, tols, breaks)
         assert str(got.value) == expected
 
 
@@ -794,62 +806,34 @@ def test_cut_span_is_the_product_of_its_cuts_alone(t0, t1, cuts):
     assert stats == stats_ref
 
 
-@pytest.mark.parametrize("spans_per_batch", [None, 2])
-def test_batch_with_breaks_matches_each_span_alone_bit_for_bit(spans_per_batch,
-                                                              monkeypatch):
-    # the cuts of all spans share the batches, in span order
-    _split_batches(monkeypatch, 3, spans_per_batch)
-    spans = [(0.0, 3.0), (0.5, 1.0), (3.0, 0.2), (1.0, 1.0), (2.0, 2.9)]
-    for tol_mode in ("one", "mixed"):
-        B, count = _counting(_kinked_table())
-        tols = _tolerances(tol_mode, len(spans))
-        mats, stats = _integrate_spans(B, spans, tols, _KINKS)
-        assert mats.shape == (len(spans), 3, 3) and len(stats) == len(spans)
-        for j, (span, U, st) in enumerate(zip(spans, mats, stats)):
-            tol = tols if tol_mode == "one" else tols[j]
-            (U_alone,), (st_alone,) = _integrate_spans(_kinked_table(), [span], tol, _KINKS)
-            assert U.tobytes() == U_alone.tobytes() and st == st_alone
-        # B at every cut's start (4 + 2 + 4 + 1 + 2 cuts), then five times per
-        # attempted step
-        assert count["times"] == 13 + 5 * sum(st.steps + st.rejected for st in stats)
-
-
-def test_tolerances_are_checked_with_breaks_present():
-    B = _kinked_table()
-    with pytest.raises(ValueError, match="2 tolerances for 3 spans"):
-        _integrate_spans(B, [(0.0, 1.0)] * 3, [1e-10, 1e-12], _KINKS)
-    with pytest.raises(ValueError, match="rel_tol must be positive"):
-        _integrate_spans(B, [(0.0, 1.0)] * 2, [1e-10, 0.0], _KINKS)
-
-
-@pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
-@pytest.mark.parametrize("spans_per_batch", [None, 2])
-def test_batch_with_breaks_raises_the_sequential_stiffness_error(order, spans_per_batch,
-                                                                monkeypatch):
-    _split_batches(monkeypatch, 1, spans_per_batch)
-    B, breaks = _stiff_past_two(), [0.5, 1.0, 2.4]
-    spans = [[(0.0, 1.0), (1.5, 2.5), (0.2, 1.8), (2.2, 2.8)][i] for i in order]
-    for tol_mode in ("one", "mixed"):
-        tols = _tolerances(tol_mode, len(spans))
-        expected = None
-        for j, span in enumerate(spans):  # one after another, as a plain loop would
-            try:
-                _integrate_spans(B, [span], tols if tol_mode == "one" else tols[j], breaks)
-            except StiffnessError as exc:
-                expected = str(exc)
-                break
-        assert expected is not None
-        with pytest.raises(StiffnessError) as got:
-            _integrate_spans(B, spans, tols, breaks)
-        assert str(got.value) == expected
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_product_of_cuts_that_overflows_raises():
     # each cut of [0, 1] grows by e^{400}: finite alone, their product is not
     B = _constant([[800.0]])
     with pytest.raises(OverflowError, match="leaves the double range at t = 1$"):
         _integrate_spans(B, [(0.0, 1.0)], 1e-4, [0.5])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spans_per_batch", [None, 1])
+def test_the_first_failing_span_raises_whether_its_product_or_a_cut_fails(
+        spans_per_batch, monkeypatch):
+    # (0, 1) overflows only in the product of its cuts at 0.5, (1.5, 2.5)
+    # fails in the step loop in its stiff cut (2, 2.5)
+    _split_batches(monkeypatch, 1, spans_per_batch)
+    growing, stiff = np.array([[800.0 + 0j]]), np.array([[1e13 + 0j]])
+
+    def B(ts):
+        return np.array([growing if t < 2.0 else stiff for t in ts])
+
+    product, step_loop = (0.0, 1.0), (1.5, 2.5)
+    with pytest.raises(StiffnessError) as alone:
+        _integrate_spans(B, [step_loop], 1e-4, [0.5, 2.0])
+    with pytest.raises(OverflowError, match="leaves the double range at t = 1$"):
+        _integrate_spans(B, [product, step_loop], 1e-4, [0.5, 2.0])
+    with pytest.raises(StiffnessError) as got:
+        _integrate_spans(B, [step_loop, product], 1e-4, [0.5, 2.0])
+    assert str(got.value) == str(alone.value)
 
 
 def _dop853_knot_to_knot(B, s, t, knots):
@@ -904,3 +888,26 @@ def test_table_run_past_its_ends_takes_no_rejected_step(monkeypatch):
         ref = _dop853_knot_to_knot(B, 0.0, float(times[k]), knots)
         assert np.max(np.abs(series[k] - ref)) <= 1e-11
     assert {r.check_id: r.status for r in records}["evolution.composition"] == "pass"
+
+
+def _table_breaks(times, mats, **params):
+    as_json = [[[[z.real, z.imag] for z in row] for row in np.asarray(M, complex)]
+               for M in mats]
+    params = {"B": "table", "times": times, "matrices": as_json, **params}
+    return cli._evolution_operator_from(params, (times[0], times[-1]))[1]
+
+
+def test_table_breaks_are_the_knots_where_it_bends():
+    times = [0.0, 1.0, 2.0, 3.0, 4.0]
+    # the same matrix at every knot: no bend, not even at the clamped ends
+    assert _table_breaks(times, [np.eye(2)] * 5) == []
+    # a straight line bends only where the clamp stops it
+    C = np.array([[1.0, 0.5j], [0.5j, -1.0]])
+    assert _table_breaks(times, [np.eye(2) + t * C for t in times]) == [0.0, 4.0]
+    # a bump of 7e-7 bends by 7e-7 at knots 1 and 3 and by twice that at
+    # knot 2: above 1e4 rel_tol max|B| only there at rel_tol 1e-10, at all
+    # three at 1e-12
+    E = np.array([[1.0, 0.0], [0.0, 0.0]])
+    bump = [np.eye(2) + (7e-7 if t == 2.0 else 0.0) * E for t in times]
+    assert _table_breaks(times, bump) == [2.0]
+    assert _table_breaks(times, bump, rel_tol=1e-12) == [1.0, 2.0, 3.0]
