@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Cost of evolution runs of piecewise-linear tables as their knots grow dense.
 
-Runs ``focksym run`` of an ``evolution`` CSV scenario of a dim-3 table with
+Runs ``focksym run`` of an ``evolution`` JSON scenario of a dim-3 table with
 ``KNOTS`` equally spaced knots over [0, 5], 37 samples, at each requested
 rel_tol, and prints the run's passes of the step loop, its attempted and
-rejected steps, and the fastest of ``REPEATS`` runs' milliseconds in
-``_integrate_spans``.  Two kinds of table:
+rejected steps, the fastest of ``REPEATS`` runs' milliseconds in
+``_integrate_spans``, and its ``evolution.composition`` record over rel_tol
+(the record fails above 10).  Two kinds of table:
 
 - ``random``: the fixed damped spectrum of ``propagator_cost.constant_matrix``
   in a seeded basis at each knot, the benchmark's table shape, which bends
@@ -38,7 +39,7 @@ from focksym import cli
 from propagator_cost import constant_matrix, json_matrix
 
 KNOTS = (6, 21, 101, 1001)
-EPS = (0.0, 1e-3, 1e-2, 1e-1, 1.0)
+EPS = (0.0, 1e-4, 1e-3, 3e-3, 1e-2, 1e-1, 1.0)
 REPEATS = 5
 
 
@@ -56,8 +57,9 @@ def table_params(kind: str, knots: int, t: float = 5.0) -> dict:
     return {"B": "table", "times": times, "matrices": [json_matrix(M) for M in mats]}
 
 
-def run_figures(params: dict) -> tuple[int, int, int, float]:
-    """(passes, attempted steps, rejected steps, fastest step-loop ms) of one run."""
+def run_figures(params: dict) -> tuple[int, int, int, float, float]:
+    """(passes, attempted steps, rejected steps, fastest step-loop ms, the
+    composition record's measured value) of one run."""
     original_op, original_spans = cli._evolution_operator_from, cli._integrate_spans
     calls, loop = [0], {"steps": 0, "rejected": 0, "spans_calls": 0, "s": 0.0}
 
@@ -79,11 +81,10 @@ def run_figures(params: dict) -> tuple[int, int, int, float]:
         return mats, stats
 
     with tempfile.TemporaryDirectory() as tmp:
-        scenario = os.path.join(tmp, "table.json")
+        scenario, report = os.path.join(tmp, "table.json"), os.path.join(tmp, "report.json")
         with open(scenario, "w") as fh:
             json.dump({"name": "table", "kind": "evolution", "params": params,
-                       "output": {"format": "csv", "path": os.path.join(tmp, "table.csv")}},
-                      fh)
+                       "output": {"format": "json", "path": report}}, fh)
         cli._integrate_spans = timing
         try:
             with open(os.devnull, "w") as null, contextlib.redirect_stdout(null), \
@@ -91,6 +92,9 @@ def run_figures(params: dict) -> tuple[int, int, int, float]:
                 cli._evolution_operator_from = counting
                 cli.main(["run", scenario])
                 cli._evolution_operator_from = original_op
+                with open(report) as fh:
+                    composition, = [r["measured"] for r in json.load(fh)["records"]
+                                    if r["check_id"] == "evolution.composition"]
                 # one call of B at each _integrate_spans call's span starts, one per pass
                 passes = calls[0] - loop["spans_calls"]
                 steps, rejected = loop["steps"], loop["rejected"]
@@ -101,7 +105,7 @@ def run_figures(params: dict) -> tuple[int, int, int, float]:
                     best = min(best, loop["s"])
         finally:
             cli._evolution_operator_from, cli._integrate_spans = original_op, original_spans
-    return passes, steps + rejected, rejected, 1e3 * best
+    return passes, steps + rejected, rejected, 1e3 * best, composition
 
 
 def main(argv=None) -> int:
@@ -113,15 +117,15 @@ def main(argv=None) -> int:
     print(f"evolution runs of dim-3 tables over [0, 5], 37 samples; "
           f"step-loop ms the fastest of {REPEATS}")
     print(f"{'rel_tol':>7}  {'knots':>5}  {'table':>9}  {'passes':>6}  {'attempts':>8}  "
-          f"{'rejected':>8}  {'loop ms':>8}")
+          f"{'rejected':>8}  {'loop ms':>8}  {'comp/tol':>8}")
     for rel_tol in args.rel_tol:
         for knots in args.knots:
             for kind in kinds:
                 params = {**table_params(kind, knots), "t": 5.0, "samples": 37,
                           "rel_tol": rel_tol}
-                passes, attempts, rejected, ms = run_figures(params)
+                passes, attempts, rejected, ms, composition = run_figures(params)
                 print(f"{rel_tol:>7g}  {knots:>5}  {kind:>9}  {passes:>6}  {attempts:>8}  "
-                      f"{rejected:>8}  {ms:>8.2f}", flush=True)
+                      f"{rejected:>8}  {ms:>8.2f}  {composition / rel_tol:>8.2g}", flush=True)
     return 0
 
 

@@ -462,12 +462,14 @@ def _matrix_from(entry: Any, path: str) -> np.ndarray:
 # rel_tol max|B|.  Its bend is the jump of its slope times its distance to
 # the nearer knot (a second difference of the matrices, for equal spacing),
 # and the slope is zero past the clamped ends; sizes are max-abs entries.
-# Cutting a span at a knot costs at least about four steps, and not cutting
-# costs the rejections of the steps that straddle it.  On tables of 101 and
-# 1001 knots at rel_tol 1e-8 to 1e-12 the two cost about the same at bends
-# of 3e3 to 3e4 rel_tol max|B| (BENCH_knots.json, "dense_tables"); tables of
-# random matrices bend by about max|B| at every knot.
-_BEND_PER_TOL = 1e4
+# Steps across a kink are less accurate than their error estimate says: on
+# tables of 6 to 1001 knots at rel_tol 1e-8 to 1e-12, runs stepping across
+# bends of up to 100 rel_tol max|B| kept evolution.composition within
+# rel_tol, and runs across larger bends failed it, by up to 49 rel_tol, from
+# about 2200 rel_tol max|B| on (BENCH_knots.json, "dense_tables").  A cut
+# costs at least about four steps, so a dense table that bends less is
+# cheaper stepped across.
+_BEND_PER_TOL = 100.0
 
 
 def _evolution_operator_from(params: dict, span: tuple[float, float]

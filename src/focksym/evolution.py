@@ -10,9 +10,9 @@ copy); no value is used after the next call.  Where a coefficient is not
 smooth, as a piecewise-linear table is at its knots, its caller hands those
 times in as breaks: every span is cut at each break strictly inside it,
 and its U is the ordered product of its cuts, each integrated as a span of
-its own, so that no step straddles a kink.  A cut costs at least about
-four steps, so a caller names only kinks that cost more than that to step
-across.
+its own, so that no step straddles a kink, whose steps are less accurate
+than their error estimate says.  A cut costs at least about four steps, so
+a caller names only the kinks large enough to cost accuracy.
 
 The propagator is integrated as a full matrix with an adaptive embedded
 Runge-Kutta pair of orders 5(4) (Dormand-Prince tableau).  Local error is

@@ -904,10 +904,10 @@ def test_table_breaks_are_the_knots_where_it_bends():
     # a straight line bends only where the clamp stops it
     C = np.array([[1.0, 0.5j], [0.5j, -1.0]])
     assert _table_breaks(times, [np.eye(2) + t * C for t in times]) == [0.0, 4.0]
-    # a bump of 7e-7 bends by 7e-7 at knots 1 and 3 and by twice that at
-    # knot 2: above 1e4 rel_tol max|B| only there at rel_tol 1e-10, at all
+    # a bump of 7e-9 bends by 7e-9 at knots 1 and 3 and by twice that at
+    # knot 2: above 100 rel_tol max|B| only there at rel_tol 1e-10, at all
     # three at 1e-12
     E = np.array([[1.0, 0.0], [0.0, 0.0]])
-    bump = [np.eye(2) + (7e-7 if t == 2.0 else 0.0) * E for t in times]
+    bump = [np.eye(2) + (7e-9 if t == 2.0 else 0.0) * E for t in times]
     assert _table_breaks(times, bump) == [2.0]
     assert _table_breaks(times, bump, rel_tol=1e-12) == [1.0, 2.0, 3.0]
