@@ -10,13 +10,14 @@ segment of a batch, so a batch takes as many passes as its longest segment
 takes attempted steps), its wall time, the steps of one span U(t, 0), and the
 largest entry error over all samples against scipy's DOP853 at rtol 1e-13,
 restarted at every sample time and every break of the model. A model with
-breaks (the table's knots where it bends) has its segments and its one span
-cut there, as an ``evolution`` run cuts its spans. A second, untimed pass through a counting
-wrapper of the operator counts the calls of B and the times it is evaluated
-at, apart. There is one call for the start of every segment (every cut, for a
-model with breaks) and one per pass, so the passes are the calls less one.
+breaks (the table's knots where it bends) has them as extra times of the
+chains of its series and of its one span, as an ``evolution`` run has. A
+second, untimed pass through a counting wrapper of the operator counts the
+calls of B and the times it is evaluated at, apart. There is one call for
+the starts of all spans of the chain (a segment is one span more for every
+break inside it) and one per pass, so the passes are the calls less one.
 Per accepted step there are five evaluated times per attempted step (stage 1
-is the previous step's stage 7), plus one per segment.
+is the previous step's stage 7), plus one per span.
 
 Models: the two-level Bagchi model with cosine detuning and coupling,
 constant complex symmetric generators B = -i O diag(spectrum) O^T at d16 and
@@ -111,15 +112,20 @@ def constant_params(n: int) -> dict:
 
 def coefficient(params: dict, t: float) -> tuple[Coefficient, list[float]]:
     """The coefficient that the scenario parser builds from ``params`` for [0, t],
-    and the times where it is not smooth (none from a parser that names none)."""
+    and the times where it is not smooth (none from a parser that names none),
+    at the params' rel_tol, whether the parser returns the times or the map
+    from the checked rel_tol to them."""
     B, *rest = _evolution_operator_from(params, (0.0, t))
-    return B, (rest[0] if len(rest) == 3 else [])
+    if len(rest) < 3:
+        return B, []
+    breaks = rest[0]
+    return B, (breaks(params.get("rel_tol", 1e-10)) if callable(breaks) else breaks)
 
 
 def series_of(B: Coefficient, breaks: Sequence[float], times: np.ndarray,
               rel_tol: float):
-    """``evolution_series`` cut at ``breaks``, as an ``evolution`` run cuts its
-    spans; without breaks, called as a tree that has none takes it."""
+    """``evolution_series`` with ``breaks``, as an ``evolution`` run takes
+    them; without breaks, called as a tree that has none takes it."""
     if breaks:
         return evolution_series(B, times, rel_tol, breaks)
     return evolution_series(B, times, rel_tol)
@@ -197,10 +203,9 @@ def measure(B: Coefficient, breaks: Sequence[float], t: float, samples: int,
     steps = sum(st.steps for st in stats)
     counted = Counted(B)
     series_of(counted, breaks, times, rel_tol)
-    # one span U(t, 0), cut at the breaks as the series is
-    (_,), (span,) = evolution._integrate_spans(B, [(0.0, t)], rel_tol,
-                                               *([breaks] if breaks else []))
-    return (steps, counted.calls - 1, wall, err, span.steps,
+    # one span U(t, 0), with the breaks as the series has them
+    _, span = series_of(B, breaks, np.array([0.0, t]), rel_tol)
+    return (steps, counted.calls - 1, wall, err, sum(st.steps for st in span),
             counted.calls, counted.times / max(steps, 1))
 
 
@@ -218,8 +223,9 @@ def us_per_step(n: int, t: float, rel_tol: float) -> tuple[int, float]:
 
 def us_per_pass(params: dict, samples: int, t: float,
                 rel_tol: float) -> tuple[int, int, float]:
-    """(segments, loop passes, fastest microseconds per pass) of a series of
-    the scenario model ``params`` over [0, t]."""
+    """(spans of the chain, loop passes, fastest microseconds per pass) of a
+    series of the scenario model ``params`` over [0, t]; a tree that joins
+    the spans of a segment reports segments."""
     B, breaks = coefficient(params, t)
     times = np.linspace(0.0, t, samples)
     best = math.inf
@@ -227,7 +233,7 @@ def us_per_pass(params: dict, samples: int, t: float,
         t0 = time.perf_counter()
         series, stats = series_of(B, breaks, times, rel_tol)
         best = min(best, time.perf_counter() - t0)
-    counted = Counted(B)  # one call at the segments' starts, then one per pass
+    counted = Counted(B)  # one call at the spans' starts, then one per pass
     series_of(counted, breaks, times, rel_tol)
     passes = counted.calls - 1
     return len(stats), passes, 1e6 * best / passes
@@ -235,10 +241,10 @@ def us_per_pass(params: dict, samples: int, t: float,
 
 def print_pass_costs(t: float, rel_tol: float) -> None:
     print(f"series of scenario models to t = {t:g}, fastest of {REPEATS}")
-    print(f"{'model':>16}  {'segments':>8}  {'passes':>6}  {'us/pass':>8}")
+    print(f"{'model':>16}  {'spans':>8}  {'passes':>6}  {'us/pass':>8}")
     for label, params, samples in PASS_MODELS:
-        segments, passes, us = us_per_pass(params, samples, t, rel_tol)
-        print(f"{label:>16}  {segments:>8}  {passes:>6}  {us:>8.1f}")
+        spans, passes, us = us_per_pass(params, samples, t, rel_tol)
+        print(f"{label:>16}  {spans:>8}  {passes:>6}  {us:>8.1f}")
 
 
 # the samples of the evolve run of the coefficient-call figures, as many as

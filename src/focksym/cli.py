@@ -56,6 +56,7 @@ from .evolution import (
     StiffnessError,
     _integrate_spans,
     bagchi_hamiltonian,
+    break_grid,
     chain_series,
     composition_pieces,
     series_segments,
@@ -466,7 +467,7 @@ def _matrix_from(entry: Any, path: str) -> np.ndarray:
 # tables of 6 to 1001 knots at rel_tol 1e-8 to 1e-12, runs stepping across
 # bends of up to 100 rel_tol max|B| kept evolution.composition within
 # rel_tol, and runs across larger bends failed it, by up to 49 rel_tol, from
-# about 2200 rel_tol max|B| on (BENCH_knots.json, "dense_tables").  A cut
+# about 2200 rel_tol max|B| on (BENCH_knots.json, "dense_tables").  A break
 # costs at least about four steps, so a dense table that bends less is
 # cheaper stepped across.
 _BEND_PER_TOL = 100.0
@@ -474,14 +475,16 @@ _BEND_PER_TOL = 100.0
 
 def _evolution_operator_from(params: dict, span: tuple[float, float]
                              ) -> tuple[Callable[[Sequence[float]], np.ndarray],
-                                        list[float], dict, str]:
-    """The coefficient ts -> stack of B(t), the times where it is not smooth,
-    its report payload, and the field path of its coefficients, named on
-    stiffness or overflow.
+                                        Callable[[float], list[float]], dict, str]:
+    """The coefficient ts -> stack of B(t), the map from the run's checked
+    rel_tol to the times where B is not smooth, its report payload, and the
+    field path of its coefficients, named on stiffness or overflow.
 
     A table's breaks are its knots where it bends by more than
     ``_BEND_PER_TOL`` rel_tol max|B|, the end knots too, where the clamp to
-    the end matrices is a kink; the other models are smooth."""
+    the end matrices is a kink; the other models are smooth.  The caller
+    reads and checks rel_tol after the model's fields, so that their input
+    errors are reported first, and hands it to the map."""
     model = _get(params, "params", "B", str)
     if model not in _EVOLUTION_MODELS:
         raise ScenarioError("params.B", f"expected one of {_EVOLUTION_MODELS}")
@@ -489,12 +492,12 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
         nu = _get(params, "params", "nu", float, 1.0)
         kappa = _coefficient_fn(params, "kappa", 0.0, span)
         lam = _coefficient_fn(params, "lam", 1.0, span)
-        return (bagchi_hamiltonian(nu, kappa, lam), [], {"model": "bagchi", "nu": nu},
-                "params.B")
+        return (bagchi_hamiltonian(nu, kappa, lam), lambda rel_tol: [],
+                {"model": "bagchi", "nu": nu}, "params.B")
     if model == "constant":
         M = _matrix_from(_get(params, "params", "matrix", list), "params.matrix")
         # one matrix for every time: a zero-stride view, not a copy
-        return (lambda ts: np.broadcast_to(M, (len(ts), *M.shape)), [],
+        return (lambda ts: np.broadcast_to(M, (len(ts), *M.shape)), lambda rel_tol: [],
                 {"model": "constant", "dim": M.shape[0]}, "params.matrix")
     times = _get(params, "params", "times", list)
     mats = _get(params, "params", "matrices", list)
@@ -523,7 +526,6 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
         out[at >= ts[-1]] = stack[-1]
         return out
 
-    rel_tol = _get(params, "params", "rel_tol", float, 1e-10)
     gaps = np.diff(ts)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing bend is a break
         slopes = np.diff(stack, axis=0) / gaps[:, None, None]
@@ -531,9 +533,10 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
         jumps = np.diff(np.concatenate((flat, slopes, flat)), axis=0)
         nearer = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
         bends = np.abs(jumps).max(axis=(1, 2)) * nearer
-        breaks = ts[~(bends <= _BEND_PER_TOL * rel_tol * np.abs(stack).max())]
+    scale = float(np.abs(stack).max())  # a Python float: the bound overflows to inf quietly
     meta = {"model": "table", "dim": stack.shape[1], "samples": len(times)}
-    return eval_b, breaks.tolist(), meta, "params.matrices"
+    return (eval_b, lambda rel_tol: ts[~(bends <= _BEND_PER_TOL * rel_tol * scale)].tolist(),
+            meta, "params.matrices")
 
 
 def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.ndarray],
@@ -542,34 +545,36 @@ def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.nda
     """The sample times over span = (s, t), the series U(t_k, s) and the
     run's records.
 
-    One step loop integrates the series' segments, then U(t, t) and the
-    pieces of :func:`composition_pieces`, each about two segments long, all
-    cut at the coefficient's ``breaks``.  The chain ends at U(t, s), since
-    linspace sets its endpoint exactly, and the pieces' chains give U(r, s)
-    and U(t, r), so the composition law compares two paths that share no
-    step, but for the cuts between a common segment boundary and a break.
-    One sample stops the chain at s, and U(t, s) takes the segments' place.
-    The span stack is released on return, before the caller builds its
-    table.
+    One step loop integrates the spans of the series' chain, then U(t, t)
+    and the spans of the chains of the pieces of :func:`composition_pieces`,
+    each piece about two segments long; both chains hold the coefficient's
+    ``breaks`` as extra times (:func:`break_grid`).  The series' chain ends
+    at U(t, s), since linspace sets its endpoint exactly, and the pieces'
+    chains give U(r, s) and U(t, r), so the composition law compares two
+    paths that share no step, but for the spans between a common segment
+    boundary and a break.  One sample keeps only the chain's first row, I,
+    and the chain runs from s to t for U(t, s).  The span stack is released
+    on return, before the caller builds its table.
     """
     s, t = span
     times = np.linspace(s, t, samples)
-    segments = series_segments(times)
-    head = segments or [span]
-    pieces, before = composition_pieces(head)
-    mats, _ = _integrate_spans(B, head + [(t, t)] + pieces, rel_tol, breaks)
-    series = chain_series(mats[:len(segments)], times)
-    U_ts = series[-1] if segments else mats[0]
-    U_pieces = mats[len(head) + 1:]
-    bounds = [a for a, _ in pieces] + [t]
-    U_rs = chain_series(U_pieces[:before], bounds[:before + 1])[-1]
-    U_tr = chain_series(U_pieces[before:], bounds[before:])[-1]
-    records = evolution_axiom_records(cfg, np.stack([mats[len(head)], U_tr, U_rs]), U_ts,
+    segments = series_segments(times) or [span]
+    pieces, before = composition_pieces(segments)
+    grid, rows = break_grid([a for a, _ in segments] + [t], breaks)
+    bounds, at = break_grid([a for a, _ in pieces] + [t], breaks)
+    cuts = series_segments(grid)
+    mats, _ = _integrate_spans(B, cuts + [(t, t)] + series_segments(bounds), rel_tol)
+    chain = chain_series(mats[:len(cuts)], grid)
+    U_pieces, r = mats[len(cuts) + 1:], at[before]
+    U_rs = chain_series(U_pieces[:r], bounds[:r + 1])[-1]
+    U_tr = chain_series(U_pieces[r:], bounds[r:])[-1]
+    U_ts = chain[-1]
+    records = evolution_axiom_records(cfg, np.stack([mats[len(cuts)], U_tr, U_rs]), U_ts,
                                       rel_tol)
     records.append(_info("evolution.transpose-symmetry", "U M = M U^T under plain conjugation",
                          check_matrix_c_symmetry(U_ts, np.eye(len(U_ts))),
                          "pass/fail asserted only for commuting families"))
-    return times, series, records
+    return times, chain[rows[:samples]], records
 
 
 def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
@@ -579,10 +584,11 @@ def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
         raise ScenarioError("params.t", "need t >= s")
     if not math.isfinite(t - s):  # the sample times would overflow
         raise ScenarioError("params.t", "t - s must be a finite number")
-    B, breaks, meta, source = _evolution_operator_from(params, (s, t))
+    B, breaks_at, meta, source = _evolution_operator_from(params, (s, t))
     rel_tol = _get(params, "params", "rel_tol", float, 1e-10)
     if rel_tol <= 0:
         raise ScenarioError("params.rel_tol", "must be positive")
+    breaks = breaks_at(rel_tol)
     samples = _get_size(params, "params", "samples", 21, 1)
 
     def run():

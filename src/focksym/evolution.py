@@ -8,11 +8,11 @@ raises ValueError.  A coefficient may return a view, such as a constant
 matrix broadcast over the times by ``np.broadcast_to`` (zero strides, no
 copy); no value is used after the next call.  Where a coefficient is not
 smooth, as a piecewise-linear table is at its knots, its caller hands those
-times in as breaks: every span is cut at each break strictly inside it,
-and its U is the ordered product of its cuts, each integrated as a span of
-its own, so that no step straddles a kink, whose steps are less accurate
-than their error estimate says.  A cut costs at least about four steps, so
-a caller names only the kinks large enough to cost accuracy.
+times in as breaks, and they become extra times of the chains the caller
+builds through the cocycle (see below), so that no step straddles a kink,
+whose steps are less accurate than their error estimate says.  A break
+costs at least about four steps, so a caller names only the kinks large
+enough to cost accuracy.
 
 The propagator is integrated as a full matrix with an adaptive embedded
 Runge-Kutta pair of orders 5(4) (Dormand-Prince tableau).  Local error is
@@ -44,13 +44,13 @@ batch when it is done.  Batched products take the same BLAS call per span
 as a single one, and the step factor stays a Python float power per span,
 so each U and its statistics are the same to the bit whatever else is in
 the batch, at whatever tolerances.  Spans are batched in the order given,
-as many at a time as keep the stage buffer within ``_BATCH_BYTES``; the
-cuts of a span take its place in that order.  :func:`evolve` is a batch of
-one.  Since every pass costs a fixed overhead
+as many at a time as keep the stage buffer within ``_BATCH_BYTES``.
+:func:`evolve` is a batch of one.  Since every pass costs a fixed overhead
 of numpy calls, each caller hands in all the spans of one coefficient in one
-call: an ``evolution`` run its series' segments and the composition law's
-pieces, and the suite its U(1, 0), U(0, 1), the axioms' spans and the adjoint
-quotients' short spans, these at a tighter tolerance.
+call: an ``evolution`` run the spans of the chains of its series and of
+the composition law's pieces, and the suite its U(1, 0), U(0, 1), U(1, 1),
+the composition law's pieces of [0, 1] and the adjoint quotients' short
+spans, these at a tighter tolerance.
 
 Checks cover the evolution-family axioms, the adjoint family's derivative
 identity and the commutation relation B(s) J = J conj(B(s))  (written here as
@@ -61,27 +61,30 @@ symmetry U(t,s) = J U(t,s)* J of the propagator for commuting families is
 Spans and series come back as stacks.  A time series U(t_k, s) is one
 (len(times), n, n) array, chained in place through the cocycle
 U(t_k, s) = U(t_k, t_{k-1}) U(t_{k-1}, s) from segments integrated side by
-side, so its cost is linear in the number of samples.  The checks integrate
-nothing: :func:`check_evolution_axioms` judges the U(t, t), U(t, r) and
-U(r, s) of :func:`axiom_spans` against U(t, s), and
+side, so its cost is linear in the number of samples.  Breaks are chain
+times: :func:`break_grid` merges every break strictly inside a chain's
+grid into it, so a segment that holds a break is two or more spans of the
+step loop, multiplied one by one into the chain, and the sample rows are
+kept.  The checks integrate nothing: :func:`check_evolution_axioms` judges
+U(t, t), U(t, r) and U(r, s) against U(t, s), and
 :func:`check_adjoint_family` the U(t + h, t) of :func:`adjoint_spans`, all
 integrated by their caller.  An ``evolution`` run takes U(t, s) from the end
 of its series, so it integrates its horizon twice: once as the chained
 series, and once as the pieces of :func:`composition_pieces`, two or three
 segments long, whose chains give U(r, s) and U(t, r) at a piece boundary r.
 No piece is a segment, so the two paths share no step but, for a
-coefficient with breaks, the cuts between a common segment boundary and a
+coefficient with breaks, the spans between a common segment boundary and a
 break; and a run's passes of the step loop are set by pieces about two
-segments long rather than by two halves of its horizon.  A series, a chain
-of pieces, a product of cuts or a composition product that leaves the
-double range raises OverflowError, and so does a span whose stages
-overflow at steps well inside the pair's stability region; a span too
-stiff to integrate raises StiffnessError.
+segments long rather than by two halves of its horizon.  A chain or a
+composition product that leaves the double range raises OverflowError, and
+so does a span whose stages overflow at steps well inside the pair's
+stability region; a span too stiff to integrate raises StiffnessError.
+Every span is integrated before any chain is formed, so an integration
+failure is raised before an overflow of a chain.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -97,8 +100,8 @@ __all__ = [
     "evolve",
     "series_segments",
     "chain_series",
+    "break_grid",
     "evolution_series",
-    "axiom_spans",
     "composition_pieces",
     "check_evolution_axioms",
     "adjoint_spans",
@@ -210,8 +213,7 @@ _BATCH_BYTES = 1 << 20
 
 
 def _integrate_spans(
-    B: _Coefficient, spans: Sequence[tuple[float, float]],
-    rel_tol: float | Sequence[float], breaks: Sequence[float] = (),
+    B: _Coefficient, spans: Sequence[tuple[float, float]], rel_tol: float | Sequence[float],
 ) -> tuple[np.ndarray, list[IntegratorStats]]:
     """The (len(spans), n, n) stack of U(t1, t0) for the spans (t0, t1) of B,
     and each span's integrator statistics.
@@ -220,114 +222,43 @@ def _integrate_spans(
     are integrated side by side, in consecutive batches whose stages fit in
     ``_BATCH_BYTES``, each span with the arithmetic of a span integrated
     alone at its own tolerance, so each result is the same to the bit
-    whatever the batch and the tolerances of its batch-mates.
-
-    ``breaks`` are times where B is not smooth, such as a table's knots.  A
-    span is cut at every break strictly inside it, and its cuts, in the
-    span's direction, take its place in the batches at its tolerance.  Its
-    U is their ordered product, its steps and rejections their sums and its
-    largest local error theirs.  A span with no break inside is integrated
-    as without ``breaks``.
-
-    If a span fails, the error raised is that of the first failing span in
-    the order given, the one a loop over the spans would raise: the
-    StiffnessError or OverflowError of its first failing cut, or else the
-    OverflowError of a product of its cuts that leaves the double range.
+    whatever the batch and the tolerances of its batch-mates.  If a span
+    fails, the error raised is that of the first failing span in the order
+    given, the StiffnessError or OverflowError a loop over the spans would
+    raise.
     """
     tols = [rel_tol] * len(spans) if np.ndim(rel_tol) == 0 else list(rel_tol)
     if len(tols) != len(spans):
         raise ValueError(f"{len(tols)} tolerances for {len(spans)} spans")
     if any(tol <= 0 for tol in tols):
         raise ValueError("rel_tol must be positive")
-    knots = sorted({float(b) for b in breaks})
-    cuts, cut_tols, counts = [], [], []
-    for (t0, t1), tol in zip(spans, tols):
-        inner = knots[bisect.bisect_right(knots, min(t0, t1)):
-                      bisect.bisect_left(knots, max(t0, t1))]
-        bounds = [t0, *(inner if t0 <= t1 else inner[::-1]), t1]
-        cuts += zip(bounds[:-1], bounds[1:])
-        cut_tols += [tol] * (len(bounds) - 1)
-        counts.append(len(bounds) - 1)
-    return _join_cuts(*_integrate_cuts(B, cuts, cut_tols), cuts, counts)
-
-
-def _integrate_cuts(B: _Coefficient, spans: list[tuple[float, float]], tols: list[float]
-                    ) -> tuple[np.ndarray, list[IntegratorStats], tuple[int, Exception] | None]:
-    """The U and statistics of spans that no break cuts, and the index and
-    error of the first span that fails, or None.  No span after it is
-    integrated."""
     # the size of the problem, and each span's first stage 1
     B_t0 = B([t0 for t0, _ in spans])
     dim = B_t0.shape[-1]
     mats = np.tile(np.eye(dim, dtype=complex), (len(spans), 1, 1))  # a zero span's U is I
     every = [_Span(j, t0, t1, float(tol)) for j, ((t0, t1), tol) in enumerate(zip(spans, tols))]
     batch = [sp for sp in every if sp.t1 != sp.x]
-    failure = None
     if batch:
         B_0 = B_t0[[sp.index for sp in batch]]  # a copy: no value outlives its call
         size = max(1, _BATCH_BYTES // (7 * 16 * dim ** 2))
         for i in range(0, len(batch), size):
-            failure = _integrate_batch(B, batch[i:i + size], B_0[i:i + size], mats)
-            if failure:
-                break
-    return mats, [sp.stats() for sp in every], failure
-
-
-# a product that overflows is checked for afterwards, so its overflow and
-# invalid values stay silent
-@np.errstate(over="ignore", invalid="ignore")
-def _join_cuts(mats: np.ndarray, stats: list[IntegratorStats],
-               failure: tuple[int, Exception] | None,
-               cuts: list[tuple[float, float]], counts: list[int]
-               ) -> tuple[np.ndarray, list[IntegratorStats]]:
-    """Each span's U as the ordered product of its ``counts[j]`` consecutive
-    cuts, written over the cuts' stack, and its statistics from theirs.
-
-    Spans are joined in order, so the error raised is the first span's: a
-    product that leaves the double range, or the ``failure`` (index, error)
-    of a cut.
-    """
-    failed_cut, error = failure or (len(cuts), None)
-    joined_stats = []
-    start = 0
-    for j, count in enumerate(counts):
-        if start + count > failed_cut:
-            raise error
-        if count == 1:  # an uncut span, in place while no span before it was cut
-            if j < start:
-                mats[j] = mats[start]
-            joined_stats.append(stats[start])
-            start += 1
-            continue
-        U = mats[start]
-        for k in range(start + 1, start + count):
-            U = mats[k] @ U
-            if not np.isfinite(U).all():
-                raise OverflowError("the propagator leaves the double range at "
-                                    f"t = {cuts[k][1]:.6g}")
-        mats[j] = U  # j <= start: only cuts already read are written over
-        own = stats[start:start + count]
-        joined_stats.append(IntegratorStats(
-            steps=sum(st.steps for st in own), rejected=sum(st.rejected for st in own),
-            max_local_error=max(st.max_local_error for st in own)))
-        start += count
-    return mats[:len(counts)], joined_stats
+            _integrate_batch(B, batch[i:i + size], B_0[i:i + size], mats)
+    return mats, [sp.stats() for sp in every]
 
 
 # a step whose stages overflow has a non-finite error estimate and is
 # rejected, so its overflow and invalid values are expected and stay silent
 @np.errstate(over="ignore", invalid="ignore")
 def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
-                     mats: np.ndarray) -> tuple[int, Exception] | None:
+                     mats: np.ndarray) -> None:
     """Integrate the spans of ``batch``, whose B(t0) are ``B_0``, side by side.
 
     Every pass of the loop attempts one step of each unfinished span, and a
     span leaves the batch when it is done; its U goes to
     ``mats[span.index]``, and its statistics stay in the span.  A span whose
     step size falls below its floor stops, and so does every later span,
-    which cannot change the first failure: once every earlier span has
-    finished, the index of the first failing span and its error, of
-    :func:`_floor_error`, are returned, or None if no span failed.
+    which cannot change what is raised: the error of the first failing span,
+    of :func:`_floor_error`, is raised once every earlier span has finished.
     """
     m, dim = len(batch), B_0.shape[-1]
     U = np.repeat(np.eye(dim, dtype=complex)[None], m, axis=0)
@@ -401,7 +332,8 @@ def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
                 U_rows = U.reshape(len(batch), 1, -1).view(np.float64)
                 K_out, K_in = _stage_views(K)
                 Y, Y_rows = Y[:len(batch)], Y_rows[:len(batch)]
-    return min(failed.items(), default=None)
+    if failed:
+        raise failed[min(failed)]
 
 
 # a step h with h times B's scale at most this is well inside the 5(4)
@@ -462,32 +394,36 @@ def chain_series(segments: np.ndarray, times: Sequence[float]) -> np.ndarray:
     return series
 
 
+def break_grid(times: Sequence[float], breaks: Sequence[float]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Non-decreasing ``times`` with every break strictly inside
+    (times[0], times[-1]) that is none of them merged in, in order, and the
+    index of each of ``times`` in the merged grid."""
+    times = np.asarray(times, dtype=float)
+    # sorted, each once; np.setdiff1d would import numpy.ma, 0.75 MB, on first use
+    inner = np.array(sorted({float(b) for b in breaks}.difference(times.tolist())), dtype=float)
+    inner = inner[(times[0] < inner) & (inner < times[-1])]
+    return (np.insert(times, np.searchsorted(times, inner), inner),
+            np.arange(len(times)) + np.searchsorted(inner, times))
+
+
 def evolution_series(
     B: _Coefficient, times: Sequence[float], rel_tol: float = 1e-10,
     breaks: Sequence[float] = (),
 ) -> tuple[np.ndarray, list[IntegratorStats]]:
     """The (len(times), n, n) stack of U(t_k, t_0) for non-decreasing times,
-    chained segment by segment, and each segment's integrator statistics.
+    and the integrator statistics of each span of its chain.
 
-    U(t_k, t_0) = U(t_k, t_{k-1}) U(t_{k-1}, t_0), the segments integrated
-    side by side and cut at B's ``breaks``, so the work is linear in the
-    number of samples.  Raises OverflowError where the chain leaves the
-    double range.
+    U(t_k, t_0) = U(t_k, t_{k-1}) U(t_{k-1}, t_0), chained over the times
+    and B's ``breaks`` between them (:func:`break_grid`), its spans
+    integrated side by side, so the work is linear in the number of samples.
+    Raises OverflowError where the chain leaves the double range.
     """
-    segments = series_segments(times)
-    if not segments:  # one sample: U(t_0, t_0), with no span to size it
+    if not series_segments(times):  # one sample: U(t_0, t_0), with no span to size it
         return np.eye(B([times[0]]).shape[-1], dtype=complex)[None], []
-    mats, stats = _integrate_spans(B, segments, rel_tol, breaks)
-    return chain_series(mats, times), stats
-
-
-def axiom_spans(times: tuple[float, float, float]) -> list[tuple[float, float]]:
-    """The spans (t, t), (r, t) and (s, r) whose propagators
-    :func:`check_evolution_axioms` judges, for times (s, r, t), s <= r <= t."""
-    s, r, t = times
-    if not s <= r <= t:
-        raise ValueError(f"need s <= r <= t, got {times}")
-    return [(t, t), (r, t), (s, r)]
+    grid, rows = break_grid(times, breaks)
+    mats, stats = _integrate_spans(B, series_segments(grid), rel_tol)
+    return chain_series(mats, grid)[rows], stats
 
 
 def composition_pieces(segments: Sequence[tuple[float, float]]
@@ -515,9 +451,8 @@ def composition_pieces(segments: Sequence[tuple[float, float]]
 def check_evolution_axioms(U_axioms: np.ndarray, U_ts: np.ndarray) -> tuple[float, float]:
     """(identity residual, composition residual) for s <= r <= t.
 
-    ``U_axioms`` holds U(t, t), U(t, r) and U(r, s), integrated by the caller
-    over :func:`axiom_spans`, and ``U_ts`` is the caller's U(t, s) at the same
-    tolerance.  Identity: max-abs of U(t, t) - I, exactly 0 by construction,
+    ``U_axioms`` holds U(t, t), U(t, r) and U(r, s), integrated by the
+    caller, and ``U_ts`` is the caller's U(t, s) at the same tolerance.  Identity: max-abs of U(t, t) - I, exactly 0 by construction,
     since a zero span is I before any step.  Composition: max-abs of
     U(t, r) U(r, s) - U(t, s).  Raises OverflowError when the product leaves
     the double range.

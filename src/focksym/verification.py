@@ -58,11 +58,11 @@ from .conjugation import (
 from .evolution import (
     _integrate_spans,
     adjoint_spans,
-    axiom_spans,
     bagchi_hamiltonian,
     check_adjoint_family,
     check_evolution_axioms,
     check_nonauto_stone,
+    composition_pieces,
     evolve,
 )
 from .fock import sqrt_factorial
@@ -400,8 +400,9 @@ def evolution_axiom_records(
     rel_tol: float,
     suffix: str = "",
 ) -> list[CheckRecord]:
-    """U(t, t) = I and U(t, r) U(r, s) = U(t, s), given the propagators of
-    ``axiom_spans((s, r, t))`` and U(t, s), all integrated at ``rel_tol``."""
+    """U(t, t) = I and U(t, r) U(r, s) = U(t, s), given the stack of U(t, t),
+    U(t, r) and U(r, s) for s <= r <= t and U(t, s), all integrated at
+    ``rel_tol``."""
     ident, comp = check_evolution_axioms(U_axioms, U_ts)
     tol = cfg.tol("evolution_tol_factor") * rel_tol
     return [
@@ -674,12 +675,14 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
                            lambda ts: np.full(len(ts), 1.0))
     hs = np.array([3e-2, 1e-2, 3e-3, 1e-3])
     # one step loop for B: U(1, 0), which serves the axioms, the closed form,
-    # the adjoint slope and the reversal; U(0, 1); the axioms' spans; and the
-    # adjoint quotients' U(1 + h, 1) at the tighter 1e-12
-    spans = [(0.0, 1.0), (1.0, 0.0), *axiom_spans((0.0, 0.5, 1.0)), *adjoint_spans(1.0, hs)]
+    # the adjoint slope and the reversal; U(0, 1); U(1, 1) and the composition
+    # law's U(0.5, 0) and U(1, 0.5); and the adjoint quotients' U(1 + h, 1)
+    # at the tighter 1e-12
+    pieces, _ = composition_pieces([(0.0, 1.0)])
+    spans = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), *pieces, *adjoint_spans(1.0, hs)]
     mats, _ = _integrate_spans(B, spans, [rel_tol] * 5 + [1e-12] * len(hs))
-    U, U_rev, U_axioms, U_steps = mats[0], mats[1], mats[2:5], mats[5:]
-    out = evolution_axiom_records(cfg, U_axioms, U, rel_tol)
+    U, U_rev, U_tt, U_rs, U_tr, U_steps = *mats[:5], mats[5:]
+    out = evolution_axiom_records(cfg, np.stack([U_tt, U_tr, U_rs]), U, rel_tol)
     # constant coefficients: closed form via the spectral decomposition
     nu, kap, lamb = 1.0, 0.3, 1.0
     mu = math.sqrt(lamb**2 - kap**2)

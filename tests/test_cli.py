@@ -109,6 +109,10 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
     ("semigroup", {"family": TRANSLATION, "omega": 1e3}, "x", "params.omega"),
     ("wco", {"A": 1e300}, "x", "params.A"),
     ("evolution", TABLE_MISMATCH, "x", "params.matrices[1]"),
+    # the model's fields are read before rel_tol, which the table's breaks take
+    ("evolution", {**TABLE_MISMATCH, "rel_tol": 0}, "x", "params.matrices[1]"),
+    ("evolution", {"B": "table", "times": [0.0, 1.0], "matrices": [[[1.0]], [[2.0]]],
+                   "rel_tol": "x"}, "x", "params.rel_tol"),
     ("evolution", {"B": "constant", "matrix": [[1e13]], "samples": 3}, "x", "params.matrix"),
     # stages that overflow are rejected steps, not warnings
     pytest.param("evolution", {"B": "constant", "matrix": [[1e300]]}, "x", "params.matrix",
@@ -149,7 +153,8 @@ TABLE_MISMATCH = {"B": "table", "times": [0.0, 1.0],
                                  "rel_tol": 1e-4}, "x", "params.matrix",
                    marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
       for n in (5, 3, 1)),
-], ids=["rel_tol-zero", "omega-string", "omega-overflow", "A-overflow", "table-shapes", "stiff",
+], ids=["rel_tol-zero", "omega-string", "omega-overflow", "A-overflow", "table-shapes",
+        "table-shapes-before-rel_tol", "table-rel_tol-string", "stiff",
         "stiff-overflow",
         "samples-zero", "name-separator", "verify-all-dim-one", "omega-huge-int", "A-huge-int",
         "times-huge-int", "kappa-huge-int", "span-overflow", "conjugation-constraint",
@@ -776,9 +781,9 @@ def work(monkeypatch):
     integrate_spans, bagchi = evolution._integrate_spans, evolution.bagchi_hamiltonian
     wco_matrix, wco_matrices = wco.wco_matrix, wco.wco_matrices
 
-    def counting_spans(B, spans, rel_tol, breaks=()):
+    def counting_spans(B, spans, rel_tol):
         counts["spans"] += len(spans)
-        return integrate_spans(B, spans, rel_tol, breaks)
+        return integrate_spans(B, spans, rel_tol)
 
     def counting_matrix(*args, **kwargs):
         counts["matrices"] += 1
@@ -960,9 +965,9 @@ def evolve_calls(monkeypatch):
     calls = []
     original = evolution._integrate_spans
 
-    def recording(B, spans, rel_tol, breaks=()):
+    def recording(B, spans, rel_tol):
         calls.append(list(spans))
-        return original(B, spans, rel_tol, breaks)
+        return original(B, spans, rel_tol)
 
     for mod in (evolution, verification, cli):
         if getattr(mod, "_integrate_spans", None) is original:
@@ -1089,10 +1094,10 @@ def _stiff_at(monkeypatch, span):
     call too stiff to integrate."""
     original = cli._integrate_spans
 
-    def stiff(B, spans, rel_tol, breaks=()):
+    def stiff(B, spans, rel_tol):
         if span in spans:
             raise evolution.StiffnessError(f"step size underflowed in {spans.index(span)}")
-        return original(B, spans, rel_tol, breaks)
+        return original(B, spans, rel_tol)
 
     monkeypatch.setattr(cli, "_integrate_spans", stiff)
 
@@ -1136,8 +1141,8 @@ def test_overflow_of_a_piece_chain_names_the_model_field(tmp_path, _outdir, caps
     # chain of the first two of the four pieces, leaves the double range
     original = cli._integrate_spans
 
-    def scaled(B, spans, rel_tol, breaks=()):
-        mats, stats = original(B, spans, rel_tol, breaks)
+    def scaled(B, spans, rel_tol):
+        mats, stats = original(B, spans, rel_tol)
         mats[9:] *= 1e200  # past the eight segments and U(t, t)
         return mats, stats
 

@@ -17,8 +17,8 @@ from focksym.evolution import (
     IntegratorStats,
     StiffnessError,
     adjoint_spans,
-    axiom_spans,
     bagchi_hamiltonian,
+    break_grid,
     check_adjoint_family,
     check_evolution_axioms,
     check_nonauto_stone,
@@ -109,15 +109,11 @@ def test_integrator_stats_are_sane():
 def test_axioms_within_budget(rel_tol):
     B = bagchi_hamiltonian(1.0, lambda ts: 0.5 * np.cos(ts), lambda ts: 0.8 + 0.1 * ts)
     U_ts = evolve(B, 0.0, 1.5, rel_tol).matrix
-    U_axioms, _ = _integrate_spans(B, axiom_spans((0.0, 0.6, 1.5)), rel_tol)
+    # U(t, t), U(t, r) and U(r, s) at (s, r, t) = (0, 0.6, 1.5)
+    U_axioms, _ = _integrate_spans(B, [(1.5, 1.5), (0.6, 1.5), (0.0, 0.6)], rel_tol)
     ident, comp = check_evolution_axioms(U_axioms, U_ts)
     assert ident == 0.0  # U(t, t) never integrates
     assert comp <= 10.0 * rel_tol
-
-
-def test_axioms_reject_unordered_times():
-    with pytest.raises(ValueError, match="s <= r <= t"):
-        axiom_spans((0.0, 2.0, 1.0))
 
 
 @pytest.mark.parametrize("span", [(0.0, 2.0), (0.5, 2.5), (-3.0, 7.0)])
@@ -282,8 +278,8 @@ def test_batched_table_values_equal_one_time_values_bytewise(count):
     mats[-1, 2, 2] = complex(0.0, -0.0)
     params = {"B": "table", "times": knots,
               "matrices": [[[[z.real, z.imag] for z in row] for row in M] for M in mats]}
-    B, breaks, _, _ = cli._evolution_operator_from(params, (0.0, 1.0))
-    assert breaks == knots  # every knot is a kink, the end knots too
+    B, breaks_at, _, _ = cli._evolution_operator_from(params, (0.0, 1.0))
+    assert breaks_at(1e-10) == knots  # every knot is a kink, the end knots too
     # every knot, below and above the range, and between the knots
     times = [*knots, knots[0] - 1.0, knots[-1] + 1.0,
              *rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, 400).tolist()]
@@ -293,9 +289,9 @@ def test_batched_table_values_equal_one_time_values_bytewise(count):
 
 def test_constant_model_is_a_view_of_its_matrix():
     M = [[[0.5, -0.0], [1.0, 2.0]], [[-0.0, 0.0], [3.0, -1.0]]]
-    B, breaks, _, _ = cli._evolution_operator_from({"B": "constant", "matrix": M},
-                                                   (0.0, 1.0))
-    assert breaks == []
+    B, breaks_at, _, _ = cli._evolution_operator_from({"B": "constant", "matrix": M},
+                                                      (0.0, 1.0))
+    assert breaks_at(1e-10) == []
     values = B([0.0, 0.3, 2.0])
     assert values.shape == (3, 2, 2) and np.shares_memory(values, B([1.0]))
     assert values.strides[0] == 0  # broadcast over the times, not copied
@@ -451,9 +447,9 @@ def test_adjoint_family_integrates_u_once(monkeypatch):
     hs = (3e-2, 1e-2, 3e-3, 1e-3)
     calls = []
 
-    def counting(B, spans, rel_tol, breaks=()):
+    def counting(B, spans, rel_tol):
         calls.append(list(spans))
-        return _integrate_spans(B, spans, rel_tol, breaks)
+        return _integrate_spans(B, spans, rel_tol)
 
     U_t = evolve(B, 0.0, 1.0, 1e-12).matrix
     # the caller integrates the short spans U(1 + h, 1), none from 0
@@ -472,19 +468,19 @@ def test_evolution_group_integrates_b_in_one_call(monkeypatch):
     calls = []
     original = evolution._integrate_spans
 
-    def recording(B, spans, rel_tol, breaks=()):
+    def recording(B, spans, rel_tol):
         calls.append((list(spans), rel_tol))
-        return original(B, spans, rel_tol, breaks)
+        return original(B, spans, rel_tol)
 
     for mod in (evolution, verification):
         monkeypatch.setattr(mod, "_integrate_spans", recording)
     verification.evolution_checks(verification.VerifyConfig(dim=16))
     hs = (3e-2, 1e-2, 3e-3, 1e-3)
-    # U(1, 0), U(0, 1) and the axioms' U(1, 1), U(1, 0.5), U(0.5, 0) at 1e-10,
-    # then the adjoint quotients' U(1 + h, 1) at 1e-12; the commuting family
-    # B2 keeps its own evolve
+    # U(1, 0), U(0, 1), the axioms' U(1, 1) and the composition law's pieces
+    # U(0.5, 0), U(1, 0.5) at 1e-10, then the adjoint quotients' U(1 + h, 1) at
+    # 1e-12; the commuting family B2 keeps its own evolve
     assert calls == [
-        ([(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 1.0), (0.0, 0.5),
+        ([(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.5), (0.5, 1.0),
           *[(1.0, 1.0 + h) for h in hs]], [1e-10] * 5 + [1e-12] * 4),
         ([(0.0, 1.5)], 1e-10),
     ]
@@ -666,41 +662,33 @@ def _tolerances(mode, n):
     return 1e-10 if mode == "one" else [(1e-10, 1e-12)[j % 2] for j in range(n)]
 
 
-@pytest.mark.parametrize("make, spans, knots", [
+@pytest.mark.parametrize("make, spans", [
     # unequal forward spans, a backward span and a zero span
-    (_bagchi_cosine, [(0.0, 5.0), (1.0, 1.3), (4.0, -1.0), (2.0, 2.0), (0.5, 3.5)],
-     [1.0, 2.0, 4.5]),
-    (_kinked_table, [(0.0, 3.0), (0.5, 1.0), (3.0, 0.2), (1.0, 1.0), (2.0, 2.9)],
-     [0.0, 0.7, 1.3, 2.2, 3.0]),
+    (_bagchi_cosine, [(0.0, 5.0), (1.0, 1.3), (4.0, -1.0), (2.0, 2.0), (0.5, 3.5)]),
+    (_kinked_table, [(0.0, 3.0), (0.5, 1.0), (3.0, 0.2), (1.0, 1.0), (2.0, 2.9)]),
     # one array for every value of B, broadcast over the batch
-    (_constant_d16, [(0.0, 2.0), (0.3, 0.4), (2.0, 0.0), (1.0, 1.0)], [0.35, 1.0]),
+    (_constant_d16, [(0.0, 2.0), (0.3, 0.4), (2.0, 0.0), (1.0, 1.0)]),
 ], ids=["bagchi-cosine", "kinked-table", "constant-d16"])
 @pytest.mark.parametrize("spans_per_batch", [None, 2])
-def test_batch_matches_each_span_alone_bit_for_bit(make, spans, knots, spans_per_batch,
-                                                   monkeypatch):
+def test_batch_matches_each_span_alone_bit_for_bit(make, spans, spans_per_batch, monkeypatch):
     n = make()([0.0]).shape[-1]
     _split_batches(monkeypatch, n, spans_per_batch)
-    for breaks, tol_mode in itertools.product(((), knots), ("one", "mixed")):
+    for tol_mode in ("one", "mixed"):
         B, count = _counting(make())
         tols = _tolerances(tol_mode, len(spans))
-        mats, stats = _integrate_spans(B, spans, tols, breaks)
+        mats, stats = _integrate_spans(B, spans, tols)
         assert isinstance(mats, np.ndarray) and mats.shape == (len(spans), n, n)
         assert len(stats) == len(spans)
         assert all(np.array_equal(U, np.eye(n))
                    for (t0, t1), U in zip(spans, mats) if t1 == t0)
         for j, ((t0, t1), U, st) in enumerate(zip(spans, mats, stats)):
             tol = tols if tol_mode == "one" else tols[j]  # each span at its own tolerance
-            (U_alone,), (st_alone,) = _integrate_spans(make(), [(t0, t1)], tol, breaks)
+            (U_alone,), (st_alone,) = _integrate_spans(make(), [(t0, t1)], tol)
             assert U.tobytes() == U_alone.tobytes() and st == st_alone
-            if not breaks:
-                U_ref, st_ref = _reference_integrate(make(), t0, t1, tol)
-                assert np.array_equal(U, U_ref) and st == st_ref
-        # per cut, stage 1 once, then five times per attempted step (a span
-        # is one cut, and one more for every break strictly inside it)
-        cuts = sum(1 + sum(min(t0, t1) < b < max(t0, t1) for b in breaks) for t0, t1 in spans)
-        assert count["times"] == cuts + 5 * sum(st.steps + st.rejected for st in stats)
-        if breaks:
-            continue
+            U_ref, st_ref = _reference_integrate(make(), t0, t1, tol)
+            assert np.array_equal(U, U_ref) and st == st_ref
+        # per span, stage 1 once, then five times per attempted step
+        assert count["times"] == len(spans) + 5 * sum(st.steps + st.rejected for st in stats)
         # one call at every span's start, then one per pass: a batch takes as
         # many passes as its longest span takes attempted steps
         attempts = [st.steps + st.rejected for (t0, t1), st in zip(spans, stats) if t1 != t0]
@@ -711,11 +699,10 @@ def test_batch_matches_each_span_alone_bit_for_bit(make, spans, knots, spans_per
 
 def test_tolerances_must_match_the_spans_and_be_positive():
     B = _bagchi_cosine()
-    for breaks in ((), [0.5]):
-        with pytest.raises(ValueError, match="2 tolerances for 3 spans"):
-            _integrate_spans(B, [(0.0, 1.0)] * 3, [1e-10, 1e-12], breaks)
-        with pytest.raises(ValueError, match="rel_tol must be positive"):
-            _integrate_spans(B, [(0.0, 1.0)] * 2, [1e-10, 0.0], breaks)
+    with pytest.raises(ValueError, match="2 tolerances for 3 spans"):
+        _integrate_spans(B, [(0.0, 1.0)] * 3, [1e-10, 1e-12])
+    with pytest.raises(ValueError, match="rel_tol must be positive"):
+        _integrate_spans(B, [(0.0, 1.0)] * 2, [1e-10, 0.0])
 
 
 def test_series_evaluates_b_only_in_its_steps():
@@ -740,99 +727,142 @@ def test_batch_raises_the_sequential_stiffness_error(order, spans_per_batch, mon
     _split_batches(monkeypatch, 1, spans_per_batch)
     B = _stiff_past_two()
     spans = [[(0.0, 1.0), (1.5, 2.5), (0.2, 1.8), (2.2, 2.8)][i] for i in order]
-    for breaks, tol_mode in itertools.product(((), [0.5, 1.0, 2.4]), ("one", "mixed")):
+    for tol_mode in ("one", "mixed"):
         tols = _tolerances(tol_mode, len(spans))
         expected = None
         for j, span in enumerate(spans):  # one after another, as a plain loop would
             tol = tols if tol_mode == "one" else tols[j]
             try:
-                if breaks:
-                    _integrate_spans(B, [span], tol, breaks)
-                else:
-                    _reference_integrate(B, *span, tol)
+                _reference_integrate(B, *span, tol)
             except StiffnessError as exc:
                 expected = str(exc)
                 break
         assert expected is not None
         with pytest.raises(StiffnessError) as got:
-            _integrate_spans(B, spans, tols, breaks)
+            _integrate_spans(B, spans, tols)
         assert str(got.value) == expected
 
 
-# --- spans cut at breaks -----------------------------------------------------------
+# --- breaks as chain times ---------------------------------------------------------
 
 _KINKS = [0.0, 0.7, 1.3, 2.2, 3.0]  # the kinks of _kinked_table, the clamped ends too
 
 
-def _cut_alone(make, t0, t1, rel_tol, cuts):
-    """U(t1, t0) as the ordered product of the cuts at ``cuts``, each integrated
-    alone, and their summed statistics."""
-    bounds = [t0, *cuts, t1]
-    U, steps, rejected, max_err = None, 0, 0, 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        U_cut, st = _integrate(make(), a, b, rel_tol)
-        U = U_cut if U is None else U_cut @ U
-        steps, rejected = steps + st.steps, rejected + st.rejected
-        max_err = max(max_err, st.max_local_error)
-    return U, IntegratorStats(steps=steps, rejected=rejected, max_local_error=max_err)
+@pytest.mark.parametrize("times, breaks, grid, rows", [
+    # repeated times, as of s = t with samples > 1: no break is inside
+    ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], [2.0, 2.0, 2.0], [0, 1, 2]),
+    # a break on a sample time, breaks outside (s, t), on s and on t
+    ([0.0, 1.0, 2.0], [-1.0, 0.0, 1.0, 2.0, 5.0], [0.0, 1.0, 2.0], [0, 1, 2]),
+    # unsorted and duplicate breaks, merged in order and once each
+    ([0.0, 1.0, 2.0], [1.5, 0.25, 1.5, 0.5, 0.25], [0.0, 0.25, 0.5, 1.0, 1.5, 2.0],
+     [0, 3, 5]),
+    # repeated times around breaks, and a grid of one time
+    ([0.0, 0.0, 2.0, 2.0], [1.0, 0.5], [0.0, 0.0, 0.5, 1.0, 2.0, 2.0], [0, 1, 4, 5]),
+    ([1.0], [0.5, 1.0, 1.5], [1.0], [0]),
+    ([0.0, 1.0], [], [0.0, 1.0], [0, 1]),
+], ids=["repeated", "on-samples-and-outside", "unsorted-duplicates", "repeated-around",
+        "one-time", "none"])
+def test_break_grid_merges_the_breaks_strictly_inside(times, breaks, grid, rows):
+    got_grid, got_rows = break_grid(times, breaks)
+    assert got_grid.tolist() == grid and got_rows.tolist() == rows
+    assert got_grid[got_rows].tolist() == times
 
 
-@pytest.mark.parametrize("make, spans, breaks", [
-    # breaks outside every span or on its ends, a zero span on a break
-    (_bagchi_cosine, [(0.0, 1.0), (1.0, 2.5), (4.0, 2.5), (2.5, 2.5), (-1.0, 0.0)],
-     [-3.0, 0.0, 1.0, 2.5, 4.0, 9.0]),
-    (_kinked_table, [(0.7, 1.3), (2.2, 1.3), (1.3, 1.3), (3.0, 4.0), (-1.0, 0.0)], _KINKS),
-], ids=["bagchi-cosine", "kinked-table"])
-def test_span_with_no_break_inside_is_integrated_as_without_breaks(make, spans, breaks):
-    for tols in (1e-10, _tolerances("mixed", len(spans))):
-        mats, stats = _integrate_spans(make(), spans, tols, breaks)
-        mats_ref, stats_ref = _integrate_spans(make(), spans, tols)
-        assert mats.tobytes() == mats_ref.tobytes()
-        assert stats == stats_ref
+def _chain_alone(make, times, breaks, rel_tol):
+    """U(t_k, t_0) as the chain of the spans between the times and the breaks
+    inside each segment, each integrated alone, and their statistics."""
+    U = np.eye(make()([0.0]).shape[-1], dtype=complex)
+    series, stats = [U], []
+    for a, b in zip(times[:-1], times[1:]):
+        bounds = [a, *sorted({x for x in breaks if a < x < b}), b]
+        for t0, t1 in zip(bounds[:-1], bounds[1:]):
+            U_cut, st = _integrate(make(), t0, t1, rel_tol)
+            U = U_cut @ U
+            stats.append(st)
+        series.append(U)
+    return np.array(series), stats
 
 
-@pytest.mark.parametrize("t0, t1, cuts", [
-    (0.0, 3.0, [0.7, 1.3, 2.2]),
-    (-0.5, 3.5, [0.0, 0.7, 1.3, 2.2, 3.0]),  # past both clamped ends
-    (3.0, 0.2, [2.2, 1.3, 0.7]),  # backward: the cuts in reverse order
-    (0.7, 2.0, [1.3]),  # a break on the start is no cut
-    (2.5, 0.7, [2.2, 1.3]),  # nor one on the end
-    (1.0, 1.0, []),  # a zero span is I
-], ids=["forward", "past-the-ends", "backward", "break-on-start", "break-on-end", "zero"])
-def test_cut_span_is_the_product_of_its_cuts_alone(t0, t1, cuts):
-    (U,), (stats,) = _integrate_spans(_kinked_table(), [(t0, t1)], 1e-10, _KINKS)
-    U_ref, stats_ref = _cut_alone(_kinked_table, t0, t1, 1e-10, cuts)
-    assert U.tobytes() == U_ref.tobytes()
+@pytest.mark.parametrize("make, times, breaks", [
+    (_kinked_table, [0.0, 1.0, 3.0], _KINKS),
+    (_kinked_table, [-0.5, 0.7, 2.0, 3.5], _KINKS),  # past both clamped ends
+    (_kinked_table, [0.7, 2.0], _KINKS),  # a break on the start is no cut
+    (_kinked_table, [1.0, 2.2], _KINKS),  # nor one on the end
+    (_kinked_table, [1.0, 1.0, 1.0], _KINKS),  # a zero segment is I
+    (_kinked_table, [0.0, 1.0, 1.0, 3.0], [2.2, 0.7, 2.2]),  # unsorted, repeated breaks
+    (_bagchi_cosine, [0.0, 1.0, 2.5, 5.0], [-3.0, 0.5, 2.0, 9.0]),
+], ids=["forward", "past-the-ends", "break-on-start", "break-on-end", "zero", "unsorted",
+        "bagchi-cosine"])
+def test_cut_span_is_the_product_of_its_cuts_alone(make, times, breaks):
+    # every segment is cut at the breaks inside it, and the series is the
+    # chain of the cuts, each multiplied into it alone
+    series, stats = evolution_series(make(), times, 1e-10, breaks)
+    series_ref, stats_ref = _chain_alone(make, times, breaks, 1e-10)
+    assert series.tobytes() == series_ref.tobytes()
     assert stats == stats_ref
+
+
+@pytest.mark.parametrize("make, times, breaks", [
+    # breaks outside the times or on them, a zero segment on a break
+    (_bagchi_cosine, [0.0, 1.0, 2.5, 2.5, 4.0], [-3.0, 0.0, 1.0, 2.5, 4.0, 9.0]),
+    (_kinked_table, [-1.0, 0.0, 0.7, 1.3, 1.3, 2.2, 3.0, 4.0], _KINKS),
+], ids=["bagchi-cosine", "kinked-table"])
+def test_span_with_no_break_inside_is_integrated_as_without_breaks(make, times, breaks):
+    for rel_tol in (1e-10, 1e-12):
+        series, stats = evolution_series(make(), times, rel_tol, breaks)
+        series_ref, stats_ref = evolution_series(make(), times, rel_tol)
+        assert series.tobytes() == series_ref.tobytes()
+        assert stats == stats_ref
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_product_of_cuts_that_overflows_raises():
-    # each cut of [0, 1] grows by e^{400}: finite alone, their product is not
+    # each cut grows by at most e^{400}: finite alone, their chain is not, at
+    # a sample time or at a break
     B = _constant([[800.0]])
     with pytest.raises(OverflowError, match="leaves the double range at t = 1$"):
-        _integrate_spans(B, [(0.0, 1.0)], 1e-4, [0.5])
+        evolution_series(B, [0.0, 1.0], 1e-4, [0.5])
+    with pytest.raises(OverflowError, match="leaves the double range at t = 0.9$"):
+        evolution_series(B, [0.0, 1.0], 1e-4, [0.5, 0.9])
+
+
+def _decaying_then_growing(ts):
+    """-800 up to t = 1, then 1600 (t - 1.5): U(2, 1.5) = e^{200}, U(2.5, 2) = e^{600}."""
+    return np.maximum(-800.0, 1600.0 * (np.asarray(ts) - 1.5)).astype(complex)[:, None, None]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_segment_past_the_double_range_fails_only_where_the_chain_does():
+    # U(2.5, 1.5) = e^{800} is past the double range, but each segment of
+    # [0, 1] shrinks the chain (by about e^{-16}, where the error control's
+    # floor of 1 stops the decay), so multiplying the spans of (1.5, 2.5) at
+    # the break 2 into the chain one by one stays finite
+    times = [*np.linspace(0.0, 1.0, 11), 1.5, 2.5]
+    series, _ = evolution_series(_decaying_then_growing, times, 1e-4, [2.0])
+    assert np.isfinite(series).all()
+    grown = math.log(abs(series[-1, 0, 0])) - math.log(abs(series[-2, 0, 0]))
+    assert abs(grown - 800.0) <= 1e-5
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("spans_per_batch", [None, 1])
-def test_the_first_failing_span_raises_whether_its_product_or_a_cut_fails(
-        spans_per_batch, monkeypatch):
-    # (0, 1) overflows only in the product of its cuts at 0.5, (1.5, 2.5)
-    # fails in the step loop in its stiff cut (2, 2.5)
+def test_integration_failures_are_raised_before_chain_overflows(spans_per_batch,
+                                                                monkeypatch):
+    # the chain leaves the double range at t = 1, where e^{800} has grown,
+    # and the later segment (1, 2) is too stiff past 1.5: every span is
+    # integrated before the chain is formed, so the stiffness is raised
     _split_batches(monkeypatch, 1, spans_per_batch)
     growing, stiff = np.array([[800.0 + 0j]]), np.array([[1e13 + 0j]])
 
     def B(ts):
-        return np.array([growing if t < 2.0 else stiff for t in ts])
+        return np.array([growing if t < 1.5 else stiff for t in ts])
 
-    product, step_loop = (0.0, 1.0), (1.5, 2.5)
     with pytest.raises(StiffnessError) as alone:
-        _integrate_spans(B, [step_loop], 1e-4, [0.5, 2.0])
+        _integrate(B, 1.0, 2.0, 1e-4)
     with pytest.raises(OverflowError, match="leaves the double range at t = 1$"):
-        _integrate_spans(B, [product, step_loop], 1e-4, [0.5, 2.0])
+        evolution_series(B, [0.0, 1.0, 1.2], 1e-4, [0.5])
     with pytest.raises(StiffnessError) as got:
-        _integrate_spans(B, [step_loop, product], 1e-4, [0.5, 2.0])
+        evolution_series(B, [0.0, 1.0, 2.0], 1e-4, [0.5])
     assert str(got.value) == str(alone.value)
 
 
@@ -861,7 +891,7 @@ def test_table_run_past_its_ends_takes_no_rejected_step(monkeypatch):
     # the benchmark's table shape, the fixed damped spectrum in a seeded basis at
     # each knot, whose run over [0, 5] starts below its first knot and ends past
     # its last: no step of the run's one call straddles a kink (without the
-    # cuts it rejects 285 steps; other draws of the bases reject up to two
+    # breaks it rejects 285 steps; other draws of the bases reject up to two
     # steps, in smooth stretches, against 277-358)
     rng = np.random.default_rng(1)
     spectrum = np.linspace(-1.0, 1.0, 3) - 1j * np.linspace(0.0, 0.3, 3)
@@ -869,13 +899,14 @@ def test_table_run_past_its_ends_takes_no_rejected_step(monkeypatch):
     mats = [-1j * (O * spectrum) @ O.T for O in (_orthogonal(rng, 3) for _ in knots)]
     params = {"B": "table", "times": knots,
               "matrices": [[[[z.real, z.imag] for z in row] for row in M] for M in mats]}
-    B, breaks, _, _ = cli._evolution_operator_from(params, (0.0, 5.0))
+    B, breaks_at, _, _ = cli._evolution_operator_from(params, (0.0, 5.0))
+    breaks = breaks_at(1e-10)
     assert breaks == knots
     stats = []
     original = cli._integrate_spans
 
-    def recording(B, spans, rel_tol, breaks=()):
-        mats, st = original(B, spans, rel_tol, breaks)
+    def recording(B, spans, rel_tol):
+        mats, st = original(B, spans, rel_tol)
         stats.extend(st)
         return mats, st
 
@@ -890,11 +921,11 @@ def test_table_run_past_its_ends_takes_no_rejected_step(monkeypatch):
     assert {r.check_id: r.status for r in records}["evolution.composition"] == "pass"
 
 
-def _table_breaks(times, mats, **params):
+def _table_breaks(times, mats, rel_tol=1e-10):
     as_json = [[[[z.real, z.imag] for z in row] for row in np.asarray(M, complex)]
                for M in mats]
-    params = {"B": "table", "times": times, "matrices": as_json, **params}
-    return cli._evolution_operator_from(params, (times[0], times[-1]))[1]
+    params = {"B": "table", "times": times, "matrices": as_json}
+    return cli._evolution_operator_from(params, (times[0], times[-1]))[1](rel_tol)
 
 
 def test_table_breaks_are_the_knots_where_it_bends():

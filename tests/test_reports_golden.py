@@ -146,9 +146,10 @@ def test_report_matches_golden(label, tmp_path):
 def _entrywise_rows(params: dict) -> list[list[str]]:
     """Series CSV rows built entry by entry from numpy scalars, each cell by _cell."""
     s, t = params.get("s", 0.0), params["t"]  # the kind's default s is 0
-    B, breaks, _, _ = _evolution_operator_from(params, (s, t))
+    rel_tol = params.get("rel_tol", 1e-10)
+    B, breaks_at, _, _ = _evolution_operator_from(params, (s, t))
     times = np.linspace(s, t, params["samples"])
-    series, _ = evolution_series(B, times, params.get("rel_tol", 1e-10), breaks)
+    series, _ = evolution_series(B, times, rel_tol, breaks_at(rel_tol))
     rows = []
     for tk, U in zip(times, series):
         row = [float(tk)]
