@@ -37,14 +37,19 @@ unfinished span of a batch: the stages of its m spans sit in one
 (m, 7, n, n) buffer, each stage sum is one real row-vector times matrix
 product per span, taken as one batched product, and each stage is one
 batched matrix product.  A pass makes one call of B, at the five new stage
-times x + c h of all m spans, and views its values as (m, 5, n, n).  Each
-span keeps its own time, step size, first-same-as-last stage, controller,
-statistics, step floor and tolerance, as Python scalars, and leaves the
-batch when it is done.  Batched products take the same BLAS call per span
-as a single one, and the step factor stays a Python float power per span,
-so each U and its statistics are the same to the bit whatever else is in
-the batch, at whatever tolerances.  Spans are batched in the order given,
-as many at a time as keep the stage buffer within ``_BATCH_BYTES``.
+times x + c h of all m spans, one (m, 5) array, and views its values as
+(m, 5, n, n).  Each span keeps its own time, step size, first-same-as-last
+stage, step floor, tolerance and statistics: the controller holds one
+array per quantity over the batch's unfinished spans, so the error scale,
+the acceptance test and the next step size are each one array expression
+for all of them, and a span that is done leaves the batch, its arrays, U
+and stages compacted away together.  Batched products take the same BLAS
+call per span as a single one, every controller operation is elementwise,
+and the step factor's power stays a Python float power per span (numpy's
+rounds differently), so each U and its statistics are the same to the bit
+whatever else is in the batch, at whatever tolerances.  Spans are batched
+in the order given, as many at a time as keep the stage buffer within
+``_BATCH_BYTES``.
 :func:`evolve` is a batch of one.  Since every pass costs a fixed overhead
 of numpy calls, each caller hands in all the spans of one coefficient in one
 call: an ``evolution`` run the spans of the chains of its series and of
@@ -172,27 +177,6 @@ _MIN_SHRINK = 0.2
 _SAFETY = 0.9
 
 
-class _Span:
-    """The step state of one span of a batch, in Python scalars."""
-
-    __slots__ = ("index", "x", "t1", "rel_tol", "h", "direction", "h_floor", "U_max",
-                 "steps", "rejected", "max_err")
-
-    def __init__(self, index: int, t0: float, t1: float, rel_tol: float) -> None:
-        span = t1 - t0
-        self.index, self.x, self.t1, self.rel_tol = index, t0, t1, rel_tol
-        self.h = span / 50.0
-        self.direction = 1.0 if span > 0 else -1.0
-        self.h_floor = abs(span) * _MIN_STEP_FACTOR
-        self.U_max = 1.0  # max|U|, carried over from the accepted step's max|U5|
-        self.steps = self.rejected = 0
-        self.max_err = 0.0
-
-    def stats(self) -> IntegratorStats:
-        return IntegratorStats(steps=self.steps, rejected=self.rejected,
-                               max_local_error=self.max_err)
-
-
 def _stage_views(K: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Views of a batch's stages K (m, 7, n, n): stage i of every span, and
     the first i stages of every span as real rows (m, i, 2 n^2).
@@ -204,11 +188,10 @@ def _stage_views(K: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return [K[:, i] for i in range(7)], [rows[:, :i] for i in range(8)]
 
 
-# The stages of one batch take at most this many bytes (or one span).  Past
-# it a pass works out of memory rather than cache: on a Xeon with 2 MiB of L2
-# per core and one BLAS thread, 128 spans at dim 32 cost 114 us per span and
-# step in batches of 1 MiB, 131-143 us in one batch of 16 MiB and 131-137 us
-# one span at a time (256 spans at dim 16: 26, 31-33 and 77-92 us).
+# The stages of one batch take at most this many bytes (or one span).  The
+# bound holds a pass's memory down: with the batch unbounded, the benchmark's
+# evolution-series read peak_rss_mb 57.7 against 44.9 MB (6 of 6 pairs), past
+# its 25 % bound, and wall_s 11.9 % higher (BENCH_features.json).
 _BATCH_BYTES = 1 << 20
 
 
@@ -225,7 +208,8 @@ def _integrate_spans(
     whatever the batch and the tolerances of its batch-mates.  If a span
     fails, the error raised is that of the first failing span in the order
     given, the StiffnessError or OverflowError a loop over the spans would
-    raise.
+    raise.  The spans' ends, tolerances and statistics are arrays, and each
+    batch's step controller is arrays over its spans (:func:`_integrate_batch`).
     """
     tols = [rel_tol] * len(spans) if np.ndim(rel_tol) == 0 else list(rel_tol)
     if len(tols) != len(spans):
@@ -236,31 +220,53 @@ def _integrate_spans(
     B_t0 = B([t0 for t0, _ in spans])
     dim = B_t0.shape[-1]
     mats = np.tile(np.eye(dim, dtype=complex), (len(spans), 1, 1))  # a zero span's U is I
-    every = [_Span(j, t0, t1, float(tol)) for j, ((t0, t1), tol) in enumerate(zip(spans, tols))]
-    batch = [sp for sp in every if sp.t1 != sp.x]
-    if batch:
-        B_0 = B_t0[[sp.index for sp in batch]]  # a copy: no value outlives its call
-        size = max(1, _BATCH_BYTES // (7 * 16 * dim ** 2))
-        for i in range(0, len(batch), size):
-            _integrate_batch(B, batch[i:i + size], B_0[i:i + size], mats)
-    return mats, [sp.stats() for sp in every]
+    stats = np.zeros((3, len(spans)))  # steps, rejected steps, max local error
+    ends = np.array(spans, dtype=float).reshape(-1, 2)
+    moving = np.flatnonzero(ends[:, 0] != ends[:, 1])
+    B_0, tols = B_t0[moving], np.array(tols, dtype=float)  # a copy: no value outlives its call
+    size = max(1, _BATCH_BYTES // (7 * 16 * dim ** 2))
+    for i in range(0, len(moving), size):
+        index = moving[i:i + size]
+        _integrate_batch(B, index, ends[index], tols[index], B_0[i:i + size], mats, stats)
+    return mats, [IntegratorStats(int(steps), int(rejected), max_err)
+                  for steps, rejected, max_err in zip(*stats.tolist())]
+
+
+# the stage times of a step after its first, as fractions of h
+_STEP_TIMES = np.array(_STAGE_TIMES[1:6])
 
 
 # a step whose stages overflow has a non-finite error estimate and is
-# rejected, so its overflow and invalid values are expected and stay silent
-@np.errstate(over="ignore", invalid="ignore")
-def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
-                     mats: np.ndarray) -> None:
-    """Integrate the spans of ``batch``, whose B(t0) are ``B_0``, side by side.
+# rejected, so its overflow and invalid values are expected and stay silent,
+# and so is the division by a zero error estimate, whose step grows fivefold
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _integrate_batch(B: _Coefficient, index: np.ndarray, ends: np.ndarray, tol: np.ndarray,
+                     B_0: np.ndarray, mats: np.ndarray, stats: np.ndarray) -> None:
+    """Integrate the spans ``ends`` (t0, t1) at ``tol``, whose B(t0) are
+    ``B_0``, side by side; they are spans ``index`` of the caller.
 
-    Every pass of the loop attempts one step of each unfinished span, and a
-    span leaves the batch when it is done; its U goes to
-    ``mats[span.index]``, and its statistics stay in the span.  A span whose
-    step size falls below its floor stops, and so does every later span,
-    which cannot change what is raised: the error of the first failing span,
-    of :func:`_floor_error`, is raised once every earlier span has finished.
+    The controller is one array per quantity over the unfinished spans:
+    time, end, step size, direction, step floor, max|U|, tolerance, accepted
+    steps and max local error.  Every pass of the loop attempts one step of
+    each unfinished span, so a span's rejected steps are its passes less its
+    accepted ones.  The error scale, the acceptance test and the next step
+    size are each one array expression; only the step factor's power is a
+    Python float power per span, since numpy's rounds differently.  A span
+    leaves the batch when it is done: its U goes to ``mats[index]`` and its
+    steps, rejected steps and max local error to ``stats[:, index]``, and
+    the arrays, U and the stages of the spans left are compacted together.  A
+    span whose step size falls below its floor stops, and so does every
+    later span, which cannot change what is raised: the error of the first
+    failing span, of :func:`_floor_error`, is raised once every earlier span
+    has finished.
     """
-    m, dim = len(batch), B_0.shape[-1]
+    (x, t1), span = ends.T.copy(), ends[:, 1] - ends[:, 0]
+    h = span / 50.0
+    direction = np.sign(span)
+    h_floor = abs(span) * _MIN_STEP_FACTOR
+    U_max = np.ones(len(x))  # max|U|, carried over from the accepted step's max|U5|
+    steps, max_err = np.zeros((2, len(x)))
+    m, dim = B_0.shape[:2]
     U = np.repeat(np.eye(dim, dtype=complex)[None], m, axis=0)
     U_rows = U.reshape(m, 1, -1).view(np.float64)
     K = np.empty((m, 7, dim, dim), dtype=complex)  # the seven stages of each span
@@ -269,11 +275,11 @@ def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
     Y = np.empty((m, dim, dim), dtype=complex)  # the argument of a stage
     Y_rows = Y.reshape(m, 1, -1).view(np.float64)
     failed: dict[int, Exception] = {}
-    while batch:
-        m = len(batch)
-        hT = np.array([sp.h for sp in batch])[:, None, None] * _TABLEAU
-        B_all = B([sp.x + c * sp.h for sp in batch
-                   for c in _STAGE_TIMES[1:6]]).reshape(m, 5, dim, dim)
+    passes = 0  # each span of the batch attempts one step per pass until it leaves
+    while True:
+        m, passes = len(x), passes + 1
+        hT = h[:, None, None] * _TABLEAU
+        B_all = B((x[:, None] + _STEP_TIMES * h[:, None]).ravel()).reshape(m, 5, dim, dim)
         for i in range(1, 6):
             B_i = B_all[:, i - 1]
             # U + sum_j (h T[i, j]) k_j over the first i stages, as real rows
@@ -283,55 +289,48 @@ def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
         U5 = U5_rows.view(complex).reshape(m, dim, dim)
         np.matmul(B_i, U5, out=K_out[6])  # stages 6 and 7 share the time x + h
         err = (hT[_ROW_HEADS[_ERROR_ROW]] @ K_in[7]).view(complex)
-        U5_max = np.maximum.reduce(abs(U5), axis=(1, 2)).tolist()
-        err_max = np.maximum.reduce(abs(err), axis=(1, 2)).tolist()
-        accepted, done = [], []
-        for k, (sp, U5_max_k, err_max_k) in enumerate(zip(batch, U5_max, err_max)):
-            scale = max(U5_max_k, sp.U_max, 1.0)
-            local = err_max_k / scale
-            h = sp.h
-            budget = sp.rel_tol * abs(h)  # error-per-unit-step control
-            finite = math.isfinite(local)
-            if finite and local <= budget:
-                sp.x += h
-                sp.U_max = U5_max_k
-                accepted.append(k)
-                sp.steps += 1
-                sp.max_err = max(sp.max_err, local)
-            else:
-                sp.rejected += 1
-            if not finite:
-                h *= _MIN_SHRINK
-            elif local > 0:
-                h *= min(_MAX_GROWTH, max(_MIN_SHRINK, _SAFETY * (budget / local) ** 0.2))
-            else:
-                h *= _MAX_GROWTH
-            if abs(h) < sp.h_floor:
-                failed[sp.index] = _floor_error(sp, h, finite, K[k])
-                done.append(k)
-            elif (sp.t1 - sp.x) * sp.direction <= 0:
-                done.append(k)
-            elif (sp.x + h - sp.t1) * sp.direction > 0:
-                h = sp.t1 - sp.x  # the next step ends on t1; span/50 never passes it
-            sp.h = h
-        if len(accepted) == m:
+        U5_max = np.maximum.reduce(abs(U5), axis=(1, 2))
+        scale = np.maximum(np.maximum(U5_max, U_max), 1.0)
+        local = np.maximum.reduce(abs(err), axis=(1, 2)) / scale
+        budget = tol * abs(h)  # error-per-unit-step control
+        finite = np.isfinite(local)
+        accepted = finite & (local <= budget)
+        np.add(x, h, out=x, where=accepted)
+        np.copyto(U_max, U5_max, where=accepted)
+        np.maximum(max_err, local, out=max_err, where=accepted)
+        steps += accepted
+        if accepted.all():
             U, U_rows = U5, U5_rows
             np.copyto(K_out[0], K_out[6])
-        elif accepted:
-            U[accepted] = U5[accepted]
-            K[accepted, 0] = K[accepted, 6]
-        if done:
-            for k in done:
-                if batch[k].index not in failed:
-                    mats[batch[k].index] = U[k]
-            last = min(failed, default=math.inf)
-            keep = [k for k, sp in enumerate(batch) if k not in done and sp.index < last]
-            batch = [batch[k] for k in keep]
-            if batch:
-                U, K = U[keep], K[keep]
-                U_rows = U.reshape(len(batch), 1, -1).view(np.float64)
-                K_out, K_in = _stage_views(K)
-                Y, Y_rows = Y[:len(batch)], Y_rows[:len(batch)]
+        else:
+            np.copyto(U, U5, where=accepted[:, None, None])
+            np.copyto(K_out[0], K_out[6], where=accepted[:, None, None])
+        # a Python float power per span: numpy's power rounds differently
+        power = np.array([ratio ** 0.2 for ratio in (budget / local).tolist()])
+        factor = np.where(local > 0, np.minimum(_MAX_GROWTH,
+                                                np.maximum(_MIN_SHRINK, _SAFETY * power)),
+                          _MAX_GROWTH)
+        h = h * np.where(finite, factor, _MIN_SHRINK)
+        fail = abs(h) < h_floor
+        done = fail | ((t1 - x) * direction <= 0)
+        if done.any():
+            for k in np.flatnonzero(fail).tolist():
+                failed[int(index[k])] = _floor_error(float(x[k]), float(U_max[k]),
+                                                     float(h[k]), bool(finite[k]), K[k])
+            finished = done & ~fail
+            mats[index[finished]] = U[finished]
+            stats[:, index[done]] = steps[done], passes - steps[done], max_err[done]
+            keep = ~done & (index < min(failed, default=math.inf))
+            if not keep.any():
+                break
+            x, t1, h, direction, h_floor, U_max, tol, steps, max_err, index, U, K = (
+                a[keep] for a in (x, t1, h, direction, h_floor, U_max, tol, steps, max_err,
+                                  index, U, K))
+            U_rows = U.reshape(len(U), 1, -1).view(np.float64)
+            K_out, K_in = _stage_views(K)
+            Y, Y_rows = Y[:len(U)], Y_rows[:len(U)]
+        # the next step ends on t1; span/50 never passes it
+        h = np.where((x + h - t1) * direction > 0, t1 - x, h)
     if failed:
         raise failed[min(failed)]
 
@@ -341,18 +340,19 @@ def _integrate_batch(B: _Coefficient, batch: list[_Span], B_0: np.ndarray,
 _STABLE_STEP = 1.0
 
 
-def _floor_error(sp: _Span, h: float, finite: bool, K: np.ndarray) -> Exception:
-    """Why the step of span ``sp`` fell below its floor: OverflowError if its
-    last error estimate was non-finite because its stages ``K`` overflowed
-    at a step well inside the stability region, where only the size of U can
-    overflow them, or else StiffnessError."""
+def _floor_error(x: float, U_max: float, h: float, finite: bool, K: np.ndarray) -> Exception:
+    """Why the step of a span at time ``x``, whose max|U| is ``U_max``, fell
+    below its floor: OverflowError if its last error estimate was non-finite
+    because its stages ``K`` overflowed at a step well inside the stability
+    region, where only the size of U can overflow them, or else
+    StiffnessError."""
     if not finite and np.isinf(K[1:]).any():
         # B's scale, from stage 1, B(x) U
-        rate = float(np.max(abs(K[0]))) / sp.U_max if sp.U_max else math.inf
+        rate = float(np.max(abs(K[0]))) / U_max if U_max else math.inf
         if abs(h) * rate <= _STABLE_STEP:
             return OverflowError("the propagator leaves the double range after "
-                                 f"t = {sp.x:.6g}")
-    return StiffnessError(f"step size {abs(h):.3e} underflowed at t = {sp.x:.6g}; "
+                                 f"t = {x:.6g}")
+    return StiffnessError(f"step size {abs(h):.3e} underflowed at t = {x:.6g}; "
                           "the coefficient family is too stiff for the 5(4) pair")
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .conjugation import ConjugationParams
 from .serialize import complex_to_json
-from .wco import _STACK_BYTES, WCOParams, wco_matrices, wco_matrix
+from .wco import WCOParams, wco_matrices, wco_matrix
 
 __all__ = [
     "TranslationFamily",
@@ -211,6 +211,10 @@ class QuadratureError(RuntimeError):
 
 
 _GL_NODES = 10  # Gauss-Legendre nodes per panel
+# bytes of the values of one integrand call of the composite rule, or of one
+# panel if that is more: a call pays the integrand's per-call cost once for
+# its panels, and its memory stays bounded however many panels there are
+_STACK_BYTES = 1 << 16
 
 
 @functools.cache

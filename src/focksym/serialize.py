@@ -116,6 +116,12 @@ def _cell(value) -> str:
 
 # ----------------------------------------------------------------------------
 # float64 cells as float.__repr__ writes them, vectorized
+#
+# The kernel pays for its lines end to end: with a plain
+# "".join(",".join(map(repr, row)) ...) of the same bytes in its place, the
+# benchmark's evolution-series read wall_s 32.9 % higher (6 of 6 pairs), past
+# its 25 % bound; a 43 x 2049 table took 62 ms against 41 ms.  It is slower
+# on small tables: 1.0 against 0.3 ms for 35 x 9 (BENCH_features.json).
 
 _CHUNK_CELLS = 4096
 _MARGIN = 1e-9  # how near a unit an interval end or a tie may come, scaled

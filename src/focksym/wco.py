@@ -114,28 +114,19 @@ def wco_matrix(p: WCOParams, dim: int, ncols: int | None = None) -> np.ndarray:
     return out
 
 
-# bytes of the largest array of a stacked build: one extended-precision column
-# for each symbol of a chunk (64 symbols at dim 32, 16 at dim 128); also the
-# bound on the values of one integrand call of semigroup's quadrature
-_STACK_BYTES = 1 << 16
-
-
 def wco_matrices(symbols: Sequence[WCOParams], dim: int,
                  ncols: int | None = None) -> np.ndarray:
     """The matrices of several symbols at once, shape (len(symbols), dim, ncols).
 
-    Each equals ``wco_matrix(p, dim, ncols)`` bit for bit.  The symbols run
-    through the column recurrence in chunks whose extended-precision columns
-    take at most ``_STACK_BYTES``, so the working memory beside the result
-    does not grow with the number of symbols.
+    Each equals ``wco_matrix(p, dim, ncols)`` bit for bit.  All the symbols
+    run through the column recurrence together, so its working memory beside
+    the result is a few extended-precision columns for each symbol.
     """
     m = _leading(dim, ncols)
     out = np.empty((len(symbols), dim, m), dtype=complex)
-    step = max(1, _STACK_BYTES // (dim * np.dtype(np.clongdouble).itemsize))
-    for lo in range(0, len(symbols), step):
-        chunk = np.array([[complex(p.A), complex(p.B), complex(p.C), complex(p.D)]
-                          for p in symbols[lo:lo + step]], dtype=np.clongdouble)
-        _columns(*chunk.T, out[lo:lo + step])
+    stack = np.array([[complex(p.A), complex(p.B), complex(p.C), complex(p.D)]
+                      for p in symbols], dtype=np.clongdouble).reshape(-1, 4)
+    _columns(*stack.T, out)
     return out
 
 

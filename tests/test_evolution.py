@@ -662,14 +662,26 @@ def _tolerances(mode, n):
     return 1e-10 if mode == "one" else [(1e-10, 1e-12)[j % 2] for j in range(n)]
 
 
+def _short_spans(n):
+    """n short spans over the kinks of _kinked_table, about a fifth of them
+    backward, and a zero span: at either tolerance they finish at many
+    different passes, so the batch sheds spans pass after pass."""
+    rng = np.random.default_rng(5)
+    starts, lengths = rng.uniform(0.0, 3.0, n), rng.uniform(0.02, 0.15, n)
+    signs = rng.choice([1.0, 1.0, 1.0, 1.0, -1.0], n)
+    return [(float(a), float(a + d)) for a, d in zip(starts, signs * lengths)] + [(1.0, 1.0)]
+
+
 @pytest.mark.parametrize("make, spans", [
     # unequal forward spans, a backward span and a zero span
     (_bagchi_cosine, [(0.0, 5.0), (1.0, 1.3), (4.0, -1.0), (2.0, 2.0), (0.5, 3.5)]),
     (_kinked_table, [(0.0, 3.0), (0.5, 1.0), (3.0, 0.2), (1.0, 1.0), (2.0, 2.9)]),
     # one array for every value of B, broadcast over the batch
     (_constant_d16, [(0.0, 2.0), (0.3, 0.4), (2.0, 0.0), (1.0, 1.0)]),
-], ids=["bagchi-cosine", "kinked-table", "constant-d16"])
-@pytest.mark.parametrize("spans_per_batch", [None, 2])
+    (_kinked_table, _short_spans(64)),
+], ids=["bagchi-cosine", "kinked-table", "constant-d16", "kinked-table-short-spans"])
+# None: one batch; 40: the 64 short spans in two batches of many spans each
+@pytest.mark.parametrize("spans_per_batch", [None, 2, 40])
 def test_batch_matches_each_span_alone_bit_for_bit(make, spans, spans_per_batch, monkeypatch):
     n = make()([0.0]).shape[-1]
     _split_batches(monkeypatch, n, spans_per_batch)

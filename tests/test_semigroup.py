@@ -29,7 +29,7 @@ from focksym.semigroup import (
     semigroup_matrix,
     solve_scaling_equation,
 )
-from focksym import conjugation, generator, semigroup, wco
+from focksym import conjugation, generator, semigroup
 from focksym.cli import ScenarioError, _family_from
 from focksym.generator import (
     check_generator_fd,
@@ -342,8 +342,8 @@ def test_panel_blocks_match_the_panel_loop_bit_for_bit(shape, panels):
     assert calls[0][0] == semigroup._GL_NODES
     assert sum(n for n, _ in calls) == panels * semigroup._GL_NODES
     assert all(n % semigroup._GL_NODES == 0 for n, _ in calls)
-    assert all(b <= max(wco._STACK_BYTES, panel_bytes) for _, b in calls)
-    per_call = max(1, wco._STACK_BYTES // panel_bytes)
+    assert all(b <= max(semigroup._STACK_BYTES, panel_bytes) for _, b in calls)
+    per_call = max(1, semigroup._STACK_BYTES // panel_bytes)
     assert len(calls) == 1 + -(-(panels - 1) // per_call)
 
 

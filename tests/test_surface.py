@@ -20,7 +20,6 @@ KEPT = {
                  "benchmark's refresh",
     "check_generator_fd": "perfbench/tracing.py traces it, and acceptance criterion 05 "
                           "calls it",
-    "kernel_vector": "the reproducing-kernel oracle is to call it",
     "compose_params": "the symbol calculus is to call it",
 }
 

@@ -5,13 +5,13 @@ import importlib.util
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focksym import wco
 from focksym.cli import _KINDS
 from focksym.fock import monomial
 from focksym.semigroup import family_eval
@@ -198,15 +198,15 @@ def test_params_json_round_trip():
 
 # --- the column recurrence against a 30-digit oracle ------------------------------
 
-def _load_accuracy_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "assembly_accuracy.py"
-    spec = importlib.util.spec_from_file_location("assembly_accuracy", path)
+def _load_script(name: str):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-ACCURACY = _load_accuracy_script()
+ACCURACY = _load_script("assembly_accuracy")
 
 # the offset conjugation's symbol and the semigroup-law families' symbols,
 # whose A, B, C are numpy scalars for the dilation families
@@ -243,6 +243,23 @@ def test_assembly_matches_mpmath(dim):
         rel = np.max(np.abs(wco_matrix(p, dim) - ref)) / np.max(np.abs(ref))
         bound = ORACLE_ERRORS.get(dim, {}).get(i, np.finfo(float).eps)
         assert rel <= 1.05 * bound, (i, p, rel)
+
+
+def test_kernel_accuracy_script_at_64(capsys):
+    script = _load_script("kernel_accuracy")
+    assert script.main(["--dims", "64"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    # a title, one line per law family, a header, one row per symbol
+    assert len(out) == 2 + len(_LAW_FAMILIES) + len(script.symbols())
+    # |A| = 0.5 stays at rounding; at |A| = 1 the 0.4N kernels' tails show
+    worst, _, used = script.kernel_residual(script.FIXED_SYMBOLS["(0.5, 0.2, 0.7, 0.1+0.1i)"], 64)
+    assert used == 8 and worst < 1e-14
+    worst, tail, used = script.kernel_residual(script.FIXED_SYMBOLS["(1, 1, 1, -1)"], 64)
+    assert used == 7 and 0.5 < worst / math.sqrt(tail) < 2
+    with mpmath.workdps(30):
+        x = mpmath.mpf("25.6")
+        ref = mpmath.exp(-x) * mpmath.fsum(x**n / mpmath.factorial(n) for n in range(64, 400))
+    assert tail == pytest.approx(float(ref), rel=1e-12)
 
 
 def _dyadic(values) -> tuple[list[tuple[int, int]], int]:
@@ -349,25 +366,6 @@ def test_stack_of_overflowing_symbol_holds_inf_and_nan():
     stack = wco_matrices([REFERENCE_SYMBOLS[0], OVERFLOWING], 64)
     assert np.all(np.isfinite(stack[0]))
     assert np.isinf(stack[1]).any() and np.isnan(stack[1]).any()
-
-
-def test_stack_spans_chunks_under_the_byte_cap(monkeypatch):
-    dim, itemsize = 16, np.dtype(np.clongdouble).itemsize
-    monkeypatch.setattr(wco, "_STACK_BYTES", 3 * dim * itemsize)  # 3 symbols per chunk
-    chunks, columns = [], wco._columns
-
-    def recording(A, B, C, D, out):
-        chunks.append(A.shape)
-        return columns(A, B, C, D, out)
-
-    monkeypatch.setattr(wco, "_columns", recording)
-    _assert_stack_equals_single_builds(REFERENCE_SYMBOLS + [OVERFLOWING], dim, 5)
-    # the 26 symbols in chunks of 3, then the 26 single builds, which are 0-d
-    assert chunks == [(3,)] * 8 + [(2,)] + [()] * 26
-    monkeypatch.setattr(wco, "_STACK_BYTES", 1)  # below one symbol's column: one at a time
-    chunks.clear()
-    assert wco_matrices(REFERENCE_SYMBOLS[:4], dim).shape == (4, dim, dim)
-    assert chunks == [(1,)] * 4
 
 
 def test_stack_validates_like_a_single_build():
