@@ -38,24 +38,24 @@ unfinished span of a batch: the stages of its m spans sit in one
 product per span, taken as one batched product, and each stage is one
 batched matrix product.  A pass makes one call of B, at the five new stage
 times x + c h of all m spans, one (m, 5) array, and views its values as
-(m, 5, n, n).  Each span keeps its own time, step size, first-same-as-last
-stage, step floor, tolerance and statistics: the controller holds one
-array per quantity over the batch's unfinished spans, so the error scale,
-the acceptance test and the next step size are each one array expression
-for all of them, and a span that is done leaves the batch, its arrays, U
-and stages compacted away together.  Batched products take the same BLAS
-call per span as a single one, every controller operation is elementwise,
-and the step factor's power stays a Python float power per span (numpy's
-rounds differently), so each U and its statistics are the same to the bit
-whatever else is in the batch, at whatever tolerances.  Spans are batched
-in the order given, as many at a time as keep the stage buffer within
-``_BATCH_BYTES``.
+(m, 5, n, n).  All spans of a call share one tolerance; each keeps its own
+time, step size, first-same-as-last stage, step floor and counts of
+accepted and rejected steps: the controller holds one array per quantity
+over the batch's unfinished spans, so the error scale, the acceptance test
+and the next step size are each one array expression for all of them, and
+a span that is done leaves the batch, its arrays, U and stages compacted
+away together.  Batched products take the same BLAS call per span as a
+single one, every controller operation is elementwise, and the step
+factor's power stays a Python float power per span (numpy's rounds
+differently), so each U and its statistics are the same to the bit
+whatever else is in the batch.  Spans are batched in the order given, as
+many at a time as keep the stage buffer within ``_BATCH_BYTES``.
 :func:`evolve` is a batch of one.  Since every pass costs a fixed overhead
-of numpy calls, each caller hands in all the spans of one coefficient in one
-call: an ``evolution`` run the spans of the chains of its series and of
-the composition law's pieces, and the suite its U(1, 0), U(0, 1), U(1, 1),
-the composition law's pieces of [0, 1] and the adjoint quotients' short
-spans, these at a tighter tolerance.
+of numpy calls, each caller hands in all the spans of one coefficient and
+one tolerance in one call: an ``evolution`` run the spans of the chains of
+its series and of the composition law's pieces, and the suite its U(1, 0),
+U(0, 1), U(1, 1) and the composition law's pieces of [0, 1] in one call,
+and the adjoint quotients' short spans, at a tighter tolerance, in a second.
 
 Checks cover the evolution-family axioms, the adjoint family's derivative
 identity and the commutation relation B(s) J = J conj(B(s))  (written here as
@@ -123,7 +123,6 @@ _Coefficient = Callable[[Sequence[float]], np.ndarray]
 class IntegratorStats:
     steps: int
     rejected: int
-    max_local_error: float
 
 
 @dataclass(frozen=True)
@@ -196,40 +195,35 @@ _BATCH_BYTES = 1 << 20
 
 
 def _integrate_spans(
-    B: _Coefficient, spans: Sequence[tuple[float, float]], rel_tol: float | Sequence[float],
+    B: _Coefficient, spans: Sequence[tuple[float, float]], rel_tol: float,
 ) -> tuple[np.ndarray, list[IntegratorStats]]:
     """The (len(spans), n, n) stack of U(t1, t0) for the spans (t0, t1) of B,
     and each span's integrator statistics.
 
-    ``rel_tol`` is one tolerance for every span, or one per span.  The spans
-    are integrated side by side, in consecutive batches whose stages fit in
-    ``_BATCH_BYTES``, each span with the arithmetic of a span integrated
-    alone at its own tolerance, so each result is the same to the bit
-    whatever the batch and the tolerances of its batch-mates.  If a span
-    fails, the error raised is that of the first failing span in the order
-    given, the StiffnessError or OverflowError a loop over the spans would
-    raise.  The spans' ends, tolerances and statistics are arrays, and each
-    batch's step controller is arrays over its spans (:func:`_integrate_batch`).
+    Every span is integrated at ``rel_tol``, side by side, in consecutive
+    batches whose stages fit in ``_BATCH_BYTES``, each span with the
+    arithmetic of a span integrated alone, so each result is the same to
+    the bit whatever the batch.  If a span fails, the error raised is that
+    of the first failing span in the order given, the StiffnessError or
+    OverflowError a loop over the spans would raise.  The spans' ends and
+    statistics are arrays, and each batch's step controller is arrays over
+    its spans (:func:`_integrate_batch`).
     """
-    tols = [rel_tol] * len(spans) if np.ndim(rel_tol) == 0 else list(rel_tol)
-    if len(tols) != len(spans):
-        raise ValueError(f"{len(tols)} tolerances for {len(spans)} spans")
-    if any(tol <= 0 for tol in tols):
+    if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
     # the size of the problem, and each span's first stage 1
     B_t0 = B([t0 for t0, _ in spans])
     dim = B_t0.shape[-1]
     mats = np.tile(np.eye(dim, dtype=complex), (len(spans), 1, 1))  # a zero span's U is I
-    stats = np.zeros((3, len(spans)))  # steps, rejected steps, max local error
+    stats = np.zeros((2, len(spans)), dtype=int)  # steps, rejected steps
     ends = np.array(spans, dtype=float).reshape(-1, 2)
     moving = np.flatnonzero(ends[:, 0] != ends[:, 1])
-    B_0, tols = B_t0[moving], np.array(tols, dtype=float)  # a copy: no value outlives its call
+    B_0 = B_t0[moving]  # a copy: no value outlives its call
     size = max(1, _BATCH_BYTES // (7 * 16 * dim ** 2))
     for i in range(0, len(moving), size):
         index = moving[i:i + size]
-        _integrate_batch(B, index, ends[index], tols[index], B_0[i:i + size], mats, stats)
-    return mats, [IntegratorStats(int(steps), int(rejected), max_err)
-                  for steps, rejected, max_err in zip(*stats.tolist())]
+        _integrate_batch(B, index, ends[index], rel_tol, B_0[i:i + size], mats, stats)
+    return mats, [IntegratorStats(*st) for st in zip(*stats.tolist())]
 
 
 # the stage times of a step after its first, as fractions of h
@@ -240,32 +234,31 @@ _STEP_TIMES = np.array(_STAGE_TIMES[1:6])
 # rejected, so its overflow and invalid values are expected and stay silent,
 # and so is the division by a zero error estimate, whose step grows fivefold
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _integrate_batch(B: _Coefficient, index: np.ndarray, ends: np.ndarray, tol: np.ndarray,
+def _integrate_batch(B: _Coefficient, index: np.ndarray, ends: np.ndarray, tol: float,
                      B_0: np.ndarray, mats: np.ndarray, stats: np.ndarray) -> None:
     """Integrate the spans ``ends`` (t0, t1) at ``tol``, whose B(t0) are
     ``B_0``, side by side; they are spans ``index`` of the caller.
 
     The controller is one array per quantity over the unfinished spans:
-    time, end, step size, direction, step floor, max|U|, tolerance, accepted
-    steps and max local error.  Every pass of the loop attempts one step of
-    each unfinished span, so a span's rejected steps are its passes less its
-    accepted ones.  The error scale, the acceptance test and the next step
-    size are each one array expression; only the step factor's power is a
-    Python float power per span, since numpy's rounds differently.  A span
-    leaves the batch when it is done: its U goes to ``mats[index]`` and its
-    steps, rejected steps and max local error to ``stats[:, index]``, and
-    the arrays, U and the stages of the spans left are compacted together.  A
-    span whose step size falls below its floor stops, and so does every
-    later span, which cannot change what is raised: the error of the first
-    failing span, of :func:`_floor_error`, is raised once every earlier span
-    has finished.
+    time, end, step size, direction, step floor, max|U| and accepted steps.
+    Every pass of the loop attempts one step of each unfinished span, so a
+    span's rejected steps are its passes less its accepted ones.  The error
+    scale, the acceptance test and the next step size are each one array
+    expression; only the step factor's power is a Python float power per
+    span, since numpy's rounds differently.  A span leaves the batch when it
+    is done: its U goes to ``mats[index]`` and its steps and rejected steps
+    to ``stats[:, index]``, and the arrays, U and the stages of the spans
+    left are compacted together.  A span whose step size falls below its
+    floor stops, and so does every later span, which cannot change what is
+    raised: the error of the first failing span, of :func:`_floor_error`, is
+    raised once every earlier span has finished.
     """
     (x, t1), span = ends.T.copy(), ends[:, 1] - ends[:, 0]
     h = span / 50.0
     direction = np.sign(span)
     h_floor = abs(span) * _MIN_STEP_FACTOR
     U_max = np.ones(len(x))  # max|U|, carried over from the accepted step's max|U5|
-    steps, max_err = np.zeros((2, len(x)))
+    steps = np.zeros(len(x), dtype=int)
     m, dim = B_0.shape[:2]
     U = np.repeat(np.eye(dim, dtype=complex)[None], m, axis=0)
     U_rows = U.reshape(m, 1, -1).view(np.float64)
@@ -297,14 +290,9 @@ def _integrate_batch(B: _Coefficient, index: np.ndarray, ends: np.ndarray, tol: 
         accepted = finite & (local <= budget)
         np.add(x, h, out=x, where=accepted)
         np.copyto(U_max, U5_max, where=accepted)
-        np.maximum(max_err, local, out=max_err, where=accepted)
         steps += accepted
-        if accepted.all():
-            U, U_rows = U5, U5_rows
-            np.copyto(K_out[0], K_out[6])
-        else:
-            np.copyto(U, U5, where=accepted[:, None, None])
-            np.copyto(K_out[0], K_out[6], where=accepted[:, None, None])
+        np.copyto(U, U5, where=accepted[:, None, None])
+        np.copyto(K_out[0], K_out[6], where=accepted[:, None, None])
         # a Python float power per span: numpy's power rounds differently
         power = np.array([ratio ** 0.2 for ratio in (budget / local).tolist()])
         factor = np.where(local > 0, np.minimum(_MAX_GROWTH,
@@ -319,13 +307,12 @@ def _integrate_batch(B: _Coefficient, index: np.ndarray, ends: np.ndarray, tol: 
                                                      float(h[k]), bool(finite[k]), K[k])
             finished = done & ~fail
             mats[index[finished]] = U[finished]
-            stats[:, index[done]] = steps[done], passes - steps[done], max_err[done]
+            stats[:, index[done]] = steps[done], passes - steps[done]
             keep = ~done & (index < min(failed, default=math.inf))
             if not keep.any():
                 break
-            x, t1, h, direction, h_floor, U_max, tol, steps, max_err, index, U, K = (
-                a[keep] for a in (x, t1, h, direction, h_floor, U_max, tol, steps, max_err,
-                                  index, U, K))
+            x, t1, h, direction, h_floor, U_max, steps, index, U, K = (
+                a[keep] for a in (x, t1, h, direction, h_floor, U_max, steps, index, U, K))
             U_rows = U.reshape(len(U), 1, -1).view(np.float64)
             K_out, K_in = _stage_views(K)
             Y, Y_rows = Y[:len(U)], Y_rows[:len(U)]

@@ -674,14 +674,14 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     B = bagchi_hamiltonian(1.0, lambda ts: np.full(len(ts), 0.3),
                            lambda ts: np.full(len(ts), 1.0))
     hs = np.array([3e-2, 1e-2, 3e-3, 1e-3])
-    # one step loop for B: U(1, 0), which serves the axioms, the closed form,
-    # the adjoint slope and the reversal; U(0, 1); U(1, 1) and the composition
-    # law's U(0.5, 0) and U(1, 0.5); and the adjoint quotients' U(1 + h, 1)
-    # at the tighter 1e-12
+    # one step loop for B at rel_tol: U(1, 0), which serves the axioms, the
+    # closed form, the adjoint slope and the reversal; U(0, 1); U(1, 1) and
+    # the composition law's U(0.5, 0) and U(1, 0.5); then one at the tighter
+    # 1e-12 for the adjoint quotients' U(1 + h, 1)
     pieces, _ = composition_pieces([(0.0, 1.0)])
-    spans = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), *pieces, *adjoint_spans(1.0, hs)]
-    mats, _ = _integrate_spans(B, spans, [rel_tol] * 5 + [1e-12] * len(hs))
-    U, U_rev, U_tt, U_rs, U_tr, U_steps = *mats[:5], mats[5:]
+    mats, _ = _integrate_spans(B, [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), *pieces], rel_tol)
+    U, U_rev, U_tt, U_rs, U_tr = mats
+    U_steps, _ = _integrate_spans(B, adjoint_spans(1.0, hs), 1e-12)
     out = evolution_axiom_records(cfg, np.stack([U_tt, U_tr, U_rs]), U, rel_tol)
     # constant coefficients: closed form via the spectral decomposition
     nu, kap, lamb = 1.0, 0.3, 1.0

@@ -847,15 +847,15 @@ def test_verify_all_work_is_pinned(tmp_path, work):
     # sums (12), per family for the finite differences' W(+-h) (2), for the
     # bridge's three times (1) and for the six boundedness symbols (1); the
     # other 17 matrices are built one by one
-    # two-level coefficient calls: one per _integrate_spans call (2: the
-    # group's nine spans of B, at two tolerances, and the symmetry record's
-    # commuting family) and one per pass of its step loop (169, against 243
-    # when the pair, the axioms and the adjoint batch each had their own loop),
-    # plus B(0) for the exponential route, the 9-point s grid of the
-    # commutation record and B(1) for the adjoint target; the times are each
-    # span's start and five per attempted step, plus 11, as for separate loops
+    # two-level coefficient calls: one per _integrate_spans call (3: the
+    # group's five spans of B at 1e-10, its four adjoint spans at 1e-12, and
+    # the symmetry record's commuting family) and one per pass of its step
+    # loops (182: 121 and 13 for B, 48 for the commuting family), plus B(0)
+    # for the exponential route, the 9-point s grid of the commutation record
+    # and B(1) for the adjoint target; the times are each span's start and
+    # five per attempted step, plus 11, as for separate loops
     assert work == {"spans": 10, "matrices": 893, "assemblies": 55,
-                    "B_calls": 174, "B_times": 2216}
+                    "B_calls": 188, "B_times": 2216}
     # the evolution group does not depend on the dim
     coefficient_work = (work["B_calls"], work["B_times"])
     work["B_calls"] = work["B_times"] = 0

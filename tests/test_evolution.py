@@ -100,7 +100,6 @@ def test_integrator_stats_are_sane():
     assert op.s == 0.0 and op.t == 2.0
     assert op.stats.steps >= 1
     assert op.stats.rejected >= 0
-    assert 0.0 <= op.stats.max_local_error <= 1e-10 * 2.0
 
 
 # --- two-parameter family axioms ----------------------------------------------
@@ -464,7 +463,7 @@ def test_adjoint_family_integrates_u_once(monkeypatch):
         assert err == np.linalg.norm(quotient - U_t.conj().T @ (B([1.0])[0].conj().T @ z))
 
 
-def test_evolution_group_integrates_b_in_one_call(monkeypatch):
+def test_evolution_group_integrates_b_in_two_calls(monkeypatch):
     calls = []
     original = evolution._integrate_spans
 
@@ -477,11 +476,11 @@ def test_evolution_group_integrates_b_in_one_call(monkeypatch):
     verification.evolution_checks(verification.VerifyConfig(dim=16))
     hs = (3e-2, 1e-2, 3e-3, 1e-3)
     # U(1, 0), U(0, 1), the axioms' U(1, 1) and the composition law's pieces
-    # U(0.5, 0), U(1, 0.5) at 1e-10, then the adjoint quotients' U(1 + h, 1) at
-    # 1e-12; the commuting family B2 keeps its own evolve
+    # U(0.5, 0), U(1, 0.5) in one call at 1e-10, then the adjoint quotients'
+    # U(1 + h, 1) in one at 1e-12; the commuting family B2 keeps its own evolve
     assert calls == [
-        ([(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.5), (0.5, 1.0),
-          *[(1.0, 1.0 + h) for h in hs]], [1e-10] * 5 + [1e-12] * 4),
+        ([(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.5), (0.5, 1.0)], 1e-10),
+        ([(1.0, 1.0 + h) for h in hs], 1e-12),
         ([(0.0, 1.5)], 1e-10),
     ]
 
@@ -502,13 +501,12 @@ def _reference_integrate(B, t0, t1, rel_tol, sums="rows"):
     dim = B([t0]).shape[-1]
     U = np.eye(dim, dtype=complex)
     if t1 == t0:
-        return U, IntegratorStats(steps=0, rejected=0, max_local_error=0.0)
+        return U, IntegratorStats(steps=0, rejected=0)
     span = t1 - t0
     h = span / 50.0
     h_floor = abs(span) * ev._MIN_STEP_FACTOR
     x = t0
     steps = rejected = 0
-    max_err = 0.0
     direction = 1.0 if span > 0 else -1.0
 
     def weighted(Y, row, stages):
@@ -540,7 +538,6 @@ def _reference_integrate(B, t0, t1, rel_tol, sums="rows"):
             x += h
             U = U5
             steps += 1
-            max_err = max(max_err, local)
         else:
             rejected += 1
         if not finite:
@@ -555,7 +552,7 @@ def _reference_integrate(B, t0, t1, rel_tol, sums="rows"):
                 f"step size {abs(h):.3e} underflowed at t = {x:.6g}; "
                 "the coefficient family is too stiff for the 5(4) pair"
             )
-    return U, IntegratorStats(steps=steps, rejected=rejected, max_local_error=max_err)
+    return U, IntegratorStats(steps=steps, rejected=rejected)
 
 
 def _counting(B):
@@ -657,11 +654,6 @@ def _split_batches(monkeypatch, dim, spans_per_batch):
         monkeypatch.setattr(evolution, "_BATCH_BYTES", spans_per_batch * 7 * 16 * dim**2)
 
 
-def _tolerances(mode, n):
-    """One tolerance for n spans, or 1e-10 and 1e-12 in turn, span by span."""
-    return 1e-10 if mode == "one" else [(1e-10, 1e-12)[j % 2] for j in range(n)]
-
-
 def _short_spans(n):
     """n short spans over the kinks of _kinked_table, about a fifth of them
     backward, and a zero span: at either tolerance they finish at many
@@ -685,16 +677,14 @@ def _short_spans(n):
 def test_batch_matches_each_span_alone_bit_for_bit(make, spans, spans_per_batch, monkeypatch):
     n = make()([0.0]).shape[-1]
     _split_batches(monkeypatch, n, spans_per_batch)
-    for tol_mode in ("one", "mixed"):
+    for tol in (1e-10, 1e-12):
         B, count = _counting(make())
-        tols = _tolerances(tol_mode, len(spans))
-        mats, stats = _integrate_spans(B, spans, tols)
+        mats, stats = _integrate_spans(B, spans, tol)
         assert isinstance(mats, np.ndarray) and mats.shape == (len(spans), n, n)
         assert len(stats) == len(spans)
         assert all(np.array_equal(U, np.eye(n))
                    for (t0, t1), U in zip(spans, mats) if t1 == t0)
-        for j, ((t0, t1), U, st) in enumerate(zip(spans, mats, stats)):
-            tol = tols if tol_mode == "one" else tols[j]  # each span at its own tolerance
+        for (t0, t1), U, st in zip(spans, mats, stats):
             (U_alone,), (st_alone,) = _integrate_spans(make(), [(t0, t1)], tol)
             assert U.tobytes() == U_alone.tobytes() and st == st_alone
             U_ref, st_ref = _reference_integrate(make(), t0, t1, tol)
@@ -709,12 +699,9 @@ def test_batch_matches_each_span_alone_bit_for_bit(make, spans, spans_per_batch,
                                          for i in range(0, len(attempts), size))
 
 
-def test_tolerances_must_match_the_spans_and_be_positive():
-    B = _bagchi_cosine()
-    with pytest.raises(ValueError, match="2 tolerances for 3 spans"):
-        _integrate_spans(B, [(0.0, 1.0)] * 3, [1e-10, 1e-12])
+def test_tolerance_must_be_positive():
     with pytest.raises(ValueError, match="rel_tol must be positive"):
-        _integrate_spans(B, [(0.0, 1.0)] * 2, [1e-10, 0.0])
+        _integrate_spans(_bagchi_cosine(), [(0.0, 1.0)] * 2, 0.0)
 
 
 def test_series_evaluates_b_only_in_its_steps():
@@ -739,11 +726,9 @@ def test_batch_raises_the_sequential_stiffness_error(order, spans_per_batch, mon
     _split_batches(monkeypatch, 1, spans_per_batch)
     B = _stiff_past_two()
     spans = [[(0.0, 1.0), (1.5, 2.5), (0.2, 1.8), (2.2, 2.8)][i] for i in order]
-    for tol_mode in ("one", "mixed"):
-        tols = _tolerances(tol_mode, len(spans))
+    for tol in (1e-10, 1e-12):
         expected = None
-        for j, span in enumerate(spans):  # one after another, as a plain loop would
-            tol = tols if tol_mode == "one" else tols[j]
+        for span in spans:  # one after another, as a plain loop would
             try:
                 _reference_integrate(B, *span, tol)
             except StiffnessError as exc:
@@ -751,7 +736,7 @@ def test_batch_raises_the_sequential_stiffness_error(order, spans_per_batch, mon
                 break
         assert expected is not None
         with pytest.raises(StiffnessError) as got:
-            _integrate_spans(B, spans, tols)
+            _integrate_spans(B, spans, tol)
         assert str(got.value) == expected
 
 
