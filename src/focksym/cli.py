@@ -94,6 +94,7 @@ from .verification import (
     eigenfunction_records,
     evolution_axiom_records,
     exponential_bridge_records,
+    exponential_column_records,
     fd_slope_records,
     flow_cocycle_records,
     isometry_residual,
@@ -541,7 +542,8 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
 
 def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.ndarray],
                         breaks: Sequence[float], span: tuple[float, float], samples: int,
-                        rel_tol: float) -> tuple[np.ndarray, np.ndarray, list[CheckRecord]]:
+                        rel_tol: float, constant: bool = False
+                        ) -> tuple[np.ndarray, np.ndarray, list[CheckRecord]]:
     """The sample times over span = (s, t), the series U(t_k, s) and the
     run's records.
 
@@ -553,8 +555,9 @@ def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.nda
     chains give U(r, s) and U(t, r), so the composition law compares two
     paths that share no step, but for the spans between a common segment
     boundary and a break.  One sample keeps only the chain's first row, I,
-    and the chain runs from s to t for U(t, s).  The span stack is released
-    on return, before the caller builds its table.
+    and the chain runs from s to t for U(t, s).  A ``constant`` coefficient's
+    U(t, s) is also judged against its exponential.  The span stack is
+    released on return, before the caller builds its table.
     """
     s, t = span
     times = np.linspace(s, t, samples)
@@ -574,6 +577,8 @@ def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.nda
     records.append(_info("evolution.transpose-symmetry", "U M = M U^T under plain conjugation",
                          check_matrix_c_symmetry(U_ts, np.eye(len(U_ts))),
                          "pass/fail asserted only for commuting families"))
+    if constant:
+        records += exponential_column_records(cfg, B([s])[0], U_ts, t - s, rel_tol)
     return times, chain[rows[:samples]], records
 
 
@@ -594,7 +599,7 @@ def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
     def run():
         try:
             times, series, records = _series_and_records(cfg, B, breaks, (s, t), samples,
-                                                         rel_tol)
+                                                         rel_tol, meta["model"] == "constant")
             n = series.shape[-1]
             header = ["t"] + [f"U{i}_{j}_{part}" for i in range(n) for j in range(n)
                               for part in ("re", "im")]

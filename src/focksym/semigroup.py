@@ -213,7 +213,11 @@ class QuadratureError(RuntimeError):
 _GL_NODES = 10  # Gauss-Legendre nodes per panel
 # bytes of the values of one integrand call of the composite rule, or of one
 # panel if that is more: a call pays the integrand's per-call cost once for
-# its panels, and its memory stays bounded however many panels there are
+# its panels, and its memory stays bounded however many panels there are.
+# With every panel in one call, the benchmark's verify-64 read peak_rss_mb
+# 40.3 against 36.9 MB (+9.1 %, higher in 12 of 12 pairs, against an A/A
+# spread of 0.4 %), and tracemalloc read the suite's Laplace group peaking
+# at 4.5 against 1.05 MB at dim 64 (BENCH_features.json)
 _STACK_BYTES = 1 << 16
 
 

@@ -13,7 +13,9 @@ inputs, or the measurement their caller made, as named parameters.  A group
 runs its maker over its fixtures and appends a suffix to every id
 (``.{variant}.{i}``, or ``.b0.{i}`` and ``.offset`` for the conjugations); a
 kind applies the same maker with no suffix, so both judge one case alike.
-The CLI makes only its kinds' info records and ``wco.symbol-selfadjointness``.
+The CLI makes only its kinds' info records and ``wco.symbol-selfadjointness``,
+and :func:`exponential_column_records`, the ``evolution`` kind's judge of a
+constant coefficient's propagator, has no group yet.
 Each law is measured by one helper of the layer that defines it (for example
 ``check_semigroup_law`` sweeps its own time grid, and every C-symmetry
 residual is ``check_matrix_c_symmetry``), at the truncation that decides it.
@@ -409,6 +411,35 @@ def evolution_axiom_records(
         _record(f"evolution.identity{suffix}", "U(t, t) = identity", ident, tol),
         _record(f"evolution.composition{suffix}", "U(t, r) U(r, s) = U(t, s)", comp, tol),
     ]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def exponential_column_records(
+    cfg: VerifyConfig,
+    M: np.ndarray,
+    U_ts: np.ndarray,
+    span: float,
+    rel_tol: float,
+) -> list[CheckRecord]:
+    """U(t, s) = e^{(t - s) M} for the constant coefficient M, given U(t, s)
+    integrated at ``rel_tol`` and span = t - s, column by column.
+
+    Each column's error is its max-abs difference from that column of the
+    exponential over the column's own max-abs entry, so a column that decays
+    is judged relative to its size, not to the largest column; the record
+    reads the worst column against ``evolution_tol_factor`` rel_tol |t - s|.
+    A column of the exponential that underflows to 0 reads 0 where U's
+    column is 0 too, and inf otherwise.
+    """
+    E = matrix_exponential(M, span)
+    err = np.max(np.abs(U_ts - E), axis=0)
+    size = np.max(np.abs(E), axis=0)
+    rel = np.divide(err, size, out=np.where(err > 0, np.inf, 0.0), where=size > 0)
+    worst = int(np.argmax(rel))
+    return [_record("evolution.exponential-columns",
+                    "constant-coefficient propagator equals exp((t-s) M), column by column",
+                    rel[worst], cfg.tol("evolution_tol_factor") * rel_tol * abs(span),
+                    detail=f"worst column {worst} of {len(rel)}")]
 
 
 # ----------------------------------------------------------------------------

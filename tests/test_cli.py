@@ -686,6 +686,10 @@ def test_kind_and_suite_records_agree(maker):
 UNPINNED = {
     # C-selfadjointness of a wco symbol: the suite has no wco symbol group yet
     "wco.symbol-selfadjointness",
+    # a constant coefficient's propagator against its exponential, column by
+    # column: verify-all gains it with the benchmark refresh that unlocks the
+    # suite's new evolution ids
+    "evolution.exponential-columns",
 }
 
 
@@ -694,6 +698,7 @@ def test_every_judged_kind_record_is_pinned():
     cases = [(kind, params) for _, _, kind, params, _ in SHARED_MAKERS.values()]
     cases += [(kind, params) for kind, params in GOOD_PARAMS if kind != "full-verify"]
     cases.append(("wco", {"A": 0.5, "conjugation": STD_CONJ}))
+    cases.append(("evolution", {"B": "constant", "matrix": [[[0.0, -1.0]]]}))
     judged = set()
     for kind, params in cases:
         sc = cli.validate_scenario({"name": kind, "kind": kind, "params": params,
@@ -1032,6 +1037,50 @@ def _evolution_report(tmp_path, params, fmt):
 
 def _records(report_path):
     return {r["check_id"]: r for r in json.loads(report_path.read_text())["records"]}
+
+
+def test_exponential_columns_judge_each_column_against_its_own_size():
+    cfg = verification.VerifyConfig(dim=16)
+    # e^{-8 t} and e^{t/2} over t = 2: the first column is 1e-7 the size of
+    # the second
+    M = np.diag([-8.0, 0.5]).astype(complex)
+    E = generator.matrix_exponential(M, 2.0)
+    [exact] = verification.exponential_column_records(cfg, M, E, 2.0, 1e-10)
+    assert (exact.measured, exact.threshold, exact.status) == (0.0, 10 * 1e-10 * 2.0, "pass")
+    # a fault of 1e-6 relative in the decaying column, 1e-13 in absolute terms
+    U = E.copy()
+    U[0, 0] *= 1 + 1e-6
+    [faulty] = verification.exponential_column_records(cfg, M, U, 2.0, 1e-10)
+    assert faulty.status == "fail" and faulty.detail == "worst column 0 of 2"
+    assert faulty.measured == pytest.approx(1e-6)
+    # e^{-800} underflows to 0: a column of 0 reads 0, any other column inf
+    M = np.diag([-800.0, 0.0]).astype(complex)
+    E = generator.matrix_exponential(M, 1.0)
+    assert E[0, 0] == 0.0
+    [exact] = verification.exponential_column_records(cfg, M, E, 1.0, 1e-10)
+    assert exact.measured == 0.0 and exact.status == "pass"
+    U = E.copy()
+    U[0, 0] = 1e-300
+    [faulty] = verification.exponential_column_records(cfg, M, U, 1.0, 1e-10)
+    assert faulty.measured == math.inf and faulty.status == "fail"
+
+
+def test_decaying_constant_run_fails_its_exponential_columns(tmp_path, capsys):
+    # e^{-250} and e^{-5}: the step loop judges a step's error against
+    # max(max|U5|, max|U|, 1), so the decaying column is held only to absolute
+    # accuracy and misses its exponential by 195 %, while the composition law
+    # passes, since both of its paths carry the same error.  The relative
+    # error scale planned in ROADMAP.md ("Propagators of dissipative families
+    # to their tolerance") turns this run into exit 0.
+    params = {"B": "constant", "matrix": [[-50.0, 0.0], [0.0, -1.0]], "t": 5.0, "samples": 3}
+    out = tmp_path / "decay.json"
+    path = _scenario(tmp_path, {"name": "decay", "kind": "evolution", "params": params,
+                                "output": {"path": str(out)}})
+    assert main(["run", path]) == 2
+    assert "FAILED: evolution.exponential-columns" in capsys.readouterr().err
+    records = _records(out)
+    assert records["evolution.composition"]["status"] == "pass"
+    assert records["evolution.exponential-columns"]["measured"] > 1.0
 
 
 def test_evolution_single_sample_integrates_u_ts_directly(tmp_path):
