@@ -413,7 +413,6 @@ def evolution_axiom_records(
     ]
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def exponential_column_records(
     cfg: VerifyConfig,
     M: np.ndarray,
