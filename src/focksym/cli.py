@@ -476,10 +476,12 @@ _BEND_PER_TOL = 100.0
 
 def _evolution_operator_from(params: dict, span: tuple[float, float]
                              ) -> tuple[Callable[[Sequence[float]], np.ndarray],
-                                        Callable[[float], list[float]], dict, str]:
+                                        Callable[[float], list[float]], dict, str,
+                                        np.ndarray | None]:
     """The coefficient ts -> stack of B(t), the map from the run's checked
-    rel_tol to the times where B is not smooth, its report payload, and the
-    field path of its coefficients, named on stiffness or overflow.
+    rel_tol to the times where B is not smooth, its report payload, the
+    field path of its coefficients, named on stiffness or overflow, and the
+    matrix of a constant model (None for the others).
 
     A table's breaks are its knots where it bends by more than
     ``_BEND_PER_TOL`` rel_tol max|B|, the end knots too, where the clamp to
@@ -494,12 +496,12 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
         kappa = _coefficient_fn(params, "kappa", 0.0, span)
         lam = _coefficient_fn(params, "lam", 1.0, span)
         return (bagchi_hamiltonian(nu, kappa, lam), lambda rel_tol: [],
-                {"model": "bagchi", "nu": nu}, "params.B")
+                {"model": "bagchi", "nu": nu}, "params.B", None)
     if model == "constant":
         M = _matrix_from(_get(params, "params", "matrix", list), "params.matrix")
         # one matrix for every time: a zero-stride view, not a copy
         return (lambda ts: np.broadcast_to(M, (len(ts), *M.shape)), lambda rel_tol: [],
-                {"model": "constant", "dim": M.shape[0]}, "params.matrix")
+                {"model": "constant", "dim": M.shape[0]}, "params.matrix", M)
     times = _get(params, "params", "times", list)
     mats = _get(params, "params", "matrices", list)
     if len(times) != len(mats) or len(times) < 2:
@@ -537,12 +539,12 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
     scale = float(np.abs(stack).max())  # a Python float: the bound overflows to inf quietly
     meta = {"model": "table", "dim": stack.shape[1], "samples": len(times)}
     return (eval_b, lambda rel_tol: ts[~(bends <= _BEND_PER_TOL * rel_tol * scale)].tolist(),
-            meta, "params.matrices")
+            meta, "params.matrices", None)
 
 
 def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.ndarray],
                         breaks: Sequence[float], span: tuple[float, float], samples: int,
-                        rel_tol: float, constant: bool = False
+                        rel_tol: float, M: np.ndarray | None = None
                         ) -> tuple[np.ndarray, np.ndarray, list[CheckRecord]]:
     """The sample times over span = (s, t), the series U(t_k, s) and the
     run's records.
@@ -555,9 +557,10 @@ def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.nda
     chains give U(r, s) and U(t, r), so the composition law compares two
     paths that share no step, but for the spans between a common segment
     boundary and a break.  One sample keeps only the chain's first row, I,
-    and the chain runs from s to t for U(t, s).  A ``constant`` coefficient's
-    U(t, s) is also judged against its exponential.  The span stack is
-    released on return, before the caller builds its table.
+    and the chain runs from s to t for U(t, s).  The U(t, s) of a constant
+    coefficient, whose matrix is ``M``, is also judged against its
+    exponential.  The span stack is released on return, before the caller
+    builds its table.
     """
     s, t = span
     times = np.linspace(s, t, samples)
@@ -577,8 +580,8 @@ def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.nda
     records.append(_info("evolution.transpose-symmetry", "U M = M U^T under plain conjugation",
                          check_matrix_c_symmetry(U_ts, np.eye(len(U_ts))),
                          "pass/fail asserted only for commuting families"))
-    if constant:
-        records += exponential_column_records(cfg, B([s])[0], U_ts, t - s, rel_tol)
+    if M is not None:
+        records += exponential_column_records(cfg, M, U_ts, t - s, rel_tol)
     return times, chain[rows[:samples]], records
 
 
@@ -589,7 +592,7 @@ def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
         raise ScenarioError("params.t", "need t >= s")
     if not math.isfinite(t - s):  # the sample times would overflow
         raise ScenarioError("params.t", "t - s must be a finite number")
-    B, breaks_at, meta, source = _evolution_operator_from(params, (s, t))
+    B, breaks_at, meta, source, M = _evolution_operator_from(params, (s, t))
     rel_tol = _get(params, "params", "rel_tol", float, 1e-10)
     if rel_tol <= 0:
         raise ScenarioError("params.rel_tol", "must be positive")
@@ -599,7 +602,7 @@ def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
     def run():
         try:
             times, series, records = _series_and_records(cfg, B, breaks, (s, t), samples,
-                                                         rel_tol, meta["model"] == "constant")
+                                                         rel_tol, M)
             n = series.shape[-1]
             header = ["t"] + [f"U{i}_{j}_{part}" for i in range(n) for j in range(n)
                               for part in ("re", "im")]

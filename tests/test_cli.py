@@ -1089,7 +1089,7 @@ def test_evolution_single_sample_integrates_u_ts_directly(tmp_path):
                  "--samples", "1", "--out", str(tmp_path / "evo.csv")]) == 0
     records = _records(_evolution_report(tmp_path, params, "json"))
     assert records["evolution.composition"]["status"] == "pass"
-    B, _, _, _ = cli._evolution_operator_from(params, (0.0, 2.0))
+    B, *_ = cli._evolution_operator_from(params, (0.0, 2.0))
     U_ts = evolution.evolve(B, 0.0, 2.0).matrix
     assert records["evolution.transpose-symmetry"]["measured"] == \
         conjugation.check_matrix_c_symmetry(U_ts, np.eye(2))
@@ -1124,7 +1124,7 @@ def test_table_coefficient_interpolates_between_searchsorted_knots():
     knots = np.cumsum(rng.uniform(0.1, 1.0, 6))
     mats = rng.standard_normal((6, 2, 2))
     params = {"B": "table", "times": knots.tolist(), "matrices": mats.tolist()}
-    B, _, _, _ = cli._evolution_operator_from(params, (0.0, 1.0))
+    B, *_ = cli._evolution_operator_from(params, (0.0, 1.0))
     times = [*knots, *rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, 300)]
     for t, value in zip(times, B(times)):
         if t <= knots[0]:

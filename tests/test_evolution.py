@@ -277,7 +277,7 @@ def test_batched_table_values_equal_one_time_values_bytewise(count):
     mats[-1, 2, 2] = complex(0.0, -0.0)
     params = {"B": "table", "times": knots,
               "matrices": [[[[z.real, z.imag] for z in row] for row in M] for M in mats]}
-    B, breaks_at, _, _ = cli._evolution_operator_from(params, (0.0, 1.0))
+    B, breaks_at, *_ = cli._evolution_operator_from(params, (0.0, 1.0))
     assert breaks_at(1e-10) == knots  # every knot is a kink, the end knots too
     # every knot, below and above the range, and between the knots
     times = [*knots, knots[0] - 1.0, knots[-1] + 1.0,
@@ -288,8 +288,8 @@ def test_batched_table_values_equal_one_time_values_bytewise(count):
 
 def test_constant_model_is_a_view_of_its_matrix():
     M = [[[0.5, -0.0], [1.0, 2.0]], [[-0.0, 0.0], [3.0, -1.0]]]
-    B, breaks_at, _, _ = cli._evolution_operator_from({"B": "constant", "matrix": M},
-                                                      (0.0, 1.0))
+    B, breaks_at, *_ = cli._evolution_operator_from({"B": "constant", "matrix": M},
+                                                    (0.0, 1.0))
     assert breaks_at(1e-10) == []
     values = B([0.0, 0.3, 2.0])
     assert values.shape == (3, 2, 2) and np.shares_memory(values, B([1.0]))
@@ -896,7 +896,7 @@ def test_table_run_past_its_ends_takes_no_rejected_step(monkeypatch):
     mats = [-1j * (O * spectrum) @ O.T for O in (_orthogonal(rng, 3) for _ in knots)]
     params = {"B": "table", "times": knots,
               "matrices": [[[[z.real, z.imag] for z in row] for row in M] for M in mats]}
-    B, breaks_at, _, _ = cli._evolution_operator_from(params, (0.0, 5.0))
+    B, breaks_at, *_ = cli._evolution_operator_from(params, (0.0, 5.0))
     breaks = breaks_at(1e-10)
     assert breaks == knots
     stats = []

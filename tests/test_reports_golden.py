@@ -147,7 +147,7 @@ def _entrywise_rows(params: dict) -> list[list[str]]:
     """Series CSV rows built entry by entry from numpy scalars, each cell by _cell."""
     s, t = params.get("s", 0.0), params["t"]  # the kind's default s is 0
     rel_tol = params.get("rel_tol", 1e-10)
-    B, breaks_at, _, _ = _evolution_operator_from(params, (s, t))
+    B, breaks_at, *_ = _evolution_operator_from(params, (s, t))
     times = np.linspace(s, t, params["samples"])
     series, _ = evolution_series(B, times, rel_tol, breaks_at(rel_tol))
     rows = []
