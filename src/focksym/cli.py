@@ -557,10 +557,15 @@ def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.nda
     chains give U(r, s) and U(t, r), so the composition law compares two
     paths that share no step, but for the spans between a common segment
     boundary and a break.  One sample keeps only the chain's first row, I,
-    and the chain runs from s to t for U(t, s).  The U(t, s) of a constant
-    coefficient, whose matrix is ``M``, is also judged against its
-    exponential.  The span stack is released on return, before the caller
-    builds its table.
+    and the chain runs from s to t for U(t, s).  A constant coefficient,
+    whose matrix is ``M``, generates the semigroup U(b, a) = e^{(b - a) M},
+    so U(b, a) = U(b', a') whenever b - a = b' - a': the step loop
+    integrates only the first span of each length, in order of first
+    appearance and at its own (a, b), and every later span of that length
+    takes its U.  The composition law still compares two integrations, since
+    its pieces, two or three segments long, are not segments.  The U(t, s)
+    of a constant coefficient is also judged against its exponential.  The
+    span stack is released on return, before the caller builds its table.
     """
     s, t = span
     times = np.linspace(s, t, samples)
@@ -569,7 +574,16 @@ def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.nda
     grid, rows = break_grid([a for a, _ in segments] + [t], breaks)
     bounds, at = break_grid([a for a, _ in pieces] + [t], breaks)
     cuts = series_segments(grid)
-    mats, _ = _integrate_spans(B, cuts + [(t, t)] + series_segments(bounds), rel_tol)
+    spans = cuts + [(t, t)] + series_segments(bounds)
+    if M is None:
+        mats, _ = _integrate_spans(B, spans, rel_tol)
+    else:
+        firsts = {}  # each length's first span, in order of first appearance
+        for a, b in spans:
+            firsts.setdefault(b - a, (a, b))
+        U, _ = _integrate_spans(B, list(firsts.values()), rel_tol)
+        slot = dict(zip(firsts, range(len(firsts))))
+        mats = U[[slot[b - a] for a, b in spans]]
     chain = chain_series(mats[:len(cuts)], grid)
     U_pieces, r = mats[len(cuts) + 1:], at[before]
     U_rs = chain_series(U_pieces[:r], bounds[:r + 1])[-1]

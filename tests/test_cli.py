@@ -1008,22 +1008,33 @@ def test_evolve_integrates_each_segment_once(tmp_path, evolve_calls, capsys, sam
 
 def test_evolution_run_integrates_in_one_call_segments_first(tmp_path, evolve_calls,
                                                             monkeypatch):
-    # a complex symmetric dim-16 model in batches of five spans: the eight
-    # segments fill the first batch and three places of the second, whose last
-    # two go to the first two of the four composition pieces (U(t, t) between
-    # them is a zero span, which takes no place)
-    g = np.random.default_rng(3).standard_normal((16, 16))
-    matrix = [[[0.0, -x] for x in row] for row in ((g + g.T) / 8).tolist()]
-    params = {"B": "constant", "matrix": matrix, "s": 0.5, "t": 2.5, "samples": 9}
+    # complex symmetric dim-16 models in batches of five spans.  A table
+    # between two of them, with its knots outside [s, t]: the eight segments
+    # fill the first batch and three places of the second, whose last two go
+    # to the first two of the four composition pieces (U(t, t) between them
+    # is a zero span, which takes no place)
+    def symmetric(seed):
+        g = np.random.default_rng(seed).standard_normal((16, 16))
+        return [[[0.0, -x] for x in row] for row in ((g + g.T) / 8).tolist()]
+
+    span = {"s": 0.5, "t": 2.5, "samples": 9}
+    table = {"B": "table", "times": [0.0, 3.0], "matrices": [symmetric(3), symmetric(4)],
+             **span}
+    constant = {"B": "constant", "matrix": symmetric(3), **span}
     monkeypatch.setattr(evolution, "_BATCH_BYTES", 5 * 7 * 16 * 16**2)
-    split = _evolution_report(tmp_path, params, "csv").read_bytes()
-    split_json = _evolution_report(tmp_path, params, "json")
+    split = [(_evolution_report(tmp_path, params, "csv").read_bytes(),
+              _records(_evolution_report(tmp_path, params, "json")))
+             for params in (table, constant)]
     times = np.linspace(0.5, 2.5, 9).tolist()
     pieces = [(times[k], times[k + 2]) for k in (0, 2, 4, 6)]
-    assert evolve_calls == [[*zip(times[:-1], times[1:]), (2.5, 2.5), *pieces]] * 2
+    layout = [*zip(times[:-1], times[1:]), (2.5, 2.5), *pieces]
+    # the constant model's spans have three lengths, 0.25, 0 and 0.5, and
+    # its call holds the first span of each, in the same order
+    assert evolve_calls == [layout] * 2 + [[layout[0], layout[8], layout[9]]] * 2
     monkeypatch.undo()  # the reports of one batch are the same
-    assert _evolution_report(tmp_path, params, "csv").read_bytes() == split
-    assert _records(_evolution_report(tmp_path, params, "json")) == _records(split_json)
+    assert split == [(_evolution_report(tmp_path, params, "csv").read_bytes(),
+                      _records(_evolution_report(tmp_path, params, "json")))
+                     for params in (table, constant)]
 
 
 def _evolution_report(tmp_path, params, fmt):
@@ -1165,8 +1176,9 @@ def test_stiffness_in_a_segment_names_the_model_field(tmp_path, _outdir, capsys,
 @pytest.mark.parametrize("command", ["run", "evolve"])
 def test_stiffness_in_a_composition_span_names_the_model_field(tmp_path, _outdir, capsys,
                                                                monkeypatch, command):
-    # the layout's first piece follows the four segments and U(t, t) in the
-    # run's one call
+    # the first piece follows the four segments and U(t, t) in the run's one
+    # call; the constant model's call holds the first span of each length,
+    # a segment, U(t, t) and the first piece
     segments = evolution.series_segments(np.linspace(0.0, 2.0, 5))
     pieces, _ = evolution.composition_pieces(segments)
     _stiff_at(monkeypatch, pieces[0])
@@ -1174,11 +1186,12 @@ def test_stiffness_in_a_composition_span_names_the_model_field(tmp_path, _outdir
         argv = ["run", _scenario(tmp_path, {"name": "x", "kind": "evolution",
                                             "params": {"B": "constant", "matrix": [[-1.0]],
                                                        "t": 2.0, "samples": 5}})]
-        field = "params.matrix"
+        field, place = "params.matrix", 2
     else:
-        argv, field = ["evolve", "--t", "2", "--samples", "5"], "--nu/--kappa/--lam"
+        argv, field, place = ["evolve", "--t", "2", "--samples", "5"], "--nu/--kappa/--lam", 5
     assert main(argv) == 1
-    assert f"input error: {field}: step size underflowed in 5" in capsys.readouterr().err
+    assert (f"input error: {field}: step size underflowed in {place}"
+            in capsys.readouterr().err)
     assert not _outdir.exists()
 
 
@@ -1187,12 +1200,17 @@ def test_stiffness_in_a_composition_span_names_the_model_field(tmp_path, _outdir
 def test_overflow_of_a_piece_chain_names_the_model_field(tmp_path, _outdir, capsys,
                                                          monkeypatch, command):
     # every piece scaled by 1e200: the series stays finite, and U(r, s), the
-    # chain of the first two of the four pieces, leaves the double range
+    # chain of the first two of the four pieces, leaves the double range.
+    # The pieces follow the eight segments and U(t, t) in the run's one call;
+    # the constant model's call holds only the first piece, whose U the
+    # other pieces take
+    pieces, _ = evolution.composition_pieces(
+        evolution.series_segments(np.linspace(0.0, 2.0, 9)))
     original = cli._integrate_spans
 
     def scaled(B, spans, rel_tol):
         mats, stats = original(B, spans, rel_tol)
-        mats[9:] *= 1e200  # past the eight segments and U(t, t)
+        mats[[k for k, span in enumerate(spans) if span in pieces]] *= 1e200
         return mats, stats
 
     monkeypatch.setattr(cli, "_integrate_spans", scaled)
@@ -1222,6 +1240,91 @@ def test_overflowing_constant_model_reports_overflow(tmp_path, _outdir, capsys, 
     path = _scenario(tmp_path, {"name": "x", "kind": "evolution",
                                 "params": {"B": "constant", "matrix": [[800]], "t": 1,
                                            "samples": samples, "rel_tol": 1e-4}})
+    assert main(["run", path]) == 1
+    assert capsys.readouterr().err.endswith(f"input error: params.matrix: {message}\n")
+    assert not _outdir.exists()
+
+
+def _constant_model(dim, seed):
+    """A seeded complex symmetric -i/2 (G + G^T) - 0.1 I as scenario entries."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    M = -0.5j * (g + g.T) - 0.1 * np.eye(dim)
+    return M, [[[z.real, z.imag] for z in row] for row in M.tolist()]
+
+
+@pytest.mark.parametrize("s, t, samples", [(2.0, 4.7, 11), (0.0, 5.0, 43)])
+def test_constant_run_integrates_the_first_span_of_each_length(tmp_path, monkeypatch,
+                                                                s, t, samples):
+    # U(b, a) = e^{(b - a) M}: each span the run integrates is the same to the
+    # bit as that span integrated alone, and every span of the series' chain
+    # and of the pieces' chains takes the U of the first span of its length.
+    # Over [2, 4.7] the float spacing is unequal, so the segments alone have
+    # several lengths
+    M, matrix = _constant_model(4, 11)
+    integrated, chained = [], []
+    original_spans, original_chain = cli._integrate_spans, cli.chain_series
+
+    def recording_spans(B, spans, rel_tol):
+        mats, stats = original_spans(B, spans, rel_tol)
+        integrated.append((list(spans), mats.copy()))
+        return mats, stats
+
+    def recording_chain(segments, times):
+        chained.append((segments.copy(), list(times)))
+        return original_chain(segments, times)
+
+    monkeypatch.setattr(cli, "_integrate_spans", recording_spans)
+    monkeypatch.setattr(cli, "chain_series", recording_chain)
+    _evolution_report(tmp_path, {"B": "constant", "matrix": matrix, "s": s, "t": t,
+                                 "samples": samples}, "json")
+    [(spans, mats)] = integrated
+    lengths = [b - a for a, b in spans]
+    assert len(set(lengths)) == len(lengths)
+    assert spans[0][0] == s  # each at its own absolute times
+    B = lambda ts: np.broadcast_to(M, (len(ts), 4, 4))  # noqa: E731
+    for span, U in zip(spans, mats):
+        (alone,), _ = evolution._integrate_spans(B, [span], 1e-10)
+        assert np.array_equal(U, alone)
+    U_of = dict(zip(lengths, mats))
+    # the series' chain and the two chains of the pieces
+    assert len(chained) == 3
+    chain_spans = [span for _, times in chained for span in zip(times[:-1], times[1:])]
+    assert len(chain_spans) == samples - 1 + len(evolution.composition_pieces(
+        evolution.series_segments(np.linspace(s, t, samples)))[0])
+    assert len(set(b - a for a, b in chain_spans)) == len(spans) - 1  # U(t, t) aside
+    for segments, times in chained:
+        for (a, b), U in zip(zip(times[:-1], times[1:]), segments):
+            assert np.array_equal(U, U_of[b - a])
+
+
+@pytest.mark.parametrize("t, samples, spans", [(5.0, 43, 13), (5.0, 85, 16), (2.0, 11, 8)])
+def test_constant_run_work_is_pinned(tmp_path, evolve_calls, t, samples, spans):
+    # the 2 (samples - 1) + 1 spans of the layout over [0, t] have this many
+    # lengths: the segments', U(t, t)'s and the pieces' lengths, in floats
+    _, matrix = _constant_model(2, 5)
+    _evolution_report(tmp_path, {"B": "constant", "matrix": matrix, "t": t,
+                                 "samples": samples}, "csv")
+    assert [len(call) for call in evolve_calls] == [spans]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("matrix, samples, rel_tol, message", [
+    ([[800]], 5, 1e-4, "the propagator leaves the double range at t = 3"),
+    ([[800]], 3, 1e-4, "the propagator leaves the double range after t = 2.87887"),
+    ([[800]], 1, 1e-4, "the propagator leaves the double range after t = 2.87887"),
+    ([[1e13]], 5, 1e-10, "step size 6.554e-15 underflowed at t = 2; "
+                         "the coefficient family is too stiff for the 5(4) pair"),
+])
+def test_constant_model_failures_name_absolute_times(tmp_path, _outdir, capsys, matrix,
+                                                     samples, rel_tol, message):
+    # over [2, 3]: e^{800 t} overflows in the step loop on the piece (2, 3) at
+    # three samples and on the span (2, 3) at one, and in the chain at five;
+    # the stiff model fails on its first segment.  The spans integrated keep
+    # their absolute times, so the messages name times in [2, 3]
+    path = _scenario(tmp_path, {"name": "x", "kind": "evolution",
+                                "params": {"B": "constant", "matrix": matrix, "s": 2, "t": 3,
+                                           "samples": samples, "rel_tol": rel_tol}})
     assert main(["run", path]) == 1
     assert capsys.readouterr().err.endswith(f"input error: params.matrix: {message}\n")
     assert not _outdir.exists()
