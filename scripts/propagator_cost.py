@@ -51,9 +51,11 @@ of one ``focksym evolve`` of the default model with ``EVOLVE_SAMPLES``
 samples over [0, 5], counted by a wrapper of the coefficient that the
 scenario parser returns: one call per ``_integrate_spans`` call (at every
 span's start) plus one per pass of its step loop, and the times evaluated.
-Beside them stand the run's passes and rejected steps, counted on its
-``_integrate_spans`` calls, and the fastest of ``REPEATS`` uncounted runs'
-milliseconds in those calls. The same figures follow for the two-level
+Beside them stand the spans the run hands to ``_integrate_spans``, its
+passes and rejected steps, counted on those calls (a call's passes are the
+calls of B made inside it less one, so a call of B outside the step loop
+counts for none), and the fastest of ``REPEATS`` uncounted runs'
+milliseconds in those calls. The calls and times follow for the two-level
 coefficients of ``verify-all``'s evolution group, which do not depend on the
 dim; three of its calls lie outside the step loop (B(0) for the exponential
 route, the s grid of the commutation record, B(1) for the adjoint target).
@@ -252,29 +254,33 @@ def print_pass_costs(t: float, rel_tol: float) -> None:
 EVOLVE_SAMPLES = 35
 
 
-def cli_run_figures(argv: Sequence[str]) -> tuple[int, int, int, int, float]:
-    """(calls, evaluated times, loop passes, rejected steps, step-loop ms) of
-    the model's coefficient in one CLI call.
+def cli_run_figures(argv: Sequence[str]) -> tuple[int, int, int, int, int, float]:
+    """(spans, calls, evaluated times, loop passes, rejected steps, step-loop
+    ms) of the model's coefficient in one CLI call.
 
     The calls and times are counted on the coefficient that the scenario
-    parser returns, and the passes and rejections on the run's calls of
-    ``_integrate_spans``, which each evaluate B once at their spans' starts
-    and once per pass.  The milliseconds are the fastest of ``REPEATS``
-    uncounted runs' time in ``_integrate_spans``.
+    parser returns.  The spans handed in, the passes and the rejections are
+    counted on the run's calls of ``_integrate_spans``: each evaluates B once
+    at its spans' starts and once per pass, so its passes are the calls of B
+    made inside it less one, and a call of B outside the step loop counts
+    for none.  The milliseconds are the fastest of ``REPEATS`` uncounted
+    runs' time in ``_integrate_spans``.
     """
     original_op, original_spans = cli._evolution_operator_from, cli._integrate_spans
-    counted, loop = [], {"calls": 0, "rejected": 0, "s": 0.0}
+    counted, loop = [], {"spans": 0, "passes": 0, "rejected": 0, "s": 0.0}
 
     def counting(params, span):
         B, *rest = original_op(params, span)
         counted.append(Counted(B))
         return (counted[-1], *rest)
 
-    def timing(*args):
+    def timing(B, spans, rel_tol):
+        before = getattr(B, "calls", 0)
         t0 = time.perf_counter()
-        mats, stats = original_spans(*args)
+        mats, stats = original_spans(B, spans, rel_tol)
         loop["s"] += time.perf_counter() - t0
-        loop["calls"] += 1
+        loop["spans"] += len(spans)
+        loop["passes"] += getattr(B, "calls", 0) - before - 1
         loop["rejected"] += sum(st.rejected for st in stats)
         return mats, stats
 
@@ -284,7 +290,7 @@ def cli_run_figures(argv: Sequence[str]) -> tuple[int, int, int, int, float]:
             cli._evolution_operator_from = counting
             cli.main(list(argv))
             cli._evolution_operator_from = original_op
-            calls, rejected = loop["calls"], loop["rejected"]
+            spans, passes, rejected = loop["spans"], loop["passes"], loop["rejected"]
             best = math.inf
             for _ in range(REPEATS):
                 loop["s"] = 0.0
@@ -293,7 +299,7 @@ def cli_run_figures(argv: Sequence[str]) -> tuple[int, int, int, int, float]:
     finally:
         cli._evolution_operator_from, cli._integrate_spans = original_op, original_spans
     B = counted[0]
-    return B.calls, B.times, B.calls - calls, rejected, 1e3 * best
+    return spans, B.calls, B.times, passes, rejected, 1e3 * best
 
 
 def group_coefficient_calls() -> tuple[int, int]:
@@ -316,7 +322,7 @@ def group_coefficient_calls() -> tuple[int, int]:
 def print_coefficient_calls(t: float) -> None:
     print(f"coefficient calls, passes and rejected steps of one evolution run to "
           f"t = {t:g}; step-loop time the fastest of {REPEATS}")
-    print(f"{'model':>16}  {'samples':>7}  {'B calls':>7}  {'B times':>7}  "
+    print(f"{'model':>16}  {'samples':>7}  {'spans':>5}  {'B calls':>7}  {'B times':>7}  "
           f"{'passes':>6}  {'rejected':>8}  {'loop ms':>7}")
     with tempfile.TemporaryDirectory() as tmp:
         runs = []
@@ -332,11 +338,11 @@ def print_coefficient_calls(t: float) -> None:
                      ["evolve", "--t", repr(t), "--samples", str(EVOLVE_SAMPLES),
                       "--out", os.path.join(tmp, "evolve.csv")]))
         for label, samples, argv in runs:
-            calls, times, passes, rejected, ms = cli_run_figures(argv)
-            print(f"{label:>16}  {samples:>7}  {calls:>7}  {times:>7}  {passes:>6}  "
-                  f"{rejected:>8}  {ms:>7.2f}")
+            spans, calls, times, passes, rejected, ms = cli_run_figures(argv)
+            print(f"{label:>16}  {samples:>7}  {spans:>5}  {calls:>7}  {times:>7}  "
+                  f"{passes:>6}  {rejected:>8}  {ms:>7.2f}")
     calls, times = group_coefficient_calls()
-    print(f"{'verify-all group':>16}  {'-':>7}  {calls:>7}  {times:>7}")
+    print(f"{'verify-all group':>16}  {'-':>7}  {'-':>5}  {calls:>7}  {times:>7}")
 
 
 # the cells of the write_csv figure: a seeded 49 x 2049 table of each kind

@@ -8,12 +8,15 @@ kind at dims 16 and 32 (standard and offset conjugations alike), one `evolve`
 CSV, two `spectrum` subcommand runs (a CSV and a JSON report), a dim-16
 constant-model `evolution` CSV, a dim-32 one of 43 samples over [0, 5] (the
 benchmark's shape: 88 107 cells, which the CSV writer streams in 22 chunks), a
+dim-4 one of 11 samples over [2, 4.7], whose segments have three float
+lengths (a constant model integrates the first span of each length at its
+own times, so a change that moves where such a span starts shows here), a
 dim-3 table-model `evolution` CSV whose span reaches below its first knot and
 past its last, a JSON report of the decaying constant model
 [[-50, 0], [0, -1]] over [0, 5] (e^{-250} in its first column, which the step
 loop holds only to absolute accuracy, so its ``evolution.exponential-columns``
 fails and the run exits 2), and a records CSV of `conjugation-check`, whose
-anchors hold commas: 37 runs, which between them take every subcommand that
+anchors hold commas: 38 runs, which between them take every subcommand that
 writes a report, every coefficient model and both paths of the CSV writer.
 Then 16 malformed runs that exit 1 with an ``input error:`` line and write no
 report: one scenario per kind and nine flag errors of `spectrum` and
@@ -21,7 +24,7 @@ report: one scenario per kind and nine flag errors of `spectrum` and
 printed line is the run's label, its exit code, the digest of its report with
 the value of ``wall_time_s`` replaced by null (no other byte is touched), and
 the digest of what the run wrote to stderr, with the run's temporary directory
-read as ``<workdir>``.  Last, `validate` checks each of the 36 scenario files
+read as ``<workdir>``.  Last, `validate` checks each of the 37 scenario files
 run, good and malformed alike, and prints the run's label, ``validate``, its
 exit code and its stderr digest, so a change in what `validate` catches shows
 in the diff.  Two source trees produce identical reports and error messages
@@ -116,6 +119,8 @@ SINGLE_RUNS = {
                                16, "csv"),
     "evolution-constant-d32": ("evolution", {**constant_params(32), "t": 5.0, "samples": 43},
                                32, "csv"),
+    "evolution-constant-d4-offset": ("evolution", {**constant_params(4), "s": 2.0, "t": 4.7,
+                                                   "samples": 11}, 4, "csv"),
     "evolution-table-d3": ("evolution", TABLE_D3, 3, "csv"),
     "evolution-decaying-d2": ("evolution", {"B": "constant", "matrix": [[-50.0, 0.0], [0.0, -1.0]],
                                             "t": 5.0, "samples": 3}, 2, "json"),

@@ -3,10 +3,11 @@
 
 Runs ``focksym run`` of an ``evolution`` JSON scenario of a dim-3 table with
 ``KNOTS`` equally spaced knots over [0, 5], 37 samples, at each requested
-rel_tol, and prints the run's passes of the step loop, its attempted and
-rejected steps, the fastest of ``REPEATS`` runs' milliseconds in
-``_integrate_spans``, and its ``evolution.composition`` record over rel_tol
-(the record fails above 10).  Two kinds of table:
+rel_tol, and prints the spans the run hands to the step loop, its passes
+of the loop, its attempted and rejected steps, the fastest of ``REPEATS``
+runs' milliseconds in ``_integrate_spans``, and its
+``evolution.composition`` record over rel_tol (the record fails above 10).
+Two kinds of table:
 
 - ``random``: the fixed damped spectrum of ``propagator_cost.constant_matrix``
   in a seeded basis at each knot, the benchmark's table shape, which bends
@@ -15,10 +16,13 @@ rejected steps, the fastest of ``REPEATS`` runs' milliseconds in
   for seeded complex symmetric B0, B1, B2, whose bends shrink with e and with
   the knot spacing (e = 0 holds one matrix at every knot).
 
-Passes, steps and rejections are counted on the run's calls of
-``cli._integrate_spans`` and its coefficient's calls, so the script measures
-any source tree on the path, with or without breaks.  Passes and steps
-repeat exactly; the milliseconds move run to run on a shared host.
+Spans, passes, steps and rejections are counted on the run's calls of
+``cli._integrate_spans``: each evaluates the coefficient once at its spans'
+starts and once per pass, so its passes are the coefficient's calls made
+inside it less one, and a call outside the step loop counts for none.  The
+script measures any source tree on the path, with or without breaks.  Spans,
+passes and steps repeat exactly; the milliseconds move run to run on a
+shared host.
 
 Usage:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<checkout>/src python scripts/table_knots_cost.py
@@ -57,11 +61,11 @@ def table_params(kind: str, knots: int, t: float = 5.0) -> dict:
     return {"B": "table", "times": times, "matrices": [json_matrix(M) for M in mats]}
 
 
-def run_figures(params: dict) -> tuple[int, int, int, float, float]:
-    """(passes, attempted steps, rejected steps, fastest step-loop ms, the
-    composition record's measured value) of one run."""
+def run_figures(params: dict) -> tuple[int, int, int, int, float, float]:
+    """(spans, passes, attempted steps, rejected steps, fastest step-loop ms,
+    the composition record's measured value) of one run."""
     original_op, original_spans = cli._evolution_operator_from, cli._integrate_spans
-    calls, loop = [0], {"steps": 0, "rejected": 0, "spans_calls": 0, "s": 0.0}
+    calls, loop = [0], {"spans": 0, "passes": 0, "steps": 0, "rejected": 0, "s": 0.0}
 
     def counting(p, span):
         B, *rest = original_op(p, span)
@@ -71,11 +75,14 @@ def run_figures(params: dict) -> tuple[int, int, int, float, float]:
             return B(ts)
         return (counted, *rest)
 
-    def timing(*args):
+    def timing(B, spans, rel_tol):
+        before = calls[0]
         t0 = time.perf_counter()
-        mats, stats = original_spans(*args)
+        mats, stats = original_spans(B, spans, rel_tol)
         loop["s"] += time.perf_counter() - t0
-        loop["spans_calls"] += 1
+        # one call of B at the spans' starts, then one per pass
+        loop["passes"] += calls[0] - before - 1
+        loop["spans"] += len(spans)
         loop["steps"] += sum(st.steps for st in stats)
         loop["rejected"] += sum(st.rejected for st in stats)
         return mats, stats
@@ -95,8 +102,7 @@ def run_figures(params: dict) -> tuple[int, int, int, float, float]:
                 with open(report) as fh:
                     composition, = [r["measured"] for r in json.load(fh)["records"]
                                     if r["check_id"] == "evolution.composition"]
-                # one call of B at each _integrate_spans call's span starts, one per pass
-                passes = calls[0] - loop["spans_calls"]
+                spans, passes = loop["spans"], loop["passes"]
                 steps, rejected = loop["steps"], loop["rejected"]
                 best = math.inf
                 for _ in range(REPEATS):
@@ -105,7 +111,7 @@ def run_figures(params: dict) -> tuple[int, int, int, float, float]:
                     best = min(best, loop["s"])
         finally:
             cli._evolution_operator_from, cli._integrate_spans = original_op, original_spans
-    return passes, steps + rejected, rejected, 1e3 * best, composition
+    return spans, passes, steps + rejected, rejected, 1e3 * best, composition
 
 
 def main(argv=None) -> int:
@@ -116,16 +122,17 @@ def main(argv=None) -> int:
     kinds = ["random"] + [f"eps{e:g}" for e in EPS]
     print(f"evolution runs of dim-3 tables over [0, 5], 37 samples; "
           f"step-loop ms the fastest of {REPEATS}")
-    print(f"{'rel_tol':>7}  {'knots':>5}  {'table':>9}  {'passes':>6}  {'attempts':>8}  "
-          f"{'rejected':>8}  {'loop ms':>8}  {'comp/tol':>8}")
+    print(f"{'rel_tol':>7}  {'knots':>5}  {'table':>9}  {'spans':>5}  {'passes':>6}  "
+          f"{'attempts':>8}  {'rejected':>8}  {'loop ms':>8}  {'comp/tol':>8}")
     for rel_tol in args.rel_tol:
         for knots in args.knots:
             for kind in kinds:
                 params = {**table_params(kind, knots), "t": 5.0, "samples": 37,
                           "rel_tol": rel_tol}
-                passes, attempts, rejected, ms, composition = run_figures(params)
-                print(f"{rel_tol:>7g}  {knots:>5}  {kind:>9}  {passes:>6}  {attempts:>8}  "
-                      f"{rejected:>8}  {ms:>8.2f}  {composition / rel_tol:>8.2g}", flush=True)
+                spans, passes, attempts, rejected, ms, composition = run_figures(params)
+                print(f"{rel_tol:>7g}  {knots:>5}  {kind:>9}  {spans:>5}  {passes:>6}  "
+                      f"{attempts:>8}  {rejected:>8}  {ms:>8.2f}  "
+                      f"{composition / rel_tol:>8.2g}", flush=True)
     return 0
 
 

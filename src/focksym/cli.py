@@ -582,7 +582,7 @@ def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.nda
         for a, b in spans:
             firsts.setdefault(b - a, (a, b))
         U, _ = _integrate_spans(B, list(firsts.values()), rel_tol)
-        slot = dict(zip(firsts, range(len(firsts))))
+        slot = {length: k for k, length in enumerate(firsts)}
         mats = U[[slot[b - a] for a, b in spans]]
     chain = chain_series(mats[:len(cuts)], grid)
     U_pieces, r = mats[len(cuts) + 1:], at[before]

@@ -53,9 +53,12 @@ many at a time as keep the stage buffer within ``_BATCH_BYTES``.
 :func:`evolve` is a batch of one.  Since every pass costs a fixed overhead
 of numpy calls, each caller hands in all the spans of one coefficient and
 one tolerance in one call: an ``evolution`` run the spans of the chains of
-its series and of the composition law's pieces, and the suite its U(1, 0),
-U(0, 1), U(1, 1) and the composition law's pieces of [0, 1] in one call,
-and the adjoint quotients' short spans, at a tighter tolerance, in a second.
+its series and of the composition law's pieces (of a constant coefficient,
+which generates the semigroup U(b, a) = e^{(b - a) B}, only the first span
+of each length, whose U the later spans of that length take), and the
+suite its U(1, 0), U(0, 1), U(1, 1) and the composition law's pieces of
+[0, 1] in one call, and the adjoint quotients' short spans, at a tighter
+tolerance, in a second.
 
 Checks cover the evolution-family axioms, the adjoint family's derivative
 identity and the commutation relation B(s) J = J conj(B(s))  (written here as

@@ -1250,7 +1250,7 @@ def _constant_model(dim, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     M = -0.5j * (g + g.T) - 0.1 * np.eye(dim)
-    return M, [[[z.real, z.imag] for z in row] for row in M.tolist()]
+    return [[[z.real, z.imag] for z in row] for row in M.tolist()]
 
 
 @pytest.mark.parametrize("s, t, samples", [(2.0, 4.7, 11), (0.0, 5.0, 43)])
@@ -1261,7 +1261,8 @@ def test_constant_run_integrates_the_first_span_of_each_length(tmp_path, monkeyp
     # and of the pieces' chains takes the U of the first span of its length.
     # Over [2, 4.7] the float spacing is unequal, so the segments alone have
     # several lengths
-    M, matrix = _constant_model(4, 11)
+    params = {"B": "constant", "matrix": _constant_model(4, 11), "s": s, "t": t,
+              "samples": samples}
     integrated, chained = [], []
     original_spans, original_chain = cli._integrate_spans, cli.chain_series
 
@@ -1276,13 +1277,12 @@ def test_constant_run_integrates_the_first_span_of_each_length(tmp_path, monkeyp
 
     monkeypatch.setattr(cli, "_integrate_spans", recording_spans)
     monkeypatch.setattr(cli, "chain_series", recording_chain)
-    _evolution_report(tmp_path, {"B": "constant", "matrix": matrix, "s": s, "t": t,
-                                 "samples": samples}, "json")
+    _evolution_report(tmp_path, params, "json")
     [(spans, mats)] = integrated
     lengths = [b - a for a, b in spans]
     assert len(set(lengths)) == len(lengths)
     assert spans[0][0] == s  # each at its own absolute times
-    B = lambda ts: np.broadcast_to(M, (len(ts), 4, 4))  # noqa: E731
+    B, *_ = cli._evolution_operator_from(params, (s, t))
     for span, U in zip(spans, mats):
         (alone,), _ = evolution._integrate_spans(B, [span], 1e-10)
         assert np.array_equal(U, alone)
@@ -1302,8 +1302,7 @@ def test_constant_run_integrates_the_first_span_of_each_length(tmp_path, monkeyp
 def test_constant_run_work_is_pinned(tmp_path, evolve_calls, t, samples, spans):
     # the 2 (samples - 1) + 1 spans of the layout over [0, t] have this many
     # lengths: the segments', U(t, t)'s and the pieces' lengths, in floats
-    _, matrix = _constant_model(2, 5)
-    _evolution_report(tmp_path, {"B": "constant", "matrix": matrix, "t": t,
+    _evolution_report(tmp_path, {"B": "constant", "matrix": _constant_model(2, 5), "t": t,
                                  "samples": samples}, "csv")
     assert [len(call) for call in evolve_calls] == [spans]
 
