@@ -63,9 +63,13 @@ route, the s grid of the commutation record, B(1) for the adjoint target).
 Every model is built by the scenario parser from its params, as an
 ``evolution`` run builds it, with the breaks the parser names (none from a
 tree whose parser names none).  ``--passes-only`` prints the per-pass
-figures and the coefficient calls alone.  They use nothing of a coefficient
-but what the parser returns, so they time any source tree on the path,
-under either coefficient protocol.
+figures and the coefficient calls alone, then the per-table ``write_csv``
+figure.  They use nothing of a coefficient but what the parser returns, so
+they time any source tree on the path, under either coefficient protocol.
+
+The per-table figure is the fastest of ten times ``REPEATS`` writes of each
+of ``CSV_TABLES``, seeded normal cells as wide as the benchmark's largest
+and smallest series tables, the bytes of one ``evolution`` run's CSV.
 
 Usage:
     python scripts/propagator_cost.py --samples 2 21 201 1001 --t 5 --out cost.csv
@@ -353,6 +357,32 @@ CSV_CELLS = {
 }
 
 
+# (rows, columns) of the per-table write_csv figure: the largest series table
+# of the benchmark's evolution-series rounds (constant-d32) and the smallest
+# (the two-level cosine model), of seeded normal cells
+CSV_TABLES = ((43, 2049), (35, 9))
+
+
+def csv_table_ms(rows: int, columns: int) -> float:
+    """Fastest ms of write_csv on a seeded normal table of rows x columns."""
+    table = np.random.default_rng(0).standard_normal((rows, columns))
+    header = [f"c{j}" for j in range(columns)]
+    best = math.inf
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        for _ in range(REPEATS * 10):
+            t0 = time.perf_counter()
+            write_csv(path, header, table)
+            best = min(best, time.perf_counter() - t0)
+    return 1e3 * best
+
+
+def print_table_costs() -> None:
+    print(f"write_csv of a normal table, fastest of {REPEATS * 10}")
+    for rows, columns in CSV_TABLES:
+        print(f"{f'{rows} x {columns}':>16}  {csv_table_ms(rows, columns):>7.3f} ms")
+
+
 def csv_ms_per_1e5_cells(kind: str) -> float:
     """Fastest ms per 10^5 cells of write_csv on the CSV_CELLS table ``kind``."""
     table = CSV_CELLS[kind](np.random.default_rng(0))
@@ -436,6 +466,8 @@ def main(argv=None) -> int:
         print_pass_costs(args.t, args.rel_tol)
         print()
         print_coefficient_calls(args.t)
+        print()
+        print_table_costs()
         return 0
 
     print(f"chained series U(t_k, 0) to t = {args.t:g} at rel_tol {args.rel_tol:g}, "
@@ -467,6 +499,8 @@ def main(argv=None) -> int:
     print(f"\nwrite_csv, fastest of {REPEATS}")
     for kind in CSV_CELLS:
         print(f"{kind:>16}  {csv_ms_per_1e5_cells(kind):>6.2f} ms per 10^5 float cells")
+    print()
+    print_table_costs()
     print()
     print_peaks()
 

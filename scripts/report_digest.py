@@ -9,22 +9,26 @@ CSV, two `spectrum` subcommand runs (a CSV and a JSON report), a dim-16
 constant-model `evolution` CSV, a dim-32 one of 43 samples over [0, 5] (the
 benchmark's shape: 88 107 cells, which the CSV writer streams in 22 chunks), a
 dim-4 one of 11 samples over [2, 4.7], whose segments have three float
-lengths (a constant model integrates the first span of each length at its
-own times, so a change that moves where such a span starts shows here), a
+lengths and one in sample spacings (a constant model integrates the first
+span of each length at its own times, so a change that moves where such a
+span starts shows here), a
 dim-3 table-model `evolution` CSV whose span reaches below its first knot and
 past its last, a JSON report of the decaying constant model
 [[-50, 0], [0, -1]] over [0, 5] (e^{-250} in its first column, which the step
 loop holds only to absolute accuracy, so its ``evolution.exponential-columns``
-fails and the run exits 2), and a records CSV of `conjugation-check`, whose
-anchors hold commas: 38 runs, which between them take every subcommand that
-writes a report, every coefficient model and both paths of the CSV writer.
+fails and the run exits 2), a JSON report of the two-level model with numbers
+for kappa and lam over [0.5, 3], a constant coefficient, and one of a
+constant model with s = t, whose exponential is I, and a records CSV of
+`conjugation-check`, whose anchors hold commas: 40 runs, which between them
+take every subcommand that writes a report, every coefficient model and both
+paths of the CSV writer.
 Then 16 malformed runs that exit 1 with an ``input error:`` line and write no
 report: one scenario per kind and nine flag errors of `spectrum` and
 `evolve`.  Each
 printed line is the run's label, its exit code, the digest of its report with
 the value of ``wall_time_s`` replaced by null (no other byte is touched), and
 the digest of what the run wrote to stderr, with the run's temporary directory
-read as ``<workdir>``.  Last, `validate` checks each of the 37 scenario files
+read as ``<workdir>``.  Last, `validate` checks each of the 39 scenario files
 run, good and malformed alike, and prints the run's label, ``validate``, its
 exit code and its stderr digest, so a change in what `validate` catches shows
 in the diff.  Two source trees produce identical reports and error messages
@@ -124,6 +128,10 @@ SINGLE_RUNS = {
     "evolution-table-d3": ("evolution", TABLE_D3, 3, "csv"),
     "evolution-decaying-d2": ("evolution", {"B": "constant", "matrix": [[-50.0, 0.0], [0.0, -1.0]],
                                             "t": 5.0, "samples": 3}, 2, "json"),
+    "evolution-two-level-constant": ("evolution", {"B": "bagchi", "kappa": 0.4, "lam": 0.8,
+                                                   "s": 0.5, "t": 3.0, "samples": 12}, 2, "json"),
+    "evolution-constant-zero-span": ("evolution", {"B": "constant", "matrix": [[0, 1], [1, 0]],
+                                                   "s": 1.0, "t": 1.0, "samples": 3}, 2, "json"),
     "conjugation-records-d16": ("conjugation-check", OFFSET, 16, "csv"),
 }
 

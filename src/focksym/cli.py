@@ -228,7 +228,8 @@ def _config_from(obj: dict, path: str, seed: int) -> VerifyConfig:
 
 # a kind's run gives (records, extra report payload, csv table): the table is
 # (header, body), the body a 2-D float array or a list of rows, or None for
-# the records themselves
+# the records themselves; a payload value that is a callable is called only
+# for a JSON report, which alone writes the payload
 Run = Callable[[], tuple]
 
 
@@ -418,7 +419,8 @@ def _spectrum_kind(params: dict, cfg: VerifyConfig) -> Run:
         rows = [(m, lam.real, lam.imag, float(r))
                 for m, (lam, r) in enumerate(zip(rep.predicted, rep.residuals[-1]))]
         table = (("m", "predicted_re", "predicted_im", "residual"), rows)
-        return records, {"family": fam.to_json(), "spectrum": rep.to_json()}, table
+        # deferred: only a JSON report writes the truncation's eigenvalues
+        return records, {"family": fam.to_json(), "spectrum": rep.to_json}, table
     return run
 
 
@@ -481,7 +483,8 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
     """The coefficient ts -> stack of B(t), the map from the run's checked
     rel_tol to the times where B is not smooth, its report payload, the
     field path of its coefficients, named on stiffness or overflow, and the
-    matrix of a constant model (None for the others).
+    matrix of a constant coefficient: the constant model's, or the two-level
+    model's when kappa and lam are numbers (None for the others).
 
     A table's breaks are its knots where it bends by more than
     ``_BEND_PER_TOL`` rel_tol max|B|, the end knots too, where the clamp to
@@ -495,8 +498,11 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
         nu = _get(params, "params", "nu", float, 1.0)
         kappa = _coefficient_fn(params, "kappa", 0.0, span)
         lam = _coefficient_fn(params, "lam", 1.0, span)
-        return (bagchi_hamiltonian(nu, kappa, lam), lambda rel_tol: [],
-                {"model": "bagchi", "nu": nu}, "params.B", None)
+        B = bagchi_hamiltonian(nu, kappa, lam)
+        # numbers for both kappa and lam make B constant, its matrix B(s)
+        constant = not any(isinstance(params.get(key), dict) for key in ("kappa", "lam"))
+        return (B, lambda rel_tol: [], {"model": "bagchi", "nu": nu}, "params.B",
+                B([span[0]])[0] if constant else None)
     if model == "constant":
         M = _matrix_from(_get(params, "params", "matrix", list), "params.matrix")
         # one matrix for every time: a zero-stride view, not a copy
@@ -542,6 +548,29 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
             meta, "params.matrices", None)
 
 
+# A span takes the U of the first span of its length in sample spacings
+# when their float lengths differ by at most this share of the step loop's
+# error budget for that span, rel_tol (b - a), over ||M||_1.  Equal spacings
+# differ in floats by the rounding of their times, a few ulps of the largest
+# time, which a chain of shared spans adds up, so a grid far from 0
+# integrates its strays on their own: over [1e5, 1e5 + 1], 201 samples of a
+# unit rotation read 1.16 and 1.98 times the bounds of exponential-columns and
+# composition with every span shared by length, and 0.12 and 0.39 with the
+# strays apart (0.34 and 0.00 sharing only equal float lengths; 48 grids in
+# BENCH_samelength.json, none of which passes unshared and fails here).
+_SHARE_SLACK = 0.01
+
+
+def _spacings(segments: int, pieces: int) -> list[int]:
+    """The lengths in sample spacings of an evolution run's spans: its
+    segments, U(t, t) and its ``pieces`` of :func:`composition_pieces`, in
+    half spacings for one segment, which the pieces halve."""
+    if segments == 1:
+        return [2, 0, 1, 1]
+    # pairs of segments, the last piece three when their number is odd
+    return [1] * segments + [0] + [2] * (pieces - 1) + [segments - 2 * pieces + 2]
+
+
 def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.ndarray],
                         breaks: Sequence[float], span: tuple[float, float], samples: int,
                         rel_tol: float, M: np.ndarray | None = None
@@ -558,14 +587,17 @@ def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.nda
     paths that share no step, but for the spans between a common segment
     boundary and a break.  One sample keeps only the chain's first row, I,
     and the chain runs from s to t for U(t, s).  A constant coefficient,
-    whose matrix is ``M``, generates the semigroup U(b, a) = e^{(b - a) M},
-    so U(b, a) = U(b', a') whenever b - a = b' - a': the step loop
-    integrates only the first span of each length, in order of first
-    appearance and at its own (a, b), and every later span of that length
-    takes its U.  The composition law still compares two integrations, since
-    its pieces, two or three segments long, are not segments.  The U(t, s)
-    of a constant coefficient is also judged against its exponential.  The
-    span stack is released on return, before the caller builds its table.
+    whose matrix is ``M`` and which has no breaks, generates the semigroup
+    U(b, a) = e^{(b - a) M}, so spans of one length share one U: the step
+    loop integrates only the first span of each length in sample spacings,
+    worked out from the grid (segments 1, pieces 2 or 3, U(t, t) 0; one
+    segment is 2 and its halves 1), in order of first appearance and at its
+    own (a, b), and every later span of that length takes its U, unless its
+    float length strays from the first's by more than ``_SHARE_SLACK`` of
+    the span's error budget.  The composition law still compares two
+    integrations, since its pieces are not segments.  The U(t, s) of a
+    constant coefficient is also judged against its exponential.  The span
+    stack is released on return, before the caller builds its table.
     """
     s, t = span
     times = np.linspace(s, t, samples)
@@ -578,12 +610,16 @@ def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.nda
     if M is None:
         mats, _ = _integrate_spans(B, spans, rel_tol)
     else:
-        firsts = {}  # each length's first span, in order of first appearance
-        for a, b in spans:
-            firsts.setdefault(b - a, (a, b))
+        norm = float(np.abs(M).sum(axis=0).max())
+        firsts, keys = {}, []  # each key's first span, in order of first appearance
+        for (a, b), units in zip(spans, _spacings(len(segments), len(pieces))):
+            a0, b0 = firsts.setdefault(units, (a, b))
+            stray = abs((b - a) - (b0 - a0)) * norm > _SHARE_SLACK * rel_tol * (b0 - a0)
+            keys.append((a, b) if stray else units)
+            firsts.setdefault(keys[-1], (a, b))
         U, _ = _integrate_spans(B, list(firsts.values()), rel_tol)
-        slot = {length: k for k, length in enumerate(firsts)}
-        mats = U[[slot[b - a] for a, b in spans]]
+        slot = {key: k for k, key in enumerate(firsts)}
+        mats = U[[slot[key] for key in keys]]
     chain = chain_series(mats[:len(cuts)], grid)
     U_pieces, r = mats[len(cuts) + 1:], at[before]
     U_rs = chain_series(U_pieces[:r], bounds[:r + 1])[-1]
@@ -693,6 +729,9 @@ def _report(name: str, kind: str, cfg: VerifyConfig, output: dict, run: Run) -> 
     t0 = time.perf_counter()
     try:
         records, payload, table = run()
+        if output["format"] == "json":  # a payload entry may be deferred as a callable
+            payload = {key: value() if callable(value) else value
+                       for key, value in payload.items()}
     except MemoryError:  # a run's arrays grow with its dim, unless it names its own field
         raise ScenarioError("truncation.dim", _NO_MEMORY)
     wall = time.perf_counter() - t0

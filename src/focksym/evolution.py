@@ -55,7 +55,9 @@ of numpy calls, each caller hands in all the spans of one coefficient and
 one tolerance in one call: an ``evolution`` run the spans of the chains of
 its series and of the composition law's pieces (of a constant coefficient,
 which generates the semigroup U(b, a) = e^{(b - a) B}, only the first span
-of each length, whose U the later spans of that length take), and the
+of each length in sample spacings, whose U the later spans of that length
+take; the constant model and the two-level model with numbers for its
+parameters are constant coefficients), and the
 suite its U(1, 0), U(0, 1), U(1, 1) and the composition law's pieces of
 [0, 1] in one call, and the adjoint quotients' short spans, at a tighter
 tolerance, in a second.

@@ -23,6 +23,7 @@ eigenfunctions (z - G)^k exp(beta z).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -397,13 +398,16 @@ def matrix_exponential(M: np.ndarray, t: float = 1.0) -> np.ndarray:
 
     Backward error is at the order-13 level (<~ 1e-13 relative) for norms up
     to ~1e3 after scaling; wildly scaled inputs raise instead of overflowing.
+    exp(0) is I exactly, which the Pade solve of b_0 I by b_0 I misses by an ulp.
     """
     A = t * np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix_exponential needs a square matrix")
     if not np.all(np.isfinite(A)):
         raise ValueError("non-finite entries in matrix_exponential input")
-    norm1 = float(np.max(np.abs(A).sum(axis=0))) if A.size else 0.0
+    if not A.any():
+        return np.eye(len(A), dtype=complex)
+    norm1 = float(np.max(np.abs(A).sum(axis=0)))
     squarings = max(0, int(math.ceil(math.log2(norm1 / _THETA13))) if norm1 > _THETA13 else 0)
     if squarings > 64:
         raise OverflowError(f"||tM||_1 = {norm1:.3e} too large for a stable exponential")
@@ -435,13 +439,19 @@ class SpectrumReport:
     Truncated eigenvalues are informational: for beta != 0 the truncation is
     strongly non-normal and its spectrum does not approximate the lattice, so
     residuals of the explicit eigenfunctions are the trustworthy evidence.
+    They are computed when first read, since a CSV report never reads them.
     """
 
     predicted: np.ndarray
     residual_dims: tuple[int, ...]
     residuals: np.ndarray  # one row per residual dim; JSON holds the last
-    truncated_eigenvalues: np.ndarray
+    family: DilationFamily
     dim: int
+
+    @functools.cached_property
+    def truncated_eigenvalues(self) -> np.ndarray:
+        """The sorted eigenvalues of the dim x dim truncation."""
+        return np.sort_complex(np.linalg.eigvals(generator_matrix(self.family, self.dim)))
 
     def to_json(self) -> dict:
         return {
@@ -456,11 +466,11 @@ class SpectrumReport:
 def spectrum_report(fam: DilationFamily, k_max: int, dim: int,
                     residual_dims: Sequence[int]) -> SpectrumReport:
     """The lattice for k <= k_max, its eigenfunction residuals at residual_dims
-    (see :func:`eigen_residuals`) and the eigenvalues of the dim x dim truncation."""
+    (see :func:`eigen_residuals`) and, when read, the eigenvalues of the
+    dim x dim truncation."""
     residuals = eigen_residuals(fam, range(k_max + 1), residual_dims)
-    eigs = np.sort_complex(np.linalg.eigvals(generator_matrix(fam, dim)))
     return SpectrumReport(point_spectrum_predicted(fam, k_max), tuple(residual_dims), residuals,
-                          eigs, dim)
+                          fam, dim)
 
 
 # step of the adjoint quotient and the highest monomial degree it is taken on

@@ -634,8 +634,13 @@ def test_run_borderline_candidate_is_certified(tmp_path, _outdir):
 # --- kinds and the suite share one record maker per law -------------------------
 
 V = verification
-_TWO_LEVEL = {"B": "bagchi", "nu": 1.0, "kappa": 0.3, "lam": 1.0, "s": 0.0, "t": 1.0,
-              "samples": 1}  # the evolution group's model, U(t, s) integrated once
+# the evolution group's model, U(t, s) integrated once.  Its kappa and lam
+# are cosines of frequency 0, the same numbers at every time: as numbers they
+# would make the model constant, whose run integrates one half of [s, t] for
+# both, where the suite integrates each
+_TWO_LEVEL = {"B": "bagchi", "nu": 1.0, "s": 0.0, "t": 1.0, "samples": 1,
+              "kappa": {"cosine": {"amplitude": 0.3, "frequency": 0.0}},
+              "lam": {"cosine": {"amplitude": 1.0, "frequency": 0.0}}}
 
 # (group, suite suffix, kind, params, ids of the maker's kind records)
 SHARED_MAKERS = {
@@ -727,6 +732,23 @@ def test_spectrum_residuals_are_the_judged_values(tmp_path):
     with open(tmp_path / "s.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert [float(row[3]) for row in rows[1:]] == spectrum["residuals"]
+
+
+def test_spectrum_eigenvalues_are_computed_only_for_json(tmp_path, monkeypatch):
+    # the truncation's eigenvalues go only into a JSON report's payload, so
+    # a CSV report computes none, and the JSON report's bytes stay the same
+    calls = []
+    original = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or original(a))
+    argv = ["spectrum", "--k-max", "4", "--dim", "32", "--out"]
+    assert main(argv + [str(tmp_path / "s.csv"), "--format", "csv"]) == 0
+    assert calls == []
+    assert main(argv + [str(tmp_path / "s.json")]) == 0
+    assert calls == [(32, 32)]
+    spectrum = json.loads((tmp_path / "s.json").read_text())["provenance"]["parameters"]
+    fam = cli._params_family({"family": spectrum["family"]})
+    want = np.sort_complex(original(generator.generator_matrix(fam, 32)))
+    assert spectrum["spectrum"]["truncated_eigs"] == [[z.real, z.imag] for z in want.tolist()]
 
 
 # --- verify-all -----------------------------------------------------------------
@@ -980,27 +1002,28 @@ def evolve_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("samples", [1, 2, 3, 4, 21])
+@pytest.mark.parametrize("samples", [1, 2, 3, 4, 6, 21])
 def test_evolve_integrates_each_segment_once(tmp_path, evolve_calls, capsys, samples):
     rc = main(["evolve", "--t", "2", "--samples", str(samples),
                "--out", str(tmp_path / "evo.csv")])
     assert rc == 0
-    # one call: the series' segments, whose chain ends at U(t, s), then U(t, t)
-    # and the composition law's pieces from s to t, so the horizon [0, 2] is
-    # integrated twice; one sample leaves the series at [I] and puts U(t, s),
-    # shared by the composition and symmetry records, in the segments' place
+    # evolve's kappa and lam are numbers, so its model is constant, and its
+    # one call holds the first span of each length in sample spacings, in
+    # the layout's order: the series' first segment, whose U every segment
+    # takes, U(t, t), and the composition law's first piece of two segments
+    # and last of three.  One sample or two make one segment, whose pieces
+    # are its halves, the second taking the first's U
     times = np.linspace(0.0, 2.0, samples)
     segments = list(zip(times[:-1].tolist(), times[1:].tolist())) or [(0.0, 2.0)]
+    pieces, _ = evolution.composition_pieces(segments)
     (call,) = evolve_calls
-    assert call[:len(segments) + 1] == [*segments, (2.0, 2.0)]
-    pieces = call[len(segments) + 1:]
-    assert [s for s, _ in pieces] + [2.0] == [0.0] + [t for _, t in pieces]
-    assert pieces[0][0] == 0.0 and pieces[-1][1] == 2.0
+    three = len(segments) >= 5 and len(segments) % 2  # a last piece after the first
+    assert call == [segments[0], (2.0, 2.0), pieces[0], *pieces[-1:] * three]
     assert not set(pieces) & set(segments)
     if len(segments) > 1:  # no piece is longer than three segments
         assert max(t - s for s, t in pieces) <= 3 * 2.0 / len(segments) * (1 + 1e-12)
-    # the chain of the pieces is another path than the series, for the default
-    # model, whose B(t) do not commute, even at three samples, where r is s
+    # the chain of the pieces is another path than the series: its spans
+    # are other integrations, even at three samples, where r is s
     line = next(ln for ln in capsys.readouterr().out.splitlines()
                 if "evolution.composition" in ln)
     assert float(line.split()[2]) > 0.0
@@ -1176,9 +1199,8 @@ def test_stiffness_in_a_segment_names_the_model_field(tmp_path, _outdir, capsys,
 @pytest.mark.parametrize("command", ["run", "evolve"])
 def test_stiffness_in_a_composition_span_names_the_model_field(tmp_path, _outdir, capsys,
                                                                monkeypatch, command):
-    # the first piece follows the four segments and U(t, t) in the run's one
-    # call; the constant model's call holds the first span of each length,
-    # a segment, U(t, t) and the first piece
+    # both models are constant: the call holds the first span of each length
+    # in sample spacings, a segment, U(t, t) and the first piece
     segments = evolution.series_segments(np.linspace(0.0, 2.0, 5))
     pieces, _ = evolution.composition_pieces(segments)
     _stiff_at(monkeypatch, pieces[0])
@@ -1188,7 +1210,7 @@ def test_stiffness_in_a_composition_span_names_the_model_field(tmp_path, _outdir
                                                        "t": 2.0, "samples": 5}})]
         field, place = "params.matrix", 2
     else:
-        argv, field, place = ["evolve", "--t", "2", "--samples", "5"], "--nu/--kappa/--lam", 5
+        argv, field, place = ["evolve", "--t", "2", "--samples", "5"], "--nu/--kappa/--lam", 2
     assert main(argv) == 1
     assert (f"input error: {field}: step size underflowed in {place}"
             in capsys.readouterr().err)
@@ -1201,9 +1223,8 @@ def test_overflow_of_a_piece_chain_names_the_model_field(tmp_path, _outdir, caps
                                                          monkeypatch, command):
     # every piece scaled by 1e200: the series stays finite, and U(r, s), the
     # chain of the first two of the four pieces, leaves the double range.
-    # The pieces follow the eight segments and U(t, t) in the run's one call;
-    # the constant model's call holds only the first piece, whose U the
-    # other pieces take
+    # Both models are constant: the call holds only the first piece, whose U
+    # the other pieces take
     pieces, _ = evolution.composition_pieces(
         evolution.series_segments(np.linspace(0.0, 2.0, 9)))
     original = cli._integrate_spans
@@ -1256,11 +1277,11 @@ def _constant_model(dim, seed):
 @pytest.mark.parametrize("s, t, samples", [(2.0, 4.7, 11), (0.0, 5.0, 43)])
 def test_constant_run_integrates_the_first_span_of_each_length(tmp_path, monkeypatch,
                                                                 s, t, samples):
-    # U(b, a) = e^{(b - a) M}: each span the run integrates is the same to the
-    # bit as that span integrated alone, and every span of the series' chain
-    # and of the pieces' chains takes the U of the first span of its length.
-    # Over [2, 4.7] the float spacing is unequal, so the segments alone have
-    # several lengths
+    # U(b, a) = e^{(b - a) M}: the run integrates the first segment, U(t, t)
+    # and the first piece, each the same to the bit as that span integrated
+    # alone and at its own absolute times, and every span of the series'
+    # chain takes the segment's U, every span of the pieces' chains the
+    # piece's, although over [2, 4.7] the segments have several float lengths
     params = {"B": "constant", "matrix": _constant_model(4, 11), "s": s, "t": t,
               "samples": samples}
     integrated, chained = [], []
@@ -1279,32 +1300,99 @@ def test_constant_run_integrates_the_first_span_of_each_length(tmp_path, monkeyp
     monkeypatch.setattr(cli, "chain_series", recording_chain)
     _evolution_report(tmp_path, params, "json")
     [(spans, mats)] = integrated
-    lengths = [b - a for a, b in spans]
-    assert len(set(lengths)) == len(lengths)
-    assert spans[0][0] == s  # each at its own absolute times
+    times = np.linspace(s, t, samples).tolist()
+    assert len({b - a for a, b in zip(times[:-1], times[1:])}) > (s == 2.0)
+    assert spans == [(times[0], times[1]), (t, t), (times[0], times[2])]
     B, *_ = cli._evolution_operator_from(params, (s, t))
     for span, U in zip(spans, mats):
         (alone,), _ = evolution._integrate_spans(B, [span], 1e-10)
         assert np.array_equal(U, alone)
-    U_of = dict(zip(lengths, mats))
     # the series' chain and the two chains of the pieces
-    assert len(chained) == 3
-    chain_spans = [span for _, times in chained for span in zip(times[:-1], times[1:])]
-    assert len(chain_spans) == samples - 1 + len(evolution.composition_pieces(
-        evolution.series_segments(np.linspace(s, t, samples)))[0])
-    assert len(set(b - a for a, b in chain_spans)) == len(spans) - 1  # U(t, t) aside
-    for segments, times in chained:
-        for (a, b), U in zip(zip(times[:-1], times[1:]), segments):
-            assert np.array_equal(U, U_of[b - a])
+    (series, grid), *piece_chains = chained
+    assert grid == times and (series == mats[0]).all()
+    assert sum(len(U) for U, _ in piece_chains) == (samples - 1) // 2
+    assert all((U == mats[2]).all() for U, _ in piece_chains)
 
 
-@pytest.mark.parametrize("t, samples, spans", [(5.0, 43, 13), (5.0, 85, 16), (2.0, 11, 8)])
+@pytest.mark.parametrize("s, t, samples", [(2.0, 4.7, 11), (0.0, 5.0, 43), (1e4, 1e4 + 1, 21)])
+def test_shared_constant_series_matches_its_spans_integrated_alone(s, t, samples):
+    # the series whose segments share one U lies within rel_tol |t - s| of
+    # the series whose segments are each integrated, also far from 0, where
+    # equal spacings differ most in floats
+    params = {"B": "constant", "matrix": _constant_model(4, 11), "s": s, "t": t,
+              "samples": samples}
+    B, _, _, _, M = cli._evolution_operator_from(params, (s, t))
+    cfg = verification.VerifyConfig(dim=4)
+    times, shared, _ = cli._series_and_records(cfg, B, [], (s, t), samples, 1e-10, M)
+    alone, _ = evolution.evolution_series(B, times, 1e-10)
+    assert np.max(np.abs(shared - alone)) <= 1e-10 * (t - s)
+
+
+def test_a_stray_spacing_is_integrated_on_its_own(monkeypatch):
+    # over [1e5, 1e5 + 1] the float lengths of equal spacings differ by about
+    # 1e-11: a span shares its length's U only within 1 % of its error budget
+    # (rel_tol times its length) over ||M||_1, so here some are integrated apart
+    params = {"B": "constant", "matrix": [[0.0, 1.0], [-1.0, 0.0]], "s": 1e5,
+              "t": 1e5 + 1, "samples": 201}
+    B, _, _, _, M = cli._evolution_operator_from(params, (1e5, 1e5 + 1))
+    calls = []
+    original = cli._integrate_spans
+    monkeypatch.setattr(cli, "_integrate_spans",
+                        lambda B, spans, rel_tol: (calls.append(spans),
+                                                   original(B, spans, rel_tol))[1])
+    cfg = verification.VerifyConfig(dim=2)
+    cli._series_and_records(cfg, B, [], (1e5, 1e5 + 1), 201, 1e-10, M)
+    [spans] = calls
+    assert 3 < len(spans) < 2 * 200 + 1
+    h = [b - a for a, b in spans]
+    norm = float(np.abs(M).sum(axis=0).max())
+    assert max(abs(x - h[0]) for x in h[3:] if x < 1.5 * h[0]) * norm > 0.01 * 1e-10 * h[0]
+
+
+@pytest.mark.parametrize("t, samples, spans", [
+    pytest.param(t, samples, spans, id=f"{t}-{samples}-{len(spans)}") for t, samples, spans in [
+        (5.0, 43, [(0.0, 5 / 42), (5.0, 5.0), (0.0, 10 / 42)]),
+        (5.0, 85, [(0.0, 5 / 84), (5.0, 5.0), (0.0, 10 / 84)]),
+        (2.0, 11, [(0.0, 0.2), (2.0, 2.0), (0.0, 0.4)]),
+        # odd segments: the last piece is three long
+        (2.0, 10, [(0.0, 2 / 9), (2.0, 2.0), (0.0, 4 / 9), (2 * 6 / 9, 2.0)]),
+        # one segment: the pieces are its halves
+        (2.0, 2, [(0.0, 2.0), (2.0, 2.0), (0.0, 1.0)]),
+        (2.0, 1, [(0.0, 2.0), (2.0, 2.0), (0.0, 1.0)]),
+    ]])
 def test_constant_run_work_is_pinned(tmp_path, evolve_calls, t, samples, spans):
     # the 2 (samples - 1) + 1 spans of the layout over [0, t] have this many
-    # lengths: the segments', U(t, t)'s and the pieces' lengths, in floats
+    # lengths in sample spacings: 1 of the segments, 0 of U(t, t), and 2 and
+    # 3 of the pieces
     _evolution_report(tmp_path, {"B": "constant", "matrix": _constant_model(2, 5), "t": t,
                                  "samples": samples}, "csv")
-    assert [len(call) for call in evolve_calls] == [spans]
+    assert evolve_calls == [[pytest.approx(span, abs=1e-15) for span in spans]]
+
+
+def test_numeric_two_level_runs_take_the_constant_path(tmp_path):
+    # kappa and lam as numbers: the model is constant, its matrix B(s), and
+    # the run judges U(t, s) against its exponential; a cosine kappa is not
+    constant = {"B": "bagchi", "kappa": 0.4, "lam": 0.8, "t": 2.0, "samples": 9}
+    B, _, _, _, M = cli._evolution_operator_from(constant, (0.5, 2.0))
+    assert np.array_equal(M, B([0.5])[0]) and np.array_equal(M, B([1.7])[0])
+    varying = {**constant, "kappa": {"cosine": {"amplitude": 0.4, "frequency": 1.0}}}
+    assert cli._evolution_operator_from(varying, (0.5, 2.0))[-1] is None
+    records = _records(_evolution_report(tmp_path, constant, "json"))
+    assert records["evolution.exponential-columns"]["status"] == "pass"
+    assert "evolution.exponential-columns" not in _records(
+        _evolution_report(tmp_path, varying, "json"))
+
+
+@pytest.mark.parametrize("params", [
+    {"B": "constant", "matrix": [[0, 1], [1, 0]]},
+    {"B": "bagchi", "kappa": 0.3, "lam": 1.0},
+])
+def test_zero_span_constant_run_passes(tmp_path, params):
+    # s = t: U(t, s) = I, and its exponential e^{0 M} is I exactly, judged
+    # against a bound of 0
+    out = _evolution_report(tmp_path, {**params, "s": 1, "t": 1, "samples": 3}, "json")
+    record = _records(out)["evolution.exponential-columns"]
+    assert (record["measured"], record["threshold"], record["status"]) == (0.0, 0.0, "pass")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

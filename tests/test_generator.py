@@ -390,6 +390,13 @@ def test_expm_nilpotent_closed_form():
         )
 
 
+def test_expm_of_zero_is_exactly_identity():
+    # the Pade solve of b_0 I by b_0 I reads one ulp below 1 on the diagonal
+    M = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    assert np.array_equal(matrix_exponential(M, 0.0), np.eye(2))
+    assert np.array_equal(matrix_exponential(np.zeros((3, 3)), 2.0), np.eye(3))
+
+
 def test_expm_rotation_closed_form():
     J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
     theta = math.pi / 2
