@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
 """Cost and accuracy of a chained propagator time series as the sampling grows.
 
-Builds the series U(t_k, 0), t_k = k t / (samples - 1), with
-``evolution_series`` (one Dormand-Prince segment per sample interval, the
-segments integrated side by side and chained through
-U(t_k, 0) = U(t_k, t_{k-1}) U(t_{k-1}, 0)) and prints its Runge-Kutta steps,
-the passes of the step loop (each pass attempts one step of every unfinished
-segment of a batch, so a batch takes as many passes as its longest segment
-takes attempted steps), its wall time, the steps of one span U(t, 0), and the
-largest entry error over all samples against scipy's DOP853 at rtol 1e-13,
+Runs ``evolution_series``, the routine of an ``evolution`` run, for the series
+U(t_k, 0), t_k = k t / (samples - 1), chained through
+U(t_k, 0) = U(t_k, t_{k-1}) U(t_{k-1}, 0), with the composition law's pieces
+(a constant model shares the U of its spans of one length, as the run does),
+and prints the Runge-Kutta steps of every span the run integrates, the passes
+of the step loop (each pass attempts one step of every unfinished span of a
+batch, so a batch takes as many passes as its longest span takes attempted
+steps), its wall time, the steps of one span U(t, 0), and the largest entry
+error of the series over all samples against scipy's DOP853 at rtol 1e-13,
 restarted at every sample time and every break of the model. A model with
 breaks (the table's knots where it bends) has them as extra times of the
-chains of its series and of its one span, as an ``evolution`` run has. A
-second, untimed pass through a counting wrapper of the operator counts the
-calls of B and the times it is evaluated at, apart. There is one call for
-the starts of all spans of the chain (a segment is one span more for every
-break inside it) and one per pass, so the passes are the calls less one.
-Per accepted step there are five evaluated times per attempted step (stage 1
-is the previous step's stage 7), plus one per span.
+chains of the run and of its one span. A second, untimed pass through a
+counting wrapper of the operator counts the calls of B and the times it is
+evaluated at, apart. There is one call for the starts of all spans of the
+run (a segment or a piece is one span more for every break inside it) and
+one per pass, so the passes are the calls less one. Per accepted step there
+are five evaluated times per attempted step (stage 1 is the previous step's
+stage 7), plus one per span. On a tree whose run is
+``cli._series_and_records``, the run is taken from there, so two trees print
+comparable rows.
 
 Models: the two-level Bagchi model with cosine detuning and coupling,
 constant complex symmetric generators B = -i O diag(spectrum) O^T at d16 and
@@ -61,8 +64,8 @@ dim; three of its calls lie outside the step loop (B(0) for the exponential
 route, the s grid of the commutation record, B(1) for the adjoint target).
 
 Every model is built by the scenario parser from its params, as an
-``evolution`` run builds it, with the breaks the parser names (none from a
-tree whose parser names none).  ``--passes-only`` prints the per-pass
+``evolution`` run builds it, with the breaks and the constant matrix the
+parser names (none from a tree whose parser names none).  ``--passes-only`` prints the per-pass
 figures and the coefficient calls alone, then the per-table ``write_csv``
 figure.  They use nothing of a coefficient but what the parser returns, so
 they time any source tree on the path, under either coefficient protocol.
@@ -92,7 +95,7 @@ import scipy.integrate
 
 from focksym import cli, evolution, verification
 from focksym.cli import _evolution_operator_from
-from focksym.evolution import evolution_series, evolve
+from focksym.evolution import _integrate_spans, evolution_series, evolve
 from focksym.serialize import write_csv
 
 Coefficient = Callable[[Sequence[float]], np.ndarray]  # ts -> stack of B(t)
@@ -116,25 +119,45 @@ def constant_params(n: int) -> dict:
     return {"B": "constant", "matrix": json_matrix(constant_matrix(n))}
 
 
-def coefficient(params: dict, t: float) -> tuple[Coefficient, list[float]]:
+def coefficient(params: dict, t: float) -> tuple[Coefficient, list[float], np.ndarray | None]:
     """The coefficient that the scenario parser builds from ``params`` for [0, t],
-    and the times where it is not smooth (none from a parser that names none),
+    the times where it is not smooth (none from a parser that names none),
     at the params' rel_tol, whether the parser returns the times or the map
-    from the checked rel_tol to them."""
+    from the checked rel_tol to them, and the matrix of a constant
+    coefficient (None from a parser that names none)."""
     B, *rest = _evolution_operator_from(params, (0.0, t))
     if len(rest) < 3:
-        return B, []
+        return B, [], None
     breaks = rest[0]
-    return B, (breaks(params.get("rel_tol", 1e-10)) if callable(breaks) else breaks)
+    return (B, (breaks(params.get("rel_tol", 1e-10)) if callable(breaks) else breaks),
+            rest[3] if len(rest) > 3 else None)
 
 
-def series_of(B: Coefficient, breaks: Sequence[float], times: np.ndarray,
-              rel_tol: float):
-    """``evolution_series`` with ``breaks``, as an ``evolution`` run takes
-    them; without breaks, called as a tree that has none takes it."""
-    if breaks:
-        return evolution_series(B, times, rel_tol, breaks)
-    return evolution_series(B, times, rel_tol)
+def run_of(B: Coefficient, breaks: Sequence[float], M: np.ndarray | None, t: float,
+           samples: int, rel_tol: float) -> tuple[np.ndarray, list]:
+    """The series of an ``evolution`` run of B over [0, t], and the statistics
+    of every span it integrates, counted on its calls of ``_integrate_spans``
+    in the module whose run calls it (``cli`` on a tree whose run is
+    ``cli._series_and_records``)."""
+    module = cli if hasattr(cli, "_integrate_spans") else evolution
+    original, stats = module._integrate_spans, []
+
+    def recording(B, spans, rel_tol):
+        mats, st = original(B, spans, rel_tol)
+        stats.extend(st)
+        return mats, st
+
+    module._integrate_spans = recording
+    try:
+        if module is cli:
+            # the records read only the config's tolerances
+            _, series, _ = cli._series_and_records(verification.VerifyConfig(), B, breaks,
+                                                   (0.0, t), samples, rel_tol, M)
+        else:
+            _, series, _ = evolution_series(B, (0.0, t), samples, rel_tol, breaks, M)
+    finally:
+        module._integrate_spans = original
+    return series, stats
 
 
 STEP_DIMS = (1, 2, 3, 16, 32, 64)
@@ -197,27 +220,28 @@ def dop853_series(B: Coefficient, times: np.ndarray,
     return np.array([at[float(x)] for x in times]).view(complex).reshape(len(times), n, n)
 
 
-def measure(B: Coefficient, breaks: Sequence[float], t: float, samples: int,
-            rel_tol: float) -> tuple[int, int, float, float, int, int, float]:
-    """(series steps, loop passes, series wall s, max entry error vs DOP853,
+def measure(B: Coefficient, breaks: Sequence[float], M: np.ndarray | None, t: float,
+            samples: int, rel_tol: float) -> tuple[int, int, float, float, int, int, float]:
+    """(run steps, loop passes, run wall s, max entry error vs DOP853,
     one-span steps, calls of B, evaluated times of B per accepted step)."""
     times = np.linspace(0.0, t, samples)
     t0 = time.perf_counter()
-    series, stats = series_of(B, breaks, times, rel_tol)
+    series, stats = run_of(B, breaks, M, t, samples, rel_tol)
     wall = time.perf_counter() - t0
     err = float(np.max(np.abs(np.array(series) - dop853_series(B, times, breaks))))
     steps = sum(st.steps for st in stats)
     counted = Counted(B)
-    series_of(counted, breaks, times, rel_tol)
-    # one span U(t, 0), with the breaks as the series has them
-    _, span = series_of(B, breaks, np.array([0.0, t]), rel_tol)
+    run_of(counted, breaks, M, t, samples, rel_tol)
+    # one span U(t, 0), cut at the breaks inside it as a chain is
+    cuts = [0.0, *sorted({float(b) for b in breaks if 0.0 < b < t}), t]
+    _, span = _integrate_spans(B, list(zip(cuts[:-1], cuts[1:])), rel_tol)
     return (steps, counted.calls - 1, wall, err, sum(st.steps for st in span),
             counted.calls, counted.times / max(steps, 1))
 
 
 def us_per_step(n: int, t: float, rel_tol: float) -> tuple[int, float]:
     """(attempted steps, fastest microseconds per attempted step) of U(t, 0)."""
-    B, _ = coefficient(constant_params(n), t)
+    B, _, _ = coefficient(constant_params(n), t)
     best = math.inf
     for _ in range(REPEATS):
         t0 = time.perf_counter()
@@ -229,24 +253,22 @@ def us_per_step(n: int, t: float, rel_tol: float) -> tuple[int, float]:
 
 def us_per_pass(params: dict, samples: int, t: float,
                 rel_tol: float) -> tuple[int, int, float]:
-    """(spans of the chain, loop passes, fastest microseconds per pass) of a
-    series of the scenario model ``params`` over [0, t]; a tree that joins
-    the spans of a segment reports segments."""
-    B, breaks = coefficient(params, t)
-    times = np.linspace(0.0, t, samples)
+    """(spans integrated, loop passes, fastest microseconds per pass) of an
+    ``evolution`` run of the scenario model ``params`` over [0, t]."""
+    B, breaks, M = coefficient(params, t)
     best = math.inf
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        series, stats = series_of(B, breaks, times, rel_tol)
+        series, stats = run_of(B, breaks, M, t, samples, rel_tol)
         best = min(best, time.perf_counter() - t0)
     counted = Counted(B)  # one call at the spans' starts, then one per pass
-    series_of(counted, breaks, times, rel_tol)
+    run_of(counted, breaks, M, t, samples, rel_tol)
     passes = counted.calls - 1
     return len(stats), passes, 1e6 * best / passes
 
 
 def print_pass_costs(t: float, rel_tol: float) -> None:
-    print(f"series of scenario models to t = {t:g}, fastest of {REPEATS}")
+    print(f"evolution runs of scenario models to t = {t:g}, fastest of {REPEATS}")
     print(f"{'model':>16}  {'spans':>8}  {'passes':>6}  {'us/pass':>8}")
     for label, params, samples in PASS_MODELS:
         spans, passes, us = us_per_pass(params, samples, t, rel_tol)
@@ -264,13 +286,14 @@ def cli_run_figures(argv: Sequence[str]) -> tuple[int, int, int, int, int, float
 
     The calls and times are counted on the coefficient that the scenario
     parser returns.  The spans handed in, the passes and the rejections are
-    counted on the run's calls of ``_integrate_spans``: each evaluates B once
-    at its spans' starts and once per pass, so its passes are the calls of B
-    made inside it less one, and a call of B outside the step loop counts
-    for none.  The milliseconds are the fastest of ``REPEATS`` uncounted
-    runs' time in ``_integrate_spans``.
+    counted on the run's calls of ``_integrate_spans``, in the module whose
+    run calls it: each evaluates B once at its spans' starts and once per
+    pass, so its passes are the calls of B made inside it less one, and a
+    call of B outside the step loop counts for none.  The milliseconds are
+    the fastest of ``REPEATS`` uncounted runs' time in ``_integrate_spans``.
     """
-    original_op, original_spans = cli._evolution_operator_from, cli._integrate_spans
+    module = cli if hasattr(cli, "_integrate_spans") else evolution
+    original_op, original_spans = cli._evolution_operator_from, module._integrate_spans
     counted, loop = [], {"spans": 0, "passes": 0, "rejected": 0, "s": 0.0}
 
     def counting(params, span):
@@ -288,7 +311,7 @@ def cli_run_figures(argv: Sequence[str]) -> tuple[int, int, int, int, int, float
         loop["rejected"] += sum(st.rejected for st in stats)
         return mats, stats
 
-    cli._integrate_spans = timing
+    module._integrate_spans = timing
     try:
         with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
             cli._evolution_operator_from = counting
@@ -301,7 +324,7 @@ def cli_run_figures(argv: Sequence[str]) -> tuple[int, int, int, int, int, float
                 cli.main(list(argv))
                 best = min(best, loop["s"])
     finally:
-        cli._evolution_operator_from, cli._integrate_spans = original_op, original_spans
+        cli._evolution_operator_from, module._integrate_spans = original_op, original_spans
     B = counted[0]
     return spans, B.calls, B.times, passes, rejected, 1e3 * best
 
@@ -470,17 +493,17 @@ def main(argv=None) -> int:
         print_table_costs()
         return 0
 
-    print(f"chained series U(t_k, 0) to t = {args.t:g} at rel_tol {args.rel_tol:g}, "
-          "error against DOP853 (rtol 1e-13)")
+    print(f"evolution runs of the series U(t_k, 0) to t = {args.t:g} at rel_tol "
+          f"{args.rel_tol:g}, error against DOP853 (rtol 1e-13)")
     print(f"{'model':>14}  {'samples':>7}  {'rk steps':>8}  {'passes':>6}  "
           f"{'per segment':>11}  {'B calls':>7}  {'B times/step':>12}  "
           f"{'one span':>8}  {'wall s':>8}  {'max error':>9}")
     rows = []
     for name in args.models:
-        B, breaks = coefficient(MODELS[name], args.t)
+        B, breaks, M = coefficient(MODELS[name], args.t)
         for samples in args.samples:
-            steps, passes, wall, err, span, calls, times = measure(B, breaks, args.t, samples,
-                                                                   args.rel_tol)
+            steps, passes, wall, err, span, calls, times = measure(B, breaks, M, args.t,
+                                                                   samples, args.rel_tol)
             per = steps / max(samples - 1, 1)
             print(f"{name:>14}  {samples:>7}  {steps:>8}  {passes:>6}  {per:>11.2f}  "
                   f"{calls:>7}  {times:>12.2f}  {span:>8}  {wall:>8.3f}  {err:>9.2e}")

@@ -17,12 +17,13 @@ Two kinds of table:
   the knot spacing (e = 0 holds one matrix at every knot).
 
 Spans, passes, steps and rejections are counted on the run's calls of
-``cli._integrate_spans``: each evaluates the coefficient once at its spans'
-starts and once per pass, so its passes are the coefficient's calls made
-inside it less one, and a call outside the step loop counts for none.  The
-script measures any source tree on the path, with or without breaks.  Spans,
-passes and steps repeat exactly; the milliseconds move run to run on a
-shared host.
+``_integrate_spans``, in the module whose run calls it (``evolution``, or
+``cli`` on a tree whose run lives there): each evaluates the coefficient
+once at its spans' starts and once per pass, so its passes are the
+coefficient's calls made inside it less one, and a call outside the step loop
+counts for none.  The script measures any source tree on the path, with or
+without breaks.  Spans, passes and steps repeat exactly; the milliseconds
+move run to run on a shared host.
 
 Usage:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<checkout>/src python scripts/table_knots_cost.py
@@ -39,7 +40,7 @@ import time
 
 import numpy as np
 
-from focksym import cli
+from focksym import cli, evolution
 from propagator_cost import constant_matrix, json_matrix
 
 KNOTS = (6, 21, 101, 1001)
@@ -64,7 +65,8 @@ def table_params(kind: str, knots: int, t: float = 5.0) -> dict:
 def run_figures(params: dict) -> tuple[int, int, int, int, float, float]:
     """(spans, passes, attempted steps, rejected steps, fastest step-loop ms,
     the composition record's measured value) of one run."""
-    original_op, original_spans = cli._evolution_operator_from, cli._integrate_spans
+    module = cli if hasattr(cli, "_integrate_spans") else evolution
+    original_op, original_spans = cli._evolution_operator_from, module._integrate_spans
     calls, loop = [0], {"spans": 0, "passes": 0, "steps": 0, "rejected": 0, "s": 0.0}
 
     def counting(p, span):
@@ -92,7 +94,7 @@ def run_figures(params: dict) -> tuple[int, int, int, int, float, float]:
         with open(scenario, "w") as fh:
             json.dump({"name": "table", "kind": "evolution", "params": params,
                        "output": {"format": "json", "path": report}}, fh)
-        cli._integrate_spans = timing
+        module._integrate_spans = timing
         try:
             with open(os.devnull, "w") as null, contextlib.redirect_stdout(null), \
                     contextlib.redirect_stderr(null):
@@ -110,7 +112,7 @@ def run_figures(params: dict) -> tuple[int, int, int, int, float, float]:
                     cli.main(["run", scenario])
                     best = min(best, loop["s"])
         finally:
-            cli._evolution_operator_from, cli._integrate_spans = original_op, original_spans
+            cli._evolution_operator_from, module._integrate_spans = original_op, original_spans
     return spans, passes, steps + rejected, rejected, 1e3 * best, composition
 
 

@@ -52,15 +52,7 @@ from .conjugation import (
     check_matrix_c_symmetry,
     conjugation_matrix,
 )
-from .evolution import (
-    StiffnessError,
-    _integrate_spans,
-    bagchi_hamiltonian,
-    break_grid,
-    chain_series,
-    composition_pieces,
-    series_segments,
-)
+from .evolution import StiffnessError, bagchi_hamiltonian, evolution_series
 from .fock import monomial
 from .generator import spectrum_report
 from .semigroup import (
@@ -548,93 +540,6 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
             meta, "params.matrices", None)
 
 
-# A span takes the U of the first span of its length in sample spacings
-# when their float lengths differ by at most this share of the step loop's
-# error budget for that span, rel_tol (b - a), over ||M||_1.  Equal spacings
-# differ in floats by the rounding of their times, a few ulps of the largest
-# time, which a chain of shared spans adds up, so a grid far from 0
-# integrates its strays on their own: over [1e5, 1e5 + 1], 201 samples of a
-# unit rotation read 1.16 and 1.98 times the bounds of exponential-columns and
-# composition with every span shared by length, and 0.12 and 0.39 with the
-# strays apart (0.34 and 0.00 sharing only equal float lengths; 48 grids in
-# BENCH_samelength.json, none of which passes unshared and fails here).
-_SHARE_SLACK = 0.01
-
-
-def _spacings(segments: int, pieces: int) -> list[int]:
-    """The lengths in sample spacings of an evolution run's spans: its
-    segments, U(t, t) and its ``pieces`` of :func:`composition_pieces`, in
-    half spacings for one segment, which the pieces halve."""
-    if segments == 1:
-        return [2, 0, 1, 1]
-    # pairs of segments, the last piece three when their number is odd
-    return [1] * segments + [0] + [2] * (pieces - 1) + [segments - 2 * pieces + 2]
-
-
-def _series_and_records(cfg: VerifyConfig, B: Callable[[Sequence[float]], np.ndarray],
-                        breaks: Sequence[float], span: tuple[float, float], samples: int,
-                        rel_tol: float, M: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray, list[CheckRecord]]:
-    """The sample times over span = (s, t), the series U(t_k, s) and the
-    run's records.
-
-    One step loop integrates the spans of the series' chain, then U(t, t)
-    and the spans of the chains of the pieces of :func:`composition_pieces`,
-    each piece about two segments long; both chains hold the coefficient's
-    ``breaks`` as extra times (:func:`break_grid`).  The series' chain ends
-    at U(t, s), since linspace sets its endpoint exactly, and the pieces'
-    chains give U(r, s) and U(t, r), so the composition law compares two
-    paths that share no step, but for the spans between a common segment
-    boundary and a break.  One sample keeps only the chain's first row, I,
-    and the chain runs from s to t for U(t, s).  A constant coefficient,
-    whose matrix is ``M`` and which has no breaks, generates the semigroup
-    U(b, a) = e^{(b - a) M}, so spans of one length share one U: the step
-    loop integrates only the first span of each length in sample spacings,
-    worked out from the grid (segments 1, pieces 2 or 3, U(t, t) 0; one
-    segment is 2 and its halves 1), in order of first appearance and at its
-    own (a, b), and every later span of that length takes its U, unless its
-    float length strays from the first's by more than ``_SHARE_SLACK`` of
-    the span's error budget.  The composition law still compares two
-    integrations, since its pieces are not segments.  The U(t, s) of a
-    constant coefficient is also judged against its exponential.  The span
-    stack is released on return, before the caller builds its table.
-    """
-    s, t = span
-    times = np.linspace(s, t, samples)
-    segments = series_segments(times) or [span]
-    pieces, before = composition_pieces(segments)
-    grid, rows = break_grid([a for a, _ in segments] + [t], breaks)
-    bounds, at = break_grid([a for a, _ in pieces] + [t], breaks)
-    cuts = series_segments(grid)
-    spans = cuts + [(t, t)] + series_segments(bounds)
-    if M is None:
-        mats, _ = _integrate_spans(B, spans, rel_tol)
-    else:
-        norm = float(np.abs(M).sum(axis=0).max())
-        firsts, keys = {}, []  # each key's first span, in order of first appearance
-        for (a, b), units in zip(spans, _spacings(len(segments), len(pieces))):
-            a0, b0 = firsts.setdefault(units, (a, b))
-            stray = abs((b - a) - (b0 - a0)) * norm > _SHARE_SLACK * rel_tol * (b0 - a0)
-            keys.append((a, b) if stray else units)
-            firsts.setdefault(keys[-1], (a, b))
-        U, _ = _integrate_spans(B, list(firsts.values()), rel_tol)
-        slot = {key: k for k, key in enumerate(firsts)}
-        mats = U[[slot[key] for key in keys]]
-    chain = chain_series(mats[:len(cuts)], grid)
-    U_pieces, r = mats[len(cuts) + 1:], at[before]
-    U_rs = chain_series(U_pieces[:r], bounds[:r + 1])[-1]
-    U_tr = chain_series(U_pieces[r:], bounds[r:])[-1]
-    U_ts = chain[-1]
-    records = evolution_axiom_records(cfg, np.stack([mats[len(cuts)], U_tr, U_rs]), U_ts,
-                                      rel_tol)
-    records.append(_info("evolution.transpose-symmetry", "U M = M U^T under plain conjugation",
-                         check_matrix_c_symmetry(U_ts, np.eye(len(U_ts))),
-                         "pass/fail asserted only for commuting families"))
-    if M is not None:
-        records += exponential_column_records(cfg, M, U_ts, t - s, rel_tol)
-    return times, chain[rows[:samples]], records
-
-
 def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
     s = _get(params, "params", "s", float, 0.0)
     t = _get(params, "params", "t", float, 1.0)
@@ -651,8 +556,16 @@ def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
 
     def run():
         try:
-            times, series, records = _series_and_records(cfg, B, breaks, (s, t), samples,
-                                                         rel_tol, M)
+            times, series, axioms = evolution_series(B, (s, t), samples, rel_tol, breaks, M)
+            U_ts = axioms[3]
+            records = evolution_axiom_records(cfg, axioms[:3], U_ts, rel_tol)
+            records.append(_info("evolution.transpose-symmetry",
+                                 "U M = M U^T under plain conjugation",
+                                 check_matrix_c_symmetry(U_ts, np.eye(len(U_ts))),
+                                 "pass/fail asserted only for commuting families"))
+            if M is not None:  # a constant coefficient's U(t, s) is its exponential
+                records += exponential_column_records(cfg, M, U_ts, t - s, rel_tol,
+                                                      max(1, samples - 1))
             n = series.shape[-1]
             header = ["t"] + [f"U{i}_{j}_{part}" for i in range(n) for j in range(n)
                               for part in ("re", "im")]

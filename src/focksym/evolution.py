@@ -8,11 +8,10 @@ raises ValueError.  A coefficient may return a view, such as a constant
 matrix broadcast over the times by ``np.broadcast_to`` (zero strides, no
 copy); no value is used after the next call.  Where a coefficient is not
 smooth, as a piecewise-linear table is at its knots, its caller hands those
-times in as breaks, and they become extra times of the chains the caller
-builds through the cocycle (see below), so that no step straddles a kink,
-whose steps are less accurate than their error estimate says.  A break
-costs at least about four steps, so a caller names only the kinks large
-enough to cost accuracy.
+times in as breaks, and they become extra times of the chains of
+:func:`evolution_series`, so that no step straddles a kink, whose steps are
+less accurate than their error estimate says.  A break costs at least about
+four steps, so a caller names only the kinks large enough to cost accuracy.
 
 The propagator is integrated as a full matrix with an adaptive embedded
 Runge-Kutta pair of orders 5(4) (Dormand-Prince tableau).  Local error is
@@ -52,15 +51,10 @@ whatever else is in the batch.  Spans are batched in the order given, as
 many at a time as keep the stage buffer within ``_BATCH_BYTES``.
 :func:`evolve` is a batch of one.  Since every pass costs a fixed overhead
 of numpy calls, each caller hands in all the spans of one coefficient and
-one tolerance in one call: an ``evolution`` run the spans of the chains of
-its series and of the composition law's pieces (of a constant coefficient,
-which generates the semigroup U(b, a) = e^{(b - a) B}, only the first span
-of each length in sample spacings, whose U the later spans of that length
-take; the constant model and the two-level model with numbers for its
-parameters are constant coefficients), and the
-suite its U(1, 0), U(0, 1), U(1, 1) and the composition law's pieces of
-[0, 1] in one call, and the adjoint quotients' short spans, at a tighter
-tolerance, in a second.
+one tolerance in one call: :func:`evolution_series` every span of an
+``evolution`` run, and the suite its U(1, 0), U(0, 1), U(1, 1) and the
+composition law's pieces of [0, 1] in one call, and the adjoint quotients'
+short spans, at a tighter tolerance, in a second.
 
 Checks cover the evolution-family axioms, the adjoint family's derivative
 identity and the commutation relation B(s) J = J conj(B(s))  (written here as
@@ -68,29 +62,13 @@ B(s) M = M B(s)^T for the matrix part M of the antilinear J).  The induced
 symmetry U(t,s) = J U(t,s)* J of the propagator for commuting families is
 :func:`focksym.conjugation.check_matrix_c_symmetry` applied to U(t, s).
 
-Spans and series come back as stacks.  A time series U(t_k, s) is one
-(len(times), n, n) array, chained in place through the cocycle
-U(t_k, s) = U(t_k, t_{k-1}) U(t_{k-1}, s) from segments integrated side by
-side, so its cost is linear in the number of samples.  Breaks are chain
-times: :func:`break_grid` merges every break strictly inside a chain's
-grid into it, so a segment that holds a break is two or more spans of the
-step loop, multiplied one by one into the chain, and the sample rows are
-kept.  The checks integrate nothing: :func:`check_evolution_axioms` judges
-U(t, t), U(t, r) and U(r, s) against U(t, s), and
-:func:`check_adjoint_family` the U(t + h, t) of :func:`adjoint_spans`, all
-integrated by their caller.  An ``evolution`` run takes U(t, s) from the end
-of its series, so it integrates its horizon twice: once as the chained
-series, and once as the pieces of :func:`composition_pieces`, two or three
-segments long, whose chains give U(r, s) and U(t, r) at a piece boundary r.
-No piece is a segment, so the two paths share no step but, for a
-coefficient with breaks, the spans between a common segment boundary and a
-break; and a run's passes of the step loop are set by pieces about two
-segments long rather than by two halves of its horizon.  A chain or a
-composition product that leaves the double range raises OverflowError, and
-so does a span whose stages overflow at steps well inside the pair's
-stability region; a span too stiff to integrate raises StiffnessError.
-Every span is integrated before any chain is formed, so an integration
-failure is raised before an overflow of a chain.
+Spans come back as stacks, and :func:`evolution_series` is an ``evolution``
+run: its docstring gives the plan of the run's spans and chains.  The checks
+integrate nothing: :func:`check_evolution_axioms` judges U(t, t), U(t, r)
+and U(r, s) against U(t, s), and :func:`check_adjoint_family` the
+U(t + h, t) of :func:`adjoint_spans`, all integrated by their caller.  A
+span too stiff to integrate raises StiffnessError, and one whose stages
+overflow at steps well inside the pair's stability region OverflowError.
 """
 
 from __future__ import annotations
@@ -108,9 +86,6 @@ __all__ = [
     "EvolutionOperator",
     "StiffnessError",
     "evolve",
-    "series_segments",
-    "chain_series",
-    "break_grid",
     "evolution_series",
     "composition_pieces",
     "check_evolution_axioms",
@@ -176,6 +151,7 @@ _U5_ROW, _ERROR_ROW = 6, 7
 _ROW_HEADS = [(slice(None), slice(i, i + 1), slice(None, i)) for i in range(8)]
 
 _MIN_STEP_FACTOR = 1e-13
+_TINY = math.ulp(0.0)  # the smallest subnormal double
 _MAX_GROWTH = 5.0
 _MIN_SHRINK = 0.2
 _SAFETY = 0.9
@@ -193,9 +169,12 @@ def _stage_views(K: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 
 # The stages of one batch take at most this many bytes (or one span).  The
-# bound holds a pass's memory down: with the batch unbounded, the benchmark's
-# evolution-series read peak_rss_mb 57.7 against 44.9 MB (6 of 6 pairs), past
-# its 25 % bound, and wall_s 11.9 % higher (BENCH_features.json).
+# bound holds a pass's memory down on runs of many spans of a large B: one
+# evolution run of a dim-64 table at 201 samples over [0, 5] hands in 301
+# spans, two per batch, and peaked at 63.8 MB traced (tracemalloc) against
+# 669.4 MB with the batch unbounded, in 1.56 against 2.23 s (the fastest of
+# three runs, one BLAS thread, a shared 2-CPU host).  No call of the
+# benchmark's workloads is split: their largest is 3 spans of dim 32.
 _BATCH_BYTES = 1 << 20
 
 
@@ -259,9 +238,11 @@ def _integrate_batch(B: _Coefficient, index: np.ndarray, ends: np.ndarray, tol: 
     raised once every earlier span has finished.
     """
     (x, t1), span = ends.T.copy(), ends[:, 1] - ends[:, 0]
-    h = span / 50.0
     direction = np.sign(span)
-    h_floor = abs(span) * _MIN_STEP_FACTOR
+    # a first step and a floor of at least the smallest subnormal: below
+    # 50 of it, span/50 and the floor would round to 0, and x never move
+    h = direction * np.maximum(abs(span) / 50.0, _TINY)
+    h_floor = np.maximum(abs(span) * _MIN_STEP_FACTOR, _TINY)
     U_max = np.ones(len(x))  # max|U|, carried over from the accepted step's max|U5|
     steps = np.zeros(len(x), dtype=int)
     m, dim = B_0.shape[:2]
@@ -362,7 +343,7 @@ def series_segments(times: Sequence[float]) -> list[tuple[float, float]]:
     """The spans (t_{k-1}, t_k) of a series over non-decreasing times."""
     segments = [(float(a), float(b)) for a, b in zip(times[:-1], times[1:])]
     if any(b < a for a, b in segments):
-        raise ValueError("evolution_series requires non-decreasing times")
+        raise ValueError("evolution_series requires t >= s")
     return segments
 
 
@@ -399,25 +380,6 @@ def break_grid(times: Sequence[float], breaks: Sequence[float]
             np.arange(len(times)) + np.searchsorted(inner, times))
 
 
-def evolution_series(
-    B: _Coefficient, times: Sequence[float], rel_tol: float = 1e-10,
-    breaks: Sequence[float] = (),
-) -> tuple[np.ndarray, list[IntegratorStats]]:
-    """The (len(times), n, n) stack of U(t_k, t_0) for non-decreasing times,
-    and the integrator statistics of each span of its chain.
-
-    U(t_k, t_0) = U(t_k, t_{k-1}) U(t_{k-1}, t_0), chained over the times
-    and B's ``breaks`` between them (:func:`break_grid`), its spans
-    integrated side by side, so the work is linear in the number of samples.
-    Raises OverflowError where the chain leaves the double range.
-    """
-    if not series_segments(times):  # one sample: U(t_0, t_0), with no span to size it
-        return np.eye(B([times[0]]).shape[-1], dtype=complex)[None], []
-    grid, rows = break_grid(times, breaks)
-    mats, stats = _integrate_spans(B, series_segments(grid), rel_tol)
-    return chain_series(mats, grid)[rows], stats
-
-
 def composition_pieces(segments: Sequence[tuple[float, float]]
                        ) -> tuple[list[tuple[float, float]], int]:
     """The pieces (b_{j-1}, b_j) from s to t over a series' n segments, and
@@ -437,6 +399,94 @@ def composition_pieces(segments: Sequence[tuple[float, float]]
     heads = list(range(0, n - 1, 2))  # the index of each piece's first segment
     pieces = [(segments[i][0], segments[j - 1][1]) for i, j in zip(heads, heads[1:] + [n])]
     return pieces, min(range(len(heads)), key=lambda k: abs(2 * heads[k] - n))
+
+
+# A span takes the U of the first span of its length in sample spacings
+# when their float lengths differ by at most this share of the step loop's
+# error budget for that span, rel_tol (b - a), over ||M||_1.  Equal spacings
+# differ in floats by the rounding of their times, a few ulps of the largest
+# time, which a chain of shared spans adds up, so a grid far from 0
+# integrates its strays on their own: over [1e5, 1e5 + 1], 201 samples of a
+# unit rotation read 1.16 and 1.98 times the bounds of exponential-columns and
+# composition with every span shared by length, and 0.12 and 0.39 with the
+# strays apart (0.34 and 0.00 sharing only equal float lengths; 48 grids in
+# BENCH_samelength.json, none of which passes unshared and fails here).
+_SHARE_SLACK = 0.01
+
+
+def _spacings(segments: int, pieces: int) -> list[int]:
+    """The lengths in sample spacings of an evolution run's spans: its
+    segments, U(t, t) and its ``pieces`` of :func:`composition_pieces`, in
+    half spacings for one segment, which the pieces halve."""
+    if segments == 1:
+        return [2, 0, 1, 1]
+    # pairs of segments, the last piece three when their number is odd
+    return [1] * segments + [0] + [2] * (pieces - 1) + [segments - 2 * pieces + 2]
+
+
+def evolution_series(
+    B: _Coefficient, span: tuple[float, float], samples: int, rel_tol: float,
+    breaks: Sequence[float] = (), M: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An ``evolution`` run of B over span = (s, t): the ``samples`` times
+    t_k from s to t, the (samples, n, n) series U(t_k, s), and the stack of
+    U(t, t), U(t, r), U(r, s) and U(t, s) that the evolution axioms judge.
+
+    The series is chained through the cocycle
+    U(t_k, s) = U(t_k, t_{k-1}) U(t_{k-1}, s) from its segments, so its cost
+    is linear in the number of samples, and it ends at U(t, s), since
+    linspace sets its endpoint exactly.  One sample keeps only the chain's
+    first row, I, and the chain runs from s to t for U(t, s).  U(r, s) and
+    U(t, r) are the chains of the pieces of :func:`composition_pieces`, each
+    about two segments long, so the composition law compares two paths that
+    share no step.  B's ``breaks`` are extra times of both chains
+    (:func:`break_grid`): a segment or a piece that holds a break is two or
+    more spans, multiplied one by one into its chain, and the sample rows
+    are kept; the two paths then share the spans between a common segment
+    boundary and a break.
+
+    One step loop integrates every span: the series' cuts, U(t, t) and the
+    pieces' cuts, in that order, so the loop's passes are set by pieces
+    about two segments long rather than by two halves of the horizon.  A
+    constant coefficient, whose matrix is ``M`` and which has no breaks,
+    generates the semigroup U(b, a) = e^{(b - a) M}, so spans of one length
+    share one U: the loop integrates only the first span of each length in
+    sample spacings (:func:`_spacings`), in order of first appearance and at
+    its own (a, b), and every later span of that length takes its U, unless
+    its float length strays from the first's by more than ``_SHARE_SLACK``
+    of the span's error budget.  Every span is integrated before any chain
+    is formed, so an integration failure, the StiffnessError or
+    OverflowError of the first failing span, is raised before an overflow
+    of a chain, which raises OverflowError at the first time where the
+    chain leaves the double range.  The span stack is released on return.
+    """
+    s, t = span
+    # linspace's rounded step overshoots t on a grid of subnormal spacing
+    times = np.minimum(np.linspace(s, t, samples), t)
+    segments = series_segments(times) or [span]
+    pieces, before = composition_pieces(segments)
+    grid, rows = break_grid([a for a, _ in segments] + [t], breaks)
+    bounds, at = break_grid([a for a, _ in pieces] + [t], breaks)
+    cuts = series_segments(grid)
+    spans = cuts + [(t, t)] + series_segments(bounds)
+    if M is None:
+        mats, _ = _integrate_spans(B, spans, rel_tol)
+    else:
+        norm = float(np.abs(M).sum(axis=0).max())
+        firsts, keys = {}, []  # each key's first span, in order of first appearance
+        for (a, b), units in zip(spans, _spacings(len(segments), len(pieces))):
+            a0, b0 = firsts.setdefault(units, (a, b))
+            stray = abs((b - a) - (b0 - a0)) * norm > _SHARE_SLACK * rel_tol * (b0 - a0)
+            keys.append((a, b) if stray else units)
+            firsts.setdefault(keys[-1], (a, b))
+        U, _ = _integrate_spans(B, list(firsts.values()), rel_tol)
+        slot = {key: k for k, key in enumerate(firsts)}
+        mats = U[[slot[key] for key in keys]]
+    chain = chain_series(mats[:len(cuts)], grid)
+    U_pieces, r = mats[len(cuts) + 1:], at[before]
+    U_rs = chain_series(U_pieces[:r], bounds[:r + 1])[-1]
+    U_tr = chain_series(U_pieces[r:], bounds[r:])[-1]
+    return times, chain[rows[:samples]], np.stack([mats[len(cuts)], U_tr, U_rs, chain[-1]])
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -1,10 +1,9 @@
 """JSON and CSV helpers shared by the data types and the CLI.
 
 Complex scalars travel as two-element [re, im] arrays.  CSV cells use Python's
-shortest round-trip float formatting (repr), so files reload losslessly; a
-complex cell is written as ``complex()`` parses it back, signed zeros and NaN
-included.  The stdlib ``csv`` writer quotes a cell that holds a comma or a
-quote, so every row has as many cells as the header.
+shortest round-trip float formatting (repr), so files reload losslessly.  The
+stdlib ``csv`` writer quotes a cell that holds a comma or a quote, so every
+row has as many cells as the header.
 
 A table given as a 2-D float64 array is written through a vectorized kernel,
 ``_repr_cells``, whose cells keep the bytes of ``float.__repr__``.  It takes
@@ -114,9 +113,6 @@ def write_json_report(path: str, payload: dict) -> None:
 def _cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, complex):
-        imag = repr(value.imag)  # its own sign, so that -0.0 and nan parse back
-        return f"{repr(value.real)}{'' if imag[0] == '-' else '+'}{imag}j"
     return str(value)
 
 

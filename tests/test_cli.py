@@ -454,7 +454,7 @@ def test_validate_runs_nothing_but_parsing(tmp_path, monkeypatch, kind, params):
 
     for fn in ("conjugation_matrix", "wco_matrix", "is_bounded", "is_c_selfadjoint_symbols",
                "flow_cocycle_records", "fd_slope_records", "spectrum_report",
-               "divergence_certificate", "_integrate_spans", "run_all"):
+               "divergence_certificate", "evolution_series", "run_all"):
         monkeypatch.setattr(cli, fn, ran)
     path = _scenario(tmp_path, {"name": "x", "kind": kind, "params": params,
                                 "truncation": {"dim": 16}})
@@ -1175,14 +1175,14 @@ def test_table_coefficient_interpolates_between_searchsorted_knots():
 def _stiff_at(monkeypatch, span):
     """The run's propagator kernel, as if ``span`` were the first span of its
     call too stiff to integrate."""
-    original = cli._integrate_spans
+    original = evolution._integrate_spans
 
     def stiff(B, spans, rel_tol):
         if span in spans:
             raise evolution.StiffnessError(f"step size underflowed in {spans.index(span)}")
         return original(B, spans, rel_tol)
 
-    monkeypatch.setattr(cli, "_integrate_spans", stiff)
+    monkeypatch.setattr(evolution, "_integrate_spans", stiff)
 
 
 def test_stiffness_in_a_segment_names_the_model_field(tmp_path, _outdir, capsys,
@@ -1227,14 +1227,14 @@ def test_overflow_of_a_piece_chain_names_the_model_field(tmp_path, _outdir, caps
     # the other pieces take
     pieces, _ = evolution.composition_pieces(
         evolution.series_segments(np.linspace(0.0, 2.0, 9)))
-    original = cli._integrate_spans
+    original = evolution._integrate_spans
 
     def scaled(B, spans, rel_tol):
         mats, stats = original(B, spans, rel_tol)
         mats[[k for k, span in enumerate(spans) if span in pieces]] *= 1e200
         return mats, stats
 
-    monkeypatch.setattr(cli, "_integrate_spans", scaled)
+    monkeypatch.setattr(evolution, "_integrate_spans", scaled)
     if command == "run":
         argv = ["run", _scenario(tmp_path, {"name": "x", "kind": "evolution",
                                             "params": {"B": "constant", "matrix": [[-1.0]],
@@ -1285,7 +1285,7 @@ def test_constant_run_integrates_the_first_span_of_each_length(tmp_path, monkeyp
     params = {"B": "constant", "matrix": _constant_model(4, 11), "s": s, "t": t,
               "samples": samples}
     integrated, chained = [], []
-    original_spans, original_chain = cli._integrate_spans, cli.chain_series
+    original_spans, original_chain = evolution._integrate_spans, evolution.chain_series
 
     def recording_spans(B, spans, rel_tol):
         mats, stats = original_spans(B, spans, rel_tol)
@@ -1296,8 +1296,8 @@ def test_constant_run_integrates_the_first_span_of_each_length(tmp_path, monkeyp
         chained.append((segments.copy(), list(times)))
         return original_chain(segments, times)
 
-    monkeypatch.setattr(cli, "_integrate_spans", recording_spans)
-    monkeypatch.setattr(cli, "chain_series", recording_chain)
+    monkeypatch.setattr(evolution, "_integrate_spans", recording_spans)
+    monkeypatch.setattr(evolution, "chain_series", recording_chain)
     _evolution_report(tmp_path, params, "json")
     [(spans, mats)] = integrated
     times = np.linspace(s, t, samples).tolist()
@@ -1322,9 +1322,8 @@ def test_shared_constant_series_matches_its_spans_integrated_alone(s, t, samples
     params = {"B": "constant", "matrix": _constant_model(4, 11), "s": s, "t": t,
               "samples": samples}
     B, _, _, _, M = cli._evolution_operator_from(params, (s, t))
-    cfg = verification.VerifyConfig(dim=4)
-    times, shared, _ = cli._series_and_records(cfg, B, [], (s, t), samples, 1e-10, M)
-    alone, _ = evolution.evolution_series(B, times, 1e-10)
+    _, shared, _ = evolution.evolution_series(B, (s, t), samples, 1e-10, M=M)
+    _, alone, _ = evolution.evolution_series(B, (s, t), samples, 1e-10)
     assert np.max(np.abs(shared - alone)) <= 1e-10 * (t - s)
 
 
@@ -1336,12 +1335,11 @@ def test_a_stray_spacing_is_integrated_on_its_own(monkeypatch):
               "t": 1e5 + 1, "samples": 201}
     B, _, _, _, M = cli._evolution_operator_from(params, (1e5, 1e5 + 1))
     calls = []
-    original = cli._integrate_spans
-    monkeypatch.setattr(cli, "_integrate_spans",
+    original = evolution._integrate_spans
+    monkeypatch.setattr(evolution, "_integrate_spans",
                         lambda B, spans, rel_tol: (calls.append(spans),
                                                    original(B, spans, rel_tol))[1])
-    cfg = verification.VerifyConfig(dim=2)
-    cli._series_and_records(cfg, B, [], (1e5, 1e5 + 1), 201, 1e-10, M)
+    evolution.evolution_series(B, (1e5, 1e5 + 1), 201, 1e-10, M=M)
     [spans] = calls
     assert 3 < len(spans) < 2 * 200 + 1
     h = [b - a for a, b in spans]
@@ -1389,10 +1387,45 @@ def test_numeric_two_level_runs_take_the_constant_path(tmp_path):
 ])
 def test_zero_span_constant_run_passes(tmp_path, params):
     # s = t: U(t, s) = I, and its exponential e^{0 M} is I exactly, judged
-    # against a bound of 0
+    # against the rounding floor of its two segments
     out = _evolution_report(tmp_path, {**params, "s": 1, "t": 1, "samples": 3}, "json")
     record = _records(out)["evolution.exponential-columns"]
-    assert (record["measured"], record["threshold"], record["status"]) == (0.0, 0.0, "pass")
+    floor = 2 * verification._ROUNDING_PER_SEGMENT
+    assert (record["measured"], record["threshold"], record["status"]) == (0.0, floor, "pass")
+
+
+@pytest.mark.parametrize("s, span, samples", [(0.0, 1e-7, 21), (1.0, 1e-12, 21),
+                                              (0.0, 2e-7, 201), (1.0, 3e-8, 1)])
+def test_exact_short_spans_pass_exponential_columns(tmp_path, s, span, samples):
+    # the step loop is exact to rounding on a short span, and the steps and
+    # the chain's products round U by a few eps per segment: the record's
+    # bound is that floor where 10 rel_tol |t - s| lies below it
+    params = {"B": "constant", "matrix": _constant_model(16, 11), "s": s, "t": s + span,
+              "samples": samples}
+    record = _records(_evolution_report(tmp_path, params, "json"))[
+        "evolution.exponential-columns"]
+    floor = max(1, samples - 1) * verification._ROUNDING_PER_SEGMENT
+    assert record["threshold"] == floor > 10 * 1e-10 * span
+    assert 0.0 < record["measured"] <= floor
+    assert main(["evolve", "--t", "1e-7", "--out", str(tmp_path / "evolve.csv")]) == 0
+
+
+@pytest.mark.parametrize("argv", [["--t", "5e-324", "--samples", "2"],
+                                  ["--t", "1e-322", "--samples", "3"],
+                                  ["--t", "2.5e-322", "--samples", "2"],
+                                  ["--t", "2.5e-322"]],
+                         ids=["5e-324", "1e-322", "2.5e-322", "2.5e-322-21"])
+def test_evolve_over_a_subnormal_span_returns(tmp_path, argv):
+    # span/50 and the step floor round to 0 below 50 subnormal units, and the
+    # sample times of 21 samples over [0, 2.5e-322] overshoot t
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", "import sys; from focksym.cli import main; "
+                           "sys.exit(main(sys.argv[1:]))", "evolve", *argv,
+                           "--out", str(tmp_path / "evolve.csv")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

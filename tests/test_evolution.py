@@ -35,6 +35,15 @@ def _integrate(B, t0, t1, rel_tol):
     return U, stats
 
 
+def _chain(B, times, rel_tol=1e-10, breaks=()):
+    """U(t_k, t_0) over any non-decreasing times, chained through the breaks
+    between them, and the statistics of its spans: the series chain of
+    evolution_series over a grid of the caller's choice."""
+    grid, rows = break_grid(times, breaks)
+    mats, stats = _integrate_spans(B, evolution.series_segments(grid), rel_tol)
+    return evolution.chain_series(mats, grid)[rows], stats
+
+
 def _constant(M):
     """The coefficient that is M at every time, broadcast over the times."""
     M = np.asarray(M, dtype=complex)
@@ -152,9 +161,9 @@ def test_axioms_raise_when_the_composition_overflows():
 def test_series_raises_where_the_chain_overflows():
     B = _constant([[800.0]])
     with pytest.raises(OverflowError, match="leaves the double range at t = 1$"):
-        evolution_series(B, [0.0, 0.5, 1.0], 1e-4)
+        _chain(B, [0.0, 0.5, 1.0], 1e-4)
     # each segment alone stays finite
-    assert np.isfinite(evolution_series(B, [0.0, 0.5], 1e-4)[0]).all()
+    assert np.isfinite(_chain(B, [0.0, 0.5], 1e-4)[0]).all()
 
 
 def test_backward_integration_inverts_forward():
@@ -395,8 +404,7 @@ def _bagchi_cosine():
 
 def test_chained_series_matches_per_sample_evolve():
     B = _bagchi_cosine()
-    times = np.linspace(0.0, 5.0, 21)
-    series, _ = evolution_series(B, times)
+    times, series, _ = evolution_series(B, (0.0, 5.0), 21, 1e-10)
     assert np.array_equal(series[0], np.eye(2))
     for tk, U in zip(times[1:], series[1:]):
         direct = evolve(B, 0.0, float(tk)).matrix
@@ -405,8 +413,7 @@ def test_chained_series_matches_per_sample_evolve():
 
 def test_chained_series_matches_dop853():
     B = _bagchi_cosine()
-    times = np.linspace(0.0, 5.0, 201)
-    series, _ = evolution_series(B, times)
+    times, series, _ = evolution_series(B, (0.0, 5.0), 201, 1e-10)
 
     def rhs(t, y):
         return (B([t])[0] @ y.view(complex).reshape(2, 2)).ravel().view(float)
@@ -420,24 +427,36 @@ def test_chained_series_matches_dop853():
 def test_chained_series_steps_stay_near_one_span():
     # each segment costs a few steps at least, but not a restart from s
     B = _bagchi_cosine()
-    _, stats = evolution_series(B, np.linspace(0.0, 5.0, 201))
+    _, stats = _chain(B, np.linspace(0.0, 5.0, 201))
     assert len(stats) == 200
     span = evolve(B, 0.0, 5.0).stats.steps
     assert sum(st.steps for st in stats) < 2.5 * span
 
 
-def test_chained_series_edge_cases():
+def test_chained_series_edge_cases(monkeypatch):
     B = _bagchi_cosine()
-    series, stats = evolution_series(B, np.linspace(0.0, 5.0, 1))
-    assert isinstance(series, np.ndarray) and series.shape == (1, 2, 2)
+    stats = []
+    original = evolution._integrate_spans
+
+    def recording(B, spans, rel_tol):
+        mats, st = original(B, spans, rel_tol)
+        stats.extend(st)
+        return mats, st
+
+    monkeypatch.setattr(evolution, "_integrate_spans", recording)
+    # one sample: the series is I, and U(t, s) its chain from s to t
+    times, series, axioms = evolution_series(B, (0.0, 5.0), 1, 1e-10)
+    assert times.tolist() == [0.0] and series.shape == (1, 2, 2)
     assert np.array_equal(series[0], np.eye(2))
-    assert stats == []
-    series, stats = evolution_series(B, np.linspace(2.0, 2.0, 4))
-    assert isinstance(series, np.ndarray) and series.shape == (4, 2, 2)
-    assert all(np.array_equal(U, np.eye(2)) for U in series)
-    assert [st.steps for st in stats] == [0, 0, 0]
-    series, _ = evolution_series(B, np.linspace(0.0, 5.0, 6))
-    assert isinstance(series, np.ndarray) and series.shape == (6, 2, 2)
+    assert np.array_equal(axioms[3], evolve(B, 0.0, 5.0).matrix)
+    # s = t: every span is zero, I before any step
+    stats.clear()
+    times, series, axioms = evolution_series(B, (2.0, 2.0), 4, 1e-10)
+    assert times.tolist() == [2.0] * 4 and series.shape == (4, 2, 2)
+    assert all(np.array_equal(U, np.eye(2)) for U in [*series, *axioms])
+    assert stats and all(st.steps == 0 for st in stats)
+    _, series, axioms = evolution_series(B, (0.0, 5.0), 6, 1e-10)
+    assert series.shape == (6, 2, 2) and axioms.shape == (4, 2, 2)
 
 
 def test_adjoint_family_integrates_u_once(monkeypatch):
@@ -704,14 +723,22 @@ def test_tolerance_must_be_positive():
         _integrate_spans(_bagchi_cosine(), [(0.0, 1.0)] * 2, 0.0)
 
 
-def test_series_evaluates_b_only_in_its_steps():
-    B, count = _counting(_bagchi_cosine())
-    _, stats = evolution_series(B, np.linspace(0.0, 5.0, 3))
-    assert count["times"] == sum(1 + 5 * (st.steps + st.rejected) for st in stats)
-    # a single sample has no span: B is evaluated once, for the size of I
-    B, count = _counting(_bagchi_cosine())
-    evolution_series(B, [2.0])
-    assert count == {"calls": 1, "times": 1}
+def test_series_evaluates_b_only_in_its_steps(monkeypatch):
+    # at every span's start once, and at five times per attempted step
+    stats = []
+    original = evolution._integrate_spans
+
+    def recording(B, spans, rel_tol):
+        mats, st = original(B, spans, rel_tol)
+        stats.extend(st)
+        return mats, st
+
+    monkeypatch.setattr(evolution, "_integrate_spans", recording)
+    for samples in (1, 3):
+        stats.clear()
+        B, count = _counting(_bagchi_cosine())
+        evolution_series(B, (0.0, 5.0), samples, 1e-10)
+        assert count["times"] == sum(1 + 5 * (st.steps + st.rejected) for st in stats)
 
 
 def _stiff_past_two():
@@ -793,7 +820,7 @@ def _chain_alone(make, times, breaks, rel_tol):
 def test_cut_span_is_the_product_of_its_cuts_alone(make, times, breaks):
     # every segment is cut at the breaks inside it, and the series is the
     # chain of the cuts, each multiplied into it alone
-    series, stats = evolution_series(make(), times, 1e-10, breaks)
+    series, stats = _chain(make(), times, 1e-10, breaks)
     series_ref, stats_ref = _chain_alone(make, times, breaks, 1e-10)
     assert series.tobytes() == series_ref.tobytes()
     assert stats == stats_ref
@@ -806,8 +833,8 @@ def test_cut_span_is_the_product_of_its_cuts_alone(make, times, breaks):
 ], ids=["bagchi-cosine", "kinked-table"])
 def test_span_with_no_break_inside_is_integrated_as_without_breaks(make, times, breaks):
     for rel_tol in (1e-10, 1e-12):
-        series, stats = evolution_series(make(), times, rel_tol, breaks)
-        series_ref, stats_ref = evolution_series(make(), times, rel_tol)
+        series, stats = _chain(make(), times, rel_tol, breaks)
+        series_ref, stats_ref = _chain(make(), times, rel_tol)
         assert series.tobytes() == series_ref.tobytes()
         assert stats == stats_ref
 
@@ -818,9 +845,9 @@ def test_product_of_cuts_that_overflows_raises():
     # a sample time or at a break
     B = _constant([[800.0]])
     with pytest.raises(OverflowError, match="leaves the double range at t = 1$"):
-        evolution_series(B, [0.0, 1.0], 1e-4, [0.5])
+        _chain(B, [0.0, 1.0], 1e-4, [0.5])
     with pytest.raises(OverflowError, match="leaves the double range at t = 0.9$"):
-        evolution_series(B, [0.0, 1.0], 1e-4, [0.5, 0.9])
+        _chain(B, [0.0, 1.0], 1e-4, [0.5, 0.9])
 
 
 def _decaying_then_growing(ts):
@@ -835,7 +862,7 @@ def test_a_segment_past_the_double_range_fails_only_where_the_chain_does():
     # floor of 1 stops the decay), so multiplying the spans of (1.5, 2.5) at
     # the break 2 into the chain one by one stays finite
     times = [*np.linspace(0.0, 1.0, 11), 1.5, 2.5]
-    series, _ = evolution_series(_decaying_then_growing, times, 1e-4, [2.0])
+    series, _ = _chain(_decaying_then_growing, times, 1e-4, [2.0])
     assert np.isfinite(series).all()
     grown = math.log(abs(series[-1, 0, 0])) - math.log(abs(series[-2, 0, 0]))
     assert abs(grown - 800.0) <= 1e-5
@@ -845,9 +872,10 @@ def test_a_segment_past_the_double_range_fails_only_where_the_chain_does():
 @pytest.mark.parametrize("spans_per_batch", [None, 1])
 def test_integration_failures_are_raised_before_chain_overflows(spans_per_batch,
                                                                 monkeypatch):
-    # the chain leaves the double range at t = 1, where e^{800} has grown,
-    # and the later segment (1, 2) is too stiff past 1.5: every span is
-    # integrated before the chain is formed, so the stiffness is raised
+    # the series' chain leaves the double range at t = 1, where e^{800} has
+    # grown, and the later segment (1, 2) is too stiff past 1.5: every span
+    # is integrated before any chain is formed, so the stiffness of the
+    # first failing span is raised
     _split_batches(monkeypatch, 1, spans_per_batch)
     growing, stiff = np.array([[800.0 + 0j]]), np.array([[1e13 + 0j]])
 
@@ -857,9 +885,9 @@ def test_integration_failures_are_raised_before_chain_overflows(spans_per_batch,
     with pytest.raises(StiffnessError) as alone:
         _integrate(B, 1.0, 2.0, 1e-4)
     with pytest.raises(OverflowError, match="leaves the double range at t = 1$"):
-        evolution_series(B, [0.0, 1.0, 1.2], 1e-4, [0.5])
+        _chain(B, [0.0, 1.0], 1e-4, [0.5])
     with pytest.raises(StiffnessError) as got:
-        evolution_series(B, [0.0, 1.0, 2.0], 1e-4, [0.5])
+        evolution_series(B, (0.0, 2.0), 3, 1e-4, [0.5])
     assert str(got.value) == str(alone.value)
 
 
@@ -900,16 +928,17 @@ def test_table_run_past_its_ends_takes_no_rejected_step(monkeypatch):
     breaks = breaks_at(1e-10)
     assert breaks == knots
     stats = []
-    original = cli._integrate_spans
+    original = evolution._integrate_spans
 
     def recording(B, spans, rel_tol):
         mats, st = original(B, spans, rel_tol)
         stats.extend(st)
         return mats, st
 
-    monkeypatch.setattr(cli, "_integrate_spans", recording)
-    times, series, records = cli._series_and_records(
-        verification.VerifyConfig(dim=3), B, breaks, (0.0, 5.0), 11, 1e-10)
+    monkeypatch.setattr(evolution, "_integrate_spans", recording)
+    times, series, axioms = evolution_series(B, (0.0, 5.0), 11, 1e-10, breaks)
+    records = verification.evolution_axiom_records(verification.VerifyConfig(dim=3),
+                                                   axioms[:3], axioms[3], 1e-10)
     assert sum(st.rejected for st in stats) == 0
     assert sum(st.steps for st in stats) > 0
     for k in (5, 10):  # the middle and the last sample

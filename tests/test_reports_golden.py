@@ -20,9 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from focksym.cli import _evolution_operator_from, _series_and_records, main
+from focksym.cli import _evolution_operator_from, main
+from focksym.evolution import evolution_series
 from focksym.serialize import _cell
-from focksym.verification import VerifyConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 REL, ABS = 1e-9, 1e-13
@@ -148,8 +148,8 @@ def _entrywise_rows(params: dict) -> list[list[str]]:
     s, t = params.get("s", 0.0), params["t"]  # the kind's default s is 0
     rel_tol = params.get("rel_tol", 1e-10)
     B, breaks_at, _, _, M = _evolution_operator_from(params, (s, t))
-    times, series, _ = _series_and_records(VerifyConfig(dim=2), B, breaks_at(rel_tol), (s, t),
-                                           params["samples"], rel_tol, M)
+    times, series, _ = evolution_series(B, (s, t), params["samples"], rel_tol,
+                                        breaks_at(rel_tol), M)
     rows = []
     for tk, U in zip(times, series):
         row = [float(tk)]

@@ -187,16 +187,6 @@ def test_csv_write_peak_does_not_grow_with_the_table(tmp_path):
     assert peaks[1] < path.stat().st_size / 2  # the file's text is never held
 
 
-def test_complex_cells_reload_with_their_repr(tmp_path):
-    parts = (0.0, -0.0, 1.5, -1.5, math.inf, -math.inf, math.nan)
-    cells = [complex(re, im) for re in parts for im in parts]
-    path = tmp_path / "complex.csv"
-    write_csv(str(path), ["z"] * len(cells), [cells])
-    with open(path, newline="") as fh:
-        row = list(csv.reader(fh))[1]
-    assert [repr(complex(cell)) for cell in row] == [repr(z) for z in cells]
-
-
 def _writer_bytes(header, table: np.ndarray) -> bytes:
     """What the csv writer gives the table with every cell as its repr."""
     want = io.StringIO()
