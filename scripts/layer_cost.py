@@ -1,0 +1,761 @@
+#!/usr/bin/env python3
+"""Per-layer cost of focksym, one subcommand per layer, for the tree on PYTHONPATH.
+
+- ``wco``: cost and accuracy of ``wco_matrix`` per call, as JSON.
+- ``cli``: the fixed cost of one in-process ``focksym.cli.main`` call, part
+  by part.
+- ``propagator``: cost and accuracy of a chained propagator time series as
+  the sampling grows, then the step loop's figures per step and per pass,
+  the coefficient's calls, and ``write_csv``'s time and memory.
+- ``knots``: cost of evolution runs of piecewise-linear tables as their
+  knots grow dense.
+
+Each subcommand's docstring says what it prints.  They share one timing
+helper (:func:`timings`, for the fastest of N and for the median and
+quartiles), one probe of the step loop and of the scenario parser's
+coefficient (:class:`Probe`), one scenario-file writer and one environment
+line (python, numpy, BLAS threads; the ``wco`` JSON keeps numpy and the BLAS
+threads under ``environment``).  Spans, passes, steps and coefficient calls
+repeat exactly; times move run to run on a shared host, so fix the BLAS
+threads (``OPENBLAS_NUM_THREADS=1``) when comparing two trees.
+
+Usage:
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/layer_cost.py wco --dims 16 64
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/layer_cost.py wco --stack --dims 16 32 64 128
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/layer_cost.py cli --calls 200
+    python scripts/layer_cost.py propagator --samples 2 21 201 1001 --t 5 --out cost.csv
+    PYTHONPATH=<checkout>/src python scripts/layer_cost.py propagator --passes-only
+    python scripts/layer_cost.py knots --rel-tol 1e-8 1e-12 --knots 101 1001
+"""
+
+import argparse
+import contextlib
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+import tracemalloc
+from typing import Callable, Sequence
+
+import numpy as np
+import scipy.integrate
+
+from assembly_accuracy import OFFSET_SYMBOL, max_entry_error
+from focksym import cli, evolution, verification
+from focksym.evolution import evolution_series, evolve
+from focksym.serialize import write_csv
+from focksym.wco import wco_matrices, wco_matrix
+
+Coefficient = Callable[[Sequence[float]], np.ndarray]  # ts -> stack of B(t)
+
+# the rounds of every fastest-of figure; the write_csv table figure takes ten
+# times as many
+REPEATS = 10
+
+
+# ----------------------------------------------------------------------------
+# shared: timing, the probe, scenario files, the environment
+
+@contextlib.contextmanager
+def quiet():
+    """Discard what the block writes to stdout and stderr."""
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null), \
+            contextlib.redirect_stderr(null):
+        yield
+
+
+def timings(fn: Callable[[], object], rounds: int, fill: float = 0.0,
+            clock: Callable[[], float] = time.perf_counter) -> list[float]:
+    """Seconds per call of fn on ``clock`` in each of ``rounds`` rounds, its
+    output discarded.
+
+    A round is one call.  With ``fill`` it is the mean over as many calls as
+    take about ``fill`` seconds, counted after one warm-up call.  Take the
+    fastest of N as ``min``, and the median and quartiles through
+    ``statistics.quantiles``.
+    """
+    with quiet():
+        calls = 1
+        if fill:
+            fn()
+            t0, calls = time.perf_counter(), 0
+            while time.perf_counter() - t0 < fill:
+                fn()
+                calls += 1
+        out = []
+        for _ in range(rounds):
+            t0 = clock()
+            for _ in range(calls):
+                fn()
+            out.append((clock() - t0) / calls)
+    return out
+
+
+class Counted:
+    """B with counters of its calls and of the times it is evaluated at."""
+
+    def __init__(self, B: Coefficient):
+        self.B = B
+        self.calls = self.times = 0
+
+    def __call__(self, ts: Sequence[float]) -> np.ndarray:
+        self.calls += 1
+        self.times += len(ts)
+        return self.B(ts)
+
+
+class Probe:
+    """While active, counts the step loop ``evolution._integrate_spans`` and
+    the coefficients that the scenario parser ``cli._evolution_operator_from``
+    returns.
+
+    It keeps the spans handed to the loop, its passes, accepted and rejected
+    steps and the seconds spent in it, and in ``coefficients`` each parsed
+    model's coefficient as :class:`Counted`.  Each call of the loop evaluates
+    B once at its spans' starts and once per pass, so its passes are the
+    calls of B made inside it less one, and a call of B outside the loop
+    counts for none.  With ``count`` false it only times the loop, B
+    uncounted; :meth:`clock` reads that time, as a clock for
+    :func:`timings`.
+    """
+
+    def __init__(self, count: bool = True):
+        self.count = count
+        self.spans = self.passes = self.steps = self.rejected = 0
+        self.loop_s = 0.0
+        self.coefficients: list[Counted] = []
+
+    def clock(self) -> float:
+        return self.loop_s
+
+    def _operator(self, params: dict, span: tuple[float, float]):
+        B, *rest = self._saved[0](params, span)
+        if self.count:
+            self.coefficients.append(Counted(B))
+            B = self.coefficients[-1]
+        return (B, *rest)
+
+    def _integrate(self, B: Coefficient, spans: Sequence[tuple[float, float]],
+                   rel_tol: float):
+        if self.count:
+            B = Counted(B)
+        t0 = time.perf_counter()
+        mats, stats = self._saved[1](B, spans, rel_tol)
+        self.loop_s += time.perf_counter() - t0
+        if self.count:
+            self.spans += len(spans)
+            self.passes += B.calls - 1
+            self.steps += sum(st.steps for st in stats)
+            self.rejected += sum(st.rejected for st in stats)
+        return mats, stats
+
+    def __enter__(self) -> "Probe":
+        self._saved = cli._evolution_operator_from, evolution._integrate_spans
+        cli._evolution_operator_from, evolution._integrate_spans = self._operator, self._integrate
+        return self
+
+    def __exit__(self, *exc) -> None:
+        cli._evolution_operator_from, evolution._integrate_spans = self._saved
+
+
+def cli_figures(argv: Sequence[str], repeats: int) -> tuple[Probe, float]:
+    """The probe of one ``cli.main(argv)`` call, and the fastest of
+    ``repeats`` uncounted calls' seconds in the step loop."""
+    with Probe() as probe, quiet():
+        cli.main(list(argv))
+    with Probe(count=False) as timer:
+        best = min(timings(lambda: cli.main(list(argv)), repeats, clock=timer.clock))
+    return probe, best
+
+
+def write_scenario(directory: str, name: str, kind: str, params: dict, output: dict,
+                   **fields) -> str:
+    """Write the scenario ``name`` to ``directory``/name.json and return its
+    path; ``fields`` such as ``truncation`` go in as they are."""
+    path = os.path.join(directory, f"{name}.json")
+    with open(path, "w") as fh:
+        json.dump({"name": name, "kind": kind, "params": params, **fields,
+                   "output": output}, fh)
+    return path
+
+
+def environment() -> dict:
+    """The numpy version and the BLAS thread count that timings depend on."""
+    return {"numpy": np.__version__,
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default")}
+
+
+def environment_line() -> str:
+    return "python {}, numpy {numpy}, BLAS threads {blas_threads}".format(
+        platform.python_version(), **environment())
+
+
+# ----------------------------------------------------------------------------
+# models
+
+def constant_matrix(n: int, seed: int = 0) -> np.ndarray:
+    """-i O diag(spectrum) O^T for a seeded orthogonal O: complex symmetric."""
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    O = q * np.sign(np.diag(r))
+    spectrum = np.linspace(-1.0, 1.0, n) - 1j * np.linspace(0.0, 0.3, n)
+    return -1j * (O * spectrum) @ O.T
+
+
+def json_matrix(M: np.ndarray) -> list:
+    """M as the [re, im] pairs of a scenario file."""
+    return [[[z.real, z.imag] for z in row] for row in M.tolist()]
+
+
+def constant_params(n: int) -> dict:
+    return {"B": "constant", "matrix": json_matrix(constant_matrix(n))}
+
+
+def coefficient(params: dict, t: float) -> tuple[Coefficient, list[float], np.ndarray | None]:
+    """The coefficient that the scenario parser builds from ``params`` for
+    [0, t], its breaks at the params' rel_tol, and the matrix of a constant
+    coefficient (None for the others)."""
+    B, breaks_at, _, _, M = cli._evolution_operator_from(params, (0.0, t))
+    return B, breaks_at(params.get("rel_tol", 1e-10)), M
+
+
+# ----------------------------------------------------------------------------
+# wco
+
+STACK_SIZES = (1, 10, 80)
+
+
+def wco_ms(build: Callable[[], object], repeats: int) -> float:
+    """Median ms per call of ``repeats`` rounds, each about 0.1 s of calls."""
+    return 1e3 * statistics.median(timings(build, repeats, fill=0.1))
+
+
+def stack_costs(dim: int, repeats: int) -> dict:
+    """Microseconds per matrix, alone and in each stack size, by column count."""
+    out = {}
+    for label, ncols in (("1", 1), ("5", min(5, dim)), ("full", None)):
+        row = {"alone": wco_ms(lambda: wco_matrix(OFFSET_SYMBOL, dim, ncols), repeats) * 1e3}
+        for size in STACK_SIZES:
+            symbols = [OFFSET_SYMBOL] * size
+            row[str(size)] = wco_ms(lambda: wco_matrices(symbols, dim, ncols), repeats) * 1e3 / size
+        out[label] = {k: round(v, 2) for k, v in row.items()}
+    return out
+
+
+def wco_costs(args) -> int:
+    """Cost and accuracy of ``wco_matrix`` per call, as JSON.
+
+    For each dim it times the offset conjugation's symbol (1, i, e^{-1/2}, i)
+    built full and with 5 columns (the median of ``--repeats`` rounds, each
+    the mean over as many calls as fill about 0.1 s), and its largest entry
+    error relative to the largest entry against the 30-digit sum of
+    ``scripts/assembly_accuracy.py``.  The environment holds the numpy
+    version, the BLAS threads and the mantissa bits of ``np.longdouble``.
+
+    With ``--stack`` it times stacked builds instead: for each dim and for 1,
+    5 and all columns, the microseconds per matrix of ``wco_matrix`` alone
+    and of ``wco_matrices`` over stacks of 1, 10 and 80 copies of the same
+    symbol (the cost does not depend on the symbol's values), timed as above.
+    """
+    out = {"environment": {**environment(),
+                           "longdouble_nmant": int(np.finfo(np.longdouble).nmant)},
+           "dims": {}}
+    for dim in args.dims:
+        if args.stack:
+            out["dims"][str(dim)] = {"us_per_matrix": stack_costs(dim, args.repeats)}
+            continue
+        _, rel = max_entry_error(OFFSET_SYMBOL, dim)
+        full = wco_ms(lambda: wco_matrix(OFFSET_SYMBOL, dim), args.repeats)
+        lead = wco_ms(lambda: wco_matrix(OFFSET_SYMBOL, dim, min(5, dim)), args.repeats)
+        out["dims"][str(dim)] = {
+            "ms_full": round(full, 4),
+            "ms_ncols5": round(lead, 4),
+            "rel_error": float(f"{rel:.4g}"),
+        }
+    print(json.dumps(out, indent=1))
+    return 0
+
+
+# ----------------------------------------------------------------------------
+# cli
+
+SCENARIO = {"name": "cli-cost", "kind": "conjugation-check",
+            "params": {"a": [math.cos(0.7), math.sin(0.7)], "c": [0.0, 1.0]},
+            "truncation": {"dim": 32}, "output": {"format": "json"}}
+WCO_SCENARIO = {"name": "cli-cost-wco", "kind": "wco",
+                "params": {"A": 0.5, "B": 0.3, "D": [0.3, -0.05]},
+                "truncation": {"dim": 2000}, "output": {"format": "json"}}
+
+
+def cli_costs(args) -> int:
+    """Fixed cost of one in-process ``focksym.cli.main`` call, part by part.
+
+    Prints the environment, then the median and quartiles over ``--calls``
+    calls, in milliseconds, of:
+
+    - ``build``: one argument parser built afresh
+      (``cli._build_parser.__wrapped__``);
+    - ``parse``: ``parse_args`` of a ``run`` command line on a parser built
+      once;
+    - ``validate`` and ``run``: ``main`` on one fixed light scenario, a
+      ``conjugation-check`` at dim 32 with a JSON report, its output
+      discarded;
+    - ``validate-wco``: ``main`` validating a ``wco`` scenario at dim 2000,
+      whose run would assemble a 2000 x 2000 matrix.  ``validate`` computes
+      nothing, so it costs what the dim-32 ``validate`` costs.
+    """
+    build = cli._build_parser.__wrapped__
+    parser = build()
+    print(environment_line())
+    with tempfile.TemporaryDirectory() as tmp:
+        os.environ["FOCKSYM_OUTPUT_DIR"] = os.path.join(tmp, "out")
+        scenario, wco = write_scenario(tmp, **SCENARIO), write_scenario(tmp, **WCO_SCENARIO)
+        run_argv = ["run", scenario, "--seed", "3"]
+        parts = {
+            "build": build,
+            "parse": lambda: parser.parse_args(run_argv),
+            "validate": lambda: cli.main(["validate", scenario]),
+            "run": lambda: cli.main(run_argv),
+            "validate-wco": lambda: cli.main(["validate", wco]),
+        }
+        print(f"{'part':>12}  {'median ms':>9}  {'q1 ms':>7}  {'q3 ms':>7}  (of {args.calls})")
+        for name, fn in parts.items():
+            q1, median, q3 = (1e3 * q for q in statistics.quantiles(
+                timings(fn, args.calls), n=4, method="inclusive"))
+            print(f"{name:>12}  {median:>9.3f}  {q1:>7.3f}  {q3:>7.3f}")
+    return 0
+
+
+# ----------------------------------------------------------------------------
+# propagator
+
+STEP_DIMS = (1, 2, 3, 16, 32, 64)
+
+# the scenario params of the series models; the table's six knots at
+# 0, 1, ..., 5 each hold a seeded complex symmetric matrix
+MODELS = {
+    "bagchi-cosine": {"B": "bagchi", "nu": 1.0,
+                      "kappa": {"cosine": {"amplitude": 0.4, "frequency": 1.3, "phase": 0.3}},
+                      "lam": {"cosine": {"amplitude": 1.0, "frequency": 0.7, "phase": 1.1}}},
+    "constant-d16": constant_params(16),
+    "constant-d32": constant_params(32),
+    "table-d3": {"B": "table", "times": [float(i) for i in range(6)],
+                 "matrices": [json_matrix(constant_matrix(3, seed)) for seed in range(6)]},
+}
+
+# (label, scenario params, samples) of the per-pass figures: the two-level
+# cosine model at dim 2, a six-knot table at dim 3 and constant models at
+# dims 16 and 32, each a series over [0, 5] with the sample count that the
+# benchmark's evolution-series workload gives it
+PASS_MODELS = (
+    ("bagchi-cosine-d2", MODELS["bagchi-cosine"], 35),
+    ("table-d3", MODELS["table-d3"], 37),
+    ("constant-d16", MODELS["constant-d16"], 85),
+    ("constant-d32", MODELS["constant-d32"], 43),
+)
+
+# the samples of the evolve run of the coefficient-call figures, as many as
+# the benchmark's evolution-series workload gives it
+EVOLVE_SAMPLES = 35
+
+
+def dop853_series(B: Coefficient, times: np.ndarray,
+                  breaks: Sequence[float] = ()) -> np.ndarray:
+    """U(t_k, t_0) at every sample time by DOP853 at rtol 1e-13, atol 1e-15,
+    restarted at every sample time and every break between them."""
+    n = B([times[0]]).shape[-1]
+
+    def rhs(x, y):
+        return (B([x])[0] @ y.view(complex).reshape(n, n)).ravel().view(float)
+
+    y = np.eye(n, dtype=complex).ravel().view(float)
+    at = {float(times[0]): y}
+    stops = sorted({float(x) for x in times}
+                   | {float(b) for b in breaks if times[0] < b < times[-1]})
+    for a, b in zip(stops[:-1], stops[1:]):
+        y = scipy.integrate.solve_ivp(rhs, (a, b), y, method="DOP853",
+                                      rtol=1e-13, atol=1e-15).y[:, -1].copy()
+        at[b] = y
+    return np.array([at[float(x)] for x in times]).view(complex).reshape(len(times), n, n)
+
+
+def measure(B: Coefficient, breaks: Sequence[float], M: np.ndarray | None, t: float,
+            samples: int, rel_tol: float) -> tuple[int, int, float, float, int, int, float]:
+    """(run steps, loop passes, run wall s, max entry error vs DOP853,
+    one-span steps, calls of B, evaluated times of B per accepted step)."""
+    times = np.linspace(0.0, t, samples)
+    t0 = time.perf_counter()
+    _, series, _ = evolution_series(B, (0.0, t), samples, rel_tol, breaks, M)
+    wall = time.perf_counter() - t0
+    err = float(np.max(np.abs(series - dop853_series(B, times, breaks))))
+    counted = Counted(B)
+    with Probe() as probe:
+        evolution_series(counted, (0.0, t), samples, rel_tol, breaks, M)
+    # one span U(t, 0), cut at the breaks inside it as a chain is
+    cuts = [0.0, *sorted({float(b) for b in breaks if 0.0 < b < t}), t]
+    _, span = evolution._integrate_spans(B, list(zip(cuts[:-1], cuts[1:])), rel_tol)
+    return (probe.steps, probe.passes, wall, err, sum(st.steps for st in span),
+            counted.calls, counted.times / max(probe.steps, 1))
+
+
+def us_per_step(n: int, t: float, rel_tol: float) -> tuple[int, float]:
+    """(attempted steps, fastest microseconds per attempted step) of U(t, 0)."""
+    B, _, _ = coefficient(constant_params(n), t)
+    stats = evolve(B, 0.0, t, rel_tol).stats
+    attempted = stats.steps + stats.rejected
+    return attempted, 1e6 * min(timings(lambda: evolve(B, 0.0, t, rel_tol), REPEATS)) / attempted
+
+
+def us_per_pass(params: dict, samples: int, t: float,
+                rel_tol: float) -> tuple[int, int, float]:
+    """(spans integrated, loop passes, fastest microseconds per pass) of an
+    ``evolution`` run of the scenario model ``params`` over [0, t]."""
+    B, breaks, M = coefficient(params, t)
+
+    def run():
+        evolution_series(B, (0.0, t), samples, rel_tol, breaks, M)
+
+    best = min(timings(run, REPEATS))
+    with Probe() as probe:
+        run()
+    return probe.spans, probe.passes, 1e6 * best / probe.passes
+
+
+def print_pass_costs(t: float, rel_tol: float) -> None:
+    print(f"evolution runs of scenario models to t = {t:g}, fastest of {REPEATS}")
+    print(f"{'model':>16}  {'spans':>8}  {'passes':>6}  {'us/pass':>8}")
+    for label, params, samples in PASS_MODELS:
+        spans, passes, us = us_per_pass(params, samples, t, rel_tol)
+        print(f"{label:>16}  {spans:>8}  {passes:>6}  {us:>8.1f}")
+
+
+def group_coefficient_calls() -> tuple[int, int]:
+    """(calls, evaluated times) of the two-level coefficients of verify-all's
+    evolution group."""
+    original, counted = verification.bagchi_hamiltonian, []
+
+    def counting(*args):
+        counted.append(Counted(original(*args)))
+        return counted[-1]
+
+    verification.bagchi_hamiltonian = counting
+    try:
+        verification.evolution_checks(verification.VerifyConfig())
+    finally:
+        verification.bagchi_hamiltonian = original
+    return sum(c.calls for c in counted), sum(c.times for c in counted)
+
+
+def print_coefficient_calls(t: float) -> None:
+    """The coefficient's calls and evaluated times in one ``focksym run`` of
+    each of ``PASS_MODELS`` as an ``evolution`` CSV scenario over [0, t] and
+    one ``focksym evolve`` of the default model, with the spans, passes and
+    rejected steps of :class:`Probe` and the fastest step-loop ms; then the
+    calls and times of the two-level coefficients of ``verify-all``'s
+    evolution group, which do not depend on the dim.  Three of the group's
+    calls lie outside the step loop (B(0) for the exponential route, the s
+    grid of the commutation record, B(1) for the adjoint target)."""
+    print(f"coefficient calls, passes and rejected steps of one evolution run to "
+          f"t = {t:g}; step-loop time the fastest of {REPEATS}")
+    print(f"{'model':>16}  {'samples':>7}  {'spans':>5}  {'B calls':>7}  {'B times':>7}  "
+          f"{'passes':>6}  {'rejected':>8}  {'loop ms':>7}")
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [(label, samples,
+                 ["run", write_scenario(tmp, label, "evolution",
+                                        {**params, "t": t, "samples": samples},
+                                        {"format": "csv",
+                                         "path": os.path.join(tmp, f"{label}.csv")})])
+                for label, params, samples in PASS_MODELS]
+        runs.append(("evolve", EVOLVE_SAMPLES,
+                     ["evolve", "--t", repr(t), "--samples", str(EVOLVE_SAMPLES),
+                      "--out", os.path.join(tmp, "evolve.csv")]))
+        for label, samples, argv in runs:
+            probe, best = cli_figures(argv, REPEATS)
+            B = probe.coefficients[0]
+            print(f"{label:>16}  {samples:>7}  {probe.spans:>5}  {B.calls:>7}  {B.times:>7}  "
+                  f"{probe.passes:>6}  {probe.rejected:>8}  {1e3 * best:>7.2f}")
+    calls, times = group_coefficient_calls()
+    print(f"{'verify-all group':>16}  {'-':>7}  {'-':>5}  {calls:>7}  {times:>7}")
+
+
+# the cells of the write_csv figure: a seeded 49 x 2049 table of each kind,
+# as wide as a dim-32 series
+CSV_CELLS = {
+    "17-digit": lambda rng: rng.standard_normal((49, 2049)),
+    "short decimals": lambda rng: np.round(rng.uniform(-100.0, 100.0, (49, 2049)), 3),
+    "integers": lambda rng: np.round(rng.uniform(-1000.0, 1000.0, (49, 2049))),
+}
+
+# (rows, columns) of the per-table write_csv figure: the largest series table
+# of the benchmark's evolution-series rounds (constant-d32) and the smallest
+# (the two-level cosine model), of seeded normal cells
+CSV_TABLES = ((43, 2049), (35, 9))
+
+
+def csv_write_s(table: np.ndarray, rounds: int) -> float:
+    """Fastest seconds of ``rounds`` write_csv calls of the float ``table``."""
+    header = [f"c{j}" for j in range(table.shape[1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        return min(timings(lambda: write_csv(path, header, table), rounds))
+
+
+def print_table_costs() -> None:
+    print(f"write_csv of a normal table, fastest of {REPEATS * 10}")
+    for rows, columns in CSV_TABLES:
+        table = np.random.default_rng(0).standard_normal((rows, columns))
+        print(f"{f'{rows} x {columns}':>16}  {1e3 * csv_write_s(table, REPEATS * 10):>7.3f} ms")
+
+
+# rows of the write_csv memory figure, each 2049 cells wide like a dim-32 series
+CSV_PEAK_ROWS = (43, 172, 688)
+# (label, dim, samples) of the evolution runs of the memory figure
+PEAK_RUNS = (("constant-d16", 16, 85), ("constant-d32", 32, 43))
+
+
+def _traced_peak_mb(call: Callable[[], object]) -> float:
+    """The tracemalloc peak of one call, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def csv_peak_mb(rows: int) -> tuple[float, float]:
+    """(tracemalloc peak, file size) in MB of write_csv of a seeded normal
+    table of ``rows`` x 2049 cells, once a 43-row table has been written."""
+    rng = np.random.default_rng(0)
+    header = [f"c{j}" for j in range(2049)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        write_csv(path, header, rng.standard_normal((43, 2049)))
+        table = rng.standard_normal((rows, 2049))
+        peak = _traced_peak_mb(lambda: write_csv(path, header, table))
+        return peak, os.path.getsize(path) / 1e6
+
+
+def run_peak_mb(dim: int, samples: int) -> float:
+    """Tracemalloc peak in MB of ``focksym run`` of the constant model's
+    ``evolution`` CSV scenario over [0, 5], once an identical run is done."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = write_scenario(tmp, "peak", "evolution",
+                                  {**constant_params(dim), "t": 5.0, "samples": samples},
+                                  {"format": "csv", "path": os.path.join(tmp, "series.csv")},
+                                  truncation={"dim": dim})
+        with quiet():
+            cli.main(["run", scenario])
+            return _traced_peak_mb(lambda: cli.main(["run", scenario]))
+
+
+def print_peaks() -> None:
+    print("tracemalloc peak of write_csv, rows x 2049 normal cells")
+    for rows in CSV_PEAK_ROWS:
+        peak, size = csv_peak_mb(rows)
+        print(f"{rows:>16} rows  {peak:>7.3f} MB peak  {size:>7.2f} MB file")
+    print("tracemalloc peak of one evolution run to t = 5, CSV")
+    for label, dim, samples in PEAK_RUNS:
+        print(f"{label:>16}  {samples:>3} samples  {run_peak_mb(dim, samples):>7.3f} MB peak")
+
+
+def propagator_costs(args) -> int:
+    """Cost and accuracy of a chained propagator time series as the sampling
+    grows, and the step loop's, the coefficient's and ``write_csv``'s
+    figures.
+
+    The series table runs ``evolution_series``, the routine of an
+    ``evolution`` run, for U(t_k, 0), t_k = k t / (samples - 1), over each of
+    ``MODELS``, built by the scenario parser from its params with the
+    breaks and constant matrix it names.  It prints the Runge-Kutta steps of
+    every span the run integrates, the passes of the step loop (each pass
+    attempts one step of every unfinished span of a batch), the calls of B
+    and its evaluated times per accepted step (five per attempted step,
+    plus one per span), the steps of one span U(t, 0) cut at the breaks, the
+    run's wall time, and the largest entry error of the series against
+    scipy's DOP853 at rtol 1e-13, restarted at every sample time and break.
+    A segment costs at least about four steps (its first trial step is
+    span/50 and grows at most fivefold per step).
+
+    Then: the microseconds per attempted step of one span U(t, 0) of the
+    constant model at each of ``STEP_DIMS``; the microseconds per pass of
+    the series of ``PASS_MODELS``; the coefficient calls of
+    :func:`print_coefficient_calls`; ``write_csv``'s ms per 10^5 cells of
+    each of ``CSV_CELLS`` and per table of each of ``CSV_TABLES``; and two
+    tracemalloc peaks, each after one untraced warm-up call: ``write_csv``
+    of ``CSV_PEAK_ROWS`` rows beside the size of its file, and one
+    ``focksym run`` of each of ``PEAK_RUNS``.  Every time is the fastest of
+    ``REPEATS``, the per-table one of ten times as many.
+
+    ``--passes-only`` prints the per-pass figures, the coefficient calls and
+    the per-table ``write_csv`` figure alone.
+    """
+    print(environment_line())
+    if args.passes_only:
+        print_pass_costs(args.t, args.rel_tol)
+        print()
+        print_coefficient_calls(args.t)
+        print()
+        print_table_costs()
+        return 0
+
+    print(f"evolution runs of the series U(t_k, 0) to t = {args.t:g} at rel_tol "
+          f"{args.rel_tol:g}, error against DOP853 (rtol 1e-13)")
+    print(f"{'model':>14}  {'samples':>7}  {'rk steps':>8}  {'passes':>6}  "
+          f"{'per segment':>11}  {'B calls':>7}  {'B times/step':>12}  "
+          f"{'one span':>8}  {'wall s':>8}  {'max error':>9}")
+    rows = []
+    for name in args.models:
+        B, breaks, M = coefficient(MODELS[name], args.t)
+        for samples in args.samples:
+            steps, passes, wall, err, span, calls, times = measure(B, breaks, M, args.t,
+                                                                   samples, args.rel_tol)
+            per = steps / max(samples - 1, 1)
+            print(f"{name:>14}  {samples:>7}  {steps:>8}  {passes:>6}  {per:>11.2f}  "
+                  f"{calls:>7}  {times:>12.2f}  {span:>8}  {wall:>8.3f}  {err:>9.2e}")
+            rows.append((name, samples, steps, passes, calls, times, span, wall, err))
+
+    print(f"\none span of the constant model to t = {args.t:g}, "
+          f"fastest of {REPEATS}")
+    print(f"{'dim':>5}  {'attempted':>9}  {'us/step':>8}")
+    for n in STEP_DIMS:
+        attempted, us = us_per_step(n, args.t, args.rel_tol)
+        print(f"{n:>5}  {attempted:>9}  {us:>8.1f}")
+    print()
+    print_pass_costs(args.t, args.rel_tol)
+    print()
+    print_coefficient_calls(args.t)
+    print(f"\nwrite_csv, fastest of {REPEATS}")
+    for kind, cells in CSV_CELLS.items():
+        table = cells(np.random.default_rng(0))
+        ms = 1e3 * csv_write_s(table, REPEATS) * 1e5 / table.size
+        print(f"{kind:>16}  {ms:>6.2f} ms per 10^5 float cells")
+    print()
+    print_table_costs()
+    print()
+    print_peaks()
+
+    if args.out:
+        write_csv(args.out, ["model", "samples", "rk_steps", "passes", "b_calls",
+                             "b_times_per_step", "span_steps", "wall_s", "max_error"],
+                  rows)
+        print(f"wrote {args.out}")
+    return 0
+
+
+# ----------------------------------------------------------------------------
+# knots
+
+KNOTS = (6, 21, 101, 1001)
+EPS = (0.0, 1e-4, 1e-3, 3e-3, 1e-2, 1e-1, 1.0)
+KNOT_REPEATS = 5
+
+
+def table_params(kind: str, knots: int, t: float = 5.0) -> dict:
+    times = [t * i / (knots - 1) for i in range(knots)]
+    if kind == "random":
+        mats = [constant_matrix(3, seed) for seed in range(knots)]
+    else:
+        eps = float(kind[3:])
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        B0, B1, B2 = 0.5 * (g + g.transpose(0, 2, 1))
+        mats = [-0.5j * (B0 + eps * (math.cos(1.3 * x) * B1 + math.sin(0.7 * x + 0.2) * B2))
+                for x in times]
+    return {"B": "table", "times": times, "matrices": [json_matrix(M) for M in mats]}
+
+
+def knot_figures(params: dict) -> tuple[Probe, float, float]:
+    """The probe of one ``focksym run`` of the evolution scenario ``params``,
+    the fastest step-loop seconds of ``KNOT_REPEATS`` more, and the run's
+    ``evolution.composition`` record's measured value."""
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "report.json")
+        scenario = write_scenario(tmp, "table", "evolution", params,
+                                  {"format": "json", "path": report})
+        probe, best = cli_figures(["run", scenario], KNOT_REPEATS)
+        with open(report) as fh:
+            composition, = [r["measured"] for r in json.load(fh)["records"]
+                            if r["check_id"] == "evolution.composition"]
+    return probe, best, composition
+
+
+def knots_costs(args) -> int:
+    """Cost of evolution runs of piecewise-linear tables as their knots grow
+    dense.
+
+    Runs ``focksym run`` of an ``evolution`` JSON scenario of a dim-3 table
+    with ``--knots`` equally spaced knots over [0, 5], 37 samples, at each
+    ``--rel-tol``, and prints the spans the run hands to the step loop, its
+    passes, its attempted and rejected steps (:class:`Probe`), the fastest of
+    ``KNOT_REPEATS`` runs' milliseconds in the step loop, and its
+    ``evolution.composition`` record over rel_tol.  Two kinds of table:
+
+    - ``random``: the fixed damped spectrum of :func:`constant_matrix` in a
+      seeded basis at each knot, the benchmark's table shape, which bends by
+      about max|B| at every knot;
+    - ``eps<e>``: samples of -i/2 (B0 + e (cos(1.3 t) B1 + sin(0.7 t + 0.2) B2))
+      for seeded complex symmetric B0, B1, B2, whose bends shrink with e and
+      with the knot spacing (e = 0 holds one matrix at every knot).
+    """
+    kinds = ["random"] + [f"eps{e:g}" for e in EPS]
+    print(environment_line())
+    print(f"evolution runs of dim-3 tables over [0, 5], 37 samples; "
+          f"step-loop ms the fastest of {KNOT_REPEATS}")
+    print(f"{'rel_tol':>7}  {'knots':>5}  {'table':>9}  {'spans':>5}  {'passes':>6}  "
+          f"{'attempts':>8}  {'rejected':>8}  {'loop ms':>8}  {'comp/tol':>8}")
+    for rel_tol in args.rel_tol:
+        for knots in args.knots:
+            for kind in kinds:
+                params = {**table_params(kind, knots), "t": 5.0, "samples": 37,
+                          "rel_tol": rel_tol}
+                probe, best, composition = knot_figures(params)
+                print(f"{rel_tol:>7g}  {knots:>5}  {kind:>9}  {probe.spans:>5}  "
+                      f"{probe.passes:>6}  {probe.steps + probe.rejected:>8}  "
+                      f"{probe.rejected:>8}  {1e3 * best:>8.2f}  "
+                      f"{composition / rel_tol:>8.2g}", flush=True)
+    return 0
+
+
+# ----------------------------------------------------------------------------
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="layer", required=True)
+
+    p = sub.add_parser("wco", help=wco_costs.__doc__.splitlines()[0])
+    p.add_argument("--dims", type=int, nargs="+", default=[16, 32, 64, 128, 256])
+    p.add_argument("--repeats", type=int, default=7)
+    p.add_argument("--stack", action="store_true",
+                   help="microseconds per matrix of stacked builds instead")
+    p.set_defaults(fn=wco_costs)
+
+    p = sub.add_parser("cli", help=cli_costs.__doc__.splitlines()[0])
+    p.add_argument("--calls", type=int, default=200)
+    p.set_defaults(fn=cli_costs)
+
+    p = sub.add_parser("propagator", help=propagator_costs.__doc__.splitlines()[0])
+    p.add_argument("--samples", type=int, nargs="+", default=[2, 21, 201, 1001])
+    p.add_argument("--models", nargs="+", choices=list(MODELS), default=list(MODELS))
+    p.add_argument("--t", type=float, default=5.0, help="horizon (s = 0)")
+    p.add_argument("--rel-tol", type=float, default=1e-10)
+    p.add_argument("--out", help="optional CSV output path")
+    p.add_argument("--passes-only", action="store_true",
+                   help="print only the per-pass, coefficient-call and per-table figures")
+    p.set_defaults(fn=propagator_costs)
+
+    p = sub.add_parser("knots", help=knots_costs.__doc__.splitlines()[0])
+    p.add_argument("--knots", type=int, nargs="+", default=list(KNOTS))
+    p.add_argument("--rel-tol", type=float, nargs="+", default=[1e-10])
+    p.set_defaults(fn=knots_costs)
+
+    args = ap.parse_args(argv)
+    return args.fn(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

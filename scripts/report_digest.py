@@ -77,7 +77,7 @@ import tempfile
 from pathlib import Path
 
 from focksym.cli import main as focksym_main
-from propagator_cost import constant_matrix, constant_params, json_matrix
+from layer_cost import constant_matrix, constant_params, json_matrix
 
 STD = {"a": [1.0, 0.0], "b": [0.0, 0.0], "c": [1.0, 0.0]}
 ROTATED = {"a": [math.cos(0.7), math.sin(0.7)], "c": [0.0, 1.0]}

@@ -1,0 +1,74 @@
+"""scripts/layer_cost.py: each subcommand, on its cheapest arguments, exits 0
+and prints one row per requested case."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.fixture
+def layer_cost(monkeypatch, tmp_path):
+    """scripts/layer_cost.py as a module, one round per fastest-of figure."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    monkeypatch.setenv("FOCKSYM_OUTPUT_DIR", str(tmp_path))  # the cli subcommand sets it
+    spec = importlib.util.spec_from_file_location("layer_cost", SCRIPTS / "layer_cost.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "REPEATS", 1)
+    monkeypatch.setattr(module, "KNOT_REPEATS", 1)
+    return module
+
+
+def _rows(out: str, header: str) -> list[list[str]]:
+    """The rows of the table whose header line starts with ``header``, up to
+    the next blank line, split on whitespace."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:1] == [header]) + 1
+    rows = []
+    for line in lines[start:]:
+        if not line.strip():
+            break
+        rows.append(line.split())
+    return rows
+
+
+def test_wco_prints_each_dim(layer_cost, capsys):
+    assert layer_cost.main(["wco", "--dims", "2", "--repeats", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out["environment"]) == {"numpy", "blas_threads", "longdouble_nmant"}
+    assert list(out["dims"]) == ["2"]
+    for row in out["dims"].values():
+        assert set(row) == {"ms_full", "ms_ncols5", "rel_error"}
+        assert row["rel_error"] < 1e-14
+
+
+def test_cli_prints_each_part(layer_cost, capsys):
+    assert layer_cost.main(["cli", "--calls", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("python ")
+    assert [row[0] for row in _rows(out, "part")] == [
+        "build", "parse", "validate", "run", "validate-wco"]
+
+
+def test_propagator_passes_only_prints_each_model(layer_cost, capsys):
+    assert layer_cost.main(["propagator", "--passes-only", "--t", "0.5"]) == 0
+    out = capsys.readouterr().out
+    labels = [label for label, _, _ in layer_cost.PASS_MODELS]
+    passes = _rows(out, "model")
+    assert [row[0] for row in passes] == labels
+    assert all(int(row[2]) > 0 for row in passes)
+    calls = _rows(out.split("coefficient calls", 1)[1], "model")
+    assert [row[0] for row in calls] == labels + ["evolve", "verify-all"]
+    tables = out.split("write_csv of a normal table", 1)[1].strip().splitlines()[1:]
+    assert len(tables) == len(layer_cost.CSV_TABLES)
+
+
+def test_knots_prints_each_table(layer_cost, capsys):
+    assert layer_cost.main(["knots", "--knots", "6", "--rel-tol", "1e-8"]) == 0
+    rows = _rows(capsys.readouterr().out, "rel_tol")
+    assert [row[2] for row in rows] == ["random"] + [f"eps{e:g}" for e in layer_cost.EPS]
+    assert all(row[:2] == ["1e-08", "6"] for row in rows)
