@@ -2,6 +2,7 @@
 
 import bisect
 import cmath
+import functools
 import itertools
 import math
 
@@ -25,6 +26,7 @@ from focksym.evolution import (
     composition_pieces,
     evolution_series,
     evolve,
+    product_residual,
     _integrate_spans,
 )
 
@@ -155,6 +157,43 @@ def test_axioms_raise_when_the_composition_overflows():
     big = 1e200 * np.eye(2, dtype=complex)
     with pytest.raises(OverflowError, match=r"U\(t, r\) U\(r, s\) leaves the double range"):
         check_evolution_axioms(np.stack([np.eye(2), big, big]), np.eye(2))
+
+
+def test_product_residual_judges_each_entry_against_its_own_size():
+    rng = np.random.default_rng(2)
+    A, B = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    C = A @ B
+    C[1, 2] *= 1 + 1e-9
+    residual = product_residual(A, B, C)
+    assert 1e-10 < residual < 1e-8
+    # rows and columns scaled by powers of two, exactly: the same reading
+    D1, D2 = np.diag(2.0 ** np.array([-300, 0, 300])), np.diag(2.0 ** np.array([200, -90, 0]))
+    assert product_residual(D1 @ A, B @ D2, D1 @ C @ D2) == residual
+    # an entry of size 1e-200 off by its own size reads 1, where max-abs reads 1e-200
+    small = np.diag([1e-100, 1.0])
+    assert product_residual(small, small, np.diag([2e-200, 1.0])) == 1.0
+    # below the normal range the residual is absolute: 0/0 reads 0, and an
+    # entry that both factors round to 0 reads a subnormal over the smallest normal
+    zero = np.zeros((1, 1))
+    assert product_residual(zero, zero, zero) == 0.0
+    assert product_residual(zero, zero, np.full((1, 1), 5e-324)) < 1e-15
+
+
+@pytest.mark.parametrize("L", [3e-319, 1e-315, 1e-311])
+def test_a_span_with_a_subnormal_error_budget_takes_no_step(L):
+    # rel_tol L is subnormal, where the step loop crawled for minutes; the
+    # propagator is I + L B(0) to rounding
+    B, calls = _bagchi_cosine(), []
+
+    def counted(ts):
+        calls.append(len(ts))
+        assert len(calls) == 1, "the step loop runs"
+        return B(ts)
+
+    _, series, axioms = evolution_series(counted, (0.0, L), 2, 1e-10)
+    assert calls == [4]  # every span's start: the segment, U(t, t) and two halves
+    assert np.array_equal(series[-1], np.eye(2) + L * B([0.0])[0])
+    assert check_evolution_axioms(axioms[:3], axioms[3]) == (0.0, 0.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -542,6 +581,7 @@ def _reference_integrate(B, t0, t1, rel_tol, sums="rows"):
     while (t1 - x) * direction > 0:
         if (x + h - t1) * direction > 0:
             h = t1 - x
+        h = (x + h) - x or math.nextafter(x, t1) - x
         stages = []
         for i in range(7):
             Y = weighted(U, ev._COUPLING[i], stages) if i else U
@@ -616,7 +656,9 @@ def _kinked_table():
     (_constant_d16, 0.0, 2.0, 1e-10),
     (_kinked_table, 0.0, 3.0, 1e-10),
     (_bagchi_cosine, 4.0, -1.0, 1e-9),
-], ids=["bagchi-cosine", "constant-d16", "kinked-table", "backward"])
+    # far from 0, where each step's h is rounded to fl(x + h) - x
+    (_bagchi_cosine, 1e5, 1e5 + 1.0, 1e-10),
+], ids=["bagchi-cosine", "constant-d16", "kinked-table", "backward", "far"])
 def test_step_loop_matches_reference_bit_for_bit(make, t0, t1, rel_tol):
     B, count = _counting(make())
     U, stats = _integrate(B, t0, t1, rel_tol)
@@ -683,6 +725,16 @@ def _short_spans(n):
     return [(float(a), float(a + d)) for a, d in zip(starts, signs * lengths)] + [(1.0, 1.0)]
 
 
+@functools.cache
+def _alone_and_reference(make, t0, t1, tol):
+    """U and statistics of the span (t0, t1) of make() integrated alone and
+    by the reference loop.  A batch of one span is one batch whatever
+    ``_BATCH_BYTES``, so the batch sizes of one model share them."""
+    (U_alone,), (st_alone,) = _integrate_spans(make(), [(t0, t1)], tol)
+    U_ref, st_ref = _reference_integrate(make(), t0, t1, tol)
+    return U_alone, st_alone, U_ref, st_ref
+
+
 @pytest.mark.parametrize("make, spans", [
     # unequal forward spans, a backward span and a zero span
     (_bagchi_cosine, [(0.0, 5.0), (1.0, 1.3), (4.0, -1.0), (2.0, 2.0), (0.5, 3.5)]),
@@ -704,9 +756,8 @@ def test_batch_matches_each_span_alone_bit_for_bit(make, spans, spans_per_batch,
         assert all(np.array_equal(U, np.eye(n))
                    for (t0, t1), U in zip(spans, mats) if t1 == t0)
         for (t0, t1), U, st in zip(spans, mats, stats):
-            (U_alone,), (st_alone,) = _integrate_spans(make(), [(t0, t1)], tol)
+            U_alone, st_alone, U_ref, st_ref = _alone_and_reference(make, t0, t1, tol)
             assert U.tobytes() == U_alone.tobytes() and st == st_alone
-            U_ref, st_ref = _reference_integrate(make(), t0, t1, tol)
             assert np.array_equal(U, U_ref) and st == st_ref
         # per span, stage 1 once, then five times per attempted step
         assert count["times"] == len(spans) + 5 * sum(st.steps + st.rejected for st in stats)
