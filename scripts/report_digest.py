@@ -15,11 +15,14 @@ span starts shows here), a
 dim-3 table-model `evolution` CSV whose span reaches below its first knot and
 past its last, a JSON report of the decaying constant model
 [[-50, 0], [0, -1]] over [0, 5] (e^{-250} in its first column, which the step
-loop holds only to absolute accuracy, so its ``evolution.exponential-columns``
+loop holds only to absolute accuracy, so its ``evolution.exponential-route``
 fails and the run exits 2), a JSON report of the two-level model with numbers
-for kappa and lam over [0.5, 3], a constant coefficient, and one of a
-constant model with s = t, whose exponential is I, and a records CSV of
-`conjugation-check`, whose anchors hold commas: 40 runs, which between them
+for kappa and lam over [0.5, 3], a constant coefficient, one of a
+constant model with s = t, whose exponential is I, one of the unit rotation
+[[0, 1], [-1, 0]] over [0, 1e5] at 100001 samples (a product law's bound
+grows with |t - s| as the run's rounding does, so its composition holds),
+and a records CSV of
+`conjugation-check`, whose anchors hold commas: 41 runs, which between them
 take every subcommand that writes a report, every coefficient model and both
 paths of the CSV writer.
 Then 16 malformed runs that exit 1 with an ``input error:`` line and write no
@@ -28,7 +31,7 @@ report: one scenario per kind and nine flag errors of `spectrum` and
 printed line is the run's label, its exit code, the digest of its report with
 the value of ``wall_time_s`` replaced by null (no other byte is touched), and
 the digest of what the run wrote to stderr, with the run's temporary directory
-read as ``<workdir>``.  Last, `validate` checks each of the 39 scenario files
+read as ``<workdir>``.  Last, `validate` checks each of the 40 scenario files
 run, good and malformed alike, and prints the run's label, ``validate``, its
 exit code and its stderr digest, so a change in what `validate` catches shows
 in the diff.  Two source trees produce identical reports and error messages
@@ -132,6 +135,8 @@ SINGLE_RUNS = {
                                                    "s": 0.5, "t": 3.0, "samples": 12}, 2, "json"),
     "evolution-constant-zero-span": ("evolution", {"B": "constant", "matrix": [[0, 1], [1, 0]],
                                                    "s": 1.0, "t": 1.0, "samples": 3}, 2, "json"),
+    "evolution-rotation-long": ("evolution", {"B": "constant", "matrix": [[0, 1], [-1, 0]],
+                                              "t": 1e5, "samples": 100001}, 2, "json"),
     "conjugation-records-d16": ("conjugation-check", OFFSET, 16, "csv"),
 }
 

@@ -436,7 +436,7 @@ def composition_pieces(segments: Sequence[tuple[float, float]]
 # differ in floats by the rounding of their times, a few ulps of the largest
 # time, which a chain of shared spans adds up, so a grid far from 0
 # integrates its strays on their own: over [1e5, 1e5 + 1], 201 samples of a
-# unit rotation read 1.16 and 1.98 times the bounds of exponential-columns and
+# unit rotation read 1.16 and 1.98 times the bounds of exponential-route and
 # composition with every span shared by length, and 0.12 and 0.39 with the
 # strays apart (0.34 and 0.00 sharing only equal float lengths; 48 grids in
 # BENCH_samelength.json, none of which passes unshared and fails here).
@@ -535,6 +535,19 @@ def product_residual(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
     """
     size = np.maximum(np.abs(A) @ np.abs(B), _NORMAL)
     return float(np.max(np.abs(A @ B - C) / size))
+
+
+def column_residual(U: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Each column's error of U against the exact propagator E: its max-abs
+    difference from E's column over that column's own max-abs entry.
+
+    A column that decays is so judged relative to its size, not to the
+    largest column.  A column of E that underflows to 0 reads 0 where U's
+    column is 0 too, and inf otherwise.
+    """
+    err = np.max(np.abs(U - E), axis=0)
+    size = np.max(np.abs(E), axis=0)
+    return np.divide(err, size, out=np.where(err > 0, np.inf, 0.0), where=size > 0)
 
 
 @np.errstate(over="ignore", invalid="ignore")

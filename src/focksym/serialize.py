@@ -37,7 +37,6 @@ import functools
 import json
 import os
 import stat
-import threading
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -288,21 +287,10 @@ def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table.reshape(-1, _WIDTH), lengths.ravel().astype(np.uint8), quads
 
 
-# The index of a chunk's bytes, which write_csv allocates once per table for
-# the thread that writes it and every chunk of the table fills.  A fresh one
-# per chunk, 800 kB, was mapped and unmapped by the allocator chunk after
-# chunk and its pages faulted in each time: 7537 page faults per 43 x 2049
-# table in a fresh process, against 313 for the first table and none after.
-# With the constant runs' spans shared, the benchmark's evolution-series
-# wall_s fell by 1 to 4 % without it and by 18 to 20 % with it
-# (BENCH_samelength.json).
-_TABLE = threading.local()
-
-
-def _repr_cells(x: np.ndarray, last: np.ndarray) -> bytes:
+def _repr_cells(x: np.ndarray, last: np.ndarray, buffer: np.ndarray) -> bytes:
     """The cells of x as float.__repr__ writes them, each followed by a newline
     where last is true and a comma elsewhere; the index of their bytes goes
-    into the buffer of the table the thread writes, if it is large enough."""
+    into ``buffer``, which holds at least ``_WIDTH`` entries per cell."""
     a = np.abs(x)
     # an integer below 2^53 is its own shortest digits, and the point follows
     # them; trailing zeros in q print the same in that layout
@@ -336,9 +324,6 @@ def _repr_cells(x: np.ndarray, last: np.ndarray) -> bytes:
     key = ((form * 17 + nd - 1) * 2 + np.signbit(x)) * 2 + last
     # each row as long as the chunk's longest, padded with the NUL column
     width = _WIDTH if undecided.size else int(lengths.take(key).max())
-    buffer = getattr(_TABLE, "index", None)
-    if buffer is None or buffer.size < len(x) * width:
-        buffer = np.empty(len(x) * width, np.intp)
     index = buffer[:len(x) * width].reshape(len(x), width)
     np.add(table[key, :width], np.arange(0, source.size, _SOURCE)[:, None], out=index)
     out = source.ravel().take(index)
@@ -363,13 +348,18 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence] | np.nd
         if (isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2
                 and rows.size):
             cells = np.ascontiguousarray(rows).ravel()
-            _TABLE.index = np.empty(min(cells.size, _CHUNK_CELLS) * _WIDTH, np.intp)
-            try:
-                for start in range(0, cells.size, _CHUNK_CELLS):
-                    chunk = cells[start:start + _CHUNK_CELLS]
-                    last = np.arange(start + 1, start + 1 + chunk.size) % rows.shape[1] == 0
-                    fh.write(_repr_cells(chunk, last).decode("ascii"))
-            finally:
-                del _TABLE.index
+            # The index of a chunk's bytes, one buffer per table that every
+            # chunk fills.  A fresh one per chunk, 800 kB, was mapped and
+            # unmapped by the allocator chunk after chunk and its pages
+            # faulted in each time: 7537 page faults per 43 x 2049 table in
+            # a fresh process, against 313 for the first table and none
+            # after.  With the constant runs' spans shared, the benchmark's
+            # evolution-series wall_s fell by 1 to 4 % without it and by 18
+            # to 20 % with it (BENCH_samelength.json).
+            index = np.empty(min(cells.size, _CHUNK_CELLS) * _WIDTH, np.intp)
+            for start in range(0, cells.size, _CHUNK_CELLS):
+                chunk = cells[start:start + _CHUNK_CELLS]
+                last = np.arange(start + 1, start + 1 + chunk.size) % rows.shape[1] == 0
+                fh.write(_repr_cells(chunk, last, index).decode("ascii"))
         else:
             writer.writerows([_cell(v) for v in row] for row in rows)

@@ -13,9 +13,12 @@ inputs, or the measurement their caller made, as named parameters.  A group
 runs its maker over its fixtures and appends a suffix to every id
 (``.{variant}.{i}``, or ``.b0.{i}`` and ``.offset`` for the conjugations); a
 kind applies the same maker with no suffix, so both judge one case alike.
-The CLI makes only its kinds' info records and ``wco.symbol-selfadjointness``,
-and :func:`exponential_column_records`, the ``evolution`` kind's judge of a
-constant coefficient's propagator, has no group yet.
+The CLI makes only its kinds' info records and ``wco.symbol-selfadjointness``.
+Each evolution law has one error measure: a propagator against an exact one
+column by column (``evolution.exponential-route`` and
+``evolution.closed-form``), and a product law componentwise
+(``evolution.composition`` and ``evolution.reverse-inverse``), each against
+a bound that grows with the span |t - s|.
 Each law is measured by one helper of the layer that defines it (for example
 ``check_semigroup_law`` sweeps its own time grid, and every C-symmetry
 residual is ``check_matrix_c_symmetry``), at the truncation that decides it.
@@ -64,8 +67,10 @@ from .evolution import (
     check_adjoint_family,
     check_evolution_axioms,
     check_nonauto_stone,
+    column_residual,
     composition_pieces,
     evolve,
+    product_residual,
 )
 from .fock import sqrt_factorial
 from .generator import (
@@ -163,7 +168,6 @@ DEFAULT_TOLERANCES: Mapping[str, float] = {
     "laplace_diagonal": 1e-8,
     "laplace_identity": 1e-6,
     "evolution_tol_factor": 10.0,
-    "closed_form_evolution": 1e-9,
     "nonauto_commutation": float(np.finfo(float).eps),
     "evolution_symmetry": 1e-9,
 }
@@ -395,25 +399,34 @@ def eigenfunction_records(cfg: VerifyConfig, rep: SpectrumReport,
                     cfg.tol("eigen_residual"), detail=f"max over m <= {k_max} at dim {big}")]
 
 
+def _product_bound(cfg: VerifyConfig, rel_tol: float, span: float) -> float:
+    """The bound of a product law of propagators over span = t - s integrated
+    at ``rel_tol``: ``evolution_tol_factor`` rel_tol max(1, |t - s|), which
+    grows with the span as an accurate run's rounding does."""
+    return cfg.tol("evolution_tol_factor") * rel_tol * max(1.0, abs(span))
+
+
 def evolution_axiom_records(
     cfg: VerifyConfig,
     U_axioms: np.ndarray,
     U_ts: np.ndarray,
     rel_tol: float,
+    span: float,
     suffix: str = "",
 ) -> list[CheckRecord]:
     """U(t, t) = I and U(t, r) U(r, s) = U(t, s), given the stack of U(t, t),
     U(t, r) and U(r, s) for s <= r <= t and U(t, s), all integrated at
-    ``rel_tol``."""
+    ``rel_tol``, and span = t - s."""
     ident, comp = check_evolution_axioms(U_axioms, U_ts)
-    tol = cfg.tol("evolution_tol_factor") * rel_tol
     return [
-        _record(f"evolution.identity{suffix}", "U(t, t) = identity", ident, tol),
-        _record(f"evolution.composition{suffix}", "U(t, r) U(r, s) = U(t, s)", comp, tol),
+        _record(f"evolution.identity{suffix}", "U(t, t) = identity", ident,
+                cfg.tol("evolution_tol_factor") * rel_tol),
+        _record(f"evolution.composition{suffix}", "U(t, r) U(r, s) = U(t, s)", comp,
+                _product_bound(cfg, rel_tol, span)),
     ]
 
 
-# The rounding floor of exponential-columns per segment chained into U(t, s):
+# The rounding floor of exponential-route per segment chained into U(t, s):
 # the steps and the chain's products each round U's entries near 1, so on
 # exact short spans the record reads a few eps per segment whatever rel_tol.
 # Over |t - s| from 5e-324 to 1e-6, s = 0 and 1, 1 to 201 samples, seeded
@@ -421,6 +434,21 @@ def evolution_axiom_records(
 # 4.02 eps per segment (201 samples: 534 eps), against bounds of 10 rel_tol
 # |t - s| from 0 to 4.5 eps.
 _ROUNDING_PER_SEGMENT = 5 * np.finfo(float).eps
+
+
+def _column_record(cfg: VerifyConfig, check_id: str, anchor: str, U_ts: np.ndarray,
+                   E: np.ndarray, span: float, rel_tol: float, segments: int) -> CheckRecord:
+    """U(t, s), integrated at ``rel_tol`` as the chain of ``segments`` spans
+    and span = t - s, against the exact propagator E, column by column
+    (:func:`focksym.evolution.column_residual`): the worst column against
+    ``evolution_tol_factor`` rel_tol |t - s|, or against the rounding floor
+    ``_ROUNDING_PER_SEGMENT`` per segment where that is larger."""
+    rel = column_residual(U_ts, E)
+    worst = int(np.argmax(rel))
+    return _record(check_id, anchor, rel[worst],
+                   max(cfg.tol("evolution_tol_factor") * rel_tol * abs(span),
+                       _ROUNDING_PER_SEGMENT * segments),
+                   detail=f"worst column {worst} of {len(rel)}")
 
 
 def exponential_column_records(
@@ -433,26 +461,11 @@ def exponential_column_records(
 ) -> list[CheckRecord]:
     """U(t, s) = e^{(t - s) M} for the constant coefficient M, given U(t, s)
     integrated at ``rel_tol`` as the chain of ``segments`` spans and
-    span = t - s, column by column.
-
-    Each column's error is its max-abs difference from that column of the
-    exponential over the column's own max-abs entry, so a column that decays
-    is judged relative to its size, not to the largest column; the record
-    reads the worst column against ``evolution_tol_factor`` rel_tol |t - s|,
-    or against the rounding floor ``_ROUNDING_PER_SEGMENT`` per segment
-    where that is larger.  A column of the exponential that underflows to 0
-    reads 0 where U's column is 0 too, and inf otherwise.
-    """
-    E = matrix_exponential(M, span)
-    err = np.max(np.abs(U_ts - E), axis=0)
-    size = np.max(np.abs(E), axis=0)
-    rel = np.divide(err, size, out=np.where(err > 0, np.inf, 0.0), where=size > 0)
-    worst = int(np.argmax(rel))
-    return [_record("evolution.exponential-columns",
-                    "constant-coefficient propagator equals exp((t-s) M), column by column",
-                    rel[worst], max(cfg.tol("evolution_tol_factor") * rel_tol * abs(span),
-                                    _ROUNDING_PER_SEGMENT * segments),
-                    detail=f"worst column {worst} of {len(rel)}")]
+    span = t - s, column by column (:func:`_column_record`)."""
+    return [_column_record(cfg, "evolution.exponential-route",
+                           "constant-coefficient propagator equals exp((t-s) M), "
+                           "column by column",
+                           U_ts, matrix_exponential(M, span), span, rel_tol, segments)]
 
 
 # ----------------------------------------------------------------------------
@@ -726,7 +739,7 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     mats, _ = _integrate_spans(B, [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), *pieces], rel_tol)
     U, U_rev, U_tt, U_rs, U_tr = mats
     U_steps, _ = _integrate_spans(B, adjoint_spans(1.0, hs), 1e-12)
-    out = evolution_axiom_records(cfg, np.stack([U_tt, U_tr, U_rs]), U, rel_tol)
+    out = evolution_axiom_records(cfg, np.stack([U_tt, U_tr, U_rs]), U, rel_tol, 1.0)
     # constant coefficients: closed form via the spectral decomposition
     nu, kap, lamb = 1.0, 0.3, 1.0
     mu = math.sqrt(lamb**2 - kap**2)
@@ -734,14 +747,11 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     closed = np.exp(-1j * nu) * (
         math.cos(mu) * np.eye(2) - 1j * math.sin(mu) / mu * (H - nu * np.eye(2))
     )
-    out.append(_record("evolution.closed-form",
-                       "propagator of the constant two-level model",
-                       float(np.max(np.abs(U - closed))), cfg.tol("closed_form_evolution")))
+    out.append(_column_record(cfg, "evolution.closed-form",
+                              "propagator of the constant two-level model",
+                              U, closed, 1.0, rel_tol, 1))
     # same constant model through the exponential (independent route)
-    exp_route = matrix_exponential(B([0.0])[0], 1.0)
-    out.append(_record("evolution.exponential-route",
-                       "constant-coefficient propagator equals exp((t-s) B)",
-                       float(np.max(np.abs(U - exp_route))), cfg.tol("closed_form_evolution")))
+    out += exponential_column_records(cfg, B([0.0])[0], U, 1.0, rel_tol)
     # commutation of B(s) with plain conjugation (complex symmetric B)
     stone = check_nonauto_stone(B, np.eye(2), np.linspace(0.0, 2.0, 9))
     out.append(_record("evolution.nonauto-commutation",
@@ -760,11 +770,10 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     out.append(_record("evolution.adjoint-slope",
                        "d/dt U(t,s)^H z = U(t,s)^H B(t)^H z",
                        abs(slope - 1.0), 0.1, detail=f"slope {slope:.4f}"))
-    # reversed integration inverts the propagator
-    inv_resid = float(np.max(np.abs(U_rev @ U - np.eye(2))))
+    # reversed integration inverts the propagator, judged as composition is
     out.append(_record("evolution.reverse-inverse",
                        "backward integration inverts the propagator",
-                       inv_resid, cfg.tol("evolution_tol_factor") * rel_tol))
+                       product_residual(U_rev, U, np.eye(2)), _product_bound(cfg, rel_tol, 1.0)))
     return out
 
 

@@ -668,6 +668,11 @@ SHARED_MAKERS = {
                        ["empty-spectrum.divergence.eta=(1+1j)"]),
     "evolution": ("evolution", "", "evolution", _TWO_LEVEL,
                   ["evolution.identity", "evolution.composition"]),
+    # kappa and lam as numbers: a constant coefficient, whose U(1, 0) is the
+    # suite's bit for bit
+    "exponential-route": ("evolution", "", "evolution",
+                          {**_TWO_LEVEL, "kappa": 0.3, "lam": 1.0},
+                          ["evolution.exponential-route"]),
     "spectrum": ("spectrum", "", "spectrum",
                  {"family": V._EIGENFUNCTION_FAMILY.to_json(), "k_max": 5},
                  ["spectrum.eigenfunction-residuals"]),
@@ -691,10 +696,6 @@ def test_kind_and_suite_records_agree(maker):
 UNPINNED = {
     # C-selfadjointness of a wco symbol: the suite has no wco symbol group yet
     "wco.symbol-selfadjointness",
-    # a constant coefficient's propagator against its exponential, column by
-    # column: verify-all gains it with the benchmark refresh that unlocks the
-    # suite's new evolution ids
-    "evolution.exponential-columns",
 }
 
 
@@ -1075,31 +1076,43 @@ def _records(report_path):
 
 def test_exponential_columns_judge_each_column_against_its_own_size():
     cfg = verification.VerifyConfig(dim=16)
+
+    def judge(M, U, span):
+        # the exponential route and the suite's closed form share one judge
+        [route] = verification.exponential_column_records(cfg, M, U, span, 1e-10)
+        closed = verification._column_record(cfg, "evolution.closed-form", route.anchor, U,
+                                              generator.matrix_exponential(M, span), span,
+                                              1e-10, 1)
+        assert dataclasses.replace(closed, check_id=route.check_id) == route
+        assert route.measured == np.max(
+            evolution.column_residual(U, generator.matrix_exponential(M, span)))
+        return route
+
     # e^{-8 t} and e^{t/2} over t = 2: the first column is 1e-7 the size of
     # the second
     M = np.diag([-8.0, 0.5]).astype(complex)
     E = generator.matrix_exponential(M, 2.0)
-    [exact] = verification.exponential_column_records(cfg, M, E, 2.0, 1e-10)
+    exact = judge(M, E, 2.0)
     assert (exact.measured, exact.threshold, exact.status) == (0.0, 10 * 1e-10 * 2.0, "pass")
     # a fault of 1e-6 relative in the decaying column, 1e-13 in absolute terms
     U = E.copy()
     U[0, 0] *= 1 + 1e-6
-    [faulty] = verification.exponential_column_records(cfg, M, U, 2.0, 1e-10)
+    faulty = judge(M, U, 2.0)
     assert faulty.status == "fail" and faulty.detail == "worst column 0 of 2"
     assert faulty.measured == pytest.approx(1e-6)
     # e^{-800} underflows to 0: a column of 0 reads 0, any other column inf
     M = np.diag([-800.0, 0.0]).astype(complex)
     E = generator.matrix_exponential(M, 1.0)
     assert E[0, 0] == 0.0
-    [exact] = verification.exponential_column_records(cfg, M, E, 1.0, 1e-10)
+    exact = judge(M, E, 1.0)
     assert exact.measured == 0.0 and exact.status == "pass"
     U = E.copy()
     U[0, 0] = 1e-300
-    [faulty] = verification.exponential_column_records(cfg, M, U, 1.0, 1e-10)
+    faulty = judge(M, U, 1.0)
     assert faulty.measured == math.inf and faulty.status == "fail"
 
 
-def test_decaying_constant_run_fails_its_exponential_columns(tmp_path, capsys):
+def test_decaying_constant_run_fails_its_exponential_route(tmp_path, capsys):
     # e^{-250} and e^{-5}: the step loop judges a step's error against
     # max(max|U5|, max|U|, 1), so the decaying column is held only to absolute
     # accuracy and misses its exponential by 195 %.  The composition law,
@@ -1112,10 +1125,24 @@ def test_decaying_constant_run_fails_its_exponential_columns(tmp_path, capsys):
                                 "output": {"path": str(out)}})
     assert main(["run", path]) == 2
     assert capsys.readouterr().err == (
-        "FAILED: evolution.composition, evolution.exponential-columns\n")
+        "FAILED: evolution.composition, evolution.exponential-route\n")
     records = _records(out)
     assert records["evolution.composition"]["status"] == "fail"
-    assert records["evolution.exponential-columns"]["measured"] > 1.0
+    assert records["evolution.exponential-route"]["measured"] > 1.0
+
+
+@pytest.mark.parametrize("matrix", [[[-50.0, 0.0], [0.0, -1.0]], [[-10.0]]])
+def test_product_bound_grows_with_the_span_but_not_past_a_decay_defect(tmp_path, matrix):
+    # the bound 10 rel_tol max(1, |t - s|) is 5e-9 over [0, 5], and the
+    # decaying columns still read 1.0
+    params = {"B": "constant", "matrix": matrix, "t": 5.0, "samples": 3}
+    out = tmp_path / "decay.json"
+    path = _scenario(tmp_path, {"name": "decay", "kind": "evolution", "params": params,
+                                "output": {"path": str(out)}})
+    assert main(["run", path]) == 2
+    record = _records(out)["evolution.composition"]
+    assert (record["measured"], record["threshold"], record["status"]) == (
+        pytest.approx(1.0), 10 * 1e-10 * 5.0, "fail")
 
 
 @pytest.mark.parametrize("params", [
@@ -1125,7 +1152,10 @@ def test_decaying_constant_run_fails_its_exponential_columns(tmp_path, capsys):
      "samples": 201},
     # e^{3 t} grows to 5e12: 0.1 against 1e-9 while composition was max-abs
     {"B": "constant", "matrix": [[0.0, 3.0], [3.0, 0.0]], "t": 10.0, "samples": 11},
-], ids=["far-rotation", "growing"])
+    # 1e5 units of time: composition read 3.98e-9 against 10 rel_tol, a
+    # bound that did not grow with |t - s| as the rounding of the run does
+    {"B": "constant", "matrix": [[0.0, 1.0], [-1.0, 0.0]], "t": 1e5, "samples": 100001},
+], ids=["far-rotation", "growing", "long-rotation"])
 def test_accurate_constant_runs_pass(tmp_path, params):
     records = _records(_evolution_report(tmp_path, params, "json"))
     assert {r["status"] for r in records.values()} <= {"pass", "info"}
@@ -1401,8 +1431,8 @@ def test_numeric_two_level_runs_take_the_constant_path(tmp_path):
     varying = {**constant, "kappa": {"cosine": {"amplitude": 0.4, "frequency": 1.0}}}
     assert cli._evolution_operator_from(varying, (0.5, 2.0))[-1] is None
     records = _records(_evolution_report(tmp_path, constant, "json"))
-    assert records["evolution.exponential-columns"]["status"] == "pass"
-    assert "evolution.exponential-columns" not in _records(
+    assert records["evolution.exponential-route"]["status"] == "pass"
+    assert "evolution.exponential-route" not in _records(
         _evolution_report(tmp_path, varying, "json"))
 
 
@@ -1414,7 +1444,7 @@ def test_zero_span_constant_run_passes(tmp_path, params):
     # s = t: U(t, s) = I, and its exponential e^{0 M} is I exactly, judged
     # against the rounding floor of its two segments
     out = _evolution_report(tmp_path, {**params, "s": 1, "t": 1, "samples": 3}, "json")
-    record = _records(out)["evolution.exponential-columns"]
+    record = _records(out)["evolution.exponential-route"]
     floor = 2 * verification._ROUNDING_PER_SEGMENT
     assert (record["measured"], record["threshold"], record["status"]) == (0.0, floor, "pass")
 
@@ -1428,7 +1458,7 @@ def test_exact_short_spans_pass_exponential_columns(tmp_path, s, span, samples):
     params = {"B": "constant", "matrix": _constant_model(16, 11), "s": s, "t": s + span,
               "samples": samples}
     record = _records(_evolution_report(tmp_path, params, "json"))[
-        "evolution.exponential-columns"]
+        "evolution.exponential-route"]
     floor = max(1, samples - 1) * verification._ROUNDING_PER_SEGMENT
     assert record["threshold"] == floor > 10 * 1e-10 * span
     assert 0.0 < record["measured"] <= floor

@@ -989,7 +989,7 @@ def test_table_run_past_its_ends_takes_no_rejected_step(monkeypatch):
     monkeypatch.setattr(evolution, "_integrate_spans", recording)
     times, series, axioms = evolution_series(B, (0.0, 5.0), 11, 1e-10, breaks)
     records = verification.evolution_axiom_records(verification.VerifyConfig(dim=3),
-                                                   axioms[:3], axioms[3], 1e-10)
+                                                   axioms[:3], axioms[3], 1e-10, 5.0)
     assert sum(st.rejected for st in stats) == 0
     assert sum(st.steps for st in stats) > 0
     for k in (5, 10):  # the middle and the last sample

@@ -153,12 +153,12 @@ def test_a_write_that_fails_midway_leaves_the_old_file(tmp_path, monkeypatch, pa
         seen.append(_temps(tmp_path))
         raise RuntimeError("midway")
 
-    def second_chunk_fails(x, last):
+    def second_chunk_fails(x, last, buffer):
         if chunks:
             seen.append(_temps(tmp_path))
             raise RuntimeError("midway")
         chunks.append(x.size)
-        return repr_cells(x, last)
+        return repr_cells(x, last, buffer)
 
     monkeypatch.setattr(serialize, "_repr_cells", second_chunk_fails)
     body = rows() if path == "rows" else np.full((3, 2049), 0.1)  # two kernel chunks
