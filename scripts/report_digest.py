@@ -1,42 +1,44 @@
 #!/usr/bin/env python3
 """SHA-256 of every report and of its run's stderr in a fixed set of CLI runs.
 
-The set covers `verify-all --seed 7` at dims 8, 16, 32, 64 and 128 (at
-dim 128 one 10-node panel of the Laplace integrand holds 100 KiB of values,
-past the quadrature's 64 KiB bound on one integrand call), every scenario
-kind at dims 16 and 32 (standard and offset conjugations alike), one `evolve`
-CSV, two `spectrum` subcommand runs (a CSV and a JSON report), a dim-16
-constant-model `evolution` CSV, a dim-32 one of 43 samples over [0, 5] (the
-benchmark's shape: 88 107 cells, which the CSV writer streams in 22 chunks), a
-dim-4 one of 11 samples over [2, 4.7], whose segments have three float
-lengths and one in sample spacings (a constant model integrates the first
-span of each length at its own times, so a change that moves where such a
-span starts shows here), a
-dim-3 table-model `evolution` CSV whose span reaches below its first knot and
-past its last, a JSON report of the decaying constant model
-[[-50, 0], [0, -1]] over [0, 5] (e^{-250} in its first column, which the step
-loop holds only to absolute accuracy, so its ``evolution.exponential-route``
-fails and the run exits 2), a JSON report of the two-level model with numbers
-for kappa and lam over [0.5, 3], a constant coefficient, one of a
-constant model with s = t, whose exponential is I, one of the unit rotation
-[[0, 1], [-1, 0]] over [0, 1e5] at 100001 samples (a product law's bound
-grows with |t - s| as the run's rounding does, so its composition holds),
-and a records CSV of
-`conjugation-check`, whose anchors hold commas: 41 runs, which between them
+They are the repository's reference runs: ``tests/test_reports_golden.py``
+holds some of them against stored goldens under the golden tolerance
+(``mismatches``, below), and ``capture`` rewrites a golden's values only where
+they moved past it.  The set covers `verify-all --seed 7` at dims 8, 16, 32,
+64 and 128 (at dim 128 one 10-node panel of the Laplace integrand holds 100
+KiB of values, past the quadrature's 64 KiB bound on one integrand call),
+every scenario kind at dims 16 and 32 (standard and offset conjugations
+alike), one `evolve` CSV, two `spectrum` subcommand runs (a CSV and a JSON
+report), constant-model `evolution` CSVs at dim 16, at dim 32 (43 samples over
+[0, 5], the benchmark's shape: 88 107 cells, which the CSV writer streams in
+22 chunks) and at dim 4 (11 samples over [2, 4.7], whose segments have three
+float lengths and one in sample spacings, so a change that moves where a
+constant model's integrated span starts shows here), a dim-3 table-model CSV
+whose span reaches below its first knot and past its last, JSON reports of the
+decaying constant model [[-50, 0], [0, -1]] over [0, 5] (the step loop holds
+its e^{-250} only to absolute accuracy, so its ``evolution.exponential-route``
+fails and the run exits 2), of the two-level model with numbers for kappa and
+lam, of a constant model with s = t, of the unit rotation over [0, 1e5] at
+100001 samples (a product law's bound grows with |t - s| as the run's rounding
+does), of the constant 1e308 in every entry over [0, 1e-320] (exit 2: a span
+of subnormal error budget and large norm, which the step loop cannot yet hold)
+and of a table whose knots are 1e-320 apart, and a records CSV of
+`conjugation-check`, whose anchors hold commas: 43 runs, which between them
 take every subcommand that writes a report, every coefficient model and both
-paths of the CSV writer.
-Then 16 malformed runs that exit 1 with an ``input error:`` line and write no
-report: one scenario per kind and nine flag errors of `spectrum` and
-`evolve`.  Each
-printed line is the run's label, its exit code, the digest of its report with
-the value of ``wall_time_s`` replaced by null (no other byte is touched), and
-the digest of what the run wrote to stderr, with the run's temporary directory
-read as ``<workdir>``.  Last, `validate` checks each of the 40 scenario files
-run, good and malformed alike, and prints the run's label, ``validate``, its
-exit code and its stderr digest, so a change in what `validate` catches shows
-in the diff.  Two source trees produce identical reports and error messages
-exactly when their outputs are identical, so a change meant to keep every
-report and every message byte-identical is checked by a diff:
+paths of the CSV writer.  Then 19 malformed runs that exit 1 with an ``input
+error:`` line and write no report: nine scenarios (one per kind, a too
+stiff constant and a table whose knot spacing overflows) and ten flag
+errors of `spectrum` and `evolve`.  Each printed line is the run's label, its
+exit code, the digest of its report with the value of ``wall_time_s`` replaced
+by null (no other byte is touched), and the digest of what the run wrote to
+stderr, with the run's temporary directory read as ``<workdir>`` and each
+warning printed even if an earlier run printed it.  Last, `validate` checks
+each of the 44 scenario files run, good and malformed alike, and prints the
+run's label, ``validate``, its exit code and its stderr digest, so a change in
+what `validate` catches shows in the diff.  Two source trees produce identical
+reports and error messages exactly when their outputs are identical, so a
+change meant to keep every report and every message byte-identical is checked
+by a diff:
 
     PYTHONPATH=src python scripts/report_digest.py > after.txt
     PYTHONPATH=<other checkout>/src python scripts/report_digest.py > before.txt
@@ -52,17 +54,16 @@ compare the two directories:
     PYTHONPATH=src python scripts/report_digest.py --keep after
     PYTHONPATH=src python scripts/report_digest.py --compare before after
 
-The comparison prints one line per moved record: the report, the check id
-(for a series CSV, the row's first cell and the column), the old value and
-the new value, and ``outside`` where the two differ beyond the golden
-tolerance of ``tests/test_reports_golden.py`` (its ``mismatches``), with the
-status if that moved too.  JSON records are paired by check id, so a renamed
-id reads as one ``removed`` line (old id, old value) and one ``added`` line
-(new id, new value), and no other record is misaligned by it.  The rest of
-a JSON report, such as its provenance, prints one line per moved key path
+The comparison prints one line per moved record: the report, the check id (for
+a series CSV, the row's first cell and the column), the old value and the new
+value, and ``outside`` where the two differ beyond the golden tolerance, with
+the status if that moved too.  JSON records are paired by check id, so a
+renamed id reads as one ``removed`` line (old id, old value) and one ``added``
+line (new id, new value), and no other record is misaligned by it.  The rest
+of a JSON report, such as its provenance, prints one line per moved key path
 (``provenance.parameters.spectrum.residuals``), lists compared whole.  The
-comparison exits 1 when any record moved or a report is missing on one
-side, and 0 when the two directories hold the same reports.
+comparison exits 1 when any record moved or a report is missing on one side,
+and 0 when the two directories hold the same reports.
 """
 
 import argparse
@@ -77,6 +78,7 @@ import re
 import shutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 from focksym.cli import main as focksym_main
@@ -138,6 +140,11 @@ SINGLE_RUNS = {
     "evolution-rotation-long": ("evolution", {"B": "constant", "matrix": [[0, 1], [-1, 0]],
                                               "t": 1e5, "samples": 100001}, 2, "json"),
     "conjugation-records-d16": ("conjugation-check", OFFSET, 16, "csv"),
+    "evolution-subnormal-span-d2": ("evolution", {"B": "constant", "matrix": [[1e308] * 2] * 2,
+                                                  "t": 1e-320, "samples": 2}, 2, "json"),
+    "evolution-table-tiny-gap": ("evolution", {"B": "table", "times": [0.0, 1e-320],
+                                               "matrices": [[[1.0]], [[2.0]]], "samples": 3},
+                                 2, "json"),
 }
 
 # label -> (kind, params) of a scenario that is an input error at dim 16
@@ -151,6 +158,10 @@ MALFORMED = {
     "malformed-evolution": ("evolution", {"B": "table", "times": [0.0, 1.0],
                                           "matrices": [[[1.0]], [[1.0, 0.0], [0.0, 1.0]]]}),
     "malformed-full-verify": ("full-verify", {"seed": -1}),
+    "malformed-evolution-overflow": ("evolution", {"B": "constant", "matrix": [[1e300]],
+                                                   "t": 1e10, "samples": 3}),
+    "malformed-evolution-knot-gap": ("evolution", {"B": "table", "times": [-1e308, 1e308],
+                                                   "matrices": [[[1.0]], [[2.0]]]}),
 }
 
 # label -> argv of a subcommand whose flags are an input error
@@ -164,9 +175,72 @@ FLAG_ERRORS = {
     "flag-evolve-samples": ["evolve", "--samples", "0"],
     "flag-evolve-t": ["evolve", "--t", "-1"],
     "flag-evolve-stiff": ["evolve", "--nu", "1e300", "--t", "1", "--samples", "2"],
+    "flag-evolve-t-overflow": ["evolve", "--t", "1e308", "--samples", "3"],
 }
 
 WALL_TIME = re.compile(rb'("wall_time_s": )[^,\n}]+')
+
+# the golden tolerance: strings and thresholds exactly, other numbers (those
+# inside detail strings and CSV cells too) within a relative REL or an absolute ABS
+REL, ABS = 1e-9, 1e-13
+EXACT_KEYS = {"check_id", "anchor", "status", "direction", "threshold"}
+_NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def _close(got: float, want: float) -> bool:
+    if math.isnan(want):
+        return math.isnan(got)
+    return got == want or abs(got - want) <= max(REL * abs(want), ABS)
+
+
+def _text_close(got: str, want: str) -> bool:
+    """Equal text between the numbers, close numbers."""
+    return (_NUMBER.split(got) == _NUMBER.split(want)
+            and all(_close(float(g), float(w))
+                    for g, w in zip(_NUMBER.findall(got), _NUMBER.findall(want))))
+
+
+def _cell_close(got: str, want: str) -> bool:
+    try:
+        return _close(float(got), float(want))
+    except ValueError:
+        return got == want
+
+
+def _merge(got, want, where: str = "", key: str = ""):
+    """got with each value within the golden tolerance of want replaced by
+    want, and every place where got is not within it.  Dicts of equal keys and
+    lists of equal length are walked; ``wall_time_s`` is not compared."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        if set(got) != set(want):
+            return got, [f"{where}: keys {sorted(set(got) ^ set(want))} differ"]
+        walked = {k: _merge(got[k], want[k], f"{where}.{k}", k) for k in sorted(want)}
+        return ({k: v for k, (v, _) in walked.items()},
+                [m for k, (_, ms) in walked.items() if k != "wall_time_s" for m in ms])
+    if isinstance(want, list) and isinstance(got, list):
+        if len(got) != len(want):
+            return got, [f"{where}: length {len(got)} != {len(want)}"]
+        walked = [_merge(g, w, f"{where}[{i}]", key) for i, (g, w) in enumerate(zip(got, want))]
+        return [v for v, _ in walked], [m for _, ms in walked for m in ms]
+    if type(got) is not type(want) and not (
+            isinstance(got, (int, float)) and isinstance(want, (int, float))
+            and not isinstance(got, bool) and not isinstance(want, bool)):
+        ok = False
+    elif key == "threshold" and isinstance(want, float):
+        ok = got == want or (math.isnan(got) and math.isnan(want))
+    elif key in EXACT_KEYS or isinstance(want, bool) or want is None:
+        ok = got == want
+    elif isinstance(want, str):
+        ok = _cell_close(got, want) if key == "csv" else (
+            _text_close(got, want) if key == "detail" else got == want)
+    else:
+        ok = _close(float(got), float(want))
+    return (want, []) if ok else (got, [f"{where}: {got!r} != {want!r}"])
+
+
+def mismatches(got, want, where: str = "", key: str = "") -> list[str]:
+    """Every place where got differs from want beyond the golden tolerance."""
+    return _merge(got, want, where, key)[1]
 
 
 def _scenario_run(workdir: Path, name: str, kind: str, params: dict, dim: int, fmt: str):
@@ -241,7 +315,7 @@ def _by_id(old: dict, new: dict, value, status, outside):
             yield check_id, None, value(n), True, "added"
 
 
-def _moved_keys(old, new, mismatches, path: str = ""):
+def _moved_keys(old, new, path: str = ""):
     """Moves of a JSON payload, one per key path whose value moved.
 
     Dicts are walked key by key, so a path reads like
@@ -262,17 +336,15 @@ def _moved_keys(old, new, mismatches, path: str = ""):
         elif k not in old:
             yield sub, None, new[k], True, "added"
         else:
-            yield from _moved_keys(old[k], new[k], mismatches, sub)
+            yield from _moved_keys(old[k], new[k], sub)
 
 
 def _moved_records(old_path: Path, new_path: Path):
     """(check id, old value, new value, outside tolerance, status move) per moved record."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-    from test_reports_golden import mismatches
     if old_path.suffix == ".json":
         old, new = json.loads(old_path.read_text()), json.loads(new_path.read_text())
         yield from _moved_keys({k: v for k, v in old.items() if k != "records"},
-                               {k: v for k, v in new.items() if k != "records"}, mismatches)
+                               {k: v for k, v in new.items() if k != "records"})
         yield from _by_id({r["check_id"]: r for r in old.get("records", [])},
                           {r["check_id"]: r for r in new.get("records", [])},
                           lambda r: r["measured"], lambda r: r["status"],
@@ -343,10 +415,36 @@ def compare(old_dir: Path, new_dir: Path) -> int:
 def _call(argv, workdir: Path) -> tuple[int, str]:
     """The exit code of one CLI call and the digest of its stderr, stdout discarded."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        warnings.simplefilter("always")  # a warning an earlier run printed too
         rc = focksym_main(argv)
     text = err.getvalue().replace(str(workdir), "<workdir>")
     return rc, hashlib.sha256(text.encode()).hexdigest()
+
+
+def result(label: str, workdir: Path) -> dict:
+    """The exit code and the report, or the CSV rows, of the run ``label``
+    made in workdir: the form of a golden file."""
+    argv, out = next((argv, out) for name, argv, out in _runs(workdir) if name == label)
+    code = _call(argv, workdir)[0]
+    if out.suffix == ".csv":
+        with out.open(newline="") as fh:
+            return {"exit": code, "csv": list(csv.reader(fh))}
+    return {"exit": code, "report": json.loads(out.read_text())}
+
+
+def capture(path: Path, got: dict) -> bool:
+    """Store got in the golden file path, keeping each stored value that is
+    within the golden tolerance of got's, with ``wall_time_s`` null; write
+    only if a byte changes, and say whether it did."""
+    stored = path.read_bytes() if path.exists() else b""
+    kept = _merge(got, json.loads(stored))[0] if stored else got
+    text = WALL_TIME.sub(rb"\1null", (json.dumps(kept, indent=1, sort_keys=True) + "\n").encode())
+    if text == stored:
+        return False
+    path.write_bytes(text)
+    return True
 
 
 def run_set(keep: Path | None) -> None:

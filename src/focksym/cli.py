@@ -506,6 +506,9 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
         raise ScenarioError("params.times",
                             "need >= 2 sample times matching 'matrices'")
     ts = np.array([_typed(x, f"params.times[{i}]", float) for i, x in enumerate(times)])
+    # no gap overflows when the widest does not (Python floats overflow quietly)
+    if not math.isfinite(float(ts.max()) - float(ts.min())):
+        raise ScenarioError("params.times", "the spacing of the knots overflows")
     if np.any(np.diff(ts) <= 0):
         raise ScenarioError("params.times", "must be strictly increasing")
     blocks = [_matrix_from(m, f"params.matrices[{i}]") for i, m in enumerate(mats)]
@@ -516,13 +519,15 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
     stack = np.stack(blocks)
 
     def eval_b(at: Sequence[float]) -> np.ndarray:
-        # piecewise-linear interpolation, clamped at the ends to the end matrices
+        # piecewise-linear interpolation, clamped at the ends to the end matrices;
+        # the clamped times keep the weight in [0, 1] however small a gap is
         at = np.asarray(at, dtype=float)
-        # among the inner knots: bisect_left(ts, t) - 1 where ts[0] < t <= ts[-1],
-        # and in range elsewhere, where the end matrices are written over
-        j = np.searchsorted(ts[1:-1], at)
-        w = ((at - ts[j]) / (ts[j + 1] - ts[j]))[:, None, None]
+        clamped = np.clip(at, ts[0], ts[-1])
+        # among the inner knots: bisect_left(ts, t) - 1 where ts[0] < t <= ts[-1]
+        j = np.searchsorted(ts[1:-1], clamped)
+        w = ((clamped - ts[j]) / (ts[j + 1] - ts[j]))[:, None, None]
         out = (1 - w) * stack[j] + w * stack[j + 1]
+        # the end matrices written over, so that a -0.0 cell keeps its sign
         out[at <= ts[0]] = stack[0]
         out[at >= ts[-1]] = stack[-1]
         return out

@@ -220,9 +220,11 @@ def _integrate_spans(
     stats = np.zeros((2, len(spans)), dtype=int)  # steps, rejected steps
     ends = np.array(spans, dtype=float).reshape(-1, 2)
     length = ends[:, 1] - ends[:, 0]
-    # a span whose error budget is subnormal takes no step: U = I + (b - a) B(a)
-    first_order = ((length != 0) & (rel_tol * abs(length) < _NORMAL)
-                   & (abs(length) * np.abs(B_t0).sum(axis=-2).max(axis=-1) < _FIRST_ORDER))
+    # a span whose error budget is subnormal takes no step: U = I + (b - a) B(a);
+    # a norm or product that overflows (inf, or nan for a zero span) is not below
+    with np.errstate(over="ignore", invalid="ignore"):
+        first_order = ((length != 0) & (rel_tol * abs(length) < _NORMAL)
+                       & (abs(length) * np.abs(B_t0).sum(axis=-2).max(axis=-1) < _FIRST_ORDER))
     mats[first_order] += length[first_order, None, None] * B_t0[first_order]
     moving = np.flatnonzero((length != 0) & ~first_order)
     B_0 = B_t0[moving]  # a copy: no value outlives its call
@@ -501,7 +503,8 @@ def evolution_series(
     if M is None:
         mats, _ = _integrate_spans(B, spans, rel_tol)
     else:
-        norm = float(np.abs(M).sum(axis=0).max())
+        with np.errstate(over="ignore"):  # an inf norm makes each span of another length a stray
+            norm = float(np.abs(M).sum(axis=0).max())
         firsts, keys = {}, []  # each key's first span, in order of first appearance
         for (a, b), units in zip(spans, _spacings(len(segments), len(pieces))):
             a0, b0 = firsts.setdefault(units, (a, b))

@@ -1486,6 +1486,50 @@ def test_evolve_over_a_subnormal_span_returns(tmp_path, argv):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+_STIFF = "underflowed at t = 0; the coefficient family is too stiff for the 5(4) pair"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, params, code, err", [
+    (["--t", "1e308", "--samples", "3"], None, 1,
+     f"input error: --nu/--kappa/--lam: step size 1.311e+294 {_STIFF}\n"),
+    (None, {"B": "constant", "matrix": [[1e300]], "t": 1e10, "samples": 3}, 1,
+     f"input error: params.matrix: step size 1.311e-04 {_STIFF}\n"),
+    # a subnormal budget with a large norm: the step loop's failure, still open
+    (None, {"B": "constant", "matrix": [[1e308] * 2] * 2, "t": 1e-320, "samples": 2}, 2,
+     "FAILED: evolution.composition, evolution.exponential-route\n"),
+    (None, {"B": "table", "times": [-1e308, 1e308], "matrices": [[[1.0]], [[2.0]]]}, 1,
+     "input error: params.times: the spacing of the knots overflows\n"),
+    (None, {"B": "table", "times": [0.0, 1e-320], "matrices": [[[1.0]], [[2.0]]]}, 0, ""),
+], ids=["evolve-t-1e308", "constant-1e300", "subnormal-span", "knot-gap-overflows",
+        "subnormal-knot-gap"])
+def test_overflowing_sizes_print_only_the_outcome(tmp_path, capsys, argv, params, code, err):
+    # the first-order test's norm, a knot gap or a weight that overflows warns no more
+    if argv is None:
+        argv = ["run", _scenario(tmp_path, {"name": "x", "kind": "evolution", "params": params})]
+    else:
+        argv = ["evolve", *argv, "--out", str(tmp_path / "evolve.csv")]
+    assert main(argv) == code
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_knot_gap_that_overflows_fails_validate(tmp_path, capsys):
+    path = _scenario(tmp_path, {"name": "x", "kind": "evolution", "params": {
+        "B": "table", "times": [-1e308, 1e308], "matrices": [[[1.0]], [[2.0]]]}})
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().err == "input error: params.times: the spacing of the knots overflows\n"
+
+
+def test_table_end_matrices_keep_negative_zero_cells():
+    # at the end knots the weight is 0 or 1, and (1 - w) a + w b turns a -0.0
+    # of the end matrix into 0.0: the end matrices are written over it
+    params = {"B": "table", "times": [0.0, 1e-320, 1.0], "matrices": [[[-0.0]], [[2.0]], [[-0.0]]]}
+    B, *_ = cli._evolution_operator_from(params, (0.0, 1.0))
+    values = B([-1.0, 0.0, 1.0, 2.0])[:, 0, 0].real
+    assert np.all(values == 0) and np.all(np.signbit(values))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("matrix, samples, rel_tol, message", [
     ([[800]], 5, 1e-4, "the propagator leaves the double range at t = 3"),
