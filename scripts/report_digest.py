@@ -5,8 +5,8 @@ They are the repository's reference runs: ``tests/test_reports_golden.py``
 holds some of them against stored goldens under the golden tolerance
 (``mismatches``, below), and ``capture`` rewrites a golden's values only where
 they moved past it.  The set covers `verify-all --seed 7` at dims 8, 16, 32,
-64 and 128 (at dim 128 one 10-node panel of the Laplace integrand holds 100
-KiB of values, past the quadrature's 64 KiB bound on one integrand call),
+64 and 128 (at dim 128 one 10-node panel of the Laplace integrand holds
+100 KiB of values, past the quadrature's 64 KiB bound on one integrand call),
 every scenario kind at dims 16 and 32 (standard and offset conjugations
 alike), one `evolve` CSV, two `spectrum` subcommand runs (a CSV and a JSON
 report), constant-model `evolution` CSVs at dim 16, at dim 32 (43 samples over
@@ -158,8 +158,8 @@ MALFORMED = {
     "malformed-evolution": ("evolution", {"B": "table", "times": [0.0, 1.0],
                                           "matrices": [[[1.0]], [[1.0, 0.0], [0.0, 1.0]]]}),
     "malformed-full-verify": ("full-verify", {"seed": -1}),
-    "malformed-evolution-overflow": ("evolution", {"B": "constant", "matrix": [[1e300]],
-                                                   "t": 1e10, "samples": 3}),
+    "malformed-evolution-stiff": ("evolution", {"B": "constant", "matrix": [[1e300]],
+                                                "t": 1e10, "samples": 3}),
     "malformed-evolution-knot-gap": ("evolution", {"B": "table", "times": [-1e308, 1e308],
                                                    "matrices": [[[1.0]], [[2.0]]]}),
 }

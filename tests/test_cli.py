@@ -1487,38 +1487,32 @@ def test_evolve_over_a_subnormal_span_returns(tmp_path, argv):
 
 
 _STIFF = "underflowed at t = 0; the coefficient family is too stiff for the 5(4) pair"
+_KNOT_GAP = {"B": "table", "times": [-1e308, 1e308], "matrices": [[[1.0]], [[2.0]]]}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv, params, code, err", [
-    (["--t", "1e308", "--samples", "3"], None, 1,
+    (["evolve", "--t", "1e308", "--samples", "3"], None, 1,
      f"input error: --nu/--kappa/--lam: step size 1.311e+294 {_STIFF}\n"),
-    (None, {"B": "constant", "matrix": [[1e300]], "t": 1e10, "samples": 3}, 1,
+    (["run"], {"B": "constant", "matrix": [[1e300]], "t": 1e10, "samples": 3}, 1,
      f"input error: params.matrix: step size 1.311e-04 {_STIFF}\n"),
     # a subnormal budget with a large norm: the step loop's failure, still open
-    (None, {"B": "constant", "matrix": [[1e308] * 2] * 2, "t": 1e-320, "samples": 2}, 2,
+    (["run"], {"B": "constant", "matrix": [[1e308] * 2] * 2, "t": 1e-320, "samples": 2}, 2,
      "FAILED: evolution.composition, evolution.exponential-route\n"),
-    (None, {"B": "table", "times": [-1e308, 1e308], "matrices": [[[1.0]], [[2.0]]]}, 1,
+    (["run"], _KNOT_GAP, 1, "input error: params.times: the spacing of the knots overflows\n"),
+    (["validate"], _KNOT_GAP, 1,
      "input error: params.times: the spacing of the knots overflows\n"),
-    (None, {"B": "table", "times": [0.0, 1e-320], "matrices": [[[1.0]], [[2.0]]]}, 0, ""),
+    (["run"], {"B": "table", "times": [0.0, 1e-320], "matrices": [[[1.0]], [[2.0]]]}, 0, ""),
 ], ids=["evolve-t-1e308", "constant-1e300", "subnormal-span", "knot-gap-overflows",
-        "subnormal-knot-gap"])
+        "knot-gap-overflows-validate", "subnormal-knot-gap"])
 def test_overflowing_sizes_print_only_the_outcome(tmp_path, capsys, argv, params, code, err):
     # the first-order test's norm, a knot gap or a weight that overflows warns no more
-    if argv is None:
-        argv = ["run", _scenario(tmp_path, {"name": "x", "kind": "evolution", "params": params})]
+    if params is None:
+        argv = [*argv, "--out", str(tmp_path / "evolve.csv")]
     else:
-        argv = ["evolve", *argv, "--out", str(tmp_path / "evolve.csv")]
+        argv = [*argv, _scenario(tmp_path, {"name": "x", "kind": "evolution", "params": params})]
     assert main(argv) == code
     assert capsys.readouterr().err == err
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_knot_gap_that_overflows_fails_validate(tmp_path, capsys):
-    path = _scenario(tmp_path, {"name": "x", "kind": "evolution", "params": {
-        "B": "table", "times": [-1e308, 1e308], "matrices": [[[1.0]], [[2.0]]]}})
-    assert main(["validate", path]) == 1
-    assert capsys.readouterr().err == "input error: params.times: the spacing of the knots overflows\n"
 
 
 def test_table_end_matrices_keep_negative_zero_cells():
