@@ -44,7 +44,7 @@ import sys
 import numpy as np
 
 from focksym.fock import kernel_vector
-from focksym.semigroup import TranslationFamily, family_eval
+from focksym.semigroup import family_eval
 from focksym.serialize import write_csv
 from focksym.verification import _LAW_FAMILIES
 from focksym.wco import WCOParams, is_bounded, wco_matrix
@@ -64,9 +64,8 @@ def symbols() -> dict[str, WCOParams]:
     """The fixed symbols, then every law family's member at each of ``TIMES``."""
     out = dict(FIXED_SYMBOLS)
     for i, fam in enumerate(_LAW_FAMILIES):
-        variant = "translation" if isinstance(fam, TranslationFamily) else "dilation"
         for t in TIMES:
-            out[f"{variant}.{i} t={t:g}"] = family_eval(fam, t)
+            out[f"{fam.variant}.{i} t={t:g}"] = family_eval(fam, t)
     return out
 
 

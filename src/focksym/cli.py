@@ -61,7 +61,6 @@ from .semigroup import (
     QuadratureError,
     SemigroupFamily,
     TranslationFamily,
-    family_is_bounded,
     n_omega_estimate,
 )
 from .serialize import (
@@ -361,7 +360,7 @@ def _semigroup_kind(params: dict, cfg: VerifyConfig) -> Run:
                        + scaling_solver_records(cfg, fam))
             rep = n_omega_estimate(fam, monomial(0, cfg.dim), omega)
         records.append(_info("semigroup.bounded", "uniform boundedness criterion",
-                             1.0 if family_is_bounded(fam) else 0.0))
+                             1.0 if fam.bounded else 0.0))
         records.append(_info("semigroup.growth", "sup_t e^{-omega t} ||W(t) 1||", rep.sup,
                              f"diverging={rep.diverging} argmax_t={rep.argmax_t!r}"))
         table = (("t", "norm", "weighted_norm"),

@@ -1,17 +1,12 @@
 """Infinitesimal generators of the operator families and spectral checks.
 
-Both generators are affine in z and d/dz, B f = a z f' + b f' + (c + d z) f.
-On normalized coefficients, z e_k = sqrt(k+1) e_{k+1} and f' sends e_{k+1}
-to sqrt(k+1) e_k, so the truncation Q is tridiagonal:
+Both generators are affine in z and d/dz, B f = a z f' + b f' + (c + d z) f,
+with (a, b, c, d) the family's ``generator_symbol`` (see
+:mod:`focksym.semigroup`).  On normalized coefficients, z e_k = sqrt(k+1)
+e_{k+1} and f' sends e_{k+1} to sqrt(k+1) e_k, so the truncation Q is
+tridiagonal:
 
     Q[k, k] = c + a k,   Q[k, k+1] = b sqrt(k+1),   Q[k+1, k] = d sqrt(k+1)
-
-* translation (E, F):   (F + a_C E z) f + E f'
-      a = 0,  b = E,  c = F,  d = a_C E
-* dilation (ell, G, H), beta = a_C G + b_C:   (H - ell beta z) f + ell (z - G) f'
-      a = ell,  b = -ell G,  c = H,  d = -ell beta
-
-where a_C and b_C are the a and b of the family's conjugation.
 
 :func:`generator_matrix` returns Q as a dense complex array.  The
 translation generator has empty point spectrum (certified here through the
@@ -35,7 +30,6 @@ from .semigroup import (
     DilationFamily,
     SemigroupFamily,
     TranslationFamily,
-    _eval_any_t,
     semigroup_matrix,
 )
 from .serialize import complex_to_json
@@ -72,10 +66,7 @@ def generator_matrix(fam: SemigroupFamily, dim: int) -> np.ndarray:
     """The dim x dim truncation Q of the family's generator, from its affine symbol."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    if isinstance(fam, TranslationFamily):
-        a, b, c, d = 0, fam.E, fam.F, fam.conj.a * fam.E
-    else:
-        a, b, c, d = fam.ell, -fam.ell * fam.G, fam.H, -fam.ell * fam.beta
+    a, b, c, d = fam.generator_symbol
     roots = np.sqrt(np.arange(1.0, dim))
     return (np.diag(c + a * np.arange(dim, dtype=complex))
             + np.diag(d * roots, -1) + np.diag(b * roots, 1))
@@ -97,7 +88,7 @@ def generator_fd_fits(fam: SemigroupFamily, degrees: Sequence[int],
     Z = np.eye(dim, m) * scale  # z^k, k < m
     target = generator_matrix(fam, dim)[:, :m] * scale
     errs = np.empty((2, len(FD_STEPS), m))
-    steps = wco_matrices([_eval_any_t(fam, sign * h) for h in FD_STEPS for sign in (1, -1)],
+    steps = wco_matrices([fam.symbols(sign * h) for h in FD_STEPS for sign in (1, -1)],
                          dim, m)
     for i, (h, fwd, bwd) in enumerate(zip(FD_STEPS, steps[0::2] * scale, steps[1::2] * scale)):
         for q, quotient in enumerate(((fwd - Z) / h, (fwd - bwd) / (2 * h))):

@@ -2,17 +2,14 @@
 
 Two concrete families are realized, both attached to conjugation data (a, b)
 and both satisfying the symbol relation D(t) = a B(t) - b A(t) + b for all t:
+the translation flow, parameters (E != 0, F), and the dilation flow,
+parameters (ell != 0, G, H).  Each family class is the one home of its
+formulas: the closed-form symbols (A, B, C, D)(t) (``symbols``), the affine
+symbol of its generator (``generator_symbol``), its uniform boundedness
+(``bounded``), the scaling equation its multiplier solves (``scaling``) and
+its name in reports (``variant``).
 
-* translation flow, parameters (E != 0, F):
-    A(t) = 1,  B(t) = E t,  C(t) = exp(F t + a E^2 t^2 / 2),  D(t) = a E t
-
-* dilation flow, parameters (ell != 0, G, H), with beta = a G + b:
-    A(t) = exp(ell t)
-    B(t) = G (1 - exp(ell t))
-    C(t) = exp(H t + G beta (exp(ell t) - ell t - 1))
-    D(t) = beta (1 - exp(ell t))
-
-The module also provides the flow/cocycle law checks, a quadrature solver for
+The module also provides the flow/cocycle law check, a quadrature solver for
 the scalar scaling equation, truncated operator matrices, growth curves
 sup_t e^{-omega t} ||W(t) x|| on the grid ``GROWTH_T_GRID``, and the
 Laplace-transform resolvent.  Vectors are coefficient arrays (see
@@ -23,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -40,14 +37,11 @@ __all__ = [
     "GROWTH_T_GRID",
     "GrowthReport",
     "family_eval",
-    "family_is_bounded",
-    "check_semiflow",
-    "check_semicocycle",
+    "check_flow_cocycle",
     "solve_scaling_equation",
     "semigroup_matrix",
     "semigroup_matrices",
     "check_semigroup_law",
-    "scaling_instance",
     "growth_values",
     "growth_report",
     "n_omega_estimate",
@@ -59,36 +53,96 @@ __all__ = [
 # points z at which the flow and cocycle laws are compared
 Z_SAMPLES: tuple[complex, ...] = (0.0, 1.0, -1.0, 1j, -1j, 2 + 1j)
 
+# distance from the boundary Re ell = 0, and from each symbol relation, read
+# as equality
+_BOUNDEDNESS_TOL = 1e-12
+
+
+class _Family:
+    """The members that each family class defines, and its JSON form.
+
+    ``variant`` is the family's name in reports; ``symbols(t)`` is
+    (A, B, C, D)(t) for any real t (the semigroup embeds in a group;
+    negative times serve central finite differences); ``generator_symbol``
+    is the affine (a, b, c, d) of the generator
+    B f = a z f' + b f' + (c + d z) f; ``bounded`` is the uniform
+    boundedness of the whole family (every t > 0), each relation read as
+    equality within ``_BOUNDEDNESS_TOL``; and ``scaling`` is the pair
+    (Lambda'(0), dpsi) whose scaling solution reproduces C(t).
+    """
+
+    variant: str
+
+    def to_json(self) -> dict:
+        """The variant, the parameters in field order, then the conjugation."""
+        params = {f.name: complex_to_json(getattr(self, f.name))
+                  for f in fields(self) if f.name != "conj"}
+        return {"variant": self.variant, **params, "conjugation": self.conj.to_json()}
+
 
 @dataclass(frozen=True)
-class TranslationFamily:
-    """Flow z + conj(a) E t with exponential cocycle; generator is tridiagonal."""
+class TranslationFamily(_Family):
+    """Flow z + conj(a) E t with exponential cocycle; generator is tridiagonal.
+
+        A(t) = 1,  B(t) = E t,  C(t) = exp(F t + a E^2 t^2 / 2),  D(t) = a E t
+
+    Generator (F + a E z) f + E f': symbol (0, E, F, a E).  Uniformly
+    bounded iff conj(E) + a E = 0.
+    """
 
     E: complex
     F: complex
     conj: ConjugationParams
 
+    variant = "translation"
+
     def __post_init__(self) -> None:
         if self.E == 0:
             raise ValueError("translation family requires E != 0")
 
-    def to_json(self) -> dict:
-        return {
-            "variant": "translation",
-            "E": complex_to_json(self.E),
-            "F": complex_to_json(self.F),
-            "conjugation": self.conj.to_json(),
-        }
+    def symbols(self, t: float) -> WCOParams:
+        a = self.conj.a
+        return WCOParams(
+            A=1.0,
+            B=self.E * t,
+            C=np.exp(self.F * t + a * self.E**2 * t**2 / 2),
+            D=a * self.E * t,
+        )
+
+    @property
+    def generator_symbol(self) -> tuple[complex, complex, complex, complex]:
+        return 0, self.E, self.F, self.conj.a * self.E
+
+    @property
+    def bounded(self) -> bool:
+        return bool(abs(np.conj(self.E) + self.conj.a * self.E) <= _BOUNDEDNESS_TOL)
+
+    @property
+    def scaling(self) -> tuple[complex, Callable]:
+        a, E = self.conj.a, self.E
+        return self.F, lambda tau: a * E**2 * np.asarray(tau, dtype=complex)
 
 
 @dataclass(frozen=True)
-class DilationFamily:
-    """Flow with attracting/repelling fixed point G and rate ell."""
+class DilationFamily(_Family):
+    """Flow with attracting/repelling fixed point G and rate ell; beta = a G + b.
+
+        A(t) = exp(ell t)
+        B(t) = G (1 - exp(ell t))
+        C(t) = exp(H t + G beta (exp(ell t) - ell t - 1))
+        D(t) = beta (1 - exp(ell t))
+
+    Generator (H - ell beta z) f + ell (z - G) f': symbol
+    (ell, -ell G, H, -ell beta).  Uniformly bounded iff Re ell < 0, or
+    Re ell = 0 together with a G + b - conj(G) = 0.
+    """
 
     ell: complex
     G: complex
     H: complex
     conj: ConjugationParams
+
+    variant = "dilation"
 
     def __post_init__(self) -> None:
         if self.ell == 0:
@@ -98,67 +152,43 @@ class DilationFamily:
     def beta(self) -> complex:
         return self.conj.a * self.G + self.conj.b
 
-    def to_json(self) -> dict:
-        return {
-            "variant": "dilation",
-            "ell": complex_to_json(self.ell),
-            "G": complex_to_json(self.G),
-            "H": complex_to_json(self.H),
-            "conjugation": self.conj.to_json(),
-        }
+    def symbols(self, t: float) -> WCOParams:
+        beta = self.beta
+        eat = np.exp(self.ell * t)
+        return WCOParams(
+            A=eat,
+            B=self.G * (1 - eat),
+            C=np.exp(self.H * t + self.G * beta * (eat - self.ell * t - 1)),
+            D=beta * (1 - eat),
+        )
+
+    @property
+    def generator_symbol(self) -> tuple[complex, complex, complex, complex]:
+        return self.ell, -self.ell * self.G, self.H, -self.ell * self.beta
+
+    @property
+    def bounded(self) -> bool:
+        re, tol = self.ell.real, _BOUNDEDNESS_TOL
+        if abs(re) <= tol:
+            return bool(abs(self.beta - np.conj(self.G)) <= tol)
+        return bool(re < -tol)
+
+    @property
+    def scaling(self) -> tuple[complex, Callable]:
+        ell, G, beta = self.ell, self.G, self.beta
+        return self.H, lambda tau: -ell * G * beta * (
+            1 - np.exp(np.asarray(tau, dtype=complex) * ell)
+        )
 
 
 SemigroupFamily = Union[TranslationFamily, DilationFamily]
 
 
-def _eval_any_t(fam: SemigroupFamily, t: float) -> WCOParams:
-    # The closed forms extend to all real t (the semigroup embeds in a group);
-    # negative times are used internally by central finite differences.
-    a, b = fam.conj.a, fam.conj.b
-    if isinstance(fam, TranslationFamily):
-        return WCOParams(
-            A=1.0,
-            B=fam.E * t,
-            C=np.exp(fam.F * t + a * fam.E**2 * t**2 / 2),
-            D=a * fam.E * t,
-        )
-    beta = fam.beta
-    eat = np.exp(fam.ell * t)
-    return WCOParams(
-        A=eat,
-        B=fam.G * (1 - eat),
-        C=np.exp(fam.H * t + fam.G * beta * (eat - fam.ell * t - 1)),
-        D=beta * (1 - eat),
-    )
-
-
 def family_eval(fam: SemigroupFamily, t: float) -> WCOParams:
-    """Symbol data (A, B, C, D)(t); t = 0 gives the identity (1, 0, 1, 0)."""
+    """Symbol data (A, B, C, D)(t) for t >= 0; t = 0 gives the identity (1, 0, 1, 0)."""
     if t < 0:
         raise ValueError(f"family parameter t must be >= 0, got {t}")
-    return _eval_any_t(fam, t)
-
-
-# distance from the boundary Re ell = 0, and from each symbol relation, read
-# as equality
-_BOUNDEDNESS_TOL = 1e-12
-
-
-def family_is_bounded(fam: SemigroupFamily) -> bool:
-    """Uniform boundedness of the whole family (every t > 0).
-
-    Translation: conj(E) + a E = 0.  Dilation: Re ell < 0, or Re ell = 0
-    together with a G + b - conj(G) = 0.
-    """
-    a, b, tol = fam.conj.a, fam.conj.b, _BOUNDEDNESS_TOL
-    if isinstance(fam, TranslationFamily):
-        return bool(abs(np.conj(fam.E) + a * fam.E) <= tol)
-    re = fam.ell.real if isinstance(fam.ell, complex) else float(fam.ell)
-    if re < -tol:
-        return True
-    if abs(re) <= tol:
-        return bool(abs(a * fam.G + b - np.conj(fam.G)) <= tol)
-    return False
+    return fam.symbols(t)
 
 
 def _flow(p: WCOParams, z: complex) -> complex:
@@ -167,43 +197,30 @@ def _flow(p: WCOParams, z: complex) -> complex:
     return p.A * z + p.B
 
 
-def check_semiflow(fam: SemigroupFamily, t: float, s: float) -> float:
-    """max_z |zeta_{t+s}(z) - zeta_t(zeta_s(z))| over z in Z_SAMPLES.
-
-    The symbols are evaluated once, at t + s, s and t in turn, so a symbol
-    that leaves the double range is met at the same evaluation as when each
-    side of the law evaluates its own.
-    """
-    p_sum, p_s, p_t = (_eval_any_t(fam, tau) for tau in (t + s, s, t))
-    worst = 0.0
-    for z in Z_SAMPLES:
-        lhs = _flow(p_sum, z)
-        rhs = _flow(p_t, _flow(p_s, z))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
-
-
 def _cocycle(p: WCOParams, z: complex) -> complex:
     return p.C * np.exp(p.D * z)
 
 
-def check_semicocycle(fam: SemigroupFamily, t: float, s: float) -> float:
-    """Relative deviation of xi_{t+s}(z) from xi_t(z) xi_s(zeta_t(z)), z in Z_SAMPLES.
+def check_flow_cocycle(fam: SemigroupFamily, t: float, s: float) -> tuple[float, float]:
+    """(semiflow, semicocycle) residuals of the family at (t, s), z in Z_SAMPLES.
 
-    Equivalent scalar identities: C(t+s) = C(t) C(s) exp(B(t) D(s)) and
-    D(t+s) = D(t) + A(t) D(s).  The symbols are evaluated once, at t + s, t
-    and s in turn, the order in which the two sides first read them.
+    Semiflow: max_z |zeta_{t+s}(z) - zeta_t(zeta_s(z))|.  Semicocycle: max_z
+    of the relative deviation of xi_{t+s}(z) from xi_t(z) xi_s(zeta_t(z));
+    equivalently C(t+s) = C(t) C(s) exp(B(t) D(s)) and
+    D(t+s) = D(t) + A(t) D(s).  The symbols are evaluated once each, at
+    t + s, s and t in turn.
     """
-    p_sum, p_t, p_s = (_eval_any_t(fam, tau) for tau in (t + s, t, s))
-    worst = 0.0
+    p_sum, p_s, p_t = (fam.symbols(tau) for tau in (t + s, s, t))
+    flow = cocycle = 0.0
     for z in Z_SAMPLES:
+        flow = max(flow, abs(_flow(p_sum, z) - _flow(p_t, _flow(p_s, z))))
         lhs = _cocycle(p_sum, z)
         rhs = _cocycle(p_t, z) * _cocycle(p_s, _flow(p_t, z))
         denom = abs(lhs)
         if denom == 0:
             raise ZeroDivisionError("cocycle vanished at a sample point")
-        worst = max(worst, abs(lhs - rhs) / denom)
-    return worst
+        cocycle = max(cocycle, abs(lhs - rhs) / denom)
+    return flow, cocycle
 
 
 class QuadratureError(RuntimeError):
@@ -322,19 +339,6 @@ def solve_scaling_equation(
         return 1.0 + 0.0j
     integral = _refine_quadrature(dpsi, 0.0, float(t), _SCALING_TOL)
     return complex(np.exp(t * lambda0 + integral))
-
-
-def scaling_instance(fam: SemigroupFamily) -> tuple[complex, Callable]:
-    """(Lambda'(0), dpsi) pair whose scaling solution reproduces C(t)."""
-    a, b = fam.conj.a, fam.conj.b
-    if isinstance(fam, TranslationFamily):
-        E, F = fam.E, fam.F
-        return F, lambda tau: a * E**2 * np.asarray(tau, dtype=complex)
-    ell, G = fam.ell, fam.G
-    beta = fam.beta
-    return fam.H, lambda tau: -ell * G * beta * (
-        1 - np.exp(np.asarray(tau, dtype=complex) * ell)
-    )
 
 
 def semigroup_matrix(

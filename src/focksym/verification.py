@@ -92,15 +92,13 @@ from .semigroup import (
     DilationFamily,
     SemigroupFamily,
     TranslationFamily,
-    check_semicocycle,
-    check_semiflow,
+    check_flow_cocycle,
     check_semigroup_law,
     family_eval,
     growth_report,
     growth_values,
     laplace_resolvent,
     norm_w_one_closed_form,
-    scaling_instance,
     semigroup_matrices,
     solve_scaling_equation,
 )
@@ -305,15 +303,14 @@ def flow_cocycle_records(cfg: VerifyConfig, fam: SemigroupFamily,
                          suffix: str = "") -> list[CheckRecord]:
     """Semiflow and semicocycle laws over FLOW_GRID x FLOW_GRID, identity at 0."""
     grid = [float(t) for t in FLOW_GRID]
-    flow = max(check_semiflow(fam, t, s) for t in grid for s in grid)
-    cocycle = max(check_semicocycle(fam, t, s) for t in grid for s in grid)
+    flows, cocycles = zip(*(check_flow_cocycle(fam, t, s) for t in grid for s in grid))
     p0 = family_eval(fam, 0.0)
     ident = max(abs(p0.A - 1), abs(p0.B), abs(p0.C - 1), abs(p0.D))
     return [
         _record(f"family.semiflow{suffix}", "zeta_{t+s} = zeta_t o zeta_s",
-                flow, cfg.tol("semiflow")),
+                max(flows), cfg.tol("semiflow")),
         _record(f"family.semicocycle{suffix}", "xi_{t+s} = xi_t (xi_s o zeta_t)",
-                cocycle, cfg.tol("semicocycle")),
+                max(cocycles), cfg.tol("semicocycle")),
         _record(f"family.identity-at-zero{suffix}",
                 "family passes through the identity at t = 0", ident, 1e-15),
     ]
@@ -330,7 +327,7 @@ def semigroup_law_records(cfg: VerifyConfig, fam: SemigroupFamily,
 def scaling_solver_records(cfg: VerifyConfig, fam: SemigroupFamily,
                            suffix: str = "") -> list[CheckRecord]:
     """Worst relative gap between the scaling-equation solution and C(t), t in [0, 2]."""
-    lam0, dpsi = scaling_instance(fam)
+    lam0, dpsi = fam.scaling
     worst = 0.0
     for t in np.linspace(0.0, 2.0, 9):
         closed = family_eval(fam, float(t)).C
@@ -477,12 +474,9 @@ def _std_translation(E: complex = 1.0, F: complex = 0.0) -> TranslationFamily:
 def _std_dilation(ell: complex, G: complex, H: complex = 0.0) -> DilationFamily:
     return DilationFamily(ell=ell, G=G, H=H, conj=standard_conjugation())
 
-def _variant(fam: SemigroupFamily) -> str:
-    return "translation" if isinstance(fam, TranslationFamily) else "dilation"
-
 def _over_families(maker: Callable, cfg: VerifyConfig, fams) -> list[CheckRecord]:
     """maker run on each family, its ids suffixed .{variant}.{index}."""
-    return [r for i, fam in enumerate(fams) for r in maker(cfg, fam, f".{_variant(fam)}.{i}")]
+    return [r for i, fam in enumerate(fams) for r in maker(cfg, fam, f".{fam.variant}.{i}")]
 
 _PHASE = complex(math.cos(0.7), math.sin(0.7))
 
@@ -579,7 +573,7 @@ _GEN_FAMILIES: tuple[SemigroupFamily, ...] = (
 
 def generator_fd_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     out = [r for fam in _GEN_FAMILIES
-           for r in fd_slope_records(cfg, fam, range(5), f".{_variant(fam)}")]
+           for r in fd_slope_records(cfg, fam, range(5), f".{fam.variant}")]
     # exponential of the truncated generator against the family member
     return out + exponential_bridge_records(cfg, _GEN_FAMILIES[0])
 
@@ -653,7 +647,7 @@ def growth_checks(cfg: VerifyConfig) -> list[CheckRecord]:
         closed = [norm_w_one_closed_form(fam, float(t)) for t in ts]
         direct = growth_values(fam, one, ts)[:, 0]
         worst = max(abs(n - c) / c for n, c in zip(direct, closed))
-        out.append(_record(f"growth.norm-one.{_variant(fam)}.{i}",
+        out.append(_record(f"growth.norm-one.{fam.variant}.{i}",
                            "||W(t) 1|| = |C(t)| exp(|D(t)|^2 / 2)", worst, cfg.tol("norm_one")))
     fam = _std_translation(E=1.0, F=0.0)
     # for E=1, a=1, F=0 the closed form collapses to exp(t^2)

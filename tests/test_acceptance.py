@@ -47,14 +47,12 @@ from focksym.rng import complex_normal_vectors
 from focksym.semigroup import (
     DilationFamily,
     TranslationFamily,
-    check_semicocycle,
-    check_semiflow,
+    check_flow_cocycle,
     check_semigroup_law,
     family_eval,
     laplace_resolvent,
     n_omega_estimate,
     norm_w_one_closed_form,
-    scaling_instance,
     semigroup_matrix,
     solve_scaling_equation,
 )
@@ -122,8 +120,9 @@ def test_criterion_03_semiflow_semicocycle_laws():
     for fam in families:
         for t in grid:
             for s in grid:
-                assert check_semiflow(fam, t, s) <= 1e-10
-                assert check_semicocycle(fam, t, s) <= 1e-10
+                flow, cocycle = check_flow_cocycle(fam, t, s)
+                assert flow <= 1e-10
+                assert cocycle <= 1e-10
 
 
 def test_criterion_04_semigroup_law_on_monomials():
@@ -287,7 +286,7 @@ def test_criterion_13_scaling_solver_reproduces_multipliers():
         DilationFamily(ell=0.5, G=0.5j, H=0.0, conj=STD),
     )
     for fam in families:
-        lam0, dpsi = scaling_instance(fam)
+        lam0, dpsi = fam.scaling
         for t in np.linspace(0.0, 2.0, 9):
             solved = solve_scaling_equation(lam0, dpsi, float(t))
             target = family_eval(fam, float(t)).C

@@ -17,15 +17,12 @@ from focksym.semigroup import (
     DilationFamily,
     QuadratureError,
     TranslationFamily,
-    check_semicocycle,
-    check_semiflow,
+    check_flow_cocycle,
     check_semigroup_law,
     family_eval,
-    family_is_bounded,
     laplace_resolvent,
     n_omega_estimate,
     norm_w_one_closed_form,
-    scaling_instance,
     semigroup_matrix,
     solve_scaling_equation,
 )
@@ -123,8 +120,23 @@ def test_semiflow_and_semicocycle_laws():
     for fam in fams:
         for t in (0.0, 0.3, 1.0):
             for s in (0.0, 0.5, 1.0):
-                assert check_semiflow(fam, t, s) <= 1e-10
-                assert check_semicocycle(fam, t, s) <= 1e-10
+                flow, cocycle = check_flow_cocycle(fam, t, s)
+                assert flow <= 1e-10
+                assert cocycle <= 1e-10
+
+
+def test_flow_cocycle_evaluates_each_time_once(monkeypatch):
+    fam = DilationFamily(ell=-0.7 + 0.2j, G=0.9, H=0.1j, conj=OFFSET)
+    times = []
+    symbols = DilationFamily.symbols
+
+    def recording(self, t):
+        times.append(t)
+        return symbols(self, t)
+
+    monkeypatch.setattr(DilationFamily, "symbols", recording)
+    check_flow_cocycle(fam, 0.25, 0.5)
+    assert times == [0.75, 0.5, 0.25]
 
 
 def test_identity_at_time_zero():
@@ -134,12 +146,12 @@ def test_identity_at_time_zero():
 
 
 def test_family_boundedness_criteria():
-    assert family_is_bounded(TranslationFamily(E=1j, F=0.0, conj=STD))
-    assert not family_is_bounded(TranslationFamily(E=1.0, F=0.0, conj=STD))
-    assert family_is_bounded(DilationFamily(ell=-2.0, G=1.0, H=0.0, conj=STD))
-    assert family_is_bounded(DilationFamily(ell=1j, G=0.5, H=0.0, conj=STD))
-    assert not family_is_bounded(DilationFamily(ell=1j, G=0.5j, H=0.0, conj=STD))
-    assert not family_is_bounded(DilationFamily(ell=0.1, G=0.5, H=0.0, conj=STD))
+    assert TranslationFamily(E=1j, F=0.0, conj=STD).bounded
+    assert not TranslationFamily(E=1.0, F=0.0, conj=STD).bounded
+    assert DilationFamily(ell=-2.0, G=1.0, H=0.0, conj=STD).bounded
+    assert DilationFamily(ell=1j, G=0.5, H=0.0, conj=STD).bounded
+    assert not DilationFamily(ell=1j, G=0.5j, H=0.0, conj=STD).bounded
+    assert not DilationFamily(ell=0.1, G=0.5, H=0.0, conj=STD).bounded
 
 
 def test_semigroup_matrix_is_the_symbol_matrix():
@@ -163,7 +175,7 @@ def test_semigroup_law_on_monomials():
 
 def test_scaling_solver_matches_translation_multiplier():
     fam = TranslationFamily(E=1 - 1j, F=0.1j, conj=STD)
-    lam0, dpsi = scaling_instance(fam)
+    lam0, dpsi = fam.scaling
     for t in np.linspace(0.0, 2.0, 9):
         closed = family_eval(fam, float(t)).C
         solved = solve_scaling_equation(lam0, dpsi, float(t))
@@ -172,7 +184,7 @@ def test_scaling_solver_matches_translation_multiplier():
 
 def test_scaling_solver_matches_dilation_multiplier():
     fam = DilationFamily(ell=0.5 + 0.5j, G=0.4, H=0.1 - 0.2j, conj=STD)
-    lam0, dpsi = scaling_instance(fam)
+    lam0, dpsi = fam.scaling
     for t in np.linspace(0.0, 2.0, 9):
         closed = family_eval(fam, float(t)).C
         solved = solve_scaling_equation(lam0, dpsi, float(t))
@@ -182,7 +194,7 @@ def test_scaling_solver_matches_dilation_multiplier():
 def test_scaling_solver_offset_conjugation():
     # beta = a G + b feeds the dilation integrand; exercise b != 0
     fam = DilationFamily(ell=-1.0, G=0.7, H=0.2, conj=OFFSET)
-    lam0, dpsi = scaling_instance(fam)
+    lam0, dpsi = fam.scaling
     closed = family_eval(fam, 1.5).C
     assert solve_scaling_equation(lam0, dpsi, 1.5) == pytest.approx(closed, rel=1e-10)
 
@@ -248,7 +260,7 @@ def _laplace_panel_loop(fam, lam, x):
 def test_quadrature_equals_the_loops_it_replaced():
     for fam in (TranslationFamily(E=1 - 1j, F=0.1j, conj=STD),
                 DilationFamily(ell=0.5 + 0.5j, G=0.4, H=0.1 - 0.2j, conj=OFFSET)):
-        _, dpsi = scaling_instance(fam)
+        _, dpsi = fam.scaling
         for t in (0.25, 1.0, 2.0):
             assert (semigroup._refine_quadrature(dpsi, 0.0, t, 1e-12)
                     == _scalar_panel_loop(dpsi, 0.0, t, 1e-12))
@@ -357,7 +369,7 @@ def test_gauss_legendre_rule_is_built_once(monkeypatch):
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
     semigroup._gauss_legendre_rule.cache_clear()  # count the first use too
-    lam0, dpsi = scaling_instance(DilationFamily(ell=-1.0, G=1.0, H=0.3, conj=STD))
+    lam0, dpsi = DilationFamily(ell=-1.0, G=1.0, H=0.3, conj=STD).scaling
     for t in (0.5, 2.0):
         solve_scaling_equation(lam0, dpsi, t)
     assert len(calls) <= 1
