@@ -9,6 +9,8 @@
   the coefficient's calls, and ``write_csv``'s time and memory.
 - ``knots``: cost of evolution runs of piecewise-linear tables as their
   knots grow dense.
+- ``lines``: code lines per module of the package, without comments,
+  docstrings or blank lines.
 
 Each subcommand's docstring says what it prints.  They share one timing
 helper (:func:`timings`, for the fastest of N and for the median and
@@ -26,10 +28,12 @@ Usage:
     python scripts/layer_cost.py propagator --samples 2 21 201 1001 --t 5 --out cost.csv
     PYTHONPATH=<checkout>/src python scripts/layer_cost.py propagator --passes-only
     python scripts/layer_cost.py knots --rel-tol 1e-8 1e-12 --knots 101 1001
+    PYTHONPATH=src python scripts/layer_cost.py lines
 """
 
 import argparse
 import contextlib
+import io
 import json
 import math
 import os
@@ -38,7 +42,9 @@ import statistics
 import sys
 import tempfile
 import time
+import tokenize
 import tracemalloc
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -722,6 +728,51 @@ def knots_costs(args) -> int:
 
 
 # ----------------------------------------------------------------------------
+# lines: code size
+
+# tokens that hold no code, and those that end or open a statement's line
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENDMARKER}
+_STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+
+
+def code_lines(source: str) -> int:
+    """Lines of Python source that hold code: every line a token other than
+    a comment spans, except the lines of a docstring, a string that is a
+    statement by itself.  A statement over several lines counts each."""
+    lines: set[int] = set()
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    prev = tokenize.NEWLINE
+    for tok, after in zip(tokens, tokens[1:] + tokens[-1:]):
+        if tok.type in _LAYOUT:
+            prev = tok.type if tok.type in _STATEMENT_START else prev
+            continue
+        docstring = (tok.type == tokenize.STRING and prev in _STATEMENT_START
+                     and after.type in (tokenize.NEWLINE, tokenize.ENDMARKER))
+        if not docstring:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+        prev = tok.type
+    return len(lines)
+
+
+def lines_costs(args) -> int:
+    """Code lines per module of the package, and their total.
+
+    Comments, docstrings and blank lines are not counted
+    (:func:`code_lines`).  Reads the ``*.py`` files of the focksym package
+    imported, that is of the tree on PYTHONPATH.
+    """
+    package = Path(cli.__file__).parent
+    counts = {f.name: code_lines(f.read_text()) for f in sorted(package.glob("*.py"))}
+    width = max(map(len, [*counts, "module"]))
+    print(f"{'module':<{width}}  {'lines':>5}")
+    for name, n in counts.items():
+        print(f"{name:<{width}}  {n:>5}")
+    print(f"{'total':<{width}}  {sum(counts.values()):>5}")
+    return 0
+
+
+# ----------------------------------------------------------------------------
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -752,6 +803,9 @@ def main(argv=None) -> int:
     p.add_argument("--knots", type=int, nargs="+", default=list(KNOTS))
     p.add_argument("--rel-tol", type=float, nargs="+", default=[1e-10])
     p.set_defaults(fn=knots_costs)
+
+    p = sub.add_parser("lines", help=lines_costs.__doc__.splitlines()[0])
+    p.set_defaults(fn=lines_costs)
 
     args = ap.parse_args(argv)
     return args.fn(args)

@@ -121,14 +121,19 @@ def check_isometry(M: np.ndarray, f: np.ndarray, g: np.ndarray) -> float:
     return abs(lhs - rhs)
 
 
-def check_matrix_c_symmetry(T: np.ndarray, M: np.ndarray) -> float:
-    """Max-abs entry of T M - M T^T; zero iff T = C T* C for C = M conj.
+def check_matrix_c_symmetry(T: np.ndarray, M: np.ndarray, size: int | None = None) -> float:
+    """Max-abs entry of T M - M T^T on its leading size x size block (all of
+    it by default); zero iff T = C T* C for C = M conj.
 
     The one C-symmetry residual: generators, coefficient matrices B(s) and
-    propagators U(t, s) are all judged by it.
+    propagators U(t, s) are all judged by it.  Only the judged block of each
+    product is formed.  A truncated product lacks the terms past the
+    truncation, so a tridiagonal generator is judged one row short of its
+    truncation, where both products are exact.
     """
     T = np.asarray(T, dtype=complex)
     M = np.asarray(M, dtype=complex)
     if T.shape != M.shape:
         raise ValueError(f"shape mismatch: {T.shape} vs {M.shape}")
-    return float(np.max(np.abs(T @ M - M @ T.T)))
+    n = len(T) if size is None else size
+    return float(np.max(np.abs(T[:n] @ M[:, :n] - M[:n] @ T[:n].T)))

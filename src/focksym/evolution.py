@@ -120,7 +120,9 @@ class EvolutionOperator:
 
 
 class StiffnessError(RuntimeError):
-    """Step size underflowed; the problem is too stiff for this integrator."""
+    """A span's step size fell below its floor, 1e-13 of the span or the
+    smallest subnormal if that is larger: the coefficient is too stiff for
+    the 5(4) pair, or the span needs more steps than the floor allows."""
 
 
 # Dormand-Prince 5(4) tableau.
@@ -320,8 +322,8 @@ def _integrate_batch(B: _Coefficient, index: np.ndarray, ends: np.ndarray, tol: 
         done = fail | ((t1 - x) * direction <= 0)
         if done.any():
             for k in np.flatnonzero(fail).tolist():
-                failed[int(index[k])] = _floor_error(float(x[k]), float(U_max[k]),
-                                                     float(h[k]), bool(finite[k]), K[k])
+                failed[int(index[k])] = _floor_error(float(x[k]), float(U_max[k]), float(h[k]),
+                                                     float(h_floor[k]), bool(finite[k]), K[k])
             finished = done & ~fail
             mats[index[finished]] = U[finished]
             stats[:, index[done]] = steps[done], passes - steps[done]
@@ -344,20 +346,25 @@ def _integrate_batch(B: _Coefficient, index: np.ndarray, ends: np.ndarray, tol: 
 _STABLE_STEP = 1.0
 
 
-def _floor_error(x: float, U_max: float, h: float, finite: bool, K: np.ndarray) -> Exception:
-    """Why the step of a span at time ``x``, whose max|U| is ``U_max``, fell
-    below its floor: OverflowError if its last error estimate was non-finite
-    because its stages ``K`` overflowed at a step well inside the stability
-    region, where only the size of U can overflow them, or else
-    StiffnessError."""
+def _floor_error(x: float, U_max: float, h: float, floor: float, finite: bool,
+                 K: np.ndarray) -> Exception:
+    """Why the step h of a span at time ``x``, whose max|U| is ``U_max``, fell
+    below its ``floor``: OverflowError if its last error estimate was
+    non-finite because its stages ``K`` overflowed at a step well inside the
+    stability region, where only the size of U can overflow them, or else
+    StiffnessError, which names the floor and says "underflowed" only where
+    the floor is the smallest subnormal."""
     if not finite and np.isinf(K[1:]).any():
         # B's scale, from stage 1, B(x) U
         rate = float(np.max(abs(K[0]))) / U_max if U_max else math.inf
         if abs(h) * rate <= _STABLE_STEP:
             return OverflowError("the propagator leaves the double range after "
                                  f"t = {x:.6g}")
-    return StiffnessError(f"step size {abs(h):.3e} underflowed at t = {x:.6g}; "
-                          "the coefficient family is too stiff for the 5(4) pair")
+    fell, floor_is = (("underflowed below its floor", "the smallest subnormal") if floor == _TINY
+                      else ("fell below its floor", f"{_MIN_STEP_FACTOR:g} of the span"))
+    return StiffnessError(f"step size {abs(h):.3e} at t = {x:.6g} {fell} {floor:.3e}, "
+                          f"{floor_is}: the coefficient family is too stiff for the 5(4) "
+                          "pair, or the span needs more steps than the floor allows")
 
 
 def evolve(
@@ -432,7 +439,7 @@ def composition_pieces(segments: Sequence[tuple[float, float]]
     return pieces, min(range(len(heads)), key=lambda k: abs(2 * heads[k] - n))
 
 
-# A span takes the U of the first span of its length in sample spacings
+# A span takes the U of the first span of its length in half sample spacings
 # when their float lengths differ by at most this share of the step loop's
 # error budget for that span, rel_tol (b - a), over ||M||_1.  Equal spacings
 # differ in floats by the rounding of their times, a few ulps of the largest
@@ -443,16 +450,6 @@ def composition_pieces(segments: Sequence[tuple[float, float]]
 # strays apart (0.34 and 0.00 sharing only equal float lengths; 48 grids in
 # BENCH_samelength.json, none of which passes unshared and fails here).
 _SHARE_SLACK = 0.01
-
-
-def _spacings(segments: int, pieces: int) -> list[int]:
-    """The lengths in sample spacings of an evolution run's spans: its
-    segments, U(t, t) and its ``pieces`` of :func:`composition_pieces`, in
-    half spacings for one segment, which the pieces halve."""
-    if segments == 1:
-        return [2, 0, 1, 1]
-    # pairs of segments, the last piece three when their number is odd
-    return [1] * segments + [0] + [2] * (pieces - 1) + [segments - 2 * pieces + 2]
 
 
 def evolution_series(
@@ -482,10 +479,11 @@ def evolution_series(
     constant coefficient, whose matrix is ``M`` and which has no breaks,
     generates the semigroup U(b, a) = e^{(b - a) M}, so spans of one length
     share one U: the loop integrates only the first span of each length in
-    sample spacings (:func:`_spacings`), in order of first appearance and at
-    its own (a, b), and every later span of that length takes its U, unless
-    its float length strays from the first's by more than ``_SHARE_SLACK``
-    of the span's error budget.  Every span is integrated before any chain
+    half sample spacings, round((b - a) / h) for h half a spacing (0 when
+    t = s), in order of first appearance and at its own (a, b), and every
+    later span of that length takes its U, unless its float length strays
+    from the first's by more than ``_SHARE_SLACK`` of the span's error
+    budget.  Every span is integrated before any chain
     is formed, so an integration failure, the StiffnessError or
     OverflowError of the first failing span, is raised before an overflow
     of a chain, which raises OverflowError at the first time where the
@@ -505,8 +503,10 @@ def evolution_series(
     else:
         with np.errstate(over="ignore"):  # an inf norm makes each span of another length a stray
             norm = float(np.abs(M).sum(axis=0).max())
+        half = (t - s) / (2 * len(segments))  # half a sample spacing
         firsts, keys = {}, []  # each key's first span, in order of first appearance
-        for (a, b), units in zip(spans, _spacings(len(segments), len(pieces))):
+        for a, b in spans:
+            units = round((b - a) / half) if half else 0
             a0, b0 = firsts.setdefault(units, (a, b))
             stray = abs((b - a) - (b0 - a0)) * norm > _SHARE_SLACK * rel_tol * (b0 - a0)
             keys.append((a, b) if stray else units)

@@ -360,18 +360,19 @@ def exponential_bridge_records(cfg: VerifyConfig, fam: SemigroupFamily,
 
 def stone_symmetry_records(cfg: VerifyConfig, fam: SemigroupFamily,
                            suffix: str = "") -> list[CheckRecord]:
-    """Q M = M Q^T at dim; the adjoint quotient at min(max(4, dim/4), dim).
+    """Q M = M Q^T on the leading dim x dim block; the adjoint quotient at
+    min(max(4, dim/4), dim).
 
-    A smaller truncation of W(h) and Q is a leading block of a larger, and
-    the quotient's column norms accumulate row by row, so the smallest
-    truncation gives its best value.
+    Q is tridiagonal, so with Q and M built at dim + 1 both products are
+    exact on that block, for every conjugation.  A smaller truncation of W(h)
+    and Q is a leading block of a larger, and the quotient's column norms
+    accumulate row by row, so the smallest truncation gives its best value.
     """
     small = min(max(4, cfg.dim // 4), cfg.dim)
-    symmetry = check_matrix_c_symmetry(generator_matrix(fam, cfg.dim),
-                                       conjugation_matrix(fam.conj, cfg.dim))
+    symmetry = check_matrix_c_symmetry(generator_matrix(fam, cfg.dim + 1),
+                                       conjugation_matrix(fam.conj, cfg.dim + 1), cfg.dim)
     return [
-        _record(f"stone.generator-symmetry{suffix}",
-                "Q M = M Q^T for diagonal conjugation matrices",
+        _record(f"stone.generator-symmetry{suffix}", "Q M = M Q^T",
                 symmetry, cfg.tol("matrix_symmetry_exact")),
         _info(f"stone.adjoint-quotient{suffix}", "adjoint family differentiates to Q^H",
               check_stone_adjoint_relation(fam, small), "first-order quotient at h = 1e-6"),

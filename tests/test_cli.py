@@ -1,11 +1,13 @@
 """End-to-end command line behaviour: exit codes, reports, determinism."""
 
 import bisect
+import cmath
 import csv
 import dataclasses
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -892,7 +894,9 @@ def test_verify_all_work_is_pinned(tmp_path, work):
 
 
 def test_generator_kind_stays_within_its_truncation(tmp_path, monkeypatch):
-    # at dim 3 the Stone records are taken at dim 3 too, not at a larger rung
+    # at dim 3 the Stone records are taken at dim 3 too, not at a larger rung:
+    # Q and M are built one row larger, whose leading 3 x 3 block the
+    # C-symmetry law reads
     dims = []
     for name, original in (("generator_matrix", generator.generator_matrix),
                            ("conjugation_matrix", conjugation.conjugation_matrix)):
@@ -908,7 +912,44 @@ def test_generator_kind_stays_within_its_truncation(tmp_path, monkeypatch):
                                 "truncation": {"dim": 3},
                                 "output": {"path": str(tmp_path / "r.json")}})
     assert main(["run", path]) in (0, 2)
-    assert dims and max(dims) == 3
+    assert dims and max(dims) == 4
+
+
+def _offset_conjugation(rng: random.Random) -> dict:
+    """An admissible conjugation with 0.5 <= |b| <= 1: |a| = 1,
+    conj(a) b + conj(b) = 0 and |c|^2 exp(|b|^2) = 1."""
+    theta, r = rng.uniform(0.0, 2 * math.pi), rng.uniform(0.5, 1.0)
+    a, b = cmath.exp(1j * theta), r * cmath.exp(1j * (theta + math.pi) / 2)
+    c = math.exp(-r * r / 2) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+    return {k: [z.real, z.imag] for k, z in (("a", a), ("b", b), ("c", c))}
+
+
+def _disc(rng: random.Random, lo: float, hi: float) -> list[float]:
+    z = rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+    return [z.real, z.imag]
+
+
+@pytest.mark.parametrize("dim", [16, 32, 64])
+@pytest.mark.parametrize("seed", range(3))
+def test_generator_kind_passes_under_offset_conjugations(tmp_path, dim, seed):
+    # seeded translation and dilation families with an offset conjugation
+    # (b != 0): Q M = M Q^T holds, and its residual on the leading block is
+    # rounding, where over the whole truncation it read about 1
+    rng = random.Random(seed)
+    families = (
+        {"variant": "translation", "E": _disc(rng, 0.4, 0.8), "F": _disc(rng, 0.0, 0.3),
+         "conjugation": _offset_conjugation(rng)},
+        {"variant": "dilation", "ell": [-rng.uniform(0.3, 1.0), rng.uniform(-0.8, 0.8)],
+         "G": _disc(rng, 0.2, 0.6), "H": _disc(rng, 0.0, 0.3),
+         "conjugation": _offset_conjugation(rng)},
+    )
+    for i, family in enumerate(families):
+        out = tmp_path / f"r{i}.json"
+        path = _scenario(tmp_path, {"name": "x", "kind": "generator",
+                                    "params": {"family": family}, "truncation": {"dim": dim},
+                                    "output": {"path": str(out)}})
+        assert main(["run", path]) == 0
+        assert _records(out)["stone.generator-symmetry"]["measured"] <= 1e-12
 
 
 # --- spectrum front end -----------------------------------------------------------
@@ -1486,16 +1527,19 @@ def test_evolve_over_a_subnormal_span_returns(tmp_path, argv):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
-_STIFF = "underflowed at t = 0; the coefficient family is too stiff for the 5(4) pair"
+_STIFF = ("1e-13 of the span: the coefficient family is too stiff for the 5(4) pair, "
+          "or the span needs more steps than the floor allows")
 _KNOT_GAP = {"B": "table", "times": [-1e308, 1e308], "matrices": [[[1.0]], [[2.0]]]}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv, params, code, err", [
     (["evolve", "--t", "1e308", "--samples", "3"], None, 1,
-     f"input error: --nu/--kappa/--lam: step size 1.311e+294 {_STIFF}\n"),
+     "input error: --nu/--kappa/--lam: step size 1.311e+294 at t = 0 fell below its floor "
+     f"5.000e+294, {_STIFF}\n"),
     (["run"], {"B": "constant", "matrix": [[1e300]], "t": 1e10, "samples": 3}, 1,
-     f"input error: params.matrix: step size 1.311e-04 {_STIFF}\n"),
+     "input error: params.matrix: step size 1.311e-04 at t = 0 fell below its floor "
+     f"5.000e-04, {_STIFF}\n"),
     # a subnormal budget with a large norm: the step loop's failure, still open
     (["run"], {"B": "constant", "matrix": [[1e308] * 2] * 2, "t": 1e-320, "samples": 2}, 2,
      "FAILED: evolution.composition, evolution.exponential-route\n"),
@@ -1529,8 +1573,8 @@ def test_table_end_matrices_keep_negative_zero_cells():
     ([[800]], 5, 1e-4, "the propagator leaves the double range at t = 3"),
     ([[800]], 3, 1e-4, "the propagator leaves the double range after t = 2.87887"),
     ([[800]], 1, 1e-4, "the propagator leaves the double range after t = 2.87887"),
-    ([[1e13]], 5, 1e-10, "step size 6.573e-15 underflowed at t = 2; "
-                         "the coefficient family is too stiff for the 5(4) pair"),
+    ([[1e13]], 5, 1e-10, "step size 6.573e-15 at t = 2 fell below its floor 2.500e-14, "
+                         f"{_STIFF}"),
 ])
 def test_constant_model_failures_name_absolute_times(tmp_path, _outdir, capsys, matrix,
                                                      samples, rel_tol, message):

@@ -416,8 +416,12 @@ def test_adjoint_family_rejects_bad_step():
 
 def test_nan_coefficients_raise_stiffness_error():
     B = _constant([[math.nan]])
-    with pytest.raises(StiffnessError, match="underflowed"):
+    with pytest.raises(StiffnessError, match="fell below its floor 1.000e-13, 1e-13 of the span"):
         evolve(B, 0.0, 1.0)
+    # a span below 1e-13 of the smallest normal has the smallest subnormal for floor
+    with pytest.raises(StiffnessError, match="underflowed below its floor 4.941e-324, "
+                                             "the smallest subnormal"):
+        evolve(B, 0.0, 1e-312)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -430,7 +434,7 @@ def test_overflow_is_reported_as_overflow_not_stiffness():
     # propagator has modulus 1, overflows its stages only at steps far
     # outside the stability region: both are too stiff
     for M in ([[1e13]], [[-1e300j]]):
-        with pytest.raises(StiffnessError, match="underflowed at t = 0;"):
+        with pytest.raises(StiffnessError, match="at t = 0 fell below its floor 1.000e-13,"):
             evolve(_constant(M), 0.0, 1.0)
 
 
@@ -562,7 +566,7 @@ def _reference_integrate(B, t0, t1, rel_tol, sums="rows"):
         return U, IntegratorStats(steps=0, rejected=0)
     span = t1 - t0
     h = span / 50.0
-    h_floor = abs(span) * ev._MIN_STEP_FACTOR
+    h_floor = max(abs(span) * ev._MIN_STEP_FACTOR, ev._TINY)
     x = t0
     steps = rejected = 0
     direction = 1.0 if span > 0 else -1.0
@@ -607,9 +611,13 @@ def _reference_integrate(B, t0, t1, rel_tol, sums="rows"):
         else:
             h *= ev._MAX_GROWTH
         if abs(h) < h_floor:
+            fell, floor_is = (("underflowed below its floor", "the smallest subnormal")
+                              if h_floor == ev._TINY
+                              else ("fell below its floor", "1e-13 of the span"))
             raise StiffnessError(
-                f"step size {abs(h):.3e} underflowed at t = {x:.6g}; "
-                "the coefficient family is too stiff for the 5(4) pair"
+                f"step size {abs(h):.3e} at t = {x:.6g} {fell} {h_floor:.3e}, {floor_is}: "
+                "the coefficient family is too stiff for the 5(4) pair, "
+                "or the span needs more steps than the floor allows"
             )
     return U, IntegratorStats(steps=steps, rejected=rejected)
 

@@ -445,3 +445,16 @@ def test_stone_relation_for_diagonal_conjugations():
             assert check_matrix_c_symmetry(Q, M) <= 1e-12
             # the adjoint quotient is an O(h) object at h = 1e-6
             assert check_stone_adjoint_relation(fam, dim) <= 1e-4
+
+
+def test_stone_relation_for_an_offset_conjugation_on_the_leading_block():
+    # b != 0: M is dense, and over the whole truncation Q M lacks the term
+    # of its last row past dim and M Q^T that of its last column; Q is
+    # tridiagonal, so at dim + 1 both products are exact on the leading block
+    conj = ConjugationParams(1.0, 1j, math.exp(-0.5))
+    for fam in (TranslationFamily(E=0.5 + 0.5j, F=0.2, conj=conj),
+                DilationFamily(ell=1.0, G=0.7, H=0.2j, conj=conj)):
+        for dim in (16, 32):
+            Q, M = generator_matrix(fam, dim + 1), conjugation_matrix(conj, dim + 1)
+            assert check_matrix_c_symmetry(Q[:dim, :dim], M[:dim, :dim]) > 0.5
+            assert check_matrix_c_symmetry(Q, M, dim) <= 1e-14

@@ -72,3 +72,27 @@ def test_knots_prints_each_table(layer_cost, capsys):
     rows = _rows(capsys.readouterr().out, "rel_tol")
     assert [row[2] for row in rows] == ["random"] + [f"eps{e:g}" for e in layer_cost.EPS]
     assert all(row[:2] == ["1e-08", "6"] for row in rows)
+
+
+
+def test_lines_counts_only_code(layer_cost):
+    # a docstring, a comment, a blank line and a statement over two lines:
+    # the statement's two lines and the def's two are code
+    small = ('"""A module docstring\nover two lines."""\n'
+             "\n"
+             "# a comment\n"
+             "total = (1 +\n"
+             "         2)  # a trailing comment\n"
+             "\n"
+             "def f():\n"
+             '    """A function docstring."""\n'
+             '    return "not a docstring"\n')
+    assert layer_cost.code_lines(small) == 4
+    assert layer_cost.code_lines("") == 0
+
+
+def test_lines_prints_each_module_and_the_total(layer_cost, capsys):
+    assert layer_cost.main(["lines"]) == 0
+    rows = _rows(capsys.readouterr().out, "module")
+    assert rows[0] == ["__init__.py", "1"] and rows[-1][0] == "total"
+    assert int(rows[-1][1]) == sum(int(n) for _, n in rows[:-1])
