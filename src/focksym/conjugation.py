@@ -135,5 +135,4 @@ def check_matrix_c_symmetry(T: np.ndarray, M: np.ndarray, size: int | None = Non
     M = np.asarray(M, dtype=complex)
     if T.shape != M.shape:
         raise ValueError(f"shape mismatch: {T.shape} vs {M.shape}")
-    n = len(T) if size is None else size
-    return float(np.max(np.abs(T[:n] @ M[:, :n] - M[:n] @ T[:n].T)))
+    return float(np.max(np.abs(T[:size] @ M[:, :size] - M[:size] @ T[:size].T)))
