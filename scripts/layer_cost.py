@@ -50,11 +50,11 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.integrate
 
-from assembly_accuracy import OFFSET_SYMBOL, max_entry_error
 from focksym import cli, evolution, verification
 from focksym.evolution import evolution_series, evolve
 from focksym.serialize import write_csv
 from focksym.wco import wco_matrices, wco_matrix
+from sweeps import OFFSET_SYMBOL, max_entry_error
 
 Coefficient = Callable[[Sequence[float]], np.ndarray]  # ts -> stack of B(t)
 
@@ -259,7 +259,7 @@ def wco_costs(args) -> int:
     built full and with 5 columns (the median of ``--repeats`` rounds, each
     the mean over as many calls as fill about 0.1 s), and its largest entry
     error relative to the largest entry against the 30-digit sum of
-    ``scripts/assembly_accuracy.py``.  The environment holds the numpy
+    ``sweeps.py entries``.  The environment holds the numpy
     version, the BLAS threads and the mantissa bits of ``np.longdouble``.
 
     With ``--stack`` it times stacked builds instead: for each dim and for 1,

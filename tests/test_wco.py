@@ -206,11 +206,11 @@ def _load_script(name: str):
     return module
 
 
-ACCURACY = _load_script("assembly_accuracy")
+SWEEPS = _load_script("sweeps")
 
 # the offset conjugation's symbol and the semigroup-law families' symbols,
 # whose A, B, C are numpy scalars for the dilation families
-REFERENCE_SYMBOLS = [ACCURACY.OFFSET_SYMBOL] + [
+REFERENCE_SYMBOLS = [SWEEPS.OFFSET_SYMBOL] + [
     family_eval(fam, t) for fam in _LAW_FAMILIES for t in (0.1, 0.35, 1.0, 2.0)
 ]
 
@@ -233,7 +233,7 @@ def _oracle(i: int) -> np.ndarray:
 
     Truncation is exact, so the matrix at a smaller dim is its leading block.
     """
-    return ACCURACY.mpmath_matrix(REFERENCE_SYMBOLS[i], ORACLE_DIMS[-1])
+    return SWEEPS.mpmath_matrix(REFERENCE_SYMBOLS[i], ORACLE_DIMS[-1])
 
 
 @pytest.mark.parametrize("dim", ORACLE_DIMS)
@@ -246,15 +246,14 @@ def test_assembly_matches_mpmath(dim):
 
 
 def test_kernel_accuracy_script_at_64(capsys):
-    script = _load_script("kernel_accuracy")
-    assert script.main(["--dims", "64"]) == 0
+    assert SWEEPS.main(["kernels", "--dims", "64"]) == 0
     out = capsys.readouterr().out.splitlines()
     # a title, one line per law family, a header, one row per symbol
-    assert len(out) == 2 + len(_LAW_FAMILIES) + len(script.symbols())
+    assert len(out) == 2 + len(_LAW_FAMILIES) + len(SWEEPS.symbols())
     # |A| = 0.5 stays at rounding; at |A| = 1 the 0.4N kernels' tails show
-    worst, _, used = script.kernel_residual(script.FIXED_SYMBOLS["(0.5, 0.2, 0.7, 0.1+0.1i)"], 64)
+    worst, _, used = SWEEPS.kernel_residual(SWEEPS.FIXED_SYMBOLS["(0.5, 0.2, 0.7, 0.1+0.1i)"], 64)
     assert used == 8 and worst < 1e-14
-    worst, tail, used = script.kernel_residual(script.FIXED_SYMBOLS["(1, 1, 1, -1)"], 64)
+    worst, tail, used = SWEEPS.kernel_residual(SWEEPS.FIXED_SYMBOLS["(1, 1, 1, -1)"], 64)
     assert used == 7 and 0.5 < worst / math.sqrt(tail) < 2
     with mpmath.workdps(30):
         x = mpmath.mpf("25.6")
@@ -382,5 +381,5 @@ OFFSET_ERRORS = {64: 3.18e-15, 128: 4.54e-12}
 # binomial_error: that of the binomial sum wco_matrix evaluated before the recurrence
 @pytest.mark.parametrize("dim, binomial_error", [(64, 1.04e-11), (128, 7.98e-9)])
 def test_offset_symbol_matches_mpmath(dim, binomial_error):
-    err, _ = ACCURACY.max_entry_error(ACCURACY.OFFSET_SYMBOL, dim)
+    err, _ = SWEEPS.max_entry_error(SWEEPS.OFFSET_SYMBOL, dim)
     assert err <= 1.05 * OFFSET_ERRORS[dim] < binomial_error / 1000
