@@ -9,8 +9,8 @@
   the coefficient's calls, and ``write_csv``'s time and memory.
 - ``knots``: cost of evolution runs of piecewise-linear tables as their
   knots grow dense.
-- ``lines``: code lines per module of the package, without comments,
-  docstrings or blank lines.
+- ``lines``: code lines per module of the package and per script of
+  ``scripts/``, without comments, docstrings or blank lines.
 
 Each subcommand's docstring says what it prints.  They share one timing
 helper (:func:`timings`, for the fastest of N and for the median and
@@ -756,19 +756,23 @@ def code_lines(source: str) -> int:
 
 
 def lines_costs(args) -> int:
-    """Code lines per module of the package, and their total.
+    """Code lines per module of the package and per script, and their totals.
 
     Comments, docstrings and blank lines are not counted
-    (:func:`code_lines`).  Reads the ``*.py`` files of the focksym package
-    imported, that is of the tree on PYTHONPATH.
+    (:func:`code_lines`).  The first table reads the ``*.py`` files of the
+    focksym package imported, that is of the tree on PYTHONPATH; the second,
+    after a blank line, those of this script's directory.
     """
-    package = Path(cli.__file__).parent
-    counts = {f.name: code_lines(f.read_text()) for f in sorted(package.glob("*.py"))}
-    width = max(map(len, [*counts, "module"]))
-    print(f"{'module':<{width}}  {'lines':>5}")
-    for name, n in counts.items():
-        print(f"{name:<{width}}  {n:>5}")
-    print(f"{'total':<{width}}  {sum(counts.values()):>5}")
+    for i, (label, directory) in enumerate([("module", Path(cli.__file__).parent),
+                                            ("script", Path(__file__).parent)]):
+        counts = {f.name: code_lines(f.read_text()) for f in sorted(directory.glob("*.py"))}
+        width = max(map(len, [*counts, label]))
+        if i:
+            print()
+        print(f"{label:<{width}}  {'lines':>5}")
+        for name, n in counts.items():
+            print(f"{name:<{width}}  {n:>5}")
+        print(f"{'total':<{width}}  {sum(counts.values()):>5}")
     return 0
 
 

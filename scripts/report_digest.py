@@ -20,9 +20,9 @@ its e^{-250} only to absolute accuracy, so its ``evolution.exponential-route``
 fails and the run exits 2), of the two-level model with numbers for kappa and
 lam, of a constant model with s = t, of the unit rotation over [0, 1e5] at
 100001 samples (a product law's bound grows with |t - s| as the run's rounding
-does), of the constant 1e308 in every entry over [0, 1e-320] (exit 2: a span
-of subnormal error budget and large norm, which the step loop cannot yet hold)
-and of a table whose knots are 1e-320 apart, and a records CSV of
+does), of the constant 1e308 in every entry over [0, 1e-320] (a span of
+subnormal error budget and large norm, which takes I + (t - s) B(s) and no
+step) and of a table whose knots are 1e-320 apart, and a records CSV of
 `conjugation-check`, whose anchors hold commas: 43 runs, which between them
 take every subcommand that writes a report, every coefficient model and both
 paths of the CSV writer.  Then 19 malformed runs that exit 1 with an ``input

@@ -492,7 +492,7 @@ def _evolution_operator_from(params: dict, span: tuple[float, float]
         B = bagchi_hamiltonian(nu, kappa, lam)
         # numbers for both kappa and lam make B constant, its matrix B(s)
         constant = not any(isinstance(params.get(key), dict) for key in ("kappa", "lam"))
-        return (B, lambda rel_tol: [], {"model": "bagchi", "nu": nu}, "params.B",
+        return (B, lambda rel_tol: [], {"model": "bagchi", "dim": 2, "nu": nu}, "params.B",
                 B([span[0]])[0] if constant else None)
     if model == "constant":
         M = _matrix_from(_get(params, "params", "matrix", list), "params.matrix")

@@ -176,17 +176,20 @@ def _stage_views(K: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 
 # A span whose error budget rel_tol |b - a| is below the smallest normal
-# double, and with |b - a| ||B(a)||_1 below _FIRST_ORDER, takes
-# U = I + (b - a) B(a), which is its propagator to rounding unless B's
-# derivative is past 1e280 or so.  The step loop crawls on such spans: the
+# double, and with ||(b - a) B(a)||_1 below _FIRST_ORDER, takes
+# U = I + (b - a) B(a): the terms of e^{(b - a) B} it leaves out are about
+# ||(b - a) B(a)||_1^2 / 2, below 2^-53, and over a span this short B cannot
+# move measurably unless its derivative is past 1e280 or so.  The norm is
+# taken of the product, so entries near 1e308 do not overflow it: [[1e290]]
+# over (0, 1e-305) takes I + 1e-15.  The step loop crawls on such spans: the
 # two-level model of evolve over (0, L) at rel_tol 1e-10 took 0.7 s for
 # L = 3e-319, 2.8 s for 1e-313 and more than 10 s for L from 1e-318 to
-# 1e-314.  Against the 50-digit exponential, I + L B(0) erred by at most
-# 1e-32 for L from 1e-16 to 1e-321 on a constant and a cosine two-level
-# model.  The norm test alone is not enough: it takes U = I for a
-# coefficient that vanishes at a, and max(-800, 1600 (t - 1.5)) over
-# (1.5, 2.5) grows by e^800.
-_FIRST_ORDER = 2.0 ** -53
+# 1e-314, and it cannot control an error below a subnormal budget.  Against
+# the 50-digit exponential, I + L B(0) erred by at most 1e-32 for L from
+# 1e-16 to 1e-321 on a constant and a cosine two-level model.  The norm test
+# alone is not enough: it takes U = I for a coefficient that vanishes at a,
+# and max(-800, 1600 (t - 1.5)) over (1.5, 2.5) grows by e^800.
+_FIRST_ORDER = 2.0 ** -26
 
 # The stages of one batch take at most this many bytes (or one span).  The
 # bound holds a pass's memory down on runs of many spans of a large B: one
@@ -222,12 +225,15 @@ def _integrate_spans(
     stats = np.zeros((2, len(spans)), dtype=int)  # steps, rejected steps
     ends = np.array(spans, dtype=float).reshape(-1, 2)
     length = ends[:, 1] - ends[:, 0]
-    # a span whose error budget is subnormal takes no step: U = I + (b - a) B(a);
-    # a norm or product that overflows (inf, or nan for a zero span) is not below
+    # a span whose error budget is subnormal takes no step: U = I + (b - a) B(a)
+    # where ||(b - a) B(a)||_1 is below _FIRST_ORDER; a product that
+    # overflows (inf, or nan) is not below
+    first_order = (length != 0) & (rel_tol * abs(length) < _NORMAL)
     with np.errstate(over="ignore", invalid="ignore"):
-        first_order = ((length != 0) & (rel_tol * abs(length) < _NORMAL)
-                       & (abs(length) * np.abs(B_t0).sum(axis=-2).max(axis=-1) < _FIRST_ORDER))
-    mats[first_order] += length[first_order, None, None] * B_t0[first_order]
+        step = length[first_order, None, None] * B_t0[first_order]
+        small = np.abs(step).sum(axis=-2).max(axis=-1) < _FIRST_ORDER
+    first_order[first_order] = small
+    mats[first_order] += step[small]
     moving = np.flatnonzero((length != 0) & ~first_order)
     B_0 = B_t0[moving]  # a copy: no value outlives its call
     size = max(1, _BATCH_BYTES // (7 * 16 * dim ** 2))

@@ -15,7 +15,7 @@ beyond ``dim`` enters it.  The columns accumulate in ``np.clongdouble`` and
 are rounded once to complex128.  Where ``longdouble`` carries a 64-bit
 mantissa (x86-64), the largest entry error of the offset conjugation's symbol
 (1, i, e^{-1/2}, i) against a 30-digit oracle is 5e-15 of the largest entry
-at dim 64 (see ``scripts/assembly_accuracy.py``); where ``longdouble`` is a
+at dim 64 (see ``scripts/sweeps.py entries``); where ``longdouble`` is a
 double, the extra precision is lost.
 
 ``wco_matrices`` builds a stack of matrices, one per symbol, through the same

@@ -197,6 +197,23 @@ def test_a_span_with_a_subnormal_error_budget_takes_no_step(L):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry, L", [(1e290, 1e-305), (-1e290, 1e-305), (1e285, 1e-300)])
+def test_a_large_norm_over_a_subnormal_budget_takes_no_step(entry, L):
+    # ||B|| L is far below 2^-26, but ||B|| alone is near the double range;
+    # the step loop raised StiffnessError on these spans
+    U, stats = _integrate(_constant([[entry]]), 0.0, L, 1e-10)
+    assert stats == IntegratorStats(0, 0)
+    assert U[0, 0] == 1 + L * entry
+
+
+def test_a_subnormal_budget_past_the_first_order_rule_still_fails():
+    # |b - a| ||B|| = 1e-5 is past 2^-26, and the step loop cannot control an
+    # error below the subnormal budget: still open
+    with pytest.raises(StiffnessError, match="fell below its floor"):
+        _integrate(_constant([[1e300]]), 0.0, 1e-305, 1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_series_raises_where_the_chain_overflows():
     B = _constant([[800.0]])
     with pytest.raises(OverflowError, match="leaves the double range at t = 1$"):

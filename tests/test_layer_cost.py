@@ -96,3 +96,15 @@ def test_lines_prints_each_module_and_the_total(layer_cost, capsys):
     rows = _rows(capsys.readouterr().out, "module")
     assert rows[0] == ["__init__.py", "1"] and rows[-1][0] == "total"
     assert int(rows[-1][1]) == sum(int(n) for _, n in rows[:-1])
+
+
+def test_lines_prints_each_script_and_the_total(layer_cost, capsys):
+    assert layer_cost.main(["lines"]) == 0
+    out = capsys.readouterr().out
+    assert "\n\nscript " in out  # a blank line after the module table
+    rows = _rows(out, "script")
+    assert [name for name, _ in rows[:-1]] == sorted(f.name for f in SCRIPTS.glob("*.py"))
+    assert rows[-1][0] == "total"
+    assert int(rows[-1][1]) == sum(int(n) for _, n in rows[:-1])
+    sweeps = (SCRIPTS / "sweeps.py").read_text()
+    assert dict(rows)["sweeps.py"] == str(layer_cost.code_lines(sweeps))
