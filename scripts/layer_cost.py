@@ -115,9 +115,9 @@ class Counted:
 
 
 class Probe:
-    """While active, counts the step loop ``evolution._integrate_spans`` and
-    the coefficients that the scenario parser ``cli._evolution_operator_from``
-    returns.
+    """While active, counts the step loop ``evolution._integrate_spans``, at
+    every module of the package that binds it, and the coefficients that the
+    scenario parser ``cli._evolution_operator_from`` returns.
 
     It keeps the spans handed to the loop, its passes, accepted and rejected
     steps and the seconds spent in it, and in ``coefficients`` each parsed
@@ -139,7 +139,7 @@ class Probe:
         return self.loop_s
 
     def _operator(self, params: dict, span: tuple[float, float]):
-        B, *rest = self._saved[0](params, span)
+        B, *rest = self._parse(params, span)
         if self.count:
             self.coefficients.append(Counted(B))
             B = self.coefficients[-1]
@@ -150,7 +150,7 @@ class Probe:
         if self.count:
             B = Counted(B)
         t0 = time.perf_counter()
-        mats, stats = self._saved[1](B, spans, rel_tol)
+        mats, stats = self._loop(B, spans, rel_tol)
         self.loop_s += time.perf_counter() - t0
         if self.count:
             self.spans += len(spans)
@@ -160,12 +160,19 @@ class Probe:
         return mats, stats
 
     def __enter__(self) -> "Probe":
-        self._saved = cli._evolution_operator_from, evolution._integrate_spans
-        cli._evolution_operator_from, evolution._integrate_spans = self._operator, self._integrate
+        self._parse, self._loop = cli._evolution_operator_from, evolution._integrate_spans
+        self._bound = [mod for name, mod in list(sys.modules.items())
+                       if name.partition(".")[0] == "focksym"
+                       and getattr(mod, "_integrate_spans", None) is self._loop]
+        cli._evolution_operator_from = self._operator
+        for mod in self._bound:
+            mod._integrate_spans = self._integrate
         return self
 
     def __exit__(self, *exc) -> None:
-        cli._evolution_operator_from, evolution._integrate_spans = self._saved
+        cli._evolution_operator_from = self._parse
+        for mod in self._bound:
+            mod._integrate_spans = self._loop
 
 
 def cli_figures(argv: Sequence[str], repeats: int) -> tuple[Probe, float]:
@@ -439,9 +446,9 @@ def print_pass_costs(t: float, rel_tol: float) -> None:
         print(f"{label:>16}  {spans:>8}  {passes:>6}  {us:>8.1f}")
 
 
-def group_coefficient_calls() -> tuple[int, int]:
-    """(calls, evaluated times) of the two-level coefficients of verify-all's
-    evolution group."""
+def group_figures() -> tuple[Probe, int, int]:
+    """The probe of verify-all's evolution group, and the calls and evaluated
+    times of its two-level coefficients."""
     original, counted = verification.bagchi_hamiltonian, []
 
     def counting(*args):
@@ -450,10 +457,11 @@ def group_coefficient_calls() -> tuple[int, int]:
 
     verification.bagchi_hamiltonian = counting
     try:
-        verification.evolution_checks(verification.VerifyConfig())
+        with Probe() as probe:
+            verification.evolution_checks(verification.VerifyConfig())
     finally:
         verification.bagchi_hamiltonian = original
-    return sum(c.calls for c in counted), sum(c.times for c in counted)
+    return probe, sum(c.calls for c in counted), sum(c.times for c in counted)
 
 
 def print_coefficient_calls(t: float) -> None:
@@ -461,7 +469,7 @@ def print_coefficient_calls(t: float) -> None:
     each of ``PASS_MODELS`` as an ``evolution`` CSV scenario over [0, t] and
     one ``focksym evolve`` of the default model, with the spans, passes and
     rejected steps of :class:`Probe` and the fastest step-loop ms; then the
-    calls and times of the two-level coefficients of ``verify-all``'s
+    spans, calls, times, passes and rejected steps of ``verify-all``'s
     evolution group, which do not depend on the dim.  Three of the group's
     calls lie outside the step loop (B(0) for the exponential route, the s
     grid of the commutation record, B(1) for the adjoint target)."""
@@ -484,8 +492,9 @@ def print_coefficient_calls(t: float) -> None:
             B = probe.coefficients[0]
             print(f"{label:>16}  {samples:>7}  {probe.spans:>5}  {B.calls:>7}  {B.times:>7}  "
                   f"{probe.passes:>6}  {probe.rejected:>8}  {1e3 * best:>7.2f}")
-    calls, times = group_coefficient_calls()
-    print(f"{'verify-all group':>16}  {'-':>7}  {'-':>5}  {calls:>7}  {times:>7}")
+    probe, calls, times = group_figures()
+    print(f"{'verify-all group':>16}  {'-':>7}  {probe.spans:>5}  {calls:>7}  {times:>7}  "
+          f"{probe.passes:>6}  {probe.rejected:>8}  {'-':>7}")
 
 
 # the cells of the write_csv figure: a seeded 49 x 2049 table of each kind,

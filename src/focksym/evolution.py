@@ -56,9 +56,8 @@ many at a time as keep the stage buffer within ``_BATCH_BYTES``.
 :func:`evolve` is a batch of one.  Since every pass costs a fixed overhead
 of numpy calls, each caller hands in all the spans of one coefficient and
 one tolerance in one call: :func:`evolution_series` every span of an
-``evolution`` run, and the suite its U(1, 0), U(0, 1), U(1, 1) and the
-composition law's pieces of [0, 1] in one call, and the adjoint quotients'
-short spans, at a tighter tolerance, in a second.
+``evolution`` run, and the suite its U(1, 0), U(0, 1), U(1, 1), the
+composition law's pieces of [0, 1] and the adjoint quotients' short spans.
 
 Checks cover the evolution-family axioms, the adjoint family's derivative
 identity and the commutation relation B(s) J = J conj(B(s))  (written here as

@@ -69,7 +69,6 @@ from .evolution import (
     check_nonauto_stone,
     column_residual,
     composition_pieces,
-    evolve,
     product_residual,
 )
 from .fock import sqrt_factorial
@@ -726,14 +725,14 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     B = bagchi_hamiltonian(1.0, lambda ts: np.full(len(ts), 0.3),
                            lambda ts: np.full(len(ts), 1.0))
     hs = np.array([3e-2, 1e-2, 3e-3, 1e-3])
-    # one step loop for B at rel_tol: U(1, 0), which serves the axioms, the
-    # closed form, the adjoint slope and the reversal; U(0, 1); U(1, 1) and
-    # the composition law's U(0.5, 0) and U(1, 0.5); then one at the tighter
-    # 1e-12 for the adjoint quotients' U(1 + h, 1)
+    # one step loop for B: U(1, 0), which serves the axioms, the closed form,
+    # the symmetry record, the adjoint slope and the reversal; U(0, 1); U(1, 1)
+    # and the composition law's U(0.5, 0) and U(1, 0.5); the adjoint
+    # quotients' U(1 + h, 1)
     pieces, _ = composition_pieces([(0.0, 1.0)])
-    mats, _ = _integrate_spans(B, [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), *pieces], rel_tol)
-    U, U_rev, U_tt, U_rs, U_tr = mats
-    U_steps, _ = _integrate_spans(B, adjoint_spans(1.0, hs), 1e-12)
+    mats, _ = _integrate_spans(
+        B, [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), *pieces, *adjoint_spans(1.0, hs)], rel_tol)
+    U, U_rev, U_tt, U_rs, U_tr = mats[:5]
     out = evolution_axiom_records(cfg, np.stack([U_tt, U_tr, U_rs]), U, rel_tol, 1.0)
     # constant coefficients: closed form via the spectral decomposition
     nu, kap, lamb = 1.0, 0.3, 1.0
@@ -752,15 +751,14 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     out.append(_record("evolution.nonauto-commutation",
                        "B(s) M = M B(s)^T along the whole time axis",
                        float(np.max(stone)), cfg.tol("nonauto_commutation")))
-    # commuting family (time-varying detuning only): U inherits the symmetry
-    B2 = bagchi_hamiltonian(0.5, lambda ts: 0.3 * np.cos(ts), lambda ts: np.full(len(ts), 0.0))
-    sym = check_matrix_c_symmetry(evolve(B2, 0.0, 1.5, rel_tol).matrix, np.eye(2))
+    # a constant B commutes with itself at all times, and its off-diagonal
+    # coupling keeps U from being trivially symmetric: U inherits the symmetry
     out.append(_record("evolution.symmetry-commuting",
                        "U(t, s) M = M U(t, s)^T for commuting families",
-                       sym, cfg.tol("evolution_symmetry")))
+                       check_matrix_c_symmetry(U, np.eye(2)), cfg.tol("evolution_symmetry")))
     # adjoint family differentiates at first order: slope fit over h
     z = np.array([0.3 - 0.1j, 0.8 + 0.2j])
-    errs = check_adjoint_family(B, U, 1.0, z, hs, U_steps)
+    errs = check_adjoint_family(B, U, 1.0, z, hs, mats[5:])
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     out.append(_record("evolution.adjoint-slope",
                        "d/dt U(t,s)^H z = U(t,s)^H B(t)^H z",

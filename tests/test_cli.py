@@ -875,8 +875,8 @@ def test_verify_all_runs_past_dim_241(tmp_path):
 def test_verify_all_work_is_pinned(tmp_path, work):
     assert main(["verify-all", "--dim", "16", "--out", str(tmp_path / "r.json")]) == 0
     # evolution group: U(1, 0) and its reversal U(0, 1), U(1, 1), U(1, 0.5),
-    # U(0.5, 0) for the axioms, U(1.5, 0) for the symmetry record, and four
-    # U(1 + h, 1) for the adjoint slope, which reads the group's U(1, 0); the
+    # U(0.5, 0) for the axioms, and four U(1 + h, 1) for the adjoint slope,
+    # which, like the symmetry record, reads the group's U(1, 0); the
     # laplace group's five vectors share one 65-point growth pass;
     # the spectrum group builds its six eigenfunctions once, as the columns of one
     # matrix at the largest of its three dims
@@ -893,15 +893,14 @@ def test_verify_all_work_is_pinned(tmp_path, work):
     # sums (12), per family for the finite differences' W(+-h) (2), for the
     # bridge's three times (1) and for the six boundedness symbols (1); the
     # other 17 matrices are built one by one
-    # two-level coefficient calls: one per _integrate_spans call (3: the
-    # group's five spans of B at 1e-10, its four adjoint spans at 1e-12, and
-    # the symmetry record's commuting family) and one per pass of its step
-    # loops (182: 121 and 13 for B, 48 for the commuting family), plus B(0)
-    # for the exponential route, the 9-point s grid of the commutation record
-    # and B(1) for the adjoint target; the times are each span's start and
-    # five per attempted step, plus 11, as for separate loops
-    assert work == {"spans": 10, "matrices": 893, "assemblies": 55,
-                    "B_calls": 188, "B_times": 2216}
+    # two-level coefficient calls: one for the group's one _integrate_spans
+    # call, of all nine spans of B at 1e-10, and one per pass of its one step
+    # loop (121), plus B(0) for the exponential route, the 9-point s grid of
+    # the commutation record and B(1) for the adjoint target; the times are
+    # each span's start and five per attempted step, plus 11, as for separate
+    # loops
+    assert work == {"spans": 9, "matrices": 893, "assemblies": 55,
+                    "B_calls": 125, "B_times": 1930}
     # the evolution group does not depend on the dim
     coefficient_work = (work["B_calls"], work["B_times"])
     work["B_calls"] = work["B_times"] = 0

@@ -387,11 +387,15 @@ def test_stone_residual_measures_swap_asymmetry():
 
 
 def test_propagator_symmetric_for_commuting_family():
-    # lam = 0 keeps every B(t) diagonal, so the family commutes and the
-    # propagator inherits the coefficient symmetry
-    B = bagchi_hamiltonian(1.0, lambda ts: 0.3 * np.cos(ts), _flat(0.0))
-    dev = check_matrix_c_symmetry(evolve(B, 0.0, 2.0).matrix, np.eye(2))
-    assert dev <= 1e-9
+    # kappa = 0.3 cos t and lam = cos t make every H(t) = I + cos t K for one
+    # fixed symmetric K, so the family commutes and the propagator inherits
+    # the coefficient symmetry; unlike lam = 0, U is not diagonal
+    B = bagchi_hamiltonian(1.0, lambda ts: 0.3 * np.cos(ts), lambda ts: np.cos(ts))
+    Bs = B([0.2, 1.3])
+    assert np.abs(Bs[0] @ Bs[1] - Bs[1] @ Bs[0]).max() <= 1e-15
+    U = evolve(B, 0.0, 2.0).matrix
+    assert abs(U[0, 1]) >= 0.5
+    assert check_matrix_c_symmetry(U, np.eye(2)) <= 1e-9
 
 
 def test_propagator_symmetric_for_constant_coefficient():
@@ -542,7 +546,7 @@ def test_adjoint_family_integrates_u_once(monkeypatch):
         assert err == np.linalg.norm(quotient - U_t.conj().T @ (B([1.0])[0].conj().T @ z))
 
 
-def test_evolution_group_integrates_b_in_two_calls(monkeypatch):
+def test_evolution_group_integrates_b_in_one_call(monkeypatch):
     calls = []
     original = evolution._integrate_spans
 
@@ -554,13 +558,12 @@ def test_evolution_group_integrates_b_in_two_calls(monkeypatch):
         monkeypatch.setattr(mod, "_integrate_spans", recording)
     verification.evolution_checks(verification.VerifyConfig(dim=16))
     hs = (3e-2, 1e-2, 3e-3, 1e-3)
-    # U(1, 0), U(0, 1), the axioms' U(1, 1) and the composition law's pieces
-    # U(0.5, 0), U(1, 0.5) in one call at 1e-10, then the adjoint quotients'
-    # U(1 + h, 1) in one at 1e-12; the commuting family B2 keeps its own evolve
+    # U(1, 0), U(0, 1), the axioms' U(1, 1), the composition law's pieces
+    # U(0.5, 0), U(1, 0.5) and the adjoint quotients' U(1 + h, 1), all of the
+    # one coefficient B in one call at 1e-10
     assert calls == [
-        ([(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.5), (0.5, 1.0)], 1e-10),
-        ([(1.0, 1.0 + h) for h in hs], 1e-12),
-        ([(0.0, 1.5)], 1e-10),
+        ([(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.5), (0.5, 1.0),
+          *((1.0, 1.0 + h) for h in hs)], 1e-10),
     ]
 
 

@@ -63,6 +63,9 @@ def test_propagator_passes_only_prints_each_model(layer_cost, capsys):
     assert all(int(row[2]) > 0 for row in passes)
     calls = _rows(out.split("coefficient calls", 1)[1], "model")
     assert [row[0] for row in calls] == labels + ["evolve", "verify-all"]
+    # the group's one step-loop call, seen through verification's own binding:
+    # spans, B calls, B times and passes
+    assert calls[-1][3:7] == ["9", "125", "1930", "121"]
     tables = out.split("write_csv of a normal table", 1)[1].strip().splitlines()[1:]
     assert len(tables) == len(layer_cost.CSV_TABLES)
 

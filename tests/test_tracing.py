@@ -4,8 +4,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 import focksym
-from focksym import cli
+from focksym import cli, evolution
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,6 +26,10 @@ def test_tracer_reports_every_per_layer_metric(tmp_path, monkeypatch):
     try:
         assert cli.main(["verify-all", "--dim", "8", "--out", str(tmp_path / "v.json")]) == 0
         assert cli.main(["evolve", "--samples", "3", "--out", str(tmp_path / "e.csv")]) == 0
+        # the tracer reads the Runge-Kutta steps from evolve, which no CLI path calls
+        B = evolution.bagchi_hamiltonian(1.0, lambda ts: np.full(len(ts), 0.3),
+                                         lambda ts: np.full(len(ts), 1.0))
+        evolution.evolve(B, 0.0, 1.0)
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()

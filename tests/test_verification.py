@@ -198,3 +198,24 @@ def test_adjoint_slope_matches_mpmath():
              if r.check_id == "evolution.adjoint-slope"]
     exact = _adjoint_slope_mpmath(z, hs)
     assert abs(rec.measured - exact) <= 1e-6 * exact
+
+
+def test_symmetry_records_fail_an_asymmetric_coefficient(monkeypatch):
+    # B[:, 0, 1] scaled by 1 + 1e-6 breaks the coefficient's complex symmetry,
+    # and so the propagator's: both records that judge it must fail
+    hamiltonian = verification.bagchi_hamiltonian
+
+    def asymmetric(*args):
+        B = hamiltonian(*args)
+
+        def skewed(ts):
+            out = B(ts).copy()
+            out[:, 0, 1] *= 1 + 1e-6
+            return out
+
+        return skewed
+
+    monkeypatch.setattr(verification, "bagchi_hamiltonian", asymmetric)
+    records = {r.check_id: r for r in evolution_checks(VerifyConfig(dim=8))}
+    for check_id in ("evolution.symmetry-commuting", "evolution.nonauto-commutation"):
+        assert records[check_id].status == "fail"
