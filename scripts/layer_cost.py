@@ -11,6 +11,8 @@
   knots grow dense.
 - ``lines``: code lines per module of the package and per script of
   ``scripts/``, without comments, docstrings or blank lines.
+- ``bridge``: the exponential bridge's two routes to exp(t Q) on its
+  leading columns, their time and their error against scipy, per dim.
 
 Each subcommand's docstring says what it prints.  They share one timing
 helper (:func:`timings`, for the fastest of N and for the median and
@@ -29,6 +31,7 @@ Usage:
     PYTHONPATH=<checkout>/src python scripts/layer_cost.py propagator --passes-only
     python scripts/layer_cost.py knots --rel-tol 1e-8 1e-12 --knots 101 1001
     PYTHONPATH=src python scripts/layer_cost.py lines
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/layer_cost.py bridge --dims 16 64 256 768
 """
 
 import argparse
@@ -49,9 +52,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 
-from focksym import cli, evolution, verification
+from focksym import cli, evolution, generator, verification
+from focksym.conjugation import standard_conjugation
 from focksym.evolution import evolution_series, evolve
+from focksym.semigroup import DilationFamily, TranslationFamily
 from focksym.serialize import write_csv
 from focksym.wco import wco_matrices, wco_matrix
 from sweeps import OFFSET_SYMBOL, max_entry_error
@@ -786,6 +792,112 @@ def lines_costs(args) -> int:
 
 
 # ----------------------------------------------------------------------------
+# bridge: the exponential's action on the generator's leading columns
+
+BRIDGE_DIMS = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768)
+BRIDGE_TIMES = (0.1, 0.25, 0.5)
+BRIDGE_COLUMNS = 6
+
+
+@contextlib.contextmanager
+def bridge_route(products_per_dim: float):
+    """Run the block with ``generator.ACTION_PRODUCTS_PER_DIM`` set: inf
+    takes the Taylor route on every input, 0 the dense one."""
+    kept = generator.ACTION_PRODUCTS_PER_DIM
+    generator.ACTION_PRODUCTS_PER_DIM = products_per_dim
+    try:
+        yield
+    finally:
+        generator.ACTION_PRODUCTS_PER_DIM = kept
+
+
+def bridge_products(fam, dim: int) -> int:
+    """The products m s of the Taylor route's plan, summed over the chain."""
+    _, _, plans = generator._exponential_plan(fam, BRIDGE_TIMES, dim)
+    return int(sum(degree * s for _, degree, s in plans))
+
+
+def bridge_routes(fam, dim: int, repeats: int) -> dict[str, tuple[float, float]]:
+    """(fastest ms of ``repeats`` calls, largest entry error relative to the
+    largest entry against ``scipy.linalg.expm``) of each route."""
+    Q = generator.generator_matrix(fam, dim)
+    ref = np.stack([scipy.linalg.expm(t * Q)[:, :BRIDGE_COLUMNS] for t in BRIDGE_TIMES])
+    out = {}
+    for name, limit in (("taylor", math.inf), ("dense", 0.0)):
+        with bridge_route(limit):
+            def call():
+                return generator.generator_exponential_columns(fam, BRIDGE_TIMES, dim,
+                                                               BRIDGE_COLUMNS)
+            err = float(np.max(np.abs(call() - ref)) / np.max(np.abs(ref)))
+            out[name] = (1e3 * min(timings(call, repeats)), err)
+    return out
+
+
+def boundary_family(variant: str, dim: int):
+    """The translation (E, 0) or dilation (-ell, 0.5, 0) of the standard
+    conjugation with the largest size whose plan is at most
+    ``ACTION_PRODUCTS_PER_DIM`` times dim: the dearest input of the Taylor
+    route."""
+    make = {"translation": lambda x: TranslationFamily(E=x, F=0.0, conj=standard_conjugation()),
+            "dilation": lambda x: DilationFamily(ell=-x, G=0.5, H=0.0,
+                                                 conj=standard_conjugation())}[variant]
+    lo, hi = 1e-6, 10.0
+    for _ in range(50):  # bisection in log(size)
+        mid = math.sqrt(lo * hi)
+        if bridge_products(make(mid), dim) <= generator.ACTION_PRODUCTS_PER_DIM * dim:
+            lo = mid
+        else:
+            hi = mid
+    return make(lo)
+
+
+def bridge_costs(args) -> int:
+    """Time and error of both routes of ``generator_exponential_columns``.
+
+    For the suite's translation and dilation fixtures (the families of the
+    ``generator-fd`` group) at each dim, with t in {0.1, 0.25, 0.5} on the
+    leading 6 columns as ``generator.exponential-bridge`` takes them, it
+    prints the route the rule takes, the plan's products (m s summed over
+    the chain's steps), the fastest of ``--repeats`` calls of each route in
+    ms, ``even``, the products per dim at which the Taylor route, at its ms
+    per product here, would cost what the dense one costs, and each route's
+    largest entry error relative to the largest entry against
+    ``scipy.linalg.expm``.  The rule takes the Taylor route while the
+    products are at most ``ACTION_PRODUCTS_PER_DIM`` (printed first) times
+    the dim.
+
+    A second table, after a blank line, times the rule's boundary: at each
+    dim, the translation and the dilation of :func:`boundary_family`, with
+    the ratio of the Taylor route's ms to the dense route's.
+    """
+    print(environment_line())
+    print(f"ACTION_PRODUCTS_PER_DIM {generator.ACTION_PRODUCTS_PER_DIM:g}")
+    print(f"{'dim':>4}  {'family':<11}  {'route':<6}  {'products':>8}  {'taylor_ms':>9}  "
+          f"{'dense_ms':>9}  {'even':>6}  {'taylor_err':>10}  {'dense_err':>9}")
+    for dim in args.dims:
+        for fam in verification._GEN_FAMILIES:
+            products = bridge_products(fam, dim)
+            route = ("taylor" if products <= generator.ACTION_PRODUCTS_PER_DIM * dim
+                     else "dense")
+            row = bridge_routes(fam, dim, args.repeats)
+            even = row["dense"][0] / (row["taylor"][0] / products) / dim
+            print(f"{dim:>4}  {fam.variant:<11}  {route:<6}  {products:>8}  "
+                  f"{row['taylor'][0]:>9.3f}  {row['dense'][0]:>9.3f}  {even:>6.2f}  "
+                  f"{row['taylor'][1]:>10.2e}  {row['dense'][1]:>9.2e}", flush=True)
+    print(f"\n{'boundary':>8}  {'family':<11}  {'size':>8}  {'products':>8}  {'taylor_ms':>9}  "
+          f"{'dense_ms':>9}  {'ratio':>5}")
+    for dim in args.dims:
+        for variant in ("translation", "dilation"):
+            fam = boundary_family(variant, dim)
+            row = bridge_routes(fam, dim, args.repeats)
+            size = abs(fam.E if variant == "translation" else fam.ell)
+            print(f"{dim:>8}  {variant:<11}  {size:>8.3g}  {bridge_products(fam, dim):>8}  "
+                  f"{row['taylor'][0]:>9.3f}  {row['dense'][0]:>9.3f}  "
+                  f"{row['taylor'][0] / row['dense'][0]:>5.2f}", flush=True)
+    return 0
+
+
+# ----------------------------------------------------------------------------
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -819,6 +931,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("lines", help=lines_costs.__doc__.splitlines()[0])
     p.set_defaults(fn=lines_costs)
+
+    p = sub.add_parser("bridge", help=bridge_costs.__doc__.splitlines()[0])
+    p.add_argument("--dims", type=int, nargs="+", default=list(BRIDGE_DIMS))
+    p.add_argument("--repeats", type=int, default=REPEATS)
+    p.set_defaults(fn=bridge_costs)
 
     args = ap.parse_args(argv)
     return args.fn(args)

@@ -8,10 +8,20 @@ tridiagonal:
 
     Q[k, k] = c + a k,   Q[k, k+1] = b sqrt(k+1),   Q[k+1, k] = d sqrt(k+1)
 
-:func:`generator_matrix` returns Q as a dense complex array.  The
-translation generator has empty point spectrum (certified here through the
-divergence of the candidate eigenfunction's partial norms, by a doubling-ratio
-test or by Gauss's test on the paired terms); the dilation
+:func:`_generator_diagonals` derives Q's three diagonals from the symbol;
+:func:`generator_matrix` places them in a dense complex array, and the
+eigenfunction residuals and :func:`generator_exponential_columns` act with
+them alone.  That function returns exp(t Q) on the leading columns for a few
+increasing times as the action of the exponential (Al-Mohy and Higham,
+2011): a chain of truncated Taylor series through the diagonals, with no
+BLAS call, so its result does not depend on the BLAS threads.  A stiff
+family, whose series would need more than ``ACTION_PRODUCTS_PER_DIM`` times
+dim tridiagonal products, takes the leading columns of the dense Pade-13
+:func:`matrix_exponential` instead.
+
+The translation generator has empty point spectrum (certified here through
+the divergence of the candidate eigenfunction's partial norms, by a
+doubling-ratio test or by Gauss's test on the paired terms); the dilation
 generator carries the lattice H - ell beta G + k ell with explicit
 eigenfunctions (z - G)^k exp(beta z).
 """
@@ -52,6 +62,7 @@ __all__ = [
     "dissipativity_margin",
     "resolvent_bound_check",
     "matrix_exponential",
+    "generator_exponential_columns",
     "spectrum_report",
     "check_stone_adjoint_relation",
     "FD_STEPS",
@@ -62,14 +73,23 @@ FD_STEPS: tuple[float, ...] = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 _FD_SCHEMES = ("forward", "central")
 
 
-def generator_matrix(fam: SemigroupFamily, dim: int) -> np.ndarray:
-    """The dim x dim truncation Q of the family's generator, from its affine symbol."""
+Diagonals = tuple[np.ndarray, np.ndarray, np.ndarray]  # Q's diagonal, lower, upper
+
+
+def _generator_diagonals(fam: SemigroupFamily, dim: int) -> Diagonals:
+    """The three diagonals of the dim x dim truncation Q, from the family's
+    affine symbol: (c + a k, d sqrt(k+1), b sqrt(k+1))."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
     a, b, c, d = fam.generator_symbol
     roots = np.sqrt(np.arange(1.0, dim))
-    return (np.diag(c + a * np.arange(dim, dtype=complex))
-            + np.diag(d * roots, -1) + np.diag(b * roots, 1))
+    return c + a * np.arange(dim, dtype=complex), d * roots, b * roots
+
+
+def generator_matrix(fam: SemigroupFamily, dim: int) -> np.ndarray:
+    """The dim x dim truncation Q of the family's generator, as a dense array."""
+    diag, lower, upper = _generator_diagonals(fam, dim)
+    return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
 def generator_fd_fits(fam: SemigroupFamily, degrees: Sequence[int],
@@ -139,9 +159,11 @@ def eigenfunction_coeffs(degrees: Sequence[int], G: complex, beta: complex,
     return cols[:, degrees] * np.array([sqrt_factorial(m) for m in degrees])
 
 
-def _tridiagonal_product(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Q X for a tridiagonal Q, summed per entry as diagonal, lower, upper term."""
-    diag, lower, upper = (np.diagonal(Q, k)[:, None] for k in (0, -1, 1))
+def _tridiagonal_product(diagonals: Diagonals, X: np.ndarray) -> np.ndarray:
+    """Q X for the tridiagonal Q whose diagonal, lower and upper diagonal are
+    these (n, 1), (n-1, 1) and (n-1, 1) columns, summed per entry as
+    diagonal, lower, upper term."""
+    diag, lower, upper = diagonals
     out = diag * X
     out[1:] += lower * X[:-1]
     out[:-1] += upper * X[1:]
@@ -152,10 +174,10 @@ def eigen_residuals(fam: DilationFamily, degrees: Sequence[int],
                     dims: Sequence[int]) -> np.ndarray:
     """Relative residuals ||(Q - lambda_m) f_m|| / ||f_m||: one row per dim, one column per m.
 
-    The eigenfunctions of :func:`eigenfunction_coeffs` and the generator are
-    built once, at the largest dim; a smaller dim reads their leading entries,
-    which are its own bit for bit, so each residual is non-increasing in dim
-    by construction.
+    The eigenfunctions of :func:`eigenfunction_coeffs` and the generator's
+    diagonals are built once, at the largest dim; a smaller dim reads their
+    leading entries, which are its own bit for bit, so each residual is
+    non-increasing in dim by construction.
     """
     degrees = list(degrees)
     if not 0 <= min(degrees) <= max(degrees) < min(dims):
@@ -163,10 +185,10 @@ def eigen_residuals(fam: DilationFamily, degrees: Sequence[int],
     lam = point_spectrum_predicted(fam, max(degrees))[degrees]
     top = max(dims)
     F = eigenfunction_coeffs(degrees, fam.G, fam.beta, top)
-    Q = generator_matrix(fam, top)
+    diag, lower, upper = (v[:, None] for v in _generator_diagonals(fam, top))
     out = np.empty((len(dims), len(degrees)))
     for i, d in enumerate(dims):
-        resid = _tridiagonal_product(Q[:d, :d], F[:d]) - lam * F[:d]
+        resid = _tridiagonal_product((diag[:d], lower[:d - 1], upper[:d - 1]), F[:d]) - lam * F[:d]
         # 1-D norms, so that a column reads as the vector alone would
         out[i] = [np.linalg.norm(r) / np.linalg.norm(f) for r, f in zip(resid.T, F[:d].T)]
     return out
@@ -388,7 +410,9 @@ def matrix_exponential(M: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(t M) by scaling-and-squaring with the order-13 diagonal Pade form.
 
     Backward error is at the order-13 level (<~ 1e-13 relative) for norms up
-    to ~1e3 after scaling; wildly scaled inputs raise instead of overflowing.
+    to ~1e3 after scaling.  Non-finite input raises ValueError, and a result
+    that leaves the double range (exp(800), or exp(1e6) whose squarings
+    reach inf - inf) OverflowError; one that underflows (exp(-1e6)) is 0.
     exp(0) is I exactly, which the Pade solve of b_0 I by b_0 I misses by an ulp.
     """
     A = t * np.asarray(M, dtype=complex)
@@ -420,7 +444,114 @@ def matrix_exponential(M: np.ndarray, t: float = 1.0) -> np.ndarray:
     R = np.linalg.solve(V - U, V + U)
     for _ in range(squarings):
         R = R @ R
-    return R
+    return _finite(R, f"exp(t M) with ||tM||_1 = {norm1:.3e}")
+
+
+def _finite(X: np.ndarray, what: str) -> np.ndarray:
+    """X, or OverflowError naming ``what`` if an entry is not finite."""
+    if not np.all(np.isfinite(X)):
+        raise OverflowError(f"{what} leaves the double range")
+    return X
+
+
+# Al-Mohy and Higham's theta_m (Computing the action of the matrix
+# exponential, SIAM J. Sci. Comput. 33, 2011, tables A.3 and 3.1): for
+# ||h A||_1 <= s theta_m, s steps of the degree-m Taylor polynomial of
+# exp(h A / s) have backward error at most the unit roundoff.
+_TAYLOR_DEGREES = np.array([*range(1, 31), 35, 40, 45, 50, 55])
+_TAYLOR_THETA = np.array([
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2,
+    8.96e-2, 1.44e-1, 2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1,
+    9.31e-1, 1.09, 1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08,
+    3.31, 3.54, 4.7, 6.0, 7.2, 8.5, 9.9,
+])
+_UNIT_ROUNDOFF = 2.0**-53
+
+# the most tridiagonal products per dim that the Taylor route takes; past it
+# the dense Pade route is cheaper.  With one BLAS thread the two cost about
+# the same at this many products from dim 16 to 40, and the dense route costs
+# more from dim 48 on (``scripts/layer_cost.py bridge``, BENCH_bridge.json)
+ACTION_PRODUCTS_PER_DIM = 1.3
+
+
+def _inf_norm(X: np.ndarray) -> float:
+    return np.abs(X).sum(axis=1).max()
+
+
+def _exponential_plan(fam: SemigroupFamily, times: Sequence[float],
+                      dim: int) -> tuple[complex, Diagonals, list[tuple[float, int, float]]]:
+    """The shift mu, the diagonals of Q - mu as columns, and (h, m, s) for
+    each step h of the chain 0 -> times[0] -> times[1] -> ..., s a float
+    that is inf when h ||Q - mu||_1 is past the double range.
+
+    mu is the mean diagonal entry.  A step's (m, s) has the fewest products
+    m s with h ||Q - mu||_1 <= s theta_m, the 1-norm being the exact largest
+    column sum of the three diagonals.
+    """
+    steps = [float(b) - float(a) for a, b in zip((0.0, *times), times)]
+    if not steps or not all(h >= 0 for h in steps) or not math.isfinite(times[-1]):
+        raise ValueError(f"need finite times 0 <= t_1 <= t_2 <= ..., got {tuple(times)}")
+    diag, lower, upper = _generator_diagonals(fam, dim)
+    mu = complex(np.mean(diag))
+    col_sums = np.abs(diag - mu)
+    col_sums[:-1] += np.abs(lower)
+    col_sums[1:] += np.abs(upper)
+    norm1 = col_sums.max()  # nan or inf for a non-finite symbol
+    if not np.isfinite(norm1):
+        raise ValueError("non-finite generator symbol")
+    with np.errstate(over="ignore"):  # an infinite plan takes the dense route
+        steps_per_degree = np.maximum(1, np.ceil(np.outer(np.multiply(steps, norm1),
+                                                          1 / _TAYLOR_THETA)))
+    best = np.argmin(steps_per_degree * _TAYLOR_DEGREES, axis=1)  # the first of equal costs
+    plans = [(h, int(_TAYLOR_DEGREES[k]), float(row[k]))
+             for h, k, row in zip(steps, best, steps_per_degree)]
+    return mu, tuple(v[:, None] for v in (diag - mu, lower, upper)), plans
+
+
+def generator_exponential_columns(fam: SemigroupFamily, times: Sequence[float], dim: int,
+                                  m: int) -> np.ndarray:
+    """exp(t Q)[:, :m] of the dim x dim truncation Q for each of the
+    increasing ``times``, as one (len(times), dim, m) stack.
+
+    The action of the exponential on the leading m columns (Al-Mohy and
+    Higham, 2011): the chain steps from one time to the next, each step h
+    taken as s steps of exp(h mu / s) times the degree-m Taylor series of
+    exp(h (Q - mu) / s) (:func:`_exponential_plan`), summed through Q's three
+    diagonals until two successive terms fall below the unit roundoff of the
+    sum.  No BLAS call is made, so the result does not depend on the BLAS
+    threads.
+
+    When the plan's products (m s summed over the steps) exceed
+    ``ACTION_PRODUCTS_PER_DIM`` times dim, as for a stiff dilation, the
+    leading columns of :func:`matrix_exponential` are returned instead.
+    ValueError on times that decrease or a non-finite symbol, OverflowError
+    when a result leaves the double range.
+    """
+    mu, shifted, plans = _exponential_plan(fam, times, dim)
+    if sum(degree * s for _, degree, s in plans) > ACTION_PRODUCTS_PER_DIM * dim:
+        gen = generator_matrix(fam, dim)
+        return np.stack([matrix_exponential(gen, t)[:, :m] for t in times])
+    out = np.empty((len(plans), dim, m), dtype=complex)
+    X = np.eye(dim, m, dtype=complex)
+    for i, (h, degree, s) in enumerate(plans):
+        eta = np.exp(h * mu / s)
+        scaled = tuple(v * (h / s) for v in shifted)
+        for _ in range(int(s)):
+            term = X
+            before = bound = _inf_norm(X)  # bound >= ||X||: most tests need no norm of X
+            for j in range(1, degree + 1):
+                term = _tridiagonal_product(scaled, term)
+                term /= j
+                size = _inf_norm(term)
+                X += term
+                bound += size
+                if (before + size <= _UNIT_ROUNDOFF * bound
+                        and before + size <= _UNIT_ROUNDOFF * _inf_norm(X)):
+                    break
+                before = size
+            X = eta * X
+        out[i] = _finite(X, f"exp({times[i]:g} Q)[:, :{m}]")
+    return out
 
 
 @dataclass(frozen=True)

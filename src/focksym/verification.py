@@ -78,6 +78,7 @@ from .generator import (
     check_empty_point_spectrum,
     check_stone_adjoint_relation,
     dissipativity_margin,
+    generator_exponential_columns,
     generator_fd_fits,
     generator_matrix,
     matrix_exponential,
@@ -231,16 +232,17 @@ def exponential_bridge(fam: SemigroupFamily, times, n_monomials: int, dim: int) 
     """Worst gap between exp(t Q) and W(t) on the low coefficients of z^k.
 
     z^k, k < m = min(n_monomials, dim), is column k scaled by sqrt(k!); the
-    W(t) are one stack, and each t is one block gap (exp(t Q) - W(t))[:20, :m]
-    of the scaled columns.
+    W(t) are one stack, the exp(t Q) e_k another
+    (:func:`generator_exponential_columns`), and each t is one block gap
+    (exp(t Q) - W(t))[:20, :m] of the scaled columns.
     """
-    gen = generator_matrix(fam, dim)
     block = min(20, dim)
     m = min(n_monomials, dim)  # z^k for k < m needs only the leading m columns
     scale = np.array([sqrt_factorial(k) for k in range(m)])
+    members = semigroup_matrices(fam, times, dim, m)
     worst = 0.0
-    for t, W in zip(times, semigroup_matrices(fam, times, dim, m)):
-        gap = matrix_exponential(gen, t)[:block, :m] * scale - W[:block] * scale
+    for E, W in zip(generator_exponential_columns(fam, times, dim, m), members):
+        gap = E[:block] * scale - W[:block] * scale
         worst = max(worst, float(np.max(np.linalg.norm(gap, axis=0))))
     return worst
 

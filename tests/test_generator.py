@@ -1,6 +1,9 @@
 """Generators of the two operator families and their spectral claims."""
 
+import cmath
+import json
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 import scipy.linalg
 import sympy
 
+from focksym import cli, generator
 from focksym.conjugation import (
     ConjugationParams,
     check_matrix_c_symmetry,
@@ -24,9 +28,11 @@ from focksym.generator import (
     check_generator_fd,
     check_stone_adjoint_relation,
     dissipativity_margin,
+    _generator_diagonals,
     _tridiagonal_product,
     eigen_residuals,
     eigenfunction_coeffs,
+    generator_exponential_columns,
     generator_matrix,
     matrix_exponential,
     point_spectrum_predicted,
@@ -35,6 +41,7 @@ from focksym.generator import (
 )
 from focksym.rng import complex_normal_vectors
 from focksym.semigroup import DilationFamily, TranslationFamily, semigroup_matrix
+from focksym.verification import _GEN_FAMILIES, VerifyConfig, exponential_bridge_records
 
 STD = standard_conjugation()
 
@@ -73,7 +80,8 @@ def test_tridiagonal_product_matches_dense():
     fam = DilationFamily(ell=1.0, G=1.0, H=0.0, conj=STD)
     Q = generator_matrix(fam, 32)
     X = complex_normal_vectors(3, 2, 32).T
-    np.testing.assert_allclose(_tridiagonal_product(Q, X), Q @ X, rtol=0, atol=1e-12)
+    columns = tuple(v[:, None] for v in _generator_diagonals(fam, 32))
+    np.testing.assert_allclose(_tridiagonal_product(columns, X), Q @ X, rtol=0, atol=1e-12)
 
 
 def test_finite_difference_slopes():
@@ -418,6 +426,17 @@ def test_expm_overflow_guard():
         matrix_exponential(np.diag([1e21 + 0j, 0j]), 1.0)
 
 
+@pytest.mark.parametrize("entry", [1e6, 800.0])
+def test_expm_result_past_the_double_range_raises(entry):
+    # exp(800) is inf; exp(1e6)'s squarings reach inf - inf, a NaN
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
+        matrix_exponential(np.array([[entry]]))
+
+
+def test_expm_result_that_underflows_is_zero():
+    assert matrix_exponential(np.array([[-1e6]]))[0, 0] == 0
+
+
 def test_expm_approximates_family_member():
     fam = TranslationFamily(E=1.0, F=0.0, conj=STD)
     Q = generator_matrix(fam, 64)
@@ -429,6 +448,97 @@ def test_expm_approximates_family_member():
             e_k[k] = 1.0
             dev = np.linalg.norm((E @ e_k - W @ e_k)[:20])
             assert dev <= 1e-6
+
+
+# --- the exponential's action on the leading columns -------------------------
+
+BRIDGE_TIMES = (0.1, 0.25, 0.5)
+BRIDGE_CONJUGATIONS = {
+    "standard": STD,
+    "rotated": ConjugationParams(cmath.exp(0.7j), 0.0, 1.0),
+    "offset": ConjugationParams(1.0, 1j, math.exp(-0.5)),
+}
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """The t of each ``matrix_exponential`` call the generator layer makes."""
+    calls = []
+
+    def counting(M, t=1.0):
+        calls.append(t)
+        return matrix_exponential(M, t)
+
+    monkeypatch.setattr(generator, "matrix_exponential", counting)
+    return calls
+
+
+@pytest.mark.parametrize("route, products_per_dim", [("taylor", math.inf), ("dense", 0.0)])
+@pytest.mark.parametrize("dim", [8, 32, 128, 256])
+@pytest.mark.parametrize("conj", BRIDGE_CONJUGATIONS, ids=str)
+@pytest.mark.parametrize("variant", ["translation", "dilation"])
+def test_exponential_columns_match_scipy(monkeypatch, dense_calls, variant, conj, dim, route,
+                                         products_per_dim):
+    c = BRIDGE_CONJUGATIONS[conj]
+    fam = (TranslationFamily(E=1.0, F=0.0, conj=c) if variant == "translation"
+           else DilationFamily(ell=-1.0, G=1.0, H=0.1, conj=c))
+    monkeypatch.setattr(generator, "ACTION_PRODUCTS_PER_DIM", products_per_dim)
+    got = generator_exponential_columns(fam, BRIDGE_TIMES, dim, 6)
+    assert len(dense_calls) == (3 if route == "dense" else 0)
+    Q = generator_matrix(fam, dim)
+    for t, block in zip(BRIDGE_TIMES, got):
+        ref = scipy.linalg.expm(t * Q)[:, :6]
+        assert np.max(np.abs(block - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim, calls", [(8, 3), (16, 3), (64, 0), (128, 0)])
+def test_suite_bridge_takes_the_taylor_route_from_dim_64(dense_calls, dim, calls):
+    exponential_bridge_records(VerifyConfig(dim=dim), _GEN_FAMILIES[0])
+    assert len(dense_calls) == calls
+
+
+def test_exponential_columns_guard_their_inputs_and_result():
+    fam = TranslationFamily(E=1.0, F=0.0, conj=STD)
+    for times in [(0.5, 0.25), (0.1, math.nan), (0.1, math.inf), (-0.1,), ()]:
+        with pytest.raises(ValueError):
+            generator_exponential_columns(fam, times, 16, 2)
+    with pytest.raises(ValueError):
+        generator_exponential_columns(TranslationFamily(E=math.nan, F=0.0, conj=STD),
+                                      (0.1,), 16, 2)
+    # F = 1e4 is Q's mean diagonal, so the shifted Q is small and the Taylor
+    # route is taken; exp(0.1 F) is past the double range
+    hot = TranslationFamily(E=1.0, F=1e4, conj=STD)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
+        generator_exponential_columns(hot, (0.1,), 64, 2)
+
+
+def _generator_run(tmp_path, ell, dim):
+    path = tmp_path / f"generator-{ell:g}-{dim}.json"
+    path.write_text(json.dumps({
+        "name": "bridge", "kind": "generator",
+        "params": {"family": {"variant": "dilation", "ell": ell, "G": 1, "H": 0.1}},
+        "truncation": {"dim": dim}, "output": {"path": str(tmp_path / "report.json")}}))
+    t0 = time.perf_counter()
+    code = cli.main(["run", str(path)])
+    return code, time.perf_counter() - t0
+
+
+def test_stiff_generator_run_keeps_its_exit_and_its_time(tmp_path, monkeypatch, dense_calls):
+    # ell = -200 at dim 256: the Taylor route would take about 70000
+    # products; the run takes the dense route, as with every exponential
+    # made dense (the route of earlier versions)
+    code, seconds = _generator_run(tmp_path, -200.0, 256)
+    assert dense_calls == list(BRIDGE_TIMES)
+    monkeypatch.setattr(generator, "ACTION_PRODUCTS_PER_DIM", 0.0)
+    dense_code, dense_seconds = _generator_run(tmp_path, -200.0, 256)
+    assert code == dense_code == 2
+    assert seconds <= 2 * dense_seconds
+
+
+def test_overflowing_generator_run_names_the_family(tmp_path, capsys):
+    code, _ = _generator_run(tmp_path, 30.0, 64)
+    assert code == 1
+    assert "input error: params.family: " in capsys.readouterr().err
 
 
 # --- adjoint relation at the truncation ---------------------------------------

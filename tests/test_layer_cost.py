@@ -111,3 +111,18 @@ def test_lines_prints_each_script_and_the_total(layer_cost, capsys):
     assert int(rows[-1][1]) == sum(int(n) for _, n in rows[:-1])
     sweeps = (SCRIPTS / "sweeps.py").read_text()
     assert dict(rows)["sweeps.py"] == str(layer_cost.code_lines(sweeps))
+
+
+def test_bridge_prints_each_family_at_each_dim(layer_cost, capsys):
+    assert layer_cost.main(["bridge", "--dims", "16", "--repeats", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "ACTION_PRODUCTS_PER_DIM" in out
+    rows = _rows(out, "dim")
+    assert [row[:3] for row in rows] == [["16", "translation", "dense"],
+                                         ["16", "dilation", "dense"]]
+    # the taylor and the dense route's errors against scipy
+    assert all(float(row[-2]) < 1e-13 and float(row[-1]) < 1e-13 for row in rows)
+    boundary = _rows(out, "boundary")
+    assert [row[:2] for row in boundary] == [["16", "translation"], ["16", "dilation"]]
+    limit = layer_cost.generator.ACTION_PRODUCTS_PER_DIM * 16
+    assert all(limit - 5 < int(row[3]) <= limit for row in boundary)

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -219,3 +222,22 @@ def test_symmetry_records_fail_an_asymmetric_coefficient(monkeypatch):
     records = {r.check_id: r for r in evolution_checks(VerifyConfig(dim=8))}
     for check_id in ("evolution.symmetry-commuting", "evolution.nonauto-commutation"):
         assert records[check_id].status == "fail"
+
+
+_BRIDGE_AT_128 = ("from focksym.verification import _GEN_FAMILIES, exponential_bridge; "
+                  "print(repr(exponential_bridge(_GEN_FAMILIES[0], (0.1, 0.25, 0.5), 6, 128)))")
+
+
+def test_bridge_at_dim_128_does_not_depend_on_the_blas_threads():
+    # the dense Pade route read 2.0939512058243166e-14 under one OpenBLAS
+    # thread and 1.946592642669345e-14 under two (ROADMAP item 24)
+    src = str(Path(verification.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", _BRIDGE_AT_128], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
