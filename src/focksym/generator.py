@@ -411,8 +411,9 @@ def matrix_exponential(M: np.ndarray, t: float = 1.0) -> np.ndarray:
 
     Backward error is at the order-13 level (<~ 1e-13 relative) for norms up
     to ~1e3 after scaling.  Non-finite input raises ValueError, and a result
-    that leaves the double range (exp(800), or exp(1e6) whose squarings
-    reach inf - inf) OverflowError; one that underflows (exp(-1e6)) is 0.
+    that leaves the double range OverflowError (exp(800) would read inf,
+    and exp(1e6) NaN, from complex products of inf); one that underflows
+    (exp(-1e6)) is 0.
     exp(0) is I exactly, which the Pade solve of b_0 I by b_0 I misses by an ulp.
     """
     A = t * np.asarray(M, dtype=complex)

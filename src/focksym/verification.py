@@ -239,7 +239,7 @@ def exponential_bridge(fam: SemigroupFamily, times, n_monomials: int, dim: int) 
     block = min(20, dim)
     m = min(n_monomials, dim)  # z^k for k < m needs only the leading m columns
     scale = np.array([sqrt_factorial(k) for k in range(m)])
-    members = semigroup_matrices(fam, times, dim, m)
+    members = semigroup_matrices(fam, times, dim, m)  # first: its overflow is the one reported
     worst = 0.0
     for E, W in zip(generator_exponential_columns(fam, times, dim, m), members):
         gap = E[:block] * scale - W[:block] * scale
