@@ -524,7 +524,7 @@ def _generator_run(tmp_path, ell, dim):
 
 
 def test_stiff_generator_run_keeps_its_exit_and_its_time(tmp_path, monkeypatch, dense_calls):
-    # ell = -200 at dim 256: the Taylor route would take about 70000
+    # ell = -200 at dim 256: the Taylor route would take about 88000
     # products; the run takes the dense route, as with every exponential
     # made dense (the route of earlier versions)
     code, seconds = _generator_run(tmp_path, -200.0, 256)
