@@ -3,7 +3,8 @@
 
 - ``wco``: cost and accuracy of ``wco_matrix`` per call, as JSON.
 - ``cli``: the fixed cost of one in-process ``focksym.cli.main`` call, part
-  by part.
+  by part; with ``--fresh``, each kind's first call in a fresh process
+  against its third, and the process's max RSS.
 - ``propagator``: cost and accuracy of a chained propagator time series as
   the sampling grows, then the step loop's figures per step and per pass,
   the coefficient's calls, and ``write_csv``'s time and memory.
@@ -27,6 +28,7 @@ Usage:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/layer_cost.py wco --dims 16 64
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/layer_cost.py wco --stack --dims 16 32 64 128
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/layer_cost.py cli --calls 200
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/layer_cost.py cli --fresh --processes 9
     python scripts/layer_cost.py propagator --samples 2 21 201 1001 --t 5 --out cost.csv
     PYTHONPATH=<checkout>/src python scripts/layer_cost.py propagator --passes-only
     python scripts/layer_cost.py knots --rel-tol 1e-8 1e-12 --knots 101 1001
@@ -42,6 +44,7 @@ import math
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -326,7 +329,11 @@ def cli_costs(args) -> int:
     - ``validate-wco``: ``main`` validating a ``wco`` scenario at dim 2000,
       whose run would assemble a 2000 x 2000 matrix.  ``validate`` computes
       nothing, so it costs what the dim-32 ``validate`` costs.
+
+    With ``--fresh`` it prints :func:`fresh_costs` instead.
     """
+    if args.fresh:
+        return fresh_costs(args)
     build = cli._build_parser.__wrapped__
     parser = build()
     print(environment_line())
@@ -346,6 +353,74 @@ def cli_costs(args) -> int:
             q1, median, q3 = (1e3 * q for q in statistics.quantiles(
                 timings(fn, args.calls), n=4, method="inclusive"))
             print(f"{name:>12}  {median:>9.3f}  {q1:>7.3f}  {q3:>7.3f}")
+    return 0
+
+
+_STD_CONJ = {"a": 1.0, "b": 0.0, "c": 1.0}
+# (kind, dim, format, params) of each --fresh row: a light scenario of every
+# kind.  The semigroup and evolution rows write a float table through the
+# CSV kernel, and the semigroup and full-verify rows integrate with the
+# Gauss-Legendre rule
+FRESH_SCENARIOS = (
+    ("conjugation-check", 32, "json", {}),
+    ("wco", 32, "csv", {"A": 0.5, "B": 0.3, "D": [0.3, -0.05]}),
+    ("semigroup", 32, "csv", {"family": {"variant": "translation", "E": [0.6, 0.2],
+                                         "F": 0.1, "conjugation": _STD_CONJ}}),
+    ("generator", 32, "json", {"family": {"variant": "dilation", "ell": -1.0, "G": 1.0,
+                                          "H": 0.1, "conjugation": _STD_CONJ}}),
+    ("spectrum", 48, "csv", {"family": {"variant": "dilation", "ell": -0.6, "G": 0.4,
+                                        "H": 0.1, "conjugation": _STD_CONJ}}),
+    ("evolution", 2, "csv", {"B": "bagchi", "t": 1.0, "samples": 11}),
+    ("full-verify", 8, "json", {}),
+)
+
+# the child of a --fresh row: three timed main calls, then the peak RSS of
+# its own address space (VmHWM; ru_maxrss would keep the forking parent's)
+_FRESH_CHILD = """
+import contextlib, json, os, sys, time
+from focksym import cli
+ms = []
+with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+    for _ in range(3):
+        t0 = time.perf_counter()
+        cli.main(sys.argv[1:])
+        ms.append(1e3 * (time.perf_counter() - t0))
+with open("/proc/self/status") as fh:
+    hwm = next(line for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"first": ms[0], "third": ms[2], "rss": int(hwm.split()[1]) / 1024}))
+"""
+
+
+def fresh_costs(args) -> int:
+    """Each kind's first ``main`` call in a fresh process against its third.
+
+    For each scenario of ``FRESH_SCENARIOS``, ``--processes`` fresh Python
+    processes each import ``focksym.cli`` from this tree, then call ``main``
+    on ``run`` of the scenario three times.  Prints the environment, then
+    per scenario the medians over the processes of the first and the third
+    call in ms and of the process's peak RSS in MB (``VmHWM`` after the
+    third call).  The first call pays what a process builds on first use;
+    the third pays only the run.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    print(environment_line())
+    print(f"{'scenario':<24}  {'first_ms':>8}  {'third_ms':>8}  {'maxrss_mb':>9}  "
+          f"(median of {args.processes})")
+    with tempfile.TemporaryDirectory() as tmp:
+        env["FOCKSYM_OUTPUT_DIR"] = os.path.join(tmp, "out")
+        for kind, dim, fmt, params in FRESH_SCENARIOS:
+            label = f"{kind}-d{dim}-{fmt}"
+            path = write_scenario(tmp, label, kind, params, {"format": fmt},
+                                  truncation={"dim": dim})
+            runs = []
+            for _ in range(args.processes):
+                proc = subprocess.run([sys.executable, "-c", _FRESH_CHILD, "run", path],
+                                      env=env, capture_output=True, text=True, check=True)
+                runs.append(json.loads(proc.stdout.splitlines()[-1]))
+            first, third, rss = (statistics.median(run[k] for run in runs)
+                                 for k in ("first", "third", "rss"))
+            print(f"{label:<24}  {first:>8.2f}  {third:>8.2f}  {rss:>9.1f}", flush=True)
     return 0
 
 
@@ -800,15 +875,20 @@ BRIDGE_COLUMNS = 6
 
 
 @contextlib.contextmanager
-def bridge_route(products_per_dim: float):
-    """Run the block with ``generator.ACTION_PRODUCTS_PER_DIM`` set: inf
-    takes the Taylor route on every input, 0 the dense one."""
-    kept = generator.ACTION_PRODUCTS_PER_DIM
-    generator.ACTION_PRODUCTS_PER_DIM = products_per_dim
+def bridge_route(products_per_dim_squared: float):
+    """Run the block with ``generator.ACTION_PRODUCTS_PER_DIM_SQUARED`` set:
+    inf takes the Taylor route on every input, 0 the dense one."""
+    kept = generator.ACTION_PRODUCTS_PER_DIM_SQUARED
+    generator.ACTION_PRODUCTS_PER_DIM_SQUARED = products_per_dim_squared
     try:
         yield
     finally:
-        generator.ACTION_PRODUCTS_PER_DIM = kept
+        generator.ACTION_PRODUCTS_PER_DIM_SQUARED = kept
+
+
+def bridge_limit(dim: int) -> float:
+    """The most products of a plan that the route rule takes the Taylor route on."""
+    return generator.ACTION_PRODUCTS_PER_DIM_SQUARED * dim**2
 
 
 def bridge_products(fam, dim: int) -> int:
@@ -835,16 +915,17 @@ def bridge_routes(fam, dim: int, repeats: int) -> dict[str, tuple[float, float]]
 
 def boundary_family(variant: str, dim: int):
     """The translation (E, 0) or dilation (-ell, 0.5, 0) of the standard
-    conjugation with the largest size whose plan is at most
-    ``ACTION_PRODUCTS_PER_DIM`` times dim: the dearest input of the Taylor
-    route."""
+    conjugation with the largest size up to 10 whose plan is at most
+    :func:`bridge_limit`: the dearest input of the Taylor route.  A size of
+    10 is the search's cap, inside the rule: at dim 512 the dense
+    exponential of a translation of size 30 leaves the double range."""
     make = {"translation": lambda x: TranslationFamily(E=x, F=0.0, conj=standard_conjugation()),
             "dilation": lambda x: DilationFamily(ell=-x, G=0.5, H=0.0,
                                                  conj=standard_conjugation())}[variant]
     lo, hi = 1e-6, 10.0
     for _ in range(50):  # bisection in log(size)
         mid = math.sqrt(lo * hi)
-        if bridge_products(make(mid), dim) <= generator.ACTION_PRODUCTS_PER_DIM * dim:
+        if bridge_products(make(mid), dim) <= bridge_limit(dim):
             lo = mid
         else:
             hi = mid
@@ -859,30 +940,29 @@ def bridge_costs(args) -> int:
     leading 6 columns as ``generator.exponential-bridge`` takes them, it
     prints the route the rule takes, the plan's products (m s summed over
     the chain's steps), the fastest of ``--repeats`` calls of each route in
-    ms, ``even``, the products per dim at which the Taylor route, at its ms
-    per product here, would cost what the dense one costs, and each route's
-    largest entry error relative to the largest entry against
+    ms, ``even``, the products per dim^2 at which the Taylor route, at its
+    ms per product here, would cost what the dense one costs, and each
+    route's largest entry error relative to the largest entry against
     ``scipy.linalg.expm``.  The rule takes the Taylor route while the
-    products are at most ``ACTION_PRODUCTS_PER_DIM`` (printed first) times
-    the dim.
+    products are at most ``ACTION_PRODUCTS_PER_DIM_SQUARED`` (printed first)
+    times dim^2.
 
     A second table, after a blank line, times the rule's boundary: at each
     dim, the translation and the dilation of :func:`boundary_family`, with
     the ratio of the Taylor route's ms to the dense route's.
     """
     print(environment_line())
-    print(f"ACTION_PRODUCTS_PER_DIM {generator.ACTION_PRODUCTS_PER_DIM:g}")
+    print(f"ACTION_PRODUCTS_PER_DIM_SQUARED {generator.ACTION_PRODUCTS_PER_DIM_SQUARED:g}")
     print(f"{'dim':>4}  {'family':<11}  {'route':<6}  {'products':>8}  {'taylor_ms':>9}  "
           f"{'dense_ms':>9}  {'even':>6}  {'taylor_err':>10}  {'dense_err':>9}")
     for dim in args.dims:
         for fam in verification._GEN_FAMILIES:
             products = bridge_products(fam, dim)
-            route = ("taylor" if products <= generator.ACTION_PRODUCTS_PER_DIM * dim
-                     else "dense")
+            route = "taylor" if products <= bridge_limit(dim) else "dense"
             row = bridge_routes(fam, dim, args.repeats)
-            even = row["dense"][0] / (row["taylor"][0] / products) / dim
+            even = row["dense"][0] / (row["taylor"][0] / products) / dim**2
             print(f"{dim:>4}  {fam.variant:<11}  {route:<6}  {products:>8}  "
-                  f"{row['taylor'][0]:>9.3f}  {row['dense'][0]:>9.3f}  {even:>6.2f}  "
+                  f"{row['taylor'][0]:>9.3f}  {row['dense'][0]:>9.3f}  {even:>6.3f}  "
                   f"{row['taylor'][1]:>10.2e}  {row['dense'][1]:>9.2e}", flush=True)
     print(f"\n{'boundary':>8}  {'family':<11}  {'size':>8}  {'products':>8}  {'taylor_ms':>9}  "
           f"{'dense_ms':>9}  {'ratio':>5}")
@@ -912,6 +992,10 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("cli", help=cli_costs.__doc__.splitlines()[0])
     p.add_argument("--calls", type=int, default=200)
+    p.add_argument("--fresh", action="store_true",
+                   help="each kind's first call in a fresh process against its third")
+    p.add_argument("--processes", type=int, default=9,
+                   help="fresh processes per scenario of --fresh")
     p.set_defaults(fn=cli_costs)
 
     p = sub.add_parser("propagator", help=propagator_costs.__doc__.splitlines()[0])

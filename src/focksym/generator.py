@@ -15,9 +15,9 @@ them alone.  That function returns exp(t Q) on the leading columns for a few
 increasing times as the action of the exponential (Al-Mohy and Higham,
 2011): a chain of truncated Taylor series through the diagonals, with no
 BLAS call, so its result does not depend on the BLAS threads.  A stiff
-family, whose series would need more than ``ACTION_PRODUCTS_PER_DIM`` times
-dim tridiagonal products, takes the leading columns of the dense Pade-13
-:func:`matrix_exponential` instead.
+family, whose series would need more than ``ACTION_PRODUCTS_PER_DIM_SQUARED``
+times dim^2 tridiagonal products, takes the leading columns of the dense
+Pade-13 :func:`matrix_exponential` instead.
 
 The translation generator has empty point spectrum (certified here through
 the divergence of the candidate eigenfunction's partial norms, by a
@@ -468,11 +468,14 @@ _TAYLOR_THETA = np.array([
 ])
 _UNIT_ROUNDOFF = 2.0**-53
 
-# the most tridiagonal products per dim that the Taylor route takes; past it
-# the dense Pade route is cheaper.  With one BLAS thread the two cost about
-# the same at this many products from dim 16 to 40, and the dense route costs
-# more from dim 48 on (``scripts/layer_cost.py bridge``, BENCH_bridge.json)
-ACTION_PRODUCTS_PER_DIM = 1.3
+# the most tridiagonal products per dim^2 that the Taylor route takes; past it
+# the dense Pade route is cheaper.  The dense route costs about dim^3 and a
+# product about dim, so their break-even grows like dim^2.  With one BLAS
+# thread the suite's two fixtures broke even at 0.033 to 0.065 products per
+# dim^2 from dim 48 to 128 over three runs, and higher at the other dims from
+# 16 to 768; at 0.041 the generator kind's dilation fixture takes the Taylor
+# route from dim 63 on (``scripts/layer_cost.py bridge``, BENCH_firstuse.json)
+ACTION_PRODUCTS_PER_DIM_SQUARED = 0.041
 
 
 def _inf_norm(X: np.ndarray) -> float:
@@ -523,13 +526,13 @@ def generator_exponential_columns(fam: SemigroupFamily, times: Sequence[float], 
     threads.
 
     When the plan's products (m s summed over the steps) exceed
-    ``ACTION_PRODUCTS_PER_DIM`` times dim, as for a stiff dilation, the
+    ``ACTION_PRODUCTS_PER_DIM_SQUARED`` times dim^2, as for a stiff dilation, the
     leading columns of :func:`matrix_exponential` are returned instead.
     ValueError on times that decrease or a non-finite symbol, OverflowError
     when a result leaves the double range.
     """
     mu, shifted, plans = _exponential_plan(fam, times, dim)
-    if sum(degree * s for _, degree, s in plans) > ACTION_PRODUCTS_PER_DIM * dim:
+    if sum(degree * s for _, degree, s in plans) > ACTION_PRODUCTS_PER_DIM_SQUARED * dim**2:
         gen = generator_matrix(fam, dim)
         return np.stack([matrix_exponential(gen, t)[:, :m] for t in times])
     out = np.empty((len(plans), dim, m), dtype=complex)

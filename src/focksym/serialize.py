@@ -16,9 +16,11 @@ of the largest power of ten within its rounding interval that lies nearest
 it, the shortest digits that read back as the cell (Gay's dtoa mode 0; Adams,
 Ryu, PLDI 2018).  Each cell's bytes are gathered from a source row of its
 digits, written four at a time, its exponent's digits and the constant bytes,
-by its layout: a row of one table, built once, of every form of a repr
-(positional with its decimal point, or exponent with its sign and number of
-digits), digit count, sign and separator.  A cell the kernel cannot decide
+by its layout: a row of one table of every form of a repr (positional with
+its decimal point, or exponent with its sign and number of digits), digit
+count, sign and separator, built when a chunk first holds such a cell.  The
+powers of ten come from Python's correctly rounded integer division, so the
+kernel loads no ``fractions`` or ``decimal``.  A cell the kernel cannot decide
 with margin falls back to ``float.__repr__``: NaN and the infinities, nonzero
 magnitudes up to 1e-280 or from 1e280 up, and a cell whose rounding interval
 ends, or whose rounding tie falls, within 1e-9 of an integer once it is
@@ -147,12 +149,20 @@ _FORMS = len(_POSITIONAL) + 4
 
 @functools.cache
 def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """10^s for s in _SCALES as correctly rounded hi + lo, and hi's Dekker halves."""
-    from fractions import Fraction  # it loads decimal: imported when first needed
+    """10^s for s in _SCALES as correctly rounded hi + lo, and hi's Dekker halves.
 
-    hi = np.array([float(Fraction(10) ** s) for s in _SCALES])
-    lo = np.array([float(Fraction(10) ** s - Fraction(h)) for s, h in zip(_SCALES, hi)])
-    return hi, lo, *_split(hi)
+    10^s is the exact fraction num / den of integers, and Python's int true
+    division rounds correctly: hi = fl(num / den), and with hi = p / q,
+    lo = fl(10^s - hi) = fl((num q - p den) / (den q)).
+    """
+    hi, lo = [], []
+    for s in _SCALES:
+        num, den = 10 ** max(s, 0), 10 ** max(-s, 0)
+        hi.append(num / den)
+        p, q = hi[-1].as_integer_ratio()
+        lo.append((num * q - p * den) / (den * q))
+    hi = np.array(hi)
+    return hi, np.array(lo), *_split(hi)
 
 
 def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,27 +274,45 @@ def _layout(form: int, nd: int) -> list[int]:
 
 @functools.cache
 def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The layout of every key ((form * 17 + nd - 1) * 2 + negative) * 2 + last
-    as a row of source columns padded with the NUL column, its length, and
-    the digits 0000 to 9999, four bytes each read as one uint32."""
-    cores = [_layout(form, nd) for form in range(_FORMS) for nd in range(1, 18)]
-    size = np.array([len(core) for core in cores])
-    minus, comma, newline = (_EXPONENT + 4 + _CONSTANTS.index(c) for c in b"-,\n")
-    table = np.full((len(cores), 2, 2, _WIDTH), _NUL, np.uint8)  # core, negative, last
-    # every core byte at its row and column, one column on for a negative cell
-    rows = np.arange(len(cores))
-    at, flat = np.repeat(rows, size), np.concatenate(cores)
-    column = np.arange(len(flat)) - np.repeat(np.cumsum(size) - size, size)
-    table[at, 0, :, column] = table[at, 1, :, column + 1] = flat[:, None]
-    table[:, 1, :, 0] = minus
-    for negative in (0, 1):
-        table[rows, negative, 0, size + negative] = comma
-        table[rows, negative, 1, size + negative] = newline
-    lengths = (size[:, None, None] + np.arange(2)[:, None] + 1).repeat(2, axis=2)
-    i = np.arange(10000)
-    number = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1)
-    quads = (number + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-    return table.reshape(-1, _WIDTH), lengths.ravel().astype(np.uint8), quads
+    """The layout table, its row lengths, and the digits 0000 to 9999, four
+    bytes each read as one uint32.
+
+    Row ((form * 17 + nd - 1) * 2 + negative) * 2 + last holds the source
+    columns of such a cell, padded with the NUL column, once
+    :func:`_layout_rows` has built it; a row not built yet has length 0.
+    """
+    table = np.full((_FORMS * 17 * 4, _WIDTH), _NUL, np.uint8)
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for place in range(4):
+        quads[..., place] = digit.reshape((-1,) + (1,) * (3 - place))
+    return table, np.zeros(len(table), np.uint8), quads.view(np.uint32).ravel()
+
+
+def _layout_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The layout table, with the rows of every key built, and each key's length.
+
+    A core (form, nd) fills its four rows, one per sign and separator, on the
+    first key that needs it.  Building all 408 cores up front cost a process
+    2.1 ms and 1 MB of int64 temporaries, where a table needs a few dozen.
+    """
+    table, lengths, _ = _layouts()
+    key_lengths = lengths.take(key)
+    missing = key[key_lengths == 0]
+    if missing.size:
+        minus, comma, newline = (_EXPONENT + 4 + _CONSTANTS.index(c) for c in b"-,\n")
+        for core in np.flatnonzero(np.bincount(missing >> 2)).tolist():
+            form, nd = divmod(core, 17)
+            layout = _layout(form, nd + 1)
+            n = len(layout)
+            rows = table[4 * core:4 * core + 4]  # (negative, last) = 00, 01, 10, 11
+            rows[:2, :n] = rows[2:, 1:n + 1] = layout
+            rows[2:, 0] = minus
+            rows[0, n] = rows[2, n + 1] = comma
+            rows[1, n] = rows[3, n + 1] = newline
+            lengths[4 * core:4 * core + 4] = (n + 1, n + 1, n + 2, n + 2)
+        key_lengths = lengths.take(key)
+    return table, key_lengths
 
 
 def _repr_cells(x: np.ndarray, last: np.ndarray, buffer: np.ndarray) -> bytes:
@@ -305,7 +333,7 @@ def _repr_cells(x: np.ndarray, last: np.ndarray, buffer: np.ndarray) -> bytes:
     q[undecided] = e[undecided] = 0  # any layout: these rows are replaced
     nd = np.searchsorted(_POW10[1:], q, side="right") + 1
     decpt = nd + e  # q 10^e = 0.q x 10^decpt
-    table, lengths, quad_digits = _layouts()
+    quad_digits = _layouts()[2]
     source = np.empty((len(x), _SOURCE), np.uint8)
     source[:, _EXPONENT + 4:] = np.frombuffer(_CONSTANTS, np.uint8)
     quads = np.zeros((_DIGITS // 4, len(x)), np.intp)
@@ -322,8 +350,9 @@ def _repr_cells(x: np.ndarray, last: np.ndarray, buffer: np.ndarray) -> bytes:
                     len(_POSITIONAL) + 2 * (exponent < 0) + (magnitude >= 100),
                     decpt - _POSITIONAL.start)
     key = ((form * 17 + nd - 1) * 2 + np.signbit(x)) * 2 + last
+    table, lengths = _layout_rows(key)
     # each row as long as the chunk's longest, padded with the NUL column
-    width = _WIDTH if undecided.size else int(lengths.take(key).max())
+    width = _WIDTH if undecided.size else int(lengths.max())
     index = buffer[:len(x) * width].reshape(len(x), width)
     np.add(table[key, :width], np.arange(0, source.size, _SOURCE)[:, None], out=index)
     out = source.ravel().take(index)

@@ -473,16 +473,17 @@ def dense_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("route, products_per_dim", [("taylor", math.inf), ("dense", 0.0)])
+@pytest.mark.parametrize("route, products_per_dim_squared",
+                         [("taylor", math.inf), ("dense", 0.0)])
 @pytest.mark.parametrize("dim", [8, 32, 128, 256])
 @pytest.mark.parametrize("conj", BRIDGE_CONJUGATIONS, ids=str)
 @pytest.mark.parametrize("variant", ["translation", "dilation"])
 def test_exponential_columns_match_scipy(monkeypatch, dense_calls, variant, conj, dim, route,
-                                         products_per_dim):
+                                         products_per_dim_squared):
     c = BRIDGE_CONJUGATIONS[conj]
     fam = (TranslationFamily(E=1.0, F=0.0, conj=c) if variant == "translation"
            else DilationFamily(ell=-1.0, G=1.0, H=0.1, conj=c))
-    monkeypatch.setattr(generator, "ACTION_PRODUCTS_PER_DIM", products_per_dim)
+    monkeypatch.setattr(generator, "ACTION_PRODUCTS_PER_DIM_SQUARED", products_per_dim_squared)
     got = generator_exponential_columns(fam, BRIDGE_TIMES, dim, 6)
     assert len(dense_calls) == (3 if route == "dense" else 0)
     Q = generator_matrix(fam, dim)
@@ -494,6 +495,21 @@ def test_exponential_columns_match_scipy(monkeypatch, dense_calls, variant, conj
 @pytest.mark.parametrize("dim, calls", [(8, 3), (16, 3), (64, 0), (128, 0)])
 def test_suite_bridge_takes_the_taylor_route_from_dim_64(dense_calls, dim, calls):
     exponential_bridge_records(VerifyConfig(dim=dim), _GEN_FAMILIES[0])
+    assert len(dense_calls) == calls
+
+
+@pytest.mark.parametrize("variant, dim, calls", [
+    ("translation", 32, 3), ("translation", 48, 0),
+    *(("dilation", dim, 3) for dim in (8, 16, 32, 48)),
+    *(("dilation", dim, 0) for dim in (64, 128, 512)),
+])
+def test_bridge_route_grows_with_the_square_of_the_dim(dense_calls, variant, dim, calls):
+    # the translation's 74 products at dim 48 and the dilation's (ell = -1,
+    # G = 1, H = 0.1, the generator kind's fixture) 160 at dim 64 are within
+    # 0.041 dim^2; the dense route cost 2.2 against 2.0 ms for the dilation
+    # at dim 64, and 1.25 s against 49 ms at dim 512
+    fam = next(f for f in _GEN_FAMILIES if f.variant == variant)
+    exponential_bridge_records(VerifyConfig(dim=dim), fam)
     assert len(dense_calls) == calls
 
 
@@ -529,7 +545,7 @@ def test_stiff_generator_run_keeps_its_exit_and_its_time(tmp_path, monkeypatch, 
     # made dense (the route of earlier versions)
     code, seconds = _generator_run(tmp_path, -200.0, 256)
     assert dense_calls == list(BRIDGE_TIMES)
-    monkeypatch.setattr(generator, "ACTION_PRODUCTS_PER_DIM", 0.0)
+    monkeypatch.setattr(generator, "ACTION_PRODUCTS_PER_DIM_SQUARED", 0.0)
     dense_code, dense_seconds = _generator_run(tmp_path, -200.0, 256)
     assert code == dense_code == 2
     assert seconds <= 2 * dense_seconds

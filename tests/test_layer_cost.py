@@ -54,6 +54,15 @@ def test_cli_prints_each_part(layer_cost, capsys):
         "build", "parse", "validate", "run", "validate-wco"]
 
 
+def test_cli_fresh_prints_each_scenario(layer_cost, capsys):
+    assert layer_cost.main(["cli", "--fresh", "--processes", "1"]) == 0
+    rows = _rows(capsys.readouterr().out, "scenario")
+    assert [row[0] for row in rows] == [f"{kind}-d{dim}-{fmt}" for kind, dim, fmt, _
+                                        in layer_cost.FRESH_SCENARIOS]
+    for _, first, third, rss in rows:
+        assert float(first) > 0 and float(third) > 0 and float(rss) > 0
+
+
 def test_propagator_passes_only_prints_each_model(layer_cost, capsys):
     assert layer_cost.main(["propagator", "--passes-only", "--t", "0.5"]) == 0
     out = capsys.readouterr().out
@@ -116,7 +125,7 @@ def test_lines_prints_each_script_and_the_total(layer_cost, capsys):
 def test_bridge_prints_each_family_at_each_dim(layer_cost, capsys):
     assert layer_cost.main(["bridge", "--dims", "16", "--repeats", "1"]) == 0
     out = capsys.readouterr().out
-    assert "ACTION_PRODUCTS_PER_DIM" in out
+    assert "ACTION_PRODUCTS_PER_DIM_SQUARED 0.041" in out
     rows = _rows(out, "dim")
     assert [row[:3] for row in rows] == [["16", "translation", "dense"],
                                          ["16", "dilation", "dense"]]
@@ -124,5 +133,5 @@ def test_bridge_prints_each_family_at_each_dim(layer_cost, capsys):
     assert all(float(row[-2]) < 1e-13 and float(row[-1]) < 1e-13 for row in rows)
     boundary = _rows(out, "boundary")
     assert [row[:2] for row in boundary] == [["16", "translation"], ["16", "dilation"]]
-    limit = layer_cost.generator.ACTION_PRODUCTS_PER_DIM * 16
+    limit = layer_cost.bridge_limit(16)
     assert all(limit - 5 < int(row[3]) <= limit for row in boundary)

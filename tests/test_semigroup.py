@@ -359,20 +359,12 @@ def test_panel_blocks_match_the_panel_loop_bit_for_bit(shape, panels):
     assert len(calls) == 1 + -(-(panels - 1) // per_call)
 
 
-def test_gauss_legendre_rule_is_built_once(monkeypatch):
-    calls = []
-    leggauss = np.polynomial.legendre.leggauss
-
-    def counting(n):
-        calls.append(n)
-        return leggauss(n)
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    semigroup._gauss_legendre_rule.cache_clear()  # count the first use too
-    lam0, dpsi = DilationFamily(ell=-1.0, G=1.0, H=0.3, conj=STD).scaling
-    for t in (0.5, 2.0):
-        solve_scaling_equation(lam0, dpsi, t)
-    assert len(calls) <= 1
+def test_gauss_legendre_rule_is_leggauss_bit_for_bit():
+    x, w = semigroup._gauss_legendre_rule()
+    want_x, want_w = np.polynomial.legendre.leggauss(semigroup._GL_NODES)
+    assert x.dtype == w.dtype == np.float64
+    assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+    assert not x.flags.writeable and not w.flags.writeable
 
 
 # --- growth probes ----------------------------------------------------------

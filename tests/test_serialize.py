@@ -6,6 +6,7 @@ import os
 import stat
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -235,6 +236,58 @@ def test_array_bytes_are_the_writers_for_any_floats(tmp_path, table):
     header = [f"c{j}" for j in range(table.shape[1])]
     write_csv(str(path), header, table)
     assert path.read_bytes() == _writer_bytes(header, table)
+
+
+def test_powers_of_ten_are_the_correctly_rounded_pairs():
+    # the exact rational construction: hi = fl(10^s), lo = fl(10^s - hi)
+    hi, lo, hi_h, hi_l = serialize._powers_of_ten()
+    want_hi = np.array([float(Fraction(10) ** s) for s in serialize._SCALES])
+    want_lo = np.array([float(Fraction(10) ** s - Fraction(h))
+                        for s, h in zip(serialize._SCALES, want_hi)])
+    assert hi.tobytes() == want_hi.tobytes() and lo.tobytes() == want_lo.tobytes()
+    assert np.array_equal(hi_h + hi_l, hi)
+
+
+def _all_layout_rows() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The layout table, its lengths and the digit quads, every row built at
+    once from the cores of ``_layout``, as the kernel once built them."""
+    cores = [serialize._layout(form, nd) for form in range(serialize._FORMS)
+             for nd in range(1, 18)]
+    size = np.array([len(core) for core in cores])
+    minus, comma, newline = (serialize._EXPONENT + 4 + serialize._CONSTANTS.index(c)
+                             for c in b"-,\n")
+    table = np.full((len(cores), 2, 2, serialize._WIDTH), serialize._NUL, np.uint8)
+    rows = np.arange(len(cores))
+    at, flat = np.repeat(rows, size), np.concatenate(cores)
+    column = np.arange(len(flat)) - np.repeat(np.cumsum(size) - size, size)
+    table[at, 0, :, column] = table[at, 1, :, column + 1] = flat[:, None]
+    table[:, 1, :, 0] = minus
+    for negative in (0, 1):
+        table[rows, negative, 0, size + negative] = comma
+        table[rows, negative, 1, size + negative] = newline
+    lengths = (size[:, None, None] + np.arange(2)[:, None] + 1).repeat(2, axis=2)
+    i = np.arange(10000)
+    number = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1)
+    quads = (number + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    return table.reshape(-1, serialize._WIDTH), lengths.ravel().astype(np.uint8), quads
+
+
+def test_layout_rows_are_built_on_first_use_as_the_all_rows_table(tmp_path):
+    want_table, want_lengths, want_quads = _all_layout_rows()
+    serialize._layouts.cache_clear()
+    try:
+        # a first table builds the four rows of each of its cores only
+        write_csv(str(tmp_path / "two.csv"), ["a", "b"], np.array([[0.5, -2.0]]))
+        table, lengths, quads = serialize._layouts()
+        assert np.count_nonzero(lengths) == 8
+        assert np.array_equal(quads, want_quads)
+        # every key, in a random order and a few at a time
+        keys = np.random.default_rng(7).permutation(len(want_table))
+        for part in np.array_split(keys, 9):
+            assert np.array_equal(serialize._layout_rows(part)[1], want_lengths[part])
+        assert np.array_equal(table, want_table) and np.array_equal(lengths, want_lengths)
+    finally:
+        serialize._layouts.cache_clear()
 
 
 def test_random_normals_take_no_fallback_cell(tmp_path, monkeypatch):
