@@ -37,6 +37,7 @@ Usage:
 """
 
 import argparse
+import cmath
 import contextlib
 import io
 import json
@@ -62,7 +63,7 @@ from focksym.conjugation import standard_conjugation
 from focksym.evolution import evolution_series, evolve
 from focksym.semigroup import DilationFamily, TranslationFamily
 from focksym.serialize import write_csv
-from focksym.wco import wco_matrices, wco_matrix
+from focksym.wco import WCOParams, wco_matrices, wco_matrix
 from sweeps import OFFSET_SYMBOL, max_entry_error
 
 Coefficient = Callable[[Sequence[float]], np.ndarray]  # ts -> stack of B(t)
@@ -250,19 +251,24 @@ def coefficient(params: dict, t: float) -> tuple[Coefficient, list[float], np.nd
 
 STACK_SIZES = (1, 10, 80)
 
+# the offset conjugation's symbol, which takes the column recurrence, and a
+# rotated diagonal conjugation's, which takes the running product
+WCO_SYMBOLS = {"offset": OFFSET_SYMBOL,
+               "diagonal": WCOParams(cmath.exp(0.7j), 0.0, 1j, 0.0)}
+
 
 def wco_ms(build: Callable[[], object], repeats: int) -> float:
     """Median ms per call of ``repeats`` rounds, each about 0.1 s of calls."""
     return 1e3 * statistics.median(timings(build, repeats, fill=0.1))
 
 
-def stack_costs(dim: int, repeats: int) -> dict:
-    """Microseconds per matrix, alone and in each stack size, by column count."""
+def stack_costs(p: WCOParams, dim: int, repeats: int) -> dict:
+    """Microseconds per matrix of p, alone and in each stack size, by column count."""
     out = {}
     for label, ncols in (("1", 1), ("5", min(5, dim)), ("full", None)):
-        row = {"alone": wco_ms(lambda: wco_matrix(OFFSET_SYMBOL, dim, ncols), repeats) * 1e3}
+        row = {"alone": wco_ms(lambda: wco_matrix(p, dim, ncols), repeats) * 1e3}
         for size in STACK_SIZES:
-            symbols = [OFFSET_SYMBOL] * size
+            symbols = [p] * size
             row[str(size)] = wco_ms(lambda: wco_matrices(symbols, dim, ncols), repeats) * 1e3 / size
         out[label] = {k: round(v, 2) for k, v in row.items()}
     return out
@@ -271,33 +277,37 @@ def stack_costs(dim: int, repeats: int) -> dict:
 def wco_costs(args) -> int:
     """Cost and accuracy of ``wco_matrix`` per call, as JSON.
 
-    For each dim it times the offset conjugation's symbol (1, i, e^{-1/2}, i)
+    For each dim and each symbol of ``WCO_SYMBOLS`` (the offset conjugation's
+    (1, i, e^{-1/2}, i), built by the column recurrence, and the diagonal
+    (e^{0.7i}, 0, i, 0), built as one running product), it times the symbol
     built full and with 5 columns (the median of ``--repeats`` rounds, each
     the mean over as many calls as fill about 0.1 s), and its largest entry
     error relative to the largest entry against the 30-digit sum of
     ``sweeps.py entries``.  The environment holds the numpy
     version, the BLAS threads and the mantissa bits of ``np.longdouble``.
 
-    With ``--stack`` it times stacked builds instead: for each dim and for 1,
-    5 and all columns, the microseconds per matrix of ``wco_matrix`` alone
-    and of ``wco_matrices`` over stacks of 1, 10 and 80 copies of the same
-    symbol (the cost does not depend on the symbol's values), timed as above.
+    With ``--stack`` it times stacked builds instead: for each dim, symbol
+    and 1, 5 and all columns, the microseconds per matrix of ``wco_matrix``
+    alone and of ``wco_matrices`` over stacks of 1, 10 and 80 copies of the
+    symbol, timed as above.  The cost depends on the symbol's route, not on
+    its values: a symbol with B = D = 0 and finite A and C takes the running
+    product, every other one the recurrence.
     """
     out = {"environment": {**environment(),
                            "longdouble_nmant": int(np.finfo(np.longdouble).nmant)},
            "dims": {}}
     for dim in args.dims:
-        if args.stack:
-            out["dims"][str(dim)] = {"us_per_matrix": stack_costs(dim, args.repeats)}
-            continue
-        _, rel = max_entry_error(OFFSET_SYMBOL, dim)
-        full = wco_ms(lambda: wco_matrix(OFFSET_SYMBOL, dim), args.repeats)
-        lead = wco_ms(lambda: wco_matrix(OFFSET_SYMBOL, dim, min(5, dim)), args.repeats)
-        out["dims"][str(dim)] = {
-            "ms_full": round(full, 4),
-            "ms_ncols5": round(lead, 4),
-            "rel_error": float(f"{rel:.4g}"),
-        }
+        row = out["dims"][str(dim)] = {}
+        for name, p in WCO_SYMBOLS.items():
+            if args.stack:
+                row[name] = {"us_per_matrix": stack_costs(p, dim, args.repeats)}
+                continue
+            _, rel = max_entry_error(p, dim)
+            row[name] = {
+                "ms_full": round(wco_ms(lambda: wco_matrix(p, dim), args.repeats), 4),
+                "ms_ncols5": round(wco_ms(lambda: wco_matrix(p, dim, min(5, dim)), args.repeats), 4),
+                "rel_error": float(f"{rel:.4g}"),
+            }
     print(json.dumps(out, indent=1))
     return 0
 

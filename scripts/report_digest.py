@@ -5,13 +5,17 @@ They are the repository's reference runs: ``tests/test_reports_golden.py``
 holds some of them against stored goldens under the golden tolerance
 (``mismatches``, below), and ``capture`` rewrites a golden's values only where
 they moved past it.  The set covers `verify-all --seed 7` at dims 8, 16, 32,
-64 and 128 (at dim 128 one 10-node panel of the Laplace integrand holds
-100 KiB of values, past the quadrature's 64 KiB bound on one integrand call),
-every scenario kind at dims 16 and 32 (standard and offset conjugations
-alike), one `evolve` CSV, two `spectrum` subcommand runs (a CSV and a JSON
-report), constant-model `evolution` CSVs at dim 16, at dim 32 (43 samples over
-[0, 5], the benchmark's shape: 88 107 cells, which the CSV writer streams in
-22 chunks) and at dim 4 (11 samples over [2, 4.7], whose segments have three
+48, 64 and 128 (at dim 128 one 10-node panel of the Laplace integrand holds
+100 KiB of values, past the quadrature's 64 KiB bound on one integrand call;
+at dim 48 the suite's exponential bridge takes the Taylor route, which dims
+16 and 32 do not), every scenario kind at dims 16 and 32 (standard and offset
+conjugations alike), a `generator` run at dim 64 of the dilation
+(ell, G, H) = (-1, 1, 0.1), whose bridge takes the Taylor route from dim 63, a
+rotated diagonal `conjugation-check` at dim 128, one `evolve` CSV, two
+`spectrum` subcommand runs (a CSV and a JSON report), constant-model
+`evolution` CSVs at dim 16, at dim 32 (43 samples over [0, 5], the
+benchmark's shape: 88 107 cells, which the CSV writer streams in 22 chunks)
+and at dim 4 (11 samples over [2, 4.7], whose segments have three
 float lengths and one in sample spacings, so a change that moves where a
 constant model's integrated span starts shows here), a dim-3 table-model CSV
 whose span reaches below its first knot and past its last, JSON reports of the
@@ -23,7 +27,7 @@ lam, of a constant model with s = t, of the unit rotation over [0, 1e5] at
 does), of the constant 1e308 in every entry over [0, 1e-320] (a span of
 subnormal error budget and large norm, which takes I + (t - s) B(s) and no
 step) and of a table whose knots are 1e-320 apart, and a records CSV of
-`conjugation-check`, whose anchors hold commas: 43 runs, which between them
+`conjugation-check`, whose anchors hold commas: 46 runs, which between them
 take every subcommand that writes a report, every coefficient model and both
 paths of the CSV writer.  Then 19 malformed runs that exit 1 with an ``input
 error:`` line and write no report: nine scenarios (one per kind, a too
@@ -33,7 +37,7 @@ exit code, the digest of its report with the value of ``wall_time_s`` replaced
 by null (no other byte is touched), and the digest of what the run wrote to
 stderr, with the run's temporary directory read as ``<workdir>`` and each
 warning printed even if an earlier run printed it.  Last, `validate` checks
-each of the 44 scenario files run, good and malformed alike, and prints the
+each of the 46 scenario files run, good and malformed alike, and prints the
 run's label, ``validate``, its exit code and its stderr digest, so a change in
 what `validate` catches shows in the diff.  Two source trees produce identical
 reports and error messages exactly when their outputs are identical, so a
@@ -93,6 +97,8 @@ DILATION = {"variant": "dilation", "ell": [-1.0, 0.5], "G": [1.0, 0.0],
             "H": [0.1, 0.0], "conjugation": STD}
 OFFSET_DILATION = {"variant": "dilation", "ell": 1.0, "G": 0.7, "H": [0.0, 0.2],
                    "conjugation": OFFSET}
+# the generator kind's dilation fixture, whose bridge takes the Taylor route from dim 63
+BRIDGE_DILATION = {"variant": "dilation", "ell": -1.0, "G": 1.0, "H": 0.1, "conjugation": STD}
 OFFSET_TRANSLATION = {"variant": "translation", "E": [0.5, 0.5], "F": 0.2,
                       "conjugation": OFFSET}
 
@@ -140,6 +146,8 @@ SINGLE_RUNS = {
     "evolution-rotation-long": ("evolution", {"B": "constant", "matrix": [[0, 1], [-1, 0]],
                                               "t": 1e5, "samples": 100001}, 2, "json"),
     "conjugation-records-d16": ("conjugation-check", OFFSET, 16, "csv"),
+    "generator-bridge-d64": ("generator", {"family": BRIDGE_DILATION}, 64, "json"),
+    "conjugation-rotated-d128": ("conjugation-check", ROTATED, 128, "json"),
     "evolution-subnormal-span-d2": ("evolution", {"B": "constant", "matrix": [[1e308] * 2] * 2,
                                                   "t": 1e-320, "samples": 2}, 2, "json"),
     "evolution-table-tiny-gap": ("evolution", {"B": "table", "times": [0.0, 1e-320],
@@ -254,7 +262,7 @@ def _scenario_run(workdir: Path, name: str, kind: str, params: dict, dim: int, f
 
 def _runs(workdir: Path):
     """(label, argv, report path) of every run in the set."""
-    for dim in (8, 16, 32, 64, 128):
+    for dim in (8, 16, 32, 48, 64, 128):
         out = workdir / f"verify-all-d{dim}.json"
         yield (f"verify-all-d{dim}",
                ["verify-all", "--dim", str(dim), "--seed", "7", "--out", str(out)], out)

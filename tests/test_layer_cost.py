@@ -42,8 +42,18 @@ def test_wco_prints_each_dim(layer_cost, capsys):
     assert set(out["environment"]) == {"numpy", "blas_threads", "longdouble_nmant"}
     assert list(out["dims"]) == ["2"]
     for row in out["dims"].values():
-        assert set(row) == {"ms_full", "ms_ncols5", "rel_error"}
-        assert row["rel_error"] < 1e-14
+        assert list(row) == ["offset", "diagonal"]
+        for cost in row.values():
+            assert set(cost) == {"ms_full", "ms_ncols5", "rel_error"}
+            assert cost["rel_error"] < 1e-14
+
+
+def test_wco_stack_prints_each_symbol(layer_cost, capsys):
+    assert layer_cost.main(["wco", "--stack", "--dims", "2", "--repeats", "1"]) == 0
+    row = json.loads(capsys.readouterr().out)["dims"]["2"]
+    assert list(row) == ["offset", "diagonal"]
+    for cost in row.values():
+        assert list(cost["us_per_matrix"]) == ["1", "5", "full"]
 
 
 def test_cli_prints_each_part(layer_cost, capsys):

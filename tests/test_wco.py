@@ -1,8 +1,12 @@
 """Matrix construction for psi * (f o phi) operators, checked symbolically."""
 
+import cmath
+import collections
 import functools
 import importlib.util
+import json
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -12,9 +16,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focksym.cli import _KINDS
+from focksym import verification, wco
+from focksym.cli import _KINDS, main
+from focksym.conjugation import ConjugationParams, standard_conjugation
 from focksym.fock import monomial
-from focksym.semigroup import family_eval
+from focksym.semigroup import DilationFamily, family_eval
 from focksym.verification import _LAW_FAMILIES, VerifyConfig
 from focksym.wco import (
     WCOParams,
@@ -383,3 +389,199 @@ OFFSET_ERRORS = {64: 3.18e-15, 128: 4.54e-12}
 def test_offset_symbol_matches_mpmath(dim, binomial_error):
     err, _ = SWEEPS.max_entry_error(SWEEPS.OFFSET_SYMBOL, dim)
     assert err <= 1.05 * OFFSET_ERRORS[dim] < binomial_error / 1000
+
+
+# --- diagonal symbols: one running product -----------------------------------
+
+def _recurrence_matrix(p: WCOParams, dim: int, ncols: int | None = None) -> np.ndarray:
+    """The column recurrence that built every symbol's matrix before diagonal
+    symbols took a running product, kept as the reference they must equal."""
+    m = dim if ncols is None else ncols
+    A, B, C, D = (np.clongdouble(complex(v)) for v in (p.A, p.B, p.C, p.D))
+    out = np.empty((dim, m), dtype=complex)
+    root = np.sqrt(np.arange(dim, dtype=np.longdouble))
+    with np.errstate(over="ignore", invalid="ignore"):
+        col = np.empty(dim, dtype=np.clongdouble)
+        col[0] = C
+        col[1:] = D / root[1:]
+        col = np.cumprod(col)
+        out[:, 0] = col
+        a_root = A * root[1:]
+        for k in range(1, m):
+            nxt = B * col
+            nxt[1:] += a_root * col[:-1]
+            col = nxt / root[k]
+            out[:, k] = col
+    return out
+
+
+def _bits_differing_in_signs_of_zeros(got: np.ndarray, want: np.ndarray) -> int:
+    """Assert equal entries whose parts differ in their bits only where both
+    are zeros of opposite sign; return the number of such parts."""
+    assert np.array_equal(got, want, equal_nan=True)
+    g, w = (np.stack([M.real, M.imag]) for M in (got, want))
+    differ = g.view(np.uint64) != w.view(np.uint64)
+    assert np.all(g[differ] == 0) and np.all(w[differ] == 0)
+    return int(differ.sum())
+
+
+def _diagonal_symbol(rng) -> WCOParams:
+    """(A, 0, C, 0) with A = 0, A = 1 or |A| up to 1.3 at any phase (or on an
+    axis, where the products hold zero parts), and |C| up to 2."""
+    kind = rng.integers(6)
+    r, phase = 1.3 * rng.random(), cmath.exp(2j * math.pi * rng.random())
+    A = (0.0, 1.0, r, 1j * r, r * phase, -phase)[kind]
+    C = (1.0, 1j, 2 * rng.random() * cmath.exp(2j * math.pi * rng.random()))[rng.integers(3)]
+    return WCOParams(A, 0.0, C, 0.0)
+
+
+def _offset_symbol(rng) -> WCOParams:
+    """A symbol with B, D or both nonzero, which keeps the recurrence."""
+    z = lambda scale: scale * complex(*rng.standard_normal(2))
+    B, D = ((z(0.3), z(0.3)), (z(0.3), 0.0), (0.0, z(0.3)))[rng.integers(3)]
+    return WCOParams(z(0.5), B, z(1.0), D)
+
+
+def _size(rng) -> tuple[int, int | None]:
+    dim = int(rng.integers(1, 201))
+    return dim, None if rng.random() < 0.3 else int(rng.integers(1, dim + 1))
+
+
+def test_diagonal_symbols_equal_the_recurrence_but_for_signs_of_zeros():
+    rng = np.random.default_rng(2006)
+    diagonal = signed = 0
+    # single builds
+    for _ in range(200):
+        p, (dim, ncols) = _diagonal_symbol(rng), _size(rng)
+        signed += _bits_differing_in_signs_of_zeros(wco_matrix(p, dim, ncols),
+                                                    _recurrence_matrix(p, dim, ncols))
+        diagonal += 1
+    # stacks of diagonal symbols, and stacks mixed with offset symbols, whose
+    # members keep the recurrence's bits; every member has its single build's
+    for mixed in (False, True) * 30:
+        symbols = [_diagonal_symbol(rng) for _ in range(rng.integers(1, 4))]
+        if mixed:
+            symbols += [_offset_symbol(rng) for _ in range(rng.integers(1, 3))]
+            rng.shuffle(symbols)
+        dim, ncols = _size(rng)
+        for p, M in zip(symbols, wco_matrices(symbols, dim, ncols)):
+            assert np.array_equal(M.view(np.uint64), wco_matrix(p, dim, ncols).view(np.uint64))
+            ref = _recurrence_matrix(p, dim, ncols)
+            if p.B == 0 and p.D == 0:
+                signed += _bits_differing_in_signs_of_zeros(M, ref)
+                diagonal += 1
+            else:
+                assert np.array_equal(M.view(np.uint64), ref.view(np.uint64)), p
+    assert diagonal >= 300 and signed > 0
+
+
+def test_complex_division_by_a_root_is_the_product_with_its_reciprocal():
+    # the recurrence divides by sqrt(k) + 0j, the running product multiplies by
+    # fl(1 / sqrt(k)) + 0j; numpy's complex division (Smith's) scales both
+    # parts by that reciprocal, so the two agree to the bit
+    rng = np.random.default_rng(49)
+    k = np.arange(1, 4001)
+    root = np.sqrt(k.astype(np.longdouble))
+    z = np.empty(k.size, dtype=np.clongdouble)
+    fill = np.sqrt(np.longdouble(3))  # fills the extended mantissa
+    z.real = rng.standard_normal(k.size) * fill * 10.0 ** rng.integers(-300, 300, k.size)
+    z.imag = rng.standard_normal(k.size) * fill * 10.0 ** rng.integers(-300, 300, k.size)
+    quotient = z / root
+    product = z * (1 / root).astype(np.clongdouble)
+    for q, p in ((quotient.real, product.real), (quotient.imag, product.imag)):
+        assert np.array_equal(q, p) and np.array_equal(np.signbit(q), np.signbit(p))
+
+
+def _wco_run(tmp_path, params: dict, dim: int) -> int:
+    scenario = tmp_path / "wco.json"
+    scenario.write_text(json.dumps({"name": "wco", "kind": "wco", "params": params,
+                                    "truncation": {"dim": dim},
+                                    "output": {"path": str(tmp_path / "report.json")}}))
+    return main(["run", str(scenario)])
+
+
+def test_overflowing_diagonal_symbol_warns_nothing_and_stays_non_finite(tmp_path, capsys):
+    # A^k leaves the double range at k = 2 and longdouble's at k = 17
+    p = WCOParams(1e300, 0.0, 1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        M = wco_matrix(p, 32)
+        stack = wco_matrices([p, REFERENCE_SYMBOLS[0]], 32)
+    assert np.isinf(M).any() and np.array_equal(stack[0], M, equal_nan=True)
+    # the wco kind refuses it, naming the symbol's largest entry
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _wco_run(tmp_path, {"A": 1e300}, 32)
+    assert code == 1 and caught == []
+    assert "input error: params.A: " in capsys.readouterr().err
+
+
+# the Laplace group's W(t) = diag(e^{-kt}) and a rotated conjugation, c R_a
+DIAGONAL_SYMBOLS = [
+    *(family_eval(DilationFamily(ell=-1.0, G=0.0, H=0.0, conj=standard_conjugation()), t)
+      for t in (0.1, 1.0, 5.0)),
+    ConjugationParams(cmath.exp(0.7j), 0.0, 1j).to_wco_params(),
+]
+
+
+@pytest.mark.parametrize("dim", [64, 128])
+def test_diagonal_symbols_match_exact_arithmetic(dim):
+    for p in DIAGONAL_SYMBOLS:
+        assert p.B == 0 and p.D == 0
+        ref = _exact_matrix(p, dim)
+        rel = np.max(np.abs(wco_matrix(p, dim) - ref)) / np.max(np.abs(ref))
+        assert rel <= np.finfo(float).eps, (p, rel)
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """(verification group, route, output shape) of each build that
+    ``wco._columns`` makes: a mixed stack makes one recurrence and one
+    running product per diagonal member."""
+    log, group = [], [None]
+    run_group = verification.run_group
+
+    def grouped(name, cfg):
+        group[0] = name
+        return run_group(name, cfg)
+
+    def counting(route, build):
+        def counted(*args):
+            log.append((group[0], route, args[-1].shape))
+            return build(*args)
+        return counted
+
+    monkeypatch.setattr(verification, "run_group", grouped)
+    monkeypatch.setattr(wco, "_diagonal", counting("product", wco._diagonal))
+    monkeypatch.setattr(wco, "_recurrence", counting("recurrence", wco._recurrence))
+    return log
+
+
+# by group, the shapes that verify-all --dim 64 builds as a running product:
+# the three conjugation.*.b0 matrices, the six stone conjugation matrices at
+# dim + 1, the Laplace group's growth pass (65 times, e_0..e_4) and its 56
+# panel stacks; and, rebuilt in place as members of mixed stacks, the
+# boundedness set's (1.2, 0, 1, 0) and W(0) = I of the growth group's five
+# grids and of the Laplace group's refused family
+DIAGONAL_BUILDS_AT_64 = {
+    "conjugation": {(64, 64): 3},
+    "boundedness": {(64, 64): 1},
+    "stone-symmetry": {(65, 65): 6},
+    "growth": {(64, 1): 5},
+    "laplace": {(65, 64, 5): 1, (10, 64, 5): 56, (64, 1): 1},
+}
+
+
+def test_verify_all_builds_its_diagonal_matrices_as_running_products(routes, tmp_path):
+    assert main(["verify-all", "--dim", "64", "--out", str(tmp_path / "r.json")]) == 0
+    groups = {name for name, _, _ in routes}
+    assert set(DIAGONAL_BUILDS_AT_64) <= groups
+    for name in groups:
+        product = collections.Counter(shape for g, route, shape in routes
+                                      if g == name and route == "product")
+        assert product == DIAGONAL_BUILDS_AT_64.get(name, {}), name
+
+
+def test_diagonal_wco_run_builds_a_running_product(routes, tmp_path):
+    assert _wco_run(tmp_path, {"A": [0.6, 0.3], "C": [0.0, 1.0]}, 32) == 0
+    assert routes == [(None, "product", (32, 32))]
