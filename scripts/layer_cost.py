@@ -268,7 +268,7 @@ def stack_costs(p: WCOParams, dim: int, repeats: int) -> dict:
     for label, ncols in (("1", 1), ("5", min(5, dim)), ("full", None)):
         row = {"alone": wco_ms(lambda: wco_matrix(p, dim, ncols), repeats) * 1e3}
         for size in STACK_SIZES:
-            symbols = [p] * size
+            symbols = WCOParams(*(np.full(size, complex(getattr(p, k))) for k in "ABCD"))
             row[str(size)] = wco_ms(lambda: wco_matrices(symbols, dim, ncols), repeats) * 1e3 / size
         out[label] = {k: round(v, 2) for k, v in row.items()}
     return out
@@ -926,20 +926,24 @@ def bridge_routes(fam, dim: int, repeats: int) -> dict[str, tuple[float, float]]
 def boundary_family(variant: str, dim: int):
     """The translation (E, 0) or dilation (-ell, 0.5, 0) of the standard
     conjugation with the largest size up to 10 whose plan is at most
-    :func:`bridge_limit`: the dearest input of the Taylor route.  A size of
-    10 is the search's cap, inside the rule: at dim 512 the dense
-    exponential of a translation of size 30 leaves the double range."""
+    :func:`bridge_limit`, the dearest input of the Taylor route, and whether
+    the search was capped: a size of 10 is the search's cap, since at dim 512
+    the dense exponential of a translation of size 30 leaves the double
+    range, and where size 10 is inside the rule (from dim 192 for the
+    translation, 512 for the dilation) the family is the cap, not the edge."""
     make = {"translation": lambda x: TranslationFamily(E=x, F=0.0, conj=standard_conjugation()),
             "dilation": lambda x: DilationFamily(ell=-x, G=0.5, H=0.0,
                                                  conj=standard_conjugation())}[variant]
     lo, hi = 1e-6, 10.0
+    if bridge_products(make(hi), dim) <= bridge_limit(dim):
+        return make(hi), True
     for _ in range(50):  # bisection in log(size)
         mid = math.sqrt(lo * hi)
         if bridge_products(make(mid), dim) <= bridge_limit(dim):
             lo = mid
         else:
             hi = mid
-    return make(lo)
+    return make(lo), False
 
 
 def bridge_costs(args) -> int:
@@ -959,7 +963,9 @@ def bridge_costs(args) -> int:
 
     A second table, after a blank line, times the rule's boundary: at each
     dim, the translation and the dilation of :func:`boundary_family`, with
-    the ratio of the Taylor route's ms to the dense route's.
+    the ratio of the Taylor route's ms to the dense route's, and ``edge``
+    where the family is the rule's edge or ``capped`` where the search's
+    cap lies inside the rule.
     """
     print(environment_line())
     print(f"ACTION_PRODUCTS_PER_DIM_SQUARED {generator.ACTION_PRODUCTS_PER_DIM_SQUARED:g}")
@@ -975,15 +981,16 @@ def bridge_costs(args) -> int:
                   f"{row['taylor'][0]:>9.3f}  {row['dense'][0]:>9.3f}  {even:>6.3f}  "
                   f"{row['taylor'][1]:>10.2e}  {row['dense'][1]:>9.2e}", flush=True)
     print(f"\n{'boundary':>8}  {'family':<11}  {'size':>8}  {'products':>8}  {'taylor_ms':>9}  "
-          f"{'dense_ms':>9}  {'ratio':>5}")
+          f"{'dense_ms':>9}  {'ratio':>5}  at")
     for dim in args.dims:
         for variant in ("translation", "dilation"):
-            fam = boundary_family(variant, dim)
+            fam, capped = boundary_family(variant, dim)
             row = bridge_routes(fam, dim, args.repeats)
             size = abs(fam.E if variant == "translation" else fam.ell)
             print(f"{dim:>8}  {variant:<11}  {size:>8.3g}  {bridge_products(fam, dim):>8}  "
                   f"{row['taylor'][0]:>9.3f}  {row['dense'][0]:>9.3f}  "
-                  f"{row['taylor'][0] / row['dense'][0]:>5.2f}", flush=True)
+                  f"{row['taylor'][0] / row['dense'][0]:>5.2f}  "
+                  f"{'capped' if capped else 'edge'}", flush=True)
     return 0
 
 

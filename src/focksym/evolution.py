@@ -19,8 +19,8 @@ controlled per unit step so that the accumulated error over a path of modest
 length stays at the order of the requested relative tolerance.  Each step's h
 is first rounded to fl(x + h) - x, the step that its time x takes in floats,
 so a span integrates exactly its length however far from 0 it lies; a span
-whose error budget rel_tol |t - s| is subnormal takes I + (t - s) B(s) and
-no step (``_FIRST_ORDER``).
+whose error budget rel_tol |t - s| is subnormal takes I + (t - s) B(s), or
+past ``_FIRST_ORDER`` the exponential of (t - s) B(s), and no step.
 
 The pair is first same as last (FSAL): row 7 of the coupling equals the
 fifth-order weights, so stage 7's argument is the new solution U5, and an
@@ -83,6 +83,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conjugation import check_involution, check_matrix_c_symmetry
+from .generator import matrix_exponential
 
 __all__ = [
     "IntegratorStats",
@@ -187,7 +188,11 @@ def _stage_views(K: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
 # the 50-digit exponential, I + L B(0) erred by at most 1e-32 for L from
 # 1e-16 to 1e-321 on a constant and a cosine two-level model.  The norm test
 # alone is not enough: it takes U = I for a coefficient that vanishes at a,
-# and max(-800, 1600 (t - 1.5)) over (1.5, 2.5) grows by e^800.
+# and max(-800, 1600 (t - 1.5)) over (1.5, 2.5) grows by e^800.  Past
+# _FIRST_ORDER such a span takes the Pade exponential of (b - a) B(a), which
+# is U to rounding while B stays put over the span: the constant [[1e300]]
+# over (0, 1e-305) takes e^{1e-5}, where the step loop's steps fell below
+# their floor.
 _FIRST_ORDER = 2.0 ** -26
 
 # The stages of one batch take at most this many bytes (or one span).  The
@@ -211,9 +216,11 @@ def _integrate_spans(
     arithmetic of a span integrated alone, so each result is the same to
     the bit whatever the batch.  If a span fails, the error raised is that
     of the first failing span in the order given, the StiffnessError or
-    OverflowError a loop over the spans would raise.  The spans' ends and
-    statistics are arrays, and each batch's step controller is arrays over
-    its spans (:func:`_integrate_batch`).
+    OverflowError a loop over the spans would raise; but the exponentials of
+    subnormal budgets are taken first, so an OverflowError of one of them
+    is raised before any step.  The spans' ends and statistics are arrays,
+    and each batch's step controller is arrays over its spans
+    (:func:`_integrate_batch`).
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
@@ -225,15 +232,20 @@ def _integrate_spans(
     ends = np.array(spans, dtype=float).reshape(-1, 2)
     length = ends[:, 1] - ends[:, 0]
     # a span whose error budget is subnormal takes no step: U = I + (b - a) B(a)
-    # where ||(b - a) B(a)||_1 is below _FIRST_ORDER; a product that
-    # overflows (inf, or nan) is not below
-    first_order = (length != 0) & (rel_tol * abs(length) < _NORMAL)
+    # where ||(b - a) B(a)||_1 is below _FIRST_ORDER, else e^{(b - a) B(a)},
+    # whose inf raises OverflowError; a product that overflows (inf, or nan)
+    # takes the step loop
+    loop = length != 0
+    subnormal = np.flatnonzero(loop & (rel_tol * abs(length) < _NORMAL))
     with np.errstate(over="ignore", invalid="ignore"):
-        step = length[first_order, None, None] * B_t0[first_order]
-        small = np.abs(step).sum(axis=-2).max(axis=-1) < _FIRST_ORDER
-    first_order[first_order] = small
-    mats[first_order] += step[small]
-    moving = np.flatnonzero((length != 0) & ~first_order)
+        step = length[subnormal, None, None] * B_t0[subnormal]
+        norm = np.abs(step).sum(axis=-2).max(axis=-1)
+        small, past = norm < _FIRST_ORDER, np.isfinite(norm) & (norm >= _FIRST_ORDER)
+        mats[subnormal[small]] += step[small]
+        for i, S in zip(subnormal[past].tolist(), step[past]):
+            mats[i] = matrix_exponential(S)
+    loop[subnormal[small | past]] = False
+    moving = np.flatnonzero(loop)
     B_0 = B_t0[moving]  # a copy: no value outlives its call
     size = max(1, _BATCH_BYTES // (7 * 16 * dim ** 2))
     for i in range(0, len(moving), size):

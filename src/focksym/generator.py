@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -108,8 +108,7 @@ def generator_fd_fits(fam: SemigroupFamily, degrees: Sequence[int],
     Z = np.eye(dim, m) * scale  # z^k, k < m
     target = generator_matrix(fam, dim)[:, :m] * scale
     errs = np.empty((2, len(FD_STEPS), m))
-    steps = wco_matrices([fam.symbols(sign * h) for h in FD_STEPS for sign in (1, -1)],
-                         dim, m)
+    steps = wco_matrices(fam.symbols(np.ravel([(h, -h) for h in FD_STEPS])), dim, m)
     for i, (h, fwd, bwd) in enumerate(zip(FD_STEPS, steps[0::2] * scale, steps[1::2] * scale)):
         for q, quotient in enumerate(((fwd - Z) / h, (fwd - bwd) / (2 * h))):
             errs[q, i] = np.linalg.norm(quotient - target, axis=0)
@@ -269,12 +268,14 @@ def certify_divergence(
     log_terms: np.ndarray,
     n_sequence: Sequence[int],
     threshold: float = 10.0,
+    eta: complex | None = None,
 ) -> DivergenceCertificate:
     """Divergence certificate from log t_k, k < len(log_terms).
 
     Needs ``2 max(n_sequence) + 2`` terms: partial norms run to 2N and the
     last Raabe window compares the pair ending at term 2N - 1 with the next.
-    ``eta`` of the result is None; see check_empty_point_spectrum.
+    ``eta`` is the candidate eigenvalue the terms belong to, kept in the
+    result (None: terms of no candidate; see check_empty_point_spectrum).
     """
     n_values = tuple(int(n) for n in n_sequence)
     if not n_values or any(n < 2 for n in n_values):
@@ -303,7 +304,7 @@ def certify_divergence(
     else:
         branch = "none"
     return DivergenceCertificate(
-        eta=None,
+        eta=None if eta is None else complex(eta),
         n_values=n_values,
         partial_norms=partial,
         ratios=ratios,
@@ -359,8 +360,7 @@ def check_empty_point_spectrum(
     if not isinstance(fam, TranslationFamily):
         raise ValueError("the certificate applies to the translation family")
     n_top = 2 * max(int(n) for n in n_sequence) + 2
-    cert = certify_divergence(candidate_log_terms(fam, eta, n_top), n_sequence, threshold)
-    return replace(cert, eta=complex(eta))
+    return certify_divergence(candidate_log_terms(fam, eta, n_top), n_sequence, threshold, eta)
 
 
 def dissipativity_margin(M: np.ndarray) -> float:

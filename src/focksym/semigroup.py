@@ -27,7 +27,7 @@ import numpy as np
 
 from .conjugation import ConjugationParams
 from .serialize import complex_to_json
-from .wco import WCOParams, wco_matrices, wco_matrix
+from .wco import WCOParams, wco_matrices
 
 __all__ = [
     "TranslationFamily",
@@ -63,7 +63,9 @@ class _Family:
 
     ``variant`` is the family's name in reports; ``symbols(t)`` is
     (A, B, C, D)(t) for any real t (the semigroup embeds in a group;
-    negative times serve central finite differences); ``generator_symbol``
+    negative times serve central finite differences), or for a 1-D array of
+    times their stack (see :class:`WCOParams`), each member equal to the
+    symbols of its time alone, bit for bit; ``generator_symbol``
     is the affine (a, b, c, d) of the generator
     B f = a z f' + b f' + (c + d z) f; ``bounded`` is the uniform
     boundedness of the whole family (every t > 0), each relation read as
@@ -100,12 +102,13 @@ class TranslationFamily(_Family):
         if self.E == 0:
             raise ValueError("translation family requires E != 0")
 
-    def symbols(self, t: float) -> WCOParams:
+    def symbols(self, t: float | np.ndarray) -> WCOParams:
         a = self.conj.a
         return WCOParams(
             A=1.0,
             B=self.E * t,
-            C=np.exp(self.F * t + a * self.E**2 * t**2 / 2),
+            # t * t, not t**2: Python's float power and numpy's square differ
+            C=np.exp(self.F * t + a * self.E**2 * (t * t) / 2),
             D=a * self.E * t,
         )
 
@@ -152,7 +155,7 @@ class DilationFamily(_Family):
     def beta(self) -> complex:
         return self.conj.a * self.G + self.conj.b
 
-    def symbols(self, t: float) -> WCOParams:
+    def symbols(self, t: float | np.ndarray) -> WCOParams:
         beta = self.beta
         eat = np.exp(self.ell * t)
         return WCOParams(
@@ -184,43 +187,41 @@ class DilationFamily(_Family):
 SemigroupFamily = Union[TranslationFamily, DilationFamily]
 
 
-def family_eval(fam: SemigroupFamily, t: float) -> WCOParams:
-    """Symbol data (A, B, C, D)(t) for t >= 0; t = 0 gives the identity (1, 0, 1, 0)."""
-    if t < 0:
-        raise ValueError(f"family parameter t must be >= 0, got {t}")
+def family_eval(fam: SemigroupFamily, t: float | np.ndarray) -> WCOParams:
+    """Symbol data (A, B, C, D)(t) for t >= 0, or their stack for a 1-D array
+    of such t; t = 0 gives the identity (1, 0, 1, 0)."""
+    if np.less(t, 0).any():
+        raise ValueError(f"family parameter t must be >= 0, got {np.min(t)}")
     return fam.symbols(t)
 
 
-def _flow(p: WCOParams, z: complex) -> complex:
-    # zeta_t(z) = conj(A(t)) z + conj(B(t)) evaluated through the conjugated
-    # symbols; equivalently the composition symbol of the antilinear picture.
-    return p.A * z + p.B
-
-
-def _cocycle(p: WCOParams, z: complex) -> complex:
-    return p.C * np.exp(p.D * z)
-
-
-def check_flow_cocycle(fam: SemigroupFamily, t: float, s: float) -> tuple[float, float]:
+def check_flow_cocycle(fam: SemigroupFamily, t: float | np.ndarray,
+                       s: float | np.ndarray) -> tuple[float, float]:
     """(semiflow, semicocycle) residuals of the family at (t, s), z in Z_SAMPLES.
 
-    Semiflow: max_z |zeta_{t+s}(z) - zeta_t(zeta_s(z))|.  Semicocycle: max_z
-    of the relative deviation of xi_{t+s}(z) from xi_t(z) xi_s(zeta_t(z));
+    Semiflow: max_z |zeta_{t+s}(z) - zeta_t(zeta_s(z))| with
+    zeta_t(z) = A(t) z + B(t).  Semicocycle: max_z of the relative deviation
+    of xi_{t+s}(z) from xi_t(z) xi_s(zeta_t(z)) with xi_t(z) = C(t) e^{D(t) z};
     equivalently C(t+s) = C(t) C(s) exp(B(t) D(s)) and
-    D(t+s) = D(t) + A(t) D(s).  The symbols are evaluated once each, at
-    t + s, s and t in turn.
+    D(t+s) = D(t) + A(t) D(s).  t and s may be 1-D arrays of equal length,
+    read as the pairs (t[i], s[i]); the residuals are then the worst over
+    the pairs.  The symbols at every t + s, s and t are one stack, and each
+    law is one array expression over the pairs and the sample points.
     """
-    p_sum, p_s, p_t = (fam.symbols(tau) for tau in (t + s, s, t))
-    flow = cocycle = 0.0
-    for z in Z_SAMPLES:
-        flow = max(flow, abs(_flow(p_sum, z) - _flow(p_t, _flow(p_s, z))))
-        lhs = _cocycle(p_sum, z)
-        rhs = _cocycle(p_t, z) * _cocycle(p_s, _flow(p_t, z))
-        denom = abs(lhs)
-        if denom == 0:
-            raise ZeroDivisionError("cocycle vanished at a sample point")
-        cocycle = max(cocycle, abs(lhs - rhs) / denom)
-    return flow, cocycle
+    t, s = np.broadcast_arrays(np.atleast_1d(np.asarray(t, dtype=float)),
+                               np.asarray(s, dtype=float))
+    p = fam.symbols(np.concatenate((t + s, s, t)))
+    A, B, C, D = (np.broadcast_to(v, 3 * t.size).reshape(3, -1, 1) for v in
+                  (p.A, p.B, p.C, p.D))
+    z = np.array(Z_SAMPLES)
+    flow = A * z + B  # zeta at t + s, s and t, each at every z
+    composed = A[2] * flow[1] + B[2]  # zeta_t(zeta_s(z))
+    lhs = C[0] * np.exp(D[0] * z)
+    rhs = C[2] * np.exp(D[2] * z) * (C[1] * np.exp(D[1] * flow[2]))
+    denom = abs(lhs)
+    if not denom.all():
+        raise ZeroDivisionError("cocycle vanished at a sample point")
+    return float(np.max(abs(flow[0] - composed))), float(np.max(abs(lhs - rhs) / denom))
 
 
 class QuadratureError(RuntimeError):
@@ -358,9 +359,10 @@ def semigroup_matrix(
 ) -> np.ndarray:
     """Truncated matrix of the family member at time t (normalized basis).
 
-    ``ncols`` keeps only the leading columns, as in :func:`wco_matrix`.
+    ``ncols`` keeps only the leading columns, as in :func:`wco_matrix`.  The
+    matrix is the stack of one of :func:`semigroup_matrices`.
     """
-    return wco_matrix(family_eval(fam, t), dim, ncols)
+    return semigroup_matrices(fam, (t,), dim, ncols)[0]
 
 
 def semigroup_matrices(
@@ -368,15 +370,16 @@ def semigroup_matrices(
 ) -> np.ndarray:
     """The members at several times as one stack, shape (len(times), dim, ncols).
 
-    Each equals its :func:`semigroup_matrix` bit for bit; the symbols are
-    evaluated in the order of ``times`` and built by :func:`wco_matrices`.
+    The symbols at all the times are one evaluation, built by
+    :func:`wco_matrices`; a single member is :func:`semigroup_matrix`.
     """
-    return wco_matrices([family_eval(fam, float(t)) for t in times], dim, ncols)
+    return wco_matrices(family_eval(fam, np.asarray(times, dtype=float)), dim, ncols)
 
 
-def _support_size(vec: np.ndarray) -> int:
-    """Number of leading coefficients that hold every nonzero entry (>= 1)."""
-    nz = np.flatnonzero(vec)
+def _support_size(X: np.ndarray) -> int:
+    """Number of leading rows of the vector or (dim, n) block X that hold
+    every nonzero entry (>= 1)."""
+    nz = np.flatnonzero(X.reshape(len(X), -1).any(axis=1))
     return int(nz[-1]) + 1 if nz.size else 1
 
 
@@ -435,21 +438,19 @@ _SUP_ROUNDING = 8 * np.finfo(float).eps
 def growth_values(fam: SemigroupFamily, X: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """||W(t) x|| along t_grid for each column x of the (dim, n) block X.
 
-    W(t) is built once per time at the widest support, the grid as one stack;
-    each x is applied to its own leading columns.  A norm that overflows reads
-    inf, silently: past the double range W(t) holds inf, and inf * 0 in the
+    W(t) is built on the block's support, the leading m columns that hold
+    every nonzero row of X, the grid as one stack, and applied to X[:m] in
+    one product, formed as the rows (W(t) x)^T: each norm then sums one
+    contiguous row, as it does for x alone, so a vector's curve is the same
+    in any block where its product is.  A norm that overflows reads inf,
+    silently: past the double range W(t) holds inf, and inf * 0 in the
     product gives nan.
     """
-    vecs = list(X.T)
-    supports = [_support_size(v) for v in vecs]
-    vals = np.empty((t_grid.size, len(vecs)))
+    m = _support_size(X)
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = semigroup_matrices(fam, t_grid, X.shape[0], max(supports))
-        for i, W in enumerate(stack):
-            for j, (v, m) in enumerate(zip(vecs, supports)):
-                nrm = np.linalg.norm(W[:, :m] @ v[:m])
-                vals[i, j] = nrm if np.isfinite(nrm) else np.inf
-    return vals
+        stack = semigroup_matrices(fam, t_grid, X.shape[0], m)
+        vals = np.linalg.norm(X[:m].T @ stack.transpose(0, 2, 1), axis=-1)
+    return np.where(np.isfinite(vals), vals, np.inf)
 
 
 def growth_report(norms: np.ndarray, omega: float) -> GrowthReport:
@@ -524,7 +525,7 @@ def laplace_resolvent(
             )
         bound = max(report.sup, 1e-30)
         T = max(T, math.log(bound / _LAPLACE_TOL) / (lam.real - omega))
-    (dim, n), m = X.shape, max(_support_size(x) for x in X.T)
+    (dim, n), m = X.shape, _support_size(X)
     lead = X[:m]
 
     def integrand(ts: np.ndarray) -> np.ndarray:

@@ -29,20 +29,23 @@ equal, and a zero entry may differ only in its sign.  A full build costs
 0.023 against 0.39 ms at dim 64 and 0.71 against 38.6 ms at dim 768
 (``BENCH_diagonal.json``).
 
-``wco_matrices`` builds a stack of matrices, one per symbol, through the same
-recurrence run once for the whole stack: the symbol axis is last, each column
-step is one numpy operation for every symbol, and each matrix equals its own
-``wco_matrix`` bit for bit.  A sweep over a family's times thus pays numpy's
-per-call cost once per stack, which is most of a small build's cost, instead
-of once per matrix.  A stack of diagonal symbols takes one running product
-for all of them; a stack that mixes both kinds runs the recurrence for all its
-members and then rebuilds each diagonal member in place.
+A stack of symbols is one ``WCOParams`` whose fields are 1-D arrays, one
+entry per member; a scalar field is shared by every member.
+``wco_matrices`` builds a stack of matrices, one per member, through the same
+recurrence run once for the whole stack: the symbol axis is last and each
+column step is one numpy operation for every member, so a sweep over a
+family's times pays numpy's per-call cost once per stack, which is most of a
+small build's cost, instead of once per matrix.  ``wco_matrix`` is a stack of
+one, so each member of a stack equals its own single build bit for bit.  A
+stack of diagonal symbols takes one running product for all of them; a stack
+that mixes both kinds runs the recurrence for all its members and then
+rebuilds each diagonal member in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,22 +66,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WCOParams:
-    """Symbol data (A, B, C, D) for psi(z) = C exp(Dz), phi(z) = A z + B."""
+    """Symbol data (A, B, C, D) for psi(z) = C exp(Dz), phi(z) = A z + B.
 
-    A: complex
-    B: complex
-    C: complex
-    D: complex
+    The fields may be 1-D arrays of equal length: the data is then a stack of
+    symbols, one per entry, and a scalar field is shared by every member
+    (see :func:`wco_matrices`).  ``to_json`` and the other functions of
+    this module take one symbol, with scalar fields.
+    """
+
+    A: complex | np.ndarray
+    B: complex | np.ndarray
+    C: complex | np.ndarray
+    D: complex | np.ndarray
 
     def to_json(self) -> dict:
         return {k: complex_to_json(getattr(self, k)) for k in "ABCD"}
 
 
 def _columns(A, B, C, D, out: np.ndarray) -> None:
-    """Write the leading columns of the symbols' matrices into out, (dim, m) or (S, dim, m).
+    """Write the leading columns of the symbols' matrices into out, (S, dim, m).
 
-    A..D are ``np.clongdouble``: 0-d for one symbol, or (S,) for a stack.  A
-    symbol with B = D = 0 and finite A and C is the diagonal operator C R_A
+    A..D are the (S,) ``np.clongdouble`` fields of the stack.  A symbol with B = D = 0 and finite A and C is the diagonal operator C R_A
     and takes :func:`_diagonal`; every other symbol takes :func:`_recurrence`.
     A stack that mixes the two runs the recurrence for all its members, then
     rebuilds each diagonal member in place, so each member's columns are
@@ -92,7 +100,7 @@ def _columns(A, B, C, D, out: np.ndarray) -> None:
     _recurrence(A, B, C, D, out)
     if diagonal.any():  # a mixed stack
         for i in np.flatnonzero(diagonal):
-            _diagonal(A[i], C[i], out[i])
+            _diagonal(A[i:i + 1], C[i:i + 1], out[i:i + 1])
 
 
 def _recurrence(A, B, C, D, out: np.ndarray) -> None:
@@ -104,12 +112,12 @@ def _recurrence(A, B, C, D, out: np.ndarray) -> None:
     for bit.  Each column is rounded to complex128 as it is written.
     """
     dim, m = out.shape[-2:]
-    cols = out.T  # cols[k] is column k, (dim,) + A.shape
-    root = np.sqrt(np.arange(dim, dtype=np.longdouble)).reshape((dim,) + (1,) * A.ndim)
+    cols = out.T  # cols[k] is column k, (dim, S)
+    root = np.sqrt(np.arange(dim, dtype=np.longdouble))[:, None]
     # entries past the double range come back inf (or nan past longdouble's)
     with np.errstate(over="ignore", invalid="ignore"):
         # column 0: C D^n / sqrt(n!), a running product of D / sqrt(n)
-        col = np.empty((dim,) + A.shape, dtype=np.clongdouble)
+        col = np.empty((dim, len(A)), dtype=np.clongdouble)
         col[0] = C
         col[1:] = D / root[1:]
         col = np.cumprod(col, axis=0)
@@ -135,8 +143,8 @@ def _diagonal(A, C, out: np.ndarray) -> None:
     :func:`_columns`.
     """
     m = out.shape[-1]
-    root = np.sqrt(np.arange(1, m, dtype=np.longdouble)).reshape((m - 1,) + (1,) * A.ndim)
-    factors = np.empty((2 * m - 1,) + A.shape, dtype=np.clongdouble)
+    root = np.sqrt(np.arange(1, m, dtype=np.longdouble))[:, None]
+    factors = np.empty((2 * m - 1, len(A)), dtype=np.clongdouble)
     factors[0] = C
     factors[1::2] = A * root
     factors[2::2] = 1 / root
@@ -162,30 +170,29 @@ def wco_matrix(p: WCOParams, dim: int, ncols: int | None = None) -> np.ndarray:
     ``ncols`` keeps only the leading columns (default: all ``dim``); each kept
     column equals the same column of the full matrix bit for bit, so a vector
     supported on its first m coefficients needs only ``ncols=m`` to be applied.
+    The matrix is the stack of one of :func:`wco_matrices`.
     """
-    m = _leading(dim, ncols)
-    A, B, C, D = (np.clongdouble(complex(v)) for v in (p.A, p.B, p.C, p.D))
-    out = np.empty((dim, m), dtype=complex)
-    _columns(A, B, C, D, out)
+    (out,) = wco_matrices(p, dim, ncols)
     return out
 
 
-def wco_matrices(symbols: Sequence[WCOParams], dim: int,
-                 ncols: int | None = None) -> np.ndarray:
-    """The matrices of several symbols at once, shape (len(symbols), dim, ncols).
+def wco_matrices(symbols: WCOParams, dim: int, ncols: int | None = None) -> np.ndarray:
+    """The matrices of a stack of symbols, shape (S, dim, ncols).
 
-    Each equals ``wco_matrix(p, dim, ncols)`` bit for bit.  A stack of
-    symbols with B = D = 0 and finite A and C takes one running product for
-    all of them, whose entries equal the recurrence's but for the signs of
-    zeros.  Any other stack runs through the column recurrence together, so
-    its working memory beside the result is a few extended-precision columns
-    for each symbol, and then rebuilds its diagonal members in place.
+    ``symbols`` holds S members as 1-D fields of length S, a scalar field
+    shared by all (all scalars: S = 1); they are cast to ``np.clongdouble``
+    together.  A stack of symbols with B = D = 0 and finite A and C takes one
+    running product for all of them, whose entries equal the recurrence's but
+    for the signs of zeros.  Any other stack runs through the column
+    recurrence together, so its working memory beside the result is a few
+    extended-precision columns for each symbol, and then rebuilds its
+    diagonal members in place.
     """
     m = _leading(dim, ncols)
-    out = np.empty((len(symbols), dim, m), dtype=complex)
-    stack = np.array([[complex(p.A), complex(p.B), complex(p.C), complex(p.D)]
-                      for p in symbols], dtype=np.clongdouble).reshape(-1, 4)
-    _columns(*stack.T, out)
+    fields = np.broadcast_arrays(symbols.A, symbols.B, symbols.C, symbols.D)
+    stack = np.array(fields, dtype=np.clongdouble).reshape(4, -1)
+    out = np.empty((stack.shape[1], dim, m), dtype=complex)
+    _columns(*stack, out)
     return out
 
 

@@ -820,27 +820,21 @@ def test_suite_minimum_dim(tmp_path, capsys, route, dim):
 @pytest.fixture
 def work(monkeypatch):
     """Spans handed to the propagator kernel; matrices assembled, one per
-    wco_matrix call and one per member of a wco_matrices stack, and the calls
-    of the two assembly entry points; calls of the two-level coefficients with
-    the times they were evaluated at; counted at every module that binds them."""
+    member of a wco_matrices stack (a wco_matrix call is a stack of one), and
+    the calls of wco_matrices; calls of the two-level coefficients with the
+    times they were evaluated at; counted at every module that binds them."""
     counts = {"spans": 0, "matrices": 0, "assemblies": 0, "B_calls": 0, "B_times": 0}
     integrate_spans, bagchi = evolution._integrate_spans, evolution.bagchi_hamiltonian
-    wco_matrix, wco_matrices = wco.wco_matrix, wco.wco_matrices
+    wco_matrices = wco.wco_matrices
 
     def counting_spans(B, spans, rel_tol):
         counts["spans"] += len(spans)
         return integrate_spans(B, spans, rel_tol)
 
-    def counting_matrix(*args, **kwargs):
-        counts["matrices"] += 1
+    def counting_stack(symbols, *args, **kwargs):
+        counts["matrices"] += np.broadcast(symbols.A, symbols.B, symbols.C, symbols.D).size
         counts["assemblies"] += 1
-        return wco_matrix(*args, **kwargs)
-
-    def counting_stack(*args, **kwargs):
-        stack = wco_matrices(*args, **kwargs)
-        counts["matrices"] += len(stack)
-        counts["assemblies"] += 1
-        return stack
+        return wco_matrices(symbols, *args, **kwargs)
 
     def counting_coefficient(*args, **kwargs):
         B = bagchi(*args, **kwargs)
@@ -854,7 +848,6 @@ def work(monkeypatch):
 
     modules = (wco, conjugation, evolution, generator, semigroup, verification, cli)
     for name, original, counting in (("_integrate_spans", integrate_spans, counting_spans),
-                                     ("wco_matrix", wco_matrix, counting_matrix),
                                      ("wco_matrices", wco_matrices, counting_stack),
                                      ("bagchi_hamiltonian", bagchi, counting_coefficient)):
         for mod in modules:

@@ -206,11 +206,16 @@ def test_a_large_norm_over_a_subnormal_budget_takes_no_step(entry, L):
     assert U[0, 0] == 1 + L * entry
 
 
-def test_a_subnormal_budget_past_the_first_order_rule_still_fails():
-    # |b - a| ||B|| = 1e-5 is past 2^-26, and the step loop cannot control an
-    # error below the subnormal budget: still open
-    with pytest.raises(StiffnessError, match="fell below its floor"):
-        _integrate(_constant([[1e300]]), 0.0, 1e-305, 1e-10)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_subnormal_budget_past_the_first_order_rule_takes_the_exponential():
+    # |b - a| ||B|| = 1e-5 is past 2^-26, where the step loop cannot control an
+    # error below the subnormal budget: U is e^{1e-5} to rounding, and no step
+    U, stats = _integrate(_constant([[1e300]]), 0.0, 1e-305, 1e-10)
+    assert stats == IntegratorStats(0, 0)
+    assert abs(U[0, 0] - math.exp(1e-5)) <= 2 * np.finfo(float).eps
+    # past the double range the exponential raises, before any step
+    with pytest.raises(OverflowError, match=r"exp\(t M\) .* leaves the double range"):
+        _integrate_spans(_constant([[1e308]]), [(0.0, 1.0), (0.0, 1e-298)], 1e-11)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

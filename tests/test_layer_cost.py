@@ -145,3 +145,15 @@ def test_bridge_prints_each_family_at_each_dim(layer_cost, capsys):
     assert [row[:2] for row in boundary] == [["16", "translation"], ["16", "dilation"]]
     limit = layer_cost.bridge_limit(16)
     assert all(limit - 5 < int(row[3]) <= limit for row in boundary)
+    assert all(row[-1] == "edge" for row in boundary)
+
+
+def test_bridge_marks_a_boundary_row_the_search_capped(layer_cost, capsys):
+    # from dim 192 the translation of size 10, the search's cap, is inside the
+    # rule: its row times an input inside the rule, not at its edge
+    assert layer_cost.main(["bridge", "--dims", "192", "--repeats", "1"]) == 0
+    translation, dilation = _rows(capsys.readouterr().out, "boundary")
+    limit = layer_cost.bridge_limit(192)
+    assert translation[1:3] == ["translation", "10"] and translation[-1] == "capped"
+    assert int(translation[3]) < limit
+    assert dilation[-1] == "edge" and int(dilation[3]) <= limit

@@ -20,20 +20,24 @@ from focksym.semigroup import (
     check_flow_cocycle,
     check_semigroup_law,
     family_eval,
+    growth_values,
     laplace_resolvent,
     n_omega_estimate,
     norm_w_one_closed_form,
+    semigroup_matrices,
     semigroup_matrix,
     solve_scaling_equation,
 )
 from focksym import conjugation, generator, semigroup
 from focksym.cli import ScenarioError, _family_from
 from focksym.generator import (
+    FD_STEPS,
     check_generator_fd,
     check_stone_adjoint_relation,
     generator_matrix,
 )
 from focksym.rng import complex_normal_vectors
+from focksym import verification as V
 from focksym.verification import (
     VerifyConfig,
     _STONE_FAMILIES,
@@ -136,7 +140,15 @@ def test_flow_cocycle_evaluates_each_time_once(monkeypatch):
 
     monkeypatch.setattr(DilationFamily, "symbols", recording)
     check_flow_cocycle(fam, 0.25, 0.5)
-    assert times == [0.75, 0.5, 0.25]
+    # one evaluation: t + s, s and t as one stack
+    assert [list(ts) for ts in times] == [[0.75, 0.5, 0.25]]
+
+
+def test_flow_cocycle_over_pairs_is_the_worst_pair():
+    fam = DilationFamily(ell=-0.7 + 0.2j, G=0.9, H=0.1j, conj=OFFSET)
+    t, s = np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5), indexing="ij")
+    alone = [check_flow_cocycle(fam, a, b) for a, b in zip(t.ravel().tolist(), s.ravel().tolist())]
+    assert check_flow_cocycle(fam, t.ravel(), s.ravel()) == tuple(map(max, zip(*alone)))
 
 
 def test_identity_at_time_zero():
@@ -160,6 +172,48 @@ def test_semigroup_matrix_is_the_symbol_matrix():
     np.testing.assert_array_equal(
         semigroup_matrix(fam, t, 20), wco_matrix(family_eval(fam, t), 20)
     )
+
+
+# every family of the verification suite, and the times it evaluates them at:
+# the growth grid, the law times and their sums, the flow grid and its sums,
+# the finite-difference steps and their negatives, and 2000 seeded times
+SUITE_FAMILIES = (V._FLOW_FAMILIES + V._LAW_FAMILIES + V._GEN_FAMILIES + V._STONE_FAMILIES
+                  + V._SCALING_FAMILIES + (TranslationFamily(E=0.5 + 0.5j, F=0.1, conj=STD),
+                                           DilationFamily(ell=1.0, G=0.5, H=0.0, conj=STD),
+                                           DilationFamily(ell=-1.0, G=0.0, H=0.0, conj=STD)))
+_LAW_TIMES = np.array([0.1, 0.25, 0.5, 1.0])
+SUITE_TIMES = np.concatenate((GROWTH_T_GRID, _LAW_TIMES, np.add.outer(_LAW_TIMES, _LAW_TIMES).ravel(),
+                              np.add.outer(V.FLOW_GRID, V.FLOW_GRID).ravel(),
+                              FD_STEPS, np.negative(FD_STEPS),
+                              np.random.default_rng(50).uniform(0.0, 30.0, 2000)))
+
+
+def _fields(p, n: int) -> np.ndarray:
+    """The (4, n) complex (A, B, C, D) of n members, a scalar field repeated."""
+    return np.array(np.broadcast_arrays(p.A, p.B, p.C, p.D, np.empty(n))[:4], dtype=complex)
+
+
+def test_symbols_of_a_time_array_equal_each_time_alone_bit_for_bit():
+    with np.errstate(over="ignore", invalid="ignore"):  # C overflows late on the seeded times
+        for fam in SUITE_FAMILIES:
+            together = _fields(fam.symbols(SUITE_TIMES), SUITE_TIMES.size)
+            alone = np.concatenate([_fields(fam.symbols(t), 1) for t in SUITE_TIMES.tolist()],
+                                   axis=1)
+            assert np.array_equal(together.view(np.uint64), alone.view(np.uint64)), fam
+    # and so the members of a stack are the matrices of each time alone
+    for fam in V._GEN_FAMILIES:
+        for W, t in zip(semigroup_matrices(fam, GROWTH_T_GRID, 16, 5), GROWTH_T_GRID.tolist()):
+            assert np.array_equal(W, semigroup_matrix(fam, t, 16, 5))
+
+
+def test_growth_values_of_a_block_equal_each_vector_alone():
+    # as for the Laplace integral: e_0 .. e_4 in one block and each alone, bit for bit
+    E = np.eye(32, 5, dtype=complex)
+    for fam in (DilationFamily(ell=-1.0, G=0.5, H=0.0, conj=STD),
+                TranslationFamily(E=1j, F=0.0, conj=STD)):
+        block = growth_values(fam, E, GROWTH_T_GRID)
+        for k in range(5):
+            assert np.array_equal(block[:, [k]], growth_values(fam, E[:, [k]], GROWTH_T_GRID))
 
 
 def test_semigroup_law_on_monomials():
@@ -509,8 +563,8 @@ def built_shapes(monkeypatch):
         shapes.extend(M.shape for M in stack)
         return stack
 
+    monkeypatch.setattr(generator, "wco_matrix", counting)
     for mod in (semigroup, generator):
-        monkeypatch.setattr(mod, "wco_matrix", counting)
         monkeypatch.setattr(mod, "wco_matrices", counting_stack)
     return shapes
 
@@ -586,7 +640,7 @@ def test_spectrum_group_builds_one_eigenfunction_matrix(built_shapes):
 
 
 def test_stone_quotient_builds_no_conjugation(built_shapes, monkeypatch):
-    monkeypatch.setattr(conjugation, "wco_matrix", semigroup.wco_matrix)  # counted too
+    monkeypatch.setattr(conjugation, "wco_matrix", generator.wco_matrix)  # counted too
     check_stone_adjoint_relation(_STONE_FAMILIES[1], 16)
     assert built_shapes == [(16, 16)]  # W(h) alone
 

@@ -349,8 +349,14 @@ def test_leading_columns_equal_the_full_matrix_columns():
 OVERFLOWING = WCOParams(1.0, 0.5, 1e300, 1e300)
 
 
+def _stack(symbols) -> WCOParams:
+    """The single symbols as one stack: each field the array of the members' values."""
+    return WCOParams(*(np.array([getattr(p, k) for p in symbols], dtype=complex)
+                       for k in "ABCD"))
+
+
 def _assert_stack_equals_single_builds(symbols, dim, ncols):
-    stack = wco_matrices(symbols, dim, ncols)
+    stack = wco_matrices(_stack(symbols), dim, ncols)
     m = dim if ncols is None else ncols
     assert stack.shape == (len(symbols), dim, m) and stack.dtype == complex
     for p, M in zip(symbols, stack):
@@ -367,17 +373,26 @@ def test_stack_equals_single_builds(dim, ncols):
                                        None if ncols is None else min(ncols, dim))
 
 
+def test_a_scalar_field_is_shared_by_every_member():
+    # a translation's A(t) = 1 and C(t) are one scalar for the whole stack
+    symbols = WCOParams(1.0, np.array([0.0, 0.5j, -1.0]), 0.5, np.array([0.2, 0.0, 1j]))
+    stack = wco_matrices(symbols, 16, 5)
+    assert stack.shape == (3, 16, 5)
+    for M, B, D in zip(stack, symbols.B, symbols.D):
+        assert np.array_equal(M, wco_matrix(WCOParams(1.0, B, 0.5, D), 16, 5))
+
+
 def test_stack_of_overflowing_symbol_holds_inf_and_nan():
-    stack = wco_matrices([REFERENCE_SYMBOLS[0], OVERFLOWING], 64)
+    stack = wco_matrices(_stack([REFERENCE_SYMBOLS[0], OVERFLOWING]), 64)
     assert np.all(np.isfinite(stack[0]))
     assert np.isinf(stack[1]).any() and np.isnan(stack[1]).any()
 
 
 def test_stack_validates_like_a_single_build():
-    assert wco_matrices([], 8, 3).shape == (0, 8, 3)
+    assert wco_matrices(_stack([]), 8, 3).shape == (0, 8, 3)
     for dim, ncols in ((0, None), (8, 0), (8, 9)):
         with pytest.raises(ValueError):
-            wco_matrices(REFERENCE_SYMBOLS[:2], dim, ncols)
+            wco_matrices(_stack(REFERENCE_SYMBOLS[:2]), dim, ncols)
 
 
 # largest entry error of the recurrence, measured with a 64-bit longdouble mantissa
@@ -464,7 +479,7 @@ def test_diagonal_symbols_equal_the_recurrence_but_for_signs_of_zeros():
             symbols += [_offset_symbol(rng) for _ in range(rng.integers(1, 3))]
             rng.shuffle(symbols)
         dim, ncols = _size(rng)
-        for p, M in zip(symbols, wco_matrices(symbols, dim, ncols)):
+        for p, M in zip(symbols, wco_matrices(_stack(symbols), dim, ncols)):
             assert np.array_equal(M.view(np.uint64), wco_matrix(p, dim, ncols).view(np.uint64))
             ref = _recurrence_matrix(p, dim, ncols)
             if p.B == 0 and p.D == 0:
@@ -506,7 +521,7 @@ def test_overflowing_diagonal_symbol_warns_nothing_and_stays_non_finite(tmp_path
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         M = wco_matrix(p, 32)
-        stack = wco_matrices([p, REFERENCE_SYMBOLS[0]], 32)
+        stack = wco_matrices(_stack([p, REFERENCE_SYMBOLS[0]]), 32)
     assert np.isinf(M).any() and np.array_equal(stack[0], M, equal_nan=True)
     # the wco kind refuses it, naming the symbol's largest entry
     with warnings.catch_warnings(record=True) as caught:
@@ -564,11 +579,11 @@ def routes(monkeypatch):
 # boundedness set's (1.2, 0, 1, 0) and W(0) = I of the growth group's five
 # grids and of the Laplace group's refused family
 DIAGONAL_BUILDS_AT_64 = {
-    "conjugation": {(64, 64): 3},
-    "boundedness": {(64, 64): 1},
-    "stone-symmetry": {(65, 65): 6},
-    "growth": {(64, 1): 5},
-    "laplace": {(65, 64, 5): 1, (10, 64, 5): 56, (64, 1): 1},
+    "conjugation": {(1, 64, 64): 3},
+    "boundedness": {(1, 64, 64): 1},
+    "stone-symmetry": {(1, 65, 65): 6},
+    "growth": {(1, 64, 1): 5},
+    "laplace": {(65, 64, 5): 1, (10, 64, 5): 56, (1, 64, 1): 1},
 }
 
 
@@ -584,4 +599,4 @@ def test_verify_all_builds_its_diagonal_matrices_as_running_products(routes, tmp
 
 def test_diagonal_wco_run_builds_a_running_product(routes, tmp_path):
     assert _wco_run(tmp_path, {"A": [0.6, 0.3], "C": [0.0, 1.0]}, 32) == 0
-    assert routes == [(None, "product", (32, 32))]
+    assert routes == [(None, "product", (1, 32, 32))]
