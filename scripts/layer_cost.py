@@ -19,10 +19,11 @@ Each subcommand's docstring says what it prints.  They share one timing
 helper (:func:`timings`, for the fastest of N and for the median and
 quartiles), one probe of the step loop and of the scenario parser's
 coefficient (:class:`Probe`), one scenario-file writer and one environment
-line (python, numpy, BLAS threads; the ``wco`` JSON keeps numpy and the BLAS
-threads under ``environment``).  Spans, passes, steps and coefficient calls
-repeat exactly; times move run to run on a shared host, so fix the BLAS
-threads (``OPENBLAS_NUM_THREADS=1``) when comparing two trees.
+record (``sweeps.environment``: python, numpy, BLAS threads and the mantissa
+bits of ``np.longdouble``), printed as a line of the first three or, by
+``wco``, kept whole under ``environment``.  Spans, passes, steps and
+coefficient calls repeat exactly; times move run to run on a shared host, so
+fix the BLAS threads (``OPENBLAS_NUM_THREADS=1``) when comparing two trees.
 
 Usage:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/layer_cost.py wco --dims 16 64
@@ -43,7 +44,6 @@ import io
 import json
 import math
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -64,7 +64,7 @@ from focksym.evolution import evolution_series, evolve
 from focksym.semigroup import DilationFamily, TranslationFamily
 from focksym.serialize import write_csv
 from focksym.wco import WCOParams, wco_matrices, wco_matrix
-from sweeps import OFFSET_SYMBOL, max_entry_error
+from sweeps import OFFSET_SYMBOL, environment, max_entry_error
 
 Coefficient = Callable[[Sequence[float]], np.ndarray]  # ts -> stack of B(t)
 
@@ -206,15 +206,9 @@ def write_scenario(directory: str, name: str, kind: str, params: dict, output: d
     return path
 
 
-def environment() -> dict:
-    """The numpy version and the BLAS thread count that timings depend on."""
-    return {"numpy": np.__version__,
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default")}
-
-
 def environment_line() -> str:
-    return "python {}, numpy {numpy}, BLAS threads {blas_threads}".format(
-        platform.python_version(), **environment())
+    return "python {python}, numpy {numpy}, BLAS threads {blas_threads}".format(
+        **environment())
 
 
 # ----------------------------------------------------------------------------
@@ -257,9 +251,13 @@ WCO_SYMBOLS = {"offset": OFFSET_SYMBOL,
                "diagonal": WCOParams(cmath.exp(0.7j), 0.0, 1j, 0.0)}
 
 
+# seconds of calls in each round of a wco figure
+WCO_FILL = 0.1
+
+
 def wco_ms(build: Callable[[], object], repeats: int) -> float:
-    """Median ms per call of ``repeats`` rounds, each about 0.1 s of calls."""
-    return 1e3 * statistics.median(timings(build, repeats, fill=0.1))
+    """Median ms per call of ``repeats`` rounds, each about ``WCO_FILL`` s of calls."""
+    return 1e3 * statistics.median(timings(build, repeats, fill=WCO_FILL))
 
 
 def stack_costs(p: WCOParams, dim: int, repeats: int) -> dict:
@@ -281,10 +279,10 @@ def wco_costs(args) -> int:
     (1, i, e^{-1/2}, i), built by the column recurrence, and the diagonal
     (e^{0.7i}, 0, i, 0), built as one running product), it times the symbol
     built full and with 5 columns (the median of ``--repeats`` rounds, each
-    the mean over as many calls as fill about 0.1 s), and its largest entry
-    error relative to the largest entry against the 30-digit sum of
-    ``sweeps.py entries``.  The environment holds the numpy
-    version, the BLAS threads and the mantissa bits of ``np.longdouble``.
+    the mean over as many calls as fill ``WCO_FILL``, 0.1 s), and its largest
+    entry error relative to the largest entry against the 30-digit sum of
+    ``sweeps.py entries``.  The environment holds the python and numpy
+    versions, the BLAS threads and the mantissa bits of ``np.longdouble``.
 
     With ``--stack`` it times stacked builds instead: for each dim, symbol
     and 1, 5 and all columns, the microseconds per matrix of ``wco_matrix``
@@ -293,9 +291,7 @@ def wco_costs(args) -> int:
     its values: a symbol with B = D = 0 and finite A and C takes the running
     product, every other one the recurrence.
     """
-    out = {"environment": {**environment(),
-                           "longdouble_nmant": int(np.finfo(np.longdouble).nmant)},
-           "dims": {}}
+    out = {"environment": environment(), "dims": {}}
     for dim in args.dims:
         row = out["dims"][str(dim)] = {}
         for name, p in WCO_SYMBOLS.items():

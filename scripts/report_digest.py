@@ -3,8 +3,9 @@
 
 They are the repository's reference runs: ``tests/test_reports_golden.py``
 holds some of them against stored goldens under the golden tolerance
-(``mismatches``, below), and ``capture`` rewrites a golden's values only where
-they moved past it.  The set covers `verify-all --seed 7` at dims 8, 16, 32,
+(``mismatches``, below: the moves past it of the one walk over two reports,
+``_merge``), and ``capture`` rewrites a golden's values only where they moved
+past it.  The set covers `verify-all --seed 7` at dims 8, 16, 32,
 48, 64 and 128 (at dim 128 one 10-node panel of the Laplace integrand holds
 100 KiB of values, past the quadrature's 64 KiB bound on one integrand call;
 at dim 48 the suite's exponential bridge takes the Taylor route, which dims
@@ -58,16 +59,22 @@ compare the two directories:
     PYTHONPATH=src python scripts/report_digest.py --keep after
     PYTHONPATH=src python scripts/report_digest.py --compare before after
 
-The comparison prints one line per moved record: the report, the check id (for
-a series CSV, the row's first cell and the column), the old value and the new
-value, and ``outside`` where the two differ beyond the golden tolerance, with
-the status if that moved too.  JSON records are paired by check id, so a
-renamed id reads as one ``removed`` line (old id, old value) and one ``added``
-line (new id, new value), and no other record is misaligned by it.  The rest
-of a JSON report, such as its provenance, prints one line per moved key path
-(``provenance.parameters.spectrum.residuals``), lists compared whole.  The
-comparison exits 1 when any record moved or a report is missing on one side,
-and 0 when the two directories hold the same reports.
+The comparison walks each pair of reports as the goldens do (``_merge``)
+and prints one line per move: the report, the moved value's path, the old
+value and the new value, and ``outside`` or ``within`` the golden tolerance.
+A JSON report is walked as it is: dicts by key, its records paired by check
+id and other lists item by item, so a path reads like
+``records[semigroup.law].measured`` or
+``provenance.parameters.spectrum.residuals[1]``.  A record or key that only
+one side has reads ``removed`` (old value) or ``added`` (new value), so a
+renamed id misaligns no other record; a record that changed its place reads
+``order`` (old and new index) and a repeated check id ``repeated id`` (the
+counts).  A records CSV is walked as its records, its cells judged as CSV
+cells; a series CSV as its rows, each moved row printed once, at its largest
+relative move, named by its first cell and that cell's column
+(``t=0.25 (3 cells; largest U0_1_re)``).  The comparison exits 1 when any
+value moved or a report is missing on one side, and 0 when the two
+directories hold the same reports.
 """
 
 import argparse
@@ -83,6 +90,7 @@ import shutil
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 from focksym.cli import main as focksym_main
@@ -215,40 +223,83 @@ def _cell_close(got: str, want: str) -> bool:
         return got == want
 
 
-def _merge(got, want, where: str = "", key: str = ""):
-    """got with each value within the golden tolerance of want replaced by
-    want, and every place where got is not within it.  Dicts of equal keys and
-    lists of equal length are walked; ``wall_time_s`` is not compared."""
-    if isinstance(want, dict) and isinstance(got, dict):
-        if set(got) != set(want):
-            return got, [f"{where}: keys {sorted(set(got) ^ set(want))} differ"]
-        walked = {k: _merge(got[k], want[k], f"{where}.{k}", k) for k in sorted(want)}
-        return ({k: v for k, (v, _) in walked.items()},
-                [m for k, (_, ms) in walked.items() if k != "wall_time_s" for m in ms])
-    if isinstance(want, list) and isinstance(got, list):
-        if len(got) != len(want):
-            return got, [f"{where}: length {len(got)} != {len(want)}"]
-        walked = [_merge(g, w, f"{where}[{i}]", key) for i, (g, w) in enumerate(zip(got, want))]
-        return [v for v, _ in walked], [m for _, ms in walked for m in ms]
+def _within(got, want, key: str) -> bool:
+    """got is within the golden tolerance of want, a value compared whole
+    under the dict key ``key``."""
     if type(got) is not type(want) and not (
             isinstance(got, (int, float)) and isinstance(want, (int, float))
             and not isinstance(got, bool) and not isinstance(want, bool)):
-        ok = False
-    elif key == "threshold" and isinstance(want, float):
-        ok = got == want or (math.isnan(got) and math.isnan(want))
-    elif key in EXACT_KEYS or isinstance(want, bool) or want is None:
-        ok = got == want
-    elif isinstance(want, str):
-        ok = _cell_close(got, want) if key == "csv" else (
+        return False
+    if key == "threshold" and isinstance(want, float):
+        return got == want or (math.isnan(got) and math.isnan(want))
+    if key in EXACT_KEYS or isinstance(want, bool) or want is None:
+        return got == want
+    if isinstance(want, str):
+        return _cell_close(got, want) if key == "csv" else (
             _text_close(got, want) if key == "detail" else got == want)
+    return _close(float(got), float(want))
+
+
+def _items(value: list) -> list:
+    """(name, item) of each item of a list: a record by its check id, any
+    other item by its index."""
+    if value and all(isinstance(r, dict) and "check_id" in r for r in value):
+        return [(r["check_id"], r) for r in value]
+    return list(enumerate(value))
+
+
+def _merge(got, want, path: str = "", key: str = ""):
+    """got with each value within the golden tolerance of want replaced by
+    want, and every move from want to got as (path, old, new, past the
+    tolerance, note).
+
+    Dicts are walked by key, lists of records are paired by check id and
+    other lists item by item, so a path reads like
+    ``report.records[growth.norm-one.3].measured`` or ``csv[4][2]``.  A key,
+    record or item that only one side has is a move past the tolerance
+    (``added`` or ``removed``), and so are a record that changed its place
+    among the records both sides have (``order``) and a check id that either
+    side repeats (``repeated id``).  Every value under ``csv`` is judged as a
+    CSV cell.  ``wall_time_s`` is not compared.
+    """
+    listed = isinstance(got, list) and isinstance(want, list)
+    if listed:
+        g, w = _items(got), _items(want)
+    elif isinstance(got, dict) and isinstance(want, dict):
+        g, w = list(got.items()), list(want.items())
+    elif repr(got) == repr(want):
+        return want, []
     else:
-        ok = _close(float(got), float(want))
-    return (want, []) if ok else (got, [f"{where}: {got!r} != {want!r}"])
+        ok = _within(got, want, key)
+        return (want if ok else got), [(path, want, got, not ok, "")]
+
+    def name(k) -> str:
+        return f"{path}[{k}]" if listed else f"{path}.{k}" if path else k
+
+    wanted, gotten = dict(w), dict(g)
+    merged, moves = [], []
+    for k, item in g:
+        if k in wanted:
+            item, moved = _merge(item, wanted[k], name(k), key if key == "csv" or listed else k)
+        else:
+            moved = [(name(k), None, item, True, "added")]
+        merged.append((k, item))
+        moves += moved if k != "wall_time_s" else []
+    moves += [(name(k), item, None, True, "removed") for k, item in w if k not in gotten]
+    if not listed:
+        return dict(merged), moves
+    counts = Counter(k for k, _ in w), Counter(k for k, _ in g)
+    repeated = [(name(k), counts[0][k], counts[1][k], True, "repeated id")
+                for k, n in (counts[0] | counts[1]).items() if n > 1]
+    was, now = [k for k, _ in w if k in gotten], [k for k, _ in g if k in wanted]
+    moves += repeated or [(name(k), i, now.index(k), True, "order")
+                          for i, k in enumerate(was) if now[i] != k]
+    return [v for _, v in merged], moves
 
 
-def mismatches(got, want, where: str = "", key: str = "") -> list[str]:
-    """Every place where got differs from want beyond the golden tolerance."""
-    return _merge(got, want, where, key)[1]
+def mismatches(got, want) -> list[tuple]:
+    """Every move from want to got past the golden tolerance, as in :func:`_merge`."""
+    return [move for move in _merge(got, want)[1] if move[3]]
 
 
 def _scenario_run(workdir: Path, name: str, kind: str, params: dict, dim: int, fmt: str):
@@ -295,104 +346,44 @@ def digest(path: Path) -> str:
     return hashlib.sha256(WALL_TIME.sub(rb"\1null", path.read_bytes())).hexdigest()
 
 
-def _same(a, b) -> bool:
-    """Equal to the byte as JSON, so that NaN equals NaN."""
-    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+# a cell of a CSV's rows: csv[row][column]
+_CELL = re.compile(r"csv\[(\d+)\]\[(\d+)\]")
 
 
-def _relative_move(old: str, new: str) -> float:
-    """|new - old| / |old| of two numeric cells; inf for any other pair."""
-    try:
-        o, n = float(old), float(new)
-    except ValueError:
-        return math.inf
-    return abs(n - o) / abs(o) if o else math.inf
+def _load(path: Path):
+    """A kept report as :func:`_merge` reads it: a JSON report as it is, a
+    CSV's rows under ``csv``, those of a records CSV as records keyed by the
+    header's names."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    if rows and rows[0][:1] == ["check_id"]:
+        rows = [dict(zip(rows[0], row)) for row in rows[1:]]
+    return {"csv": rows}
 
 
-def _by_id(old: dict, new: dict, value, status, outside):
-    """Moves of records paired by check id: changed, removed or added."""
-    for check_id, o in old.items():
-        n = new.get(check_id)
-        if n is None:
-            yield check_id, value(o), None, True, "removed"
-        elif not _same(o, n):
-            moved = "" if status(o) == status(n) else f"{status(o)} -> {status(n)}"
-            yield check_id, value(o), value(n), outside(o, n), moved
-    for check_id, n in new.items():
-        if check_id not in old:
-            yield check_id, None, value(n), True, "added"
-
-
-def _moved_keys(old, new, path: str = ""):
-    """Moves of a JSON payload, one per key path whose value moved.
-
-    Dicts are walked key by key, so a path reads like
-    ``provenance.parameters.spectrum.residuals``; any other value, a list
-    included, is compared whole.  ``wall_time_s`` is skipped.
-    """
-    if not (isinstance(old, dict) and isinstance(new, dict)):
-        if not _same(old, new):
-            key = path.rsplit(".", 1)[-1]
-            yield path, old, new, bool(mismatches(new, old, key=key)), ""
-        return
-    for k in sorted(set(old) | set(new)):
-        if k == "wall_time_s":
+def _row_moves(moves, rows):
+    """The moves with the moved cells of each data row of a series CSV (rows,
+    the new side's) as one move, at the cell of its largest relative move,
+    named by the row's first cell and that cell's column."""
+    cells = {}
+    for move in moves:
+        at = _CELL.fullmatch(move[0])
+        if not at or at[1] == "0" or move[4]:  # not a data cell that both sides have
+            yield move
             continue
-        sub = f"{path}.{k}" if path else k
-        if k not in new:
-            yield sub, old[k], None, True, "removed"
-        elif k not in old:
-            yield sub, None, new[k], True, "added"
-        else:
-            yield from _moved_keys(old[k], new[k], sub)
-
-
-def _moved_records(old_path: Path, new_path: Path):
-    """(check id, old value, new value, outside tolerance, status move) per moved record."""
-    if old_path.suffix == ".json":
-        old, new = json.loads(old_path.read_text()), json.loads(new_path.read_text())
-        yield from _moved_keys({k: v for k, v in old.items() if k != "records"},
-                               {k: v for k, v in new.items() if k != "records"})
-        yield from _by_id({r["check_id"]: r for r in old.get("records", [])},
-                          {r["check_id"]: r for r in new.get("records", [])},
-                          lambda r: r["measured"], lambda r: r["status"],
-                          lambda o, n: bool(mismatches(n, o)))
-        return
-    with old_path.open(newline="") as fh:
-        old = list(csv.reader(fh))
-    with new_path.open(newline="") as fh:
-        new = list(csv.reader(fh))
-    header = new[0]
-    if header[0] == "check_id":  # a records CSV
-        m, st = header.index("measured"), header.index("status")
-        yield from _by_id({r[0]: r for r in old[1:]}, {r[0]: r for r in new[1:]},
-                          lambda r: r[m], lambda r: r[st],
-                          lambda o, n: bool(mismatches(n, o, key="csv")))
-        return
-    if old[0] != header:
-        renamed = [(o, n) for o, n in zip(old[0], header) if o != n]
-        first = renamed[0] if renamed else (f"{len(old[0])} names", f"{len(header)} names")
-        yield "header", *first, True, f"{len(renamed)} of {len(header)} names renamed"
-    if len(old) != len(new) or len(old[0]) != len(header):
-        yield "rows", f"{len(old)} rows", f"{len(new)} rows", True, ""
-        return
-    for o, n in zip(old[1:], new[1:]):
-        if o == n:
-            continue
-        if len(o) != len(n):
-            yield (f"{header[0]}={n[0]} (row length)", f"{len(o)} cells",
-                   f"{len(n)} cells", True, "")
-            continue
-        # a series row: its largest relative move stands for the row
-        moved = [(_relative_move(oc, nc), j) for j, (oc, nc) in enumerate(zip(o, n))
-                 if oc != nc]
-        _, j = max(moved)
-        yield (f"{header[0]}={n[0]} ({len(moved)} cells; largest {header[j]})",
-               o[j], n[j], bool(mismatches(n, o, key="csv")), "")
+        old, new = float(move[1]), float(move[2])
+        relative = abs(new - old) / abs(old) if old else math.inf
+        cells.setdefault(int(at[1]), []).append((relative, int(at[2]), move))
+    for i, moved in cells.items():
+        _, j, (_, old, new, _, _) = max(moved)
+        yield (f"{rows[0][0]}={rows[i][0]} ({len(moved)} cells; largest {rows[0][j]})",
+               old, new, any(move[3] for _, _, move in moved), "")
 
 
 def compare(old_dir: Path, new_dir: Path) -> int:
-    """Print every moved record of the reports kept in two directories; 1 if
+    """Print every move between the reports kept in two directories; 1 if
     any moved or is missing on one side, else 0."""
     moved = 0
     for old_path in sorted(old_dir.iterdir()):
@@ -404,14 +395,14 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             continue
         if digest(old_path) == digest(new_path):
             continue
-        before = moved
-        for check_id, old, new, outside, status in _moved_records(old_path, new_path):
-            flag = "outside" if outside else "within"
-            print(f"{report:28s} {check_id}  {old!r} -> {new!r}  {flag}  {status}".rstrip())
-            moved += 1
-        if moved == before:  # such as a key order or a CSV quoting that moved no value
+        got = _load(new_path)
+        moves = list(_row_moves(_merge(got, _load(old_path))[1], got.get("csv")))
+        for path, old, new, past, note in moves:
+            flag = "outside" if past else "within"
+            print(f"{report:28s} {path}  {old!r} -> {new!r}  {flag}  {note}".rstrip())
+        if not moves:  # such as a key order or a CSV quoting that moved no value
             print(f"{report:28s} bytes differ, no record moved")
-            moved += 1
+        moved += max(len(moves), 1)
     for new_path in sorted(new_dir.iterdir()):
         if not (old_dir / new_path.name).exists():
             print(f"{new_path.stem:28s} missing in {old_dir}")

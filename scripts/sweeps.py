@@ -269,6 +269,14 @@ def growth(args) -> list:
 # ----------------------------------------------------------------------------
 # dims
 
+def environment() -> dict:
+    """What timings and a report's last bits depend on: the python and numpy
+    versions, the BLAS threads and the mantissa bits of ``np.longdouble``."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
+            "longdouble_nmant": int(np.finfo(np.longdouble).nmant)}
+
+
 def verify_once(dim: int, workdir: Path) -> dict:
     """One ``verify-all --seed 7`` at ``dim`` in a fresh process: its wall
     time, exit code, status counts, failed and warned records, and whether
@@ -300,17 +308,11 @@ def dims(args) -> None:
     report, the ids of the failed records, the ids of the records downgraded
     to warn (below dim 64, see ``verification._TRUNCATION_SENSITIVE``), and
     whether stderr holds a Python traceback.  Set the BLAS thread count in
-    the environment; it is recorded with the python and numpy versions and
-    the mantissa bits of ``np.longdouble``.
+    the environment; it is recorded with the rest of :func:`environment`.
     """
     out = {
         "command": "focksym verify-all --dim <dim> --seed 7",
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
-            "longdouble_nmant": int(np.finfo(np.longdouble).nmant),
-        },
+        "environment": environment(),
         "dims": {},
     }
     with tempfile.TemporaryDirectory() as tmp:

@@ -98,9 +98,8 @@ def _columns(A, B, C, D, out: np.ndarray) -> None:
         _diagonal(A, C, out)
         return
     _recurrence(A, B, C, D, out)
-    if diagonal.any():  # a mixed stack
-        for i in np.flatnonzero(diagonal):
-            _diagonal(A[i:i + 1], C[i:i + 1], out[i:i + 1])
+    for i in np.flatnonzero(diagonal):  # the diagonal members of a mixed stack
+        _diagonal(A[i:i + 1], C[i:i + 1], out[i:i + 1])
 
 
 def _recurrence(A, B, C, D, out: np.ndarray) -> None:
@@ -155,15 +154,6 @@ def _diagonal(A, C, out: np.ndarray) -> None:
         out[..., k, k] = np.cumprod(factors, axis=0)[::2].T
 
 
-def _leading(dim: int, ncols: int | None) -> int:
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    m = dim if ncols is None else ncols
-    if not 1 <= m <= dim:
-        raise ValueError("ncols must lie in 1..dim")
-    return m
-
-
 def wco_matrix(p: WCOParams, dim: int, ncols: int | None = None) -> np.ndarray:
     """Truncated matrix on normalized coefficients, shape (dim, ncols).
 
@@ -180,17 +170,25 @@ def wco_matrices(symbols: WCOParams, dim: int, ncols: int | None = None) -> np.n
     """The matrices of a stack of symbols, shape (S, dim, ncols).
 
     ``symbols`` holds S members as 1-D fields of length S, a scalar field
-    shared by all (all scalars: S = 1); they are cast to ``np.clongdouble``
-    together.  A stack of symbols with B = D = 0 and finite A and C takes one
+    shared by all (all scalars: S = 1); they fill one (4, S)
+    ``np.clongdouble`` array, and fields of two lengths other than 1 raise
+    ValueError.  A stack of symbols with B = D = 0 and finite A and C takes one
     running product for all of them, whose entries equal the recurrence's but
     for the signs of zeros.  Any other stack runs through the column
     recurrence together, so its working memory beside the result is a few
     extended-precision columns for each symbol, and then rebuilds its
     diagonal members in place.
     """
-    m = _leading(dim, ncols)
-    fields = np.broadcast_arrays(symbols.A, symbols.B, symbols.C, symbols.D)
-    stack = np.array(fields, dtype=np.clongdouble).reshape(4, -1)
+    if dim < 1:
+        raise ValueError("dim must be positive")
+    m = dim if ncols is None else ncols
+    if not 1 <= m <= dim:
+        raise ValueError("ncols must lie in 1..dim")
+    fields = (symbols.A, symbols.B, symbols.C, symbols.D)
+    size = max((len(f) for f in fields if getattr(f, "ndim", 0)), default=1)
+    stack = np.empty((4, size), dtype=np.clongdouble)
+    for i, field in enumerate(fields):
+        stack[i] = field  # a field of another length, not 1, raises ValueError
     out = np.empty((stack.shape[1], dim, m), dtype=complex)
     _columns(*stack, out)
     return out

@@ -12,7 +12,8 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 @pytest.fixture
 def layer_cost(monkeypatch, tmp_path):
-    """scripts/layer_cost.py as a module, one round per fastest-of figure."""
+    """scripts/layer_cost.py as a module, one round per fastest-of figure and
+    1 ms of calls per round of a wco figure."""
     monkeypatch.syspath_prepend(str(SCRIPTS))
     monkeypatch.setenv("FOCKSYM_OUTPUT_DIR", str(tmp_path))  # the cli subcommand sets it
     spec = importlib.util.spec_from_file_location("layer_cost", SCRIPTS / "layer_cost.py")
@@ -20,6 +21,7 @@ def layer_cost(monkeypatch, tmp_path):
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "REPEATS", 1)
     monkeypatch.setattr(module, "KNOT_REPEATS", 1)
+    monkeypatch.setattr(module, "WCO_FILL", 1e-3)
     return module
 
 
@@ -39,7 +41,7 @@ def _rows(out: str, header: str) -> list[list[str]]:
 def test_wco_prints_each_dim(layer_cost, capsys):
     assert layer_cost.main(["wco", "--dims", "2", "--repeats", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert set(out["environment"]) == {"numpy", "blas_threads", "longdouble_nmant"}
+    assert set(out["environment"]) == {"python", "numpy", "blas_threads", "longdouble_nmant"}
     assert list(out["dims"]) == ["2"]
     for row in out["dims"].values():
         assert list(row) == ["offset", "diagonal"]

@@ -116,13 +116,57 @@ def test_digest_comparison_names_each_moved_key():
     new["provenance"]["parameters"]["spectrum"]["dim"] = 32 * (1 + 1e-12)
     new["provenance"]["truncation"] = {"dim": 32}
     del new["scenario"]
-    assert list(digest._moved_keys(old, new)) == [
+    assert digest._merge(new, old)[1] == [
         ("provenance.parameters.spectrum.dim", 32, 32 * (1 + 1e-12), False, ""),
-        ("provenance.parameters.spectrum.residuals", [0.25, 0.5], [0.25, 0.75], True, ""),
+        ("provenance.parameters.spectrum.residuals[1]", 0.5, 0.75, True, ""),
         ("provenance.truncation", None, {"dim": 32}, True, "added"),
         ("scenario", "s", None, True, "removed"),
     ]
-    assert list(digest._moved_keys(old, json.loads(json.dumps(old)))) == []
+    assert digest._merge(old, json.loads(json.dumps(old)))[1] == []
+
+
+def test_golden_fails_on_a_gained_lost_reordered_or_repeated_record():
+    a, b, c = ({"check_id": f"law.{k}", "measured": 0.5} for k in "abc")
+
+    def moves(records: list) -> list:
+        return digest.mismatches({"exit": 0, "report": {"records": records}},
+                                 {"exit": 0, "report": {"records": [a, b]}})
+
+    assert moves([a, b]) == []
+    assert moves([a, b, c]) == [("report.records[law.c]", None, c, True, "added")]
+    assert moves([a]) == [("report.records[law.b]", b, None, True, "removed")]
+    assert moves([b, a]) == [("report.records[law.a]", 0, 1, True, "order"),
+                             ("report.records[law.b]", 1, 0, True, "order")]
+    assert moves([a, b, a]) == [("report.records[law.a]", 1, 2, True, "repeated id")]
+
+
+def test_digest_comparison_names_each_move_of_two_kept_directories(tmp_path, capsys):
+    record = {"check_id": "a", "anchor": "law", "measured": 0.5, "threshold": 1.0,
+              "direction": "<=", "status": "pass", "detail": ""}
+    a, b, c, d = (dict(record, check_id=k) for k in "abcd")
+
+    def keep(side: str, records: list, rows: list) -> Path:
+        directory = tmp_path / side
+        directory.mkdir()
+        (directory / "report.json").write_text(json.dumps(
+            {"records": records, "provenance": {"wall_time_s": 0.1}}))
+        with (directory / "series.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        return directory
+
+    rows = [["t", "x", "y"], ["0.0", "1.0", "2.0"], ["0.5", "3.0", "4.0"]]
+    before = keep("before", [a, b, c], rows)
+    after = keep("after", [dict(a, measured=0.75), dict(b, status="fail"), d],
+                 [*rows[:2], ["0.5", "3.3", "4.0000000001"]])
+    assert digest.main(["--compare", str(before), str(after)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{'report':28s} records[a].measured  0.5 -> 0.75  outside",
+        f"{'report':28s} records[b].status  'pass' -> 'fail'  outside",
+        f"{'report':28s} records[d]  None -> {d!r}  outside  added",
+        f"{'report':28s} records[c]  {c!r} -> None  outside  removed",
+        f"{'series':28s} t=0.5 (2 cells; largest x)  '3.0' -> '3.3'  outside",
+        "5 moved",
+    ]
 
 
 def test_digest_comparison_exits_one_on_any_move(tmp_path, capsys):

@@ -393,6 +393,8 @@ def test_stack_validates_like_a_single_build():
     for dim, ncols in ((0, None), (8, 0), (8, 9)):
         with pytest.raises(ValueError):
             wco_matrices(_stack(REFERENCE_SYMBOLS[:2]), dim, ncols)
+    with pytest.raises(ValueError):  # fields of unequal lengths
+        wco_matrices(WCOParams(np.ones(3), np.zeros(2), 1.0, 0.0), 8)
 
 
 # largest entry error of the recurrence, measured with a 64-bit longdouble mantissa
