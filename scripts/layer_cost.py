@@ -6,8 +6,9 @@
   by part; with ``--fresh``, each kind's first call in a fresh process
   against its third, and the process's max RSS.
 - ``propagator``: cost and accuracy of a chained propagator time series as
-  the sampling grows, then the step loop's figures per step and per pass,
-  the coefficient's calls, and ``write_csv``'s time and memory.
+  the sampling grows, then the step loop's figures per step, and per model
+  its spans, coefficient calls, passes and time, and ``write_csv``'s time
+  and memory.
 - ``knots``: cost of evolution runs of piecewise-linear tables as their
   knots grow dense.
 - ``lines``: code lines per module of the package and per script of
@@ -17,13 +18,14 @@
 
 Each subcommand's docstring says what it prints.  They share one timing
 helper (:func:`timings`, for the fastest of N and for the median and
-quartiles), one probe of the step loop and of the scenario parser's
-coefficient (:class:`Probe`), one scenario-file writer and one environment
-record (``sweeps.environment``: python, numpy, BLAS threads and the mantissa
-bits of ``np.longdouble``), printed as a line of the first three or, by
-``wco``, kept whole under ``environment``.  Spans, passes, steps and
-coefficient calls repeat exactly; times move run to run on a shared host, so
-fix the BLAS threads (``OPENBLAS_NUM_THREADS=1``) when comparing two trees.
+quartiles), one counting probe of the step loop (:class:`Probe`) and one
+probed run of it (:func:`probed`), one scenario-file writer and one
+environment record (``sweeps.environment``: python, numpy, BLAS threads and
+the mantissa bits of ``np.longdouble``), printed as a line of the first
+three or, by ``wco``, kept whole under ``environment``.  Spans, passes,
+steps and coefficient calls repeat exactly; times move run to run on a
+shared host, so fix the BLAS threads (``OPENBLAS_NUM_THREADS=1``) when
+comparing two trees.
 
 Usage:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/layer_cost.py wco --dims 16 64
@@ -40,6 +42,7 @@ Usage:
 import argparse
 import cmath
 import contextlib
+import functools
 import io
 import json
 import math
@@ -60,7 +63,7 @@ import scipy.linalg
 
 from focksym import cli, evolution, generator, verification
 from focksym.conjugation import standard_conjugation
-from focksym.evolution import evolution_series, evolve
+from focksym.evolution import check_evolution_axioms, evolution_series, evolve
 from focksym.semigroup import DilationFamily, TranslationFamily
 from focksym.serialize import write_csv
 from focksym.wco import WCOParams, wco_matrices, wco_matrix
@@ -84,10 +87,9 @@ def quiet():
         yield
 
 
-def timings(fn: Callable[[], object], rounds: int, fill: float = 0.0,
-            clock: Callable[[], float] = time.perf_counter) -> list[float]:
-    """Seconds per call of fn on ``clock`` in each of ``rounds`` rounds, its
-    output discarded.
+def timings(fn: Callable[[], object], rounds: int, fill: float = 0.0) -> list[float]:
+    """Seconds per call of fn in each of ``rounds`` rounds, its output
+    discarded.
 
     A round is one call.  With ``fill`` it is the mean over as many calls as
     take about ``fill`` seconds, counted after one warm-up call.  Take the
@@ -104,10 +106,10 @@ def timings(fn: Callable[[], object], rounds: int, fill: float = 0.0,
                 calls += 1
         out = []
         for _ in range(rounds):
-            t0 = clock()
+            t0 = time.perf_counter()
             for _ in range(calls):
                 fn()
-            out.append((clock() - t0) / calls)
+            out.append((time.perf_counter() - t0) / calls)
     return out
 
 
@@ -126,34 +128,20 @@ class Counted:
 
 class Probe:
     """While active, counts the step loop ``evolution._integrate_spans``, at
-    every module of the package that binds it, and the coefficients that the
-    scenario parser ``cli._evolution_operator_from`` returns.
+    every module of the package that binds it.
 
-    It keeps the spans handed to the loop, its passes, accepted and rejected
-    steps and the seconds spent in it, and in ``coefficients`` each parsed
-    model's coefficient as :class:`Counted`.  Each call of the loop evaluates
-    B once at its spans' starts and once per pass, so its passes are the
-    calls of B made inside it less one, and a call of B outside the loop
-    counts for none.  With ``count`` false it only times the loop, B
-    uncounted; :meth:`clock` reads that time, as a clock for
-    :func:`timings`.
+    It keeps the spans handed to the loop, the calls of B made inside it
+    and the times B is evaluated at, its passes, accepted and rejected steps
+    and the seconds spent in it.  Each call of the loop evaluates B once at
+    its spans' starts and once per pass, so its passes are its calls of B
+    less one, and a call of B outside the loop counts for none.  With
+    ``count`` false it only times the loop, B uncounted.
     """
 
     def __init__(self, count: bool = True):
         self.count = count
-        self.spans = self.passes = self.steps = self.rejected = 0
+        self.spans = self.calls = self.times = self.passes = self.steps = self.rejected = 0
         self.loop_s = 0.0
-        self.coefficients: list[Counted] = []
-
-    def clock(self) -> float:
-        return self.loop_s
-
-    def _operator(self, params: dict, span: tuple[float, float]):
-        B, *rest = self._parse(params, span)
-        if self.count:
-            self.coefficients.append(Counted(B))
-            B = self.coefficients[-1]
-        return (B, *rest)
 
     def _integrate(self, B: Coefficient, spans: Sequence[tuple[float, float]],
                    rel_tol: float):
@@ -164,35 +152,41 @@ class Probe:
         self.loop_s += time.perf_counter() - t0
         if self.count:
             self.spans += len(spans)
+            self.calls += B.calls
+            self.times += B.times
             self.passes += B.calls - 1
             self.steps += sum(st.steps for st in stats)
             self.rejected += sum(st.rejected for st in stats)
         return mats, stats
 
     def __enter__(self) -> "Probe":
-        self._parse, self._loop = cli._evolution_operator_from, evolution._integrate_spans
+        self._loop = evolution._integrate_spans
         self._bound = [mod for name, mod in list(sys.modules.items())
                        if name.partition(".")[0] == "focksym"
                        and getattr(mod, "_integrate_spans", None) is self._loop]
-        cli._evolution_operator_from = self._operator
         for mod in self._bound:
             mod._integrate_spans = self._integrate
         return self
 
     def __exit__(self, *exc) -> None:
-        cli._evolution_operator_from = self._parse
         for mod in self._bound:
             mod._integrate_spans = self._loop
 
 
-def cli_figures(argv: Sequence[str], repeats: int) -> tuple[Probe, float]:
-    """The probe of one ``cli.main(argv)`` call, and the fastest of
-    ``repeats`` uncounted calls' seconds in the step loop."""
-    with Probe() as probe, quiet():
-        cli.main(list(argv))
+def probed(fn: Callable[[], object], repeats: int) -> tuple[object, Probe, float, float]:
+    """fn's result and the :class:`Probe` of one counted call, then the
+    fastest step-loop seconds and the fastest wall seconds of ``repeats``
+    more calls, B uncounted."""
+    with Probe() as probe:
+        result = fn()
+    loop = wall = math.inf
     with Probe(count=False) as timer:
-        best = min(timings(lambda: cli.main(list(argv)), repeats, clock=timer.clock))
-    return probe, best
+        for _ in range(repeats):
+            t0, before = time.perf_counter(), timer.loop_s
+            fn()
+            wall = min(wall, time.perf_counter() - t0)
+            loop = min(loop, timer.loop_s - before)
+    return result, probe, loop, wall
 
 
 def write_scenario(directory: str, name: str, kind: str, params: dict, output: dict,
@@ -232,12 +226,13 @@ def constant_params(n: int) -> dict:
     return {"B": "constant", "matrix": json_matrix(constant_matrix(n))}
 
 
-def coefficient(params: dict, t: float) -> tuple[Coefficient, list[float], np.ndarray | None]:
+def coefficient(params: dict, t: float,
+                rel_tol: float) -> tuple[Coefficient, list[float], np.ndarray | None]:
     """The coefficient that the scenario parser builds from ``params`` for
-    [0, t], its breaks at the params' rel_tol, and the matrix of a constant
+    [0, t], its breaks at ``rel_tol``, and the matrix of a constant
     coefficient (None for the others)."""
     B, breaks_at, _, _, M = cli._evolution_operator_from(params, (0.0, t))
-    return B, breaks_at(params.get("rel_tol", 1e-10)), M
+    return B, breaks_at(rel_tol), M
 
 
 # ----------------------------------------------------------------------------
@@ -447,20 +442,18 @@ MODELS = {
                  "matrices": [json_matrix(constant_matrix(3, seed)) for seed in range(6)]},
 }
 
-# (label, scenario params, samples) of the per-pass figures: the two-level
-# cosine model at dim 2, a six-knot table at dim 3 and constant models at
-# dims 16 and 32, each a series over [0, 5] with the sample count that the
+# (label, scenario params, samples) of the step-loop table: the two-level
+# cosine model at dim 2, a six-knot table at dim 3, constant models at dims
+# 16 and 32 and ``focksym evolve``'s default two-level model (kappa 0.3,
+# lam 1), each a series over [0, 5] with the sample count that the
 # benchmark's evolution-series workload gives it
 PASS_MODELS = (
     ("bagchi-cosine-d2", MODELS["bagchi-cosine"], 35),
     ("table-d3", MODELS["table-d3"], 37),
     ("constant-d16", MODELS["constant-d16"], 85),
     ("constant-d32", MODELS["constant-d32"], 43),
+    ("evolve", {"B": "bagchi", "kappa": 0.3, "lam": 1.0}, 35),
 )
-
-# the samples of the evolve run of the coefficient-call figures, as many as
-# the benchmark's evolution-series workload gives it
-EVOLVE_SAMPLES = 35
 
 
 def dop853_series(B: Coefficient, times: np.ndarray,
@@ -483,105 +476,54 @@ def dop853_series(B: Coefficient, times: np.ndarray,
     return np.array([at[float(x)] for x in times]).view(complex).reshape(len(times), n, n)
 
 
-def measure(B: Coefficient, breaks: Sequence[float], M: np.ndarray | None, t: float,
-            samples: int, rel_tol: float) -> tuple[int, int, float, float, int, int, float]:
-    """(run steps, loop passes, run wall s, max entry error vs DOP853,
-    one-span steps, calls of B, evaluated times of B per accepted step)."""
-    times = np.linspace(0.0, t, samples)
-    t0 = time.perf_counter()
-    _, series, _ = evolution_series(B, (0.0, t), samples, rel_tol, breaks, M)
-    wall = time.perf_counter() - t0
-    err = float(np.max(np.abs(series - dop853_series(B, times, breaks))))
-    counted = Counted(B)
-    with Probe() as probe:
-        evolution_series(counted, (0.0, t), samples, rel_tol, breaks, M)
+def series(params: dict, t: float, samples: int, rel_tol: float) -> Callable[[], tuple]:
+    """The ``evolution`` run of the scenario model ``params`` over [0, t]:
+    ``evolution_series`` of the parser's coefficient, breaks and matrix."""
+    B, breaks, M = coefficient(params, t, rel_tol)
+    return functools.partial(evolution_series, B, (0.0, t), samples, rel_tol, breaks, M)
+
+
+def measure(params: dict, t: float, samples: int,
+            rel_tol: float) -> tuple[Probe, float, float, int]:
+    """The :class:`Probe` of one :func:`series` run, the wall seconds of one
+    more, its max entry error vs DOP853, and the steps of one span U(t, 0)."""
+    B, breaks, _ = coefficient(params, t, rel_tol)
+    (times, chain, _), probe, _, wall = probed(series(params, t, samples, rel_tol), 1)
+    err = float(np.max(np.abs(chain - dop853_series(B, times, breaks))))
     # one span U(t, 0), cut at the breaks inside it as a chain is
     cuts = [0.0, *sorted({float(b) for b in breaks if 0.0 < b < t}), t]
     _, span = evolution._integrate_spans(B, list(zip(cuts[:-1], cuts[1:])), rel_tol)
-    return (probe.steps, probe.passes, wall, err, sum(st.steps for st in span),
-            counted.calls, counted.times / max(probe.steps, 1))
+    return probe, wall, err, sum(st.steps for st in span)
 
 
 def us_per_step(n: int, t: float, rel_tol: float) -> tuple[int, float]:
     """(attempted steps, fastest microseconds per attempted step) of U(t, 0)."""
-    B, _, _ = coefficient(constant_params(n), t)
+    B, _, _ = coefficient(constant_params(n), t, rel_tol)
     stats = evolve(B, 0.0, t, rel_tol).stats
     attempted = stats.steps + stats.rejected
     return attempted, 1e6 * min(timings(lambda: evolve(B, 0.0, t, rel_tol), REPEATS)) / attempted
 
 
-def us_per_pass(params: dict, samples: int, t: float,
-                rel_tol: float) -> tuple[int, int, float]:
-    """(spans integrated, loop passes, fastest microseconds per pass) of an
-    ``evolution`` run of the scenario model ``params`` over [0, t]."""
-    B, breaks, M = coefficient(params, t)
-
-    def run():
-        evolution_series(B, (0.0, t), samples, rel_tol, breaks, M)
-
-    best = min(timings(run, REPEATS))
-    with Probe() as probe:
-        run()
-    return probe.spans, probe.passes, 1e6 * best / probe.passes
-
-
-def print_pass_costs(t: float, rel_tol: float) -> None:
-    print(f"evolution runs of scenario models to t = {t:g}, fastest of {REPEATS}")
-    print(f"{'model':>16}  {'spans':>8}  {'passes':>6}  {'us/pass':>8}")
-    for label, params, samples in PASS_MODELS:
-        spans, passes, us = us_per_pass(params, samples, t, rel_tol)
-        print(f"{label:>16}  {spans:>8}  {passes:>6}  {us:>8.1f}")
-
-
-def group_figures() -> tuple[Probe, int, int]:
-    """The probe of verify-all's evolution group, and the calls and evaluated
-    times of its two-level coefficients."""
-    original, counted = verification.bagchi_hamiltonian, []
-
-    def counting(*args):
-        counted.append(Counted(original(*args)))
-        return counted[-1]
-
-    verification.bagchi_hamiltonian = counting
-    try:
-        with Probe() as probe:
-            verification.evolution_checks(verification.VerifyConfig())
-    finally:
-        verification.bagchi_hamiltonian = original
-    return probe, sum(c.calls for c in counted), sum(c.times for c in counted)
-
-
-def print_coefficient_calls(t: float) -> None:
-    """The coefficient's calls and evaluated times in one ``focksym run`` of
-    each of ``PASS_MODELS`` as an ``evolution`` CSV scenario over [0, t] and
-    one ``focksym evolve`` of the default model, with the spans, passes and
-    rejected steps of :class:`Probe` and the fastest step-loop ms; then the
-    spans, calls, times, passes and rejected steps of ``verify-all``'s
-    evolution group, which do not depend on the dim.  Three of the group's
-    calls lie outside the step loop (B(0) for the exponential route, the s
-    grid of the commutation record, B(1) for the adjoint target)."""
-    print(f"coefficient calls, passes and rejected steps of one evolution run to "
-          f"t = {t:g}; step-loop time the fastest of {REPEATS}")
+def print_loop_costs(t: float, rel_tol: float) -> None:
+    """One table of the step loop, a row per ``evolution`` run over [0, t]
+    of each of ``PASS_MODELS`` (:func:`series`) and a last row for
+    ``verify-all``'s evolution group, whose figures do not depend on the
+    dim.  A row holds the spans, the calls and evaluated times of B inside
+    the loop, the passes and the rejected steps of one call
+    (:class:`Probe`), then the fastest of ``REPEATS`` more calls' step-loop
+    ms and wall microseconds per pass (:func:`probed`)."""
+    print(f"step loop of one evolution run to t = {t:g}; times the fastest of {REPEATS}")
     print(f"{'model':>16}  {'samples':>7}  {'spans':>5}  {'B calls':>7}  {'B times':>7}  "
-          f"{'passes':>6}  {'rejected':>8}  {'loop ms':>7}")
-    with tempfile.TemporaryDirectory() as tmp:
-        runs = [(label, samples,
-                 ["run", write_scenario(tmp, label, "evolution",
-                                        {**params, "t": t, "samples": samples},
-                                        {"format": "csv",
-                                         "path": os.path.join(tmp, f"{label}.csv")})])
-                for label, params, samples in PASS_MODELS]
-        runs.append(("evolve", EVOLVE_SAMPLES,
-                     ["evolve", "--t", repr(t), "--samples", str(EVOLVE_SAMPLES),
-                      "--out", os.path.join(tmp, "evolve.csv")]))
-        for label, samples, argv in runs:
-            probe, best = cli_figures(argv, REPEATS)
-            B = probe.coefficients[0]
-            print(f"{label:>16}  {samples:>7}  {probe.spans:>5}  {B.calls:>7}  {B.times:>7}  "
-                  f"{probe.passes:>6}  {probe.rejected:>8}  {1e3 * best:>7.2f}")
-    probe, calls, times = group_figures()
-    print(f"{'verify-all group':>16}  {'-':>7}  {probe.spans:>5}  {calls:>7}  {times:>7}  "
-          f"{probe.passes:>6}  {probe.rejected:>8}  {'-':>7}")
+          f"{'passes':>6}  {'rejected':>8}  {'loop ms':>7}  {'us/pass':>8}")
+    runs = [(label, samples, series(params, t, samples, rel_tol))
+            for label, params, samples in PASS_MODELS]
+    runs.append(("verify-all group", "-",
+                 lambda: verification.evolution_checks(verification.VerifyConfig())))
+    for label, samples, run in runs:
+        _, probe, loop, wall = probed(run, REPEATS)
+        print(f"{label:>16}  {samples:>7}  {probe.spans:>5}  {probe.calls:>7}  "
+              f"{probe.times:>7}  {probe.passes:>6}  {probe.rejected:>8}  "
+              f"{1e3 * loop:>7.2f}  {1e6 * wall / probe.passes:>8.1f}")
 
 
 # the cells of the write_csv figure: a seeded 49 x 2049 table of each kind,
@@ -667,8 +609,7 @@ def print_peaks() -> None:
 
 def propagator_costs(args) -> int:
     """Cost and accuracy of a chained propagator time series as the sampling
-    grows, and the step loop's, the coefficient's and ``write_csv``'s
-    figures.
+    grows, and the step loop's and ``write_csv``'s figures.
 
     The series table runs ``evolution_series``, the routine of an
     ``evolution`` run, for U(t_k, 0), t_k = k t / (samples - 1), over each of
@@ -684,23 +625,20 @@ def propagator_costs(args) -> int:
     span/50 and grows at most fivefold per step).
 
     Then: the microseconds per attempted step of one span U(t, 0) of the
-    constant model at each of ``STEP_DIMS``; the microseconds per pass of
-    the series of ``PASS_MODELS``; the coefficient calls of
-    :func:`print_coefficient_calls`; ``write_csv``'s ms per 10^5 cells of
+    constant model at each of ``STEP_DIMS``; the step-loop table of
+    :func:`print_loop_costs`; ``write_csv``'s ms per 10^5 cells of
     each of ``CSV_CELLS`` and per table of each of ``CSV_TABLES``; and two
     tracemalloc peaks, each after one untraced warm-up call: ``write_csv``
     of ``CSV_PEAK_ROWS`` rows beside the size of its file, and one
     ``focksym run`` of each of ``PEAK_RUNS``.  Every time is the fastest of
     ``REPEATS``, the per-table one of ten times as many.
 
-    ``--passes-only`` prints the per-pass figures, the coefficient calls and
-    the per-table ``write_csv`` figure alone.
+    ``--passes-only`` prints the step-loop table and the per-table
+    ``write_csv`` figure alone.
     """
     print(environment_line())
     if args.passes_only:
-        print_pass_costs(args.t, args.rel_tol)
-        print()
-        print_coefficient_calls(args.t)
+        print_loop_costs(args.t, args.rel_tol)
         print()
         print_table_costs()
         return 0
@@ -712,14 +650,15 @@ def propagator_costs(args) -> int:
           f"{'one span':>8}  {'wall s':>8}  {'max error':>9}")
     rows = []
     for name in args.models:
-        B, breaks, M = coefficient(MODELS[name], args.t)
         for samples in args.samples:
-            steps, passes, wall, err, span, calls, times = measure(B, breaks, M, args.t,
-                                                                   samples, args.rel_tol)
-            per = steps / max(samples - 1, 1)
-            print(f"{name:>14}  {samples:>7}  {steps:>8}  {passes:>6}  {per:>11.2f}  "
-                  f"{calls:>7}  {times:>12.2f}  {span:>8}  {wall:>8.3f}  {err:>9.2e}")
-            rows.append((name, samples, steps, passes, calls, times, span, wall, err))
+            probe, wall, err, span = measure(MODELS[name], args.t, samples, args.rel_tol)
+            per = probe.steps / max(samples - 1, 1)
+            times = probe.times / max(probe.steps, 1)
+            print(f"{name:>14}  {samples:>7}  {probe.steps:>8}  {probe.passes:>6}  "
+                  f"{per:>11.2f}  {probe.calls:>7}  {times:>12.2f}  {span:>8}  "
+                  f"{wall:>8.3f}  {err:>9.2e}")
+            rows.append((name, samples, probe.steps, probe.passes, probe.calls, times,
+                         span, wall, err))
 
     print(f"\none span of the constant model to t = {args.t:g}, "
           f"fastest of {REPEATS}")
@@ -728,9 +667,7 @@ def propagator_costs(args) -> int:
         attempted, us = us_per_step(n, args.t, args.rel_tol)
         print(f"{n:>5}  {attempted:>9}  {us:>8.1f}")
     print()
-    print_pass_costs(args.t, args.rel_tol)
-    print()
-    print_coefficient_calls(args.t)
+    print_loop_costs(args.t, args.rel_tol)
     print(f"\nwrite_csv, fastest of {REPEATS}")
     for kind, cells in CSV_CELLS.items():
         table = cells(np.random.default_rng(0))
@@ -757,8 +694,8 @@ EPS = (0.0, 1e-4, 1e-3, 3e-3, 1e-2, 1e-1, 1.0)
 KNOT_REPEATS = 5
 
 
-def table_params(kind: str, knots: int, t: float = 5.0) -> dict:
-    times = [t * i / (knots - 1) for i in range(knots)]
+def table_params(kind: str, knots: int) -> dict:
+    times = [5.0 * i / (knots - 1) for i in range(knots)]
     if kind == "random":
         mats = [constant_matrix(3, seed) for seed in range(knots)]
     else:
@@ -771,31 +708,17 @@ def table_params(kind: str, knots: int, t: float = 5.0) -> dict:
     return {"B": "table", "times": times, "matrices": [json_matrix(M) for M in mats]}
 
 
-def knot_figures(params: dict) -> tuple[Probe, float, float]:
-    """The probe of one ``focksym run`` of the evolution scenario ``params``,
-    the fastest step-loop seconds of ``KNOT_REPEATS`` more, and the run's
-    ``evolution.composition`` record's measured value."""
-    with tempfile.TemporaryDirectory() as tmp:
-        report = os.path.join(tmp, "report.json")
-        scenario = write_scenario(tmp, "table", "evolution", params,
-                                  {"format": "json", "path": report})
-        probe, best = cli_figures(["run", scenario], KNOT_REPEATS)
-        with open(report) as fh:
-            composition, = [r["measured"] for r in json.load(fh)["records"]
-                            if r["check_id"] == "evolution.composition"]
-    return probe, best, composition
-
-
 def knots_costs(args) -> int:
     """Cost of evolution runs of piecewise-linear tables as their knots grow
     dense.
 
-    Runs ``focksym run`` of an ``evolution`` JSON scenario of a dim-3 table
-    with ``--knots`` equally spaced knots over [0, 5], 37 samples, at each
+    Runs the ``evolution`` run (:func:`series`) of a dim-3 table with
+    ``--knots`` equally spaced knots over [0, 5], 37 samples, at each
     ``--rel-tol``, and prints the spans the run hands to the step loop, its
     passes, its attempted and rejected steps (:class:`Probe`), the fastest of
-    ``KNOT_REPEATS`` runs' milliseconds in the step loop, and its
-    ``evolution.composition`` record over rel_tol.  Two kinds of table:
+    ``KNOT_REPEATS`` runs' milliseconds in the step loop (:func:`probed`),
+    and its ``evolution.composition`` residual (``check_evolution_axioms``
+    of the run's axioms) over rel_tol.  Two kinds of table:
 
     - ``random``: the fixed damped spectrum of :func:`constant_matrix` in a
       seeded basis at each knot, the benchmark's table shape, which bends by
@@ -813,12 +736,12 @@ def knots_costs(args) -> int:
     for rel_tol in args.rel_tol:
         for knots in args.knots:
             for kind in kinds:
-                params = {**table_params(kind, knots), "t": 5.0, "samples": 37,
-                          "rel_tol": rel_tol}
-                probe, best, composition = knot_figures(params)
+                run = series(table_params(kind, knots), 5.0, 37, rel_tol)
+                (_, _, axioms), probe, loop, _ = probed(run, KNOT_REPEATS)
+                _, composition = check_evolution_axioms(axioms[:3], axioms[3])
                 print(f"{rel_tol:>7g}  {knots:>5}  {kind:>9}  {probe.spans:>5}  "
                       f"{probe.passes:>6}  {probe.steps + probe.rejected:>8}  "
-                      f"{probe.rejected:>8}  {1e3 * best:>8.2f}  "
+                      f"{probe.rejected:>8}  {1e3 * loop:>8.2f}  "
                       f"{composition / rel_tol:>8.2g}", flush=True)
     return 0
 
@@ -1018,7 +941,7 @@ def main(argv=None) -> int:
     p.add_argument("--rel-tol", type=float, default=1e-10)
     p.add_argument("--out", help="optional CSV output path")
     p.add_argument("--passes-only", action="store_true",
-                   help="print only the per-pass, coefficient-call and per-table figures")
+                   help="print only the step-loop table and the per-table write_csv figure")
     p.set_defaults(fn=propagator_costs)
 
     p = sub.add_parser("knots", help=knots_costs.__doc__.splitlines()[0])

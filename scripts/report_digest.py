@@ -192,6 +192,7 @@ FLAG_ERRORS = {
     "flag-evolve-t": ["evolve", "--t", "-1"],
     "flag-evolve-stiff": ["evolve", "--nu", "1e300", "--t", "1", "--samples", "2"],
     "flag-evolve-t-overflow": ["evolve", "--t", "1e308", "--samples", "3"],
+    "flag-verify-all-seed": ["verify-all", "--dim", "8", "--seed", "-1"],
 }
 
 WALL_TIME = re.compile(rb'("wall_time_s": )[^,\n}]+')

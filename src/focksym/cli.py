@@ -203,6 +203,13 @@ def _config(path: str, **fields) -> VerifyConfig:
         raise ScenarioError(path, str(exc))
 
 
+def _seed(seed: int, path: str) -> int:
+    """The sample seed given at ``path``, which must be >= 0."""
+    if seed < 0:
+        raise ScenarioError(path, "seed must be >= 0")
+    return seed
+
+
 def _config_from(obj: dict, path: str, seed: int) -> VerifyConfig:
     dim = _get(obj, path, "dim", int, VerifyConfig.dim)
     overrides = _get(obj, path, "tolerances", dict, {})
@@ -211,6 +218,9 @@ def _config_from(obj: dict, path: str, seed: int) -> VerifyConfig:
         if key not in tolerances:
             raise ScenarioError(f"{path}.tolerances.{key}", "unknown tolerance name")
         tolerances[key] = _get(overrides, f"{path}.tolerances", key, float)
+        # every default is positive; at or below 0 a >= gate would pass anything
+        if tolerances[key] <= 0:
+            raise ScenarioError(f"{path}.tolerances.{key}", "must be positive")
     return _config(f"{path}.dim", dim=dim, seed=seed, tolerances=tolerances)
 
 
@@ -595,9 +605,7 @@ def _suite_config(params: dict, cfg: VerifyConfig) -> VerifyConfig:
     """The config the suite runs at, and the report records: at params.seed if given."""
     _check_suite_dim(cfg, "truncation.dim")
     seed = _get(params, "params", "seed", int, None)
-    if seed is not None and seed < 0:
-        raise ScenarioError("params.seed", "seed must be >= 0")
-    return cfg if seed is None else replace(cfg, seed=seed)
+    return cfg if seed is None else replace(cfg, seed=_seed(seed, "params.seed"))
 
 
 def _full_verify_kind(params: dict, cfg: VerifyConfig) -> Run:
@@ -718,13 +726,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    sc = validate_scenario(load_scenario(Path(args.scenario)), args.seed)
+    sc = validate_scenario(load_scenario(Path(args.scenario)), _seed(args.seed, "--seed"))
     print(f"scenario: {sc.name} ({sc.kind})")
     return _report(sc.name, sc.kind, sc.cfg, sc.output, sc.run)
 
 
 def _cmd_verify_all(args) -> int:
-    cfg = _config("--dim", dim=args.dim, seed=args.seed)
+    cfg = _config("--dim", dim=args.dim, seed=_seed(args.seed, "--seed"))
     _check_suite_dim(cfg, "--dim")
     with _naming_flags():
         return _report("verify-all", "full-verify", cfg,

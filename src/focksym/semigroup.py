@@ -360,9 +360,11 @@ def semigroup_matrix(
     """Truncated matrix of the family member at time t (normalized basis).
 
     ``ncols`` keeps only the leading columns, as in :func:`wco_matrix`.  The
-    matrix is the stack of one of :func:`semigroup_matrices`.
+    matrix is the stack of one that :func:`wco_matrices` builds from the
+    symbols at the scalar t, as :func:`semigroup_matrices` does from those at
+    an array of times.
     """
-    return semigroup_matrices(fam, (t,), dim, ncols)[0]
+    return wco_matrices(family_eval(fam, t), dim, ncols)[0]
 
 
 def semigroup_matrices(

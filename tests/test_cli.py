@@ -358,6 +358,33 @@ def test_huge_integer_tolerance_is_input_error(tmp_path, _outdir, capsys):
     assert not _outdir.exists()
 
 
+@pytest.mark.parametrize("value", [-1, 0])
+def test_tolerance_that_is_not_positive_is_input_error(tmp_path, _outdir, capsys, value):
+    # at divergence_factor -1 the translation's failing divergence record,
+    # 5.39764 against >= 10, would pass as >= -1
+    path = _scenario(tmp_path, {
+        "name": "x", "kind": "spectrum", "params": {"family": TRANSLATION},
+        "truncation": {"dim": 16, "tolerances": {"divergence_factor": value}},
+    })
+    assert main(["run", path]) == 1
+    assert ("input error: truncation.tolerances.divergence_factor: must be positive"
+            in capsys.readouterr().err)
+    assert not _outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify-all"])
+def test_negative_seed_flag_is_input_error(tmp_path, _outdir, capsys, command):
+    # one check with params.seed of a full-verify scenario
+    if command == "run":
+        argv = ["run", _scenario(tmp_path, {"name": "x", "kind": "full-verify",
+                                            "truncation": {"dim": 8}}), "--seed", "-5"]
+    else:
+        argv = ["verify-all", "--dim", "8", "--seed", "-1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "input error: --seed: seed must be >= 0\n"
+    assert not _outdir.exists()
+
+
 @pytest.mark.parametrize("entry", ["run", "verify-all", "spectrum", "evolve"])
 def test_report_path_that_is_a_directory_is_input_error(tmp_path, _outdir, capsys, entry):
     target = tmp_path / "reports"

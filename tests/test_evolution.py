@@ -572,6 +572,35 @@ def test_evolution_group_integrates_b_in_one_call(monkeypatch):
     ]
 
 
+def test_evolution_group_calls_b_three_times_outside_the_step_loop(monkeypatch):
+    outside, inside = [], []
+    original_b, original_loop = verification.bagchi_hamiltonian, evolution._integrate_spans
+
+    def counting(*args):
+        B = original_b(*args)
+
+        def counted(ts):
+            if not inside:
+                outside.append(len(ts))
+            return B(ts)
+        return counted
+
+    def loop(B, spans, rel_tol):
+        inside.append(True)
+        try:
+            return original_loop(B, spans, rel_tol)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(verification, "bagchi_hamiltonian", counting)
+    for mod in (evolution, verification):
+        monkeypatch.setattr(mod, "_integrate_spans", loop)
+    verification.evolution_checks(verification.VerifyConfig(dim=16))
+    # B(0) for the exponential route, the 9-time grid of
+    # evolution.nonauto-commutation and B(1) for the adjoint target
+    assert outside == [1, 9, 1]
+
+
 # --- the step loop, bit for bit ----------------------------------------------------
 
 def _reference_integrate(B, t0, t1, rel_tol, sums="rows"):

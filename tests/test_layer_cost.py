@@ -79,14 +79,12 @@ def test_propagator_passes_only_prints_each_model(layer_cost, capsys):
     assert layer_cost.main(["propagator", "--passes-only", "--t", "0.5"]) == 0
     out = capsys.readouterr().out
     labels = [label for label, _, _ in layer_cost.PASS_MODELS]
-    passes = _rows(out, "model")
-    assert [row[0] for row in passes] == labels
-    assert all(int(row[2]) > 0 for row in passes)
-    calls = _rows(out.split("coefficient calls", 1)[1], "model")
-    assert [row[0] for row in calls] == labels + ["evolve", "verify-all"]
+    rows = _rows(out, "model")
+    assert [row[0] for row in rows] == labels + ["verify-all"]
+    assert all(int(row[5]) > 0 for row in rows[:-1])  # passes
     # the group's one step-loop call, seen through verification's own binding:
-    # spans, B calls, B times and passes
-    assert calls[-1][3:7] == ["9", "125", "1930", "121"]
+    # spans, B calls and B times inside the loop, and passes
+    assert rows[-1][3:7] == ["9", "122", "1919", "121"]
     tables = out.split("write_csv of a normal table", 1)[1].strip().splitlines()[1:]
     assert len(tables) == len(layer_cost.CSV_TABLES)
 
