@@ -496,12 +496,19 @@ def measure(params: dict, t: float, samples: int,
     return probe, wall, err, sum(st.steps for st in span)
 
 
-def us_per_step(n: int, t: float, rel_tol: float) -> tuple[int, float]:
-    """(attempted steps, fastest microseconds per attempted step) of U(t, 0)."""
+def per(total: float, count: int) -> str:
+    """total / count to one decimal, or ``-`` when there is no count."""
+    return f"{total / count:.1f}" if count else "-"
+
+
+def us_per_step(n: int, t: float, rel_tol: float) -> tuple[int, str]:
+    """(attempted steps, fastest microseconds per attempted step as
+    :func:`per` prints them) of U(t, 0)."""
     B, _, _ = coefficient(constant_params(n), t, rel_tol)
     stats = evolve(B, 0.0, t, rel_tol).stats
     attempted = stats.steps + stats.rejected
-    return attempted, 1e6 * min(timings(lambda: evolve(B, 0.0, t, rel_tol), REPEATS)) / attempted
+    return attempted, per(1e6 * min(timings(lambda: evolve(B, 0.0, t, rel_tol), REPEATS)),
+                          attempted)
 
 
 def print_loop_costs(t: float, rel_tol: float) -> None:
@@ -511,7 +518,8 @@ def print_loop_costs(t: float, rel_tol: float) -> None:
     dim.  A row holds the spans, the calls and evaluated times of B inside
     the loop, the passes and the rejected steps of one call
     (:class:`Probe`), then the fastest of ``REPEATS`` more calls' step-loop
-    ms and wall microseconds per pass (:func:`probed`)."""
+    ms and wall microseconds per pass (:func:`probed`), ``-`` for a run of
+    no pass."""
     print(f"step loop of one evolution run to t = {t:g}; times the fastest of {REPEATS}")
     print(f"{'model':>16}  {'samples':>7}  {'spans':>5}  {'B calls':>7}  {'B times':>7}  "
           f"{'passes':>6}  {'rejected':>8}  {'loop ms':>7}  {'us/pass':>8}")
@@ -523,7 +531,7 @@ def print_loop_costs(t: float, rel_tol: float) -> None:
         _, probe, loop, wall = probed(run, REPEATS)
         print(f"{label:>16}  {samples:>7}  {probe.spans:>5}  {probe.calls:>7}  "
               f"{probe.times:>7}  {probe.passes:>6}  {probe.rejected:>8}  "
-              f"{1e3 * loop:>7.2f}  {1e6 * wall / probe.passes:>8.1f}")
+              f"{1e3 * loop:>7.2f}  {per(1e6 * wall, probe.passes):>8}")
 
 
 # the cells of the write_csv figure: a seeded 49 x 2049 table of each kind,
@@ -665,7 +673,7 @@ def propagator_costs(args) -> int:
     print(f"{'dim':>5}  {'attempted':>9}  {'us/step':>8}")
     for n in STEP_DIMS:
         attempted, us = us_per_step(n, args.t, args.rel_tol)
-        print(f"{n:>5}  {attempted:>9}  {us:>8.1f}")
+        print(f"{n:>5}  {attempted:>9}  {us:>8}")
     print()
     print_loop_costs(args.t, args.rel_tol)
     print(f"\nwrite_csv, fastest of {REPEATS}")
@@ -738,7 +746,7 @@ def knots_costs(args) -> int:
             for kind in kinds:
                 run = series(table_params(kind, knots), 5.0, 37, rel_tol)
                 (_, _, axioms), probe, loop, _ = probed(run, KNOT_REPEATS)
-                _, composition = check_evolution_axioms(axioms[:3], axioms[3])
+                _, composition = check_evolution_axioms(axioms)
                 print(f"{rel_tol:>7g}  {knots:>5}  {kind:>9}  {probe.spans:>5}  "
                       f"{probe.passes:>6}  {probe.steps + probe.rejected:>8}  "
                       f"{probe.rejected:>8}  {1e3 * loop:>8.2f}  "
@@ -915,6 +923,17 @@ def bridge_costs(args) -> int:
 
 # ----------------------------------------------------------------------------
 
+def at_least(low: float, kind: type) -> Callable[[str], float]:
+    """An argparse type: ``kind`` of the argument, which must be ``>= low``."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low:g}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in an unparsable argument's message
+    return parse
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="layer", required=True)
@@ -937,7 +956,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("propagator", help=propagator_costs.__doc__.splitlines()[0])
     p.add_argument("--samples", type=int, nargs="+", default=[2, 21, 201, 1001])
     p.add_argument("--models", nargs="+", choices=list(MODELS), default=list(MODELS))
-    p.add_argument("--t", type=float, default=5.0, help="horizon (s = 0)")
+    p.add_argument("--t", type=at_least(0, float), default=5.0, help="horizon (s = 0)")
     p.add_argument("--rel-tol", type=float, default=1e-10)
     p.add_argument("--out", help="optional CSV output path")
     p.add_argument("--passes-only", action="store_true",
@@ -945,7 +964,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=propagator_costs)
 
     p = sub.add_parser("knots", help=knots_costs.__doc__.splitlines()[0])
-    p.add_argument("--knots", type=int, nargs="+", default=list(KNOTS))
+    p.add_argument("--knots", type=at_least(2, int), nargs="+", default=list(KNOTS))
     p.add_argument("--rel-tol", type=float, nargs="+", default=[1e-10])
     p.set_defaults(fn=knots_costs)
 

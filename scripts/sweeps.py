@@ -229,7 +229,7 @@ def involution(args) -> list:
         if dim <= args.max_degree:
             print(f"{dim:>5}  (skipped: dim must exceed max degree)")
             continue
-        res = float(np.max(check_involution(conjugation_matrix(params, dim), args.max_degree)))
+        res = check_involution(conjugation_matrix(params, dim), args.max_degree)
         factor = (prev / res) if (prev is not None and res > 0) else float("nan")
         print(f"{dim:>5}  {res:>12.4e}  {factor:>13.2f}")
         rows.append((dim, res, factor))

@@ -572,7 +572,7 @@ def _evolution_kind(params: dict, cfg: VerifyConfig) -> Run:
         try:
             times, series, axioms = evolution_series(B, (s, t), samples, rel_tol, breaks, M)
             U_ts = axioms[3]
-            records = evolution_axiom_records(cfg, axioms[:3], U_ts, rel_tol, t - s)
+            records = evolution_axiom_records(cfg, axioms, rel_tol, t - s)
             records.append(_info("evolution.transpose-symmetry",
                                  "U M = M U^T under plain conjugation",
                                  check_matrix_c_symmetry(U_ts, np.eye(len(U_ts))),

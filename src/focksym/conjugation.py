@@ -97,8 +97,8 @@ def conjugation_matrix(p: ConjugationParams, dim: int) -> np.ndarray:
     return wco_matrix(p.to_wco_params(), dim)
 
 
-def check_involution(M: np.ndarray, max_degree: int) -> np.ndarray:
-    """Residuals ||(M conj(M) - I) e_k|| for k = 0..max_degree.
+def check_involution(M: np.ndarray, max_degree: int) -> float:
+    """The worst residual ||(M conj(M) - I) e_k|| over k = 0..max_degree.
 
     The square of the antilinear operator is the linear map M conj(M); exact
     identity requires b = 0, otherwise the residual decays with truncation.
@@ -111,7 +111,7 @@ def check_involution(M: np.ndarray, max_degree: int) -> np.ndarray:
         raise ValueError("max_degree outside truncation")
     n = max_degree + 1
     P = (np.conj(M[:, :n]).T @ M.T).T - np.eye(dim, n)
-    return np.linalg.norm(P, axis=0)
+    return float(np.max(np.linalg.norm(P, axis=0)))
 
 
 def check_isometry(M: np.ndarray, f: np.ndarray, g: np.ndarray) -> float:

@@ -56,8 +56,9 @@ many at a time as keep the stage buffer within ``_BATCH_BYTES``.
 :func:`evolve` is a batch of one.  Since every pass costs a fixed overhead
 of numpy calls, each caller hands in all the spans of one coefficient and
 one tolerance in one call: :func:`evolution_series` every span of an
-``evolution`` run, and the suite its U(1, 0), U(0, 1), U(1, 1), the
-composition law's pieces of [0, 1] and the adjoint quotients' short spans.
+``evolution`` run, and the suite the axioms stack of [0, 1], U(1, 1),
+U(1, 0.5), U(0.5, 0) and U(1, 0), then U(0, 1) and the adjoint quotients'
+short spans.
 
 Checks cover the evolution-family axioms, the adjoint family's derivative
 identity and the commutation relation B(s) J = J conj(B(s))  (written here as
@@ -67,8 +68,9 @@ symmetry U(t,s) = J U(t,s)* J of the propagator for commuting families is
 
 Spans come back as stacks, and :func:`evolution_series` is an ``evolution``
 run: its docstring gives the plan of the run's spans and chains.  The checks
-integrate nothing: :func:`check_evolution_axioms` judges U(t, t), U(t, r)
-and U(r, s) against U(t, s), and :func:`check_adjoint_family` the
+integrate nothing: :func:`check_evolution_axioms` judges the stack U(t, t),
+U(t, r), U(r, s), U(t, s) that :func:`evolution_series` returns, and
+:func:`check_adjoint_family` the
 U(t + h, t) of :func:`adjoint_spans`, all integrated by their caller.  A
 span too stiff to integrate raises StiffnessError, and one whose stages
 overflow at steps well inside the pair's stability region OverflowError.
@@ -396,10 +398,7 @@ def evolve(
 
 def series_segments(times: Sequence[float]) -> list[tuple[float, float]]:
     """The spans (t_{k-1}, t_k) of a series over non-decreasing times."""
-    segments = [(float(a), float(b)) for a, b in zip(times[:-1], times[1:])]
-    if any(b < a for a, b in segments):
-        raise ValueError("evolution_series requires t >= s")
-    return segments
+    return [(float(a), float(b)) for a, b in zip(times[:-1], times[1:])]
 
 
 # a chain or a product that overflows is checked for afterwards, so its
@@ -475,7 +474,8 @@ def evolution_series(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """An ``evolution`` run of B over span = (s, t): the ``samples`` times
     t_k from s to t, the (samples, n, n) series U(t_k, s), and the stack of
-    U(t, t), U(t, r), U(r, s) and U(t, s) that the evolution axioms judge.
+    U(t, t), U(t, r), U(r, s) and U(t, s) that :func:`check_evolution_axioms`
+    judges.  A backward span, t < s, raises ValueError, as :func:`evolve` does.
 
     The series is chained through the cocycle
     U(t_k, s) = U(t_k, t_{k-1}) U(t_{k-1}, s) from its segments, so its cost
@@ -507,6 +507,8 @@ def evolution_series(
     chain leaves the double range.  The span stack is released on return.
     """
     s, t = span
+    if t < s:
+        raise ValueError(f"evolution_series requires t >= s, got t = {t} < s = {s}")
     # linspace's rounded step overshoots t on a grid of subnormal spacing
     times = np.minimum(np.linspace(s, t, samples), t)
     segments = series_segments(times) or [span]
@@ -571,17 +573,17 @@ def column_residual(U: np.ndarray, E: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def check_evolution_axioms(U_axioms: np.ndarray, U_ts: np.ndarray) -> tuple[float, float]:
+def check_evolution_axioms(axioms: np.ndarray) -> tuple[float, float]:
     """(identity residual, composition residual) for s <= r <= t.
 
-    ``U_axioms`` holds U(t, t), U(t, r) and U(r, s), integrated by the
-    caller, and ``U_ts`` is the caller's U(t, s) at the same tolerance.
-    Identity: max-abs of U(t, t) - I, exactly 0 by construction, since a
-    zero span is I before any step.  Composition: the componentwise
-    :func:`product_residual` of U(t, r) U(r, s) = U(t, s).  Raises
-    OverflowError when the product leaves the double range.
+    ``axioms`` is the stack of U(t, t), U(t, r), U(r, s) and U(t, s) that
+    :func:`evolution_series` returns, all integrated by the caller at one
+    tolerance.  Identity: max-abs of U(t, t) - I, exactly 0 by
+    construction, since a zero span is I before any step.  Composition: the
+    componentwise :func:`product_residual` of U(t, r) U(r, s) = U(t, s).
+    Raises OverflowError when the product leaves the double range.
     """
-    U_tt, U_tr, U_rs = U_axioms
+    U_tt, U_tr, U_rs, U_ts = axioms
     if not np.isfinite(U_tr @ U_rs).all():
         raise OverflowError("the propagator U(t, r) U(r, s) leaves the double range")
     ident = U_tt - np.eye(len(U_ts))
@@ -628,20 +630,21 @@ def check_nonauto_stone(
     B: _Coefficient,
     conj_matrix: np.ndarray,
     s_grid: Sequence[float],
-) -> np.ndarray:
-    """Residuals ||B(s) M - M B(s)^T|| over the grid, for antilinear J = M conj.
+) -> float:
+    """The worst residual ||B(s) M - M B(s)^T|| over the grid, for antilinear
+    J = M conj.
 
     Validates that M defines an involution (``check_involution`` on every column)
-    before measuring; a broken involution raises rather than producing residuals.
+    before measuring; a broken involution raises rather than producing a residual.
     """
     M = np.asarray(conj_matrix, dtype=complex)
-    inv = np.max(check_involution(M, M.shape[0] - 1))
+    inv = check_involution(M, M.shape[0] - 1)
     if inv > _INVOLUTION_TOL:
         raise ValueError(
             f"conjugation matrix is not an involution: ||M conj(M) - I|| = {inv:.3e}"
         )
-    return np.array([check_matrix_c_symmetry(B_s, M)
-                     for B_s in B([float(sv) for sv in s_grid])])
+    return float(np.max([check_matrix_c_symmetry(B_s, M)
+                         for B_s in B([float(sv) for sv in s_grid])]))
 
 
 def bagchi_hamiltonian(

@@ -68,7 +68,6 @@ from .evolution import (
     check_evolution_axioms,
     check_nonauto_stone,
     column_residual,
-    composition_pieces,
     product_residual,
 )
 from .fock import sqrt_factorial
@@ -133,15 +132,7 @@ class CheckRecord:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "anchor": self.anchor,
-            "measured": self.measured,
-            "threshold": self.threshold,
-            "direction": self.direction,
-            "status": self.status,
-            "detail": self.detail,
-        }
+        return dict(vars(self))
 
 
 # VerifyConfig's named tolerances.  Values are calibrated at the default
@@ -217,11 +208,6 @@ def _info(check_id: str, anchor: str, measured: float, detail: str = "") -> Chec
 # ----------------------------------------------------------------------------
 # measurements shared by the record makers and the scenario kinds
 
-def involution_residual(M: np.ndarray, degree: int) -> float:
-    """Worst ||(C^2 - I) e_k|| over k <= degree, for C f = M conj(f)."""
-    return float(np.max(check_involution(M, degree)))
-
-
 def isometry_residual(M: np.ndarray, seed: int) -> float:
     """|<Cf,Cg> - <g,f>| for two complex normal vectors drawn at seed ^ 0x1."""
     f, g = complex_normal_vectors(seed ^ 0x1, 2, M.shape[0])
@@ -278,13 +264,13 @@ def conjugation_records(cfg: VerifyConfig, p: ConjugationParams, M: np.ndarray,
     if p.b == 0:
         return [
             _record(f"conjugation.involution{suffix}", "C^2 = identity",
-                    involution_residual(M, min(8, cfg.dim - 1)), cfg.tol("involution_exact")),
+                    check_involution(M, min(8, cfg.dim - 1)), cfg.tol("involution_exact")),
             _record(f"conjugation.isometry{suffix}", "<Cf,Cg> = <g,f>",
                     isometry_residual(M, cfg.seed), cfg.tol("isometry_exact")),
         ]
     half = cfg.dim // 2
     deg = min(8, half - 1)
-    r_half, r_full = (involution_residual(M[:d, :d], deg) for d in (half, cfg.dim))
+    r_half, r_full = (check_involution(M[:d, :d], deg) for d in (half, cfg.dim))
     check_id, anchor = f"conjugation.involution{suffix}.decay", "C^2 -> identity as truncation grows"
     factor = r_half / r_full if r_full > 0 else math.inf
     decay, floor = cfg.tol("residual_decay_factor"), cfg.tol("involution_exact")
@@ -407,16 +393,15 @@ def _product_bound(cfg: VerifyConfig, rel_tol: float, span: float) -> float:
 
 def evolution_axiom_records(
     cfg: VerifyConfig,
-    U_axioms: np.ndarray,
-    U_ts: np.ndarray,
+    axioms: np.ndarray,
     rel_tol: float,
     span: float,
     suffix: str = "",
 ) -> list[CheckRecord]:
     """U(t, t) = I and U(t, r) U(r, s) = U(t, s), given the stack of U(t, t),
-    U(t, r) and U(r, s) for s <= r <= t and U(t, s), all integrated at
-    ``rel_tol``, and span = t - s."""
-    ident, comp = check_evolution_axioms(U_axioms, U_ts)
+    U(t, r), U(r, s) and U(t, s) for s <= r <= t that ``evolution_series``
+    returns, all integrated at ``rel_tol``, and span = t - s."""
+    ident, comp = check_evolution_axioms(axioms)
     return [
         _record(f"evolution.identity{suffix}", "U(t, t) = identity", ident,
                 cfg.tol("evolution_tol_factor") * rel_tol),
@@ -728,15 +713,15 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     B = bagchi_hamiltonian(1.0, lambda ts: np.full(len(ts), 0.3),
                            lambda ts: np.full(len(ts), 1.0))
     hs = np.array([3e-2, 1e-2, 3e-3, 1e-3])
-    # one step loop for B: U(1, 0), which serves the axioms, the closed form,
-    # the symmetry record, the adjoint slope and the reversal; U(0, 1); U(1, 1)
-    # and the composition law's U(0.5, 0) and U(1, 0.5); the adjoint
-    # quotients' U(1 + h, 1)
-    pieces, _ = composition_pieces([(0.0, 1.0)])
+    # one step loop for B: the axioms stack U(1, 1), U(1, 0.5), U(0.5, 0),
+    # U(1, 0) of evolution_series over [0, 1], whose U(1, 0) serves the
+    # closed form, the symmetry record, the adjoint slope and the reversal;
+    # U(0, 1); the adjoint quotients' U(1 + h, 1)
     mats, _ = _integrate_spans(
-        B, [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), *pieces, *adjoint_spans(1.0, hs)], rel_tol)
-    U, U_rev, U_tt, U_rs, U_tr = mats[:5]
-    out = evolution_axiom_records(cfg, np.stack([U_tt, U_tr, U_rs]), U, rel_tol, 1.0)
+        B, [(1.0, 1.0), (0.5, 1.0), (0.0, 0.5), (0.0, 1.0), (1.0, 0.0),
+            *adjoint_spans(1.0, hs)], rel_tol)
+    U, U_rev = mats[3:5]
+    out = evolution_axiom_records(cfg, mats[:4], rel_tol, 1.0)
     # constant coefficients: closed form via the spectral decomposition
     nu, kap, lamb = 1.0, 0.3, 1.0
     mu = math.sqrt(lamb**2 - kap**2)
@@ -753,7 +738,7 @@ def evolution_checks(cfg: VerifyConfig) -> list[CheckRecord]:
     stone = check_nonauto_stone(B, np.eye(2), np.linspace(0.0, 2.0, 9))
     out.append(_record("evolution.nonauto-commutation",
                        "B(s) M = M B(s)^T along the whole time axis",
-                       float(np.max(stone)), cfg.tol("nonauto_commutation")))
+                       stone, cfg.tol("nonauto_commutation")))
     # a constant B commutes with itself at all times, and its off-diagonal
     # coupling keeps U from being trivially symmetric: U inherits the symmetry
     out.append(_record("evolution.symmetry-commuting",

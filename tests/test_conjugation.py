@@ -71,24 +71,31 @@ def test_to_wco_params_wiring():
 def test_involution_exact_for_diagonal_params():
     for p in (standard_conjugation(), ConjugationParams(-1.0, 0.0, 1.0)):
         M = conjugation_matrix(p, 32)
-        assert np.max(check_involution(M, 8)) < 1e-12
+        assert check_involution(M, 8) < 1e-12
 
 
 def test_involution_residual_decays_for_offset_params():
     p = _offset_params()
-    r32 = np.max(check_involution(conjugation_matrix(p, 32), 8))
-    r64 = np.max(check_involution(conjugation_matrix(p, 64), 8))
+    r32 = check_involution(conjugation_matrix(p, 32), 8)
+    r64 = check_involution(conjugation_matrix(p, 64), 8)
     assert r32 / r64 >= 10.0
     assert r64 < 1e-12
 
 
 def test_involution_monotone_in_truncation():
     p = _offset_params()
-    residuals = [
-        float(np.max(check_involution(conjugation_matrix(p, d), 6)))
-        for d in (16, 24, 32, 48)
-    ]
+    residuals = [check_involution(conjugation_matrix(p, d), 6) for d in (16, 24, 32, 48)]
     assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+
+
+def test_involution_is_the_worst_degree_residual():
+    M = conjugation_matrix(_offset_params(), 16)
+    # C^2 - I on every degree, from the full product, then the worst of degrees <= 6
+    per_degree = np.linalg.norm(M @ np.conj(M) - np.eye(16), axis=0)[:7]
+    assert len(set(per_degree.tolist())) == 7  # no two degrees read alike
+    residual = check_involution(M, 6)
+    assert isinstance(residual, float)
+    assert residual == pytest.approx(float(np.max(per_degree)), rel=1e-12)
 
 
 def test_isometry_for_diagonal_conjugation():

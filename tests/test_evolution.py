@@ -97,6 +97,14 @@ def test_evolve_rejects_reversed_interval():
         evolve(B, 0.0, 1.0, rel_tol=0.0)
 
 
+def test_evolution_series_rejects_reversed_interval():
+    # a backward span raises as evolve does, rather than clamping every
+    # sample time to t and returning identities
+    B = _bagchi_cosine()
+    with pytest.raises(ValueError, match="t >= s"):
+        evolution_series(B, (0.0, -1.0), 3, 1e-10)
+
+
 def test_zero_span_is_identity_with_zero_steps():
     B = bagchi_hamiltonian(1.0, _flat(0.3), _flat(0.5))
     op = evolve(B, 0.7, 0.7)
@@ -118,10 +126,9 @@ def test_integrator_stats_are_sane():
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
 def test_axioms_within_budget(rel_tol):
     B = bagchi_hamiltonian(1.0, lambda ts: 0.5 * np.cos(ts), lambda ts: 0.8 + 0.1 * ts)
-    U_ts = evolve(B, 0.0, 1.5, rel_tol).matrix
-    # U(t, t), U(t, r) and U(r, s) at (s, r, t) = (0, 0.6, 1.5)
-    U_axioms, _ = _integrate_spans(B, [(1.5, 1.5), (0.6, 1.5), (0.0, 0.6)], rel_tol)
-    ident, comp = check_evolution_axioms(U_axioms, U_ts)
+    # U(t, t), U(t, r), U(r, s) and U(t, s) at (s, r, t) = (0, 0.6, 1.5)
+    axioms, _ = _integrate_spans(B, [(1.5, 1.5), (0.6, 1.5), (0.0, 0.6), (0.0, 1.5)], rel_tol)
+    ident, comp = check_evolution_axioms(axioms)
     assert ident == 0.0  # U(t, t) never integrates
     assert comp <= 10.0 * rel_tol
 
@@ -156,7 +163,7 @@ def test_composition_pieces_share_no_span_with_the_series(span):
 def test_axioms_raise_when_the_composition_overflows():
     big = 1e200 * np.eye(2, dtype=complex)
     with pytest.raises(OverflowError, match=r"U\(t, r\) U\(r, s\) leaves the double range"):
-        check_evolution_axioms(np.stack([np.eye(2), big, big]), np.eye(2))
+        check_evolution_axioms(np.stack([np.eye(2), big, big, np.eye(2)]))
 
 
 def test_product_residual_judges_each_entry_against_its_own_size():
@@ -193,7 +200,7 @@ def test_a_span_with_a_subnormal_error_budget_takes_no_step(L):
     _, series, axioms = evolution_series(counted, (0.0, L), 2, 1e-10)
     assert calls == [4]  # every span's start: the segment, U(t, t) and two halves
     assert np.array_equal(series[-1], np.eye(2) + L * B([0.0])[0])
-    assert check_evolution_axioms(axioms[:3], axioms[3]) == (0.0, 0.0)
+    assert check_evolution_axioms(axioms) == (0.0, 0.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -373,7 +380,7 @@ def test_constant_model_is_a_view_of_its_matrix():
 def test_stone_residual_zero_for_symmetric_coefficients():
     B = bagchi_hamiltonian(1.0, lambda ts: 0.3 * np.cos(ts), _flat(0.6))
     res = check_nonauto_stone(B, np.eye(2), s_grid=np.linspace(0, 2, 9))
-    assert np.all(res == 0.0)
+    assert res == 0.0
 
 
 def test_stone_check_rejects_broken_involution():
@@ -384,11 +391,14 @@ def test_stone_check_rejects_broken_involution():
 
 
 def test_stone_residual_measures_swap_asymmetry():
-    # diagonal coefficients vs the swap involution: residual |b1 - b2|
-    B = _constant(np.diag([1.0 + 0j, 3.0 + 0j]))
+    # diagonal coefficients vs the swap involution: residual |b1 - b2| = 2s,
+    # which reads 0, 2 and 1 over the grid; the check returns the worst
+    def B(ts):
+        return np.array([np.diag([1.0 + 0j, 1.0 + 2.0 * s]) for s in ts])
+
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    res = check_nonauto_stone(B, swap, s_grid=[0.0, 1.0])
-    np.testing.assert_allclose(res, [2.0, 2.0])
+    res = check_nonauto_stone(B, swap, s_grid=[0.0, 1.0, 0.5])
+    assert res == pytest.approx(2.0)
 
 
 def test_propagator_symmetric_for_commuting_family():
@@ -563,13 +573,31 @@ def test_evolution_group_integrates_b_in_one_call(monkeypatch):
         monkeypatch.setattr(mod, "_integrate_spans", recording)
     verification.evolution_checks(verification.VerifyConfig(dim=16))
     hs = (3e-2, 1e-2, 3e-3, 1e-3)
-    # U(1, 0), U(0, 1), the axioms' U(1, 1), the composition law's pieces
-    # U(0.5, 0), U(1, 0.5) and the adjoint quotients' U(1 + h, 1), all of the
-    # one coefficient B in one call at 1e-10
+    # the axioms stack U(1, 1), U(1, 0.5), U(0.5, 0), U(1, 0), then U(0, 1)
+    # and the adjoint quotients' U(1 + h, 1), all of the one coefficient B in
+    # one call at 1e-10
     assert calls == [
-        ([(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.5), (0.5, 1.0),
+        ([(1.0, 1.0), (0.5, 1.0), (0.0, 0.5), (0.0, 1.0), (1.0, 0.0),
           *((1.0, 1.0 + h) for h in hs)], 1e-10),
     ]
+
+
+def test_evolution_group_integrates_the_axioms_stack_of_a_series(monkeypatch):
+    calls = []
+    original = verification._integrate_spans
+
+    def recording(B, spans, rel_tol):
+        mats, stats = original(B, spans, rel_tol)
+        calls.append((B, mats))
+        return mats, stats
+
+    monkeypatch.setattr(verification, "_integrate_spans", recording)
+    verification.evolution_checks(verification.VerifyConfig(dim=16))
+    [(B, mats)] = calls
+    # the suite's first four matrices are the stack evolution_series hands
+    # the axioms check, bit for bit
+    _, _, axioms = evolution_series(B, (0.0, 1.0), 2, 1e-10)
+    assert np.array_equal(mats[:4], axioms)
 
 
 def test_evolution_group_calls_b_three_times_outside_the_step_loop(monkeypatch):
@@ -1051,7 +1079,7 @@ def test_table_run_past_its_ends_takes_no_rejected_step(monkeypatch):
     monkeypatch.setattr(evolution, "_integrate_spans", recording)
     times, series, axioms = evolution_series(B, (0.0, 5.0), 11, 1e-10, breaks)
     records = verification.evolution_axiom_records(verification.VerifyConfig(dim=3),
-                                                   axioms[:3], axioms[3], 1e-10, 5.0)
+                                                   axioms, 1e-10, 5.0)
     assert sum(st.rejected for st in stats) == 0
     assert sum(st.steps for st in stats) > 0
     for k in (5, 10):  # the middle and the last sample

@@ -89,6 +89,22 @@ def test_propagator_passes_only_prints_each_model(layer_cost, capsys):
     assert len(tables) == len(layer_cost.CSV_TABLES)
 
 
+def test_propagator_at_t_0_prints_a_dash_for_no_pass_or_step(layer_cost, capsys):
+    assert layer_cost.main(["propagator", "--passes-only", "--t", "0"]) == 0
+    rows = _rows(capsys.readouterr().out, "model")
+    assert all(row[5] == "0" and row[-1] == "-" for row in rows[:-1])  # passes, us/pass
+    assert layer_cost.us_per_step(2, 0.0, 1e-10) == (0, "-")
+
+
+@pytest.mark.parametrize("argv", [["propagator", "--t", "-1"], ["knots", "--knots", "1"]])
+def test_a_horizon_below_0_or_a_table_below_two_knots_is_a_usage_error(layer_cost, capsys,
+                                                                       argv):
+    with pytest.raises(SystemExit) as exit_:
+        layer_cost.main(argv)
+    assert exit_.value.code == 2
+    assert f"error: argument {argv[1]}: must be >= " in capsys.readouterr().err
+
+
 def test_knots_prints_each_table(layer_cost, capsys):
     assert layer_cost.main(["knots", "--knots", "6", "--rel-tol", "1e-8"]) == 0
     rows = _rows(capsys.readouterr().out, "rel_tol")
